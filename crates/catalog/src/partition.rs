@@ -171,38 +171,82 @@ impl Partition {
 
     /// The bucket owning an object-level HTM ID (total: every ID has one).
     pub fn bucket_of(&self, id: HtmId) -> BucketId {
+        BucketId(self.locate(id, 0) as u32)
+    }
+
+    /// Index of the bucket owning `id`, trying `hint` (a previous answer)
+    /// before the binary search. Exact for any `hint`: a stale or
+    /// out-of-range one costs two compares and falls through.
+    fn locate(&self, id: HtmId, hint: usize) -> usize {
         assert_eq!(
             id.level(),
             self.level,
             "bucket_of requires object-level IDs"
         );
         let raw = id.raw();
+        if self.starts.get(hint).is_some_and(|&s| s <= raw) && self.ends_after(hint, raw) {
+            return hint;
+        }
         // partition_point returns the first start > raw; the owner is the
         // bucket before it.
-        let idx = self.starts.partition_point(|&s| s <= raw);
-        BucketId((idx - 1) as u32)
+        self.starts.partition_point(|&s| s <= raw) - 1
+    }
+
+    /// True if bucket `idx` ends at or after `raw` (the last bucket runs to
+    /// the curve's end, so it ends after every object-level ID).
+    fn ends_after(&self, idx: usize, raw: u64) -> bool {
+        self.starts.get(idx + 1).map_or(true, |&next| raw < next)
     }
 
     /// The inclusive bucket span overlapping an object-level HTM range.
     pub fn buckets_overlapping(&self, range: HtmRange) -> std::ops::RangeInclusive<u32> {
-        let lo = self.bucket_of(range.lo()).0;
-        let hi = self.bucket_of(range.hi()).0;
-        lo..=hi
+        let (lo, hi) = self.span_of(range, 0);
+        lo as u32..=hi as u32
+    }
+
+    /// `(first, last)` bucket index overlapping `range`, locating `lo` from
+    /// `hint` and searching for `hi` only when it leaves `lo`'s bucket.
+    fn span_of(&self, range: HtmRange, hint: usize) -> (usize, usize) {
+        let lo = self.locate(range.lo(), hint);
+        let hi = if self.ends_after(lo, range.hi().raw()) {
+            lo
+        } else {
+            self.locate(range.hi(), lo + 1)
+        };
+        (lo, hi)
+    }
+
+    /// Calls `visit` once per bucket overlapping any range of `set`, in
+    /// ascending bucket order, without allocating. `hint` is any earlier
+    /// answer (consecutive ranges and objects of a query mostly stay in one
+    /// bucket, which then costs two compares instead of a binary search);
+    /// it never changes the result. Returns the last bucket visited — the
+    /// next call's hint — or `hint` itself for an empty set.
+    pub fn visit_buckets_overlapping_set(
+        &self,
+        set: &HtmRangeSet,
+        hint: BucketId,
+        mut visit: impl FnMut(BucketId),
+    ) -> BucketId {
+        let mut hint = hint.index();
+        // Ranges in a set are sorted, so spans ascend; only a span's first
+        // bucket can repeat the previous span's last.
+        let mut next = 0usize;
+        for &r in set.ranges() {
+            let (lo, hi) = self.span_of(r, hint);
+            for b in lo.max(next)..=hi {
+                visit(BucketId(b as u32));
+            }
+            next = hi + 1;
+            hint = hi;
+        }
+        BucketId(hint as u32)
     }
 
     /// The sorted, deduplicated bucket IDs overlapping any range of the set.
     pub fn buckets_overlapping_set(&self, set: &HtmRangeSet) -> Vec<BucketId> {
-        let mut out: Vec<BucketId> = Vec::new();
-        for &r in set.ranges() {
-            for b in self.buckets_overlapping(r) {
-                if out.last() != Some(&BucketId(b)) {
-                    out.push(BucketId(b));
-                }
-            }
-        }
-        // Ranges in a set are sorted, so `out` is sorted; dedup handled above
-        // except across set ranges mapping to the same bucket.
-        out.dedup();
+        let mut out = Vec::new();
+        self.visit_buckets_overlapping_set(set, BucketId(0), |b| out.push(b));
         out
     }
 }

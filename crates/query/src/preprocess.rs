@@ -52,15 +52,73 @@ impl<'a> QueryPreProcessor<'a> {
     /// elimination is needed because every catalog point lives in exactly
     /// one bucket (Section 3.1).
     pub fn preprocess(&self, query: &CrossMatchQuery) -> Vec<WorkItem> {
-        // Buckets are dense indices; collect per-bucket index lists in a map
-        // keyed by bucket. Queries touch few distinct buckets relative to the
-        // partition size, so a BTreeMap keeps output ordered without a full
-        // bucket-count allocation per query.
-        let mut per_bucket: std::collections::BTreeMap<BucketId, Vec<u32>> =
-            std::collections::BTreeMap::new();
+        // Work items stay sorted by bucket as they are created. Queries
+        // touch few distinct buckets and consecutive objects often stay in
+        // one, so `cursor` (the item appended to last) is tried before the
+        // binary search.
+        let mut items: Vec<WorkItem> = Vec::new();
+        let mut cursor = 0usize;
+        self.for_each_assignment(query, |idx, bucket| {
+            if items.get(cursor).map(|w| w.bucket) != Some(bucket) {
+                cursor = match items.binary_search_by_key(&bucket, |w| w.bucket) {
+                    Ok(i) => i,
+                    Err(i) => {
+                        items.insert(
+                            i,
+                            WorkItem {
+                                query: query.id,
+                                bucket,
+                                object_indices: Vec::new(),
+                            },
+                        );
+                        i
+                    }
+                };
+            }
+            items[cursor].object_indices.push(idx);
+        });
+        items
+    }
+
+    /// Total number of (object, bucket) assignments a query expands to —
+    /// the amount of workload-queue space it will occupy.
+    pub fn workload_size(&self, query: &CrossMatchQuery) -> u64 {
+        let mut total = 0u64;
+        self.for_each_assignment(query, |_, _| total += 1);
+        total
+    }
+
+    /// Calls `f(object index, bucket)` for every bucket each object's
+    /// bounding ranges overlap: objects in order, each object's buckets
+    /// ascending. The last bucket found seeds the next object's lookup.
+    fn for_each_assignment(&self, query: &CrossMatchQuery, mut f: impl FnMut(u32, BucketId)) {
+        let mut hint = BucketId(0);
         for (idx, obj) in query.objects.iter().enumerate() {
-            let buckets = self.partition.buckets_overlapping_set(&obj.bbox);
-            for b in buckets {
+            hint = self
+                .partition
+                .visit_buckets_overlapping_set(&obj.bbox, hint, |b| f(idx as u32, b));
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::crossmatch::{MatchObject, Predicate};
+    use liferaft_catalog::generate::{clustered_sky, ClusterConfig};
+    use liferaft_catalog::Partition;
+    use liferaft_htm::Vec3;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    const LEVEL: u8 = 8;
+
+    /// The grouping `preprocess` used to do, kept as its reference: every
+    /// object's collected bucket list, keyed into an ordered map.
+    fn reference(p: &Partition, query: &CrossMatchQuery) -> Vec<WorkItem> {
+        let mut per_bucket: BTreeMap<BucketId, Vec<u32>> = BTreeMap::new();
+        for (idx, obj) in query.objects.iter().enumerate() {
+            for b in p.buckets_overlapping_set(&obj.bbox) {
                 per_bucket.entry(b).or_default().push(idx as u32);
             }
         }
@@ -74,21 +132,50 @@ impl<'a> QueryPreProcessor<'a> {
             .collect()
     }
 
-    /// Total number of (object, bucket) assignments a query expands to —
-    /// the amount of workload-queue space it will occupy.
-    pub fn workload_size(&self, query: &CrossMatchQuery) -> u64 {
-        self.preprocess(query).iter().map(|w| w.len() as u64).sum()
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Runs of neighbouring objects (the cursor's hits), jumps across
+        /// the sky (its misses) and wide circles spanning many buckets all
+        /// group exactly as the map did, on even and on skewed partitions.
+        #[test]
+        fn preprocess_equals_the_btreemap_grouping(
+            non_uniform in proptest::bool::ANY,
+            seed in 0u64..1_000,
+            anchors in proptest::collection::vec(
+                (0.0f64..360.0, -89.0f64..89.0, 1usize..12, 0u8..4),
+                0..10,
+            ),
+        ) {
+            let p = if non_uniform {
+                let sky = clustered_sky(2_000, LEVEL, seed, ClusterConfig::default());
+                Partition::build_from_objects(&sky, LEVEL, 25 + (seed % 40) as usize, 1).0
+            } else {
+                Partition::synthetic_uniform(LEVEL, 1 + (seed % 200) as u32, 100, 1)
+            };
+            let objects: Vec<MatchObject> = anchors
+                .iter()
+                .flat_map(|&(ra, dec, n, size)| {
+                    let radius = [1e-6, 1e-4, 5e-3, 0.2][size as usize];
+                    (0..n).map(move |k| {
+                        let pos = Vec3::from_radec_deg(ra + k as f64 * 0.003, dec);
+                        MatchObject::new(pos, radius, LEVEL)
+                    })
+                })
+                .collect();
+            let q = CrossMatchQuery::new(QueryId(seed), objects, Predicate::All);
+            let pre = QueryPreProcessor::new(&p);
+            let items = pre.preprocess(&q);
+            prop_assert_eq!(&items, &reference(&p, &q));
+            prop_assert!(items.windows(2).all(|w| w[0].bucket < w[1].bucket));
+            for item in &items {
+                prop_assert!(!item.is_empty());
+                prop_assert!(item.object_indices.windows(2).all(|w| w[0] < w[1]));
+            }
+            let total: u64 = items.iter().map(|w| w.len() as u64).sum();
+            prop_assert_eq!(pre.workload_size(&q), total);
+        }
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::crossmatch::{MatchObject, Predicate};
-    use liferaft_catalog::Partition;
-    use liferaft_htm::Vec3;
-
-    const LEVEL: u8 = 8;
 
     fn partition() -> Partition {
         Partition::synthetic_uniform(LEVEL, 64, 100, 4096)

@@ -13,8 +13,9 @@
 //! (one `QueryRun` per co-queued query, sorted by query ID). The three
 //! queue operations the engine drives then cost:
 //!
-//! - **enqueue**: O(log d) directory lookup (d = co-queued queries) plus an
-//!   O(1) amortized append to the run's tail segment;
+//! - **enqueue**: one O(log d) directory lookup (d = co-queued queries) per
+//!   work item, then its entries are appended to the run's tail a segment
+//!   at a time ([`push_run`](WorkloadQueue::push_run));
 //! - **[`drain_query_into`](WorkloadQueue::drain_query_into)** (the NoShare
 //!   batch): O(matched) — the run's chain is unlinked and its entries moved
 //!   out with **zero compares against other queries' entries**, plus an
@@ -177,45 +178,65 @@ impl WorkloadQueue {
         WorkloadQueue::default()
     }
 
-    /// Appends an entry to its query's run (O(log d) lookup + O(1)
-    /// amortized append).
+    /// Appends an entry to its query's run — [`push_run`](Self::push_run)
+    /// of length 1.
     pub fn push(&mut self, e: QueueEntry) {
-        self.oldest = Some(match self.oldest {
-            Some(t) => t.min(e.enqueued_at),
-            None => e.enqueued_at,
-        });
-        self.len += 1;
-        match self.directory.binary_search_by_key(&e.query, |r| r.query) {
-            Ok(i) => {
-                let tail = self.directory[i].tail;
-                let tail = if self.segments[tail as usize].entries.len() == SEGMENT_CAPACITY {
-                    let s = self.alloc_segment();
-                    self.segments[tail as usize].next = s;
-                    self.directory[i].tail = s;
-                    s
-                } else {
-                    tail
-                };
-                let run = &mut self.directory[i];
-                run.len += 1;
-                run.oldest = run.oldest.min(e.enqueued_at);
-                self.segments[tail as usize].entries.push(e);
-            }
+        self.push_run(e.query, std::iter::once(e));
+    }
+
+    /// Appends `entries`, all of `query`, to that query's run: one O(log d)
+    /// directory lookup, then the tail segment is filled and new segments
+    /// are chained a whole segment at a time, with the run and queue
+    /// accounting updated once. A no-op for an empty iterator.
+    pub fn push_run(
+        &mut self,
+        query: QueryId,
+        mut entries: impl ExactSizeIterator<Item = QueueEntry>,
+    ) {
+        let n = entries.len();
+        if n == 0 {
+            return;
+        }
+        let (i, mut tail) = match self.directory.binary_search_by_key(&query, |r| r.query) {
+            Ok(i) => (i, self.directory[i].tail),
             Err(i) => {
                 let s = self.alloc_segment();
                 self.directory.insert(
                     i,
                     QueryRun {
-                        query: e.query,
+                        query,
                         head: s,
                         tail: s,
-                        len: 1,
-                        oldest: e.enqueued_at,
+                        len: 0,
+                        // The identity of `min`; folded with the entries'
+                        // stamps below, before anything reads the row.
+                        oldest: SimTime::from_micros(u64::MAX),
                     },
                 );
-                self.segments[s as usize].entries.push(e);
+                (i, s)
             }
+        };
+        let mut oldest = self.directory[i].oldest;
+        loop {
+            let seg = &mut self.segments[tail as usize].entries;
+            let room = SEGMENT_CAPACITY - seg.len();
+            seg.extend(entries.by_ref().take(room).inspect(|e| {
+                debug_assert_eq!(e.query, query, "foreign entry in a run append");
+                oldest = oldest.min(e.enqueued_at);
+            }));
+            if entries.len() == 0 {
+                break;
+            }
+            let s = self.alloc_segment();
+            self.segments[tail as usize].next = s;
+            tail = s;
         }
+        let run = &mut self.directory[i];
+        run.tail = tail;
+        run.len += n as u32;
+        run.oldest = oldest;
+        self.len += n;
+        self.oldest = Some(self.oldest.map_or(oldest, |t| t.min(oldest)));
     }
 
     fn alloc_segment(&mut self) -> u32 {
@@ -530,23 +551,26 @@ impl WorkloadTable {
         assert_eq!(item.query, query.id, "work item / query mismatch");
         let idx = item.bucket.index();
         assert!(idx < self.queues.len(), "unknown bucket {}", item.bucket);
+        if item.object_indices.is_empty() {
+            return;
+        }
         let was_empty = self.queues[idx].is_empty();
-        for &oi in &item.object_indices {
-            let obj = &query.objects[oi as usize];
-            self.queues[idx].push(QueueEntry {
-                query: query.id,
-                object_index: oi,
-                pos: obj.pos,
-                radius: obj.radius,
-                bbox: obj.bounding_range(),
-                enqueued_at: now,
-            });
-            self.total_queued += 1;
-        }
+        self.queues[idx].push_run(
+            query.id,
+            item.object_indices.iter().map(|&oi| {
+                let obj = &query.objects[oi as usize];
+                QueueEntry {
+                    query: query.id,
+                    object_index: oi,
+                    pos: obj.pos,
+                    radius: obj.radius,
+                    bbox: obj.bounding_range(),
+                    enqueued_at: now,
+                }
+            }),
+        );
+        self.total_queued += item.object_indices.len() as u64;
         let q = &self.queues[idx];
-        if q.is_empty() {
-            return; // the item carried no object indices
-        }
         if !was_empty {
             self.index.remove(&self.snapshot_slots[idx]);
         }

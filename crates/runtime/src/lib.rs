@@ -149,7 +149,9 @@ pub use failover::{
 };
 pub use rebalance::{EpochRecord, Migration, RebalanceLog};
 pub use retry::RetryPolicy;
-pub use router::{route, route_admitted, route_elastic, Fragment, Routing};
+pub use router::{
+    route, route_admitted, route_elastic, route_elastic_parallel, route_parallel, Fragment, Routing,
+};
 pub use runtime::{RuntimeReport, ShardedRuntime};
 pub use shard::{ElasticShardMap, ShardAssignment, ShardId, ShardMap};
 pub use sweep::{

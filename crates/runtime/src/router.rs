@@ -19,6 +19,7 @@ use liferaft_workload::TimedTrace;
 use crate::admission::{AdmissionLog, QueryClass};
 use crate::rebalance::RebalanceLog;
 use crate::shard::{ElasticShardMap, ShardId, ShardMap};
+use crate::sweep::parallel_map;
 
 /// One shard's slice of one query: the work items whose buckets the shard
 /// owns, plus arrival/identity metadata.
@@ -78,14 +79,25 @@ impl Routing {
 /// the arrival — mirroring what the single-engine `Simulation` does, so
 /// arrival-driven policies (the adaptive controller) see the same stream.
 pub fn route(partition: &Partition, map: &ShardMap, trace: &TimedTrace) -> Routing {
+    route_parallel(partition, map, trace, 1)
+}
+
+/// [`route`] with the per-query pre-processing spread over up to `threads`
+/// threads (1 = the calling thread only). The routing is identical at every
+/// thread count.
+pub fn route_parallel(
+    partition: &Partition,
+    map: &ShardMap,
+    trace: &TimedTrace,
+    threads: usize,
+) -> Routing {
     assert_eq!(
         partition.num_buckets(),
         map.num_buckets(),
         "shard map must cover the partition"
     );
-    route_with(partition, map.n_shards() as usize, trace, |_, b| {
-        map.shard_of(b)
-    })
+    let n_shards = map.n_shards() as usize;
+    route_with(partition, n_shards, trace, threads, |_, b| map.shard_of(b))
 }
 
 /// Routes `trace` under an **evolving** elastic map: starting from `base`,
@@ -101,6 +113,18 @@ pub fn route_elastic(
     log: &RebalanceLog,
     trace: &TimedTrace,
 ) -> Routing {
+    route_elastic_parallel(partition, base, log, trace, 1)
+}
+
+/// [`route_elastic`] with the per-query pre-processing spread over up to
+/// `threads` threads, like [`route_parallel`].
+pub fn route_elastic_parallel(
+    partition: &Partition,
+    base: &ShardMap,
+    log: &RebalanceLog,
+    trace: &TimedTrace,
+    threads: usize,
+) -> Routing {
     assert_eq!(
         partition.num_buckets(),
         base.num_buckets(),
@@ -108,7 +132,8 @@ pub fn route_elastic(
     );
     let mut elastic = ElasticShardMap::new(*base);
     let mut next_record = 0usize;
-    route_with(partition, base.n_shards() as usize, trace, |arrival, b| {
+    let n_shards = base.n_shards() as usize;
+    route_with(partition, n_shards, trace, threads, |arrival, b| {
         while log
             .records
             .get(next_record)
@@ -123,16 +148,32 @@ pub fn route_elastic(
     })
 }
 
+/// Queries per pre-processing job: large enough to amortize a job's channel
+/// send, small enough that a 10 000-query trace still balances over threads.
+const PRE_ROUTE_CHUNK: usize = 128;
+
 /// The shared routing core: splits every query by `shard_of(arrival,
-/// bucket)`. Arrivals are visited in trace order, so a stateful `shard_of`
+/// bucket)`. Pre-processing is a pure function of the query, so it runs
+/// first, over fixed-size trace chunks on up to `threads` threads; the split
+/// then visits arrivals serially in trace order, so a stateful `shard_of`
 /// may evolve monotonically with arrival time (the elastic path).
 fn route_with(
     partition: &Partition,
     n_shards: usize,
     trace: &TimedTrace,
+    threads: usize,
     mut shard_of: impl FnMut(SimTime, BucketId) -> ShardId,
 ) -> Routing {
     let pre = QueryPreProcessor::new(partition);
+    let entries = trace.entries();
+    let chunks: Vec<_> = entries.chunks(PRE_ROUTE_CHUNK).collect();
+    let pre_routed = parallel_map(&chunks, threads, |_, chunk| {
+        chunk
+            .iter()
+            .map(|(_, q)| pre.preprocess(q))
+            .collect::<Vec<_>>()
+    });
+
     let mut shards: Vec<Vec<Fragment>> = vec![Vec::new(); n_shards];
     let mut fragments_of = Vec::with_capacity(trace.len());
     let mut assignments_of = Vec::with_capacity(trace.len());
@@ -141,9 +182,10 @@ fn route_with(
     // Per-query scratch: items grouped by shard (reused across queries).
     let mut split: Vec<Vec<WorkItem>> = vec![Vec::new(); n_shards];
 
-    for (query_index, (arrival, query)) in trace.entries().iter().enumerate() {
+    let items_of = pre_routed.into_iter().flatten();
+    for (query_index, ((arrival, query), items)) in entries.iter().zip(items_of).enumerate() {
         let (fragments, assignments) = split_query(
-            &pre,
+            items,
             query_index,
             *arrival,
             *arrival,
@@ -170,15 +212,15 @@ fn route_with(
     }
 }
 
-/// Splits one query into per-shard fragments, appending them to `shards`
-/// (one stream per shard) and returning `(fragments, assignments)`. The
-/// zero-work convention (one empty fragment to shard 0) lives here, so the
-/// static router, the elastic replay router, the front-door replay router,
-/// and the stepped drivers' incremental routing all split queries with the
-/// same code.
+/// Splits one query's pre-processed `items` into per-shard fragments,
+/// appending them to `shards` (one stream per shard) and returning
+/// `(fragments, assignments)`. The zero-work convention (one empty fragment
+/// to shard 0) lives here, so the static router, the elastic replay router,
+/// the front-door replay router, and the stepped drivers' incremental
+/// routing all split queries with the same code.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn split_query(
-    pre: &QueryPreProcessor<'_>,
+    items: Vec<WorkItem>,
     query_index: usize,
     arrival: SimTime,
     release: SimTime,
@@ -188,7 +230,6 @@ pub(crate) fn split_query(
     split: &mut [Vec<WorkItem>],
     shards: &mut [Vec<Fragment>],
 ) -> (u32, u64) {
-    let items = pre.preprocess(query);
     let mut assignments = 0u64;
     for item in items {
         assignments += item.len() as u64;
@@ -262,7 +303,7 @@ pub fn route_admitted(
     for (query_index, release) in log.admissions_in_seq_order() {
         let (arrival, query) = &trace.entries()[query_index];
         let (fragments, assignments) = split_query(
-            &pre,
+            pre.preprocess(query),
             query_index,
             *arrival,
             release,
@@ -323,7 +364,7 @@ pub(crate) fn split_failover_arrival(
     lost: &mut Vec<(u32, Fragment)>,
 ) -> (u32, u32, u64) {
     let (fragments, assignments) = split_query(
-        pre,
+        pre.preprocess(query),
         query_index,
         arrival,
         arrival,

@@ -44,8 +44,8 @@ use crate::failover::{
 };
 use crate::rebalance::{plan_moves, EpochRecord, RebalanceLog};
 use crate::router::{
-    route, route_admitted, route_elastic, route_failover, split_failover_arrival, split_query,
-    Fragment,
+    route_admitted, route_elastic_parallel, route_failover, route_parallel, split_failover_arrival,
+    split_query, Fragment,
 };
 use crate::shard::{ElasticShardMap, ShardId, ShardMap};
 use crate::transport::{plan_delivery, plan_hedges, resolve_hedges, TransportLog, TransportReport};
@@ -150,6 +150,18 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
         &self.map
     }
 
+    /// Threads the up-front routing may pre-process on: what the run already
+    /// has — the calling thread alone when stepped, one per shard (capped by
+    /// the host's cores) when threaded.
+    fn route_threads(&self, mode: ExecMode) -> usize {
+        match mode {
+            ExecMode::Stepped => 1,
+            ExecMode::Threaded => std::thread::available_parallelism()
+                .map_or(1, |n| n.get())
+                .min(self.config.n_shards as usize),
+        }
+    }
+
     /// Replays `trace`, scheduling shard `i` with `mk_scheduler(i)`.
     ///
     /// With [`RebalanceConfig::enabled`](crate::config::RebalanceConfig)
@@ -191,7 +203,12 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
                 ExecMode::Threaded => self.replay_front_door(trace, mk_scheduler, log),
             };
         }
-        let routing = route(self.catalog.partition(), &self.map, trace);
+        let routing = route_parallel(
+            self.catalog.partition(),
+            &self.map,
+            trace,
+            self.route_threads(mode),
+        );
         let total_fragments = routing.total_fragments();
         let assignments_of = routing.assignments_of;
         let cross_shard_queries = routing.cross_shard_queries;
@@ -262,7 +279,12 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
     ) -> RuntimeReport {
         let tp = self.config.transport;
         let entries = trace.entries();
-        let mut routing = route(self.catalog.partition(), &self.map, trace);
+        let mut routing = route_parallel(
+            self.catalog.partition(),
+            &self.map,
+            trace,
+            self.route_threads(mode),
+        );
         let cross_shard_queries = routing.cross_shard_queries;
         let mut plan = plan_delivery(&tp, &self.config.faults, &mut routing, entries.len());
 
@@ -462,7 +484,7 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
                     break;
                 }
                 let (fragments, assignments) = split_query(
-                    &pre,
+                    pre.preprocess(query),
                     *cursor,
                     *arrival,
                     *arrival,
@@ -586,7 +608,7 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
     }
 
     /// The elastic parallel executor: routes the whole trace up-front under
-    /// the evolving map ([`route_elastic`]), then runs one thread per shard
+    /// the evolving map ([`route_elastic_parallel`]), then runs one thread per shard
     /// that replays the decision log verbatim — a double-barrier handshake
     /// per move-bearing boundary: step to the boundary, barrier, send the
     /// outgoing payloads, barrier, absorb the incoming ones (sorted by
@@ -598,7 +620,13 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
         log: RebalanceLog,
     ) -> RuntimeReport {
         let rb = self.config.rebalance;
-        let routing = route_elastic(self.catalog.partition(), &self.map, &log, trace);
+        let routing = route_elastic_parallel(
+            self.catalog.partition(),
+            &self.map,
+            &log,
+            trace,
+            self.route_threads(ExecMode::Threaded),
+        );
         let total_fragments = routing.total_fragments();
         let assignments_of = routing.assignments_of;
         let cross_shard_queries = routing.cross_shard_queries;

@@ -7,7 +7,8 @@
 //!   (globally and per shard);
 //! - a single-shard unbounded runtime reproduces `Simulation::run` exactly;
 //! - work is conserved: every routed assignment is serviced exactly once,
-//!   and every query completes no earlier than its arrival.
+//!   and every query completes no earlier than its arrival;
+//! - routing is the same at every pre-processing thread count.
 
 use liferaft_catalog::{Catalog, VirtualCatalog};
 use liferaft_core::{
@@ -15,13 +16,14 @@ use liferaft_core::{
 };
 use liferaft_query::QueryPreProcessor;
 use liferaft_runtime::{
-    AdmissionConfig, ExecMode, FailoverConfig, FaultPlan, FrontDoorConfig, QueryClass,
-    RuntimeConfig, ShardAssignment, ShardedRuntime, TransportConfig,
+    route, route_elastic, route_elastic_parallel, route_parallel, AdmissionConfig, EpochRecord,
+    ExecMode, FailoverConfig, FaultPlan, FrontDoorConfig, Migration, QueryClass, RebalanceLog,
+    Routing, RuntimeConfig, ShardAssignment, ShardId, ShardMap, ShardedRuntime, TransportConfig,
 };
 use liferaft_sim::{
     LinkDirection, LinkFault, RunReport, ShardOutage, ShardSlowdown, SimConfig, Simulation,
 };
-use liferaft_storage::{SimDuration, SimTime};
+use liferaft_storage::{BucketId, SimDuration, SimTime};
 use liferaft_workload::arrivals::poisson_arrivals;
 use liferaft_workload::{TimedTrace, TraceGenerator, WorkloadConfig};
 use proptest::prelude::*;
@@ -77,6 +79,69 @@ fn policy(kind: u8) -> Box<dyn Scheduler + Send> {
             AgingMode::Normalized,
             0.5,
         )),
+    }
+}
+
+fn same_routing(a: &Routing, b: &Routing) -> bool {
+    a.shards == b.shards
+        && a.fragments_of == b.fragments_of
+        && a.assignments_of == b.assignments_of
+        && a.cross_shard_queries == b.cross_shard_queries
+        && a.total_assignments == b.total_assignments
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Pre-processing on 2, 3 or 8 threads (more threads than the trace has
+    /// chunks included) routes exactly like the calling thread alone, for
+    /// the static map and for a map that moves buckets while arrivals
+    /// stream past.
+    #[test]
+    fn routing_is_identical_at_every_thread_count(
+        seed in 0u64..10_000,
+        n_shards in 1u32..6,
+        hashed in proptest::bool::ANY,
+        moves in proptest::collection::vec((0u32..BUCKETS, 0u32..6, 1u64..40), 0..24),
+    ) {
+        // Three pre-processing chunks, the last one ragged.
+        let (catalog, timed) = fixture(seed, 300, 4.0);
+        let partition = catalog.partition();
+        let map = if hashed {
+            ShardMap::hashed(BUCKETS as usize, n_shards, seed ^ 0x5AD)
+        } else {
+            ShardMap::contiguous(BUCKETS as usize, n_shards)
+        };
+        let epoch = SimDuration::from_secs(2);
+        let mut log = RebalanceLog { epoch, records: Vec::new() };
+        let mut at = SimTime::ZERO;
+        for (k, &(bucket, to, gap_s)) in moves.iter().enumerate() {
+            at += SimDuration::from_secs(gap_s);
+            let bucket = BucketId(bucket);
+            log.records.push(EpochRecord {
+                epoch: k as u32 + 1,
+                at,
+                loads: Vec::new(),
+                serviced: Vec::new(),
+                resident: Vec::new(),
+                moves: vec![Migration {
+                    bucket,
+                    from: map.shard_of(bucket),
+                    to: ShardId(to % n_shards),
+                    entries: 0,
+                }],
+            });
+        }
+
+        let serial = route(partition, &map, &timed);
+        let serial_elastic = route_elastic(partition, &map, &log, &timed);
+        prop_assert_eq!(serial.fragments_of.len(), timed.len());
+        for threads in [1usize, 2, 3, 8] {
+            let r = route_parallel(partition, &map, &timed, threads);
+            prop_assert!(same_routing(&r, &serial), "route at {} threads", threads);
+            let r = route_elastic_parallel(partition, &map, &log, &timed, threads);
+            prop_assert!(same_routing(&r, &serial_elastic), "route_elastic at {} threads", threads);
+        }
     }
 }
 

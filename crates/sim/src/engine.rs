@@ -257,8 +257,10 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
         if assignments == 0 {
             return;
         }
-        let buckets: BTreeSet<BucketId> = items.iter().map(|i| i.bucket).collect();
-        self.per_query.entry(query.id).or_default().extend(buckets);
+        self.per_query
+            .entry(query.id)
+            .or_default()
+            .extend(items.iter().map(|i| i.bucket));
         if self.config.execute_joins {
             self.predicates.insert(query.id, query.predicate);
         }
