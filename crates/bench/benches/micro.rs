@@ -165,14 +165,14 @@ fn bench_candidates(c: &mut Criterion) {
 /// engine's decision loop uses.
 struct TableView<'a> {
     now: SimTime,
-    table: &'a WorkloadTable,
+    table: &'a WorkloadTable<'a>,
 }
 
 impl IndexedSchedulerView for TableView<'_> {
     fn now(&self) -> SimTime {
         self.now
     }
-    fn table(&self) -> &WorkloadTable {
+    fn table(&self) -> &WorkloadTable<'_> {
         self.table
     }
     fn oldest_pending_query(&self) -> Option<(CoreQueryId, SimTime)> {
@@ -183,13 +183,17 @@ impl IndexedSchedulerView for TableView<'_> {
     }
 }
 
-/// A table with `n` non-empty buckets of varied depth and age, φ synced
-/// against a 20-bucket resident set — the decision-path fixture.
-fn decision_fixture(n: usize) -> (WorkloadTable, BucketCache) {
+/// The eight-object query whose runs fill [`decision_fixture`]'s table.
+fn decision_query() -> CrossMatchQuery {
     let positions: Vec<Vec3> = (0..8)
         .map(|i| Vec3::from_radec_deg(10.0 + i as f64 * 0.01, 5.0))
         .collect();
-    let query = CrossMatchQuery::from_positions(QueryId(1), &positions, 1e-5, 14, Predicate::All);
+    CrossMatchQuery::from_positions(QueryId(1), &positions, 1e-5, 14, Predicate::All)
+}
+
+/// A table with `n` non-empty buckets of varied depth and age, φ synced
+/// against a 20-bucket resident set — the decision-path fixture.
+fn decision_fixture(query: &CrossMatchQuery, n: usize) -> (WorkloadTable<'_>, BucketCache) {
     let mut table = WorkloadTable::new(n).with_object_counts(|_| 10_000);
     for b in 0..n {
         let item = WorkItem {
@@ -199,7 +203,7 @@ fn decision_fixture(n: usize) -> (WorkloadTable, BucketCache) {
         };
         table.enqueue(
             &item,
-            &query,
+            query,
             SimTime::from_micros((b as u64 * 7_919) % 1_000_000),
         );
     }
@@ -217,8 +221,9 @@ fn decision_fixture(n: usize) -> (WorkloadTable, BucketCache) {
 fn bench_decision_path(c: &mut Criterion) {
     let mut g = c.benchmark_group("decision_path");
     let now = SimTime::from_micros(2_000_000);
+    let fixture_query = decision_query();
     for n in [256usize, 2_048, 16_384] {
-        let (table, cache) = decision_fixture(n);
+        let (table, cache) = decision_fixture(&fixture_query, n);
         let view = TableView { now, table: &table };
         for (label, alpha) in [("greedy", 0.0), ("alpha05", 0.5), ("aged", 1.0)] {
             // The indexed pick: O(log n + resident) at the extremes, a
@@ -252,7 +257,7 @@ fn bench_decision_path(c: &mut Criterion) {
         // Index maintenance: one empty→non-empty enqueue plus a full drain
         // (two inserts + two removes across the index's orders).
         g.bench_with_input(BenchmarkId::new("index_enqueue_drain", n), &n, |b, _| {
-            let (mut table, _) = decision_fixture(n);
+            let (mut table, _) = decision_fixture(&fixture_query, n);
             let positions: Vec<Vec3> = (0..4)
                 .map(|i| Vec3::from_radec_deg(10.0 + i as f64 * 0.01, 5.0))
                 .collect();
@@ -275,59 +280,75 @@ fn bench_decision_path(c: &mut Criterion) {
     g.finish();
 }
 
-/// The tentpole's microscope: segmented per-(bucket, query) drains at
-/// co-queued depths bracketing the e2e bench. `take_query` moves one
-/// query's run out and pushes it back (NoShare's steady state — O(matched)
-/// in the segmented layout, O(depth) compares in the old sidecar sweep);
-/// `take_all` cycles the whole queue (the shared batch).
+/// The queue's microscope: run-level drains at co-queued depths bracketing
+/// the e2e bench. `take_query` drains one query's run and re-appends it
+/// (NoShare's steady state — O(1) chain release, no reads of other queries'
+/// runs); `take_all` cycles the whole queue (the shared batch), once only
+/// counting runs — what a cost-only batch does — and once materializing
+/// `QueueEntry`s — what a real join pays on top.
 fn bench_queue_drain(c: &mut Criterion) {
     use liferaft_query::WorkloadQueue;
     let mut g = c.benchmark_group("queue_drain");
-    const CO_QUEUED: u64 = 16;
+    const CO_QUEUED: usize = 16;
     for depth in [256usize, 2_048, 16_384] {
-        let positions = [Vec3::from_radec_deg(10.0, 5.0)];
-        let proto =
-            CrossMatchQuery::from_positions(QueryId(0), &positions, 1e-5, 14, Predicate::All);
-        let mut queue = WorkloadQueue::new();
-        for i in 0..depth {
-            queue.push(QueueEntry {
-                query: QueryId(i as u64 % CO_QUEUED),
-                object_index: i as u32,
-                pos: proto.objects[0].pos,
-                radius: proto.objects[0].radius,
-                bbox: proto.objects[0].bounding_range(),
-                enqueued_at: SimTime::from_micros(i as u64),
-            });
+        let per_query = depth / CO_QUEUED;
+        let positions: Vec<Vec3> = (0..per_query)
+            .map(|i| Vec3::from_radec_deg(10.0 + i as f64 * 0.001, 5.0))
+            .collect();
+        let queries: Vec<CrossMatchQuery> = (0..CO_QUEUED as u64)
+            .map(|id| {
+                CrossMatchQuery::from_positions(QueryId(id), &positions, 1e-5, 14, Predicate::All)
+            })
+            .collect();
+        let indices: Vec<u32> = (0..per_query as u32).collect();
+        fn append<'q>(queue: &mut WorkloadQueue<'q>, query: &'q CrossMatchQuery, indices: &[u32]) {
+            let at = SimTime::from_micros(query.id.0);
+            queue.push_chunk(query.id, &query.objects, indices, at);
         }
+        let refill = |queue: &mut _, q: usize| append(queue, &queries[q], &indices);
+        let mut queue = WorkloadQueue::new();
+        (0..CO_QUEUED).for_each(|q| refill(&mut queue, q));
         g.bench_with_input(
             BenchmarkId::new("take_query_refill", depth),
             &depth,
             |b, _| {
                 let mut queue = queue.clone();
-                let mut scratch = Vec::new();
-                let mut victim = 0u64;
+                let mut victim = 0usize;
                 b.iter(|| {
-                    queue.drain_query_into(QueryId(victim), &mut scratch);
-                    for e in scratch.drain(..) {
-                        queue.push(e);
-                    }
+                    queue.drain_runs(Some(QueryId(victim as u64)), |run| {
+                        black_box(run.len());
+                    });
+                    refill(&mut queue, victim);
                     victim = (victim + 1) % CO_QUEUED;
                     queue.len()
                 })
             },
         );
         g.bench_with_input(
-            BenchmarkId::new("take_all_refill", depth),
+            BenchmarkId::new("take_all_counted_refill", depth),
             &depth,
             |b, _| {
                 let mut queue = queue.clone();
-                let mut scratch = Vec::new();
                 b.iter(|| {
-                    queue.drain_all_into(&mut scratch);
-                    for e in scratch.drain(..) {
-                        queue.push(e);
-                    }
+                    queue.drain_runs(None, |run| {
+                        black_box((run.query(), run.len()));
+                    });
+                    (0..CO_QUEUED).for_each(|q| refill(&mut queue, q));
                     queue.len()
+                })
+            },
+        );
+        g.bench_with_input(
+            BenchmarkId::new("take_all_materialized_refill", depth),
+            &depth,
+            |b, _| {
+                let mut queue = queue.clone();
+                let mut scratch: Vec<QueueEntry> = Vec::new();
+                b.iter(|| {
+                    scratch.clear();
+                    queue.drain_runs(None, |run| scratch.extend(run.entries()));
+                    (0..CO_QUEUED).for_each(|q| refill(&mut queue, q));
+                    scratch.len()
                 })
             },
         );

@@ -9,7 +9,7 @@
 //! A [`Partition`] is a total, gap-free tiling of the object-level HTM curve
 //! by contiguous bucket ranges: every object-level HTM ID belongs to exactly
 //! one bucket, so query pre-processing can map any object's bounding ranges
-//! to bucket IDs with a binary search.
+//! to bucket IDs with a short binary search behind a coarse curve directory.
 
 use liferaft_htm::{HtmId, HtmRange, HtmRangeSet};
 use liferaft_storage::{BucketId, BucketMeta};
@@ -24,8 +24,20 @@ pub struct Partition {
     /// covers `[starts[i], starts[i+1] - 1]`, the last bucket ending at the
     /// curve's end. Invariant: strictly increasing, `starts[0]` = curve start.
     starts: Vec<u64>,
+    /// The curve directory: the curve cut into equal cells of
+    /// `1 << cell_shift` IDs, `cells[c]` being the bucket that owns cell
+    /// `c`'s first ID, plus one closing row holding the last bucket. An ID in
+    /// cell `c` is owned by a bucket in `cells[c]..=cells[c + 1]`.
+    cells: Vec<u32>,
+    cell_shift: u32,
     buckets: Vec<BucketMeta>,
 }
+
+/// Directory cells per bucket (a lower bound; cell widths are powers of two,
+/// so a partition gets between this many and twice as many). At four, an
+/// equal-span bucket straddles a cell edge rarely enough that most lookups
+/// end on a single candidate.
+const CELLS_PER_BUCKET: u64 = 4;
 
 impl Partition {
     /// Builds the paper's partition from an HTM-sorted object table: cut the
@@ -117,6 +129,11 @@ impl Partition {
             starts.windows(2).all(|w| w[0] < w[1]),
             "bucket starts must be strictly increasing"
         );
+        assert_eq!(
+            starts[0],
+            HtmId::first_at_level(level).raw(),
+            "the first bucket must start at the curve start"
+        );
         let curve_end = HtmId::last_at_level(level).raw();
         assert!(
             *starts.last().expect("non-empty") <= curve_end,
@@ -142,9 +159,12 @@ impl Partition {
                 }
             })
             .collect();
+        let (cells, cell_shift) = curve_directory(level, &starts);
         Partition {
             level,
             starts,
+            cells,
+            cell_shift,
             buckets,
         }
     }
@@ -175,8 +195,11 @@ impl Partition {
     }
 
     /// Index of the bucket owning `id`, trying `hint` (a previous answer)
-    /// before the binary search. Exact for any `hint`: a stale or
-    /// out-of-range one costs two compares and falls through.
+    /// before the search. Exact for any `hint`: a stale or out-of-range one
+    /// costs two compares and falls through to the curve directory, which
+    /// narrows the binary search to the buckets that share `id`'s cell —
+    /// one bucket when no boundary falls inside the cell, every bucket at
+    /// worst (all boundaries inside one cell).
     fn locate(&self, id: HtmId, hint: usize) -> usize {
         assert_eq!(
             id.level(),
@@ -187,9 +210,12 @@ impl Partition {
         if self.starts.get(hint).is_some_and(|&s| s <= raw) && self.ends_after(hint, raw) {
             return hint;
         }
-        // partition_point returns the first start > raw; the owner is the
-        // bucket before it.
-        self.starts.partition_point(|&s| s <= raw) - 1
+        let cell = ((raw - self.starts[0]) >> self.cell_shift) as usize;
+        let (lo, hi) = (self.cells[cell] as usize, self.cells[cell + 1] as usize);
+        // `starts[lo]` is at or before the cell's first ID, so at least one
+        // start passes; the owner is the bucket before the first start
+        // beyond `raw`.
+        lo + self.starts[lo..=hi].partition_point(|&s| s <= raw) - 1
     }
 
     /// True if bucket `idx` ends at or after `raw` (the last bucket runs to
@@ -249,6 +275,28 @@ impl Partition {
         self.visit_buckets_overlapping_set(set, BucketId(0), |b| out.push(b));
         out
     }
+}
+
+/// Builds the curve directory of a partition from its bucket starts:
+/// `(cells, cell_shift)` as described on [`Partition`]'s fields.
+fn curve_directory(level: u8, starts: &[u64]) -> (Vec<u32>, u32) {
+    // The curve holds `8 · 4^level` IDs, a power of two, so cells of
+    // `1 << shift` IDs tile it exactly.
+    let span = HtmId::count_at_level(level);
+    let wanted = (starts.len() as u64 * CELLS_PER_BUCKET).min(span);
+    let cell_shift = (span / wanted).ilog2();
+    let n_cells = (span >> cell_shift) as usize;
+    let mut cells = Vec::with_capacity(n_cells + 1);
+    let mut owner = 0usize;
+    for c in 0..n_cells as u64 {
+        let cell_start = starts[0] + (c << cell_shift);
+        while starts.get(owner + 1).is_some_and(|&s| s <= cell_start) {
+            owner += 1;
+        }
+        cells.push(owner as u32);
+    }
+    cells.push(starts.len() as u32 - 1);
+    (cells, cell_shift)
 }
 
 #[cfg(test)]

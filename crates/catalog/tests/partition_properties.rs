@@ -6,6 +6,12 @@
 //! visitor existed, so the collector is pinned to it as well. The hint may
 //! only ever change the cost, so every property holds for fresh, stale and
 //! out-of-range hints alike.
+//!
+//! Behind the hint sits the curve directory (equal cells of the curve, each
+//! naming the buckets a lookup may end in). Its cell width is private, so
+//! the exhaustive test below sweeps *every* ID of the curve — which covers
+//! the first and last ID of the curve and of every cell whatever the width —
+//! against an owner found by walking the published bucket ranges.
 
 use liferaft_catalog::generate::{clustered_sky, ClusterConfig};
 use liferaft_catalog::Partition;
@@ -123,6 +129,67 @@ proptest! {
             let (got, next) = visited(&p, &set, hint);
             prop_assert_eq!(got, oracle(&p, &set));
             hint = next;
+        }
+    }
+}
+
+/// Partitions that stress the curve directory: one bucket (every cell names
+/// it), bucket counts that are not powers of two (boundaries fall inside
+/// cells), and one-object buckets cut from tight clusters, where many
+/// buckets crowd into a single cell while field buckets span hundreds.
+fn directory_stress_partitions() -> Vec<Partition> {
+    let tight = ClusterConfig {
+        clusters: 4,
+        sigma: 0.01,
+        cluster_fraction: 0.9,
+    };
+    let mut out = vec![
+        Partition::synthetic_uniform(LEVEL, 1, 10, 1),
+        Partition::synthetic_uniform(LEVEL, 7, 10, 1),
+        Partition::synthetic_uniform(LEVEL, 96, 10, 1),
+    ];
+    for seed in [3, 11] {
+        let sky = clustered_sky(600, LEVEL, seed, tight);
+        let p = Partition::build_from_objects(&sky, LEVEL, 1, 1).0;
+        // The narrowest cell the directory may use holds 1/8 of a bucket's
+        // fair share of the curve; sixteen consecutive buckets inside one
+        // such width put at least eight in one cell.
+        let narrowest_cell = HtmId::count_at_level(LEVEL) / (8 * p.num_buckets() as u64);
+        assert!(
+            p.buckets().windows(16).any(|w| {
+                w[15].htm_range.hi().raw() - w[0].htm_range.lo().raw() < narrowest_cell
+            }),
+            "fixture must crowd many buckets into one directory cell"
+        );
+        out.push(p);
+    }
+    out
+}
+
+#[test]
+fn every_id_of_the_curve_locates_like_the_scan() {
+    let first = HtmId::first_at_level(LEVEL).raw();
+    let last = HtmId::last_at_level(LEVEL).raw();
+    for p in directory_stress_partitions() {
+        let n = p.num_buckets() as u32;
+        assert_eq!(p.bucket_of(HtmId::first_at_level(LEVEL)), BucketId(0));
+        assert_eq!(p.bucket_of(HtmId::last_at_level(LEVEL)), BucketId(n - 1));
+        let mut owner = 0usize;
+        for raw in first..=last {
+            while p.buckets()[owner].htm_range.hi().raw() < raw {
+                owner += 1;
+            }
+            let want = BucketId(owner as u32);
+            let id = HtmId::from_raw_unchecked(raw);
+            assert_eq!(p.bucket_of(id), want, "ID {raw} of {n} buckets");
+            // Through the visitor: a hint that hits, one that just misses
+            // on either side, and one far away all land on the same bucket.
+            let set = HtmRangeSet::from_ranges(vec![HtmRange::new(id, id)]);
+            for hint in [want.0, want.0 + 1, want.0.saturating_sub(1), n - 1 - want.0] {
+                let (got, next) = visited(&p, &set, BucketId(hint));
+                assert_eq!(got, [want], "ID {raw}, hint {hint}, {n} buckets");
+                assert_eq!(next, want);
+            }
         }
     }
 }

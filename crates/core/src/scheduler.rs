@@ -200,7 +200,7 @@ pub trait IndexedSchedulerView {
     fn now(&self) -> SimTime;
 
     /// The workload table whose index answers candidate queries.
-    fn table(&self) -> &WorkloadTable;
+    fn table(&self) -> &WorkloadTable<'_>;
 
     /// See [`SchedulerView::oldest_pending_query`].
     fn oldest_pending_query(&self) -> Option<(QueryId, SimTime)>;

@@ -55,18 +55,24 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
     )
 }
 
-fn query_of(id: u64, n: usize, salt: u64) -> CrossMatchQuery {
-    let positions: Vec<Vec3> = (0..n)
-        .map(|i| Vec3::from_radec_deg(10.0 + (salt % 89) as f64 + i as f64 * 0.01, 5.0))
-        .collect();
-    CrossMatchQuery::from_positions(QueryId(id), &positions, 1e-5, 6, Predicate::All)
+/// Queries `0..6`, four objects each — the object lists the table's runs
+/// borrow for the length of a test case.
+fn query_pool() -> Vec<CrossMatchQuery> {
+    (0..6u64)
+        .map(|id| {
+            let positions: Vec<Vec3> = (0..4)
+                .map(|i| Vec3::from_radec_deg(10.0 + id as f64 + i as f64 * 0.01, 5.0))
+                .collect();
+            CrossMatchQuery::from_positions(QueryId(id), &positions, 1e-5, 6, Predicate::All)
+        })
+        .collect()
 }
 
 /// The indexed view: the blanket [`IndexedSchedulerView`] impl gives it the
 /// exact candidate dispatch the engine's decision loop uses.
 struct IndexedView<'s> {
     now: SimTime,
-    table: &'s WorkloadTable,
+    table: &'s WorkloadTable<'s>,
     oldest_query: Option<(QueryId, SimTime)>,
     per_query: &'s HashMap<QueryId, BTreeSet<BucketId>>,
 }
@@ -75,7 +81,7 @@ impl IndexedSchedulerView for IndexedView<'_> {
     fn now(&self) -> SimTime {
         self.now
     }
-    fn table(&self) -> &WorkloadTable {
+    fn table(&self) -> &WorkloadTable<'_> {
         self.table
     }
     fn oldest_pending_query(&self) -> Option<(QueryId, SimTime)> {
@@ -136,6 +142,7 @@ proptest! {
     /// step of a random enqueue/drain/evict interleaving.
     #[test]
     fn indexed_and_legacy_picks_agree(ops in arb_ops()) {
+        let pool = query_pool();
         let mut table = WorkloadTable::new(N_BUCKETS).with_object_counts(|b| 500 + b.0 as u64);
         let mut cache = BucketCache::new(CACHE_CAP);
         let mut per_query: HashMap<QueryId, BTreeSet<BucketId>> = HashMap::new();
@@ -149,13 +156,13 @@ proptest! {
             let now = SimTime::from_micros(step as u64 * 1_000 + 1);
             match *op {
                 Op::Enqueue { bucket, query, n } => {
-                    let q = query_of(query, n as usize, step as u64);
+                    let q = &pool[query as usize];
                     let item = WorkItem {
                         query: q.id,
                         bucket: BucketId(bucket),
-                        object_indices: (0..q.len() as u32).collect(),
+                        object_indices: (0..n as u32).collect(),
                     };
-                    table.enqueue(&item, &q, now);
+                    table.enqueue(&item, q, now);
                     per_query.entry(q.id).or_default().insert(BucketId(bucket));
                     arrival_of.entry(q.id).or_insert(now);
                 }

@@ -15,9 +15,12 @@
 //! 2. The [`preprocess::QueryPreProcessor`] maps every object to the buckets
 //!    its bounding box overlaps, yielding per-bucket [`WorkItem`]s.
 //! 3. [`queue::WorkloadTable`] accumulates work items into per-bucket
-//!    workload queues — the unit the LifeRaft scheduler reasons about —
-//!    and incrementally maintains the [`snapshot::BucketSnapshot`]s the
-//!    scheduler scores, so decisions never rebuild state from the queues.
+//!    workload queues — the unit the LifeRaft scheduler reasons about.
+//!    A queue holds sub-queries (object indices plus a borrow of the
+//!    query's objects); [`QueueEntry`]s are materialized from them only
+//!    for a real join. The table incrementally maintains the
+//!    [`snapshot::BucketSnapshot`]s the scheduler scores, so decisions
+//!    never rebuild state from the queues.
 //! 4. [`tracker::QueryTracker`] watches per-query completion ("a query
 //!    cannot finish until every object is cross-matched").
 
@@ -34,6 +37,6 @@ pub mod tracker;
 pub use crossmatch::{CrossMatchQuery, MatchObject, Predicate, QueryId};
 pub use index::CandidateIndex;
 pub use preprocess::{QueryPreProcessor, WorkItem};
-pub use queue::{QueueEntry, QueueMemoryStats, WorkloadQueue, WorkloadTable};
+pub use queue::{QueueEntry, QueueMemoryStats, RunView, WorkloadQueue, WorkloadTable};
 pub use snapshot::{BucketSnapshot, NoResidency, Residency};
 pub use tracker::QueryTracker;

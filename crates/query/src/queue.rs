@@ -5,53 +5,62 @@
 //! interleaved in the same workload queue and are joined in one pass"
 //! — Section 3.1.
 //!
+//! # Queues hold sub-queries
+//!
+//! A queue stores what the paper says it stores: per co-queued query, the
+//! sub-query `W_i^j` — a borrow of the query's object list plus the indices
+//! of the objects that overlap this bucket. Nothing of an object is copied
+//! at enqueue time; the 72-byte [`QueueEntry`] is the *materialized*,
+//! join-time view, built only when a caller asks for entries. A run that is
+//! only counted (the cost-only batch of the simulation) is never expanded.
+//!
 //! # Segmented storage
 //!
-//! Each bucket's queue is physically *segmented by query*: the entries of
-//! one `(bucket, query)` pair live in a chain of fixed-capacity segments
+//! Each bucket's queue is physically *segmented by query*: the indices of
+//! one `(bucket, query)` run live in a chain of fixed-capacity segments
 //! allocated from a per-bucket slab, behind a compact per-bucket directory
-//! (one `QueryRun` per co-queued query, sorted by query ID). The three
-//! queue operations the engine drives then cost:
+//! (one row per co-queued query, sorted by query ID). Every segment carries
+//! the enqueue stamp of the indices in it, so a run topped up later — or
+//! merged from a migration with older stamps — keeps each entry's exact
+//! `enqueued_at`. The queue operations then cost:
 //!
-//! - **enqueue**: one O(log d) directory lookup (d = co-queued queries) per
-//!   work item, then its entries are appended to the run's tail a segment
-//!   at a time ([`push_run`](WorkloadQueue::push_run));
-//! - **[`drain_query_into`](WorkloadQueue::drain_query_into)** (the NoShare
-//!   batch): O(matched) — the run's chain is unlinked and its entries moved
-//!   out with **zero compares against other queries' entries**, plus an
-//!   O(d) directory repair;
-//! - **[`drain_all_into`](WorkloadQueue::drain_all_into)** (the shared
-//!   batch): O(batch) — every chain is walked once.
-//!
-//! The previous layout (one dense entry vector + a 16-byte key sidecar)
-//! made the per-query drain O(queue length): every co-queued entry was
-//! *read and compared* per drain, which multiplied up to O(queue²) when a
-//! deep shared queue was drained once per co-queued query — the measured
-//! long pole of the NoShare baseline (971 k entries/s vs 7–8 M for every
-//! sharing policy in `BENCH_sim.json`).
+//! - **append** ([`push_chunk`](WorkloadQueue::push_chunk)): one O(log d)
+//!   directory lookup (d = co-queued queries) per work item, then 4 bytes
+//!   copied per assignment, a segment at a time;
+//! - **[`drain_runs`](WorkloadQueue::drain_runs)** — the one drain: the
+//!   chosen runs leave the directory and each chain returns to the free
+//!   list in O(1), so a caller that only reads `(query, count)` pays
+//!   O(runs), not O(entries). A single-query drain (the NoShare batch)
+//!   touches no other query's run beyond an O(d) directory repair;
+//! - **materializing** ([`WorkloadTable::take_all_into`],
+//!   [`WorkloadTable::take_query_into`], [`iter`](WorkloadQueue::iter)):
+//!   the same drain (or walk) with [`RunView::entries`] collected —
+//!   O(entries).
 //!
 //! # The unordered-batch contract
 //!
-//! Batch drains yield entries grouped by query (directory order), not in
-//! global arrival order. Queue order is **not** part of the contract:
-//! batches are consumed as unordered sets (completion accounting groups by
-//! query ID, join results are counted, and the age term reads the
-//! maintained `oldest`), which is pinned end-to-end by the golden
-//! determinism fingerprints.
+//! Batch drains yield runs in directory order (ascending query ID), entries
+//! in push order within a run — not in global arrival order. Queue order is
+//! **not** part of the contract: batches are consumed as unordered sets
+//! (completion accounting is per query, join results are counted, and the
+//! age term reads the maintained `oldest`), which is pinned end-to-end by
+//! the golden determinism fingerprints.
 
 use liferaft_htm::{HtmRange, Vec3};
 use liferaft_storage::{BucketId, SimTime};
 
-use crate::crossmatch::{CrossMatchQuery, QueryId};
+use crate::crossmatch::{CrossMatchQuery, MatchObject, QueryId};
 use crate::index::CandidateIndex;
 use crate::preprocess::WorkItem;
 use crate::snapshot::{BucketSnapshot, Residency};
 
-/// One queued cross-match request: a single object of a single query,
-/// waiting to be joined against one bucket.
+/// One queued cross-match request — a single object of a single query,
+/// waiting to be joined against one bucket — as the join evaluator sees it.
 ///
-/// Entries are self-contained (position, radius, bounding range) so the join
-/// evaluator needs no back-reference to the query object list.
+/// Entries are not what a queue stores (see the module docs): they are
+/// built from a run's object borrow and indices when a batch is
+/// materialized, and carry position, radius and bounding range by value so
+/// the join kernels read one flat slice.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueueEntry {
     /// The parent query.
@@ -68,55 +77,126 @@ pub struct QueueEntry {
     pub enqueued_at: SimTime,
 }
 
-/// Entries per segment. Chosen so a segment (~2.3 KB of ~72-byte entries)
-/// amortizes slab bookkeeping without stranding much capacity on the many
-/// short `(bucket, query)` runs a hotspot workload produces.
-const SEGMENT_CAPACITY: usize = 32;
+/// Object indices per segment. With 4-byte indices a segment is 128 bytes
+/// (two cache lines, header included): large enough to amortize slab
+/// bookkeeping, small enough that the many short `(bucket, query)` runs a
+/// hotspot workload produces strand little capacity.
+const SEGMENT_CAPACITY: usize = 28;
 
 /// Null link in a segment chain.
 const NO_SEGMENT: u32 = u32::MAX;
 
-/// A fixed-capacity run of entries plus the link to the next segment of the
-/// same `(bucket, query)` chain. Freed segments keep their buffer and are
-/// recycled through the slab's free list, so steady-state enqueue/drain
-/// cycles perform no heap traffic.
+/// A fixed-capacity block of one run's object indices, all enqueued at the
+/// same instant, plus the link to the next segment of the same chain.
+/// Freed segments are recycled through the slab's free list (threaded
+/// through `next`), so steady-state enqueue/drain cycles perform no heap
+/// traffic.
 #[derive(Debug, Clone)]
 struct Segment {
-    entries: Vec<QueueEntry>,
+    /// Enqueue stamp of every index in this segment.
+    enqueued_at: SimTime,
     next: u32,
+    len: u32,
+    indices: [u32; SEGMENT_CAPACITY],
 }
 
 impl Segment {
-    fn fresh() -> Self {
-        Segment {
-            entries: Vec::with_capacity(SEGMENT_CAPACITY),
-            next: NO_SEGMENT,
-        }
+    fn indices(&self) -> &[u32] {
+        &self.indices[..self.len as usize]
     }
 }
 
-/// One directory row: the segment chain holding every queued entry of one
-/// query at this bucket, with the per-run accounting the drains and the age
-/// term need.
+/// The slab slots linked from `head` (none for `NO_SEGMENT`), in link order.
+fn chain(segments: &[Segment], head: u32) -> impl Iterator<Item = u32> + '_ {
+    std::iter::successors((head != NO_SEGMENT).then_some(head), move |&s| {
+        let next = segments[s as usize].next;
+        (next != NO_SEGMENT).then_some(next)
+    })
+}
+
+/// One directory row: the sub-query of one query at this bucket — the
+/// borrowed object list, the segment chain holding the queued indices into
+/// it, and the per-run accounting the drains and the age term need.
 #[derive(Debug, Clone, Copy)]
-struct QueryRun {
+struct QueryRun<'q> {
     query: QueryId,
-    /// First segment of the chain (always valid: runs hold ≥ 1 entry).
+    /// The parent query's objects; every index in the chain points here.
+    objects: &'q [MatchObject],
+    /// First segment of the chain (always valid: runs hold ≥ 1 index).
     head: u32,
     /// Last segment of the chain — the append target.
     tail: u32,
-    /// Entries in the chain.
+    /// Indices in the chain.
     len: u32,
-    /// Earliest enqueue time in the chain.
+    /// Earliest enqueue stamp in the chain.
     oldest: SimTime,
 }
 
-/// Byte-level accounting of one queue's (or, summed, one table's) segmented
-/// storage — the number behind the "segment directory adds per-bucket
-/// memory" question.
+/// A read-only view of one `(bucket, query)` run — what
+/// [`WorkloadQueue::runs`] walks and [`WorkloadQueue::drain_runs`] hands
+/// out. Reading [`query`](Self::query) and [`len`](Self::len) touches only
+/// the directory row; [`chunks`](Self::chunks) and
+/// [`entries`](Self::entries) walk the segment chain.
+#[derive(Debug, Clone, Copy)]
+pub struct RunView<'a, 'q> {
+    run: &'a QueryRun<'q>,
+    segments: &'a [Segment],
+}
+
+impl<'a, 'q> RunView<'a, 'q> {
+    /// The query this run belongs to.
+    pub fn query(&self) -> QueryId {
+        self.run.query
+    }
+
+    /// Queued assignments in the run (always ≥ 1).
+    #[allow(clippy::len_without_is_empty)]
+    pub fn len(&self) -> usize {
+        self.run.len as usize
+    }
+
+    /// The parent query's object list the run's indices point into.
+    pub fn objects(&self) -> &'q [MatchObject] {
+        self.run.objects
+    }
+
+    /// The run's stored form, in push order: `(enqueued_at, object indices)`
+    /// per segment. Consecutive chunks may share a stamp.
+    pub fn chunks(&self) -> impl Iterator<Item = (SimTime, &'a [u32])> + 'a {
+        let segments = self.segments;
+        chain(segments, self.run.head).map(move |s| {
+            let seg = &segments[s as usize];
+            (seg.enqueued_at, seg.indices())
+        })
+    }
+
+    /// Materializes the run's entries, in push order.
+    pub fn entries(&self) -> impl Iterator<Item = QueueEntry> + 'a {
+        let query = self.run.query;
+        let objects: &'a [MatchObject] = self.run.objects;
+        self.chunks().flat_map(move |(enqueued_at, indices)| {
+            indices.iter().map(move |&object_index| {
+                let obj = &objects[object_index as usize];
+                QueueEntry {
+                    query,
+                    object_index,
+                    pos: obj.pos,
+                    radius: obj.radius,
+                    bbox: obj.bounding_range(),
+                    enqueued_at,
+                }
+            })
+        })
+    }
+}
+
+/// Byte-level accounting of one queue's (or, summed, one table's) storage:
+/// directory rows plus the segment slab holding 4-byte object indices. The
+/// query objects the runs borrow belong to the trace, not to the queue, and
+/// are not counted.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueMemoryStats {
-    /// Live queued entries.
+    /// Live queued entries (assignments).
     pub queued_entries: u64,
     /// Live `(bucket, query)` directory rows.
     pub directory_runs: u64,
@@ -126,9 +206,10 @@ pub struct QueueMemoryStats {
     pub segments: u64,
     /// Slots currently on free lists.
     pub free_segments: u64,
-    /// Bytes allocated for segment buffers and slab headers.
+    /// Bytes allocated for the segment slabs (capacity × segment size:
+    /// index blocks, stamps and links).
     pub segment_bytes: u64,
-    /// Bytes of live entry payload (`queued_entries` × entry size).
+    /// Bytes of live payload: `queued_entries` × the 4-byte object index.
     pub entry_bytes: u64,
 }
 
@@ -144,10 +225,11 @@ impl QueueMemoryStats {
         self.entry_bytes += other.entry_bytes;
     }
 
-    /// Allocated bytes beyond the live entry payload — the price of the
-    /// segmented layout (directory rows, free segments, tail slack).
+    /// Allocated bytes beyond the live index payload — the price of the
+    /// layout (directory rows, segment headers, free segments, tail slack,
+    /// unused slab capacity).
     pub fn overhead_bytes(&self) -> u64 {
-        (self.directory_bytes + self.segment_bytes).saturating_sub(self.entry_bytes)
+        self.total_bytes().saturating_sub(self.entry_bytes)
     }
 
     /// Total allocated bytes.
@@ -156,97 +238,135 @@ impl QueueMemoryStats {
     }
 }
 
-/// The workload queue of a single bucket, segmented by query.
-#[derive(Debug, Clone, Default)]
-pub struct WorkloadQueue {
-    /// Per-query runs, sorted by query ID. Compact: one 32-byte row per
+/// The workload queue of a single bucket: one run (sub-query) per co-queued
+/// query. `'q` is the lifetime of the queries whose objects the runs borrow.
+#[derive(Debug, Clone)]
+pub struct WorkloadQueue<'q> {
+    /// Per-query runs, sorted by query ID. Compact: one 48-byte row per
     /// co-queued query.
-    directory: Vec<QueryRun>,
+    directory: Vec<QueryRun<'q>>,
     /// The segment slab backing every chain of this bucket.
     segments: Vec<Segment>,
-    /// Recycled segment slots.
-    free: Vec<u32>,
+    /// Head of the free list of recycled slab slots, linked through `next`.
+    free: u32,
     /// Total queued entries.
     len: usize,
     /// Earliest enqueue time among current entries (None when empty).
     oldest: Option<SimTime>,
 }
 
-impl WorkloadQueue {
+impl Default for WorkloadQueue<'_> {
+    fn default() -> Self {
+        WorkloadQueue {
+            directory: Vec::new(),
+            segments: Vec::new(),
+            free: NO_SEGMENT,
+            len: 0,
+            oldest: None,
+        }
+    }
+}
+
+impl<'q> WorkloadQueue<'q> {
     /// An empty queue.
     pub fn new() -> Self {
         WorkloadQueue::default()
     }
 
-    /// Appends an entry to its query's run — [`push_run`](Self::push_run)
-    /// of length 1.
-    pub fn push(&mut self, e: QueueEntry) {
-        self.push_run(e.query, std::iter::once(e));
-    }
-
-    /// Appends `entries`, all of `query`, to that query's run: one O(log d)
-    /// directory lookup, then the tail segment is filled and new segments
-    /// are chained a whole segment at a time, with the run and queue
-    /// accounting updated once. A no-op for an empty iterator.
-    pub fn push_run(
+    /// Appends `indices` — positions in `objects`, all requests of `query`
+    /// enqueued at `at` — to that query's run: one O(log d) directory
+    /// lookup, then the tail segment is filled and new segments are chained
+    /// a whole segment at a time, with the run and queue accounting updated
+    /// once. A no-op for empty `indices`. This is the only append path:
+    /// arrivals, top-ups and migration merges all come through here.
+    ///
+    /// # Panics
+    /// Panics if an index is out of range for `objects`, or if `query`
+    /// already has a run here borrowing a different object list.
+    pub fn push_chunk(
         &mut self,
         query: QueryId,
-        mut entries: impl ExactSizeIterator<Item = QueueEntry>,
+        objects: &'q [MatchObject],
+        indices: &[u32],
+        at: SimTime,
     ) {
-        let n = entries.len();
-        if n == 0 {
+        let Some(&max) = indices.iter().max() else {
             return;
-        }
-        let (i, mut tail) = match self.directory.binary_search_by_key(&query, |r| r.query) {
-            Ok(i) => (i, self.directory[i].tail),
+        };
+        assert!(
+            (max as usize) < objects.len(),
+            "object index {max} out of range for {query}"
+        );
+        let i = match self.directory.binary_search_by_key(&query, |r| r.query) {
+            Ok(i) => {
+                assert!(
+                    std::ptr::eq(self.directory[i].objects, objects),
+                    "{query} is already queued here with a different object list"
+                );
+                i
+            }
             Err(i) => {
-                let s = self.alloc_segment();
+                let s = self.alloc_segment(at);
                 self.directory.insert(
                     i,
                     QueryRun {
                         query,
+                        objects,
                         head: s,
                         tail: s,
                         len: 0,
-                        // The identity of `min`; folded with the entries'
-                        // stamps below, before anything reads the row.
-                        oldest: SimTime::from_micros(u64::MAX),
+                        oldest: at,
                     },
                 );
-                (i, s)
+                i
             }
         };
-        let mut oldest = self.directory[i].oldest;
+        let mut tail = self.directory[i].tail;
+        let mut rest = indices;
         loop {
-            let seg = &mut self.segments[tail as usize].entries;
-            let room = SEGMENT_CAPACITY - seg.len();
-            seg.extend(entries.by_ref().take(room).inspect(|e| {
-                debug_assert_eq!(e.query, query, "foreign entry in a run append");
-                oldest = oldest.min(e.enqueued_at);
-            }));
-            if entries.len() == 0 {
+            let seg = &mut self.segments[tail as usize];
+            // A segment holds one stamp: a chunk stamped differently from
+            // the tail starts a fresh segment even if the tail has room.
+            if seg.enqueued_at == at {
+                let filled = seg.len as usize;
+                let (fit, more) = rest.split_at(rest.len().min(SEGMENT_CAPACITY - filled));
+                seg.indices[filled..filled + fit.len()].copy_from_slice(fit);
+                seg.len += fit.len() as u32;
+                rest = more;
+            }
+            if rest.is_empty() {
                 break;
             }
-            let s = self.alloc_segment();
+            let s = self.alloc_segment(at);
             self.segments[tail as usize].next = s;
             tail = s;
         }
         let run = &mut self.directory[i];
         run.tail = tail;
-        run.len += n as u32;
-        run.oldest = oldest;
-        self.len += n;
-        self.oldest = Some(self.oldest.map_or(oldest, |t| t.min(oldest)));
+        run.len += indices.len() as u32;
+        run.oldest = run.oldest.min(at);
+        self.len += indices.len();
+        self.oldest = Some(self.oldest.map_or(at, |t| t.min(at)));
     }
 
-    fn alloc_segment(&mut self) -> u32 {
-        match self.free.pop() {
-            Some(s) => s,
-            None => {
-                self.segments.push(Segment::fresh());
-                (self.segments.len() - 1) as u32
-            }
+    /// An empty segment stamped `at`, recycled from the free list if any.
+    fn alloc_segment(&mut self, at: SimTime) -> u32 {
+        if self.free == NO_SEGMENT {
+            self.segments.push(Segment {
+                enqueued_at: at,
+                next: NO_SEGMENT,
+                len: 0,
+                indices: [0; SEGMENT_CAPACITY],
+            });
+            return (self.segments.len() - 1) as u32;
         }
+        let s = self.free;
+        let seg = &mut self.segments[s as usize];
+        self.free = seg.next;
+        seg.enqueued_at = at;
+        seg.next = NO_SEGMENT;
+        seg.len = 0;
+        s
     }
 
     /// Number of queued objects (`Σ_i W_i^j` for this bucket).
@@ -259,18 +379,20 @@ impl WorkloadQueue {
         self.len == 0
     }
 
-    /// Streams every queued entry, grouped by query (ascending query ID),
-    /// in arrival order within each group. This grouping is a storage
+    /// The queued runs, in directory order (ascending query ID).
+    pub fn runs(&self) -> impl Iterator<Item = RunView<'_, 'q>> + '_ {
+        self.directory.iter().map(move |run| RunView {
+            run,
+            segments: &self.segments,
+        })
+    }
+
+    /// Materializes every queued entry, grouped by query (ascending query
+    /// ID), in push order within each group. This grouping is a storage
     /// artifact, not a contract — consumers treat the queue as an unordered
     /// set.
-    pub fn iter(&self) -> impl Iterator<Item = &QueueEntry> + '_ {
-        self.directory.iter().flat_map(move |run| {
-            std::iter::successors(Some(run.head), move |&s| {
-                let next = self.segments[s as usize].next;
-                (next != NO_SEGMENT).then_some(next)
-            })
-            .flat_map(move |s| self.segments[s as usize].entries.iter())
-        })
+    pub fn iter(&self) -> impl Iterator<Item = QueueEntry> + '_ {
+        self.runs().flat_map(|run| run.entries())
     }
 
     /// Enqueue time of the oldest request (`A(i)`'s reference point).
@@ -295,52 +417,40 @@ impl WorkloadQueue {
         }
     }
 
-    /// Unlinks one chain into `out`, recycling its segments. Does not touch
-    /// the directory or the queue counters.
-    fn drain_chain(&mut self, head: u32, out: &mut Vec<QueueEntry>) {
-        let mut s = head;
-        while s != NO_SEGMENT {
-            let seg = &mut self.segments[s as usize];
-            out.append(&mut seg.entries);
-            let next = seg.next;
-            seg.next = NO_SEGMENT;
-            self.free.push(s);
-            s = next;
-        }
-    }
-
-    /// Moves all entries into `out` (cleared first) in O(batch): every
-    /// chain is walked exactly once, segments return to the free list, and
-    /// both the queue's and `out`'s allocations are kept for reuse.
-    pub fn drain_all_into(&mut self, out: &mut Vec<QueueEntry>) {
-        out.clear();
-        out.reserve(self.len);
-        let mut i = 0;
-        while i < self.directory.len() {
-            let head = self.directory[i].head;
-            self.drain_chain(head, out);
-            i += 1;
-        }
-        self.directory.clear();
-        self.len = 0;
-        self.oldest = None;
-    }
-
-    /// Moves the entries of `query` into `out` (cleared first) in
-    /// O(matched): the run's chain is unlinked whole, with zero reads of —
-    /// let alone compares against — any other query's entries. The
-    /// directory repair (row removal + surviving-oldest fold) is O(d) over
-    /// the co-queued *queries*, not their entries.
-    pub fn drain_query_into(&mut self, query: QueryId, out: &mut Vec<QueueEntry>) {
-        out.clear();
-        let Ok(i) = self.directory.binary_search_by_key(&query, |r| r.query) else {
-            return; // no run: nothing leaves the queue
+    /// The run-level drain every other drain is built on: removes the run
+    /// of `only` (or every run, for `None`), showing each to `visit` —
+    /// directory order — before its chain returns to the free list. Reading
+    /// a view's `query`/`len` costs nothing per entry, so a drain that only
+    /// counts is O(runs); allocations are kept for reuse. Returns the
+    /// number of entries that left the queue (0 when `only` has no run).
+    pub fn drain_runs(
+        &mut self,
+        only: Option<QueryId>,
+        mut visit: impl FnMut(RunView<'_, 'q>),
+    ) -> usize {
+        let rows = match only {
+            None => 0..self.directory.len(),
+            Some(query) => match self.directory.binary_search_by_key(&query, |r| r.query) {
+                Ok(i) => i..i + 1,
+                Err(_) => return 0, // no run: nothing leaves the queue
+            },
         };
-        let run = self.directory.remove(i);
-        out.reserve(run.len as usize);
-        self.drain_chain(run.head, out);
-        self.len -= run.len as usize;
+        let mut drained = 0usize;
+        for run in &self.directory[rows.clone()] {
+            visit(RunView {
+                run,
+                segments: &self.segments,
+            });
+            // Splice the whole chain onto the free list.
+            self.segments[run.tail as usize].next = self.free;
+            self.free = run.head;
+            drained += run.len as usize;
+        }
+        self.directory.drain(rows);
+        self.len -= drained;
+        // O(d) over the surviving *queries*, not their entries.
         self.oldest = self.directory.iter().map(|r| r.oldest).min();
+        drained
     }
 
     /// Distinct queries with work in this queue (one directory row each).
@@ -350,32 +460,25 @@ impl WorkloadQueue {
 
     /// This queue's storage accounting.
     pub fn memory_stats(&self) -> QueueMemoryStats {
-        let entry = std::mem::size_of::<QueueEntry>() as u64;
-        let segment_bytes = self.segments.len() as u64 * std::mem::size_of::<Segment>() as u64
-            + self
-                .segments
-                .iter()
-                .map(|s| s.entries.capacity() as u64 * entry)
-                .sum::<u64>()
-            + self.free.capacity() as u64 * std::mem::size_of::<u32>() as u64;
         QueueMemoryStats {
             queued_entries: self.len as u64,
             directory_runs: self.directory.len() as u64,
-            directory_bytes: self.directory.capacity() as u64
-                * std::mem::size_of::<QueryRun>() as u64,
+            directory_bytes: (self.directory.capacity() * std::mem::size_of::<QueryRun<'_>>())
+                as u64,
             segments: self.segments.len() as u64,
-            free_segments: self.free.len() as u64,
-            segment_bytes,
-            entry_bytes: self.len as u64 * entry,
+            free_segments: chain(&self.segments, self.free).count() as u64,
+            segment_bytes: (self.segments.capacity() * std::mem::size_of::<Segment>()) as u64,
+            entry_bytes: (self.len * std::mem::size_of::<u32>()) as u64,
         }
     }
 
     /// Checks every structural invariant of the segmented storage: the
     /// directory is strictly sorted by query; each run's chain holds exactly
-    /// `run.len` entries, all of `run.query`, with every non-tail segment
-    /// full and `run.oldest` their true minimum; the queue counters match
-    /// the directory; and every slab slot is on exactly one chain or the
-    /// free list.
+    /// `run.len` in-range indices in non-empty segments, a segment stops
+    /// short of capacity only where the stamp changes, and `run.oldest` is
+    /// the chain's true minimum stamp; the queue counters match the
+    /// directory; and every slab slot is on exactly one chain or the free
+    /// list.
     ///
     /// # Panics
     /// Panics on any violated invariant. O(entries) — for tests and debug
@@ -386,36 +489,40 @@ impl WorkloadQueue {
             "directory must be strictly sorted by query"
         );
         let mut seen = vec![false; self.segments.len()];
+        let mut mark = |s: u32| {
+            assert!(
+                !std::mem::replace(&mut seen[s as usize], true),
+                "segment {s} linked twice"
+            );
+        };
         let mut total = 0usize;
-        let mut oldest: Option<SimTime> = None;
         for run in &self.directory {
             assert!(run.len > 0, "empty run for {} survived a drain", run.query);
             let mut chain_len = 0usize;
             let mut chain_oldest: Option<SimTime> = None;
-            let mut s = run.head;
-            let mut last = s;
-            while s != NO_SEGMENT {
-                assert!(
-                    !std::mem::replace(&mut seen[s as usize], true),
-                    "segment {s} linked twice"
-                );
+            let mut last = run.head;
+            for s in chain(&self.segments, run.head) {
+                mark(s);
                 let seg = &self.segments[s as usize];
+                assert!(!seg.indices().is_empty(), "empty segment {s} left in chain");
                 assert!(
-                    seg.next == NO_SEGMENT || seg.entries.len() == SEGMENT_CAPACITY,
-                    "non-tail segment {s} of {} is not full",
+                    seg.indices()
+                        .iter()
+                        .all(|&i| (i as usize) < run.objects.len()),
+                    "segment {s} of {} indexes past the query's objects",
                     run.query
                 );
-                assert!(!seg.entries.is_empty(), "empty segment {s} left in chain");
-                for e in &seg.entries {
-                    assert_eq!(e.query, run.query, "foreign entry in {}'s chain", run.query);
-                    chain_oldest = Some(match chain_oldest {
-                        Some(t) => t.min(e.enqueued_at),
-                        None => e.enqueued_at,
-                    });
-                }
-                chain_len += seg.entries.len();
+                assert!(
+                    seg.next == NO_SEGMENT
+                        || seg.len as usize == SEGMENT_CAPACITY
+                        || self.segments[seg.next as usize].enqueued_at != seg.enqueued_at,
+                    "segment {s} of {} stops short without a stamp change",
+                    run.query
+                );
+                chain_oldest =
+                    Some(chain_oldest.map_or(seg.enqueued_at, |t| t.min(seg.enqueued_at)));
+                chain_len += seg.len as usize;
                 last = s;
-                s = seg.next;
             }
             assert_eq!(last, run.tail, "tail link of {} diverged", run.query);
             assert_eq!(chain_len, run.len as usize, "run length of {}", run.query);
@@ -425,27 +532,19 @@ impl WorkloadQueue {
                 "run oldest of {}",
                 run.query
             );
-            oldest = match (oldest, Some(run.oldest)) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
             total += chain_len;
         }
         assert_eq!(total, self.len, "queue length diverged from chains");
-        assert_eq!(oldest, self.oldest, "queue oldest diverged from runs");
-        for (s, &on_chain) in seen.iter().enumerate() {
-            let freed = self.free.contains(&(s as u32));
-            assert!(
-                on_chain != freed,
-                "segment {s} must be on exactly one chain or the free list"
-            );
-            if freed {
-                assert!(
-                    self.segments[s].entries.is_empty(),
-                    "freed segment {s} still holds entries"
-                );
-            }
-        }
+        assert_eq!(
+            self.directory.iter().map(|r| r.oldest).min(),
+            self.oldest,
+            "queue oldest diverged from runs"
+        );
+        chain(&self.segments, self.free).for_each(&mut mark);
+        assert!(
+            seen.iter().all(|&s| s),
+            "every segment must be on a chain or the free list"
+        );
     }
 }
 
@@ -469,8 +568,8 @@ impl WorkloadQueue {
 /// drain/refill cycles free of the O(candidates) memmoves a dense sorted
 /// snapshot vector would pay.
 #[derive(Debug, Clone)]
-pub struct WorkloadTable {
-    queues: Vec<WorkloadQueue>,
+pub struct WorkloadTable<'q> {
+    queues: Vec<WorkloadQueue<'q>>,
     /// Sorted list of currently non-empty buckets (the scheduler's
     /// candidate set; kept small relative to the partition).
     non_empty: Vec<BucketId>,
@@ -496,7 +595,7 @@ pub struct WorkloadTable {
     total_queued: u64,
 }
 
-impl WorkloadTable {
+impl<'q> WorkloadTable<'q> {
     /// Creates a table for a partition of `n_buckets` buckets.
     pub fn new(n_buckets: usize) -> Self {
         WorkloadTable {
@@ -541,51 +640,49 @@ impl WorkloadTable {
         self.queues.len()
     }
 
-    /// Enqueues a work item produced by the pre-processor, expanding it into
-    /// self-contained queue entries using the parent query's object data.
+    /// Enqueues a work item produced by the pre-processor as one run of its
+    /// bucket's queue: the item's object indices are copied, the objects
+    /// themselves stay in `query` (which must therefore outlive the table's
+    /// use of them).
     ///
     /// # Panics
     /// Panics if the item's indices do not refer to `query`'s objects or the
     /// item targets an unknown bucket.
-    pub fn enqueue(&mut self, item: &WorkItem, query: &CrossMatchQuery, now: SimTime) {
+    pub fn enqueue(&mut self, item: &WorkItem, query: &'q CrossMatchQuery, now: SimTime) {
         assert_eq!(item.query, query.id, "work item / query mismatch");
-        let idx = item.bucket.index();
-        assert!(idx < self.queues.len(), "unknown bucket {}", item.bucket);
-        if item.object_indices.is_empty() {
+        self.grow(item.bucket, |queue| {
+            queue.push_chunk(query.id, &query.objects, &item.object_indices, now)
+        });
+    }
+
+    /// Runs `append` on `bucket`'s queue and brings the table's counters,
+    /// the bucket's snapshot slot, the candidate index and the non-empty
+    /// set current with whatever it added — once per call.
+    fn grow(&mut self, bucket: BucketId, append: impl FnOnce(&mut WorkloadQueue<'q>)) {
+        let idx = bucket.index();
+        assert!(idx < self.queues.len(), "unknown bucket {bucket}");
+        let before = self.queues[idx].len();
+        append(&mut self.queues[idx]);
+        let q = &self.queues[idx];
+        if q.len() == before {
             return;
         }
-        let was_empty = self.queues[idx].is_empty();
-        self.queues[idx].push_run(
-            query.id,
-            item.object_indices.iter().map(|&oi| {
-                let obj = &query.objects[oi as usize];
-                QueueEntry {
-                    query: query.id,
-                    object_index: oi,
-                    pos: obj.pos,
-                    radius: obj.radius,
-                    bbox: obj.bounding_range(),
-                    enqueued_at: now,
-                }
-            }),
-        );
-        self.total_queued += item.object_indices.len() as u64;
-        let q = &self.queues[idx];
-        if !was_empty {
+        self.total_queued += (q.len() - before) as u64;
+        if before > 0 {
             self.index.remove(&self.snapshot_slots[idx]);
         }
         let slot = &mut self.snapshot_slots[idx];
         slot.queue_len = q.len() as u64;
         slot.oldest_enqueue = q.oldest_enqueue().expect("non-empty queue has an oldest");
         self.index.insert(&self.snapshot_slots[idx]);
-        if was_empty {
-            let pos = self.non_empty.partition_point(|&b| b < item.bucket);
-            self.non_empty.insert(pos, item.bucket);
+        if before == 0 {
+            let pos = self.non_empty.partition_point(|&b| b < bucket);
+            self.non_empty.insert(pos, bucket);
         }
     }
 
     /// The queue of one bucket.
-    pub fn queue(&self, bucket: BucketId) -> &WorkloadQueue {
+    pub fn queue(&self, bucket: BucketId) -> &WorkloadQueue<'q> {
         &self.queues[bucket.index()]
     }
 
@@ -604,30 +701,49 @@ impl WorkloadTable {
         self.total_queued == 0
     }
 
-    /// Drains a bucket's queue entirely into `out` (cleared first) in
-    /// O(batch), keeping both the queue's and `out`'s allocations for
-    /// reuse. Output is grouped by query, not arrival-ordered (see the
-    /// module docs on the unordered-batch contract).
+    /// The run-level drain: removes `only`'s run (or, for `None`, every
+    /// run) from a bucket's queue, showing each to `visit` in directory
+    /// order — see [`WorkloadQueue::drain_runs`]. A caller that reads only
+    /// [`RunView::query`] and [`RunView::len`] never touches the queued
+    /// payload; one that wants join-time entries collects
+    /// [`RunView::entries`]. Returns the number of entries drained.
+    pub fn drain_runs(
+        &mut self,
+        bucket: BucketId,
+        only: Option<QueryId>,
+        visit: impl FnMut(RunView<'_, 'q>),
+    ) -> usize {
+        let n = self.queues[bucket.index()].drain_runs(only, visit);
+        self.after_drain(bucket, n);
+        n
+    }
+
+    /// Drains a bucket's queue entirely into `out` (cleared first),
+    /// materialized, in O(batch), keeping both the queue's and `out`'s
+    /// allocations for reuse. Output is grouped by query, not
+    /// arrival-ordered (see the module docs on the unordered-batch
+    /// contract).
     pub fn take_all_into(&mut self, bucket: BucketId, out: &mut Vec<QueueEntry>) {
-        self.queues[bucket.index()].drain_all_into(out);
-        self.after_drain(bucket, out.len());
+        out.clear();
+        out.reserve(self.queues[bucket.index()].len());
+        self.drain_runs(bucket, None, |run| out.extend(run.entries()));
     }
 
     /// Drains only one query's entries from a bucket into `out` (cleared
-    /// first) — the NoShare batch — in O(matched entries + co-queued
-    /// queries), independent of how deep the rest of the queue is.
+    /// first), materialized — the NoShare batch — in O(matched entries +
+    /// co-queued queries), independent of how deep the rest of the queue is.
     pub fn take_query_into(&mut self, bucket: BucketId, query: QueryId, out: &mut Vec<QueueEntry>) {
-        self.queues[bucket.index()].drain_query_into(query, out);
-        self.after_drain(bucket, out.len());
+        out.clear();
+        self.drain_runs(bucket, Some(query), |run| out.extend(run.entries()));
     }
 
-    /// Removes a bucket's entire queue state into `out` (cleared first) —
-    /// the elastic runtime's **migration extraction**. Mechanically this is
-    /// [`take_all_into`](Self::take_all_into) (the table cannot tell
-    /// servicing from departure), but the entries keep their `enqueued_at`
-    /// stamps so the receiving table's [`merge_bucket`](Self::merge_bucket)
-    /// preserves every arrival age. Leaves the candidate index, the
-    /// non-empty set, and `total_queued` consistent, exactly like a drain.
+    /// Removes a bucket's entire queue — runs, stamps and all — and returns
+    /// it: the elastic runtime's **migration extraction**. To the table
+    /// this is a full drain (it cannot tell servicing from departure): the
+    /// candidate index, the non-empty set, and `total_queued` stay
+    /// consistent. The returned queue still borrows the queries' objects,
+    /// so the receiving table's [`merge_bucket`](Self::merge_bucket) can
+    /// rebuild every entry, `enqueued_at` included.
     ///
     /// ```
     /// use liferaft_htm::Vec3;
@@ -643,52 +759,40 @@ impl WorkloadTable {
     /// let mut dst = WorkloadTable::new(4);
     /// src.enqueue(&item, &q, SimTime::from_micros(42));
     ///
-    /// // Migrate bucket 2: extraction + absorption conserve the entry and
+    /// // Migrate bucket 2: extraction + absorption conserve the run and
     /// // its arrival stamp.
-    /// let mut payload = Vec::new();
-    /// src.extract_bucket(BucketId(2), &mut payload);
-    /// dst.merge_bucket(BucketId(2), &mut payload);
+    /// let payload = src.extract_bucket(BucketId(2));
+    /// assert_eq!(payload.len(), 1);
+    /// dst.merge_bucket(BucketId(2), &payload);
     /// assert_eq!(src.total_queued(), 0);
     /// assert_eq!(dst.total_queued(), 1);
     /// let moved = dst.queue(BucketId(2)).iter().next().unwrap();
     /// assert_eq!(moved.enqueued_at, SimTime::from_micros(42));
+    /// assert_eq!(moved.pos, q.objects[0].pos);
     /// ```
-    pub fn extract_bucket(&mut self, bucket: BucketId, out: &mut Vec<QueueEntry>) {
-        self.take_all_into(bucket, out);
+    pub fn extract_bucket(&mut self, bucket: BucketId) -> WorkloadQueue<'q> {
+        let queue = std::mem::take(&mut self.queues[bucket.index()]);
+        self.after_drain(bucket, queue.len());
+        queue
     }
 
-    /// Merges previously [extracted](Self::extract_bucket) entries into this
+    /// Merges a previously [extracted](Self::extract_bucket) queue into this
     /// table's queue for `bucket` — the elastic runtime's **migration
-    /// absorption**. Entries are re-enqueued at their *original*
-    /// `enqueued_at` stamps (ages survive the move), the bucket's snapshot
-    /// slot and the candidate index are brought current, and `entries` is
-    /// drained (emptied) into the queue. A no-op for an empty `entries`.
+    /// absorption**. Every chunk is re-appended at its *original* stamp
+    /// (ages survive the move) through the same path arrivals take, and the
+    /// bucket's snapshot slot and the candidate index are brought current
+    /// once. A no-op for an empty payload.
     ///
     /// The destination bucket may already hold work (arrivals routed to the
     /// new owner before the migration lands); the merged queue is the union.
-    pub fn merge_bucket(&mut self, bucket: BucketId, entries: &mut Vec<QueueEntry>) {
-        if entries.is_empty() {
-            return;
-        }
-        let idx = bucket.index();
-        assert!(idx < self.queues.len(), "unknown bucket {bucket}");
-        let was_empty = self.queues[idx].is_empty();
-        if !was_empty {
-            self.index.remove(&self.snapshot_slots[idx]);
-        }
-        for e in entries.drain(..) {
-            self.total_queued += 1;
-            self.queues[idx].push(e);
-        }
-        let q = &self.queues[idx];
-        let slot = &mut self.snapshot_slots[idx];
-        slot.queue_len = q.len() as u64;
-        slot.oldest_enqueue = q.oldest_enqueue().expect("merged queue is non-empty");
-        self.index.insert(&self.snapshot_slots[idx]);
-        if was_empty {
-            let pos = self.non_empty.partition_point(|&b| b < bucket);
-            self.non_empty.insert(pos, bucket);
-        }
+    pub fn merge_bucket(&mut self, bucket: BucketId, payload: &WorkloadQueue<'q>) {
+        self.grow(bucket, |queue| {
+            for run in payload.runs() {
+                for (at, indices) in run.chunks() {
+                    queue.push_chunk(run.query(), run.objects(), indices, at);
+                }
+            }
+        });
     }
 
     /// The live snapshot of one bucket, or `None` if it has no queued work.
@@ -1111,13 +1215,11 @@ mod tests {
         let mut dst = WorkloadTable::new(8);
         src.enqueue(&item(&qa, 5), &qa, SimTime::ZERO);
         src.enqueue(&item(&qb, 5), &qb, SimTime::from_micros(10));
-        let mut payload = Vec::new();
-        src.extract_bucket(BucketId(5), &mut payload);
+        let payload = src.extract_bucket(BucketId(5));
         assert_eq!(payload.len(), 5);
         assert!(src.is_idle());
         src.validate_index();
-        dst.merge_bucket(BucketId(5), &mut payload);
-        assert!(payload.is_empty(), "merge drains the payload");
+        dst.merge_bucket(BucketId(5), &payload);
         assert_eq!(dst.total_queued(), 5);
         assert_eq!(dst.non_empty_buckets(), &[BucketId(5)]);
         // Arrival ages survive: the oldest stamp crossed the tables intact.
@@ -1137,9 +1239,8 @@ mod tests {
         // The destination already routed new work to the bucket it is
         // about to adopt.
         dst.enqueue(&item(&qb, 1), &qb, SimTime::from_micros(50));
-        let mut payload = Vec::new();
-        src.extract_bucket(BucketId(1), &mut payload);
-        dst.merge_bucket(BucketId(1), &mut payload);
+        let payload = src.extract_bucket(BucketId(1));
+        dst.merge_bucket(BucketId(1), &payload);
         assert_eq!(dst.total_queued(), 3);
         assert_eq!(dst.queue(BucketId(1)).distinct_queries(), 2);
         // The migrated (older) work now anchors the age term.
@@ -1149,18 +1250,18 @@ mod tests {
         );
         dst.validate_index();
         // Merging nothing is a no-op.
-        let mut empty = Vec::new();
-        dst.merge_bucket(BucketId(2), &mut empty);
+        dst.merge_bucket(BucketId(2), &WorkloadQueue::new());
         assert_eq!(dst.non_empty_buckets(), &[BucketId(1)]);
     }
 
     #[test]
-    fn entries_are_self_contained() {
+    fn entries_are_materialized_from_the_borrowed_objects() {
         let q = entry_source(1);
         let mut t = WorkloadTable::new(4);
         t.enqueue(&item(&q, 0), &q, SimTime::ZERO);
         let queue = t.queue(BucketId(0));
         let e = queue.iter().next().expect("one entry queued");
+        assert_eq!(e.query, q.id);
         assert_eq!(e.pos, q.objects[0].pos);
         assert_eq!(e.radius, q.objects[0].radius);
         assert_eq!(e.bbox, q.objects[0].bounding_range());
@@ -1302,62 +1403,91 @@ mod tests {
         assert_eq!(oracle.probes.get(), 4);
     }
 
-    fn raw_entry(query: u64, object_index: u32, at_us: u64) -> QueueEntry {
-        let q = entry_source(1);
-        QueueEntry {
-            query: QueryId(query),
-            object_index,
-            pos: q.objects[0].pos,
-            radius: q.objects[0].radius,
-            bbox: q.objects[0].bounding_range(),
-            enqueued_at: SimTime::from_micros(at_us),
-        }
+    /// `n` queries (IDs 0..n) of `objects` objects each — the borrowed side
+    /// of bare-queue tests.
+    fn pool(n: u64, objects: usize) -> Vec<CrossMatchQuery> {
+        (0..n)
+            .map(|id| {
+                let mut q = entry_source(objects);
+                q.id = QueryId(id);
+                q
+            })
+            .collect()
+    }
+
+    /// A materializing drain of a bare queue, as the table composes it.
+    fn drain_into(wq: &mut WorkloadQueue<'_>, only: Option<QueryId>, out: &mut Vec<QueueEntry>) {
+        out.clear();
+        wq.drain_runs(only, |run| out.extend(run.entries()));
+    }
+
+    /// Appends one object of `q` stamped `at_us` — a length-1 chunk.
+    fn push<'q>(wq: &mut WorkloadQueue<'q>, q: &'q CrossMatchQuery, object: u32, at_us: u64) {
+        wq.push_chunk(q.id, &q.objects, &[object], SimTime::from_micros(at_us));
     }
 
     #[test]
-    fn drain_query_into_partitions_and_repairs_oldest() {
+    fn a_single_query_drain_partitions_and_repairs_oldest() {
+        let qs = pool(3, 5);
         let mut wq = WorkloadQueue::new();
-        for (i, q) in [1u64, 2, 1, 1, 2].iter().enumerate() {
-            wq.push(raw_entry(*q, i as u32, i as u64));
+        for (i, q) in [1usize, 2, 1, 1, 2].iter().enumerate() {
+            push(&mut wq, &qs[*q], i as u32, i as u64);
         }
         wq.validate_segments();
         let mut out = Vec::new();
-        wq.drain_query_into(QueryId(1), &mut out);
+        drain_into(&mut wq, Some(QueryId(1)), &mut out);
         wq.validate_segments();
         // Drained ∪ kept is an exact partition by query (order is not part
-        // of the contract — batches are consumed as unordered sets).
-        let mut drained: Vec<u32> = out.iter().map(|e| e.object_index).collect();
+        // of the contract — batches are consumed as unordered sets), each
+        // entry keeping the stamp of the chunk that brought it.
+        let mut drained: Vec<(u32, u64)> = out
+            .iter()
+            .map(|e| (e.object_index, e.enqueued_at.as_micros()))
+            .collect();
         drained.sort_unstable();
-        assert_eq!(drained, vec![0, 2, 3]);
+        assert_eq!(drained, vec![(0, 0), (2, 2), (3, 3)]);
         let mut kept: Vec<u32> = wq.iter().map(|e| e.object_index).collect();
         kept.sort_unstable();
         assert_eq!(kept, vec![1, 4]);
         assert_eq!(wq.oldest_enqueue(), Some(SimTime::from_micros(1)));
         // Draining an absent query leaves state (and `oldest`) untouched.
-        wq.drain_query_into(QueryId(99), &mut out);
+        drain_into(&mut wq, Some(QueryId(99)), &mut out);
         assert!(out.is_empty());
         assert_eq!(wq.len(), 2);
         assert_eq!(wq.oldest_enqueue(), Some(SimTime::from_micros(1)));
     }
 
     #[test]
-    fn multi_segment_chains_preserve_arrival_order_within_a_query() {
+    fn multi_segment_chains_preserve_push_order_within_a_query() {
         // 2.5 segments' worth of one query, interleaved with another.
         let n = SEGMENT_CAPACITY as u32 * 2 + SEGMENT_CAPACITY as u32 / 2;
+        let qs = pool(3, n as usize);
         let mut wq = WorkloadQueue::new();
         for i in 0..n {
-            wq.push(raw_entry(1, i, 100 + i as u64));
+            push(&mut wq, &qs[1], i, 100);
             if i % 3 == 0 {
-                wq.push(raw_entry(2, i, i as u64));
+                push(&mut wq, &qs[2], i, i as u64);
             }
         }
         wq.validate_segments();
         assert_eq!(wq.distinct_queries(), 2);
         assert_eq!(wq.pending_of(QueryId(1)), n as usize);
+        // One stamp throughout: query 1's chain is packed, 3 segments.
+        let chunks: Vec<usize> = wq
+            .runs()
+            .next()
+            .expect("query 1 is queued")
+            .chunks()
+            .map(|(_, indices)| indices.len())
+            .collect();
+        assert_eq!(
+            chunks,
+            vec![SEGMENT_CAPACITY, SEGMENT_CAPACITY, SEGMENT_CAPACITY / 2]
+        );
         let mut out = Vec::new();
-        wq.drain_query_into(QueryId(1), &mut out);
+        drain_into(&mut wq, Some(QueryId(1)), &mut out);
         wq.validate_segments();
-        // Within one query's run, segments chain in arrival order.
+        // Within one query's run, segments chain in push order.
         let got: Vec<u32> = out.iter().map(|e| e.object_index).collect();
         let want: Vec<u32> = (0..n).collect();
         assert_eq!(got, want);
@@ -1367,14 +1497,80 @@ mod tests {
     }
 
     #[test]
+    fn a_top_up_keeps_each_chunks_stamp() {
+        let qs = pool(1, 40);
+        let mut wq = WorkloadQueue::new();
+        let first: Vec<u32> = (0..30).collect();
+        wq.push_chunk(qs[0].id, &qs[0].objects, &first, SimTime::from_micros(50));
+        // A later top-up, then a merge-style chunk older than everything.
+        wq.push_chunk(
+            qs[0].id,
+            &qs[0].objects,
+            &[30, 31],
+            SimTime::from_micros(90),
+        );
+        wq.push_chunk(qs[0].id, &qs[0].objects, &[32], SimTime::from_micros(7));
+        wq.validate_segments();
+        assert_eq!(wq.distinct_queries(), 1);
+        assert_eq!(wq.oldest_enqueue(), Some(SimTime::from_micros(7)));
+        let stamps: Vec<(u32, u64)> = wq
+            .iter()
+            .map(|e| (e.object_index, e.enqueued_at.as_micros()))
+            .collect();
+        let want: Vec<(u32, u64)> = (0..33)
+            .map(|i| (i, [50, 90, 7][(i >= 30) as usize + (i >= 32) as usize]))
+            .collect();
+        assert_eq!(stamps, want);
+    }
+
+    #[test]
+    fn a_counting_drain_reports_runs_without_entries() {
+        let qs = pool(4, 3);
+        let mut wq = WorkloadQueue::new();
+        for q in [&qs[3], &qs[0], &qs[2]] {
+            wq.push_chunk(q.id, &q.objects, &[0, 1, 2], SimTime::ZERO);
+        }
+        push(&mut wq, &qs[2], 1, 5);
+        let mut rows = Vec::new();
+        let drained = wq.drain_runs(None, |run| rows.push((run.query(), run.len())));
+        assert_eq!(drained, 10);
+        // Directory order is query order.
+        assert_eq!(
+            rows,
+            vec![(QueryId(0), 3), (QueryId(2), 4), (QueryId(3), 3)]
+        );
+        assert!(wq.is_empty());
+        assert_eq!(wq.oldest_enqueue(), None);
+        wq.validate_segments();
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn push_chunk_rejects_foreign_indices() {
+        let qs = pool(1, 2);
+        WorkloadQueue::new().push_chunk(qs[0].id, &qs[0].objects, &[0, 2], SimTime::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "different object list")]
+    fn a_query_cannot_queue_two_object_lists_in_one_bucket() {
+        let qs = pool(1, 2);
+        let twin = qs[0].clone();
+        let mut wq = WorkloadQueue::new();
+        push(&mut wq, &qs[0], 0, 0);
+        push(&mut wq, &twin, 1, 0);
+    }
+
+    #[test]
     fn freed_segments_are_recycled() {
+        let qs = pool(5, SEGMENT_CAPACITY * 3);
         let mut wq = WorkloadQueue::new();
         let mut out = Vec::new();
-        for round in 0..5u64 {
-            for i in 0..(SEGMENT_CAPACITY as u32 * 3) {
-                wq.push(raw_entry(round, i, i as u64));
-            }
-            wq.drain_all_into(&mut out);
+        let all: Vec<u32> = (0..SEGMENT_CAPACITY as u32 * 3).collect();
+        for q in &qs {
+            wq.push_chunk(q.id, &q.objects, &all, SimTime::ZERO);
+            drain_into(&mut wq, None, &mut out);
+            assert_eq!(out.len(), all.len());
             wq.validate_segments();
         }
         // Steady state: the slab never grows beyond one round's worth.
@@ -1386,27 +1582,56 @@ mod tests {
 
     #[test]
     fn memory_stats_account_for_directory_and_segments() {
+        let qs = pool(4, 3);
         let mut wq = WorkloadQueue::new();
-        for q in 0..4u64 {
-            for i in 0..3u32 {
-                wq.push(raw_entry(q, i, q * 10 + i as u64));
-            }
+        for q in &qs {
+            wq.push_chunk(q.id, &q.objects, &[0, 1, 2], SimTime::ZERO);
         }
         let m = wq.memory_stats();
         assert_eq!(m.queued_entries, 12);
         assert_eq!(m.directory_runs, 4);
         assert_eq!(m.segments, 4, "one segment per short run");
         assert_eq!(m.free_segments, 0);
-        assert_eq!(m.entry_bytes, 12 * std::mem::size_of::<QueueEntry>() as u64);
-        assert!(m.directory_bytes >= 4 * std::mem::size_of::<QueryRun>() as u64);
-        // Four segments allocate four full buffers; 12 live entries.
-        assert!(m.segment_bytes >= m.entry_bytes);
+        assert_eq!(m.entry_bytes, 12 * 4, "the payload is the object index");
+        assert!(m.directory_bytes >= 4 * std::mem::size_of::<QueryRun<'_>>() as u64);
+        // Four segments allocate four full index blocks; 12 live indices.
+        assert!(m.segment_bytes >= 4 * std::mem::size_of::<Segment>() as u64);
+        assert_eq!(std::mem::size_of::<Segment>(), 128);
         assert_eq!(m.total_bytes(), m.directory_bytes + m.segment_bytes);
         assert_eq!(m.overhead_bytes(), m.total_bytes() - m.entry_bytes);
         let mut table_total = QueueMemoryStats::default();
         table_total.merge(&m);
         table_total.merge(&WorkloadQueue::new().memory_stats());
         assert_eq!(table_total.queued_entries, 12);
+    }
+
+    /// The point of queueing sub-queries: a deep table costs a few bytes per
+    /// assignment (a materialized entry is 72).
+    #[test]
+    fn a_deep_table_stays_under_16_bytes_per_assignment() {
+        let q_objects = 100usize;
+        let qs = pool(64, q_objects);
+        let indices: Vec<u32> = (0..q_objects as u32).collect();
+        let mut t = WorkloadTable::new(16);
+        for q in &qs {
+            for bucket in 0..16 {
+                let item = WorkItem {
+                    query: q.id,
+                    bucket: BucketId(bucket),
+                    object_indices: indices.clone(),
+                };
+                t.enqueue(&item, q, SimTime::from_micros(q.id.0));
+            }
+        }
+        let m = t.memory_stats();
+        assert!(m.queued_entries >= 100_000, "{} queued", m.queued_entries);
+        assert!(m.directory_runs >= 1_000, "{} runs", m.directory_runs);
+        let per_assignment = m.total_bytes() as f64 / m.queued_entries as f64;
+        assert!(
+            per_assignment <= 16.0,
+            "{per_assignment:.1} bytes per queued assignment"
+        );
+        t.validate_index();
     }
 
     #[test]

@@ -5,8 +5,10 @@
 //! `WorkloadTable::merge_bucket` on the destination. Under arbitrary
 //! enqueue interleavings — including destinations that already hold work
 //! for the migrated bucket — the transfer must conserve the entry multiset,
-//! preserve every `enqueued_at` arrival stamp, and leave `validate_index`
-//! green on **both** tables after every hop.
+//! preserve every `enqueued_at` arrival stamp and every object's position
+//! (the payload travels as runs borrowing the queries, never as copied
+//! entries), and leave `validate_index` green on **both** tables after
+//! every hop.
 
 use liferaft_htm::Vec3;
 use liferaft_query::{CrossMatchQuery, Predicate, QueryId, QueueEntry, WorkItem, WorkloadTable};
@@ -17,18 +19,28 @@ const LEVEL: u8 = 6;
 const BUCKETS: u32 = 3;
 
 /// Canonical multiset key of an entry; the embedded `enqueued_at`
-/// microseconds make arrival-age preservation part of every equality check.
-fn keys<'a>(entries: impl IntoIterator<Item = &'a QueueEntry>) -> Vec<(u64, u32, u64)> {
+/// microseconds make arrival-age preservation part of every equality check,
+/// and the position bits make sure the entry still resolves to its object.
+type Key = (u64, u32, u64, u64);
+
+fn keys(entries: impl IntoIterator<Item = QueueEntry>) -> Vec<Key> {
     let mut v: Vec<_> = entries
         .into_iter()
-        .map(|e| (e.query.0, e.object_index, e.enqueued_at.as_micros()))
+        .map(|e| {
+            (
+                e.query.0,
+                e.object_index,
+                e.enqueued_at.as_micros(),
+                e.pos.x.to_bits(),
+            )
+        })
         .collect();
     v.sort_unstable();
     v
 }
 
 /// All live entries of one table, as canonical keys per bucket.
-fn table_keys(t: &WorkloadTable) -> Vec<Vec<(u64, u32, u64)>> {
+fn table_keys(t: &WorkloadTable<'_>) -> Vec<Vec<Key>> {
     (0..BUCKETS)
         .map(|b| keys(t.queue(BucketId(b)).iter()))
         .collect()
@@ -36,7 +48,7 @@ fn table_keys(t: &WorkloadTable) -> Vec<Vec<(u64, u32, u64)>> {
 
 #[derive(Debug, Clone, Copy)]
 enum Op {
-    /// Enqueue one entry for `query` into `bucket` on table `side`.
+    /// Enqueue one object of `query` into `bucket` on table `side`.
     Push {
         side: bool,
         query: u64,
@@ -71,20 +83,32 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
     )
 }
 
-fn push(t: &mut WorkloadTable, step: usize, query: u64, bucket: u32, at_us: u64) {
-    let q = CrossMatchQuery::from_positions(
-        QueryId(query),
-        &[Vec3::from_radec_deg(10.0 + (step % 7) as f64, 5.0)],
-        1e-5,
-        LEVEL,
-        Predicate::All,
-    );
+/// The six queries both tables borrow from; every object has its own
+/// position.
+fn pool() -> Vec<CrossMatchQuery> {
+    (0..6u64)
+        .map(|id| {
+            let positions: Vec<Vec3> = (0..7)
+                .map(|k| Vec3::from_radec_deg(10.0 + id as f64 * 9.0 + k as f64, 5.0))
+                .collect();
+            CrossMatchQuery::from_positions(QueryId(id), &positions, 1e-5, LEVEL, Predicate::All)
+        })
+        .collect()
+}
+
+fn push<'q>(
+    t: &mut WorkloadTable<'q>,
+    q: &'q CrossMatchQuery,
+    step: usize,
+    bucket: u32,
+    at_us: u64,
+) {
     let item = WorkItem {
         query: q.id,
         bucket: BucketId(bucket),
-        object_indices: vec![0],
+        object_indices: vec![(step % 7) as u32],
     };
-    t.enqueue(&item, &q, SimTime::from_micros(at_us + step as u64));
+    t.enqueue(&item, q, SimTime::from_micros(at_us + step as u64));
 }
 
 proptest! {
@@ -97,14 +121,14 @@ proptest! {
     /// and segment directories stay valid at every step.
     #[test]
     fn bucket_migration_conserves_entries_and_ages(ops in arb_ops()) {
+        let pool = pool();
         let mut left = WorkloadTable::new(BUCKETS as usize);
         let mut right = WorkloadTable::new(BUCKETS as usize);
-        let mut scratch = Vec::new();
         for (step, op) in ops.iter().enumerate() {
             match *op {
                 Op::Push { side, query, bucket, at_us } => {
                     let t = if side { &mut left } else { &mut right };
-                    push(t, step, query, bucket, at_us);
+                    push(t, &pool[query as usize], step, bucket, at_us);
                 }
                 Op::Migrate { from_left, bucket } => {
                     // Buckets the migration does not touch must come through
@@ -117,12 +141,11 @@ proptest! {
                     };
                     let src_before = keys(src.queue(BucketId(bucket)).iter());
                     let dst_before = keys(dst.queue(BucketId(bucket)).iter());
-                    src.extract_bucket(BucketId(bucket), &mut scratch);
+                    let payload = src.extract_bucket(BucketId(bucket));
                     // The extraction hands over exactly the source's state…
-                    prop_assert_eq!(keys(scratch.iter()), src_before.clone());
+                    prop_assert_eq!(keys(payload.iter()), src_before.clone());
                     prop_assert!(src.queue(BucketId(bucket)).is_empty());
-                    dst.merge_bucket(BucketId(bucket), &mut scratch);
-                    prop_assert!(scratch.is_empty(), "merge must drain the payload");
+                    dst.merge_bucket(BucketId(bucket), &payload);
                     // …and the destination ends with the union, every
                     // arrival stamp preserved.
                     let mut want = src_before;

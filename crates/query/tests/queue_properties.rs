@@ -1,244 +1,296 @@
-//! Property tests for the segmented per-(bucket, query) queue storage.
+//! Property tests for the sub-query workload queues.
 //!
-//! A naive reference queue (one flat vector, `retain`-based drains) defines
-//! the semantics; the segmented [`WorkloadQueue`] must stay *set-equivalent*
-//! to it under arbitrary enqueue/drain interleavings — batch order is
-//! explicitly not part of the contract (batches are consumed as unordered
-//! sets; see the queue module docs) — while every structural invariant of
-//! the segment directory holds at every step. Run appends
-//! ([`WorkloadQueue::push_run`], what `WorkloadTable::enqueue` does per work
-//! item) are held to the same reference as entry-at-a-time `push`.
+//! A queue stores runs — a borrow of each query's objects plus 4-byte
+//! indices, one enqueue stamp per stored chunk — and builds `QueueEntry`s
+//! only on demand. The reference here is the layout that used to be
+//! stored: a naive `Vec<QueueEntry>` per bucket with filter-based drains,
+//! every entry carrying its own payload and stamp. Under arbitrary
+//! interleavings of run enqueues, top-ups with later stamps, merges of
+//! older-stamped work, materialized and run-level drains and extract→merge
+//! round trips, the table must stay *multiset-equivalent* to it — payload
+//! and `enqueued_at` included; batch order is not part of the contract —
+//! while `validate_index` (which runs `validate_segments` on every bucket
+//! queue) passes after every operation.
 
 use liferaft_htm::Vec3;
-use liferaft_query::{
-    CrossMatchQuery, Predicate, QueryId, QueueEntry, WorkItem, WorkloadQueue, WorkloadTable,
-};
+use liferaft_query::{CrossMatchQuery, Predicate, QueryId, QueueEntry, WorkItem, WorkloadTable};
 use liferaft_storage::{BucketId, SimTime};
 use proptest::prelude::*;
 
 const LEVEL: u8 = 6;
+const BUCKETS: usize = 3;
+const QUERIES: u64 = 6;
+/// Objects per query: runs of up to 80 indices cross two 28-index segments.
+const OBJECTS: u32 = 96;
 
-/// The reference: a flat vector with filter-based drains.
-#[derive(Default)]
-struct NaiveQueue {
-    entries: Vec<QueueEntry>,
+/// The queries whose objects the table borrows. Positions differ per query
+/// and per object, so a materialized entry that picked the wrong object (or
+/// the wrong query's list) cannot compare equal to the reference.
+fn pool() -> Vec<CrossMatchQuery> {
+    (0..QUERIES)
+        .map(|id| {
+            let positions: Vec<Vec3> = (0..OBJECTS)
+                .map(|k| Vec3::from_radec_deg(10.0 + id as f64 * 20.0 + k as f64 * 0.05, 5.0))
+                .collect();
+            CrossMatchQuery::from_positions(QueryId(id), &positions, 1e-5, LEVEL, Predicate::All)
+        })
+        .collect()
 }
 
-impl NaiveQueue {
-    fn push(&mut self, e: QueueEntry) {
-        self.entries.push(e);
-    }
-
-    fn drain_all(&mut self) -> Vec<QueueEntry> {
-        std::mem::take(&mut self.entries)
-    }
-
-    fn drain_query(&mut self, query: QueryId) -> Vec<QueueEntry> {
-        let (out, kept) = std::mem::take(&mut self.entries)
-            .into_iter()
-            .partition(|e| e.query == query);
-        self.entries = kept;
-        out
-    }
-
-    fn oldest(&self) -> Option<SimTime> {
-        self.entries.iter().map(|e| e.enqueued_at).min()
-    }
-}
-
-/// Canonical multiset key of an entry (object_index is unique per push in
-/// these tests, so the key set is an exact identity check).
-fn keys(entries: &[QueueEntry]) -> Vec<(u64, u32, u64)> {
-    let mut v: Vec<_> = entries
-        .iter()
-        .map(|e| (e.query.0, e.object_index, e.enqueued_at.as_micros()))
-        .collect();
-    v.sort_unstable();
-    v
-}
-
-fn entry(query: u64, object_index: u32, at_us: u64) -> QueueEntry {
-    let q = CrossMatchQuery::from_positions(
-        QueryId(query),
-        &[Vec3::from_radec_deg(10.0, 5.0)],
-        1e-5,
-        LEVEL,
-        Predicate::All,
-    );
+/// The entry the old layout would have stored for `object` of `q`.
+fn reference_entry(q: &CrossMatchQuery, object: u32, at: SimTime) -> QueueEntry {
+    let obj = &q.objects[object as usize];
     QueueEntry {
-        query: QueryId(query),
-        object_index,
-        pos: q.objects[0].pos,
-        radius: q.objects[0].radius,
-        bbox: q.objects[0].bounding_range(),
-        enqueued_at: SimTime::from_micros(at_us),
+        query: q.id,
+        object_index: object,
+        pos: obj.pos,
+        radius: obj.radius,
+        bbox: obj.bounding_range(),
+        enqueued_at: at,
     }
+}
+
+/// Canonical multiset order. Entries with equal keys have equal payloads
+/// (same object of the same query), so comparing the sorted vectors with
+/// `==` is an exact multiset comparison of whole entries.
+fn sorted(mut entries: Vec<QueueEntry>) -> Vec<QueueEntry> {
+    entries.sort_by_key(|e| (e.query, e.object_index, e.enqueued_at));
+    entries
+}
+
+/// `(query, count)` rows of a reference bucket, ascending — what a run-level
+/// drain must report.
+fn run_counts(entries: &[QueueEntry], only: Option<QueryId>) -> Vec<(QueryId, usize)> {
+    (0..QUERIES)
+        .map(QueryId)
+        .filter(|&q| only.map_or(true, |o| o == q))
+        .map(|q| (q, entries.iter().filter(|e| e.query == q).count()))
+        .filter(|&(_, n)| n > 0)
+        .collect()
 }
 
 #[derive(Debug, Clone, Copy)]
 enum Op {
-    /// Enqueue one entry of `query`, `at_us` microseconds (plus step).
-    Push { query: u64, at_us: u64 },
-    /// Append `n` entries of `query` as one run, stamped around `at_us` (no
-    /// step offset, so a run may be older than what its query has queued).
-    /// `n` reaches past two 32-entry segments and includes the empty run.
-    PushRun { query: u64, at_us: u64, n: u32 },
-    /// Drain everything.
-    DrainAll,
-    /// Drain one query.
-    DrainQuery { query: u64 },
+    /// Enqueue objects `start..start + n` of `query` as one work item at
+    /// `at_us` — any stamp, so a run may also be topped up with an *older*
+    /// chunk. `n` reaches past two segments and includes the empty item.
+    Enqueue {
+        bucket: u32,
+        query: u64,
+        start: u32,
+        n: u32,
+        at_us: u64,
+    },
+    /// Top up with a stamp later than anything queued so far.
+    TopUpLater {
+        bucket: u32,
+        query: u64,
+        start: u32,
+        n: u32,
+    },
+    /// Queue two chunks on a side table, then extract them there and merge
+    /// them here: the migration path, with stamps older than the clock.
+    MergeOlder {
+        bucket: u32,
+        query: u64,
+        start: u32,
+        n: u32,
+        at_us: u64,
+    },
+    /// Materialized full drain.
+    TakeAll { bucket: u32 },
+    /// Materialized single-query drain.
+    TakeQuery { bucket: u32, query: u64 },
+    /// Run-level drain of everything (`None`) or one query.
+    DrainRuns { bucket: u32, only: Option<u64> },
+    /// Extract `from` and merge it into `to` (possibly the same bucket).
+    ExtractMerge { from: u32, to: u32 },
 }
 
 fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
-    proptest::collection::vec((0u8..10, 0u64..6, 0u64..50, 0u32..80), 1..200).prop_map(|raw| {
+    let raw = (
+        0u8..14,
+        0u32..BUCKETS as u32,
+        0u64..QUERIES,
+        0u32..OBJECTS,
+        0u32..80,
+        0u64..50,
+    );
+    proptest::collection::vec(raw, 1..120).prop_map(|raw| {
         raw.into_iter()
-            .map(|(kind, query, at_us, n)| match kind {
-                0..=4 => Op::Push { query, at_us },
-                5 => Op::DrainAll,
-                6 => Op::DrainQuery { query },
-                // Bias towards the segment boundary itself.
-                7 => Op::PushRun {
-                    query,
-                    at_us,
-                    n: 31 + n % 3,
-                },
-                _ => Op::PushRun { query, at_us, n },
+            .map(|(kind, bucket, query, start, n, at_us)| {
+                // Bias run lengths towards the segment boundary itself.
+                let n = if kind % 2 == 0 { 27 + n % 3 } else { n };
+                let n = n.min(OBJECTS - start);
+                match kind {
+                    0..=4 => Op::Enqueue {
+                        bucket,
+                        query,
+                        start,
+                        n,
+                        at_us,
+                    },
+                    5 | 6 => Op::TopUpLater {
+                        bucket,
+                        query,
+                        start,
+                        n,
+                    },
+                    7 | 8 => Op::MergeOlder {
+                        bucket,
+                        query,
+                        start,
+                        n,
+                        at_us,
+                    },
+                    9 => Op::TakeAll { bucket },
+                    10 => Op::TakeQuery { bucket, query },
+                    11 => Op::DrainRuns {
+                        bucket,
+                        only: (at_us % 2 == 0).then_some(query),
+                    },
+                    12 => Op::DrainRuns { bucket, only: None },
+                    _ => Op::ExtractMerge {
+                        from: bucket,
+                        to: (at_us % BUCKETS as u64) as u32,
+                    },
+                }
             })
             .collect()
     })
 }
 
+fn item(query: u64, bucket: u32, start: u32, n: u32) -> WorkItem {
+    WorkItem {
+        query: QueryId(query),
+        bucket: BucketId(bucket),
+        object_indices: (start..start + n).collect(),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// Under any interleaving: every drain is set-equivalent to the naive
-    /// reference's, the per-query/oldest/len accounting agrees, and the
-    /// segment directory's invariants hold at every step.
     #[test]
-    fn segmented_queue_is_set_equivalent_to_naive(ops in arb_ops()) {
-        let mut seg = WorkloadQueue::new();
-        let mut naive = NaiveQueue::default();
-        let mut scratch = Vec::new();
-        // Unique per entry, so `keys` stays an identity check under runs.
-        let mut next_index = 0u32;
-        for (step, op) in ops.iter().enumerate() {
+    fn run_queues_are_multiset_equivalent_to_stored_entries(ops in arb_ops()) {
+        let pool = pool();
+        let mut t = WorkloadTable::new(BUCKETS);
+        let mut naive: Vec<Vec<QueueEntry>> = vec![Vec::new(); BUCKETS];
+        let mut scratch = vec![reference_entry(&pool[0], 0, SimTime::ZERO)];
+        // Later than every stamp an op can draw.
+        let mut clock = 1_000u64;
+        for op in &ops {
             match *op {
-                Op::Push { query, at_us } => {
-                    let e = entry(query, next_index, at_us + step as u64);
-                    next_index += 1;
-                    seg.push(e.clone());
-                    naive.push(e);
+                Op::Enqueue { bucket, query, start, n, at_us } => {
+                    let at = SimTime::from_micros(at_us);
+                    let q = &pool[query as usize];
+                    t.enqueue(&item(query, bucket, start, n), q, at);
+                    naive[bucket as usize]
+                        .extend((start..start + n).map(|o| reference_entry(q, o, at)));
                 }
-                Op::PushRun { query, at_us, n } => {
-                    // Stamps vary inside the run: its minimum must fold into
-                    // the run's and the queue's `oldest`.
-                    let run: Vec<QueueEntry> = (0..n)
-                        .map(|k| entry(query, next_index + k, at_us + (k as u64 * 7) % 5))
-                        .collect();
-                    next_index += n;
-                    seg.push_run(QueryId(query), run.iter().cloned());
-                    run.into_iter().for_each(|e| naive.push(e));
+                Op::TopUpLater { bucket, query, start, n } => {
+                    clock += 10;
+                    let at = SimTime::from_micros(clock);
+                    let q = &pool[query as usize];
+                    t.enqueue(&item(query, bucket, start, n), q, at);
+                    naive[bucket as usize]
+                        .extend((start..start + n).map(|o| reference_entry(q, o, at)));
                 }
-                Op::DrainAll => {
-                    seg.drain_all_into(&mut scratch);
-                    prop_assert_eq!(keys(&scratch), keys(&naive.drain_all()));
+                Op::MergeOlder { bucket, query, start, n, at_us } => {
+                    let q = &pool[query as usize];
+                    let mut side = WorkloadTable::new(BUCKETS);
+                    let half = n / 2;
+                    for (s, len, at) in [
+                        (start, half, SimTime::from_micros(at_us + 1)),
+                        (start + half, n - half, SimTime::from_micros(at_us)),
+                    ] {
+                        side.enqueue(&item(query, bucket, s, len), q, at);
+                        naive[bucket as usize]
+                            .extend((s..s + len).map(|o| reference_entry(q, o, at)));
+                    }
+                    let payload = side.extract_bucket(BucketId(bucket));
+                    prop_assert_eq!(payload.len(), n as usize);
+                    prop_assert!(side.is_idle());
+                    side.validate_index();
+                    t.merge_bucket(BucketId(bucket), &payload);
                 }
-                Op::DrainQuery { query } => {
-                    seg.drain_query_into(QueryId(query), &mut scratch);
-                    prop_assert_eq!(keys(&scratch), keys(&naive.drain_query(QueryId(query))));
+                Op::TakeAll { bucket } => {
+                    t.take_all_into(BucketId(bucket), &mut scratch);
+                    let want = std::mem::take(&mut naive[bucket as usize]);
+                    prop_assert_eq!(sorted(scratch.clone()), sorted(want));
                 }
-            }
-            seg.validate_segments();
-            prop_assert_eq!(seg.len(), naive.entries.len());
-            prop_assert_eq!(seg.is_empty(), naive.entries.is_empty());
-            prop_assert_eq!(seg.oldest_enqueue(), naive.oldest());
-            // The live view agrees as a set.
-            let live: Vec<QueueEntry> = seg.iter().cloned().collect();
-            prop_assert_eq!(keys(&live), keys(&naive.entries));
-            // Per-query accounting.
-            for q in 0..6u64 {
-                let want = naive.entries.iter().filter(|e| e.query == QueryId(q)).count();
-                prop_assert_eq!(seg.pending_of(QueryId(q)), want);
-            }
-            let mut distinct: Vec<u64> = naive.entries.iter().map(|e| e.query.0).collect();
-            distinct.sort_unstable();
-            distinct.dedup();
-            prop_assert_eq!(seg.distinct_queries(), distinct.len());
-            // Memory accounting stays consistent with the live size.
-            let m = seg.memory_stats();
-            prop_assert_eq!(m.queued_entries, seg.len() as u64);
-            prop_assert_eq!(m.directory_runs as usize, seg.distinct_queries());
-            prop_assert!(m.total_bytes() >= m.entry_bytes);
-        }
-    }
-
-    /// The same ops through a `WorkloadTable` keep the table's index, slots,
-    /// and segment directories valid — `validate_index` does the
-    /// cross-checking — and `enqueue` (one run per work item) leaves the
-    /// table exactly where merging the same entries one `push` at a time
-    /// leaves a twin.
-    #[test]
-    fn table_drains_keep_index_and_segments_valid(ops in arb_ops()) {
-        let mut t = WorkloadTable::new(2);
-        let mut twin = WorkloadTable::new(2);
-        let (mut scratch, mut twin_scratch) = (Vec::new(), Vec::new());
-        for (step, op) in ops.iter().enumerate() {
-            match *op {
-                Op::Push { query, at_us } | Op::PushRun { query, at_us, .. } => {
-                    let (n, now) = match *op {
-                        Op::PushRun { n, .. } => (n, SimTime::from_micros(at_us)),
-                        _ => (1, SimTime::from_micros(at_us + step as u64)),
-                    };
-                    let positions: Vec<Vec3> = (0..n)
-                        .map(|k| Vec3::from_radec_deg(10.0 + ((step + k as usize) % 7) as f64, 5.0))
-                        .collect();
-                    let q = CrossMatchQuery::from_positions(
-                        QueryId(query),
-                        &positions,
-                        1e-5,
-                        LEVEL,
-                        Predicate::All,
-                    );
-                    let item = WorkItem {
-                        query: q.id,
-                        bucket: BucketId((step % 2) as u32),
-                        object_indices: (0..n).collect(),
-                    };
-                    t.enqueue(&item, &q, now);
-                    let mut entries: Vec<QueueEntry> = q
-                        .objects
-                        .iter()
-                        .enumerate()
-                        .map(|(k, obj)| QueueEntry {
-                            query: q.id,
-                            object_index: k as u32,
-                            pos: obj.pos,
-                            radius: obj.radius,
-                            bbox: obj.bounding_range(),
-                            enqueued_at: now,
-                        })
-                        .collect();
-                    twin.merge_bucket(item.bucket, &mut entries);
+                Op::TakeQuery { bucket, query } => {
+                    t.take_query_into(BucketId(bucket), QueryId(query), &mut scratch);
+                    let (want, kept): (Vec<_>, Vec<_>) =
+                        std::mem::take(&mut naive[bucket as usize])
+                            .into_iter()
+                            .partition(|e| e.query == QueryId(query));
+                    naive[bucket as usize] = kept;
+                    prop_assert_eq!(sorted(scratch.clone()), sorted(want));
                 }
-                Op::DrainAll => {
-                    t.take_all_into(BucketId(0), &mut scratch);
-                    twin.take_all_into(BucketId(0), &mut twin_scratch);
-                    prop_assert_eq!(keys(&scratch), keys(&twin_scratch));
+                Op::DrainRuns { bucket, only } => {
+                    let only = only.map(QueryId);
+                    let want = run_counts(&naive[bucket as usize], only);
+                    let mut rows = Vec::new();
+                    let drained = t.drain_runs(BucketId(bucket), only, |run| {
+                        rows.push((run.query(), run.len()));
+                    });
+                    // Rows come in query order, one per co-queued query.
+                    prop_assert_eq!(drained, want.iter().map(|&(_, n)| n).sum::<usize>());
+                    prop_assert_eq!(rows, want);
+                    naive[bucket as usize].retain(|e| only.is_some_and(|o| e.query != o));
                 }
-                Op::DrainQuery { query } => {
-                    t.take_query_into(BucketId(0), QueryId(query), &mut scratch);
-                    twin.take_query_into(BucketId(0), QueryId(query), &mut twin_scratch);
-                    prop_assert_eq!(keys(&scratch), keys(&twin_scratch));
+                Op::ExtractMerge { from, to } => {
+                    let payload = t.extract_bucket(BucketId(from));
+                    prop_assert_eq!(payload.len(), naive[from as usize].len());
+                    prop_assert!(t.queue(BucketId(from)).is_empty());
+                    t.validate_index();
+                    t.merge_bucket(BucketId(to), &payload);
+                    let moved = std::mem::take(&mut naive[from as usize]);
+                    naive[to as usize].extend(moved);
                 }
             }
             t.validate_index();
-            twin.validate_index();
-            prop_assert_eq!(t.total_queued(), twin.total_queued());
-            prop_assert_eq!(t.non_empty_buckets(), twin.non_empty_buckets());
-            for b in [BucketId(0), BucketId(1)] {
-                prop_assert_eq!(t.snapshot_of(b), twin.snapshot_of(b));
-                prop_assert_eq!(t.queue(b).memory_stats(), twin.queue(b).memory_stats());
+            let mut total = 0u64;
+            let mut non_empty = Vec::new();
+            for (b, want) in naive.iter().enumerate() {
+                let bucket = BucketId(b as u32);
+                let q = t.queue(bucket);
+                // The live view agrees as a multiset, stamps and payload
+                // included.
+                prop_assert_eq!(sorted(q.iter().collect()), sorted(want.clone()));
+                prop_assert_eq!(q.len(), want.len());
+                prop_assert_eq!(q.oldest_enqueue(), want.iter().map(|e| e.enqueued_at).min());
+                let counts = run_counts(want, None);
+                prop_assert_eq!(q.distinct_queries(), counts.len());
+                prop_assert_eq!(
+                    q.runs().map(|r| (r.query(), r.len())).collect::<Vec<_>>(),
+                    counts
+                );
+                for id in 0..QUERIES {
+                    let n = want.iter().filter(|e| e.query == QueryId(id)).count();
+                    prop_assert_eq!(q.pending_of(QueryId(id)), n);
+                }
+                // Memory accounting stays consistent with the live size.
+                let m = q.memory_stats();
+                prop_assert_eq!(m.queued_entries, want.len() as u64);
+                prop_assert_eq!(m.entry_bytes, 4 * want.len() as u64);
+                prop_assert_eq!(m.directory_runs as usize, q.distinct_queries());
+                prop_assert!(m.total_bytes() >= m.entry_bytes);
+                prop_assert!(m.free_segments <= m.segments);
+                // The snapshot slot tracks the reference too.
+                match t.snapshot_of(bucket) {
+                    None => prop_assert!(want.is_empty()),
+                    Some(s) => {
+                        prop_assert_eq!(s.queue_len, want.len() as u64);
+                        prop_assert_eq!(Some(s.oldest_enqueue), q.oldest_enqueue());
+                        non_empty.push(bucket);
+                    }
+                }
+                total += want.len() as u64;
             }
+            prop_assert_eq!(t.total_queued(), total);
+            prop_assert_eq!(t.non_empty_buckets(), &non_empty[..]);
         }
     }
 }

@@ -39,17 +39,22 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
     )
 }
 
-/// A small query whose objects are at distinct positions.
-fn query_of(id: u64, n: usize, salt: u64) -> CrossMatchQuery {
-    let positions: Vec<Vec3> = (0..n)
-        .map(|i| Vec3::from_radec_deg(10.0 + (salt % 97) as f64 + i as f64 * 0.01, 5.0))
-        .collect();
-    CrossMatchQuery::from_positions(QueryId(id), &positions, 1e-5, LEVEL, Predicate::All)
+/// Queries `0..n`, four objects each at distinct positions — the object
+/// lists the table's runs borrow for the length of a test case.
+fn pool(n: u64) -> Vec<CrossMatchQuery> {
+    (0..n)
+        .map(|id| {
+            let positions: Vec<Vec3> = (0..4)
+                .map(|i| Vec3::from_radec_deg(10.0 + id as f64 + i as f64 * 0.01, 5.0))
+                .collect();
+            CrossMatchQuery::from_positions(QueryId(id), &positions, 1e-5, LEVEL, Predicate::All)
+        })
+        .collect()
 }
 
 /// From-scratch snapshot rebuild through the public accessors — the
 /// reference the incremental maintenance must match.
-fn rebuild(t: &WorkloadTable) -> Vec<BucketSnapshot> {
+fn rebuild(t: &WorkloadTable<'_>) -> Vec<BucketSnapshot> {
     t.non_empty_buckets()
         .iter()
         .map(|&b| {
@@ -73,25 +78,26 @@ proptest! {
     /// agree with the queues.
     #[test]
     fn snapshots_always_equal_a_from_scratch_rebuild(ops in arb_ops()) {
+        let pool = pool(5);
         let mut t = WorkloadTable::new(N_BUCKETS).with_object_counts(|b| 1_000 + b.0 as u64);
         for (step, op) in ops.iter().enumerate() {
             let now = SimTime::from_micros(step as u64 * 1_000);
             match *op {
                 Op::Enqueue { bucket, query, n } => {
-                    let q = query_of(query, n as usize, step as u64);
+                    let q = &pool[query as usize];
                     let item = WorkItem {
                         query: q.id,
                         bucket: BucketId(bucket),
-                        object_indices: (0..q.len() as u32).collect(),
+                        object_indices: (0..n as u32).collect(),
                     };
-                    t.enqueue(&item, &q, now);
+                    t.enqueue(&item, q, now);
                 }
                 Op::TakeAll { bucket } => {
                     let mut drained = Vec::new();
                     t.take_all_into(BucketId(bucket), &mut drained);
                     prop_assert!(drained
                         .iter()
-                        .all(|e| !t.queue(BucketId(bucket)).iter().any(|kept| kept == e)));
+                        .all(|e| !t.queue(BucketId(bucket)).iter().any(|kept| kept == *e)));
                 }
                 Op::TakeQuery { bucket, query } => {
                     let mut drained = Vec::new();
@@ -141,25 +147,25 @@ proptest! {
         }
     }
 
-    /// `drain_query_into` is equivalent to filtering: drained ∪ kept is an
+    /// `take_query_into` is equivalent to filtering: drained ∪ kept is an
     /// exact partition of the original entries by query. (Order is not part
-    /// of the contract — the swap-remove drain may reorder both sides;
-    /// everything downstream consumes batches as unordered sets, pinned by
+    /// of the contract; everything downstream consumes batches as unordered sets, pinned by
     /// the golden determinism fingerprints.)
     #[test]
     fn drain_query_is_a_partition(
         queries in proptest::collection::vec(0u64..4, 1..30),
         victim in 0u64..4,
     ) {
+        let pool = pool(4);
         let mut t = WorkloadTable::new(2);
         for (i, &qid) in queries.iter().enumerate() {
-            let q = query_of(qid, 1, i as u64);
+            let q = &pool[qid as usize];
             let item = WorkItem {
                 query: q.id,
                 bucket: BucketId(0),
-                object_indices: vec![0],
+                object_indices: vec![(i % 4) as u32],
             };
-            t.enqueue(&item, &q, SimTime::from_micros(i as u64));
+            t.enqueue(&item, q, SimTime::from_micros(i as u64));
         }
         let before: Vec<(QueryId, SimTime)> = t
             .queue(BucketId(0))

@@ -1416,7 +1416,7 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
 
         let last_ev: Option<SimTime> = fo_log.evacuations.iter().map(|e| e.at).max();
         let barrier = Barrier::new(n);
-        type Payload = (SimTime, SimDuration, bool, MigratedBucket);
+        type Payload<'q> = (SimTime, SimDuration, bool, MigratedBucket<'q>);
         let mut senders: Vec<mpsc::Sender<Payload>> = Vec::with_capacity(n);
         let mut receivers: Vec<mpsc::Receiver<Payload>> = Vec::with_capacity(n);
         for _ in 0..n {

@@ -234,7 +234,10 @@ impl<'a, C: Catalog + ?Sized> ShardWorker<'a, C> {
 
     fn admit(&mut self, idx: usize) {
         let f = &self.fragments[idx];
-        let (_, query) = &self.trace[f.query_index];
+        // Copy the `&'a` out of `self`: the core's queues keep borrowing the
+        // query's objects after this call returns.
+        let trace = self.trace;
+        let (_, query) = &trace[f.query_index];
         debug_assert_eq!(query.id, f.query, "routing and trace disagree");
         self.core.deliver_items(query, &f.items, f.arrival);
         self.scheduler.on_query_arrival(f.arrival);
@@ -367,7 +370,7 @@ impl<'a, C: Catalog + ?Sized> ShardWorker<'a, C> {
         bucket: BucketId,
         at: SimTime,
         evict_residency: bool,
-    ) -> MigratedBucket {
+    ) -> MigratedBucket<'a> {
         self.core.extract_bucket(bucket, at, evict_residency)
     }
 
@@ -376,7 +379,7 @@ impl<'a, C: Catalog + ?Sized> ShardWorker<'a, C> {
     /// so migration work never appears to predate the decision).
     pub(crate) fn absorb_payload(
         &mut self,
-        payload: MigratedBucket,
+        payload: MigratedBucket<'a>,
         at: SimTime,
         cost: SimDuration,
         warm_residency: bool,

@@ -16,7 +16,7 @@ use liferaft_join::{hybrid, JoinStrategy};
 use liferaft_metrics::Summary;
 use liferaft_query::{
     CrossMatchQuery, Predicate, QueryId, QueryPreProcessor, QueryTracker, QueueEntry, WorkItem,
-    WorkloadTable,
+    WorkloadQueue, WorkloadTable,
 };
 use liferaft_storage::{BucketCache, BucketId, IoStats, SimDuration, SimTime};
 use liferaft_telemetry::{Event, EventKind, NullSink, TelemetrySink};
@@ -107,33 +107,34 @@ impl<'a, C: Catalog + ?Sized> Simulation<'a, C> {
 }
 
 /// The portable state of one bucket leaving an [`EngineCore`] — the elastic
-/// runtime's migration payload. Carries the bucket's queued entries (with
-/// their original `enqueued_at` stamps, so ages survive the move), the
-/// per-query bookkeeping the destination core needs to adopt them, and the
-/// bucket's cache residency at the source.
+/// runtime's migration payload. Carries the bucket's queue as it stood (its
+/// runs, with their original `enqueued_at` stamps, so ages survive the move,
+/// still borrowing the queries' objects, so real joins still find their
+/// payload at the destination), the per-query bookkeeping the destination
+/// core needs to adopt them, and the bucket's cache residency at the source.
 #[derive(Debug, Clone)]
-pub struct MigratedBucket {
+pub struct MigratedBucket<'q> {
     /// The migrating bucket.
     pub bucket: BucketId,
-    /// Its queued entries, ages preserved.
-    pub entries: Vec<QueueEntry>,
-    /// One row per distinct query in `entries`: the query, how many of its
-    /// assignments are migrating, its original arrival, and its join
-    /// predicate (populated only when the source executes real joins).
+    /// Its queue, ages preserved.
+    pub queue: WorkloadQueue<'q>,
+    /// One row per run of `queue`: the query, how many of its assignments
+    /// are migrating, its original arrival, and its join predicate
+    /// (populated only when the source executes real joins).
     pub queries: Vec<(QueryId, u64, SimTime, Option<Predicate>)>,
     /// Whether the bucket was cache-resident at the source when extracted.
     pub was_resident: bool,
 }
 
-impl MigratedBucket {
+impl MigratedBucket<'_> {
     /// Number of queued entries in the payload.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.queue.len()
     }
 
     /// True if the payload carries no entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.queue.is_empty()
     }
 }
 
@@ -150,7 +151,7 @@ pub struct EngineCore<'a, C: Catalog + ?Sized> {
     catalog: &'a C,
     config: SimConfig,
     pre: QueryPreProcessor<'a>,
-    table: WorkloadTable,
+    table: WorkloadTable<'a>,
     tracker: QueryTracker,
     cache: BucketCache,
     io: IoStats,
@@ -159,10 +160,11 @@ pub struct EngineCore<'a, C: Catalog + ?Sized> {
     /// Predicates of in-flight queries (populated only when joins execute).
     predicates: HashMap<QueryId, Predicate>,
     starvation: StarvationMonitor,
-    /// Scratch: entries drained by the batch in flight.
+    /// Scratch: the batch in flight as `(query, assignments)` runs, in
+    /// query order.
+    batch_runs: Vec<(QueryId, u64)>,
+    /// Scratch: the batch's materialized entries (real joins only).
     batch_entries: Vec<QueueEntry>,
-    /// Scratch: query IDs of the batch in flight, for completion grouping.
-    completion_scratch: Vec<QueryId>,
     batches: u64,
     scan_batches: u64,
     indexed_batches: u64,
@@ -192,8 +194,8 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
             per_query: HashMap::new(),
             predicates: HashMap::new(),
             starvation: StarvationMonitor::new(),
+            batch_runs: Vec::new(),
             batch_entries: Vec::new(),
-            completion_scratch: Vec::new(),
             batches: 0,
             scan_batches: 0,
             indexed_batches: 0,
@@ -222,8 +224,9 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
         self.sink.dropped()
     }
 
-    /// Preprocesses and enqueues one arriving query in full.
-    pub fn deliver(&mut self, query: &CrossMatchQuery, at: SimTime) {
+    /// Preprocesses and enqueues one arriving query in full. The queues
+    /// borrow the query's objects until its work drains, hence `&'a`.
+    pub fn deliver(&mut self, query: &'a CrossMatchQuery, at: SimTime) {
         let items = self.pre.preprocess(query);
         self.deliver_items(query, &items, at);
     }
@@ -233,7 +236,7 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
     /// tracker registers exactly the delivered assignments, so a query split
     /// across several cores completes *per core* when its local fragment
     /// drains.
-    pub fn deliver_items(&mut self, query: &CrossMatchQuery, items: &[WorkItem], at: SimTime) {
+    pub fn deliver_items(&mut self, query: &'a CrossMatchQuery, items: &[WorkItem], at: SimTime) {
         let assignments: u64 = items.iter().map(|i| i.len() as u64).sum();
         if self.tracker.arrival_of(query.id).is_some() {
             // A migration already carried part of this query here; the
@@ -291,7 +294,7 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
 
     /// The workload table — read-only, for load inspection (per-bucket queue
     /// depths via [`WorkloadTable::non_empty_buckets`] + `queue(b).len()`).
-    pub fn workload(&self) -> &WorkloadTable {
+    pub fn workload(&self) -> &WorkloadTable<'a> {
         &self.table
     }
 
@@ -320,8 +323,8 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
         resident.len()
     }
 
-    /// Rips one bucket's queued state out of this core for migration: drains
-    /// its entries (ages preserved), transfers the affected queries' pending
+    /// Rips one bucket's queued state out of this core for migration: takes
+    /// its queue (ages preserved), transfers the affected queries' pending
     /// assignments out of the tracker at virtual time `at`, and detaches the
     /// bucket from per-query bookkeeping. With `evict_residency` the bucket
     /// also leaves the cache (its residency travels in the payload);
@@ -335,29 +338,24 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
         bucket: BucketId,
         at: SimTime,
         evict_residency: bool,
-    ) -> MigratedBucket {
-        let mut entries = Vec::new();
-        self.table.extract_bucket(bucket, &mut entries);
-        // Entries drain grouped by query (directory order), so distinct
-        // queries form contiguous runs.
-        let mut queries: Vec<(QueryId, u64, SimTime, Option<Predicate>)> = Vec::new();
-        for e in &entries {
-            match queries.last_mut() {
-                Some(row) if row.0 == e.query => row.1 += 1,
-                _ => {
-                    debug_assert!(
-                        queries.iter().all(|row| row.0 != e.query),
-                        "bucket drain interleaved query {} across runs",
-                        e.query
-                    );
-                    let arrival = self
-                        .tracker
-                        .arrival_of(e.query)
-                        .expect("queued entry for a query the tracker does not know");
-                    queries.push((e.query, 1, arrival, self.predicates.get(&e.query).copied()));
-                }
-            }
-        }
+    ) -> MigratedBucket<'a> {
+        let queue = self.table.extract_bucket(bucket);
+        let queries: Vec<(QueryId, u64, SimTime, Option<Predicate>)> = queue
+            .runs()
+            .map(|run| {
+                let q = run.query();
+                let arrival = self
+                    .tracker
+                    .arrival_of(q)
+                    .expect("queued run for a query the tracker does not know");
+                (
+                    q,
+                    run.len() as u64,
+                    arrival,
+                    self.predicates.get(&q).copied(),
+                )
+            })
+            .collect();
         for &(q, n, _, _) in &queries {
             self.tracker.transfer_out(q, n, at);
             if let Some(set) = self.per_query.get_mut(&q) {
@@ -374,18 +372,18 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
         };
         MigratedBucket {
             bucket,
-            entries,
+            queue,
             queries,
             was_resident,
         }
     }
 
     /// Adopts a migrated bucket: re-opens (or tops up) the affected queries
-    /// at their original arrivals, merges the entries into the local table
+    /// at their original arrivals, merges the runs into the local table
     /// with ages intact, and — when `warm_residency` and the bucket was
     /// resident at its source — inserts it into the local cache (normal LRU
     /// effects apply, so this may evict another bucket).
-    pub fn absorb_bucket(&mut self, mut payload: MigratedBucket, warm_residency: bool) {
+    pub fn absorb_bucket(&mut self, payload: MigratedBucket<'a>, warm_residency: bool) {
         for &(q, n, arrival, predicate) in &payload.queries {
             self.tracker.transfer_in(q, n, arrival);
             self.per_query.entry(q).or_default().insert(payload.bucket);
@@ -395,8 +393,7 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
                 }
             }
         }
-        self.table
-            .merge_bucket(payload.bucket, &mut payload.entries);
+        self.table.merge_bucket(payload.bucket, &payload.queue);
         if warm_residency && payload.was_resident {
             self.cache.insert(payload.bucket);
         }
@@ -482,20 +479,24 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
 
     /// Executes one batch and returns its virtual-time cost.
     fn execute_batch(&mut self, spec: BatchSpec, now: SimTime, cost_factor: f64) -> SimDuration {
-        match spec.scope {
-            BatchScope::AllQueued => self
-                .table
-                .take_all_into(spec.bucket, &mut self.batch_entries),
-            BatchScope::SingleQuery(q) => {
-                self.table
-                    .take_query_into(spec.bucket, q, &mut self.batch_entries)
+        // Drain the batch as runs: `(query, assignments)` rows are all the
+        // cost model and the completion accounting need. Only a real join
+        // reads the queued objects, so only then are entries materialized.
+        let only = match spec.scope {
+            BatchScope::AllQueued => None,
+            BatchScope::SingleQuery(q) => Some(q),
+        };
+        let (runs, entries) = (&mut self.batch_runs, &mut self.batch_entries);
+        let execute_joins = self.config.execute_joins;
+        runs.clear();
+        entries.clear();
+        let w = self.table.drain_runs(spec.bucket, only, |run| {
+            runs.push((run.query(), run.len() as u64));
+            if execute_joins {
+                entries.extend(run.entries());
             }
-        }
-        assert!(
-            !self.batch_entries.is_empty(),
-            "scheduler scheduled an empty batch"
-        );
-        let w = self.batch_entries.len() as u64;
+        }) as u64;
+        assert!(w > 0, "scheduler scheduled an empty batch");
         let meta = self.catalog.meta(spec.bucket);
 
         // The hybrid join decision belongs to LifeRaft's Join Evaluator
@@ -605,24 +606,12 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
             }
         }
 
-        // Account completions at batch end. Grouped in QueryId order so the
-        // completion sequence (and thus the report) is deterministic even
-        // when one batch finishes several queries at the same instant. The
-        // grouping sorts a reused scratch of query IDs and walks the runs —
-        // no per-batch map allocation.
+        // Account completions at batch end, in QueryId order — the order the
+        // runs drained in — so the completion sequence (and thus the report)
+        // is deterministic even when one batch finishes several queries at
+        // the same instant.
         let end = now + cost;
-        self.completion_scratch.clear();
-        self.completion_scratch
-            .extend(self.batch_entries.iter().map(|e| e.query));
-        self.completion_scratch.sort_unstable();
-        let mut i = 0;
-        while i < self.completion_scratch.len() {
-            let q = self.completion_scratch[i];
-            let mut n = 0u64;
-            while i < self.completion_scratch.len() && self.completion_scratch[i] == q {
-                n += 1;
-                i += 1;
-            }
+        for &(q, n) in &self.batch_runs {
             if let Some(set) = self.per_query.get_mut(&q) {
                 set.remove(&spec.bucket);
                 if set.is_empty() {
@@ -704,7 +693,7 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
 /// clock, the tracker's arrival cursor, and the per-query bucket sets.
 struct PickView<'s> {
     now: SimTime,
-    table: &'s WorkloadTable,
+    table: &'s WorkloadTable<'s>,
     tracker: &'s QueryTracker,
     per_query: &'s HashMap<QueryId, BTreeSet<BucketId>>,
 }
@@ -714,7 +703,7 @@ impl IndexedSchedulerView for PickView<'_> {
         self.now
     }
 
-    fn table(&self) -> &WorkloadTable {
+    fn table(&self) -> &WorkloadTable<'_> {
         self.table
     }
 
@@ -908,8 +897,15 @@ mod tests {
         let cat = catalog();
         let trace = small_trace(&cat, 10);
         let timed = trace.with_arrivals(uniform_arrivals(50.0, 10));
-        let mut src: EngineCore<'_, _> = EngineCore::new(&cat, SimConfig::paper());
-        let mut dst: EngineCore<'_, _> = EngineCore::new(&cat, SimConfig::paper());
+        // Real joins: the migrated runs must still reach their queries'
+        // objects at the destination, or matches go missing.
+        let config = SimConfig::with_real_joins();
+        let unmigrated = Simulation::new(&cat, config)
+            .run(&timed, &mut LifeRaftScheduler::greedy(params()))
+            .total_matches;
+        assert!(unmigrated > 0, "fixture must find matches");
+        let mut src: EngineCore<'_, _> = EngineCore::new(&cat, config);
+        let mut dst: EngineCore<'_, _> = EngineCore::new(&cat, config);
         let mut sched_src = LifeRaftScheduler::greedy(params());
         let mut sched_dst = LifeRaftScheduler::greedy(params());
         let mut expected = 0u64;
@@ -948,6 +944,14 @@ mod tests {
         }
         assert!(src.all_complete() && dst.all_complete());
         assert_eq!(src.serviced_entries() + dst.serviced_entries(), expected);
+        // …and together they find exactly the unmigrated run's matches.
+        let src_matches = src.into_report(&sched_src, 0).total_matches;
+        let dst_matches = dst.into_report(&sched_dst, 0).total_matches;
+        assert!(
+            dst_matches > 0,
+            "the destination joined nothing it absorbed"
+        );
+        assert_eq!(src_matches + dst_matches, unmigrated);
     }
 
     #[test]

@@ -22,9 +22,12 @@ wall time is dominated by the segmented per-query drain, the single most
 perf-sensitive path in the engine, and a small relative slip there means a
 data-structure regression rather than noise.
 
-The fixture build (catalog + parallel trace generation) is guarded the same
-way, normalized by the same fleet-median drift: ``fixture_build_s`` must not
-exceed the baseline by more than --fixture-tolerance after drift correction.
+The fixture build (catalog + parallel trace generation) is guarded against
+the same drift, but forgiven only in the slow direction: ``fixture_build_s``
+must not exceed the baseline by more than --fixture-tolerance times
+``max(median ratio, 1)``. The scheduler rows and the fixture build share no
+code, so a median below 1 is an engine speed-up, not a faster machine —
+dividing by it would report an untouched fixture build as regressed.
 
 The overload, crash, and lossy-link rows carry *virtual-time* percentiles,
 which are deterministic for a fixed fixture: the door-on interactive p90
@@ -51,12 +54,15 @@ Usage:
         [--fixture-tolerance 0.5] [--max-drift 4.0] \
         [--telemetry-off-tolerance 0.02] [--telemetry-ring-tolerance 0.10] \
         [--telemetry-abs-slack 0.05]
+    check_bench_regression.py --self-test
 """
 
 import argparse
 import json
 import statistics
+import subprocess
 import sys
+import tempfile
 
 NOSHARE = "NoShare"
 DOOR_ON = "overload_flash_door_on"
@@ -79,7 +85,37 @@ def load(path):
     return doc, rows
 
 
+def self_test():
+    """Two synthetic baseline/current pairs through the real command line:
+    a uniform 2x engine speed-up with an unchanged fixture build passes, a
+    2x fixture-only slow-down fails."""
+    def doc(wall_s, fixture_s):
+        rows = [{"scheduler": s, "wall_s": wall_s} for s in ("A", "B", NOSHARE)]
+        return {"mode": "quick", "fixture_build_s": fixture_s, "results": rows}
+
+    cases = [
+        ("uniform 2x speed-up", doc(1.0, 2.0), doc(0.5, 2.0), True),
+        ("fixture-only 2x slow-down", doc(1.0, 2.0), doc(1.0, 4.0), False),
+    ]
+    for name, base, cur, should_pass in cases:
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = []
+            for label, content in (("base", base), ("cur", cur)):
+                paths.append(f"{tmp}/{label}.json")
+                with open(paths[-1], "w") as f:
+                    json.dump(content, f)
+            run = subprocess.run([sys.executable, __file__, *paths],
+                                 capture_output=True, text=True)
+        if (run.returncode == 0) != should_pass:
+            sys.exit(f"self-test FAILED: {name} should "
+                     f"{'pass' if should_pass else 'fail'}\n"
+                     f"{run.stdout}{run.stderr}")
+        print(f"self-test: {name} {'passes' if should_pass else 'fails'}, as it must")
+
+
 def main():
+    if sys.argv[1:] == ["--self-test"]:
+        return self_test()
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("baseline")
     ap.add_argument("current")
@@ -91,8 +127,8 @@ def main():
                          "0.15): its wall time is pure segmented-drain "
                          "throughput, the most perf-sensitive path")
     ap.add_argument("--fixture-tolerance", type=float, default=0.5,
-                    help="allowed drift-normalized regression of "
-                         "fixture_build_s (default 0.5; the build is a "
+                    help="allowed regression of fixture_build_s over "
+                         "max(median ratio, 1) (default 0.5; the build is a "
                          "single sample, so it gets more slack)")
     ap.add_argument("--p90-tolerance", type=float, default=0.05,
                     help="allowed growth of the door-on interactive p90 over "
@@ -169,7 +205,7 @@ def main():
         fb *= base_doc.get("fixture_threads", 1)
         fc *= cur_doc.get("fixture_threads", 1)
         fr = fc / fb
-        flimit = med * (1.0 + args.fixture_tolerance)
+        flimit = max(med, 1.0) * (1.0 + args.fixture_tolerance)
         verdict = "ok"
         if fr > flimit:
             verdict = f"REGRESSED (> {flimit:.2f})"
