@@ -1,5 +1,5 @@
 //! The global front door: admission control, priority classes, load
-//! shedding, and rejection — planned once, replayed verbatim.
+//! shedding, and rejection.
 //!
 //! Shard-local backpressure ([`AdmissionConfig`](crate::config::AdmissionConfig))
 //! protects one shard's memory; it cannot see aggregate overload, priority,
@@ -21,13 +21,12 @@
 //!
 //! # Determinism
 //!
-//! Decisions are made **once**, by the stepped reference merge
-//! (`plan_front_door` in `runtime`), and recorded as an [`AdmissionLog`]:
-//! one [`QueryVerdict`] per trace entry plus epoch-indexed
+//! Decisions are made **once**, by the door as a handler of the stepped
+//! driver (`runtime::drive`), and recorded as an [`AdmissionLog`]: one
+//! [`QueryVerdict`] per trace entry plus epoch-indexed
 //! [`AdmissionSample`]s. The threaded executor never decides anything — it
-//! routes the admitted queries in logged admission (`seq`) order with their
-//! logged release times and runs shards free of any cross-thread
-//! coordination, which reproduces the stepped run bit-for-bit: a shard's
+//! serves the streams that pass handed the shards (admission order, release
+//! = admission time), free of any cross-thread coordination: a shard's
 //! behaviour is a pure function of its release-ordered fragment stream.
 
 use std::collections::BTreeSet;
@@ -215,7 +214,7 @@ impl Default for FrontDoorConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Disposition {
     /// Admitted: fragments released to the shards at `at`, as the `seq`-th
-    /// admission overall (the replay's append order).
+    /// admission overall (the shard streams' append order).
     Admitted {
         /// Virtual release time.
         at: SimTime,
@@ -271,7 +270,7 @@ pub struct AdmissionSample {
     pub rejected: u64,
 }
 
-/// The front door's epoch-indexed decision log: the replay contract.
+/// The front door's epoch-indexed decision log.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct AdmissionLog {
     /// One verdict per trace entry, by trace index.
@@ -282,7 +281,7 @@ pub struct AdmissionLog {
 
 impl AdmissionLog {
     /// Admitted trace indices with release times, in admission (`seq`)
-    /// order — exactly the order the threaded replay appends fragments.
+    /// order — exactly the order fragments were handed to the shards.
     pub fn admissions_in_seq_order(&self) -> Vec<(usize, SimTime)> {
         let mut order: Vec<(u64, usize, SimTime)> = self
             .verdicts
@@ -356,7 +355,7 @@ pub struct ClassStats {
 /// the rejected-query records, and per-class statistics.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FrontDoorReport {
-    /// The replayable decision log.
+    /// The decision log.
     pub log: AdmissionLog,
     /// Every rejected query's terminal record, by trace order.
     pub rejected: Vec<RejectedQuery>,
@@ -392,7 +391,7 @@ pub(crate) struct PendingQuery {
 /// The controller state machine. Driven only by the stepped planning pass;
 /// everything it decides lands in the [`AdmissionLog`].
 pub(crate) struct FrontDoor {
-    cfg: FrontDoorConfig,
+    pub(crate) cfg: FrontDoorConfig,
     now: SimTime,
     /// Pending queries by trace index (`None` once terminal).
     slots: Vec<Option<PendingQuery>>,
@@ -460,6 +459,12 @@ impl FrontDoor {
             retries: 0,
             eligible_at: arrival,
         });
+    }
+
+    /// The instant of the latest [`pump`](Self::pump) — the controller's
+    /// clock.
+    pub(crate) fn now(&self) -> SimTime {
+        self.now
     }
 
     /// The earliest future backoff wake-up, if any — a driver event source.

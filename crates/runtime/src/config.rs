@@ -56,8 +56,7 @@ impl AdmissionConfig {
 ///
 /// Decisions are computed once, in the deterministic stepped merge, and
 /// recorded as an epoch-indexed [`RebalanceLog`](crate::rebalance::RebalanceLog)
-/// that the threaded executor replays verbatim — so elastic runs stay
-/// bit-identical across execution modes.
+/// — so elastic runs stay bit-identical across execution modes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RebalanceConfig {
     /// Master switch. Disabled (the default) leaves the static shard map in
@@ -408,13 +407,15 @@ impl RuntimeConfig {
         assert!(
             !(self.front_door.enabled && self.rebalance.enabled),
             "front door and elastic rebalancing cannot be combined yet: \
-             the admission plan assumes the static shard map"
+             the door's in-flight ledger is keyed by the shard a query was \
+             admitted to, and a migration services that work elsewhere"
         );
         assert!(
             !(self.front_door.enabled
                 && (self.failover.enabled || !self.faults.outages.is_empty())),
             "front door and shard outages cannot be combined yet: \
-             the admission plan assumes every shard stays up"
+             the door's in-flight ledger is keyed by the shard a query was \
+             admitted to, and an evacuation services that work elsewhere"
         );
         assert!(
             !(self.transport.enabled
@@ -423,9 +424,9 @@ impl RuntimeConfig {
                     || self.failover.enabled
                     || !self.faults.outages.is_empty())),
             "the transport controller cannot be combined with the front \
-             door, rebalancing, or outage failover yet: its delivery plan \
-             assumes the static shard map with every shard up (stalls \
-             compose; see FaultPlan)"
+             door, rebalancing, or outage failover yet: its delivery plan is \
+             resolved up front, keyed on the static routing (stalls compose; \
+             see FaultPlan)"
         );
         assert!(
             self.faults.links.is_empty() || self.transport.enabled,

@@ -24,11 +24,9 @@
 //!   the elastic rebalancer may hand buckets back at later epoch
 //!   boundaries.
 //!
-//! Every decision is made once, in the deterministic stepped merge, and
-//! recorded into a [`FailoverLog`] the threaded executor replays verbatim —
-//! the same plan/replay contract the `RebalanceLog` and `AdmissionLog`
-//! already satisfy, which is what keeps stepped and threaded runs
-//! bit-identical under injected crashes.
+//! Every decision is made once, by the crash handler of the stepped driver
+//! (`runtime::drive`), and recorded into a [`FailoverLog`]; evacuations
+//! become rounds the threaded pool re-executes.
 
 use liferaft_storage::{BucketId, SimDuration, SimTime};
 
@@ -143,7 +141,7 @@ pub struct ShardTransition {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Evacuation {
     /// The outage boundary (`down_at`) this evacuation belongs to — the
-    /// instant the threaded replay synchronizes the pool at.
+    /// instant a threaded pool synchronizes at.
     pub boundary: SimTime,
     /// The extract/absorb instant: the boundary, or the dead shard's clock
     /// when its final batch overran it (batches are atomic).
@@ -167,7 +165,7 @@ pub struct Redelivery {
     /// The attempt's virtual time.
     pub at: SimTime,
     /// Global planning-order sequence number (unique per attempt; attempts
-    /// replay in `(at, seq)` order).
+    /// fire in `(at, seq)` order).
     pub seq: u64,
     /// Trace index of the query whose fragment was lost.
     pub query_index: usize,
@@ -180,8 +178,8 @@ pub struct Redelivery {
     pub to: Option<u32>,
 }
 
-/// The failover decision log of one run: everything the stepped planner
-/// decided, in planning order — the threaded executor replays it verbatim.
+/// The failover decision log of one run: everything the crash handler
+/// decided, in planning order.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FailoverLog {
     /// Outage window edges, in time order (downs before ups on ties).
@@ -256,12 +254,12 @@ pub struct ClassConservation {
     pub rejected: u64,
 }
 
-/// What the failover path did and how the run ended: the replayable
+/// What the failover path did and how the run ended: the
 /// decision log, the rejected remainder, per-class conservation, and the
 /// recovery-lag headline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FailoverReport {
-    /// The decision log the threaded executor replays.
+    /// The decision log.
     pub log: FailoverLog,
     /// Queries rejected by exhausted re-delivery, in rejection order.
     /// `global.outcomes.len() + rejected.len()` equals the trace length —

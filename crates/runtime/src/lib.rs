@@ -14,13 +14,14 @@
 //!
 //! [`ExecMode::Stepped`] is the deterministic reference: a single-threaded
 //! virtual-time merge of the shard event queues (earliest next event first,
-//! ties by shard id). [`ExecMode::Threaded`] runs one `std::thread` worker
-//! per shard with results over `mpsc`. The two are **bit-identical** for
-//! the same configuration and trace — shards interact only through the
-//! up-front routing and the order-canonicalized aggregation — and a
-//! single-shard runtime reproduces `liferaft_sim::Simulation` exactly
-//! (both drive the same [`liferaft_sim::EngineCore`]); golden and property
-//! tests pin both claims.
+//! ties by shard id) that every controller below plugs into as an event
+//! handler — the only place decisions are made. [`ExecMode::Threaded`] runs
+//! one `std::thread` worker per shard over the fragment streams and bucket
+//! hand-overs that merge produced (`docs/ARCHITECTURE.md`, "One run path":
+//! drive → rounds → execute → finish). The two are **bit-identical** for
+//! the same configuration and trace, and a single-shard runtime reproduces
+//! `liferaft_sim::Simulation` exactly (both drive the same
+//! [`liferaft_sim::EngineCore`]); golden and property tests pin both claims.
 //!
 //! # Elastic rebalancing
 //!
@@ -28,10 +29,8 @@
 //! every epoch of virtual time a controller compares per-shard queued
 //! backlogs and migrates hot buckets — queue state, ages, and (optionally)
 //! cache residency — from overloaded to underloaded shards, charging a
-//! migration cost to the destination clock. All decisions are made once,
-//! in the deterministic stepped pass, and recorded as a [`RebalanceLog`]
-//! the threaded executor replays verbatim, so elastic runs keep the
-//! bit-identical cross-mode guarantee.
+//! migration cost to the destination clock, and records every boundary in
+//! a [`RebalanceLog`].
 //!
 //! # Overload & the front door
 //!
@@ -41,13 +40,11 @@
 //! batch) by routed workload size, and under pressure degrades in a fixed
 //! order — queue at true arrival age, shed batch-class work into bounded
 //! retries with exponential virtual-time backoff, and finally reject with
-//! a recorded verdict that conserves accounting (every query is
-//! exactly-once terminal: completed or rejected). Like rebalancing, all
-//! decisions are planned once in the stepped merge and recorded as an
-//! [`AdmissionLog`] the threaded executor replays verbatim. [`FaultPlan`]
-//! injects per-shard slowdown windows (the controller's per-shard bound
-//! routes traffic around the backlog), and `liferaft_sim`'s scenario suite
-//! provides the canonical overload fixtures.
+//! a verdict that conserves accounting (every query is exactly-once
+//! terminal: completed or rejected), recorded in an [`AdmissionLog`].
+//! [`FaultPlan`] injects per-shard slowdown windows (the controller's
+//! per-shard bound routes traffic around the backlog), and `liferaft_sim`'s
+//! scenario suite provides the canonical overload fixtures.
 //!
 //! # Crash & failover
 //!
@@ -61,11 +58,9 @@
 //! as lost, and **re-delivers** them after a virtual-time timeout with
 //! exponential backoff and a bounded retry budget — so every query still
 //! reaches exactly one terminal outcome (completed, or rejected when the
-//! budget exhausts with no shard up), asserted per priority class. All
-//! decisions are planned once in the stepped merge and recorded as a
-//! [`FailoverLog`] the threaded executor replays verbatim, preserving the
-//! bit-identical cross-mode guarantee; with failover disabled the lost
-//! fragments simply wait out the outage.
+//! budget exhausts with no shard up), asserted per priority class and
+//! recorded in a [`FailoverLog`]; with failover disabled the lost fragments
+//! simply wait out the outage.
 //!
 //! # Unreliable transport & hedging
 //!
@@ -83,9 +78,7 @@
 //! response quantile to the least-loaded other shard; the first completion
 //! wins and the loser is suppressed like a duplicate. Every draw is a pure
 //! SplitMix64 function of `(seed, query, shard, attempt)` and the whole
-//! schedule is planned once into a [`TransportLog`] both executors consume,
-//! so the bit-identical stepped/threaded guarantee survives arbitrarily
-//! lossy links.
+//! schedule is resolved into a [`TransportLog`] before any shard runs.
 //!
 //! # Flight recorder
 //!
@@ -112,14 +105,14 @@
 //! | module | contents |
 //! |---|---|
 //! | [`shard`] | shard identity, bucket → shard maps (contiguous / hashed / elastic) |
-//! | [`router`] | query → per-shard fragment routing (static, elastic, admitted) |
+//! | [`router`] | query → per-shard fragment routing (up front, or arrival by arrival) |
 //! | [`worker`] | the per-shard admission-controlled serving loop |
 //! | [`rebalance`] | the epoch decision log and the greedy migration planner |
 //! | [`failover`] | the crash/outage decision log: evacuations, re-deliveries, conservation |
 //! | [`admission`] | the global front door: classes, shedding, the decision log |
 //! | [`retry`] | the shared bounded-retry schedule (failover + transport) |
 //! | [`transport`] | the lossy-link transport: retransmit, dedup, hedging |
-//! | [`runtime`] | stepped/threaded drivers and global aggregation |
+//! | [`runtime`] | the one run path: stepped driver + handlers, threaded pool, aggregation |
 //! | [`config`] | runtime + admission + rebalance + fault configuration, execution mode |
 //! | [`sweep`] | the deterministic parallel sweep driver |
 
@@ -149,9 +142,7 @@ pub use failover::{
 };
 pub use rebalance::{EpochRecord, Migration, RebalanceLog};
 pub use retry::RetryPolicy;
-pub use router::{
-    route, route_admitted, route_elastic, route_elastic_parallel, route_parallel, Fragment, Routing,
-};
+pub use router::{route, route_parallel, Fragment, Routing};
 pub use runtime::{RuntimeReport, ShardedRuntime};
 pub use shard::{ElasticShardMap, ShardAssignment, ShardId, ShardMap};
 pub use sweep::{

@@ -3,9 +3,9 @@
 //! At every epoch boundary the stepped driver samples per-shard load and
 //! asks `plan_moves` for a (possibly empty) set of bucket migrations. The
 //! decisions — together with the load sample that produced them — are
-//! recorded as an [`EpochRecord`]; the full [`RebalanceLog`] is what the
-//! threaded executor replays verbatim, which is the whole determinism
-//! story: planning happens exactly once, in the reference merge.
+//! recorded as an [`EpochRecord`] of the [`RebalanceLog`]; planning happens
+//! exactly once, in the reference merge, and a threaded pool re-executes
+//! the move-bearing boundaries as rounds.
 //!
 //! The planner is a pure function of its inputs and deliberately greedy:
 //! while the most-loaded shard's queued backlog exceeds the configured

@@ -16,8 +16,7 @@ use liferaft_query::{CrossMatchQuery, QueryId, QueryPreProcessor, WorkItem};
 use liferaft_storage::{BucketId, SimTime};
 use liferaft_workload::TimedTrace;
 
-use crate::admission::{AdmissionLog, QueryClass};
-use crate::rebalance::RebalanceLog;
+use crate::admission::QueryClass;
 use crate::shard::{ElasticShardMap, ShardId, ShardMap};
 use crate::sweep::parallel_map;
 
@@ -45,6 +44,32 @@ pub struct Fragment {
     pub assignments: u64,
 }
 
+impl Fragment {
+    /// The work-free fragment of a standard-class query released at its
+    /// arrival: the identity [`split_query`] stamps per-shard work onto, and
+    /// — as is — the marker a workless query ships to shard 0.
+    pub(crate) fn head(query_index: usize, query: QueryId, arrival: SimTime) -> Self {
+        Fragment {
+            query_index,
+            query,
+            arrival,
+            release: arrival,
+            class: QueryClass::Standard,
+            items: Vec::new(),
+            assignments: 0,
+        }
+    }
+
+    /// This fragment's identity carrying `items`.
+    pub(crate) fn with_items(&self, items: Vec<WorkItem>) -> Self {
+        Fragment {
+            assignments: items.iter().map(|i| i.len() as u64).sum(),
+            items,
+            ..self.clone()
+        }
+    }
+}
+
 /// The routing of one trace across one shard map.
 #[derive(Debug, Clone)]
 pub struct Routing {
@@ -52,8 +77,7 @@ pub struct Routing {
     pub shards: Vec<Vec<Fragment>>,
     /// Per trace index: number of fragments the query split into (at least
     /// 1 for every routed query — a query whose pre-processing produced no
-    /// work ships as one empty fragment, see [`route`]; exactly 0 for a
-    /// query the front door rejected, see [`route_admitted`]).
+    /// work ships as one empty fragment, see [`route`]).
     pub fragments_of: Vec<u32>,
     /// Per trace index: total assignments across all fragments.
     pub assignments_of: Vec<u64>,
@@ -82,6 +106,10 @@ pub fn route(partition: &Partition, map: &ShardMap, trace: &TimedTrace) -> Routi
     route_parallel(partition, map, trace, 1)
 }
 
+/// Queries per pre-processing job: large enough to amortize a job's channel
+/// send, small enough that a 10 000-query trace still balances over threads.
+const PRE_ROUTE_CHUNK: usize = 128;
+
 /// [`route`] with the per-query pre-processing spread over up to `threads`
 /// threads (1 = the calling thread only). The routing is identical at every
 /// thread count.
@@ -96,74 +124,6 @@ pub fn route_parallel(
         map.num_buckets(),
         "shard map must cover the partition"
     );
-    let n_shards = map.n_shards() as usize;
-    route_with(partition, n_shards, trace, threads, |_, b| map.shard_of(b))
-}
-
-/// Routes `trace` under an **evolving** elastic map: starting from `base`,
-/// the moves of every `log` record with `at <= arrival` are applied before
-/// a query routes — i.e. arrivals in the window `[T_k, T_{k+1})` see the
-/// map as the epoch-`k` rebalance left it. This is exactly the incremental
-/// routing the elastic stepped driver performs, re-derived as a pure
-/// function of `(base map, decision log, trace)` so the threaded executor
-/// can route everything up-front.
-pub fn route_elastic(
-    partition: &Partition,
-    base: &ShardMap,
-    log: &RebalanceLog,
-    trace: &TimedTrace,
-) -> Routing {
-    route_elastic_parallel(partition, base, log, trace, 1)
-}
-
-/// [`route_elastic`] with the per-query pre-processing spread over up to
-/// `threads` threads, like [`route_parallel`].
-pub fn route_elastic_parallel(
-    partition: &Partition,
-    base: &ShardMap,
-    log: &RebalanceLog,
-    trace: &TimedTrace,
-    threads: usize,
-) -> Routing {
-    assert_eq!(
-        partition.num_buckets(),
-        base.num_buckets(),
-        "shard map must cover the partition"
-    );
-    let mut elastic = ElasticShardMap::new(*base);
-    let mut next_record = 0usize;
-    let n_shards = base.n_shards() as usize;
-    route_with(partition, n_shards, trace, threads, |arrival, b| {
-        while log
-            .records
-            .get(next_record)
-            .is_some_and(|r| r.at <= arrival)
-        {
-            for m in &log.records[next_record].moves {
-                elastic.reassign(m.bucket, m.to);
-            }
-            next_record += 1;
-        }
-        elastic.shard_of(b)
-    })
-}
-
-/// Queries per pre-processing job: large enough to amortize a job's channel
-/// send, small enough that a 10 000-query trace still balances over threads.
-const PRE_ROUTE_CHUNK: usize = 128;
-
-/// The shared routing core: splits every query by `shard_of(arrival,
-/// bucket)`. Pre-processing is a pure function of the query, so it runs
-/// first, over fixed-size trace chunks on up to `threads` threads; the split
-/// then visits arrivals serially in trace order, so a stateful `shard_of`
-/// may evolve monotonically with arrival time (the elastic path).
-fn route_with(
-    partition: &Partition,
-    n_shards: usize,
-    trace: &TimedTrace,
-    threads: usize,
-    mut shard_of: impl FnMut(SimTime, BucketId) -> ShardId,
-) -> Routing {
     let pre = QueryPreProcessor::new(partition);
     let entries = trace.entries();
     let chunks: Vec<_> = entries.chunks(PRE_ROUTE_CHUNK).collect();
@@ -174,6 +134,7 @@ fn route_with(
             .collect::<Vec<_>>()
     });
 
+    let n_shards = map.n_shards() as usize;
     let mut shards: Vec<Vec<Fragment>> = vec![Vec::new(); n_shards];
     let mut fragments_of = Vec::with_capacity(trace.len());
     let mut assignments_of = Vec::with_capacity(trace.len());
@@ -185,13 +146,9 @@ fn route_with(
     let items_of = pre_routed.into_iter().flatten();
     for (query_index, ((arrival, query), items)) in entries.iter().zip(items_of).enumerate() {
         let (fragments, assignments) = split_query(
+            Fragment::head(query_index, query.id, *arrival),
             items,
-            query_index,
-            *arrival,
-            *arrival,
-            QueryClass::Standard,
-            query,
-            &mut |b| shard_of(*arrival, b),
+            |b| map.shard_of(b),
             &mut split,
             &mut shards,
         );
@@ -212,21 +169,15 @@ fn route_with(
     }
 }
 
-/// Splits one query's pre-processed `items` into per-shard fragments,
-/// appending them to `shards` (one stream per shard) and returning
-/// `(fragments, assignments)`. The zero-work convention (one empty fragment
-/// to shard 0) lives here, so the static router, the elastic replay router,
-/// the front-door replay router, and the stepped drivers' incremental
-/// routing all split queries with the same code.
-#[allow(clippy::too_many_arguments)]
+/// Splits one query's pre-processed `items` into per-shard fragments of
+/// `head`'s identity, appending them to `shards` (one stream per shard) and
+/// returning `(fragments, assignments)`. The zero-work convention (the bare
+/// head to shard 0) lives here, so the static router and the stepped
+/// driver's incremental routing split queries with the same code.
 pub(crate) fn split_query(
+    head: Fragment,
     items: Vec<WorkItem>,
-    query_index: usize,
-    arrival: SimTime,
-    release: SimTime,
-    class: QueryClass,
-    query: &CrossMatchQuery,
-    shard_of: &mut dyn FnMut(BucketId) -> ShardId,
+    mut shard_of: impl FnMut(BucketId) -> ShardId,
     split: &mut [Vec<WorkItem>],
     shards: &mut [Vec<Fragment>],
 ) -> (u32, u64) {
@@ -237,335 +188,66 @@ pub(crate) fn split_query(
     }
     let mut fragments = 0u32;
     for (shard, items) in split.iter_mut().enumerate() {
-        if items.is_empty() {
-            continue;
+        if !items.is_empty() {
+            fragments += 1;
+            shards[shard].push(head.with_items(std::mem::take(items)));
         }
-        fragments += 1;
-        let items = std::mem::take(items);
-        let assignments = items.iter().map(|i| i.len() as u64).sum();
-        shards[shard].push(Fragment {
-            query_index,
-            query: query.id,
-            arrival,
-            release,
-            class,
-            items,
-            assignments,
-        });
     }
     if fragments == 0 {
         // No work anywhere: ship the arrival itself to shard 0.
         fragments = 1;
-        shards[0].push(Fragment {
-            query_index,
-            query: query.id,
-            arrival,
-            release,
-            class,
-            items: Vec::new(),
-            assignments: 0,
-        });
+        shards[0].push(head);
     }
     (fragments, assignments)
 }
 
-/// Routes the **admitted** subset of `trace` per a recorded
-/// [`AdmissionLog`]: queries append to the per-shard streams in admission
-/// (`seq`) order, each released at its logged admission time; rejected
-/// queries route no fragments at all (their `fragments_of` entry is 0 —
-/// the aggregation synthesizes their `Rejected` outcome from the log).
-///
-/// This is the front-door analogue of [`route_elastic`]: the pure function
-/// of `(partition, map, trace, decision log)` that lets the threaded
-/// executor route everything up-front — no runtime coordination — yet land
-/// every shard on exactly the fragment stream the stepped planner produced.
-pub fn route_admitted(
-    partition: &Partition,
-    map: &ShardMap,
-    trace: &TimedTrace,
-    log: &AdmissionLog,
-) -> Routing {
-    assert_eq!(
-        partition.num_buckets(),
-        map.num_buckets(),
-        "shard map must cover the partition"
-    );
-    assert_eq!(log.verdicts.len(), trace.len(), "one verdict per query");
-    let n_shards = map.n_shards() as usize;
-    let pre = QueryPreProcessor::new(partition);
-    let mut shards: Vec<Vec<Fragment>> = vec![Vec::new(); n_shards];
-    let mut fragments_of = vec![0u32; trace.len()];
-    let mut assignments_of = vec![0u64; trace.len()];
-    let mut cross_shard_queries = 0usize;
-    let mut total_assignments = 0u64;
-    let mut split: Vec<Vec<WorkItem>> = vec![Vec::new(); n_shards];
-
-    for (query_index, release) in log.admissions_in_seq_order() {
-        let (arrival, query) = &trace.entries()[query_index];
-        let (fragments, assignments) = split_query(
-            pre.preprocess(query),
-            query_index,
-            *arrival,
-            release,
-            log.verdicts[query_index].class,
-            query,
-            &mut |b| map.shard_of(b),
-            &mut split,
-            &mut shards,
-        );
-        if fragments > 1 {
-            cross_shard_queries += 1;
-        }
-        fragments_of[query_index] = fragments;
-        assignments_of[query_index] = assignments;
-        total_assignments += assignments;
-    }
-    // Rejected queries never route, but their workload stays on record.
-    for (i, v) in log.verdicts.iter().enumerate() {
-        if !v.admitted() {
-            assignments_of[i] = v.assignments;
-        }
-    }
-
-    Routing {
-        shards,
-        fragments_of,
-        assignments_of,
-        cross_shard_queries,
-        total_assignments,
-    }
+/// The not-yet-routed remainder of a trace, plus the scratch the stepped
+/// driver's incremental routing reuses from one arrival to the next.
+pub(crate) struct Arrivals<'a> {
+    /// The trace being served.
+    pub(crate) entries: &'a [(SimTime, CrossMatchQuery)],
+    /// Next unrouted trace entry.
+    pub(crate) cursor: usize,
+    pre: QueryPreProcessor<'a>,
+    split: Vec<Vec<WorkItem>>,
+    /// Per-shard sinks of the arrival being routed; the driver drains them
+    /// after every arrival.
+    pub(crate) window: Vec<Vec<Fragment>>,
 }
 
-/// Splits one arrival under the failover rules and appends the surviving
-/// fragments to `out` (per-shard sinks): the query splits under the current
-/// elastic map exactly like any other arrival, then — with failover
-/// `enabled` — every fragment that landed on a **down** shard is popped
-/// back off the stream and reported in `lost` (it was released into a dead
-/// shard: lost in flight, to be re-delivered later), and a zero-work
-/// query's empty marker fragment is retargeted from a dead shard 0 to the
-/// lowest-id live shard. Returns `(delivered, fragments, assignments)`
-/// where `fragments` counts the original split (the cross-shard signal)
-/// and `delivered` the fragments actually shipped now.
-///
-/// Shared verbatim by the stepped failover planner and the threaded
-/// replay's [`route_failover`], which is what keeps their per-shard
-/// fragment streams bit-identical.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn split_failover_arrival(
-    pre: &QueryPreProcessor<'_>,
-    query_index: usize,
-    arrival: SimTime,
-    query: &CrossMatchQuery,
-    enabled: bool,
-    up: &[bool],
-    elastic: &ElasticShardMap,
-    split: &mut [Vec<WorkItem>],
-    out: &mut [Vec<Fragment>],
-    lost: &mut Vec<(u32, Fragment)>,
-) -> (u32, u32, u64) {
-    let (fragments, assignments) = split_query(
-        pre.preprocess(query),
-        query_index,
-        arrival,
-        arrival,
-        QueryClass::Standard,
-        query,
-        &mut |b| elastic.shard_of(b),
-        split,
-        out,
-    );
-    let mut delivered = fragments;
-    if enabled {
-        // One arrival appends at most one fragment per shard, so a down
-        // shard's lost slice — if any — is exactly its stream tail.
-        for shard in 0..up.len() {
-            if up[shard] {
-                continue;
-            }
-            let Some(tail) = out[shard].last() else {
-                continue;
-            };
-            if tail.query_index != query_index {
-                continue;
-            }
-            if tail.items.is_empty() {
-                // The zero-work marker fragment: nothing to lose, but its
-                // arrival notification should reach a live scheduler.
-                debug_assert_eq!(shard, 0, "empty fragments route to shard 0");
-                let f = out[shard].pop().expect("tail checked above");
-                match up.iter().position(|&u| u) {
-                    Some(live) => out[live].push(f),
-                    // No shard is up at all: leave it to ride out the
-                    // outage — it completes at its arrival either way.
-                    None => out[shard].push(f),
-                }
-            } else {
-                let f = out[shard].pop().expect("tail checked above");
-                delivered -= 1;
-                lost.push((shard as u32, f));
-            }
-        }
-    }
-    (delivered, fragments, assignments)
-}
-
-/// Routes `trace` under a recorded [`FailoverLog`] (plus an optional
-/// [`RebalanceLog`] when elastic rebalancing ran alongside): the pure
-/// function of `(partition, base map, decision logs, trace)` that lets the
-/// threaded executor route everything up-front yet land every shard on
-/// exactly the fragment stream the stepped failover planner produced.
-///
-/// Three event streams merge in time order — at equal instants, map/pool
-/// changes first (outage edges before epoch boundaries, as the planner
-/// processes them), then arrivals, then re-deliveries:
-///
-/// - **transitions** flip each shard's up/down state; a down edge also
-///   applies its boundary's evacuation reassignments, and an epoch record
-///   applies its moves — so arrivals at or after the instant route under
-///   the *new* map (`at <= arrival`, matching [`route_elastic`]);
-/// - **arrivals** split via `split_failover_arrival` — fragments landing
-///   on a dead shard are held back as lost;
-/// - **re-deliveries** (`to: Some`) re-release a held lost fragment on the
-///   planner's chosen live shard at the logged attempt instant. Lost
-///   fragments whose query the planner rejected are never re-released.
-///
-/// [`FailoverLog`]: crate::failover::FailoverLog
-pub fn route_failover(
-    partition: &Partition,
-    base: &ShardMap,
-    enabled: bool,
-    log: &crate::failover::FailoverLog,
-    rebalance: Option<&RebalanceLog>,
-    trace: &TimedTrace,
-) -> Routing {
-    assert_eq!(
-        partition.num_buckets(),
-        base.num_buckets(),
-        "shard map must cover the partition"
-    );
-    let n_shards = base.n_shards() as usize;
-    let pre = QueryPreProcessor::new(partition);
-    let mut elastic = ElasticShardMap::new(*base);
-    let mut up = vec![true; n_shards];
-    let mut shards: Vec<Vec<Fragment>> = vec![Vec::new(); n_shards];
-    let mut split: Vec<Vec<WorkItem>> = vec![Vec::new(); n_shards];
-    let mut fragments_of = vec![0u32; trace.len()];
-    let mut assignments_of = vec![0u64; trace.len()];
-    let mut cross_shard_queries = 0usize;
-    let mut total_assignments = 0u64;
-    // Lost fragments awaiting re-delivery, keyed by (query, dead shard) —
-    // one arrival loses at most one fragment per shard.
-    let mut lost: std::collections::HashMap<(usize, u32), Fragment> =
-        std::collections::HashMap::new();
-    let mut lost_scratch: Vec<(u32, Fragment)> = Vec::new();
-
-    // Map/pool changes: outage edges carry their evacuation reassignments;
-    // epoch records carry their moves. Both logs are time-sorted; merge
-    // with transitions first at equal instants (planner order).
-    enum Change<'l> {
-        Transition(&'l crate::failover::ShardTransition),
-        Epoch(&'l crate::rebalance::EpochRecord),
-    }
-    let epochs: &[crate::rebalance::EpochRecord] =
-        rebalance.map_or(&[], |rb| rb.records.as_slice());
-    let mut changes: Vec<(SimTime, Change<'_>)> = Vec::new();
-    {
-        let (mut ti, mut ei) = (0usize, 0usize);
-        while ti < log.transitions.len() || ei < epochs.len() {
-            let take_transition = match (log.transitions.get(ti), epochs.get(ei)) {
-                (Some(t), Some(e)) => t.at <= e.at,
-                (Some(_), None) => true,
-                _ => false,
-            };
-            if take_transition {
-                changes.push((
-                    log.transitions[ti].at,
-                    Change::Transition(&log.transitions[ti]),
-                ));
-                ti += 1;
-            } else {
-                changes.push((epochs[ei].at, Change::Epoch(&epochs[ei])));
-                ei += 1;
-            }
+impl<'a> Arrivals<'a> {
+    pub(crate) fn new(
+        partition: &'a Partition,
+        entries: &'a [(SimTime, CrossMatchQuery)],
+        n_shards: usize,
+    ) -> Self {
+        Arrivals {
+            entries,
+            cursor: 0,
+            pre: QueryPreProcessor::new(partition),
+            split: vec![Vec::new(); n_shards],
+            window: vec![Vec::new(); n_shards],
         }
     }
 
-    let entries = trace.entries();
-    let deliveries: Vec<&crate::failover::Redelivery> =
-        log.redeliveries.iter().filter(|r| r.to.is_some()).collect();
-    let (mut ci, mut ai, mut ri) = (0usize, 0usize, 0usize);
-    loop {
-        let tc = changes.get(ci).map(|c| c.0);
-        let ta = entries.get(ai).map(|e| e.0);
-        let tr = deliveries.get(ri).map(|r| r.at);
-        let Some(t) = [tc, ta, tr].into_iter().flatten().min() else {
-            break;
-        };
-        if tc == Some(t) {
-            match &changes[ci].1 {
-                Change::Transition(edge) => {
-                    up[edge.shard as usize] = edge.up;
-                    if !edge.up {
-                        for e in log
-                            .evacuations
-                            .iter()
-                            .filter(|e| e.boundary == edge.at && e.from == edge.shard)
-                        {
-                            elastic.reassign(e.bucket, ShardId(e.to));
-                        }
-                    }
-                }
-                Change::Epoch(rec) => {
-                    for m in &rec.moves {
-                        elastic.reassign(m.bucket, m.to);
-                    }
-                }
-            }
-            ci += 1;
-            continue;
-        }
-        if ta == Some(t) {
-            let (arrival, query) = &entries[ai];
-            let (delivered, fragments, assignments) = split_failover_arrival(
-                &pre,
-                ai,
-                *arrival,
-                query,
-                enabled,
-                &up,
-                &elastic,
-                &mut split,
-                &mut shards,
-                &mut lost_scratch,
-            );
-            for (from, f) in lost_scratch.drain(..) {
-                lost.insert((ai, from), f);
-            }
-            if fragments > 1 {
-                cross_shard_queries += 1;
-            }
-            fragments_of[ai] = delivered;
-            assignments_of[ai] = assignments;
-            total_assignments += assignments;
-            ai += 1;
-            continue;
-        }
-        let r = deliveries[ri];
-        let f = lost
-            .remove(&(r.query_index, r.from))
-            .expect("re-delivery of a fragment that was never lost");
-        let to = r.to.expect("deliveries are filtered to landed attempts") as usize;
-        fragments_of[r.query_index] += 1;
-        shards[to].push(Fragment { release: r.at, ..f });
-        ri += 1;
+    /// Arrival instant of the next unrouted query.
+    pub(crate) fn next(&self) -> Option<SimTime> {
+        self.entries.get(self.cursor).map(|e| e.0)
     }
 
-    Routing {
-        shards,
-        fragments_of,
-        assignments_of,
-        cross_shard_queries,
-        total_assignments,
+    /// Splits the next arrival under `map` into `window`, one fragment per
+    /// shard it touches; returns `(fragments, assignments)`.
+    pub(crate) fn split_next(&mut self, map: &ElasticShardMap) -> (u32, u64) {
+        let (arrival, query) = &self.entries[self.cursor];
+        let head = Fragment::head(self.cursor, query.id, *arrival);
+        self.cursor += 1;
+        split_query(
+            head,
+            self.pre.preprocess(query),
+            |b| map.shard_of(b),
+            &mut self.split,
+            &mut self.window,
+        )
     }
 }
 

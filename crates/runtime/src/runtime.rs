@@ -1,5 +1,5 @@
-//! The sharded serving runtime: route → execute (stepped or threaded) →
-//! aggregate.
+//! The sharded serving runtime: plan → execute (stepped or threaded) →
+//! finish.
 //!
 //! # Determinism contract
 //!
@@ -8,27 +8,30 @@
 //!
 //! - Routing is a pure function of the shard map and the trace.
 //! - Each shard's behaviour is a pure function of its own fragment stream
-//!   (admission is shard-local), so workers never observe each other and
-//!   any stepping order yields the same per-shard results.
+//!   (admission is shard-local) and of the rounds that move buckets in and
+//!   out of it, so any stepping order yields the same per-shard results.
 //! - Aggregation merges per-shard completion streams in the canonical
 //!   `(completion time, shard id, shard event order)` order, which is
 //!   independent of how the shards were driven.
 //!
-//! The stepped mode is the reference: a single-threaded virtual-time merge
-//! of the shard event queues (earliest next event first, ties by shard id),
-//! pinnable by golden tests and steppable under a debugger. The threaded
-//! mode runs one `std::thread` worker per shard and collects results over
-//! an `mpsc` channel.
+//! # One run path
+//!
+//! Every configuration flows through the same four pieces (see
+//! `docs/ARCHITECTURE.md`, "drive → rounds → execute → finish"):
+//! `spawn` makes the workers, `drive` is the stepped virtual-time merge the
+//! controllers plug into as event handlers, `run_threaded` serves fixed
+//! streams on one thread per shard and replays the planned rounds, and
+//! `finish` folds the finished pool and the decision logs into the report.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::sync::{mpsc, Barrier};
 
 use liferaft_catalog::Catalog;
 use liferaft_core::Scheduler;
 use liferaft_metrics::Summary;
-use liferaft_query::{tracker::QueryOutcome, QueryId, QueryPreProcessor, WorkItem};
-use liferaft_sim::{LinkDirection, MigratedBucket, RunReport};
+use liferaft_query::{tracker::QueryOutcome, CrossMatchQuery, QueryId, WorkItem};
+use liferaft_sim::{LinkDirection, MigratedBucket, RunReport, ShardOutage};
 use liferaft_storage::{cache::CacheStats, IoStats, SimDuration, SimTime};
 use liferaft_telemetry::{Event, EventKind, TelemetryReport, ROUTER_SHARD};
 use liferaft_workload::TimedTrace;
@@ -37,19 +40,17 @@ use crate::admission::{
     AdmissionLog, ClassStats, Disposition, FrontDoor, FrontDoorConfig, FrontDoorReport, QueryClass,
     RejectedQuery,
 };
-use crate::config::{ExecMode, RuntimeConfig};
+use crate::config::{ExecMode, RebalanceConfig, RuntimeConfig};
 use crate::failover::{
-    ClassConservation, Evacuation, FailedQuery, FailoverLog, FailoverReport, Redelivery,
-    ShardTransition,
+    ClassConservation, Evacuation, FailedQuery, FailoverConfig, FailoverLog, FailoverReport,
+    Redelivery, ShardTransition,
 };
-use crate::rebalance::{plan_moves, EpochRecord, RebalanceLog};
-use crate::router::{
-    route_admitted, route_elastic_parallel, route_failover, route_parallel, split_failover_arrival,
-    split_query, Fragment,
-};
+use crate::rebalance::{plan_moves, EpochRecord, Migration, RebalanceLog};
+use crate::retry::RetryPolicy;
+use crate::router::{route_parallel, Arrivals, Fragment, Routing};
 use crate::shard::{ElasticShardMap, ShardId, ShardMap};
-use crate::transport::{plan_delivery, plan_hedges, resolve_hedges, TransportLog, TransportReport};
-use crate::worker::{ShardRun, ShardWorker};
+use crate::transport::{plan_delivery, plan_hedges, resolve_hedges, DeliveryPlan, TransportReport};
+use crate::worker::{Round, ShardRun, ShardWorker};
 
 /// The outcome of one sharded runtime execution.
 #[derive(Debug, Clone)]
@@ -164,11 +165,14 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
 
     /// Replays `trace`, scheduling shard `i` with `mk_scheduler(i)`.
     ///
-    /// With [`RebalanceConfig::enabled`](crate::config::RebalanceConfig)
-    /// the elastic path runs instead: a deterministic stepped planning pass
-    /// computes the epoch decision log, and — in threaded mode — a parallel
-    /// replay executes it verbatim (so the factory is invoked once per
-    /// shard per pass; it must keep returning equivalent schedulers).
+    /// When a controller decides where — or whether — arrivals land
+    /// (rebalancing, outages/failover, the front door), the run is planned
+    /// once in the stepped merge with the controllers in the loop, and in
+    /// threaded mode the pool then re-executes that plan on fresh workers.
+    /// Otherwise the trace is routed up front (the transport controller
+    /// adjusts that routing before anything runs) and executed directly.
+    /// The factory is therefore invoked once per shard per pass; it must
+    /// keep returning equivalent schedulers.
     ///
     /// # Panics
     /// Panics if any shard's scheduler violates its contract, or if the run
@@ -179,1367 +183,273 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
         mk_scheduler: &mut dyn FnMut(usize) -> Box<dyn Scheduler + Send>,
         mode: ExecMode,
     ) -> RuntimeReport {
-        if self.config.transport.enabled {
-            return self.run_transport(trace, mk_scheduler, mode);
-        }
-        if self.config.failover.enabled || !self.config.faults.outages.is_empty() {
-            let (fo_log, rb_log, stepped) = self.plan_failover(trace, mk_scheduler);
-            return match mode {
-                ExecMode::Stepped => stepped,
-                ExecMode::Threaded => self.replay_failover(trace, mk_scheduler, fo_log, rb_log),
+        let entries = trace.entries();
+        let index_of: HashMap<QueryId, usize> = entries
+            .iter()
+            .enumerate()
+            .map(|(i, (_, q))| (q.id, i))
+            .collect();
+        let mut ctl = self.controllers(entries);
+        let mut pool;
+        let plan;
+        if ctl.arrivals.is_some() {
+            let unrouted = vec![Vec::new(); self.config.n_shards as usize];
+            pool = self.spawn(entries, unrouted, mk_scheduler);
+            drive(&mut pool, &mut ctl);
+            plan = ctl.into_plan();
+            if mode == ExecMode::Threaded {
+                // Admission never drains a worker's fragment list, so each
+                // planner worker still owns its complete stream in hand-off
+                // order: the threaded pool serves those very streams.
+                let streams = pool.into_iter().map(ShardWorker::into_fragments).collect();
+                pool = self.spawn(entries, streams, mk_scheduler);
+                run_threaded(&mut pool, &plan.rounds);
+            }
+        } else {
+            let mut routing = route_parallel(
+                self.catalog.partition(),
+                &self.map,
+                trace,
+                self.route_threads(mode),
+            );
+            let transport = self
+                .config
+                .transport
+                .enabled
+                .then(|| self.plan_transport(entries, &index_of, &mut routing, mk_scheduler));
+            plan = Plan {
+                total_fragments: routing.total_fragments(),
+                cross_shard_queries: routing.cross_shard_queries,
+                assignments_of: routing.assignments_of,
+                transport,
+                ..Plan::default()
             };
+            pool = self.spawn(entries, routing.shards, mk_scheduler);
+            match mode {
+                ExecMode::Stepped => drive(&mut pool, &mut ctl),
+                ExecMode::Threaded => run_threaded(&mut pool, &plan.rounds),
+            }
         }
-        if self.config.rebalance.enabled {
-            let (log, stepped) = self.plan_elastic(trace, mk_scheduler);
-            return match mode {
-                ExecMode::Stepped => stepped,
-                ExecMode::Threaded => self.replay_elastic(trace, mk_scheduler, log),
-            };
-        }
-        if self.config.front_door.enabled {
-            let (log, stepped) = self.plan_front_door(trace, mk_scheduler);
-            return match mode {
-                ExecMode::Stepped => stepped,
-                ExecMode::Threaded => self.replay_front_door(trace, mk_scheduler, log),
-            };
-        }
-        let routing = route_parallel(
-            self.catalog.partition(),
-            &self.map,
-            trace,
-            self.route_threads(mode),
-        );
-        let total_fragments = routing.total_fragments();
-        let assignments_of = routing.assignments_of;
-        let cross_shard_queries = routing.cross_shard_queries;
+        self.finish(entries, &index_of, pool, plan)
+    }
 
-        let workers: Vec<ShardWorker<'_, C>> = routing
-            .shards
+    /// The one place workers are made: shard `i` serves `streams[i]` under
+    /// `mk_scheduler(i)`.
+    fn spawn<'w>(
+        &'w self,
+        entries: &'w [(SimTime, CrossMatchQuery)],
+        streams: Vec<Vec<Fragment>>,
+        mk_scheduler: &mut dyn FnMut(usize) -> Box<dyn Scheduler + Send>,
+    ) -> Vec<ShardWorker<'w, C>> {
+        streams
             .into_iter()
             .enumerate()
             .map(|(i, fragments)| {
                 ShardWorker::new(
                     ShardId(i as u32),
                     self.catalog,
-                    self.config.sim,
-                    self.config.admission,
-                    self.config.faults.for_shard(i as u32),
-                    self.config.faults.outages_for_shard(i as u32),
-                    trace.entries(),
+                    &self.config,
+                    entries,
                     fragments,
                     mk_scheduler(i),
-                    self.config.telemetry.make_sink(),
                 )
             })
-            .collect();
+            .collect()
+    }
 
-        let shard_runs = match mode {
-            ExecMode::Stepped => run_stepped(workers),
-            ExecMode::Threaded => run_threaded(workers),
-        };
-
-        let (global, _) = aggregate(trace, &assignments_of, &shard_runs, None, None, None);
-        let telemetry = self.build_telemetry(trace, &shard_runs, None, None, None, None);
-        RuntimeReport {
-            global,
-            shards: shard_runs,
-            cross_shard_queries,
-            total_fragments,
-            rebalance: None,
-            front_door: None,
-            failover: None,
-            transport: None,
-            telemetry,
+    /// The handlers this configuration plugs into [`drive`]. Arrivals route
+    /// incrementally only when some handler can change where — or whether —
+    /// they land; with none the set is inert and `drive` just merges the
+    /// shard event queues.
+    fn controllers<'w>(&'w self, entries: &'w [(SimTime, CrossMatchQuery)]) -> Controllers<'w> {
+        let cfg = &self.config;
+        let n = cfg.n_shards as usize;
+        let epochs = cfg.rebalance.enabled.then(|| Epochs {
+            cfg: cfg.rebalance,
+            log: RebalanceLog {
+                epoch: cfg.rebalance.epoch,
+                records: Vec::new(),
+            },
+        });
+        let outages = (cfg.failover.enabled || !cfg.faults.outages.is_empty())
+            .then(|| Outages::new(cfg.failover, &cfg.faults.outages, entries.len()));
+        let door = cfg
+            .front_door
+            .enabled
+            .then(|| FrontDoor::new(cfg.front_door, entries.len(), n));
+        let live = epochs.is_some() || outages.is_some() || door.is_some();
+        Controllers {
+            map: ElasticShardMap::new(self.map),
+            up: vec![true; n],
+            arrivals: live.then(|| Arrivals::new(self.catalog.partition(), entries, n)),
+            epochs,
+            outages,
+            door,
+            plan: Plan {
+                assignments_of: vec![0; if live { entries.len() } else { 0 }],
+                ..Plan::default()
+            },
         }
     }
 
-    /// The transport path: route normally, resolve every fragment's
-    /// retransmit chain against the link-fault windows *up-front*
-    /// ([`plan_delivery`] — a pure function of the routing, the windows, and
-    /// the seed), then execute the adjusted routing in the requested mode.
-    /// Because the whole delivery schedule (effective delivery instants,
-    /// terminal rejections, hedge copies) is fixed before any shard runs,
-    /// stepped and threaded execution consume identical fragment streams and
-    /// stay bit-identical under arbitrary loss.
+    /// The transport routing pre-pass: resolve every fragment's retransmit
+    /// chain against the link-fault windows *up-front* ([`plan_delivery`] —
+    /// a pure function of the routing, the windows, and the seed), so the
+    /// whole delivery schedule (effective delivery instants, terminal
+    /// rejections, hedge copies) is fixed before any shard runs and both
+    /// executors consume identical fragment streams under arbitrary loss.
     ///
     /// With hedging enabled a *reference pass* (stepped, no hedges) runs
     /// first to observe per-class response distributions and per-shard load;
-    /// [`plan_hedges`] derives the hedge plan from it, the hedge copies join
-    /// the routing, and the final pass races each copy against its original —
-    /// the first completion in the canonical merge order wins, the loser is
-    /// suppressed from aggregation exactly like a network duplicate. The
-    /// scheduler factory is therefore invoked once per shard per pass, like
-    /// the other plan/replay paths; it must keep returning equivalent
-    /// schedulers.
-    fn run_transport(
+    /// [`plan_hedges`] derives the hedge plan from it and the hedge copies
+    /// join the routing. The final pass races each copy against its
+    /// original — the first completion in the canonical merge order wins,
+    /// the loser is suppressed from aggregation exactly like a network
+    /// duplicate.
+    fn plan_transport(
         &self,
-        trace: &TimedTrace,
+        entries: &[(SimTime, CrossMatchQuery)],
+        index_of: &HashMap<QueryId, usize>,
+        routing: &mut Routing,
         mk_scheduler: &mut dyn FnMut(usize) -> Box<dyn Scheduler + Send>,
-        mode: ExecMode,
-    ) -> RuntimeReport {
+    ) -> DeliveryPlan {
         let tp = self.config.transport;
-        let entries = trace.entries();
-        let mut routing = route_parallel(
-            self.catalog.partition(),
-            &self.map,
-            trace,
-            self.route_threads(mode),
-        );
-        let cross_shard_queries = routing.cross_shard_queries;
-        let mut plan = plan_delivery(&tp, &self.config.faults, &mut routing, entries.len());
-
-        let index_of: HashMap<QueryId, usize> = entries
-            .iter()
-            .enumerate()
-            .map(|(i, (_, q))| (q.id, i))
-            .collect();
-
+        let faults = &self.config.faults;
+        let mut delivery = plan_delivery(&tp, faults, routing, entries.len());
         if tp.hedge.enabled {
-            let reference_workers: Vec<ShardWorker<'_, C>> = routing
-                .shards
-                .iter()
-                .cloned()
-                .enumerate()
-                .map(|(i, fragments)| {
-                    ShardWorker::new(
-                        ShardId(i as u32),
-                        self.catalog,
-                        self.config.sim,
-                        self.config.admission,
-                        self.config.faults.for_shard(i as u32),
-                        self.config.faults.outages_for_shard(i as u32),
-                        entries,
-                        fragments,
-                        mk_scheduler(i),
-                        self.config.telemetry.make_sink(),
-                    )
-                })
-                .collect();
-            let reference = run_stepped(reference_workers);
+            let mut reference = self.spawn(entries, routing.shards.clone(), mk_scheduler);
+            drive(&mut reference, &mut self.controllers(entries));
+            let reference: Vec<ShardRun> =
+                reference.into_iter().map(ShardWorker::into_run).collect();
             let classes = FrontDoorConfig::disabled();
             let class_of: Vec<QueryClass> = routing
                 .assignments_of
                 .iter()
                 .map(|&a| classes.classify(a))
                 .collect();
-            let hedges = plan_hedges(
+            delivery.log.hedges = plan_hedges(
                 &tp.hedge,
-                &self.config.faults,
-                &routing,
+                faults,
+                routing,
                 &class_of,
-                &plan.rejected_mask,
+                &delivery.rejected_mask,
                 &reference,
-                &index_of,
+                index_of,
             );
-            for h in &hedges {
+            // Push every copy, then restore release order once per touched
+            // stream. The sort is stable, so a copy lands behind the
+            // fragments already released at its instant, copies of one
+            // instant in planning order.
+            let mut touched = vec![false; routing.shards.len()];
+            for h in &delivery.log.hedges {
                 let original = routing.shards[h.from as usize]
                     .iter()
                     .find(|f| f.query_index == h.query_index)
-                    .expect("a hedged fragment is still routed")
-                    .clone();
-                routing.fragments_of[h.query_index] += 1;
-                let stream = &mut routing.shards[h.to as usize];
-                stream.push(Fragment {
+                    .expect("a hedged fragment is still routed");
+                let copy = Fragment {
                     release: h.delivered_at,
-                    ..original
-                });
+                    ..original.clone()
+                };
+                routing.fragments_of[h.query_index] += 1;
+                routing.shards[h.to as usize].push(copy);
+                touched[h.to as usize] = true;
+            }
+            for (stream, _) in routing.shards.iter_mut().zip(touched).filter(|(_, t)| *t) {
                 stream.sort_by_key(|f| f.release);
             }
-            plan.log.hedges = hedges;
         }
+        delivery
+    }
 
-        let total_fragments = routing.total_fragments();
-        let assignments_of = routing.assignments_of;
-        let workers: Vec<ShardWorker<'_, C>> = routing
-            .shards
-            .into_iter()
-            .enumerate()
-            .map(|(i, fragments)| {
-                ShardWorker::new(
-                    ShardId(i as u32),
-                    self.catalog,
-                    self.config.sim,
-                    self.config.admission,
-                    self.config.faults.for_shard(i as u32),
-                    self.config.faults.outages_for_shard(i as u32),
-                    entries,
-                    fragments,
-                    mk_scheduler(i),
-                    self.config.telemetry.make_sink(),
-                )
-            })
-            .collect();
-        let shard_runs = match mode {
-            ExecMode::Stepped => run_stepped(workers),
-            ExecMode::Threaded => run_threaded(workers),
-        };
+    /// The one tail of every run: folds the finished pool and the plan's
+    /// decision logs into the report.
+    fn finish(
+        &self,
+        entries: &[(SimTime, CrossMatchQuery)],
+        index_of: &HashMap<QueryId, usize>,
+        workers: Vec<ShardWorker<'_, C>>,
+        plan: Plan,
+    ) -> RuntimeReport {
+        // The recovery-lag headline reads the batch ledgers `into_run` drops.
+        let recovery_lag = plan
+            .failover
+            .as_ref()
+            .and_then(|log| recovery_lag(log, &workers));
+        let shards: Vec<ShardRun> = workers.into_iter().map(ShardWorker::into_run).collect();
 
-        let (hedge_wins, hedge_losses, skip) =
-            resolve_hedges(&plan.log.hedges, &shard_runs, &index_of);
-        let rejected: Vec<FailedQuery> = plan
-            .rejected_mask
-            .iter()
-            .enumerate()
-            .filter(|&(_, &m)| m)
-            .map(|(i, _)| FailedQuery {
-                index: i,
-                arrival: entries[i].0,
-                rejected_at: plan.rejected_at[i],
-                attempts: plan.attempts_of[i],
-                assignments: assignments_of[i],
-            })
-            .collect();
-        let (global, _) = aggregate(
-            trace,
-            &assignments_of,
-            &shard_runs,
-            None,
-            Some(&plan.rejected_mask),
-            Some(&skip),
+        // Queries that end rejected rather than completed: turned away at
+        // the front door (never routed), lost to a dead shard with every
+        // re-delivery spent, or undelivered with every retransmission spent.
+        let mut rejected = vec![false; entries.len()];
+        if let Some(log) = &plan.admission {
+            for (r, v) in rejected.iter_mut().zip(&log.verdicts) {
+                *r = !v.admitted();
+            }
+        }
+        let lost: Vec<FailedQuery> = plan.failover.as_ref().map_or(Vec::new(), |log| {
+            let arrivals: Vec<SimTime> = entries.iter().map(|(t, _)| *t).collect();
+            let budget = self.config.failover.max_redeliveries;
+            log.rejected_queries(budget, &arrivals, &plan.assignments_of)
+        });
+        let undelivered: Vec<FailedQuery> = plan.transport.as_ref().map_or(Vec::new(), |d| {
+            (0..entries.len())
+                .filter(|&i| d.rejected_mask[i])
+                .map(|i| FailedQuery {
+                    index: i,
+                    arrival: entries[i].0,
+                    rejected_at: d.rejected_at[i],
+                    attempts: d.attempts_of[i],
+                    assignments: plan.assignments_of[i],
+                })
+                .collect()
+        });
+        for r in lost.iter().chain(&undelivered) {
+            rejected[r.index] = true;
+        }
+        let hedges = plan.transport.as_ref().map_or(&[][..], |d| &d.log.hedges);
+        let (hedge_wins, hedge_losses, hedge_losers) = resolve_hedges(hedges, &shards, index_of);
+
+        let (global, front_door) = aggregate(
+            entries,
+            index_of,
+            &plan.assignments_of,
+            &shards,
+            &rejected,
+            &hedge_losers,
+            plan.admission.as_ref(),
         );
-        let transport = build_transport_report(
-            &plan.log,
-            trace,
-            &assignments_of,
-            rejected,
-            &global,
+        let telemetry = self.build_telemetry(entries, &shards, &plan);
+        let per_class = |failed: &[FailedQuery], place: &str| {
+            class_conservation(
+                index_of,
+                &plan.assignments_of,
+                &global.outcomes,
+                failed,
+                place,
+            )
+        };
+        let failover = plan.failover.map(|log| FailoverReport {
+            per_class: per_class(&lost, ""),
+            log,
+            rejected: lost,
+            recovery_lag,
+        });
+        let transport = plan.transport.map(|delivery| TransportReport {
+            per_class: per_class(&undelivered, " in transit"),
+            log: delivery.log,
+            rejected: undelivered,
             hedge_wins,
             hedge_losses,
-        );
-        let telemetry = self.build_telemetry(trace, &shard_runs, None, None, None, Some(&plan.log));
-        RuntimeReport {
-            global,
-            shards: shard_runs,
-            cross_shard_queries,
-            total_fragments,
-            rebalance: None,
-            front_door: None,
-            failover: None,
-            transport: Some(transport),
-            telemetry,
-        }
-    }
-
-    /// The elastic reference pass: a stepped virtual-time merge with a
-    /// rebalance controller firing at every epoch boundary. Returns the
-    /// decision log alongside the finished report.
-    ///
-    /// Between boundaries this is exactly [`run_stepped`]: the worker with
-    /// the earliest next event advances one event — but only while that
-    /// event is strictly before the next boundary `T`. When every live
-    /// event sits at or beyond `T`, the controller samples per-shard load,
-    /// plans migrations ([`plan_moves`]), applies them (extract at the
-    /// sources, absorb at the destinations in bucket order, costs charged
-    /// to destination clocks), records the epoch, and routes the next
-    /// arrival window `[T, T + epoch)` under the updated map.
-    fn plan_elastic(
-        &self,
-        trace: &TimedTrace,
-        mk_scheduler: &mut dyn FnMut(usize) -> Box<dyn Scheduler + Send>,
-    ) -> (RebalanceLog, RuntimeReport) {
-        let rb = self.config.rebalance;
-        let entries = trace.entries();
-        let partition = self.catalog.partition();
-        let pre = QueryPreProcessor::new(partition);
-        let n = self.config.n_shards as usize;
-
-        let mut workers: Vec<ShardWorker<'_, C>> = (0..n)
-            .map(|i| {
-                ShardWorker::new(
-                    ShardId(i as u32),
-                    self.catalog,
-                    self.config.sim,
-                    self.config.admission,
-                    self.config.faults.for_shard(i as u32),
-                    self.config.faults.outages_for_shard(i as u32),
-                    entries,
-                    Vec::new(),
-                    mk_scheduler(i),
-                    self.config.telemetry.make_sink(),
-                )
-            })
-            .collect();
-
-        let mut elastic = ElasticShardMap::new(self.map);
-        let mut assignments_of = vec![0u64; entries.len()];
-        let mut cross_shard_queries = 0usize;
-        let mut total_fragments = 0usize;
-        let mut split: Vec<Vec<WorkItem>> = vec![Vec::new(); n];
-        let mut window: Vec<Vec<Fragment>> = vec![Vec::new(); n];
-        let mut cursor = 0usize; // next unrouted trace entry
-        let mut fired = 0u32;
-        let mut records: Vec<EpochRecord> = Vec::new();
-
-        // Routes arrivals strictly before `bound` under the current map and
-        // hands the resulting window to the workers.
-        let mut route_until = |bound: SimTime,
-                               cursor: &mut usize,
-                               elastic: &ElasticShardMap,
-                               workers: &mut Vec<ShardWorker<'_, C>>,
-                               assignments_of: &mut Vec<u64>,
-                               cross_shard_queries: &mut usize,
-                               total_fragments: &mut usize| {
-            while let Some((arrival, query)) = entries.get(*cursor) {
-                if *arrival >= bound {
-                    break;
-                }
-                let (fragments, assignments) = split_query(
-                    pre.preprocess(query),
-                    *cursor,
-                    *arrival,
-                    *arrival,
-                    QueryClass::Standard,
-                    query,
-                    &mut |b| elastic.shard_of(b),
-                    &mut split,
-                    &mut window,
-                );
-                if fragments > 1 {
-                    *cross_shard_queries += 1;
-                }
-                assignments_of[*cursor] = assignments;
-                *total_fragments += fragments as usize;
-                *cursor += 1;
-            }
-            for (w, frags) in workers.iter_mut().zip(window.iter_mut()) {
-                if !frags.is_empty() {
-                    w.append_fragments(std::mem::take(frags));
-                }
-            }
-        };
-
-        // Initial window: [0, T_1).
-        route_until(
-            SimTime::ZERO + rb.epoch,
-            &mut cursor,
-            &elastic,
-            &mut workers,
-            &mut assignments_of,
-            &mut cross_shard_queries,
-            &mut total_fragments,
-        );
-
-        loop {
-            let t = SimTime::ZERO + rb.epoch.times(fired as u64 + 1);
-            let mut earliest: Option<(SimTime, usize)> = None;
-            for (i, w) in workers.iter().enumerate() {
-                if let Some(wt) = w.next_time() {
-                    // Strict `<` keeps the lowest shard index on time ties.
-                    if earliest.map_or(true, |(bt, _)| wt < bt) {
-                        earliest = Some((wt, i));
-                    }
-                }
-            }
-            match earliest {
-                Some((wt, i)) if wt < t => {
-                    let advanced = workers[i].step();
-                    debug_assert!(advanced, "a shard with a next event must advance");
-                    continue;
-                }
-                None if cursor >= entries.len() => break, // fully drained
-                _ => {} // every live event is at/after the boundary: fire it
-            }
-
-            fired += 1;
-            let loads: Vec<u64> = workers.iter().map(ShardWorker::queued).collect();
-            let depths: Vec<Vec<_>> = workers.iter().map(ShardWorker::bucket_depths).collect();
-            let moves = plan_moves(&rb, &loads, &depths, &vec![true; n]);
-
-            // Extract every payload first (sources are untouched by other
-            // moves' absorptions), then absorb per destination in bucket
-            // order — the canonical order the threaded replay reproduces.
-            let mut payloads: Vec<(usize, MigratedBucket)> = moves
-                .iter()
-                .map(|m| {
-                    let p = workers[m.from.index()].extract_bucket(m.bucket, t, rb.warm_residency);
-                    debug_assert_eq!(p.len() as u64, m.entries, "plan drifted from state");
-                    (m.to.index(), p)
-                })
-                .collect();
-            payloads.sort_by_key(|(to, p)| (*to, p.bucket));
-            for (to, p) in payloads {
-                let cost = rb.migration_fixed + rb.migration_per_entry.times(p.len() as u64);
-                workers[to].absorb_payload(p, t, cost, rb.warm_residency);
-            }
-
-            records.push(EpochRecord {
-                epoch: fired,
-                at: t,
-                loads,
-                serviced: workers.iter().map(ShardWorker::serviced).collect(),
-                resident: workers.iter().map(|w| w.resident() as u32).collect(),
-                moves: moves.clone(),
-            });
-            for m in &moves {
-                elastic.reassign(m.bucket, m.to);
-            }
-
-            // Route the next arrival window under the updated map.
-            route_until(
-                t + rb.epoch,
-                &mut cursor,
-                &elastic,
-                &mut workers,
-                &mut assignments_of,
-                &mut cross_shard_queries,
-                &mut total_fragments,
-            );
-        }
-
-        let shard_runs: Vec<ShardRun> = workers.into_iter().map(ShardWorker::into_run).collect();
-        let log = RebalanceLog {
-            epoch: rb.epoch,
-            records,
-        };
-        let (global, _) = aggregate(trace, &assignments_of, &shard_runs, None, None, None);
-        let telemetry = self.build_telemetry(trace, &shard_runs, Some(&log), None, None, None);
-        let report = RuntimeReport {
-            global,
-            shards: shard_runs,
-            cross_shard_queries,
-            total_fragments,
-            rebalance: Some(log.clone()),
-            front_door: None,
-            failover: None,
-            transport: None,
-            telemetry,
-        };
-        (log, report)
-    }
-
-    /// The elastic parallel executor: routes the whole trace up-front under
-    /// the evolving map ([`route_elastic_parallel`]), then runs one thread per shard
-    /// that replays the decision log verbatim — a double-barrier handshake
-    /// per move-bearing boundary: step to the boundary, barrier, send the
-    /// outgoing payloads, barrier, absorb the incoming ones (sorted by
-    /// bucket id, the planning pass's canonical order).
-    fn replay_elastic(
-        &self,
-        trace: &TimedTrace,
-        mk_scheduler: &mut dyn FnMut(usize) -> Box<dyn Scheduler + Send>,
-        log: RebalanceLog,
-    ) -> RuntimeReport {
-        let rb = self.config.rebalance;
-        let routing = route_elastic_parallel(
-            self.catalog.partition(),
-            &self.map,
-            &log,
-            trace,
-            self.route_threads(ExecMode::Threaded),
-        );
-        let total_fragments = routing.total_fragments();
-        let assignments_of = routing.assignments_of;
-        let cross_shard_queries = routing.cross_shard_queries;
-        let n = self.config.n_shards as usize;
-
-        let workers: Vec<ShardWorker<'_, C>> = routing
-            .shards
-            .into_iter()
-            .enumerate()
-            .map(|(i, fragments)| {
-                ShardWorker::new(
-                    ShardId(i as u32),
-                    self.catalog,
-                    self.config.sim,
-                    self.config.admission,
-                    self.config.faults.for_shard(i as u32),
-                    self.config.faults.outages_for_shard(i as u32),
-                    trace.entries(),
-                    fragments,
-                    mk_scheduler(i),
-                    self.config.telemetry.make_sink(),
-                )
-            })
-            .collect();
-
-        // Only boundaries that actually moved buckets synchronize the pool;
-        // a move-free boundary is behaviour-neutral by construction.
-        let sync_records: Vec<&EpochRecord> =
-            log.records.iter().filter(|r| !r.moves.is_empty()).collect();
-        let barrier = Barrier::new(n);
-        let mut senders: Vec<mpsc::Sender<MigratedBucket>> = Vec::with_capacity(n);
-        let mut receivers: Vec<mpsc::Receiver<MigratedBucket>> = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = mpsc::channel();
-            senders.push(tx);
-            receivers.push(rx);
-        }
-        let (tx_done, rx_done) = mpsc::channel::<(usize, ShardRun)>();
-        std::thread::scope(|scope| {
-            for ((i, mut worker), rx) in workers.into_iter().enumerate().zip(receivers) {
-                let tx_done = tx_done.clone();
-                let senders = senders.clone();
-                let barrier = &barrier;
-                let sync_records = &sync_records;
-                scope.spawn(move || {
-                    for rec in sync_records {
-                        let t = rec.at;
-                        while worker.next_time().is_some_and(|wt| wt < t) {
-                            worker.step();
-                        }
-                        barrier.wait();
-                        for m in &rec.moves {
-                            if m.from.index() != i {
-                                continue;
-                            }
-                            let p = worker.extract_bucket(m.bucket, t, rb.warm_residency);
-                            assert_eq!(p.len() as u64, m.entries, "replay diverged from plan");
-                            senders[m.to.index()]
-                                .send(p)
-                                .expect("peer outlives the handshake");
-                        }
-                        barrier.wait();
-                        let mut incoming: Vec<MigratedBucket> = rx.try_iter().collect();
-                        incoming.sort_by_key(|p| p.bucket);
-                        for p in incoming {
-                            let cost =
-                                rb.migration_fixed + rb.migration_per_entry.times(p.len() as u64);
-                            worker.absorb_payload(p, t, cost, rb.warm_residency);
-                        }
-                    }
-                    while worker.step() {}
-                    tx_done
-                        .send((i, worker.into_run()))
-                        .expect("the driver outlives its workers");
-                });
-            }
         });
-        drop(tx_done);
-        let shard_runs = crate::sweep::collect_indexed(rx_done, n);
-
-        let (global, _) = aggregate(trace, &assignments_of, &shard_runs, None, None, None);
-        let telemetry = self.build_telemetry(trace, &shard_runs, Some(&log), None, None, None);
         RuntimeReport {
             global,
-            shards: shard_runs,
-            cross_shard_queries,
-            total_fragments,
-            rebalance: Some(log),
-            front_door: None,
-            failover: None,
-            transport: None,
-            telemetry,
-        }
-    }
-
-    /// The front-door reference pass: a stepped virtual-time merge with the
-    /// global admission controller in the loop. Returns the decision log
-    /// alongside the finished report.
-    ///
-    /// The driver interleaves three event sources — shard events, trace
-    /// arrivals, and backoff wake-ups — in virtual-time order. At each
-    /// event time it ingests every due arrival into the [`FrontDoor`],
-    /// pumps the controller (which may admit queries, handing their
-    /// pre-split fragments to the shards with `release = now`), and steps
-    /// the earliest-event shard. Admission feedback is the per-shard
-    /// cumulative serviced-entry counters — observable in both modes, which
-    /// is why the recorded plan replays exactly.
-    ///
-    /// Liveness: if no shard has a pending event, every admitted assignment
-    /// has been serviced, so the pool is empty and the controller's
-    /// head-of-line waiter admits unconditionally — the loop can never
-    /// stall with work outstanding.
-    fn plan_front_door(
-        &self,
-        trace: &TimedTrace,
-        mk_scheduler: &mut dyn FnMut(usize) -> Box<dyn Scheduler + Send>,
-    ) -> (AdmissionLog, RuntimeReport) {
-        let fd = self.config.front_door;
-        let entries = trace.entries();
-        let pre = QueryPreProcessor::new(self.catalog.partition());
-        let n = self.config.n_shards as usize;
-
-        let mut workers: Vec<ShardWorker<'_, C>> = (0..n)
-            .map(|i| {
-                ShardWorker::new(
-                    ShardId(i as u32),
-                    self.catalog,
-                    self.config.sim,
-                    self.config.admission,
-                    self.config.faults.for_shard(i as u32),
-                    self.config.faults.outages_for_shard(i as u32),
-                    entries,
-                    Vec::new(),
-                    mk_scheduler(i),
-                    self.config.telemetry.make_sink(),
-                )
-            })
-            .collect();
-
-        let mut door = FrontDoor::new(fd, entries.len(), n);
-        let mut assignments_of = vec![0u64; entries.len()];
-        let mut cross_shard_queries = 0usize;
-        let mut total_fragments = 0usize;
-        let mut cursor = 0usize; // next not-yet-ingested trace entry
-        let mut now = SimTime::ZERO;
-
-        loop {
-            // Next event: earliest of (shard event, arrival, backoff wake).
-            let mut t: Option<SimTime> = None;
-            for w in &workers {
-                if let Some(wt) = w.next_time() {
-                    t = Some(t.map_or(wt, |b: SimTime| b.min(wt)));
-                }
-                // A worker's clock runs ahead of global time by whole batch
-                // costs; each recorded batch *end* in that gap is a "capacity
-                // frees here" event the door must observe at its own instant
-                // (and never earlier — see `ShardWorker::serviced_at`).
-                if let Some(ct) = w.next_completion_after(now) {
-                    t = Some(t.map_or(ct, |b: SimTime| b.min(ct)));
-                }
-            }
-            if let Some((arrival, _)) = entries.get(cursor) {
-                t = Some(t.map_or(*arrival, |b| b.min(*arrival)));
-            }
-            if let Some(wake) = door.next_wakeup() {
-                t = Some(t.map_or(wake, |b| b.min(wake)));
-            }
-            match t {
-                Some(t) => now = now.max(t),
-                // No events anywhere: done — unless waiters remain, in
-                // which case the pool must be empty and pumping "now"
-                // admits the head (see the liveness note above).
-                None if door.has_active() => {}
-                None => break,
-            }
-
-            // Ingest every arrival due by `now` (trace order).
-            while let Some((arrival, query)) = entries.get(cursor) {
-                if *arrival > now {
-                    break;
-                }
-                let mut split: Vec<(usize, Vec<WorkItem>)> = Vec::new();
-                let mut assignments = 0u64;
-                for item in pre.preprocess(query) {
-                    assignments += item.len() as u64;
-                    let s = self.map.shard_of(item.bucket).index();
-                    match split.iter_mut().find(|(shard, _)| *shard == s) {
-                        Some((_, items)) => items.push(item),
-                        None => split.push((s, vec![item])),
-                    }
-                }
-                // Shard-index order = the order split_query emits fragments.
-                split.sort_by_key(|(s, _)| *s);
-                let class = fd.classify(assignments);
-                assignments_of[cursor] = assignments;
-                door.ingest(cursor, *arrival, class, assignments, split);
-                cursor += 1;
-            }
-
-            // Pump the controller: wake backoffs, admit, shed, reject.
-            let serviced: Vec<u64> = workers.iter().map(|w| w.serviced_at(now)).collect();
-            door.pump(now, &serviced, |p, at| {
-                let query_id = entries[p.index].1.id;
-                let n_frags = p.split.len().max(1);
-                total_fragments += n_frags;
-                if n_frags > 1 {
-                    cross_shard_queries += 1;
-                }
-                if p.split.is_empty() {
-                    // Zero-work: ship the arrival itself to shard 0.
-                    workers[0].append_fragments(vec![Fragment {
-                        query_index: p.index,
-                        query: query_id,
-                        arrival: p.arrival,
-                        release: at,
-                        class: p.class,
-                        items: Vec::new(),
-                        assignments: 0,
-                    }]);
-                } else {
-                    for (s, items) in p.split {
-                        let assignments = items.iter().map(|i| i.len() as u64).sum();
-                        workers[s].append_fragments(vec![Fragment {
-                            query_index: p.index,
-                            query: query_id,
-                            arrival: p.arrival,
-                            release: at,
-                            class: p.class,
-                            items,
-                            assignments,
-                        }]);
-                    }
-                }
-            });
-
-            // Step the earliest shard event due by `now` (ties by shard id).
-            let mut earliest: Option<(SimTime, usize)> = None;
-            for (i, w) in workers.iter().enumerate() {
-                if let Some(wt) = w.next_time() {
-                    // Strict `<` keeps the lowest shard index on time ties.
-                    if earliest.map_or(true, |(bt, _)| wt < bt) {
-                        earliest = Some((wt, i));
-                    }
-                }
-            }
-            if let Some((wt, i)) = earliest {
-                if wt <= now {
-                    let advanced = workers[i].step();
-                    debug_assert!(advanced, "a shard with a next event must advance");
-                }
-            }
-        }
-
-        let shard_runs: Vec<ShardRun> = workers.into_iter().map(ShardWorker::into_run).collect();
-        let log = door.into_log();
-        let (global, front_door) =
-            aggregate(trace, &assignments_of, &shard_runs, Some(&log), None, None);
-        let telemetry = self.build_telemetry(trace, &shard_runs, None, Some(&log), None, None);
-        let report = RuntimeReport {
-            global,
-            shards: shard_runs,
-            cross_shard_queries,
-            total_fragments,
-            rebalance: None,
+            shards,
+            cross_shard_queries: plan.cross_shard_queries,
+            total_fragments: plan.total_fragments,
+            rebalance: plan.rebalance,
             front_door,
-            failover: None,
-            transport: None,
-            telemetry,
-        };
-        (log, report)
-    }
-
-    /// The front-door parallel executor: routes the admitted subset of the
-    /// trace up-front per the recorded log ([`route_admitted`] — fragments
-    /// in admission order, released at their logged admission times) and
-    /// runs the shards completely free-running. No barriers: the front door
-    /// only ever *delays or drops* deliveries, so once the decisions are
-    /// fixed, each shard's stream is fixed, and shard behaviour is a pure
-    /// function of its stream.
-    fn replay_front_door(
-        &self,
-        trace: &TimedTrace,
-        mk_scheduler: &mut dyn FnMut(usize) -> Box<dyn Scheduler + Send>,
-        log: AdmissionLog,
-    ) -> RuntimeReport {
-        let routing = route_admitted(self.catalog.partition(), &self.map, trace, &log);
-        let total_fragments = routing.total_fragments();
-        let assignments_of = routing.assignments_of;
-        let cross_shard_queries = routing.cross_shard_queries;
-
-        let workers: Vec<ShardWorker<'_, C>> = routing
-            .shards
-            .into_iter()
-            .enumerate()
-            .map(|(i, fragments)| {
-                ShardWorker::new(
-                    ShardId(i as u32),
-                    self.catalog,
-                    self.config.sim,
-                    self.config.admission,
-                    self.config.faults.for_shard(i as u32),
-                    self.config.faults.outages_for_shard(i as u32),
-                    trace.entries(),
-                    fragments,
-                    mk_scheduler(i),
-                    self.config.telemetry.make_sink(),
-                )
-            })
-            .collect();
-
-        let shard_runs = run_threaded(workers);
-        let (global, front_door) =
-            aggregate(trace, &assignments_of, &shard_runs, Some(&log), None, None);
-        let telemetry = self.build_telemetry(trace, &shard_runs, None, Some(&log), None, None);
-        RuntimeReport {
-            global,
-            shards: shard_runs,
-            cross_shard_queries,
-            total_fragments,
-            rebalance: None,
-            front_door,
-            failover: None,
-            transport: None,
-            telemetry,
-        }
-    }
-
-    /// The failover reference pass: a stepped virtual-time merge with the
-    /// crash controller in the loop — taken whenever outage windows are
-    /// injected or failover is enabled. Returns the failover decision log
-    /// and the epoch log (when rebalancing also runs) alongside the
-    /// finished report.
-    ///
-    /// Four controller event sources interleave with worker events in
-    /// virtual-time order; at equal instants the priority is fault boundary
-    /// → epoch boundary → arrival → re-delivery, and a worker only steps
-    /// while its next event is *strictly* earlier than every controller
-    /// event (worker ties break on the lowest shard id):
-    ///
-    /// - **fault boundaries** record a [`ShardTransition`]; a down edge
-    ///   with failover enabled evacuates every non-empty bucket off the
-    ///   dead shard to the least-loaded survivor (working loads update as
-    ///   buckets are placed; costs charge to the destinations) and updates
-    ///   the elastic map, while an up edge re-admits the — now empty and
-    ///   cold — shard to the pool.
-    /// - **epoch boundaries** (rebalancing enabled) run the elastic
-    ///   planner with dead shards masked out of [`plan_moves`].
-    /// - **arrivals** split under the live map; a fragment released into a
-    ///   dead shard is lost in flight and queues its first re-delivery
-    ///   attempt at `arrival + redelivery_timeout`.
-    /// - **re-deliveries** land the whole lost fragment on the least-loaded
-    ///   live shard, or — when nothing is up — fail and back off
-    ///   exponentially until `max_redeliveries` attempts reject the query
-    ///   (a terminal outcome: every query still ends exactly once).
-    fn plan_failover(
-        &self,
-        trace: &TimedTrace,
-        mk_scheduler: &mut dyn FnMut(usize) -> Box<dyn Scheduler + Send>,
-    ) -> (FailoverLog, Option<RebalanceLog>, RuntimeReport) {
-        let fo = self.config.failover;
-        let retry = fo.retry_policy();
-        let rb = self.config.rebalance;
-        let entries = trace.entries();
-        let pre = QueryPreProcessor::new(self.catalog.partition());
-        let n = self.config.n_shards as usize;
-
-        let mut workers: Vec<ShardWorker<'_, C>> = (0..n)
-            .map(|i| {
-                ShardWorker::new(
-                    ShardId(i as u32),
-                    self.catalog,
-                    self.config.sim,
-                    self.config.admission,
-                    self.config.faults.for_shard(i as u32),
-                    self.config.faults.outages_for_shard(i as u32),
-                    entries,
-                    Vec::new(),
-                    mk_scheduler(i),
-                    self.config.telemetry.make_sink(),
-                )
-            })
-            .collect();
-
-        // Outage edges in processing order: time, downs before ups, shard.
-        let mut boundaries: Vec<(SimTime, bool, u32)> = Vec::new();
-        for o in &self.config.faults.outages {
-            boundaries.push((o.down_at, false, o.shard));
-            boundaries.push((o.up_at, true, o.shard));
-        }
-        boundaries.sort_unstable();
-
-        let mut elastic = ElasticShardMap::new(self.map);
-        let mut up = vec![true; n];
-        let mut assignments_of = vec![0u64; entries.len()];
-        let mut cross_shard_queries = 0usize;
-        let mut total_fragments = 0usize;
-        let mut split: Vec<Vec<WorkItem>> = vec![Vec::new(); n];
-        let mut window: Vec<Vec<Fragment>> = vec![Vec::new(); n];
-        let mut lost_scratch: Vec<(u32, Fragment)> = Vec::new();
-
-        // One retry chain per lost fragment, keyed by creation seq — the
-        // heap orders pending attempts by `(instant, seq)`.
-        struct Chain {
-            query_index: usize,
-            from: u32,
-            attempt: u32,
-            fragment: Fragment,
-        }
-        let mut chains: HashMap<u64, Chain> = HashMap::new();
-        let mut retries: BinaryHeap<Reverse<(SimTime, u64)>> = BinaryHeap::new();
-        let mut next_seq = 0u64;
-        let mut rejected_q = vec![false; entries.len()];
-
-        let mut transitions: Vec<ShardTransition> = Vec::new();
-        let mut evacuations: Vec<Evacuation> = Vec::new();
-        let mut redeliveries: Vec<Redelivery> = Vec::new();
-        let mut records: Vec<EpochRecord> = Vec::new();
-
-        let mut bi = 0usize; // next outage edge
-        let mut cursor = 0usize; // next unrouted trace entry
-        let mut fired = 0u32; // epoch boundaries fired
-
-        loop {
-            let tb = boundaries.get(bi).map(|b| b.0);
-            let te = rb
-                .enabled
-                .then(|| SimTime::ZERO + rb.epoch.times(fired as u64 + 1));
-            let ta = entries.get(cursor).map(|e| e.0);
-            let tr = retries.peek().map(|Reverse((t, _))| *t);
-            let mut tw: Option<(SimTime, usize)> = None;
-            for (i, w) in workers.iter().enumerate() {
-                if let Some(wt) = w.next_time() {
-                    // Strict `<` keeps the lowest shard index on time ties.
-                    if tw.map_or(true, |(bt, _)| wt < bt) {
-                        tw = Some((wt, i));
-                    }
-                }
-            }
-            // Termination mirrors `plan_elastic`: the epoch clock alone
-            // (`te` ticks forever) never keeps the loop alive.
-            if tb.is_none() && ta.is_none() && tr.is_none() && tw.is_none() {
-                break;
-            }
-            let next_ctl = [tb, te, ta, tr].into_iter().flatten().min();
-            if let Some((wt, i)) = tw {
-                if next_ctl.map_or(true, |t| wt < t) {
-                    let advanced = workers[i].step();
-                    debug_assert!(advanced, "a shard with a next event must advance");
-                    continue;
-                }
-            }
-            let t = next_ctl.expect("a controller event must exist");
-
-            if tb == Some(t) {
-                let (bt, edge_up, shard) = boundaries[bi];
-                bi += 1;
-                let s = shard as usize;
-                transitions.push(ShardTransition {
-                    shard,
-                    at: bt,
-                    up: edge_up,
-                    queued: workers[s].queued(),
-                });
-                up[s] = edge_up;
-                if !edge_up && fo.enabled && up.iter().any(|&u| u) {
-                    // Evacuate the dead shard: every non-empty bucket, in
-                    // bucket order, to the least-loaded survivor (working
-                    // loads update as buckets land; ties → lower shard id).
-                    // The extract/absorb instant never predates the dead
-                    // shard's final atomic batch.
-                    let ev_at = workers[s].now().max(bt);
-                    let mut working: Vec<u64> = workers.iter().map(ShardWorker::queued).collect();
-                    let mut staged: Vec<(usize, MigratedBucket)> = Vec::new();
-                    for (bucket, depth) in workers[s].bucket_depths() {
-                        let dest = (0..n)
-                            .filter(|&j| up[j])
-                            .min_by_key(|&j| (working[j], j))
-                            .expect("a live survivor exists");
-                        working[dest] += depth;
-                        let p = workers[s].extract_bucket(bucket, ev_at, true);
-                        debug_assert_eq!(p.len() as u64, depth, "depth sample drifted");
-                        evacuations.push(Evacuation {
-                            boundary: bt,
-                            at: ev_at,
-                            bucket,
-                            from: shard,
-                            to: dest as u32,
-                            entries: p.len() as u64,
-                            was_resident: p.was_resident,
-                        });
-                        elastic.reassign(bucket, ShardId(dest as u32));
-                        staged.push((dest, p));
-                    }
-                    // Absorb per destination in bucket order — the canonical
-                    // order the threaded replay reproduces.
-                    staged.sort_by_key(|(to, p)| (*to, p.bucket));
-                    for (to, p) in staged {
-                        let cost =
-                            fo.evacuation_fixed + fo.evacuation_per_entry.times(p.len() as u64);
-                        workers[to].absorb_payload(p, ev_at, cost, fo.warm_residency);
-                    }
-                }
-                continue;
-            }
-
-            if te == Some(t) {
-                // Epoch boundary, exactly `plan_elastic` with dead shards
-                // masked out of the planner.
-                fired += 1;
-                let loads: Vec<u64> = workers.iter().map(ShardWorker::queued).collect();
-                let depths: Vec<Vec<_>> = workers.iter().map(ShardWorker::bucket_depths).collect();
-                let moves = plan_moves(&rb, &loads, &depths, &up);
-                let mut payloads: Vec<(usize, MigratedBucket)> = moves
-                    .iter()
-                    .map(|m| {
-                        let p =
-                            workers[m.from.index()].extract_bucket(m.bucket, t, rb.warm_residency);
-                        debug_assert_eq!(p.len() as u64, m.entries, "plan drifted from state");
-                        (m.to.index(), p)
-                    })
-                    .collect();
-                payloads.sort_by_key(|(to, p)| (*to, p.bucket));
-                for (to, p) in payloads {
-                    let cost = rb.migration_fixed + rb.migration_per_entry.times(p.len() as u64);
-                    workers[to].absorb_payload(p, t, cost, rb.warm_residency);
-                }
-                records.push(EpochRecord {
-                    epoch: fired,
-                    at: t,
-                    loads,
-                    serviced: workers.iter().map(ShardWorker::serviced).collect(),
-                    resident: workers.iter().map(|w| w.resident() as u32).collect(),
-                    moves: moves.clone(),
-                });
-                for m in &moves {
-                    elastic.reassign(m.bucket, m.to);
-                }
-                continue;
-            }
-
-            if ta == Some(t) {
-                let (arrival, query) = &entries[cursor];
-                let (delivered, fragments, assignments) = split_failover_arrival(
-                    &pre,
-                    cursor,
-                    *arrival,
-                    query,
-                    fo.enabled,
-                    &up,
-                    &elastic,
-                    &mut split,
-                    &mut window,
-                    &mut lost_scratch,
-                );
-                if fragments > 1 {
-                    cross_shard_queries += 1;
-                }
-                assignments_of[cursor] = assignments;
-                total_fragments += delivered as usize;
-                for (from, f) in lost_scratch.drain(..) {
-                    let seq = next_seq;
-                    next_seq += 1;
-                    chains.insert(
-                        seq,
-                        Chain {
-                            query_index: cursor,
-                            from,
-                            attempt: 0,
-                            fragment: f,
-                        },
-                    );
-                    retries.push(Reverse((retry.deadline_after(*arrival, 0), seq)));
-                }
-                for (w, frags) in workers.iter_mut().zip(window.iter_mut()) {
-                    if !frags.is_empty() {
-                        w.append_fragments(std::mem::take(frags));
-                    }
-                }
-                cursor += 1;
-                continue;
-            }
-
-            // Re-delivery attempt.
-            let Reverse((at, seq)) = retries.pop().expect("a retry event must exist");
-            debug_assert_eq!(at, t);
-            if rejected_q[chains[&seq].query_index] {
-                // A sibling chain already rejected this query terminally —
-                // the pending attempt is moot and goes unlogged.
-                chains.remove(&seq);
-                continue;
-            }
-            let chain = chains.get_mut(&seq).expect("a chain outlives its retries");
-            chain.attempt += 1;
-            let (query_index, attempt) = (chain.query_index, chain.attempt);
-            let dest = (0..n)
-                .filter(|&j| up[j])
-                .min_by_key(|&j| (workers[j].queued(), j));
-            redeliveries.push(Redelivery {
-                at,
-                seq,
-                query_index,
-                from: chain.from,
-                attempt,
-                to: dest.map(|d| d as u32),
-            });
-            match dest {
-                Some(d) => {
-                    // Landed: re-release the whole fragment on the survivor.
-                    let c = chains.remove(&seq).expect("chain present");
-                    total_fragments += 1;
-                    workers[d].append_fragments(vec![Fragment {
-                        release: at,
-                        ..c.fragment
-                    }]);
-                }
-                None if attempt >= fo.max_redeliveries => {
-                    // Out of attempts with nothing up: terminal rejection.
-                    rejected_q[query_index] = true;
-                    chains.remove(&seq);
-                }
-                None => {
-                    // Nothing up: exponential backoff, then try again.
-                    retries.push(Reverse((retry.deadline_after(at, attempt), seq)));
-                }
-            }
-        }
-
-        let fo_log = FailoverLog {
-            transitions,
-            evacuations,
-            redeliveries,
-        };
-        let arrivals: Vec<SimTime> = entries.iter().map(|(t, _)| *t).collect();
-        let rejected = fo_log.rejected_queries(fo.max_redeliveries, &arrivals, &assignments_of);
-        debug_assert_eq!(
-            rejected.len(),
-            rejected_q.iter().filter(|&&r| r).count(),
-            "log-derived rejections must match the planner's"
-        );
-        let mut fo_rejected = vec![false; entries.len()];
-        for r in &rejected {
-            fo_rejected[r.index] = true;
-        }
-        let recovery_lag = recovery_lag_probe(&fo_log, |d, t| workers[d].next_completion_after(t));
-
-        let shard_runs: Vec<ShardRun> = workers.into_iter().map(ShardWorker::into_run).collect();
-        let rb_log = rb.enabled.then_some(RebalanceLog {
-            epoch: rb.epoch,
-            records,
-        });
-        let (global, _) = aggregate(
-            trace,
-            &assignments_of,
-            &shard_runs,
-            None,
-            Some(&fo_rejected),
-            None,
-        );
-        let failover = build_failover_report(
-            &fo_log,
-            trace,
-            &assignments_of,
-            rejected,
-            &global,
-            recovery_lag,
-        );
-        let telemetry = self.build_telemetry(
-            trace,
-            &shard_runs,
-            rb_log.as_ref(),
-            None,
-            Some(&fo_log),
-            None,
-        );
-        let report = RuntimeReport {
-            global,
-            shards: shard_runs,
-            cross_shard_queries,
-            total_fragments,
-            rebalance: rb_log.clone(),
-            front_door: None,
-            failover: Some(failover),
-            transport: None,
-            telemetry,
-        };
-        (fo_log, rb_log, report)
-    }
-
-    /// The failover parallel executor: routes the whole trace up-front
-    /// under the recorded logs ([`route_failover`]) and replays the plan
-    /// verbatim — one thread per shard, with a double-barrier handshake per
-    /// *sync round*. A sync round is a down boundary that evacuated buckets
-    /// or a move-bearing epoch record, merged in the planner's processing
-    /// order (downs before epochs at equal instants): step to the boundary,
-    /// barrier, send outgoing payloads, barrier, absorb incoming ones in
-    /// bucket order. Up edges, loss, and re-delivery need no coordination —
-    /// they are already baked into the routed fragment streams.
-    fn replay_failover(
-        &self,
-        trace: &TimedTrace,
-        mk_scheduler: &mut dyn FnMut(usize) -> Box<dyn Scheduler + Send>,
-        fo_log: FailoverLog,
-        rb_log: Option<RebalanceLog>,
-    ) -> RuntimeReport {
-        let fo = self.config.failover;
-        let rb = self.config.rebalance;
-        let routing = route_failover(
-            self.catalog.partition(),
-            &self.map,
-            fo.enabled,
-            &fo_log,
-            rb_log.as_ref(),
-            trace,
-        );
-        let total_fragments = routing.total_fragments();
-        let assignments_of = routing.assignments_of;
-        let cross_shard_queries = routing.cross_shard_queries;
-        let n = self.config.n_shards as usize;
-
-        let workers: Vec<ShardWorker<'_, C>> = routing
-            .shards
-            .into_iter()
-            .enumerate()
-            .map(|(i, fragments)| {
-                ShardWorker::new(
-                    ShardId(i as u32),
-                    self.catalog,
-                    self.config.sim,
-                    self.config.admission,
-                    self.config.faults.for_shard(i as u32),
-                    self.config.faults.outages_for_shard(i as u32),
-                    trace.entries(),
-                    fragments,
-                    mk_scheduler(i),
-                    self.config.telemetry.make_sink(),
-                )
-            })
-            .collect();
-
-        // Sync rounds in planner order. Two down edges at one instant stay
-        // *sequential* rounds (in transition order) — a bucket evacuated
-        // onto a shard that dies at the same instant moves again in the
-        // second round, exactly as the planner decided.
-        enum Round<'l> {
-            Evac {
-                boundary: SimTime,
-                evacs: Vec<&'l Evacuation>,
-            },
-            Epoch(&'l EpochRecord),
-        }
-        let down_rounds: Vec<(SimTime, Vec<&Evacuation>)> = fo_log
-            .transitions
-            .iter()
-            .filter(|tr| !tr.up)
-            .map(|tr| {
-                let evacs: Vec<&Evacuation> = fo_log
-                    .evacuations
-                    .iter()
-                    .filter(|e| e.boundary == tr.at && e.from == tr.shard)
-                    .collect();
-                (tr.at, evacs)
-            })
-            .filter(|(_, evacs)| !evacs.is_empty())
-            .collect();
-        let epoch_rounds: Vec<&EpochRecord> = rb_log.as_ref().map_or(Vec::new(), |l| {
-            l.records.iter().filter(|r| !r.moves.is_empty()).collect()
-        });
-        let mut rounds: Vec<Round<'_>> = Vec::new();
-        {
-            let mut di = down_rounds.into_iter().peekable();
-            let mut ei = epoch_rounds.into_iter().peekable();
-            loop {
-                let take_down = match (di.peek(), ei.peek()) {
-                    (Some(d), Some(e)) => d.0 <= e.at,
-                    (Some(_), None) => true,
-                    (None, Some(_)) => false,
-                    (None, None) => break,
-                };
-                if take_down {
-                    let (boundary, evacs) = di.next().expect("peeked");
-                    rounds.push(Round::Evac { boundary, evacs });
-                } else {
-                    rounds.push(Round::Epoch(ei.next().expect("peeked")));
-                }
-            }
-        }
-
-        let last_ev: Option<SimTime> = fo_log.evacuations.iter().map(|e| e.at).max();
-        let barrier = Barrier::new(n);
-        type Payload<'q> = (SimTime, SimDuration, bool, MigratedBucket<'q>);
-        let mut senders: Vec<mpsc::Sender<Payload>> = Vec::with_capacity(n);
-        let mut receivers: Vec<mpsc::Receiver<Payload>> = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = mpsc::channel();
-            senders.push(tx);
-            receivers.push(rx);
-        }
-        let (tx_done, rx_done) = mpsc::channel::<(usize, (ShardRun, Option<SimTime>))>();
-        std::thread::scope(|scope| {
-            for ((i, mut worker), rx) in workers.into_iter().enumerate().zip(receivers) {
-                let tx_done = tx_done.clone();
-                let senders = senders.clone();
-                let barrier = &barrier;
-                let rounds = &rounds;
-                scope.spawn(move || {
-                    for round in rounds {
-                        let t = match round {
-                            Round::Evac { boundary, .. } => *boundary,
-                            Round::Epoch(rec) => rec.at,
-                        };
-                        while worker.next_time().is_some_and(|wt| wt < t) {
-                            worker.step();
-                        }
-                        barrier.wait();
-                        match round {
-                            Round::Evac { evacs, .. } => {
-                                for e in evacs {
-                                    if e.from as usize != i {
-                                        continue;
-                                    }
-                                    let p = worker.extract_bucket(e.bucket, e.at, true);
-                                    assert_eq!(
-                                        p.len() as u64,
-                                        e.entries,
-                                        "replay diverged from plan"
-                                    );
-                                    let cost = fo.evacuation_fixed
-                                        + fo.evacuation_per_entry.times(p.len() as u64);
-                                    senders[e.to as usize]
-                                        .send((e.at, cost, fo.warm_residency, p))
-                                        .expect("peer outlives the handshake");
-                                }
-                            }
-                            Round::Epoch(rec) => {
-                                for m in &rec.moves {
-                                    if m.from.index() != i {
-                                        continue;
-                                    }
-                                    let p = worker.extract_bucket(m.bucket, t, rb.warm_residency);
-                                    assert_eq!(
-                                        p.len() as u64,
-                                        m.entries,
-                                        "replay diverged from plan"
-                                    );
-                                    let cost = rb.migration_fixed
-                                        + rb.migration_per_entry.times(p.len() as u64);
-                                    senders[m.to.index()]
-                                        .send((t, cost, rb.warm_residency, p))
-                                        .expect("peer outlives the handshake");
-                                }
-                            }
-                        }
-                        barrier.wait();
-                        let mut incoming: Vec<Payload> = rx.try_iter().collect();
-                        incoming.sort_by_key(|(_, _, _, p)| p.bucket);
-                        for (at, cost, warm, p) in incoming {
-                            worker.absorb_payload(p, at, cost, warm);
-                        }
-                    }
-                    while worker.step() {}
-                    let probe = last_ev.and_then(|t| worker.next_completion_after(t));
-                    tx_done
-                        .send((i, (worker.into_run(), probe)))
-                        .expect("the driver outlives its workers");
-                });
-            }
-        });
-        drop(tx_done);
-        let finished: Vec<(ShardRun, Option<SimTime>)> = crate::sweep::collect_indexed(rx_done, n);
-        let probes: Vec<Option<SimTime>> = finished.iter().map(|(_, p)| *p).collect();
-        let shard_runs: Vec<ShardRun> = finished.into_iter().map(|(r, _)| r).collect();
-        let recovery_lag = recovery_lag_probe(&fo_log, |d, _| probes[d]);
-
-        let entries = trace.entries();
-        let arrivals: Vec<SimTime> = entries.iter().map(|(t, _)| *t).collect();
-        let rejected = fo_log.rejected_queries(fo.max_redeliveries, &arrivals, &assignments_of);
-        let mut fo_rejected = vec![false; entries.len()];
-        for r in &rejected {
-            fo_rejected[r.index] = true;
-        }
-        let (global, _) = aggregate(
-            trace,
-            &assignments_of,
-            &shard_runs,
-            None,
-            Some(&fo_rejected),
-            None,
-        );
-        let failover = build_failover_report(
-            &fo_log,
-            trace,
-            &assignments_of,
-            rejected,
-            &global,
-            recovery_lag,
-        );
-        let telemetry = self.build_telemetry(
-            trace,
-            &shard_runs,
-            rb_log.as_ref(),
-            None,
-            Some(&fo_log),
-            None,
-        );
-        RuntimeReport {
-            global,
-            shards: shard_runs,
-            cross_shard_queries,
-            total_fragments,
-            rebalance: rb_log,
-            front_door: None,
-            failover: Some(failover),
-            transport: None,
+            failover,
+            transport,
             telemetry,
         }
     }
@@ -1555,16 +465,13 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
     /// at), and streams interleave by `(clock, shard, seq)`. Controller
     /// events ride the [`ROUTER_SHARD`] pseudo-shard, which sorts after
     /// every real shard. Because each shard's stream is a pure function of
-    /// its own fragment sequence and the logs replay verbatim, stepped and
-    /// threaded executions produce byte-identical merged streams.
+    /// its own fragment sequence and the logs come from the one planning pass,
+    /// stepped and threaded executions produce byte-identical merged streams.
     fn build_telemetry(
         &self,
-        trace: &TimedTrace,
+        entries: &[(SimTime, CrossMatchQuery)],
         shard_runs: &[ShardRun],
-        rebalance: Option<&RebalanceLog>,
-        admission: Option<&AdmissionLog>,
-        failover: Option<&FailoverLog>,
-        transport: Option<&TransportLog>,
+        plan: &Plan,
     ) -> Option<TelemetryReport> {
         if !self.config.telemetry.enabled() {
             return None;
@@ -1585,7 +492,7 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
             seq: 0, // densified below, after the time sort
             kind,
         };
-        if let Some(log) = rebalance {
+        if let Some(log) = &plan.rebalance {
             let rb = &self.config.rebalance;
             for rec in &log.records {
                 for m in &rec.moves {
@@ -1618,8 +525,7 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
                 }
             }
         }
-        if let Some(log) = admission {
-            let entries = trace.entries();
+        if let Some(log) = &plan.admission {
             for (i, v) in log.verdicts.iter().enumerate() {
                 let arrival = entries[i].0;
                 match v.decision {
@@ -1659,7 +565,7 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
                 ));
             }
         }
-        if let Some(log) = failover {
+        if let Some(log) = &plan.failover {
             for t in &log.transitions {
                 router.push(stamp(
                     t.at,
@@ -1699,7 +605,7 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
                 ));
             }
         }
-        if let Some(log) = transport {
+        if let Some(log) = plan.transport.as_ref().map(|d| &d.log) {
             for d in &log.drops {
                 router.push(stamp(
                     d.at,
@@ -1761,45 +667,628 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
     }
 }
 
-/// The reference executor: a deterministic virtual-time merge. Repeatedly
-/// advance the shard with the earliest next event (ties broken by shard id)
-/// by exactly one event until every shard has drained.
-fn run_stepped<C: Catalog + ?Sized>(mut workers: Vec<ShardWorker<'_, C>>) -> Vec<ShardRun> {
-    loop {
-        let mut earliest: Option<(SimTime, usize)> = None;
-        for (i, w) in workers.iter().enumerate() {
-            if let Some(t) = w.next_time() {
-                // Strict `<` keeps the lowest shard index on time ties.
-                if earliest.map_or(true, |(bt, _)| t < bt) {
-                    earliest = Some((t, i));
-                }
-            }
-        }
-        let Some((_, i)) = earliest else { break };
-        let advanced = workers[i].step();
-        debug_assert!(advanced, "a shard with a next event must advance");
-    }
-    workers.into_iter().map(ShardWorker::into_run).collect()
+/// What planning hands to execution and to `finish`: the counters routing
+/// produced, the rounds a pool executor must replay, and the decision log
+/// of every controller that ran.
+#[derive(Default)]
+struct Plan {
+    /// Per trace index: routed (object × bucket) assignments.
+    assignments_of: Vec<u64>,
+    cross_shard_queries: usize,
+    total_fragments: usize,
+    /// Bucket hand-overs in planning order (downs before epochs at equal
+    /// instants; two shards crashing at one instant stay *sequential*
+    /// rounds — a bucket evacuated onto a shard that dies at the same
+    /// instant moves again in the second round).
+    rounds: Vec<Round>,
+    rebalance: Option<RebalanceLog>,
+    admission: Option<AdmissionLog>,
+    failover: Option<FailoverLog>,
+    transport: Option<DeliveryPlan>,
 }
 
-/// The parallel executor: one OS thread per shard, fragment streams fixed
-/// up-front, finished runs returned over an `mpsc` channel and re-ordered
-/// by shard id.
-fn run_threaded<C: Catalog + Sync + ?Sized>(workers: Vec<ShardWorker<'_, C>>) -> Vec<ShardRun> {
-    let n = workers.len();
-    let (tx, rx) = mpsc::channel::<(usize, ShardRun)>();
+/// Controller event sources, in firing order at equal instants: a fault
+/// boundary changes the pool before an epoch samples it, both change the map
+/// before an arrival routes under it, and a re-delivery lands after the
+/// arrivals of its instant. (`Door` stands in for `Arrival` when the front
+/// door is on; validation keeps it from meeting the others today.)
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Source {
+    Outage,
+    Epoch,
+    Arrival,
+    Redelivery,
+    Door,
+}
+
+/// The handlers of one stepped pass and the routing state they share. Each
+/// handler owns its state and appends to its own decision log; `plan`
+/// collects what they produce together.
+struct Controllers<'a> {
+    /// The live bucket → shard map: epochs and evacuations reassign buckets,
+    /// arrivals route under it.
+    map: ElasticShardMap,
+    /// Which shards are in the pool: outage edges flip it, the epoch planner
+    /// and re-delivery skip dead shards, fragments released into one are
+    /// lost.
+    up: Vec<bool>,
+    /// Incremental arrival routing (`None`: the streams were routed up
+    /// front).
+    arrivals: Option<Arrivals<'a>>,
+    epochs: Option<Epochs>,
+    outages: Option<Outages>,
+    door: Option<FrontDoor>,
+    plan: Plan,
+}
+
+impl Controllers<'_> {
+    /// The next controller event. `idle` says no worker has a pending event.
+    fn next_event<C: Catalog + ?Sized>(
+        &self,
+        workers: &[ShardWorker<'_, C>],
+        idle: bool,
+    ) -> Option<(SimTime, Source)> {
+        let arrival = self.arrivals.as_ref().and_then(Arrivals::next);
+        let outages = self.outages.as_ref();
+        let stamp = |t: Option<SimTime>, source: Source| t.map(|t| (t, source));
+        let alive = match &self.door {
+            // The door takes the arrivals itself, and adds two sources.
+            Some(door) => {
+                // A worker's clock runs ahead of global time by whole batch
+                // costs; each recorded batch *end* in that gap is a
+                // "capacity frees here" event the door must observe at its
+                // own instant (and never earlier — see
+                // `ShardWorker::serviced_at`).
+                let tick = workers
+                    .iter()
+                    .filter_map(|w| w.next_completion_after(door.now()))
+                    .min();
+                let due = [arrival, door.next_wakeup(), tick]
+                    .into_iter()
+                    .flatten()
+                    .min();
+                // Liveness: no event anywhere yet waiters remain. With no
+                // shard event pending every admitted assignment has been
+                // serviced, so the pool is empty and pumping "now" admits
+                // the head-of-line waiter unconditionally — the loop can
+                // never stall with work outstanding.
+                let stalled = (idle && door.has_active()).then(|| door.now());
+                stamp(due.or(stalled), Source::Door)
+            }
+            None => stamp(arrival, Source::Arrival),
+        };
+        let alive = [
+            alive,
+            stamp(outages.and_then(Outages::next_edge), Source::Outage),
+            stamp(outages.and_then(Outages::next_retry), Source::Redelivery),
+        ]
+        .into_iter()
+        .flatten()
+        .min();
+        // The epoch clock ticks forever: it counts only while something else
+        // is alive, so it never keeps the loop running on its own.
+        let epoch = self
+            .epochs
+            .as_ref()
+            .filter(|_| alive.is_some() || !idle)
+            .map(|e| (e.next(), Source::Epoch));
+        [alive, epoch].into_iter().flatten().min()
+    }
+
+    /// Fires the event `next_event` announced.
+    fn fire<C: Catalog + ?Sized>(
+        &mut self,
+        workers: &mut [ShardWorker<'_, C>],
+        t: SimTime,
+        source: Source,
+    ) {
+        let plugged = "an event fires on a handler that announced it";
+        let round = match source {
+            Source::Outage => {
+                let outages = self.outages.as_mut().expect(plugged);
+                outages.edge(workers, &mut self.up, &mut self.map)
+            }
+            Source::Epoch => {
+                let epochs = self.epochs.as_mut().expect(plugged);
+                epochs.fire(t, workers, &self.up, &mut self.map)
+            }
+            Source::Redelivery => {
+                let outages = self.outages.as_mut().expect(plugged);
+                outages.redeliver(workers, &self.up, &mut self.plan.total_fragments);
+                None
+            }
+            Source::Arrival => {
+                self.route_arrival(workers);
+                None
+            }
+            Source::Door => {
+                self.door_pass(workers, t);
+                None
+            }
+        };
+        self.plan.rounds.extend(round);
+    }
+
+    /// Routes the next arrival under the live map and hands its fragments to
+    /// the workers — except what failover intercepts on the way into a dead
+    /// shard.
+    fn route_arrival<C: Catalog + ?Sized>(&mut self, workers: &mut [ShardWorker<'_, C>]) {
+        let a = self.arrivals.as_mut().expect("an arrival was announced");
+        let index = a.cursor;
+        let (fragments, assignments) = a.split_next(&self.map);
+        let mut delivered = fragments;
+        if let Some(outages) = self.outages.as_mut().filter(|o| o.cfg.enabled) {
+            delivered -= outages.intercept(a.entries[index].0, &self.up, &mut a.window);
+        }
+        if fragments > 1 {
+            self.plan.cross_shard_queries += 1;
+        }
+        self.plan.assignments_of[index] = assignments;
+        self.plan.total_fragments += delivered as usize;
+        for (w, frags) in workers.iter_mut().zip(a.window.iter_mut()) {
+            if !frags.is_empty() {
+                w.append_fragments(std::mem::take(frags));
+            }
+        }
+    }
+
+    /// One front-door pass at `t`: register every arrival due by now (trace
+    /// order, pre-split under the live map), then wake backoffs, admit,
+    /// shed, reject. Admitted queries hand their pre-split fragments to the
+    /// shards with `release = now`. Admission feedback is the per-shard
+    /// entries serviced by batches that completed by `now` — observable from
+    /// release times alone, which is why the streams the door produces
+    /// replay exactly.
+    fn door_pass<C: Catalog + ?Sized>(&mut self, workers: &mut [ShardWorker<'_, C>], t: SimTime) {
+        let (Some(a), Some(door)) = (self.arrivals.as_mut(), self.door.as_mut()) else {
+            return;
+        };
+        let plan = &mut self.plan;
+        let now = door.now().max(t);
+        while a.next().is_some_and(|arrival| arrival <= now) {
+            let index = a.cursor;
+            let (_, assignments) = a.split_next(&self.map);
+            // Shard order, as split; a workless query's bare marker carries
+            // no work to hold back.
+            let split: Vec<(usize, Vec<WorkItem>)> = a
+                .window
+                .iter_mut()
+                .enumerate()
+                .filter_map(|(s, w)| w.pop().map(|f| (s, f.items)))
+                .filter(|(_, items)| !items.is_empty())
+                .collect();
+            plan.assignments_of[index] = assignments;
+            let class = door.cfg.classify(assignments);
+            door.ingest(index, a.entries[index].0, class, assignments, split);
+        }
+        let serviced: Vec<u64> = workers.iter().map(|w| w.serviced_at(now)).collect();
+        door.pump(now, &serviced, |p, at| {
+            let head = Fragment {
+                release: at,
+                class: p.class,
+                ..Fragment::head(p.index, a.entries[p.index].1.id, p.arrival)
+            };
+            plan.total_fragments += p.split.len().max(1);
+            if p.split.len() > 1 {
+                plan.cross_shard_queries += 1;
+            }
+            if p.split.is_empty() {
+                // Zero-work: ship the arrival itself to shard 0.
+                workers[0].append_fragments(vec![head]);
+            } else {
+                for (s, items) in p.split {
+                    workers[s].append_fragments(vec![head.with_items(items)]);
+                }
+            }
+        });
+    }
+
+    /// Finishes the pass: every handler hands over its log.
+    fn into_plan(self) -> Plan {
+        Plan {
+            rebalance: self.epochs.map(|e| e.log),
+            admission: self.door.map(FrontDoor::into_log),
+            failover: self.outages.map(Outages::into_log),
+            ..self.plan
+        }
+    }
+}
+
+/// Applies one round to the stepped pool: every payload leaves its source
+/// first (sources are untouched by other transfers' absorptions), then each
+/// destination absorbs its own in bucket order — the canonical order the
+/// threaded executor reproduces. Returns, per transfer, whether the bucket
+/// was cache-resident at its source.
+fn transfer<C: Catalog + ?Sized>(workers: &mut [ShardWorker<'_, C>], round: &Round) -> Vec<bool> {
+    let mut inbox: Vec<Vec<MigratedBucket<'_>>> = workers.iter().map(|_| Vec::new()).collect();
+    let mut was_resident = Vec::with_capacity(round.transfers.len());
+    for m in &round.transfers {
+        let payload = workers[m.from.index()].extract_bucket(m.bucket, round);
+        debug_assert_eq!(payload.len() as u64, m.entries, "plan drifted from state");
+        was_resident.push(payload.was_resident);
+        inbox[m.to.index()].push(payload);
+    }
+    for (w, incoming) in workers.iter_mut().zip(inbox) {
+        w.absorb_round(round, incoming);
+    }
+    was_resident
+}
+
+/// The rebalance handler: at every epoch boundary it samples per-shard
+/// load, plans migrations ([`plan_moves`], dead shards masked out), applies
+/// them (costs charged to destination clocks), records the epoch, and
+/// updates the map the following arrivals route under.
+struct Epochs {
+    cfg: RebalanceConfig,
+    log: RebalanceLog,
+}
+
+impl Epochs {
+    /// The next boundary: every fired boundary leaves a record.
+    fn next(&self) -> SimTime {
+        SimTime::ZERO + self.cfg.epoch.times(self.log.records.len() as u64 + 1)
+    }
+
+    fn fire<C: Catalog + ?Sized>(
+        &mut self,
+        t: SimTime,
+        workers: &mut [ShardWorker<'_, C>],
+        up: &[bool],
+        map: &mut ElasticShardMap,
+    ) -> Option<Round> {
+        let loads: Vec<u64> = workers.iter().map(ShardWorker::queued).collect();
+        let depths: Vec<Vec<_>> = workers.iter().map(ShardWorker::bucket_depths).collect();
+        let round = Round {
+            boundary: t,
+            at: t,
+            evict_source: self.cfg.warm_residency,
+            warm: self.cfg.warm_residency,
+            fixed: self.cfg.migration_fixed,
+            per_entry: self.cfg.migration_per_entry,
+            transfers: plan_moves(&self.cfg, &loads, &depths, up),
+        };
+        transfer(workers, &round);
+        for m in &round.transfers {
+            map.reassign(m.bucket, m.to);
+        }
+        self.log.records.push(EpochRecord {
+            epoch: self.log.records.len() as u32 + 1,
+            at: t,
+            loads,
+            serviced: workers.iter().map(ShardWorker::serviced).collect(),
+            resident: workers.iter().map(|w| w.resident() as u32).collect(),
+            moves: round.transfers.clone(),
+        });
+        // Only a boundary that actually moved buckets synchronizes a
+        // threaded pool; a move-free one is behaviour-neutral.
+        (!round.transfers.is_empty()).then_some(round)
+    }
+}
+
+/// One retry chain per fragment lost to a dead shard.
+struct Chain {
+    from: u32,
+    attempt: u32,
+    fragment: Fragment,
+}
+
+/// The crash handler, plugged in whenever outage windows are injected or
+/// failover is enabled:
+///
+/// - an **outage edge** records a [`ShardTransition`]; a down edge with
+///   failover enabled evacuates every non-empty bucket off the dead shard
+///   and updates the live map, while an up edge re-admits the — now empty
+///   and cold — shard to the pool;
+/// - a fragment an arrival **lost** to a dead shard queues its first
+///   re-delivery attempt one detection timeout after the arrival;
+/// - a **re-delivery** lands the whole lost fragment on the least-loaded
+///   live shard, or — when nothing is up — fails and backs off
+///   exponentially until `max_redeliveries` attempts reject the query (a
+///   terminal outcome: every query still ends exactly once).
+struct Outages {
+    cfg: FailoverConfig,
+    retry: RetryPolicy,
+    /// Outage edges in processing order: time, downs before ups, shard.
+    edges: Vec<(SimTime, bool, u32)>,
+    edges_done: usize,
+    /// Live chains by creation seq — the heap orders pending attempts by
+    /// `(instant, seq)`.
+    chains: HashMap<u64, Chain>,
+    retries: BinaryHeap<Reverse<(SimTime, u64)>>,
+    next_seq: u64,
+    /// Per trace index: a chain of the query ran out of attempts.
+    rejected: Vec<bool>,
+    log: FailoverLog,
+}
+
+impl Outages {
+    fn new(cfg: FailoverConfig, outages: &[ShardOutage], n_queries: usize) -> Self {
+        let mut edges: Vec<(SimTime, bool, u32)> = Vec::new();
+        for o in outages {
+            edges.push((o.down_at, false, o.shard));
+            edges.push((o.up_at, true, o.shard));
+        }
+        edges.sort_unstable();
+        Outages {
+            cfg,
+            retry: cfg.retry_policy(),
+            edges,
+            edges_done: 0,
+            chains: HashMap::new(),
+            retries: BinaryHeap::new(),
+            next_seq: 0,
+            rejected: vec![false; n_queries],
+            log: FailoverLog::default(),
+        }
+    }
+
+    fn next_edge(&self) -> Option<SimTime> {
+        self.edges.get(self.edges_done).map(|e| e.0)
+    }
+
+    fn next_retry(&self) -> Option<SimTime> {
+        self.retries.peek().map(|Reverse((t, _))| *t)
+    }
+
+    /// Processes the next outage edge; a down edge that evacuated buckets
+    /// returns the round.
+    fn edge<C: Catalog + ?Sized>(
+        &mut self,
+        workers: &mut [ShardWorker<'_, C>],
+        up: &mut [bool],
+        map: &mut ElasticShardMap,
+    ) -> Option<Round> {
+        let (boundary, edge_up, shard) = self.edges[self.edges_done];
+        self.edges_done += 1;
+        let dead = shard as usize;
+        self.log.transitions.push(ShardTransition {
+            shard,
+            at: boundary,
+            up: edge_up,
+            queued: workers[dead].queued(),
+        });
+        up[dead] = edge_up;
+        if edge_up || !self.cfg.enabled || !up.iter().any(|&u| u) {
+            return None;
+        }
+        // Evacuate the dead shard: every non-empty bucket, in bucket order,
+        // to the least-loaded survivor (working loads update as buckets are
+        // placed; ties → lower shard id). The extract/absorb instant never
+        // predates the dead shard's final atomic batch.
+        let mut working: Vec<u64> = workers.iter().map(ShardWorker::queued).collect();
+        let transfers = workers[dead]
+            .bucket_depths()
+            .into_iter()
+            .map(|(bucket, entries)| {
+                let to = (0..up.len())
+                    .filter(|&j| up[j])
+                    .min_by_key(|&j| (working[j], j))
+                    .expect("a live survivor exists");
+                working[to] += entries;
+                Migration {
+                    bucket,
+                    from: ShardId(shard),
+                    to: ShardId(to as u32),
+                    entries,
+                }
+            })
+            .collect();
+        let round = Round {
+            boundary,
+            at: workers[dead].now().max(boundary),
+            evict_source: true,
+            warm: self.cfg.warm_residency,
+            fixed: self.cfg.evacuation_fixed,
+            per_entry: self.cfg.evacuation_per_entry,
+            transfers,
+        };
+        let was_resident = transfer(workers, &round);
+        for (m, was_resident) in round.transfers.iter().zip(was_resident) {
+            self.log.evacuations.push(Evacuation {
+                boundary,
+                at: round.at,
+                bucket: m.bucket,
+                from: shard,
+                to: m.to.0,
+                entries: m.entries,
+                was_resident,
+            });
+            map.reassign(m.bucket, m.to);
+        }
+        (!round.transfers.is_empty()).then_some(round)
+    }
+
+    /// Intercepts what an arrival's split released into **down** shards —
+    /// one arrival appends at most one fragment per shard, so that is each
+    /// dead shard's window tail. A work-bearing fragment is lost in flight
+    /// and queues its first re-delivery one detection timeout after
+    /// `arrival`. A zero-work marker has nothing to lose, but its arrival
+    /// notification should reach a live scheduler: it retargets from a dead
+    /// shard 0 to the lowest-id live shard (with no shard up at all it rides
+    /// out the outage where it is — it completes at its arrival either
+    /// way). Returns how many fragments were lost.
+    fn intercept(&mut self, arrival: SimTime, up: &[bool], window: &mut [Vec<Fragment>]) -> u32 {
+        let mut lost = 0;
+        for dead in (0..up.len()).filter(|&s| !up[s]) {
+            let Some(fragment) = window[dead].pop() else {
+                continue;
+            };
+            if fragment.items.is_empty() {
+                debug_assert_eq!(dead, 0, "empty fragments route to shard 0");
+                window[up.iter().position(|&u| u).unwrap_or(dead)].push(fragment);
+                continue;
+            }
+            lost += 1;
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.retries
+                .push(Reverse((self.retry.deadline_after(arrival, 0), seq)));
+            let chain = Chain {
+                from: dead as u32,
+                attempt: 0,
+                fragment,
+            };
+            self.chains.insert(seq, chain);
+        }
+        lost
+    }
+
+    /// Runs the earliest pending re-delivery attempt.
+    fn redeliver<C: Catalog + ?Sized>(
+        &mut self,
+        workers: &mut [ShardWorker<'_, C>],
+        up: &[bool],
+        total_fragments: &mut usize,
+    ) {
+        let Reverse((at, seq)) = self.retries.pop().expect("a retry event must exist");
+        if self.rejected[self.chains[&seq].fragment.query_index] {
+            // A sibling chain already rejected this query terminally — the
+            // pending attempt is moot and goes unlogged.
+            self.chains.remove(&seq);
+            return;
+        }
+        let chain = self
+            .chains
+            .get_mut(&seq)
+            .expect("a chain outlives its retries");
+        chain.attempt += 1;
+        let (query_index, attempt) = (chain.fragment.query_index, chain.attempt);
+        let dest = (0..up.len())
+            .filter(|&j| up[j])
+            .min_by_key(|&j| (workers[j].queued(), j));
+        self.log.redeliveries.push(Redelivery {
+            at,
+            seq,
+            query_index,
+            from: chain.from,
+            attempt,
+            to: dest.map(|d| d as u32),
+        });
+        match dest {
+            Some(d) => {
+                // Landed: re-release the whole fragment on the survivor.
+                let c = self.chains.remove(&seq).expect("chain present");
+                *total_fragments += 1;
+                workers[d].append_fragments(vec![Fragment {
+                    release: at,
+                    ..c.fragment
+                }]);
+            }
+            None if attempt >= self.cfg.max_redeliveries => {
+                // Out of attempts with nothing up: terminal rejection.
+                self.rejected[query_index] = true;
+                self.chains.remove(&seq);
+            }
+            None => {
+                // Nothing up: exponential backoff, then try again.
+                self.retries
+                    .push(Reverse((self.retry.deadline_after(at, attempt), seq)));
+            }
+        }
+    }
+
+    fn into_log(self) -> FailoverLog {
+        let budget = self.cfg.max_redeliveries;
+        debug_assert_eq!(
+            self.log
+                .redeliveries
+                .iter()
+                .filter(|r| r.to.is_none() && r.attempt >= budget)
+                .count(),
+            self.rejected.iter().filter(|&&r| r).count(),
+            "log-derived rejections must match the planner's"
+        );
+        self.log
+    }
+}
+
+/// The worker with the earliest next event, ties to the lowest shard id.
+fn earliest<C: Catalog + ?Sized>(workers: &[ShardWorker<'_, C>]) -> Option<(SimTime, usize)> {
+    let mut earliest: Option<(SimTime, usize)> = None;
+    for (i, w) in workers.iter().enumerate() {
+        if let Some(t) = w.next_time() {
+            // Strict `<` keeps the lowest shard index on time ties.
+            if earliest.map_or(true, |(bt, _)| t < bt) {
+                earliest = Some((t, i));
+            }
+        }
+    }
+    earliest
+}
+
+/// The stepped driver — the reference executor and the one place decisions
+/// are made: a deterministic single-threaded virtual-time merge of the shard
+/// event queues and the controllers' event sources.
+///
+/// The worker with the earliest next event advances one event, but only
+/// while that event is *strictly* earlier than the next controller event;
+/// otherwise the controller event fires (at equal instants in [`Source`]
+/// order). With no handler plugged in this is just the merge: advance the
+/// earliest shard until every shard has drained.
+fn drive<C: Catalog + ?Sized>(workers: &mut [ShardWorker<'_, C>], ctl: &mut Controllers<'_>) {
+    loop {
+        let next = earliest(workers);
+        let event = ctl.next_event(workers, next.is_none());
+        if let Some((wt, mut i)) = next {
+            if event.map_or(true, |(t, _)| wt < t) {
+                if ctl.door.is_some() {
+                    // The front door is pumped before every worker step, so
+                    // each admission decision sees the capacity freed up to
+                    // exactly its instant. What it admits is due now, maybe
+                    // on a lower shard.
+                    ctl.door_pass(workers, wt);
+                    i = earliest(workers).expect("admission removes no event").1;
+                }
+                let advanced = workers[i].step();
+                debug_assert!(advanced, "a shard with a next event must advance");
+                continue;
+            }
+        }
+        let Some((t, source)) = event else { break };
+        ctl.fire(workers, t, source);
+    }
+}
+
+/// The pool executor: one OS thread per shard, fragment streams fixed
+/// up-front, the planned `rounds` replayed verbatim with a double-barrier
+/// handshake each — run the events strictly before the boundary, barrier,
+/// send the outgoing payloads, barrier, absorb the incoming ones in bucket
+/// order. Everything else a controller decided (loss, re-delivery, held or
+/// rejected admissions) is already baked into the streams, so with no
+/// rounds the shards run completely free.
+fn run_threaded<'a, C: Catalog + Sync + ?Sized>(
+    workers: &mut [ShardWorker<'a, C>],
+    rounds: &[Round],
+) {
+    let barrier = Barrier::new(workers.len());
+    let (senders, receivers): (Vec<_>, Vec<_>) = workers
+        .iter()
+        .map(|_| mpsc::channel::<MigratedBucket<'a>>())
+        .unzip();
     std::thread::scope(|scope| {
-        for (i, mut worker) in workers.into_iter().enumerate() {
-            let tx = tx.clone();
+        for ((i, worker), inbox) in workers.iter_mut().enumerate().zip(receivers) {
+            let senders = senders.clone();
+            let barrier = &barrier;
             scope.spawn(move || {
+                for round in rounds {
+                    while worker.next_time().is_some_and(|wt| wt < round.boundary) {
+                        worker.step();
+                    }
+                    barrier.wait();
+                    for m in round.transfers.iter().filter(|m| m.from.index() == i) {
+                        let payload = worker.extract_bucket(m.bucket, round);
+                        assert_eq!(payload.len() as u64, m.entries, "replay diverged from plan");
+                        senders[m.to.index()]
+                            .send(payload)
+                            .expect("peer outlives the handshake");
+                    }
+                    barrier.wait();
+                    worker.absorb_round(round, inbox.try_iter().collect());
+                }
                 while worker.step() {}
-                tx.send((i, worker.into_run()))
-                    .expect("the driver outlives its workers");
             });
         }
     });
-    drop(tx);
-    crate::sweep::collect_indexed(rx, n)
 }
 
 /// Folds per-shard fragment runs into the query-level global report.
@@ -1819,57 +1308,31 @@ fn run_threaded<C: Catalog + Sync + ?Sized>(workers: Vec<ShardWorker<'_, C>>) ->
 /// fold is exact for static and elastic runs alike, and positionally
 /// identical to fragment counting when no migration happens.
 ///
-/// With a front-door `admission` log, rejected queries routed no fragments:
-/// they are excluded from the completion fold (the conservation assert
-/// becomes "every *admitted* query completes exactly once") and accounted
-/// in the returned [`FrontDoorReport`] instead, alongside per-class
-/// response/TTFB statistics.
+/// `rejected` marks the queries that end rejected rather than completed, and
+/// the conservation assert becomes "every *non-rejected* query completes
+/// exactly once". A rejected query must never fully complete: one the front
+/// door turned away routed no fragments at all (with an `admission` log the
+/// returned [`FrontDoorReport`] asserts nothing serviced it, and carries the
+/// per-class response/TTFB statistics), while one that lost a fragment to a
+/// dead shard or exhausted its retransmission budget may have been
+/// *partially* serviced — its surviving fragments completed on live shards.
 ///
-/// With a `failover_rejected` mask, the marked queries lost a fragment to a
-/// dead shard (or, on the transport path, exhausted the retransmission
-/// budget) and were terminally rejected: unlike a door rejection they may
-/// have been *partially* serviced (their surviving fragments completed on
-/// live shards), so they are allowed service but must never fully complete —
-/// the fold asserts they stay un-emitted and excludes them from the
-/// conservation count. The two rejection sources are mutually exclusive
-/// (config validation forbids front door × outages).
-///
-/// With a `hedge_losers` set, the marked `(query, shard)` completions are
-/// hedge-race losers: the same fragment already completed on the winning
-/// shard, so the loser's outcome is excluded from the fold entirely (its
-/// serviced entries still count in the per-shard counters — duplicated work
-/// is real work). Without the exclusion the winner + loser pair would
-/// double-count the fragment's assignments and trip the over-service
-/// assert.
+/// `hedge_losers` marks `(query, shard)` completions that lost a hedge race:
+/// the same fragment already completed on the winning shard, so the loser's
+/// outcome is excluded from the fold entirely (its serviced entries still
+/// count in the per-shard counters — duplicated work is real work). Without
+/// the exclusion the winner + loser pair would double-count the fragment's
+/// assignments and trip the over-service assert.
 fn aggregate(
-    trace: &TimedTrace,
+    entries: &[(SimTime, CrossMatchQuery)],
+    index_of: &HashMap<QueryId, usize>,
     assignments_of: &[u64],
     shard_runs: &[ShardRun],
+    rejected: &[bool],
+    hedge_losers: &HashSet<(QueryId, u32)>,
     admission: Option<&AdmissionLog>,
-    failover_rejected: Option<&[bool]>,
-    hedge_losers: Option<&std::collections::HashSet<(QueryId, u32)>>,
 ) -> (RunReport, Option<FrontDoorReport>) {
-    let entries = trace.entries();
-    let index_of: HashMap<QueryId, usize> = entries
-        .iter()
-        .enumerate()
-        .map(|(i, (_, q))| (q.id, i))
-        .collect();
-    let rejected_at: Vec<bool> = match admission {
-        Some(log) => log.verdicts.iter().map(|v| !v.admitted()).collect(),
-        None => vec![false; entries.len()],
-    };
-    let no_fo = vec![false; entries.len()];
-    let fo_rejected: &[bool] = failover_rejected.unwrap_or(&no_fo);
-    assert!(
-        admission.is_none() || failover_rejected.is_none(),
-        "front-door and failover rejections cannot coexist"
-    );
-    let n_rejected = rejected_at
-        .iter()
-        .zip(fo_rejected)
-        .filter(|&(&d, &f)| d || f)
-        .count();
+    let n_rejected = rejected.iter().filter(|&&r| r).count();
 
     // Canonical merged completion stream. Every query has at least one
     // fragment (zero-work queries ship an empty fragment to shard 0), so
@@ -1905,13 +1368,9 @@ fn aggregate(
     let mut outcomes: Vec<QueryOutcome> = Vec::with_capacity(entries.len() - n_rejected);
     for (_, shard, _, query, completion, assignments) in events {
         let i = index_of[&query];
-        if hedge_losers.is_some_and(|l| l.contains(&(query, shard))) {
+        if hedge_losers.contains(&(query, shard)) {
             continue; // the winning copy already covered these assignments
         }
-        assert!(
-            !rejected_at[i],
-            "query {query} was rejected yet a shard serviced it"
-        );
         assert!(
             remaining[i] >= assignments,
             "query {query} over-serviced across shards"
@@ -1923,8 +1382,8 @@ fn aggregate(
             continue; // more assignments outstanding elsewhere
         }
         assert!(
-            !fo_rejected[i],
-            "query {query} was rejected by failover yet fully serviced"
+            !rejected[i],
+            "query {query} was rejected yet fully serviced"
         );
         emitted[i] = true;
         outcomes.push(QueryOutcome {
@@ -2016,7 +1475,7 @@ fn aggregate(
 /// response/TTFB summaries.
 fn build_front_door_report(
     log: &AdmissionLog,
-    entries: &[(SimTime, liferaft_query::CrossMatchQuery)],
+    entries: &[(SimTime, CrossMatchQuery)],
     emitted: &[bool],
     last_done: &[SimTime],
     first_done: &[Option<SimTime>],
@@ -2057,6 +1516,10 @@ fn build_front_door_report(
                 ttfb[c].push(first.max(arrival).since(arrival).as_secs_f64());
             }
             Disposition::Rejected { at } => {
+                assert!(
+                    first_done[i].is_none(),
+                    "query {i} was rejected yet a shard serviced it"
+                );
                 stats.rejected += 1;
                 rejected.push(RejectedQuery {
                     index: i,
@@ -2083,40 +1546,31 @@ fn build_front_door_report(
 /// The recovery-lag headline: the gap between the last evacuation instant
 /// and the earliest batch a *destination* shard completed after it (`None`
 /// when nothing was evacuated, or no destination completed work afterward).
-/// `probe(shard, t)` reads that shard's first recorded batch completion
-/// strictly after `t`.
-fn recovery_lag_probe(
+fn recovery_lag<C: Catalog + ?Sized>(
     log: &FailoverLog,
-    mut probe: impl FnMut(usize, SimTime) -> Option<SimTime>,
+    workers: &[ShardWorker<'_, C>],
 ) -> Option<SimDuration> {
     let t = log.evacuations.iter().map(|e| e.at).max()?;
     log.evacuations
         .iter()
-        .filter_map(|e| probe(e.to as usize, t))
+        .filter_map(|e| workers[e.to as usize].next_completion_after(t))
         .min()
         .map(|ct| ct.since(t))
 }
 
-/// Folds the failover log, the rejection records, and the global outcomes
-/// into the [`FailoverReport`], asserting terminal-outcome conservation per
-/// class: every query either completed or was rejected, exactly once.
-/// Classes come from the front-door thresholds applied to routed workload
-/// (the door itself is off — validation forbids combining it with outages).
-fn build_failover_report(
-    log: &FailoverLog,
-    trace: &TimedTrace,
+/// Per-class terminal-outcome conservation, asserted before it is reported:
+/// every query either completed or was rejected, exactly once — `place` says
+/// where a missing outcome went astray. Classes come from the front-door
+/// thresholds applied to routed workload (the door itself is off —
+/// validation forbids combining it with outages or the transport).
+fn class_conservation(
+    index_of: &HashMap<QueryId, usize>,
     assignments_of: &[u64],
-    rejected: Vec<FailedQuery>,
-    global: &RunReport,
-    recovery_lag: Option<SimDuration>,
-) -> FailoverReport {
-    let entries = trace.entries();
+    completed: &[QueryOutcome],
+    rejected: &[FailedQuery],
+    place: &str,
+) -> [ClassConservation; 3] {
     let classes = FrontDoorConfig::disabled();
-    let index_of: HashMap<QueryId, usize> = entries
-        .iter()
-        .enumerate()
-        .map(|(i, (_, q))| (q.id, i))
-        .collect();
     let mut per_class: [ClassConservation; 3] = QueryClass::ALL.map(|class| ClassConservation {
         class,
         submitted: 0,
@@ -2126,79 +1580,21 @@ fn build_failover_report(
     for assignments in assignments_of {
         per_class[classes.classify(*assignments).rank()].submitted += 1;
     }
-    for o in &global.outcomes {
+    for o in completed {
         per_class[classes.classify(assignments_of[index_of[&o.query]]).rank()].completed += 1;
     }
-    for r in &rejected {
+    for r in rejected {
         per_class[classes.classify(r.assignments).rank()].rejected += 1;
     }
     for c in &per_class {
         assert_eq!(
             c.completed + c.rejected,
             c.submitted,
-            "{:?} queries lost track of a terminal outcome",
+            "{:?} queries lost track of a terminal outcome{place}",
             c.class
         );
     }
-    FailoverReport {
-        log: log.clone(),
-        rejected,
-        per_class,
-        recovery_lag,
-    }
-}
-
-/// Folds the transport log, the rejection records, and the global outcomes
-/// into the [`TransportReport`], asserting terminal-outcome conservation per
-/// class exactly like [`build_failover_report`]: every query either
-/// completed or was rejected, exactly once, whatever the links dropped.
-#[allow(clippy::too_many_arguments)]
-fn build_transport_report(
-    log: &TransportLog,
-    trace: &TimedTrace,
-    assignments_of: &[u64],
-    rejected: Vec<FailedQuery>,
-    global: &RunReport,
-    hedge_wins: u64,
-    hedge_losses: u64,
-) -> TransportReport {
-    let entries = trace.entries();
-    let classes = FrontDoorConfig::disabled();
-    let index_of: HashMap<QueryId, usize> = entries
-        .iter()
-        .enumerate()
-        .map(|(i, (_, q))| (q.id, i))
-        .collect();
-    let mut per_class: [ClassConservation; 3] = QueryClass::ALL.map(|class| ClassConservation {
-        class,
-        submitted: 0,
-        completed: 0,
-        rejected: 0,
-    });
-    for assignments in assignments_of {
-        per_class[classes.classify(*assignments).rank()].submitted += 1;
-    }
-    for o in &global.outcomes {
-        per_class[classes.classify(assignments_of[index_of[&o.query]]).rank()].completed += 1;
-    }
-    for r in &rejected {
-        per_class[classes.classify(r.assignments).rank()].rejected += 1;
-    }
-    for c in &per_class {
-        assert_eq!(
-            c.completed + c.rejected,
-            c.submitted,
-            "{:?} queries lost track of a terminal outcome in transit",
-            c.class
-        );
-    }
-    TransportReport {
-        log: log.clone(),
-        rejected,
-        per_class,
-        hedge_wins,
-        hedge_losses,
-    }
+    per_class
 }
 
 #[cfg(test)]
@@ -2912,6 +2308,92 @@ mod tests {
         assert_eq!(stepped.global.outcomes.len(), timed.len());
         for c in &tp.per_class {
             assert_eq!(c.completed + c.rejected, c.submitted, "{:?}", c.class);
+        }
+    }
+
+    #[test]
+    fn shards_crashing_at_one_instant_evacuate_in_sequence() {
+        use crate::failover::FailoverConfig;
+        use liferaft_sim::ShardOutage;
+        use liferaft_storage::SimDuration;
+        let (cat, timed) = fixture(24, 8.0);
+        let mut config = RuntimeConfig::contiguous(SimConfig::paper(), 4);
+        config.failover = FailoverConfig::recovery();
+        // Shards 0 and 1 die together: edge 0 fires first and may evacuate
+        // onto shard 1, which is still up until its own edge fires.
+        let down_at = SimTime::ZERO + SimDuration::from_secs(1);
+        config.faults.outages = (0..2)
+            .map(|shard| ShardOutage {
+                shard,
+                down_at,
+                up_at: down_at + SimDuration::from_secs(5),
+            })
+            .collect();
+        let rt = ShardedRuntime::new(&cat, config);
+        let stepped = rt.run(&timed, &mut |_| greedy(), ExecMode::Stepped);
+        let threaded = rt.run(&timed, &mut |_| greedy(), ExecMode::Threaded);
+        let fo = stepped.failover.as_ref().expect("failover runs report");
+        // Every bucket that landed on shard 1 moved again in the second round.
+        let evacs = &fo.log.evacuations;
+        let mut relayed = evacs.iter().filter(|e| e.from == 0 && e.to == 1).peekable();
+        assert!(
+            relayed.peek().is_some(),
+            "nothing landed on the second victim"
+        );
+        for first in relayed {
+            let again = |e: &&Evacuation| e.from == 1 && e.bucket == first.bucket;
+            assert_eq!(evacs.iter().filter(again).count(), 1, "{:?}", first.bucket);
+        }
+        assert!(fo.log.evacuations.iter().all(|e| e.boundary == down_at));
+        assert_eq!(stepped.failover, threaded.failover);
+        assert_eq!(stepped.global.outcomes, threaded.global.outcomes);
+        for (a, b) in stepped.shards.iter().zip(&threaded.shards) {
+            assert_eq!(a.report.outcomes, b.report.outcomes);
+            assert_eq!(a.report.batches, b.report.batches);
+            assert_eq!(a.report.io, b.report.io);
+            assert_eq!(a.report.cache, b.report.cache);
+        }
+        assert_eq!(
+            stepped.global.outcomes.len() + fo.rejected.len(),
+            timed.len(),
+            "completed + rejected must equal submitted"
+        );
+    }
+
+    #[test]
+    fn planner_workers_hand_back_the_static_routing() {
+        use crate::config::RebalanceConfig;
+        use crate::router::route;
+        use liferaft_storage::SimDuration;
+        // Under a rebalance that never triggers, the incremental routing of
+        // the planning pass must leave every worker holding exactly the
+        // stream the static router builds — the streams a threaded pool is
+        // then handed, fragment for fragment.
+        let (cat, timed) = fixture(24, 2.0);
+        for (n_shards, assignment) in [
+            (1, ShardAssignment::Contiguous),
+            (3, ShardAssignment::Hashed { seed: 9 }),
+            (4, ShardAssignment::Contiguous),
+            (5, ShardAssignment::Hashed { seed: 3 }),
+        ] {
+            let mut config = RuntimeConfig::contiguous(SimConfig::paper(), n_shards);
+            config.assignment = assignment;
+            config.rebalance = RebalanceConfig::every(SimDuration::from_secs(5));
+            config.rebalance.min_imbalance = 1e12;
+            let rt = ShardedRuntime::new(&cat, config);
+            let entries = timed.entries();
+            let mut ctl = rt.controllers(entries);
+            let unrouted = vec![Vec::new(); n_shards as usize];
+            let mut pool = rt.spawn(entries, unrouted, &mut |_| greedy());
+            drive(&mut pool, &mut ctl);
+            let streams: Vec<Vec<Fragment>> =
+                pool.into_iter().map(ShardWorker::into_fragments).collect();
+            let routing = route(cat.partition(), rt.shard_map(), &timed);
+            assert_eq!(streams, routing.shards, "{n_shards} shards");
+            let plan = ctl.into_plan();
+            assert_eq!(plan.assignments_of, routing.assignments_of);
+            assert_eq!(plan.total_fragments, routing.total_fragments());
+            assert_eq!(plan.cross_shard_queries, routing.cross_shard_queries);
         }
     }
 

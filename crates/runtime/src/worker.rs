@@ -15,11 +15,12 @@ use std::collections::VecDeque;
 use liferaft_catalog::Catalog;
 use liferaft_core::Scheduler;
 use liferaft_query::CrossMatchQuery;
-use liferaft_sim::{EngineCore, MigratedBucket, RunReport, SimConfig};
+use liferaft_sim::{EngineCore, MigratedBucket, RunReport};
 use liferaft_storage::{BucketId, SimDuration, SimTime};
-use liferaft_telemetry::{Event, TelemetrySink};
+use liferaft_telemetry::Event;
 
-use crate::config::AdmissionConfig;
+use crate::config::RuntimeConfig;
+use crate::rebalance::Migration;
 use crate::router::Fragment;
 use crate::shard::ShardId;
 
@@ -58,6 +59,31 @@ pub struct ShardRun {
     pub events: Vec<Event>,
     /// Events the shard's sink discarded (bounded sinks only).
     pub events_dropped: u64,
+}
+
+/// One synchronised hand-over of queued buckets between shards — an epoch
+/// boundary's migrations or a crash's evacuations. The stepped driver plans
+/// a round once and applies it; the threaded executor replays the same
+/// round, so both move the same buckets at the same instants.
+#[derive(Debug, Clone)]
+pub(crate) struct Round {
+    /// The instant the pool synchronises at: every shard first runs the
+    /// events strictly before it.
+    pub(crate) boundary: SimTime,
+    /// The extract/absorb instant: the boundary, or a crashed source's
+    /// clock when its final batch overran it (batches are atomic).
+    pub(crate) at: SimTime,
+    /// Residency leaves the source cache with the bucket (otherwise it is
+    /// only observed).
+    pub(crate) evict_source: bool,
+    /// Destinations warm buckets that were resident at their source.
+    pub(crate) warm: bool,
+    /// Virtual-time cost charged to the destination per bucket…
+    pub(crate) fixed: SimDuration,
+    /// …and per queued entry moving with it.
+    pub(crate) per_entry: SimDuration,
+    /// The moves, in planning order.
+    pub(crate) transfers: Vec<Migration>,
 }
 
 /// One shard's engine, scheduler, clock, and ingress.
@@ -101,21 +127,18 @@ pub(crate) struct ShardWorker<'a, C: Catalog + ?Sized> {
 }
 
 impl<'a, C: Catalog + ?Sized> ShardWorker<'a, C> {
-    #[allow(clippy::too_many_arguments)]
+    /// Shard `shard` of a pool configured by `config`, serving `fragments`
+    /// of `trace` (more may be appended while it runs).
     pub(crate) fn new(
         shard: ShardId,
         catalog: &'a C,
-        sim: SimConfig,
-        admission: AdmissionConfig,
-        stalls: Vec<(SimTime, SimTime, f64)>,
-        outages: Vec<(SimTime, SimTime)>,
+        config: &RuntimeConfig,
         trace: &'a [(SimTime, CrossMatchQuery)],
         fragments: Vec<Fragment>,
         scheduler: Box<dyn Scheduler + Send>,
-        sink: Box<dyn TelemetrySink>,
     ) -> Self {
-        let mut core = EngineCore::new(catalog, sim);
-        core.set_sink(sink);
+        let mut core = EngineCore::new(catalog, config.sim);
+        core.set_sink(config.telemetry.make_sink());
         ShardWorker {
             shard,
             core,
@@ -125,9 +148,9 @@ impl<'a, C: Catalog + ?Sized> ShardWorker<'a, C> {
             next: 0,
             deferred: VecDeque::new(),
             now: SimTime::ZERO,
-            max_backlog_entries: admission.max_backlog_entries,
-            stalls,
-            outages,
+            max_backlog_entries: config.admission.max_backlog_entries,
+            stalls: config.faults.for_shard(shard.0),
+            outages: config.faults.outages_for_shard(shard.0),
             wiped: 0,
             completions: Vec::new(),
             stats: AdmissionStats::default(),
@@ -153,10 +176,10 @@ impl<'a, C: Catalog + ?Sized> ShardWorker<'a, C> {
     /// next event is its next fragment **release** — clamped to `now`,
     /// because a shard whose clock overshot the release while busy admits
     /// the fragment at `now`, not in the past. The clamp is what lets the
-    /// elastic and front-door drivers trust `next_time` as "the virtual
-    /// time of the next state change" when placing epoch boundaries. An
-    /// instant inside an injected outage window wakes at the window's end —
-    /// a dead shard's next event is its rejoin.
+    /// stepped driver trust `next_time` as "the virtual time of the next
+    /// state change" when placing controller events. An instant inside an
+    /// injected outage window wakes at the window's end — a dead shard's
+    /// next event is its rejoin.
     pub(crate) fn next_time(&self) -> Option<SimTime> {
         if !self.core.is_idle() || !self.deferred.is_empty() {
             return Some(self.wake(self.now));
@@ -295,9 +318,9 @@ impl<'a, C: Catalog + ?Sized> ShardWorker<'a, C> {
         true
     }
 
-    /// Appends later-routed fragments to the ingress stream — the elastic
-    /// and front-door drivers' incremental routing path. Release order must
-    /// be preserved across appends.
+    /// Appends later-routed fragments to the ingress stream — the stepped
+    /// driver's incremental routing path. Release order must be preserved
+    /// across appends.
     pub(crate) fn append_fragments(&mut self, extra: Vec<Fragment>) {
         debug_assert!(
             extra.windows(2).all(|w| w[0].release <= w[1].release),
@@ -362,31 +385,34 @@ impl<'a, C: Catalog + ?Sized> ShardWorker<'a, C> {
             .collect()
     }
 
-    /// Extracts one bucket's queued state for migration (see
+    /// Extracts one bucket's queued state for a transfer of `round` (see
     /// [`EngineCore::extract_bucket`]). The source clock is untouched —
-    /// migration costs land on the destination.
-    pub(crate) fn extract_bucket(
-        &mut self,
-        bucket: BucketId,
-        at: SimTime,
-        evict_residency: bool,
-    ) -> MigratedBucket<'a> {
-        self.core.extract_bucket(bucket, at, evict_residency)
+    /// transfer costs land on the destination.
+    pub(crate) fn extract_bucket(&mut self, bucket: BucketId, round: &Round) -> MigratedBucket<'a> {
+        self.core
+            .extract_bucket(bucket, round.at, round.evict_source)
     }
 
-    /// Adopts a migrated bucket at epoch boundary `at`, charging `cost`
-    /// virtual time to the shard clock (clamped up to the boundary first,
-    /// so migration work never appears to predate the decision).
-    pub(crate) fn absorb_payload(
-        &mut self,
-        payload: MigratedBucket<'a>,
-        at: SimTime,
-        cost: SimDuration,
-        warm_residency: bool,
-    ) {
-        self.now = self.now.max(at);
-        self.core.absorb_bucket(payload, warm_residency);
-        self.now += cost;
+    /// Adopts this shard's `incoming` payloads of `round` in bucket order —
+    /// the canonical order, whichever executor delivered them — charging
+    /// each one's cost to the shard clock (clamped up to the round's
+    /// instant first, so transfer work never appears to predate the
+    /// decision).
+    pub(crate) fn absorb_round(&mut self, round: &Round, mut incoming: Vec<MigratedBucket<'a>>) {
+        incoming.sort_by_key(|p| p.bucket);
+        for payload in incoming {
+            let cost = round.fixed + round.per_entry.times(payload.len() as u64);
+            self.now = self.now.max(round.at);
+            self.core.absorb_bucket(payload, round.warm);
+            self.now += cost;
+        }
+    }
+
+    /// The shard's complete fragment stream in hand-off order, given back
+    /// after a planning pass so the threaded executor can serve the very
+    /// same stream (admission never drains `fragments`).
+    pub(crate) fn into_fragments(self) -> Vec<Fragment> {
+        self.fragments
     }
 
     /// Finishes the shard into its run record.
