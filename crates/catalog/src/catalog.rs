@@ -2,7 +2,7 @@
 
 use std::borrow::Cow;
 
-use liferaft_htm::{HtmId, Vec3};
+use liferaft_htm::{HtmId, TrixelWalker, Vec3};
 use liferaft_storage::{BucketId, BucketMeta};
 
 use crate::hash::{hash4, unit_f64};
@@ -12,8 +12,10 @@ use crate::partition::Partition;
 /// Read access to a partitioned object catalog.
 ///
 /// The scheduler and pre-processor need only the [`Partition`] (bucket
-/// extents); the join evaluator additionally pulls bucket payloads through
-/// [`Catalog::bucket_objects`] when joins are executed for real.
+/// extents); when joins are executed for real the join evaluator
+/// additionally pulls whole bucket payloads through
+/// [`Catalog::bucket_objects`] (a scan) or just the rows an index probe
+/// lands on through [`Catalog::objects_in`].
 pub trait Catalog {
     /// The bucket layout.
     fn partition(&self) -> &Partition;
@@ -23,6 +25,18 @@ pub trait Catalog {
     /// Materialized catalogs return a borrow; virtual catalogs generate the
     /// rows on demand (deterministically per seed).
     fn bucket_objects(&self, id: BucketId) -> Cow<'_, [SkyObject]>;
+
+    /// Appends to `out` the objects of bucket `id` whose HTM ID lies in
+    /// `[lo, hi]`, in HTM order — exactly the `partition_point` slice of
+    /// [`bucket_objects`](Self::bucket_objects), which is what the default
+    /// computes. Catalogs that generate rows override it to produce only
+    /// that span.
+    fn objects_in(&self, id: BucketId, lo: HtmId, hi: HtmId, out: &mut Vec<SkyObject>) {
+        let rows = self.bucket_objects(id);
+        let start = rows.partition_point(|o| o.htm < lo);
+        let end = rows.partition_point(|o| o.htm <= hi);
+        out.extend_from_slice(&rows[start..end.max(start)]);
+    }
 
     /// Convenience: metadata for one bucket.
     fn meta(&self, id: BucketId) -> &BucketMeta {
@@ -127,29 +141,57 @@ impl VirtualCatalog {
         self.seed
     }
 
-    /// Generates the `slot`-th object of `bucket` (pure function).
+    /// Generates the `slot`-th object of `bucket` (pure function). The
+    /// random-access reference for the sequential generator behind
+    /// [`Catalog::bucket_objects`] / [`Catalog::objects_in`]: same ID, and a
+    /// position replayed from the root instead of walked from the previous
+    /// row.
     pub fn object_at(&self, bucket: BucketId, slot: u64) -> SkyObject {
+        let htm = self.slot_htm(bucket, slot);
+        self.row(bucket, slot, htm, liferaft_htm::trixel_of(htm).center())
+    }
+
+    /// The HTM ID of the `slot`-th object of `bucket`.
+    fn slot_htm(&self, bucket: BucketId, slot: u64) -> HtmId {
         debug_assert!(slot < self.objects_per_bucket);
         let meta = self.partition.meta(bucket);
         let span = meta.htm_range.len();
-        let lo = meta.htm_range.lo().raw();
         let n = self.objects_per_bucket;
         // Stratified: slot k owns sub-span [k·span/n, (k+1)·span/n).
         let sub_lo = (slot as u128 * span as u128 / n as u128) as u64;
         let sub_hi = ((slot + 1) as u128 * span as u128 / n as u128) as u64;
         let gap = (sub_hi - sub_lo).max(1);
         let h = hash4(self.seed, bucket.0 as u64, slot, 0);
-        let raw = lo + sub_lo + h % gap;
-        let htm = HtmId::from_raw(raw).expect("IDs inside a bucket range are valid");
-        let pos = trixel_center(htm);
+        let raw = meta.htm_range.lo().raw() + sub_lo + h % gap;
+        HtmId::from_raw(raw).expect("IDs inside a bucket range are valid")
+    }
+
+    /// The row of `slot`, given its ID and that ID's trixel center.
+    fn row(&self, bucket: BucketId, slot: u64, htm: HtmId, pos: Vec3) -> SkyObject {
         let mag = 14.0 + 10.0 * unit_f64(hash4(self.seed, bucket.0 as u64, slot, 1)) as f32;
         SkyObject { htm, pos, mag }
     }
-}
 
-/// The center position of a trixel (cached root geometry, then a path walk).
-fn trixel_center(id: HtmId) -> Vec3 {
-    liferaft_htm::trixel_of(id).center()
+    /// Appends the rows of `slots` (ascending) whose ID lies in `[lo, hi]`.
+    /// One walker serves the whole run: consecutive slots are curve
+    /// neighbours, so each row re-descends only the levels it does not
+    /// share with the previous one.
+    fn generate(
+        &self,
+        bucket: BucketId,
+        slots: std::ops::Range<u64>,
+        lo: HtmId,
+        hi: HtmId,
+        out: &mut Vec<SkyObject>,
+    ) {
+        let mut walker = TrixelWalker::new();
+        for slot in slots {
+            let htm = self.slot_htm(bucket, slot);
+            if lo <= htm && htm <= hi {
+                out.push(self.row(bucket, slot, htm, walker.seek(htm).center()));
+            }
+        }
+    }
 }
 
 impl Catalog for VirtualCatalog {
@@ -158,11 +200,33 @@ impl Catalog for VirtualCatalog {
     }
 
     fn bucket_objects(&self, id: BucketId) -> Cow<'_, [SkyObject]> {
-        let rows: Vec<SkyObject> = (0..self.objects_per_bucket)
-            .map(|slot| self.object_at(id, slot))
-            .collect();
+        let range = self.partition.meta(id).htm_range;
+        let mut rows = Vec::with_capacity(self.objects_per_bucket as usize);
+        self.generate(
+            id,
+            0..self.objects_per_bucket,
+            range.lo(),
+            range.hi(),
+            &mut rows,
+        );
+        debug_assert_eq!(rows.len() as u64, self.objects_per_bucket);
         debug_assert!(crate::object::is_htm_sorted(&rows));
         Cow::Owned(rows)
+    }
+
+    fn objects_in(&self, id: BucketId, lo: HtmId, hi: HtmId, out: &mut Vec<SkyObject>) {
+        let range = self.partition.meta(id).htm_range;
+        let (first, span, n) = (range.lo().raw(), range.len(), self.objects_per_bucket);
+        if hi < lo || hi < range.lo() || lo > range.hi() {
+            return;
+        }
+        // Curve offsets of the probe inside the bucket, and the slots that
+        // own them: slot k owns [k·span/n, (k+1)·span/n), so the owner of
+        // offset x is the largest k with k·span < (x + 1)·n.
+        let owner = |x: u64| (((x + 1) as u128 * n as u128 - 1) / span as u128) as u64;
+        let from = owner(lo.raw().saturating_sub(first));
+        let to = owner((hi.raw() - first).min(span - 1));
+        self.generate(id, from..to + 1, lo, hi, out);
     }
 }
 

@@ -89,9 +89,80 @@ pub fn trixel_of(id: HtmId) -> Trixel {
     t
 }
 
+/// [`trixel_of`] for a *sequence* of IDs: keeps the root-to-leaf stack of
+/// the last trixel sought and re-descends only from the deepest ancestor the
+/// next ID shares with it. IDs that are close on the curve (a bucket's
+/// HTM-sorted rows) share most of their path, so most levels are reused.
+///
+/// Every trixel on the stack was produced by the same `Trixel::root` /
+/// `Trixel::child` calls `trixel_of` makes, so `seek(id) == trixel_of(id)`
+/// bit for bit, whatever order the IDs arrive in.
+#[derive(Debug, Clone, Default)]
+pub struct TrixelWalker {
+    /// `stack[l]` is the level-`l` ancestor of the last ID sought.
+    stack: Vec<Trixel>,
+}
+
+impl TrixelWalker {
+    /// A walker with nothing on its stack (the first `seek` starts at a root).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The trixel of `id`.
+    pub fn seek(&mut self, id: HtmId) -> Trixel {
+        let level = id.level();
+        self.stack.truncate(self.shared_levels(id));
+        if self.stack.is_empty() {
+            self.stack.push(Trixel::root(id.root_face()));
+        }
+        for l in self.stack.len() as u8..=level {
+            let parent = self.stack[l as usize - 1];
+            self.stack.push(parent.child(id.path_digit(l)));
+        }
+        self.stack[level as usize]
+    }
+
+    /// How many leading stack entries (root first) are ancestors of `id`,
+    /// `id` itself included.
+    fn shared_levels(&self, id: HtmId) -> usize {
+        let Some(last) = self.stack.last() else {
+            return 0;
+        };
+        // Compare the two paths at the shallower of the two levels: the
+        // highest differing bit says how many trailing two-bit digits (or,
+        // past them, the root face) the paths disagree on.
+        let common = last.id().level().min(id.level());
+        let diff = last.id().ancestor_at(common).raw() ^ id.ancestor_at(common).raw();
+        let differing_digits = (u64::BITS - diff.leading_zeros()).div_ceil(2) as usize;
+        (common as usize + 1).saturating_sub(differing_digits)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn walker_matches_trixel_of_across_faces_and_levels() {
+        let mut walker = TrixelWalker::new();
+        let p = Vec3::from_radec_deg(123.4, -56.7);
+        let deep = locate(p, 12);
+        let ids = [
+            deep,
+            deep,
+            HtmId::from_raw_unchecked(deep.raw() + 1),
+            deep.ancestor_at(5),
+            deep.ancestor_at(5).child(3).child(0),
+            HtmId::root(0),
+            HtmId::last_at_level(12),
+            HtmId::first_at_level(12),
+            locate(Vec3::from_radec_deg(10.0, 80.0), 7),
+        ];
+        for id in ids {
+            assert_eq!(walker.seek(id), trixel_of(id), "{id}");
+        }
+    }
 
     #[test]
     fn locate_level0_matches_roots() {

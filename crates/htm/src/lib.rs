@@ -51,7 +51,7 @@ pub mod vector;
 pub use cap::Cap;
 pub use cover::{CachingCoverer, Coverer};
 pub use id::HtmId;
-pub use index::{locate, trixel_of};
+pub use index::{locate, trixel_of, TrixelWalker};
 pub use range::{HtmRange, HtmRangeSet};
 pub use trixel::Trixel;
 pub use vector::Vec3;

@@ -119,9 +119,25 @@ impl Trixel {
         ]
     }
 
-    /// The child with index `k ∈ 0..4`.
+    /// The child with index `k ∈ 0..4` — [`children`](Self::children)`()[k]`
+    /// bit for bit, computing only the midpoints that child uses (two for a
+    /// corner child, three for the middle one).
+    ///
+    /// # Panics
+    /// Panics if `k > 3`.
     pub fn child(&self, k: u8) -> Trixel {
-        self.children()[k as usize]
+        let [v0, v1, v2] = self.corners;
+        let corners = match k {
+            0 => [v0, v0.midpoint(v1), v0.midpoint(v2)],
+            1 => [v1, v1.midpoint(v2), v0.midpoint(v1)],
+            2 => [v2, v0.midpoint(v2), v1.midpoint(v2)],
+            3 => [v1.midpoint(v2), v0.midpoint(v2), v0.midpoint(v1)],
+            _ => panic!("trixels have 4 children, got {k}"),
+        };
+        Trixel {
+            id: self.id.child(k),
+            corners,
+        }
     }
 
     /// True if the unit vector lies inside this trixel (inclusive of edges,
@@ -184,6 +200,24 @@ mod tests {
         let t = Trixel::root(5);
         let child_area: f64 = t.children().iter().map(Trixel::area).sum();
         assert!((child_area - t.area()).abs() < 1e-9);
+    }
+
+    #[test]
+    fn child_is_bit_identical_to_children() {
+        // Every trixel of one face down to level 6, every child index, `==`
+        // on the corner `f64`s: `child` must not drift from `children`.
+        let mut frontier = vec![Trixel::root(3)];
+        for _level in 0..=6 {
+            let mut next = Vec::with_capacity(frontier.len() * 4);
+            for t in &frontier {
+                let all = t.children();
+                for k in 0..4u8 {
+                    assert_eq!(t.child(k), all[k as usize], "{:?} child {k}", t.id());
+                }
+                next.extend(all);
+            }
+            frontier = next;
+        }
     }
 
     #[test]

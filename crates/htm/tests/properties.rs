@@ -4,7 +4,7 @@ use liferaft_htm::{
     cap::Cap,
     cover::Coverer,
     id::HtmId,
-    index::{locate, trixel_of},
+    index::{locate, trixel_of, TrixelWalker},
     range::{HtmRange, HtmRangeSet},
     vector::Vec3,
 };
@@ -22,8 +22,55 @@ fn arb_level() -> impl Strategy<Value = u8> {
     0u8..=14
 }
 
+/// An ID sequence for the walker: a cluster around one deep trixel (curve
+/// neighbours at mixed levels, so paths share long prefixes), a few IDs from
+/// anywhere on the sphere (so the sequence crosses root faces), and an order
+/// — as drawn, sorted, reversed, or every ID twice in a row.
+fn arb_id_sequence() -> impl Strategy<Value = Vec<HtmId>> {
+    let cluster = (
+        arb_point(),
+        2u8..=14,
+        proptest::collection::vec((0u64..200, 0u8..3), 1..40),
+    );
+    let strays = proptest::collection::vec((arb_point(), arb_level()), 0..6);
+    (cluster, strays, 0u8..4).prop_map(|((center, level, steps), strays, order)| {
+        let base = locate(center, level);
+        let last = HtmId::last_at_level(level).raw();
+        let mut ids: Vec<HtmId> = steps
+            .into_iter()
+            .map(|(step, up)| {
+                let near = HtmId::from_raw_unchecked((base.raw() + step).min(last));
+                near.ancestor_at(level - up.min(level))
+            })
+            .collect();
+        for (i, (p, l)) in strays.into_iter().enumerate() {
+            ids.insert((i * 7) % (ids.len() + 1), locate(p, l));
+        }
+        match order {
+            0 => {}
+            1 => ids.sort(),
+            2 => {
+                ids.sort();
+                ids.reverse();
+            }
+            _ => ids = ids.iter().flat_map(|&id| [id, id]).collect(),
+        }
+        ids
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// One walker over any ID sequence reproduces `trixel_of` exactly —
+    /// corners compared with `==` on the `f64`s, not a tolerance.
+    #[test]
+    fn walker_is_bit_identical_to_trixel_of(ids in arb_id_sequence()) {
+        let mut walker = TrixelWalker::new();
+        for id in ids {
+            prop_assert_eq!(walker.seek(id), trixel_of(id));
+        }
+    }
 
     /// locate() always produces an ID at the requested level whose trixel
     /// contains the point.

@@ -6,9 +6,10 @@
 //! (`liferaft-runtime`) drives one core *per shard* under its own event
 //! merge, so both execute bit-identical batch semantics by construction.
 
+use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 
-use liferaft_catalog::Catalog;
+use liferaft_catalog::{Catalog, SkyObject};
 use liferaft_core::{
     BatchScope, BatchSpec, DecisionStats, IndexedSchedulerView, Scheduler, StarvationMonitor,
 };
@@ -157,14 +158,25 @@ pub struct EngineCore<'a, C: Catalog + ?Sized> {
     io: IoStats,
     /// Buckets still holding queued entries, per in-flight query.
     per_query: HashMap<QueryId, BTreeSet<BucketId>>,
-    /// Predicates of in-flight queries (populated only when joins execute).
+    /// Predicates of in-flight queries (populated only when joins execute;
+    /// a query's entry leaves when the tracker closes it on this core).
     predicates: HashMap<QueryId, Predicate>,
+    /// The rows of cache-resident buckets (populated only when joins
+    /// execute): the host-side half of [`BucketCache`] residency. A scan
+    /// that loads a bucket keeps its rows here, a scan hit reuses them, and
+    /// whatever drops the residency — LRU eviction, migration, a wipe —
+    /// drops the rows in the same call, so at most `cache_buckets` buckets
+    /// are ever held. A bucket warmed by [`absorb_bucket`](Self::absorb_bucket)
+    /// is resident without rows until its first scan materializes them.
+    rows: HashMap<BucketId, Cow<'a, [SkyObject]>>,
     starvation: StarvationMonitor,
     /// Scratch: the batch in flight as `(query, assignments)` runs, in
     /// query order.
     batch_runs: Vec<(QueryId, u64)>,
     /// Scratch: the batch's materialized entries (real joins only).
     batch_entries: Vec<QueueEntry>,
+    /// Scratch: the rows one index probe lands on (real joins only).
+    probe_rows: Vec<SkyObject>,
     batches: u64,
     scan_batches: u64,
     indexed_batches: u64,
@@ -193,9 +205,11 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
             io: IoStats::new(),
             per_query: HashMap::new(),
             predicates: HashMap::new(),
+            rows: HashMap::new(),
             starvation: StarvationMonitor::new(),
             batch_runs: Vec::new(),
             batch_entries: Vec::new(),
+            probe_rows: Vec::new(),
             batches: 0,
             scan_batches: 0,
             indexed_batches: 0,
@@ -320,7 +334,16 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
         for b in &resident {
             self.cache.remove(*b);
         }
+        self.drop_unresident_rows();
         resident.len()
+    }
+
+    /// Re-establishes "rows are held only for resident buckets" after the
+    /// cache dropped something. Every path that can shrink the resident set
+    /// ends here, so host memory follows the model's residency.
+    fn drop_unresident_rows(&mut self) {
+        let cache = &self.cache;
+        self.rows.retain(|b, _| cache.contains(*b));
     }
 
     /// Rips one bucket's queued state out of this core for migration: takes
@@ -358,6 +381,9 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
             .collect();
         for &(q, n, _, _) in &queries {
             self.tracker.transfer_out(q, n, at);
+            if self.config.execute_joins && self.tracker.arrival_of(q).is_none() {
+                self.predicates.remove(&q);
+            }
             if let Some(set) = self.per_query.get_mut(&q) {
                 set.remove(&bucket);
                 if set.is_empty() {
@@ -366,7 +392,9 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
             }
         }
         let was_resident = if evict_residency {
-            self.cache.remove(bucket)
+            let removed = self.cache.remove(bucket);
+            self.drop_unresident_rows();
+            removed
         } else {
             self.cache.contains(bucket)
         };
@@ -396,6 +424,7 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
         self.table.merge_bucket(payload.bucket, &payload.queue);
         if warm_residency && payload.was_resident {
             self.cache.insert(payload.bucket);
+            self.drop_unresident_rows(); // the insert's LRU victim
         }
     }
 
@@ -592,18 +621,51 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
         }
 
         if self.config.execute_joins {
-            let objects = self.catalog.bucket_objects(spec.bucket);
-            let out = hybrid::execute(strategy, &objects, &self.batch_entries);
-            for pair in &out.pairs {
-                let pred = self
-                    .predicates
-                    .get(&pair.query)
-                    .copied()
-                    .unwrap_or(Predicate::All);
-                if pred.accepts_mag(objects[pair.catalog_index as usize].mag) {
-                    self.total_matches += 1;
+            // The host reads what the model just charged for. A shared scan
+            // leaves the bucket resident, so its rows are materialized on
+            // the miss and kept for the hits that follow; an unshared scan
+            // materializes and discards; index probes touch only the rows
+            // inside each entry's bounding range.
+            let catalog = self.catalog;
+            match strategy {
+                JoinStrategy::SequentialScan => {
+                    let held = if spec.share_io {
+                        self.rows.remove(&spec.bucket)
+                    } else {
+                        None
+                    };
+                    let rows = held.unwrap_or_else(|| catalog.bucket_objects(spec.bucket));
+                    self.total_matches +=
+                        accepted_matches(&self.predicates, strategy, &rows, &self.batch_entries);
+                    if spec.share_io {
+                        self.rows.insert(spec.bucket, rows);
+                        if !cached {
+                            self.drop_unresident_rows(); // the load's LRU victim
+                        }
+                    }
+                }
+                JoinStrategy::Indexed => {
+                    for entry in &self.batch_entries {
+                        self.probe_rows.clear();
+                        catalog.objects_in(
+                            spec.bucket,
+                            entry.bbox.lo(),
+                            entry.bbox.hi(),
+                            &mut self.probe_rows,
+                        );
+                        self.total_matches += accepted_matches(
+                            &self.predicates,
+                            strategy,
+                            &self.probe_rows,
+                            std::slice::from_ref(entry),
+                        );
+                    }
                 }
             }
+            debug_assert!(
+                self.rows.keys().all(|b| self.cache.contains(*b)),
+                "rows held for a bucket the cache dropped"
+            );
         }
 
         // Account completions at batch end, in QueryId order — the order the
@@ -619,6 +681,9 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
                 }
             }
             let outcome = self.tracker.complete_assignments(q, n, end);
+            if outcome.is_some() && self.config.execute_joins {
+                self.predicates.remove(&q);
+            }
             if telemetry {
                 if let Some(o) = outcome {
                     self.sink.record(
@@ -687,6 +752,25 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
     }
 }
 
+/// Joins `entries` against `rows` and counts the pairs whose catalog row
+/// passes the owning query's predicate.
+fn accepted_matches(
+    predicates: &HashMap<QueryId, Predicate>,
+    strategy: JoinStrategy,
+    rows: &[SkyObject],
+    entries: &[QueueEntry],
+) -> u64 {
+    let out = hybrid::execute(strategy, rows, entries);
+    let accepted = out.pairs.iter().filter(|pair| {
+        let pred = predicates
+            .get(&pair.query)
+            .copied()
+            .unwrap_or(Predicate::All);
+        pred.accepts_mag(rows[pair.catalog_index as usize].mag)
+    });
+    accepted.count() as u64
+}
+
 /// The scheduler's view at one decision point: the candidate surface comes
 /// from the workload table's index (φ bits synced by the caller) via the
 /// [`IndexedSchedulerView`] blanket impl; this adapter only supplies the
@@ -728,13 +812,15 @@ impl IndexedSchedulerView for PickView<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use liferaft_catalog::{generate::uniform_sky, MaterializedCatalog};
+    use liferaft_catalog::{generate::uniform_sky, MaterializedCatalog, Partition, VirtualCatalog};
     use liferaft_core::{
         AgingMode, LifeRaftScheduler, MetricParams, NoShareScheduler, RoundRobinScheduler,
     };
+    use liferaft_htm::HtmId;
     use liferaft_query::{CrossMatchQuery, Predicate};
     use liferaft_workload::arrivals::uniform_arrivals;
     use liferaft_workload::Trace;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     const LEVEL: u8 = 8;
 
@@ -763,6 +849,275 @@ mod tests {
 
     fn params() -> MetricParams {
         MetricParams::paper()
+    }
+
+    /// A catalog that counts what the engine asks of it: whole-bucket
+    /// materializations and index-probe spans.
+    struct CountingCatalog<C> {
+        inner: C,
+        full: AtomicU64,
+        probes: AtomicU64,
+    }
+
+    impl<C: Catalog> CountingCatalog<C> {
+        fn new(inner: C) -> Self {
+            CountingCatalog {
+                inner,
+                full: AtomicU64::new(0),
+                probes: AtomicU64::new(0),
+            }
+        }
+
+        fn full(&self) -> u64 {
+            self.full.load(Ordering::Relaxed)
+        }
+    }
+
+    impl<C: Catalog> Catalog for CountingCatalog<C> {
+        fn partition(&self) -> &Partition {
+            self.inner.partition()
+        }
+
+        fn bucket_objects(&self, id: BucketId) -> Cow<'_, [SkyObject]> {
+            self.full.fetch_add(1, Ordering::Relaxed);
+            self.inner.bucket_objects(id)
+        }
+
+        fn objects_in(&self, id: BucketId, lo: HtmId, hi: HtmId, out: &mut Vec<SkyObject>) {
+            self.probes.fetch_add(1, Ordering::Relaxed);
+            self.inner.objects_in(id, lo, hi, out)
+        }
+    }
+
+    fn virtual_catalog() -> VirtualCatalog {
+        VirtualCatalog::new(LEVEL, 32, 100, 4096, 7)
+    }
+
+    /// Wide queries (25 objects in one bucket: scans) interleaved with
+    /// narrow ones (a single object: an index probe when queued alone on a
+    /// cold bucket), under three kinds of predicate. Consecutive queries
+    /// pair up on a bucket (cache hits) and the pairs cycle over a dozen
+    /// buckets — four times the 3-bucket cache of [`residency_config`].
+    fn mixed_trace(cat: &dyn Catalog) -> Trace {
+        let queries: Vec<CrossMatchQuery> = (0..60u64)
+            .map(|i| {
+                let rows = cat.bucket_objects(BucketId((i / 2 % 12) as u32 * 2 + 1));
+                let step = if i % 3 == 2 { 100 } else { 4 };
+                let positions: Vec<_> = rows
+                    .iter()
+                    .skip(i as usize % 4)
+                    .step_by(step)
+                    .map(|o| o.pos)
+                    .collect();
+                let predicate = match i % 3 {
+                    0 => Predicate::All,
+                    1 => Predicate::MagRange {
+                        min: 15.0,
+                        max: 20.0,
+                    },
+                    _ => Predicate::BrighterThan(19.0),
+                };
+                CrossMatchQuery::from_positions(QueryId(i), &positions, 1e-4, LEVEL, predicate)
+            })
+            .collect();
+        Trace::new(LEVEL, queries)
+    }
+
+    fn residency_config() -> SimConfig {
+        SimConfig {
+            cache_buckets: 3,
+            ..SimConfig::with_real_joins()
+        }
+    }
+
+    /// The match count of `timed` computed without the engine: every
+    /// bucket's whole workload joined against a freshly generated copy of
+    /// the bucket, each pair filtered by its query's predicate (`All` for
+    /// every query when `apply_predicates` is off).
+    fn reference_matches(cat: &dyn Catalog, timed: &TimedTrace, apply_predicates: bool) -> u64 {
+        let pre = QueryPreProcessor::new(cat.partition());
+        let mut table = WorkloadTable::new(cat.partition().num_buckets());
+        let mut predicates = HashMap::new();
+        for (at, query) in timed.entries() {
+            if apply_predicates {
+                predicates.insert(query.id, query.predicate);
+            }
+            for item in pre.preprocess(query) {
+                table.enqueue(&item, query, *at);
+            }
+        }
+        let mut entries = Vec::new();
+        let mut matches = 0;
+        for bucket in table.non_empty_buckets().to_vec() {
+            table.take_all_into(bucket, &mut entries);
+            let rows = cat.bucket_objects(bucket);
+            matches += accepted_matches(&predicates, JoinStrategy::SequentialScan, &rows, &entries);
+        }
+        matches
+    }
+
+    /// `Simulation::run`'s loop over a bare core, with `check` called after
+    /// every batch.
+    fn run_checked<'a, C: Catalog>(
+        cat: &'a C,
+        config: SimConfig,
+        timed: &'a TimedTrace,
+        scheduler: &mut dyn Scheduler,
+        mut check: impl FnMut(&EngineCore<'a, C>),
+    ) -> EngineCore<'a, C> {
+        let mut core = EngineCore::new(cat, config);
+        let arrivals = timed.entries();
+        let (mut next, mut now) = (0usize, SimTime::ZERO);
+        loop {
+            while next < arrivals.len() && arrivals[next].0 <= now {
+                let (at, query) = &arrivals[next];
+                core.deliver(query, *at);
+                scheduler.on_query_arrival(*at);
+                next += 1;
+            }
+            if core.is_idle() {
+                if next == arrivals.len() {
+                    return core;
+                }
+                now = arrivals[next].0;
+                continue;
+            }
+            now += core.decide_and_execute(scheduler, now);
+            check(&core);
+        }
+    }
+
+    /// Runs `core` from `now` until nothing is queued; returns the new clock.
+    fn drain<C: Catalog>(
+        core: &mut EngineCore<'_, C>,
+        scheduler: &mut dyn Scheduler,
+        mut now: SimTime,
+    ) -> SimTime {
+        while !core.is_idle() {
+            now += core.decide_and_execute(scheduler, now);
+        }
+        now
+    }
+
+    #[test]
+    fn host_materialization_follows_the_residency_model() {
+        let cat = CountingCatalog::new(virtual_catalog());
+        let timed = mixed_trace(&cat.inner).with_arrivals(uniform_arrivals(0.5, 60));
+        let reference = reference_matches(&cat.inner, &timed, true);
+        assert!(reference > 0, "fixture must find matches");
+        let config = residency_config();
+
+        // LifeRaft: rows live exactly as long as residency does.
+        let (mut indexed_seen, mut full_seen) = (0, 0);
+        let core = run_checked(
+            &cat,
+            config,
+            &timed,
+            &mut LifeRaftScheduler::greedy(params()),
+            |core| {
+                assert!(core.rows.len() <= config.cache_buckets);
+                assert!(core.rows.keys().all(|b| core.cache.contains(*b)));
+                if core.indexed_batches > indexed_seen {
+                    assert_eq!(cat.full(), full_seen, "an indexed batch read a bucket");
+                }
+                (indexed_seen, full_seen) = (core.indexed_batches, cat.full());
+            },
+        );
+        let report = core.into_report(&LifeRaftScheduler::greedy(params()), timed.len());
+        assert!(report.indexed_batches > 0 && report.cache.hits > 0 && report.cache.evictions > 0);
+        assert_eq!(cat.full(), report.io.bucket_reads);
+        assert_eq!(cat.probes.load(Ordering::Relaxed), report.io.index_probes);
+        assert_eq!(report.total_matches, reference);
+
+        // NoShare: every batch reads its bucket and keeps nothing.
+        let cat = CountingCatalog::new(virtual_catalog());
+        let core = run_checked(&cat, config, &timed, &mut NoShareScheduler::new(), |core| {
+            assert!(core.rows.is_empty())
+        });
+        let report = core.into_report(&NoShareScheduler::new(), timed.len());
+        assert_eq!(report.batches, report.io.bucket_reads);
+        assert_eq!(cat.full(), report.io.bucket_reads);
+        assert_eq!(report.total_matches, reference);
+    }
+
+    #[test]
+    fn dropping_residency_drops_the_rows() {
+        let cat = CountingCatalog::new(virtual_catalog());
+        let timed = mixed_trace(&cat.inner).with_arrivals(uniform_arrivals(50.0, 60));
+        let mut core = EngineCore::new(&cat, residency_config());
+        let mut sched = LifeRaftScheduler::greedy(params());
+        // Serve the first half, then queue the second half behind whatever
+        // the first left resident.
+        let mut now = SimTime::ZERO;
+        for (i, (at, query)) in timed.entries().iter().enumerate() {
+            if i == 30 {
+                now = drain(&mut core, &mut sched, *at);
+            }
+            core.deliver(query, *at);
+            sched.on_query_arrival(*at);
+        }
+        assert_eq!(core.rows.len(), 3);
+        let mut held = core.rows.keys().copied();
+        let bucket = held
+            .find(|&b| !core.workload().queue(b).is_empty())
+            .expect("fixture must queue work behind a resident bucket");
+
+        let payload = core.extract_bucket(bucket, now, true);
+        assert!(payload.was_resident);
+        assert_eq!(core.rows.len(), 2);
+        assert!(
+            !core.rows.contains_key(&bucket),
+            "a migrated bucket kept rows"
+        );
+        core.absorb_bucket(payload, false);
+        assert_eq!(core.wipe_residency(), 2);
+        assert!(core.rows.is_empty(), "a wiped core kept rows");
+
+        // The next scan of that bucket is a miss on both sides.
+        let (reads, full) = (core.io.bucket_reads, cat.full());
+        while !core.workload().queue(bucket).is_empty() {
+            now += core.decide_and_execute(&mut sched, now);
+        }
+        assert!(core.rows.contains_key(&bucket));
+        assert!(cat.full() > full);
+        assert_eq!(cat.full() - full, core.io.bucket_reads - reads);
+        drain(&mut core, &mut sched, now);
+        let report = core.into_report(&sched, timed.len());
+        assert_eq!(cat.full(), report.io.bucket_reads);
+        assert_eq!(
+            report.total_matches,
+            reference_matches(&cat.inner, &timed, true)
+        );
+    }
+
+    #[test]
+    fn predicates_leave_with_their_queries() {
+        let cat = virtual_catalog();
+        let timed = mixed_trace(&cat).with_arrivals(uniform_arrivals(0.5, 60));
+        let unpruned = reference_matches(&cat, &timed, true);
+        assert_ne!(
+            unpruned,
+            reference_matches(&cat, &timed, false),
+            "fixture predicates must reject something"
+        );
+        let mut most_held = 0;
+        let core = run_checked(
+            &cat,
+            residency_config(),
+            &timed,
+            &mut LifeRaftScheduler::greedy(params()),
+            |core| {
+                assert_eq!(core.predicates.len(), core.tracker.pending_count());
+                most_held = most_held.max(core.predicates.len());
+            },
+        );
+        assert!(core.all_complete());
+        assert!(
+            core.predicates.is_empty(),
+            "predicates outlived their queries"
+        );
+        assert!(most_held < timed.len(), "the run never overlapped queries");
+        assert_eq!(core.total_matches, unpruned);
     }
 
     #[test]
@@ -933,10 +1288,17 @@ mod tests {
         src.workload().validate_index();
         dst.workload().validate_index();
         // Both cores drain independently; together they service every
-        // assignment exactly once.
+        // assignment exactly once. The source crashes half-way: residency
+        // and the rows behind it go, the queued work and its matches stay.
         let mut now = at;
+        let mut crash_below = Some(src.total_queued() / 2);
         while !src.is_idle() {
             now += src.decide_and_execute(&mut sched_src, now);
+            if crash_below.is_some_and(|half| src.total_queued() <= half) {
+                crash_below = None;
+                assert!(src.wipe_residency() > 0, "fixture must crash a warm core");
+                assert!(src.rows.is_empty());
+            }
         }
         let mut now = at;
         while !dst.is_idle() {

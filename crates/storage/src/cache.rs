@@ -82,8 +82,13 @@ struct Node {
 /// A least-recently-used cache of bucket residency.
 ///
 /// Stores only identities, not payloads: the simulator tracks *which*
-/// buckets are memory-resident for cost accounting, while actual object
-/// data is materialized on demand by the catalog.
+/// buckets are memory-resident for cost accounting. When joins execute for
+/// real, the rows of the resident buckets live beside this cache in the
+/// engine that owns it (`liferaft-sim`'s `EngineCore`): a scan miss
+/// materializes them from the catalog once, hits reuse them, and the engine
+/// drops them in the same call that drops the residency here — eviction by
+/// [`access`](Self::access) / [`insert`](Self::insert), [`remove`](Self::remove)
+/// — so the host never holds rows for more than `capacity` buckets.
 #[derive(Debug, Clone)]
 pub struct BucketCache {
     capacity: usize,
