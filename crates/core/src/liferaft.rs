@@ -2,6 +2,7 @@
 
 use std::cmp::Ordering;
 
+use liferaft_query::index::uncached_key;
 use liferaft_storage::{BucketId, SimTime};
 
 use crate::metric::{AgingMode, MetricParams, ScorePass};
@@ -35,15 +36,29 @@ const FRONTIER_SEED: usize = 4;
 ///
 /// For mixed α the pick runs a threshold (Fagin-style) scan: score the
 /// resident pool and the top-k frontier of both lens orders, and stop as
-/// soon as the score upper bound of every *unseen* candidate —
-/// `(1−α)·ût(uncached frontier) + α·â(age frontier)` — drops strictly below
-/// the best seen score. Both terms are monotone non-increasing along their
-/// lists and float rounding is monotone, so the bound is sound;
-/// normalization bounds come from the resident scan plus the index
-/// extremes, which realize the candidate-set extremes of both terms. If the
-/// bound cannot close by the time the frontier covers most of the set, the
-/// pick falls back to a full streamed scan — still allocation-free, and
-/// bit-identical to the legacy gather-and-score path.
+/// soon as no *unseen* candidate can win. Every unseen candidate `c` is
+/// uncached and lies beyond both frontiers; both terms are monotone
+/// non-increasing along their lists and float rounding is monotone, so
+/// `score(c) ≤ bound = (1−α)·ût(uncached frontier) + α·â(age frontier)`
+/// (normalization bounds come from the resident scan plus the index
+/// extremes, which realize the candidate-set extremes of both terms). The
+/// scan closes when
+///
+/// - `bound < best`, the best seen score: `c` scores strictly lower; or
+/// - `bound == best` and the best seen candidate is at or ahead of the
+///   uncached frontier in [`uncached_key`] order: `c` can at most tie on
+///   score (no term is ever −0.0, so `==` and `total_cmp` agree), and the
+///   decision tie-break — longer queue, then lower bucket — *is* that key
+///   order, in which `c` sits strictly behind the frontier and therefore
+///   behind the best seen. One wide query fans an object into hundreds of
+///   buckets at one instant with equal queue lengths; all those scores are
+///   equal, and this is the arm that closes them at the first check.
+///
+/// Either way the pick is the argmax [`pick_index`](Self::pick_index)
+/// returns, bit for bit. If the bound stays open for real until the frontier
+/// covers half the set (anti-correlated lists, or a tie led by a resident
+/// whose short queue ranks it behind the frontier), the pick falls back to a
+/// full streamed scan — still allocation-free, and that same argmax.
 #[derive(Debug, Clone)]
 pub struct LifeRaftScheduler {
     params: MetricParams,
@@ -236,15 +251,15 @@ impl LifeRaftScheduler {
                 self.stats.frontier_picks += 1;
                 return Some(best_snap.bucket);
             }
-            // Unseen candidates are uncached beyond the `Ut` frontier and
-            // beyond the age frontier; both terms are monotone along their
-            // lists and float rounding is monotone, so this bounds every
-            // unseen score from above. Strictly below the best seen score,
-            // nothing unseen can win — a score-tie would lose only to a
-            // *seen* candidate under the tie-break.
-            let bound = pass.ut_term(&self.scratch_t[k - 1]) * (1.0 - self.alpha)
+            // Upper bound of every unseen score; closed strictly below the
+            // best seen, or on a tie the tie-break already decides (see the
+            // type docs for the argument).
+            let frontier_t = &self.scratch_t[k - 1];
+            let bound = pass.ut_term(frontier_t) * (1.0 - self.alpha)
                 + pass.age_term(&self.scratch_a[k - 1]) * self.alpha;
-            if bound < best_score {
+            if bound < best_score
+                || (bound == best_score && uncached_key(&best_snap) >= uncached_key(frontier_t))
+            {
                 self.stats.frontier_picks += 1;
                 return Some(best_snap.bucket);
             }
@@ -400,9 +415,9 @@ mod tests {
         }
     }
 
-    /// Near-total ties force the threshold bound to stay open: the blended
-    /// pick must fall back to the full scan and still agree with the legacy
-    /// path.
+    /// Total ties pin the threshold bound exactly on the best seen score;
+    /// the tie-break closes the scan at the first check, and the pick still
+    /// agrees with the legacy path.
     #[test]
     fn blended_pick_survives_degenerate_ties() {
         // All cached, identical queues and ages → every score is equal.
@@ -416,13 +431,38 @@ mod tests {
         // resident pool — counted as frontier picks, not fallbacks.
         assert_eq!(s.decision_stats().frontier_picks, 2);
         assert_eq!(s.decision_stats().fallback_picks, 0);
-        // All-*uncached* ties keep the bound exactly open (bound == best):
-        // the scan must give up and stream every candidate once.
+        // All-*uncached* ties (one wide query's fan-out) hold the bound at
+        // exactly the best seen score; the best seen leads the uncached
+        // frontier in tie-break order, so the first check closes.
         let uncached: Vec<BucketSnapshot> = (0..33).map(|i| snap(i, 10, 5, false)).collect();
         let v = view(uncached.clone(), 20);
         let mut s = LifeRaftScheduler::new(MetricParams::paper(), AgingMode::Normalized, 0.5);
         let legacy = s.pick_index(v.now, &uncached).unwrap();
         assert_eq!(s.pick(&v).unwrap().bucket, uncached[legacy].bucket);
+        assert_eq!(s.decision_stats().frontier_picks, 1);
+        assert_eq!(s.decision_stats().fallback_picks, 0);
+    }
+
+    /// Anti-correlated lists keep the bound open for real: the long queues
+    /// are the young ones, so the bound pairs one half's `Ut` with the other
+    /// half's age until the frontiers cross. The scan must give up, stream
+    /// every candidate once, and still agree with the legacy path.
+    #[test]
+    fn open_bound_falls_back_to_the_streamed_scan() {
+        let candidates: Vec<BucketSnapshot> = (0..32)
+            .map(|i| {
+                let (queue_len, enq_s) = if i < 16 {
+                    (100 + i as u64, 50 + i as u64)
+                } else {
+                    (1, i as u64 - 16)
+                };
+                snap(i, queue_len, enq_s, false)
+            })
+            .collect();
+        let v = view(candidates.clone(), 100);
+        let mut s = LifeRaftScheduler::new(MetricParams::paper(), AgingMode::Normalized, 0.5);
+        let legacy = s.pick_index(v.now, &candidates).unwrap();
+        assert_eq!(s.pick(&v).unwrap().bucket, candidates[legacy].bucket);
         assert_eq!(s.decision_stats().fallback_picks, 1);
         assert_eq!(s.decision_stats().frontier_picks, 0);
     }

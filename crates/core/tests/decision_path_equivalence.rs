@@ -3,7 +3,8 @@
 //! `WorkloadTable`, φ synced via the residency mutation log) must equal the
 //! pick made through the **legacy path** (`snapshots_into` gather + scan
 //! over the materialized slice) — across arbitrary interleavings of
-//! enqueues, full/per-query drains, and cache accesses/evictions/flushes.
+//! enqueues (narrow, and one query fanned wide at one instant so scores
+//! tie), full/per-query drains, and cache accesses/evictions/flushes.
 //!
 //! This is the contract that lets `tests/golden_determinism.rs` keep its
 //! pre-refactor fingerprints: if these picks agree everywhere, the engines
@@ -14,8 +15,9 @@ use std::collections::{BTreeSet, HashMap};
 use liferaft_core::adaptive::{TradeoffCurve, TradeoffPoint};
 use liferaft_core::scheduler::FixtureView;
 use liferaft_core::{
-    AdaptiveScheduler, AgingMode, AlphaController, IndexedSchedulerView, LifeRaftScheduler,
-    MetricParams, NoShareScheduler, RoundRobinScheduler, Scheduler, TradeoffTable,
+    AdaptiveScheduler, AgingMode, AlphaController, DecisionStats, IndexedSchedulerView,
+    LifeRaftScheduler, MetricParams, NoShareScheduler, RoundRobinScheduler, Scheduler,
+    TradeoffTable,
 };
 use liferaft_htm::Vec3;
 use liferaft_query::{CrossMatchQuery, Predicate, QueryId, WorkItem, WorkloadTable};
@@ -27,8 +29,16 @@ const CACHE_CAP: usize = 4;
 
 #[derive(Debug, Clone, Copy)]
 enum Op {
-    /// Enqueue `n` objects of `query` at `bucket`.
-    Enqueue { bucket: u32, query: u64, n: u8 },
+    /// Enqueue `n` objects of `query` into each of `width` consecutive
+    /// buckets from `bucket` (wrapping), all at one instant. `width > 1` is
+    /// a wide query's fan-out: where the queues were empty the new
+    /// candidates tie on both score terms.
+    Enqueue {
+        bucket: u32,
+        query: u64,
+        n: u8,
+        width: u32,
+    },
     /// Drain everything at `bucket`.
     TakeAll { bucket: u32 },
     /// Drain one query's entries at `bucket`.
@@ -40,19 +50,40 @@ enum Op {
 }
 
 fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
-    proptest::collection::vec((0u8..8, 0u32..N_BUCKETS as u32, 0u64..6, 1u8..5), 1..80).prop_map(
-        |raw| {
-            raw.into_iter()
-                .map(|(kind, bucket, query, n)| match kind {
-                    0..=2 => Op::Enqueue { bucket, query, n },
-                    3 => Op::TakeAll { bucket },
-                    4 => Op::TakeQuery { bucket, query },
-                    5 | 6 => Op::CacheAccess { bucket },
-                    _ => Op::CacheClear,
-                })
-                .collect()
-        },
+    proptest::collection::vec(
+        (
+            0u8..9,
+            0u32..N_BUCKETS as u32,
+            0u64..6,
+            1u8..5,
+            // Fan-out widths: past 2·`FRONTIER_SEED`, where only the
+            // tie-break closes an all-tied scan before the fallback.
+            9u32..=N_BUCKETS as u32,
+        ),
+        1..80,
     )
+    .prop_map(|raw| {
+        raw.into_iter()
+            .map(|(kind, bucket, query, n, width)| match kind {
+                0..=2 => Op::Enqueue {
+                    bucket,
+                    query,
+                    n,
+                    width: 1,
+                },
+                3 => Op::TakeAll { bucket },
+                4 => Op::TakeQuery { bucket, query },
+                5 | 6 => Op::CacheAccess { bucket },
+                7 => Op::CacheClear,
+                _ => Op::Enqueue {
+                    bucket,
+                    query,
+                    n,
+                    width,
+                },
+            })
+            .collect()
+    })
 }
 
 /// Queries `0..6`, four objects each — the object lists the table's runs
@@ -101,7 +132,7 @@ impl IndexedSchedulerView for IndexedView<'_> {
 fn stateless_schedulers() -> Vec<Box<dyn Scheduler>> {
     let mut v: Vec<Box<dyn Scheduler>> = vec![Box::new(NoShareScheduler::new())];
     for mode in [AgingMode::Normalized, AgingMode::Raw] {
-        for alpha in [0.0, 0.25, 0.5, 1.0] {
+        for alpha in [0.0, 0.25, 0.5, 0.75, 1.0] {
             v.push(Box::new(LifeRaftScheduler::new(
                 MetricParams::paper(),
                 mode,
@@ -155,15 +186,17 @@ proptest! {
         for (step, op) in ops.iter().enumerate() {
             let now = SimTime::from_micros(step as u64 * 1_000 + 1);
             match *op {
-                Op::Enqueue { bucket, query, n } => {
+                Op::Enqueue { bucket, query, n, width } => {
                     let q = &pool[query as usize];
-                    let item = WorkItem {
-                        query: q.id,
-                        bucket: BucketId(bucket),
-                        object_indices: (0..n as u32).collect(),
-                    };
-                    table.enqueue(&item, q, now);
-                    per_query.entry(q.id).or_default().insert(BucketId(bucket));
+                    for b in (bucket..bucket + width).map(|b| BucketId(b % N_BUCKETS as u32)) {
+                        let item = WorkItem {
+                            query: q.id,
+                            bucket: b,
+                            object_indices: (0..n as u32).collect(),
+                        };
+                        table.enqueue(&item, q, now);
+                        per_query.entry(q.id).or_default().insert(b);
+                    }
                     arrival_of.entry(q.id).or_insert(now);
                 }
                 Op::TakeAll { bucket } => {
@@ -237,7 +270,7 @@ proptest! {
             // LifeRaft vs the pre-refactor pick_index over the gathered
             // slice — the strongest form of the claim.
             for mode in [AgingMode::Normalized, AgingMode::Raw] {
-                for alpha in [0.0, 0.25, 0.5, 1.0] {
+                for alpha in [0.0, 0.25, 0.5, 0.75, 1.0] {
                     let mut s = LifeRaftScheduler::new(MetricParams::paper(), mode, alpha);
                     let via_index = s.pick(&indexed_view).map(|spec| spec.bucket);
                     let via_slice = s.pick_index(now, &snaps).map(|i| snaps[i].bucket);
@@ -255,6 +288,61 @@ proptest! {
                 let b = rr_legacy.pick(&legacy_view);
                 prop_assert_eq!(a, b, "RR diverged at step {}", step);
                 prop_assert_eq!(rr_indexed.cursor(), rr_legacy.cursor());
+            }
+        }
+    }
+}
+
+/// One query fanned into every bucket at one instant with equal `n` ties all
+/// candidates on both score terms, which holds the threshold bound exactly on
+/// the best seen score. The tie-break closes that scan at its first check: a
+/// fresh scheduler counts one frontier pick (the strict test streamed all
+/// `N_BUCKETS` > 2·`FRONTIER_SEED` candidates instead), and the pick stays
+/// `pick_index`'s — with every bucket uncached, and with a few resident.
+#[test]
+fn wide_enqueue_ties_close_on_the_frontier() {
+    let pool = query_pool();
+    let enqueued = SimTime::from_micros(1_000);
+    let now = SimTime::from_micros(5_000);
+    let mut table = WorkloadTable::new(N_BUCKETS).with_object_counts(|b| 500 + b.0 as u64);
+    for b in 0..N_BUCKETS as u32 {
+        let item = WorkItem {
+            query: pool[0].id,
+            bucket: BucketId(b),
+            object_indices: vec![0, 1],
+        };
+        table.enqueue(&item, &pool[0], enqueued);
+    }
+    let mut cache = BucketCache::new(CACHE_CAP);
+    let per_query = HashMap::new();
+    let mut snaps = Vec::new();
+    for resident in [0u32, 3] {
+        for b in 0..resident {
+            cache.access(BucketId(7 + 5 * b));
+        }
+        table.sync_residency(&cache);
+        table.snapshots_into(&mut snaps, &cache);
+        assert_eq!(snaps.iter().filter(|c| c.cached).count(), resident as usize);
+        let view = IndexedView {
+            now,
+            table: &table,
+            oldest_query: None,
+            per_query: &per_query,
+        };
+        for mode in [AgingMode::Normalized, AgingMode::Raw] {
+            for alpha in [0.25, 0.5, 0.75] {
+                let mut s = LifeRaftScheduler::new(MetricParams::paper(), mode, alpha);
+                let via_index = s.pick(&view).map(|spec| spec.bucket);
+                let via_slice = s.pick_index(now, &snaps).map(|i| snaps[i].bucket);
+                assert_eq!(via_index, via_slice, "mode {mode:?} α={alpha}");
+                assert_eq!(
+                    s.decision_stats(),
+                    DecisionStats {
+                        frontier_picks: 1,
+                        fallback_picks: 0
+                    },
+                    "mode {mode:?} α={alpha}, {resident} resident"
+                );
             }
         }
     }

@@ -815,6 +815,7 @@ mod tests {
     use liferaft_catalog::{generate::uniform_sky, MaterializedCatalog, Partition, VirtualCatalog};
     use liferaft_core::{
         AgingMode, LifeRaftScheduler, MetricParams, NoShareScheduler, RoundRobinScheduler,
+        SchedulerView,
     };
     use liferaft_htm::HtmId;
     use liferaft_query::{CrossMatchQuery, Predicate};
@@ -1381,6 +1382,64 @@ mod tests {
             "greedy {} < aged {}",
             greedy.cache_service_fraction(),
             aged.cache_service_fraction()
+        );
+    }
+
+    /// LifeRaft's decision taken the legacy way: gather every candidate and
+    /// arg-max the slice with `pick_index`.
+    struct ViaPickIndex(LifeRaftScheduler);
+
+    impl Scheduler for ViaPickIndex {
+        fn name(&self) -> String {
+            self.0.name()
+        }
+
+        fn pick(&mut self, view: &dyn SchedulerView) -> Option<BatchSpec> {
+            let mut all = Vec::new();
+            view.for_each_candidate(&mut |c| all.push(*c));
+            let best = self.0.pick_index(view.now(), &all)?;
+            Some(BatchSpec {
+                bucket: all[best].bucket,
+                scope: BatchScope::AllQueued,
+                share_io: true,
+            })
+        }
+    }
+
+    /// Below capacity, a wide query fans one object into each of ~150 idle
+    /// buckets at one instant: the candidates tie on both score terms, and
+    /// the mixed-α pick must settle those ties on the frontier instead of
+    /// streaming every candidate per decision — with the same outcomes as
+    /// the legacy argmax.
+    #[test]
+    fn wide_sparse_queries_resolve_on_the_frontier() {
+        let cat = VirtualCatalog::new(LEVEL, 256, 100, 4096, 7);
+        let queries: Vec<CrossMatchQuery> = (0..12u64)
+            .map(|i| {
+                let positions: Vec<_> = (0..150u32)
+                    .map(|j| cat.bucket_objects(BucketId((i as u32 * 40 + j) % 256))[50].pos)
+                    .collect();
+                CrossMatchQuery::from_positions(QueryId(i), &positions, 1e-5, LEVEL, Predicate::All)
+            })
+            .collect();
+        // ~150 cold reads × 1.2 s per query, one query every 300 s.
+        let timed = Trace::new(LEVEL, queries).with_arrivals(uniform_arrivals(1.0 / 300.0, 12));
+        let sim = Simulation::new(&cat, SimConfig::paper());
+        let scheduler = || LifeRaftScheduler::new(params(), AgingMode::Normalized, 0.5);
+        let indexed = sim.run(&timed, &mut scheduler());
+        let legacy = sim.run(&timed, &mut ViaPickIndex(scheduler()));
+        assert_eq!(indexed.outcomes, legacy.outcomes);
+        assert_eq!(indexed.batches, legacy.batches);
+        assert!(indexed.batches >= 12 * 150);
+        assert_eq!(
+            indexed.frontier_picks + indexed.fallback_picks,
+            indexed.batches
+        );
+        assert!(
+            indexed.fallback_picks * 100 <= indexed.batches,
+            "{} of {} picks streamed every candidate",
+            indexed.fallback_picks,
+            indexed.batches
         );
     }
 }
