@@ -19,7 +19,10 @@ fn main() {
     let wants =
         |name: &str| filters.is_empty() || filters.iter().any(|f| name.starts_with(f.as_str()));
 
-    let scale = Scale::from_env();
+    let scale = Scale::from_env().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
     println!(
         "LifeRaft figure harness — scale: {} buckets x {} objects, {} queries (LIFERAFT_SCALE={})",
         scale.n_buckets,

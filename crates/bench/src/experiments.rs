@@ -49,12 +49,23 @@ impl Scale {
         }
     }
 
-    /// Reads `LIFERAFT_SCALE` (`full` | `quick`), defaulting to `full`.
-    pub fn from_env() -> Self {
-        match std::env::var("LIFERAFT_SCALE").as_deref() {
-            Ok("quick") => Self::quick(),
-            _ => Self::full(),
+    /// The scale a `LIFERAFT_SCALE` value names: `full` (also when unset)
+    /// or `quick`. Anything else is an error naming the accepted values —
+    /// a typo must not start the minutes-long full run.
+    pub fn parse(value: Option<&str>) -> Result<Self, String> {
+        match value {
+            None | Some("full") => Ok(Self::full()),
+            Some("quick") => Ok(Self::quick()),
+            Some(other) => Err(format!(
+                "LIFERAFT_SCALE={other:?} is not a scale: use `full` (the default when unset) or `quick`"
+            )),
         }
+    }
+
+    /// [`Scale::parse`] of the `LIFERAFT_SCALE` environment variable.
+    pub fn from_env() -> Result<Self, String> {
+        let value = std::env::var_os("LIFERAFT_SCALE");
+        Self::parse(value.as_ref().map(|v| v.to_string_lossy()).as_deref())
     }
 }
 
@@ -94,5 +105,21 @@ pub fn build(scale: Scale) -> Experiment {
         trace,
         config: SimConfig::paper(),
         scale,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn scale_parse_accepts_full_quick_unset_and_rejects_the_rest() {
+        assert_eq!(Scale::parse(None), Ok(Scale::full()));
+        assert_eq!(Scale::parse(Some("full")), Ok(Scale::full()));
+        assert_eq!(Scale::parse(Some("quick")), Ok(Scale::quick()));
+        for typo in ["qiuck", "Quick", ""] {
+            let err = Scale::parse(Some(typo)).expect_err(typo);
+            assert!(err.contains("`full`") && err.contains("`quick`"), "{err}");
+        }
     }
 }

@@ -4,13 +4,10 @@
 //! statistic quoted in Section 6; [`figures`] contains one reproduction
 //! function per artifact, each printing the same rows/series the paper
 //! reports and returning structured results for assertions. [`experiments`]
-//! builds the shared catalog/trace fixtures at two scales:
-//!
-//! - `full` — 4 096 buckets × 10 000 objects at HTM level 14, 2 000 queries
-//!   (the paper's bucket geometry; bucket count chosen to match Figure 6's
-//!   0–4 000 x-axis, i.e. the populated portion of their 20 000 buckets).
-//! - `quick` — 512 buckets × 1 000 objects at level 10, 300 queries, for
-//!   fast iteration (`LIFERAFT_SCALE=quick cargo bench`).
+//! builds the shared catalog/trace fixtures at two scales,
+//! [`experiments::Scale::full`] (the paper's 40 MB bucket geometry) and
+//! [`experiments::Scale::quick`] for fast iteration
+//! (`LIFERAFT_SCALE=quick cargo bench`); the constructors hold the numbers.
 //!
 //! Run everything with `cargo bench -p liferaft-bench --bench figures`, or a
 //! single artifact with `cargo bench -p liferaft-bench --bench figures -- fig7`.

@@ -95,10 +95,9 @@
 //!
 //! # Sweep driver
 //!
-//! [`sweep`] fans independent runs — α sweeps, cache-size sweeps,
-//! shard-count sweeps, rebalance-epoch sweeps, per-seed replications —
-//! across a thread pool with results in input order whatever the thread
-//! count ([`parallel_map`]).
+//! [`sweep`] fans independent runs — α sweeps, shard-count sweeps, any
+//! pure per-item closure — across a thread pool with results in input
+//! order whatever the thread count ([`parallel_map`]).
 //!
 //! # Layout
 //!
@@ -145,9 +144,7 @@ pub use retry::RetryPolicy;
 pub use router::{route, route_parallel, Fragment, Routing};
 pub use runtime::{RuntimeReport, ShardedRuntime};
 pub use shard::{ElasticShardMap, ShardAssignment, ShardId, ShardMap};
-pub use sweep::{
-    alpha_sweep, cache_sweep, parallel_map, rebalance_sweep, seed_sweep, shard_sweep, SweepPoint,
-};
+pub use sweep::{alpha_sweep, parallel_map, shard_sweep, SweepPoint};
 pub use transport::{
     HedgeConfig, HedgeDecision, LinkDrop, Retransmit, SuppressedDuplicate, TransportConfig,
     TransportLog, TransportReport,

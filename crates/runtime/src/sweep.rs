@@ -5,8 +5,7 @@
 //! its configuration and seed, so the only thing a thread pool may change
 //! is wall-clock time. [`parallel_map`] enforces that contract — results
 //! come back in input order whatever the thread count — and the typed
-//! sweeps ([`alpha_sweep`], [`cache_sweep`], [`shard_sweep`], [`seed_sweep`])
-//! are thin, composable wrappers over it.
+//! sweeps ([`alpha_sweep`], [`shard_sweep`]) are thin wrappers over it.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -14,7 +13,6 @@ use std::sync::mpsc;
 use liferaft_catalog::Catalog;
 use liferaft_core::{AgingMode, LifeRaftScheduler, MetricParams, Scheduler};
 use liferaft_sim::{RunReport, SimConfig, Simulation};
-use liferaft_storage::SimDuration;
 use liferaft_workload::TimedTrace;
 
 use crate::config::{ExecMode, RuntimeConfig};
@@ -83,7 +81,7 @@ pub(crate) fn collect_indexed<T>(rx: mpsc::Receiver<(usize, T)>, n: usize) -> Ve
 /// One sweep sample: a human label, the swept coordinate, and the run.
 #[derive(Debug, Clone)]
 pub struct SweepPoint {
-    /// Row label (e.g. `α=0.50`, `cache=128`, `shards=4`).
+    /// Row label (e.g. `α=0.50`, `shards=4`).
     pub label: String,
     /// The swept coordinate as a number (for plotting).
     pub x: f64,
@@ -91,7 +89,7 @@ pub struct SweepPoint {
     pub report: RunReport,
     /// The full runtime report for sharded sweeps — per-shard runs,
     /// decision logs, and the flight-recorder report when telemetry is on.
-    /// `None` for single-engine sweeps ([`alpha_sweep`], [`cache_sweep`]).
+    /// `None` for the single-engine [`alpha_sweep`].
     pub runtime: Option<RuntimeReport>,
 }
 
@@ -156,29 +154,6 @@ pub fn alpha_sweep<C: Catalog + Sync + ?Sized>(
     })
 }
 
-/// Sweeps the bucket-cache capacity across `sizes` under the greedy policy
-/// (the cache-scaling experiment), fanned across `threads`.
-pub fn cache_sweep<C: Catalog + Sync + ?Sized>(
-    catalog: &C,
-    trace: &TimedTrace,
-    config: SimConfig,
-    params: MetricParams,
-    sizes: &[usize],
-    threads: usize,
-) -> Vec<SweepPoint> {
-    parallel_map(sizes, threads, |_, &cache_buckets| {
-        let mut config = config;
-        config.cache_buckets = cache_buckets;
-        let mut s = LifeRaftScheduler::greedy(params);
-        let report = Simulation::new(catalog, config).run(trace, &mut s);
-        SweepPoint::single(
-            format!("cache={cache_buckets}"),
-            cache_buckets as f64,
-            report,
-        )
-    })
-}
-
 /// Sweeps the shard count across `counts`, one [`ShardedRuntime`] run per
 /// point; each point's report is the runtime's global summary. The
 /// per-point scheduler factory must be `Sync` (points run concurrently).
@@ -204,51 +179,6 @@ where
     })
 }
 
-/// Sweeps the rebalance axis: one [`ShardedRuntime`] run per epoch length
-/// in `epochs` (`None` = rebalancing off, the static baseline), holding
-/// everything else in `base` fixed. Non-epoch rebalance knobs come from
-/// `base.rebalance`, so callers can pre-tune the policy and sweep only the
-/// cadence.
-pub fn rebalance_sweep<C, F>(
-    catalog: &C,
-    trace: &TimedTrace,
-    base: RuntimeConfig,
-    epochs: &[Option<SimDuration>],
-    mode: ExecMode,
-    threads: usize,
-    mk_scheduler: F,
-) -> Vec<SweepPoint>
-where
-    C: Catalog + Sync + ?Sized,
-    F: Fn(usize) -> Box<dyn Scheduler + Send> + Sync,
-{
-    parallel_map(epochs, threads, |_, &epoch| {
-        let mut config = base.clone();
-        match epoch {
-            None => config.rebalance.enabled = false,
-            Some(e) => {
-                config.rebalance.enabled = true;
-                config.rebalance.epoch = e;
-            }
-        }
-        let runtime = ShardedRuntime::new(catalog, config);
-        let report = runtime.run(trace, &mut |i| mk_scheduler(i), mode);
-        let (label, x) = match epoch {
-            None => ("epoch=off".to_string(), 0.0),
-            Some(e) => (format!("epoch={}s", e.as_secs_f64()), e.as_secs_f64()),
-        };
-        SweepPoint::sharded(label, x, report)
-    })
-}
-
-/// Fans replicated runs with per-run seeds across `threads`: `f(seed)`
-/// builds and executes one replication (generate a trace from the seed, run
-/// it, reduce). Output order matches `seeds` order whatever the thread
-/// count.
-pub fn seed_sweep<O: Send>(seeds: &[u64], threads: usize, f: impl Fn(u64) -> O + Sync) -> Vec<O> {
-    parallel_map(seeds, threads, |_, &seed| f(seed))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,13 +201,5 @@ mod tests {
         let empty: Vec<u32> = vec![];
         assert!(parallel_map(&empty, 4, |_, &x| x).is_empty());
         assert_eq!(parallel_map(&[9u32], 4, |_, &x| x + 1), vec![10]);
-    }
-
-    #[test]
-    fn seed_sweep_is_ordered() {
-        let seeds = [3u64, 1, 4, 1, 5, 9, 2, 6];
-        let got = seed_sweep(&seeds, 4, |s| s.wrapping_mul(0x9E37_79B9));
-        let expect: Vec<u64> = seeds.iter().map(|s| s.wrapping_mul(0x9E37_79B9)).collect();
-        assert_eq!(got, expect);
     }
 }
