@@ -100,8 +100,8 @@ fn main() {
         checks.len()
     );
     if missed > 0 {
-        // Benches should report, not abort the suite; the audit line above
-        // is what EXPERIMENTS.md records.
+        // The bench reports; `tests/audit.rs` is what fails, holding these
+        // misses against its `KNOWN_DEVIATIONS` lists.
         eprintln!("warning: {missed} checks missed the published shape");
     }
 }

@@ -4,8 +4,9 @@
 //! a list of [`Check`]s — qualitative assertions about the *shape* of the
 //! result (who wins, by roughly what factor, where crossovers fall). The
 //! figure harness prints them as `[ ok ]` / `[MISS]` lines so a `cargo
-//! bench` run doubles as a reproduction audit; EXPERIMENTS.md records the
-//! measured values against the paper's.
+//! bench` run doubles as a reproduction audit; `tests/audit.rs` runs the
+//! same checks and holds them against its `KNOWN_DEVIATIONS` lists, the
+//! record of where the measured shape departs from the paper's.
 
 use liferaft_catalog::Catalog;
 use liferaft_core::{
@@ -369,7 +370,7 @@ pub fn fig8(exp: &Experiment) -> (TradeoffTable, SaturationSweep, Vec<Check>) {
             "fig8a: α differentiates throughput only under saturation (paper: widening gap)",
             high_gap.abs() > low_gap.abs() + 0.005,
             format!(
-                "|gap| {:.3} q/s at 0.1 vs {:.3} q/s at 0.5 (ours favors α=1 past capacity; see EXPERIMENTS.md)",
+                "|gap| {:.3} q/s at 0.1 vs {:.3} q/s at 0.5 (ours favors α=1 past capacity; see KNOWN_DEVIATIONS in tests/audit.rs)",
                 low_gap.abs(),
                 high_gap.abs()
             ),

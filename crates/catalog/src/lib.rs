@@ -20,7 +20,9 @@
 //!   whenever a join wants real rows.
 //!
 //! Both yield the same scheduling-relevant shape: equal-cost buckets tiling
-//! the HTM curve (see DESIGN.md §2 for why this substitution is sound).
+//! the HTM curve. The substitution is sound because the scheduler never sees
+//! rows — only, per bucket, a queue length, an age, a residency bit and the
+//! object count that sets `Tb` — and both catalogs give it identical ones.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

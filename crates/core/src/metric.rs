@@ -64,8 +64,9 @@ impl MetricParams {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AgingMode {
     /// Min–max normalize both `Ut` and `A` over the candidate set before
-    /// blending (our default; see DESIGN.md §2 — the paper's raw sum mixes
-    /// objects/ms with milliseconds, letting age dominate for any α > 0).
+    /// blending (our default: the paper's raw sum mixes objects/ms with
+    /// milliseconds, letting age dominate for any α > 0 — the `ablations`
+    /// figure check measures exactly that).
     Normalized,
     /// The paper's Eq. 2 verbatim: `Ua = Ut·(1−α) + A·α` on raw values.
     /// Kept for the ablation bench.

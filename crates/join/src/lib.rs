@@ -5,17 +5,14 @@
 //! HTM-sorted data ("objects in both the bucket and its corresponding
 //! workload queue are first sorted by their HTM IDs. The join is performed
 //! by simultaneously scanning and merging", Section 3.1), falls back to an
-//! indexed join for small queues (Section 3.4), and cites the Zones
-//! algorithm (Gray et al.) as the scan-based cross-match foundation.
+//! indexed join for small queues (Section 3.4).
 //!
-//! This crate implements all of them over identical inputs:
+//! This crate implements both over identical inputs, plus a test oracle:
 //!
 //! - [`sweep::sweep_join`] — the production engine: two-pointer merge of the
 //!   sorted bucket against queue entries sorted by bounding-box start.
 //! - [`indexed::indexed_join`] — probes the bucket's clustered HTM order by
 //!   binary search per entry; identical output, different I/O profile.
-//! - [`zones::ZoneMap`] — the Zones algorithm: declination bands with
-//!   RA-sorted rows; an independent engine used to cross-validate results.
 //! - [`brute::brute_force_join`] — O(N·W) reference oracle for tests.
 //! - [`hybrid`] — the strategy choice: scan vs. index by queue/bucket ratio
 //!   (break-even ≈ 3% in the paper's configuration, Figure 2).
@@ -31,7 +28,6 @@ pub mod hybrid;
 pub mod indexed;
 pub mod sweep;
 pub mod types;
-pub mod zones;
 
 pub use hybrid::{HybridConfig, JoinStrategy};
 pub use sweep::sweep_join;

@@ -1,4 +1,4 @@
-//! Property tests: all four join engines compute the same matches.
+//! Property tests: all three join engines compute the same matches.
 
 use liferaft_catalog::generate::{clustered_sky, uniform_sky, ClusterConfig};
 use liferaft_catalog::SkyObject;
@@ -6,7 +6,6 @@ use liferaft_htm::Vec3;
 use liferaft_join::brute::brute_force_join;
 use liferaft_join::indexed::indexed_join;
 use liferaft_join::sweep::sweep_join;
-use liferaft_join::zones::ZoneMap;
 use liferaft_query::{MatchObject, QueryId, QueueEntry};
 use liferaft_storage::SimTime;
 use proptest::prelude::*;
@@ -42,7 +41,7 @@ fn derive_entries(sky: &[SkyObject], offsets: &[(f64, f64, f64)]) -> Vec<QueueEn
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Sweep ≡ indexed ≡ zones ≡ brute force on uniform skies.
+    /// Sweep ≡ indexed ≡ brute force on uniform skies.
     #[test]
     fn engines_agree_on_uniform_sky(
         seed in 0u64..1000,
@@ -56,9 +55,7 @@ proptest! {
         let entries = derive_entries(&sky, &offsets);
         let brute = brute_force_join(&sky, &entries).sorted_pairs();
         prop_assert_eq!(sweep_join(&sky, &entries).sorted_pairs(), brute.clone());
-        prop_assert_eq!(indexed_join(&sky, &entries).sorted_pairs(), brute.clone());
-        let zm = ZoneMap::build(&sky, 0.02);
-        prop_assert_eq!(zm.crossmatch(&sky, &entries).sorted_pairs(), brute);
+        prop_assert_eq!(indexed_join(&sky, &entries).sorted_pairs(), brute);
     }
 
     /// Same equivalence on clustered (dense-hotspot) skies, where candidate
@@ -76,9 +73,7 @@ proptest! {
         let entries = derive_entries(&sky, &offsets);
         let brute = brute_force_join(&sky, &entries).sorted_pairs();
         prop_assert_eq!(sweep_join(&sky, &entries).sorted_pairs(), brute.clone());
-        prop_assert_eq!(indexed_join(&sky, &entries).sorted_pairs(), brute.clone());
-        let zm = ZoneMap::build(&sky, 0.015);
-        prop_assert_eq!(zm.crossmatch(&sky, &entries).sorted_pairs(), brute);
+        prop_assert_eq!(indexed_join(&sky, &entries).sorted_pairs(), brute);
     }
 
     /// Anchored entries (exact positions of catalog rows) always match their
@@ -97,26 +92,8 @@ proptest! {
                 entry_at(sky[k].pos, 1e-5, 0, i as u32)
             })
             .collect();
-        for out in [
-            sweep_join(&sky, &entries),
-            indexed_join(&sky, &entries),
-            ZoneMap::build(&sky, 0.02).crossmatch(&sky, &entries),
-        ] {
+        for out in [sweep_join(&sky, &entries), indexed_join(&sky, &entries)] {
             prop_assert!(out.len() >= entries.len());
         }
-    }
-
-    /// The zone height never changes the result, only the filter efficiency.
-    #[test]
-    fn zone_height_invariance(
-        seed in 0u64..200,
-        h1 in 0.005..0.1f64,
-        h2 in 0.005..0.1f64,
-    ) {
-        let sky = uniform_sky(120, LEVEL, seed);
-        let entries = derive_entries(&sky, &[(0.3, 0.01, 0.02), (0.7, -0.01, 0.03)]);
-        let a = ZoneMap::build(&sky, h1).crossmatch(&sky, &entries).sorted_pairs();
-        let b = ZoneMap::build(&sky, h2).crossmatch(&sky, &entries).sorted_pairs();
-        prop_assert_eq!(a, b);
     }
 }

@@ -5,7 +5,9 @@
 //! 1. The **aged workload throughput metric** combines a rate (`Ut`,
 //!    objects/ms) with an age (`A`, ms). The paper's Eq. 2 adds them raw; we
 //!    min–max normalize both over the candidate set at each scheduling
-//!    decision so that `α` interpolates meaningfully (see DESIGN.md §2).
+//!    decision so that `α` interpolates meaningfully: raw, a rate below
+//!    10 objects/ms is added to ages in the thousands of ms, so any α > 0
+//!    hands the decision to the age term alone.
 //! 2. **Figure 4** plots throughput and response time normalized to their
 //!    maxima over all α values.
 

@@ -32,8 +32,11 @@
 use std::collections::BTreeSet;
 
 use liferaft_metrics::Summary;
-use liferaft_query::WorkItem;
+use liferaft_query::{CrossMatchQuery, WorkItem};
 use liferaft_storage::{SimDuration, SimTime};
+use liferaft_telemetry::{Event, EventKind};
+
+use crate::ledger::{ClassConservation, Ledger, RejectedBy, RejectedQuery};
 
 /// Priority class of a query at the front door, derived from its routed
 /// workload size (total object × bucket assignments): small exploratory
@@ -77,6 +80,33 @@ impl QueryClass {
 
     fn rank_u8(self) -> u8 {
         self.rank() as u8
+    }
+
+    /// Default interactive threshold: at most this many assignments.
+    pub(crate) const INTERACTIVE_MAX_ASSIGNMENTS: u64 = 200;
+    /// Default batch threshold: at least this many assignments.
+    pub(crate) const BATCH_MIN_ASSIGNMENTS: u64 = 1_500;
+
+    /// The class of a query with `assignments` routed assignments under the
+    /// given thresholds.
+    pub(crate) fn of(assignments: u64, interactive_max: u64, batch_min: u64) -> QueryClass {
+        if assignments <= interactive_max {
+            QueryClass::Interactive
+        } else if assignments >= batch_min {
+            QueryClass::Batch
+        } else {
+            QueryClass::Standard
+        }
+    }
+
+    /// [`QueryClass::of`] under the default thresholds — how runs without a
+    /// front door (failover, transport) classify their queries.
+    pub(crate) fn of_default_thresholds(assignments: u64) -> QueryClass {
+        Self::of(
+            assignments,
+            Self::INTERACTIVE_MAX_ASSIGNMENTS,
+            Self::BATCH_MIN_ASSIGNMENTS,
+        )
     }
 }
 
@@ -130,8 +160,8 @@ impl FrontDoorConfig {
             max_shard_inflight_assignments: None,
             max_waiting_assignments: None,
             hard_waiting_assignments: None,
-            interactive_max_assignments: 200,
-            batch_min_assignments: 1_500,
+            interactive_max_assignments: QueryClass::INTERACTIVE_MAX_ASSIGNMENTS,
+            batch_min_assignments: QueryClass::BATCH_MIN_ASSIGNMENTS,
             shed_backoff: SimDuration::from_secs(5),
             max_retries: 3,
             sample_epoch: SimDuration::from_secs(30),
@@ -161,13 +191,11 @@ impl FrontDoorConfig {
 
     /// Classifies a query by its routed workload size.
     pub fn classify(&self, assignments: u64) -> QueryClass {
-        if assignments <= self.interactive_max_assignments {
-            QueryClass::Interactive
-        } else if assignments >= self.batch_min_assignments {
-            QueryClass::Batch
-        } else {
-            QueryClass::Standard
-        }
+        QueryClass::of(
+            assignments,
+            self.interactive_max_assignments,
+            self.batch_min_assignments,
+        )
     }
 
     /// Validates invariants.
@@ -305,24 +333,123 @@ impl AdmissionLog {
     pub fn total_shed_events(&self) -> u64 {
         self.verdicts.iter().map(|v| v.sheds as u64).sum()
     }
-}
 
-/// One rejected query's terminal record (surfaced in the runtime report so
-/// accounting stays conserved: completed + rejected = trace length).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RejectedQuery {
-    /// Trace index of the query.
-    pub index: usize,
-    /// True arrival time.
-    pub arrival: SimTime,
-    /// When the front door gave up on it.
-    pub rejected_at: SimTime,
-    /// Its priority class.
-    pub class: QueryClass,
-    /// The workload it would have run.
-    pub assignments: u64,
-    /// Sheds it survived before rejection.
-    pub retries: u32,
+    /// The queries the door rejected, in trace order: `(trace index, when,
+    /// sheds survived)`.
+    pub(crate) fn rejections(&self) -> impl Iterator<Item = (usize, SimTime, u32)> + '_ {
+        let rejection = |(i, v): (usize, &QueryVerdict)| match v.decision {
+            Disposition::Rejected { at } => Some((i, at, v.sheds)),
+            Disposition::Admitted { .. } => None,
+        };
+        self.verdicts.iter().enumerate().filter_map(rejection)
+    }
+
+    /// Renders the log as router events: one verdict per query in trace
+    /// order, then the samples.
+    pub(crate) fn render(&self, entries: &[(SimTime, CrossMatchQuery)], out: &mut Vec<Event>) {
+        for (i, v) in self.verdicts.iter().enumerate() {
+            let (query_index, class) = (i as u64, v.class.rank_u8());
+            let (assignments, sheds) = (v.assignments, v.sheds);
+            out.push(match v.decision {
+                Disposition::Admitted { at, .. } => Event::router(
+                    at,
+                    EventKind::Admitted {
+                        query_index,
+                        class,
+                        assignments,
+                        sheds,
+                        waited: at.since(entries[i].0),
+                    },
+                ),
+                Disposition::Rejected { at } => Event::router(
+                    at,
+                    EventKind::Rejected {
+                        query_index,
+                        class,
+                        assignments,
+                        sheds,
+                    },
+                ),
+            });
+        }
+        for s in &self.samples {
+            out.push(Event::router(
+                s.at,
+                EventKind::AdmissionSampled {
+                    epoch: s.epoch,
+                    inflight: s.inflight_assignments,
+                    waiting: s.waiting_assignments,
+                    backoff: s.backoff_queries as u64,
+                    admitted: s.admitted,
+                    shed_events: s.shed_events,
+                    rejected: s.rejected,
+                },
+            ));
+        }
+    }
+
+    /// Closes the log into the [`FrontDoorReport`]: the door's rejection
+    /// records and the per-class books (`per_class`, the ledger's), extended
+    /// with the door's own columns and the response / TTFB summaries of each
+    /// class's completed queries.
+    ///
+    /// # Panics
+    /// Panics if an admitted query never completed, or if a shard serviced
+    /// any part of a query the door rejected.
+    pub(crate) fn into_report(
+        self,
+        ledger: &Ledger<'_>,
+        per_class: [ClassConservation; 3],
+    ) -> FrontDoorReport {
+        let mut per_class: [ClassStats; 3] = per_class.map(|books| ClassStats {
+            class: books.class,
+            submitted: books.submitted,
+            completed: books.completed,
+            admitted: 0,
+            deferred: 0,
+            shed_events: 0,
+            rejected: books.rejected,
+            max_retries: 0,
+            response: Summary::from_samples(Vec::new()),
+            ttfb: Summary::from_samples(Vec::new()),
+        });
+        let mut response: [Vec<f64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
+        let mut ttfb: [Vec<f64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
+        for (i, v) in self.verdicts.iter().enumerate() {
+            let arrival = ledger.arrival(i);
+            let c = v.class.rank();
+            let stats = &mut per_class[c];
+            stats.shed_events += v.sheds as u64;
+            stats.max_retries = stats.max_retries.max(v.sheds);
+            match v.decision {
+                Disposition::Admitted { at, .. } => {
+                    stats.admitted += 1;
+                    if at > arrival {
+                        stats.deferred += 1;
+                    }
+                    assert!(ledger.completed[i], "admitted query {i} never completed");
+                    let (first, last) = ledger.span[i].expect("a completed query was serviced");
+                    response[c].push(last.since(arrival).as_secs_f64());
+                    // A zero-work query's only event can be recorded at a later
+                    // batch boundary; its true first byte is its arrival.
+                    ttfb[c].push(first.max(arrival).since(arrival).as_secs_f64());
+                }
+                Disposition::Rejected { .. } => assert!(
+                    ledger.span[i].is_none(),
+                    "query {i} was rejected yet a shard serviced it"
+                ),
+            }
+        }
+        for (c, (r, t)) in response.into_iter().zip(ttfb).enumerate() {
+            per_class[c].response = Summary::from_samples(r);
+            per_class[c].ttfb = Summary::from_samples(t);
+        }
+        FrontDoorReport {
+            rejected: ledger.rejected_by(RejectedBy::FrontDoor),
+            per_class,
+            log: self,
+        }
+    }
 }
 
 /// Aggregated front-door outcomes of one priority class.
@@ -332,6 +459,9 @@ pub struct ClassStats {
     pub class: QueryClass,
     /// Queries of this class that arrived.
     pub submitted: u64,
+    /// Queries that completed — with `rejected` and `submitted`, the
+    /// [`ClassConservation`] books of the class.
+    pub completed: u64,
     /// Queries that were (eventually) admitted.
     pub admitted: u64,
     /// Admitted queries whose release came after their arrival — they

@@ -29,8 +29,9 @@
 //! become rounds the threaded pool re-executes.
 
 use liferaft_storage::{BucketId, SimDuration, SimTime};
+use liferaft_telemetry::{Event, EventKind};
 
-use crate::admission::QueryClass;
+use crate::ledger::{ClassConservation, RejectedQuery};
 use crate::retry::RetryPolicy;
 
 /// Crash-recovery policy: what the runtime does when a [`FaultPlan`]
@@ -202,56 +203,76 @@ impl FailoverLog {
     }
 
     /// The queries this log rejected (final attempt failed with no live
-    /// shard), derivable from the log alone so stepped and threaded runs
-    /// reconstruct identical rejection records. `assignments_of` and
-    /// `arrivals` index by trace position.
-    pub(crate) fn rejected_queries(
+    /// shard), in rejection order: `(trace index, when, attempts spent)`.
+    /// Derivable from the log alone, so stepped and threaded runs
+    /// reconstruct identical rejection records.
+    pub(crate) fn rejections(
         &self,
         max_redeliveries: u32,
-        arrivals: &[SimTime],
-        assignments_of: &[u64],
-    ) -> Vec<FailedQuery> {
+    ) -> impl Iterator<Item = (usize, SimTime, u32)> + '_ {
         self.redeliveries
             .iter()
-            .filter(|r| r.to.is_none() && r.attempt >= max_redeliveries)
-            .map(|r| FailedQuery {
-                index: r.query_index,
-                arrival: arrivals[r.query_index],
-                rejected_at: r.at,
-                attempts: r.attempt,
-                assignments: assignments_of[r.query_index],
-            })
-            .collect()
+            .filter(move |r| r.to.is_none() && r.attempt >= max_redeliveries)
+            .map(|r| (r.query_index, r.at, r.attempt))
     }
-}
 
-/// A query rejected by the failover path: its lost fragment exhausted every
-/// re-delivery attempt with no live shard to land on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FailedQuery {
-    /// Trace index of the query.
-    pub index: usize,
-    /// Its arrival instant.
-    pub arrival: SimTime,
-    /// When the final attempt gave up.
-    pub rejected_at: SimTime,
-    /// Re-delivery attempts spent.
-    pub attempts: u32,
-    /// The query's routed (object × bucket) assignments.
-    pub assignments: u64,
-}
+    /// The recovery-lag headline: the gap between the last evacuation
+    /// instant and the earliest batch a *destination* shard completed after
+    /// it (`None` when nothing was evacuated, or no destination completed
+    /// work afterward). `completion_after(shard, t)` is that shard's
+    /// earliest batch completion strictly after `t`.
+    pub(crate) fn recovery_lag(
+        &self,
+        completion_after: impl Fn(u32, SimTime) -> Option<SimTime>,
+    ) -> Option<SimDuration> {
+        let t = self.evacuations.iter().map(|e| e.at).max()?;
+        self.evacuations
+            .iter()
+            .filter_map(|e| completion_after(e.to, t))
+            .min()
+            .map(|ct| ct.since(t))
+    }
 
-/// Per-class terminal-outcome conservation under failover.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ClassConservation {
-    /// The class (by routed workload size, front-door thresholds).
-    pub class: QueryClass,
-    /// Queries of this class in the trace.
-    pub submitted: u64,
-    /// Queries that completed (all assignments serviced somewhere).
-    pub completed: u64,
-    /// Queries rejected by exhausted re-delivery.
-    pub rejected: u64,
+    /// Renders the log as router events: transitions, then evacuations,
+    /// then re-deliveries.
+    pub(crate) fn render(&self, out: &mut Vec<Event>) {
+        for t in &self.transitions {
+            let kind = if t.up {
+                EventKind::ShardUp { target: t.shard }
+            } else {
+                EventKind::ShardDown {
+                    target: t.shard,
+                    queued: t.queued,
+                }
+            };
+            out.push(Event::router(t.at, kind));
+        }
+        for e in &self.evacuations {
+            out.push(Event::router(
+                e.at,
+                EventKind::BucketEvacuated {
+                    bucket: e.bucket.0,
+                    from: e.from,
+                    to: e.to,
+                    entries: e.entries,
+                    resident: e.was_resident,
+                },
+            ));
+        }
+        for r in &self.redeliveries {
+            out.push(Event::router(
+                r.at,
+                EventKind::FragmentRetried {
+                    query: r.query_index as u64,
+                    from: r.from,
+                    attempt: r.attempt,
+                    delivered: r.to.is_some(),
+                    // Failed attempts had no live destination at all.
+                    to: r.to.unwrap_or(u32::MAX),
+                },
+            ));
+        }
+    }
 }
 
 /// What the failover path did and how the run ended: the
@@ -262,9 +283,7 @@ pub struct FailoverReport {
     /// The decision log.
     pub log: FailoverLog,
     /// Queries rejected by exhausted re-delivery, in rejection order.
-    /// `global.outcomes.len() + rejected.len()` equals the trace length —
-    /// accounting is conserved.
-    pub rejected: Vec<FailedQuery>,
+    pub rejected: Vec<RejectedQuery>,
     /// Terminal-outcome conservation per class
     /// (`completed + rejected == submitted`, asserted at build time).
     pub per_class: [ClassConservation; 3],
@@ -358,15 +377,10 @@ mod tests {
         };
         assert_eq!(log.evacuated_entries(), 40);
         assert_eq!(log.delivered_redeliveries(), 1);
-        let arrivals = vec![t(0); 5];
-        let assignments = vec![10u64; 5];
         // With a 2-attempt budget, query 2's second failed attempt rejects.
-        let rejected = log.rejected_queries(2, &arrivals, &assignments);
-        assert_eq!(rejected.len(), 1);
-        assert_eq!(rejected[0].index, 2);
-        assert_eq!(rejected[0].attempts, 2);
-        assert_eq!(rejected[0].rejected_at, t(4));
+        let rejected: Vec<_> = log.rejections(2).collect();
+        assert_eq!(rejected, vec![(2, t(4), 2)]);
         // A roomier budget rejects nothing: the chain would have retried.
-        assert!(log.rejected_queries(3, &arrivals, &assignments).is_empty());
+        assert_eq!(log.rejections(3).count(), 0);
     }
 }

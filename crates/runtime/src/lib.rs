@@ -32,53 +32,19 @@
 //! migration cost to the destination clock, and records every boundary in
 //! a [`RebalanceLog`].
 //!
-//! # Overload & the front door
+//! # Front door, failover, transport
 //!
-//! With [`FrontDoorConfig`] enabled a **global admission controller**
-//! fronts the pool: it bounds total in-flight (object × bucket) work,
-//! classifies every query into a [`QueryClass`] (interactive / standard /
-//! batch) by routed workload size, and under pressure degrades in a fixed
-//! order — queue at true arrival age, shed batch-class work into bounded
-//! retries with exponential virtual-time backoff, and finally reject with
-//! a verdict that conserves accounting (every query is exactly-once
-//! terminal: completed or rejected), recorded in an [`AdmissionLog`].
-//! [`FaultPlan`] injects per-shard slowdown windows (the controller's
-//! per-shard bound routes traffic around the backlog), and `liferaft_sim`'s
-//! scenario suite provides the canonical overload fixtures.
-//!
-//! # Crash & failover
-//!
-//! [`FaultPlan`] also injects **shard outages**: hard crash windows during
-//! which a shard leaves the pool entirely (its virtual clock freezes and
-//! its cache residency is wiped — it rejoins cold). With [`FailoverConfig`]
-//! enabled the runtime reacts: at the down edge the controller
-//! **evacuates** the dead shard's queued buckets to the least-loaded
-//! survivors (arrival ages preserved, transfer cost charged to the
-//! destination clock), marks fragments already released to the dead shard
-//! as lost, and **re-delivers** them after a virtual-time timeout with
-//! exponential backoff and a bounded retry budget — so every query still
-//! reaches exactly one terminal outcome (completed, or rejected when the
-//! budget exhausts with no shard up), asserted per priority class and
-//! recorded in a [`FailoverLog`]; with failover disabled the lost fragments
-//! simply wait out the outage.
-//!
-//! # Unreliable transport & hedging
-//!
-//! With [`TransportConfig`] enabled the router↔shard hop stops being a
-//! lossless teleport and becomes a modeled datagram link: [`FaultPlan`]
-//! `links` windows drop, delay, duplicate, and reorder messages per
-//! `(shard, direction)`, and the transport reacts — unacknowledged sends
-//! **retransmit** on the shared [`RetryPolicy`] schedule (the same
-//! detection-timeout + exponential-backoff shape failover re-delivery
-//! uses), receivers **dedup** by `(query, shard, attempt)` identity so
-//! retransmissions and network duplicates are exactly-once in effect, and
-//! chains that exhaust their budget undelivered end in a recorded rejection
-//! with conserved per-class accounting. Optional **straggler hedging**
-//! re-issues fragments lagging a multiple of their class's observed
-//! response quantile to the least-loaded other shard; the first completion
-//! wins and the loser is suppressed like a duplicate. Every draw is a pure
-//! SplitMix64 function of `(seed, query, shard, attempt)` and the whole
-//! schedule is resolved into a [`TransportLog`] before any shard runs.
+//! Three more controllers, each described once in its module: the
+//! [`admission`] front door ([`FrontDoorConfig`]: a global in-flight bound,
+//! [`QueryClass`] priorities, queue → shed → reject), crash [`failover`]
+//! ([`FaultPlan`] outages; [`FailoverConfig`]: evacuate the dead shard's
+//! buckets, re-deliver lost fragments on a bounded [`RetryPolicy`]), and the
+//! lossy-link [`transport`] ([`FaultPlan`] links; [`TransportConfig`]:
+//! retransmit, dedup, straggler hedging). Each records what it decided in a
+//! log ([`AdmissionLog`], [`FailoverLog`], [`TransportLog`]); every query
+//! ends exactly once — completed, or rejected by one of them — and the
+//! [`ledger`] asserts `completed + rejected == submitted` per class before
+//! any report is built.
 //!
 //! # Flight recorder
 //!
@@ -109,6 +75,7 @@
 //! | [`rebalance`] | the epoch decision log and the greedy migration planner |
 //! | [`failover`] | the crash/outage decision log: evacuations, re-deliveries, conservation |
 //! | [`admission`] | the global front door: classes, shedding, the decision log |
+//! | [`ledger`] | the canonical completion merge and the per-query terminal ledger every report projects from |
 //! | [`retry`] | the shared bounded-retry schedule (failover + transport) |
 //! | [`transport`] | the lossy-link transport: retransmit, dedup, hedging |
 //! | [`runtime`] | the one run path: stepped driver + handlers, threaded pool, aggregation |
@@ -121,6 +88,7 @@
 pub mod admission;
 pub mod config;
 pub mod failover;
+pub mod ledger;
 pub mod rebalance;
 pub mod retry;
 pub mod router;
@@ -132,13 +100,13 @@ pub mod worker;
 
 pub use admission::{
     AdmissionLog, AdmissionSample, ClassStats, Disposition, FrontDoorConfig, FrontDoorReport,
-    QueryClass, QueryVerdict, RejectedQuery,
+    QueryClass, QueryVerdict,
 };
 pub use config::{AdmissionConfig, ExecMode, FaultPlan, RebalanceConfig, RuntimeConfig};
 pub use failover::{
-    ClassConservation, Evacuation, FailedQuery, FailoverConfig, FailoverLog, FailoverReport,
-    Redelivery, ShardTransition,
+    Evacuation, FailoverConfig, FailoverLog, FailoverReport, Redelivery, ShardTransition,
 };
+pub use ledger::{ClassConservation, RejectedBy, RejectedQuery};
 pub use rebalance::{EpochRecord, Migration, RebalanceLog};
 pub use retry::RetryPolicy;
 pub use router::{route, route_parallel, Fragment, Routing};

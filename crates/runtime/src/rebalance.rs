@@ -15,6 +15,7 @@
 //! load sample alone.
 
 use liferaft_storage::{BucketId, SimDuration, SimTime};
+use liferaft_telemetry::{Event, EventKind};
 
 use crate::config::RebalanceConfig;
 use crate::shard::ShardId;
@@ -72,6 +73,39 @@ impl RebalanceLog {
             .flat_map(|r| r.moves.iter())
             .map(|m| m.entries)
             .sum()
+    }
+
+    /// Renders the log as router events: per epoch, every move as planned,
+    /// then every move as applied — in the executors' canonical absorb
+    /// order (per destination, in bucket order), at the cost `cfg` charges.
+    pub(crate) fn render(&self, cfg: &RebalanceConfig, out: &mut Vec<Event>) {
+        for rec in &self.records {
+            for m in &rec.moves {
+                out.push(Event::router(
+                    rec.at,
+                    EventKind::MigrationPlanned {
+                        epoch: rec.epoch,
+                        bucket: m.bucket.0,
+                        from: m.from.0,
+                        to: m.to.0,
+                        entries: m.entries,
+                    },
+                ));
+            }
+            let mut applies: Vec<&Migration> = rec.moves.iter().collect();
+            applies.sort_by_key(|m| (m.to, m.bucket));
+            for m in applies {
+                out.push(Event::router(
+                    rec.at,
+                    EventKind::MigrationApplied {
+                        epoch: rec.epoch,
+                        bucket: m.bucket.0,
+                        to: m.to.0,
+                        cost: cfg.migration_fixed + cfg.migration_per_entry.times(m.entries),
+                    },
+                ));
+            }
+        }
     }
 }
 

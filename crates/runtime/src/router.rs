@@ -4,7 +4,7 @@
 //! and their per-bucket work items are split by the [`ShardMap`] into
 //! per-shard **fragments**. A fragment is the unit a shard admits, tracks,
 //! and completes; the cross-shard query completes when *all* its fragments
-//! have finished (the aggregation in `runtime` counts them down).
+//! have finished (the `ledger` fold counts their assignments down).
 //!
 //! Routing is a pure function of (partition, shard map, trace) — it depends
 //! on no execution state, which is the property that lets the threaded

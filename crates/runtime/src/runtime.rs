@@ -24,27 +24,23 @@
 //! `finish` folds the finished pool and the decision logs into the report.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::{mpsc, Barrier};
 
 use liferaft_catalog::Catalog;
 use liferaft_core::Scheduler;
-use liferaft_metrics::Summary;
-use liferaft_query::{tracker::QueryOutcome, CrossMatchQuery, QueryId, WorkItem};
-use liferaft_sim::{LinkDirection, MigratedBucket, RunReport, ShardOutage};
-use liferaft_storage::{cache::CacheStats, IoStats, SimDuration, SimTime};
-use liferaft_telemetry::{Event, EventKind, TelemetryReport, ROUTER_SHARD};
+use liferaft_query::{CrossMatchQuery, QueryId, WorkItem};
+use liferaft_sim::{MigratedBucket, RunReport, ShardOutage};
+use liferaft_storage::SimTime;
+use liferaft_telemetry::{Event, TelemetryReport};
 use liferaft_workload::TimedTrace;
 
-use crate::admission::{
-    AdmissionLog, ClassStats, Disposition, FrontDoor, FrontDoorConfig, FrontDoorReport, QueryClass,
-    RejectedQuery,
-};
+use crate::admission::{AdmissionLog, FrontDoor, FrontDoorReport, QueryClass};
 use crate::config::{ExecMode, RebalanceConfig, RuntimeConfig};
 use crate::failover::{
-    ClassConservation, Evacuation, FailedQuery, FailoverConfig, FailoverLog, FailoverReport,
-    Redelivery, ShardTransition,
+    Evacuation, FailoverConfig, FailoverLog, FailoverReport, Redelivery, ShardTransition,
 };
+use crate::ledger::{merged_completions, Ledger, RejectedBy};
 use crate::rebalance::{plan_moves, EpochRecord, Migration, RebalanceLog};
 use crate::retry::RetryPolicy;
 use crate::router::{route_parallel, Arrivals, Fragment, Routing};
@@ -59,7 +55,11 @@ pub struct RuntimeReport {
     /// [`RunReport`]: counters are summed across shards, response statistics
     /// are computed over whole-query completions (a cross-shard query
     /// completes when its last fragment finishes), and `outcomes` are in the
-    /// canonical merged completion order.
+    /// canonical merged completion order. `outcomes` covers the *completed*
+    /// queries; a rejected one is in the `rejected` list of the controller
+    /// that rejected it (`front_door`, `failover`, `transport`), so
+    /// `global.outcomes.len()` plus those lists always equals the trace
+    /// length — accounting is conserved.
     pub global: RunReport,
     /// Per-shard runs, in shard order.
     pub shards: Vec<ShardRun>,
@@ -71,26 +71,16 @@ pub struct RuntimeReport {
     /// disabled). Not part of the fingerprinted surface — it records *why*
     /// the run evolved, not *what* it produced.
     pub rebalance: Option<RebalanceLog>,
-    /// The front door's decision log, rejected queries, and per-class
-    /// statistics (`None` when the front door is disabled). With the front
-    /// door on, `global.outcomes` covers only *completed* queries; the
-    /// rejected remainder lives here, so
-    /// `global.outcomes.len() + front_door.rejected.len()` always equals
-    /// the trace length — accounting is conserved.
+    /// The front door's decision log, the queries it turned away, and
+    /// per-class statistics (`None` when the front door is disabled).
     pub front_door: Option<FrontDoorReport>,
-    /// The failover decision log, rejected queries, per-class conservation,
-    /// and recovery-lag headline (`None` when no outages were injected and
-    /// failover is disabled). With failover on, a query whose lost fragment
-    /// exhausted re-delivery is terminally *rejected*:
-    /// `global.outcomes.len() + failover.rejected.len()` equals the trace
-    /// length — accounting is conserved.
+    /// The failover decision log, the queries whose lost fragment exhausted
+    /// re-delivery, the per-class books, and the recovery-lag headline
+    /// (`None` when no outages were injected and failover is disabled).
     pub failover: Option<FailoverReport>,
-    /// The transport decision log, rejected queries, per-class conservation,
-    /// and hedge race outcome (`None` when the transport controller is
-    /// disabled). With transport on, a query whose fragment exhausted its
-    /// retransmission budget undelivered is terminally *rejected*:
-    /// `global.outcomes.len() + transport.rejected.len()` equals the trace
-    /// length — accounting is conserved.
+    /// The transport decision log, the queries whose fragment exhausted its
+    /// retransmission budget undelivered, the per-class books, and the
+    /// hedge race outcome (`None` when the transport controller is disabled).
     pub transport: Option<TransportReport>,
     /// The flight-recorder report (`None` when telemetry is off): per-shard
     /// time series plus the canonical merged event stream, exportable as
@@ -321,20 +311,12 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
             drive(&mut reference, &mut self.controllers(entries));
             let reference: Vec<ShardRun> =
                 reference.into_iter().map(ShardWorker::into_run).collect();
-            let classes = FrontDoorConfig::disabled();
-            let class_of: Vec<QueryClass> = routing
-                .assignments_of
-                .iter()
-                .map(|&a| classes.classify(a))
-                .collect();
             delivery.log.hedges = plan_hedges(
                 &tp.hedge,
                 faults,
                 routing,
-                &class_of,
-                &delivery.rejected_mask,
-                &reference,
-                index_of,
+                &delivery.rejected,
+                &merged_completions(&reference, index_of),
             );
             // Push every copy, then restore release order once per touched
             // stream. The sort is stable, so a copy lands behind the
@@ -363,6 +345,15 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
 
     /// The one tail of every run: folds the finished pool and the plan's
     /// decision logs into the report.
+    ///
+    /// The pool's canonical completion stream is merged once
+    /// ([`merged_completions`]); hedge races resolve over it and the losers
+    /// leave it. The [`Ledger`] then books every query's terminal outcome —
+    /// rejected by the controller whose log says so (turned away at the
+    /// front door, lost to a dead shard with every re-delivery spent,
+    /// undelivered with every retransmission spent) or completed by the
+    /// stream — and the global report and the three controller reports all
+    /// project from those books.
     fn finish(
         &self,
         entries: &[(SimTime, CrossMatchQuery)],
@@ -371,73 +362,59 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
         plan: Plan,
     ) -> RuntimeReport {
         // The recovery-lag headline reads the batch ledgers `into_run` drops.
-        let recovery_lag = plan
-            .failover
-            .as_ref()
-            .and_then(|log| recovery_lag(log, &workers));
+        let recovery_lag = plan.failover.as_ref().and_then(|log| {
+            log.recovery_lag(|shard, t| workers[shard as usize].next_completion_after(t))
+        });
         let shards: Vec<ShardRun> = workers.into_iter().map(ShardWorker::into_run).collect();
 
-        // Queries that end rejected rather than completed: turned away at
-        // the front door (never routed), lost to a dead shard with every
-        // re-delivery spent, or undelivered with every retransmission spent.
-        let mut rejected = vec![false; entries.len()];
-        if let Some(log) = &plan.admission {
-            for (r, v) in rejected.iter_mut().zip(&log.verdicts) {
-                *r = !v.admitted();
-            }
-        }
-        let lost: Vec<FailedQuery> = plan.failover.as_ref().map_or(Vec::new(), |log| {
-            let arrivals: Vec<SimTime> = entries.iter().map(|(t, _)| *t).collect();
-            let budget = self.config.failover.max_redeliveries;
-            log.rejected_queries(budget, &arrivals, &plan.assignments_of)
-        });
-        let undelivered: Vec<FailedQuery> = plan.transport.as_ref().map_or(Vec::new(), |d| {
-            (0..entries.len())
-                .filter(|&i| d.rejected_mask[i])
-                .map(|i| FailedQuery {
-                    index: i,
-                    arrival: entries[i].0,
-                    rejected_at: d.rejected_at[i],
-                    attempts: d.attempts_of[i],
-                    assignments: plan.assignments_of[i],
-                })
-                .collect()
-        });
-        for r in lost.iter().chain(&undelivered) {
-            rejected[r.index] = true;
-        }
+        let mut stream = merged_completions(&shards, index_of);
         let hedges = plan.transport.as_ref().map_or(&[][..], |d| &d.log.hedges);
-        let (hedge_wins, hedge_losses, hedge_losers) = resolve_hedges(hedges, &shards, index_of);
+        let (hedge_wins, hedge_losses) = resolve_hedges(hedges, &mut stream);
 
-        let (global, front_door) = aggregate(
-            entries,
-            index_of,
-            &plan.assignments_of,
-            &shards,
-            &rejected,
-            &hedge_losers,
-            plan.admission.as_ref(),
+        // Classes come from routed workload: under the door's thresholds
+        // when it ran, the default thresholds otherwise.
+        let door = &self.config.front_door;
+        let mut ledger = Ledger::open(entries, &plan.assignments_of, |a| {
+            if door.enabled {
+                door.classify(a)
+            } else {
+                QueryClass::of_default_thresholds(a)
+            }
+        });
+        if let Some(log) = &plan.admission {
+            ledger.reject(RejectedBy::FrontDoor, log.rejections());
+        }
+        if let Some(log) = &plan.failover {
+            let budget = self.config.failover.max_redeliveries;
+            ledger.reject(RejectedBy::Failover, log.rejections(budget));
+        }
+        if let Some(delivery) = &plan.transport {
+            ledger.reject(RejectedBy::Transport, delivery.rejections());
+        }
+        let outcomes = ledger.settle(&stream);
+
+        let scheduler = format!(
+            "Sharded[{}×{}]",
+            shards.len(),
+            shards.first().map_or("∅", |r| r.report.scheduler.as_str())
         );
+        let mut global = RunReport::from_outcomes(scheduler, outcomes.len(), outcomes);
+        for run in &shards {
+            global.add_counters(&run.report);
+        }
+
         let telemetry = self.build_telemetry(entries, &shards, &plan);
-        let per_class = |failed: &[FailedQuery], place: &str| {
-            class_conservation(
-                index_of,
-                &plan.assignments_of,
-                &global.outcomes,
-                failed,
-                place,
-            )
-        };
+        let per_class = ledger.per_class();
         let failover = plan.failover.map(|log| FailoverReport {
-            per_class: per_class(&lost, ""),
             log,
-            rejected: lost,
+            rejected: ledger.rejected_by(RejectedBy::Failover),
+            per_class,
             recovery_lag,
         });
         let transport = plan.transport.map(|delivery| TransportReport {
-            per_class: per_class(&undelivered, " in transit"),
             log: delivery.log,
-            rejected: undelivered,
+            rejected: ledger.rejected_by(RejectedBy::Transport),
+            per_class,
             hedge_wins,
             hedge_losses,
         });
@@ -447,26 +424,33 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
             cross_shard_queries: plan.cross_shard_queries,
             total_fragments: plan.total_fragments,
             rebalance: plan.rebalance,
-            front_door,
+            front_door: plan
+                .admission
+                .map(|log| log.into_report(&ledger, per_class)),
             failover,
             transport,
             telemetry,
         }
     }
 
-    /// Folds the per-shard event streams plus controller events synthesized
-    /// from the decision logs into the flight-recorder report. `None` when
+    /// Folds the per-shard event streams plus the controller events each
+    /// decision log renders into the flight-recorder report. `None` when
     /// telemetry is off.
     ///
-    /// The merge mirrors [`aggregate`]'s canonical completion order exactly:
-    /// each shard's stream is keyed by its *running clock* (the prefix-max
-    /// of event times over record order — a query arrival keeps its true
-    /// arrival instant, which can precede the batch boundary it was recorded
-    /// at), and streams interleave by `(clock, shard, seq)`. Controller
-    /// events ride the [`ROUTER_SHARD`] pseudo-shard, which sorts after
-    /// every real shard. Because each shard's stream is a pure function of
-    /// its own fragment sequence and the logs come from the one planning pass,
-    /// stepped and threaded executions produce byte-identical merged streams.
+    /// The router stream is every log's events in a fixed construction
+    /// order (rebalance, admission, failover, transport — each log's own
+    /// order inside), *stably* sorted by time and then numbered; all the
+    /// logs are deterministic, so the stream is too. The merge mirrors the
+    /// canonical completion order: each shard's stream is keyed by its
+    /// *running clock* (the prefix-max of event times over record order — a
+    /// query arrival keeps its true arrival instant, which can precede the
+    /// batch boundary it was recorded at), and streams interleave by
+    /// `(clock, shard, seq)`. Controller events ride the
+    /// [`ROUTER_SHARD`](liferaft_telemetry::ROUTER_SHARD) pseudo-shard, which
+    /// sorts after every real shard. Because each shard's stream is a pure
+    /// function of its own fragment sequence and the logs come from the one
+    /// planning pass, stepped and threaded executions produce byte-identical
+    /// merged streams.
     fn build_telemetry(
         &self,
         entries: &[(SimTime, CrossMatchQuery)],
@@ -476,189 +460,34 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
         if !self.config.telemetry.enabled() {
             return None;
         }
-        let mut keyed: Vec<(SimTime, u32, u64, Event)> = Vec::new();
+        let mut router: Vec<Event> = Vec::new();
+        if let Some(log) = &plan.rebalance {
+            log.render(&self.config.rebalance, &mut router);
+        }
+        if let Some(log) = &plan.admission {
+            log.render(entries, &mut router);
+        }
+        if let Some(log) = &plan.failover {
+            log.render(&mut router);
+        }
+        if let Some(delivery) = &plan.transport {
+            delivery.log.render(&mut router);
+        }
+        router.sort_by_key(|e| e.time);
+        let mut keyed: Vec<(SimTime, Event)> = Vec::new();
+        for (seq, mut e) in router.into_iter().enumerate() {
+            e.seq = seq as u64;
+            keyed.push((e.time, e));
+        }
         for run in shard_runs {
             let mut clock = SimTime::ZERO;
             for e in &run.events {
                 clock = clock.max(e.time);
-                keyed.push((clock, e.shard, e.seq, e.clone()));
+                keyed.push((clock, e.clone()));
             }
         }
-
-        let mut router: Vec<Event> = Vec::new();
-        let stamp = |time: SimTime, kind: EventKind| Event {
-            time,
-            shard: ROUTER_SHARD,
-            seq: 0, // densified below, after the time sort
-            kind,
-        };
-        if let Some(log) = &plan.rebalance {
-            let rb = &self.config.rebalance;
-            for rec in &log.records {
-                for m in &rec.moves {
-                    router.push(stamp(
-                        rec.at,
-                        EventKind::MigrationPlanned {
-                            epoch: rec.epoch,
-                            bucket: m.bucket.0,
-                            from: m.from.0,
-                            to: m.to.0,
-                            entries: m.entries,
-                        },
-                    ));
-                }
-                // Application order is the executors' canonical absorb
-                // order: per destination, in bucket order.
-                let mut applies: Vec<_> = rec.moves.iter().collect();
-                applies.sort_by_key(|m| (m.to, m.bucket));
-                for m in applies {
-                    let cost = rb.migration_fixed + rb.migration_per_entry.times(m.entries);
-                    router.push(stamp(
-                        rec.at,
-                        EventKind::MigrationApplied {
-                            epoch: rec.epoch,
-                            bucket: m.bucket.0,
-                            to: m.to.0,
-                            cost,
-                        },
-                    ));
-                }
-            }
-        }
-        if let Some(log) = &plan.admission {
-            for (i, v) in log.verdicts.iter().enumerate() {
-                let arrival = entries[i].0;
-                match v.decision {
-                    Disposition::Admitted { at, .. } => router.push(stamp(
-                        at,
-                        EventKind::Admitted {
-                            query_index: i as u64,
-                            class: v.class.rank() as u8,
-                            assignments: v.assignments,
-                            sheds: v.sheds,
-                            waited: at.since(arrival),
-                        },
-                    )),
-                    Disposition::Rejected { at } => router.push(stamp(
-                        at,
-                        EventKind::Rejected {
-                            query_index: i as u64,
-                            class: v.class.rank() as u8,
-                            assignments: v.assignments,
-                            sheds: v.sheds,
-                        },
-                    )),
-                }
-            }
-            for s in &log.samples {
-                router.push(stamp(
-                    s.at,
-                    EventKind::AdmissionSampled {
-                        epoch: s.epoch,
-                        inflight: s.inflight_assignments,
-                        waiting: s.waiting_assignments,
-                        backoff: s.backoff_queries as u64,
-                        admitted: s.admitted,
-                        shed_events: s.shed_events,
-                        rejected: s.rejected,
-                    },
-                ));
-            }
-        }
-        if let Some(log) = &plan.failover {
-            for t in &log.transitions {
-                router.push(stamp(
-                    t.at,
-                    if t.up {
-                        EventKind::ShardUp { target: t.shard }
-                    } else {
-                        EventKind::ShardDown {
-                            target: t.shard,
-                            queued: t.queued,
-                        }
-                    },
-                ));
-            }
-            for e in &log.evacuations {
-                router.push(stamp(
-                    e.at,
-                    EventKind::BucketEvacuated {
-                        bucket: e.bucket.0,
-                        from: e.from,
-                        to: e.to,
-                        entries: e.entries,
-                        resident: e.was_resident,
-                    },
-                ));
-            }
-            for r in &log.redeliveries {
-                router.push(stamp(
-                    r.at,
-                    EventKind::FragmentRetried {
-                        query: r.query_index as u64,
-                        from: r.from,
-                        attempt: r.attempt,
-                        delivered: r.to.is_some(),
-                        // Failed attempts had no live destination at all.
-                        to: r.to.unwrap_or(u32::MAX),
-                    },
-                ));
-            }
-        }
-        if let Some(log) = plan.transport.as_ref().map(|d| &d.log) {
-            for d in &log.drops {
-                router.push(stamp(
-                    d.at,
-                    EventKind::FragmentDropped {
-                        query: d.query_index as u64,
-                        shard: d.shard,
-                        to_shard: matches!(d.direction, LinkDirection::ToShard),
-                        attempt: d.attempt,
-                    },
-                ));
-            }
-            for r in &log.retransmits {
-                router.push(stamp(
-                    r.at,
-                    EventKind::FragmentRetransmitted {
-                        query: r.query_index as u64,
-                        shard: r.shard,
-                        attempt: r.attempt,
-                    },
-                ));
-            }
-            for s in &log.suppressed {
-                router.push(stamp(
-                    s.at,
-                    EventKind::DuplicateSuppressed {
-                        query: s.query_index as u64,
-                        shard: s.shard,
-                        attempt: s.attempt,
-                    },
-                ));
-            }
-            for h in &log.hedges {
-                router.push(stamp(
-                    h.at,
-                    EventKind::FragmentHedged {
-                        query: h.query_index as u64,
-                        from: h.from,
-                        to: h.to,
-                        entries: h.entries,
-                    },
-                ));
-            }
-        }
-        // Stable by construction order within a time tie — all the logs are
-        // deterministic, so the router stream is too.
-        router.sort_by_key(|e| e.time);
-        for (seq, mut e) in router.into_iter().enumerate() {
-            e.seq = seq as u64;
-            keyed.push((e.time, ROUTER_SHARD, seq as u64, e));
-        }
-
-        keyed.sort_unstable_by_key(|&(clock, shard, seq, _)| (clock, shard, seq));
-        let events: Vec<Event> = keyed.into_iter().map(|(_, _, _, e)| e).collect();
+        keyed.sort_unstable_by_key(|(clock, e)| (*clock, e.shard, e.seq));
+        let events: Vec<Event> = keyed.into_iter().map(|(_, e)| e).collect();
         Some(TelemetryReport::build(
             events,
             self.config.n_shards,
@@ -1188,13 +1017,8 @@ impl Outages {
     }
 
     fn into_log(self) -> FailoverLog {
-        let budget = self.cfg.max_redeliveries;
         debug_assert_eq!(
-            self.log
-                .redeliveries
-                .iter()
-                .filter(|r| r.to.is_none() && r.attempt >= budget)
-                .count(),
+            self.log.rejections(self.cfg.max_redeliveries).count(),
             self.rejected.iter().filter(|&&r| r).count(),
             "log-derived rejections must match the planner's"
         );
@@ -1289,312 +1113,6 @@ fn run_threaded<'a, C: Catalog + Sync + ?Sized>(
             });
         }
     });
-}
-
-/// Folds per-shard fragment runs into the query-level global report.
-///
-/// Fragment completions are merged in the canonical `(shard clock, shard,
-/// shard event order)` order; a query completes at the merged event where
-/// its serviced assignments reach the routed total, with completion *time*
-/// the max over its per-shard completions (for a zero-work query's single
-/// empty fragment: its arrival).
-///
-/// Counting **assignments** rather than fragments is what makes the fold
-/// migration-proof: under rebalancing a query's work can leave a shard
-/// mid-flight (the source records a partial outcome covering only what it
-/// serviced locally) and even revisit a shard it already completed on (a
-/// second outcome). Per-shard outcome assignments always sum to the routed
-/// total — every assignment is serviced exactly once, somewhere — so the
-/// fold is exact for static and elastic runs alike, and positionally
-/// identical to fragment counting when no migration happens.
-///
-/// `rejected` marks the queries that end rejected rather than completed, and
-/// the conservation assert becomes "every *non-rejected* query completes
-/// exactly once". A rejected query must never fully complete: one the front
-/// door turned away routed no fragments at all (with an `admission` log the
-/// returned [`FrontDoorReport`] asserts nothing serviced it, and carries the
-/// per-class response/TTFB statistics), while one that lost a fragment to a
-/// dead shard or exhausted its retransmission budget may have been
-/// *partially* serviced — its surviving fragments completed on live shards.
-///
-/// `hedge_losers` marks `(query, shard)` completions that lost a hedge race:
-/// the same fragment already completed on the winning shard, so the loser's
-/// outcome is excluded from the fold entirely (its serviced entries still
-/// count in the per-shard counters — duplicated work is real work). Without
-/// the exclusion the winner + loser pair would double-count the fragment's
-/// assignments and trip the over-service assert.
-fn aggregate(
-    entries: &[(SimTime, CrossMatchQuery)],
-    index_of: &HashMap<QueryId, usize>,
-    assignments_of: &[u64],
-    shard_runs: &[ShardRun],
-    rejected: &[bool],
-    hedge_losers: &HashSet<(QueryId, u32)>,
-    admission: Option<&AdmissionLog>,
-) -> (RunReport, Option<FrontDoorReport>) {
-    let n_rejected = rejected.iter().filter(|&&r| r).count();
-
-    // Canonical merged completion stream. Every query has at least one
-    // fragment (zero-work queries ship an empty fragment to shard 0), so
-    // per-shard outcomes cover the whole trace. The merge key is the
-    // shard's *running clock* (the prefix-max of completion times — the
-    // shard-local virtual time at which each outcome was recorded), not the
-    // raw completion: a zero-work fragment completes at its arrival but is
-    // recorded at the following batch boundary, and keying on the clock
-    // preserves each shard's record order — which is exactly the
-    // single-engine push order, so a 1-shard runtime reproduces
-    // `Simulation`'s outcome sequence bit-for-bit.
-    let mut events: Vec<(SimTime, u32, u32, QueryId, SimTime, u64)> = Vec::new();
-    for run in shard_runs {
-        let mut clock = SimTime::ZERO;
-        for (seq, o) in run.report.outcomes.iter().enumerate() {
-            clock = clock.max(o.completion);
-            events.push((
-                clock,
-                run.shard.0,
-                seq as u32,
-                o.query,
-                o.completion,
-                o.assignments,
-            ));
-        }
-    }
-    events.sort_unstable_by_key(|&(clock, shard, seq, _, _, _)| (clock, shard, seq));
-
-    let mut remaining: Vec<u64> = assignments_of.to_vec();
-    let mut emitted = vec![false; entries.len()];
-    let mut last_done: Vec<SimTime> = vec![SimTime::ZERO; entries.len()];
-    let mut first_done: Vec<Option<SimTime>> = vec![None; entries.len()];
-    let mut outcomes: Vec<QueryOutcome> = Vec::with_capacity(entries.len() - n_rejected);
-    for (_, shard, _, query, completion, assignments) in events {
-        let i = index_of[&query];
-        if hedge_losers.contains(&(query, shard)) {
-            continue; // the winning copy already covered these assignments
-        }
-        assert!(
-            remaining[i] >= assignments,
-            "query {query} over-serviced across shards"
-        );
-        remaining[i] -= assignments;
-        last_done[i] = last_done[i].max(completion);
-        first_done[i] = Some(first_done[i].map_or(completion, |f| f.min(completion)));
-        if remaining[i] > 0 || emitted[i] {
-            continue; // more assignments outstanding elsewhere
-        }
-        assert!(
-            !rejected[i],
-            "query {query} was rejected yet fully serviced"
-        );
-        emitted[i] = true;
-        outcomes.push(QueryOutcome {
-            query,
-            // A query completes when its last assignment is serviced; for
-            // the zero-work single-fragment case this is its arrival.
-            arrival: entries[i].0,
-            completion: last_done[i],
-            assignments: assignments_of[i],
-        });
-    }
-    assert_eq!(
-        outcomes.len(),
-        entries.len() - n_rejected,
-        "every admitted query must complete exactly once"
-    );
-
-    let response = Summary::from_samples(
-        outcomes
-            .iter()
-            .map(|o| o.response_time().as_secs_f64())
-            .collect(),
-    );
-    let makespan_s = outcomes
-        .iter()
-        .map(|o| o.completion.as_secs_f64())
-        .fold(0.0, f64::max);
-    let throughput_qps = if makespan_s > 0.0 {
-        outcomes.len() as f64 / makespan_s
-    } else {
-        0.0
-    };
-
-    let mut cache = CacheStats::default();
-    let mut io = IoStats::new();
-    let (mut batches, mut scan_batches, mut indexed_batches) = (0u64, 0u64, 0u64);
-    let (mut serviced_entries, mut cache_serviced_entries, mut total_matches) = (0u64, 0u64, 0u64);
-    let (mut frontier_picks, mut fallback_picks) = (0u64, 0u64);
-    let mut max_wait_ms = 0.0f64;
-    for run in shard_runs {
-        let r = &run.report;
-        cache.merge(&r.cache);
-        io.merge(&r.io);
-        batches += r.batches;
-        scan_batches += r.scan_batches;
-        indexed_batches += r.indexed_batches;
-        serviced_entries += r.serviced_entries;
-        cache_serviced_entries += r.cache_serviced_entries;
-        frontier_picks += r.frontier_picks;
-        fallback_picks += r.fallback_picks;
-        total_matches += r.total_matches;
-        max_wait_ms = max_wait_ms.max(r.max_wait_ms);
-    }
-
-    let scheduler = format!(
-        "Sharded[{}×{}]",
-        shard_runs.len(),
-        shard_runs
-            .first()
-            .map(|r| r.report.scheduler.as_str())
-            .unwrap_or("∅")
-    );
-    let front_door = admission
-        .map(|log| build_front_door_report(log, entries, &emitted, &last_done, &first_done));
-    let global = RunReport {
-        scheduler,
-        queries: outcomes.len(),
-        makespan_s,
-        throughput_qps,
-        response,
-        cache,
-        io,
-        batches,
-        scan_batches,
-        indexed_batches,
-        serviced_entries,
-        cache_serviced_entries,
-        frontier_picks,
-        fallback_picks,
-        total_matches,
-        max_wait_ms,
-        outcomes,
-    };
-    (global, front_door)
-}
-
-/// Folds the admission log and the per-query completion instants into the
-/// [`FrontDoorReport`]: rejected-query records plus per-class counters and
-/// response/TTFB summaries.
-fn build_front_door_report(
-    log: &AdmissionLog,
-    entries: &[(SimTime, CrossMatchQuery)],
-    emitted: &[bool],
-    last_done: &[SimTime],
-    first_done: &[Option<SimTime>],
-) -> FrontDoorReport {
-    let mut rejected: Vec<RejectedQuery> = Vec::new();
-    let mut per_class: [ClassStats; 3] = QueryClass::ALL.map(|class| ClassStats {
-        class,
-        submitted: 0,
-        admitted: 0,
-        deferred: 0,
-        shed_events: 0,
-        rejected: 0,
-        max_retries: 0,
-        response: Summary::from_samples(Vec::new()),
-        ttfb: Summary::from_samples(Vec::new()),
-    });
-    let mut response: [Vec<f64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-    let mut ttfb: [Vec<f64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-
-    for (i, v) in log.verdicts.iter().enumerate() {
-        let arrival = entries[i].0;
-        let c = v.class.rank();
-        let stats = &mut per_class[c];
-        stats.submitted += 1;
-        stats.shed_events += v.sheds as u64;
-        stats.max_retries = stats.max_retries.max(v.sheds);
-        match v.decision {
-            Disposition::Admitted { at, .. } => {
-                stats.admitted += 1;
-                if at > arrival {
-                    stats.deferred += 1;
-                }
-                assert!(emitted[i], "admitted query {i} never completed");
-                response[c].push(last_done[i].since(arrival).as_secs_f64());
-                let first = first_done[i].expect("completed query has a first fragment");
-                // A zero-work query's only event can be recorded at a later
-                // batch boundary; its true first byte is its arrival.
-                ttfb[c].push(first.max(arrival).since(arrival).as_secs_f64());
-            }
-            Disposition::Rejected { at } => {
-                assert!(
-                    first_done[i].is_none(),
-                    "query {i} was rejected yet a shard serviced it"
-                );
-                stats.rejected += 1;
-                rejected.push(RejectedQuery {
-                    index: i,
-                    arrival,
-                    rejected_at: at,
-                    class: v.class,
-                    assignments: v.assignments,
-                    retries: v.sheds,
-                });
-            }
-        }
-    }
-    for (c, (r, t)) in response.into_iter().zip(ttfb).enumerate() {
-        per_class[c].response = Summary::from_samples(r);
-        per_class[c].ttfb = Summary::from_samples(t);
-    }
-    FrontDoorReport {
-        log: log.clone(),
-        rejected,
-        per_class,
-    }
-}
-
-/// The recovery-lag headline: the gap between the last evacuation instant
-/// and the earliest batch a *destination* shard completed after it (`None`
-/// when nothing was evacuated, or no destination completed work afterward).
-fn recovery_lag<C: Catalog + ?Sized>(
-    log: &FailoverLog,
-    workers: &[ShardWorker<'_, C>],
-) -> Option<SimDuration> {
-    let t = log.evacuations.iter().map(|e| e.at).max()?;
-    log.evacuations
-        .iter()
-        .filter_map(|e| workers[e.to as usize].next_completion_after(t))
-        .min()
-        .map(|ct| ct.since(t))
-}
-
-/// Per-class terminal-outcome conservation, asserted before it is reported:
-/// every query either completed or was rejected, exactly once — `place` says
-/// where a missing outcome went astray. Classes come from the front-door
-/// thresholds applied to routed workload (the door itself is off —
-/// validation forbids combining it with outages or the transport).
-fn class_conservation(
-    index_of: &HashMap<QueryId, usize>,
-    assignments_of: &[u64],
-    completed: &[QueryOutcome],
-    rejected: &[FailedQuery],
-    place: &str,
-) -> [ClassConservation; 3] {
-    let classes = FrontDoorConfig::disabled();
-    let mut per_class: [ClassConservation; 3] = QueryClass::ALL.map(|class| ClassConservation {
-        class,
-        submitted: 0,
-        completed: 0,
-        rejected: 0,
-    });
-    for assignments in assignments_of {
-        per_class[classes.classify(*assignments).rank()].submitted += 1;
-    }
-    for o in completed {
-        per_class[classes.classify(assignments_of[index_of[&o.query]]).rank()].completed += 1;
-    }
-    for r in rejected {
-        per_class[classes.classify(r.assignments).rank()].rejected += 1;
-    }
-    for c in &per_class {
-        assert_eq!(
-            c.completed + c.rejected,
-            c.submitted,
-            "{:?} queries lost track of a terminal outcome{place}",
-            c.class
-        );
-    }
-    per_class
 }
 
 #[cfg(test)]

@@ -54,15 +54,15 @@
 use std::collections::HashMap;
 
 use liferaft_catalog::hash::{hash4, unit_f64};
-use liferaft_query::QueryId;
 use liferaft_sim::LinkDirection;
 use liferaft_storage::{SimDuration, SimTime};
+use liferaft_telemetry::{Event, EventKind};
 
 use crate::admission::QueryClass;
 use crate::config::FaultPlan;
+use crate::ledger::{ClassConservation, Completion, RejectedQuery};
 use crate::retry::RetryPolicy;
 use crate::router::Routing;
-use crate::worker::ShardRun;
 
 /// Draw-stream tags: one independent SplitMix64 stream per decision kind,
 /// all keyed by `(seed, query_index, shard·attempt)`.
@@ -187,8 +187,15 @@ impl TransportConfig {
         }
     }
 
-    /// Validates invariants (only binding when enabled).
+    /// Validates invariants (the schedule and the hedge policy are only
+    /// binding when enabled).
     pub fn validate(&self) {
+        assert!(
+            self.enabled || !self.hedge.enabled,
+            "hedging requires the transport controller: without it no \
+             delivery plan is made and the hedge policy would silently hedge \
+             nothing"
+        );
         if self.enabled {
             self.retry.validate("transport");
             self.hedge.validate();
@@ -286,6 +293,53 @@ impl TransportLog {
             && self.suppressed.is_empty()
             && self.hedges.is_empty()
     }
+
+    /// Renders the log as router events: drops, then retransmissions, then
+    /// suppressed duplicates, then hedges.
+    pub(crate) fn render(&self, out: &mut Vec<Event>) {
+        for d in &self.drops {
+            out.push(Event::router(
+                d.at,
+                EventKind::FragmentDropped {
+                    query: d.query_index as u64,
+                    shard: d.shard,
+                    to_shard: matches!(d.direction, LinkDirection::ToShard),
+                    attempt: d.attempt,
+                },
+            ));
+        }
+        for r in &self.retransmits {
+            out.push(Event::router(
+                r.at,
+                EventKind::FragmentRetransmitted {
+                    query: r.query_index as u64,
+                    shard: r.shard,
+                    attempt: r.attempt,
+                },
+            ));
+        }
+        for s in &self.suppressed {
+            out.push(Event::router(
+                s.at,
+                EventKind::DuplicateSuppressed {
+                    query: s.query_index as u64,
+                    shard: s.shard,
+                    attempt: s.attempt,
+                },
+            ));
+        }
+        for h in &self.hedges {
+            out.push(Event::router(
+                h.at,
+                EventKind::FragmentHedged {
+                    query: h.query_index as u64,
+                    from: h.from,
+                    to: h.to,
+                    entries: h.entries,
+                },
+            ));
+        }
+    }
 }
 
 /// What the transport path did and how the run ended: the replayable
@@ -297,12 +351,10 @@ pub struct TransportReport {
     pub log: TransportLog,
     /// Queries rejected because a fragment exhausted its retransmission
     /// budget with no copy delivered, in trace order.
-    /// `global.outcomes.len() + rejected.len()` equals the trace length —
-    /// accounting is conserved.
-    pub rejected: Vec<crate::failover::FailedQuery>,
+    pub rejected: Vec<RejectedQuery>,
     /// Terminal-outcome conservation per class
     /// (`completed + rejected == submitted`, asserted at build time).
-    pub per_class: [crate::failover::ClassConservation; 3],
+    pub per_class: [ClassConservation; 3],
     /// Hedge copies that beat their original fragment.
     pub hedge_wins: u64,
     /// Hedge copies that lost the race (the duplicate work was wasted).
@@ -316,20 +368,25 @@ impl TransportReport {
     }
 }
 
-/// The resolved delivery plan: the decision log (hedges still empty), the
-/// per-query rejection mask, and rejection metadata for report building.
+/// The resolved delivery plan: the decision log (hedges still empty) and
+/// the per-query rejections.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DeliveryPlan {
     /// Drops / retransmits / suppressions (hedges are planned separately).
     pub log: TransportLog,
-    /// Per trace index: true when a fragment of the query exhausted its
-    /// budget undelivered.
-    pub rejected_mask: Vec<bool>,
-    /// Per trace index: when the last losing chain gave up (meaningful only
-    /// where `rejected_mask` is set).
-    pub rejected_at: Vec<SimTime>,
-    /// Per trace index: retransmissions spent by the worst losing chain.
-    pub attempts_of: Vec<u32>,
+    /// Per trace index: `Some` when a fragment of the query exhausted its
+    /// budget undelivered — when the last losing chain gave up, and the
+    /// retransmissions the worst one spent.
+    pub rejected: Vec<Option<(SimTime, u32)>>,
+}
+
+impl DeliveryPlan {
+    /// The queries the plan rejected, in trace order: `(trace index, when,
+    /// retransmissions spent)`.
+    pub(crate) fn rejections(&self) -> impl Iterator<Item = (usize, SimTime, u32)> + '_ {
+        let undelivered = |(i, r): (usize, &Option<_>)| r.map(|(at, n)| (i, at, n));
+        self.rejected.iter().enumerate().filter_map(undelivered)
+    }
 }
 
 /// One chain's resolution: the effective delivery instant (earliest
@@ -461,9 +518,7 @@ pub(crate) fn plan_delivery(
 ) -> DeliveryPlan {
     let mut plan = DeliveryPlan {
         log: TransportLog::default(),
-        rejected_mask: vec![false; trace_len],
-        rejected_at: vec![SimTime::ZERO; trace_len],
-        attempts_of: vec![0; trace_len],
+        rejected: vec![None; trace_len],
     };
     for (shard, fragments) in routing.shards.iter_mut().enumerate() {
         let mut any_adjusted = false;
@@ -485,9 +540,9 @@ pub(crate) fn plan_delivery(
                 }
                 None => {
                     let q = f.query_index;
-                    plan.rejected_mask[q] = true;
-                    plan.rejected_at[q] = plan.rejected_at[q].max(outcome.gave_up_at);
-                    plan.attempts_of[q] = plan.attempts_of[q].max(outcome.retransmits);
+                    let (at, spent) = plan.rejected[q].unwrap_or_default();
+                    let worst = (at.max(outcome.gave_up_at), spent.max(outcome.retransmits));
+                    plan.rejected[q] = Some(worst);
                     routing.fragments_of[q] -= 1;
                     false
                 }
@@ -513,23 +568,23 @@ pub(crate) fn plan_delivery(
     plan
 }
 
-/// Plans straggler hedges from the no-hedge reference pass: walks the
-/// observed per-fragment responses, derives per-class thresholds
-/// (`latency_multiplier ×` the class response quantile, floored at
-/// `min_age`), and re-issues every delivered fragment that exceeded its
-/// threshold to the least-loaded shard not hosting its query at the hedge
-/// instant. Pure function of the adjusted routing and the reference pass,
-/// so both executors see the identical hedge plan.
+/// Plans straggler hedges from the no-hedge reference pass (`reference` is
+/// its canonical merged completion stream): walks the observed per-fragment
+/// responses, derives per-class thresholds (`latency_multiplier ×` the class
+/// response quantile, floored at `min_age`; classes by the default
+/// thresholds on routed workload), and re-issues every delivered fragment
+/// that exceeded its threshold to the least-loaded shard not hosting its
+/// query at the hedge instant. Pure function of the adjusted routing and the
+/// reference pass, so both executors see the identical hedge plan.
 pub(crate) fn plan_hedges(
     hedge: &HedgeConfig,
     faults: &FaultPlan,
     routing: &Routing,
-    class_of: &[QueryClass],
-    rejected: &[bool],
-    reference: &[ShardRun],
-    index_of: &HashMap<QueryId, usize>,
+    rejected: &[Option<(SimTime, u32)>],
+    reference: &[Completion],
 ) -> Vec<HedgeDecision> {
     let n = routing.shards.len();
+    let class_of = |q: usize| QueryClass::of_default_thresholds(routing.assignments_of[q]);
     // Per-fragment completion instants from the reference pass, keyed by
     // (query, shard) — unique under the static map (no migration).
     let mut completion: HashMap<(usize, u32), SimTime> = HashMap::new();
@@ -541,14 +596,9 @@ pub(crate) fn plan_hedges(
             timeline[shard].push((f.release, f.assignments as i64));
         }
     }
-    for run in reference {
-        let mut clock = SimTime::ZERO;
-        for o in &run.report.outcomes {
-            clock = clock.max(o.completion);
-            let q = index_of[&o.query];
-            completion.insert((q, run.shard.0), clock);
-            timeline[run.shard.0 as usize].push((clock, -(o.assignments as i64)));
-        }
+    for c in reference {
+        completion.insert((c.index, c.shard), c.clock);
+        timeline[c.shard as usize].push((c.clock, -(c.assignments as i64)));
     }
     for t in &mut timeline {
         t.sort_unstable_by_key(|&(at, delta)| (at, delta));
@@ -578,7 +628,7 @@ pub(crate) fn plan_hedges(
                 continue;
             }
             let done = completion[&(f.query_index, shard as u32)];
-            samples[class_of[f.query_index].rank()].push(done.since(f.arrival).as_secs_f64());
+            samples[class_of(f.query_index).rank()].push(done.since(f.arrival).as_secs_f64());
         }
     }
     for s in &mut samples {
@@ -601,10 +651,10 @@ pub(crate) fn plan_hedges(
     let mut candidates: Vec<(SimTime, u32, usize, u64)> = Vec::new();
     for (shard, fragments) in routing.shards.iter().enumerate() {
         for f in fragments {
-            if f.assignments == 0 || rejected[f.query_index] {
+            if f.assignments == 0 || rejected[f.query_index].is_some() {
                 continue;
             }
-            let Some(th) = threshold_s(class_of[f.query_index]) else {
+            let Some(th) = threshold_s(class_of(f.query_index)) else {
                 continue;
             };
             let fire = f.arrival + SimDuration::from_secs_f64(th);
@@ -657,66 +707,52 @@ pub(crate) fn plan_hedges(
     hedges
 }
 
-/// Resolves every hedge race from the executed shard runs: the first
-/// completion in the canonical `(shard clock, shard, seq)` merge order wins
-/// and the loser's outcome is suppressed (returned as the aggregation skip
-/// set). Both executors produce identical per-shard runs, so the resolution
-/// is mode-independent.
-pub(crate) fn resolve_hedges(
-    hedges: &[HedgeDecision],
-    shard_runs: &[ShardRun],
-    index_of: &HashMap<QueryId, usize>,
-) -> (u64, u64, std::collections::HashSet<(QueryId, u32)>) {
-    let mut skip = std::collections::HashSet::new();
+/// Resolves every hedge race over the executed pool's canonical merged
+/// completion stream: the first completion of a raced `(query, shard)` pair
+/// wins, and the loser's completion leaves `stream` — the winning copy
+/// already covered its assignments, so the ledger must not count them twice
+/// (the loser's serviced entries still count in the per-shard counters:
+/// duplicated work is real work). Returns `(wins, losses)` of the hedge
+/// copies. Both executors produce identical streams, so the resolution is
+/// mode-independent.
+pub(crate) fn resolve_hedges(hedges: &[HedgeDecision], stream: &mut Vec<Completion>) -> (u64, u64) {
     let (mut wins, mut losses) = (0u64, 0u64);
     if hedges.is_empty() {
-        return (wins, losses, skip);
+        return (wins, losses);
     }
-    // Merged completion order, restricted to the raced (query, shard)
-    // pairs.
     let mut raced: HashMap<(usize, u32), usize> = HashMap::new();
     for (i, h) in hedges.iter().enumerate() {
         raced.insert((h.query_index, h.from), i);
         raced.insert((h.query_index, h.to), i);
     }
-    let mut events: Vec<(SimTime, u32, u32, usize, QueryId)> = Vec::new();
-    for run in shard_runs {
-        let mut clock = SimTime::ZERO;
-        for (seq, o) in run.report.outcomes.iter().enumerate() {
-            clock = clock.max(o.completion);
-            let q = index_of[&o.query];
-            if raced.contains_key(&(q, run.shard.0)) {
-                events.push((clock, run.shard.0, seq as u32, q, o.query));
-            }
-        }
-    }
-    events.sort_unstable_by_key(|&(clock, shard, seq, _, _)| (clock, shard, seq));
     let mut settled = vec![false; hedges.len()];
-    for (_, shard, _, q, query) in events {
-        let i = raced[&(q, shard)];
+    stream.retain(|c| {
+        let Some(&i) = raced.get(&(c.index, c.shard)) else {
+            return true;
+        };
         if settled[i] {
-            // The race is decided: this is the loser's completion.
-            skip.insert((query, shard));
-            continue;
+            return false; // the race is decided: this is the loser's completion
         }
         settled[i] = true;
-        if shard == hedges[i].to {
+        if c.shard == hedges[i].to {
             wins += 1;
         } else {
             losses += 1;
         }
-    }
+        true
+    });
     assert!(
         settled.iter().all(|&s| s),
         "every hedge race must produce at least one completion"
     );
-    (wins, losses, skip)
+    (wins, losses)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::router::Fragment;
+    use liferaft_query::QueryId;
     use liferaft_sim::LinkFault;
 
     fn t(ms: u64) -> SimTime {
@@ -775,7 +811,7 @@ mod tests {
         let before = r.shards.clone();
         let plan = plan_delivery(&cfg, &faults, &mut r, 2);
         assert!(plan.log.is_empty());
-        assert!(!plan.rejected_mask.iter().any(|&m| m));
+        assert!(plan.rejected.iter().all(Option::is_none));
         assert_eq!(r.shards, before, "fault-free transport must be a no-op");
     }
 
@@ -801,7 +837,7 @@ mod tests {
         faults.links.push(window(0, LinkDirection::ToShard, 1.0));
         let mut r = routing(vec![vec![fragment(0, 0, 5), fragment(1, 0, 2)]], 2);
         let plan = plan_delivery(&cfg, &faults, &mut r, 2);
-        assert!(plan.rejected_mask.iter().all(|&m| m));
+        assert!(plan.rejected.iter().all(Option::is_some));
         assert!(r.shards[0].is_empty(), "lost fragments leave the stream");
         assert_eq!(r.fragments_of, vec![0, 0]);
         // Original + max_attempts retransmits, every one dropped.
@@ -812,7 +848,7 @@ mod tests {
             2 * cfg.retry.max_attempts as usize
         );
         assert!(plan.log.suppressed.is_empty());
-        assert_eq!(plan.attempts_of, vec![cfg.retry.max_attempts; 2]);
+
         // The chain gives up when the final attempt's deadline expires:
         // send 0 at 0 s, retransmits at 1 s, 1.5 s, 2.5 s, 4.5 s, expiry
         // 4.5 s + 4 s = 8.5 s.
@@ -820,7 +856,8 @@ mod tests {
             cfg.retry.attempt_time(t(0), cfg.retry.max_attempts),
             cfg.retry.max_attempts,
         );
-        assert_eq!(plan.rejected_at[0], expiry);
+        let gave_up = Some((expiry, cfg.retry.max_attempts));
+        assert_eq!(plan.rejected, vec![gave_up; 2]);
     }
 
     #[test]
@@ -831,7 +868,7 @@ mod tests {
         faults.links.push(window(0, LinkDirection::ToRouter, 1.0));
         let mut r = routing(vec![vec![fragment(0, 0, 1)]], 1);
         let plan = plan_delivery(&cfg, &faults, &mut r, 1);
-        assert!(!plan.rejected_mask[0], "delivered data never rejects");
+        assert!(plan.rejected[0].is_none(), "delivered data never rejects");
         assert_eq!(r.shards[0].len(), 1);
         // No ToShard window: the effect happens at the original send.
         assert_eq!(r.shards[0][0].release, t(0));
@@ -858,7 +895,7 @@ mod tests {
         faults.links.push(w);
         let mut r = routing(vec![vec![fragment(0, 0, 1)]], 1);
         let plan = plan_delivery(&cfg, &faults, &mut r, 1);
-        assert!(!plan.rejected_mask[0]);
+        assert!(plan.rejected[0].is_none());
         assert_eq!(plan.log.suppressed.len(), 1, "the minted copy is deduped");
         assert!(
             plan.log.retransmits.is_empty(),
@@ -953,6 +990,14 @@ mod tests {
     fn disabled_config_validates_without_constraints() {
         let mut cfg = TransportConfig::disabled();
         cfg.hedge.quantile = 7.0; // ignored while disabled
+        cfg.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "hedging requires the transport controller")]
+    fn hedging_without_the_transport_rejected() {
+        let mut cfg = TransportConfig::disabled();
+        cfg.hedge = HedgeConfig::p90();
         cfg.validate();
     }
 }

@@ -228,7 +228,7 @@ proptest! {
         for r in &fd.rejected {
             prop_assert!(!terminal[r.index], "query {} rejected after completing", r.index);
             terminal[r.index] = true;
-            prop_assert!(r.retries <= max_retries);
+            prop_assert!(r.attempts <= max_retries);
         }
         prop_assert!(terminal.iter().all(|&t| t), "some query never became terminal");
 

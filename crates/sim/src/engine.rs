@@ -14,7 +14,6 @@ use liferaft_core::{
     BatchScope, BatchSpec, DecisionStats, IndexedSchedulerView, Scheduler, StarvationMonitor,
 };
 use liferaft_join::{hybrid, JoinStrategy};
-use liferaft_metrics::Summary;
 use liferaft_query::{
     CrossMatchQuery, Predicate, QueryId, QueryPreProcessor, QueryTracker, QueueEntry, WorkItem,
     WorkloadQueue, WorkloadTable,
@@ -715,27 +714,7 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
     pub fn into_report(self, scheduler: &dyn Scheduler, queries: usize) -> RunReport {
         let stats = scheduler.decision_stats();
         let outcomes = self.tracker.completed().to_vec();
-        let response = Summary::from_samples(
-            outcomes
-                .iter()
-                .map(|o| o.response_time().as_secs_f64())
-                .collect(),
-        );
-        let makespan_s = outcomes
-            .iter()
-            .map(|o| o.completion.as_secs_f64())
-            .fold(0.0, f64::max);
-        let throughput_qps = if makespan_s > 0.0 {
-            queries as f64 / makespan_s
-        } else {
-            0.0
-        };
         RunReport {
-            scheduler: scheduler.name(),
-            queries,
-            makespan_s,
-            throughput_qps,
-            response,
             cache: self.cache.stats(),
             io: self.io,
             batches: self.batches,
@@ -747,7 +726,7 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
             fallback_picks: stats.fallback_picks,
             total_matches: self.total_matches,
             max_wait_ms: self.starvation.max_wait_ms(),
-            outcomes,
+            ..RunReport::from_outcomes(scheduler.name(), queries, outcomes)
         }
     }
 }

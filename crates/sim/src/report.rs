@@ -46,6 +46,64 @@ pub struct RunReport {
 }
 
 impl RunReport {
+    /// The one fold over query completions every figure reads: the response
+    /// summary, the makespan (latest completion) and the throughput
+    /// (`queries` over the makespan). The engine-side counters start at
+    /// zero; a single engine fills in its own, a pool sums its shards' with
+    /// [`add_counters`](Self::add_counters).
+    pub fn from_outcomes(scheduler: String, queries: usize, outcomes: Vec<QueryOutcome>) -> Self {
+        let response = Summary::from_samples(
+            outcomes
+                .iter()
+                .map(|o| o.response_time().as_secs_f64())
+                .collect(),
+        );
+        let makespan_s = outcomes
+            .iter()
+            .map(|o| o.completion.as_secs_f64())
+            .fold(0.0, f64::max);
+        let throughput_qps = if makespan_s > 0.0 {
+            queries as f64 / makespan_s
+        } else {
+            0.0
+        };
+        RunReport {
+            scheduler,
+            queries,
+            makespan_s,
+            throughput_qps,
+            response,
+            cache: CacheStats::default(),
+            io: IoStats::default(),
+            batches: 0,
+            scan_batches: 0,
+            indexed_batches: 0,
+            serviced_entries: 0,
+            cache_serviced_entries: 0,
+            frontier_picks: 0,
+            fallback_picks: 0,
+            total_matches: 0,
+            max_wait_ms: 0.0,
+            outcomes,
+        }
+    }
+
+    /// Adds `part`'s engine-side counters (everything that is not a fold
+    /// over `outcomes`) into `self`; the longest wait is a maximum.
+    pub fn add_counters(&mut self, part: &RunReport) {
+        self.cache.merge(&part.cache);
+        self.io.merge(&part.io);
+        self.batches += part.batches;
+        self.scan_batches += part.scan_batches;
+        self.indexed_batches += part.indexed_batches;
+        self.serviced_entries += part.serviced_entries;
+        self.cache_serviced_entries += part.cache_serviced_entries;
+        self.frontier_picks += part.frontier_picks;
+        self.fallback_picks += part.fallback_picks;
+        self.total_matches += part.total_matches;
+        self.max_wait_ms = self.max_wait_ms.max(part.max_wait_ms);
+    }
+
     /// Mean response time in seconds.
     pub fn mean_response_s(&self) -> f64 {
         self.response.mean()

@@ -32,6 +32,19 @@ pub struct Event {
     pub kind: EventKind,
 }
 
+impl Event {
+    /// A controller event on the [`ROUTER_SHARD`] pseudo-shard. `seq` is 0
+    /// until the runtime densifies the time-sorted router stream.
+    pub fn router(time: SimTime, kind: EventKind) -> Self {
+        Event {
+            time,
+            shard: ROUTER_SHARD,
+            seq: 0,
+            kind,
+        }
+    }
+}
+
 /// The event taxonomy. One variant per instrumented seam.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EventKind {

@@ -23,7 +23,7 @@
 //! | [`storage`] | disk cost model, bucket metadata, LRU bucket cache |
 //! | [`catalog`] | synthetic skies, equal-sized bucket partitioning, virtual catalogs |
 //! | [`query`] | cross-match queries, pre-processing, workload queues |
-//! | [`join`] | sweep-merge / indexed / zones join engines, hybrid strategy |
+//! | [`join`] | sweep-merge / indexed join engines, hybrid strategy |
 //! | [`core`] | the schedulers: LifeRaft(α), NoShare, RR, adaptive α |
 //! | [`workload`] | SkyQuery-shaped trace synthesis and analysis |
 //! | [`sim`] | discrete-event simulation engine and run reports |
