@@ -17,9 +17,10 @@
 //!    coherent buckets (Figure 1 of the paper).
 //!
 //! The crate additionally provides spherical-cap region coverage
-//! ([`cover::Coverer`]) used to compute the "bounding box" HTM ranges that
-//! cross-match objects carry, and a sorted disjoint [`range::HtmRangeSet`]
-//! algebra used throughout query pre-processing.
+//! ([`cover::Coverer`] one cap at a time, [`cover::BatchCoverer`] a query's
+//! whole object list in one walk of the mesh) used to compute the "bounding
+//! box" HTM ranges that cross-match objects carry, and a sorted disjoint
+//! [`range::HtmRangeSet`] algebra used throughout query pre-processing.
 //!
 //! # Example
 //!
@@ -49,7 +50,7 @@ pub mod trixel;
 pub mod vector;
 
 pub use cap::Cap;
-pub use cover::{CachingCoverer, Coverer};
+pub use cover::{BatchCoverer, Coverer};
 pub use id::HtmId;
 pub use index::{locate, trixel_of, TrixelWalker};
 pub use range::{HtmRange, HtmRangeSet};

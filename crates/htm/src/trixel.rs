@@ -88,35 +88,42 @@ impl Trixel {
             .fold(0.0, f64::max)
     }
 
+    /// The normalized edge midpoints `[w0, w1, w2]` of the HTM midpoint
+    /// rule: `w0 = mid(v1,v2)`, `w1 = mid(v0,v2)`, `w2 = mid(v0,v1)`.
+    #[inline]
+    pub fn midpoints(&self) -> [Vec3; 3] {
+        let [v0, v1, v2] = self.corners;
+        [v1.midpoint(v2), v0.midpoint(v2), v0.midpoint(v1)]
+    }
+
+    /// Child `k ∈ 0..4` built from this trixel's already-computed
+    /// [`midpoints`](Self::midpoints) — for callers that look at the
+    /// midpoints before they know which child they want.
+    ///
+    /// # Panics
+    /// Panics if `k > 3`.
+    #[inline]
+    pub fn child_from(&self, k: u8, [w0, w1, w2]: [Vec3; 3]) -> Trixel {
+        // Corners of child `k` as indices into (v0, v1, v2, w0, w1, w2): a
+        // table, not a `match`, so choosing a child is a load, not a branch.
+        const CORNERS: [[usize; 3]; 4] = [[0, 5, 4], [1, 3, 5], [2, 4, 3], [3, 4, 5]];
+        let [v0, v1, v2] = self.corners;
+        let points = [v0, v1, v2, w0, w1, w2];
+        Trixel {
+            id: self.id.child(k),
+            corners: CORNERS[k as usize].map(|p| points[p]),
+        }
+    }
+
     /// Splits into the four child trixels using the HTM midpoint rule.
     ///
-    /// With corners `(v0, v1, v2)` and edge midpoints `w0 = mid(v1,v2)`,
-    /// `w1 = mid(v0,v2)`, `w2 = mid(v0,v1)`, the children are numbered
-    /// `0:(v0,w2,w1)`, `1:(v1,w0,w2)`, `2:(v2,w1,w0)`, `3:(w0,w1,w2)` —
-    /// the ordering that defines the HTM space-filling curve.
+    /// With corners `(v0, v1, v2)` and edge [`midpoints`](Self::midpoints)
+    /// `(w0, w1, w2)`, the children are numbered `0:(v0,w2,w1)`,
+    /// `1:(v1,w0,w2)`, `2:(v2,w1,w0)`, `3:(w0,w1,w2)` — the ordering that
+    /// defines the HTM space-filling curve.
     pub fn children(&self) -> [Trixel; 4] {
-        let [v0, v1, v2] = self.corners;
-        let w0 = v1.midpoint(v2);
-        let w1 = v0.midpoint(v2);
-        let w2 = v0.midpoint(v1);
-        [
-            Trixel {
-                id: self.id.child(0),
-                corners: [v0, w2, w1],
-            },
-            Trixel {
-                id: self.id.child(1),
-                corners: [v1, w0, w2],
-            },
-            Trixel {
-                id: self.id.child(2),
-                corners: [v2, w1, w0],
-            },
-            Trixel {
-                id: self.id.child(3),
-                corners: [w0, w1, w2],
-            },
-        ]
+        let w = self.midpoints();
+        [0, 1, 2, 3].map(|k| self.child_from(k, w))
     }
 
     /// The child with index `k ∈ 0..4` — [`children`](Self::children)`()[k]`

@@ -1,11 +1,12 @@
 //! Property-based tests for the HTM substrate.
 
 use liferaft_htm::{
-    cap::Cap,
-    cover::Coverer,
+    cap::{Cap, CapTrixelRelation},
+    cover::{BatchCoverer, Coverer},
     id::HtmId,
     index::{locate, trixel_of, TrixelWalker},
     range::{HtmRange, HtmRangeSet},
+    trixel::{Trixel, OCTAHEDRON},
     vector::Vec3,
 };
 use proptest::prelude::*;
@@ -59,8 +60,134 @@ fn arb_id_sequence() -> impl Strategy<Value = Vec<HtmId>> {
     })
 }
 
+/// `p` nudged by `(du, dv)` radians along a tangent basis at `p`.
+fn nudged(p: Vec3, du: f64, dv: f64) -> Vec3 {
+    let helper = if p.z.abs() < 0.9 {
+        Vec3::NORTH
+    } else {
+        Vec3::new(1.0, 0.0, 0.0)
+    };
+    let e1 = p.cross(helper).normalized();
+    let e2 = p.cross(e1);
+    (p + e1.scale(du) + e2.scale(dv)).normalized()
+}
+
+/// `lo·(hi/lo)^t`: log-uniform over `[lo, hi]` for uniform `t ∈ [0, 1]`.
+fn log_uniform(lo: f64, hi: f64, t: f64) -> f64 {
+    (lo.ln() + t * (hi / lo).ln()).exp().clamp(lo, hi)
+}
+
+/// One batch for the batch coverer: caps clustered around a hub (tight
+/// enough to share deep trixels, radii up to a level-12 trixel), caps
+/// scattered over the sphere, and caps on — or a hair off — the octahedron's
+/// vertices (both poles among them) and edges, where the root screen must
+/// refuse them; radii log-uniform from 1e-6 to π/2 within one batch — or,
+/// every other batch, a thousandth of that, down where `Cap` withholds the
+/// strict screen and deep trixels are smaller than the containment
+/// tolerance.
+fn arb_cap_batch() -> impl Strategy<Value = Vec<Cap>> {
+    let member = (
+        0u8..8,
+        arb_point(),
+        (-1.0..1.0f64, -1.0..1.0f64),
+        0.0..=1.0f64,
+        0usize..6,
+    );
+    (
+        arb_point(),
+        0.0..=1.0f64,
+        proptest::bool::ANY,
+        proptest::collection::vec(member, 0..48),
+    )
+        .prop_map(|(hub, spread, tiny, members)| {
+            let spread = log_uniform(1e-6, 0.3, spread);
+            let scale = if tiny { 1e-3 } else { 1.0 };
+            members
+                .into_iter()
+                .map(|(kind, p, (du, dv), r, vertex)| {
+                    let wide = log_uniform(1e-6, std::f64::consts::FRAC_PI_2, r);
+                    let (center, radius) = match kind {
+                        0..=2 => (
+                            nudged(hub, scale * spread * du, scale * spread * dv),
+                            log_uniform(1e-6, 1e-3, r),
+                        ),
+                        3 => (nudged(hub, spread * du, spread * dv), wide),
+                        4 => (p, wide),
+                        5 => (OCTAHEDRON[vertex], wide),
+                        6 => (nudged(OCTAHEDRON[vertex], 1e-7 * du, 1e-3 * dv), wide),
+                        // On an octahedron edge (a coordinate plane), or a
+                        // nanoradian to either side of it.
+                        _ => {
+                            let mut q = [p.x, p.y, p.z];
+                            q[vertex % 3] = 0.0;
+                            let on_edge = Vec3::new(q[0], q[1], q[2]).normalized();
+                            (nudged(on_edge, 0.0, 1e-9 * dv.round()), wide)
+                        }
+                    };
+                    Cap::new(center, scale * radius)
+                })
+                .collect()
+        })
+}
+
+/// The batch coverer's contract at one level and budget: every cap gets the
+/// reference coverer's set, inside the documented bound, whatever company
+/// and order it is covered in.
+fn assert_batch_is_the_reference(caps: &[Cap], level: u8, budget: usize) {
+    let reference = Coverer::new(level);
+    let mut batch = BatchCoverer::new(level);
+    let expected: Vec<HtmRangeSet> = caps
+        .iter()
+        .map(|cap| reference.cover_bounded(cap, budget))
+        .collect();
+    let mut cover = |caps: &[Cap]| batch.cover_bounded(caps, budget).collect::<Vec<_>>();
+    assert_eq!(cover(caps), expected, "whole batch");
+    for (cap, set) in caps.iter().zip(&expected) {
+        let roots_touched = Trixel::roots()
+            .iter()
+            .filter(|root| cap.classify(root) != CapTrixelRelation::Disjoint)
+            .count();
+        assert!(
+            set.num_ranges() <= budget.max(roots_touched),
+            "{} ranges from budget {budget}, {roots_touched} roots touched",
+            set.num_ranges()
+        );
+    }
+    // Permutation invariance, on the same (now warm) coverer.
+    let reversed: Vec<Cap> = caps.iter().rev().copied().collect();
+    let mut got = cover(&reversed);
+    got.reverse();
+    assert_eq!(got, expected, "reversed order");
+    // Split invariance: two chunks, and every cap on its own.
+    let cut = caps.len() / 3;
+    let mut got = cover(&caps[..cut]);
+    got.extend(cover(&caps[cut..]));
+    assert_eq!(got, expected, "split at {cut}");
+    let singly: Vec<HtmRangeSet> = caps
+        .iter()
+        .flat_map(|cap| cover(std::slice::from_ref(cap)))
+        .collect();
+    assert_eq!(singly, expected, "one cap per call");
+}
+
+#[test]
+fn batch_cover_of_no_caps_is_no_sets() {
+    assert_batch_is_the_reference(&[], 12, 4);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The batch cover is `Coverer::cover_bounded` per cap, bit for bit, at
+    /// every level and budget, for any order or chunking of the caps.
+    #[test]
+    fn batch_cover_is_the_reference_cover(caps in arb_cap_batch()) {
+        for level in [0u8, 6, 12, 29] {
+            for budget in [1usize, 4, 16] {
+                assert_batch_is_the_reference(&caps, level, budget);
+            }
+        }
+    }
 
     /// One walker over any ID sequence reproduces `trixel_of` exactly —
     /// corners compared with `==` on the `f64`s, not a tolerance.

@@ -2,8 +2,7 @@
 
 use std::fmt;
 
-use liferaft_htm::cover::CachingCoverer;
-use liferaft_htm::{Cap, Coverer, HtmRange, HtmRangeSet, Vec3};
+use liferaft_htm::{BatchCoverer, Cap, Coverer, HtmRange, HtmRangeSet, Vec3};
 
 /// Unique identifier of a query within a trace/run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -15,7 +14,10 @@ impl fmt::Display for QueryId {
     }
 }
 
-/// Maximum number of HTM ranges kept per object bounding box.
+/// Refinement budget of an object's bounding box: a box holds at most
+/// `max(BBOX_MAX_RANGES, roots touched)` HTM ranges — the budget stops
+/// refinement, but the up-to-8 root trixels a cap touches are kept whatever
+/// it says (see [`Coverer::cover_bounded`]).
 ///
 /// The paper attaches a single `[start, end]` pair per object; we keep a few
 /// ranges for tighter bucket assignment but cap the count so pre-processing
@@ -46,14 +48,27 @@ impl MatchObject {
         MatchObject { pos, radius, bbox }
     }
 
-    /// [`MatchObject::new`] through a shared [`CachingCoverer`] (which must
-    /// be at the same level) — bit-identical output, but bulk builders that
-    /// cover many spatially clustered objects (trace generators, ingest
-    /// pipelines) skip most of the repeated mesh subdivision.
-    pub fn with_coverer(pos: Vec3, radius: f64, coverer: &mut CachingCoverer) -> Self {
-        let cap = Cap::new(pos, radius);
-        let bbox = coverer.cover_bounded(&cap, BBOX_MAX_RANGES);
-        MatchObject { pos, radius, bbox }
+    /// [`MatchObject::new`] for a whole object list — one per cap, in order,
+    /// bit-identical — through one mesh walk of `coverer` (which fixes the
+    /// level). The bulk builders (trace generator, trace loader,
+    /// [`CrossMatchQuery::from_positions`]) call this once per query.
+    pub fn from_caps(caps: &[Cap], coverer: &mut BatchCoverer) -> Vec<Self> {
+        caps.iter()
+            .zip(coverer.cover_bounded(caps, BBOX_MAX_RANGES))
+            .map(|(cap, bbox)| MatchObject {
+                pos: cap.center(),
+                radius: cap.radius(),
+                bbox,
+            })
+            .collect()
+    }
+
+    /// [`from_caps`](Self::from_caps) for positions sharing one error
+    /// radius: one error circle, moved to each position.
+    pub fn at_positions(positions: &[Vec3], radius: f64, coverer: &mut BatchCoverer) -> Vec<Self> {
+        let circle = Cap::new(Vec3::NORTH, radius);
+        let caps: Vec<Cap> = positions.iter().map(|&p| circle.recentered(p)).collect();
+        Self::from_caps(&caps, coverer)
     }
 
     /// The single `[start, end]` range spanning the bounding box (the
@@ -128,13 +143,9 @@ impl CrossMatchQuery {
         level: u8,
         predicate: Predicate,
     ) -> Self {
-        let objects = positions
-            .iter()
-            .map(|&p| MatchObject::new(p, radius, level))
-            .collect();
         CrossMatchQuery {
             id,
-            objects,
+            objects: MatchObject::at_positions(positions, radius, &mut BatchCoverer::new(level)),
             predicate,
         }
     }

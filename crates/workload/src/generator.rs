@@ -19,7 +19,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use liferaft_htm::{CachingCoverer, Vec3};
+use liferaft_htm::{BatchCoverer, Vec3};
 use liferaft_query::{CrossMatchQuery, MatchObject, Predicate, QueryId};
 
 use crate::trace::Trace;
@@ -214,7 +214,7 @@ impl TraceGenerator {
         let cfg = &self.config;
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let layout = self.layout_with(&mut rng);
-        let mut coverer = CachingCoverer::new(cfg.level);
+        let mut coverer = BatchCoverer::new(cfg.level);
 
         let queries = (0..cfg.n_queries)
             .map(|i| {
@@ -252,7 +252,7 @@ impl TraceGenerator {
     ) -> Vec<CrossMatchQuery> {
         let cfg = &self.config;
         assert!(start <= end && end <= cfg.n_queries, "block out of range");
-        let mut coverer = CachingCoverer::new(cfg.level);
+        let mut coverer = BatchCoverer::new(cfg.level);
         (start..end)
             .map(|i| {
                 let epoch = i * cfg.epochs / cfg.n_queries;
@@ -284,7 +284,7 @@ impl TraceGenerator {
         rng: &mut StdRng,
         centers: &[Vec3],
         active: &[usize],
-        coverer: &mut CachingCoverer,
+        coverer: &mut BatchCoverer,
     ) -> CrossMatchQuery {
         let cfg = &self.config;
 
@@ -336,10 +336,7 @@ impl TraceGenerator {
             }
         };
 
-        let objects = positions
-            .into_iter()
-            .map(|p| MatchObject::with_coverer(p, cfg.error_radius, coverer))
-            .collect();
+        let objects = MatchObject::at_positions(&positions, cfg.error_radius, coverer);
         CrossMatchQuery::new(QueryId(id), objects, predicate)
     }
 }
@@ -548,5 +545,38 @@ mod tests {
         let mut cfg = small_config();
         cfg.n_queries = 0;
         TraceGenerator::new(cfg);
+    }
+
+    /// FNV-1a over every object's position bits and bounding-box ranges.
+    fn trace_digest(trace: &Trace) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |v: u64| {
+            for b in v.to_le_bytes() {
+                h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for q in trace.queries() {
+            eat(q.len() as u64);
+            for o in &q.objects {
+                eat(o.pos.x.to_bits());
+                eat(o.pos.y.to_bits());
+                eat(o.pos.z.to_bits());
+                eat(o.bbox.num_ranges() as u64);
+                for r in o.bbox.ranges() {
+                    eat(r.lo().raw());
+                    eat(r.hi().raw());
+                }
+            }
+        }
+        h
+    }
+
+    /// Both trace families, object for object, as recorded with the per-object
+    /// reference cover before the batch cover replaced it (PR 23's parent).
+    #[test]
+    fn trace_digests_are_pinned() {
+        let gen = TraceGenerator::new(WorkloadConfig::paper_like(12, 2_048, 200, 77));
+        assert_eq!(trace_digest(&gen.generate()), 0xeabf_9dfc_6b6e_45a8);
+        assert_eq!(trace_digest(&gen.generate_seeded()), 0xe6a6_ed0b_2525_0b17);
     }
 }

@@ -8,6 +8,7 @@
 use std::fmt;
 use std::io::{self, BufRead, Write};
 
+use liferaft_htm::{BatchCoverer, Cap, Vec3, MAX_LEVEL};
 use liferaft_query::{CrossMatchQuery, MatchObject, Predicate, QueryId};
 use liferaft_storage::SimTime;
 
@@ -136,10 +137,19 @@ impl Trace {
         }
         let (n, level_line) = next("level")?;
         let level: u8 = parse_kv(&level_line, "level", n)?;
+        if level > MAX_LEVEL {
+            return Err(TraceReadError::Malformed(
+                n,
+                format!("level {level} exceeds the mesh's {MAX_LEVEL}"),
+            ));
+        }
         let (n, count_line) = next("queries")?;
         let count: usize = parse_kv(&count_line, "queries", n)?;
 
-        let mut queries = Vec::with_capacity(count);
+        // Counts are claims, not facts: nothing is reserved for them, the
+        // vectors grow with the lines actually read.
+        let mut coverer = BatchCoverer::new(level);
+        let mut queries = Vec::new();
         for _ in 0..count {
             let (n, qline) = next("query")?;
             let mut parts = qline.split_whitespace();
@@ -167,7 +177,9 @@ impl Trace {
                     ))
                 }
             };
-            let mut objects = Vec::with_capacity(n_objects);
+            // The query's error circles (one radius, as a rule: its trig is
+            // done when the radius changes), then one mesh walk for them all.
+            let mut caps: Vec<Cap> = Vec::new();
             for _ in 0..n_objects {
                 let (n, oline) = next("object")?;
                 let mut parts = oline.split_whitespace();
@@ -180,12 +192,25 @@ impl Trace {
                 let ra: f64 = parse_field(parts.next(), "ra", n)?;
                 let dec: f64 = parse_field(parts.next(), "dec", n)?;
                 let radius: f64 = parse_field(parts.next(), "radius", n)?;
-                objects.push(MatchObject::new(
-                    liferaft_htm::Vec3::from_radec(ra, dec),
-                    radius,
-                    level,
-                ));
+                if !(ra.is_finite() && dec.is_finite()) {
+                    return Err(TraceReadError::Malformed(
+                        n,
+                        format!("position ({ra}, {dec}) is not finite"),
+                    ));
+                }
+                if !(radius > 0.0 && radius <= std::f64::consts::FRAC_PI_2) {
+                    return Err(TraceReadError::Malformed(
+                        n,
+                        format!("radius {radius} is outside (0, π/2]"),
+                    ));
+                }
+                let pos = Vec3::from_radec(ra, dec);
+                caps.push(match caps.last() {
+                    Some(last) if last.radius() == radius => last.recentered(pos),
+                    _ => Cap::new(pos, radius),
+                });
             }
+            let objects = MatchObject::from_caps(&caps, &mut coverer);
             queries.push(CrossMatchQuery::new(QueryId(id), objects, predicate));
         }
         Ok(Trace::new(level, queries))
@@ -284,7 +309,6 @@ impl TimedTrace {
 mod tests {
     use super::*;
     use crate::arrivals::uniform_arrivals;
-    use liferaft_htm::Vec3;
 
     fn sample_trace() -> Trace {
         let mk = |id: u64, ra: f64, pred: Predicate| {
@@ -362,6 +386,65 @@ mod tests {
         let text = "liferaft-trace v1\nlevel 8\nqueries 1\nquery 0 0 frobnicate\n";
         let err = Trace::read_from(text.as_bytes()).unwrap_err();
         assert!(err.to_string().contains("unknown predicate"));
+    }
+
+    /// A one-query, one-object trace with the given level, query count and
+    /// object line.
+    fn trace_text(level: &str, queries: &str, object: &str) -> String {
+        format!("liferaft-trace v1\nlevel {level}\nqueries {queries}\nquery 0 1 all\n{object}\n")
+    }
+
+    #[test]
+    fn read_rejects_a_level_beyond_the_mesh() {
+        let text = trace_text("99", "1", "o 1.0 0.5 1e-4");
+        let err = Trace::read_from(text.as_bytes()).unwrap_err();
+        assert!(matches!(err, TraceReadError::Malformed(2, _)), "{err}");
+    }
+
+    #[test]
+    fn read_rejects_radii_outside_the_cap_domain() {
+        for radius in ["0", "-1e-4", "NaN", "1.6", "inf"] {
+            let text = trace_text("8", "1", &format!("o 1.0 0.5 {radius}"));
+            let err = Trace::read_from(text.as_bytes()).unwrap_err();
+            assert!(
+                matches!(err, TraceReadError::Malformed(5, _)),
+                "radius {radius}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn read_rejects_non_finite_positions() {
+        for object in ["o NaN 0.5 1e-4", "o 1.0 inf 1e-4", "o -inf NaN 1e-4"] {
+            let text = trace_text("8", "1", object);
+            let err = Trace::read_from(text.as_bytes()).unwrap_err();
+            assert!(
+                matches!(err, TraceReadError::Malformed(5, _)),
+                "{object}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn read_never_reserves_for_counts_the_input_cannot_back() {
+        // A query count, then an object count, of usize::MAX: the loader
+        // must run out of input, not out of memory.
+        let text = trace_text("8", "18446744073709551615", "o 1.0 0.5 1e-4");
+        let err = Trace::read_from(text.as_bytes()).unwrap_err();
+        assert!(matches!(err, TraceReadError::UnexpectedEof(_)), "{err}");
+        let text = "liferaft-trace v1\nlevel 8\nqueries 1\nquery 0 18446744073709551615 all\n";
+        let err = Trace::read_from(text.as_bytes()).unwrap_err();
+        assert!(matches!(err, TraceReadError::UnexpectedEof(_)), "{err}");
+    }
+
+    #[test]
+    fn read_covers_mixed_radii_like_the_per_object_constructor() {
+        let text = "liferaft-trace v1\nlevel 10\nqueries 1\nquery 7 4 all\n\
+                    o 1.0 0.5 1e-4\no 1.0001 0.5001 1e-4\no 1.0002 0.5 2e-3\no 4.0 -1.2 1e-4\n";
+        let trace = Trace::read_from(text.as_bytes()).unwrap();
+        for o in &trace.queries()[0].objects {
+            assert_eq!(*o, MatchObject::new(o.pos, o.radius, 10));
+        }
     }
 
     #[test]
