@@ -2,7 +2,7 @@
 
 use std::borrow::Cow;
 
-use liferaft_htm::{HtmId, TrixelWalker, Vec3};
+use liferaft_htm::{trixel_centers, HtmId, Vec3};
 use liferaft_storage::{BucketId, BucketMeta};
 
 use crate::hash::{hash4, unit_f64};
@@ -141,14 +141,18 @@ impl VirtualCatalog {
         self.seed
     }
 
-    /// Generates the `slot`-th object of `bucket` (pure function). The
-    /// random-access reference for the sequential generator behind
-    /// [`Catalog::bucket_objects`] / [`Catalog::objects_in`]: same ID, and a
-    /// position replayed from the root instead of walked from the previous
-    /// row.
-    pub fn object_at(&self, bucket: BucketId, slot: u64) -> SkyObject {
+    /// Generates the `slot`-th object of `bucket` (pure function), or `None`
+    /// if the partition has no such bucket or `slot` is not below the
+    /// per-bucket row count. The random-access reference for the batch
+    /// generator behind [`Catalog::bucket_objects`] /
+    /// [`Catalog::objects_in`]: same ID, and a position replayed from the
+    /// root by `trixel_of` instead of placed by one walk over the whole run.
+    pub fn object_at(&self, bucket: BucketId, slot: u64) -> Option<SkyObject> {
+        if slot >= self.objects_per_bucket || bucket.index() >= self.partition.num_buckets() {
+            return None;
+        }
         let htm = self.slot_htm(bucket, slot);
-        self.row(bucket, slot, htm, liferaft_htm::trixel_of(htm).center())
+        Some(self.row(bucket, slot, htm, liferaft_htm::trixel_of(htm).center()))
     }
 
     /// The HTM ID of the `slot`-th object of `bucket`.
@@ -173,9 +177,9 @@ impl VirtualCatalog {
     }
 
     /// Appends the rows of `slots` (ascending) whose ID lies in `[lo, hi]`.
-    /// One walker serves the whole run: consecutive slots are curve
-    /// neighbours, so each row re-descends only the levels it does not
-    /// share with the previous one.
+    /// IDs increase with the slot, so those rows are one run: their IDs
+    /// first, then all their positions from one
+    /// [`trixel_centers`](liferaft_htm::trixel_centers) walk, then the rows.
     fn generate(
         &self,
         bucket: BucketId,
@@ -184,13 +188,15 @@ impl VirtualCatalog {
         hi: HtmId,
         out: &mut Vec<SkyObject>,
     ) {
-        let mut walker = TrixelWalker::new();
-        for slot in slots {
-            let htm = self.slot_htm(bucket, slot);
-            if lo <= htm && htm <= hi {
-                out.push(self.row(bucket, slot, htm, walker.seek(htm).center()));
-            }
-        }
+        let (slots, ids): (Vec<u64>, Vec<HtmId>) = slots
+            .map(|slot| (slot, self.slot_htm(bucket, slot)))
+            .skip_while(|&(_, htm)| htm < lo)
+            .take_while(|&(_, htm)| htm <= hi)
+            .unzip();
+        let mut centers = Vec::with_capacity(ids.len());
+        trixel_centers(&ids, &mut centers);
+        let rows = slots.into_iter().zip(ids).zip(centers);
+        out.extend(rows.map(|((slot, htm), pos)| self.row(bucket, slot, htm, pos)));
     }
 }
 
@@ -312,6 +318,36 @@ mod tests {
         let cat = VirtualCatalog::new(10, 8, 100, 4096, 5);
         let a = cat.object_at(BucketId(1), 42);
         let b = cat.object_at(BucketId(1), 42);
+        assert!(a.is_some());
         assert_eq!(a, b);
+    }
+
+    /// The benchmark's catalog shape: level 12, 2 048 buckets × 1 000 rows.
+    fn benchmark_shape() -> VirtualCatalog {
+        VirtualCatalog::new(12, 2_048, 1_000, 4_096, 77)
+    }
+
+    #[test]
+    fn object_at_past_the_last_slot_is_none() {
+        // Slots 1 000 and 1 500 of bucket 5 would land on bucket 6's IDs.
+        let cat = benchmark_shape();
+        assert_eq!(cat.object_at(BucketId(5), 1_000), None);
+        assert_eq!(cat.object_at(BucketId(5), 1_500), None);
+        assert!(cat.object_at(BucketId(5), 999).is_some());
+    }
+
+    #[test]
+    fn object_at_past_the_end_of_the_curve_is_none() {
+        // Slot 1 000 of the last bucket would lie past the last level-12 ID.
+        let cat = benchmark_shape();
+        assert_eq!(cat.object_at(BucketId(2_047), 1_000), None);
+        assert_eq!(cat.object_at(BucketId(2_047), u64::MAX), None);
+    }
+
+    #[test]
+    fn object_at_of_a_missing_bucket_is_none() {
+        let cat = benchmark_shape();
+        assert_eq!(cat.object_at(BucketId(2_048), 0), None);
+        assert_eq!(cat.object_at(BucketId(u32::MAX), 0), None);
     }
 }

@@ -1,7 +1,9 @@
 //! Point location: mapping unit vectors to HTM IDs and back.
 
+use std::cell::RefCell;
+
 use crate::id::HtmId;
-use crate::trixel::Trixel;
+use crate::trixel::{centroid, child_corners, Trixel};
 use crate::vector::Vec3;
 use crate::MAX_LEVEL;
 
@@ -89,78 +91,104 @@ pub fn trixel_of(id: HtmId) -> Trixel {
     t
 }
 
-/// [`trixel_of`] for a *sequence* of IDs: keeps the root-to-leaf stack of
-/// the last trixel sought and re-descends only from the deepest ancestor the
-/// next ID shares with it. IDs that are close on the curve (a bucket's
-/// HTM-sorted rows) share most of their path, so most levels are reused.
+/// Appends `trixel_of(id).center()` for every ID of `ids`, in order — one
+/// level-order walk for the whole list instead of one descent per ID.
 ///
-/// Every trixel on the stack was produced by the same `Trixel::root` /
-/// `Trixel::child` calls `trixel_of` makes, so `seek(id) == trixel_of(id)`
-/// bit for bit, whatever order the IDs arrive in.
-#[derive(Debug, Clone, Default)]
-pub struct TrixelWalker {
-    /// `stack[l]` is the level-`l` ancestor of the last ID sought.
-    stack: Vec<Trixel>,
+/// The walk starts at the distinct ancestors of `ids` at the deepest level
+/// where there is only one of them (or at level 0 when the list spans root
+/// faces), each from [`trixel_of`]. Level by level it derives every distinct
+/// ancestor one level down from its parent, across the whole list, with
+/// [`Trixel::child`]'s arithmetic, and ends with [`Trixel::center`]'s. So
+/// every corner is the value `trixel_of` computes, bit for bit. The gain is
+/// latency: one descent is a chain of ~10 dependent normalizations, while
+/// the children of one level are independent, so the CPU overlaps them.
+///
+/// # Panics
+/// Panics in debug builds unless `ids` are strictly ascending and all at
+/// one level.
+pub fn trixel_centers(ids: &[HtmId], out: &mut Vec<Vec3>) {
+    let (Some(&first), Some(&last)) = (ids.first(), ids.last()) else {
+        return;
+    };
+    let level = first.level();
+    debug_assert!(
+        ids.windows(2).all(|w| w[0] < w[1] && w[1].level() == level),
+        "trixel_centers needs strictly ascending IDs at one level"
+    );
+    // Levels below the last shared one: the highest bit in which the first
+    // and last ID differ says how many trailing two-bit digits (or, past
+    // them, the root face) the list disagrees on.
+    let differing = (u64::BITS - (first.raw() ^ last.raw()).leading_zeros()).div_ceil(2);
+    let top = level.saturating_sub(differing as u8);
+    // The raw ancestors at level `l`, sorted; a run of equal ones is one
+    // trixel. `0` is no trixel's raw ID (roots start at 8), so a scan that
+    // starts with `last = 0` sees its first ancestor (and parent) as new.
+    let ancestors = |l: u8| ids.iter().map(move |id| id.raw() >> (2 * (level - l)));
+    LEVELS.with_borrow_mut(|(corners, next)| {
+        // `corners[i]` belongs to the `i`-th distinct ancestor at the level
+        // being built.
+        corners.clear();
+        let mut last = 0;
+        for a in ancestors(top) {
+            if a != last {
+                corners.push(*trixel_of(HtmId::from_raw_unchecked(a)).corners());
+                last = a;
+            }
+        }
+        for l in top + 1..=level {
+            // Parents arrive in the order of `corners`: step to the next
+            // one whenever the parent ID changes.
+            next.clear();
+            let (mut last, mut parent) = (0, usize::MAX);
+            for a in ancestors(l) {
+                if a != last {
+                    if a >> 2 != last >> 2 {
+                        parent = parent.wrapping_add(1);
+                    }
+                    next.push(child_corners(&corners[parent], (a & 0b11) as u8));
+                    last = a;
+                }
+            }
+            std::mem::swap(corners, next);
+        }
+        out.extend(corners.iter().copied().map(centroid));
+    });
 }
 
-impl TrixelWalker {
-    /// A walker with nothing on its stack (the first `seek` starts at a root).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The trixel of `id`.
-    pub fn seek(&mut self, id: HtmId) -> Trixel {
-        let level = id.level();
-        self.stack.truncate(self.shared_levels(id));
-        if self.stack.is_empty() {
-            self.stack.push(Trixel::root(id.root_face()));
-        }
-        for l in self.stack.len() as u8..=level {
-            let parent = self.stack[l as usize - 1];
-            self.stack.push(parent.child(id.path_digit(l)));
-        }
-        self.stack[level as usize]
-    }
-
-    /// How many leading stack entries (root first) are ancestors of `id`,
-    /// `id` itself included.
-    fn shared_levels(&self, id: HtmId) -> usize {
-        let Some(last) = self.stack.last() else {
-            return 0;
-        };
-        // Compare the two paths at the shallower of the two levels: the
-        // highest differing bit says how many trailing two-bit digits (or,
-        // past them, the root face) the paths disagree on.
-        let common = last.id().level().min(id.level());
-        let diff = last.id().ancestor_at(common).raw() ^ id.ancestor_at(common).raw();
-        let differing_digits = (u64::BITS - diff.leading_zeros()).div_ceil(2) as usize;
-        (common as usize + 1).saturating_sub(differing_digits)
-    }
+thread_local! {
+    /// [`trixel_centers`]' two levels of corners, kept between calls: a
+    /// 1 000-row bucket fills 72 KB a level, and freeing that on every call
+    /// let the allocator hand the pages back, to fault them in again on the
+    /// next call (14 minor faults a call at the benchmark's catalog shape).
+    static LEVELS: RefCell<(Corners, Corners)> = const { RefCell::new((Vec::new(), Vec::new())) };
 }
+
+/// One level of a [`trixel_centers`] walk: the corners of its trixels.
+type Corners = Vec<[Vec3; 3]>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn walker_matches_trixel_of_across_faces_and_levels() {
-        let mut walker = TrixelWalker::new();
-        let p = Vec3::from_radec_deg(123.4, -56.7);
-        let deep = locate(p, 12);
-        let ids = [
-            deep,
-            deep,
-            HtmId::from_raw_unchecked(deep.raw() + 1),
-            deep.ancestor_at(5),
-            deep.ancestor_at(5).child(3).child(0),
-            HtmId::root(0),
-            HtmId::last_at_level(12),
-            HtmId::first_at_level(12),
-            locate(Vec3::from_radec_deg(10.0, 80.0), 7),
+    fn trixel_centers_match_trixel_of_across_faces_and_levels() {
+        let deep = locate(Vec3::from_radec_deg(123.4, -56.7), 12);
+        let runs: [Vec<HtmId>; 5] = [
+            vec![],
+            vec![deep],
+            (0..40)
+                .map(|i| HtmId::from_raw_unchecked(deep.raw() + 3 * i))
+                .collect(),
+            (0..8).map(|f| HtmId::root(f).child(2)).collect(),
+            vec![HtmId::first_at_level(12), deep, HtmId::last_at_level(12)],
         ];
-        for id in ids {
-            assert_eq!(walker.seek(id), trixel_of(id), "{id}");
+        for ids in runs {
+            let mut got = vec![Vec3::NORTH]; // appends
+            trixel_centers(&ids, &mut got);
+            let want: Vec<Vec3> = std::iter::once(Vec3::NORTH)
+                .chain(ids.iter().map(|&id| trixel_of(id).center()))
+                .collect();
+            assert_eq!(got, want, "{ids:?}");
         }
     }
 

@@ -52,7 +52,7 @@ pub mod vector;
 pub use cap::Cap;
 pub use cover::{BatchCoverer, Coverer};
 pub use id::HtmId;
-pub use index::{locate, trixel_of, TrixelWalker};
+pub use index::{locate, trixel_centers, trixel_of};
 pub use range::{HtmRange, HtmRangeSet};
 pub use trixel::Trixel;
 pub use vector::Vec3;

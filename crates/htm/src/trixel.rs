@@ -74,7 +74,7 @@ impl Trixel {
 
     /// The normalized centroid of the corners — a representative interior point.
     pub fn center(&self) -> Vec3 {
-        (self.corners[0] + self.corners[1] + self.corners[2]).normalized()
+        centroid(self.corners)
     }
 
     /// An upper bound (radians) on the angular distance from [`Trixel::center`]
@@ -133,17 +133,9 @@ impl Trixel {
     /// # Panics
     /// Panics if `k > 3`.
     pub fn child(&self, k: u8) -> Trixel {
-        let [v0, v1, v2] = self.corners;
-        let corners = match k {
-            0 => [v0, v0.midpoint(v1), v0.midpoint(v2)],
-            1 => [v1, v1.midpoint(v2), v0.midpoint(v1)],
-            2 => [v2, v0.midpoint(v2), v1.midpoint(v2)],
-            3 => [v1.midpoint(v2), v0.midpoint(v2), v0.midpoint(v1)],
-            _ => panic!("trixels have 4 children, got {k}"),
-        };
         Trixel {
             id: self.id.child(k),
-            corners,
+            corners: child_corners(&self.corners, k),
         }
     }
 
@@ -176,6 +168,36 @@ impl Trixel {
         let den = 1.0 + a.dot(b) + b.dot(c) + c.dot(a);
         2.0 * num.atan2(den)
     }
+}
+
+/// [`Trixel::center`] of the trixel with these corners.
+#[inline]
+pub(crate) fn centroid([v0, v1, v2]: [Vec3; 3]) -> Vec3 {
+    (v0 + v1 + v2).normalized()
+}
+
+/// The corners of [`Trixel::child`]`(k)` of the trixel with corners `v`.
+///
+/// Corner child `k < 3` is `(v[k], mid(v[k], v[k+1]), mid(v[k], v[k+2]))`,
+/// indices mod 3. Loading its inputs by index leaves one branch, `k == 3`,
+/// where a four-way `match` on `k` mispredicts on most children of a
+/// [`trixel_centers`](crate::trixel_centers) walk. `a + b` and `b + a` are
+/// the same `f64`s, so every midpoint is bit for bit the one
+/// [`Trixel::midpoints`] computes.
+///
+/// # Panics
+/// Panics if `k > 3`.
+#[inline]
+pub(crate) fn child_corners(v: &[Vec3; 3], k: u8) -> [Vec3; 3] {
+    const NEXT: [usize; 3] = [1, 2, 0];
+    const PREV: [usize; 3] = [2, 0, 1];
+    if k == 3 {
+        let [v0, v1, v2] = *v;
+        return [v1.midpoint(v2), v0.midpoint(v2), v0.midpoint(v1)];
+    }
+    let k = k as usize;
+    let a = v[k];
+    [a, a.midpoint(v[NEXT[k]]), a.midpoint(v[PREV[k]])]
 }
 
 #[cfg(test)]

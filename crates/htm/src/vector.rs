@@ -192,6 +192,18 @@ impl ChordBound {
         self.radius
     }
 
+    /// The bound for `radius`: `self` if it was built for that radius, a
+    /// new one otherwise — so a loop over entries that share a radius pays
+    /// the `sin` once per change of radius, not once per entry.
+    #[inline]
+    pub fn for_radius(self, radius: f64) -> Self {
+        if self.radius == radius {
+            self
+        } else {
+            Self::new(radius)
+        }
+    }
+
     /// True if unit vectors `a` and `b` are within the angular radius.
     #[inline]
     pub fn matches(self, a: Vec3, b: Vec3) -> bool {
@@ -282,6 +294,8 @@ mod tests {
         assert!((bound.radius() - r).abs() < EPS);
         let tight = ChordBound::new(0.2_f64.to_radians());
         assert!(!tight.matches(a, b));
+        assert_eq!(bound.for_radius(r), bound);
+        assert_eq!(bound.for_radius(0.2_f64.to_radians()), tight);
     }
 
     #[test]

@@ -4,7 +4,7 @@ use liferaft_htm::{
     cap::{Cap, CapTrixelRelation},
     cover::{BatchCoverer, Coverer},
     id::HtmId,
-    index::{locate, trixel_of, TrixelWalker},
+    index::{locate, trixel_centers, trixel_of},
     range::{HtmRange, HtmRangeSet},
     trixel::{Trixel, OCTAHEDRON},
     vector::Vec3,
@@ -23,41 +23,76 @@ fn arb_level() -> impl Strategy<Value = u8> {
     0u8..=14
 }
 
-/// An ID sequence for the walker: a cluster around one deep trixel (curve
-/// neighbours at mixed levels, so paths share long prefixes), a few IDs from
-/// anywhere on the sphere (so the sequence crosses root faces), and an order
-/// — as drawn, sorted, reversed, or every ID twice in a row.
-fn arb_id_sequence() -> impl Strategy<Value = Vec<HtmId>> {
-    let cluster = (
+/// `n ≤ hi − lo + 1` strictly ascending raw IDs in `[lo, hi]`, one in each
+/// of `n` equal sub-spans, jittered by `seed` — the way `VirtualCatalog`
+/// places a bucket's rows.
+fn stratified(lo: u64, hi: u64, n: u64, seed: u64) -> Vec<HtmId> {
+    let span = hi - lo + 1;
+    let n = n.min(span);
+    (0..n)
+        .map(|k| {
+            let (sub_lo, sub_hi) = (k * span / n, (k + 1) * span / n);
+            // SplitMix64 finalizer over (seed, k).
+            let mut h = seed ^ k.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            h ^= h >> 31;
+            HtmId::from_raw_unchecked(lo + sub_lo + h % (sub_hi - sub_lo))
+        })
+        .collect()
+}
+
+/// The levels the level-order walk is pinned at.
+const WALK_LEVELS: [u8; 5] = [0, 1, 5, 12, 20];
+
+/// A strictly ascending ID list at one of [`WALK_LEVELS`]: `kind` 0 is a
+/// singleton, 1 every ID of a subtree up to 4 levels high (a dense run), 2
+/// stratified slots inside a subtree up to 8 levels high, 3 stratified slots
+/// from a first ID in one root face to a last ID 1–7 faces on (so the list
+/// spans 2–8 faces).
+fn arb_sorted_ids() -> impl Strategy<Value = Vec<HtmId>> {
+    (
+        (0usize..WALK_LEVELS.len(), 0u8..4),
         arb_point(),
-        2u8..=14,
-        proptest::collection::vec((0u64..200, 0u8..3), 1..40),
-    );
-    let strays = proptest::collection::vec((arb_point(), arb_level()), 0..6);
-    (cluster, strays, 0u8..4).prop_map(|((center, level, steps), strays, order)| {
-        let base = locate(center, level);
-        let last = HtmId::last_at_level(level).raw();
-        let mut ids: Vec<HtmId> = steps
-            .into_iter()
-            .map(|(step, up)| {
-                let near = HtmId::from_raw_unchecked((base.raw() + step).min(last));
-                near.ancestor_at(level - up.min(level))
-            })
-            .collect();
-        for (i, (p, l)) in strays.into_iter().enumerate() {
-            ids.insert((i * 7) % (ids.len() + 1), locate(p, l));
-        }
-        match order {
-            0 => {}
-            1 => ids.sort(),
-            2 => {
-                ids.sort();
-                ids.reverse();
+        0u8..=8,
+        (0u8..8, 2u8..=8),
+        1u64..400,
+        0u64..u64::MAX,
+    )
+        .prop_map(|((l, kind), p, height, (face, faces), n, seed)| {
+            let level = WALK_LEVELS[l];
+            let id = locate(p, level);
+            let subtree = |height: u8| {
+                let r = id
+                    .ancestor_at(level - height.min(level))
+                    .descendant_range(level);
+                (r.lo().raw(), r.hi().raw())
+            };
+            match kind {
+                0 => vec![id],
+                1 => {
+                    let (lo, hi) = subtree(height.min(4));
+                    stratified(lo, hi, hi - lo + 1, seed)
+                }
+                2 => {
+                    let (lo, hi) = subtree(height);
+                    stratified(lo, hi, n, seed)
+                }
+                _ => {
+                    let first = face % (9 - faces);
+                    let last = first + faces - 1;
+                    let face_span = HtmId::root(0).descendant_range(level).len();
+                    let lo = HtmId::root(first).descendant_range(level).lo().raw();
+                    let hi = HtmId::root(last).descendant_range(level).lo().raw();
+                    let (lo, hi) = (lo + seed % face_span, hi + (seed >> 32) % face_span);
+                    let mut ids = stratified(lo, hi, n, seed);
+                    ids.extend([lo, hi].map(HtmId::from_raw_unchecked));
+                    ids.sort();
+                    ids.dedup();
+                    ids
+                }
             }
-            _ => ids = ids.iter().flat_map(|&id| [id, id]).collect(),
-        }
-        ids
-    })
+        })
 }
 
 /// `p` nudged by `(du, dv)` radians along a tangent basis at `p`.
@@ -189,14 +224,15 @@ proptest! {
         }
     }
 
-    /// One walker over any ID sequence reproduces `trixel_of` exactly —
-    /// corners compared with `==` on the `f64`s, not a tolerance.
+    /// One level-order walk over a sorted ID list reproduces
+    /// `trixel_of(id).center()` exactly — `==` on the `f64`s, not a
+    /// tolerance.
     #[test]
-    fn walker_is_bit_identical_to_trixel_of(ids in arb_id_sequence()) {
-        let mut walker = TrixelWalker::new();
-        for id in ids {
-            prop_assert_eq!(walker.seek(id), trixel_of(id));
-        }
+    fn trixel_centers_are_bit_identical_to_trixel_of(ids in arb_sorted_ids()) {
+        let mut got = Vec::new();
+        trixel_centers(&ids, &mut got);
+        let want: Vec<Vec3> = ids.iter().map(|&id| trixel_of(id).center()).collect();
+        prop_assert_eq!(got, want, "{:?}", ids);
     }
 
     /// locate() always produces an ID at the requested level whose trixel

@@ -28,13 +28,14 @@ pub fn indexed_join(bucket: &[SkyObject], entries: &[QueueEntry]) -> JoinOutput 
         "bucket slice must be HTM-sorted"
     );
     let mut out = JoinOutput::default();
+    let mut bound = ChordBound::new(0.0);
     for e in entries {
         out.probes += 1;
         let lo = e.bbox.lo();
         let hi = e.bbox.hi();
         // Binary search to the first object ≥ lo (the index descent).
         let start = bucket.partition_point(|o| o.htm < lo);
-        let bound = ChordBound::new(e.radius);
+        bound = bound.for_radius(e.radius);
         let mut j = start;
         while j < bucket.len() && bucket[j].htm <= hi {
             out.candidates_tested += 1;

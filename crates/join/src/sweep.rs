@@ -42,6 +42,7 @@ pub fn sweep_join(bucket: &[SkyObject], entries: &[QueueEntry]) -> JoinOutput {
     // Shared start cursor: since entry `lo`s are non-decreasing in sweep
     // order, the first candidate index never moves backwards.
     let mut start = 0usize;
+    let mut bound = ChordBound::new(0.0);
     for &ei in &order {
         let e = &entries[ei];
         let lo = e.bbox.lo();
@@ -52,7 +53,7 @@ pub fn sweep_join(bucket: &[SkyObject], entries: &[QueueEntry]) -> JoinOutput {
         if start == bucket.len() {
             break;
         }
-        let bound = ChordBound::new(e.radius);
+        bound = bound.for_radius(e.radius);
         let mut j = start;
         while j < bucket.len() && bucket[j].htm <= hi {
             out.candidates_tested += 1;
