@@ -24,10 +24,8 @@
 //! Decisions are made **once**, by the door as a handler of the stepped
 //! driver (`runtime::drive`), and recorded as an [`AdmissionLog`]: one
 //! [`QueryVerdict`] per trace entry plus epoch-indexed
-//! [`AdmissionSample`]s. The threaded executor never decides anything — it
-//! serves the streams that pass handed the shards (admission order, release
-//! = admission time), free of any cross-thread coordination: a shard's
-//! behaviour is a pure function of its release-ordered fragment stream.
+//! [`AdmissionSample`]s. A door-on run is that one stepped pass in either
+//! execution mode.
 
 use std::collections::BTreeSet;
 
@@ -308,22 +306,6 @@ pub struct AdmissionLog {
 }
 
 impl AdmissionLog {
-    /// Admitted trace indices with release times, in admission (`seq`)
-    /// order — exactly the order fragments were handed to the shards.
-    pub fn admissions_in_seq_order(&self) -> Vec<(usize, SimTime)> {
-        let mut order: Vec<(u64, usize, SimTime)> = self
-            .verdicts
-            .iter()
-            .enumerate()
-            .filter_map(|(i, v)| match v.decision {
-                Disposition::Admitted { at, seq } => Some((seq, i, at)),
-                Disposition::Rejected { .. } => None,
-            })
-            .collect();
-        order.sort_unstable_by_key(|&(seq, _, _)| seq);
-        order.into_iter().map(|(_, i, at)| (i, at)).collect()
-    }
-
     /// Total rejected queries.
     pub fn total_rejected(&self) -> u64 {
         self.verdicts.iter().filter(|v| !v.admitted()).count() as u64
@@ -837,10 +819,11 @@ mod tests {
         assert_eq!(admitted, vec![2, 1, 0]);
         let log = door.into_log();
         assert_eq!(log.total_rejected(), 0);
-        let seq: Vec<(usize, SimTime)> = log.admissions_in_seq_order();
+        let released = |s, seq| Disposition::Admitted { at: at(s), seq };
+        let decisions: Vec<Disposition> = log.verdicts.iter().map(|v| v.decision).collect();
         assert_eq!(
-            seq,
-            vec![(2, at(3)), (1, at(10)), (0, at(20))],
+            decisions,
+            vec![released(20, 2), released(10, 1), released(3, 0)],
             "log records admission order and release times"
         );
     }

@@ -445,10 +445,13 @@ pub enum ExecMode {
     /// shard id) advances one event. Pinnable by golden tests; the
     /// reference semantics.
     Stepped,
-    /// One `std::thread` worker per shard, results returned over `mpsc`.
-    /// Bit-identical to [`Stepped`](Self::Stepped): shards interact only
-    /// through the up-front routing and the post-hoc aggregation, both of
-    /// which are independent of interleaving.
+    /// One scoped `std::thread` per shard whenever the fragment streams are
+    /// fixed before the run: static routing, or the transport's adjusted
+    /// routing. Bit-identical to [`Stepped`](Self::Stepped): those shards
+    /// interact only through the up-front routing and the post-hoc
+    /// aggregation, both independent of interleaving. A run whose
+    /// controllers route arrivals (rebalancing, outages, the front door) is
+    /// the one stepped pass in either mode.
     Threaded,
 }
 

@@ -25,8 +25,8 @@
 //!   boundaries.
 //!
 //! Every decision is made once, by the crash handler of the stepped driver
-//! (`runtime::drive`), and recorded into a [`FailoverLog`]; evacuations
-//! become rounds the threaded pool re-executes.
+//! (`runtime::drive`), and recorded into a [`FailoverLog`]; each down
+//! edge's evacuations are applied in place as one round.
 
 use liferaft_storage::{BucketId, SimDuration, SimTime};
 use liferaft_telemetry::{Event, EventKind};
@@ -141,8 +141,7 @@ pub struct ShardTransition {
 /// One bucket evacuated off a crashed shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Evacuation {
-    /// The outage boundary (`down_at`) this evacuation belongs to — the
-    /// instant a threaded pool synchronizes at.
+    /// The outage boundary (`down_at`) this evacuation belongs to.
     pub boundary: SimTime,
     /// The extract/absorb instant: the boundary, or the dead shard's clock
     /// when its final batch overran it (batches are atomic).

@@ -16,12 +16,14 @@
 //! virtual-time merge of the shard event queues (earliest next event first,
 //! ties by shard id) that every controller below plugs into as an event
 //! handler — the only place decisions are made. [`ExecMode::Threaded`] runs
-//! one `std::thread` worker per shard over the fragment streams and bucket
-//! hand-overs that merge produced (`docs/ARCHITECTURE.md`, "One run path":
-//! drive → rounds → execute → finish). The two are **bit-identical** for
-//! the same configuration and trace, and a single-shard runtime reproduces
-//! `liferaft_sim::Simulation` exactly (both drive the same
-//! [`liferaft_sim::EngineCore`]); golden and property tests pin both claims.
+//! one `std::thread` per shard when the fragment streams are fixed before
+//! the run (static routing, the transport's adjusted routing); a run whose
+//! controllers route arrivals is the one stepped pass in either mode
+//! (`docs/ARCHITECTURE.md`, "One run path": drive → execute → finish). The
+//! two are **bit-identical** for the same configuration and trace, and a
+//! single-shard runtime reproduces `liferaft_sim::Simulation` exactly (both
+//! drive the same [`liferaft_sim::EngineCore`]); golden and property tests
+//! pin both claims.
 //!
 //! # Elastic rebalancing
 //!
@@ -78,7 +80,7 @@
 //! | [`ledger`] | the canonical completion merge and the per-query terminal ledger every report projects from |
 //! | [`retry`] | the shared bounded-retry schedule (failover + transport) |
 //! | [`transport`] | the lossy-link transport: retransmit, dedup, hedging |
-//! | [`runtime`] | the one run path: stepped driver + handlers, threaded pool, aggregation |
+//! | [`runtime`] | the one run path: stepped driver + handlers, threaded fixed-stream pool, aggregation |
 //! | [`config`] | runtime + admission + rebalance + fault configuration, execution mode |
 //! | [`sweep`] | the deterministic parallel sweep driver |
 

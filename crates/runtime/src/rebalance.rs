@@ -3,9 +3,8 @@
 //! At every epoch boundary the stepped driver samples per-shard load and
 //! asks `plan_moves` for a (possibly empty) set of bucket migrations. The
 //! decisions — together with the load sample that produced them — are
-//! recorded as an [`EpochRecord`] of the [`RebalanceLog`]; planning happens
-//! exactly once, in the reference merge, and a threaded pool re-executes
-//! the move-bearing boundaries as rounds.
+//! recorded as an [`EpochRecord`] of the [`RebalanceLog`]; the driver
+//! applies the moves in place, in the one stepped pass.
 //!
 //! The planner is a pure function of its inputs and deliberately greedy:
 //! while the most-loaded shard's queued backlog exceeds the configured

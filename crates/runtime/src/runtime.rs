@@ -1,4 +1,4 @@
-//! The sharded serving runtime: plan → execute (stepped or threaded) →
+//! The sharded serving runtime: drive → execute (stepped or threaded) →
 //! finish.
 //!
 //! # Determinism contract
@@ -6,26 +6,27 @@
 //! Both execution modes produce **bit-identical** [`RuntimeReport`]s for
 //! the same (catalog, config, trace, scheduler factory):
 //!
-//! - Routing is a pure function of the shard map and the trace.
-//! - Each shard's behaviour is a pure function of its own fragment stream
-//!   (admission is shard-local) and of the rounds that move buckets in and
-//!   out of it, so any stepping order yields the same per-shard results.
+//! - A run whose controllers decide where arrivals land (rebalancing,
+//!   outages, the front door) is one stepped pass in either mode.
+//! - Otherwise routing is a pure function of the shard map and the trace,
+//!   and each shard's behaviour a pure function of its own fixed fragment
+//!   stream (admission is shard-local), so any stepping order yields the
+//!   same per-shard results.
 //! - Aggregation merges per-shard completion streams in the canonical
 //!   `(completion time, shard id, shard event order)` order, which is
 //!   independent of how the shards were driven.
 //!
 //! # One run path
 //!
-//! Every configuration flows through the same four pieces (see
-//! `docs/ARCHITECTURE.md`, "drive → rounds → execute → finish"):
-//! `spawn` makes the workers, `drive` is the stepped virtual-time merge the
-//! controllers plug into as event handlers, `run_threaded` serves fixed
-//! streams on one thread per shard and replays the planned rounds, and
-//! `finish` folds the finished pool and the decision logs into the report.
+//! Every configuration flows through the same pieces (see
+//! `docs/ARCHITECTURE.md`, "drive → execute → finish"): `spawn` makes the
+//! workers, `drive` is the stepped virtual-time merge the controllers plug
+//! into as event handlers, `run_threaded` serves fixed streams on one
+//! thread per shard, and `finish` folds the finished pool and the decision
+//! logs into the report.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::{mpsc, Barrier};
 
 use liferaft_catalog::Catalog;
 use liferaft_core::Scheduler;
@@ -156,13 +157,13 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
     /// Replays `trace`, scheduling shard `i` with `mk_scheduler(i)`.
     ///
     /// When a controller decides where — or whether — arrivals land
-    /// (rebalancing, outages/failover, the front door), the run is planned
-    /// once in the stepped merge with the controllers in the loop, and in
-    /// threaded mode the pool then re-executes that plan on fresh workers.
-    /// Otherwise the trace is routed up front (the transport controller
-    /// adjusts that routing before anything runs) and executed directly.
-    /// The factory is therefore invoked once per shard per pass; it must
-    /// keep returning equivalent schedulers.
+    /// (rebalancing, outages/failover, the front door), the run is the one
+    /// stepped merge with the controllers in the loop, whatever `mode` asks
+    /// for. Otherwise the trace is routed up front (the transport controller
+    /// adjusts that routing before anything runs) and `mode` picks the
+    /// executor. The factory is invoked once per shard — twice for a hedged
+    /// transport run, whose reference pass plans the hedges — and must keep
+    /// returning equivalent schedulers.
     ///
     /// # Panics
     /// Panics if any shard's scheduler violates its contract, or if the run
@@ -187,14 +188,6 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
             pool = self.spawn(entries, unrouted, mk_scheduler);
             drive(&mut pool, &mut ctl);
             plan = ctl.into_plan();
-            if mode == ExecMode::Threaded {
-                // Admission never drains a worker's fragment list, so each
-                // planner worker still owns its complete stream in hand-off
-                // order: the threaded pool serves those very streams.
-                let streams = pool.into_iter().map(ShardWorker::into_fragments).collect();
-                pool = self.spawn(entries, streams, mk_scheduler);
-                run_threaded(&mut pool, &plan.rounds);
-            }
         } else {
             let mut routing = route_parallel(
                 self.catalog.partition(),
@@ -217,7 +210,7 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
             pool = self.spawn(entries, routing.shards, mk_scheduler);
             match mode {
                 ExecMode::Stepped => drive(&mut pool, &mut ctl),
-                ExecMode::Threaded => run_threaded(&mut pool, &plan.rounds),
+                ExecMode::Threaded => run_threaded(&mut pool),
             }
         }
         self.finish(entries, &index_of, pool, plan)
@@ -496,20 +489,14 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
     }
 }
 
-/// What planning hands to execution and to `finish`: the counters routing
-/// produced, the rounds a pool executor must replay, and the decision log
-/// of every controller that ran.
+/// What routing and the controllers hand to `finish`: the counters routing
+/// produced and the decision log of every controller that ran.
 #[derive(Default)]
 struct Plan {
     /// Per trace index: routed (object × bucket) assignments.
     assignments_of: Vec<u64>,
     cross_shard_queries: usize,
     total_fragments: usize,
-    /// Bucket hand-overs in planning order (downs before epochs at equal
-    /// instants; two shards crashing at one instant stay *sequential*
-    /// rounds — a bucket evacuated onto a shard that dies at the same
-    /// instant moves again in the second round).
-    rounds: Vec<Round>,
     rebalance: Option<RebalanceLog>,
     admission: Option<AdmissionLog>,
     failover: Option<FailoverLog>,
@@ -612,30 +599,22 @@ impl Controllers<'_> {
         source: Source,
     ) {
         let plugged = "an event fires on a handler that announced it";
-        let round = match source {
+        match source {
             Source::Outage => {
                 let outages = self.outages.as_mut().expect(plugged);
-                outages.edge(workers, &mut self.up, &mut self.map)
+                outages.edge(workers, &mut self.up, &mut self.map);
             }
             Source::Epoch => {
                 let epochs = self.epochs.as_mut().expect(plugged);
-                epochs.fire(t, workers, &self.up, &mut self.map)
+                epochs.fire(t, workers, &self.up, &mut self.map);
             }
             Source::Redelivery => {
                 let outages = self.outages.as_mut().expect(plugged);
                 outages.redeliver(workers, &self.up, &mut self.plan.total_fragments);
-                None
             }
-            Source::Arrival => {
-                self.route_arrival(workers);
-                None
-            }
-            Source::Door => {
-                self.door_pass(workers, t);
-                None
-            }
-        };
-        self.plan.rounds.extend(round);
+            Source::Arrival => self.route_arrival(workers),
+            Source::Door => self.door_pass(workers, t),
+        }
     }
 
     /// Routes the next arrival under the live map and hands its fragments to
@@ -665,9 +644,8 @@ impl Controllers<'_> {
     /// order, pre-split under the live map), then wake backoffs, admit,
     /// shed, reject. Admitted queries hand their pre-split fragments to the
     /// shards with `release = now`. Admission feedback is the per-shard
-    /// entries serviced by batches that completed by `now` — observable from
-    /// release times alone, which is why the streams the door produces
-    /// replay exactly.
+    /// entries serviced by batches that completed by `now`, so an admission
+    /// at `now` depends only on batches completed by `now`.
     fn door_pass<C: Catalog + ?Sized>(&mut self, workers: &mut [ShardWorker<'_, C>], t: SimTime) {
         let (Some(a), Some(door)) = (self.arrivals.as_mut(), self.door.as_mut()) else {
             return;
@@ -723,11 +701,11 @@ impl Controllers<'_> {
     }
 }
 
-/// Applies one round to the stepped pool: every payload leaves its source
+/// Applies one round to the pool in place: every payload leaves its source
 /// first (sources are untouched by other transfers' absorptions), then each
-/// destination absorbs its own in bucket order — the canonical order the
-/// threaded executor reproduces. Returns, per transfer, whether the bucket
-/// was cache-resident at its source.
+/// destination absorbs its own in bucket order, the canonical absorb order.
+/// Returns, per transfer, whether the bucket was cache-resident at its
+/// source.
 fn transfer<C: Catalog + ?Sized>(workers: &mut [ShardWorker<'_, C>], round: &Round) -> Vec<bool> {
     let mut inbox: Vec<Vec<MigratedBucket<'_>>> = workers.iter().map(|_| Vec::new()).collect();
     let mut was_resident = Vec::with_capacity(round.transfers.len());
@@ -764,11 +742,10 @@ impl Epochs {
         workers: &mut [ShardWorker<'_, C>],
         up: &[bool],
         map: &mut ElasticShardMap,
-    ) -> Option<Round> {
+    ) {
         let loads: Vec<u64> = workers.iter().map(ShardWorker::queued).collect();
         let depths: Vec<Vec<_>> = workers.iter().map(ShardWorker::bucket_depths).collect();
         let round = Round {
-            boundary: t,
             at: t,
             evict_source: self.cfg.warm_residency,
             warm: self.cfg.warm_residency,
@@ -786,11 +763,8 @@ impl Epochs {
             loads,
             serviced: workers.iter().map(ShardWorker::serviced).collect(),
             resident: workers.iter().map(|w| w.resident() as u32).collect(),
-            moves: round.transfers.clone(),
+            moves: round.transfers,
         });
-        // Only a boundary that actually moved buckets synchronizes a
-        // threaded pool; a move-free one is behaviour-neutral.
-        (!round.transfers.is_empty()).then_some(round)
     }
 }
 
@@ -859,14 +833,14 @@ impl Outages {
         self.retries.peek().map(|Reverse((t, _))| *t)
     }
 
-    /// Processes the next outage edge; a down edge that evacuated buckets
-    /// returns the round.
+    /// Processes the next outage edge; a down edge with failover enabled
+    /// evacuates the dead shard in one round.
     fn edge<C: Catalog + ?Sized>(
         &mut self,
         workers: &mut [ShardWorker<'_, C>],
         up: &mut [bool],
         map: &mut ElasticShardMap,
-    ) -> Option<Round> {
+    ) {
         let (boundary, edge_up, shard) = self.edges[self.edges_done];
         self.edges_done += 1;
         let dead = shard as usize;
@@ -878,7 +852,7 @@ impl Outages {
         });
         up[dead] = edge_up;
         if edge_up || !self.cfg.enabled || !up.iter().any(|&u| u) {
-            return None;
+            return;
         }
         // Evacuate the dead shard: every non-empty bucket, in bucket order,
         // to the least-loaded survivor (working loads update as buckets are
@@ -903,7 +877,6 @@ impl Outages {
             })
             .collect();
         let round = Round {
-            boundary,
             at: workers[dead].now().max(boundary),
             evict_source: true,
             warm: self.cfg.warm_residency,
@@ -924,7 +897,6 @@ impl Outages {
             });
             map.reassign(m.bucket, m.to);
         }
-        (!round.transfers.is_empty()).then_some(round)
     }
 
     /// Intercepts what an arrival's split released into **down** shards —
@@ -1073,44 +1045,13 @@ fn drive<C: Catalog + ?Sized>(workers: &mut [ShardWorker<'_, C>], ctl: &mut Cont
     }
 }
 
-/// The pool executor: one OS thread per shard, fragment streams fixed
-/// up-front, the planned `rounds` replayed verbatim with a double-barrier
-/// handshake each — run the events strictly before the boundary, barrier,
-/// send the outgoing payloads, barrier, absorb the incoming ones in bucket
-/// order. Everything else a controller decided (loss, re-delivery, held or
-/// rejected admissions) is already baked into the streams, so with no
-/// rounds the shards run completely free.
-fn run_threaded<'a, C: Catalog + Sync + ?Sized>(
-    workers: &mut [ShardWorker<'a, C>],
-    rounds: &[Round],
-) {
-    let barrier = Barrier::new(workers.len());
-    let (senders, receivers): (Vec<_>, Vec<_>) = workers
-        .iter()
-        .map(|_| mpsc::channel::<MigratedBucket<'a>>())
-        .unzip();
+/// The pool executor: one scoped OS thread per shard, each stepping its
+/// worker to completion. The streams are fixed up front and no controller
+/// runs, so the shards share nothing until `finish`.
+fn run_threaded<C: Catalog + Sync + ?Sized>(workers: &mut [ShardWorker<'_, C>]) {
     std::thread::scope(|scope| {
-        for ((i, worker), inbox) in workers.iter_mut().enumerate().zip(receivers) {
-            let senders = senders.clone();
-            let barrier = &barrier;
-            scope.spawn(move || {
-                for round in rounds {
-                    while worker.next_time().is_some_and(|wt| wt < round.boundary) {
-                        worker.step();
-                    }
-                    barrier.wait();
-                    for m in round.transfers.iter().filter(|m| m.from.index() == i) {
-                        let payload = worker.extract_bucket(m.bucket, round);
-                        assert_eq!(payload.len() as u64, m.entries, "replay diverged from plan");
-                        senders[m.to.index()]
-                            .send(payload)
-                            .expect("peer outlives the handshake");
-                    }
-                    barrier.wait();
-                    worker.absorb_round(round, inbox.try_iter().collect());
-                }
-                while worker.step() {}
-            });
+        for worker in workers {
+            scope.spawn(move || while worker.step() {});
         }
     });
 }
@@ -1885,8 +1826,7 @@ mod tests {
         use liferaft_storage::SimDuration;
         // Under a rebalance that never triggers, the incremental routing of
         // the planning pass must leave every worker holding exactly the
-        // stream the static router builds — the streams a threaded pool is
-        // then handed, fragment for fragment.
+        // stream the static router builds, fragment for fragment.
         let (cat, timed) = fixture(24, 2.0);
         for (n_shards, assignment) in [
             (1, ShardAssignment::Contiguous),
@@ -1912,6 +1852,65 @@ mod tests {
             assert_eq!(plan.assignments_of, routing.assignments_of);
             assert_eq!(plan.total_fragments, routing.total_fragments());
             assert_eq!(plan.cross_shard_queries, routing.cross_shard_queries);
+        }
+    }
+
+    #[test]
+    fn threaded_controller_runs_take_one_pass() {
+        use crate::admission::FrontDoorConfig;
+        use crate::config::RebalanceConfig;
+        use crate::failover::FailoverConfig;
+        use crate::transport::TransportConfig;
+        use liferaft_sim::ShardOutage;
+        use liferaft_storage::SimDuration;
+        let (cat, timed) = fixture(24, 8.0);
+        let base = RuntimeConfig::contiguous(SimConfig::paper(), 3);
+        let mut rebalance = base.clone();
+        rebalance.rebalance = RebalanceConfig::every(SimDuration::from_secs(2));
+        rebalance.rebalance.min_imbalance = 1.05;
+        let mut crash = base.clone();
+        crash.failover = FailoverConfig::recovery();
+        crash.faults.outages.push(ShardOutage {
+            shard: 0,
+            down_at: SimTime::ZERO + SimDuration::from_secs(1),
+            up_at: SimTime::ZERO + SimDuration::from_secs(6),
+        });
+        let mut door = base.clone();
+        door.front_door = FrontDoorConfig::bounded(60);
+        // Hedging keeps its reference pass: one scheduler per shard for it,
+        // one per shard for the final pass.
+        let mut hedged = base;
+        hedged.transport = TransportConfig::hedged();
+        for (name, config, calls_wanted) in [
+            ("rebalance", rebalance, 3),
+            ("crash", crash, 3),
+            ("front door", door, 3),
+            ("hedged transport", hedged, 6),
+        ] {
+            let rt = ShardedRuntime::new(&cat, config);
+            let stepped = rt.run(&timed, &mut |_| greedy(), ExecMode::Stepped);
+            let mut calls = 0;
+            let threaded = rt.run(
+                &timed,
+                &mut |_| {
+                    calls += 1;
+                    greedy()
+                },
+                ExecMode::Threaded,
+            );
+            assert_eq!(calls, calls_wanted, "{name}: scheduler factory calls");
+            assert_eq!(stepped.global.outcomes, threaded.global.outcomes, "{name}");
+            assert_eq!(stepped.global.batches, threaded.global.batches, "{name}");
+            assert_eq!(stepped.global.io, threaded.global.io, "{name}");
+            assert_eq!(stepped.global.cache, threaded.global.cache, "{name}");
+            assert_eq!(stepped.rebalance, threaded.rebalance, "{name}");
+            assert_eq!(stepped.front_door, threaded.front_door, "{name}");
+            assert_eq!(stepped.failover, threaded.failover, "{name}");
+            assert_eq!(stepped.transport, threaded.transport, "{name}");
+            for (a, b) in stepped.shards.iter().zip(&threaded.shards) {
+                assert_eq!(a.report.outcomes, b.report.outcomes, "{name}");
+                assert_eq!(a.admission, b.admission, "{name}");
+            }
         }
     }
 

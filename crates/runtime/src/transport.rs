@@ -20,10 +20,9 @@
 //! per-fragment retransmit chains resolve to either an effective delivery
 //! instant (the earliest surviving copy) or a terminal rejection, and the
 //! executed routing simply carries the adjusted release times. Stepped and
-//! threaded execution consume the identical routing and log, so they stay
-//! bit-identical by construction; with no link windows the chains are the
-//! identity function and the run is bit-identical to the transport-disabled
-//! runtime.
+//! threaded execution serve those fixed streams, so they stay bit-identical
+//! by construction; with no link windows the chains are the identity
+//! function and the run is bit-identical to the transport-disabled runtime.
 //!
 //! # The ack model
 //!
@@ -342,12 +341,12 @@ impl TransportLog {
     }
 }
 
-/// What the transport path did and how the run ended: the replayable
-/// decision log, the rejected remainder, per-class conservation, and the
-/// hedge race outcome.
+/// What the transport path did and how the run ended: the decision log,
+/// the rejected remainder, per-class conservation, and the hedge race
+/// outcome.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransportReport {
-    /// The decision log both executors consumed.
+    /// The decision log, fixed before any shard ran.
     pub log: TransportLog,
     /// Queries rejected because a fragment exhausted its retransmission
     /// budget with no copy delivered, in trace order.

@@ -61,15 +61,11 @@ pub struct ShardRun {
     pub events_dropped: u64,
 }
 
-/// One synchronised hand-over of queued buckets between shards — an epoch
-/// boundary's migrations or a crash's evacuations. The stepped driver plans
-/// a round once and applies it; the threaded executor replays the same
-/// round, so both move the same buckets at the same instants.
+/// One hand-over of queued buckets between shards — an epoch boundary's
+/// migrations or a crash's evacuations — which the stepped driver applies
+/// in place at the instant it decides it.
 #[derive(Debug, Clone)]
 pub(crate) struct Round {
-    /// The instant the pool synchronises at: every shard first runs the
-    /// events strictly before it.
-    pub(crate) boundary: SimTime,
     /// The extract/absorb instant: the boundary, or a crashed source's
     /// clock when its final batch overran it (batches are atomic).
     pub(crate) at: SimTime,
@@ -116,12 +112,11 @@ pub(crate) struct ShardWorker<'a, C: Catalog + ?Sized> {
     /// wipes the cache once (a crash loses residency).
     wiped: usize,
     /// Per-batch `(end, cumulative serviced entries)` checkpoints, in end
-    /// order. The front-door planner reads capacity through this ledger
+    /// order. The front door reads capacity through this ledger
     /// ([`serviced_at`](Self::serviced_at)) rather than the engine's raw
     /// counter: the raw counter jumps at batch *start* (when the worker's
-    /// clock can be far ahead of global virtual time), and an admission
-    /// "enabled" by work that only finishes later is impossible to replay
-    /// from release times alone.
+    /// clock can be far ahead of global virtual time), and an admission at
+    /// `t` must depend only on batches completed by `t`.
     completions: Vec<(SimTime, u64)>,
     stats: AdmissionStats,
 }
@@ -349,10 +344,9 @@ impl<'a, C: Catalog + ?Sized> ShardWorker<'a, C> {
     }
 
     /// Entries serviced by batches that **completed** by virtual time `t` —
-    /// the front-door planner's capacity signal. Work inside a batch still
-    /// running at `t` does not count, so an admission decision made at `t`
-    /// depends only on events at or before `t` and replays exactly from the
-    /// logged release times.
+    /// the front door's capacity signal. Work inside a batch still running
+    /// at `t` does not count, so an admission decision made at `t` depends
+    /// only on batches completed by `t`.
     pub(crate) fn serviced_at(&self, t: SimTime) -> u64 {
         let k = self.completions.partition_point(|&(end, _)| end <= t);
         if k == 0 {
@@ -394,10 +388,9 @@ impl<'a, C: Catalog + ?Sized> ShardWorker<'a, C> {
     }
 
     /// Adopts this shard's `incoming` payloads of `round` in bucket order —
-    /// the canonical order, whichever executor delivered them — charging
-    /// each one's cost to the shard clock (clamped up to the round's
-    /// instant first, so transfer work never appears to predate the
-    /// decision).
+    /// the canonical absorb order — charging each one's cost to the shard
+    /// clock (clamped up to the round's instant first, so transfer work
+    /// never appears to predate the decision).
     pub(crate) fn absorb_round(&mut self, round: &Round, mut incoming: Vec<MigratedBucket<'a>>) {
         incoming.sort_by_key(|p| p.bucket);
         for payload in incoming {
@@ -408,9 +401,9 @@ impl<'a, C: Catalog + ?Sized> ShardWorker<'a, C> {
         }
     }
 
-    /// The shard's complete fragment stream in hand-off order, given back
-    /// after a planning pass so the threaded executor can serve the very
-    /// same stream (admission never drains `fragments`).
+    /// The shard's complete fragment stream in hand-off order (admission
+    /// never drains `fragments`).
+    #[cfg(test)]
     pub(crate) fn into_fragments(self) -> Vec<Fragment> {
         self.fragments
     }

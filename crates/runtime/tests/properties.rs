@@ -166,8 +166,8 @@ proptest! {
     /// Under a random overload regime — arbitrary front-door bounds, shed
     /// retries, waiting caps, and an optional injected shard stall — every
     /// query is exactly-once terminal (completed or rejected, never lost or
-    /// double-counted), and the threaded executor replays the stepped
-    /// plan bit for bit, front-door report included.
+    /// double-counted), and a threaded request matches the stepped run bit
+    /// for bit, front-door report included.
     #[test]
     fn overloaded_front_door_is_exactly_once_and_deterministic(
         seed in 0u64..10_000,
@@ -244,8 +244,8 @@ proptest! {
 
     /// Chaos: random crash schedules × retry budgets × schedulers. Every
     /// query is exactly-once terminal (completed or rejected, never lost or
-    /// double-counted), per-class conservation holds, the threaded executor
-    /// replays the stepped failover plan bit for bit — and when the random
+    /// double-counted), per-class conservation holds, a threaded request
+    /// matches the stepped failover run bit for bit — and when the random
     /// schedule happens to inject no outage at all, the failover-enabled
     /// run is bit-identical to the plain static pool.
     #[test]
@@ -335,10 +335,10 @@ proptest! {
     /// exactly-once terminal (completed or rejected, never lost or
     /// double-counted despite retransmissions, network duplicates, and
     /// hedge copies), per-class conservation holds, every hedge race
-    /// resolves exactly once, the threaded executor replays the stepped
-    /// transport plan bit for bit — and when the random schedule injects
-    /// no link fault with hedging off, the transport-enabled run is
-    /// bit-identical to the plain static pool.
+    /// resolves exactly once, the threaded executor matches the stepped
+    /// one bit for bit on the planned streams — and when the random
+    /// schedule injects no link fault with hedging off, the
+    /// transport-enabled run is bit-identical to the plain static pool.
     #[test]
     fn lossy_links_are_exactly_once_and_deterministic(
         seed in 0u64..10_000,

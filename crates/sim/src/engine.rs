@@ -118,10 +118,11 @@ pub struct MigratedBucket<'q> {
     pub bucket: BucketId,
     /// Its queue, ages preserved.
     pub queue: WorkloadQueue<'q>,
-    /// One row per run of `queue`: the query, how many of its assignments
-    /// are migrating, its original arrival, and its join predicate
-    /// (populated only when the source executes real joins).
-    pub queries: Vec<(QueryId, u64, SimTime, Option<Predicate>)>,
+    /// One row per run of `queue`, in `queue.runs()` order: the query's
+    /// original arrival and its join predicate (populated only when the
+    /// source executes real joins). The query and its migrating assignment
+    /// count are the run's own.
+    pub queries: Vec<(SimTime, Option<Predicate>)>,
     /// Whether the bucket was cache-resident at the source when extracted.
     pub was_resident: bool,
 }
@@ -362,24 +363,15 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
         evict_residency: bool,
     ) -> MigratedBucket<'a> {
         let queue = self.table.extract_bucket(bucket);
-        let queries: Vec<(QueryId, u64, SimTime, Option<Predicate>)> = queue
-            .runs()
-            .map(|run| {
-                let q = run.query();
-                let arrival = self
-                    .tracker
-                    .arrival_of(q)
-                    .expect("queued run for a query the tracker does not know");
-                (
-                    q,
-                    run.len() as u64,
-                    arrival,
-                    self.predicates.get(&q).copied(),
-                )
-            })
-            .collect();
-        for &(q, n, _, _) in &queries {
-            self.tracker.transfer_out(q, n, at);
+        let mut queries = Vec::new();
+        for run in queue.runs() {
+            let q = run.query();
+            let arrival = self
+                .tracker
+                .arrival_of(q)
+                .expect("queued run for a query the tracker does not know");
+            queries.push((arrival, self.predicates.get(&q).copied()));
+            self.tracker.transfer_out(q, run.len() as u64, at);
             if self.config.execute_joins && self.tracker.arrival_of(q).is_none() {
                 self.predicates.remove(&q);
             }
@@ -411,8 +403,9 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
     /// resident at its source — inserts it into the local cache (normal LRU
     /// effects apply, so this may evict another bucket).
     pub fn absorb_bucket(&mut self, payload: MigratedBucket<'a>, warm_residency: bool) {
-        for &(q, n, arrival, predicate) in &payload.queries {
-            self.tracker.transfer_in(q, n, arrival);
+        for (run, &(arrival, predicate)) in payload.queue.runs().zip(&payload.queries) {
+            let q = run.query();
+            self.tracker.transfer_in(q, run.len() as u64, arrival);
             self.per_query.entry(q).or_default().insert(payload.bucket);
             if self.config.execute_joins {
                 if let Some(p) = predicate {

@@ -80,9 +80,9 @@ fn main() {
 
     // 3. The same pool, elastic: every 30 virtual seconds a rebalance
     //    controller inspects per-shard backlog and migrates hot buckets
-    //    from the most- to the least-loaded shard. Decisions are planned
-    //    once in the stepped merge and replayed verbatim by the threaded
-    //    executor, so the modes stay bit-identical with rebalancing on.
+    //    from the most- to the least-loaded shard. Decisions are made in
+    //    the stepped merge, and an elastic run is that one pass whichever
+    //    mode is asked for, so the modes stay bit-identical.
     let mut elastic_cfg = config;
     elastic_cfg.rebalance = RebalanceConfig::every(SimDuration::from_secs(30));
     elastic_cfg.rebalance.min_imbalance = 1.05;
@@ -91,7 +91,7 @@ fn main() {
     let elastic_threaded = elastic_rt.run(&timed, &mut mk, ExecMode::Threaded);
     assert_eq!(
         elastic.global.outcomes, elastic_threaded.global.outcomes,
-        "elastic threaded execution must replay the stepped decision log"
+        "an elastic run must match the stepped run in threaded mode"
     );
 
     let log = elastic
@@ -129,8 +129,8 @@ fn main() {
     // 4. The overload front door under a flash crowd: the same pool fronted
     //    by a global admission controller that bounds in-flight work,
     //    classifies queries by routed size, and degrades in order — queue,
-    //    shed batch work into backoff, reject. Decisions are planned once in
-    //    the stepped merge and replayed verbatim by the threaded executor.
+    //    shed batch work into backoff, reject. Like rebalancing, the door
+    //    decides in the one stepped merge whichever mode is asked for.
     let flash = build_scenario(
         ScenarioKind::FlashCrowd,
         &ScenarioScale {
@@ -150,7 +150,7 @@ fn main() {
     let door_threaded = door_rt.run(&flash.trace, &mut mk, ExecMode::Threaded);
     assert_eq!(
         door_stepped.global.outcomes, door_threaded.global.outcomes,
-        "front-door threaded execution must replay the stepped admission log"
+        "a front-door run must match the stepped run in threaded mode"
     );
     let fd = door_stepped
         .front_door

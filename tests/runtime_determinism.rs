@@ -9,7 +9,7 @@
 //!    hashed placement) for all six schedulers — parallelism may only buy
 //!    wall-clock time, never change an answer.
 //! 3. **Elastic runs keep both guarantees**: with epoch rebalancing enabled
-//!    the threaded replay matches the stepped plan bit-for-bit at 2/4/8
+//!    a threaded request matches the stepped run bit-for-bit at 2/4/8
 //!    shards, a never-triggering policy is behaviour-neutral against the
 //!    static map, a single elastic shard reproduces the goldens — and on a
 //!    hotspot-drift trace the elastic pool beats the static map's makespan
