@@ -8,8 +8,10 @@
 //!
 //! A [`Partition`] is a total, gap-free tiling of the object-level HTM curve
 //! by contiguous bucket ranges: every object-level HTM ID belongs to exactly
-//! one bucket, so query pre-processing can map any object's bounding ranges
-//! to bucket IDs with a short binary search behind a coarse curve directory.
+//! one bucket, so query pre-processing can place an object by one lookup of
+//! its bounding range in a coarse curve directory
+//! ([`Partition::sole_bucket`]), and visit the buckets of the rare object
+//! that spans more than one ([`Partition::visit_buckets_overlapping_set`]).
 
 use liferaft_htm::{HtmId, HtmRange, HtmRangeSet};
 use liferaft_storage::{BucketId, BucketMeta};
@@ -21,13 +23,15 @@ use crate::object::{is_htm_sorted, SkyObject};
 pub struct Partition {
     level: u8,
     /// `starts[i]` is the raw HTM ID where bucket `i` begins; bucket `i`
-    /// covers `[starts[i], starts[i+1] - 1]`, the last bucket ending at the
-    /// curve's end. Invariant: strictly increasing, `starts[0]` = curve start.
+    /// covers `[starts[i], starts[i+1] - 1]`. One entry longer than the
+    /// bucket list: the closing sentinel is one past the curve's end, so
+    /// `starts[i + 1]` is defined for the last bucket too. Invariant:
+    /// strictly increasing, `starts[0]` = curve start.
     starts: Vec<u64>,
     /// The curve directory: the curve cut into equal cells of
     /// `1 << cell_shift` IDs, `cells[c]` being the bucket that owns cell
-    /// `c`'s first ID, plus one closing row holding the last bucket. An ID in
-    /// cell `c` is owned by a bucket in `cells[c]..=cells[c + 1]`.
+    /// `c`'s first ID. An ID in cell `c` is owned by `cells[c]` or by a
+    /// bucket starting later inside the cell.
     cells: Vec<u32>,
     cell_shift: u32,
     buckets: Vec<BucketMeta>,
@@ -36,7 +40,7 @@ pub struct Partition {
 /// Directory cells per bucket (a lower bound; cell widths are powers of two,
 /// so a partition gets between this many and twice as many). At four, an
 /// equal-span bucket straddles a cell edge rarely enough that most lookups
-/// end on a single candidate.
+/// take no step past their cell's owner.
 const CELLS_PER_BUCKET: u64 = 4;
 
 impl Partition {
@@ -121,7 +125,7 @@ impl Partition {
 
     fn from_starts(
         level: u8,
-        starts: Vec<u64>,
+        mut starts: Vec<u64>,
         size_of: impl Fn(usize) -> (u64, u64),
     ) -> Partition {
         assert!(!starts.is_empty());
@@ -139,27 +143,24 @@ impl Partition {
             *starts.last().expect("non-empty") <= curve_end,
             "bucket start beyond curve end"
         );
-        let buckets = (0..starts.len())
-            .map(|i| {
-                let lo = starts[i];
-                let hi = if i + 1 < starts.len() {
-                    starts[i + 1] - 1
-                } else {
-                    curve_end
-                };
+        let (cells, cell_shift) = curve_directory(level, &starts);
+        starts.push(curve_end + 1);
+        let buckets = starts
+            .windows(2)
+            .enumerate()
+            .map(|(i, w)| {
                 let (object_count, bytes) = size_of(i);
                 BucketMeta {
                     id: BucketId(i as u32),
                     htm_range: HtmRange::new(
-                        HtmId::from_raw(lo).expect("valid partition boundary"),
-                        HtmId::from_raw(hi).expect("valid partition boundary"),
+                        HtmId::from_raw(w[0]).expect("valid partition boundary"),
+                        HtmId::from_raw(w[1] - 1).expect("valid partition boundary"),
                     ),
                     object_count,
                     bytes,
                 }
             })
             .collect();
-        let (cells, cell_shift) = curve_directory(level, &starts);
         Partition {
             level,
             starts,
@@ -191,88 +192,81 @@ impl Partition {
 
     /// The bucket owning an object-level HTM ID (total: every ID has one).
     pub fn bucket_of(&self, id: HtmId) -> BucketId {
-        BucketId(self.locate(id, 0) as u32)
+        BucketId(self.locate(id) as u32)
     }
 
-    /// Index of the bucket owning `id`, trying `hint` (a previous answer)
-    /// before the search. Exact for any `hint`: a stale or out-of-range one
-    /// costs two compares and falls through to the curve directory, which
-    /// narrows the binary search to the buckets that share `id`'s cell —
-    /// one bucket when no boundary falls inside the cell, every bucket at
-    /// worst (all boundaries inside one cell).
-    fn locate(&self, id: HtmId, hint: usize) -> usize {
+    /// The one bucket holding the whole object-level `range`, or `None` if
+    /// the range crosses a bucket boundary: a directory lookup for its lower
+    /// end and one compare for its upper end. Asked of an object's bounding
+    /// range, `Some(b)` means every range of its box lies in `b`.
+    ///
+    /// # Panics
+    /// Panics if `range` is not at the partition's level.
+    pub fn sole_bucket(&self, range: HtmRange) -> Option<BucketId> {
+        let b = self.locate(range.lo());
+        (range.hi().raw() < self.starts[b + 1]).then_some(BucketId(b as u32))
+    }
+
+    /// Index of the bucket owning `id`, through the curve directory: start at
+    /// the owner of `id`'s cell and step past the boundaries inside the cell
+    /// that lie at or before `id` — no step when no boundary falls inside
+    /// the cell, every bucket at worst (all boundaries inside one cell). The
+    /// sentinel in `starts` ends the walk at the last bucket.
+    fn locate(&self, id: HtmId) -> usize {
         assert_eq!(
             id.level(),
             self.level,
             "bucket_of requires object-level IDs"
         );
         let raw = id.raw();
-        if self.starts.get(hint).is_some_and(|&s| s <= raw) && self.ends_after(hint, raw) {
-            return hint;
+        let mut b = self.cells[((raw - self.starts[0]) >> self.cell_shift) as usize] as usize;
+        while self.starts[b + 1] <= raw {
+            b += 1;
         }
-        let cell = ((raw - self.starts[0]) >> self.cell_shift) as usize;
-        let (lo, hi) = (self.cells[cell] as usize, self.cells[cell + 1] as usize);
-        // `starts[lo]` is at or before the cell's first ID, so at least one
-        // start passes; the owner is the bucket before the first start
-        // beyond `raw`.
-        lo + self.starts[lo..=hi].partition_point(|&s| s <= raw) - 1
-    }
-
-    /// True if bucket `idx` ends at or after `raw` (the last bucket runs to
-    /// the curve's end, so it ends after every object-level ID).
-    fn ends_after(&self, idx: usize, raw: u64) -> bool {
-        self.starts.get(idx + 1).map_or(true, |&next| raw < next)
+        b
     }
 
     /// The inclusive bucket span overlapping an object-level HTM range.
     pub fn buckets_overlapping(&self, range: HtmRange) -> std::ops::RangeInclusive<u32> {
-        let (lo, hi) = self.span_of(range, 0);
+        let (lo, hi) = self.span_of(range);
         lo as u32..=hi as u32
     }
 
-    /// `(first, last)` bucket index overlapping `range`, locating `lo` from
-    /// `hint` and searching for `hi` only when it leaves `lo`'s bucket.
-    fn span_of(&self, range: HtmRange, hint: usize) -> (usize, usize) {
-        let lo = self.locate(range.lo(), hint);
-        let hi = if self.ends_after(lo, range.hi().raw()) {
+    /// `(first, last)` bucket index overlapping `range`, searching for `hi`
+    /// only when it leaves `lo`'s bucket.
+    fn span_of(&self, range: HtmRange) -> (usize, usize) {
+        let lo = self.locate(range.lo());
+        let hi = if range.hi().raw() < self.starts[lo + 1] {
             lo
         } else {
-            self.locate(range.hi(), lo + 1)
+            self.locate(range.hi())
         };
         (lo, hi)
     }
 
     /// Calls `visit` once per bucket overlapping any range of `set`, in
-    /// ascending bucket order, without allocating. `hint` is any earlier
-    /// answer (consecutive ranges and objects of a query mostly stay in one
-    /// bucket, which then costs two compares instead of a binary search);
-    /// it never changes the result. Returns the last bucket visited — the
-    /// next call's hint — or `hint` itself for an empty set.
+    /// ascending bucket order, without allocating.
     pub fn visit_buckets_overlapping_set(
         &self,
         set: &HtmRangeSet,
-        hint: BucketId,
         mut visit: impl FnMut(BucketId),
-    ) -> BucketId {
-        let mut hint = hint.index();
+    ) {
         // Ranges in a set are sorted, so spans ascend; only a span's first
         // bucket can repeat the previous span's last.
         let mut next = 0usize;
         for &r in set.ranges() {
-            let (lo, hi) = self.span_of(r, hint);
+            let (lo, hi) = self.span_of(r);
             for b in lo.max(next)..=hi {
                 visit(BucketId(b as u32));
             }
             next = hi + 1;
-            hint = hi;
         }
-        BucketId(hint as u32)
     }
 
     /// The sorted, deduplicated bucket IDs overlapping any range of the set.
     pub fn buckets_overlapping_set(&self, set: &HtmRangeSet) -> Vec<BucketId> {
         let mut out = Vec::new();
-        self.visit_buckets_overlapping_set(set, BucketId(0), |b| out.push(b));
+        self.visit_buckets_overlapping_set(set, |b| out.push(b));
         out
     }
 }
@@ -286,7 +280,7 @@ fn curve_directory(level: u8, starts: &[u64]) -> (Vec<u32>, u32) {
     let wanted = (starts.len() as u64 * CELLS_PER_BUCKET).min(span);
     let cell_shift = (span / wanted).ilog2();
     let n_cells = (span >> cell_shift) as usize;
-    let mut cells = Vec::with_capacity(n_cells + 1);
+    let mut cells = Vec::with_capacity(n_cells);
     let mut owner = 0usize;
     for c in 0..n_cells as u64 {
         let cell_start = starts[0] + (c << cell_shift);
@@ -295,7 +289,6 @@ fn curve_directory(level: u8, starts: &[u64]) -> (Vec<u32>, u32) {
         }
         cells.push(owner as u32);
     }
-    cells.push(starts.len() as u32 - 1);
     (cells, cell_shift)
 }
 
@@ -419,5 +412,12 @@ mod tests {
     #[should_panic(expected = "empty")]
     fn build_rejects_empty_input() {
         Partition::build_from_objects(&[], 8, 10, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "bucket_of requires object-level IDs")]
+    fn bucket_of_rejects_an_id_of_another_level() {
+        let p = Partition::synthetic_uniform(12, 2_048, 100, 1);
+        p.bucket_of(HtmId::first_at_level(10));
     }
 }

@@ -1,17 +1,16 @@
-//! Property tests for the hinted range→bucket visitor.
+//! Property tests for the range→bucket lookups: the per-range visitor and
+//! `sole_bucket`, the pre-processor's one lookup per object.
 //!
-//! The oracle shares no code with it: a bucket overlaps a range set iff its
-//! published `htm_range` overlaps one of the set's ranges, found by scanning
-//! every bucket. That is what `buckets_overlapping_set` returned before the
-//! visitor existed, so the collector is pinned to it as well. The hint may
-//! only ever change the cost, so every property holds for fresh, stale and
-//! out-of-range hints alike.
+//! The oracle shares no code with them: a bucket overlaps a range set iff
+//! its published `htm_range` overlaps one of the set's ranges, found by
+//! scanning every bucket. That is what `buckets_overlapping_set` returned
+//! before the visitor existed, so the collector is pinned to it as well.
 //!
-//! Behind the hint sits the curve directory (equal cells of the curve, each
-//! naming the buckets a lookup may end in). Its cell width is private, so
-//! the exhaustive test below sweeps *every* ID of the curve — which covers
-//! the first and last ID of the curve and of every cell whatever the width —
-//! against an owner found by walking the published bucket ranges.
+//! Both lookups go through the curve directory (equal cells of the curve,
+//! each naming the buckets a lookup may end in). Its cell width is private,
+//! so the exhaustive test below sweeps *every* ID of the curve — which
+//! covers the first and last ID of the curve and of every cell whatever the
+//! width — against an owner found by walking the published bucket ranges.
 
 use liferaft_catalog::generate::{clustered_sky, ClusterConfig};
 use liferaft_catalog::Partition;
@@ -70,10 +69,10 @@ fn oracle(p: &Partition, set: &HtmRangeSet) -> Vec<BucketId> {
         .collect()
 }
 
-fn visited(p: &Partition, set: &HtmRangeSet, hint: BucketId) -> (Vec<BucketId>, BucketId) {
+fn visited(p: &Partition, set: &HtmRangeSet) -> Vec<BucketId> {
     let mut out = Vec::new();
-    let next = p.visit_buckets_overlapping_set(set, hint, |b| out.push(b));
-    (out, next)
+    p.visit_buckets_overlapping_set(set, |b| out.push(b));
+    out
 }
 
 fn arb_sets() -> impl Strategy<Value = Vec<Vec<RangeSpec>>> {
@@ -84,27 +83,21 @@ fn arb_sets() -> impl Strategy<Value = Vec<Vec<RangeSpec>>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Any hint — in range, one past the end, far out — visits exactly the
-    /// oracle's buckets, ascending and once each, and returns the last one.
+    /// The visitor visits exactly the oracle's buckets, ascending and once
+    /// each, and a range's span ends where its endpoints' owners are.
     #[test]
-    fn visitor_matches_the_scan_oracle_for_any_hint(
+    fn visitor_matches_the_scan_oracle(
         non_uniform in proptest::bool::ANY,
         seed in 0u64..1_000,
         size in 0usize..1_000,
         sets in arb_sets(),
-        hint in 0u32..200,
     ) {
         let p = partition(non_uniform, seed, size);
-        let n = p.num_buckets() as u32;
         for specs in &sets {
             let set = HtmRangeSet::from_ranges(specs.iter().map(|&s| range(&p, s)).collect());
             let want = oracle(&p, &set);
             prop_assert_eq!(&p.buckets_overlapping_set(&set), &want);
-            for h in [hint % n, n - 1, n, hint + n, u32::MAX] {
-                let (got, next) = visited(&p, &set, BucketId(h));
-                prop_assert_eq!(&got, &want);
-                prop_assert_eq!(next, want.last().copied().unwrap_or(BucketId(h)));
-            }
+            prop_assert_eq!(&visited(&p, &set), &want);
             for r in set.ranges() {
                 let span = p.buckets_overlapping(*r);
                 prop_assert_eq!(BucketId(*span.start()), p.bucket_of(r.lo()));
@@ -113,22 +106,28 @@ proptest! {
         }
     }
 
-    /// A hint carried from one set to the next (the pre-processor's use) is
-    /// stale whenever the sets are unrelated; the answers never notice.
+    /// The pre-processor's question: the sole bucket of a set's bounding
+    /// range is `Some(b)` exactly when the oracle finds `b` alone, and
+    /// `None` whenever it finds more than one.
     #[test]
-    fn a_carried_hint_never_changes_the_answer(
+    fn sole_bucket_of_the_bounding_range_matches_the_scan_oracle(
         non_uniform in proptest::bool::ANY,
         seed in 0u64..1_000,
         size in 0usize..1_000,
         sets in arb_sets(),
     ) {
         let p = partition(non_uniform, seed, size);
-        let mut hint = BucketId(0);
         for specs in &sets {
             let set = HtmRangeSet::from_ranges(specs.iter().map(|&s| range(&p, s)).collect());
-            let (got, next) = visited(&p, &set, hint);
-            prop_assert_eq!(got, oracle(&p, &set));
-            hint = next;
+            let Some(bounds) = set.bounding_range() else {
+                continue;
+            };
+            let want = oracle(&p, &set);
+            let sole = match want[..] {
+                [b] => Some(b),
+                _ => None,
+            };
+            prop_assert_eq!(p.sole_bucket(bounds), sole, "{:?}", set);
         }
     }
 }
@@ -174,21 +173,29 @@ fn every_id_of_the_curve_locates_like_the_scan() {
         let n = p.num_buckets() as u32;
         assert_eq!(p.bucket_of(HtmId::first_at_level(LEVEL)), BucketId(0));
         assert_eq!(p.bucket_of(HtmId::last_at_level(LEVEL)), BucketId(n - 1));
-        let mut owner = 0usize;
+        // The owner of every ID, by walking the published bucket ranges.
+        let mut owners = Vec::with_capacity((last - first + 1) as usize);
+        let mut owner = 0u32;
         for raw in first..=last {
-            while p.buckets()[owner].htm_range.hi().raw() < raw {
+            while p.buckets()[owner as usize].htm_range.hi().raw() < raw {
                 owner += 1;
             }
-            let want = BucketId(owner as u32);
+            owners.push(BucketId(owner));
+        }
+        let owner_of = |raw: u64| owners[(raw - first) as usize];
+        for raw in first..=last {
+            let want = owner_of(raw);
             let id = HtmId::from_raw_unchecked(raw);
             assert_eq!(p.bucket_of(id), want, "ID {raw} of {n} buckets");
-            // Through the visitor: a hint that hits, one that just misses
-            // on either side, and one far away all land on the same bucket.
             let set = HtmRangeSet::from_ranges(vec![HtmRange::new(id, id)]);
-            for hint in [want.0, want.0 + 1, want.0.saturating_sub(1), n - 1 - want.0] {
-                let (got, next) = visited(&p, &set, BucketId(hint));
-                assert_eq!(got, [want], "ID {raw}, hint {hint}, {n} buckets");
-                assert_eq!(next, want);
+            assert_eq!(visited(&p, &set), [want], "ID {raw}, {n} buckets");
+            // Buckets are contiguous, so one bucket overlaps `[raw, hi]`
+            // exactly when both ends have the same owner.
+            for w in [0, 1, 7, 63] {
+                let hi = (raw + w).min(last);
+                let range = HtmRange::new(id, HtmId::from_raw_unchecked(hi));
+                let sole = (owner_of(hi) == want).then_some(want);
+                assert_eq!(p.sole_bucket(range), sole, "[{raw}, {hi}] of {n} buckets");
             }
         }
     }
