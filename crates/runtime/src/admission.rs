@@ -21,11 +21,11 @@
 //!
 //! # Determinism
 //!
-//! Decisions are made **once**, by the door as a handler of the stepped
-//! driver (`runtime::drive`), and recorded as an [`AdmissionLog`]: one
-//! [`QueryVerdict`] per trace entry plus epoch-indexed
-//! [`AdmissionSample`]s. A door-on run is that one stepped pass in either
-//! execution mode.
+//! Decisions are made **once**, by the door as a handler of the runtime's
+//! window loop, and recorded as an [`AdmissionLog`]: one [`QueryVerdict`]
+//! per trace entry plus epoch-indexed [`AdmissionSample`]s. The door reads
+//! capacity before every shard step, so a door-on window is one step of one
+//! worker on the calling thread, in either execution mode.
 
 use std::collections::BTreeSet;
 
@@ -482,7 +482,7 @@ impl FrontDoorReport {
     }
 }
 
-/// A query pending at the front door (planning pass only).
+/// A query pending at the front door.
 #[derive(Debug, Clone)]
 pub(crate) struct PendingQuery {
     /// Trace index.
@@ -500,7 +500,7 @@ pub(crate) struct PendingQuery {
     eligible_at: SimTime,
 }
 
-/// The controller state machine. Driven only by the stepped planning pass;
+/// The controller state machine. Driven only by the runtime's window loop;
 /// everything it decides lands in the [`AdmissionLog`].
 pub(crate) struct FrontDoor {
     pub(crate) cfg: FrontDoorConfig,
@@ -739,11 +739,11 @@ impl FrontDoor {
         self.rejected_queries += 1;
     }
 
-    /// Finishes the planning pass into the log.
+    /// Finishes the run into the log.
     ///
     /// # Panics
     /// Panics if any query never reached a terminal verdict — a liveness
-    /// bug in the driver.
+    /// bug in the window loop.
     pub(crate) fn into_log(self) -> AdmissionLog {
         let verdicts: Vec<QueryVerdict> = self
             .verdicts

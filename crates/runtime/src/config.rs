@@ -19,7 +19,7 @@ use crate::transport::TransportConfig;
 /// *true* arrival instants, so deferral shows up as response time, exactly
 /// like queueing at a loaded server. Admission is a pure function of the
 /// shard's own input stream, which is what keeps threaded execution
-/// bit-identical to the stepped merge.
+/// bit-identical to the stepped run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AdmissionConfig {
     /// Queued-entry backlog at which a shard stops admitting fragments
@@ -54,8 +54,8 @@ impl AdmissionConfig {
 /// controller inspects per-shard load and lets underloaded shards adopt hot
 /// buckets from overloaded ones.
 ///
-/// Decisions are computed once, in the deterministic stepped merge, and
-/// recorded as an epoch-indexed [`RebalanceLog`](crate::rebalance::RebalanceLog)
+/// Decisions are computed once, at epoch boundaries of the runtime's window
+/// loop, and recorded as an epoch-indexed [`RebalanceLog`](crate::rebalance::RebalanceLog)
 /// — so elastic runs stay bit-identical across execution modes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RebalanceConfig {
@@ -152,7 +152,7 @@ impl Default for RebalanceConfig {
 /// the window, and an outage freezes the shard's clock until `up_at` (and
 /// wipes its cache — a crash loses residency), so the injected run stays a
 /// pure function of each shard's own fragment stream and threaded
-/// execution remains bit-identical to the stepped merge. Link faults
+/// execution remains bit-identical to the stepped run. Link faults
 /// degrade the router↔shard hop itself and are consumed by the transport
 /// planner ([`RuntimeConfig::transport`]), which resolves every drop,
 /// delay, duplication, and reordering draw *before* execution.
@@ -440,18 +440,18 @@ impl RuntimeConfig {
 /// How the shard pool executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
-    /// Deterministic single-threaded virtual-time merge of the shard event
-    /// queues: at each step the shard with the earliest next event (ties by
-    /// shard id) advances one event. Pinnable by golden tests; the
-    /// reference semantics.
+    /// Every run is one window loop: route the arrivals before the next
+    /// control instant (outage edge, epoch boundary, re-delivery, front-door
+    /// pass), advance every worker up to it, fire its handlers. Stepped
+    /// advances a window's workers in a plain loop on the calling thread.
+    /// Pinnable by golden tests; the reference semantics.
     Stepped,
-    /// One scoped `std::thread` per shard whenever the fragment streams are
-    /// fixed before the run: static routing, or the transport's adjusted
-    /// routing. Bit-identical to [`Stepped`](Self::Stepped): those shards
-    /// interact only through the up-front routing and the post-hoc
-    /// aggregation, both independent of interleaving. A run whose
-    /// controllers route arrivals (rebalancing, outages, the front door) is
-    /// the one stepped pass in either mode.
+    /// Advances a window's workers on one scoped `std::thread` each: a
+    /// static or transport-routed run is one window to the end of the trace,
+    /// rebalancing and failover runs get threads window by window, and the
+    /// front door's one-step windows stay on the calling thread.
+    /// Bit-identical to [`Stepped`](Self::Stepped): workers share nothing
+    /// inside a window and meet only at handler instants and in aggregation.
     Threaded,
 }
 

@@ -12,14 +12,13 @@
 //!
 //! # Execution modes
 //!
-//! [`ExecMode::Stepped`] is the deterministic reference: a single-threaded
-//! virtual-time merge of the shard event queues (earliest next event first,
-//! ties by shard id) that every controller below plugs into as an event
-//! handler — the only place decisions are made. [`ExecMode::Threaded`] runs
-//! one `std::thread` per shard when the fragment streams are fixed before
-//! the run (static routing, the transport's adjusted routing); a run whose
-//! controllers route arrivals is the one stepped pass in either mode
-//! (`docs/ARCHITECTURE.md`, "One run path": drive → execute → finish). The
+//! Every run is one window loop (`docs/ARCHITECTURE.md`, "One run path":
+//! route window → advance → fire → finish). Shards interact only at control
+//! instants — outage edges, epoch boundaries, re-deliveries, front-door
+//! passes — where every controller below plugs in as a handler, the only
+//! place decisions are made. Each window routes the arrivals before its
+//! instant, then advances the workers up to it: [`ExecMode::Stepped`] in a
+//! plain loop, [`ExecMode::Threaded`] on one `std::thread` per worker. The
 //! two are **bit-identical** for the same configuration and trace, and a
 //! single-shard runtime reproduces `liferaft_sim::Simulation` exactly (both
 //! drive the same [`liferaft_sim::EngineCore`]); golden and property tests
@@ -111,7 +110,7 @@ pub use failover::{
 pub use ledger::{ClassConservation, RejectedBy, RejectedQuery};
 pub use rebalance::{EpochRecord, Migration, RebalanceLog};
 pub use retry::RetryPolicy;
-pub use router::{route, route_parallel, Fragment, Routing};
+pub use router::{route, route_window, Fragment, Routing};
 pub use runtime::{RuntimeReport, ShardedRuntime};
 pub use shard::{ElasticShardMap, ShardAssignment, ShardId, ShardMap};
 pub use sweep::{alpha_sweep, parallel_map, shard_sweep, SweepPoint};

@@ -1,10 +1,10 @@
 //! Epoch-boundary rebalancing: the decision log and the planner.
 //!
-//! At every epoch boundary the stepped driver samples per-shard load and
-//! asks `plan_moves` for a (possibly empty) set of bucket migrations. The
-//! decisions — together with the load sample that produced them — are
-//! recorded as an [`EpochRecord`] of the [`RebalanceLog`]; the driver
-//! applies the moves in place, in the one stepped pass.
+//! At every epoch boundary (a control instant of the window loop) the
+//! runtime samples per-shard load and asks `plan_moves` for a (possibly
+//! empty) set of bucket migrations. The decisions — with the load sample
+//! that produced them — are recorded as an [`EpochRecord`] of the
+//! [`RebalanceLog`]; the moves apply in place before the next window.
 //!
 //! The planner is a pure function of its inputs and deliberately greedy:
 //! while the most-loaded shard's queued backlog exceeds the configured

@@ -6,18 +6,21 @@
 //! and completes; the cross-shard query completes when *all* its fragments
 //! have finished (the `ledger` fold counts their assignments down).
 //!
-//! Routing is a pure function of (partition, shard map, trace) — it depends
-//! on no execution state, which is the property that lets the threaded
-//! executor run shards fully independently yet bit-identically to the
-//! stepped reference.
+//! Routing is a pure function of (partition, shard map, trace window) — it
+//! depends on no execution state. The map changes only at control instants,
+//! so the runtime routes every arrival between two of them in one
+//! [`route_window`] call, and the shards serve the result independently
+//! until the next one.
+
+use std::ops::Range;
 
 use liferaft_catalog::Partition;
 use liferaft_query::{CrossMatchQuery, QueryId, QueryPreProcessor, WorkItem};
-use liferaft_storage::{BucketId, SimTime};
+use liferaft_storage::SimTime;
 use liferaft_workload::TimedTrace;
 
 use crate::admission::QueryClass;
-use crate::shard::{ElasticShardMap, ShardId, ShardMap};
+use crate::shard::{ElasticShardMap, ShardMap};
 use crate::sweep::parallel_map;
 
 /// One shard's slice of one query: the work items whose buckets the shard
@@ -46,7 +49,7 @@ pub struct Fragment {
 
 impl Fragment {
     /// The work-free fragment of a standard-class query released at its
-    /// arrival: the identity [`split_query`] stamps per-shard work onto, and
+    /// arrival: the identity [`route_window`] stamps per-shard work onto, and
     /// — as is — the marker a workless query ships to shard 0.
     pub(crate) fn head(query_index: usize, query: QueryId, arrival: SimTime) -> Self {
         Fragment {
@@ -103,20 +106,27 @@ impl Routing {
 /// the arrival — mirroring what the single-engine `Simulation` does, so
 /// arrival-driven policies (the adaptive controller) see the same stream.
 pub fn route(partition: &Partition, map: &ShardMap, trace: &TimedTrace) -> Routing {
-    route_parallel(partition, map, trace, 1)
+    let map = ElasticShardMap::new(*map);
+    route_window(partition, &map, trace.entries(), 0..trace.len(), 1)
 }
 
 /// Queries per pre-processing job: large enough to amortize a job's channel
 /// send, small enough that a 10 000-query trace still balances over threads.
 const PRE_ROUTE_CHUNK: usize = 128;
 
-/// [`route`] with the per-query pre-processing spread over up to `threads`
-/// threads (1 = the calling thread only). The routing is identical at every
-/// thread count.
-pub fn route_parallel(
+/// Routes the trace entries in `window` under `map` — the one split path:
+/// [`route`] is one whole-trace window, and the runtime routes a controller
+/// run window by window as the map evolves between them. Per-query
+/// pre-processing spreads over up to `threads` threads (1 = the calling
+/// thread only). Fragments keep their absolute `query_index`;
+/// `fragments_of` and `assignments_of` cover the window's entries only.
+/// Routing consecutive windows under one map and concatenating them
+/// reproduces routing their union, at every thread count.
+pub fn route_window(
     partition: &Partition,
-    map: &ShardMap,
-    trace: &TimedTrace,
+    map: &ElasticShardMap,
+    entries: &[(SimTime, CrossMatchQuery)],
+    window: Range<usize>,
     threads: usize,
 ) -> Routing {
     assert_eq!(
@@ -125,7 +135,8 @@ pub fn route_parallel(
         "shard map must cover the partition"
     );
     let pre = QueryPreProcessor::new(partition);
-    let entries = trace.entries();
+    let first = window.start;
+    let entries = &entries[window];
     let chunks: Vec<_> = entries.chunks(PRE_ROUTE_CHUNK).collect();
     let pre_routed = parallel_map(&chunks, threads, |_, chunk| {
         chunk
@@ -136,22 +147,33 @@ pub fn route_parallel(
 
     let n_shards = map.n_shards() as usize;
     let mut shards: Vec<Vec<Fragment>> = vec![Vec::new(); n_shards];
-    let mut fragments_of = Vec::with_capacity(trace.len());
-    let mut assignments_of = Vec::with_capacity(trace.len());
+    let mut fragments_of = Vec::with_capacity(entries.len());
+    let mut assignments_of = Vec::with_capacity(entries.len());
     let mut cross_shard_queries = 0usize;
     let mut total_assignments = 0u64;
     // Per-query scratch: items grouped by shard (reused across queries).
     let mut split: Vec<Vec<WorkItem>> = vec![Vec::new(); n_shards];
 
     let items_of = pre_routed.into_iter().flatten();
-    for (query_index, ((arrival, query), items)) in entries.iter().zip(items_of).enumerate() {
-        let (fragments, assignments) = split_query(
-            Fragment::head(query_index, query.id, *arrival),
-            items,
-            |b| map.shard_of(b),
-            &mut split,
-            &mut shards,
-        );
+    for (offset, ((arrival, query), items)) in entries.iter().zip(items_of).enumerate() {
+        let head = Fragment::head(first + offset, query.id, *arrival);
+        let mut assignments = 0u64;
+        for item in items {
+            assignments += item.len() as u64;
+            split[map.shard_of(item.bucket).index()].push(item);
+        }
+        let mut fragments = 0u32;
+        for (shard, items) in split.iter_mut().enumerate() {
+            if !items.is_empty() {
+                fragments += 1;
+                shards[shard].push(head.with_items(std::mem::take(items)));
+            }
+        }
+        if fragments == 0 {
+            // No work anywhere: ship the arrival itself to shard 0.
+            fragments = 1;
+            shards[0].push(head);
+        }
         if fragments > 1 {
             cross_shard_queries += 1;
         }
@@ -166,88 +188,6 @@ pub fn route_parallel(
         assignments_of,
         cross_shard_queries,
         total_assignments,
-    }
-}
-
-/// Splits one query's pre-processed `items` into per-shard fragments of
-/// `head`'s identity, appending them to `shards` (one stream per shard) and
-/// returning `(fragments, assignments)`. The zero-work convention (the bare
-/// head to shard 0) lives here, so the static router and the stepped
-/// driver's incremental routing split queries with the same code.
-pub(crate) fn split_query(
-    head: Fragment,
-    items: Vec<WorkItem>,
-    mut shard_of: impl FnMut(BucketId) -> ShardId,
-    split: &mut [Vec<WorkItem>],
-    shards: &mut [Vec<Fragment>],
-) -> (u32, u64) {
-    let mut assignments = 0u64;
-    for item in items {
-        assignments += item.len() as u64;
-        split[shard_of(item.bucket).index()].push(item);
-    }
-    let mut fragments = 0u32;
-    for (shard, items) in split.iter_mut().enumerate() {
-        if !items.is_empty() {
-            fragments += 1;
-            shards[shard].push(head.with_items(std::mem::take(items)));
-        }
-    }
-    if fragments == 0 {
-        // No work anywhere: ship the arrival itself to shard 0.
-        fragments = 1;
-        shards[0].push(head);
-    }
-    (fragments, assignments)
-}
-
-/// The not-yet-routed remainder of a trace, plus the scratch the stepped
-/// driver's incremental routing reuses from one arrival to the next.
-pub(crate) struct Arrivals<'a> {
-    /// The trace being served.
-    pub(crate) entries: &'a [(SimTime, CrossMatchQuery)],
-    /// Next unrouted trace entry.
-    pub(crate) cursor: usize,
-    pre: QueryPreProcessor<'a>,
-    split: Vec<Vec<WorkItem>>,
-    /// Per-shard sinks of the arrival being routed; the driver drains them
-    /// after every arrival.
-    pub(crate) window: Vec<Vec<Fragment>>,
-}
-
-impl<'a> Arrivals<'a> {
-    pub(crate) fn new(
-        partition: &'a Partition,
-        entries: &'a [(SimTime, CrossMatchQuery)],
-        n_shards: usize,
-    ) -> Self {
-        Arrivals {
-            entries,
-            cursor: 0,
-            pre: QueryPreProcessor::new(partition),
-            split: vec![Vec::new(); n_shards],
-            window: vec![Vec::new(); n_shards],
-        }
-    }
-
-    /// Arrival instant of the next unrouted query.
-    pub(crate) fn next(&self) -> Option<SimTime> {
-        self.entries.get(self.cursor).map(|e| e.0)
-    }
-
-    /// Splits the next arrival under `map` into `window`, one fragment per
-    /// shard it touches; returns `(fragments, assignments)`.
-    pub(crate) fn split_next(&mut self, map: &ElasticShardMap) -> (u32, u64) {
-        let (arrival, query) = &self.entries[self.cursor];
-        let head = Fragment::head(self.cursor, query.id, *arrival);
-        self.cursor += 1;
-        split_query(
-            head,
-            self.pre.preprocess(query),
-            |b| map.shard_of(b),
-            &mut self.split,
-            &mut self.window,
-        )
     }
 }
 

@@ -1,17 +1,17 @@
-//! The sharded serving runtime: drive → execute (stepped or threaded) →
-//! finish.
+//! The sharded serving runtime: route window → advance → fire → finish.
 //!
 //! # Determinism contract
 //!
 //! Both execution modes produce **bit-identical** [`RuntimeReport`]s for
 //! the same (catalog, config, trace, scheduler factory):
 //!
-//! - A run whose controllers decide where arrivals land (rebalancing,
-//!   outages, the front door) is one stepped pass in either mode.
-//! - Otherwise routing is a pure function of the shard map and the trace,
-//!   and each shard's behaviour a pure function of its own fixed fragment
-//!   stream (admission is shard-local), so any stepping order yields the
-//!   same per-shard results.
+//! - Shards interact only at control instants (an outage edge, an epoch
+//!   boundary, a re-delivery, a front-door pass). Between two of them each
+//!   shard is a pure function of its own fragment stream (admission is
+//!   shard-local), so the modes differ only in whether a window's workers
+//!   advance in a loop or on one scoped thread each.
+//! - Routing a window's arrivals when the window opens is unobservable: a
+//!   fragment stays invisible to its shard until its release.
 //! - Aggregation merges per-shard completion streams in the canonical
 //!   `(completion time, shard id, shard event order)` order, which is
 //!   independent of how the shards were driven.
@@ -19,18 +19,18 @@
 //! # One run path
 //!
 //! Every configuration flows through the same pieces (see
-//! `docs/ARCHITECTURE.md`, "drive → execute → finish"): `spawn` makes the
-//! workers, `drive` is the stepped virtual-time merge the controllers plug
-//! into as event handlers, `run_threaded` serves fixed streams on one
-//! thread per shard, and `finish` folds the finished pool and the decision
-//! logs into the report.
+//! `docs/ARCHITECTURE.md`, "route window → advance → fire → finish"):
+//! `spawn` makes the workers, `execute` is the one window loop the
+//! controllers plug into as barrier handlers, and `finish` folds the
+//! finished pool and the decision logs into the report. A static or
+//! transport-routed run is one window that reaches the end of the trace.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
-use liferaft_catalog::Catalog;
+use liferaft_catalog::{Catalog, Partition};
 use liferaft_core::Scheduler;
-use liferaft_query::{CrossMatchQuery, QueryId, WorkItem};
+use liferaft_query::{CrossMatchQuery, QueryId};
 use liferaft_sim::{MigratedBucket, RunReport, ShardOutage};
 use liferaft_storage::SimTime;
 use liferaft_telemetry::{Event, TelemetryReport};
@@ -44,7 +44,7 @@ use crate::failover::{
 use crate::ledger::{merged_completions, Ledger, RejectedBy};
 use crate::rebalance::{plan_moves, EpochRecord, Migration, RebalanceLog};
 use crate::retry::RetryPolicy;
-use crate::router::{route_parallel, Arrivals, Fragment, Routing};
+use crate::router::{route_window, Fragment, Routing};
 use crate::shard::{ElasticShardMap, ShardId, ShardMap};
 use crate::transport::{plan_delivery, plan_hedges, resolve_hedges, DeliveryPlan, TransportReport};
 use crate::worker::{Round, ShardRun, ShardWorker};
@@ -142,7 +142,7 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
         &self.map
     }
 
-    /// Threads the up-front routing may pre-process on: what the run already
+    /// Threads a routed window may pre-process on: what the run already
     /// has — the calling thread alone when stepped, one per shard (capped by
     /// the host's cores) when threaded.
     fn route_threads(&self, mode: ExecMode) -> usize {
@@ -156,14 +156,13 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
 
     /// Replays `trace`, scheduling shard `i` with `mk_scheduler(i)`.
     ///
-    /// When a controller decides where — or whether — arrivals land
-    /// (rebalancing, outages/failover, the front door), the run is the one
-    /// stepped merge with the controllers in the loop, whatever `mode` asks
-    /// for. Otherwise the trace is routed up front (the transport controller
-    /// adjusts that routing before anything runs) and `mode` picks the
-    /// executor. The factory is invoked once per shard — twice for a hedged
-    /// transport run, whose reference pass plans the hedges — and must keep
-    /// returning equivalent schedulers.
+    /// The run is one window loop whatever `mode` asks for: arrivals route
+    /// window by window between control instants (the transport controller
+    /// routes the whole trace up front and adjusts it before anything runs),
+    /// and `mode` picks how a window's workers advance. The factory is
+    /// invoked once per shard — twice for a hedged transport run, whose
+    /// reference pass plans the hedges — and must keep returning equivalent
+    /// schedulers.
     ///
     /// # Panics
     /// Panics if any shard's scheduler violates its contract, or if the run
@@ -180,40 +179,19 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
             .enumerate()
             .map(|(i, (_, q))| (q.id, i))
             .collect();
-        let mut ctl = self.controllers(entries);
-        let mut pool;
-        let plan;
-        if ctl.arrivals.is_some() {
-            let unrouted = vec![Vec::new(); self.config.n_shards as usize];
-            pool = self.spawn(entries, unrouted, mk_scheduler);
-            drive(&mut pool, &mut ctl);
-            plan = ctl.into_plan();
-        } else {
-            let mut routing = route_parallel(
-                self.catalog.partition(),
-                &self.map,
-                trace,
-                self.route_threads(mode),
-            );
-            let transport = self
-                .config
-                .transport
-                .enabled
-                .then(|| self.plan_transport(entries, &index_of, &mut routing, mk_scheduler));
-            plan = Plan {
-                total_fragments: routing.total_fragments(),
-                cross_shard_queries: routing.cross_shard_queries,
-                assignments_of: routing.assignments_of,
-                transport,
-                ..Plan::default()
-            };
-            pool = self.spawn(entries, routing.shards, mk_scheduler);
-            match mode {
-                ExecMode::Stepped => drive(&mut pool, &mut ctl),
-                ExecMode::Threaded => run_threaded(&mut pool),
-            }
+        let mut ctl = self.controllers(entries, mode);
+        let mut streams = vec![Vec::new(); self.config.n_shards as usize];
+        if self.config.transport.enabled {
+            let mut routing = ctl.route(entries.len());
+            let delivery =
+                self.plan_transport(entries, &index_of, &mut routing, mk_scheduler, mode);
+            ctl.plan.transport = Some(delivery);
+            ctl.plan.record(&routing);
+            streams = routing.shards;
         }
-        self.finish(entries, &index_of, pool, plan)
+        let mut pool = self.spawn(entries, streams, mk_scheduler);
+        execute(&mut pool, &mut ctl, mode);
+        self.finish(entries, &index_of, pool, ctl.into_plan())
     }
 
     /// The one place workers are made: shard `i` serves `streams[i]` under
@@ -240,11 +218,14 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
             .collect()
     }
 
-    /// The handlers this configuration plugs into [`drive`]. Arrivals route
-    /// incrementally only when some handler can change where — or whether —
-    /// they land; with none the set is inert and `drive` just merges the
-    /// shard event queues.
-    fn controllers<'w>(&'w self, entries: &'w [(SimTime, CrossMatchQuery)]) -> Controllers<'w> {
+    /// The handlers this configuration plugs into [`execute`], and the
+    /// routing state they share. With none plugged in the set is inert: one
+    /// window routes the whole trace and the workers run to the end.
+    fn controllers<'w>(
+        &'w self,
+        entries: &'w [(SimTime, CrossMatchQuery)],
+        mode: ExecMode,
+    ) -> Controllers<'w> {
         let cfg = &self.config;
         let n = cfg.n_shards as usize;
         let epochs = cfg.rebalance.enabled.then(|| Epochs {
@@ -256,22 +237,20 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
         });
         let outages = (cfg.failover.enabled || !cfg.faults.outages.is_empty())
             .then(|| Outages::new(cfg.failover, &cfg.faults.outages, entries.len()));
-        let door = cfg
-            .front_door
-            .enabled
-            .then(|| FrontDoor::new(cfg.front_door, entries.len(), n));
-        let live = epochs.is_some() || outages.is_some() || door.is_some();
         Controllers {
+            partition: self.catalog.partition(),
+            entries,
+            threads: self.route_threads(mode),
+            routed: 0,
             map: ElasticShardMap::new(self.map),
             up: vec![true; n],
-            arrivals: live.then(|| Arrivals::new(self.catalog.partition(), entries, n)),
             epochs,
             outages,
-            door,
-            plan: Plan {
-                assignments_of: vec![0; if live { entries.len() } else { 0 }],
-                ..Plan::default()
-            },
+            door: cfg
+                .front_door
+                .enabled
+                .then(|| FrontDoor::new(cfg.front_door, entries.len(), n)),
+            plan: Plan::default(),
         }
     }
 
@@ -282,8 +261,8 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
     /// rejections, hedge copies) is fixed before any shard runs and both
     /// executors consume identical fragment streams under arbitrary loss.
     ///
-    /// With hedging enabled a *reference pass* (stepped, no hedges) runs
-    /// first to observe per-class response distributions and per-shard load;
+    /// With hedging enabled a *reference pass* (no hedges, in the run's
+    /// mode) runs first to observe per-class response distributions and per-shard load;
     /// [`plan_hedges`] derives the hedge plan from it and the hedge copies
     /// join the routing. The final pass races each copy against its
     /// original — the first completion in the canonical merge order wins,
@@ -295,13 +274,17 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
         index_of: &HashMap<QueryId, usize>,
         routing: &mut Routing,
         mk_scheduler: &mut dyn FnMut(usize) -> Box<dyn Scheduler + Send>,
+        mode: ExecMode,
     ) -> DeliveryPlan {
         let tp = self.config.transport;
         let faults = &self.config.faults;
         let mut delivery = plan_delivery(&tp, faults, routing, entries.len());
         if tp.hedge.enabled {
             let mut reference = self.spawn(entries, routing.shards.clone(), mk_scheduler);
-            drive(&mut reference, &mut self.controllers(entries));
+            // The streams are fixed: one window, nothing left to route.
+            let mut inert = self.controllers(entries, mode);
+            inert.routed = entries.len();
+            execute(&mut reference, &mut inert, mode);
             let reference: Vec<ShardRun> =
                 reference.into_iter().map(ShardWorker::into_run).collect();
             delivery.log.hedges = plan_hedges(
@@ -441,9 +424,9 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
     /// `(clock, shard, seq)`. Controller events ride the
     /// [`ROUTER_SHARD`](liferaft_telemetry::ROUTER_SHARD) pseudo-shard, which
     /// sorts after every real shard. Because each shard's stream is a pure
-    /// function of its own fragment sequence and the logs come from the one
-    /// planning pass, stepped and threaded executions produce byte-identical
-    /// merged streams.
+    /// function of its own fragment sequence and the logs are made only at
+    /// control instants, stepped and threaded executions produce
+    /// byte-identical merged streams.
     fn build_telemetry(
         &self,
         entries: &[(SimTime, CrossMatchQuery)],
@@ -503,34 +486,46 @@ struct Plan {
     transport: Option<DeliveryPlan>,
 }
 
+impl Plan {
+    /// Books one routed window's counters.
+    fn record(&mut self, routing: &Routing) {
+        self.assignments_of
+            .extend_from_slice(&routing.assignments_of);
+        self.cross_shard_queries += routing.cross_shard_queries;
+        self.total_fragments += routing.total_fragments();
+    }
+}
+
 /// Controller event sources, in firing order at equal instants: a fault
 /// boundary changes the pool before an epoch samples it, both change the map
-/// before an arrival routes under it, and a re-delivery lands after the
-/// arrivals of its instant. (`Door` stands in for `Arrival` when the front
-/// door is on; validation keeps it from meeting the others today.)
+/// before the arrivals of their instant route under it, and a re-delivery
+/// lands after those arrivals. (Validation keeps `Door` from meeting the
+/// others.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Source {
     Outage,
     Epoch,
-    Arrival,
     Redelivery,
     Door,
 }
 
-/// The handlers of one stepped pass and the routing state they share. Each
-/// handler owns its state and appends to its own decision log; `plan`
-/// collects what they produce together.
+/// The handlers of one run and the routing state they share. Each handler
+/// owns its state and appends to its own decision log; `plan` collects what
+/// they produce together.
 struct Controllers<'a> {
+    partition: &'a Partition,
+    entries: &'a [(SimTime, CrossMatchQuery)],
+    /// Pre-processing threads of the window routing.
+    threads: usize,
+    /// Next trace entry not yet routed (with the door on: registered).
+    routed: usize,
     /// The live bucket → shard map: epochs and evacuations reassign buckets,
-    /// arrivals route under it.
+    /// each window routes under it.
     map: ElasticShardMap,
     /// Which shards are in the pool: outage edges flip it, the epoch planner
     /// and re-delivery skip dead shards, fragments released into one are
     /// lost.
     up: Vec<bool>,
-    /// Incremental arrival routing (`None`: the streams were routed up
-    /// front).
-    arrivals: Option<Arrivals<'a>>,
     epochs: Option<Epochs>,
     outages: Option<Outages>,
     door: Option<FrontDoor>,
@@ -538,43 +533,34 @@ struct Controllers<'a> {
 }
 
 impl Controllers<'_> {
-    /// The next controller event. `idle` says no worker has a pending event.
+    /// The next controller event, if any handler still has one.
     fn next_event<C: Catalog + ?Sized>(
         &self,
         workers: &[ShardWorker<'_, C>],
-        idle: bool,
     ) -> Option<(SimTime, Source)> {
-        let arrival = self.arrivals.as_ref().and_then(Arrivals::next);
+        let idle = workers.iter().all(|w| w.next_time().is_none());
         let outages = self.outages.as_ref();
         let stamp = |t: Option<SimTime>, source: Source| t.map(|t| (t, source));
-        let alive = match &self.door {
-            // The door takes the arrivals itself, and adds two sources.
-            Some(door) => {
-                // A worker's clock runs ahead of global time by whole batch
-                // costs; each recorded batch *end* in that gap is a
-                // "capacity frees here" event the door must observe at its
-                // own instant (and never earlier — see
-                // `ShardWorker::serviced_at`).
-                let tick = workers
-                    .iter()
-                    .filter_map(|w| w.next_completion_after(door.now()))
-                    .min();
-                let due = [arrival, door.next_wakeup(), tick]
-                    .into_iter()
-                    .flatten()
-                    .min();
-                // Liveness: no event anywhere yet waiters remain. With no
-                // shard event pending every admitted assignment has been
-                // serviced, so the pool is empty and pumping "now" admits
-                // the head-of-line waiter unconditionally — the loop can
-                // never stall with work outstanding.
-                let stalled = (idle && door.has_active()).then(|| door.now());
-                stamp(due.or(stalled), Source::Door)
-            }
-            None => stamp(arrival, Source::Arrival),
-        };
+        let door = self.door.as_ref().and_then(|d| {
+            let now = d.now();
+            // A worker's clock runs ahead of global time by whole batch
+            // costs; each recorded batch *end* in that gap is a "capacity
+            // frees here" event the door must observe at its own instant
+            // (and never earlier — see `ShardWorker::serviced_at`).
+            let tick = workers
+                .iter()
+                .filter_map(|w| w.next_completion_after(now))
+                .min();
+            let arrival = self.entries.get(self.routed).map(|e| e.0);
+            let due = [arrival, d.next_wakeup(), tick].into_iter().flatten().min();
+            // Liveness: no event anywhere yet waiters remain. With no shard
+            // event pending every admitted assignment has been serviced, so
+            // pumping "now" admits the head-of-line waiter unconditionally —
+            // the loop can never stall with work outstanding.
+            due.or((idle && d.has_active()).then_some(now))
+        });
         let alive = [
-            alive,
+            stamp(door, Source::Door),
             stamp(outages.and_then(Outages::next_edge), Source::Outage),
             stamp(outages.and_then(Outages::next_retry), Source::Redelivery),
         ]
@@ -582,13 +568,69 @@ impl Controllers<'_> {
         .flatten()
         .min();
         // The epoch clock ticks forever: it counts only while something else
-        // is alive, so it never keeps the loop running on its own.
+        // is alive — a handler event, an unrouted arrival, a busy worker — so
+        // it never keeps the loop running on its own.
+        let busy = self.routed < self.entries.len() || !idle;
         let epoch = self
             .epochs
             .as_ref()
-            .filter(|_| alive.is_some() || !idle)
+            .filter(|_| alive.is_some() || busy)
             .map(|e| (e.next(), Source::Epoch));
         [alive, epoch].into_iter().flatten().min()
+    }
+
+    /// Opens a window: routes every arrival before the next control instant
+    /// under the live map and up-mask (which change only at those instants)
+    /// and hands the fragments to the workers — except what failover
+    /// intercepts on the way into a dead shard. Returns that instant, shrunk
+    /// by any re-delivery deadline the routing itself created. The door
+    /// routes its arrivals itself, as it registers them.
+    fn route_window<C: Catalog + ?Sized>(
+        &mut self,
+        workers: &mut [ShardWorker<'_, C>],
+    ) -> Option<(SimTime, Source)> {
+        loop {
+            let bound = self.next_event(workers);
+            // A loss re-delivers one detection timeout after its arrival, so
+            // while intercepting, routing stops where the earliest loss this
+            // window could create would fire.
+            let loss = self
+                .outages
+                .as_ref()
+                .filter(|o| o.cfg.enabled && self.up.contains(&false))
+                .zip(self.entries.get(self.routed))
+                .map(|(o, (first, _))| (o.retry.deadline_after(*first, 0), Source::Redelivery));
+            // An arrival ranks right after its instant's `Epoch`.
+            let cut = [bound, loss].into_iter().flatten().min();
+            let due = self.entries[self.routed..]
+                .iter()
+                .take_while(|&&(at, _)| cut.map_or(true, |c| (at, Source::Epoch) < c))
+                .count();
+            if due == 0 || self.door.is_some() {
+                return bound;
+            }
+            let mut routing = self.route(due);
+            if let Some(outages) = self.outages.as_mut().filter(|o| o.cfg.enabled) {
+                outages.intercept(&self.up, &mut routing.shards);
+            }
+            self.plan.record(&routing);
+            for (w, stream) in workers.iter_mut().zip(routing.shards) {
+                w.append_fragments(stream);
+            }
+        }
+    }
+
+    /// Routes the next `n` unrouted arrivals under the live map.
+    fn route(&mut self, n: usize) -> Routing {
+        let window = self.routed..self.routed + n;
+        self.routed = window.end;
+        route_window(
+            self.partition,
+            &self.map,
+            self.entries,
+            window,
+            self.threads,
+        )
     }
 
     /// Fires the event `next_event` announced.
@@ -612,68 +654,53 @@ impl Controllers<'_> {
                 let outages = self.outages.as_mut().expect(plugged);
                 outages.redeliver(workers, &self.up, &mut self.plan.total_fragments);
             }
-            Source::Arrival => self.route_arrival(workers),
             Source::Door => self.door_pass(workers, t),
         }
     }
 
-    /// Routes the next arrival under the live map and hands its fragments to
-    /// the workers — except what failover intercepts on the way into a dead
-    /// shard.
-    fn route_arrival<C: Catalog + ?Sized>(&mut self, workers: &mut [ShardWorker<'_, C>]) {
-        let a = self.arrivals.as_mut().expect("an arrival was announced");
-        let index = a.cursor;
-        let (fragments, assignments) = a.split_next(&self.map);
-        let mut delivered = fragments;
-        if let Some(outages) = self.outages.as_mut().filter(|o| o.cfg.enabled) {
-            delivered -= outages.intercept(a.entries[index].0, &self.up, &mut a.window);
-        }
-        if fragments > 1 {
-            self.plan.cross_shard_queries += 1;
-        }
-        self.plan.assignments_of[index] = assignments;
-        self.plan.total_fragments += delivered as usize;
-        for (w, frags) in workers.iter_mut().zip(a.window.iter_mut()) {
-            if !frags.is_empty() {
-                w.append_fragments(std::mem::take(frags));
-            }
-        }
-    }
-
     /// One front-door pass at `t`: register every arrival due by now (trace
-    /// order, pre-split under the live map), then wake backoffs, admit,
-    /// shed, reject. Admitted queries hand their pre-split fragments to the
-    /// shards with `release = now`. Admission feedback is the per-shard
-    /// entries serviced by batches that completed by `now`, so an admission
-    /// at `now` depends only on batches completed by `now`.
+    /// order, routed as one window under the map validation keeps static),
+    /// then wake backoffs, admit, shed, reject. Admitted queries hand their
+    /// split to the shards with `release = now`. Admission feedback is the per-shard entries serviced
+    /// by batches that completed by `now`, so an admission at `now` depends
+    /// only on batches completed by `now`.
     fn door_pass<C: Catalog + ?Sized>(&mut self, workers: &mut [ShardWorker<'_, C>], t: SimTime) {
-        let (Some(a), Some(door)) = (self.arrivals.as_mut(), self.door.as_mut()) else {
+        let Some(now) = self.door.as_ref().map(|d| d.now().max(t)) else {
             return;
         };
-        let plan = &mut self.plan;
-        let now = door.now().max(t);
-        while a.next().is_some_and(|arrival| arrival <= now) {
-            let index = a.cursor;
-            let (_, assignments) = a.split_next(&self.map);
-            // Shard order, as split; a workless query's bare marker carries
-            // no work to hold back.
-            let split: Vec<(usize, Vec<WorkItem>)> = a
-                .window
+        let first = self.routed;
+        let due = self.entries[first..].iter().take_while(|e| e.0 <= now);
+        let routing = self.route(due.count());
+        let (entries, plan) = (self.entries, &mut self.plan);
+        let door = self.door.as_mut().expect("the door is plugged in");
+        plan.assignments_of
+            .extend_from_slice(&routing.assignments_of);
+        let mut streams: Vec<_> = routing
+            .shards
+            .into_iter()
+            .map(|s| s.into_iter().peekable())
+            .collect();
+        for (index, &assignments) in (first..).zip(&routing.assignments_of) {
+            // Shard order, as split; a workless query's bare marker
+            // carries no work to hold back.
+            let split = streams
                 .iter_mut()
                 .enumerate()
-                .filter_map(|(s, w)| w.pop().map(|f| (s, f.items)))
+                .filter_map(|(s, stream)| {
+                    let fragment = stream.next_if(|f| f.query_index == index)?;
+                    Some((s, fragment.items))
+                })
                 .filter(|(_, items)| !items.is_empty())
                 .collect();
-            plan.assignments_of[index] = assignments;
             let class = door.cfg.classify(assignments);
-            door.ingest(index, a.entries[index].0, class, assignments, split);
+            door.ingest(index, entries[index].0, class, assignments, split);
         }
         let serviced: Vec<u64> = workers.iter().map(|w| w.serviced_at(now)).collect();
         door.pump(now, &serviced, |p, at| {
             let head = Fragment {
                 release: at,
                 class: p.class,
-                ..Fragment::head(p.index, a.entries[p.index].1.id, p.arrival)
+                ..Fragment::head(p.index, entries[p.index].1.id, p.arrival)
             };
             plan.total_fragments += p.split.len().max(1);
             if p.split.len() > 1 {
@@ -690,7 +717,7 @@ impl Controllers<'_> {
         });
     }
 
-    /// Finishes the pass: every handler hands over its log.
+    /// Finishes the run: every handler hands over its log.
     fn into_plan(self) -> Plan {
         Plan {
             rebalance: self.epochs.map(|e| e.log),
@@ -899,39 +926,38 @@ impl Outages {
         }
     }
 
-    /// Intercepts what an arrival's split released into **down** shards —
-    /// one arrival appends at most one fragment per shard, so that is each
-    /// dead shard's window tail. A work-bearing fragment is lost in flight
-    /// and queues its first re-delivery one detection timeout after
-    /// `arrival`. A zero-work marker has nothing to lose, but its arrival
-    /// notification should reach a live scheduler: it retargets from a dead
-    /// shard 0 to the lowest-id live shard (with no shard up at all it rides
-    /// out the outage where it is — it completes at its arrival either
-    /// way). Returns how many fragments were lost.
-    fn intercept(&mut self, arrival: SimTime, up: &[bool], window: &mut [Vec<Fragment>]) -> u32 {
-        let mut lost = 0;
+    /// Intercepts what a window's routing released into **down** shards,
+    /// in routing order (query, then shard). A work-bearing fragment is lost
+    /// in flight and queues its first re-delivery one detection timeout
+    /// after its arrival. A zero-work marker has nothing to lose, but its
+    /// arrival notification should reach a live scheduler: it retargets from
+    /// a dead shard 0 to the lowest-id live shard (with no shard up at all
+    /// it rides out the outage where it is — it completes at its arrival
+    /// either way).
+    fn intercept(&mut self, up: &[bool], window: &mut [Vec<Fragment>]) {
+        let mut lost: Vec<(usize, u32, Fragment)> = Vec::new();
         for dead in (0..up.len()).filter(|&s| !up[s]) {
-            let Some(fragment) = window[dead].pop() else {
-                continue;
-            };
-            if fragment.items.is_empty() {
-                debug_assert_eq!(dead, 0, "empty fragments route to shard 0");
-                window[up.iter().position(|&u| u).unwrap_or(dead)].push(fragment);
-                continue;
-            }
-            lost += 1;
+            let (markers, work): (Vec<_>, Vec<_>) = std::mem::take(&mut window[dead])
+                .into_iter()
+                .partition(|f| f.items.is_empty());
+            let to = up.iter().position(|&u| u).unwrap_or(dead);
+            window[to].extend(markers);
+            window[to].sort_by_key(|f| f.query_index);
+            lost.extend(work.into_iter().map(|f| (f.query_index, dead as u32, f)));
+        }
+        lost.sort_by_key(|&(query_index, from, _)| (query_index, from));
+        for (_, from, fragment) in lost {
             let seq = self.next_seq;
             self.next_seq += 1;
-            self.retries
-                .push(Reverse((self.retry.deadline_after(arrival, 0), seq)));
+            let deadline = self.retry.deadline_after(fragment.arrival, 0);
+            self.retries.push(Reverse((deadline, seq)));
             let chain = Chain {
-                from: dead as u32,
+                from,
                 attempt: 0,
                 fragment,
             };
             self.chains.insert(seq, chain);
         }
-        lost
     }
 
     /// Runs the earliest pending re-delivery attempt.
@@ -1012,48 +1038,67 @@ fn earliest<C: Catalog + ?Sized>(workers: &[ShardWorker<'_, C>]) -> Option<(SimT
     earliest
 }
 
-/// The stepped driver — the reference executor and the one place decisions
-/// are made: a deterministic single-threaded virtual-time merge of the shard
-/// event queues and the controllers' event sources.
+/// The pool executor, one loop for every run — conservative windowed
+/// execution. Each window routes every arrival before the next control
+/// instant, advances every worker while its next event is strictly earlier
+/// than that instant, then fires the instant's handlers in [`Source`]
+/// order. With no handler plugged in, the first window reaches the end of
+/// the trace.
 ///
-/// The worker with the earliest next event advances one event, but only
-/// while that event is *strictly* earlier than the next controller event;
-/// otherwise the controller event fires (at equal instants in [`Source`]
-/// order). With no handler plugged in this is just the merge: advance the
-/// earliest shard until every shard has drained.
-fn drive<C: Catalog + ?Sized>(workers: &mut [ShardWorker<'_, C>], ctl: &mut Controllers<'_>) {
+/// The front door reads capacity before every shard step, so a door-on
+/// window is one step of the earliest worker on the calling thread, after a
+/// pass at its instant (what the pass admits is due now, maybe on a lower
+/// shard).
+fn execute<C: Catalog + Sync + ?Sized>(
+    workers: &mut [ShardWorker<'_, C>],
+    ctl: &mut Controllers<'_>,
+    mode: ExecMode,
+) {
     loop {
-        let next = earliest(workers);
-        let event = ctl.next_event(workers, next.is_none());
-        if let Some((wt, mut i)) = next {
-            if event.map_or(true, |(t, _)| wt < t) {
-                if ctl.door.is_some() {
-                    // The front door is pumped before every worker step, so
-                    // each admission decision sees the capacity freed up to
-                    // exactly its instant. What it admits is due now, maybe
-                    // on a lower shard.
-                    ctl.door_pass(workers, wt);
-                    i = earliest(workers).expect("admission removes no event").1;
-                }
-                let advanced = workers[i].step();
-                debug_assert!(advanced, "a shard with a next event must advance");
-                continue;
-            }
+        let until = ctl.route_window(workers).map(|(t, _)| t);
+        if ctl.door.is_none() {
+            advance(workers, until, mode);
+        } else if let Some((wt, _)) =
+            earliest(workers).filter(|&(wt, _)| until.map_or(true, |t| wt < t))
+        {
+            ctl.door_pass(workers, wt);
+            let (_, i) = earliest(workers).expect("admission removes no event");
+            let advanced = workers[i].step();
+            debug_assert!(advanced, "a shard with a next event must advance");
+            continue;
         }
-        let Some((t, source)) = event else { break };
+        let Some((t, source)) = ctl.next_event(workers) else {
+            break;
+        };
         ctl.fire(workers, t, source);
     }
 }
 
-/// The pool executor: one scoped OS thread per shard, each stepping its
-/// worker to completion. The streams are fixed up front and no controller
-/// runs, so the shards share nothing until `finish`.
-fn run_threaded<C: Catalog + Sync + ?Sized>(workers: &mut [ShardWorker<'_, C>]) {
-    std::thread::scope(|scope| {
-        for worker in workers {
-            scope.spawn(move || while worker.step() {});
+/// Advances every worker while its next event is strictly earlier than
+/// `until` (`None`: to the end of its stream): in a plain loop when
+/// stepped, on one scoped thread per worker with work in the window when
+/// threaded. Workers share nothing inside a window, so both orders compute
+/// the same states.
+fn advance<C: Catalog + Sync + ?Sized>(
+    workers: &mut [ShardWorker<'_, C>],
+    until: Option<SimTime>,
+    mode: ExecMode,
+) {
+    let due =
+        move |w: &ShardWorker<'_, C>| w.next_time().is_some_and(|t| until.map_or(true, |u| t < u));
+    let run = move |w: &mut ShardWorker<'_, C>| {
+        while due(w) {
+            w.step();
         }
-    });
+    };
+    match mode {
+        ExecMode::Stepped => workers.iter_mut().for_each(run),
+        ExecMode::Threaded => std::thread::scope(|scope| {
+            for w in workers.iter_mut().filter(|w| due(w)) {
+                scope.spawn(move || run(w));
+            }
+        }),
+    }
 }
 
 #[cfg(test)]
@@ -1062,11 +1107,16 @@ mod tests {
     use crate::config::AdmissionConfig;
     use crate::shard::ShardAssignment;
     use liferaft_catalog::{generate::uniform_sky, MaterializedCatalog};
-    use liferaft_core::{LifeRaftScheduler, MetricParams, NoShareScheduler};
+    use liferaft_core::{
+        BatchSpec, DecisionStats, LifeRaftScheduler, MetricParams, NoShareScheduler, SchedulerView,
+    };
     use liferaft_query::{CrossMatchQuery, Predicate};
     use liferaft_sim::SimConfig;
     use liferaft_workload::arrivals::uniform_arrivals;
     use liferaft_workload::Trace;
+    use std::collections::HashSet;
+    use std::sync::{Arc, Mutex};
+    use std::thread::ThreadId;
 
     const LEVEL: u8 = 8;
 
@@ -1530,6 +1580,13 @@ mod tests {
         let fo = off_stepped.failover.as_ref().expect("outages report");
         assert!(fo.log.evacuations.is_empty());
         assert!(fo.log.redeliveries.is_empty());
+        // A dead shard executes nothing, not even at its rejoin instant
+        // before the up edge fires: the edge sees the backlog the crash left.
+        let [down, up] = &fo.log.transitions[..] else {
+            panic!("one outage makes two transitions")
+        };
+        assert!(down.queued > 0, "the crash must strand a backlog");
+        assert_eq!(up.queued, down.queued);
         assert_eq!(off_stepped.global.outcomes.len(), timed.len());
         assert!(
             off_stepped.shards[0].report.makespan_s > 39.0,
@@ -1820,38 +1877,74 @@ mod tests {
     }
 
     #[test]
-    fn planner_workers_hand_back_the_static_routing() {
+    fn window_routing_hands_back_the_static_routing() {
         use crate::config::RebalanceConfig;
         use crate::router::route;
         use liferaft_storage::SimDuration;
-        // Under a rebalance that never triggers, the incremental routing of
-        // the planning pass must leave every worker holding exactly the
-        // stream the static router builds, fragment for fragment.
+        // Under a rebalance that never triggers, routing window by window
+        // between epoch boundaries must leave every worker holding exactly
+        // the stream whole-trace routing builds, fragment for fragment.
         let (cat, timed) = fixture(24, 2.0);
-        for (n_shards, assignment) in [
-            (1, ShardAssignment::Contiguous),
-            (3, ShardAssignment::Hashed { seed: 9 }),
-            (4, ShardAssignment::Contiguous),
-            (5, ShardAssignment::Hashed { seed: 3 }),
-        ] {
+        let placements = [1, 3, 4, 5].into_iter().flat_map(|n_shards| {
+            [
+                ShardAssignment::Contiguous,
+                ShardAssignment::Hashed { seed: n_shards },
+            ]
+            .map(|assignment| (n_shards as u32, assignment))
+        });
+        for ((n_shards, assignment), mode) in
+            placements.flat_map(|p| [ExecMode::Stepped, ExecMode::Threaded].map(|mode| (p, mode)))
+        {
             let mut config = RuntimeConfig::contiguous(SimConfig::paper(), n_shards);
             config.assignment = assignment;
-            config.rebalance = RebalanceConfig::every(SimDuration::from_secs(5));
+            config.rebalance = RebalanceConfig::every(SimDuration::from_secs(2));
             config.rebalance.min_imbalance = 1e12;
             let rt = ShardedRuntime::new(&cat, config);
             let entries = timed.entries();
-            let mut ctl = rt.controllers(entries);
+            let mut ctl = rt.controllers(entries, mode);
             let unrouted = vec![Vec::new(); n_shards as usize];
             let mut pool = rt.spawn(entries, unrouted, &mut |_| greedy());
-            drive(&mut pool, &mut ctl);
+            execute(&mut pool, &mut ctl, mode);
             let streams: Vec<Vec<Fragment>> =
                 pool.into_iter().map(ShardWorker::into_fragments).collect();
             let routing = route(cat.partition(), rt.shard_map(), &timed);
-            assert_eq!(streams, routing.shards, "{n_shards} shards");
+            let case = format!("{n_shards} shards, {assignment:?}, {mode:?}");
+            assert_eq!(streams, routing.shards, "{case}");
             let plan = ctl.into_plan();
-            assert_eq!(plan.assignments_of, routing.assignments_of);
-            assert_eq!(plan.total_fragments, routing.total_fragments());
-            assert_eq!(plan.cross_shard_queries, routing.cross_shard_queries);
+            let epochs = plan.rebalance.as_ref().map_or(0, |log| log.records.len());
+            assert!(epochs > 3, "{case}: the trace must span several windows");
+            assert_eq!(plan.assignments_of, routing.assignments_of, "{case}");
+            assert_eq!(plan.total_fragments, routing.total_fragments(), "{case}");
+            assert_eq!(
+                plan.cross_shard_queries, routing.cross_shard_queries,
+                "{case}"
+            );
+        }
+    }
+
+    /// Greedy, recording the thread of every pick.
+    struct PickThreads {
+        inner: LifeRaftScheduler,
+        seen: Arc<Mutex<HashSet<ThreadId>>>,
+    }
+
+    impl Scheduler for PickThreads {
+        fn name(&self) -> String {
+            self.inner.name()
+        }
+
+        fn pick(&mut self, view: &dyn SchedulerView) -> Option<BatchSpec> {
+            let me = std::thread::current().id();
+            self.seen.lock().expect("no pick panicked").insert(me);
+            self.inner.pick(view)
+        }
+
+        fn on_query_arrival(&mut self, now: SimTime) {
+            self.inner.on_query_arrival(now);
+        }
+
+        fn decision_stats(&self) -> DecisionStats {
+            self.inner.decision_stats()
         }
     }
 
@@ -1881,24 +1974,37 @@ mod tests {
         // one per shard for the final pass.
         let mut hedged = base;
         hedged.transport = TransportConfig::hedged();
-        for (name, config, calls_wanted) in [
-            ("rebalance", rebalance, 3),
-            ("crash", crash, 3),
-            ("front door", door, 3),
-            ("hedged transport", hedged, 6),
+        // The door steps one worker per window on the calling thread; every
+        // other run advances its windows on worker threads.
+        for (name, config, calls_wanted, on_threads) in [
+            ("rebalance", rebalance, 3, true),
+            ("crash", crash, 3, true),
+            ("front door", door, 3, false),
+            ("hedged transport", hedged, 6, true),
         ] {
             let rt = ShardedRuntime::new(&cat, config);
             let stepped = rt.run(&timed, &mut |_| greedy(), ExecMode::Stepped);
             let mut calls = 0;
+            let seen = Arc::new(Mutex::new(HashSet::new()));
             let threaded = rt.run(
                 &timed,
                 &mut |_| {
                     calls += 1;
-                    greedy()
+                    Box::new(PickThreads {
+                        inner: LifeRaftScheduler::greedy(MetricParams::paper()),
+                        seen: Arc::clone(&seen),
+                    })
                 },
                 ExecMode::Threaded,
             );
             assert_eq!(calls, calls_wanted, "{name}: scheduler factory calls");
+            let seen = seen.lock().expect("no pick panicked");
+            if on_threads {
+                assert!(seen.len() >= 2, "{name}: picks on {} thread(s)", seen.len());
+            } else {
+                let caller = HashSet::from([std::thread::current().id()]);
+                assert_eq!(*seen, caller, "{name}: picks off the calling thread");
+            }
             assert_eq!(stepped.global.outcomes, threaded.global.outcomes, "{name}");
             assert_eq!(stepped.global.batches, threaded.global.batches, "{name}");
             assert_eq!(stepped.global.io, threaded.global.io, "{name}");

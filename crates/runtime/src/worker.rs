@@ -313,9 +313,9 @@ impl<'a, C: Catalog + ?Sized> ShardWorker<'a, C> {
         true
     }
 
-    /// Appends later-routed fragments to the ingress stream — the stepped
-    /// driver's incremental routing path. Release order must be preserved
-    /// across appends.
+    /// Appends later-routed fragments to the ingress stream — each routed
+    /// window, re-delivery and front-door admission. Release order must be
+    /// preserved across appends.
     pub(crate) fn append_fragments(&mut self, extra: Vec<Fragment>) {
         debug_assert!(
             extra.windows(2).all(|w| w[0].release <= w[1].release),

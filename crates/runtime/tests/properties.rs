@@ -8,7 +8,10 @@
 //! - a single-shard unbounded runtime reproduces `Simulation::run` exactly;
 //! - work is conserved: every routed assignment is serviced exactly once,
 //!   and every query completes no earlier than its arrival;
-//! - routing is the same at every pre-processing thread count.
+//! - routing is the same at every pre-processing thread count and in any
+//!   split of the trace into consecutive windows;
+//! - rebalancing and crash failover compose: threaded == stepped with both
+//!   on, and every class balances its books.
 
 use liferaft_catalog::{Catalog, VirtualCatalog};
 use liferaft_core::{
@@ -16,8 +19,9 @@ use liferaft_core::{
 };
 use liferaft_query::QueryPreProcessor;
 use liferaft_runtime::{
-    route, route_parallel, AdmissionConfig, ExecMode, FailoverConfig, FaultPlan, FrontDoorConfig,
-    QueryClass, Routing, RuntimeConfig, ShardAssignment, ShardMap, ShardedRuntime, TransportConfig,
+    route, route_window, AdmissionConfig, ElasticShardMap, ExecMode, FailoverConfig, FaultPlan,
+    FrontDoorConfig, QueryClass, RebalanceConfig, Routing, RuntimeConfig, ShardAssignment,
+    ShardMap, ShardedRuntime, TransportConfig,
 };
 use liferaft_sim::{
     LinkDirection, LinkFault, RunReport, ShardOutage, ShardSlowdown, SimConfig, Simulation,
@@ -93,14 +97,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Pre-processing on 2, 3 or 8 threads (more threads than the trace has
-    /// chunks included) routes exactly like the calling thread alone. (That
-    /// the stepped driver's incremental routing hands back these very
-    /// streams is pinned next to the driver, in `runtime.rs`.)
+    /// chunks included) routes exactly like the calling thread alone, and so
+    /// does routing the trace in uneven consecutive windows and
+    /// concatenating them. (That a controller run's window-by-window
+    /// routing hands back these very streams is pinned next to the window
+    /// loop, in `runtime.rs`.)
     #[test]
     fn routing_is_identical_at_every_thread_count(
         seed in 0u64..10_000,
         n_shards in 1u32..6,
         hashed in proptest::bool::ANY,
+        mut cuts in proptest::collection::vec(0usize..=300, 0..6),
     ) {
         // Three pre-processing chunks, the last one ragged.
         let (catalog, timed) = fixture(seed, 300, 4.0);
@@ -113,9 +120,36 @@ proptest! {
 
         let serial = route(partition, &map, &timed);
         prop_assert_eq!(serial.fragments_of.len(), timed.len());
+        let elastic = ElasticShardMap::new(map);
+        let entries = timed.entries();
         for threads in [1usize, 2, 3, 8] {
-            let r = route_parallel(partition, &map, &timed, threads);
+            let r = route_window(partition, &elastic, entries, 0..timed.len(), threads);
             prop_assert!(same_routing(&r, &serial), "route at {} threads", threads);
+        }
+
+        // Windows: the drawn cut points (empty windows included) plus a
+        // one-query window at the front.
+        cuts.extend([0, 1, timed.len()]);
+        cuts.sort_unstable();
+        for threads in [1usize, 3] {
+            let mut joined = Routing {
+                shards: vec![Vec::new(); n_shards as usize],
+                fragments_of: Vec::new(),
+                assignments_of: Vec::new(),
+                cross_shard_queries: 0,
+                total_assignments: 0,
+            };
+            for w in cuts.windows(2) {
+                let r = route_window(partition, &elastic, entries, w[0]..w[1], threads);
+                for (stream, part) in joined.shards.iter_mut().zip(r.shards) {
+                    stream.extend(part);
+                }
+                joined.fragments_of.extend(r.fragments_of);
+                joined.assignments_of.extend(r.assignments_of);
+                joined.cross_shard_queries += r.cross_shard_queries;
+                joined.total_assignments += r.total_assignments;
+            }
+            prop_assert!(same_routing(&joined, &serial), "windows {:?} at {} threads", cuts, threads);
         }
     }
 }
@@ -327,6 +361,73 @@ proptest! {
             );
             let plain = static_rt.run(&timed, &mut |_| policy(kind), ExecMode::Stepped);
             prop_assert_eq!(fp(&stepped.global), fp(&plain.global));
+        }
+    }
+
+    /// Composition: rebalancing (off, 2 s or 5 s epochs) × random crash
+    /// schedules × failover on/off × schedulers. Epoch boundaries, outage
+    /// edges and re-deliveries all close windows of one run, so threaded
+    /// matches stepped bit for bit — globally, per shard, and in both
+    /// decision logs — and every class balances its books.
+    #[test]
+    fn rebalance_and_crashes_compose_deterministically(
+        seed in 0u64..10_000,
+        n_shards in 2u32..6,
+        kind in 0u8..4,
+        epoch in 0usize..3,
+        n_outages in 0usize..3,
+        failover in proptest::bool::ANY,
+        down_s in 1u64..20,
+        len_s in 1u64..15,
+        rate_deci in 5u64..40,
+    ) {
+        let (catalog, timed) = fixture(seed, 24, rate_deci as f64 / 10.0);
+        let mut config = RuntimeConfig::contiguous(SimConfig::paper(), n_shards);
+        let epoch_s = [0, 2, 5][epoch];
+        if epoch_s > 0 {
+            config.rebalance = RebalanceConfig::every(SimDuration::from_secs(epoch_s));
+            config.rebalance.min_imbalance = 1.05;
+        }
+        if failover {
+            config.failover = FailoverConfig::recovery();
+        }
+        config.faults.outages = (0..n_outages)
+            .map(|i| {
+                let down = SimTime::ZERO + SimDuration::from_secs(down_s + 5 * i as u64);
+                ShardOutage {
+                    shard: i as u32 % n_shards,
+                    down_at: down,
+                    up_at: down + SimDuration::from_secs(len_s),
+                }
+            })
+            .collect();
+        let rt = ShardedRuntime::new(&catalog, config);
+        let stepped = rt.run(&timed, &mut |_| policy(kind), ExecMode::Stepped);
+        let threaded = rt.run(&timed, &mut |_| policy(kind), ExecMode::Threaded);
+
+        prop_assert_eq!(fp(&stepped.global), fp(&threaded.global));
+        for (a, b) in stepped.shards.iter().zip(&threaded.shards) {
+            prop_assert_eq!(fp(&a.report), fp(&b.report));
+            prop_assert_eq!(a.admission, b.admission);
+        }
+        prop_assert_eq!(&stepped.rebalance, &threaded.rebalance);
+        prop_assert_eq!(&stepped.failover, &threaded.failover);
+
+        // Per-class books: completed + rejected == submitted.
+        match &stepped.failover {
+            Some(fo) => {
+                let mut submitted = 0u64;
+                for c in &fo.per_class {
+                    prop_assert_eq!(c.submitted, c.completed + c.rejected, "{:?} class", c.class);
+                    submitted += c.submitted;
+                }
+                prop_assert_eq!(submitted, timed.len() as u64);
+                prop_assert_eq!(
+                    stepped.global.outcomes.len() + fo.rejected.len(),
+                    timed.len()
+                );
+            }
+            None => prop_assert_eq!(stepped.global.outcomes.len(), timed.len()),
         }
     }
 

@@ -3,9 +3,9 @@
 //! Partitions the bucket space across four shards (each with its own
 //! workload table, 20-bucket cache, and greedy LifeRaft scheduler), routes
 //! a hotspot workload through the front-end with per-shard backpressure,
-//! and runs the same configuration through both executors — the
-//! deterministic stepped virtual-time merge and one OS thread per shard —
-//! proving they produce bit-identical results. Turns on epoch-boundary
+//! and runs the same configuration in both execution modes — the one
+//! window loop advancing its workers in a plain loop, or on one OS thread
+//! per shard — proving they produce bit-identical results. Turns on epoch-boundary
 //! rebalancing and prints every epoch's load sample and bucket migrations.
 //! Then drives a parallel α sweep and a shard-count sweep over the same
 //! pool.
@@ -43,7 +43,7 @@ fn main() {
     let threaded = runtime.run(&timed, &mut mk, ExecMode::Threaded);
     assert_eq!(
         stepped.global.outcomes, threaded.global.outcomes,
-        "threaded execution must be bit-identical to the stepped merge"
+        "threaded execution must be bit-identical to the stepped run"
     );
     assert_eq!(stepped.global.batches, threaded.global.batches);
 
@@ -80,9 +80,9 @@ fn main() {
 
     // 3. The same pool, elastic: every 30 virtual seconds a rebalance
     //    controller inspects per-shard backlog and migrates hot buckets
-    //    from the most- to the least-loaded shard. Decisions are made in
-    //    the stepped merge, and an elastic run is that one pass whichever
-    //    mode is asked for, so the modes stay bit-identical.
+    //    from the most- to the least-loaded shard. Epoch boundaries close
+    //    the windows of the run; between them the shards advance on their
+    //    own threads in threaded mode, so the modes stay bit-identical.
     let mut elastic_cfg = config;
     elastic_cfg.rebalance = RebalanceConfig::every(SimDuration::from_secs(30));
     elastic_cfg.rebalance.min_imbalance = 1.05;
@@ -129,8 +129,9 @@ fn main() {
     // 4. The overload front door under a flash crowd: the same pool fronted
     //    by a global admission controller that bounds in-flight work,
     //    classifies queries by routed size, and degrades in order — queue,
-    //    shed batch work into backoff, reject. Like rebalancing, the door
-    //    decides in the one stepped merge whichever mode is asked for.
+    //    shed batch work into backoff, reject. The door reads capacity
+    //    before every shard step, so its windows are one step each, on the
+    //    calling thread whichever mode is asked for.
     let flash = build_scenario(
         ScenarioKind::FlashCrowd,
         &ScenarioScale {
