@@ -154,8 +154,9 @@ impl Default for RebalanceConfig {
 /// pure function of each shard's own fragment stream and threaded
 /// execution remains bit-identical to the stepped run. Link faults
 /// degrade the router↔shard hop itself and are consumed by the transport
-/// planner ([`RuntimeConfig::transport`]), which resolves every drop,
-/// delay, duplication, and reordering draw *before* execution.
+/// controller ([`RuntimeConfig::transport`]), which resolves every drop,
+/// delay, duplication, and reordering draw of a fragment as its window
+/// routes — a pure function of the fragment.
 ///
 /// # Which fault combinations compose
 ///
@@ -424,9 +425,10 @@ impl RuntimeConfig {
                     || self.failover.enabled
                     || !self.faults.outages.is_empty())),
             "the transport controller cannot be combined with the front \
-             door, rebalancing, or outage failover yet: its delivery plan is \
-             resolved up front, keyed on the static routing (stalls compose; \
-             see FaultPlan)"
+             door, rebalancing, or outage failover yet: a fragment delayed in \
+             flight can cross an epoch move or an outage edge that migration \
+             and failover's intercept never see (stalls compose; see \
+             FaultPlan)"
         );
         assert!(
             self.faults.links.is_empty() || self.transport.enabled,
@@ -442,14 +444,14 @@ impl RuntimeConfig {
 pub enum ExecMode {
     /// Every run is one window loop: route the arrivals before the next
     /// control instant (outage edge, epoch boundary, re-delivery, front-door
-    /// pass), advance every worker up to it, fire its handlers. Stepped
-    /// advances a window's workers in a plain loop on the calling thread.
-    /// Pinnable by golden tests; the reference semantics.
+    /// pass, hedge check), advance every worker up to it, fire its handlers.
+    /// Stepped advances a window's workers in a plain loop on the calling
+    /// thread. Pinnable by golden tests; the reference semantics.
     Stepped,
-    /// Advances a window's workers on one scoped `std::thread` each: a
-    /// static or transport-routed run is one window to the end of the trace,
-    /// rebalancing and failover runs get threads window by window, and the
-    /// front door's one-step windows stay on the calling thread.
+    /// Advances a window's workers on one scoped `std::thread` each: a run
+    /// without control instants is one window to the end of the trace,
+    /// rebalancing, failover and hedging runs get threads window by window,
+    /// and the front door's one-step windows stay on the calling thread.
     /// Bit-identical to [`Stepped`](Self::Stepped): workers share nothing
     /// inside a window and meet only at handler instants and in aggregation.
     Threaded,

@@ -24,8 +24,8 @@
 //!   the elastic rebalancer may hand buckets back at later epoch
 //!   boundaries.
 //!
-//! Every decision is made once, by the crash handler of the stepped driver
-//! (`runtime::drive`), and recorded into a [`FailoverLog`]; each down
+//! Every decision is made once, by the crash handler at a barrier of the
+//! runtime's window loop, and recorded into a [`FailoverLog`]; each down
 //! edge's evacuations are applied in place as one round.
 
 use liferaft_storage::{BucketId, SimDuration, SimTime};

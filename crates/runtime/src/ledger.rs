@@ -5,11 +5,10 @@
 //! pool's **canonical order** interleaves them by `(shard running clock,
 //! shard id, shard record order)` — independent of how the shards were
 //! driven, which is what makes stepped and threaded runs bit-identical.
-//! `merged_completions` computes that stream once per pool, for the hedge
-//! races, the hedge planner (over the reference pool) and the `Ledger`,
-//! which answers per query *which way it ended*: completed (first and last
-//! fragment instants) or rejected (by which controller, when, after how
-//! many attempts) — exactly one of the two.
+//! `merged_completions` computes that stream once per run, for the hedge
+//! races and the `Ledger`, which answers per query *which way it ended*:
+//! completed (first and last fragment instants) or rejected (by which
+//! controller, when, after how many attempts) — exactly one of the two.
 
 use std::collections::HashMap;
 

@@ -15,7 +15,8 @@
 //! Every run is one window loop (`docs/ARCHITECTURE.md`, "One run path":
 //! route window → advance → fire → finish). Shards interact only at control
 //! instants — outage edges, epoch boundaries, re-deliveries, front-door
-//! passes — where every controller below plugs in as a handler, the only
+//! passes, hedge checks — where every controller below plugs in as a
+//! handler, the only
 //! place decisions are made. Each window routes the arrivals before its
 //! instant, then advances the workers up to it: [`ExecMode::Stepped`] in a
 //! plain loop, [`ExecMode::Threaded`] on one `std::thread` per worker. The
@@ -71,7 +72,7 @@
 //! | module | contents |
 //! |---|---|
 //! | [`shard`] | shard identity, bucket → shard maps (contiguous / hashed / elastic) |
-//! | [`router`] | query → per-shard fragment routing (up front, or arrival by arrival) |
+//! | [`router`] | query → per-shard fragment routing, one window of arrivals at a time |
 //! | [`worker`] | the per-shard admission-controlled serving loop |
 //! | [`rebalance`] | the epoch decision log and the greedy migration planner |
 //! | [`failover`] | the crash/outage decision log: evacuations, re-deliveries, conservation |
@@ -79,7 +80,7 @@
 //! | [`ledger`] | the canonical completion merge and the per-query terminal ledger every report projects from |
 //! | [`retry`] | the shared bounded-retry schedule (failover + transport) |
 //! | [`transport`] | the lossy-link transport: retransmit, dedup, hedging |
-//! | [`runtime`] | the one run path: stepped driver + handlers, threaded fixed-stream pool, aggregation |
+//! | [`runtime`] | the one run path: the window loop, its barrier handlers, aggregation |
 //! | [`config`] | runtime + admission + rebalance + fault configuration, execution mode |
 //! | [`sweep`] | the deterministic parallel sweep driver |
 

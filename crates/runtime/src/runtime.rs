@@ -6,10 +6,10 @@
 //! the same (catalog, config, trace, scheduler factory):
 //!
 //! - Shards interact only at control instants (an outage edge, an epoch
-//!   boundary, a re-delivery, a front-door pass). Between two of them each
-//!   shard is a pure function of its own fragment stream (admission is
-//!   shard-local), so the modes differ only in whether a window's workers
-//!   advance in a loop or on one scoped thread each.
+//!   boundary, a re-delivery, a front-door pass, a hedge check). Between
+//!   two of them each shard is a pure function of its own fragment stream
+//!   (admission is shard-local), so the modes differ only in whether a
+//!   window's workers advance in a loop or on one scoped thread each.
 //! - Routing a window's arrivals when the window opens is unobservable: a
 //!   fragment stays invisible to its shard until its release.
 //! - Aggregation merges per-shard completion streams in the canonical
@@ -22,8 +22,9 @@
 //! `docs/ARCHITECTURE.md`, "route window → advance → fire → finish"):
 //! `spawn` makes the workers, `execute` is the one window loop the
 //! controllers plug into as barrier handlers, and `finish` folds the
-//! finished pool and the decision logs into the report. A static or
-//! transport-routed run is one window that reaches the end of the trace.
+//! finished pool and the decision logs into the report. A run with no
+//! control instant (static, or transport without hedging) is one window
+//! that reaches the end of the trace.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -46,7 +47,7 @@ use crate::rebalance::{plan_moves, EpochRecord, Migration, RebalanceLog};
 use crate::retry::RetryPolicy;
 use crate::router::{route_window, Fragment, Routing};
 use crate::shard::{ElasticShardMap, ShardId, ShardMap};
-use crate::transport::{plan_delivery, plan_hedges, resolve_hedges, DeliveryPlan, TransportReport};
+use crate::transport::{resolve_hedges, DeliveryPlan, Hedges, TransportReport};
 use crate::worker::{Round, ShardRun, ShardWorker};
 
 /// The outcome of one sharded runtime execution.
@@ -157,12 +158,8 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
     /// Replays `trace`, scheduling shard `i` with `mk_scheduler(i)`.
     ///
     /// The run is one window loop whatever `mode` asks for: arrivals route
-    /// window by window between control instants (the transport controller
-    /// routes the whole trace up front and adjusts it before anything runs),
-    /// and `mode` picks how a window's workers advance. The factory is
-    /// invoked once per shard — twice for a hedged transport run, whose
-    /// reference pass plans the hedges — and must keep returning equivalent
-    /// schedulers.
+    /// window by window between control instants, and `mode` picks how a
+    /// window's workers advance. The factory is invoked once per shard.
     ///
     /// # Panics
     /// Panics if any shard's scheduler violates its contract, or if the run
@@ -180,40 +177,23 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
             .map(|(i, (_, q))| (q.id, i))
             .collect();
         let mut ctl = self.controllers(entries, mode);
-        let mut streams = vec![Vec::new(); self.config.n_shards as usize];
-        if self.config.transport.enabled {
-            let mut routing = ctl.route(entries.len());
-            let delivery =
-                self.plan_transport(entries, &index_of, &mut routing, mk_scheduler, mode);
-            ctl.plan.transport = Some(delivery);
-            ctl.plan.record(&routing);
-            streams = routing.shards;
-        }
-        let mut pool = self.spawn(entries, streams, mk_scheduler);
+        let mut pool = self.spawn(entries, mk_scheduler);
         execute(&mut pool, &mut ctl, mode);
         self.finish(entries, &index_of, pool, ctl.into_plan())
     }
 
-    /// The one place workers are made: shard `i` serves `streams[i]` under
-    /// `mk_scheduler(i)`.
+    /// The one place workers are made: shard `i` runs under
+    /// `mk_scheduler(i)`, and the window loop hands it its fragments.
     fn spawn<'w>(
         &'w self,
         entries: &'w [(SimTime, CrossMatchQuery)],
-        streams: Vec<Vec<Fragment>>,
         mk_scheduler: &mut dyn FnMut(usize) -> Box<dyn Scheduler + Send>,
     ) -> Vec<ShardWorker<'w, C>> {
-        streams
-            .into_iter()
-            .enumerate()
-            .map(|(i, fragments)| {
-                ShardWorker::new(
-                    ShardId(i as u32),
-                    self.catalog,
-                    &self.config,
-                    entries,
-                    fragments,
-                    mk_scheduler(i),
-                )
+        let config = &self.config;
+        (0..config.n_shards)
+            .map(|i| {
+                let scheduler = mk_scheduler(i as usize);
+                ShardWorker::new(ShardId(i), self.catalog, config, entries, scheduler)
             })
             .collect()
     }
@@ -239,6 +219,7 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
             .then(|| Outages::new(cfg.failover, &cfg.faults.outages, entries.len()));
         Controllers {
             partition: self.catalog.partition(),
+            config: cfg,
             entries,
             threads: self.route_threads(mode),
             routed: 0,
@@ -250,73 +231,19 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
                 .front_door
                 .enabled
                 .then(|| FrontDoor::new(cfg.front_door, entries.len(), n)),
-            plan: Plan::default(),
+            hedges: cfg
+                .transport
+                .hedge
+                .enabled
+                .then(|| Hedges::new(cfg.transport.hedge, n)),
+            plan: Plan {
+                transport: cfg
+                    .transport
+                    .enabled
+                    .then(|| DeliveryPlan::new(entries.len())),
+                ..Plan::default()
+            },
         }
-    }
-
-    /// The transport routing pre-pass: resolve every fragment's retransmit
-    /// chain against the link-fault windows *up-front* ([`plan_delivery`] —
-    /// a pure function of the routing, the windows, and the seed), so the
-    /// whole delivery schedule (effective delivery instants, terminal
-    /// rejections, hedge copies) is fixed before any shard runs and both
-    /// executors consume identical fragment streams under arbitrary loss.
-    ///
-    /// With hedging enabled a *reference pass* (no hedges, in the run's
-    /// mode) runs first to observe per-class response distributions and per-shard load;
-    /// [`plan_hedges`] derives the hedge plan from it and the hedge copies
-    /// join the routing. The final pass races each copy against its
-    /// original — the first completion in the canonical merge order wins,
-    /// the loser is suppressed from aggregation exactly like a network
-    /// duplicate.
-    fn plan_transport(
-        &self,
-        entries: &[(SimTime, CrossMatchQuery)],
-        index_of: &HashMap<QueryId, usize>,
-        routing: &mut Routing,
-        mk_scheduler: &mut dyn FnMut(usize) -> Box<dyn Scheduler + Send>,
-        mode: ExecMode,
-    ) -> DeliveryPlan {
-        let tp = self.config.transport;
-        let faults = &self.config.faults;
-        let mut delivery = plan_delivery(&tp, faults, routing, entries.len());
-        if tp.hedge.enabled {
-            let mut reference = self.spawn(entries, routing.shards.clone(), mk_scheduler);
-            // The streams are fixed: one window, nothing left to route.
-            let mut inert = self.controllers(entries, mode);
-            inert.routed = entries.len();
-            execute(&mut reference, &mut inert, mode);
-            let reference: Vec<ShardRun> =
-                reference.into_iter().map(ShardWorker::into_run).collect();
-            delivery.log.hedges = plan_hedges(
-                &tp.hedge,
-                faults,
-                routing,
-                &delivery.rejected,
-                &merged_completions(&reference, index_of),
-            );
-            // Push every copy, then restore release order once per touched
-            // stream. The sort is stable, so a copy lands behind the
-            // fragments already released at its instant, copies of one
-            // instant in planning order.
-            let mut touched = vec![false; routing.shards.len()];
-            for h in &delivery.log.hedges {
-                let original = routing.shards[h.from as usize]
-                    .iter()
-                    .find(|f| f.query_index == h.query_index)
-                    .expect("a hedged fragment is still routed");
-                let copy = Fragment {
-                    release: h.delivered_at,
-                    ..original.clone()
-                };
-                routing.fragments_of[h.query_index] += 1;
-                routing.shards[h.to as usize].push(copy);
-                touched[h.to as usize] = true;
-            }
-            for (stream, _) in routing.shards.iter_mut().zip(touched).filter(|(_, t)| *t) {
-                stream.sort_by_key(|f| f.release);
-            }
-        }
-        delivery
     }
 
     /// The one tail of every run: folds the finished pool and the plan's
@@ -498,15 +425,16 @@ impl Plan {
 
 /// Controller event sources, in firing order at equal instants: a fault
 /// boundary changes the pool before an epoch samples it, both change the map
-/// before the arrivals of their instant route under it, and a re-delivery
-/// lands after those arrivals. (Validation keeps `Door` from meeting the
-/// others.)
+/// before the arrivals of their instant route under it, a re-delivery lands
+/// after those arrivals, and a hedge check reads the pool last. (Validation
+/// keeps `Door` and `Hedge` from meeting the others.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Source {
     Outage,
     Epoch,
     Redelivery,
     Door,
+    Hedge,
 }
 
 /// The handlers of one run and the routing state they share. Each handler
@@ -514,6 +442,7 @@ enum Source {
 /// they produce together.
 struct Controllers<'a> {
     partition: &'a Partition,
+    config: &'a RuntimeConfig,
     entries: &'a [(SimTime, CrossMatchQuery)],
     /// Pre-processing threads of the window routing.
     threads: usize,
@@ -529,6 +458,7 @@ struct Controllers<'a> {
     epochs: Option<Epochs>,
     outages: Option<Outages>,
     door: Option<FrontDoor>,
+    hedges: Option<Hedges>,
     plan: Plan,
 }
 
@@ -563,6 +493,10 @@ impl Controllers<'_> {
             stamp(door, Source::Door),
             stamp(outages.and_then(Outages::next_edge), Source::Outage),
             stamp(outages.and_then(Outages::next_retry), Source::Redelivery),
+            stamp(
+                self.hedges.as_ref().and_then(Hedges::next_check),
+                Source::Hedge,
+            ),
         ]
         .into_iter()
         .flatten()
@@ -582,9 +516,11 @@ impl Controllers<'_> {
     /// Opens a window: routes every arrival before the next control instant
     /// under the live map and up-mask (which change only at those instants)
     /// and hands the fragments to the workers — except what failover
-    /// intercepts on the way into a dead shard. Returns that instant, shrunk
-    /// by any re-delivery deadline the routing itself created. The door
-    /// routes its arrivals itself, as it registers them.
+    /// intercepts on the way into a dead shard, and with the release each
+    /// transport chain resolves to (or not at all, when it is lost). Returns
+    /// that instant, shrunk by any re-delivery deadline or hedge check the
+    /// routing itself created. The door routes its arrivals itself, as it
+    /// registers them.
     fn route_window<C: Catalog + ?Sized>(
         &mut self,
         workers: &mut [ShardWorker<'_, C>],
@@ -613,7 +549,14 @@ impl Controllers<'_> {
             if let Some(outages) = self.outages.as_mut().filter(|o| o.cfg.enabled) {
                 outages.intercept(&self.up, &mut routing.shards);
             }
+            if let Some(delivery) = self.plan.transport.as_mut() {
+                let cfg = self.config;
+                delivery.deliver(&cfg.transport, &cfg.faults, &mut routing);
+            }
             self.plan.record(&routing);
+            if let (Some(hedges), Some(delivery)) = (self.hedges.as_mut(), &self.plan.transport) {
+                hedges.track(&routing, &self.plan.assignments_of, &delivery.rejected);
+            }
             for (w, stream) in workers.iter_mut().zip(routing.shards) {
                 w.append_fragments(stream);
             }
@@ -655,6 +598,11 @@ impl Controllers<'_> {
                 outages.redeliver(workers, &self.up, &mut self.plan.total_fragments);
             }
             Source::Door => self.door_pass(workers, t),
+            Source::Hedge => {
+                let hedges = self.hedges.as_mut().expect(plugged);
+                let total_fragments = &mut self.plan.total_fragments;
+                hedges.fire(t, workers, &self.up, &self.config.faults, total_fragments);
+            }
         }
     }
 
@@ -719,10 +667,12 @@ impl Controllers<'_> {
 
     /// Finishes the run: every handler hands over its log.
     fn into_plan(self) -> Plan {
+        let hedges = self.hedges.map_or_else(Vec::new, |h| h.log);
         Plan {
             rebalance: self.epochs.map(|e| e.log),
             admission: self.door.map(FrontDoor::into_log),
             failover: self.outages.map(Outages::into_log),
+            transport: self.plan.transport.map(|d| d.seal(hedges)),
             ..self.plan
         }
     }
@@ -1827,6 +1777,54 @@ mod tests {
         }
     }
 
+    /// Hedge thresholds come from the responses seen so far, never from the
+    /// run's future, so cutting the trace changes no earlier hedge.
+    #[test]
+    fn hedges_before_an_instant_see_only_earlier_arrivals() {
+        use crate::transport::{HedgeDecision, TransportConfig};
+        use liferaft_sim::ShardSlowdown;
+        use liferaft_storage::SimDuration;
+        let (cat, timed) = fixture(48, 1.0);
+        let mut config = RuntimeConfig::contiguous(SimConfig::paper(), 4);
+        config.transport = TransportConfig::hedged();
+        config.transport.hedge.min_samples = 4;
+        config.transport.hedge.latency_multiplier = 1.3;
+        config.transport.hedge.min_age = SimDuration::from_millis(100);
+        config.faults.links = flaky_links();
+        config.faults.stalls.push(ShardSlowdown {
+            shard: 0,
+            from: SimTime::ZERO,
+            until: SimTime::ZERO + SimDuration::from_secs(1_000_000),
+            factor: 8.0,
+        });
+        let rt = ShardedRuntime::new(&cat, config);
+        let hedges = |trace: &TimedTrace| {
+            let report = rt.run(trace, &mut |_| greedy(), ExecMode::Stepped);
+            report.transport.expect("transport reports").log.hedges
+        };
+        let full = hedges(&timed);
+        // Cut the trace before each arrival instant `T`: what the pool did
+        // before `T` cannot depend on the arrivals from `T` on, so neither
+        // may the hedges decided before `T`.
+        let entries = timed.entries();
+        let mut compared = 0;
+        for k in 1..entries.len() {
+            let cut_at = entries[k].0;
+            let queries = entries[..k].iter().map(|(_, q)| q.clone()).collect();
+            let arrivals = entries[..k].iter().map(|e| e.0).collect();
+            let cut = hedges(&Trace::new(LEVEL, queries).with_arrivals(arrivals));
+            let before = |h: &&HedgeDecision| h.at < cut_at;
+            let want: Vec<_> = full.iter().filter(before).collect();
+            assert_eq!(
+                cut.iter().filter(before).collect::<Vec<_>>(),
+                want,
+                "cut at {k}"
+            );
+            compared += want.len();
+        }
+        assert!(compared > 0, "no hedge fired before the last arrival");
+    }
+
     #[test]
     fn shards_crashing_at_one_instant_evacuate_in_sequence() {
         use crate::failover::FailoverConfig;
@@ -1902,8 +1900,7 @@ mod tests {
             let rt = ShardedRuntime::new(&cat, config);
             let entries = timed.entries();
             let mut ctl = rt.controllers(entries, mode);
-            let unrouted = vec![Vec::new(); n_shards as usize];
-            let mut pool = rt.spawn(entries, unrouted, &mut |_| greedy());
+            let mut pool = rt.spawn(entries, &mut |_| greedy());
             execute(&mut pool, &mut ctl, mode);
             let streams: Vec<Vec<Fragment>> =
                 pool.into_iter().map(ShardWorker::into_fragments).collect();
@@ -1970,8 +1967,6 @@ mod tests {
         });
         let mut door = base.clone();
         door.front_door = FrontDoorConfig::bounded(60);
-        // Hedging keeps its reference pass: one scheduler per shard for it,
-        // one per shard for the final pass.
         let mut hedged = base;
         hedged.transport = TransportConfig::hedged();
         // The door steps one worker per window on the calling thread; every
@@ -1980,7 +1975,7 @@ mod tests {
             ("rebalance", rebalance, 3, true),
             ("crash", crash, 3, true),
             ("front door", door, 3, false),
-            ("hedged transport", hedged, 6, true),
+            ("hedged transport", hedged, 3, true),
         ] {
             let rt = ShardedRuntime::new(&cat, config);
             let stepped = rt.run(&timed, &mut |_| greedy(), ExecMode::Stepped);

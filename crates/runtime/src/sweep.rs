@@ -54,19 +54,8 @@ where
         }
     });
     drop(tx);
-    collect_indexed(rx, n)
-}
-
-/// Drains an `(index, value)` channel into a dense, index-ordered vector —
-/// the re-ordering tail shared by [`parallel_map`] and the threaded shard
-/// executor. All senders must be dropped before calling (the drain runs to
-/// channel disconnect).
-///
-/// # Panics
-/// Panics if any of the `n` indices never arrives (a worker died without
-/// reporting).
-pub(crate) fn collect_indexed<T>(rx: mpsc::Receiver<(usize, T)>, n: usize) -> Vec<T> {
-    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    // Every sender is gone: the drain runs to disconnect, then re-orders.
+    let mut slots: Vec<Option<O>> = (0..n).map(|_| None).collect();
     for (i, out) in rx {
         debug_assert!(slots[i].is_none(), "job {i} completed twice");
         slots[i] = Some(out);

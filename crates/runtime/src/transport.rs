@@ -15,14 +15,14 @@
 //!
 //! Every random decision is a pure function of
 //! `(seed, query_index, shard, attempt, stream)` through SplitMix64 — no
-//! RNG state threads through execution. The whole delivery schedule is
-//! *planned once*, before any shard executes, into a [`TransportLog`]:
-//! per-fragment retransmit chains resolve to either an effective delivery
-//! instant (the earliest surviving copy) or a terminal rejection, and the
-//! executed routing simply carries the adjusted release times. Stepped and
-//! threaded execution serve those fixed streams, so they stay bit-identical
-//! by construction; with no link windows the chains are the identity
-//! function and the run is bit-identical to the transport-disabled runtime.
+//! RNG state threads through execution — so a fragment's retransmit chain
+//! is a pure function of the fragment. The window loop resolves the chains
+//! of each window as it routes it: every fragment either carries its
+//! effective delivery instant (the earliest surviving copy) as its release,
+//! or is lost and rejects its query. Stepped and threaded execution route
+//! identical windows, so they stay bit-identical by construction; with no
+//! link windows the chains are the identity function and the run is
+//! bit-identical to the transport-disabled runtime.
 //!
 //! # The ack model
 //!
@@ -40,19 +40,26 @@
 //!
 //! # Straggler hedging
 //!
-//! With [`HedgeConfig::enabled`] the planner additionally re-issues
-//! fragments that lag the observed per-class fragment response quantile by
-//! a configurable multiple: it simulates the no-hedge plan once (a stepped
-//! reference pass), measures per-class response distributions, and plans a
-//! hedge copy — to the least-loaded shard *not already hosting the query* —
-//! for every fragment whose response exceeded its class threshold. The
-//! copy races the original; the first completion wins and the loser is
-//! suppressed exactly like a network duplicate, so hedging trades duplicate
-//! *work* for tail latency without ever double-counting a query.
+//! With [`HedgeConfig::enabled`] a hedge handler joins the window loop, and
+//! its checks are barriers. At a check `t` it reads every fragment
+//! completion the pool recorded by `t` (each shard's running clock, as in
+//! the canonical merge) into per-class response samples, then re-issues
+//! every outstanding fragment that lags its class — older than
+//! `latency_multiplier ×` the class's response quantile, floored at
+//! `min_age` — to the least-loaded live shard *not already hosting the
+//! query*. The next check is the earliest instant an outstanding fragment
+//! falls due, so the hedges before any instant depend only on the arrivals
+//! before it: a threshold comes from the responses seen so far, never from
+//! the run's future. The copy races the original; the first completion wins
+//! and the loser is suppressed exactly like a network duplicate, so hedging
+//! trades duplicate *work* for tail latency without ever double-counting a
+//! query.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 use liferaft_catalog::hash::{hash4, unit_f64};
+use liferaft_catalog::Catalog;
+use liferaft_query::QueryId;
 use liferaft_sim::LinkDirection;
 use liferaft_storage::{SimDuration, SimTime};
 use liferaft_telemetry::{Event, EventKind};
@@ -61,7 +68,8 @@ use crate::admission::QueryClass;
 use crate::config::FaultPlan;
 use crate::ledger::{ClassConservation, Completion, RejectedQuery};
 use crate::retry::RetryPolicy;
-use crate::router::Routing;
+use crate::router::{Fragment, Routing};
+use crate::worker::ShardWorker;
 
 /// Draw-stream tags: one independent SplitMix64 stream per decision kind,
 /// all keyed by `(seed, query_index, shard·attempt)`.
@@ -85,7 +93,8 @@ pub struct HedgeConfig {
     /// Observed responses a class needs before its quantile is trusted.
     pub min_samples: usize,
     /// Floor on the hedge threshold — never hedge a fragment younger than
-    /// this, however fast its class looks.
+    /// this, however fast its class looks. Also the spacing of re-checks
+    /// while a class has fewer than `min_samples` responses.
     pub min_age: SimDuration,
     /// Budget on hedge copies per run.
     pub max_hedges: usize,
@@ -249,10 +258,11 @@ pub struct SuppressedDuplicate {
     pub attempt: u32,
 }
 
-/// One planned hedge: a straggling fragment re-issued to another shard.
+/// One hedge: a straggling fragment re-issued to another shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HedgeDecision {
-    /// When the router decided to hedge (arrival + class threshold).
+    /// The hedge check (a window-loop barrier) at which the fragment was
+    /// due: at or after its arrival plus its class threshold.
     pub at: SimTime,
     /// Trace index of the straggling query.
     pub query_index: usize,
@@ -268,9 +278,9 @@ pub struct HedgeDecision {
     pub delivered_at: SimTime,
 }
 
-/// The transport decision log of one run: every drop, retransmission,
-/// suppression, and hedge the planner resolved — computed once, before any
-/// shard executes, and identical across execution modes.
+/// The transport decision log of one run: every drop, retransmission and
+/// suppression its routed windows resolved, and every hedge its checks
+/// issued — identical across execution modes.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct TransportLog {
     /// Lost messages, in `(at, query, shard)` order.
@@ -346,7 +356,7 @@ impl TransportLog {
 /// outcome.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransportReport {
-    /// The decision log, fixed before any shard ran.
+    /// The decision log.
     pub log: TransportLog,
     /// Queries rejected because a fragment exhausted its retransmission
     /// budget with no copy delivered, in trace order.
@@ -367,11 +377,11 @@ impl TransportReport {
     }
 }
 
-/// The resolved delivery plan: the decision log (hedges still empty) and
-/// the per-query rejections.
-#[derive(Debug, Clone, Default)]
+/// The transport's books of one run: the decision log and the per-query
+/// rejections, filled window by window.
+#[derive(Debug, Clone)]
 pub(crate) struct DeliveryPlan {
-    /// Drops / retransmits / suppressions (hedges are planned separately).
+    /// Drops / retransmits / suppressions (hedges join at [`seal`](Self::seal)).
     pub log: TransportLog,
     /// Per trace index: `Some` when a fragment of the query exhausted its
     /// budget undelivered — when the last losing chain gave up, and the
@@ -380,6 +390,67 @@ pub(crate) struct DeliveryPlan {
 }
 
 impl DeliveryPlan {
+    /// Empty books over a trace of `trace_len` queries.
+    pub(crate) fn new(trace_len: usize) -> Self {
+        DeliveryPlan {
+            log: TransportLog::default(),
+            rejected: vec![None; trace_len],
+        }
+    }
+
+    /// Resolves the retransmit chain of every fragment in one routed window
+    /// and rewrites the window into what the shards receive: a surviving
+    /// fragment carries its effective delivery instant as `release` (the
+    /// worker merges it into its stream by release), a lost one leaves the
+    /// window and marks its query rejected.
+    ///
+    /// With no link-fault windows every chain is the identity — the window
+    /// is left untouched and the log stays empty, which is what makes the
+    /// enabled-but-fault-free transport bit-identical to the static runtime.
+    pub(crate) fn deliver(
+        &mut self,
+        cfg: &TransportConfig,
+        faults: &FaultPlan,
+        routing: &mut Routing,
+    ) {
+        for (shard, fragments) in routing.shards.iter_mut().enumerate() {
+            fragments.retain_mut(|f| {
+                let (q, shard) = (f.query_index, shard as u32);
+                let outcome = plan_chain(
+                    cfg,
+                    faults,
+                    q,
+                    shard,
+                    f.release,
+                    f.assignments,
+                    &mut self.log,
+                );
+                if let Some(at) = outcome.delivered_at {
+                    f.release = at;
+                    return true;
+                }
+                let (at, spent) = self.rejected[q].unwrap_or_default();
+                self.rejected[q] =
+                    Some((at.max(outcome.gave_up_at), spent.max(outcome.retransmits)));
+                false
+            });
+        }
+    }
+
+    /// Closes the books: the log in canonical order (time, then fragment
+    /// identity) with `hedges` in decision order.
+    pub(crate) fn seal(mut self, hedges: Vec<HedgeDecision>) -> Self {
+        let log = &mut self.log;
+        log.drops
+            .sort_unstable_by_key(|d| (d.at, d.query_index, d.shard, d.direction as u8, d.attempt));
+        log.retransmits
+            .sort_unstable_by_key(|r| (r.at, r.query_index, r.shard, r.attempt));
+        log.suppressed
+            .sort_unstable_by_key(|s| (s.at, s.query_index, s.shard, s.attempt));
+        log.hedges = hedges;
+        self
+    }
+
     /// The queries the plan rejected, in trace order: `(trace index, when,
     /// retransmissions spent)`.
     pub(crate) fn rejections(&self) -> impl Iterator<Item = (usize, SimTime, u32)> + '_ {
@@ -501,209 +572,163 @@ fn plan_chain(
     }
 }
 
-/// Resolves every fragment's retransmit chain and rewrites `routing` into
-/// the *delivered* plan: surviving fragments carry their effective delivery
-/// instant as `release` (per-shard streams re-sorted by release, stable),
-/// lost fragments leave the stream and mark their query rejected.
-///
-/// With no link-fault windows every chain is the identity — the routing is
-/// returned untouched and the log comes back empty, which is what makes the
-/// enabled-but-fault-free transport bit-identical to the static runtime.
-pub(crate) fn plan_delivery(
-    cfg: &TransportConfig,
-    faults: &FaultPlan,
-    routing: &mut Routing,
-    trace_len: usize,
-) -> DeliveryPlan {
-    let mut plan = DeliveryPlan {
-        log: TransportLog::default(),
-        rejected: vec![None; trace_len],
-    };
-    for (shard, fragments) in routing.shards.iter_mut().enumerate() {
-        let mut any_adjusted = false;
-        fragments.retain_mut(|f| {
-            let outcome = plan_chain(
-                cfg,
-                faults,
-                f.query_index,
-                shard as u32,
-                f.release,
-                f.assignments,
-                &mut plan.log,
-            );
-            match outcome.delivered_at {
-                Some(at) => {
-                    any_adjusted |= at != f.release;
-                    f.release = at;
-                    true
-                }
-                None => {
-                    let q = f.query_index;
-                    let (at, spent) = plan.rejected[q].unwrap_or_default();
-                    let worst = (at.max(outcome.gave_up_at), spent.max(outcome.retransmits));
-                    plan.rejected[q] = Some(worst);
-                    routing.fragments_of[q] -= 1;
-                    false
-                }
-            }
-        });
-        if any_adjusted {
-            // Delays can reorder deliveries; the worker consumes its stream
-            // in release order. Stable, so equal releases keep arrival
-            // order — and a delay-free plan keeps the routing bit-identical.
-            fragments.sort_by_key(|f| f.release);
-        }
-    }
-    // Canonical log order for pinning: time, then fragment identity.
-    plan.log
-        .drops
-        .sort_unstable_by_key(|d| (d.at, d.query_index, d.shard, d.direction as u8, d.attempt));
-    plan.log
-        .retransmits
-        .sort_unstable_by_key(|r| (r.at, r.query_index, r.shard, r.attempt));
-    plan.log
-        .suppressed
-        .sort_unstable_by_key(|s| (s.at, s.query_index, s.shard, s.attempt));
-    plan
+/// The hedge handler of the window loop (see the module docs, "Straggler
+/// hedging"). A fragment is *outstanding* while it bears work, its query
+/// was not rejected, it was not hedged, and no check has seen it complete.
+pub(crate) struct Hedges {
+    cfg: HedgeConfig,
+    /// Per routed query: its class (default thresholds on routed workload).
+    class_of: HashMap<QueryId, QueryClass>,
+    /// Per class: outstanding fragments as `(arrival, query, shard)`.
+    outstanding: [BTreeSet<(SimTime, QueryId, u32)>; 3],
+    /// Per class: responses (s) of the work-bearing completions read, sorted.
+    samples: [Vec<f64>; 3],
+    /// Per shard: completions read so far, and the shard's running clock.
+    read: Vec<(usize, SimTime)>,
+    /// The latest check.
+    last: SimTime,
+    /// The hedges issued, in decision order.
+    pub(crate) log: Vec<HedgeDecision>,
 }
 
-/// Plans straggler hedges from the no-hedge reference pass (`reference` is
-/// its canonical merged completion stream): walks the observed per-fragment
-/// responses, derives per-class thresholds (`latency_multiplier ×` the class
-/// response quantile, floored at `min_age`; classes by the default
-/// thresholds on routed workload), and re-issues every delivered fragment
-/// that exceeded its threshold to the least-loaded shard not hosting its
-/// query at the hedge instant. Pure function of the adjusted routing and the
-/// reference pass, so both executors see the identical hedge plan.
-pub(crate) fn plan_hedges(
-    hedge: &HedgeConfig,
-    faults: &FaultPlan,
-    routing: &Routing,
-    rejected: &[Option<(SimTime, u32)>],
-    reference: &[Completion],
-) -> Vec<HedgeDecision> {
-    let n = routing.shards.len();
-    let class_of = |q: usize| QueryClass::of_default_thresholds(routing.assignments_of[q]);
-    // Per-fragment completion instants from the reference pass, keyed by
-    // (query, shard) — unique under the static map (no migration).
-    let mut completion: HashMap<(usize, u32), SimTime> = HashMap::new();
-    // Per-shard load timeline: +assignments at delivery, −assignments at
-    // completion (shard clock), prefix-summed for point queries.
-    let mut timeline: Vec<Vec<(SimTime, i64)>> = vec![Vec::new(); n];
-    for (shard, fragments) in routing.shards.iter().enumerate() {
-        for f in fragments {
-            timeline[shard].push((f.release, f.assignments as i64));
+impl Hedges {
+    pub(crate) fn new(cfg: HedgeConfig, n_shards: usize) -> Self {
+        Hedges {
+            cfg,
+            class_of: HashMap::new(),
+            outstanding: Default::default(),
+            samples: Default::default(),
+            read: vec![(0, SimTime::ZERO); n_shards],
+            last: SimTime::ZERO,
+            log: Vec::new(),
         }
     }
-    for c in reference {
-        completion.insert((c.index, c.shard), c.clock);
-        timeline[c.shard as usize].push((c.clock, -(c.assignments as i64)));
-    }
-    for t in &mut timeline {
-        t.sort_unstable_by_key(|&(at, delta)| (at, delta));
-        let mut acc = 0i64;
-        for e in t.iter_mut() {
-            acc += e.1;
-            e.1 = acc;
-        }
-    }
-    let load_at = |shard: usize, at: SimTime| -> i64 {
-        let t = &timeline[shard];
-        let k = t.partition_point(|&(time, _)| time <= at);
-        if k == 0 {
-            0
-        } else {
-            t[k - 1].1
-        }
-    };
 
-    // Per-class observed fragment responses (work-bearing fragments only:
-    // a zero-work marker completes at its arrival and would drag the
-    // quantile toward zero).
-    let mut samples: [Vec<f64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-    for (shard, fragments) in routing.shards.iter().enumerate() {
-        for f in fragments {
-            if f.assignments == 0 {
-                continue;
+    /// Tracks one routed window after transport resolved it: every
+    /// work-bearing fragment of a query not in `rejected` is outstanding.
+    /// `assignments_of` covers the trace routed so far.
+    pub(crate) fn track(
+        &mut self,
+        routing: &Routing,
+        assignments_of: &[u64],
+        rejected: &[Option<(SimTime, u32)>],
+    ) {
+        for (shard, fragments) in routing.shards.iter().enumerate() {
+            for f in fragments {
+                let class = QueryClass::of_default_thresholds(assignments_of[f.query_index]);
+                self.class_of.insert(f.query, class);
+                if f.assignments > 0 && rejected[f.query_index].is_none() {
+                    self.outstanding[class.rank()].insert((f.arrival, f.query, shard as u32));
+                }
             }
-            let done = completion[&(f.query_index, shard as u32)];
-            samples[class_of(f.query_index).rank()].push(done.since(f.arrival).as_secs_f64());
         }
     }
-    for s in &mut samples {
-        s.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite responses"));
+
+    /// When an outstanding fragment of `class` that arrived at `arrival`
+    /// falls due: `latency_multiplier ×` the class's response quantile
+    /// (floored at `min_age`) after its arrival — or, while the class has
+    /// fewer than `min_samples` responses and so hedges nothing, a re-check
+    /// `min_age` after the later of its arrival and the latest check.
+    fn due(&self, class: QueryClass, arrival: SimTime) -> SimTime {
+        let s = &self.samples[class.rank()];
+        if s.len() < self.cfg.min_samples {
+            return arrival.max(self.last) + self.cfg.min_age;
+        }
+        let k = ((s.len() - 1) as f64 * self.cfg.quantile).round() as usize;
+        let threshold = SimDuration::from_secs_f64(self.cfg.latency_multiplier * s[k]);
+        arrival + threshold.max(self.cfg.min_age)
     }
-    let threshold_s = |class: QueryClass| -> Option<f64> {
-        let s = &samples[class.rank()];
-        if s.len() < hedge.min_samples {
+
+    /// The next check: the earliest instant an outstanding fragment falls
+    /// due (`None` once none is, or the budget is spent).
+    pub(crate) fn next_check(&self) -> Option<SimTime> {
+        if self.log.len() >= self.cfg.max_hedges {
             return None;
         }
-        let idx = (((s.len() - 1) as f64) * hedge.quantile).round() as usize;
-        let t = hedge.latency_multiplier * s[idx];
-        Some(t.max(hedge.min_age.as_secs_f64()))
-    };
+        let first = |class: QueryClass| self.outstanding[class.rank()].first().map(|f| f.0);
+        let due = |class| first(class).map(|arrival| self.due(class, arrival));
+        QueryClass::ALL.into_iter().filter_map(due).min()
+    }
 
-    // Candidates: delivered work-bearing fragments of non-rejected queries
-    // whose observed response exceeded their class threshold. The hedge
-    // fires at `arrival + threshold` — the earliest instant the router can
-    // *know* the fragment is lagging its class.
-    let mut candidates: Vec<(SimTime, u32, usize, u64)> = Vec::new();
-    for (shard, fragments) in routing.shards.iter().enumerate() {
-        for f in fragments {
-            if f.assignments == 0 || rejected[f.query_index].is_some() {
-                continue;
+    /// The check at barrier `t`: reads every completion the pool recorded
+    /// by `t`, then hedges every outstanding fragment due by `t` — earliest
+    /// due first, up to `max_hedges` — onto the live shard with the lowest
+    /// [`queued`](ShardWorker::queued) that does not host its query. The
+    /// copy is released once it crosses that shard's `ToShard` link.
+    pub(crate) fn fire<C: Catalog + ?Sized>(
+        &mut self,
+        t: SimTime,
+        workers: &mut [ShardWorker<'_, C>],
+        up: &[bool],
+        faults: &FaultPlan,
+        total_fragments: &mut usize,
+    ) {
+        self.last = t;
+        for (shard, w) in workers.iter().enumerate() {
+            let (read, clock) = &mut self.read[shard];
+            for o in &w.completed()[*read..] {
+                if o.completion.max(*clock) > t {
+                    break;
+                }
+                *clock = o.completion.max(*clock);
+                *read += 1;
+                let class = self.class_of[&o.query].rank();
+                if o.assignments > 0 {
+                    let response = o.completion.since(o.arrival).as_secs_f64();
+                    let samples = &mut self.samples[class];
+                    samples.insert(samples.partition_point(|&s| s <= response), response);
+                }
+                self.outstanding[class].remove(&(o.arrival, o.query, shard as u32));
             }
-            let Some(th) = threshold_s(class_of(f.query_index)) else {
-                continue;
+        }
+        let mut due: Vec<(SimTime, QueryId, u32)> = Vec::new();
+        for class in QueryClass::ALL {
+            while let Some(&(arrival, query, from)) = self.outstanding[class.rank()].first() {
+                let at = self.due(class, arrival);
+                if at > t {
+                    break;
+                }
+                self.outstanding[class.rank()].pop_first();
+                due.push((at, query, from));
+            }
+        }
+        due.sort_unstable();
+        for (_, query, from) in due {
+            if self.log.len() >= self.cfg.max_hedges {
+                break;
+            }
+            let target = (0..workers.len())
+                .filter(|&s| up[s] && workers[s].fragment_of(query).is_none())
+                .min_by_key(|&s| (workers[s].queued(), s));
+            let Some(to) = target else {
+                continue; // the query spans every live shard: nowhere to hedge
             };
-            let fire = f.arrival + SimDuration::from_secs_f64(th);
-            if completion[&(f.query_index, shard as u32)] > fire {
-                candidates.push((fire, shard as u32, f.query_index, f.assignments));
-            }
+            let original = workers[from as usize]
+                .fragment_of(query)
+                .expect("an outstanding fragment is routed");
+            let entries = original.assignments;
+            // The copy crosses the target's ToShard link: delay applies, but
+            // hedge copies skip the drop/duplicate/reorder draws — the model
+            // treats the hedge path as a fresh, clean connection (documented
+            // simplification; the race and dedup are the point here).
+            let link = faults.link_at(to as u32, LinkDirection::ToShard, t);
+            let delivered_at = link.map_or(t, |w| t + w.delay + w.delay_per_entry.times(entries));
+            let copy = Fragment {
+                release: delivered_at,
+                ..original.clone()
+            };
+            self.log.push(HedgeDecision {
+                at: t,
+                query_index: copy.query_index,
+                from,
+                to: to as u32,
+                entries,
+                delivered_at,
+            });
+            *total_fragments += 1;
+            workers[to].append_fragments(vec![copy]);
         }
     }
-    candidates.sort_unstable_by_key(|&(fire, shard, q, _)| (fire, shard, q));
-
-    // Which shards already host each query (a copy must not land where the
-    // tracker would conflate it with another fragment of the same query).
-    let mut hosts: HashMap<usize, Vec<u32>> = HashMap::new();
-    for (shard, fragments) in routing.shards.iter().enumerate() {
-        for f in fragments {
-            hosts.entry(f.query_index).or_default().push(shard as u32);
-        }
-    }
-
-    let mut hedges: Vec<HedgeDecision> = Vec::new();
-    for (fire, from, q, entries) in candidates {
-        if hedges.len() >= hedge.max_hedges {
-            break;
-        }
-        let occupied = hosts.entry(q).or_default();
-        let target = (0..n as u32)
-            .filter(|s| !occupied.contains(s))
-            .min_by_key(|&s| (load_at(s as usize, fire), s));
-        let Some(to) = target else {
-            continue; // the query spans every shard: nowhere to hedge
-        };
-        occupied.push(to);
-        // The copy crosses the target's ToShard link: delay applies, but
-        // hedge copies skip the drop/duplicate/reorder draws — the model
-        // treats the hedge path as a fresh, clean connection (documented
-        // simplification; the race and dedup are the point here).
-        let delivered_at = match faults.link_at(to, LinkDirection::ToShard, fire) {
-            Some(w) => fire + w.delay + w.delay_per_entry.times(entries),
-            None => fire,
-        };
-        hedges.push(HedgeDecision {
-            at: fire,
-            query_index: q,
-            from,
-            to,
-            entries,
-            delivered_at,
-        });
-    }
-    hedges
 }
 
 /// Resolves every hedge race over the executed pool's canonical merged
@@ -750,8 +775,6 @@ pub(crate) fn resolve_hedges(hedges: &[HedgeDecision], stream: &mut Vec<Completi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::router::Fragment;
-    use liferaft_query::QueryId;
     use liferaft_sim::LinkFault;
 
     fn t(ms: u64) -> SimTime {
@@ -785,6 +808,18 @@ mod tests {
             cross_shard_queries: 0,
             total_assignments,
         }
+    }
+
+    /// One window's delivery over a fresh trace of `trace_len` queries.
+    fn plan_delivery(
+        cfg: &TransportConfig,
+        faults: &FaultPlan,
+        routing: &mut Routing,
+        trace_len: usize,
+    ) -> DeliveryPlan {
+        let mut plan = DeliveryPlan::new(trace_len);
+        plan.deliver(cfg, faults, routing);
+        plan
     }
 
     fn window(shard: u32, direction: LinkDirection, drop_prob: f64) -> LinkFault {
@@ -838,7 +873,6 @@ mod tests {
         let plan = plan_delivery(&cfg, &faults, &mut r, 2);
         assert!(plan.rejected.iter().all(Option::is_some));
         assert!(r.shards[0].is_empty(), "lost fragments leave the stream");
-        assert_eq!(r.fragments_of, vec![0, 0]);
         // Original + max_attempts retransmits, every one dropped.
         let per_chain = 1 + cfg.retry.max_attempts as usize;
         assert_eq!(plan.log.drops.len(), 2 * per_chain);
@@ -921,11 +955,12 @@ mod tests {
     }
 
     #[test]
-    fn delayed_streams_stay_release_sorted() {
+    fn a_delay_can_overtake_within_a_window() {
         let cfg = TransportConfig::reliable();
         let mut faults = FaultPlan::none();
         // A delay window that ends between the two releases: the first
-        // fragment is delayed past the second's untouched release.
+        // fragment is delayed past the second's untouched release. The
+        // window keeps routing order; the worker merges by release.
         let mut w = window(0, LinkDirection::ToShard, 0.0);
         w.until = t(15);
         w.delay = SimDuration::from_millis(200);
@@ -934,11 +969,7 @@ mod tests {
         let plan = plan_delivery(&cfg, &faults, &mut r, 2);
         assert!(plan.log.is_empty());
         let releases: Vec<SimTime> = r.shards[0].iter().map(|f| f.release).collect();
-        assert_eq!(releases, vec![t(20), t(210) + SimDuration::from_micros(10)]);
-        assert_eq!(
-            r.shards[0][0].query_index, 1,
-            "the stream re-sorts by delivery"
-        );
+        assert_eq!(releases, vec![t(210) + SimDuration::from_micros(10), t(20)]);
     }
 
     #[test]

@@ -6,15 +6,15 @@
 //! its shard: deliver every due fragment (subject to admission), then make
 //! one scheduling decision and execute the batch, advancing the shard-local
 //! virtual clock by the batch cost. Because a worker's behaviour is a pure
-//! function of its own fragment stream, stepping workers in *any* order —
-//! the stepped driver's virtual-time merge or one OS thread per shard —
-//! produces bit-identical per-shard results.
+//! function of its own fragment stream, advancing a window's workers in
+//! *any* order — a plain loop or one OS thread per shard — produces
+//! bit-identical per-shard results.
 
 use std::collections::VecDeque;
 
 use liferaft_catalog::Catalog;
 use liferaft_core::Scheduler;
-use liferaft_query::CrossMatchQuery;
+use liferaft_query::{tracker::QueryOutcome, CrossMatchQuery, QueryId};
 use liferaft_sim::{EngineCore, MigratedBucket, RunReport};
 use liferaft_storage::{BucketId, SimDuration, SimTime};
 use liferaft_telemetry::Event;
@@ -62,8 +62,8 @@ pub struct ShardRun {
 }
 
 /// One hand-over of queued buckets between shards — an epoch boundary's
-/// migrations or a crash's evacuations — which the stepped driver applies
-/// in place at the instant it decides it.
+/// migrations or a crash's evacuations — which the window loop applies in
+/// place at the barrier that decides it.
 #[derive(Debug, Clone)]
 pub(crate) struct Round {
     /// The extract/absorb instant: the boundary, or a crashed source's
@@ -122,14 +122,13 @@ pub(crate) struct ShardWorker<'a, C: Catalog + ?Sized> {
 }
 
 impl<'a, C: Catalog + ?Sized> ShardWorker<'a, C> {
-    /// Shard `shard` of a pool configured by `config`, serving `fragments`
-    /// of `trace` (more may be appended while it runs).
+    /// Shard `shard` of a pool configured by `config`, serving the
+    /// fragments of `trace` handed to it while it runs.
     pub(crate) fn new(
         shard: ShardId,
         catalog: &'a C,
         config: &RuntimeConfig,
         trace: &'a [(SimTime, CrossMatchQuery)],
-        fragments: Vec<Fragment>,
         scheduler: Box<dyn Scheduler + Send>,
     ) -> Self {
         let mut core = EngineCore::new(catalog, config.sim);
@@ -139,7 +138,7 @@ impl<'a, C: Catalog + ?Sized> ShardWorker<'a, C> {
             core,
             scheduler,
             trace,
-            fragments,
+            fragments: Vec::new(),
             next: 0,
             deferred: VecDeque::new(),
             now: SimTime::ZERO,
@@ -171,8 +170,8 @@ impl<'a, C: Catalog + ?Sized> ShardWorker<'a, C> {
     /// next event is its next fragment **release** — clamped to `now`,
     /// because a shard whose clock overshot the release while busy admits
     /// the fragment at `now`, not in the past. The clamp is what lets the
-    /// stepped driver trust `next_time` as "the virtual time of the next
-    /// state change" when placing controller events. An instant inside an
+    /// window loop trust `next_time` as "the virtual time of the next state
+    /// change" when placing controller events. An instant inside an
     /// injected outage window wakes at the window's end — a dead shard's
     /// next event is its rejoin.
     pub(crate) fn next_time(&self) -> Option<SimTime> {
@@ -313,22 +312,33 @@ impl<'a, C: Catalog + ?Sized> ShardWorker<'a, C> {
         true
     }
 
-    /// Appends later-routed fragments to the ingress stream — each routed
-    /// window, re-delivery and front-door admission. Release order must be
-    /// preserved across appends.
+    /// Hands the worker fragments — each routed window, hedge copy,
+    /// re-delivery and front-door admission — merged into the unadmitted
+    /// tail by release. A tie goes behind the fragments already there, and
+    /// nothing lands before `next`: each hand-over happens at a barrier the
+    /// worker has not reached, so every fragment it has seen was released
+    /// earlier.
     pub(crate) fn append_fragments(&mut self, extra: Vec<Fragment>) {
         debug_assert!(
-            extra.windows(2).all(|w| w[0].release <= w[1].release),
-            "appended window out of release order"
-        );
-        debug_assert!(
-            self.fragments
+            self.fragments[..self.next]
                 .last()
-                .zip(extra.first())
-                .map_or(true, |(a, b)| a.release <= b.release),
-            "appended window precedes existing fragments"
+                .map_or(true, |seen| extra.iter().all(|f| f.release >= seen.release)),
+            "a fragment handed over behind one already admitted"
         );
         self.fragments.extend(extra);
+        // Stable: the fragments already there win ties.
+        self.fragments[self.next..].sort_by_key(|f| f.release);
+    }
+
+    /// This shard's fragment of `query`, if it hosts one.
+    pub(crate) fn fragment_of(&self, query: QueryId) -> Option<&Fragment> {
+        self.fragments.iter().find(|f| f.query == query)
+    }
+
+    /// Fragment completions so far, in record order (each batch's at its
+    /// end, so a completion may lie ahead of global virtual time).
+    pub(crate) fn completed(&self) -> &[QueryOutcome] {
+        self.core.tracker().completed()
     }
 
     /// Queued-entry backlog — the rebalance controller's load signal.
@@ -411,8 +421,8 @@ impl<'a, C: Catalog + ?Sized> ShardWorker<'a, C> {
     /// Finishes the shard into its run record.
     ///
     /// # Panics
-    /// Panics if fragments are still outstanding (the driver must step the
-    /// worker to completion first).
+    /// Panics if fragments are still outstanding (the window loop must
+    /// advance the worker to completion first).
     pub(crate) fn into_run(self) -> ShardRun {
         assert!(
             self.next >= self.fragments.len() && self.deferred.is_empty(),
@@ -440,5 +450,67 @@ impl<'a, C: Catalog + ?Sized> ShardWorker<'a, C> {
             events,
             events_dropped,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use liferaft_catalog::{generate::uniform_sky, MaterializedCatalog};
+    use liferaft_core::{LifeRaftScheduler, MetricParams};
+    use liferaft_query::{Predicate, QueryPreProcessor};
+    use liferaft_sim::SimConfig;
+
+    #[test]
+    fn late_fragments_merge_into_the_unadmitted_tail_by_release() {
+        const LEVEL: u8 = 8;
+        let cat = MaterializedCatalog::build(&uniform_sky(500, LEVEL, 3), LEVEL, 100, 4096);
+        let at = |s: u64| SimTime::ZERO + SimDuration::from_secs(s);
+        // Query i anchors on bucket i and arrives at 0, 4 and 9 s.
+        let trace: Vec<(SimTime, CrossMatchQuery)> = [0, 4, 9]
+            .into_iter()
+            .enumerate()
+            .map(|(i, s)| {
+                let objects = cat.bucket_objects(BucketId(i as u32));
+                let positions: Vec<_> = objects.iter().take(5).map(|o| o.pos).collect();
+                let q = QueryId(i as u64);
+                let query =
+                    CrossMatchQuery::from_positions(q, &positions, 1e-4, LEVEL, Predicate::All);
+                (at(s), query)
+            })
+            .collect();
+        let pre = QueryPreProcessor::new(cat.partition());
+        let fragment = |i: usize| {
+            let (arrival, query) = &trace[i];
+            Fragment::head(i, query.id, *arrival).with_items(pre.preprocess(query))
+        };
+        let config = RuntimeConfig::single(SimConfig::paper());
+        let greedy = Box::new(LifeRaftScheduler::greedy(MetricParams::paper()));
+        let mut w = ShardWorker::new(ShardId(0), &cat, &config, &trace, greedy);
+        let order = |w: &ShardWorker<'_, _>| -> Vec<(usize, SimTime)> {
+            w.fragments
+                .iter()
+                .map(|f| (f.query_index, f.release))
+                .collect()
+        };
+
+        w.append_fragments(vec![fragment(0), fragment(2)]);
+        assert!(w.step());
+        assert_eq!(w.next, 1, "query 0 is admitted, query 2 is not due");
+        // Query 1 is handed over late but released before query 2; a copy
+        // of query 0 released with query 2 ties and goes behind it.
+        let copy = Fragment {
+            release: at(9),
+            ..fragment(0)
+        };
+        w.append_fragments(vec![fragment(1), copy]);
+        let merged = vec![(0, at(0)), (1, at(4)), (2, at(9)), (0, at(9))];
+        assert_eq!(order(&w), merged);
+        assert!(w.step());
+        assert_eq!(w.next, 2, "the late fragment is admitted first");
+        assert!(w.now() < at(9));
+        while w.step() {}
+        assert_eq!(order(&w), merged, "the admitted prefix never moves");
+        assert_eq!(w.into_run().report.outcomes.len(), 4);
     }
 }
