@@ -19,6 +19,13 @@
 //!    recorded `Rejected` verdict that conserves accounting (every query is
 //!    exactly-once terminal: completed or rejected, never lost).
 //!
+//! The door holds no work of its own: a waiter is `(index, arrival, class,
+//! assignments)`, sized once at registration. An admitted query is routed
+//! under the live map and handed off exactly like a routed window, and the
+//! door's only feedback is what the shards hold — so its charge follows a
+//! migrated or evacuated bucket, a fragment lost in transit or to a dead
+//! shard is never charged, and a hedge copy is.
+//!
 //! # Determinism
 //!
 //! Decisions are made **once**, by the door as a handler of the runtime's
@@ -30,7 +37,7 @@
 use std::collections::BTreeSet;
 
 use liferaft_metrics::Summary;
-use liferaft_query::{CrossMatchQuery, WorkItem};
+use liferaft_query::CrossMatchQuery;
 use liferaft_storage::{SimDuration, SimTime};
 use liferaft_telemetry::{Event, EventKind};
 
@@ -118,18 +125,12 @@ pub struct FrontDoorConfig {
     /// Master switch. Disabled (the default) bypasses the controller
     /// entirely and reproduces the static runtime bit-for-bit.
     pub enabled: bool,
-    /// Global bound on admitted-but-not-yet-serviced assignments across the
-    /// pool. Checked *head-of-line*: if the highest-priority waiter does
-    /// not fit, nothing lower admits either. A waiter larger than the whole
-    /// bound still admits once the pool drains empty, so the bound can
-    /// never deadlock.
+    /// Global bound on the assignments the pool holds — handed to a shard,
+    /// not yet serviced by a completed batch. Checked *head-of-line*: if
+    /// the highest-priority waiter does not fit, nothing lower admits
+    /// either. A waiter larger than the whole bound still admits once the
+    /// pool drains empty, so the bound can never deadlock.
     pub max_inflight_assignments: u64,
-    /// Optional per-shard in-flight bound. Unlike the global bound this one
-    /// *bypasses* head-of-line blocking: a query whose target shard is
-    /// saturated is skipped and later, smaller-footprint queries that avoid
-    /// the backlog admit past it — this is how the controller routes around
-    /// a stalled shard.
-    pub max_shard_inflight_assignments: Option<u64>,
     /// Soft cap on actively-waiting assignments: above it, batch-class
     /// waiters shed (youngest first) into backoff.
     pub max_waiting_assignments: Option<u64>,
@@ -155,7 +156,6 @@ impl FrontDoorConfig {
         FrontDoorConfig {
             enabled: false,
             max_inflight_assignments: u64::MAX,
-            max_shard_inflight_assignments: None,
             max_waiting_assignments: None,
             hard_waiting_assignments: None,
             interactive_max_assignments: QueryClass::INTERACTIVE_MAX_ASSIGNMENTS,
@@ -282,7 +282,8 @@ pub struct AdmissionSample {
     pub epoch: u32,
     /// The boundary's virtual time.
     pub at: SimTime,
-    /// Admitted-but-unserviced assignments at the sample.
+    /// In-flight assignments at the sample: what the shards held at the
+    /// pass that crossed it, plus what that pass admitted.
     pub inflight_assignments: u64,
     /// Actively-waiting assignments at the sample.
     pub waiting_assignments: u64,
@@ -373,11 +374,12 @@ impl AdmissionLog {
     /// Closes the log into the [`FrontDoorReport`]: the door's rejection
     /// records and the per-class books (`per_class`, the ledger's), extended
     /// with the door's own columns and the response / TTFB summaries of each
-    /// class's completed queries.
+    /// class's completed queries. An admitted query ends completed, or
+    /// rejected further on by failover or the transport — the ledger has
+    /// already asserted that every query ends exactly once.
     ///
     /// # Panics
-    /// Panics if an admitted query never completed, or if a shard serviced
-    /// any part of a query the door rejected.
+    /// Panics if a shard serviced any part of a query the door rejected.
     pub(crate) fn into_report(
         self,
         ledger: &Ledger<'_>,
@@ -409,7 +411,9 @@ impl AdmissionLog {
                     if at > arrival {
                         stats.deferred += 1;
                     }
-                    assert!(ledger.completed[i], "admitted query {i} never completed");
+                    if !ledger.completed[i] {
+                        continue; // rejected by failover or the transport
+                    }
                     let (first, last) = ledger.span[i].expect("a completed query was serviced");
                     response[c].push(last.since(arrival).as_secs_f64());
                     // A zero-work query's only event can be recorded at a later
@@ -435,6 +439,11 @@ impl AdmissionLog {
 }
 
 /// Aggregated front-door outcomes of one priority class.
+///
+/// `completed + rejected == submitted`, where `rejected` counts every
+/// controller's rejections; `admitted` plus the door's own rejections (the
+/// class's entries in [`FrontDoorReport::rejected`]) also equals
+/// `submitted`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClassStats {
     /// The class.
@@ -451,7 +460,8 @@ pub struct ClassStats {
     pub deferred: u64,
     /// Total shed-into-backoff events.
     pub shed_events: u64,
-    /// Queries rejected outright.
+    /// Queries rejected by any controller: turned away at the door, or
+    /// admitted and then rejected by failover or the transport.
     pub rejected: u64,
     /// Largest shed count any single query survived.
     pub max_retries: u32,
@@ -484,18 +494,15 @@ impl FrontDoorReport {
 
 /// A query pending at the front door.
 #[derive(Debug, Clone)]
-pub(crate) struct PendingQuery {
+struct PendingQuery {
     /// Trace index.
-    pub(crate) index: usize,
+    index: usize,
     /// True arrival time (ages and FIFO order reference this).
-    pub(crate) arrival: SimTime,
+    arrival: SimTime,
     /// Priority class.
-    pub(crate) class: QueryClass,
-    /// Total assignments across all shards.
-    pub(crate) assignments: u64,
-    /// Pre-split per-shard work: `(shard index, items)`, non-empty shards
-    /// only (empty for a zero-work query).
-    pub(crate) split: Vec<(usize, Vec<WorkItem>)>,
+    class: QueryClass,
+    /// Total (object × bucket) assignments the query expands to.
+    assignments: u64,
     retries: u32,
     eligible_at: SimTime,
 }
@@ -503,7 +510,7 @@ pub(crate) struct PendingQuery {
 /// The controller state machine. Driven only by the runtime's window loop;
 /// everything it decides lands in the [`AdmissionLog`].
 pub(crate) struct FrontDoor {
-    pub(crate) cfg: FrontDoorConfig,
+    cfg: FrontDoorConfig,
     now: SimTime,
     /// Pending queries by trace index (`None` once terminal).
     slots: Vec<Option<PendingQuery>>,
@@ -514,8 +521,6 @@ pub(crate) struct FrontDoor {
     backoff: BTreeSet<(SimTime, usize)>,
     active_assignments: u64,
     verdicts: Vec<Option<QueryVerdict>>,
-    admitted_assignments: u64,
-    admitted_per_shard: Vec<u64>,
     seq: u64,
     admitted_queries: u64,
     shed_events: u64,
@@ -525,7 +530,7 @@ pub(crate) struct FrontDoor {
 }
 
 impl FrontDoor {
-    pub(crate) fn new(cfg: FrontDoorConfig, n_queries: usize, n_shards: usize) -> Self {
+    pub(crate) fn new(cfg: FrontDoorConfig, n_queries: usize) -> Self {
         cfg.validate();
         FrontDoor {
             cfg,
@@ -535,8 +540,6 @@ impl FrontDoor {
             backoff: BTreeSet::new(),
             active_assignments: 0,
             verdicts: vec![None; n_queries],
-            admitted_assignments: 0,
-            admitted_per_shard: vec![0; n_shards],
             seq: 0,
             admitted_queries: 0,
             shed_events: 0,
@@ -546,20 +549,15 @@ impl FrontDoor {
         }
     }
 
-    /// Registers an arrival (trace order; at most once per index).
-    pub(crate) fn ingest(
-        &mut self,
-        index: usize,
-        arrival: SimTime,
-        class: QueryClass,
-        assignments: u64,
-        split: Vec<(usize, Vec<WorkItem>)>,
-    ) {
+    /// Registers an arrival of `assignments` (object × bucket) assignments
+    /// and classifies it (trace order; at most once per index).
+    pub(crate) fn ingest(&mut self, index: usize, arrival: SimTime, assignments: u64) {
         debug_assert!(
             self.verdicts[index].is_none(),
             "query {index} ingested twice"
         );
         debug_assert!(self.slots[index].is_none());
+        let class = self.cfg.classify(assignments);
         self.active.insert((class.rank_u8(), arrival, index));
         self.active_assignments += assignments;
         self.slots[index] = Some(PendingQuery {
@@ -567,7 +565,6 @@ impl FrontDoor {
             arrival,
             class,
             assignments,
-            split,
             retries: 0,
             eligible_at: arrival,
         });
@@ -590,16 +587,11 @@ impl FrontDoor {
     }
 
     /// One controller pass at virtual time `t`: wake due backoffs, admit
-    /// while the bounds allow (handing each admitted query to `on_admit`),
-    /// then shed and reject per the waiting caps, then record any crossed
-    /// sample boundaries. `shard_serviced[s]` is shard `s`'s cumulative
-    /// serviced-entry counter — the controller's only feedback signal.
-    pub(crate) fn pump(
-        &mut self,
-        t: SimTime,
-        shard_serviced: &[u64],
-        mut on_admit: impl FnMut(PendingQuery, SimTime),
-    ) {
+    /// while the bound allows, then shed and reject per the waiting caps,
+    /// then record any crossed sample boundaries. `held` is the assignments
+    /// the shards hold at `t` — the controller's only feedback signal.
+    /// Returns the trace indices admitted, in admission order.
+    pub(crate) fn pump(&mut self, t: SimTime, held: u64) -> Vec<usize> {
         self.now = self.now.max(t);
         // Wake every backoff entry that has become eligible.
         while let Some(&(at, idx)) = self.backoff.iter().next() {
@@ -612,51 +604,23 @@ impl FrontDoor {
             self.active_assignments += p.assignments;
         }
 
-        // Admit in (class, arrival, index) order. The global bound blocks
-        // head-of-line (strict priority); the per-shard bound is bypassable
-        // so traffic can route around one saturated shard.
-        let serviced_total: u64 = shard_serviced.iter().sum();
-        debug_assert!(serviced_total <= self.admitted_assignments);
-        let mut inflight = self.admitted_assignments - serviced_total;
-        loop {
-            let mut chosen: Option<usize> = None;
-            for &(_, _, idx) in self.active.iter() {
-                let p = self.slots[idx].as_ref().expect("active entry is pending");
-                let fits_global = inflight == 0
-                    || inflight.saturating_add(p.assignments) <= self.cfg.max_inflight_assignments;
-                if !fits_global {
-                    if p.assignments == 0 {
-                        // Zero-work queries consume nothing; never block them.
-                        chosen = Some(idx);
-                    }
-                    break; // head-of-line: nothing lower-priority admits
-                }
-                let fits_shards = match self.cfg.max_shard_inflight_assignments {
-                    None => true,
-                    Some(cap) => {
-                        inflight == 0
-                            || p.split.iter().all(|(s, items)| {
-                                let a: u64 = items.iter().map(|i| i.len() as u64).sum();
-                                let cur = self.admitted_per_shard[*s] - shard_serviced[*s];
-                                cur == 0 || cur.saturating_add(a) <= cap
-                            })
-                    }
-                };
-                if fits_shards {
-                    chosen = Some(idx);
-                    break;
-                }
-                // Shard-blocked: bypass and consider the next waiter.
+        // Admit in (class, arrival, index) order while the head fits the
+        // global bound (strict priority: nothing lower-priority overtakes a
+        // blocked head). Zero-work queries consume nothing and never block.
+        let mut inflight = held;
+        let mut admitted = Vec::new();
+        while let Some(&(rank, arrival, idx)) = self.active.first() {
+            let p = self.slots[idx].as_ref().expect("active entry is pending");
+            let fits = inflight == 0
+                || p.assignments == 0
+                || inflight.saturating_add(p.assignments) <= self.cfg.max_inflight_assignments;
+            if !fits {
+                break;
             }
-            let Some(idx) = chosen else { break };
-            let p = self.slots[idx].take().expect("chosen entry is pending");
-            self.active.remove(&(p.class.rank_u8(), p.arrival, idx));
+            self.active.remove(&(rank, arrival, idx));
+            let p = self.slots[idx].take().expect("admitted entry is pending");
             self.active_assignments -= p.assignments;
             inflight += p.assignments;
-            self.admitted_assignments += p.assignments;
-            for (s, items) in &p.split {
-                self.admitted_per_shard[*s] += items.iter().map(|i| i.len() as u64).sum::<u64>();
-            }
             self.verdicts[idx] = Some(QueryVerdict {
                 class: p.class,
                 assignments: p.assignments,
@@ -668,7 +632,7 @@ impl FrontDoor {
             });
             self.seq += 1;
             self.admitted_queries += 1;
-            on_admit(p, self.now);
+            admitted.push(idx);
         }
 
         // Soft cap: shed batch-class waiters, youngest first, into backoff;
@@ -727,6 +691,7 @@ impl FrontDoor {
                 rejected: self.rejected_queries,
             });
         }
+        admitted
     }
 
     fn reject(&mut self, p: PendingQuery) {
@@ -761,25 +726,12 @@ impl FrontDoor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use liferaft_query::QueryId;
-    use liferaft_storage::BucketId;
-
-    fn item(objects: usize) -> WorkItem {
-        WorkItem {
-            query: QueryId(0),
-            bucket: BucketId(0),
-            object_indices: (0..objects as u32).collect(),
-        }
-    }
-
-    fn split_one(shard: usize, objects: usize) -> Vec<(usize, Vec<WorkItem>)> {
-        vec![(shard, vec![item(objects)])]
-    }
 
     fn at(s: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_secs(s)
     }
 
+    /// Interactive up to 10 assignments, batch from 100.
     fn cfg(max_inflight: u64) -> FrontDoorConfig {
         let mut c = FrontDoorConfig::bounded(max_inflight);
         c.interactive_max_assignments = 10;
@@ -801,22 +753,22 @@ mod tests {
 
     #[test]
     fn admission_is_priority_then_fifo() {
-        // Capacity 50; three waiters of 30 each: batch (oldest), standard,
-        // interactive (youngest). Priority admits interactive first, and the
-        // global head-of-line rule then blocks everything else.
-        let mut door = FrontDoor::new(cfg(50), 3, 1);
-        door.ingest(0, at(1), QueryClass::Batch, 30, split_one(0, 30));
-        door.ingest(1, at(2), QueryClass::Standard, 30, split_one(0, 30));
-        door.ingest(2, at(3), QueryClass::Interactive, 30, split_one(0, 30));
-        let mut admitted = Vec::new();
-        door.pump(at(3), &[0], |p, _| admitted.push(p.index));
-        assert_eq!(admitted, vec![2], "interactive admits first, rest blocked");
-        // Draining the pool admits the standard waiter next (priority),
-        // then head-of-line blocks the batch one.
-        door.pump(at(10), &[30], |p, _| admitted.push(p.index));
-        assert_eq!(admitted, vec![2, 1]);
-        door.pump(at(20), &[60], |p, _| admitted.push(p.index));
-        assert_eq!(admitted, vec![2, 1, 0]);
+        // Capacity 60; three waiters: batch (oldest, 100), standard (60),
+        // interactive (youngest, 10). Priority admits interactive first, and
+        // the global head-of-line rule then blocks everything else.
+        let mut door = FrontDoor::new(cfg(60), 3);
+        door.ingest(0, at(1), 100);
+        door.ingest(1, at(2), 60);
+        door.ingest(2, at(3), 10);
+        assert_eq!(
+            door.pump(at(3), 0),
+            vec![2],
+            "interactive first, rest blocked"
+        );
+        // Once the pool holds nothing, the standard waiter admits next
+        // (priority), then head-of-line blocks the batch one.
+        assert_eq!(door.pump(at(10), 0), vec![1]);
+        assert_eq!(door.pump(at(20), 0), vec![0]);
         let log = door.into_log();
         assert_eq!(log.total_rejected(), 0);
         let released = |s, seq| Disposition::Admitted { at: at(s), seq };
@@ -830,40 +782,35 @@ mod tests {
 
     #[test]
     fn oversized_queries_admit_from_an_empty_pool() {
-        let mut door = FrontDoor::new(cfg(10), 1, 1);
-        door.ingest(0, at(1), QueryClass::Batch, 500, split_one(0, 500));
-        let mut admitted = Vec::new();
-        door.pump(at(1), &[0], |p, _| admitted.push(p.index));
-        assert_eq!(admitted, vec![0], "empty pool admits anything");
+        let mut door = FrontDoor::new(cfg(10), 1);
+        door.ingest(0, at(1), 500);
+        assert_eq!(door.pump(at(1), 0), vec![0], "empty pool admits anything");
     }
 
     #[test]
     fn zero_work_queries_never_block() {
-        let mut door = FrontDoor::new(cfg(10), 2, 1);
-        door.ingest(0, at(1), QueryClass::Batch, 500, split_one(0, 500));
-        let mut admitted = Vec::new();
-        door.pump(at(1), &[0], |p, _| admitted.push(p.index));
-        assert_eq!(admitted, vec![0]);
-        // Pool saturated (500 in flight against a bound of 10) — yet a
-        // zero-work arrival still admits immediately.
-        door.ingest(1, at(2), QueryClass::Interactive, 0, Vec::new());
-        door.pump(at(2), &[0], |p, _| admitted.push(p.index));
-        assert_eq!(admitted, vec![0, 1]);
+        let mut door = FrontDoor::new(cfg(10), 2);
+        door.ingest(0, at(1), 500);
+        assert_eq!(door.pump(at(1), 0), vec![0]);
+        // Pool saturated (500 held against a bound of 10) — yet a zero-work
+        // arrival still admits immediately.
+        door.ingest(1, at(2), 0);
+        assert_eq!(door.pump(at(2), 500), vec![1]);
     }
 
     #[test]
     fn shedding_backs_off_and_eventually_rejects() {
         let mut c = cfg(10);
         c.max_waiting_assignments = Some(200);
-        let mut door = FrontDoor::new(c, 3, 1);
+        let mut door = FrontDoor::new(c, 3);
         // Saturate the pool so nothing admits.
-        door.ingest(0, at(1), QueryClass::Batch, 400, split_one(0, 400));
-        door.pump(at(1), &[0], |_, _| {});
+        door.ingest(0, at(1), 400);
+        door.pump(at(1), 0);
         // Two batch waiters push the queue over the soft cap (240 > 200):
         // shedding the *youngest* brings it back under, so the older stays.
-        door.ingest(1, at(2), QueryClass::Batch, 120, split_one(0, 120));
-        door.ingest(2, at(3), QueryClass::Batch, 120, split_one(0, 120));
-        door.pump(at(3), &[0], |_, _| panic!("nothing admits"));
+        door.ingest(1, at(2), 120);
+        door.ingest(2, at(3), 120);
+        assert!(door.pump(at(3), 400).is_empty(), "nothing admits");
         assert!(door.has_active(), "the older batch waiter stays");
         let wake = door.next_wakeup().expect("youngest is in backoff");
         assert_eq!(
@@ -872,15 +819,14 @@ mod tests {
             "first backoff = base"
         );
         // Wake it; still over the cap → shed again with a doubled backoff.
-        door.pump(wake, &[0], |_, _| panic!("nothing admits"));
+        assert!(door.pump(wake, 400).is_empty(), "nothing admits");
         let wake2 = door.next_wakeup().expect("still in backoff");
         assert_eq!(wake2, wake + SimDuration::from_secs(4), "backoff doubles");
         // Third time over the cap exceeds max_retries = 2 → rejected.
-        door.pump(wake2, &[0], |_, _| panic!("nothing admits"));
+        assert!(door.pump(wake2, 400).is_empty(), "nothing admits");
         assert_eq!(door.next_wakeup(), None);
-        // Drain the pool so the survivors admit and the log closes.
-        door.pump(at(100), &[400], |_, _| {});
-        door.pump(at(200), &[520], |_, _| {});
+        // Drain the pool so the survivor admits and the log closes.
+        door.pump(at(100), 0);
         let log = door.into_log();
         assert_eq!(log.total_rejected(), 1);
         assert_eq!(log.verdicts[2].sheds, 2, "two sheds before rejection");
@@ -896,17 +842,16 @@ mod tests {
     fn hard_cap_rejects_youngest_lowest_class() {
         let mut c = cfg(10);
         c.hard_waiting_assignments = Some(100);
-        let mut door = FrontDoor::new(c, 4, 1);
-        door.ingest(0, at(1), QueryClass::Batch, 400, split_one(0, 400));
-        door.pump(at(1), &[0], |_, _| {});
+        let mut door = FrontDoor::new(c, 4);
+        door.ingest(0, at(1), 400);
+        door.pump(at(1), 0);
         // Three standard waiters (60 each): the hard cap evicts the two
         // youngest, never the oldest.
-        door.ingest(1, at(2), QueryClass::Standard, 60, split_one(0, 60));
-        door.ingest(2, at(3), QueryClass::Standard, 60, split_one(0, 60));
-        door.ingest(3, at(4), QueryClass::Standard, 60, split_one(0, 60));
-        door.pump(at(4), &[0], |_, _| {});
-        door.pump(at(100), &[400], |_, _| {});
-        door.pump(at(200), &[460], |_, _| {});
+        door.ingest(1, at(2), 60);
+        door.ingest(2, at(3), 60);
+        door.ingest(3, at(4), 60);
+        door.pump(at(4), 400);
+        assert_eq!(door.pump(at(100), 0), vec![1]);
         let log = door.into_log();
         assert!(log.verdicts[1].admitted(), "oldest waiter survives");
         assert!(!log.verdicts[2].admitted());
@@ -914,35 +859,13 @@ mod tests {
     }
 
     #[test]
-    fn per_shard_bound_lets_traffic_route_around_a_backlog() {
-        let mut c = cfg(1_000);
-        c.max_shard_inflight_assignments = Some(100);
-        let mut door = FrontDoor::new(c, 3, 2);
-        // Shard 0 saturated by an older standard query; an even older
-        // standard query targeting it again is shard-blocked, but a younger
-        // one for shard 1 bypasses the head of the line.
-        door.ingest(0, at(1), QueryClass::Standard, 90, split_one(0, 90));
-        door.pump(at(1), &[0, 0], |_, _| {});
-        door.ingest(1, at(2), QueryClass::Standard, 90, split_one(0, 90));
-        door.ingest(2, at(3), QueryClass::Standard, 90, split_one(1, 90));
-        let mut admitted = Vec::new();
-        door.pump(at(3), &[0, 0], |p, _| admitted.push(p.index));
-        assert_eq!(admitted, vec![2], "the healthy shard's query bypasses");
-        // Shard 0 drains → the blocked waiter admits.
-        door.pump(at(10), &[90, 0], |p, _| admitted.push(p.index));
-        assert_eq!(admitted, vec![2, 1]);
-        door.pump(at(20), &[180, 90], |_, _| {});
-        door.into_log();
-    }
-
-    #[test]
     fn samples_record_crossed_boundaries() {
         let mut c = cfg(1_000);
         c.sample_epoch = SimDuration::from_secs(10);
-        let mut door = FrontDoor::new(c, 1, 1);
-        door.ingest(0, at(5), QueryClass::Standard, 50, split_one(0, 50));
-        door.pump(at(5), &[0], |_, _| {});
-        door.pump(at(35), &[50], |_, _| {});
+        let mut door = FrontDoor::new(c, 1);
+        door.ingest(0, at(5), 50);
+        door.pump(at(5), 0);
+        door.pump(at(35), 0);
         let log = door.into_log();
         assert_eq!(log.samples.len(), 3, "boundaries 10/20/30 crossed");
         assert_eq!(log.samples[0].epoch, 1);
@@ -956,10 +879,10 @@ mod tests {
     fn unresolved_queries_fail_loudly() {
         // Closing the log with a query still waiting is a driver liveness
         // bug; the planner must refuse to paper over it.
-        let mut door = FrontDoor::new(cfg(10), 2, 1);
-        door.ingest(0, at(1), QueryClass::Batch, 400, split_one(0, 400));
-        door.pump(at(1), &[0], |_, _| {});
-        door.ingest(1, at(2), QueryClass::Batch, 120, split_one(0, 120));
+        let mut door = FrontDoor::new(cfg(10), 2);
+        door.ingest(0, at(1), 400);
+        door.pump(at(1), 0);
+        door.ingest(1, at(2), 120);
         let _ = door.into_log();
     }
 

@@ -172,9 +172,13 @@ impl Default for RebalanceConfig {
 ///   lying *entirely* inside an outage window is rejected — no message
 ///   crosses a dead shard's link, so the window could never fire and is
 ///   almost certainly a plan bug. Note the *transport* controller itself
-///   currently requires an outage-free plan
-///   ([`RuntimeConfig::validate`]); the composition rule keeps
-///   [`FaultPlan`] forward-compatible.
+///   still requires an outage-free plan ([`RuntimeConfig::validate`]: a
+///   fragment delayed in flight could cross the outage edge); the
+///   composition rule keeps [`FaultPlan`] forward-compatible.
+///
+/// Every fault kind composes with the front door, rebalancing and failover:
+/// the door's only feedback is what each shard holds, so its charge moves
+/// with migrated and evacuated work and never counts a lost fragment.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     /// Injected shard slowdown windows.
@@ -406,29 +410,13 @@ impl RuntimeConfig {
         self.telemetry.validate();
         assert!(self.n_shards > 0, "need at least one shard");
         assert!(
-            !(self.front_door.enabled && self.rebalance.enabled),
-            "front door and elastic rebalancing cannot be combined yet: \
-             the door's in-flight ledger is keyed by the shard a query was \
-             admitted to, and a migration services that work elsewhere"
-        );
-        assert!(
-            !(self.front_door.enabled
-                && (self.failover.enabled || !self.faults.outages.is_empty())),
-            "front door and shard outages cannot be combined yet: \
-             the door's in-flight ledger is keyed by the shard a query was \
-             admitted to, and an evacuation services that work elsewhere"
-        );
-        assert!(
             !(self.transport.enabled
-                && (self.front_door.enabled
-                    || self.rebalance.enabled
+                && (self.rebalance.enabled
                     || self.failover.enabled
                     || !self.faults.outages.is_empty())),
-            "the transport controller cannot be combined with the front \
-             door, rebalancing, or outage failover yet: a fragment delayed in \
-             flight can cross an epoch move or an outage edge that migration \
-             and failover's intercept never see (stalls compose; see \
-             FaultPlan)"
+            "the transport controller cannot be combined with rebalancing or \
+             outages yet: a fragment delayed in flight can cross a map change \
+             (an epoch move or an outage edge) after it was routed"
         );
         assert!(
             self.faults.links.is_empty() || self.transport.enabled,
@@ -516,13 +504,22 @@ mod tests {
         c.validate();
         assert_eq!(c.faults.for_shard(2).len(), 1);
         assert!(c.faults.for_shard(0).is_empty());
+        // The door composes with rebalancing, outages and failover…
+        let mut all = c.clone();
+        all.rebalance = RebalanceConfig::every(SimDuration::from_secs(5));
+        all.faults.outages.push(outage(0, 20, 30));
+        all.failover = FailoverConfig::recovery();
+        all.validate();
+        // …and with the hedged transport.
+        c.transport = TransportConfig::hedged();
+        c.validate();
     }
 
     #[test]
-    #[should_panic(expected = "cannot be combined")]
-    fn front_door_excludes_rebalancing() {
+    #[should_panic(expected = "transport controller cannot be combined")]
+    fn transport_excludes_map_changes() {
         let mut c = RuntimeConfig::contiguous(SimConfig::paper(), 4);
-        c.front_door = FrontDoorConfig::bounded(10_000);
+        c.transport = TransportConfig::reliable();
         c.rebalance = RebalanceConfig::every(SimDuration::from_secs(5));
         c.validate();
     }
@@ -627,14 +624,5 @@ mod tests {
             links: vec![],
         }
         .validate(1);
-    }
-
-    #[test]
-    #[should_panic(expected = "front door and shard outages cannot be combined")]
-    fn front_door_excludes_outages() {
-        let mut c = RuntimeConfig::contiguous(SimConfig::paper(), 4);
-        c.front_door = FrontDoorConfig::bounded(10_000);
-        c.faults.outages.push(outage(0, 1, 5));
-        c.validate();
     }
 }

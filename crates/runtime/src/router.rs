@@ -12,8 +12,6 @@
 //! [`route_window`] call, and the shards serve the result independently
 //! until the next one.
 
-use std::ops::Range;
-
 use liferaft_catalog::Partition;
 use liferaft_query::{CrossMatchQuery, QueryId, QueryPreProcessor, WorkItem};
 use liferaft_storage::SimTime;
@@ -34,9 +32,11 @@ pub struct Fragment {
     /// Arrival instant of the parent query (ages reference this).
     pub arrival: SimTime,
     /// Release instant: when the fragment becomes *deliverable* to its
-    /// shard. Equal to `arrival` unless the front door held the query back;
-    /// ages keep referencing `arrival`, so front-door queueing shows up as
-    /// response time exactly like queueing at a loaded shard.
+    /// shard. Routing sets it to `arrival`; the front door moves it to the
+    /// admission instant, the transport to the earliest surviving copy's
+    /// delivery, and a re-delivery or hedge copy to its own hand-off. Ages
+    /// keep referencing `arrival`, so every such delay shows up as response
+    /// time exactly like queueing at a loaded shard.
     pub release: SimTime,
     /// The parent query's front-door class ([`QueryClass::Standard`] when
     /// the front door is disabled).
@@ -114,19 +114,21 @@ pub fn route(partition: &Partition, map: &ShardMap, trace: &TimedTrace) -> Routi
 /// send, small enough that a 10 000-query trace still balances over threads.
 const PRE_ROUTE_CHUNK: usize = 128;
 
-/// Routes the trace entries in `window` under `map` — the one split path:
-/// [`route`] is one whole-trace window, and the runtime routes a controller
-/// run window by window as the map evolves between them. Per-query
-/// pre-processing spreads over up to `threads` threads (1 = the calling
-/// thread only). Fragments keep their absolute `query_index`;
-/// `fragments_of` and `assignments_of` cover the window's entries only.
-/// Routing consecutive windows under one map and concatenating them
-/// reproduces routing their union, at every thread count.
+/// Routes the trace entries at the indices of `window` under `map`, in the
+/// order given — the one split path: [`route`] is one whole-trace window,
+/// the runtime routes a controller run window by window as the map evolves
+/// between them, and a front-door pass routes just the queries it admitted,
+/// in admission order. Per-query pre-processing spreads over up to
+/// `threads` threads (1 = the calling thread only). Fragments keep their
+/// absolute `query_index`; `fragments_of` and `assignments_of` cover the
+/// window's entries only, in window order. Routing consecutive windows
+/// under one map and concatenating them reproduces routing their union, at
+/// every thread count.
 pub fn route_window(
     partition: &Partition,
     map: &ElasticShardMap,
     entries: &[(SimTime, CrossMatchQuery)],
-    window: Range<usize>,
+    window: impl IntoIterator<Item = usize>,
     threads: usize,
 ) -> Routing {
     assert_eq!(
@@ -135,28 +137,28 @@ pub fn route_window(
         "shard map must cover the partition"
     );
     let pre = QueryPreProcessor::new(partition);
-    let first = window.start;
-    let entries = &entries[window];
-    let chunks: Vec<_> = entries.chunks(PRE_ROUTE_CHUNK).collect();
+    let window: Vec<usize> = window.into_iter().collect();
+    let chunks: Vec<_> = window.chunks(PRE_ROUTE_CHUNK).collect();
     let pre_routed = parallel_map(&chunks, threads, |_, chunk| {
         chunk
             .iter()
-            .map(|(_, q)| pre.preprocess(q))
+            .map(|&i| pre.preprocess(&entries[i].1))
             .collect::<Vec<_>>()
     });
 
     let n_shards = map.n_shards() as usize;
     let mut shards: Vec<Vec<Fragment>> = vec![Vec::new(); n_shards];
-    let mut fragments_of = Vec::with_capacity(entries.len());
-    let mut assignments_of = Vec::with_capacity(entries.len());
+    let mut fragments_of = Vec::with_capacity(window.len());
+    let mut assignments_of = Vec::with_capacity(window.len());
     let mut cross_shard_queries = 0usize;
     let mut total_assignments = 0u64;
     // Per-query scratch: items grouped by shard (reused across queries).
     let mut split: Vec<Vec<WorkItem>> = vec![Vec::new(); n_shards];
 
     let items_of = pre_routed.into_iter().flatten();
-    for (offset, ((arrival, query), items)) in entries.iter().zip(items_of).enumerate() {
-        let head = Fragment::head(first + offset, query.id, *arrival);
+    for (&index, items) in window.iter().zip(items_of) {
+        let (arrival, query) = &entries[index];
+        let head = Fragment::head(index, query.id, *arrival);
         let mut assignments = 0u64;
         for item in items {
             assignments += item.len() as u64;

@@ -31,7 +31,7 @@ use std::collections::{BinaryHeap, HashMap};
 
 use liferaft_catalog::{Catalog, Partition};
 use liferaft_core::Scheduler;
-use liferaft_query::{CrossMatchQuery, QueryId};
+use liferaft_query::{CrossMatchQuery, QueryId, QueryPreProcessor};
 use liferaft_sim::{MigratedBucket, RunReport, ShardOutage};
 use liferaft_storage::SimTime;
 use liferaft_telemetry::{Event, TelemetryReport};
@@ -230,7 +230,7 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
             door: cfg
                 .front_door
                 .enabled
-                .then(|| FrontDoor::new(cfg.front_door, entries.len(), n)),
+                .then(|| FrontDoor::new(cfg.front_door, entries.len())),
             hedges: cfg
                 .transport
                 .hedge
@@ -403,7 +403,8 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
 /// produced and the decision log of every controller that ran.
 #[derive(Default)]
 struct Plan {
-    /// Per trace index: routed (object × bucket) assignments.
+    /// Per trace index: (object × bucket) assignments, booked once per query
+    /// — as its window routes, or as the door registers it.
     assignments_of: Vec<u64>,
     cross_shard_queries: usize,
     total_fragments: usize,
@@ -414,10 +415,8 @@ struct Plan {
 }
 
 impl Plan {
-    /// Books one routed window's counters.
+    /// Books one handed-off routing's counters.
     fn record(&mut self, routing: &Routing) {
-        self.assignments_of
-            .extend_from_slice(&routing.assignments_of);
         self.cross_shard_queries += routing.cross_shard_queries;
         self.total_fragments += routing.total_fragments();
     }
@@ -425,15 +424,15 @@ impl Plan {
 
 /// Controller event sources, in firing order at equal instants: a fault
 /// boundary changes the pool before an epoch samples it, both change the map
-/// before the arrivals of their instant route under it, a re-delivery lands
-/// after those arrivals, and a hedge check reads the pool last. (Validation
-/// keeps `Door` and `Hedge` from meeting the others.)
+/// before the arrivals of their instant route under it — whether routed in
+/// a window or admitted by a door pass — a re-delivery lands after those
+/// arrivals, and a hedge check reads the pool last.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Source {
     Outage,
     Epoch,
-    Redelivery,
     Door,
+    Redelivery,
     Hedge,
 }
 
@@ -476,7 +475,7 @@ impl Controllers<'_> {
             // A worker's clock runs ahead of global time by whole batch
             // costs; each recorded batch *end* in that gap is a "capacity
             // frees here" event the door must observe at its own instant
-            // (and never earlier — see `ShardWorker::serviced_at`).
+            // (and never earlier — see `ShardWorker::held_at`).
             let tick = workers
                 .iter()
                 .filter_map(|w| w.next_completion_after(now))
@@ -484,9 +483,9 @@ impl Controllers<'_> {
             let arrival = self.entries.get(self.routed).map(|e| e.0);
             let due = [arrival, d.next_wakeup(), tick].into_iter().flatten().min();
             // Liveness: no event anywhere yet waiters remain. With no shard
-            // event pending every admitted assignment has been serviced, so
-            // pumping "now" admits the head-of-line waiter unconditionally —
-            // the loop can never stall with work outstanding.
+            // event pending the shards hold nothing, so pumping "now" admits
+            // the head-of-line waiter unconditionally — the loop can never
+            // stall with work outstanding.
             due.or((idle && d.has_active()).then_some(now))
         });
         let alive = [
@@ -515,21 +514,23 @@ impl Controllers<'_> {
 
     /// Opens a window: routes every arrival before the next control instant
     /// under the live map and up-mask (which change only at those instants)
-    /// and hands the fragments to the workers — except what failover
-    /// intercepts on the way into a dead shard, and with the release each
-    /// transport chain resolves to (or not at all, when it is lost). Returns
-    /// that instant, shrunk by any re-delivery deadline or hedge check the
-    /// routing itself created. The door routes its arrivals itself, as it
-    /// registers them.
+    /// and [hands the fragments off](Self::hand_off). Returns that instant,
+    /// shrunk by any re-delivery deadline or hedge check the routing itself
+    /// created. With the door on, arrivals wait at the door instead, and
+    /// each pass routes what it admits.
     fn route_window<C: Catalog + ?Sized>(
         &mut self,
         workers: &mut [ShardWorker<'_, C>],
     ) -> Option<(SimTime, Source)> {
         loop {
             let bound = self.next_event(workers);
-            // A loss re-delivers one detection timeout after its arrival, so
-            // while intercepting, routing stops where the earliest loss this
-            // window could create would fire.
+            if self.door.is_some() {
+                return bound;
+            }
+            // A loss re-delivers one detection timeout after its release (a
+            // routed arrival's is its arrival), so while intercepting,
+            // routing stops where the earliest loss this window could create
+            // would fire.
             let loss = self
                 .outages
                 .as_ref()
@@ -542,31 +543,23 @@ impl Controllers<'_> {
                 .iter()
                 .take_while(|&&(at, _)| cut.map_or(true, |c| (at, Source::Epoch) < c))
                 .count();
-            if due == 0 || self.door.is_some() {
+            if due == 0 {
                 return bound;
             }
-            let mut routing = self.route(due);
-            if let Some(outages) = self.outages.as_mut().filter(|o| o.cfg.enabled) {
-                outages.intercept(&self.up, &mut routing.shards);
-            }
-            if let Some(delivery) = self.plan.transport.as_mut() {
-                let cfg = self.config;
-                delivery.deliver(&cfg.transport, &cfg.faults, &mut routing);
-            }
-            self.plan.record(&routing);
-            if let (Some(hedges), Some(delivery)) = (self.hedges.as_mut(), &self.plan.transport) {
-                hedges.track(&routing, &self.plan.assignments_of, &delivery.rejected);
-            }
-            for (w, stream) in workers.iter_mut().zip(routing.shards) {
-                w.append_fragments(stream);
-            }
+            let window = self.routed..self.routed + due;
+            self.routed = window.end;
+            // A window opens no later than its first arrival.
+            let opened = self.entries[window.start].0;
+            let routing = self.route(window);
+            self.plan
+                .assignments_of
+                .extend_from_slice(&routing.assignments_of);
+            self.hand_off(workers, routing, opened);
         }
     }
 
-    /// Routes the next `n` unrouted arrivals under the live map.
-    fn route(&mut self, n: usize) -> Routing {
-        let window = self.routed..self.routed + n;
-        self.routed = window.end;
+    /// Routes the trace entries at `window` under the live map.
+    fn route(&self, window: impl IntoIterator<Item = usize>) -> Routing {
         route_window(
             self.partition,
             &self.map,
@@ -574,6 +567,33 @@ impl Controllers<'_> {
             window,
             self.threads,
         )
+    }
+
+    /// The one tail of every routing, a window's or a door pass's, handed
+    /// off at `at`: failover intercepts what lands in a dead shard, the
+    /// transport resolves each chain to its delivery instant (or loses it),
+    /// the plan books the counters, hedging tracks what was delivered, and
+    /// the workers take the rest.
+    fn hand_off<C: Catalog + ?Sized>(
+        &mut self,
+        workers: &mut [ShardWorker<'_, C>],
+        mut routing: Routing,
+        at: SimTime,
+    ) {
+        if let Some(outages) = self.outages.as_mut().filter(|o| o.cfg.enabled) {
+            outages.intercept(&self.up, &mut routing.shards);
+        }
+        if let Some(delivery) = self.plan.transport.as_mut() {
+            let cfg = self.config;
+            delivery.deliver(&cfg.transport, &cfg.faults, &mut routing);
+        }
+        self.plan.record(&routing);
+        if let (Some(hedges), Some(delivery)) = (self.hedges.as_mut(), &self.plan.transport) {
+            hedges.track(&routing, at, &self.plan.assignments_of, &delivery.rejected);
+        }
+        for (w, stream) in workers.iter_mut().zip(routing.shards) {
+            w.append_fragments(stream);
+        }
     }
 
     /// Fires the event `next_event` announced.
@@ -607,62 +627,40 @@ impl Controllers<'_> {
     }
 
     /// One front-door pass at `t`: register every arrival due by now (trace
-    /// order, routed as one window under the map validation keeps static),
-    /// then wake backoffs, admit, shed, reject. Admitted queries hand their
-    /// split to the shards with `release = now`. Admission feedback is the per-shard entries serviced
-    /// by batches that completed by `now`, so an admission at `now` depends
-    /// only on batches completed by `now`.
+    /// order, sized once), then wake backoffs, admit, shed, reject. The
+    /// queries admitted are routed under the live map and handed off like a
+    /// routed window, released at `now`. Admission feedback is what the
+    /// shards hold at `now`, so an admission at `now` depends only on
+    /// batches completed by `now`.
     fn door_pass<C: Catalog + ?Sized>(&mut self, workers: &mut [ShardWorker<'_, C>], t: SimTime) {
-        let Some(now) = self.door.as_ref().map(|d| d.now().max(t)) else {
+        let Some(door) = self.door.as_mut() else {
             return;
         };
-        let first = self.routed;
-        let due = self.entries[first..].iter().take_while(|e| e.0 <= now);
-        let routing = self.route(due.count());
-        let (entries, plan) = (self.entries, &mut self.plan);
-        let door = self.door.as_mut().expect("the door is plugged in");
-        plan.assignments_of
-            .extend_from_slice(&routing.assignments_of);
-        let mut streams: Vec<_> = routing
-            .shards
-            .into_iter()
-            .map(|s| s.into_iter().peekable())
-            .collect();
-        for (index, &assignments) in (first..).zip(&routing.assignments_of) {
-            // Shard order, as split; a workless query's bare marker
-            // carries no work to hold back.
-            let split = streams
-                .iter_mut()
-                .enumerate()
-                .filter_map(|(s, stream)| {
-                    let fragment = stream.next_if(|f| f.query_index == index)?;
-                    Some((s, fragment.items))
-                })
-                .filter(|(_, items)| !items.is_empty())
-                .collect();
-            let class = door.cfg.classify(assignments);
-            door.ingest(index, entries[index].0, class, assignments, split);
+        let now = door.now().max(t);
+        let pre = QueryPreProcessor::new(self.partition);
+        for (arrival, query) in self.entries[self.routed..]
+            .iter()
+            .take_while(|e| e.0 <= now)
+        {
+            let assignments = pre.workload_size(query);
+            self.plan.assignments_of.push(assignments);
+            door.ingest(self.routed, *arrival, assignments);
+            self.routed += 1;
         }
-        let serviced: Vec<u64> = workers.iter().map(|w| w.serviced_at(now)).collect();
-        door.pump(now, &serviced, |p, at| {
-            let head = Fragment {
-                release: at,
-                class: p.class,
-                ..Fragment::head(p.index, entries[p.index].1.id, p.arrival)
-            };
-            plan.total_fragments += p.split.len().max(1);
-            if p.split.len() > 1 {
-                plan.cross_shard_queries += 1;
-            }
-            if p.split.is_empty() {
-                // Zero-work: ship the arrival itself to shard 0.
-                workers[0].append_fragments(vec![head]);
-            } else {
-                for (s, items) in p.split {
-                    workers[s].append_fragments(vec![head.with_items(items)]);
-                }
-            }
-        });
+        let held = workers.iter().map(|w| w.held_at(now)).sum();
+        let admitted = door.pump(now, held);
+        if admitted.is_empty() {
+            return;
+        }
+        let mut routing = self.route(admitted);
+        for f in routing.shards.iter_mut().flatten() {
+            f.release = now;
+            f.class = self
+                .config
+                .front_door
+                .classify(self.plan.assignments_of[f.query_index]);
+        }
+        self.hand_off(workers, routing, now);
     }
 
     /// Finishes the run: every handler hands over its log.
@@ -759,8 +757,8 @@ struct Chain {
 ///   failover enabled evacuates every non-empty bucket off the dead shard
 ///   and updates the live map, while an up edge re-admits the — now empty
 ///   and cold — shard to the pool;
-/// - a fragment an arrival **lost** to a dead shard queues its first
-///   re-delivery attempt one detection timeout after the arrival;
+/// - a fragment **lost** to a dead shard queues its first re-delivery
+///   attempt one detection timeout after its release;
 /// - a **re-delivery** lands the whole lost fragment on the least-loaded
 ///   live shard, or — when nothing is up — fails and backs off
 ///   exponentially until `max_redeliveries` attempts reject the query (a
@@ -876,10 +874,11 @@ impl Outages {
         }
     }
 
-    /// Intercepts what a window's routing released into **down** shards,
-    /// in routing order (query, then shard). A work-bearing fragment is lost
-    /// in flight and queues its first re-delivery one detection timeout
-    /// after its arrival. A zero-work marker has nothing to lose, but its
+    /// Intercepts what a routing released into **down** shards, in routing
+    /// order (query, then shard). A work-bearing fragment is lost in flight
+    /// and queues its first re-delivery one detection timeout after its
+    /// release (a door-held query's admission, not its arrival). A zero-work
+    /// marker has nothing to lose, but its
     /// arrival notification should reach a live scheduler: it retargets from
     /// a dead shard 0 to the lowest-id live shard (with no shard up at all
     /// it rides out the outage where it is — it completes at its arrival
@@ -899,7 +898,7 @@ impl Outages {
         for (_, from, fragment) in lost {
             let seq = self.next_seq;
             self.next_seq += 1;
-            let deadline = self.retry.deadline_after(fragment.arrival, 0);
+            let deadline = self.retry.deadline_after(fragment.release, 0);
             self.retries.push(Reverse((deadline, seq)));
             let chain = Chain {
                 from,
@@ -1378,22 +1377,127 @@ mod tests {
     #[test]
     fn unbounded_front_door_is_behaviour_neutral() {
         use crate::admission::FrontDoorConfig;
-        let (cat, timed) = fixture(12, 2.0);
-        let mut config = RuntimeConfig::contiguous(SimConfig::paper(), 4);
-        let off = ShardedRuntime::new(&cat, config.clone());
-        let baseline = off.run(&timed, &mut |_| greedy(), ExecMode::Stepped);
-        // Enabled but with no binding limit: every query admits at its
-        // arrival instant, reproducing the static runtime bit-for-bit.
-        config.front_door = FrontDoorConfig::bounded(u64::MAX);
-        let on = ShardedRuntime::new(&cat, config);
+        use crate::config::RebalanceConfig;
+        use crate::failover::FailoverConfig;
+        use liferaft_sim::ShardOutage;
+        use liferaft_storage::SimDuration;
+        let (cat, timed) = fixture(24, 8.0);
+        let base = RuntimeConfig::contiguous(SimConfig::paper(), 4);
+        let mut rebalance = base.clone();
+        rebalance.rebalance = RebalanceConfig::every(SimDuration::from_secs(2));
+        rebalance.rebalance.min_imbalance = 1.05;
+        let mut crash = base.clone();
+        crash.failover = FailoverConfig::recovery();
+        crash.faults.outages.push(ShardOutage {
+            shard: 0,
+            down_at: SimTime::ZERO + SimDuration::from_secs(1),
+            up_at: SimTime::ZERO + SimDuration::from_secs(6),
+        });
+        for (name, config) in [("static", base), ("rebalance", rebalance), ("crash", crash)] {
+            let off = ShardedRuntime::new(&cat, config.clone());
+            let baseline = off.run(&timed, &mut |_| greedy(), ExecMode::Stepped);
+            // Enabled but with no binding limit: every query admits at its
+            // arrival instant, under the map and up-mask a routed window
+            // would see, reproducing the door-off runtime bit-for-bit.
+            let mut door = config;
+            door.front_door = FrontDoorConfig::bounded(u64::MAX);
+            let on = ShardedRuntime::new(&cat, door);
+            for mode in [ExecMode::Stepped, ExecMode::Threaded] {
+                let report = on.run(&timed, &mut |_| greedy(), mode);
+                let case = format!("{name}, {mode:?}");
+                assert_eq!(report.global.outcomes, baseline.global.outcomes, "{case}");
+                assert_eq!(report.global.batches, baseline.global.batches, "{case}");
+                assert_eq!(report.global.io, baseline.global.io, "{case}");
+                assert_eq!(report.failover, baseline.failover, "{case}");
+                let fd = report.front_door.expect("enabled door reports");
+                assert!(fd.rejected.is_empty());
+                assert_eq!(fd.log.total_shed_events(), 0);
+            }
+        }
+    }
+
+    #[test]
+    fn the_door_books_admitted_queries_that_failover_rejects() {
+        use crate::admission::FrontDoorConfig;
+        use crate::failover::FailoverConfig;
+        use liferaft_sim::ShardOutage;
+        use liferaft_storage::SimDuration;
+        // The only shard is dead for the whole run: every fragment is lost,
+        // so none is ever charged and a one-assignment bound admits every
+        // query at its arrival; every re-delivery then finds no live shard.
+        let (cat, timed) = fixture(6, 1.0);
+        let mut config = RuntimeConfig::contiguous(SimConfig::paper(), 1);
+        config.front_door = FrontDoorConfig::bounded(1);
+        config.failover = FailoverConfig::recovery();
+        config.faults.outages.push(ShardOutage {
+            shard: 0,
+            down_at: SimTime::ZERO,
+            up_at: SimTime::ZERO + SimDuration::from_secs(100_000),
+        });
+        let report =
+            ShardedRuntime::new(&cat, config).run(&timed, &mut |_| greedy(), ExecMode::Stepped);
+        let fd = report.front_door.as_ref().expect("door reports");
+        let fo = report.failover.as_ref().expect("failover reports");
+        assert!(report.global.outcomes.is_empty());
+        assert!(fd.rejected.is_empty(), "the door turned nobody away");
+        assert_eq!(fo.rejected.len(), timed.len());
+        for c in &fd.per_class {
+            assert_eq!(c.admitted, c.submitted, "{:?}", c.class);
+            assert_eq!(c.deferred, 0, "{:?}: nothing was ever held", c.class);
+            assert_eq!(c.rejected, c.submitted, "{:?}: failover's count", c.class);
+            assert_eq!(c.response.count(), 0, "{:?}: no completion", c.class);
+        }
+    }
+
+    #[test]
+    fn a_door_held_query_lost_to_a_dead_shard_redelivers_from_its_admission() {
+        use crate::admission::{Disposition, FrontDoorConfig};
+        use crate::failover::FailoverConfig;
+        use liferaft_sim::ShardOutage;
+        use liferaft_storage::{BucketId, SimDuration};
+        // Two contiguous shards over 20 buckets: query 0 fills shard 1,
+        // query 1 lives on shard 0, which dies before the door lets it in.
+        let sky = uniform_sky(2_000, LEVEL, 5);
+        let cat = MaterializedCatalog::build(&sky, LEVEL, 100, 4096);
+        let query = |id: u64, buckets: std::ops::Range<u32>| {
+            let positions: Vec<_> = buckets
+                .flat_map(|b| cat.bucket_objects(BucketId(b)).into_owned())
+                .map(|o| o.pos)
+                .collect();
+            CrossMatchQuery::from_positions(QueryId(id), &positions, 1e-4, LEVEL, Predicate::All)
+        };
+        let arrivals = vec![SimTime::ZERO, SimTime::ZERO + SimDuration::from_millis(100)];
+        let timed =
+            Trace::new(LEVEL, vec![query(0, 10..16), query(1, 0..1)]).with_arrivals(arrivals);
+        let mut config = RuntimeConfig::contiguous(SimConfig::paper(), 2);
+        config.front_door = FrontDoorConfig::bounded(1);
+        config.failover = FailoverConfig::recovery();
+        let down_at = SimTime::ZERO + SimDuration::from_millis(500);
+        config.faults.outages.push(ShardOutage {
+            shard: 0,
+            down_at,
+            up_at: SimTime::ZERO + SimDuration::from_secs(1_000),
+        });
+        let rt = ShardedRuntime::new(&cat, config.clone());
         for mode in [ExecMode::Stepped, ExecMode::Threaded] {
-            let report = on.run(&timed, &mut |_| greedy(), mode);
-            assert_eq!(report.global.outcomes, baseline.global.outcomes, "{mode:?}");
-            assert_eq!(report.global.batches, baseline.global.batches);
-            assert_eq!(report.global.io, baseline.global.io);
-            let fd = report.front_door.expect("enabled door reports");
-            assert!(fd.rejected.is_empty());
-            assert_eq!(fd.log.total_shed_events(), 0);
+            let report = rt.run(&timed, &mut |_| greedy(), mode);
+            let fd = report.front_door.as_ref().expect("door reports");
+            let Disposition::Admitted { at: admitted, .. } = fd.log.verdicts[1].decision else {
+                panic!("query 1 must be admitted");
+            };
+            assert!(
+                admitted > down_at,
+                "{mode:?}: the door must hold query 1 past the crash"
+            );
+            let fo = report.failover.as_ref().expect("failover reports");
+            let [redelivery] = &fo.log.redeliveries[..] else {
+                panic!("{mode:?}: one lost fragment, one re-delivery");
+            };
+            assert_eq!(redelivery.query_index, 1);
+            assert_eq!(redelivery.to, Some(1), "the survivor takes it");
+            let timeout = config.failover.retry_policy().deadline_after(admitted, 0);
+            assert_eq!(redelivery.at, timeout, "{mode:?}: counted from admission");
+            assert_eq!(report.global.outcomes.len(), 2);
         }
     }
 

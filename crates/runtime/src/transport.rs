@@ -17,7 +17,8 @@
 //! `(seed, query_index, shard, attempt, stream)` through SplitMix64 — no
 //! RNG state threads through execution — so a fragment's retransmit chain
 //! is a pure function of the fragment. The window loop resolves the chains
-//! of each window as it routes it: every fragment either carries its
+//! of each routing as it hands it off — a routed window, or what a front
+//! door pass admitted: every fragment either carries its
 //! effective delivery instant (the earliest surviving copy) as its release,
 //! or is lost and rejects its query. Stepped and threaded execution route
 //! identical windows, so they stay bit-identical by construction; with no
@@ -44,13 +45,15 @@
 //! its checks are barriers. At a check `t` it reads every fragment
 //! completion the pool recorded by `t` (each shard's running clock, as in
 //! the canonical merge) into per-class response samples, then re-issues
-//! every outstanding fragment that lags its class — older than
+//! every outstanding fragment that lags its class — outstanding longer than
 //! `latency_multiplier ×` the class's response quantile, floored at
 //! `min_age` — to the least-loaded live shard *not already hosting the
-//! query*. The next check is the earliest instant an outstanding fragment
-//! falls due, so the hedges before any instant depend only on the arrivals
-//! before it: a threshold comes from the responses seen so far, never from
-//! the run's future. The copy races the original; the first completion wins
+//! query*. Ages and responses both count from the hand-off: a routed
+//! fragment's arrival, or the pass that admitted a door-held query. The
+//! next check is the earliest instant an outstanding fragment falls due,
+//! so the hedges before any instant depend only on the arrivals before it:
+//! a threshold comes from the responses seen so far, never from the run's
+//! future. The copy races the original; the first completion wins
 //! and the loser is suppressed exactly like a network duplicate, so hedging
 //! trades duplicate *work* for tail latency without ever double-counting a
 //! query.
@@ -262,7 +265,8 @@ pub struct SuppressedDuplicate {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HedgeDecision {
     /// The hedge check (a window-loop barrier) at which the fragment was
-    /// due: at or after its arrival plus its class threshold.
+    /// due: at or after its hand-off (arrival, or door admission) plus its
+    /// class threshold.
     pub at: SimTime,
     /// Trace index of the straggling query.
     pub query_index: usize,
@@ -279,7 +283,7 @@ pub struct HedgeDecision {
 }
 
 /// The transport decision log of one run: every drop, retransmission and
-/// suppression its routed windows resolved, and every hedge its checks
+/// suppression its hand-offs resolved, and every hedge its checks
 /// issued — identical across execution modes.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct TransportLog {
@@ -577,9 +581,10 @@ fn plan_chain(
 /// was not rejected, it was not hedged, and no check has seen it complete.
 pub(crate) struct Hedges {
     cfg: HedgeConfig,
-    /// Per routed query: its class (default thresholds on routed workload).
-    class_of: HashMap<QueryId, QueryClass>,
-    /// Per class: outstanding fragments as `(arrival, query, shard)`.
+    /// Per routed query: its class (default thresholds on routed workload)
+    /// and the instant the router handed it off.
+    class_of: HashMap<QueryId, (QueryClass, SimTime)>,
+    /// Per class: outstanding fragments as `(handed off, query, shard)`.
     outstanding: [BTreeSet<(SimTime, QueryId, u32)>; 3],
     /// Per class: responses (s) of the work-bearing completions read, sorted.
     samples: [Vec<f64>; 3],
@@ -604,39 +609,44 @@ impl Hedges {
         }
     }
 
-    /// Tracks one routed window after transport resolved it: every
-    /// work-bearing fragment of a query not in `rejected` is outstanding.
+    /// Tracks one routing handed off at `at` (a routed window: no later
+    /// than its first arrival; a door pass: its instant), after transport
+    /// resolved it: every work-bearing fragment of a query not in `rejected`
+    /// is outstanding from the later of its arrival and `at`, so the time a
+    /// query waited at the door never counts as lagging at a shard.
     /// `assignments_of` covers the trace routed so far.
     pub(crate) fn track(
         &mut self,
         routing: &Routing,
+        at: SimTime,
         assignments_of: &[u64],
         rejected: &[Option<(SimTime, u32)>],
     ) {
         for (shard, fragments) in routing.shards.iter().enumerate() {
             for f in fragments {
                 let class = QueryClass::of_default_thresholds(assignments_of[f.query_index]);
-                self.class_of.insert(f.query, class);
+                let handed = f.arrival.max(at);
+                self.class_of.insert(f.query, (class, handed));
                 if f.assignments > 0 && rejected[f.query_index].is_none() {
-                    self.outstanding[class.rank()].insert((f.arrival, f.query, shard as u32));
+                    self.outstanding[class.rank()].insert((handed, f.query, shard as u32));
                 }
             }
         }
     }
 
-    /// When an outstanding fragment of `class` that arrived at `arrival`
-    /// falls due: `latency_multiplier ×` the class's response quantile
-    /// (floored at `min_age`) after its arrival — or, while the class has
-    /// fewer than `min_samples` responses and so hedges nothing, a re-check
-    /// `min_age` after the later of its arrival and the latest check.
-    fn due(&self, class: QueryClass, arrival: SimTime) -> SimTime {
+    /// When an outstanding fragment of `class` handed off at `handed` falls
+    /// due: `latency_multiplier ×` the class's response quantile (floored
+    /// at `min_age`) after its hand-off — or, while the class has fewer than
+    /// `min_samples` responses and so hedges nothing, a re-check `min_age`
+    /// after the later of its hand-off and the latest check.
+    fn due(&self, class: QueryClass, handed: SimTime) -> SimTime {
         let s = &self.samples[class.rank()];
         if s.len() < self.cfg.min_samples {
-            return arrival.max(self.last) + self.cfg.min_age;
+            return handed.max(self.last) + self.cfg.min_age;
         }
         let k = ((s.len() - 1) as f64 * self.cfg.quantile).round() as usize;
         let threshold = SimDuration::from_secs_f64(self.cfg.latency_multiplier * s[k]);
-        arrival + threshold.max(self.cfg.min_age)
+        handed + threshold.max(self.cfg.min_age)
     }
 
     /// The next check: the earliest instant an outstanding fragment falls
@@ -646,7 +656,7 @@ impl Hedges {
             return None;
         }
         let first = |class: QueryClass| self.outstanding[class.rank()].first().map(|f| f.0);
-        let due = |class| first(class).map(|arrival| self.due(class, arrival));
+        let due = |class| first(class).map(|handed| self.due(class, handed));
         QueryClass::ALL.into_iter().filter_map(due).min()
     }
 
@@ -672,19 +682,20 @@ impl Hedges {
                 }
                 *clock = o.completion.max(*clock);
                 *read += 1;
-                let class = self.class_of[&o.query].rank();
+                let (class, handed) = self.class_of[&o.query];
+                let class = class.rank();
                 if o.assignments > 0 {
-                    let response = o.completion.since(o.arrival).as_secs_f64();
+                    let response = o.completion.since(handed).as_secs_f64();
                     let samples = &mut self.samples[class];
                     samples.insert(samples.partition_point(|&s| s <= response), response);
                 }
-                self.outstanding[class].remove(&(o.arrival, o.query, shard as u32));
+                self.outstanding[class].remove(&(handed, o.query, shard as u32));
             }
         }
         let mut due: Vec<(SimTime, QueryId, u32)> = Vec::new();
         for class in QueryClass::ALL {
-            while let Some(&(arrival, query, from)) = self.outstanding[class.rank()].first() {
-                let at = self.due(class, arrival);
+            while let Some(&(handed, query, from)) = self.outstanding[class.rank()].first() {
+                let at = self.due(class, handed);
                 if at > t {
                     break;
                 }

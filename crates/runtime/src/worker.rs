@@ -113,11 +113,14 @@ pub(crate) struct ShardWorker<'a, C: Catalog + ?Sized> {
     wiped: usize,
     /// Per-batch `(end, cumulative serviced entries)` checkpoints, in end
     /// order. The front door reads capacity through this ledger
-    /// ([`serviced_at`](Self::serviced_at)) rather than the engine's raw
-    /// counter: the raw counter jumps at batch *start* (when the worker's
-    /// clock can be far ahead of global virtual time), and an admission at
-    /// `t` must depend only on batches completed by `t`.
+    /// ([`held_at`](Self::held_at)) rather than the engine's raw counter:
+    /// the raw counter jumps at batch *start* (when the worker's clock can
+    /// be far ahead of global virtual time), and an admission at `t` must
+    /// depend only on batches completed by `t`.
     completions: Vec<(SimTime, u64)>,
+    /// Entries handed to this shard and not moved off it: every fragment
+    /// appended and every bucket absorbed, less every bucket extracted.
+    handed: u64,
     stats: AdmissionStats,
 }
 
@@ -147,6 +150,7 @@ impl<'a, C: Catalog + ?Sized> ShardWorker<'a, C> {
             outages: config.faults.outages_for_shard(shard.0),
             wiped: 0,
             completions: Vec::new(),
+            handed: 0,
             stats: AdmissionStats::default(),
         }
     }
@@ -325,6 +329,7 @@ impl<'a, C: Catalog + ?Sized> ShardWorker<'a, C> {
                 .map_or(true, |seen| extra.iter().all(|f| f.release >= seen.release)),
             "a fragment handed over behind one already admitted"
         );
+        self.handed += extra.iter().map(|f| f.assignments).sum::<u64>();
         self.fragments.extend(extra);
         // Stable: the fragments already there win ties.
         self.fragments[self.next..].sort_by_key(|f| f.release);
@@ -353,17 +358,15 @@ impl<'a, C: Catalog + ?Sized> ShardWorker<'a, C> {
         self.core.serviced_entries()
     }
 
-    /// Entries serviced by batches that **completed** by virtual time `t` —
-    /// the front door's capacity signal. Work inside a batch still running
-    /// at `t` does not count, so an admission decision made at `t` depends
-    /// only on batches completed by `t`.
-    pub(crate) fn serviced_at(&self, t: SimTime) -> u64 {
+    /// Entries this shard holds at virtual time `t`: everything handed to it
+    /// (less what left with an extracted bucket) not yet serviced by a batch
+    /// that **completed** by `t` — the front door's capacity signal. Work
+    /// inside a batch still running at `t` is held, so an admission decision
+    /// made at `t` depends only on batches completed by `t`.
+    pub(crate) fn held_at(&self, t: SimTime) -> u64 {
         let k = self.completions.partition_point(|&(end, _)| end <= t);
-        if k == 0 {
-            0
-        } else {
-            self.completions[k - 1].1
-        }
+        let serviced = k.checked_sub(1).map_or(0, |k| self.completions[k].1);
+        self.handed - serviced
     }
 
     /// The earliest recorded batch completion strictly after `t` — the
@@ -393,8 +396,11 @@ impl<'a, C: Catalog + ?Sized> ShardWorker<'a, C> {
     /// [`EngineCore::extract_bucket`]). The source clock is untouched —
     /// transfer costs land on the destination.
     pub(crate) fn extract_bucket(&mut self, bucket: BucketId, round: &Round) -> MigratedBucket<'a> {
-        self.core
-            .extract_bucket(bucket, round.at, round.evict_source)
+        let payload = self
+            .core
+            .extract_bucket(bucket, round.at, round.evict_source);
+        self.handed -= payload.len() as u64;
+        payload
     }
 
     /// Adopts this shard's `incoming` payloads of `round` in bucket order —
@@ -405,6 +411,7 @@ impl<'a, C: Catalog + ?Sized> ShardWorker<'a, C> {
         incoming.sort_by_key(|p| p.bucket);
         for payload in incoming {
             let cost = round.fixed + round.per_entry.times(payload.len() as u64);
+            self.handed += payload.len() as u64;
             self.now = self.now.max(round.at);
             self.core.absorb_bucket(payload, round.warm);
             self.now += cost;
@@ -512,5 +519,51 @@ mod tests {
         while w.step() {}
         assert_eq!(order(&w), merged, "the admitted prefix never moves");
         assert_eq!(w.into_run().report.outcomes.len(), 4);
+    }
+
+    #[test]
+    fn a_round_moves_what_a_shard_holds_with_the_bucket() {
+        const LEVEL: u8 = 8;
+        let cat = MaterializedCatalog::build(&uniform_sky(500, LEVEL, 3), LEVEL, 100, 4096);
+        // One query over three buckets, all handed to shard 0.
+        let positions: Vec<_> = (0..3)
+            .flat_map(|b| cat.bucket_objects(BucketId(b)).into_owned())
+            .map(|o| o.pos)
+            .collect();
+        let query =
+            CrossMatchQuery::from_positions(QueryId(0), &positions, 1e-4, LEVEL, Predicate::All);
+        let trace = vec![(SimTime::ZERO, query)];
+        let pre = QueryPreProcessor::new(cat.partition());
+        let fragment =
+            Fragment::head(0, QueryId(0), SimTime::ZERO).with_items(pre.preprocess(&trace[0].1));
+        let total = fragment.assignments;
+        let config = RuntimeConfig::contiguous(SimConfig::paper(), 2);
+        let greedy = || Box::new(LifeRaftScheduler::greedy(MetricParams::paper()));
+        let mut src = ShardWorker::new(ShardId(0), &cat, &config, &trace, greedy());
+        let mut dst = ShardWorker::new(ShardId(1), &cat, &config, &trace, greedy());
+        let end = SimTime::ZERO + SimDuration::from_secs(1_000_000);
+        src.append_fragments(vec![fragment]);
+        assert_eq!(src.held_at(SimTime::ZERO), total, "handed work is held");
+        // One batch runs; what it serviced is no longer held once it ends.
+        assert!(src.step());
+        let serviced = src.serviced();
+        assert!(serviced > 0 && serviced < total);
+        assert_eq!(src.held_at(SimTime::ZERO), total, "the batch has not ended");
+        assert_eq!(src.held_at(end), total - serviced);
+        // A round moves a still-queued bucket: its entries leave the source's
+        // holdings and join the destination's.
+        let (bucket, entries) = src.bucket_depths()[0];
+        let round = Round {
+            at: src.now(),
+            evict_source: true,
+            warm: false,
+            fixed: SimDuration::ZERO,
+            per_entry: SimDuration::ZERO,
+            transfers: Vec::new(),
+        };
+        let payload = src.extract_bucket(bucket, &round);
+        dst.absorb_round(&round, vec![payload]);
+        assert_eq!(src.held_at(end), total - serviced - entries);
+        assert_eq!(dst.held_at(end), entries);
     }
 }

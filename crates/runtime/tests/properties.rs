@@ -10,8 +10,8 @@
 //!   and every query completes no earlier than its arrival;
 //! - routing is the same at every pre-processing thread count and in any
 //!   split of the trace into consecutive windows;
-//! - rebalancing and crash failover compose: threaded == stepped with both
-//!   on, and every class balances its books.
+//! - the front door, rebalancing and crash failover compose: threaded ==
+//!   stepped with any of them on, and every class balances its books.
 
 use liferaft_catalog::{Catalog, VirtualCatalog};
 use liferaft_core::{
@@ -364,16 +364,18 @@ proptest! {
         }
     }
 
-    /// Composition: rebalancing (off, 2 s or 5 s epochs) × random crash
-    /// schedules × failover on/off × schedulers. Epoch boundaries, outage
-    /// edges and re-deliveries all close windows of one run, so threaded
-    /// matches stepped bit for bit — globally, per shard, and in both
-    /// decision logs — and every class balances its books.
+    /// Composition: front door (off or a tight bound) × rebalancing (off,
+    /// 2 s or 5 s epochs) × random crash schedules × failover on/off ×
+    /// schedulers. Door passes, epoch boundaries, outage edges and
+    /// re-deliveries all close windows of one run, so threaded matches
+    /// stepped bit for bit — globally, per shard, and in every decision log
+    /// — and every class balances its books.
     #[test]
-    fn rebalance_and_crashes_compose_deterministically(
+    fn controllers_compose_deterministically(
         seed in 0u64..10_000,
         n_shards in 2u32..6,
         kind in 0u8..4,
+        door in proptest::bool::ANY,
         epoch in 0usize..3,
         n_outages in 0usize..3,
         failover in proptest::bool::ANY,
@@ -383,6 +385,13 @@ proptest! {
     ) {
         let (catalog, timed) = fixture(seed, 24, rate_deci as f64 / 10.0);
         let mut config = RuntimeConfig::contiguous(SimConfig::paper(), n_shards);
+        if door {
+            config.front_door = FrontDoorConfig::bounded(500);
+            config.front_door.interactive_max_assignments = 150;
+            config.front_door.batch_min_assignments = 500;
+            config.front_door.max_waiting_assignments = Some(2_000);
+            config.front_door.max_retries = 1;
+        }
         let epoch_s = [0, 2, 5][epoch];
         if epoch_s > 0 {
             config.rebalance = RebalanceConfig::every(SimDuration::from_secs(epoch_s));
@@ -412,27 +421,36 @@ proptest! {
         }
         prop_assert_eq!(&stepped.rebalance, &threaded.rebalance);
         prop_assert_eq!(&stepped.failover, &threaded.failover);
+        prop_assert_eq!(&stepped.front_door, &threaded.front_door);
 
-        // Per-class books: completed + rejected == submitted.
-        match &stepped.failover {
-            Some(fo) => {
-                let mut submitted = 0u64;
-                for c in &fo.per_class {
-                    prop_assert_eq!(c.submitted, c.completed + c.rejected, "{:?} class", c.class);
-                    submitted += c.submitted;
-                }
-                prop_assert_eq!(submitted, timed.len() as u64);
-                prop_assert_eq!(
-                    stepped.global.outcomes.len() + fo.rejected.len(),
-                    timed.len()
-                );
+        // Exactly-once terminal: completed + every controller's rejections
+        // == submitted, and per class in every report's books.
+        let fo_rejected = stepped.failover.as_ref().map_or(0, |fo| fo.rejected.len());
+        let fd_rejected = stepped.front_door.as_ref().map_or(0, |fd| fd.rejected.len());
+        prop_assert_eq!(
+            stepped.global.outcomes.len() + fo_rejected + fd_rejected,
+            timed.len()
+        );
+        if let Some(fo) = &stepped.failover {
+            let mut submitted = 0u64;
+            for c in &fo.per_class {
+                prop_assert_eq!(c.submitted, c.completed + c.rejected, "{:?} class", c.class);
+                submitted += c.submitted;
             }
-            None => prop_assert_eq!(stepped.global.outcomes.len(), timed.len()),
+            prop_assert_eq!(submitted, timed.len() as u64);
+        }
+        if let Some(fd) = &stepped.front_door {
+            for class in QueryClass::ALL {
+                let c = fd.class(class);
+                let turned_away = fd.rejected.iter().filter(|r| r.class == class).count();
+                prop_assert_eq!(c.submitted, c.completed + c.rejected, "{} class", class.label());
+                prop_assert_eq!(c.submitted, c.admitted + turned_away as u64, "{} class", class.label());
+            }
         }
     }
 
     /// Chaos: random lossy-link schedules (loss × duplication × delay ×
-    /// reordering) × hedging on/off × schedulers. Every query is
+    /// reordering) × hedging on/off × front door on/off × schedulers. Every query is
     /// exactly-once terminal (completed or rejected, never lost or
     /// double-counted despite retransmissions, network duplicates, and
     /// hedge copies), per-class conservation holds, every hedge race
@@ -451,10 +469,14 @@ proptest! {
         reorder_pct in 0u32..25,
         delay_ms in 0u64..200,
         hedged in proptest::bool::ANY,
+        door in proptest::bool::ANY,
         rate_deci in 2u64..20,
     ) {
         let (catalog, timed) = fixture(seed, 24, rate_deci as f64 / 10.0);
         let mut config = RuntimeConfig::contiguous(SimConfig::paper(), n_shards);
+        if door {
+            config.front_door = FrontDoorConfig::bounded(500);
+        }
         config.transport = if hedged {
             TransportConfig::hedged()
         } else {
@@ -490,13 +512,15 @@ proptest! {
             prop_assert_eq!(fp(&a.report), fp(&b.report));
         }
         prop_assert_eq!(&stepped.transport, &threaded.transport);
+        prop_assert_eq!(&stepped.front_door, &threaded.front_door);
 
         // Exactly-once terminal: completed ∪ rejected covers the trace,
         // disjointly — retransmissions, duplicates, and hedge copies never
         // surface twice.
         let tp = stepped.transport.as_ref().expect("transport is on");
+        let turned_away = stepped.front_door.as_ref().map_or(&[][..], |fd| &fd.rejected);
         prop_assert_eq!(
-            stepped.global.outcomes.len() + tp.rejected.len(),
+            stepped.global.outcomes.len() + tp.rejected.len() + turned_away.len(),
             timed.len()
         );
         let mut terminal = vec![false; timed.len()];
@@ -506,7 +530,7 @@ proptest! {
             terminal[i] = true;
             prop_assert!(o.completion >= o.arrival);
         }
-        for r in &tp.rejected {
+        for r in tp.rejected.iter().chain(turned_away) {
             prop_assert!(!terminal[r.index], "query {} rejected after completing", r.index);
             terminal[r.index] = true;
         }
@@ -529,7 +553,7 @@ proptest! {
 
         // A fault-free schedule with hedging off makes enabled transport
         // behaviour-neutral: bit-identical to the static pool.
-        if n_links == 0 && !hedged {
+        if n_links == 0 && !hedged && !door {
             prop_assert!(tp.log.is_empty());
             prop_assert!(tp.rejected.is_empty());
             let static_rt = ShardedRuntime::new(

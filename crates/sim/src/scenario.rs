@@ -243,7 +243,8 @@ pub fn build_scenario(kind: ScenarioKind, scale: &ScenarioScale) -> ScenarioFixt
         }
         ScenarioKind::ShardStall => {
             // Nominal load, but one shard runs 6× slow for a mid-trace
-            // interval — the controller must route around its backlog.
+            // interval — its backlog holds the front door's global bound
+            // longer, so the pool must queue and shed to stay bounded.
             let cfg = base();
             let arrivals = poisson_arrivals(1.5, n, seed ^ 0x57A1);
             let stall_from = SimTime::ZERO + SimDuration::from_secs(15);

@@ -14,6 +14,9 @@
 //!    controller-off run on the identical trace, while batch-class work is
 //!    shed into retries (and the neutral, unbounded door reproduces the
 //!    controller-off behaviour bit-for-bit).
+//! 4. **Compositions**: the door with rebalancing and crash failover on a
+//!    flash crowd, and the door with the hedged lossy-link transport, keep
+//!    both contracts above.
 
 mod common;
 
@@ -40,8 +43,9 @@ fn door() -> FrontDoorConfig {
 /// A 4-shard pool with the scenario's recommended fault injection converted
 /// into the runtime's fault plan. Link-fault scenarios run behind the
 /// hedged transport controller; outage scenarios behind the failover
-/// controller; everything else behind the front door (the three paths are
-/// mutually exclusive by config validation).
+/// controller; everything else behind the front door. One controller per
+/// scenario keeps each acceptance bar about one mechanism; the compositions
+/// are pinned by `full_gauntlet` and `front_door_composes_with_hedged_transport`.
 fn pool_config(fx: &ScenarioFixture) -> RuntimeConfig {
     let mut config = RuntimeConfig::contiguous(SimConfig::paper(), 4);
     config.faults = FaultPlan {
@@ -158,6 +162,133 @@ fn every_scenario_is_deterministic_across_executors_and_schedulers() {
                 }
             }
         }
+    }
+}
+
+/// Runs `config` on `fixture` under all six schedulers in both executors and
+/// asserts the determinism contract on the global and per-shard
+/// fingerprints and on every decision log, plus exactly-once terminal
+/// accounting: completed + every controller's rejections == submitted, per
+/// class in every report. Returns the stepped greedy run.
+fn assert_composes(name: &str, fixture: &ScenarioFixture, config: RuntimeConfig) -> RuntimeReport {
+    let catalog = scenario_catalog();
+    let rt = ShardedRuntime::new(&catalog, config);
+    let mut greedy = None;
+    for (label, mk) in scheduler_factories() {
+        let stepped = rt.run(&fixture.trace, &mut |_| mk(), ExecMode::Stepped);
+        let threaded = rt.run(&fixture.trace, &mut |_| mk(), ExecMode::Threaded);
+        let ctx = format!("{name} / {label}");
+        assert_eq!(
+            fingerprint(&stepped.global),
+            fingerprint(&threaded.global),
+            "{ctx}: global reports diverged"
+        );
+        for (a, b) in stepped.shards.iter().zip(&threaded.shards) {
+            assert_eq!(
+                fingerprint(&a.report),
+                fingerprint(&b.report),
+                "{ctx}: shard {} diverged",
+                a.shard
+            );
+            assert_eq!(a.admission, b.admission, "{ctx}: admission stats");
+        }
+        assert_eq!(stepped.front_door, threaded.front_door, "{ctx}: door");
+        assert_eq!(stepped.rebalance, threaded.rebalance, "{ctx}: rebalance");
+        assert_eq!(stepped.failover, threaded.failover, "{ctx}: failover");
+        assert_eq!(stepped.transport, threaded.transport, "{ctx}: transport");
+
+        let fd = stepped.front_door.as_ref().expect("the door is on");
+        let fo = stepped.failover.as_ref().map_or(0, |fo| fo.rejected.len());
+        let tp = stepped.transport.as_ref().map_or(0, |tp| tp.rejected.len());
+        assert_eq!(
+            stepped.global.outcomes.len() + fd.rejected.len() + fo + tp,
+            fixture.trace.len(),
+            "{ctx}: completed + rejected must equal submitted"
+        );
+        let books = [
+            stepped.failover.as_ref().map(|fo| fo.per_class),
+            stepped.transport.as_ref().map(|tp| tp.per_class),
+        ];
+        for c in books.into_iter().flatten().flatten() {
+            assert_eq!(
+                c.completed + c.rejected,
+                c.submitted,
+                "{ctx}: {:?}",
+                c.class
+            );
+        }
+        for c in &fd.per_class {
+            assert_eq!(
+                c.completed + c.rejected,
+                c.submitted,
+                "{ctx}: {:?}",
+                c.class
+            );
+        }
+        if label == "greedy" {
+            greedy = Some(stepped);
+        }
+    }
+    greedy.expect("greedy is one of the six")
+}
+
+/// Every controller but the transport at once: the flash crowd behind the
+/// front door, with rebalancing, and one shard crashing mid-flash under
+/// failover. The door's charge follows evacuated and migrated work.
+#[test]
+fn full_gauntlet() {
+    let fx = build_scenario(ScenarioKind::FlashCrowd, &ScenarioScale::small());
+    let mut config = pool_config(&fx);
+    config.rebalance = RebalanceConfig::every(SimDuration::from_secs(5));
+    config.failover = FailoverConfig::recovery();
+    config.faults.outages.push(liferaft::sim::ShardOutage {
+        shard: 2,
+        down_at: SimTime::ZERO + SimDuration::from_secs(31),
+        up_at: SimTime::ZERO + SimDuration::from_secs(61),
+    });
+    let report = assert_composes("full gauntlet", &fx, config);
+    let fo = report.failover.as_ref().expect("failover reports");
+    assert!(
+        fo.log.evacuated_entries() > 0,
+        "the crash must land on a backlog"
+    );
+    let rb = report.rebalance.as_ref().expect("rebalancing reports");
+    assert!(!rb.records.is_empty(), "epochs must fire");
+    assert!(
+        report.front_door.as_ref().unwrap().log.total_shed_events() > 0,
+        "the flash crowd must still shed at the door"
+    );
+}
+
+/// The front door in front of the hedged lossy-link transport: admitted
+/// queries cross the same lossy links, and hedge copies count against the
+/// door's bound while they are held.
+#[test]
+fn front_door_composes_with_hedged_transport() {
+    let fx = build_scenario(ScenarioKind::LossyLink, &ScenarioScale::small());
+    let mut config = pool_config(&fx);
+    config.front_door = door();
+    let report = assert_composes("door × hedged transport", &fx, config);
+    let tp = report.transport.as_ref().expect("transport reports");
+    assert!(
+        !tp.log.retransmits.is_empty(),
+        "door admissions must cross the lossy links"
+    );
+    assert!(
+        !tp.log.hedges.is_empty(),
+        "the stalled shard must still hedge"
+    );
+    assert_eq!(tp.hedge_wins + tp.hedge_losses, tp.log.hedges.len() as u64);
+    // A straggler's age counts from its hand-off: time spent waiting at the
+    // door never makes a fragment due before it was admitted.
+    let fd = report.front_door.as_ref().expect("door reports");
+    for h in &tp.log.hedges {
+        let liferaft::runtime::Disposition::Admitted { at, .. } =
+            fd.log.verdicts[h.query_index].decision
+        else {
+            panic!("query {} hedged without an admission", h.query_index);
+        };
+        assert!(h.at > at, "query {} hedged at its admission", h.query_index);
     }
 }
 
