@@ -1,12 +1,9 @@
 //! The global front door: admission control, priority classes, load
 //! shedding, and rejection.
 //!
-//! Shard-local backpressure ([`AdmissionConfig`](crate::config::AdmissionConfig))
-//! protects one shard's memory; it cannot see aggregate overload, priority,
-//! or a struggling peer. The front door is the router-level complement: a
-//! single controller that bounds total in-flight work across the pool,
-//! classifies every arriving query into a [`QueryClass`], and under
-//! pressure degrades in a fixed order —
+//! The runtime's one admission path: a single controller that bounds total
+//! in-flight work across the pool, classifies every arriving query into a
+//! [`QueryClass`], and under pressure degrades in a fixed order —
 //!
 //! 1. **queue**: hold arrivals in a priority queue ordered by
 //!    `(class, true arrival, trace index)` — FIFO at true arrival age
@@ -118,8 +115,8 @@ impl QueryClass {
 /// Front-door configuration.
 ///
 /// All bounds are in (object × bucket) **assignments** — the same unit the
-/// cost model and the shard-local backpressure use — so "in-flight work" is
-/// proportional to actual service demand, not query count.
+/// cost model uses — so "in-flight work" is proportional to actual service
+/// demand, not query count.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrontDoorConfig {
     /// Master switch. Disabled (the default) bypasses the controller

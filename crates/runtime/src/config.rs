@@ -1,5 +1,5 @@
-//! Runtime configuration: shard layout, admission control, rebalancing,
-//! fault injection, execution mode.
+//! Runtime configuration: shard layout, rebalancing, fault injection,
+//! execution mode.
 
 use liferaft_sim::{LinkDirection, LinkFault, ShardOutage, ShardSlowdown, SimConfig};
 use liferaft_storage::{SimDuration, SimTime};
@@ -9,46 +9,6 @@ use crate::admission::FrontDoorConfig;
 use crate::failover::FailoverConfig;
 use crate::shard::ShardAssignment;
 use crate::transport::TransportConfig;
-
-/// Per-shard admission control (backpressure) policy.
-///
-/// Each shard owns a bounded ingress: once its queued (object × bucket)
-/// backlog reaches `max_backlog_entries`, newly arriving fragments park in
-/// the shard's ingress queue and are admitted — in arrival order — as batch
-/// executions drain the backlog below the limit. Ages still reference the
-/// *true* arrival instants, so deferral shows up as response time, exactly
-/// like queueing at a loaded server. Admission is a pure function of the
-/// shard's own input stream, which is what keeps threaded execution
-/// bit-identical to the stepped run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct AdmissionConfig {
-    /// Queued-entry backlog at which a shard stops admitting fragments
-    /// (`None` = unbounded). The check runs *before* each admission, so a
-    /// fragment larger than the limit still admits once the backlog drains
-    /// to zero — bounded admission can never deadlock.
-    pub max_backlog_entries: Option<u64>,
-}
-
-impl AdmissionConfig {
-    /// Unbounded admission (the default).
-    pub fn unbounded() -> Self {
-        AdmissionConfig::default()
-    }
-
-    /// Backpressure at `entries` queued (object × bucket) entries per shard.
-    pub fn bounded(entries: u64) -> Self {
-        AdmissionConfig {
-            max_backlog_entries: Some(entries),
-        }
-    }
-
-    /// Validates invariants.
-    pub fn validate(&self) {
-        if let Some(limit) = self.max_backlog_entries {
-            assert!(limit > 0, "a zero backlog limit would admit nothing");
-        }
-    }
-}
 
 /// Elastic-rebalancing policy: at every `epoch` of virtual time, a
 /// controller inspects per-shard load and lets underloaded shards adopt hot
@@ -155,30 +115,19 @@ impl Default for RebalanceConfig {
 /// execution remains bit-identical to the stepped run. Link faults
 /// degrade the router↔shard hop itself and are consumed by the transport
 /// controller ([`RuntimeConfig::transport`]), which resolves every drop,
-/// delay, duplication, and reordering draw of a fragment as its window
-/// routes — a pure function of the fragment.
+/// delay, duplication, and reordering draw of a fragment as its routing is
+/// handed off — a pure function of the fragment.
 ///
 /// # Which fault combinations compose
 ///
-/// - **Stalls × stalls / outages × outages / stalls × outages** on the
-///   same shard: compose as long as windows are pairwise disjoint — each
-///   instant has one well-defined fault state.
-/// - **Stalls × link faults**: compose freely, including on the same shard
-///   over overlapping windows — a slow shard behind a flaky link is exactly
-///   the straggler regime hedging exists for. (Link windows constrain the
-///   *hop*, stall windows the *shard*; they are different resources.)
-/// - **Outages × link faults**: windows on the same shard may overlap
-///   partially (a link can flap while a shard bounces), but a link fault
-///   lying *entirely* inside an outage window is rejected — no message
-///   crosses a dead shard's link, so the window could never fire and is
-///   almost certainly a plan bug. Note the *transport* controller itself
-///   still requires an outage-free plan ([`RuntimeConfig::validate`]: a
-///   fragment delayed in flight could cross the outage edge); the
-///   composition rule keeps [`FaultPlan`] forward-compatible.
-///
-/// Every fault kind composes with the front door, rebalancing and failover:
-/// the door's only feedback is what each shard holds, so its charge moves
-/// with migrated and evacuated work and never counts a lost fragment.
+/// All of them, given one fault state per instant: stall and outage windows
+/// on one shard are pairwise disjoint, and so are link windows per
+/// (shard, direction). A link window may overlap an outage on its shard in
+/// any way — a fragment the link delivers into the outage is lost to it
+/// under failover, and waits for `up_at` without. Every fault kind
+/// composes with every controller but one pairing: hedging is refused
+/// wherever a bucket can move under an open race — with rebalancing, or
+/// with failover over injected outages ([`RuntimeConfig::validate`]).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     /// Injected shard slowdown windows.
@@ -233,9 +182,7 @@ impl FaultPlan {
     /// non-empty (`end > start`), target an existing shard, and fault
     /// windows on the same shard — stalls and outages alike — must be
     /// pairwise disjoint. Link-fault windows are validated per
-    /// (shard, direction): probabilities in `[0, 1]`, disjoint spans, and
-    /// no window lying entirely inside an outage of the same shard (see
-    /// the composition rules on [`FaultPlan`]).
+    /// (shard, direction): probabilities in `[0, 1]` and disjoint spans.
     pub fn validate(&self, n_shards: u32) {
         for l in &self.links {
             assert!(
@@ -252,17 +199,6 @@ impl FaultPlan {
                 assert!(
                     p.is_finite() && (0.0..=1.0).contains(&p),
                     "link {what} probability {p} outside [0, 1] on shard {}",
-                    l.shard
-                );
-            }
-            // A link fault swallowed whole by an outage could never fire:
-            // no message crosses a dead shard's link. Partial overlap is
-            // fine — links can flap while a shard bounces.
-            for o in self.outages.iter().filter(|o| o.shard == l.shard) {
-                assert!(
-                    !(o.down_at <= l.from && l.until <= o.up_at),
-                    "link fault on shard {} lies entirely within an outage \
-                     window — it could never fire",
                     l.shard
                 );
             }
@@ -345,8 +281,6 @@ pub struct RuntimeConfig {
     pub n_shards: u32,
     /// Bucket → shard assignment policy (the *base* map when rebalancing).
     pub assignment: ShardAssignment,
-    /// Per-shard admission control.
-    pub admission: AdmissionConfig,
     /// Epoch-boundary elastic rebalancing (off by default).
     pub rebalance: RebalanceConfig,
     /// Router-level global admission (off by default).
@@ -372,7 +306,6 @@ impl RuntimeConfig {
             sim,
             n_shards: 1,
             assignment: ShardAssignment::Contiguous,
-            admission: AdmissionConfig::unbounded(),
             rebalance: RebalanceConfig::disabled(),
             front_door: FrontDoorConfig::disabled(),
             faults: FaultPlan::none(),
@@ -382,13 +315,12 @@ impl RuntimeConfig {
         }
     }
 
-    /// `n` contiguous shards with unbounded admission.
+    /// `n` contiguous shards, every controller off.
     pub fn contiguous(sim: SimConfig, n_shards: u32) -> Self {
         RuntimeConfig {
             sim,
             n_shards,
             assignment: ShardAssignment::Contiguous,
-            admission: AdmissionConfig::unbounded(),
             rebalance: RebalanceConfig::disabled(),
             front_door: FrontDoorConfig::disabled(),
             faults: FaultPlan::none(),
@@ -401,7 +333,6 @@ impl RuntimeConfig {
     /// Validates invariants.
     pub fn validate(&self) {
         self.sim.validate();
-        self.admission.validate();
         self.rebalance.validate();
         self.front_door.validate();
         self.faults.validate(self.n_shards);
@@ -410,13 +341,12 @@ impl RuntimeConfig {
         self.telemetry.validate();
         assert!(self.n_shards > 0, "need at least one shard");
         assert!(
-            !(self.transport.enabled
+            !(self.transport.hedge.enabled
                 && (self.rebalance.enabled
-                    || self.failover.enabled
-                    || !self.faults.outages.is_empty())),
-            "the transport controller cannot be combined with rebalancing or \
-             outages yet: a fragment delayed in flight can cross a map change \
-             (an epoch move or an outage edge) after it was routed"
+                    || (self.failover.enabled && !self.faults.outages.is_empty()))),
+            "hedging cannot be combined with rebalancing or with failover over \
+             outages: a hedge race is settled per (query, shard), and an epoch \
+             move or a crash evacuation can split a raced fragment across shards"
         );
         assert!(
             self.faults.links.is_empty() || self.transport.enabled,
@@ -453,10 +383,6 @@ mod tests {
     fn defaults_validate() {
         RuntimeConfig::single(SimConfig::paper()).validate();
         RuntimeConfig::contiguous(SimConfig::paper(), 8).validate();
-        let mut c = RuntimeConfig::single(SimConfig::paper());
-        c.admission = AdmissionConfig::bounded(1_000);
-        c.validate();
-        assert_eq!(AdmissionConfig::unbounded().max_backlog_entries, None);
     }
 
     #[test]
@@ -465,12 +391,6 @@ mod tests {
         let mut c = RuntimeConfig::single(SimConfig::paper());
         c.n_shards = 0;
         c.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "zero backlog")]
-    fn zero_backlog_rejected() {
-        AdmissionConfig::bounded(0).validate();
     }
 
     #[test]
@@ -510,16 +430,47 @@ mod tests {
         all.faults.outages.push(outage(0, 20, 30));
         all.failover = FailoverConfig::recovery();
         all.validate();
-        // …and with the hedged transport.
+        // …with the hedged transport…
+        let mut hedged = c.clone();
+        hedged.transport = TransportConfig::hedged();
+        hedged.validate();
+        // …and the transport with all of them, a link window inside the
+        // outage included: what it delivers into the outage is lost to it.
+        all.transport = TransportConfig::reliable();
+        all.faults.links.push(LinkFault {
+            shard: 0,
+            direction: LinkDirection::ToShard,
+            from: SimTime::ZERO + SimDuration::from_secs(22),
+            until: SimTime::ZERO + SimDuration::from_secs(28),
+            drop_prob: 0.5,
+            delay: SimDuration::from_millis(100),
+            delay_per_entry: SimDuration::ZERO,
+            dup_prob: 0.0,
+            reorder_prob: 0.0,
+            reorder_delay: SimDuration::ZERO,
+        });
+        all.validate();
+        // Hedging needs no failover to ride out an outage.
+        hedged.faults.outages.push(outage(0, 20, 30));
+        hedged.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "hedging cannot be combined")]
+    fn hedging_excludes_bucket_moves() {
+        let mut c = RuntimeConfig::contiguous(SimConfig::paper(), 4);
         c.transport = TransportConfig::hedged();
+        c.failover = FailoverConfig::recovery();
+        c.validate(); // failover with nothing to fail over moves no bucket
+        c.faults.outages.push(outage(1, 5, 10));
         c.validate();
     }
 
     #[test]
-    #[should_panic(expected = "transport controller cannot be combined")]
-    fn transport_excludes_map_changes() {
+    #[should_panic(expected = "hedging cannot be combined")]
+    fn hedging_excludes_rebalancing() {
         let mut c = RuntimeConfig::contiguous(SimConfig::paper(), 4);
-        c.transport = TransportConfig::reliable();
+        c.transport = TransportConfig::hedged();
         c.rebalance = RebalanceConfig::every(SimDuration::from_secs(5));
         c.validate();
     }

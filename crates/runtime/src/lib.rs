@@ -7,8 +7,8 @@
 //! the HTM curve — is partitioned across N **shards**, each owning its own
 //! workload table, bucket cache, and pluggable scheduler; a front-end
 //! router splits every arriving query's bucket work into per-shard
-//! fragments and applies per-shard admission control (backpressure); a
-//! cross-shard query completes when all of its fragments finish.
+//! fragments; a cross-shard query completes when all of its fragments
+//! finish.
 //!
 //! # Execution modes
 //!
@@ -73,7 +73,7 @@
 //! |---|---|
 //! | [`shard`] | shard identity, bucket → shard maps (contiguous / hashed / elastic) |
 //! | [`router`] | query → per-shard fragment routing, one window of arrivals at a time |
-//! | [`worker`] | the per-shard admission-controlled serving loop |
+//! | [`worker`] | the per-shard serving loop |
 //! | [`rebalance`] | the epoch decision log and the greedy migration planner |
 //! | [`failover`] | the crash/outage decision log: evacuations, re-deliveries, conservation |
 //! | [`admission`] | the global front door: classes, shedding, the decision log |
@@ -81,7 +81,7 @@
 //! | [`retry`] | the shared bounded-retry schedule (failover + transport) |
 //! | [`transport`] | the lossy-link transport: retransmit, dedup, hedging |
 //! | [`runtime`] | the one run path: the window loop, its barrier handlers, aggregation |
-//! | [`config`] | runtime + admission + rebalance + fault configuration, execution mode |
+//! | [`config`] | runtime + rebalance + fault configuration, execution mode |
 //! | [`sweep`] | the deterministic parallel sweep driver |
 
 #![warn(missing_docs)]
@@ -104,7 +104,7 @@ pub use admission::{
     AdmissionLog, AdmissionSample, ClassStats, Disposition, FrontDoorConfig, FrontDoorReport,
     QueryClass, QueryVerdict,
 };
-pub use config::{AdmissionConfig, ExecMode, FaultPlan, RebalanceConfig, RuntimeConfig};
+pub use config::{ExecMode, FaultPlan, RebalanceConfig, RuntimeConfig};
 pub use failover::{
     Evacuation, FailoverConfig, FailoverLog, FailoverReport, Redelivery, ShardTransition,
 };
@@ -119,7 +119,7 @@ pub use transport::{
     HedgeConfig, HedgeDecision, LinkDrop, Retransmit, SuppressedDuplicate, TransportConfig,
     TransportLog, TransportReport,
 };
-pub use worker::{AdmissionStats, ShardRun};
+pub use worker::ShardRun;
 
 // Re-export the flight-recorder surface so runtime users configure and
 // consume telemetry without a separate `liferaft-telemetry` import.

@@ -17,7 +17,6 @@ use liferaft_query::{CrossMatchQuery, QueryId, QueryPreProcessor, WorkItem};
 use liferaft_storage::SimTime;
 use liferaft_workload::TimedTrace;
 
-use crate::admission::QueryClass;
 use crate::shard::{ElasticShardMap, ShardMap};
 use crate::sweep::parallel_map;
 
@@ -36,11 +35,10 @@ pub struct Fragment {
     /// admission instant, the transport to the earliest surviving copy's
     /// delivery, and a re-delivery or hedge copy to its own hand-off. Ages
     /// keep referencing `arrival`, so every such delay shows up as response
-    /// time exactly like queueing at a loaded shard.
+    /// time exactly like queueing at a loaded shard. Where a fragment lands
+    /// is judged at its release ([`transport`](crate::transport), "Map
+    /// changes in flight").
     pub release: SimTime,
-    /// The parent query's front-door class ([`QueryClass::Standard`] when
-    /// the front door is disabled).
-    pub class: QueryClass,
     /// The shard-local work items, sorted by bucket.
     pub items: Vec<WorkItem>,
     /// Total (object × bucket) assignments in `items`.
@@ -48,16 +46,15 @@ pub struct Fragment {
 }
 
 impl Fragment {
-    /// The work-free fragment of a standard-class query released at its
-    /// arrival: the identity [`route_window`] stamps per-shard work onto, and
-    /// — as is — the marker a workless query ships to shard 0.
+    /// The work-free fragment of a query released at its arrival: the
+    /// identity [`route_window`] stamps per-shard work onto, and — as is —
+    /// the marker a workless query ships to shard 0.
     pub(crate) fn head(query_index: usize, query: QueryId, arrival: SimTime) -> Self {
         Fragment {
             query_index,
             query,
             arrival,
             release: arrival,
-            class: QueryClass::Standard,
             items: Vec::new(),
             assignments: 0,
         }

@@ -18,12 +18,24 @@
 //! RNG state threads through execution — so a fragment's retransmit chain
 //! is a pure function of the fragment. The window loop resolves the chains
 //! of each routing as it hands it off — a routed window, or what a front
-//! door pass admitted: every fragment either carries its
-//! effective delivery instant (the earliest surviving copy) as its release,
-//! or is lost and rejects its query. Stepped and threaded execution route
-//! identical windows, so they stay bit-identical by construction; with no
-//! link windows the chains are the identity function and the run is
+//! door pass admitted: every fragment either carries its effective delivery
+//! instant (the earliest surviving copy) as its release, or is lost and
+//! rejects its query. Stepped and threaded execution route identical
+//! windows, so they stay bit-identical by construction; with no link
+//! windows the chains are the identity function and the run is
 //! bit-identical to the transport-disabled runtime.
+//!
+//! # Map changes in flight
+//!
+//! The map decides only where a fragment is *sent*. A fragment whose
+//! delivery lands after an epoch or an evacuation moved one of its buckets
+//! is served where it lands, by the shard it was sent to; the next epoch
+//! sees that load through the shard's bucket depths. A delivery that lands
+//! inside an outage of its shard is lost to it, and failover re-delivers
+//! it from that instant ([`RuntimeConfig::failover`](crate::RuntimeConfig::failover)).
+//! Hedging alone cannot follow a move: a race is settled per
+//! `(query, shard)`, so validation refuses hedging wherever a bucket can
+//! move under an open race.
 //!
 //! # The ack model
 //!
@@ -798,7 +810,6 @@ mod tests {
             query: QueryId(query_index as u64),
             arrival: t(release_ms),
             release: t(release_ms),
-            class: QueryClass::Standard,
             items: Vec::new(),
             assignments,
         }

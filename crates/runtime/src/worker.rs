@@ -1,16 +1,13 @@
-//! One shard's serving loop: admission-controlled fragment ingress over an
-//! [`EngineCore`].
+//! One shard's serving loop: fragment ingress over an [`EngineCore`].
 //!
 //! A worker is an event-stepped state machine with exactly the semantics of
 //! `liferaft_sim::Simulation::run`, restricted to the fragments routed to
-//! its shard: deliver every due fragment (subject to admission), then make
+//! its shard: deliver every released fragment, then make
 //! one scheduling decision and execute the batch, advancing the shard-local
 //! virtual clock by the batch cost. Because a worker's behaviour is a pure
 //! function of its own fragment stream, advancing a window's workers in
 //! *any* order — a plain loop or one OS thread per shard — produces
 //! bit-identical per-shard results.
-
-use std::collections::VecDeque;
 
 use liferaft_catalog::Catalog;
 use liferaft_core::Scheduler;
@@ -24,27 +21,8 @@ use crate::rebalance::Migration;
 use crate::router::Fragment;
 use crate::shard::ShardId;
 
-/// Backpressure statistics of one shard.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AdmissionStats {
-    /// Fragments that were parked at least once before admission.
-    pub deferred_fragments: u64,
-    /// Parked fragments broken down by front-door class (indexed by
-    /// [`QueryClass::rank`](crate::admission::QueryClass::rank); all
-    /// standard-class when the front door is disabled).
-    pub deferred_by_class: [u64; 3],
-    /// Highest queued-entry backlog observed.
-    pub peak_backlog: u64,
-    /// Largest amount by which an admission pushed the backlog *past* the
-    /// configured limit. The limit is checked before each admission, so one
-    /// fragment can overshoot it by up to `fragment.assignments − 1`
-    /// entries; this records the worst case actually observed (0 when the
-    /// limit was never exceeded or admission is unbounded).
-    pub max_overshoot: u64,
-}
-
 /// The finished record of one shard: a fragment-level [`RunReport`] (its
-/// `queries` field counts *fragments*) plus admission statistics.
+/// `queries` field counts *fragments*) plus its telemetry.
 #[derive(Debug, Clone)]
 pub struct ShardRun {
     /// The shard.
@@ -52,8 +30,6 @@ pub struct ShardRun {
     /// Fragment-level run report (outcomes are fragment completions in
     /// shard event order).
     pub report: RunReport,
-    /// Backpressure statistics.
-    pub admission: AdmissionStats,
     /// The shard's recorded telemetry (record order, shard id stamped;
     /// empty under the default [`NullSink`](liferaft_telemetry::NullSink)).
     pub events: Vec<Event>,
@@ -91,13 +67,9 @@ pub(crate) struct ShardWorker<'a, C: Catalog + ?Sized> {
     /// queries by index).
     trace: &'a [(SimTime, CrossMatchQuery)],
     fragments: Vec<Fragment>,
-    /// Next not-yet-seen fragment (fragments before `next` are admitted or
-    /// parked in `deferred`).
+    /// Next unadmitted fragment (fragments before `next` are admitted).
     next: usize,
-    /// Parked fragment indices, in arrival order.
-    deferred: VecDeque<usize>,
     now: SimTime,
-    max_backlog_entries: Option<u64>,
     /// Injected slowdown windows afflicting this shard, as
     /// `(from, until, factor)` — factors compose multiplicatively when
     /// windows overlap a batch's start instant.
@@ -121,7 +93,6 @@ pub(crate) struct ShardWorker<'a, C: Catalog + ?Sized> {
     /// Entries handed to this shard and not moved off it: every fragment
     /// appended and every bucket absorbed, less every bucket extracted.
     handed: u64,
-    stats: AdmissionStats,
 }
 
 impl<'a, C: Catalog + ?Sized> ShardWorker<'a, C> {
@@ -143,15 +114,12 @@ impl<'a, C: Catalog + ?Sized> ShardWorker<'a, C> {
             trace,
             fragments: Vec::new(),
             next: 0,
-            deferred: VecDeque::new(),
             now: SimTime::ZERO,
-            max_backlog_entries: config.admission.max_backlog_entries,
             stalls: config.faults.for_shard(shard.0),
             outages: config.faults.outages_for_shard(shard.0),
             wiped: 0,
             completions: Vec::new(),
             handed: 0,
-            stats: AdmissionStats::default(),
         }
     }
 
@@ -170,7 +138,7 @@ impl<'a, C: Catalog + ?Sized> ShardWorker<'a, C> {
     }
 
     /// Virtual time of the worker's next event, or `None` when fully done.
-    /// Pending work (or parked ingress) is an event "now"; an idle worker's
+    /// Pending work is an event "now"; an idle worker's
     /// next event is its next fragment **release** — clamped to `now`,
     /// because a shard whose clock overshot the release while busy admits
     /// the fragment at `now`, not in the past. The clamp is what lets the
@@ -179,12 +147,18 @@ impl<'a, C: Catalog + ?Sized> ShardWorker<'a, C> {
     /// injected outage window wakes at the window's end — a dead shard's
     /// next event is its rejoin.
     pub(crate) fn next_time(&self) -> Option<SimTime> {
-        if !self.core.is_idle() || !self.deferred.is_empty() {
+        if !self.core.is_idle() {
             return Some(self.wake(self.now));
         }
         self.fragments
             .get(self.next)
             .map(|f| self.wake(f.release.max(self.now)))
+    }
+
+    /// True when `t` lies inside one of this shard's outage windows — the
+    /// instants [`wake`](Self::wake) moves to the window's end.
+    pub(crate) fn down_at(&self, t: SimTime) -> bool {
+        self.wake(t) != t
     }
 
     /// Advances the clock to `t` adjusted out of any outage window, wiping
@@ -205,76 +179,21 @@ impl<'a, C: Catalog + ?Sized> ShardWorker<'a, C> {
         self.now
     }
 
-    /// Admits every due fragment the backlog limit allows: parked fragments
-    /// first (FIFO), then newly due (released) arrivals; fragments due
-    /// while the shard is over its limit are parked. The limit is checked
-    /// *before* each admission, so progress is always possible from an
-    /// empty backlog — at the price of a bounded overshoot, which
-    /// [`admit`](Self::admit) measures into
-    /// [`AdmissionStats::max_overshoot`].
+    /// Admits every released fragment, in stream order.
     fn deliver_due(&mut self) {
-        loop {
-            let backlog = self.core.total_queued();
-            self.stats.peak_backlog = self.stats.peak_backlog.max(backlog);
-            if self
-                .max_backlog_entries
-                .is_some_and(|limit| backlog >= limit)
-            {
-                // Over the limit: park everything already due and stop.
-                while self
-                    .fragments
-                    .get(self.next)
-                    .is_some_and(|f| f.release <= self.now)
-                {
-                    let class = self.fragments[self.next].class;
-                    self.deferred.push_back(self.next);
-                    self.stats.deferred_fragments += 1;
-                    self.stats.deferred_by_class[class.rank()] += 1;
-                    self.next += 1;
-                }
-                return;
-            }
-            if let Some(&idx) = self.deferred.front() {
-                self.deferred.pop_front();
-                self.admit(idx);
-                continue;
-            }
-            if self
-                .fragments
-                .get(self.next)
-                .is_some_and(|f| f.release <= self.now)
-            {
-                let idx = self.next;
-                self.next += 1;
-                self.admit(idx);
-                continue;
-            }
-            return;
-        }
-    }
-
-    fn admit(&mut self, idx: usize) {
-        let f = &self.fragments[idx];
         // Copy the `&'a` out of `self`: the core's queues keep borrowing the
         // query's objects after this call returns.
         let trace = self.trace;
-        let (_, query) = &trace[f.query_index];
-        debug_assert_eq!(query.id, f.query, "routing and trace disagree");
-        self.core.deliver_items(query, &f.items, f.arrival);
-        self.scheduler.on_query_arrival(f.arrival);
-        // The pre-admission limit check means this admission may have pushed
-        // the backlog past the bound — by strictly less than the fragment's
-        // own assignments. Record the worst observed overshoot.
-        if let Some(limit) = self.max_backlog_entries {
-            let backlog = self.core.total_queued();
-            if backlog > limit {
-                let overshoot = backlog - limit;
-                debug_assert!(
-                    overshoot < f.assignments.max(1),
-                    "overshoot {overshoot} exceeds the one-fragment bound"
-                );
-                self.stats.max_overshoot = self.stats.max_overshoot.max(overshoot);
-            }
+        while let Some(f) = self
+            .fragments
+            .get(self.next)
+            .filter(|f| f.release <= self.now)
+        {
+            let (_, query) = &trace[f.query_index];
+            debug_assert_eq!(query.id, f.query, "routing and trace disagree");
+            self.core.deliver_items(query, &f.items, f.arrival);
+            self.scheduler.on_query_arrival(f.arrival);
+            self.next += 1;
         }
     }
 
@@ -285,9 +204,6 @@ impl<'a, C: Catalog + ?Sized> ShardWorker<'a, C> {
         self.advance_to(self.now);
         self.deliver_due();
         if self.core.is_idle() {
-            // An empty backlog admits at least one fragment, so a parked
-            // queue can never coexist with an idle core here.
-            debug_assert!(self.deferred.is_empty());
             let Some(f) = self.fragments.get(self.next) else {
                 return false; // drained everything
             };
@@ -432,7 +348,7 @@ impl<'a, C: Catalog + ?Sized> ShardWorker<'a, C> {
     /// advance the worker to completion first).
     pub(crate) fn into_run(self) -> ShardRun {
         assert!(
-            self.next >= self.fragments.len() && self.deferred.is_empty(),
+            self.next >= self.fragments.len(),
             "shard {} finished with unadmitted fragments",
             self.shard
         );
@@ -453,7 +369,6 @@ impl<'a, C: Catalog + ?Sized> ShardWorker<'a, C> {
         ShardRun {
             shard: self.shard,
             report: core.into_report(self.scheduler.as_ref(), fragments),
-            admission: self.stats,
             events,
             events_dropped,
         }

@@ -1,7 +1,6 @@
 //! Property tests for the sharded runtime's determinism contract.
 //!
-//! Over random catalogs, traces, shard counts, placements, and admission
-//! bounds:
+//! Over random catalogs, traces, shard counts, and placements:
 //!
 //! - threaded execution is bit-identical to the stepped virtual-time merge
 //!   (globally and per shard);
@@ -10,8 +9,9 @@
 //!   and every query completes no earlier than its arrival;
 //! - routing is the same at every pre-processing thread count and in any
 //!   split of the trace into consecutive windows;
-//! - the front door, rebalancing and crash failover compose: threaded ==
-//!   stepped with any of them on, and every class balances its books.
+//! - the front door, rebalancing, crash failover and the lossy-link
+//!   transport compose: threaded == stepped with any of them on, and every
+//!   class balances its books.
 
 use liferaft_catalog::{Catalog, VirtualCatalog};
 use liferaft_core::{
@@ -19,9 +19,9 @@ use liferaft_core::{
 };
 use liferaft_query::QueryPreProcessor;
 use liferaft_runtime::{
-    route, route_window, AdmissionConfig, ElasticShardMap, ExecMode, FailoverConfig, FaultPlan,
-    FrontDoorConfig, QueryClass, RebalanceConfig, Routing, RuntimeConfig, ShardAssignment,
-    ShardMap, ShardedRuntime, TransportConfig,
+    route, route_window, ElasticShardMap, ExecMode, FailoverConfig, FaultPlan, FrontDoorConfig,
+    QueryClass, RebalanceConfig, Routing, RuntimeConfig, ShardAssignment, ShardMap, ShardedRuntime,
+    TransportConfig,
 };
 use liferaft_sim::{
     LinkDirection, LinkFault, RunReport, ShardOutage, ShardSlowdown, SimConfig, Simulation,
@@ -157,24 +157,20 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Threaded == stepped, bit for bit, whatever the sharding and
-    /// admission policy; and the sharded pool conserves assignments.
+    /// Threaded == stepped, bit for bit, whatever the sharding; and the
+    /// sharded pool conserves assignments.
     #[test]
     fn threaded_matches_stepped_under_arbitrary_sharding(
         seed in 0u64..10_000,
         n_shards in 1u32..6,
         hashed in proptest::bool::ANY,
         kind in 0u8..4,
-        bounded in proptest::bool::ANY,
         rate_deci in 2u64..20,
     ) {
         let (catalog, timed) = fixture(seed, 24, rate_deci as f64 / 10.0);
         let mut config = RuntimeConfig::contiguous(SimConfig::paper(), n_shards);
         if hashed {
             config.assignment = ShardAssignment::Hashed { seed: seed ^ 0x5AD };
-        }
-        if bounded {
-            config.admission = AdmissionConfig::bounded(50);
         }
         let rt = ShardedRuntime::new(&catalog, config);
         let stepped = rt.run(&timed, &mut |_| policy(kind), ExecMode::Stepped);
@@ -184,7 +180,6 @@ proptest! {
         prop_assert_eq!(stepped.shards.len(), threaded.shards.len());
         for (a, b) in stepped.shards.iter().zip(&threaded.shards) {
             prop_assert_eq!(fp(&a.report), fp(&b.report));
-            prop_assert_eq!(a.admission, b.admission);
         }
 
         // Conservation: every routed assignment serviced exactly once.
@@ -240,7 +235,6 @@ proptest! {
         prop_assert_eq!(fp(&stepped.global), fp(&threaded.global));
         for (a, b) in stepped.shards.iter().zip(&threaded.shards) {
             prop_assert_eq!(fp(&a.report), fp(&b.report));
-            prop_assert_eq!(a.admission, b.admission);
         }
         prop_assert_eq!(&stepped.front_door, &threaded.front_door);
 
@@ -366,10 +360,14 @@ proptest! {
 
     /// Composition: front door (off or a tight bound) × rebalancing (off,
     /// 2 s or 5 s epochs) × random crash schedules × failover on/off ×
-    /// schedulers. Door passes, epoch boundaries, outage edges and
-    /// re-deliveries all close windows of one run, so threaded matches
-    /// stepped bit for bit — globally, per shard, and in every decision log
-    /// — and every class balances its books.
+    /// transport (off, or reliable or hedged behind one lossy whole-run
+    /// link) × schedulers. A hedged draw turns rebalancing and failover off,
+    /// the pairings `validate` refuses, so it races hedges across outages.
+    /// Door passes, epoch boundaries, outage edges and re-deliveries all
+    /// close windows of one run, and a fragment delayed across one of them
+    /// is served where it lands or lost to the outage it lands in, so
+    /// threaded matches stepped bit for bit — globally, per shard, and in
+    /// every decision log — and every class balances its books.
     #[test]
     fn controllers_compose_deterministically(
         seed in 0u64..10_000,
@@ -381,8 +379,10 @@ proptest! {
         failover in proptest::bool::ANY,
         down_s in 1u64..20,
         len_s in 1u64..15,
+        transport in 0u8..3,
         rate_deci in 5u64..40,
     ) {
+        let hedged = transport == 2;
         let (catalog, timed) = fixture(seed, 24, rate_deci as f64 / 10.0);
         let mut config = RuntimeConfig::contiguous(SimConfig::paper(), n_shards);
         if door {
@@ -393,11 +393,11 @@ proptest! {
             config.front_door.max_retries = 1;
         }
         let epoch_s = [0, 2, 5][epoch];
-        if epoch_s > 0 {
+        if epoch_s > 0 && !hedged {
             config.rebalance = RebalanceConfig::every(SimDuration::from_secs(epoch_s));
             config.rebalance.min_imbalance = 1.05;
         }
-        if failover {
+        if failover && !hedged {
             config.failover = FailoverConfig::recovery();
         }
         config.faults.outages = (0..n_outages)
@@ -410,6 +410,25 @@ proptest! {
                 }
             })
             .collect();
+        if transport > 0 {
+            config.transport = if hedged {
+                TransportConfig::hedged()
+            } else {
+                TransportConfig::reliable()
+            };
+            config.faults.links = vec![LinkFault {
+                shard: seed as u32 % n_shards,
+                direction: LinkDirection::ToShard,
+                from: SimTime::ZERO,
+                until: SimTime::ZERO + SimDuration::from_secs(1_000_000),
+                drop_prob: 0.2,
+                delay: SimDuration::from_millis(150),
+                delay_per_entry: SimDuration::from_micros(10),
+                dup_prob: 0.0,
+                reorder_prob: 0.2,
+                reorder_delay: SimDuration::from_millis(400),
+            }];
+        }
         let rt = ShardedRuntime::new(&catalog, config);
         let stepped = rt.run(&timed, &mut |_| policy(kind), ExecMode::Stepped);
         let threaded = rt.run(&timed, &mut |_| policy(kind), ExecMode::Threaded);
@@ -417,27 +436,35 @@ proptest! {
         prop_assert_eq!(fp(&stepped.global), fp(&threaded.global));
         for (a, b) in stepped.shards.iter().zip(&threaded.shards) {
             prop_assert_eq!(fp(&a.report), fp(&b.report));
-            prop_assert_eq!(a.admission, b.admission);
         }
         prop_assert_eq!(&stepped.rebalance, &threaded.rebalance);
         prop_assert_eq!(&stepped.failover, &threaded.failover);
         prop_assert_eq!(&stepped.front_door, &threaded.front_door);
+        prop_assert_eq!(&stepped.transport, &threaded.transport);
 
         // Exactly-once terminal: completed + every controller's rejections
         // == submitted, and per class in every report's books.
         let fo_rejected = stepped.failover.as_ref().map_or(0, |fo| fo.rejected.len());
         let fd_rejected = stepped.front_door.as_ref().map_or(0, |fd| fd.rejected.len());
+        let tp_rejected = stepped.transport.as_ref().map_or(0, |tp| tp.rejected.len());
         prop_assert_eq!(
-            stepped.global.outcomes.len() + fo_rejected + fd_rejected,
+            stepped.global.outcomes.len() + fo_rejected + fd_rejected + tp_rejected,
             timed.len()
         );
-        if let Some(fo) = &stepped.failover {
+        let books = [
+            stepped.failover.as_ref().map(|fo| fo.per_class),
+            stepped.transport.as_ref().map(|tp| tp.per_class),
+        ];
+        for per_class in books.into_iter().flatten() {
             let mut submitted = 0u64;
-            for c in &fo.per_class {
+            for c in &per_class {
                 prop_assert_eq!(c.submitted, c.completed + c.rejected, "{:?} class", c.class);
                 submitted += c.submitted;
             }
             prop_assert_eq!(submitted, timed.len() as u64);
+        }
+        if let Some(tp) = &stepped.transport {
+            prop_assert_eq!(tp.hedge_wins + tp.hedge_losses, tp.log.hedges.len() as u64);
         }
         if let Some(fd) = &stepped.front_door {
             for class in QueryClass::ALL {

@@ -291,7 +291,7 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
         self.table.is_idle()
     }
 
-    /// Total queued (object × bucket) entries — the backpressure signal.
+    /// Total queued (object × bucket) entries — a shard's load signal.
     pub fn total_queued(&self) -> u64 {
         self.table.total_queued()
     }

@@ -2,11 +2,11 @@
 //!
 //! Partitions the bucket space across four shards (each with its own
 //! workload table, 20-bucket cache, and greedy LifeRaft scheduler), routes
-//! a hotspot workload through the front-end with per-shard backpressure,
-//! and runs the same configuration in both execution modes — the one
-//! window loop advancing its workers in a plain loop, or on one OS thread
-//! per shard — proving they produce bit-identical results. Turns on epoch-boundary
-//! rebalancing and prints every epoch's load sample and bucket migrations.
+//! a hotspot workload through the front-end, and runs the same
+//! configuration in both execution modes — the one window loop advancing
+//! its workers in a plain loop, or on one OS thread per shard — proving
+//! they produce bit-identical results. Turns on epoch-boundary rebalancing
+//! and prints every epoch's load sample and bucket migrations.
 //! Then drives a parallel α sweep and a shard-count sweep over the same
 //! pool.
 //!
@@ -31,10 +31,9 @@ fn main() {
         trace.total_objects(),
     );
 
-    // 2. Four shards, contiguous placement, bounded per-shard ingress.
+    // 2. Four shards, contiguous placement.
     let params = MetricParams::paper();
-    let mut config = RuntimeConfig::contiguous(SimConfig::paper(), 4);
-    config.admission = AdmissionConfig::bounded(5_000);
+    let config = RuntimeConfig::contiguous(SimConfig::paper(), 4);
     let runtime = ShardedRuntime::new(&catalog, config.clone());
     let mut mk =
         |_: usize| -> Box<dyn Scheduler + Send> { Box::new(LifeRaftScheduler::greedy(params)) };
@@ -54,8 +53,6 @@ fn main() {
         "bucket reads",
         "cache hit %",
         "makespan (s)",
-        "deferred",
-        "peak backlog",
     ]);
     for s in &stepped.shards {
         shard_table.row([
@@ -65,8 +62,6 @@ fn main() {
             s.report.io.bucket_reads.to_string(),
             format!("{:.0}", s.report.cache.hit_rate() * 100.0),
             format!("{:.0}", s.report.makespan_s),
-            s.admission.deferred_fragments.to_string(),
-            s.admission.peak_backlog.to_string(),
         ]);
     }
     println!("{}", shard_table.render());
@@ -228,7 +223,6 @@ fn main() {
     //    Set LIFERAFT_TRACE_DIR to also write the stream as JSONL plus a
     //    Chrome/Perfetto trace document.
     let mut traced_cfg = RuntimeConfig::contiguous(SimConfig::paper(), 4);
-    traced_cfg.admission = AdmissionConfig::bounded(5_000);
     traced_cfg.rebalance = RebalanceConfig::every(SimDuration::from_secs(30));
     traced_cfg.rebalance.min_imbalance = 1.05;
     traced_cfg.telemetry = TelemetryConfig::jsonl().with_window(SimDuration::from_secs(20));

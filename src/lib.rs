@@ -81,10 +81,10 @@ pub mod prelude {
     pub use liferaft_metrics::{Series, StreamingStats, Summary, Table};
     pub use liferaft_query::{CrossMatchQuery, MatchObject, Predicate, QueryId, QueryPreProcessor};
     pub use liferaft_runtime::{
-        AdmissionConfig, ClassStats, ElasticShardMap, ExecMode, FailoverConfig, FailoverLog,
-        FailoverReport, FaultPlan, FrontDoorConfig, FrontDoorReport, HedgeConfig, QueryClass,
-        RebalanceConfig, RebalanceLog, RetryPolicy, RuntimeConfig, RuntimeReport, ShardAssignment,
-        ShardId, ShardMap, ShardedRuntime, TransportConfig, TransportLog, TransportReport,
+        ClassStats, ElasticShardMap, ExecMode, FailoverConfig, FailoverLog, FailoverReport,
+        FaultPlan, FrontDoorConfig, FrontDoorReport, HedgeConfig, QueryClass, RebalanceConfig,
+        RebalanceLog, RetryPolicy, RuntimeConfig, RuntimeReport, ShardAssignment, ShardId,
+        ShardMap, ShardedRuntime, TransportConfig, TransportLog, TransportReport,
     };
     pub use liferaft_sim::{
         build_scenario, calibrate_tradeoff_table, EngineCore, LinkDirection, LinkFault, RunReport,

@@ -71,7 +71,6 @@ fn threaded_is_bit_identical_to_stepped_across_shard_counts() {
                         "{ctx}: shard {} diverged",
                         a.shard
                     );
-                    assert_eq!(a.admission, b.admission, "{ctx}: admission stats");
                 }
                 // The sharded pool conserves work: fragment-level servicing
                 // sums to the single-engine total.
