@@ -8,13 +8,17 @@
 //! 1. **queue**: hold arrivals in a priority queue ordered by
 //!    `(class, true arrival, trace index)` — FIFO at true arrival age
 //!    within a class, strict priority across classes;
-//! 2. **shed**: past the soft waiting cap, batch-class queries are shed
-//!    youngest-first and re-enqueued with bounded retries under an
-//!    exponential virtual-time backoff;
-//! 3. **reject**: a query that exhausts its retries — or, past the hard
-//!    waiting cap, the youngest lowest-class waiter — terminates with a
-//!    recorded `Rejected` verdict that conserves accounting (every query is
-//!    exactly-once terminal: completed or rejected, never lost).
+//! 2. **shed**: past the waiting cap, batch-class queries are shed
+//!    youngest-first and re-enqueued after an exponential virtual-time
+//!    backoff;
+//! 3. **reject**: a query shed once more after its last allowed shed
+//!    terminates with a recorded `Rejected` verdict that conserves
+//!    accounting (every query is exactly-once terminal: completed or
+//!    rejected, never lost).
+//!
+//! The backoff, the shed budget and the sample cadence are fixed
+//! constants, tabled in `docs/ARCHITECTURE.md`, "Fixed controller
+//! constants".
 //!
 //! The door holds no work of its own: a waiter is `(index, arrival, class,
 //! assignments)`, sized once at registration. An admitted query is routed
@@ -83,34 +87,14 @@ impl QueryClass {
     fn rank_u8(self) -> u8 {
         self.rank() as u8
     }
-
-    /// Default interactive threshold: at most this many assignments.
-    pub(crate) const INTERACTIVE_MAX_ASSIGNMENTS: u64 = 200;
-    /// Default batch threshold: at least this many assignments.
-    pub(crate) const BATCH_MIN_ASSIGNMENTS: u64 = 1_500;
-
-    /// The class of a query with `assignments` routed assignments under the
-    /// given thresholds.
-    pub(crate) fn of(assignments: u64, interactive_max: u64, batch_min: u64) -> QueryClass {
-        if assignments <= interactive_max {
-            QueryClass::Interactive
-        } else if assignments >= batch_min {
-            QueryClass::Batch
-        } else {
-            QueryClass::Standard
-        }
-    }
-
-    /// [`QueryClass::of`] under the default thresholds — how runs without a
-    /// front door (failover, transport) classify their queries.
-    pub(crate) fn of_default_thresholds(assignments: u64) -> QueryClass {
-        Self::of(
-            assignments,
-            Self::INTERACTIVE_MAX_ASSIGNMENTS,
-            Self::BATCH_MIN_ASSIGNMENTS,
-        )
-    }
 }
+
+/// Base backoff of a shed query: the k-th shed waits `SHED_BACKOFF × 2^(k−1)`.
+const SHED_BACKOFF: SimDuration = SimDuration::from_secs(5);
+/// Sheds a query survives; the next one rejects it.
+const MAX_SHEDS: u32 = 3;
+/// Cadence of the observability [`AdmissionSample`]s in the log.
+const SAMPLE_EPOCH: SimDuration = SimDuration::from_secs(30);
 
 /// Front-door configuration.
 ///
@@ -128,23 +112,13 @@ pub struct FrontDoorConfig {
     /// either. A waiter larger than the whole bound still admits once the
     /// pool drains empty, so the bound can never deadlock.
     pub max_inflight_assignments: u64,
-    /// Soft cap on actively-waiting assignments: above it, batch-class
-    /// waiters shed (youngest first) into backoff.
+    /// Cap on actively-waiting assignments: above it, batch-class waiters
+    /// shed (youngest first) into backoff.
     pub max_waiting_assignments: Option<u64>,
-    /// Hard cap on actively-waiting assignments: above it, the youngest
-    /// waiter of the lowest-priority waiting class is rejected outright.
-    pub hard_waiting_assignments: Option<u64>,
     /// A query with at most this many assignments is [`QueryClass::Interactive`].
     pub interactive_max_assignments: u64,
     /// A query with at least this many assignments is [`QueryClass::Batch`].
     pub batch_min_assignments: u64,
-    /// Base virtual-time backoff of a shed query; the k-th shed waits
-    /// `shed_backoff × 2^(k−1)`.
-    pub shed_backoff: SimDuration,
-    /// Sheds a query survives before the next shed rejects it.
-    pub max_retries: u32,
-    /// Cadence of the observability [`AdmissionSample`]s in the log.
-    pub sample_epoch: SimDuration,
 }
 
 impl FrontDoorConfig {
@@ -154,18 +128,14 @@ impl FrontDoorConfig {
             enabled: false,
             max_inflight_assignments: u64::MAX,
             max_waiting_assignments: None,
-            hard_waiting_assignments: None,
-            interactive_max_assignments: QueryClass::INTERACTIVE_MAX_ASSIGNMENTS,
-            batch_min_assignments: QueryClass::BATCH_MIN_ASSIGNMENTS,
-            shed_backoff: SimDuration::from_secs(5),
-            max_retries: 3,
-            sample_epoch: SimDuration::from_secs(30),
+            interactive_max_assignments: 200,
+            batch_min_assignments: 1_500,
         }
     }
 
     /// Controller on with a global in-flight bound and default class
-    /// thresholds; shedding and rejection stay off until the waiting caps
-    /// are set.
+    /// thresholds; shedding and rejection stay off until the waiting cap is
+    /// set.
     ///
     /// ```
     /// use liferaft_runtime::FrontDoorConfig;
@@ -186,11 +156,25 @@ impl FrontDoorConfig {
 
     /// Classifies a query by its routed workload size.
     pub fn classify(&self, assignments: u64) -> QueryClass {
-        QueryClass::of(
-            assignments,
-            self.interactive_max_assignments,
-            self.batch_min_assignments,
-        )
+        if assignments <= self.interactive_max_assignments {
+            QueryClass::Interactive
+        } else if assignments >= self.batch_min_assignments {
+            QueryClass::Batch
+        } else {
+            QueryClass::Standard
+        }
+    }
+
+    /// The class a run gives a query: under the door's thresholds when the
+    /// door is on, the default ones otherwise. The ledger, every report and
+    /// the hedger all classify through it, so a query has one class per run.
+    pub(crate) fn run_class(&self, assignments: u64) -> QueryClass {
+        let door = if self.enabled {
+            *self
+        } else {
+            Self::disabled()
+        };
+        door.classify(assignments)
     }
 
     /// Validates invariants.
@@ -205,24 +189,6 @@ impl FrontDoorConfig {
         assert!(
             self.interactive_max_assignments < self.batch_min_assignments,
             "class thresholds must leave room for the standard class"
-        );
-        if self.max_waiting_assignments.is_some() {
-            assert!(
-                self.shed_backoff > SimDuration::ZERO,
-                "shedding requires a positive backoff"
-            );
-        }
-        if let (Some(soft), Some(hard)) =
-            (self.max_waiting_assignments, self.hard_waiting_assignments)
-        {
-            assert!(
-                soft <= hard,
-                "the soft waiting cap must not exceed the hard cap"
-            );
-        }
-        assert!(
-            self.sample_epoch > SimDuration::ZERO,
-            "a zero sample epoch would record samples forever"
         );
     }
 }
@@ -275,7 +241,7 @@ impl QueryVerdict {
 /// One epoch-boundary observability sample of controller state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdmissionSample {
-    /// 1-based epoch index (boundary k sits at `k × sample_epoch`).
+    /// 1-based epoch index (boundary k sits at k × 30 s).
     pub epoch: u32,
     /// The boundary's virtual time.
     pub at: SimTime,
@@ -299,7 +265,7 @@ pub struct AdmissionSample {
 pub struct AdmissionLog {
     /// One verdict per trace entry, by trace index.
     pub verdicts: Vec<QueryVerdict>,
-    /// Controller-state samples at `sample_epoch` boundaries.
+    /// Controller-state samples every 30 s of virtual time.
     pub samples: Vec<AdmissionSample>,
 }
 
@@ -584,7 +550,7 @@ impl FrontDoor {
     }
 
     /// One controller pass at virtual time `t`: wake due backoffs, admit
-    /// while the bound allows, then shed and reject per the waiting caps,
+    /// while the bound allows, then shed and reject per the waiting cap,
     /// then record any crossed sample boundaries. `held` is the assignments
     /// the shards hold at `t` — the controller's only feedback signal.
     /// Returns the trace indices admitted, in admission order.
@@ -632,8 +598,8 @@ impl FrontDoor {
             admitted.push(idx);
         }
 
-        // Soft cap: shed batch-class waiters, youngest first, into backoff;
-        // a query out of retries rejects instead.
+        // Waiting cap: shed batch-class waiters, youngest first, into
+        // backoff; a query out of sheds rejects instead.
         if let Some(soft) = self.cfg.max_waiting_assignments {
             while self.active_assignments > soft {
                 let victim = self
@@ -648,38 +614,25 @@ impl FrontDoor {
                 self.active.remove(&(rank, arrival, idx));
                 let p = self.slots[idx].as_mut().expect("victim is pending");
                 self.active_assignments -= p.assignments;
-                if p.retries >= self.cfg.max_retries {
+                if p.retries >= MAX_SHEDS {
                     let p = self.slots[idx].take().expect("victim is pending");
                     self.reject(p);
                 } else {
                     p.retries += 1;
                     let exp = (p.retries - 1).min(20);
-                    p.eligible_at = self.now + self.cfg.shed_backoff.times(1u64 << exp);
+                    p.eligible_at = self.now + SHED_BACKOFF.times(1u64 << exp);
                     self.backoff.insert((p.eligible_at, idx));
                     self.shed_events += 1;
                 }
             }
         }
 
-        // Hard cap: reject the youngest waiter of the lowest waiting class.
-        if let Some(hard) = self.cfg.hard_waiting_assignments {
-            while self.active_assignments > hard {
-                let Some(&(rank, arrival, idx)) = self.active.iter().next_back() else {
-                    break;
-                };
-                self.active.remove(&(rank, arrival, idx));
-                let p = self.slots[idx].take().expect("victim is pending");
-                self.active_assignments -= p.assignments;
-                self.reject(p);
-            }
-        }
-
         // Observability samples at every crossed epoch boundary.
-        while SimTime::ZERO + self.cfg.sample_epoch.times(self.sampled as u64 + 1) <= self.now {
+        while SimTime::ZERO + SAMPLE_EPOCH.times(self.sampled as u64 + 1) <= self.now {
             self.sampled += 1;
             self.samples.push(AdmissionSample {
                 epoch: self.sampled,
-                at: SimTime::ZERO + self.cfg.sample_epoch.times(self.sampled as u64),
+                at: SimTime::ZERO + SAMPLE_EPOCH.times(self.sampled as u64),
                 inflight_assignments: inflight,
                 waiting_assignments: self.active_assignments,
                 backoff_queries: self.backoff.len() as u32,
@@ -733,8 +686,6 @@ mod tests {
         let mut c = FrontDoorConfig::bounded(max_inflight);
         c.interactive_max_assignments = 10;
         c.batch_min_assignments = 100;
-        c.shed_backoff = SimDuration::from_secs(2);
-        c.max_retries = 2;
         c
     }
 
@@ -803,71 +754,51 @@ mod tests {
         // Saturate the pool so nothing admits.
         door.ingest(0, at(1), 400);
         door.pump(at(1), 0);
-        // Two batch waiters push the queue over the soft cap (240 > 200):
+        // Two batch waiters push the queue over the cap (240 > 200):
         // shedding the *youngest* brings it back under, so the older stays.
         door.ingest(1, at(2), 120);
         door.ingest(2, at(3), 120);
         assert!(door.pump(at(3), 400).is_empty(), "nothing admits");
         assert!(door.has_active(), "the older batch waiter stays");
-        let wake = door.next_wakeup().expect("youngest is in backoff");
-        assert_eq!(
-            wake,
-            at(3) + SimDuration::from_secs(2),
-            "first backoff = base"
-        );
-        // Wake it; still over the cap → shed again with a doubled backoff.
-        assert!(door.pump(wake, 400).is_empty(), "nothing admits");
-        let wake2 = door.next_wakeup().expect("still in backoff");
-        assert_eq!(wake2, wake + SimDuration::from_secs(4), "backoff doubles");
-        // Third time over the cap exceeds max_retries = 2 → rejected.
-        assert!(door.pump(wake2, 400).is_empty(), "nothing admits");
+        assert_eq!(door.next_wakeup(), Some(at(8)), "the 5 s base backoff");
+        // Each wake finds the queue still over the cap: shed again, with the
+        // backoff doubling from the 5 s base, until the shed budget is spent.
+        let mut wake = at(3);
+        for k in 0..MAX_SHEDS {
+            let next = door.next_wakeup().expect("the youngest is in backoff");
+            assert_eq!(next, wake + SHED_BACKOFF.times(1 << k), "shed {}", k + 1);
+            wake = next;
+            assert!(door.pump(wake, 400).is_empty(), "nothing admits");
+        }
+        // The shed after the last allowed one rejects.
         assert_eq!(door.next_wakeup(), None);
         // Drain the pool so the survivor admits and the log closes.
         door.pump(at(100), 0);
         let log = door.into_log();
         assert_eq!(log.total_rejected(), 1);
-        assert_eq!(log.verdicts[2].sheds, 2, "two sheds before rejection");
+        assert_eq!(
+            log.verdicts[2].sheds, MAX_SHEDS,
+            "every shed before rejection"
+        );
         assert!(matches!(
             log.verdicts[2].decision,
             Disposition::Rejected { .. }
         ));
         assert!(log.verdicts[0].admitted() && log.verdicts[1].admitted());
-        assert_eq!(log.total_shed_events(), 2);
-    }
-
-    #[test]
-    fn hard_cap_rejects_youngest_lowest_class() {
-        let mut c = cfg(10);
-        c.hard_waiting_assignments = Some(100);
-        let mut door = FrontDoor::new(c, 4);
-        door.ingest(0, at(1), 400);
-        door.pump(at(1), 0);
-        // Three standard waiters (60 each): the hard cap evicts the two
-        // youngest, never the oldest.
-        door.ingest(1, at(2), 60);
-        door.ingest(2, at(3), 60);
-        door.ingest(3, at(4), 60);
-        door.pump(at(4), 400);
-        assert_eq!(door.pump(at(100), 0), vec![1]);
-        let log = door.into_log();
-        assert!(log.verdicts[1].admitted(), "oldest waiter survives");
-        assert!(!log.verdicts[2].admitted());
-        assert!(!log.verdicts[3].admitted());
+        assert_eq!(log.total_shed_events(), MAX_SHEDS as u64);
     }
 
     #[test]
     fn samples_record_crossed_boundaries() {
-        let mut c = cfg(1_000);
-        c.sample_epoch = SimDuration::from_secs(10);
-        let mut door = FrontDoor::new(c, 1);
+        let mut door = FrontDoor::new(cfg(1_000), 1);
         door.ingest(0, at(5), 50);
         door.pump(at(5), 0);
-        door.pump(at(35), 0);
+        door.pump(at(95), 0);
         let log = door.into_log();
-        assert_eq!(log.samples.len(), 3, "boundaries 10/20/30 crossed");
+        assert_eq!(log.samples.len(), 3, "boundaries 30/60/90 crossed");
         assert_eq!(log.samples[0].epoch, 1);
-        assert_eq!(log.samples[0].at, at(10));
-        assert_eq!(log.samples[2].at, at(30));
+        assert_eq!(log.samples[0].at, at(30));
+        assert_eq!(log.samples[2].at, at(90));
         assert_eq!(log.samples[2].admitted, 1);
     }
 

@@ -30,15 +30,6 @@ pub struct RebalanceConfig {
     pub min_imbalance: f64,
     /// Upper bound on bucket moves per epoch boundary.
     pub max_moves_per_epoch: u32,
-    /// Fixed virtual-time cost charged to the *destination* shard per
-    /// migrated bucket (control-plane handshake, residency handoff).
-    pub migration_fixed: SimDuration,
-    /// Additional destination cost per migrated (object × bucket) entry
-    /// (queue-state transfer is not free).
-    pub migration_per_entry: SimDuration,
-    /// Carry cache residency with the bucket: evict it at the source and
-    /// warm it into the destination's cache on arrival.
-    pub warm_residency: bool,
 }
 
 impl RebalanceConfig {
@@ -49,14 +40,13 @@ impl RebalanceConfig {
             epoch: SimDuration::ZERO,
             min_imbalance: 1.5,
             max_moves_per_epoch: 4,
-            migration_fixed: SimDuration::from_millis(20),
-            migration_per_entry: SimDuration::from_micros(50),
-            warm_residency: true,
         }
     }
 
     /// Rebalancing on with boundaries every `epoch` and default policy
-    /// knobs (1.5× imbalance trigger, ≤ 4 moves per epoch, warm handoff).
+    /// knobs (1.5× imbalance trigger, ≤ 4 moves per epoch). A move pays the
+    /// fixed hand-over of `docs/ARCHITECTURE.md`, "Fixed controller
+    /// constants".
     ///
     /// ```
     /// use liferaft_runtime::RebalanceConfig;
@@ -336,7 +326,6 @@ impl RuntimeConfig {
         self.rebalance.validate();
         self.front_door.validate();
         self.faults.validate(self.n_shards);
-        self.failover.validate();
         self.transport.validate();
         self.telemetry.validate();
         assert!(self.n_shards > 0, "need at least one shard");

@@ -8,21 +8,22 @@
 //! - **Evacuation** — at the outage boundary the planner rips every
 //!   non-empty bucket out of the dead shard (queue state at preserved
 //!   arrival ages, cache residency snapshot) and re-homes each on the
-//!   least-loaded survivor, charging the evacuation cost to the
-//!   destination's clock. The dead shard's cache is lost either way — a
-//!   crash wipes residency — but `warm_residency` lets destinations warm
-//!   the adopted buckets from the snapshot.
+//!   least-loaded survivor, at the hand-over cost an epoch move pays. The
+//!   dead shard's cache is lost — a crash wipes residency — but a
+//!   destination warms each adopted bucket that was resident there.
 //! - **Re-delivery** — a fragment *released* while its target shard is down
-//!   is lost in flight. After `redelivery_timeout` of virtual time the
-//!   router re-delivers the whole fragment to the least-loaded live shard
-//!   (MapReduce-style re-execution); if no shard is live the attempt fails
-//!   and backs off exponentially (`retry_backoff × 2^(attempt−1)`), up to
-//!   `max_redeliveries` attempts before the query is **rejected** — a
-//!   terminal outcome, so every query still ends exactly once and
-//!   `completed + rejected == submitted` holds per class.
+//!   is lost in flight. After a detection timeout the router re-delivers the
+//!   whole fragment to the least-loaded live shard (MapReduce-style
+//!   re-execution); if no shard is live the attempt fails and backs off
+//!   exponentially, and a failed last attempt of the budget **rejects**
+//!   the query — a terminal outcome, so every query still ends
+//!   exactly once and `completed + rejected == submitted` holds per class.
 //! - **Rejoin** — at `up_at` the shard returns to the pool empty and cold;
 //!   the elastic rebalancer may hand buckets back at later epoch
 //!   boundaries.
+//!
+//! The hand-over cost and the re-delivery schedule are fixed constants,
+//! tabled in `docs/ARCHITECTURE.md`, "Fixed controller constants".
 //!
 //! Every decision is made once, by the crash handler at a barrier of the
 //! runtime's window loop, and recorded into a [`FailoverLog`]; each down
@@ -34,6 +35,12 @@ use liferaft_telemetry::{Event, EventKind};
 use crate::ledger::{ClassConservation, RejectedQuery};
 use crate::retry::RetryPolicy;
 
+/// Re-delivery of a fragment lost to a dead shard: 2 s after its release,
+/// then 1 s·2^(k−1) after failed attempt k, and the query is rejected when
+/// the 5th attempt finds no live shard.
+pub(crate) const REDELIVERY: RetryPolicy =
+    RetryPolicy::new(SimDuration::from_secs(2), SimDuration::from_secs(1), 5);
+
 /// Crash-recovery policy: what the runtime does when a [`FaultPlan`]
 /// outage window begins.
 ///
@@ -44,77 +51,18 @@ pub struct FailoverConfig {
     /// freezes its shard — but nothing is evacuated or re-delivered, so the
     /// dead shard's work strands until the shard rejoins.
     pub enabled: bool,
-    /// Warm evacuated buckets into the destination cache when they were
-    /// resident at the source (the crashed cache itself is always lost).
-    pub warm_residency: bool,
-    /// Fixed virtual-time cost charged to the *destination* shard per
-    /// evacuated bucket (control-plane handshake, residency handoff).
-    pub evacuation_fixed: SimDuration,
-    /// Additional destination cost per evacuated (object × bucket) entry.
-    pub evacuation_per_entry: SimDuration,
-    /// Virtual time after a lost fragment's release before its first
-    /// re-delivery attempt (the failure-detection timeout).
-    pub redelivery_timeout: SimDuration,
-    /// Base backoff between re-delivery attempts; attempt `k + 1` fires
-    /// `retry_backoff × 2^(k−1)` after attempt `k` fails.
-    pub retry_backoff: SimDuration,
-    /// Attempts before a lost fragment's query is rejected outright.
-    pub max_redeliveries: u32,
 }
 
 impl FailoverConfig {
     /// Failover off — outages freeze shards but nothing recovers (and the
     /// `Default`).
     pub fn disabled() -> Self {
-        FailoverConfig {
-            enabled: false,
-            warm_residency: true,
-            evacuation_fixed: SimDuration::from_millis(20),
-            evacuation_per_entry: SimDuration::from_micros(50),
-            redelivery_timeout: SimDuration::from_secs(2),
-            retry_backoff: SimDuration::from_secs(1),
-            max_redeliveries: 5,
-        }
+        FailoverConfig { enabled: false }
     }
 
-    /// Failover on with the default recovery knobs (2 s detection timeout,
-    /// 1 s base backoff, 5 attempts, warm handoff).
+    /// Failover on: evacuate at every down edge, re-deliver what is lost.
     pub fn recovery() -> Self {
-        FailoverConfig {
-            enabled: true,
-            ..Self::disabled()
-        }
-    }
-
-    /// The re-delivery schedule as a [`RetryPolicy`]: detection at
-    /// `redelivery_timeout`, escalation by `retry_backoff × 2^(k−1)`,
-    /// budget `max_redeliveries`. The failover planner derives every
-    /// attempt deadline from this shared policy (the same machinery the
-    /// transport retransmitter uses).
-    pub fn retry_policy(&self) -> RetryPolicy {
-        RetryPolicy::new(
-            self.redelivery_timeout,
-            self.retry_backoff,
-            self.max_redeliveries,
-        )
-    }
-
-    /// Validates invariants.
-    pub fn validate(&self) {
-        if self.enabled {
-            assert!(
-                self.redelivery_timeout > SimDuration::ZERO,
-                "a zero redelivery timeout would re-deliver at the loss instant"
-            );
-            assert!(
-                self.retry_backoff > SimDuration::ZERO,
-                "a zero retry backoff would spin failed attempts at one instant"
-            );
-            assert!(
-                self.max_redeliveries >= 1,
-                "enabled failover must attempt at least one redelivery"
-            );
-        }
+        FailoverConfig { enabled: true }
     }
 }
 
@@ -205,13 +153,10 @@ impl FailoverLog {
     /// shard), in rejection order: `(trace index, when, attempts spent)`.
     /// Derivable from the log alone, so stepped and threaded runs
     /// reconstruct identical rejection records.
-    pub(crate) fn rejections(
-        &self,
-        max_redeliveries: u32,
-    ) -> impl Iterator<Item = (usize, SimTime, u32)> + '_ {
+    pub(crate) fn rejections(&self) -> impl Iterator<Item = (usize, SimTime, u32)> + '_ {
         self.redeliveries
             .iter()
-            .filter(move |r| r.to.is_none() && r.attempt >= max_redeliveries)
+            .filter(|r| r.to.is_none() && r.attempt >= REDELIVERY.max_attempts)
             .map(|r| (r.query_index, r.at, r.attempt))
     }
 
@@ -309,33 +254,30 @@ mod tests {
     use super::*;
 
     #[test]
-    fn defaults_validate_and_recovery_enables() {
+    fn recovery_enables_and_the_default_is_off() {
         assert!(!FailoverConfig::default().enabled);
-        FailoverConfig::default().validate();
-        let fo = FailoverConfig::recovery();
-        assert!(fo.enabled);
-        fo.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "zero redelivery timeout")]
-    fn zero_timeout_rejected() {
-        let mut fo = FailoverConfig::recovery();
-        fo.redelivery_timeout = SimDuration::ZERO;
-        fo.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one redelivery")]
-    fn zero_attempts_rejected() {
-        let mut fo = FailoverConfig::recovery();
-        fo.max_redeliveries = 0;
-        fo.validate();
+        assert!(FailoverConfig::recovery().enabled);
     }
 
     #[test]
     fn log_counters_and_rejection_derivation() {
         let t = |s: u64| SimTime::ZERO + SimDuration::from_secs(s);
+        let attempt = |seq: u64, query_index: usize, attempt: u32, to: Option<u32>| Redelivery {
+            at: t(seq + 3),
+            seq,
+            query_index,
+            from: 0,
+            attempt,
+            to,
+        };
+        // Query 2 fails every attempt of the budget, query 4 lands on its
+        // first, and query 6 fails one attempt short of the budget.
+        let budget = REDELIVERY.max_attempts;
+        let mut redeliveries: Vec<Redelivery> = (1..=budget)
+            .map(|k| attempt(k as u64 - 1, 2, k, None))
+            .collect();
+        redeliveries.push(attempt(budget as u64, 4, 1, Some(1)));
+        redeliveries.push(attempt(budget as u64 + 1, 6, budget - 1, None));
         let log = FailoverLog {
             transitions: vec![],
             evacuations: vec![Evacuation {
@@ -347,39 +289,12 @@ mod tests {
                 entries: 40,
                 was_resident: true,
             }],
-            redeliveries: vec![
-                Redelivery {
-                    at: t(3),
-                    seq: 0,
-                    query_index: 2,
-                    from: 0,
-                    attempt: 1,
-                    to: None,
-                },
-                Redelivery {
-                    at: t(4),
-                    seq: 1,
-                    query_index: 2,
-                    from: 0,
-                    attempt: 2,
-                    to: None,
-                },
-                Redelivery {
-                    at: t(5),
-                    seq: 2,
-                    query_index: 4,
-                    from: 0,
-                    attempt: 1,
-                    to: Some(1),
-                },
-            ],
+            redeliveries,
         };
         assert_eq!(log.evacuated_entries(), 40);
         assert_eq!(log.delivered_redeliveries(), 1);
-        // With a 2-attempt budget, query 2's second failed attempt rejects.
-        let rejected: Vec<_> = log.rejections(2).collect();
-        assert_eq!(rejected, vec![(2, t(4), 2)]);
-        // A roomier budget rejects nothing: the chain would have retried.
-        assert_eq!(log.rejections(3).count(), 0);
+        // Only the chain that spent the whole budget rejects.
+        let rejected: Vec<_> = log.rejections().collect();
+        assert_eq!(rejected, vec![(2, t(budget as u64 + 2), budget)]);
     }
 }

@@ -29,9 +29,9 @@
 //!
 //! With [`RebalanceConfig`] enabled the shard map becomes **elastic**: at
 //! every epoch of virtual time a controller compares per-shard queued
-//! backlogs and migrates hot buckets — queue state, ages, and (optionally)
-//! cache residency — from overloaded to underloaded shards, charging a
-//! migration cost to the destination clock, and records every boundary in
+//! backlogs and migrates hot buckets — queue state, ages, and cache
+//! residency — from overloaded to underloaded shards, charging a fixed
+//! hand-over cost to the destination clock, and records every boundary in
 //! a [`RebalanceLog`].
 //!
 //! # Front door, failover, transport

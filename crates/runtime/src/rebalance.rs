@@ -18,6 +18,7 @@ use liferaft_telemetry::{Event, EventKind};
 
 use crate::config::RebalanceConfig;
 use crate::shard::ShardId;
+use crate::worker::handover_cost;
 
 /// One bucket migration decided at an epoch boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,8 +77,8 @@ impl RebalanceLog {
 
     /// Renders the log as router events: per epoch, every move as planned,
     /// then every move as applied — in the executors' canonical absorb
-    /// order (per destination, in bucket order), at the cost `cfg` charges.
-    pub(crate) fn render(&self, cfg: &RebalanceConfig, out: &mut Vec<Event>) {
+    /// order (per destination, in bucket order), at its hand-over cost.
+    pub(crate) fn render(&self, out: &mut Vec<Event>) {
         for rec in &self.records {
             for m in &rec.moves {
                 out.push(Event::router(
@@ -100,7 +101,7 @@ impl RebalanceLog {
                         epoch: rec.epoch,
                         bucket: m.bucket.0,
                         to: m.to.0,
-                        cost: cfg.migration_fixed + cfg.migration_per_entry.times(m.entries),
+                        cost: handover_cost(m.entries),
                     },
                 ));
             }

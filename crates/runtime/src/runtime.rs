@@ -37,14 +37,13 @@ use liferaft_storage::SimTime;
 use liferaft_telemetry::{Event, TelemetryReport};
 use liferaft_workload::TimedTrace;
 
-use crate::admission::{AdmissionLog, FrontDoor, FrontDoorReport, QueryClass};
+use crate::admission::{AdmissionLog, FrontDoor, FrontDoorReport};
 use crate::config::{ExecMode, RebalanceConfig, RuntimeConfig};
 use crate::failover::{
-    Evacuation, FailoverConfig, FailoverLog, FailoverReport, Redelivery, ShardTransition,
+    Evacuation, FailoverLog, FailoverReport, Redelivery, ShardTransition, REDELIVERY,
 };
 use crate::ledger::{merged_completions, Ledger, RejectedBy};
 use crate::rebalance::{plan_moves, EpochRecord, Migration, RebalanceLog};
-use crate::retry::RetryPolicy;
 use crate::router::{route_window, Fragment, Routing};
 use crate::shard::{ElasticShardMap, ShardId, ShardMap};
 use crate::transport::{resolve_hedges, DeliveryPlan, Hedges, TransportReport};
@@ -216,7 +215,7 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
             },
         });
         let outages = (cfg.failover.enabled || !cfg.faults.outages.is_empty())
-            .then(|| Outages::new(cfg.failover, &cfg.faults.outages, entries.len()));
+            .then(|| Outages::new(cfg.failover.enabled, &cfg.faults.outages, entries.len()));
         Controllers {
             partition: self.catalog.partition(),
             config: cfg,
@@ -235,7 +234,7 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
                 .transport
                 .hedge
                 .enabled
-                .then(|| Hedges::new(cfg.transport.hedge, n)),
+                .then(|| Hedges::new(cfg.transport.hedge, cfg.front_door, n)),
             plan: Plan {
                 transport: cfg
                     .transport
@@ -274,22 +273,13 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
         let hedges = plan.transport.as_ref().map_or(&[][..], |d| &d.log.hedges);
         let (hedge_wins, hedge_losses) = resolve_hedges(hedges, &mut stream);
 
-        // Classes come from routed workload: under the door's thresholds
-        // when it ran, the default thresholds otherwise.
         let door = &self.config.front_door;
-        let mut ledger = Ledger::open(entries, &plan.assignments_of, |a| {
-            if door.enabled {
-                door.classify(a)
-            } else {
-                QueryClass::of_default_thresholds(a)
-            }
-        });
+        let mut ledger = Ledger::open(entries, &plan.assignments_of, |a| door.run_class(a));
         if let Some(log) = &plan.admission {
             ledger.reject(RejectedBy::FrontDoor, log.rejections());
         }
         if let Some(log) = &plan.failover {
-            let budget = self.config.failover.max_redeliveries;
-            ledger.reject(RejectedBy::Failover, log.rejections(budget));
+            ledger.reject(RejectedBy::Failover, log.rejections());
         }
         if let Some(delivery) = &plan.transport {
             ledger.reject(RejectedBy::Transport, delivery.rejections());
@@ -365,7 +355,7 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
         }
         let mut router: Vec<Event> = Vec::new();
         if let Some(log) = &plan.rebalance {
-            log.render(&self.config.rebalance, &mut router);
+            log.render(&mut router);
         }
         if let Some(log) = &plan.admission {
             log.render(entries, &mut router);
@@ -575,7 +565,7 @@ impl Controllers<'_> {
             let cfg = self.config;
             delivery.deliver(&cfg.transport, &cfg.faults, &mut routing);
         }
-        if let Some(outages) = self.outages.as_mut().filter(|o| o.cfg.enabled) {
+        if let Some(outages) = self.outages.as_mut().filter(|o| o.failover) {
             let transport = self.plan.transport.as_ref();
             let moot = |q: usize| transport.is_some_and(|d| d.rejected[q].is_some());
             outages.intercept(workers, at, moot, &mut routing.shards);
@@ -711,10 +701,6 @@ impl Epochs {
         let depths: Vec<Vec<_>> = workers.iter().map(ShardWorker::bucket_depths).collect();
         let round = Round {
             at: t,
-            evict_source: self.cfg.warm_residency,
-            warm: self.cfg.warm_residency,
-            fixed: self.cfg.migration_fixed,
-            per_entry: self.cfg.migration_per_entry,
             transfers: plan_moves(&self.cfg, &loads, &depths, up),
         };
         transfer(workers, &round);
@@ -750,11 +736,11 @@ struct Chain {
 ///   attempt one detection timeout after its release;
 /// - a **re-delivery** lands the whole lost fragment on the least-loaded
 ///   live shard, or — when nothing is up — fails and backs off
-///   exponentially until `max_redeliveries` attempts reject the query (a
+///   exponentially until the [`REDELIVERY`] budget rejects the query (a
 ///   terminal outcome: every query still ends exactly once).
 struct Outages {
-    cfg: FailoverConfig,
-    retry: RetryPolicy,
+    /// Failover is on: down edges evacuate, lost fragments re-deliver.
+    failover: bool,
     /// Outage edges in processing order: time, downs before ups, shard.
     edges: Vec<(SimTime, bool, u32)>,
     edges_done: usize,
@@ -769,7 +755,7 @@ struct Outages {
 }
 
 impl Outages {
-    fn new(cfg: FailoverConfig, outages: &[ShardOutage], n_queries: usize) -> Self {
+    fn new(failover: bool, outages: &[ShardOutage], n_queries: usize) -> Self {
         let mut edges: Vec<(SimTime, bool, u32)> = Vec::new();
         for o in outages {
             edges.push((o.down_at, false, o.shard));
@@ -777,8 +763,7 @@ impl Outages {
         }
         edges.sort_unstable();
         Outages {
-            cfg,
-            retry: cfg.retry_policy(),
+            failover,
             edges,
             edges_done: 0,
             chains: HashMap::new(),
@@ -817,7 +802,7 @@ impl Outages {
         // The mask reads the shard's windows, not the edge: where one outage
         // ends as the next begins, the shard stays down.
         up[dead] = !workers[dead].down_at(boundary);
-        if edge_up || !self.cfg.enabled || !up.iter().any(|&u| u) {
+        if edge_up || !self.failover || !up.iter().any(|&u| u) {
             return;
         }
         // Evacuate the dead shard: every non-empty bucket, in bucket order,
@@ -844,10 +829,6 @@ impl Outages {
             .collect();
         let round = Round {
             at: workers[dead].now().max(boundary),
-            evict_source: true,
-            warm: self.cfg.warm_residency,
-            fixed: self.cfg.evacuation_fixed,
-            per_entry: self.cfg.evacuation_per_entry,
             transfers,
         };
         let was_resident = transfer(workers, &round);
@@ -908,7 +889,7 @@ impl Outages {
         for (_, from, fragment) in lost {
             let seq = self.next_seq;
             self.next_seq += 1;
-            let deadline = self.retry.deadline_after(fragment.release, 0);
+            let deadline = REDELIVERY.deadline_after(fragment.release, 0);
             self.retries.push(Reverse((deadline, seq)));
             let chain = Chain {
                 from,
@@ -960,7 +941,7 @@ impl Outages {
                     ..c.fragment
                 }]);
             }
-            None if attempt >= self.cfg.max_redeliveries => {
+            None if attempt >= REDELIVERY.max_attempts => {
                 // Out of attempts with nothing up: terminal rejection.
                 self.rejected[query_index] = true;
                 self.chains.remove(&seq);
@@ -968,14 +949,14 @@ impl Outages {
             None => {
                 // Nothing up: exponential backoff, then try again.
                 self.retries
-                    .push(Reverse((self.retry.deadline_after(at, attempt), seq)));
+                    .push(Reverse((REDELIVERY.deadline_after(at, attempt), seq)));
             }
         }
     }
 
     fn into_log(self) -> FailoverLog {
         debug_assert_eq!(
-            self.log.rejections(self.cfg.max_redeliveries).count(),
+            self.log.rejections().count(),
             self.rejected.iter().filter(|&&r| r).count(),
             "log-derived rejections must match the planner's"
         );
@@ -1485,7 +1466,7 @@ mod tests {
             down_at,
             up_at: SimTime::ZERO + SimDuration::from_secs(1_000),
         });
-        let rt = ShardedRuntime::new(&cat, config.clone());
+        let rt = ShardedRuntime::new(&cat, config);
         for mode in [ExecMode::Stepped, ExecMode::Threaded] {
             let report = rt.run(&timed, &mut |_| greedy(), mode);
             let fd = report.front_door.as_ref().expect("door reports");
@@ -1502,7 +1483,7 @@ mod tests {
             };
             assert_eq!(redelivery.query_index, 1);
             assert_eq!(redelivery.to, Some(1), "the survivor takes it");
-            let timeout = config.failover.retry_policy().deadline_after(admitted, 0);
+            let timeout = REDELIVERY.deadline_after(admitted, 0);
             assert_eq!(redelivery.at, timeout, "{mode:?}: counted from admission");
             assert_eq!(report.global.outcomes.len(), 2);
         }
@@ -1533,7 +1514,7 @@ mod tests {
             down_at: ms(500),
             up_at,
         });
-        let rt = ShardedRuntime::new(&cat, config.clone());
+        let rt = ShardedRuntime::new(&cat, config);
         let stepped = rt.run(&timed, &mut |_| greedy(), ExecMode::Stepped);
         let threaded = rt.run(&timed, &mut |_| greedy(), ExecMode::Threaded);
         assert_eq!(stepped.global.outcomes, threaded.global.outcomes);
@@ -1544,7 +1525,7 @@ mod tests {
             panic!("one lost fragment, one re-delivery");
         };
         assert_eq!((redelivery.from, redelivery.to), (1, Some(0)));
-        let timeout = config.failover.retry_policy().deadline_after(ms(800), 0);
+        let timeout = REDELIVERY.deadline_after(ms(800), 0);
         assert_eq!(redelivery.at, timeout, "counted from the release");
         let [done] = &stepped.global.outcomes[..] else {
             panic!("the query completes");
@@ -1687,7 +1668,7 @@ mod tests {
                 up_at,
             });
         }
-        let rt = ShardedRuntime::new(&cat, config.clone());
+        let rt = ShardedRuntime::new(&cat, config);
         let stepped = rt.run(&timed, &mut |_| greedy(), ExecMode::Stepped);
         let threaded = rt.run(&timed, &mut |_| greedy(), ExecMode::Threaded);
         assert_eq!(stepped.global.outcomes, threaded.global.outcomes);
@@ -1698,7 +1679,7 @@ mod tests {
             panic!("one lost fragment, one re-delivery");
         };
         assert_eq!(redelivery.query_index, 0);
-        let timeout = config.failover.retry_policy().deadline_after(ms(10_000), 0);
+        let timeout = REDELIVERY.deadline_after(ms(10_000), 0);
         assert_eq!(redelivery.at, timeout);
         assert_eq!(redelivery.to, Some(0), "the survivor takes it");
         assert_eq!(stepped.global.outcomes.len(), timed.len());
@@ -1789,30 +1770,6 @@ mod tests {
             .map(|s| s.report.serviced_entries)
             .sum();
         assert_eq!(serviced, stepped.global.serviced_entries);
-    }
-
-    #[test]
-    fn enabled_failover_without_outages_is_behaviour_neutral() {
-        use crate::failover::FailoverConfig;
-        let (cat, timed) = fixture(16, 2.0);
-        let base_cfg = RuntimeConfig::contiguous(SimConfig::paper(), 4);
-        let baseline_rt = ShardedRuntime::new(&cat, base_cfg.clone());
-        let baseline = baseline_rt.run(&timed, &mut |_| greedy(), ExecMode::Stepped);
-        let mut config = base_cfg;
-        config.failover = FailoverConfig::recovery();
-        let rt = ShardedRuntime::new(&cat, config);
-        for mode in [ExecMode::Stepped, ExecMode::Threaded] {
-            let report = rt.run(&timed, &mut |_| greedy(), mode);
-            assert_eq!(report.global.outcomes, baseline.global.outcomes, "{mode:?}");
-            assert_eq!(report.global.batches, baseline.global.batches);
-            assert_eq!(report.global.io, baseline.global.io);
-            assert_eq!(report.global.cache, baseline.global.cache);
-            let fo = report.failover.expect("enabled failover reports");
-            assert!(fo.log.transitions.is_empty());
-            assert!(fo.log.evacuations.is_empty());
-            assert!(fo.log.redeliveries.is_empty());
-            assert!(fo.rejected.is_empty());
-        }
     }
 
     #[test]
@@ -2049,7 +2006,6 @@ mod tests {
         config.transport = TransportConfig::hedged();
         config.transport.hedge.min_samples = 4;
         config.transport.hedge.latency_multiplier = 1.3;
-        config.transport.hedge.min_age = SimDuration::from_millis(100);
         // An 8× stall makes shard 0's fragments structural stragglers.
         config.faults.stalls.push(ShardSlowdown {
             shard: 0,
@@ -2096,7 +2052,6 @@ mod tests {
         config.transport = TransportConfig::hedged();
         config.transport.hedge.min_samples = 4;
         config.transport.hedge.latency_multiplier = 1.3;
-        config.transport.hedge.min_age = SimDuration::from_millis(100);
         config.faults.links = flaky_links();
         config.faults.stalls.push(ShardSlowdown {
             shard: 0,
@@ -2130,6 +2085,74 @@ mod tests {
             compared += want.len();
         }
         assert!(compared > 0, "no hedge fired before the last arrival");
+    }
+
+    /// A query has one class per run: with door thresholds away from the
+    /// defaults, a query hedges only once the class every report books it
+    /// under has `min_samples` work-bearing responses read.
+    #[test]
+    fn hedges_read_the_class_the_reports_book() {
+        use crate::admission::{FrontDoorConfig, QueryClass};
+        use crate::transport::{HedgeDecision, TransportConfig};
+        use liferaft_sim::ShardSlowdown;
+        use liferaft_storage::SimDuration;
+        let (cat, timed) = fixture(24, 4.0);
+        let mut config = RuntimeConfig::contiguous(SimConfig::paper(), 4);
+        config.transport = TransportConfig::hedged();
+        config.transport.hedge.min_samples = 4;
+        config.transport.hedge.latency_multiplier = 1.3;
+        config.faults.stalls.push(ShardSlowdown {
+            shard: 0,
+            from: SimTime::ZERO,
+            until: SimTime::ZERO + SimDuration::from_secs(1_000_000),
+            factor: 8.0,
+        });
+        // An unbounded door admits every query at its arrival. Its
+        // thresholds book the fixture's 21-assignment queries as batch,
+        // where the defaults call every query interactive.
+        config.front_door = FrontDoorConfig::bounded(u64::MAX);
+        config.front_door.interactive_max_assignments = 20;
+        config.front_door.batch_min_assignments = 21;
+        let rt = ShardedRuntime::new(&cat, config);
+        let report = rt.run(&timed, &mut |_| greedy(), ExecMode::Stepped);
+        let verdicts = &report
+            .front_door
+            .as_ref()
+            .expect("door reports")
+            .log
+            .verdicts;
+        let hedges = &report
+            .transport
+            .as_ref()
+            .expect("transport reports")
+            .log
+            .hedges;
+        let booked = |h: &&HedgeDecision| verdicts[h.query_index].class;
+        assert!(hedges.iter().any(|h| booked(&h) == QueryClass::Batch));
+        for h in hedges {
+            let class = booked(&h);
+            // What the check at `h.at` read: each shard's completions while
+            // its running clock stays at or before the check.
+            let mut read = 0;
+            for shard in &report.shards {
+                let mut clock = SimTime::ZERO;
+                for o in &shard.report.outcomes {
+                    clock = clock.max(o.completion);
+                    if clock > h.at {
+                        break;
+                    }
+                    let same = verdicts[o.query.0 as usize].class == class;
+                    read += usize::from(o.assignments > 0 && same);
+                }
+            }
+            assert!(
+                read >= 4,
+                "query {} hedged at {} on {read} {} responses",
+                h.query_index,
+                h.at,
+                class.label()
+            );
+        }
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //! every send can be dropped, delayed (fixed plus per-entry serialization),
 //! duplicated, or reordered, and the router reacts the way a real RPC layer
 //! does — retransmit on an unacknowledged timeout with exponential backoff
-//! (the shared [`RetryPolicy`]), bounded attempts, and receiver-side dedup
+//! (a constant [`RetryPolicy`]), bounded attempts, and receiver-side dedup
 //! by attempt identity so retransmissions are **exactly-once in effect**.
+//! The retransmit schedule and the hedge age floor are fixed constants,
+//! tabled in `docs/ARCHITECTURE.md`, "Fixed controller constants".
 //!
 //! # Determinism contract
 //!
@@ -40,7 +42,7 @@
 //! # The ack model
 //!
 //! A chain sends attempt 0 at the fragment's release and escalates on the
-//! [`RetryPolicy`] schedule while no acknowledgement has arrived by the
+//! retransmit schedule while no acknowledgement has arrived by the
 //! next send instant. Each attempt's *data* leg crosses the `ToShard` link
 //! (drop / delay / duplicate / reorder draws); each received attempt is
 //! acknowledged over the `ToRouter` link (drop and fixed-delay only — acks
@@ -58,10 +60,12 @@
 //! completion the pool recorded by `t` (each shard's running clock, as in
 //! the canonical merge) into per-class response samples, then re-issues
 //! every outstanding fragment that lags its class — outstanding longer than
-//! `latency_multiplier ×` the class's response quantile, floored at
-//! `min_age` — to the least-loaded live shard *not already hosting the
-//! query*. Ages and responses both count from the hand-off: a routed
-//! fragment's arrival, or the pass that admitted a door-held query. The
+//! `latency_multiplier ×` the class's response quantile, floored at a
+//! fixed 500 ms — to the least-loaded live shard *not already hosting the
+//! query*. A query's class is the one every report books it under: the
+//! front door's thresholds when the door is on, the defaults otherwise.
+//! Ages and responses both count from the hand-off: a routed fragment's
+//! arrival, or the pass that admitted a door-held query. The
 //! next check is the earliest instant an outstanding fragment falls due,
 //! so the hedges before any instant depend only on the arrivals before it:
 //! a threshold comes from the responses seen so far, never from the run's
@@ -79,7 +83,7 @@ use liferaft_sim::LinkDirection;
 use liferaft_storage::{SimDuration, SimTime};
 use liferaft_telemetry::{Event, EventKind};
 
-use crate::admission::QueryClass;
+use crate::admission::{FrontDoorConfig, QueryClass};
 use crate::config::FaultPlan;
 use crate::ledger::{ClassConservation, Completion, RejectedQuery};
 use crate::retry::RetryPolicy;
@@ -92,6 +96,17 @@ const STREAM_DATA_DROP: u64 = 0x7d01;
 const STREAM_DATA_REORDER: u64 = 0x7d02;
 const STREAM_DATA_DUP: u64 = 0x7d03;
 const STREAM_ACK_DROP: u64 = 0x7d04;
+
+/// Retransmission of an unacknowledged send: 1 s after the send, then
+/// 500 ms·2^(k−1) after retransmission k, and the chain gives up when the
+/// 4th retransmission's deadline passes unacknowledged.
+const RETRANSMIT: RetryPolicy =
+    RetryPolicy::new(SimDuration::from_secs(1), SimDuration::from_millis(500), 4);
+
+/// Floor on the hedge threshold — no fragment younger than this hedges,
+/// however fast its class looks — and the spacing of re-checks while a
+/// class has fewer than `min_samples` responses.
+const HEDGE_MIN_AGE: SimDuration = SimDuration::from_millis(500);
 
 /// Straggler-hedging policy: when a fragment's outstanding age exceeds a
 /// multiple of its class's observed response quantile, issue a duplicate to
@@ -107,10 +122,6 @@ pub struct HedgeConfig {
     pub quantile: f64,
     /// Observed responses a class needs before its quantile is trusted.
     pub min_samples: usize,
-    /// Floor on the hedge threshold — never hedge a fragment younger than
-    /// this, however fast its class looks. Also the spacing of re-checks
-    /// while a class has fewer than `min_samples` responses.
-    pub min_age: SimDuration,
     /// Budget on hedge copies per run.
     pub max_hedges: usize,
 }
@@ -123,7 +134,6 @@ impl HedgeConfig {
             latency_multiplier: 2.0,
             quantile: 0.9,
             min_samples: 10,
-            min_age: SimDuration::from_millis(500),
             max_hedges: 256,
         }
     }
@@ -155,26 +165,19 @@ impl HedgeConfig {
             "hedging needs at least one observed response"
         );
         assert!(
-            self.min_age > SimDuration::ZERO,
-            "a zero hedge age floor would hedge at the arrival instant"
-        );
-        assert!(
             self.max_hedges >= 1,
             "enabled hedging must allow at least one hedge"
         );
     }
 }
 
-/// The transport controller's knobs: retransmission schedule, hedging
-/// policy, and the seed of the per-message SplitMix64 draws.
+/// The transport controller's knobs: the hedging policy and the seed of
+/// the per-message SplitMix64 draws.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransportConfig {
     /// Master switch. Disabled (the default) keeps the lossless-teleport
     /// hop and reproduces the static runtime bit-for-bit.
     pub enabled: bool,
-    /// Retransmit schedule: detection timeout, exponential backoff, and the
-    /// retransmission budget (shared shape with failover re-delivery).
-    pub retry: RetryPolicy,
     /// Straggler hedging (off by default).
     pub hedge: HedgeConfig,
     /// Seed of the per-message draws; every decision is keyed by
@@ -187,7 +190,6 @@ impl TransportConfig {
     pub fn disabled() -> Self {
         TransportConfig {
             enabled: false,
-            retry: RetryPolicy::new(SimDuration::from_secs(1), SimDuration::from_millis(500), 4),
             hedge: HedgeConfig::off(),
             seed: 0x11fe_4af7,
         }
@@ -210,8 +212,8 @@ impl TransportConfig {
         }
     }
 
-    /// Validates invariants (the schedule and the hedge policy are only
-    /// binding when enabled).
+    /// Validates invariants (the hedge policy is only binding when
+    /// enabled).
     pub fn validate(&self) {
         assert!(
             self.enabled || !self.hedge.enabled,
@@ -220,7 +222,6 @@ impl TransportConfig {
              nothing"
         );
         if self.enabled {
-            self.retry.validate("transport");
             self.hedge.validate();
         }
     }
@@ -513,7 +514,7 @@ fn plan_chain(
         if first_ack.is_some_and(|a| a <= send_at) {
             break send_at; // acked in time: the chain closed cleanly
         }
-        if attempt > cfg.retry.max_attempts {
+        if attempt > RETRANSMIT.max_attempts {
             break send_at; // budget exhausted at this expired deadline
         }
         if attempt > 0 {
@@ -566,7 +567,7 @@ fn plan_chain(
                 first_ack = Some(first_ack.map_or(ack_at, |a| a.min(ack_at)));
             }
         }
-        send_at = cfg.retry.deadline_after(send_at, attempt);
+        send_at = RETRANSMIT.deadline_after(send_at, attempt);
         attempt += 1;
     };
     // Receiver dedup: the earliest arrival (ties to the lowest attempt) is
@@ -584,7 +585,7 @@ fn plan_chain(
     ChainOutcome {
         delivered_at,
         gave_up_at,
-        retransmits: attempt.saturating_sub(1).min(cfg.retry.max_attempts),
+        retransmits: attempt.saturating_sub(1).min(RETRANSMIT.max_attempts),
     }
 }
 
@@ -593,8 +594,10 @@ fn plan_chain(
 /// was not rejected, it was not hedged, and no check has seen it complete.
 pub(crate) struct Hedges {
     cfg: HedgeConfig,
-    /// Per routed query: its class (default thresholds on routed workload)
-    /// and the instant the router handed it off.
+    /// The run's front door, whose [`run_class`](FrontDoorConfig::run_class)
+    /// classifies each query as the reports do.
+    door: FrontDoorConfig,
+    /// Per routed query: its class and the instant the router handed it off.
     class_of: HashMap<QueryId, (QueryClass, SimTime)>,
     /// Per class: outstanding fragments as `(handed off, query, shard)`.
     outstanding: [BTreeSet<(SimTime, QueryId, u32)>; 3],
@@ -609,9 +612,10 @@ pub(crate) struct Hedges {
 }
 
 impl Hedges {
-    pub(crate) fn new(cfg: HedgeConfig, n_shards: usize) -> Self {
+    pub(crate) fn new(cfg: HedgeConfig, door: FrontDoorConfig, n_shards: usize) -> Self {
         Hedges {
             cfg,
+            door,
             class_of: HashMap::new(),
             outstanding: Default::default(),
             samples: Default::default(),
@@ -636,7 +640,7 @@ impl Hedges {
     ) {
         for (shard, fragments) in routing.shards.iter().enumerate() {
             for f in fragments {
-                let class = QueryClass::of_default_thresholds(assignments_of[f.query_index]);
+                let class = self.door.run_class(assignments_of[f.query_index]);
                 let handed = f.arrival.max(at);
                 self.class_of.insert(f.query, (class, handed));
                 if f.assignments > 0 && rejected[f.query_index].is_none() {
@@ -648,17 +652,17 @@ impl Hedges {
 
     /// When an outstanding fragment of `class` handed off at `handed` falls
     /// due: `latency_multiplier ×` the class's response quantile (floored
-    /// at `min_age`) after its hand-off — or, while the class has fewer than
-    /// `min_samples` responses and so hedges nothing, a re-check `min_age`
-    /// after the later of its hand-off and the latest check.
+    /// at [`HEDGE_MIN_AGE`]) after its hand-off — or, while the class has
+    /// fewer than `min_samples` responses and so hedges nothing, a re-check
+    /// [`HEDGE_MIN_AGE`] after the later of its hand-off and the latest check.
     fn due(&self, class: QueryClass, handed: SimTime) -> SimTime {
         let s = &self.samples[class.rank()];
         if s.len() < self.cfg.min_samples {
-            return handed.max(self.last) + self.cfg.min_age;
+            return handed.max(self.last) + HEDGE_MIN_AGE;
         }
         let k = ((s.len() - 1) as f64 * self.cfg.quantile).round() as usize;
         let threshold = SimDuration::from_secs_f64(self.cfg.latency_multiplier * s[k]);
-        handed + threshold.max(self.cfg.min_age)
+        handed + threshold.max(HEDGE_MIN_AGE)
     }
 
     /// The next check: the earliest instant an outstanding fragment falls
@@ -895,23 +899,19 @@ mod tests {
         let plan = plan_delivery(&cfg, &faults, &mut r, 2);
         assert!(plan.rejected.iter().all(Option::is_some));
         assert!(r.shards[0].is_empty(), "lost fragments leave the stream");
-        // Original + max_attempts retransmits, every one dropped.
-        let per_chain = 1 + cfg.retry.max_attempts as usize;
-        assert_eq!(plan.log.drops.len(), 2 * per_chain);
-        assert_eq!(
-            plan.log.retransmits.len(),
-            2 * cfg.retry.max_attempts as usize
-        );
+        // Original + 4 retransmits, every one dropped.
+        let budget = RETRANSMIT.max_attempts;
+        assert_eq!(budget, 4);
+        assert_eq!(plan.log.drops.len(), 2 * (1 + budget as usize));
+        assert_eq!(plan.log.retransmits.len(), 2 * budget as usize);
         assert!(plan.log.suppressed.is_empty());
 
         // The chain gives up when the final attempt's deadline expires:
         // send 0 at 0 s, retransmits at 1 s, 1.5 s, 2.5 s, 4.5 s, expiry
         // 4.5 s + 4 s = 8.5 s.
-        let expiry = cfg.retry.deadline_after(
-            cfg.retry.attempt_time(t(0), cfg.retry.max_attempts),
-            cfg.retry.max_attempts,
-        );
-        let gave_up = Some((expiry, cfg.retry.max_attempts));
+        let sends: Vec<SimTime> = plan.log.retransmits[..4].iter().map(|r| r.at).collect();
+        assert_eq!(sends, vec![t(1_000), t(1_500), t(2_500), t(4_500)]);
+        let gave_up = Some((t(8_500), budget));
         assert_eq!(plan.rejected, vec![gave_up; 2]);
     }
 
@@ -927,7 +927,7 @@ mod tests {
         assert_eq!(r.shards[0].len(), 1);
         // No ToShard window: the effect happens at the original send.
         assert_eq!(r.shards[0][0].release, t(0));
-        let n = cfg.retry.max_attempts as usize;
+        let n = RETRANSMIT.max_attempts as usize;
         assert_eq!(plan.log.retransmits.len(), n);
         // Every retransmitted copy reached the shard and was deduped.
         assert_eq!(plan.log.suppressed.len(), n);

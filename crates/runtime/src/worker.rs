@@ -37,23 +37,23 @@ pub struct ShardRun {
     pub events_dropped: u64,
 }
 
+/// The virtual-time cost a destination pays to adopt one bucket carrying
+/// `entries` queued entries: 20 ms per bucket plus 50 µs per entry, the same
+/// for an epoch move and a crash evacuation.
+pub(crate) fn handover_cost(entries: u64) -> SimDuration {
+    SimDuration::from_millis(20) + SimDuration::from_micros(50).times(entries)
+}
+
 /// One hand-over of queued buckets between shards — an epoch boundary's
 /// migrations or a crash's evacuations — which the window loop applies in
-/// place at the barrier that decides it.
+/// place at the barrier that decides it. Residency leaves the source with
+/// each bucket, and the destination warms a bucket that was resident there;
+/// each adoption costs the destination [`handover_cost`].
 #[derive(Debug, Clone)]
 pub(crate) struct Round {
     /// The extract/absorb instant: the boundary, or a crashed source's
     /// clock when its final batch overran it (batches are atomic).
     pub(crate) at: SimTime,
-    /// Residency leaves the source cache with the bucket (otherwise it is
-    /// only observed).
-    pub(crate) evict_source: bool,
-    /// Destinations warm buckets that were resident at their source.
-    pub(crate) warm: bool,
-    /// Virtual-time cost charged to the destination per bucket…
-    pub(crate) fixed: SimDuration,
-    /// …and per queued entry moving with it.
-    pub(crate) per_entry: SimDuration,
     /// The moves, in planning order.
     pub(crate) transfers: Vec<Migration>,
 }
@@ -312,25 +312,23 @@ impl<'a, C: Catalog + ?Sized> ShardWorker<'a, C> {
     /// [`EngineCore::extract_bucket`]). The source clock is untouched —
     /// transfer costs land on the destination.
     pub(crate) fn extract_bucket(&mut self, bucket: BucketId, round: &Round) -> MigratedBucket<'a> {
-        let payload = self
-            .core
-            .extract_bucket(bucket, round.at, round.evict_source);
+        let payload = self.core.extract_bucket(bucket, round.at, true);
         self.handed -= payload.len() as u64;
         payload
     }
 
     /// Adopts this shard's `incoming` payloads of `round` in bucket order —
-    /// the canonical absorb order — charging each one's cost to the shard
-    /// clock (clamped up to the round's instant first, so transfer work
-    /// never appears to predate the decision).
+    /// the canonical absorb order — charging each one's [`handover_cost`]
+    /// to the shard clock (clamped up to the round's instant first, so
+    /// transfer work never appears to predate the decision).
     pub(crate) fn absorb_round(&mut self, round: &Round, mut incoming: Vec<MigratedBucket<'a>>) {
         incoming.sort_by_key(|p| p.bucket);
         for payload in incoming {
-            let cost = round.fixed + round.per_entry.times(payload.len() as u64);
-            self.handed += payload.len() as u64;
+            let entries = payload.len() as u64;
+            self.handed += entries;
             self.now = self.now.max(round.at);
-            self.core.absorb_bucket(payload, round.warm);
-            self.now += cost;
+            self.core.absorb_bucket(payload, true);
+            self.now += handover_cost(entries);
         }
     }
 
@@ -470,10 +468,6 @@ mod tests {
         let (bucket, entries) = src.bucket_depths()[0];
         let round = Round {
             at: src.now(),
-            evict_source: true,
-            warm: false,
-            fixed: SimDuration::ZERO,
-            per_entry: SimDuration::ZERO,
             transfers: Vec::new(),
         };
         let payload = src.extract_bucket(bucket, &round);

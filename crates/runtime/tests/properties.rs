@@ -11,7 +11,9 @@
 //!   split of the trace into consecutive windows;
 //! - the front door, rebalancing, crash failover and the lossy-link
 //!   transport compose: threaded == stepped with any of them on, and every
-//!   class balances its books.
+//!   class balances its books;
+//! - any legal subset of them, switched on with configs that never fire,
+//!   is bit-identical to the run with all of them off.
 
 use liferaft_catalog::{Catalog, VirtualCatalog};
 use liferaft_core::{
@@ -19,9 +21,9 @@ use liferaft_core::{
 };
 use liferaft_query::QueryPreProcessor;
 use liferaft_runtime::{
-    route, route_window, ElasticShardMap, ExecMode, FailoverConfig, FaultPlan, FrontDoorConfig,
-    QueryClass, RebalanceConfig, Routing, RuntimeConfig, ShardAssignment, ShardMap, ShardedRuntime,
-    TransportConfig,
+    route, route_window, ElasticShardMap, ExecMode, FailoverConfig, FailoverLog, FaultPlan,
+    FrontDoorConfig, HedgeConfig, QueryClass, RebalanceConfig, Routing, RuntimeConfig,
+    ShardAssignment, ShardMap, ShardedRuntime, TransportConfig,
 };
 use liferaft_sim::{
     LinkDirection, LinkFault, RunReport, ShardOutage, ShardSlowdown, SimConfig, Simulation,
@@ -192,8 +194,8 @@ proptest! {
         }
     }
 
-    /// Under a random overload regime — arbitrary front-door bounds, shed
-    /// retries, waiting caps, and an optional injected shard stall — every
+    /// Under a random overload regime — arbitrary front-door bounds and
+    /// waiting caps, and an optional injected shard stall — every
     /// query is exactly-once terminal (completed or rejected, never lost or
     /// double-counted), and a threaded request matches the stepped run bit
     /// for bit, front-door report included.
@@ -204,7 +206,6 @@ proptest! {
         kind in 0u8..4,
         bound_step in 1u64..12,
         soft_step in 0u64..10,  // 0 = no waiting cap
-        max_retries in 0u32..4,
         stalled in proptest::bool::ANY,
         rate_deci in 2u64..20,
     ) {
@@ -215,7 +216,6 @@ proptest! {
         config.front_door.batch_min_assignments = 500;
         config.front_door.max_waiting_assignments =
             (soft_step > 0).then(|| soft_step * 400);
-        config.front_door.max_retries = max_retries;
         if stalled {
             config.faults = FaultPlan {
                 stalls: vec![ShardSlowdown {
@@ -256,7 +256,8 @@ proptest! {
         for r in &fd.rejected {
             prop_assert!(!terminal[r.index], "query {} rejected after completing", r.index);
             terminal[r.index] = true;
-            prop_assert!(r.attempts <= max_retries);
+            // The door's fixed shed budget: the shed after the 3rd rejects.
+            prop_assert!(r.attempts <= 3);
         }
         prop_assert!(terminal.iter().all(|&t| t), "some query never became terminal");
 
@@ -270,7 +271,7 @@ proptest! {
         prop_assert_eq!(submitted, timed.len() as u64);
     }
 
-    /// Chaos: random crash schedules × retry budgets × schedulers. Every
+    /// Chaos: random crash schedules × schedulers. Every
     /// query is exactly-once terminal (completed or rejected, never lost or
     /// double-counted), per-class conservation holds, a threaded request
     /// matches the stepped failover run bit for bit — and when the random
@@ -284,15 +285,11 @@ proptest! {
         n_outages in 0usize..3,
         down_s in 2u64..30,
         len_s in 1u64..25,
-        max_redeliveries in 1u32..5,
-        warm in proptest::bool::ANY,
         rate_deci in 2u64..20,
     ) {
         let (catalog, timed) = fixture(seed, 24, rate_deci as f64 / 10.0);
         let mut config = RuntimeConfig::contiguous(SimConfig::paper(), n_shards);
         config.failover = FailoverConfig::recovery();
-        config.failover.max_redeliveries = max_redeliveries;
-        config.failover.warm_residency = warm;
         // Staggered windows on distinct shards; windows of *different*
         // shards may still overlap in time, so the schedule sometimes kills
         // every shard at once — the no-survivor retry/reject path.
@@ -333,7 +330,8 @@ proptest! {
         for r in &fo.rejected {
             prop_assert!(!terminal[r.index], "query {} rejected after completing", r.index);
             terminal[r.index] = true;
-            prop_assert!(r.attempts == max_redeliveries);
+            // Failover's fixed budget: rejected on the 5th failed attempt.
+            prop_assert!(r.attempts == 5);
         }
         prop_assert!(terminal.iter().all(|&t| t), "some query never became terminal");
 
@@ -390,7 +388,6 @@ proptest! {
             config.front_door.interactive_max_assignments = 150;
             config.front_door.batch_min_assignments = 500;
             config.front_door.max_waiting_assignments = Some(2_000);
-            config.front_door.max_retries = 1;
         }
         let epoch_s = [0, 2, 5][epoch];
         if epoch_s > 0 && !hedged {
@@ -609,5 +606,78 @@ proptest! {
             let sharded = rt.run(&timed, &mut |_| policy(kind), mode);
             prop_assert_eq!(fp(&reference), fp(&sharded.global), "mode {:?}", mode);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Controller neutrality over every legal subset: each controller
+    /// switched on with a config that never fires — an unbounded door,
+    /// failover with no outage, the transport with no link window, hedging
+    /// that never trusts a quantile, rebalancing with an unreachable trigger
+    /// — leaves the run bit-identical to the all-off run, globally and per
+    /// shard, in both modes, for every scheduler. The 20 legal subsets of
+    /// the 32 are the ones `validate` accepts: hedging needs the transport
+    /// and refuses rebalancing.
+    #[test]
+    fn never_firing_controllers_are_neutral_in_every_subset(
+        seed in 0u64..10_000,
+        n_shards in 2u32..5,
+        hashed in proptest::bool::ANY,
+        rate_deci in 2u64..20,
+    ) {
+        let (catalog, timed) = fixture(seed, 24, rate_deci as f64 / 10.0);
+        let mut base = RuntimeConfig::contiguous(SimConfig::paper(), n_shards);
+        if hashed {
+            base.assignment = ShardAssignment::Hashed { seed: seed ^ 0x5AD };
+        }
+        let off = ShardedRuntime::new(&catalog, base.clone());
+        let want: Vec<_> = (0u8..4)
+            .map(|kind| off.run(&timed, &mut |_| policy(kind), ExecMode::Stepped))
+            .collect();
+        let mut legal = 0;
+        for subset in 0u8..32 {
+            let on = |bit: u8| subset & (1 << bit) != 0;
+            let (door, failover, transport, hedge, rebalance) = (on(0), on(1), on(2), on(3), on(4));
+            if hedge && (!transport || rebalance) {
+                continue;
+            }
+            legal += 1;
+            let mut config = base.clone();
+            if door {
+                config.front_door = FrontDoorConfig::bounded(u64::MAX);
+            }
+            if failover {
+                config.failover = FailoverConfig::recovery();
+            }
+            if transport {
+                config.transport = TransportConfig::reliable();
+            }
+            if hedge {
+                config.transport.hedge = HedgeConfig::p90();
+                config.transport.hedge.min_samples = usize::MAX;
+            }
+            if rebalance {
+                config.rebalance = RebalanceConfig::every(SimDuration::from_secs(2));
+                config.rebalance.min_imbalance = 1e12;
+            }
+            let rt = ShardedRuntime::new(&catalog, config);
+            for (kind, want) in (0u8..).zip(&want) {
+                for mode in [ExecMode::Stepped, ExecMode::Threaded] {
+                    let got = rt.run(&timed, &mut |_| policy(kind), mode);
+                    let case = format!("subset {subset:05b}, kind {kind}, {mode:?}");
+                    prop_assert_eq!(fp(&got.global), fp(&want.global), "{}", case);
+                    for (a, b) in got.shards.iter().zip(&want.shards) {
+                        prop_assert_eq!(fp(&a.report), fp(&b.report), "{}", case);
+                    }
+                    if let Some(fo) = &got.failover {
+                        prop_assert_eq!(&fo.log, &FailoverLog::default(), "{}", case);
+                        prop_assert!(fo.rejected.is_empty(), "{}", case);
+                    }
+                }
+            }
+        }
+        prop_assert_eq!(legal, 20);
     }
 }
