@@ -22,8 +22,9 @@
 //! plain loop, [`ExecMode::Threaded`] on one `std::thread` per worker. The
 //! two are **bit-identical** for the same configuration and trace, and a
 //! single-shard runtime reproduces `liferaft_sim::Simulation` exactly (both
-//! drive the same [`liferaft_sim::EngineCore`]); golden and property tests
-//! pin both claims.
+//! run the same [`liferaft_sim::Driver`]: one routed window of the whole
+//! trace equals per-arrival feeding); golden and property tests pin both
+//! claims.
 //!
 //! # Elastic rebalancing
 //!
@@ -73,7 +74,7 @@
 //! |---|---|
 //! | [`shard`] | shard identity, bucket → shard maps (contiguous / hashed / elastic) |
 //! | [`router`] | query → per-shard fragment routing, one window of arrivals at a time |
-//! | [`worker`] | the per-shard serving loop |
+//! | [`worker`] | one shard: a `liferaft_sim::Driver` plus what the pool adds |
 //! | [`rebalance`] | the epoch decision log and the greedy migration planner |
 //! | [`failover`] | the crash/outage decision log: evacuations, re-deliveries, conservation |
 //! | [`admission`] | the global front door: classes, shedding, the decision log |

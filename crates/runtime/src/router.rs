@@ -13,62 +13,14 @@
 //! until the next one.
 
 use liferaft_catalog::Partition;
-use liferaft_query::{CrossMatchQuery, QueryId, QueryPreProcessor, WorkItem};
+use liferaft_query::{CrossMatchQuery, QueryPreProcessor, WorkItem};
 use liferaft_storage::SimTime;
 use liferaft_workload::TimedTrace;
 
+pub use liferaft_sim::Fragment;
+
 use crate::shard::{ElasticShardMap, ShardMap};
 use crate::sweep::parallel_map;
-
-/// One shard's slice of one query: the work items whose buckets the shard
-/// owns, plus arrival/identity metadata.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Fragment {
-    /// Index of the parent query within the routed trace.
-    pub query_index: usize,
-    /// The parent query.
-    pub query: QueryId,
-    /// Arrival instant of the parent query (ages reference this).
-    pub arrival: SimTime,
-    /// Release instant: when the fragment becomes *deliverable* to its
-    /// shard. Routing sets it to `arrival`; the front door moves it to the
-    /// admission instant, the transport to the earliest surviving copy's
-    /// delivery, and a re-delivery or hedge copy to its own hand-off. Ages
-    /// keep referencing `arrival`, so every such delay shows up as response
-    /// time exactly like queueing at a loaded shard. Where a fragment lands
-    /// is judged at its release ([`transport`](crate::transport), "Map
-    /// changes in flight").
-    pub release: SimTime,
-    /// The shard-local work items, sorted by bucket.
-    pub items: Vec<WorkItem>,
-    /// Total (object × bucket) assignments in `items`.
-    pub assignments: u64,
-}
-
-impl Fragment {
-    /// The work-free fragment of a query released at its arrival: the
-    /// identity [`route_window`] stamps per-shard work onto, and — as is —
-    /// the marker a workless query ships to shard 0.
-    pub(crate) fn head(query_index: usize, query: QueryId, arrival: SimTime) -> Self {
-        Fragment {
-            query_index,
-            query,
-            arrival,
-            release: arrival,
-            items: Vec::new(),
-            assignments: 0,
-        }
-    }
-
-    /// This fragment's identity carrying `items`.
-    pub(crate) fn with_items(&self, items: Vec<WorkItem>) -> Self {
-        Fragment {
-            assignments: items.iter().map(|i| i.len() as u64).sum(),
-            items,
-            ..self.clone()
-        }
-    }
-}
 
 /// The routing of one trace across one shard map.
 #[derive(Debug, Clone)]
@@ -155,7 +107,7 @@ pub fn route_window(
     let items_of = pre_routed.into_iter().flatten();
     for (&index, items) in window.iter().zip(items_of) {
         let (arrival, query) = &entries[index];
-        let head = Fragment::head(index, query.id, *arrival);
+        let fragment = |items| Fragment::new(index, query.id, *arrival, items);
         let mut assignments = 0u64;
         for item in items {
             assignments += item.len() as u64;
@@ -165,13 +117,13 @@ pub fn route_window(
         for (shard, items) in split.iter_mut().enumerate() {
             if !items.is_empty() {
                 fragments += 1;
-                shards[shard].push(head.with_items(std::mem::take(items)));
+                shards[shard].push(fragment(std::mem::take(items)));
             }
         }
         if fragments == 0 {
             // No work anywhere: ship the arrival itself to shard 0.
             fragments = 1;
-            shards[0].push(head);
+            shards[0].push(fragment(Vec::new()));
         }
         if fragments > 1 {
             cross_shard_queries += 1;
@@ -194,7 +146,7 @@ pub fn route_window(
 mod tests {
     use super::*;
     use liferaft_catalog::{generate::uniform_sky, Catalog, MaterializedCatalog};
-    use liferaft_query::{CrossMatchQuery, Predicate};
+    use liferaft_query::{CrossMatchQuery, Predicate, QueryId};
     use liferaft_workload::arrivals::uniform_arrivals;
     use liferaft_workload::Trace;
 

@@ -265,7 +265,7 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
     ) -> RuntimeReport {
         // The recovery-lag headline reads the batch ledgers `into_run` drops.
         let recovery_lag = plan.failover.as_ref().and_then(|log| {
-            log.recovery_lag(|shard, t| workers[shard as usize].next_completion_after(t))
+            log.recovery_lag(|shard, t| workers[shard as usize].driver.next_completion_after(t))
         });
         let shards: Vec<ShardRun> = workers.into_iter().map(ShardWorker::into_run).collect();
 
@@ -457,7 +457,7 @@ impl Controllers<'_> {
         &self,
         workers: &[ShardWorker<'_, C>],
     ) -> Option<(SimTime, Source)> {
-        let idle = workers.iter().all(|w| w.next_time().is_none());
+        let idle = workers.iter().all(|w| w.driver.next_time().is_none());
         let outages = self.outages.as_ref();
         let stamp = |t: Option<SimTime>, source: Source| t.map(|t| (t, source));
         let door = self.door.as_ref().and_then(|d| {
@@ -468,7 +468,7 @@ impl Controllers<'_> {
             // (and never earlier — see `ShardWorker::held_at`).
             let tick = workers
                 .iter()
-                .filter_map(|w| w.next_completion_after(now))
+                .filter_map(|w| w.driver.next_completion_after(now))
                 .min();
             let arrival = self.entries.get(self.routed).map(|e| e.0);
             let due = [arrival, d.next_wakeup(), tick].into_iter().flatten().min();
@@ -697,7 +697,10 @@ impl Epochs {
         up: &[bool],
         map: &mut ElasticShardMap,
     ) {
-        let loads: Vec<u64> = workers.iter().map(ShardWorker::queued).collect();
+        let loads: Vec<u64> = workers
+            .iter()
+            .map(|w| w.driver.core().total_queued())
+            .collect();
         let depths: Vec<Vec<_>> = workers.iter().map(ShardWorker::bucket_depths).collect();
         let round = Round {
             at: t,
@@ -711,8 +714,14 @@ impl Epochs {
             epoch: self.log.records.len() as u32 + 1,
             at: t,
             loads,
-            serviced: workers.iter().map(ShardWorker::serviced).collect(),
-            resident: workers.iter().map(|w| w.resident() as u32).collect(),
+            serviced: workers
+                .iter()
+                .map(|w| w.driver.core().serviced_entries())
+                .collect(),
+            resident: workers
+                .iter()
+                .map(|w| w.driver.core().resident_buckets() as u32)
+                .collect(),
             moves: round.transfers,
         });
     }
@@ -797,11 +806,11 @@ impl Outages {
             shard,
             at: boundary,
             up: edge_up,
-            queued: workers[dead].queued(),
+            queued: workers[dead].driver.core().total_queued(),
         });
         // The mask reads the shard's windows, not the edge: where one outage
         // ends as the next begins, the shard stays down.
-        up[dead] = !workers[dead].down_at(boundary);
+        up[dead] = !workers[dead].driver.down_at(boundary);
         if edge_up || !self.failover || !up.iter().any(|&u| u) {
             return;
         }
@@ -809,7 +818,10 @@ impl Outages {
         // to the least-loaded survivor (working loads update as buckets are
         // placed; ties → lower shard id). The extract/absorb instant never
         // predates the dead shard's final atomic batch.
-        let mut working: Vec<u64> = workers.iter().map(ShardWorker::queued).collect();
+        let mut working: Vec<u64> = workers
+            .iter()
+            .map(|w| w.driver.core().total_queued())
+            .collect();
         let transfers = workers[dead]
             .bucket_depths()
             .into_iter()
@@ -828,7 +840,7 @@ impl Outages {
             })
             .collect();
         let round = Round {
-            at: workers[dead].now().max(boundary),
+            at: workers[dead].driver.now().max(boundary),
             transfers,
         };
         let was_resident = transfer(workers, &round);
@@ -848,11 +860,11 @@ impl Outages {
 
     /// Intercepts what a routing handed off at `at` delivers into an outage,
     /// in routing order (query, then shard). Both rules read the outage
-    /// windows the workers [wake](ShardWorker::down_at) out of, which the
-    /// live mask follows edge by edge. A work-bearing fragment is judged at
-    /// its resolved release: released inside a window, it is lost in flight
-    /// and queues its first re-delivery one detection timeout after that
-    /// release (a door-held query's admission, a delayed fragment's
+    /// windows the drivers [wake](liferaft_sim::Driver::down_at) out of,
+    /// which the live mask follows edge by edge. A work-bearing fragment is
+    /// judged at its resolved release: released inside a window, it is lost
+    /// in flight and queues its first re-delivery one detection timeout
+    /// after that release (a door-held query's admission, a delayed fragment's
     /// delivery). A query the transport already rejected (`moot`) is
     /// rejected once: its loss queues nothing. A zero-work marker has
     /// nothing to lose, but its arrival notification should reach a live
@@ -870,13 +882,13 @@ impl Outages {
         for (shard, w) in workers.iter().enumerate() {
             let (work, kept): (Vec<_>, Vec<_>) = std::mem::take(&mut window[shard])
                 .into_iter()
-                .partition(|f| !f.items.is_empty() && w.down_at(f.release));
+                .partition(|f| !f.items.is_empty() && w.driver.down_at(f.release));
             window[shard] = kept;
             let work = work.into_iter().filter(|f| !moot(f.query_index));
             lost.extend(work.map(|f| (f.query_index, shard as u32, f)));
         }
-        let live = workers.iter().position(|w| !w.down_at(at));
-        for dead in (0..workers.len()).filter(|&s| workers[s].down_at(at)) {
+        let live = workers.iter().position(|w| !w.driver.down_at(at));
+        for dead in (0..workers.len()).filter(|&s| workers[s].driver.down_at(at)) {
             let (markers, work): (Vec<_>, Vec<_>) = std::mem::take(&mut window[dead])
                 .into_iter()
                 .partition(|f| f.items.is_empty());
@@ -922,7 +934,7 @@ impl Outages {
         let (query_index, attempt) = (chain.fragment.query_index, chain.attempt);
         let dest = (0..up.len())
             .filter(|&j| up[j])
-            .min_by_key(|&j| (workers[j].queued(), j));
+            .min_by_key(|&j| (workers[j].driver.core().total_queued(), j));
         self.log.redeliveries.push(Redelivery {
             at,
             seq,
@@ -966,16 +978,9 @@ impl Outages {
 
 /// The worker with the earliest next event, ties to the lowest shard id.
 fn earliest<C: Catalog + ?Sized>(workers: &[ShardWorker<'_, C>]) -> Option<(SimTime, usize)> {
-    let mut earliest: Option<(SimTime, usize)> = None;
-    for (i, w) in workers.iter().enumerate() {
-        if let Some(t) = w.next_time() {
-            // Strict `<` keeps the lowest shard index on time ties.
-            if earliest.map_or(true, |(bt, _)| t < bt) {
-                earliest = Some((t, i));
-            }
-        }
-    }
-    earliest
+    let next = workers.iter().enumerate();
+    next.filter_map(|(i, w)| Some((w.driver.next_time()?, i)))
+        .min()
 }
 
 /// The pool executor, one loop for every run — conservative windowed
@@ -1003,7 +1008,8 @@ fn execute<C: Catalog + Sync + ?Sized>(
         {
             ctl.door_pass(workers, wt);
             let (_, i) = earliest(workers).expect("admission removes no event");
-            let advanced = workers[i].step();
+            let w = &mut workers[i];
+            let advanced = w.driver.step(w.scheduler.as_mut());
             debug_assert!(advanced, "a shard with a next event must advance");
             continue;
         }
@@ -1024,17 +1030,11 @@ fn advance<C: Catalog + Sync + ?Sized>(
     until: Option<SimTime>,
     mode: ExecMode,
 ) {
-    let due =
-        move |w: &ShardWorker<'_, C>| w.next_time().is_some_and(|t| until.map_or(true, |u| t < u));
-    let run = move |w: &mut ShardWorker<'_, C>| {
-        while due(w) {
-            w.step();
-        }
-    };
+    let run = move |w: &mut ShardWorker<'_, C>| w.driver.advance_until(until, w.scheduler.as_mut());
     match mode {
         ExecMode::Stepped => workers.iter_mut().for_each(run),
         ExecMode::Threaded => std::thread::scope(|scope| {
-            for w in workers.iter_mut().filter(|w| due(w)) {
+            for w in workers.iter_mut().filter(|w| w.driver.due_before(until)) {
                 scope.spawn(move || run(w));
             }
         }),
@@ -2232,8 +2232,7 @@ mod tests {
             let mut ctl = rt.controllers(entries, mode);
             let mut pool = rt.spawn(entries, &mut |_| greedy());
             execute(&mut pool, &mut ctl, mode);
-            let streams: Vec<Vec<Fragment>> =
-                pool.into_iter().map(ShardWorker::into_fragments).collect();
+            let streams: Vec<&[Fragment]> = pool.iter().map(|w| w.driver.fragments()).collect();
             let routing = route(cat.partition(), rt.shard_map(), &timed);
             let case = format!("{n_shards} shards, {assignment:?}, {mode:?}");
             assert_eq!(streams, routing.shards, "{case}");

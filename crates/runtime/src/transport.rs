@@ -679,8 +679,9 @@ impl Hedges {
     /// The check at barrier `t`: reads every completion the pool recorded
     /// by `t`, then hedges every outstanding fragment due by `t` — earliest
     /// due first, up to `max_hedges` — onto the live shard with the lowest
-    /// [`queued`](ShardWorker::queued) that does not host its query. The
-    /// copy is released once it crosses that shard's `ToShard` link.
+    /// [queued backlog](liferaft_sim::EngineCore::total_queued) that does
+    /// not host its query. The copy is released once it crosses that
+    /// shard's `ToShard` link.
     pub(crate) fn fire<C: Catalog + ?Sized>(
         &mut self,
         t: SimTime,
@@ -692,7 +693,7 @@ impl Hedges {
         self.last = t;
         for (shard, w) in workers.iter().enumerate() {
             let (read, clock) = &mut self.read[shard];
-            for o in &w.completed()[*read..] {
+            for o in &w.driver.core().tracker().completed()[*read..] {
                 if o.completion.max(*clock) > t {
                     break;
                 }
@@ -726,7 +727,7 @@ impl Hedges {
             }
             let target = (0..workers.len())
                 .filter(|&s| up[s] && workers[s].fragment_of(query).is_none())
-                .min_by_key(|&s| (workers[s].queued(), s));
+                .min_by_key(|&s| (workers[s].driver.core().total_queued(), s));
             let Some(to) = target else {
                 continue; // the query spans every live shard: nowhere to hedge
             };

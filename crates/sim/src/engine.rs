@@ -1,10 +1,9 @@
 //! The discrete-event simulation engine.
 //!
 //! The batch-execution machinery lives in [`EngineCore`], a stepped state
-//! machine over one workload table + bucket cache + tracker. `Simulation`
-//! drives one core with a simple arrival/decision loop; the sharded runtime
-//! (`liferaft-runtime`) drives one core *per shard* under its own event
-//! merge, so both execute bit-identical batch semantics by construction.
+//! machine over one workload table + bucket cache + tracker. The one loop
+//! that drives a core is the [`Driver`]: `Simulation` feeds it one arrival
+//! at a time, and the sharded runtime (`liferaft-runtime`) runs one per shard.
 
 use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
@@ -23,6 +22,7 @@ use liferaft_telemetry::{Event, EventKind, NullSink, TelemetrySink};
 use liferaft_workload::TimedTrace;
 
 use crate::config::SimConfig;
+use crate::driver::{Driver, Fragment};
 use crate::report::RunReport;
 
 /// A simulation of one archive under one catalog and configuration.
@@ -63,6 +63,9 @@ impl<'a, C: Catalog + ?Sized> Simulation<'a, C> {
     /// captured stream alongside the report. [`run`](Self::run) is this with
     /// a [`NullSink`] — the same code path, so recorded and unrecorded runs
     /// execute identical batch semantics.
+    ///
+    /// The runtime's window loop with one window per arrival: the [`Driver`]
+    /// advances up to each arrival, then takes that query's one fragment.
     pub fn run_with_sink(
         &self,
         trace: &TimedTrace,
@@ -71,38 +74,17 @@ impl<'a, C: Catalog + ?Sized> Simulation<'a, C> {
     ) -> (RunReport, Vec<Event>) {
         let mut core = EngineCore::new(self.catalog, self.config);
         core.set_sink(sink);
-        let arrivals = trace.entries();
-        let mut next_arrival = 0usize;
-        let mut now = SimTime::ZERO;
-
-        loop {
-            // Deliver every arrival due by `now` (ages reference the true
-            // arrival instants, not the batch boundary).
-            while next_arrival < arrivals.len() && arrivals[next_arrival].0 <= now {
-                let (at, query) = &arrivals[next_arrival];
-                core.deliver(query, *at);
-                scheduler.on_query_arrival(*at);
-                next_arrival += 1;
-            }
-
-            if core.is_idle() {
-                if next_arrival < arrivals.len() {
-                    // Idle until the next arrival.
-                    now = arrivals[next_arrival].0;
-                    continue;
-                }
-                break; // drained everything
-            }
-
-            now += core.decide_and_execute(scheduler, now);
+        let entries = trace.entries();
+        let mut driver = Driver::new(core, entries, Vec::new(), Vec::new());
+        let pre = QueryPreProcessor::new(self.catalog.partition());
+        for (i, (at, query)) in entries.iter().enumerate() {
+            driver.advance_until(Some(*at), scheduler);
+            let fragment = Fragment::new(i, query.id, *at, pre.preprocess(query));
+            driver.append_fragments(vec![fragment]);
         }
-
-        assert!(
-            core.all_complete(),
-            "simulation ended with incomplete queries"
-        );
-        let events = core.take_events();
-        (core.into_report(scheduler, trace.len()), events)
+        driver.advance_until(None, scheduler);
+        let (report, events, _) = driver.finish(scheduler);
+        (report, events)
     }
 }
 
@@ -142,16 +124,12 @@ impl MigratedBucket<'_> {
 /// The batch-execution core: one workload table, bucket cache, tracker, and
 /// starvation monitor, advanced one scheduling decision at a time.
 ///
-/// The core owns no clock and no arrival process — callers deliver work
-/// ([`deliver`](Self::deliver) / [`deliver_items`](Self::deliver_items)) and
-/// ask for decisions ([`decide_and_execute`](Self::decide_and_execute)) at
-/// times of their choosing. `Simulation` wraps one core in a serial loop;
-/// the sharded runtime runs one core per shard and merges their event
-/// streams, reusing this exact execution semantics per shard.
+/// The core owns no clock, no arrival process and no pre-processor: its
+/// [`Driver`] delivers pre-processed work ([`deliver_items`](Self::deliver_items))
+/// and asks for each decision.
 pub struct EngineCore<'a, C: Catalog + ?Sized> {
     catalog: &'a C,
     config: SimConfig,
-    pre: QueryPreProcessor<'a>,
     table: WorkloadTable<'a>,
     tracker: QueryTracker,
     cache: BucketCache,
@@ -197,7 +175,6 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
         EngineCore {
             catalog,
             config,
-            pre: QueryPreProcessor::new(partition),
             table: WorkloadTable::new(partition.num_buckets())
                 .with_object_counts(|b| partition.meta(b).object_count),
             tracker: QueryTracker::new(),
@@ -238,18 +215,11 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
         self.sink.dropped()
     }
 
-    /// Preprocesses and enqueues one arriving query in full. The queues
+    /// Enqueues pre-processed work items of `query` (all of them, or the
+    /// subset one shard owns) arriving at `at`. The tracker registers exactly
+    /// the delivered assignments, so a query split across several cores
+    /// completes *per core* when its local fragment drains. The queues
     /// borrow the query's objects until its work drains, hence `&'a`.
-    pub fn deliver(&mut self, query: &'a CrossMatchQuery, at: SimTime) {
-        let items = self.pre.preprocess(query);
-        self.deliver_items(query, &items, at);
-    }
-
-    /// Enqueues a pre-routed subset of a query's work items (all belonging
-    /// to `query`) — the sharded runtime's per-fragment delivery path. The
-    /// tracker registers exactly the delivered assignments, so a query split
-    /// across several cores completes *per core* when its local fragment
-    /// drains.
     pub fn deliver_items(&mut self, query: &'a CrossMatchQuery, items: &[WorkItem], at: SimTime) {
         let assignments: u64 = items.iter().map(|i| i.len() as u64).sum();
         if self.tracker.arrival_of(query.id).is_some() {
@@ -348,20 +318,14 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
 
     /// Rips one bucket's queued state out of this core for migration: takes
     /// its queue (ages preserved), transfers the affected queries' pending
-    /// assignments out of the tracker at virtual time `at`, and detaches the
-    /// bucket from per-query bookkeeping. With `evict_residency` the bucket
-    /// also leaves the cache (its residency travels in the payload);
-    /// otherwise residency is only observed, not disturbed.
+    /// assignments out of the tracker at virtual time `at`, detaches the
+    /// bucket from per-query bookkeeping, and evicts it from the cache (its
+    /// residency travels in the payload).
     ///
     /// A query whose assignments all leave but which already serviced some
     /// entries here closes locally with `completion = at` — migration ends
     /// its story on this core.
-    pub fn extract_bucket(
-        &mut self,
-        bucket: BucketId,
-        at: SimTime,
-        evict_residency: bool,
-    ) -> MigratedBucket<'a> {
+    pub fn extract_bucket(&mut self, bucket: BucketId, at: SimTime) -> MigratedBucket<'a> {
         let queue = self.table.extract_bucket(bucket);
         let mut queries = Vec::new();
         for run in queue.runs() {
@@ -382,13 +346,8 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
                 }
             }
         }
-        let was_resident = if evict_residency {
-            let removed = self.cache.remove(bucket);
-            self.drop_unresident_rows();
-            removed
-        } else {
-            self.cache.contains(bucket)
-        };
+        let was_resident = self.cache.remove(bucket);
+        self.drop_unresident_rows();
         MigratedBucket {
             bucket,
             queue,
@@ -399,10 +358,10 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
 
     /// Adopts a migrated bucket: re-opens (or tops up) the affected queries
     /// at their original arrivals, merges the runs into the local table
-    /// with ages intact, and — when `warm_residency` and the bucket was
-    /// resident at its source — inserts it into the local cache (normal LRU
-    /// effects apply, so this may evict another bucket).
-    pub fn absorb_bucket(&mut self, payload: MigratedBucket<'a>, warm_residency: bool) {
+    /// with ages intact, and — when the bucket was resident at its source —
+    /// inserts it into the local cache (normal LRU effects apply, so this
+    /// may evict another bucket).
+    pub fn absorb_bucket(&mut self, payload: MigratedBucket<'a>) {
         for (run, &(arrival, predicate)) in payload.queue.runs().zip(&payload.queries) {
             let q = run.query();
             self.tracker.transfer_in(q, run.len() as u64, arrival);
@@ -414,7 +373,7 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
             }
         }
         self.table.merge_bucket(payload.bucket, &payload.queue);
-        if warm_residency && payload.was_resident {
+        if payload.was_resident {
             self.cache.insert(payload.bucket);
             self.drop_unresident_rows(); // the insert's LRU victim
         }
@@ -423,6 +382,9 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
     /// Makes one scheduling decision at `now`, executes the chosen batch,
     /// and returns its virtual-time cost.
     ///
+    /// Product code decides through the [`Driver`]; this is public for the
+    /// benchmark's `traced_replay`, which drives a bare core.
+    ///
     /// # Panics
     /// Panics if no work is pending or the scheduler violates its contract.
     pub fn decide_and_execute(
@@ -430,23 +392,25 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
         scheduler: &mut dyn Scheduler,
         now: SimTime,
     ) -> SimDuration {
-        self.decide_and_execute_scaled(scheduler, now, 1.0)
+        let spec = self.decide(scheduler, now);
+        self.execute_batch(spec, now, 1.0)
     }
 
-    /// [`decide_and_execute`](Self::decide_and_execute) with the batch's
-    /// virtual-time cost multiplied by `cost_factor` — the fault-injection
-    /// hook (a degraded disk, a noisy neighbor). Completion instants move
-    /// with the scaled cost, so response times see the slowdown. A factor of
-    /// exactly 1.0 is the identity (no float round-trip).
-    ///
-    /// # Panics
-    /// Panics if no work is pending or the scheduler violates its contract.
-    pub fn decide_and_execute_scaled(
+    /// [`decide_and_execute`](Self::decide_and_execute) with the batch's cost
+    /// multiplied by `cost_factor` (exactly 1.0 is the identity).
+    pub(crate) fn decide_and_execute_scaled(
         &mut self,
         scheduler: &mut dyn Scheduler,
         now: SimTime,
         cost_factor: f64,
     ) -> SimDuration {
+        let spec = self.decide(scheduler, now);
+        self.execute_batch(spec, now, cost_factor)
+    }
+
+    /// Makes one scheduling decision at `now` and books it (telemetry, the
+    /// starvation monitor).
+    fn decide(&mut self, scheduler: &mut dyn Scheduler, now: SimTime) -> BatchSpec {
         // Bring the candidate index's φ keys current with the cache — with
         // the residency mutation log this touches only the buckets the last
         // batch's insert/evict actually flipped. The decision itself then
@@ -495,7 +459,7 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
             .map(|s| s.oldest_enqueue);
         self.starvation
             .record_decision(now, passed_over, oldest_passed);
-        self.execute_batch(spec, now, cost_factor)
+        spec
     }
 
     /// Executes one batch and returns its virtual-time cost.
@@ -929,47 +893,40 @@ mod tests {
         matches
     }
 
-    /// `Simulation::run`'s loop over a bare core, with `check` called after
-    /// every batch.
-    fn run_checked<'a, C: Catalog>(
+    /// `timed`'s queries as the fragments `Simulation` feeds, one per
+    /// arrival, released at their arrivals.
+    fn fragments_of(cat: &dyn Catalog, timed: &TimedTrace) -> Vec<Fragment> {
+        let pre = QueryPreProcessor::new(cat.partition());
+        let entries = timed.entries().iter().enumerate();
+        entries
+            .map(|(i, (at, q))| Fragment::new(i, q.id, *at, pre.preprocess(q)))
+            .collect()
+    }
+
+    /// A driver over a fresh core, holding nothing yet.
+    fn empty<'a, C: Catalog>(
         cat: &'a C,
         config: SimConfig,
         timed: &'a TimedTrace,
-        scheduler: &mut dyn Scheduler,
-        mut check: impl FnMut(&EngineCore<'a, C>),
-    ) -> EngineCore<'a, C> {
-        let mut core = EngineCore::new(cat, config);
-        let arrivals = timed.entries();
-        let (mut next, mut now) = (0usize, SimTime::ZERO);
-        loop {
-            while next < arrivals.len() && arrivals[next].0 <= now {
-                let (at, query) = &arrivals[next];
-                core.deliver(query, *at);
-                scheduler.on_query_arrival(*at);
-                next += 1;
-            }
-            if core.is_idle() {
-                if next == arrivals.len() {
-                    return core;
-                }
-                now = arrivals[next].0;
-                continue;
-            }
-            now += core.decide_and_execute(scheduler, now);
-            check(&core);
-        }
+    ) -> Driver<'a, C> {
+        Driver::new(
+            EngineCore::new(cat, config),
+            timed.entries(),
+            Vec::new(),
+            Vec::new(),
+        )
     }
 
-    /// Runs `core` from `now` until nothing is queued; returns the new clock.
-    fn drain<C: Catalog>(
-        core: &mut EngineCore<'_, C>,
-        scheduler: &mut dyn Scheduler,
-        mut now: SimTime,
-    ) -> SimTime {
-        while !core.is_idle() {
-            now += core.decide_and_execute(scheduler, now);
-        }
-        now
+    /// A driver holding all of `timed` up front (the runtime's one-window
+    /// shape).
+    fn loaded<'a, C: Catalog>(
+        cat: &'a C,
+        config: SimConfig,
+        timed: &'a TimedTrace,
+    ) -> Driver<'a, C> {
+        let mut run = empty(cat, config, timed);
+        run.append_fragments(fragments_of(cat, timed));
+        run
     }
 
     #[test]
@@ -982,21 +939,18 @@ mod tests {
 
         // LifeRaft: rows live exactly as long as residency does.
         let (mut indexed_seen, mut full_seen) = (0, 0);
-        let core = run_checked(
-            &cat,
-            config,
-            &timed,
-            &mut LifeRaftScheduler::greedy(params()),
-            |core| {
-                assert!(core.rows.len() <= config.cache_buckets);
-                assert!(core.rows.keys().all(|b| core.cache.contains(*b)));
-                if core.indexed_batches > indexed_seen {
-                    assert_eq!(cat.full(), full_seen, "an indexed batch read a bucket");
-                }
-                (indexed_seen, full_seen) = (core.indexed_batches, cat.full());
-            },
-        );
-        let report = core.into_report(&LifeRaftScheduler::greedy(params()), timed.len());
+        let mut run = loaded(&cat, config, &timed);
+        let mut greedy = LifeRaftScheduler::greedy(params());
+        while run.step(&mut greedy) {
+            let core = run.core();
+            assert!(core.rows.len() <= config.cache_buckets);
+            assert!(core.rows.keys().all(|b| core.cache.contains(*b)));
+            if core.indexed_batches > indexed_seen {
+                assert_eq!(cat.full(), full_seen, "an indexed batch read a bucket");
+            }
+            (indexed_seen, full_seen) = (core.indexed_batches, cat.full());
+        }
+        let (report, ..) = run.finish(&greedy);
         assert!(report.indexed_batches > 0 && report.cache.hits > 0 && report.cache.evictions > 0);
         assert_eq!(cat.full(), report.io.bucket_reads);
         assert_eq!(cat.probes.load(Ordering::Relaxed), report.io.index_probes);
@@ -1004,10 +958,12 @@ mod tests {
 
         // NoShare: every batch reads its bucket and keeps nothing.
         let cat = CountingCatalog::new(virtual_catalog());
-        let core = run_checked(&cat, config, &timed, &mut NoShareScheduler::new(), |core| {
-            assert!(core.rows.is_empty())
-        });
-        let report = core.into_report(&NoShareScheduler::new(), timed.len());
+        let mut run = loaded(&cat, config, &timed);
+        let mut noshare = NoShareScheduler::new();
+        while run.step(&mut noshare) {
+            assert!(run.core().rows.is_empty());
+        }
+        let (report, ..) = run.finish(&noshare);
         assert_eq!(report.batches, report.io.bucket_reads);
         assert_eq!(cat.full(), report.io.bucket_reads);
         assert_eq!(report.total_matches, reference);
@@ -1017,45 +973,47 @@ mod tests {
     fn dropping_residency_drops_the_rows() {
         let cat = CountingCatalog::new(virtual_catalog());
         let timed = mixed_trace(&cat.inner).with_arrivals(uniform_arrivals(50.0, 60));
-        let mut core = EngineCore::new(&cat, residency_config());
+        let mut run = empty(&cat, residency_config(), &timed);
         let mut sched = LifeRaftScheduler::greedy(params());
         // Serve the first half, then queue the second half behind whatever
-        // the first left resident.
-        let mut now = SimTime::ZERO;
-        for (i, (at, query)) in timed.entries().iter().enumerate() {
-            if i == 30 {
-                now = drain(&mut core, &mut sched, *at);
-            }
-            core.deliver(query, *at);
-            sched.on_query_arrival(*at);
-        }
+        // the first left resident (admitting it runs one batch).
+        let mut first_half = fragments_of(&cat, &timed);
+        let second_half = first_half.split_off(30);
+        run.append_fragments(first_half);
+        run.advance_until(None, &mut sched);
+        run.append_fragments(second_half);
+        assert!(run.step(&mut sched));
+        let core = run.core();
         assert_eq!(core.rows.len(), 3);
         let mut held = core.rows.keys().copied();
         let bucket = held
             .find(|&b| !core.workload().queue(b).is_empty())
             .expect("fixture must queue work behind a resident bucket");
 
-        let payload = core.extract_bucket(bucket, now, true);
+        let now = run.now();
+        let payload = run.extract_bucket(bucket, now);
         assert!(payload.was_resident);
-        assert_eq!(core.rows.len(), 2);
+        assert_eq!(run.core().rows.len(), 2);
         assert!(
-            !core.rows.contains_key(&bucket),
+            !run.core().rows.contains_key(&bucket),
             "a migrated bucket kept rows"
         );
-        core.absorb_bucket(payload, false);
-        assert_eq!(core.wipe_residency(), 2);
-        assert!(core.rows.is_empty(), "a wiped core kept rows");
+        // Moving it back warms it without rows; a wipe then drops all three.
+        run.absorb_bucket(payload, now, SimDuration::ZERO);
+        assert_eq!(run.core().rows.len(), 2);
+        assert_eq!(run.core_mut().wipe_residency(), 3);
+        assert!(run.core().rows.is_empty(), "a wiped core kept rows");
 
         // The next scan of that bucket is a miss on both sides.
-        let (reads, full) = (core.io.bucket_reads, cat.full());
-        while !core.workload().queue(bucket).is_empty() {
-            now += core.decide_and_execute(&mut sched, now);
+        let (reads, full) = (run.core().io.bucket_reads, cat.full());
+        while !run.core().workload().queue(bucket).is_empty() {
+            run.step(&mut sched);
         }
-        assert!(core.rows.contains_key(&bucket));
+        assert!(run.core().rows.contains_key(&bucket));
         assert!(cat.full() > full);
-        assert_eq!(cat.full() - full, core.io.bucket_reads - reads);
-        drain(&mut core, &mut sched, now);
-        let report = core.into_report(&sched, timed.len());
+        assert_eq!(cat.full() - full, run.core().io.bucket_reads - reads);
+        run.advance_until(None, &mut sched);
+        let (report, ..) = run.finish(&sched);
         assert_eq!(cat.full(), report.io.bucket_reads);
         assert_eq!(
             report.total_matches,
@@ -1074,16 +1032,14 @@ mod tests {
             "fixture predicates must reject something"
         );
         let mut most_held = 0;
-        let core = run_checked(
-            &cat,
-            residency_config(),
-            &timed,
-            &mut LifeRaftScheduler::greedy(params()),
-            |core| {
-                assert_eq!(core.predicates.len(), core.tracker.pending_count());
-                most_held = most_held.max(core.predicates.len());
-            },
-        );
+        let mut run = loaded(&cat, residency_config(), &timed);
+        let mut greedy = LifeRaftScheduler::greedy(params());
+        while run.step(&mut greedy) {
+            let core = run.core();
+            assert_eq!(core.predicates.len(), core.tracker.pending_count());
+            most_held = most_held.max(core.predicates.len());
+        }
+        let core = run.core();
         assert!(core.all_complete());
         assert!(
             core.predicates.is_empty(),
@@ -1232,56 +1188,60 @@ mod tests {
             .run(&timed, &mut LifeRaftScheduler::greedy(params()))
             .total_matches;
         assert!(unmigrated > 0, "fixture must find matches");
-        let mut src: EngineCore<'_, _> = EngineCore::new(&cat, config);
-        let mut dst: EngineCore<'_, _> = EngineCore::new(&cat, config);
+        let mut src = empty(&cat, config, &timed);
+        let mut dst = empty(&cat, config, &timed);
         let mut sched_src = LifeRaftScheduler::greedy(params());
         let mut sched_dst = LifeRaftScheduler::greedy(params());
-        let mut expected = 0u64;
-        let mut last_arrival = SimTime::ZERO;
-        for (at, query) in timed.entries() {
-            src.deliver(query, *at);
-            sched_src.on_query_arrival(*at);
-            expected += src.tracker().remaining_of(query.id).unwrap_or(0);
-            last_arrival = *at;
-        }
-        // Move every other pending bucket to the destination core.
-        let buckets: Vec<BucketId> = src.workload().non_empty_buckets().to_vec();
+        // The whole trace is handed over just after its last arrival; the
+        // first step admits all of it and runs one batch.
+        let last_arrival = timed.entries().last().expect("fixture has queries").0;
         let at = last_arrival + SimDuration::from_millis(1);
+        let fragments: Vec<Fragment> = fragments_of(&cat, &timed)
+            .into_iter()
+            .map(|f| Fragment { release: at, ..f })
+            .collect();
+        let expected: u64 = fragments.iter().map(|f| f.assignments).sum();
+        src.append_fragments(fragments);
+        assert!(src.step(&mut sched_src));
+        // Move every other pending bucket to the destination core.
+        let buckets: Vec<BucketId> = src.core().workload().non_empty_buckets().to_vec();
+        let now = src.now();
         let mut moved_entries = 0u64;
         for (i, &b) in buckets.iter().enumerate() {
             if i % 2 == 0 {
                 continue;
             }
-            let payload = src.extract_bucket(b, at, true);
+            let payload = src.extract_bucket(b, now);
             moved_entries += payload.len() as u64;
-            dst.absorb_bucket(payload, true);
+            dst.absorb_bucket(payload, now, SimDuration::ZERO);
         }
         assert!(moved_entries > 0, "fixture must migrate something");
-        assert_eq!(src.total_queued() + dst.total_queued(), expected);
-        src.workload().validate_index();
-        dst.workload().validate_index();
+        let (s, d) = (src.core(), dst.core());
+        assert_eq!(
+            s.serviced_entries() + s.total_queued() + d.total_queued(),
+            expected
+        );
+        s.workload().validate_index();
+        d.workload().validate_index();
         // Both cores drain independently; together they service every
         // assignment exactly once. The source crashes half-way: residency
         // and the rows behind it go, the queued work and its matches stay.
-        let mut now = at;
-        let mut crash_below = Some(src.total_queued() / 2);
-        while !src.is_idle() {
-            now += src.decide_and_execute(&mut sched_src, now);
-            if crash_below.is_some_and(|half| src.total_queued() <= half) {
+        let mut crash_below = Some(src.core().total_queued() / 2);
+        while src.step(&mut sched_src) {
+            if crash_below.is_some_and(|half| src.core().total_queued() <= half) {
                 crash_below = None;
+                let src = src.core_mut();
                 assert!(src.wipe_residency() > 0, "fixture must crash a warm core");
                 assert!(src.rows.is_empty());
             }
         }
-        let mut now = at;
-        while !dst.is_idle() {
-            now += dst.decide_and_execute(&mut sched_dst, now);
-        }
-        assert!(src.all_complete() && dst.all_complete());
-        assert_eq!(src.serviced_entries() + dst.serviced_entries(), expected);
+        dst.advance_until(None, &mut sched_dst);
+        let (s, d) = (src.core(), dst.core());
+        assert!(s.all_complete() && d.all_complete());
+        assert_eq!(s.serviced_entries() + d.serviced_entries(), expected);
         // …and together they find exactly the unmigrated run's matches.
-        let src_matches = src.into_report(&sched_src, 0).total_matches;
-        let dst_matches = dst.into_report(&sched_dst, 0).total_matches;
+        let src_matches = src.finish(&sched_src).0.total_matches;
+        let dst_matches = dst.finish(&sched_dst).0.total_matches;
         assert!(
             dst_matches > 0,
             "the destination joined nothing it absorbed"
@@ -1294,29 +1254,23 @@ mod tests {
         let cat = catalog();
         let trace = small_trace(&cat, 6);
         let timed = trace.with_arrivals(uniform_arrivals(50.0, 6));
-        let mut src: EngineCore<'_, _> = EngineCore::new(&cat, SimConfig::paper());
-        let mut dst: EngineCore<'_, _> = EngineCore::new(&cat, SimConfig::paper());
+        let mut src = loaded(&cat, SimConfig::paper(), &timed);
+        let mut dst = empty(&cat, SimConfig::paper(), &timed);
         let mut sched = LifeRaftScheduler::greedy(params());
-        let mut now = SimTime::ZERO;
-        for (at, query) in timed.entries() {
-            src.deliver(query, *at);
-            sched.on_query_arrival(*at);
-            now = *at;
-        }
         // Execute a few batches so some bucket becomes cache-resident with
         // work still queued behind it.
         let mut hot = None;
         for _ in 0..64 {
-            if src.is_idle() {
+            if !src.step(&mut sched) {
                 break;
             }
-            now += src.decide_and_execute(&mut sched, now);
-            hot = src
+            let core = src.core();
+            hot = core
                 .workload()
                 .non_empty_buckets()
                 .iter()
                 .copied()
-                .find(|&b| src.resident_buckets() > 0 && !src.workload().queue(b).is_empty());
+                .find(|&b| core.resident_buckets() > 0 && !core.workload().queue(b).is_empty());
             if hot.is_some() {
                 break;
             }
@@ -1324,18 +1278,19 @@ mod tests {
         let Some(bucket) = hot else {
             panic!("fixture never produced a pending bucket alongside residency");
         };
-        let resident_before = src.resident_buckets();
-        let payload = src.extract_bucket(bucket, now, true);
+        let now = src.now();
+        let resident_before = src.core().resident_buckets();
+        let payload = src.extract_bucket(bucket, now);
         if payload.was_resident {
-            assert_eq!(src.resident_buckets(), resident_before - 1);
+            assert_eq!(src.core().resident_buckets(), resident_before - 1);
         }
-        let dst_resident_before = dst.resident_buckets();
+        let dst_resident_before = dst.core().resident_buckets();
         let was_resident = payload.was_resident;
-        dst.absorb_bucket(payload, true);
+        dst.absorb_bucket(payload, now, SimDuration::ZERO);
         if was_resident {
-            assert_eq!(dst.resident_buckets(), dst_resident_before + 1);
+            assert_eq!(dst.core().resident_buckets(), dst_resident_before + 1);
         }
-        dst.workload().validate_index();
+        dst.core().workload().validate_index();
     }
 
     #[test]

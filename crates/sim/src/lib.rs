@@ -17,12 +17,17 @@
 //! enqueue their per-bucket sub-queries immediately, and complete when their
 //! last sub-query is serviced. Scheduling decisions happen at batch
 //! boundaries, exactly as in the paper's architecture (Figure 3).
+//!
+//! [`engine`] holds [`EngineCore`], one batch per call; [`driver`] holds the
+//! one loop over it, the [`Driver`] that [`Simulation`] and every shard of
+//! `liferaft-runtime` run.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod calibration;
 pub mod config;
+pub mod driver;
 pub mod engine;
 pub mod federation;
 pub mod report;
@@ -30,6 +35,7 @@ pub mod scenario;
 
 pub use calibration::calibrate_tradeoff_table;
 pub use config::SimConfig;
+pub use driver::{Driver, Fragment};
 pub use engine::{EngineCore, MigratedBucket, Simulation};
 pub use federation::{run_chain, FederationReport};
 pub use liferaft_workload::TimedTrace;
