@@ -13,7 +13,7 @@
 //! until the next one.
 
 use liferaft_catalog::Partition;
-use liferaft_query::{CrossMatchQuery, QueryPreProcessor, WorkItem};
+use liferaft_query::{CrossMatchQuery, QueryPreProcessor, WorkItem, PREPROCESS_CHUNK};
 use liferaft_storage::SimTime;
 use liferaft_workload::TimedTrace;
 
@@ -59,10 +59,6 @@ pub fn route(partition: &Partition, map: &ShardMap, trace: &TimedTrace) -> Routi
     route_window(partition, &map, trace.entries(), 0..trace.len(), 1)
 }
 
-/// Queries per pre-processing job: large enough to amortize a job's channel
-/// send, small enough that a 10 000-query trace still balances over threads.
-const PRE_ROUTE_CHUNK: usize = 128;
-
 /// Routes the trace entries at the indices of `window` under `map`, in the
 /// order given — the one split path: [`route`] is one whole-trace window,
 /// the runtime routes a controller run window by window as the map evolves
@@ -87,7 +83,7 @@ pub fn route_window(
     );
     let pre = QueryPreProcessor::new(partition);
     let window: Vec<usize> = window.into_iter().collect();
-    let chunks: Vec<_> = window.chunks(PRE_ROUTE_CHUNK).collect();
+    let chunks: Vec<_> = window.chunks(PREPROCESS_CHUNK).collect();
     let pre_routed = parallel_map(&chunks, threads, |_, chunk| {
         chunk
             .iter()

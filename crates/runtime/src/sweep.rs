@@ -127,7 +127,9 @@ impl SweepPoint {
 }
 
 /// Sweeps the age bias α across `alphas`, one `Simulation::run` per point
-/// (the Figure 7/8 x-axis), fanned across `threads`.
+/// (the Figure 7/8 x-axis), fanned across `threads`. Each run adds its own
+/// pre-processing thread, so a sweep on `threads` threads runs up to twice
+/// as many.
 pub fn alpha_sweep<C: Catalog + Sync + ?Sized>(
     catalog: &C,
     trace: &TimedTrace,

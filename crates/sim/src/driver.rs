@@ -282,13 +282,22 @@ impl<'a, C: Catalog + ?Sized> Driver<'a, C> {
 
 #[cfg(test)]
 mod tests {
+    use std::panic::{self, AssertUnwindSafe};
+    use std::sync::mpsc;
+    use std::thread;
+    use std::time::Duration;
+
     use super::*;
-    use crate::SimConfig;
+    use crate::engine::CHUNKS_AHEAD;
+    use crate::{SimConfig, Simulation};
     use liferaft_catalog::{generate::uniform_sky, MaterializedCatalog};
+    use liferaft_core::adaptive::TradeoffPoint;
     use liferaft_core::{
-        AgingMode, LifeRaftScheduler, MetricParams, NoShareScheduler, RoundRobinScheduler,
+        AdaptiveScheduler, AgingMode, AlphaController, BatchSpec, LifeRaftScheduler, MetricParams,
+        NoShareScheduler, RoundRobinScheduler, SchedulerView, TradeoffCurve, TradeoffTable,
     };
-    use liferaft_query::{Predicate, QueryPreProcessor};
+    use liferaft_query::{Predicate, QueryPreProcessor, PREPROCESS_CHUNK};
+    use liferaft_workload::{TimedTrace, Trace};
 
     const LEVEL: u8 = 8;
 
@@ -298,12 +307,16 @@ mod tests {
 
     /// Query `i` anchors on a tenth of the objects of buckets `3k..3k + 3`
     /// for `k = i / 2 % 5`, so queries pair up on their buckets and the 15
-    /// cold reads keep the driver busy through both fault windows. Query 5
-    /// carries no work.
-    fn trace(cat: &MaterializedCatalog, arrivals_ms: &[u64]) -> Vec<(SimTime, CrossMatchQuery)> {
+    /// cold reads keep the driver busy through both fault windows. Query
+    /// `workless` carries no work.
+    fn trace(
+        cat: &MaterializedCatalog,
+        arrivals_ms: &[u64],
+        workless: usize,
+    ) -> Vec<(SimTime, CrossMatchQuery)> {
         let queries = arrivals_ms.iter().enumerate().map(|(i, &ms)| {
             let q = QueryId(i as u64);
-            if i == 5 {
+            if i == workless {
                 return (at_ms(ms), CrossMatchQuery::new(q, vec![], Predicate::All));
             }
             let first = (i / 2 % 5) as u32 * 3;
@@ -327,6 +340,39 @@ mod tests {
         entries
             .map(|(i, (at, q))| Fragment::new(i, q.id, *at, pre.preprocess(q)))
             .collect()
+    }
+
+    /// The six policies: both baselines, LifeRaft greedy, aged and at
+    /// normalized α = 0.5, and adaptive α, whose controller reads the
+    /// arrival stream.
+    fn schedulers() -> [fn() -> Box<dyn Scheduler>; 6] {
+        [
+            || Box::new(NoShareScheduler::new()),
+            || Box::new(RoundRobinScheduler::new()),
+            || Box::new(LifeRaftScheduler::greedy(MetricParams::paper())),
+            || Box::new(LifeRaftScheduler::age_based(MetricParams::paper())),
+            || {
+                let params = MetricParams::paper();
+                Box::new(LifeRaftScheduler::new(params, AgingMode::Normalized, 0.5))
+            },
+            || {
+                let pt = |alpha, throughput_qps, mean_response_s| TradeoffPoint {
+                    alpha,
+                    throughput_qps,
+                    mean_response_s,
+                };
+                let table = TradeoffTable::new(vec![
+                    TradeoffCurve::new(0.1, vec![pt(0.0, 0.115, 300.0), pt(1.0, 0.107, 138.0)]),
+                    TradeoffCurve::new(0.5, vec![pt(0.0, 0.40, 420.0), pt(0.25, 0.32, 340.0)]),
+                ]);
+                let window = SimDuration::from_secs(60);
+                let controller =
+                    AlphaController::new(table, 0.2, window, SimDuration::from_secs(5), 0.5);
+                let params = MetricParams::paper();
+                let inner = LifeRaftScheduler::new(params, AgingMode::Normalized, 0.5);
+                Box::new(AdaptiveScheduler::new(inner, controller))
+            },
+        ]
     }
 
     /// Runs `trace` through one driver under `scheduler`: fed one arrival at
@@ -371,18 +417,8 @@ mod tests {
             0, 0, 500, 1_000, 1_000, 1_000, 2_500, 4_000, 7_000, 10_000, 10_000, 12_000, 16_000,
             30_000,
         ];
-        let trace = trace(&cat, &arrivals);
-        let schedulers: [fn() -> Box<dyn Scheduler>; 5] = [
-            || Box::new(NoShareScheduler::new()),
-            || Box::new(RoundRobinScheduler::new()),
-            || Box::new(LifeRaftScheduler::greedy(MetricParams::paper())),
-            || Box::new(LifeRaftScheduler::age_based(MetricParams::paper())),
-            || {
-                let params = MetricParams::paper();
-                Box::new(LifeRaftScheduler::new(params, AgingMode::Normalized, 0.5))
-            },
-        ];
-        for make in schedulers {
+        let trace = trace(&cat, &arrivals, 5);
+        for make in schedulers() {
             let window = run(&cat, &trace, true, false, make().as_mut());
             let fed = run(&cat, &trace, true, true, make().as_mut());
             assert_eq!(
@@ -405,6 +441,80 @@ mod tests {
                 fed.scheduler
             );
         }
+    }
+
+    /// `n` queries every 1.5 s, where each chunk's first query arrives
+    /// with the previous chunk's last, and query `2 * PREPROCESS_CHUNK`
+    /// carries no work.
+    fn chunked_trace(cat: &MaterializedCatalog, n: usize) -> TimedTrace {
+        let mut arrivals_ms: Vec<u64> = (0..n as u64).map(|i| i * 1_500).collect();
+        for first in (PREPROCESS_CHUNK..n).step_by(PREPROCESS_CHUNK) {
+            arrivals_ms[first] = arrivals_ms[first - 1];
+        }
+        let (arrivals, queries) = trace(cat, &arrivals_ms, 2 * PREPROCESS_CHUNK)
+            .into_iter()
+            .unzip();
+        Trace::new(LEVEL, queries).into_timed(arrivals)
+    }
+
+    #[test]
+    fn pipelined_simulation_equals_the_serial_feed_across_chunks() {
+        let cat = MaterializedCatalog::build(&uniform_sky(2_000, LEVEL, 1), LEVEL, 100, 4096);
+        // More chunks than the producer may hold ahead, the last one partial.
+        let n = (CHUNKS_AHEAD + 2) * PREPROCESS_CHUNK + PREPROCESS_CHUNK / 2;
+        let timed = chunked_trace(&cat, n);
+        let sim = Simulation::new(&cat, SimConfig::paper());
+        for make in schedulers() {
+            let pipelined = sim.run(&timed, make().as_mut());
+            let serial = run(&cat, timed.entries(), false, true, make().as_mut());
+            assert_eq!(
+                format!("{pipelined:?}"),
+                format!("{serial:?}"),
+                "{}",
+                serial.scheduler
+            );
+            assert_eq!(pipelined.outcomes.len(), n);
+        }
+    }
+
+    /// NoShare, counting picks down from `.1`: the pick that reaches zero
+    /// panics.
+    struct PanicsOnPick(NoShareScheduler, u32);
+
+    impl Scheduler for PanicsOnPick {
+        fn name(&self) -> String {
+            self.0.name()
+        }
+
+        fn pick(&mut self, view: &dyn SchedulerView) -> Option<BatchSpec> {
+            self.1 -= 1;
+            assert!(self.1 > 0, "the scheduler fails on purpose");
+            self.0.pick(view)
+        }
+    }
+
+    #[test]
+    fn a_scheduler_panic_fails_the_run_instead_of_hanging() {
+        let (tx, rx) = mpsc::channel();
+        // A hung run leaks this thread; the timeout below still fails.
+        thread::spawn(move || {
+            let cat = MaterializedCatalog::build(&uniform_sky(2_000, LEVEL, 1), LEVEL, 100, 4096);
+            // Pick 50 comes long before the producer, held `CHUNKS_AHEAD`
+            // chunks ahead, has split the last of these queries.
+            let timed = chunked_trace(&cat, (CHUNKS_AHEAD + 4) * PREPROCESS_CHUNK);
+            let sim = Simulation::new(&cat, SimConfig::paper());
+            let mut scheduler = PanicsOnPick(NoShareScheduler::new(), 50);
+            let run = panic::catch_unwind(AssertUnwindSafe(|| sim.run(&timed, &mut scheduler)));
+            let message = run.map_err(|payload| match payload.downcast::<&str>() {
+                Ok(s) => s.to_string(),
+                Err(payload) => *payload.downcast::<String>().expect("a string payload"),
+            });
+            tx.send(message.map(|report| report.batches)).unwrap();
+        });
+        let run = rx.recv_timeout(Duration::from_secs(60));
+        let run = run.expect("the run hung after its scheduler panicked");
+        let message = run.expect_err("the scheduler's panic fails the run");
+        assert_eq!(message, "the scheduler fails on purpose");
     }
 
     #[test]

@@ -20,7 +20,9 @@
 //!
 //! [`engine`] holds [`EngineCore`], one batch per call; [`driver`] holds the
 //! one loop over it, the [`Driver`] that [`Simulation`] and every shard of
-//! `liferaft-runtime` run.
+//! `liferaft-runtime` run. The loop is serial; only pre-processing, which no
+//! decision feeds back into, runs ahead of it on a second thread
+//! ([`Simulation::run_with_sink`]).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
