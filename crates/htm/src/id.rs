@@ -10,6 +10,7 @@
 //! two-bit path digits).
 
 use std::fmt;
+use std::num::NonZeroU64;
 
 use crate::range::HtmRange;
 use crate::MAX_LEVEL;
@@ -19,8 +20,12 @@ use crate::MAX_LEVEL;
 /// Ordering of `HtmId`s at the same level corresponds to position along the
 /// HTM space-filling curve; the LifeRaft bucket partitioning sorts objects by
 /// this value.
+///
+/// Every valid encoding is ≥ 8, so the value is stored as a [`NonZeroU64`]:
+/// an `Option<HtmId>`, or an enum holding ids beside another variant, needs
+/// no room of its own for the tag.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct HtmId(u64);
+pub struct HtmId(NonZeroU64);
 
 /// Names of the eight root trixels in conventional order (S0..S3, N0..N3).
 pub const ROOT_NAMES: [&str; 8] = ["S0", "S1", "S2", "S3", "N0", "N1", "N2", "N3"];
@@ -48,7 +53,7 @@ impl HtmId {
         if level > MAX_LEVEL {
             return None;
         }
-        Some(HtmId(raw))
+        Some(HtmId::valid(raw))
     }
 
     /// Creates an ID from its raw encoding, panicking on invalid input.
@@ -60,17 +65,23 @@ impl HtmId {
         Self::from_raw(raw).unwrap_or_else(|| panic!("invalid raw HTM ID {raw:#x}"))
     }
 
+    /// Wraps a raw value derived from valid IDs by the tree arithmetic below.
+    #[inline]
+    fn valid(raw: u64) -> Self {
+        HtmId(NonZeroU64::new(raw).expect("a valid HTM ID is never zero"))
+    }
+
     /// Creates the root trixel ID for face index `face ∈ 0..8` (S0..S3, N0..N3).
     #[inline]
     pub fn root(face: u8) -> Self {
         assert!(face < 8, "HTM has 8 root trixels, got face {face}");
-        HtmId(Self::FIRST_ROOT + face as u64)
+        HtmId::valid(Self::FIRST_ROOT + face as u64)
     }
 
     /// The raw integer encoding.
     #[inline]
     pub fn raw(self) -> u64 {
-        self.0
+        self.0.get()
     }
 
     /// The mesh level of this ID (0 for the octahedron faces).
@@ -85,7 +96,7 @@ impl HtmId {
     pub fn child(self, k: u8) -> Self {
         debug_assert!(k < 4, "trixels have 4 children, got {k}");
         debug_assert!(self.level() < MAX_LEVEL, "exceeded MAX_LEVEL");
-        HtmId((self.0 << 2) | k as u64)
+        HtmId::valid((self.raw() << 2) | k as u64)
     }
 
     /// The parent trixel, or `None` for root trixels.
@@ -94,7 +105,7 @@ impl HtmId {
         if self.level() == 0 {
             None
         } else {
-            Some(HtmId(self.0 >> 2))
+            Some(HtmId::valid(self.raw() >> 2))
         }
     }
 
@@ -104,7 +115,7 @@ impl HtmId {
         if self.level() == 0 {
             None
         } else {
-            Some((self.0 & 0b11) as u8)
+            Some((self.raw() & 0b11) as u8)
         }
     }
 
@@ -112,7 +123,7 @@ impl HtmId {
     #[inline]
     pub fn root_face(self) -> u8 {
         let shift = 2 * self.level() as u32;
-        ((self.0 >> shift) - Self::FIRST_ROOT) as u8
+        ((self.raw() >> shift) - Self::FIRST_ROOT) as u8
     }
 
     /// The two-bit path digit chosen at `level ∈ 1..=self.level()`.
@@ -120,7 +131,7 @@ impl HtmId {
     pub fn path_digit(self, level: u8) -> u8 {
         debug_assert!(level >= 1 && level <= self.level());
         let shift = 2 * (self.level() - level) as u32;
-        ((self.0 >> shift) & 0b11) as u8
+        ((self.raw() >> shift) & 0b11) as u8
     }
 
     /// The ancestor of this ID at a shallower (or equal) `level`.
@@ -131,7 +142,7 @@ impl HtmId {
             level <= my,
             "ancestor_at({level}) on a level-{my} ID; use descendant_range for deeper levels"
         );
-        HtmId(self.0 >> (2 * (my - level) as u32))
+        HtmId::valid(self.raw() >> (2 * (my - level) as u32))
     }
 
     /// The contiguous range of descendant IDs at a deeper (or equal) `level`.
@@ -146,9 +157,9 @@ impl HtmId {
             "descendant_range({level}) on a level-{my} ID"
         );
         let shift = 2 * (level - my) as u32;
-        let lo = self.0 << shift;
-        let hi = ((self.0 + 1) << shift) - 1;
-        HtmRange::new(HtmId(lo), HtmId(hi))
+        let lo = self.raw() << shift;
+        let hi = ((self.raw() + 1) << shift) - 1;
+        HtmRange::new(HtmId::valid(lo), HtmId::valid(hi))
     }
 
     /// True if `other` is this trixel or one of its descendants.
@@ -162,14 +173,14 @@ impl HtmId {
     #[inline]
     pub fn first_at_level(level: u8) -> Self {
         assert!(level <= MAX_LEVEL);
-        HtmId(Self::FIRST_ROOT << (2 * level as u32))
+        HtmId::valid(Self::FIRST_ROOT << (2 * level as u32))
     }
 
     /// Last (largest) ID at a given level.
     #[inline]
     pub fn last_at_level(level: u8) -> Self {
         assert!(level <= MAX_LEVEL);
-        HtmId((16u64 << (2 * level as u32)) - 1)
+        HtmId::valid((16u64 << (2 * level as u32)) - 1)
     }
 
     /// Number of trixels at a given level (`8 · 4^level`).
@@ -185,14 +196,14 @@ impl HtmId {
         if self == Self::last_at_level(self.level()) {
             None
         } else {
-            Some(HtmId(self.0 + 1))
+            Some(HtmId::valid(self.raw() + 1))
         }
     }
 
     /// Zero-based position of this trixel along the curve at its own level.
     #[inline]
     pub fn curve_position(self) -> u64 {
-        self.0 - Self::first_at_level(self.level()).0
+        self.raw() - Self::first_at_level(self.level()).raw()
     }
 
     /// The canonical name, e.g. `N2:0313` (root face then path digits).
@@ -211,7 +222,7 @@ impl HtmId {
 
 impl fmt::Debug for HtmId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "HtmId({} = {})", self.0, self.name())
+        write!(f, "HtmId({} = {})", self.raw(), self.name())
     }
 }
 

@@ -40,9 +40,9 @@ pub fn locate_trixel(p: Vec3, level: u8) -> Trixel {
 
 /// The root trixel containing `p` (first match in face order for boundary points).
 fn root_containing(p: Vec3) -> Trixel {
-    for t in Trixel::roots() {
+    for t in &Trixel::roots() {
         if t.contains(p) {
-            return t;
+            return *t;
         }
     }
     // Floating-point slop can in principle exclude a point from all eight
@@ -61,15 +61,16 @@ fn root_containing(p: Vec3) -> Trixel {
 
 /// The child of `t` containing `p` (first match in child order).
 fn descend(t: Trixel, p: Vec3) -> Trixel {
-    let children = t.children();
-    for c in children {
+    let mids = t.midpoints();
+    for k in 0..4 {
+        let c = t.child_from(k, mids);
         if c.contains(p) {
             return c;
         }
     }
     // Same fallback rationale as `root_containing`: pick the child whose
     // center is closest. Exercised only by adversarial boundary points.
-    children
+    t.children()
         .into_iter()
         .max_by(|a, b| {
             a.center()

@@ -6,6 +6,7 @@
 //! on the hot path of query admission.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use crate::id::HtmId;
 
@@ -137,117 +138,167 @@ impl fmt::Display for HtmRange {
 ///
 /// This is the output type of region coverage ([`crate::cover::Coverer`]) and
 /// the "bounding box covering all potential regions for cross matching" each
-/// workload object carries in the paper.
-#[derive(Clone, PartialEq, Eq, Hash, Default)]
+/// workload object carries in the paper. Nearly every such box has one or
+/// two ranges, so a set of up to two lives inline and only a wider one owns
+/// a heap slice: 32 bytes either way.
+#[derive(Clone)]
 pub struct HtmRangeSet {
-    ranges: Vec<HtmRange>,
+    repr: Repr,
 }
+
+#[derive(Clone)]
+enum Repr {
+    /// One range `r` stored as `[r, r]`, or two: a normalized set never
+    /// repeats a range, so equal slots mean one.
+    Inline([HtmRange; 2]),
+    /// The empty set, or three ranges and more.
+    Heap(Box<[HtmRange]>),
+}
+
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<HtmRangeSet>() == 32);
 
 impl HtmRangeSet {
     /// The empty set.
     pub fn empty() -> Self {
-        HtmRangeSet { ranges: Vec::new() }
-    }
-
-    /// Builds a normalized set from arbitrary (possibly overlapping,
-    /// unsorted) same-level ranges: normalized in place, then copied out at
-    /// its exact size (shrinking the input's allocation instead reads 2–4 %
-    /// slower per reference cover — a `realloc` against a malloc/free pair).
-    pub fn from_ranges(mut ranges: Vec<HtmRange>) -> Self {
-        let kept = normalize(&mut ranges);
         HtmRangeSet {
-            ranges: ranges[..kept].to_vec(),
+            repr: Repr::Heap(Box::default()),
         }
     }
 
-    /// Wraps ranges that are already sorted, disjoint and non-adjacent.
-    pub(crate) fn from_normalized(ranges: Vec<HtmRange>) -> Self {
+    /// Builds a normalized set from arbitrary (possibly overlapping,
+    /// unsorted) same-level ranges, normalized in place.
+    pub fn from_ranges(mut ranges: Vec<HtmRange>) -> Self {
+        let kept = normalize(&mut ranges);
+        HtmRangeSet::from_normalized(&ranges[..kept])
+    }
+
+    /// Copies out ranges that are already sorted, disjoint and non-adjacent:
+    /// inline when there are one or two, else into a slice of exact size.
+    pub(crate) fn from_normalized(ranges: &[HtmRange]) -> Self {
         debug_assert!(ranges
             .windows(2)
             .all(|w| w[0].hi().raw() + 1 < w[1].lo().raw()));
-        HtmRangeSet { ranges }
+        let repr = match *ranges {
+            [r] => Repr::Inline([r, r]),
+            [a, b] => Repr::Inline([a, b]),
+            _ => Repr::Heap(ranges.into()),
+        };
+        HtmRangeSet { repr }
     }
 
     /// The normalized ranges, sorted ascending.
     #[inline]
     pub fn ranges(&self) -> &[HtmRange] {
-        &self.ranges
+        match &self.repr {
+            // Branch-free on purpose: one range or two is a coin flip per
+            // workload object, so a test on the count mispredicts.
+            Repr::Inline(r) => &r[..1 + (r[0] != r[1]) as usize],
+            Repr::Heap(r) => r,
+        }
     }
 
     /// True if the set contains no IDs.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.ranges.is_empty()
+        self.ranges().is_empty()
     }
 
     /// Number of ranges (not IDs).
     #[inline]
     pub fn num_ranges(&self) -> usize {
-        self.ranges.len()
+        self.ranges().len()
     }
 
     /// Total number of IDs across all ranges.
     pub fn len(&self) -> u64 {
-        self.ranges.iter().map(|r| r.len()).sum()
+        self.ranges().iter().map(|r| r.len()).sum()
     }
 
     /// The level of the set's IDs, or `None` if empty.
     pub fn level(&self) -> Option<u8> {
-        self.ranges.first().map(|r| r.level())
+        self.ranges().first().map(|r| r.level())
     }
 
     /// The single range spanning the whole set (its "bounding box" on the
     /// curve), or `None` if empty. This is the `[start, end]` HTM ID pair the
     /// paper attaches to each cross-match object.
+    #[inline]
     pub fn bounding_range(&self) -> Option<HtmRange> {
-        match (self.ranges.first(), self.ranges.last()) {
-            (Some(first), Some(last)) => Some(HtmRange::new(first.lo(), last.hi())),
-            _ => None,
+        match &self.repr {
+            // `[r, r]` spans `r` too, so no count test here either.
+            Repr::Inline([first, last]) => Some(HtmRange {
+                lo: first.lo,
+                hi: last.hi,
+            }),
+            Repr::Heap(r) => Some(HtmRange {
+                lo: r.first()?.lo,
+                hi: r.last()?.hi,
+            }),
         }
     }
 
     /// Membership test by binary search. `O(log n_ranges)`.
     pub fn contains(&self, id: HtmId) -> bool {
-        let i = self.ranges.partition_point(|r| r.hi() < id);
-        self.ranges.get(i).is_some_and(|r| r.contains(id))
+        let ranges = self.ranges();
+        let i = ranges.partition_point(|r| r.hi() < id);
+        ranges.get(i).is_some_and(|r| r.contains(id))
     }
 
     /// True if any range overlaps `probe`.
     pub fn intersects_range(&self, probe: HtmRange) -> bool {
-        let i = self.ranges.partition_point(|r| r.hi() < probe.lo());
-        self.ranges.get(i).is_some_and(|r| r.overlaps(probe))
+        let ranges = self.ranges();
+        let i = ranges.partition_point(|r| r.hi() < probe.lo());
+        ranges.get(i).is_some_and(|r| r.overlaps(probe))
     }
 
     /// Union of two sets.
     pub fn union(&self, o: &HtmRangeSet) -> HtmRangeSet {
-        let mut all = Vec::with_capacity(self.ranges.len() + o.ranges.len());
-        all.extend_from_slice(&self.ranges);
-        all.extend_from_slice(&o.ranges);
-        HtmRangeSet::from_ranges(all)
+        HtmRangeSet::from_ranges([self.ranges(), o.ranges()].concat())
     }
 
     /// Intersection of two sets (linear merge).
     pub fn intersect(&self, o: &HtmRangeSet) -> HtmRangeSet {
+        let (a, b) = (self.ranges(), o.ranges());
         let mut out = Vec::new();
         let (mut i, mut j) = (0, 0);
-        while i < self.ranges.len() && j < o.ranges.len() {
-            let (a, b) = (self.ranges[i], o.ranges[j]);
-            if let Some(x) = a.intersect(b) {
+        while i < a.len() && j < b.len() {
+            if let Some(x) = a[i].intersect(b[j]) {
                 out.push(x);
             }
-            if a.hi() < b.hi() {
+            if a[i].hi() < b[j].hi() {
                 i += 1;
             } else {
                 j += 1;
             }
         }
         // Intersections of normalized inputs are already sorted and disjoint.
-        HtmRangeSet { ranges: out }
+        HtmRangeSet::from_normalized(&out)
     }
 
     /// Iterates over every ID in the set.
     pub fn iter_ids(&self) -> impl Iterator<Item = HtmId> + '_ {
-        self.ranges.iter().flat_map(|r| r.iter())
+        self.ranges().iter().flat_map(|r| r.iter())
+    }
+}
+
+impl Default for HtmRangeSet {
+    fn default() -> Self {
+        HtmRangeSet::empty()
+    }
+}
+
+impl PartialEq for HtmRangeSet {
+    fn eq(&self, o: &HtmRangeSet) -> bool {
+        self.ranges() == o.ranges()
+    }
+}
+
+impl Eq for HtmRangeSet {}
+
+impl Hash for HtmRangeSet {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.ranges().hash(state);
     }
 }
 
@@ -278,7 +329,7 @@ pub(crate) fn normalize(ranges: &mut [HtmRange]) -> usize {
 
 impl fmt::Debug for HtmRangeSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_list().entries(&self.ranges).finish()
+        f.debug_list().entries(self.ranges()).finish()
     }
 }
 

@@ -10,6 +10,9 @@ use liferaft_htm::{
     vector::Vec3,
 };
 use proptest::prelude::*;
+use std::collections::hash_map::DefaultHasher;
+use std::collections::BTreeSet;
+use std::hash::{Hash, Hasher};
 
 /// Uniform-ish random point on the sphere via uniform z and azimuth.
 fn arb_point() -> impl Strategy<Value = Vec3> {
@@ -210,8 +213,119 @@ fn batch_cover_of_no_caps_is_no_sets() {
     assert_batch_is_the_reference(&[], 12, 4);
 }
 
+/// A list of 0–8 level-2 ranges drawn so normalization mostly leaves 0–3:
+/// each range is tile `s` of one of up to three far-apart clusters, and a
+/// tile stretched by 2 is adjacent to the next one and merges with it.
+fn arb_range_list() -> impl Strategy<Value = Vec<HtmRange>> {
+    (
+        1u64..=3,
+        proptest::collection::vec((0u64..3, 0u64..4, 0u64..3), 0..=8),
+    )
+        .prop_map(|(clusters, tiles)| {
+            tiles
+                .into_iter()
+                .map(|(c, s, stretch)| {
+                    let lo = 130 + 30 * (c % clusters) + 3 * s;
+                    range(lo, lo + stretch)
+                })
+                .collect()
+        })
+}
+
+fn range(lo: u64, hi: u64) -> HtmRange {
+    HtmRange::new(HtmId::from_raw_unchecked(lo), HtmId::from_raw_unchecked(hi))
+}
+
+fn hash_of(x: &impl Hash) -> u64 {
+    let mut h = DefaultHasher::new();
+    x.hash(&mut h);
+    h.finish()
+}
+
+/// The raw IDs a list of ranges covers: the model of its set.
+fn ids_of(ranges: &[HtmRange]) -> BTreeSet<u64> {
+    ranges
+        .iter()
+        .flat_map(|r| r.lo().raw()..=r.hi().raw())
+        .collect()
+}
+
+/// The maximal runs of consecutive IDs: the model's normalized ranges.
+fn runs(ids: &BTreeSet<u64>) -> Vec<HtmRange> {
+    let mut out: Vec<(u64, u64)> = Vec::new();
+    for &id in ids {
+        match out.last_mut() {
+            Some((_, hi)) if *hi + 1 == id => *hi = id,
+            _ => out.push((id, id)),
+        }
+    }
+    out.into_iter().map(|(lo, hi)| range(lo, hi)).collect()
+}
+
+/// Every query of `set` agrees with the model `ids`, and `set` equals,
+/// hashes and prints as the plain sorted-and-merged list of its ranges.
+fn assert_set_is_model(set: &HtmRangeSet, ids: &BTreeSet<u64>) {
+    let want = runs(ids);
+    assert_eq!(set.ranges(), &want[..]);
+    assert_eq!(set.num_ranges(), want.len());
+    assert_eq!(set.len(), ids.len() as u64);
+    assert_eq!(set.is_empty(), ids.is_empty());
+    assert_eq!(set.level(), want.first().map(|_| 2));
+    let bounds = ids.first().zip(ids.last());
+    assert_eq!(set.bounding_range(), bounds.map(|(&lo, &hi)| range(lo, hi)));
+    for raw in 128..=255 {
+        let id = HtmId::from_raw_unchecked(raw);
+        assert_eq!(set.contains(id), ids.contains(&raw), "contains {raw}");
+        for width in [0, 2] {
+            let hi = (raw + width).min(255);
+            assert_eq!(
+                set.intersects_range(range(raw, hi)),
+                ids.range(raw..=hi).next().is_some(),
+                "intersects [{raw}, {hi}]"
+            );
+        }
+    }
+    assert_eq!(*set, HtmRangeSet::from_ranges(want.clone()));
+    assert_eq!(hash_of(set), hash_of(&want), "hashes as its range list");
+    assert_eq!(format!("{set:?}"), format!("{want:?}"));
+}
+
+#[test]
+fn range_set_edge_shapes_match_the_model() {
+    assert_eq!(HtmRangeSet::empty(), HtmRangeSet::default());
+    assert_set_is_model(&HtmRangeSet::default(), &BTreeSet::new());
+    // An adjacent pair merges into one range.
+    let merged = HtmRangeSet::from_ranges(vec![range(140, 141), range(142, 150)]);
+    assert_eq!(merged.num_ranges(), 1);
+    assert_set_is_model(&merged, &(140..=150).collect());
+    // Two heap sets whose intersection has two ranges.
+    let a = HtmRangeSet::from_ranges(vec![range(130, 135), range(140, 145), range(150, 155)]);
+    let b = HtmRangeSet::from_ranges(vec![range(133, 141), range(160, 161), range(170, 171)]);
+    let both = a.intersect(&b);
+    assert_eq!(both.num_ranges(), 2);
+    assert_set_is_model(&both, &(133..=135).chain(140..=141).collect());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The range-set algebra against a model of plain ID sets: every
+    /// constructor and operation yields the sorted-and-merged runs of the
+    /// model's IDs, whichever representation holds them.
+    #[test]
+    fn range_set_matches_the_model(a in arb_range_list(), b in arb_range_list()) {
+        let (ids_a, ids_b) = (ids_of(&a), ids_of(&b));
+        let sa = HtmRangeSet::from_ranges(a.clone());
+        let sb: HtmRangeSet = b.iter().rev().copied().collect();
+        assert_set_is_model(&sa, &ids_a);
+        assert_set_is_model(&sb, &ids_b);
+        assert_set_is_model(&sa.union(&sb), &ids_a.union(&ids_b).copied().collect());
+        assert_set_is_model(
+            &sa.intersect(&sb),
+            &ids_a.intersection(&ids_b).copied().collect(),
+        );
+        prop_assert_eq!(sa == sb, ids_a == ids_b);
+    }
 
     /// The batch cover is `Coverer::cover_bounded` per cap, bit for bit, at
     /// every level and budget, for any order or chunking of the caps.
