@@ -14,6 +14,14 @@ impl fmt::Display for QueryId {
     }
 }
 
+/// Identity of one fragment — the part of a query one engine is handed —
+/// from hand-off to completion. Queued runs, migrated runs and tracker
+/// records carry it, so a fragment keeps it when a bucket move splits its
+/// work across engines. A driver that hands each query over whole (one
+/// fragment per query) files it under the query's trace index.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct FragmentId(pub u32);
+
 /// Refinement budget of an object's bounding box: a box holds at most
 /// `max(BBOX_MAX_RANGES, roots touched)` HTM ranges — the budget stops
 /// refinement, but the up-to-8 root trixels a cap touches are kept whatever

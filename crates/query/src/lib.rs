@@ -34,7 +34,7 @@ pub mod queue;
 pub mod snapshot;
 pub mod tracker;
 
-pub use crossmatch::{CrossMatchQuery, MatchObject, Predicate, QueryId};
+pub use crossmatch::{CrossMatchQuery, FragmentId, MatchObject, Predicate, QueryId};
 pub use index::CandidateIndex;
 pub use preprocess::{QueryPreProcessor, WorkItem, PREPROCESS_CHUNK};
 pub use queue::{QueueEntry, QueueMemoryStats, RunView, WorkloadQueue, WorkloadTable};

@@ -19,7 +19,8 @@
 //! Each bucket's queue is physically *segmented by query*: the indices of
 //! one `(bucket, query)` run live in a chain of fixed-capacity segments
 //! allocated from a per-bucket slab, behind a compact per-bucket directory
-//! (one row per co-queued query, sorted by query ID). Every segment carries
+//! (one row per co-queued query — per fragment of it, in the rare bucket
+//! that holds two — sorted by query ID). Every segment carries
 //! the enqueue stamp of the indices in it, so a run topped up later — or
 //! merged from a migration with older stamps — keeps each entry's exact
 //! `enqueued_at`. The queue operations then cost:
@@ -49,7 +50,7 @@
 use liferaft_htm::{HtmRange, Vec3};
 use liferaft_storage::{BucketId, SimTime};
 
-use crate::crossmatch::{CrossMatchQuery, MatchObject, QueryId};
+use crate::crossmatch::{CrossMatchQuery, FragmentId, MatchObject, QueryId};
 use crate::index::CandidateIndex;
 use crate::preprocess::WorkItem;
 use crate::snapshot::{BucketSnapshot, Residency};
@@ -114,12 +115,16 @@ fn chain(segments: &[Segment], head: u32) -> impl Iterator<Item = u32> + '_ {
     })
 }
 
-/// One directory row: the sub-query of one query at this bucket — the
-/// borrowed object list, the segment chain holding the queued indices into
-/// it, and the per-run accounting the drains and the age term need.
+/// One directory row: the sub-query of one query's fragment at this bucket
+/// — the borrowed object list, the segment chain holding the queued indices
+/// into it, and the per-run accounting the drains and the age term need. A
+/// query has one row per fragment queued here; only a straggler's hedge
+/// copy meeting its original after a bucket move makes that more than one.
 #[derive(Debug, Clone, Copy)]
 struct QueryRun<'q> {
     query: QueryId,
+    /// The fragment the queued indices were handed over in.
+    fragment: FragmentId,
     /// The parent query's objects; every index in the chain points here.
     objects: &'q [MatchObject],
     /// First segment of the chain (always valid: runs hold ≥ 1 index).
@@ -147,6 +152,11 @@ impl<'a, 'q> RunView<'a, 'q> {
     /// The query this run belongs to.
     pub fn query(&self) -> QueryId {
         self.run.query
+    }
+
+    /// The fragment this run belongs to.
+    pub fn fragment(&self) -> FragmentId {
+        self.run.fragment
     }
 
     /// Queued assignments in the run (always ≥ 1).
@@ -242,8 +252,8 @@ impl QueueMemoryStats {
 /// query. `'q` is the lifetime of the queries whose objects the runs borrow.
 #[derive(Debug, Clone)]
 pub struct WorkloadQueue<'q> {
-    /// Per-query runs, sorted by query ID. Compact: one 48-byte row per
-    /// co-queued query.
+    /// Per-query runs, sorted by `(query ID, fragment)`. Compact: one
+    /// 48-byte row per co-queued query's fragment.
     directory: Vec<QueryRun<'q>>,
     /// The segment slab backing every chain of this bucket.
     segments: Vec<Segment>,
@@ -273,11 +283,11 @@ impl<'q> WorkloadQueue<'q> {
         WorkloadQueue::default()
     }
 
-    /// Appends `indices` — positions in `objects`, all requests of `query`
-    /// enqueued at `at` — to that query's run: one O(log d) directory
-    /// lookup, then the tail segment is filled and new segments are chained
-    /// a whole segment at a time, with the run and queue accounting updated
-    /// once. A no-op for empty `indices`. This is the only append path:
+    /// Appends `indices` — positions in `objects`, all requests of `query`'s
+    /// `fragment` enqueued at `at` — to that fragment's run: one O(log d)
+    /// directory lookup, then the tail segment is filled and new segments
+    /// are chained a whole segment at a time, with the run and queue
+    /// accounting updated once. A no-op for empty `indices`. This is the only append path:
     /// arrivals, top-ups and migration merges all come through here.
     ///
     /// # Panics
@@ -286,6 +296,7 @@ impl<'q> WorkloadQueue<'q> {
     pub fn push_chunk(
         &mut self,
         query: QueryId,
+        fragment: FragmentId,
         objects: &'q [MatchObject],
         indices: &[u32],
         at: SimTime,
@@ -297,7 +308,11 @@ impl<'q> WorkloadQueue<'q> {
             (max as usize) < objects.len(),
             "object index {max} out of range for {query}"
         );
-        let i = match self.directory.binary_search_by_key(&query, |r| r.query) {
+        let key = (query, fragment);
+        let i = match self
+            .directory
+            .binary_search_by_key(&key, |r| (r.query, r.fragment))
+        {
             Ok(i) => {
                 assert!(
                     std::ptr::eq(self.directory[i].objects, objects),
@@ -311,6 +326,7 @@ impl<'q> WorkloadQueue<'q> {
                     i,
                     QueryRun {
                         query,
+                        fragment,
                         objects,
                         head: s,
                         tail: s,
@@ -411,13 +427,18 @@ impl<'q> WorkloadQueue<'q> {
 
     /// Number of entries queued for `query` (0 if it has no run here).
     pub fn pending_of(&self, query: QueryId) -> usize {
-        match self.directory.binary_search_by_key(&query, |r| r.query) {
-            Ok(i) => self.directory[i].len as usize,
-            Err(_) => 0,
-        }
+        let rows = &self.directory[self.rows_of(query)];
+        rows.iter().map(|r| r.len as usize).sum()
     }
 
-    /// The run-level drain every other drain is built on: removes the run
+    /// The directory rows of `query`'s runs (empty when it has none).
+    fn rows_of(&self, query: QueryId) -> std::ops::Range<usize> {
+        let start = self.directory.partition_point(|r| r.query < query);
+        let len = self.directory[start..].partition_point(|r| r.query == query);
+        start..start + len
+    }
+
+    /// The run-level drain every other drain is built on: removes the runs
     /// of `only` (or every run, for `None`), showing each to `visit` —
     /// directory order — before its chain returns to the free list. Reading
     /// a view's `query`/`len` costs nothing per entry, so a drain that only
@@ -430,11 +451,11 @@ impl<'q> WorkloadQueue<'q> {
     ) -> usize {
         let rows = match only {
             None => 0..self.directory.len(),
-            Some(query) => match self.directory.binary_search_by_key(&query, |r| r.query) {
-                Ok(i) => i..i + 1,
-                Err(_) => return 0, // no run: nothing leaves the queue
-            },
+            Some(query) => self.rows_of(query),
         };
+        if rows.is_empty() {
+            return 0; // no run: nothing leaves the queue
+        }
         let mut drained = 0usize;
         for run in &self.directory[rows.clone()] {
             visit(RunView {
@@ -485,8 +506,10 @@ impl<'q> WorkloadQueue<'q> {
     /// assertions, not the hot path.
     pub fn validate_segments(&self) {
         assert!(
-            self.directory.windows(2).all(|w| w[0].query < w[1].query),
-            "directory must be strictly sorted by query"
+            self.directory
+                .windows(2)
+                .all(|w| (w[0].query, w[0].fragment) < (w[1].query, w[1].fragment)),
+            "directory must be strictly sorted by (query, fragment)"
         );
         let mut seen = vec![false; self.segments.len()];
         let mut mark = |s: u32| {
@@ -649,9 +672,22 @@ impl<'q> WorkloadTable<'q> {
     /// Panics if the item's indices do not refer to `query`'s objects or the
     /// item targets an unknown bucket.
     pub fn enqueue(&mut self, item: &WorkItem, query: &'q CrossMatchQuery, now: SimTime) {
+        self.enqueue_fragment(item, query, FragmentId::default(), now);
+    }
+
+    /// [`enqueue`](Self::enqueue) filed under `fragment`: the item joins that
+    /// fragment's run of its bucket.
+    pub fn enqueue_fragment(
+        &mut self,
+        item: &WorkItem,
+        query: &'q CrossMatchQuery,
+        fragment: FragmentId,
+        now: SimTime,
+    ) {
         assert_eq!(item.query, query.id, "work item / query mismatch");
         self.grow(item.bucket, |queue| {
-            queue.push_chunk(query.id, &query.objects, &item.object_indices, now)
+            let indices = &item.object_indices;
+            queue.push_chunk(query.id, fragment, &query.objects, indices, now)
         });
     }
 
@@ -789,7 +825,7 @@ impl<'q> WorkloadTable<'q> {
         self.grow(bucket, |queue| {
             for run in payload.runs() {
                 for (at, indices) in run.chunks() {
-                    queue.push_chunk(run.query(), run.objects(), indices, at);
+                    queue.push_chunk(run.query(), run.fragment(), run.objects(), indices, at);
                 }
             }
         });
@@ -1423,7 +1459,13 @@ mod tests {
 
     /// Appends one object of `q` stamped `at_us` — a length-1 chunk.
     fn push<'q>(wq: &mut WorkloadQueue<'q>, q: &'q CrossMatchQuery, object: u32, at_us: u64) {
-        wq.push_chunk(q.id, &q.objects, &[object], SimTime::from_micros(at_us));
+        wq.push_chunk(
+            q.id,
+            FragmentId(0),
+            &q.objects,
+            &[object],
+            SimTime::from_micros(at_us),
+        );
     }
 
     #[test]
@@ -1501,15 +1543,28 @@ mod tests {
         let qs = pool(1, 40);
         let mut wq = WorkloadQueue::new();
         let first: Vec<u32> = (0..30).collect();
-        wq.push_chunk(qs[0].id, &qs[0].objects, &first, SimTime::from_micros(50));
+        wq.push_chunk(
+            qs[0].id,
+            FragmentId(0),
+            &qs[0].objects,
+            &first,
+            SimTime::from_micros(50),
+        );
         // A later top-up, then a merge-style chunk older than everything.
         wq.push_chunk(
             qs[0].id,
+            FragmentId(0),
             &qs[0].objects,
             &[30, 31],
             SimTime::from_micros(90),
         );
-        wq.push_chunk(qs[0].id, &qs[0].objects, &[32], SimTime::from_micros(7));
+        wq.push_chunk(
+            qs[0].id,
+            FragmentId(0),
+            &qs[0].objects,
+            &[32],
+            SimTime::from_micros(7),
+        );
         wq.validate_segments();
         assert_eq!(wq.distinct_queries(), 1);
         assert_eq!(wq.oldest_enqueue(), Some(SimTime::from_micros(7)));
@@ -1528,7 +1583,7 @@ mod tests {
         let qs = pool(4, 3);
         let mut wq = WorkloadQueue::new();
         for q in [&qs[3], &qs[0], &qs[2]] {
-            wq.push_chunk(q.id, &q.objects, &[0, 1, 2], SimTime::ZERO);
+            wq.push_chunk(q.id, FragmentId(0), &q.objects, &[0, 1, 2], SimTime::ZERO);
         }
         push(&mut wq, &qs[2], 1, 5);
         let mut rows = Vec::new();
@@ -1548,7 +1603,13 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn push_chunk_rejects_foreign_indices() {
         let qs = pool(1, 2);
-        WorkloadQueue::new().push_chunk(qs[0].id, &qs[0].objects, &[0, 2], SimTime::ZERO);
+        WorkloadQueue::new().push_chunk(
+            qs[0].id,
+            FragmentId(0),
+            &qs[0].objects,
+            &[0, 2],
+            SimTime::ZERO,
+        );
     }
 
     #[test]
@@ -1562,13 +1623,39 @@ mod tests {
     }
 
     #[test]
+    fn two_fragments_of_a_query_keep_their_own_runs() {
+        let qs = pool(2, 4);
+        let mut wq = WorkloadQueue::new();
+        let (a, b) = (FragmentId(5), FragmentId(2));
+        wq.push_chunk(qs[1].id, a, &qs[1].objects, &[0], SimTime::ZERO);
+        wq.push_chunk(qs[0].id, a, &qs[0].objects, &[0, 1], SimTime::ZERO);
+        wq.push_chunk(qs[0].id, b, &qs[0].objects, &[2], SimTime::from_micros(3));
+        wq.validate_segments();
+        let rows: Vec<_> = wq
+            .runs()
+            .map(|r| (r.query(), r.fragment(), r.len()))
+            .collect();
+        assert_eq!(
+            rows,
+            vec![(qs[0].id, b, 1), (qs[0].id, a, 2), (qs[1].id, a, 1)]
+        );
+        assert_eq!(wq.pending_of(qs[0].id), 3);
+        // A single-query drain takes every fragment's run of the query.
+        let mut drained = Vec::new();
+        let n = wq.drain_runs(Some(qs[0].id), |r| drained.push(r.fragment()));
+        assert_eq!((n, drained), (3, vec![b, a]));
+        assert_eq!(wq.len(), 1);
+        wq.validate_segments();
+    }
+
+    #[test]
     fn freed_segments_are_recycled() {
         let qs = pool(5, SEGMENT_CAPACITY * 3);
         let mut wq = WorkloadQueue::new();
         let mut out = Vec::new();
         let all: Vec<u32> = (0..SEGMENT_CAPACITY as u32 * 3).collect();
         for q in &qs {
-            wq.push_chunk(q.id, &q.objects, &all, SimTime::ZERO);
+            wq.push_chunk(q.id, FragmentId(0), &q.objects, &all, SimTime::ZERO);
             drain_into(&mut wq, None, &mut out);
             assert_eq!(out.len(), all.len());
             wq.validate_segments();
@@ -1585,7 +1672,7 @@ mod tests {
         let qs = pool(4, 3);
         let mut wq = WorkloadQueue::new();
         for q in &qs {
-            wq.push_chunk(q.id, &q.objects, &[0, 1, 2], SimTime::ZERO);
+            wq.push_chunk(q.id, FragmentId(0), &q.objects, &[0, 1, 2], SimTime::ZERO);
         }
         let m = wq.memory_stats();
         assert_eq!(m.queued_entries, 12);

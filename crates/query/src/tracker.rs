@@ -10,7 +10,7 @@ use std::collections::{HashMap, VecDeque};
 
 use liferaft_storage::{SimDuration, SimTime};
 
-use crate::crossmatch::QueryId;
+use crate::crossmatch::{FragmentId, QueryId};
 
 /// Outcome of one finished query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,13 +37,46 @@ struct Pending {
     arrival: SimTime,
     remaining: u64,
     assignments: u64,
+    /// The fragment the record was opened for.
+    fragment: FragmentId,
+    /// Once work has moved in or out: every fragment's assignments held
+    /// here. Empty while the record is `fragment`'s alone.
+    shares: Vec<(FragmentId, u64)>,
+}
+
+impl Pending {
+    /// The assignments of `fragment` held here, splitting the record into
+    /// shares on its first move.
+    fn share(&mut self, fragment: FragmentId) -> &mut u64 {
+        if self.shares.is_empty() {
+            self.shares.push((self.fragment, self.assignments));
+        }
+        let i = match self.shares.iter().position(|s| s.0 == fragment) {
+            Some(i) => i,
+            None => {
+                self.shares.push((fragment, 0));
+                self.shares.len() - 1
+            }
+        };
+        &mut self.shares[i].1
+    }
 }
 
 /// Tracks outstanding work per query and records completions.
+///
+/// A record is per query, whatever fragments its parts came in; each
+/// closed record also says how many of its assignments each fragment
+/// contributed ([`completed_parts`](QueryTracker::completed_parts)), so a
+/// fragment split across engines by a bucket move can be counted down to
+/// its last part wherever that part ran.
 #[derive(Debug, Clone, Default)]
 pub struct QueryTracker {
     pending: HashMap<QueryId, Pending>,
     completed: Vec<QueryOutcome>,
+    /// The `(fragment, assignments)` shares of every completed record,
+    /// record after record; `part_ends[k]` ends record `k`'s.
+    parts: Vec<(FragmentId, u64)>,
+    part_ends: Vec<u32>,
     /// In-flight queries ordered by (arrival, id) — the NoShare cursor.
     ///
     /// Entries *behind* the front may be stale (already completed); the
@@ -60,12 +93,19 @@ impl QueryTracker {
         QueryTracker::default()
     }
 
-    /// Registers an arriving query expanding to `assignments` (object ×
-    /// bucket) pairs. Queries with zero assignments complete immediately.
+    /// Registers `fragment` of an arriving query expanding to `assignments`
+    /// (object × bucket) pairs. Queries with zero assignments complete
+    /// immediately.
     ///
     /// # Panics
     /// Panics on duplicate registration.
-    pub fn register(&mut self, query: QueryId, assignments: u64, arrival: SimTime) {
+    pub fn register(
+        &mut self,
+        query: QueryId,
+        fragment: FragmentId,
+        assignments: u64,
+        arrival: SimTime,
+    ) {
         if assignments == 0 {
             self.completed.push(QueryOutcome {
                 query,
@@ -73,6 +113,8 @@ impl QueryTracker {
                 completion: arrival,
                 assignments: 0,
             });
+            self.parts.push((fragment, 0));
+            self.part_ends.push(self.parts.len() as u32);
             return;
         }
         let prev = self.pending.insert(
@@ -81,6 +123,8 @@ impl QueryTracker {
                 arrival,
                 remaining: assignments,
                 assignments,
+                fragment,
+                shares: Vec::new(),
             },
         );
         assert!(prev.is_none(), "query {query} registered twice");
@@ -119,33 +163,37 @@ impl QueryTracker {
             p.remaining
         );
         p.remaining -= n;
-        if p.remaining == 0 {
-            let p = self.pending.remove(&query).expect("present above");
-            // Restore the front-is-pending invariant: stale entries that
-            // surfaced at the front are dropped here, once each.
-            while let Some(&(_, q)) = self.arrival_order.front() {
-                if self.pending.contains_key(&q) {
-                    break;
-                }
-                self.arrival_order.pop_front();
-            }
-            let outcome = QueryOutcome {
-                query,
-                arrival: p.arrival,
-                completion: now,
-                assignments: p.assignments,
-            };
-            self.completed.push(outcome);
-            Some(outcome)
-        } else {
-            None
+        if p.remaining > 0 {
+            return None;
         }
+        Some(self.close(query, now))
     }
 
-    /// Hands `n` outstanding assignments of `query` to another tracker (the
-    /// elastic runtime's bucket migration): the departing work stops being
-    /// this tracker's responsibility, so both `remaining` and the recorded
-    /// `assignments` shrink by `n`.
+    /// Closes `query`'s drained record at `now`: its outcome covers the
+    /// assignments serviced here — every one it still holds — shared out
+    /// by fragment.
+    fn close(&mut self, query: QueryId, now: SimTime) -> QueryOutcome {
+        let p = self.remove(query);
+        if p.shares.is_empty() {
+            self.parts.push((p.fragment, p.assignments));
+        } else {
+            self.parts.extend(p.shares.iter().filter(|s| s.1 > 0));
+        }
+        self.part_ends.push(self.parts.len() as u32);
+        let outcome = QueryOutcome {
+            query,
+            arrival: p.arrival,
+            completion: now,
+            assignments: p.assignments,
+        };
+        self.completed.push(outcome);
+        outcome
+    }
+
+    /// Hands `n` outstanding assignments of `query`'s `fragment` to another
+    /// tracker (the elastic runtime's bucket migration): the departing work
+    /// stops being this tracker's responsibility, so both `remaining` and
+    /// the recorded `assignments` shrink by `n`.
     ///
     /// If nothing of the query remains here, the local record closes: with
     /// locally serviced work an outcome is emitted at `now` covering exactly
@@ -157,7 +205,13 @@ impl QueryTracker {
     /// # Panics
     /// Panics if the query is unknown or has fewer than `n` outstanding
     /// assignments.
-    pub fn transfer_out(&mut self, query: QueryId, n: u64, now: SimTime) -> Option<QueryOutcome> {
+    pub fn transfer_out(
+        &mut self,
+        query: QueryId,
+        fragment: FragmentId,
+        n: u64,
+        now: SimTime,
+    ) -> Option<QueryOutcome> {
         let p = self
             .pending
             .get_mut(&query)
@@ -167,51 +221,56 @@ impl QueryTracker {
             "query {query} over-transferred: {} remaining, {n} leaving",
             p.remaining
         );
+        let held = p.share(fragment);
+        *held = held
+            .checked_sub(n)
+            .expect("a fragment moved off more than it held");
         p.remaining -= n;
         p.assignments -= n;
         if p.remaining > 0 {
             return None;
         }
-        let p = self.pending.remove(&query).expect("present above");
+        if p.assignments == 0 {
+            self.remove(query); // nothing was serviced here: no local outcome
+            return None;
+        }
+        Some(self.close(query, now))
+    }
+
+    /// Removes `query`'s record, restoring the front-is-pending invariant:
+    /// stale entries that surfaced at the front are dropped here, once each.
+    fn remove(&mut self, query: QueryId) -> Pending {
+        let p = self.pending.remove(&query).expect("a pending record");
         while let Some(&(_, q)) = self.arrival_order.front() {
             if self.pending.contains_key(&q) {
                 break;
             }
             self.arrival_order.pop_front();
         }
-        if p.assignments == 0 {
-            return None; // nothing was serviced here: no local outcome
-        }
-        let outcome = QueryOutcome {
-            query,
-            arrival: p.arrival,
-            completion: now,
-            assignments: p.assignments,
-        };
-        self.completed.push(outcome);
-        Some(outcome)
+        p
     }
 
-    /// Accepts `n` assignments handed over by another tracker's
-    /// [`transfer_out`](Self::transfer_out), at the query's *original*
-    /// arrival (ages survive the move). Tops up an in-flight record, or
-    /// opens one — possibly re-opening a query this tracker already
-    /// completed locally, which then yields a second local outcome; the
-    /// global aggregation counts assignments, not outcomes, so the query
-    /// still completes exactly once globally.
+    /// Accepts `n` assignments of `query`'s `fragment` handed over by
+    /// another tracker's [`transfer_out`](Self::transfer_out), at the
+    /// query's *original* arrival (ages survive the move). Tops up an
+    /// in-flight record, or opens one — possibly re-opening a query this
+    /// tracker already completed locally, which then yields a second local
+    /// outcome; the global aggregation counts assignments, not outcomes, so
+    /// the query still completes exactly once globally.
     ///
     /// # Panics
     /// Panics on `n == 0` (a transfer must carry work) or if an in-flight
     /// record disagrees about the arrival instant.
-    pub fn transfer_in(&mut self, query: QueryId, n: u64, arrival: SimTime) {
+    pub fn transfer_in(&mut self, query: QueryId, fragment: FragmentId, n: u64, arrival: SimTime) {
         assert!(n > 0, "empty transfer into {query}");
         if let Some(p) = self.pending.get_mut(&query) {
             assert_eq!(p.arrival, arrival, "query {query} arrival diverged");
+            *p.share(fragment) += n;
             p.remaining += n;
             p.assignments += n;
             return;
         }
-        self.register(query, n, arrival);
+        self.register(query, fragment, n, arrival);
     }
 
     /// Number of queries still in flight.
@@ -240,6 +299,15 @@ impl QueryTracker {
         &self.completed
     }
 
+    /// The `(fragment, assignments)` shares of completed record `k` (an
+    /// index into [`completed`](Self::completed)): one per fragment that had
+    /// work serviced here, summing to the outcome's assignments — or, for a
+    /// zero-work query, its one fragment with none.
+    pub fn completed_parts(&self, k: usize) -> &[(FragmentId, u64)] {
+        let start = k.checked_sub(1).map_or(0, |j| self.part_ends[j] as usize);
+        &self.parts[start..self.part_ends[k] as usize]
+    }
+
     /// True when nothing is in flight.
     pub fn all_complete(&self) -> bool {
         self.pending.is_empty()
@@ -250,6 +318,8 @@ impl QueryTracker {
 mod tests {
     use super::*;
 
+    const F: FragmentId = FragmentId(0);
+
     fn t(s: u64) -> SimTime {
         SimTime::from_micros(s * 1_000_000)
     }
@@ -257,7 +327,7 @@ mod tests {
     #[test]
     fn lifecycle_completes_at_last_assignment() {
         let mut tr = QueryTracker::new();
-        tr.register(QueryId(1), 3, t(0));
+        tr.register(QueryId(1), F, 3, t(0));
         assert_eq!(tr.pending_count(), 1);
         assert!(tr.complete_assignments(QueryId(1), 1, t(5)).is_none());
         assert!(tr.complete_assignments(QueryId(1), 1, t(6)).is_none());
@@ -271,7 +341,7 @@ mod tests {
     #[test]
     fn batch_completion_in_one_call() {
         let mut tr = QueryTracker::new();
-        tr.register(QueryId(2), 5, t(1));
+        tr.register(QueryId(2), F, 5, t(1));
         let out = tr.complete_assignments(QueryId(2), 5, t(4)).unwrap();
         assert_eq!(out.response_time().as_secs_f64(), 3.0);
     }
@@ -279,7 +349,7 @@ mod tests {
     #[test]
     fn zero_assignment_query_completes_instantly() {
         let mut tr = QueryTracker::new();
-        tr.register(QueryId(3), 0, t(2));
+        tr.register(QueryId(3), F, 0, t(2));
         assert!(tr.all_complete());
         assert_eq!(tr.completed()[0].response_time(), SimDuration::ZERO);
     }
@@ -287,9 +357,9 @@ mod tests {
     #[test]
     fn oldest_pending_is_fifo_cursor() {
         let mut tr = QueryTracker::new();
-        tr.register(QueryId(10), 1, t(5));
-        tr.register(QueryId(11), 1, t(3));
-        tr.register(QueryId(12), 1, t(7));
+        tr.register(QueryId(10), F, 1, t(5));
+        tr.register(QueryId(11), F, 1, t(3));
+        tr.register(QueryId(12), F, 1, t(7));
         assert_eq!(tr.oldest_pending(), Some((QueryId(11), t(3))));
         tr.complete_assignments(QueryId(11), 1, t(8));
         assert_eq!(tr.oldest_pending(), Some((QueryId(10), t(5))));
@@ -298,15 +368,15 @@ mod tests {
     #[test]
     fn oldest_pending_breaks_arrival_ties_by_id() {
         let mut tr = QueryTracker::new();
-        tr.register(QueryId(2), 1, t(1));
-        tr.register(QueryId(1), 1, t(1));
+        tr.register(QueryId(2), F, 1, t(1));
+        tr.register(QueryId(1), F, 1, t(1));
         assert_eq!(tr.oldest_pending(), Some((QueryId(1), t(1))));
     }
 
     #[test]
     fn introspection_accessors() {
         let mut tr = QueryTracker::new();
-        tr.register(QueryId(1), 4, t(2));
+        tr.register(QueryId(1), F, 4, t(2));
         assert_eq!(tr.arrival_of(QueryId(1)), Some(t(2)));
         assert_eq!(tr.remaining_of(QueryId(1)), Some(4));
         tr.complete_assignments(QueryId(1), 3, t(3));
@@ -318,10 +388,10 @@ mod tests {
     fn index_survives_out_of_order_registration_and_tombstones() {
         let mut tr = QueryTracker::new();
         // Monotone arrivals, then two out-of-order registrations.
-        tr.register(QueryId(5), 1, t(10));
-        tr.register(QueryId(6), 1, t(20));
-        tr.register(QueryId(2), 1, t(5)); // earlier than the front
-        tr.register(QueryId(4), 1, t(10)); // tie with 5, smaller id
+        tr.register(QueryId(5), F, 1, t(10));
+        tr.register(QueryId(6), F, 1, t(20));
+        tr.register(QueryId(2), F, 1, t(5)); // earlier than the front
+        tr.register(QueryId(4), F, 1, t(10)); // tie with 5, smaller id
         assert_eq!(tr.oldest_pending(), Some((QueryId(2), t(5))));
         // Complete mid-deque queries (tombstones), then the front.
         tr.complete_assignments(QueryId(4), 1, t(30));
@@ -338,8 +408,8 @@ mod tests {
     #[test]
     fn transfer_out_partial_keeps_query_in_flight() {
         let mut tr = QueryTracker::new();
-        tr.register(QueryId(1), 5, t(0));
-        assert!(tr.transfer_out(QueryId(1), 2, t(10)).is_none());
+        tr.register(QueryId(1), F, 5, t(0));
+        assert!(tr.transfer_out(QueryId(1), F, 2, t(10)).is_none());
         assert_eq!(tr.remaining_of(QueryId(1)), Some(3));
         // The eventual outcome only covers what stayed (and was serviced).
         let out = tr.complete_assignments(QueryId(1), 3, t(20)).unwrap();
@@ -350,10 +420,10 @@ mod tests {
     #[test]
     fn transfer_out_of_everything_after_partial_service_closes_locally() {
         let mut tr = QueryTracker::new();
-        tr.register(QueryId(1), 5, t(0));
+        tr.register(QueryId(1), F, 5, t(0));
         tr.complete_assignments(QueryId(1), 2, t(4));
         // The remaining 3 leave: the local record closes over the 2 serviced.
-        let out = tr.transfer_out(QueryId(1), 3, t(10)).unwrap();
+        let out = tr.transfer_out(QueryId(1), F, 3, t(10)).unwrap();
         assert_eq!(out.assignments, 2);
         assert_eq!(out.completion, t(10));
         assert!(tr.all_complete());
@@ -362,8 +432,8 @@ mod tests {
     #[test]
     fn transfer_out_of_an_untouched_query_leaves_no_trace() {
         let mut tr = QueryTracker::new();
-        tr.register(QueryId(1), 4, t(0));
-        assert!(tr.transfer_out(QueryId(1), 4, t(5)).is_none());
+        tr.register(QueryId(1), F, 4, t(0));
+        assert!(tr.transfer_out(QueryId(1), F, 4, t(5)).is_none());
         assert!(tr.all_complete());
         assert!(tr.completed().is_empty());
         assert_eq!(tr.oldest_pending(), None);
@@ -372,11 +442,11 @@ mod tests {
     #[test]
     fn transfer_in_tops_up_or_opens_at_original_arrival() {
         let mut tr = QueryTracker::new();
-        tr.register(QueryId(7), 2, t(9));
-        tr.transfer_in(QueryId(7), 3, t(9));
+        tr.register(QueryId(7), F, 2, t(9));
+        tr.transfer_in(QueryId(7), F, 3, t(9));
         assert_eq!(tr.remaining_of(QueryId(7)), Some(5));
         // A fresh query opens with its original (possibly older) arrival.
-        tr.transfer_in(QueryId(3), 1, t(1));
+        tr.transfer_in(QueryId(3), F, 1, t(1));
         assert_eq!(tr.oldest_pending(), Some((QueryId(3), t(1))));
         let out = tr.complete_assignments(QueryId(3), 1, t(12)).unwrap();
         assert_eq!(out.arrival, t(1));
@@ -386,11 +456,11 @@ mod tests {
     #[test]
     fn transfer_in_can_reopen_a_locally_completed_query() {
         let mut tr = QueryTracker::new();
-        tr.register(QueryId(1), 2, t(0));
+        tr.register(QueryId(1), F, 2, t(0));
         tr.complete_assignments(QueryId(1), 2, t(3));
         assert_eq!(tr.completed().len(), 1);
         // Migration returns work of the same query: a second local record.
-        tr.transfer_in(QueryId(1), 4, t(0));
+        tr.transfer_in(QueryId(1), F, 4, t(0));
         assert!(!tr.all_complete());
         let out = tr.complete_assignments(QueryId(1), 4, t(8)).unwrap();
         assert_eq!(out.assignments, 4);
@@ -398,26 +468,50 @@ mod tests {
     }
 
     #[test]
+    fn a_record_shares_its_outcome_out_by_fragment() {
+        let (a, b) = (FragmentId(3), FragmentId(8));
+        let mut tr = QueryTracker::new();
+        tr.register(QueryId(1), a, 4, t(0));
+        tr.register(QueryId(2), b, 0, t(0));
+        assert_eq!(tr.completed_parts(0), &[(b, 0)], "a marker is its fragment");
+        // Parts of a second fragment join, then all of the first moves off.
+        tr.transfer_in(QueryId(1), b, 3, t(0));
+        tr.complete_assignments(QueryId(1), 1, t(1));
+        assert!(tr.transfer_out(QueryId(1), a, 4, t(2)).is_none());
+        let out = tr.complete_assignments(QueryId(1), 2, t(3)).unwrap();
+        assert_eq!(out.assignments, 3);
+        assert_eq!(
+            tr.completed_parts(1),
+            &[(b, 3)],
+            "a moved-off share is gone"
+        );
+        // One fragment's record is shared out whole.
+        tr.register(QueryId(3), a, 2, t(4));
+        tr.complete_assignments(QueryId(3), 2, t(5));
+        assert_eq!(tr.completed_parts(2), &[(a, 2)]);
+    }
+
+    #[test]
     #[should_panic(expected = "over-transferred")]
     fn transfer_out_beyond_remaining_panics() {
         let mut tr = QueryTracker::new();
-        tr.register(QueryId(1), 2, t(0));
-        tr.transfer_out(QueryId(1), 3, t(1));
+        tr.register(QueryId(1), F, 2, t(0));
+        tr.transfer_out(QueryId(1), F, 3, t(1));
     }
 
     #[test]
     #[should_panic(expected = "registered twice")]
     fn duplicate_registration_panics() {
         let mut tr = QueryTracker::new();
-        tr.register(QueryId(1), 1, t(0));
-        tr.register(QueryId(1), 1, t(1));
+        tr.register(QueryId(1), F, 1, t(0));
+        tr.register(QueryId(1), F, 1, t(1));
     }
 
     #[test]
     #[should_panic(expected = "over-completed")]
     fn over_completion_panics() {
         let mut tr = QueryTracker::new();
-        tr.register(QueryId(1), 1, t(0));
+        tr.register(QueryId(1), F, 1, t(0));
         tr.complete_assignments(QueryId(1), 2, t(1));
     }
 

@@ -115,9 +115,7 @@ impl Default for RebalanceConfig {
 /// (shard, direction). A link window may overlap an outage on its shard in
 /// any way — a fragment the link delivers into the outage is lost to it
 /// under failover, and waits for `up_at` without. Every fault kind
-/// composes with every controller but one pairing: hedging is refused
-/// wherever a bucket can move under an open race — with rebalancing, or
-/// with failover over injected outages ([`RuntimeConfig::validate`]).
+/// composes with every controller.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     /// Injected shard slowdown windows.
@@ -330,14 +328,6 @@ impl RuntimeConfig {
         self.telemetry.validate();
         assert!(self.n_shards > 0, "need at least one shard");
         assert!(
-            !(self.transport.hedge.enabled
-                && (self.rebalance.enabled
-                    || (self.failover.enabled && !self.faults.outages.is_empty()))),
-            "hedging cannot be combined with rebalancing or with failover over \
-             outages: a hedge race is settled per (query, shard), and an epoch \
-             move or a crash evacuation can split a raced fragment across shards"
-        );
-        assert!(
             self.faults.links.is_empty() || self.transport.enabled,
             "link faults require the transport controller: without it the \
              router\u{2194}shard hop is a lossless teleport and the windows \
@@ -439,29 +429,13 @@ mod tests {
             reorder_delay: SimDuration::ZERO,
         });
         all.validate();
-        // Hedging needs no failover to ride out an outage.
+        // Hedging needs no failover to ride out an outage, and composes
+        // with failover over it and with rebalancing.
         hedged.faults.outages.push(outage(0, 20, 30));
         hedged.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "hedging cannot be combined")]
-    fn hedging_excludes_bucket_moves() {
-        let mut c = RuntimeConfig::contiguous(SimConfig::paper(), 4);
-        c.transport = TransportConfig::hedged();
-        c.failover = FailoverConfig::recovery();
-        c.validate(); // failover with nothing to fail over moves no bucket
-        c.faults.outages.push(outage(1, 5, 10));
-        c.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "hedging cannot be combined")]
-    fn hedging_excludes_rebalancing() {
-        let mut c = RuntimeConfig::contiguous(SimConfig::paper(), 4);
-        c.transport = TransportConfig::hedged();
-        c.rebalance = RebalanceConfig::every(SimDuration::from_secs(5));
-        c.validate();
+        hedged.failover = FailoverConfig::recovery();
+        hedged.rebalance = RebalanceConfig::every(SimDuration::from_secs(5));
+        hedged.validate();
     }
 
     #[test]

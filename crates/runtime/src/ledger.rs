@@ -1,24 +1,28 @@
 //! The books `finish` keeps: the canonical merged completion stream and the
 //! per-query terminal ledger every controller report projects from.
 //!
-//! Each shard records fragment completions in its own event order; the
-//! pool's **canonical order** interleaves them by `(shard running clock,
-//! shard id, shard record order)` — independent of how the shards were
-//! driven, which is what makes stepped and threaded runs bit-identical.
-//! `merged_completions` computes that stream once per run, for the hedge
-//! races and the `Ledger`, which answers per query *which way it ended*:
-//! completed (first and last fragment instants) or rejected (by which
-//! controller, when, after how many attempts) — exactly one of the two.
+//! Each shard records completions in its own event order, each shared out
+//! by fragment id; the pool's **canonical order** interleaves them by
+//! `(shard running clock, shard id, shard record order)` — independent of
+//! how the shards were driven, which is what makes stepped and threaded
+//! runs bit-identical. `merged_completions` computes that stream once per
+//! run, for the hedge races (which count each fragment down to its last
+//! part, wherever it ran) and the `Ledger`, which answers per query *which
+//! way it ended*: completed (first and last fragment instants) or rejected
+//! (by which controller, when, after how many attempts) — exactly one of
+//! the two.
 
 use std::collections::HashMap;
 
-use liferaft_query::{tracker::QueryOutcome, CrossMatchQuery, QueryId};
+use liferaft_catalog::Catalog;
+use liferaft_query::{tracker::QueryOutcome, CrossMatchQuery, FragmentId, QueryId};
 use liferaft_storage::SimTime;
 
 use crate::admission::QueryClass;
-use crate::worker::ShardRun;
+use crate::worker::ShardWorker;
 
-/// One fragment completion of the canonical merged stream.
+/// One fragment's share of a shard completion, in the canonical merged
+/// stream.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Completion {
     /// The recording shard's *running clock* (the prefix-max of completion
@@ -31,36 +35,43 @@ pub(crate) struct Completion {
     pub(crate) clock: SimTime,
     /// The recording shard.
     pub(crate) shard: u32,
-    /// Position in the shard's own record order.
+    /// Position in record order: each shard's completions in its own
+    /// order, the shares of one completion consecutive.
     pub(crate) seq: u32,
     /// Trace index of the fragment's query.
     pub(crate) index: usize,
-    /// The fragment's completion instant.
+    /// The fragment.
+    pub(crate) fragment: FragmentId,
+    /// The shard completion's instant.
     pub(crate) at: SimTime,
-    /// (object × bucket) assignments the shard serviced for the query.
+    /// (object × bucket) assignments of the fragment the shard serviced.
     pub(crate) assignments: u64,
 }
 
 /// A pool's fragment completions in canonical `(clock, shard, seq)` order.
 /// Every query has at least one fragment (zero-work queries ship an empty
 /// one to shard 0), so the stream covers every routed query.
-pub(crate) fn merged_completions(
-    shard_runs: &[ShardRun],
+pub(crate) fn merged_completions<C: Catalog + ?Sized>(
+    workers: &[ShardWorker<'_, C>],
     index_of: &HashMap<QueryId, usize>,
 ) -> Vec<Completion> {
     let mut stream: Vec<Completion> = Vec::new();
-    for run in shard_runs {
+    for (shard, w) in workers.iter().enumerate() {
+        let tracker = w.driver.core().tracker();
         let mut clock = SimTime::ZERO;
-        for (seq, o) in run.report.outcomes.iter().enumerate() {
+        for (k, o) in tracker.completed().iter().enumerate() {
             clock = clock.max(o.completion);
-            stream.push(Completion {
-                clock,
-                shard: run.shard.0,
-                seq: seq as u32,
-                index: index_of[&o.query],
-                at: o.completion,
-                assignments: o.assignments,
-            });
+            for &(fragment, assignments) in tracker.completed_parts(k) {
+                stream.push(Completion {
+                    clock,
+                    shard: shard as u32,
+                    seq: stream.len() as u32,
+                    index: index_of[&o.query],
+                    fragment,
+                    at: o.completion,
+                    assignments,
+                });
+            }
         }
     }
     stream.sort_unstable_by_key(|c| (c.clock, c.shard, c.seq));

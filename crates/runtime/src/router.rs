@@ -13,7 +13,7 @@
 //! until the next one.
 
 use liferaft_catalog::Partition;
-use liferaft_query::{CrossMatchQuery, QueryPreProcessor, WorkItem, PREPROCESS_CHUNK};
+use liferaft_query::{CrossMatchQuery, FragmentId, QueryPreProcessor, WorkItem, PREPROCESS_CHUNK};
 use liferaft_storage::SimTime;
 use liferaft_workload::TimedTrace;
 
@@ -43,6 +43,22 @@ impl Routing {
     /// Total fragments across all shards.
     pub fn total_fragments(&self) -> usize {
         self.shards.iter().map(|s| s.len()).sum()
+    }
+
+    /// Gives every fragment the next id from `next`, in `(trace index,
+    /// shard)` order — so consecutive windows minted from one counter carry
+    /// the ids one whole-trace routing would.
+    pub(crate) fn mint(&mut self, next: &mut u32) {
+        let mut order: Vec<(usize, usize, usize)> = Vec::with_capacity(self.total_fragments());
+        for (shard, fragments) in self.shards.iter().enumerate() {
+            let at = fragments.iter().enumerate();
+            order.extend(at.map(|(k, f)| (f.query_index, shard, k)));
+        }
+        order.sort_unstable();
+        for (_, shard, k) in order {
+            self.shards[shard][k].id = FragmentId(*next);
+            *next += 1;
+        }
     }
 }
 

@@ -31,7 +31,7 @@ use std::collections::{BinaryHeap, HashMap};
 
 use liferaft_catalog::{Catalog, Partition};
 use liferaft_core::Scheduler;
-use liferaft_query::{CrossMatchQuery, QueryId, QueryPreProcessor};
+use liferaft_query::{CrossMatchQuery, FragmentId, QueryId, QueryPreProcessor};
 use liferaft_sim::{MigratedBucket, RunReport, ShardOutage};
 use liferaft_storage::SimTime;
 use liferaft_telemetry::{Event, TelemetryReport};
@@ -222,6 +222,7 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
             entries,
             threads: self.route_threads(mode),
             routed: 0,
+            minted: 0,
             map: ElasticShardMap::new(self.map),
             up: vec![true; n],
             epochs,
@@ -249,13 +250,13 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
     /// decision logs into the report.
     ///
     /// The pool's canonical completion stream is merged once
-    /// ([`merged_completions`]); hedge races resolve over it and the losers
-    /// leave it. The [`Ledger`] then books every query's terminal outcome —
-    /// rejected by the controller whose log says so (turned away at the
-    /// front door, lost to a dead shard with every re-delivery spent,
-    /// undelivered with every retransmission spent) or completed by the
-    /// stream — and the global report and the three controller reports all
-    /// project from those books.
+    /// ([`merged_completions`]), shared out by fragment id; hedge races
+    /// resolve over it and the losers' shares leave it. The [`Ledger`] then
+    /// books every query's terminal outcome — rejected by the controller
+    /// whose log says so (turned away at the front door, lost to a dead
+    /// shard with every re-delivery spent, undelivered with every
+    /// retransmission spent) or completed by the stream — and the global
+    /// report and the three controller reports all project from those books.
     fn finish(
         &self,
         entries: &[(SimTime, CrossMatchQuery)],
@@ -267,11 +268,11 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
         let recovery_lag = plan.failover.as_ref().and_then(|log| {
             log.recovery_lag(|shard, t| workers[shard as usize].driver.next_completion_after(t))
         });
+        let mut stream = merged_completions(&workers, index_of);
         let shards: Vec<ShardRun> = workers.into_iter().map(ShardWorker::into_run).collect();
 
-        let mut stream = merged_completions(&shards, index_of);
         let hedges = plan.transport.as_ref().map_or(&[][..], |d| &d.log.hedges);
-        let (hedge_wins, hedge_losses) = resolve_hedges(hedges, &mut stream);
+        let (hedge_wins, hedge_losses) = resolve_hedges(hedges, &plan.races, &mut stream);
 
         let door = &self.config.front_door;
         let mut ledger = Ledger::open(entries, &plan.assignments_of, |a| door.run_class(a));
@@ -402,6 +403,8 @@ struct Plan {
     admission: Option<AdmissionLog>,
     failover: Option<FailoverLog>,
     transport: Option<DeliveryPlan>,
+    /// Per hedge, in decision order: the raced original's id and its copy's.
+    races: Vec<(FragmentId, FragmentId)>,
 }
 
 impl Plan {
@@ -437,6 +440,8 @@ struct Controllers<'a> {
     threads: usize,
     /// Next trace entry not yet routed (with the door on: registered).
     routed: usize,
+    /// The next fragment id to mint.
+    minted: u32,
     /// The live bucket → shard map: epochs and evacuations reassign buckets,
     /// each window routes under it.
     map: ElasticShardMap,
@@ -549,21 +554,25 @@ impl Controllers<'_> {
     }
 
     /// The one tail of every routing, a window's or a door pass's, handed
-    /// off at `at`: the transport resolves each chain to its delivery
-    /// instant (or loses it), failover intercepts what that release lands
-    /// in an outage, the plan books the counters, hedging tracks what was
-    /// delivered, and the workers take the rest — each fragment the shard it
-    /// was sent to, whatever moved since (see the transport module, "Map
-    /// changes in flight").
+    /// off at `at`: each fragment gets its id, the transport resolves each
+    /// chain to its delivery instant (or loses it), hedging classifies what
+    /// was delivered, failover intercepts what that release lands in an
+    /// outage, the plan books the counters, hedging tracks the rest, and the
+    /// workers take it — each fragment the shard it was sent to, whatever
+    /// moved since (see the transport module, "Map changes in flight").
     fn hand_off<C: Catalog + ?Sized>(
         &mut self,
         workers: &mut [ShardWorker<'_, C>],
         mut routing: Routing,
         at: SimTime,
     ) {
+        routing.mint(&mut self.minted);
         if let Some(delivery) = self.plan.transport.as_mut() {
             let cfg = self.config;
             delivery.deliver(&cfg.transport, &cfg.faults, &mut routing);
+        }
+        if let Some(hedges) = self.hedges.as_mut() {
+            hedges.classify(&routing, at, &self.plan.assignments_of);
         }
         if let Some(outages) = self.outages.as_mut().filter(|o| o.failover) {
             let transport = self.plan.transport.as_ref();
@@ -572,7 +581,7 @@ impl Controllers<'_> {
         }
         self.plan.record(&routing);
         if let (Some(hedges), Some(delivery)) = (self.hedges.as_mut(), &self.plan.transport) {
-            hedges.track(&routing, at, &self.plan.assignments_of, &delivery.rejected);
+            hedges.track(&routing, &delivery.rejected);
         }
         for (w, stream) in workers.iter_mut().zip(routing.shards) {
             w.append_fragments(stream);
@@ -604,7 +613,8 @@ impl Controllers<'_> {
             Source::Hedge => {
                 let hedges = self.hedges.as_mut().expect(plugged);
                 let total_fragments = &mut self.plan.total_fragments;
-                hedges.fire(t, workers, &self.up, &self.config.faults, total_fragments);
+                let (faults, minted) = (&self.config.faults, &mut self.minted);
+                hedges.fire(t, workers, &self.up, faults, total_fragments, minted);
             }
         }
     }
@@ -644,12 +654,15 @@ impl Controllers<'_> {
 
     /// Finishes the run: every handler hands over its log.
     fn into_plan(self) -> Plan {
-        let hedges = self.hedges.map_or_else(Vec::new, |h| h.log);
+        let (hedges, races) = self
+            .hedges
+            .map_or_else(Default::default, |h| (h.log, h.races));
         Plan {
             rebalance: self.epochs.map(|e| e.log),
             admission: self.door.map(FrontDoor::into_log),
             failover: self.outages.map(Outages::into_log),
             transport: self.plan.transport.map(|d| d.seal(hedges)),
+            races,
             ..self.plan
         }
     }
@@ -2029,7 +2042,7 @@ mod tests {
             tp.log.hedges.len() as u64,
             "every hedge race resolves exactly once"
         );
-        // Hedge copies never land on a shard already hosting the query.
+        // Hedge copies never land on a shard the query was handed to.
         for h in &tp.log.hedges {
             assert_ne!(h.from, h.to);
         }
@@ -2204,6 +2217,191 @@ mod tests {
         );
     }
 
+    /// One raced-move scenario on two contiguous shards (buckets 0..10 and
+    /// 10..20), under NoShare, every query arriving at 0: two medium-class
+    /// queries over seven buckets of shard 0 make a backlog that a stall
+    /// holds there, three small queries on shard 1 give the interactive
+    /// class the two responses hedging needs, and query 5 (interactive)
+    /// covers bucket 3 behind the backlog. Query 5 is due at its hand-off
+    /// plus the slower of those responses, so it is hedged onto shard 1 at
+    /// the 2.5 s check, long before shard 0 reaches it. `config` adds what
+    /// moves its bucket.
+    ///
+    /// Runs stepped and threaded on a thread of its own, bounded at 60 s of
+    /// wall clock, so a livelock fails instead of hanging.
+    fn raced_move(mut config: RuntimeConfig) -> (RuntimeReport, RuntimeReport, TimedTrace) {
+        use crate::transport::TransportConfig;
+        use std::sync::mpsc;
+        use std::time::Duration;
+        config.transport = TransportConfig::hedged();
+        config.transport.hedge.min_samples = 2;
+        config.transport.hedge.latency_multiplier = 1.0;
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let cat = bucket_catalog();
+            let thin = |id: u64, buckets: &[u32], step: usize| {
+                let positions: Vec<_> = buckets
+                    .iter()
+                    .flat_map(|&b| {
+                        cat.bucket_objects(liferaft_storage::BucketId(b))
+                            .into_owned()
+                    })
+                    .step_by(step)
+                    .map(|o| o.pos)
+                    .collect();
+                CrossMatchQuery::from_positions(
+                    QueryId(id),
+                    &positions,
+                    1e-4,
+                    LEVEL,
+                    Predicate::All,
+                )
+            };
+            let backlog = [0, 1, 2, 6, 7, 8, 9];
+            let queries = vec![
+                thin(0, &backlog, 3),
+                thin(1, &backlog, 3),
+                thin(2, &[11], 10),
+                thin(3, &[12], 10),
+                thin(4, &[15], 10),
+                span_query(&cat, 5, 3..4),
+            ];
+            let timed = Trace::new(LEVEL, queries).with_arrivals(vec![SimTime::ZERO; 6]);
+            let rt = ShardedRuntime::new(&cat, config);
+            let noshare = |_| -> Box<dyn Scheduler + Send> { Box::new(NoShareScheduler::new()) };
+            let stepped = rt.run(&timed, &mut noshare.clone(), ExecMode::Stepped);
+            let threaded = rt.run(&timed, &mut noshare.clone(), ExecMode::Threaded);
+            let _ = tx.send((stepped, threaded, timed));
+        });
+        match rx.recv_timeout(Duration::from_secs(60)) {
+            Ok(runs) => runs,
+            Err(mpsc::RecvTimeoutError::Timeout) => panic!("the run ran past its 60 s bound"),
+            Err(mpsc::RecvTimeoutError::Disconnected) => panic!("the run panicked"),
+        }
+    }
+
+    /// What every raced-move run must hold: query 5 was hedged off shard 0,
+    /// completed nothing there, and shard 1 closed one record of it holding
+    /// both fragments; both modes agree, every class balances its books,
+    /// and every race settled exactly once. Returns the buckets of query 5's
+    /// work, to be checked against the moves.
+    fn assert_raced_move_settles(
+        stepped: &RuntimeReport,
+        threaded: &RuntimeReport,
+        timed: &TimedTrace,
+    ) -> Vec<liferaft_storage::BucketId> {
+        assert_eq!(stepped.global.outcomes, threaded.global.outcomes);
+        for (a, b) in stepped.shards.iter().zip(&threaded.shards) {
+            assert_eq!(a.report.outcomes, b.report.outcomes);
+            assert_eq!(a.report.batches, b.report.batches);
+        }
+        assert_eq!(stepped.rebalance, threaded.rebalance);
+        assert_eq!(stepped.failover, threaded.failover);
+        assert_eq!(stepped.transport, threaded.transport);
+        let tp = stepped.transport.as_ref().expect("transport reports");
+        let raced = tp.log.hedges.iter().find(|h| h.query_index == 5);
+        let raced = raced.unwrap_or_else(|| panic!("query 5 must be hedged: {:?}", tp.log));
+        assert_eq!((raced.from, raced.to), (0, 1));
+        assert_eq!(
+            tp.hedge_wins + tp.hedge_losses,
+            tp.log.hedges.len() as u64,
+            "every race settles exactly once"
+        );
+        assert_eq!(stepped.global.outcomes.len(), timed.len());
+        for c in &tp.per_class {
+            assert_eq!(c.completed + c.rejected, c.submitted, "{:?}", c.class);
+        }
+        let on_shard_0 = stepped.shards[0].report.outcomes.iter();
+        assert!(
+            on_shard_0.clone().all(|o| o.query != QueryId(5)),
+            "query 5 completed part of its original on shard 0"
+        );
+        // Shard 1's record of query 5 held the moved original and the copy.
+        let both = stepped.shards[1].report.outcomes.iter();
+        assert!(both
+            .filter(|o| o.query == QueryId(5))
+            .any(|o| o.assignments == 2 * raced.entries));
+        let cat = bucket_catalog();
+        let items = QueryPreProcessor::new(cat.partition()).preprocess(&timed.entries()[5].1);
+        items.iter().map(|i| i.bucket).collect()
+    }
+
+    /// Hedging × rebalancing: the epoch after the hedge moves
+    /// every bucket of the raced original onto its copy's shard before the
+    /// original completed anything, so one shard's record of the query
+    /// holds parts of both fragments.
+    #[test]
+    fn an_epoch_moving_a_raced_original_settles_the_race_once() {
+        use crate::config::RebalanceConfig;
+        use liferaft_sim::ShardSlowdown;
+        use liferaft_storage::SimDuration;
+        let mut config = RuntimeConfig::contiguous(SimConfig::paper(), 2);
+        config.rebalance = RebalanceConfig::every(SimDuration::from_secs(3));
+        config.rebalance.min_imbalance = 1.05;
+        config.faults.stalls.push(ShardSlowdown {
+            shard: 0,
+            from: SimTime::ZERO,
+            until: SimTime::ZERO + SimDuration::from_secs(1_000_000),
+            factor: 8.0,
+        });
+        let (stepped, threaded, timed) = raced_move(config);
+        let buckets = assert_raced_move_settles(&stepped, &threaded, &timed);
+        let log = stepped.rebalance.as_ref().expect("elastic runs keep a log");
+        let first = &log.records[0];
+        assert_eq!(
+            first.at,
+            SimTime::ZERO + SimDuration::from_secs(3),
+            "after the hedge"
+        );
+        for b in &buckets {
+            assert!(
+                first
+                    .moves
+                    .iter()
+                    .any(|m| m.bucket == *b && m.from.0 == 0 && m.to.0 == 1),
+                "the first epoch must move bucket {b} of query 5: {:?}",
+                first.moves
+            );
+        }
+    }
+
+    /// Hedging × failover over an outage: shard 0 crashes
+    /// after the hedge, and the evacuation lands the raced original's
+    /// buckets on its copy's shard.
+    #[test]
+    fn a_crash_evacuating_a_raced_original_onto_its_copy_settles_the_race_once() {
+        use crate::failover::FailoverConfig;
+        use liferaft_sim::{ShardOutage, ShardSlowdown};
+        use liferaft_storage::SimDuration;
+        let s = |s: u64| SimTime::ZERO + SimDuration::from_secs(s);
+        let mut config = RuntimeConfig::contiguous(SimConfig::paper(), 2);
+        config.failover = FailoverConfig::recovery();
+        config.faults.stalls.push(ShardSlowdown {
+            shard: 0,
+            from: SimTime::ZERO,
+            until: s(3),
+            factor: 8.0,
+        });
+        config.faults.outages.push(ShardOutage {
+            shard: 0,
+            down_at: s(3),
+            up_at: s(600),
+        });
+        let (stepped, threaded, timed) = raced_move(config);
+        let buckets = assert_raced_move_settles(&stepped, &threaded, &timed);
+        let fo = stepped.failover.as_ref().expect("failover reports");
+        for b in &buckets {
+            assert!(
+                fo.log
+                    .evacuations
+                    .iter()
+                    .any(|e| e.bucket == *b && e.from == 0 && e.to == 1),
+                "the crash must evacuate bucket {b} of query 5: {:?}",
+                fo.log.evacuations
+            );
+        }
+    }
+
     #[test]
     fn window_routing_hands_back_the_static_routing() {
         use crate::config::RebalanceConfig;
@@ -2233,7 +2431,9 @@ mod tests {
             let mut pool = rt.spawn(entries, &mut |_| greedy());
             execute(&mut pool, &mut ctl, mode);
             let streams: Vec<&[Fragment]> = pool.iter().map(|w| w.driver.fragments()).collect();
-            let routing = route(cat.partition(), rt.shard_map(), &timed);
+            // Ids minted window by window are the ids of one whole-trace mint.
+            let mut routing = route(cat.partition(), rt.shard_map(), &timed);
+            routing.mint(&mut 0);
             let case = format!("{n_shards} shards, {assignment:?}, {mode:?}");
             assert_eq!(streams, routing.shards, "{case}");
             let plan = ctl.into_plan();

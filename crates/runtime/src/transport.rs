@@ -35,9 +35,9 @@
 //! sees that load through the shard's bucket depths. A delivery that lands
 //! inside an outage of its shard is lost to it, and failover re-delivers
 //! it from that instant ([`RuntimeConfig::failover`](crate::RuntimeConfig::failover)).
-//! Hedging alone cannot follow a move: a race is settled per
-//! `(query, shard)`, so validation refuses hedging wherever a bucket can
-//! move under an open race.
+//! A hedge race follows its fragments through every move: it is settled
+//! per fragment id, and a fragment finishes when its last part does,
+//! wherever that part ran.
 //!
 //! # The ack model
 //!
@@ -61,24 +61,24 @@
 //! the canonical merge) into per-class response samples, then re-issues
 //! every outstanding fragment that lags its class — outstanding longer than
 //! `latency_multiplier ×` the class's response quantile, floored at a
-//! fixed 500 ms — to the least-loaded live shard *not already hosting the
-//! query*. A query's class is the one every report books it under: the
+//! fixed 500 ms — to the least-loaded live shard *the query was never
+//! handed to*. A query's class is the one every report books it under: the
 //! front door's thresholds when the door is on, the defaults otherwise.
 //! Ages and responses both count from the hand-off: a routed fragment's
 //! arrival, or the pass that admitted a door-held query. The
 //! next check is the earliest instant an outstanding fragment falls due,
 //! so the hedges before any instant depend only on the arrivals before it:
 //! a threshold comes from the responses seen so far, never from the run's
-//! future. The copy races the original; the first completion wins
-//! and the loser is suppressed exactly like a network duplicate, so hedging
-//! trades duplicate *work* for tail latency without ever double-counting a
-//! query.
+//! future. The copy, a fragment with its own id, races the original;
+//! whichever finishes first wins and the loser is suppressed exactly like a
+//! network duplicate, so hedging trades duplicate *work* for tail latency
+//! without ever double-counting a query.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 use liferaft_catalog::hash::{hash4, unit_f64};
 use liferaft_catalog::Catalog;
-use liferaft_query::QueryId;
+use liferaft_query::{FragmentId, QueryId};
 use liferaft_sim::LinkDirection;
 use liferaft_storage::{SimDuration, SimTime};
 use liferaft_telemetry::{Event, EventKind};
@@ -285,8 +285,8 @@ pub struct HedgeDecision {
     pub query_index: usize,
     /// The shard the original fragment is lagging on.
     pub from: u32,
-    /// The least-loaded shard not hosting the query, which receives the
-    /// copy.
+    /// The least-loaded live shard the query was never handed to, which
+    /// receives the copy.
     pub to: u32,
     /// (object × bucket) assignments the copy carries.
     pub entries: u64,
@@ -591,7 +591,8 @@ fn plan_chain(
 
 /// The hedge handler of the window loop (see the module docs, "Straggler
 /// hedging"). A fragment is *outstanding* while it bears work, its query
-/// was not rejected, it was not hedged, and no check has seen it complete.
+/// was not rejected, it was not hedged, and no check has seen its last part
+/// complete — on whichever shards its parts ran.
 pub(crate) struct Hedges {
     cfg: HedgeConfig,
     /// The run's front door, whose [`run_class`](FrontDoorConfig::run_class)
@@ -599,8 +600,15 @@ pub(crate) struct Hedges {
     door: FrontDoorConfig,
     /// Per routed query: its class and the instant the router handed it off.
     class_of: HashMap<QueryId, (QueryClass, SimTime)>,
-    /// Per class: outstanding fragments as `(handed off, query, shard)`.
-    outstanding: [BTreeSet<(SimTime, QueryId, u32)>; 3],
+    /// The shards each query's fragments were handed or hedged to: a copy
+    /// goes to none of them.
+    hosts: HashSet<(QueryId, u32)>,
+    /// Per class: outstanding fragments in `(handed off, query, shard)`
+    /// order.
+    outstanding: [BTreeSet<(SimTime, QueryId, u32, FragmentId)>; 3],
+    /// Per outstanding fragment: its class, its key in `outstanding`, and
+    /// the assignments no check has seen complete.
+    open: HashMap<FragmentId, Open>,
     /// Per class: responses (s) of the work-bearing completions read, sorted.
     samples: [Vec<f64>; 3],
     /// Per shard: completions read so far, and the shard's running clock.
@@ -609,6 +617,16 @@ pub(crate) struct Hedges {
     last: SimTime,
     /// The hedges issued, in decision order.
     pub(crate) log: Vec<HedgeDecision>,
+    /// Per hedge, in `log` order: the id of the raced original and of its
+    /// copy.
+    pub(crate) races: Vec<(FragmentId, FragmentId)>,
+}
+
+/// One outstanding fragment's books.
+struct Open {
+    class: usize,
+    key: (SimTime, QueryId, u32, FragmentId),
+    left: u64,
 }
 
 impl Hedges {
@@ -617,34 +635,43 @@ impl Hedges {
             cfg,
             door,
             class_of: HashMap::new(),
+            hosts: HashSet::new(),
             outstanding: Default::default(),
+            open: HashMap::new(),
             samples: Default::default(),
             read: vec![(0, SimTime::ZERO); n_shards],
             last: SimTime::ZERO,
             log: Vec::new(),
+            races: Vec::new(),
         }
     }
 
-    /// Tracks one routing handed off at `at` (a routed window: no later
-    /// than its first arrival; a door pass: its instant), after transport
-    /// resolved it: every work-bearing fragment of a query not in `rejected`
-    /// is outstanding from the later of its arrival and `at`, so the time a
-    /// query waited at the door never counts as lagging at a shard.
-    /// `assignments_of` covers the trace routed so far.
-    pub(crate) fn track(
-        &mut self,
-        routing: &Routing,
-        at: SimTime,
-        assignments_of: &[u64],
-        rejected: &[Option<(SimTime, u32)>],
-    ) {
+    /// Classifies every query of one routing handed off at `at` (a routed
+    /// window: no later than its first arrival; a door pass: its instant),
+    /// after transport resolved it and before failover takes what lands in
+    /// an outage: its responses count from the later of its arrival and
+    /// `at`, so the time a query waited at the door never counts as lagging
+    /// at a shard. `assignments_of` covers the trace routed so far.
+    pub(crate) fn classify(&mut self, routing: &Routing, at: SimTime, assignments_of: &[u64]) {
+        for f in routing.shards.iter().flatten() {
+            let class = self.door.run_class(assignments_of[f.query_index]);
+            self.class_of.insert(f.query, (class, f.arrival.max(at)));
+        }
+    }
+
+    /// Tracks what the workers take of a [classified](Self::classify)
+    /// routing: every work-bearing fragment of a query not in `rejected` is
+    /// outstanding from its query's hand-off.
+    pub(crate) fn track(&mut self, routing: &Routing, rejected: &[Option<(SimTime, u32)>]) {
         for (shard, fragments) in routing.shards.iter().enumerate() {
             for f in fragments {
-                let class = self.door.run_class(assignments_of[f.query_index]);
-                let handed = f.arrival.max(at);
-                self.class_of.insert(f.query, (class, handed));
+                let (class, handed) = self.class_of[&f.query];
+                self.hosts.insert((f.query, shard as u32));
                 if f.assignments > 0 && rejected[f.query_index].is_none() {
-                    self.outstanding[class.rank()].insert((handed, f.query, shard as u32));
+                    let (class, key) = (class.rank(), (handed, f.query, shard as u32, f.id));
+                    self.outstanding[class].insert(key);
+                    let left = f.assignments;
+                    self.open.insert(f.id, Open { class, key, left });
                 }
             }
         }
@@ -677,11 +704,13 @@ impl Hedges {
     }
 
     /// The check at barrier `t`: reads every completion the pool recorded
-    /// by `t`, then hedges every outstanding fragment due by `t` — earliest
-    /// due first, up to `max_hedges` — onto the live shard with the lowest
-    /// [queued backlog](liferaft_sim::EngineCore::total_queued) that does
-    /// not host its query. The copy is released once it crosses that
-    /// shard's `ToShard` link.
+    /// by `t` — a work-bearing one is a response sample of its query's
+    /// class, and each fragment share it holds counts that fragment down —
+    /// then hedges every outstanding fragment due by `t`, earliest due
+    /// first, up to `max_hedges`, onto the live shard with the lowest
+    /// [queued backlog](liferaft_sim::EngineCore::total_queued) its query
+    /// was never handed to. The copy, under the next id from `minted`, is
+    /// released once it crosses that shard's `ToShard` link.
     pub(crate) fn fire<C: Catalog + ?Sized>(
         &mut self,
         t: SimTime,
@@ -689,51 +718,62 @@ impl Hedges {
         up: &[bool],
         faults: &FaultPlan,
         total_fragments: &mut usize,
+        minted: &mut u32,
     ) {
         self.last = t;
         for (shard, w) in workers.iter().enumerate() {
             let (read, clock) = &mut self.read[shard];
-            for o in &w.driver.core().tracker().completed()[*read..] {
+            let tracker = w.driver.core().tracker();
+            for (k, o) in tracker.completed().iter().enumerate().skip(*read) {
                 if o.completion.max(*clock) > t {
                     break;
                 }
                 *clock = o.completion.max(*clock);
                 *read += 1;
                 let (class, handed) = self.class_of[&o.query];
-                let class = class.rank();
                 if o.assignments > 0 {
                     let response = o.completion.since(handed).as_secs_f64();
-                    let samples = &mut self.samples[class];
+                    let samples = &mut self.samples[class.rank()];
                     samples.insert(samples.partition_point(|&s| s <= response), response);
                 }
-                self.outstanding[class].remove(&(handed, o.query, shard as u32));
+                for &(id, n) in tracker.completed_parts(k) {
+                    let Some(open) = self.open.get_mut(&id) else {
+                        continue;
+                    };
+                    open.left -= n;
+                    if open.left == 0 {
+                        self.outstanding[open.class].remove(&open.key);
+                        self.open.remove(&id);
+                    }
+                }
             }
         }
-        let mut due: Vec<(SimTime, QueryId, u32)> = Vec::new();
+        let mut due: Vec<(SimTime, QueryId, u32, FragmentId)> = Vec::new();
         for class in QueryClass::ALL {
-            while let Some(&(handed, query, from)) = self.outstanding[class.rank()].first() {
+            while let Some(&(handed, query, from, id)) = self.outstanding[class.rank()].first() {
                 let at = self.due(class, handed);
                 if at > t {
                     break;
                 }
                 self.outstanding[class.rank()].pop_first();
-                due.push((at, query, from));
+                self.open.remove(&id);
+                due.push((at, query, from, id));
             }
         }
         due.sort_unstable();
-        for (_, query, from) in due {
+        for (_, query, from, id) in due {
             if self.log.len() >= self.cfg.max_hedges {
                 break;
             }
             let target = (0..workers.len())
-                .filter(|&s| up[s] && workers[s].fragment_of(query).is_none())
+                .filter(|&s| up[s] && !self.hosts.contains(&(query, s as u32)))
                 .min_by_key(|&s| (workers[s].driver.core().total_queued(), s));
             let Some(to) = target else {
                 continue; // the query spans every live shard: nowhere to hedge
             };
             let original = workers[from as usize]
-                .fragment_of(query)
-                .expect("an outstanding fragment is routed");
+                .fragment(id)
+                .expect("an outstanding fragment is in the stream it was handed to");
             let entries = original.assignments;
             // The copy crosses the target's ToShard link: delay applies, but
             // hedge copies skip the drop/duplicate/reorder draws — the model
@@ -742,9 +782,11 @@ impl Hedges {
             let link = faults.link_at(to as u32, LinkDirection::ToShard, t);
             let delivered_at = link.map_or(t, |w| t + w.delay + w.delay_per_entry.times(entries));
             let copy = Fragment {
+                id: FragmentId(*minted),
                 release: delivered_at,
                 ..original.clone()
             };
+            *minted += 1;
             self.log.push(HedgeDecision {
                 at: t,
                 query_index: copy.query_index,
@@ -753,6 +795,8 @@ impl Hedges {
                 entries,
                 delivered_at,
             });
+            self.races.push((id, copy.id));
+            self.hosts.insert((query, to as u32));
             *total_fragments += 1;
             workers[to].append_fragments(vec![copy]);
         }
@@ -760,44 +804,51 @@ impl Hedges {
 }
 
 /// Resolves every hedge race over the executed pool's canonical merged
-/// completion stream: the first completion of a raced `(query, shard)` pair
-/// wins, and the loser's completion leaves `stream` — the winning copy
-/// already covered its assignments, so the ledger must not count them twice
-/// (the loser's serviced entries still count in the per-shard counters:
-/// duplicated work is real work). Returns `(wins, losses)` of the hedge
-/// copies. Both executors produce identical streams, so the resolution is
-/// mode-independent.
-pub(crate) fn resolve_hedges(hedges: &[HedgeDecision], stream: &mut Vec<Completion>) -> (u64, u64) {
-    let (mut wins, mut losses) = (0u64, 0u64);
-    if hedges.is_empty() {
-        return (wins, losses);
+/// completion stream. `races[i]` names hedge `i`'s original and copy, each
+/// of `hedges[i].entries` assignments; a fragment finishes at the stream
+/// position where its shares, counted wherever they ran, reach that total.
+/// The first of the two to finish wins, and every share of the loser leaves
+/// `stream` — the winner covered its assignments, so the ledger must not
+/// count them twice (the loser's serviced entries still count in the
+/// per-shard counters: duplicated work is real work). Returns `(wins,
+/// losses)` of the hedge copies. Both executors produce identical streams,
+/// so the resolution is mode-independent.
+pub(crate) fn resolve_hedges(
+    hedges: &[HedgeDecision],
+    races: &[(FragmentId, FragmentId)],
+    stream: &mut Vec<Completion>,
+) -> (u64, u64) {
+    if races.is_empty() {
+        return (0, 0);
     }
-    let mut raced: HashMap<(usize, u32), usize> = HashMap::new();
-    for (i, h) in hedges.iter().enumerate() {
-        raced.insert((h.query_index, h.from), i);
-        raced.insert((h.query_index, h.to), i);
+    // Per raced fragment: its race and whether it is the copy.
+    let mut raced: HashMap<FragmentId, (usize, bool)> = HashMap::new();
+    for (i, &(original, copy)) in races.iter().enumerate() {
+        raced.insert(original, (i, false));
+        raced.insert(copy, (i, true));
     }
-    let mut settled = vec![false; hedges.len()];
-    stream.retain(|c| {
-        let Some(&i) = raced.get(&(c.index, c.shard)) else {
-            return true;
+    let mut left: Vec<[u64; 2]> = hedges.iter().map(|h| [h.entries; 2]).collect();
+    let mut copy_won: Vec<Option<bool>> = vec![None; races.len()];
+    for c in stream.iter() {
+        let Some(&(i, is_copy)) = raced.get(&c.fragment) else {
+            continue;
         };
-        if settled[i] {
-            return false; // the race is decided: this is the loser's completion
+        let side = &mut left[i][usize::from(is_copy)];
+        *side -= c.assignments;
+        if *side == 0 && copy_won[i].is_none() {
+            copy_won[i] = Some(is_copy);
         }
-        settled[i] = true;
-        if c.shard == hedges[i].to {
-            wins += 1;
-        } else {
-            losses += 1;
-        }
-        true
+    }
+    stream.retain(|c| {
+        let lost = |&(i, is_copy): &(usize, bool)| copy_won[i] != Some(is_copy);
+        !raced.get(&c.fragment).is_some_and(lost)
     });
-    assert!(
-        settled.iter().all(|&s| s),
-        "every hedge race must produce at least one completion"
-    );
-    (wins, losses)
+    let won: Vec<bool> = copy_won
+        .into_iter()
+        .map(|w| w.expect("every hedge race must produce a finished fragment"))
+        .collect();
+    let wins = won.iter().filter(|&&w| w).count() as u64;
+    (wins, won.len() as u64 - wins)
 }
 
 #[cfg(test)]
@@ -811,6 +862,7 @@ mod tests {
 
     fn fragment(query_index: usize, release_ms: u64, assignments: u64) -> Fragment {
         Fragment {
+            id: FragmentId(query_index as u32),
             query_index,
             query: QueryId(query_index as u64),
             arrival: t(release_ms),

@@ -4,14 +4,14 @@
 //! runs too: clock, release-ordered fragment stream, fault windows, batch
 //! ledger. A worker adds the shard id stamped on its events, the entries it
 //! holds for the front door, the hand-over cost of an absorbed bucket, and
-//! the fragment lookup hedging needs. Because a shard's behaviour is a pure
+//! the fragment lookup by id hedging needs. Because a shard's behaviour is a pure
 //! function of its own fragment stream, advancing a window's workers in
 //! *any* order — a plain loop or one OS thread per shard — produces
 //! bit-identical per-shard results.
 
 use liferaft_catalog::Catalog;
 use liferaft_core::Scheduler;
-use liferaft_query::{CrossMatchQuery, QueryId};
+use liferaft_query::{CrossMatchQuery, FragmentId};
 use liferaft_sim::{Driver, EngineCore, Fragment, MigratedBucket, RunReport};
 use liferaft_storage::{BucketId, SimDuration, SimTime};
 use liferaft_telemetry::Event;
@@ -98,9 +98,9 @@ impl<'a, C: Catalog + ?Sized> ShardWorker<'a, C> {
         self.driver.append_fragments(extra);
     }
 
-    /// This shard's fragment of `query`, if it hosts one.
-    pub(crate) fn fragment_of(&self, query: QueryId) -> Option<&Fragment> {
-        self.driver.fragments().iter().find(|f| f.query == query)
+    /// Fragment `id`, if it was handed to this shard.
+    pub(crate) fn fragment(&self, id: FragmentId) -> Option<&Fragment> {
+        self.driver.fragments().iter().find(|f| f.id == id)
     }
 
     /// Entries this shard holds at virtual time `t`: everything handed to it
@@ -165,7 +165,7 @@ mod tests {
     use super::*;
     use liferaft_catalog::{generate::uniform_sky, MaterializedCatalog};
     use liferaft_core::{LifeRaftScheduler, MetricParams};
-    use liferaft_query::{Predicate, QueryPreProcessor};
+    use liferaft_query::{Predicate, QueryId, QueryPreProcessor};
     use liferaft_sim::SimConfig;
 
     #[test]

@@ -10,8 +10,8 @@
 //! - routing is the same at every pre-processing thread count and in any
 //!   split of the trace into consecutive windows;
 //! - the front door, rebalancing, crash failover and the lossy-link
-//!   transport compose: threaded == stepped with any of them on, and every
-//!   class balances its books;
+//!   transport with hedging compose: threaded == stepped with any of them
+//!   on, every class balances its books, and every hedge race settles once;
 //! - any legal subset of them, switched on with configs that never fire,
 //!   is bit-identical to the run with all of them off.
 
@@ -32,9 +32,30 @@ use liferaft_storage::{SimDuration, SimTime};
 use liferaft_workload::arrivals::poisson_arrivals;
 use liferaft_workload::{TimedTrace, TraceGenerator, WorkloadConfig};
 use proptest::prelude::*;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::thread;
+use std::time::Duration;
 
 const LEVEL: u8 = 10;
 const BUCKETS: u32 = 64;
+
+/// Wall-clock bound on one composition case: a run that livelocks fails in
+/// seconds instead of growing until the host runs out of memory.
+const CASE_BOUND: Duration = Duration::from_secs(60);
+
+/// Runs `case` on a thread of its own and returns its result, or fails once
+/// it has run for [`CASE_BOUND`] (a hung case's thread is leaked).
+fn within_bound<T: Send + 'static>(case: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    thread::spawn(move || {
+        let _ = tx.send(case());
+    });
+    match rx.recv_timeout(CASE_BOUND) {
+        Ok(result) => result,
+        Err(RecvTimeoutError::Timeout) => panic!("the case ran past its {CASE_BOUND:?} bound"),
+        Err(RecvTimeoutError::Disconnected) => panic!("the case panicked"),
+    }
+}
 
 /// Exact digest of everything the decision path influences.
 fn fp(r: &RunReport) -> String {
@@ -359,13 +380,13 @@ proptest! {
     /// Composition: front door (off or a tight bound) × rebalancing (off,
     /// 2 s or 5 s epochs) × random crash schedules × failover on/off ×
     /// transport (off, or reliable or hedged behind one lossy whole-run
-    /// link) × schedulers. A hedged draw turns rebalancing and failover off,
-    /// the pairings `validate` refuses, so it races hedges across outages.
-    /// Door passes, epoch boundaries, outage edges and re-deliveries all
-    /// close windows of one run, and a fragment delayed across one of them
-    /// is served where it lands or lost to the outage it lands in, so
-    /// threaded matches stepped bit for bit — globally, per shard, and in
-    /// every decision log — and every class balances its books.
+    /// link) × schedulers. Door passes, epoch boundaries, outage edges,
+    /// re-deliveries and hedge checks all close windows of one run, and a
+    /// fragment delayed across one of them is served where it lands or lost
+    /// to the outage it lands in, so threaded matches stepped bit for bit —
+    /// globally, per shard, and in every decision log — every class
+    /// balances its books, and every hedge race settles once. Each case runs
+    /// under [`CASE_BOUND`], so a livelock fails in seconds.
     #[test]
     fn controllers_compose_deterministically(
         seed in 0u64..10_000,
@@ -381,7 +402,6 @@ proptest! {
         rate_deci in 5u64..40,
     ) {
         let hedged = transport == 2;
-        let (catalog, timed) = fixture(seed, 24, rate_deci as f64 / 10.0);
         let mut config = RuntimeConfig::contiguous(SimConfig::paper(), n_shards);
         if door {
             config.front_door = FrontDoorConfig::bounded(500);
@@ -390,11 +410,11 @@ proptest! {
             config.front_door.max_waiting_assignments = Some(2_000);
         }
         let epoch_s = [0, 2, 5][epoch];
-        if epoch_s > 0 && !hedged {
+        if epoch_s > 0 {
             config.rebalance = RebalanceConfig::every(SimDuration::from_secs(epoch_s));
             config.rebalance.min_imbalance = 1.05;
         }
-        if failover && !hedged {
+        if failover {
             config.failover = FailoverConfig::recovery();
         }
         config.faults.outages = (0..n_outages)
@@ -408,11 +428,13 @@ proptest! {
             })
             .collect();
         if transport > 0 {
-            config.transport = if hedged {
-                TransportConfig::hedged()
-            } else {
-                TransportConfig::reliable()
-            };
+            config.transport = TransportConfig::reliable();
+            if hedged {
+                // Hedges early enough to race most draws' moves.
+                config.transport.hedge = HedgeConfig::p90();
+                config.transport.hedge.min_samples = 4;
+                config.transport.hedge.latency_multiplier = 1.3;
+            }
             config.faults.links = vec![LinkFault {
                 shard: seed as u32 % n_shards,
                 direction: LinkDirection::ToShard,
@@ -426,9 +448,12 @@ proptest! {
                 reorder_delay: SimDuration::from_millis(400),
             }];
         }
-        let rt = ShardedRuntime::new(&catalog, config);
-        let stepped = rt.run(&timed, &mut |_| policy(kind), ExecMode::Stepped);
-        let threaded = rt.run(&timed, &mut |_| policy(kind), ExecMode::Threaded);
+        let (stepped, threaded, n_queries) = within_bound(move || {
+            let (catalog, timed) = fixture(seed, 24, rate_deci as f64 / 10.0);
+            let rt = ShardedRuntime::new(&catalog, config);
+            let run = |mode| rt.run(&timed, &mut |_| policy(kind), mode);
+            (run(ExecMode::Stepped), run(ExecMode::Threaded), timed.len())
+        });
 
         prop_assert_eq!(fp(&stepped.global), fp(&threaded.global));
         for (a, b) in stepped.shards.iter().zip(&threaded.shards) {
@@ -446,7 +471,7 @@ proptest! {
         let tp_rejected = stepped.transport.as_ref().map_or(0, |tp| tp.rejected.len());
         prop_assert_eq!(
             stepped.global.outcomes.len() + fo_rejected + fd_rejected + tp_rejected,
-            timed.len()
+            n_queries
         );
         let books = [
             stepped.failover.as_ref().map(|fo| fo.per_class),
@@ -458,7 +483,7 @@ proptest! {
                 prop_assert_eq!(c.submitted, c.completed + c.rejected, "{:?} class", c.class);
                 submitted += c.submitted;
             }
-            prop_assert_eq!(submitted, timed.len() as u64);
+            prop_assert_eq!(submitted, n_queries as u64);
         }
         if let Some(tp) = &stepped.transport {
             prop_assert_eq!(tp.hedge_wins + tp.hedge_losses, tp.log.hedges.len() as u64);
@@ -617,9 +642,8 @@ proptest! {
     /// failover with no outage, the transport with no link window, hedging
     /// that never trusts a quantile, rebalancing with an unreachable trigger
     /// — leaves the run bit-identical to the all-off run, globally and per
-    /// shard, in both modes, for every scheduler. The 20 legal subsets of
-    /// the 32 are the ones `validate` accepts: hedging needs the transport
-    /// and refuses rebalancing.
+    /// shard, in both modes, for every scheduler. The 24 legal subsets of
+    /// the 32 are the ones `validate` accepts: hedging needs the transport.
     #[test]
     fn never_firing_controllers_are_neutral_in_every_subset(
         seed in 0u64..10_000,
@@ -640,7 +664,7 @@ proptest! {
         for subset in 0u8..32 {
             let on = |bit: u8| subset & (1 << bit) != 0;
             let (door, failover, transport, hedge, rebalance) = (on(0), on(1), on(2), on(3), on(4));
-            if hedge && (!transport || rebalance) {
+            if hedge && !transport {
                 continue;
             }
             legal += 1;
@@ -678,6 +702,6 @@ proptest! {
                 }
             }
         }
-        prop_assert_eq!(legal, 20);
+        prop_assert_eq!(legal, 24);
     }
 }

@@ -6,7 +6,7 @@
 
 use liferaft_catalog::Catalog;
 use liferaft_core::Scheduler;
-use liferaft_query::{CrossMatchQuery, QueryId, WorkItem};
+use liferaft_query::{CrossMatchQuery, FragmentId, QueryId, WorkItem};
 use liferaft_storage::{BucketId, SimDuration, SimTime};
 use liferaft_telemetry::Event;
 
@@ -17,6 +17,8 @@ use crate::report::RunReport;
 /// as one fragment, the runtime's router splits it per shard.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Fragment {
+    /// The fragment's identity, kept by every bucket move of its work.
+    pub id: FragmentId,
     /// Index of the parent query within the driven trace.
     pub query_index: usize,
     /// The parent query.
@@ -35,11 +37,13 @@ pub struct Fragment {
 }
 
 impl Fragment {
-    /// A query's fragment carrying `items`, released at its arrival. With
-    /// no items it is the marker a workless query ships: it registers the
-    /// arrival and completes at once.
+    /// A query's fragment carrying `items`, released at its arrival and
+    /// filed under the query's trace index (the runtime mints its own ids
+    /// when it hands fragments off). With no items it is the marker a
+    /// workless query ships: it registers the arrival and completes at once.
     pub fn new(query_index: usize, query: QueryId, arrival: SimTime, items: Vec<WorkItem>) -> Self {
         Fragment {
+            id: FragmentId(query_index as u32),
             query_index,
             query,
             arrival,
@@ -171,7 +175,7 @@ impl<'a, C: Catalog + ?Sized> Driver<'a, C> {
         {
             let (_, query) = &trace[f.query_index];
             debug_assert_eq!(query.id, f.query, "fragment and trace disagree");
-            self.core.deliver_items(query, &f.items, f.arrival);
+            self.core.deliver_fragment(query, f.id, &f.items, f.arrival);
             scheduler.on_query_arrival(f.arrival);
             self.next += 1;
         }

@@ -17,8 +17,8 @@ use liferaft_core::{
 };
 use liferaft_join::{hybrid, JoinStrategy};
 use liferaft_query::{
-    CrossMatchQuery, Predicate, QueryId, QueryPreProcessor, QueryTracker, QueueEntry, WorkItem,
-    WorkloadQueue, WorkloadTable, PREPROCESS_CHUNK,
+    CrossMatchQuery, FragmentId, Predicate, QueryId, QueryPreProcessor, QueryTracker, QueueEntry,
+    WorkItem, WorkloadQueue, WorkloadTable, PREPROCESS_CHUNK,
 };
 use liferaft_storage::{BucketCache, BucketId, IoStats, SimDuration, SimTime};
 use liferaft_telemetry::{Event, EventKind, NullSink, TelemetrySink};
@@ -126,8 +126,8 @@ pub struct MigratedBucket<'q> {
     pub queue: WorkloadQueue<'q>,
     /// One row per run of `queue`, in `queue.runs()` order: the query's
     /// original arrival and its join predicate (populated only when the
-    /// source executes real joins). The query and its migrating assignment
-    /// count are the run's own.
+    /// source executes real joins). The query, the fragment and the
+    /// migrating assignment count are the run's own.
     pub queries: Vec<(SimTime, Option<Predicate>)>,
     /// Whether the bucket was cache-resident at the source when extracted.
     pub was_resident: bool,
@@ -245,16 +245,29 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
     /// completes *per core* when its local fragment drains. The queues
     /// borrow the query's objects until its work drains, hence `&'a`.
     pub fn deliver_items(&mut self, query: &'a CrossMatchQuery, items: &[WorkItem], at: SimTime) {
+        self.deliver_fragment(query, FragmentId::default(), items, at);
+    }
+
+    /// [`deliver_items`](Self::deliver_items) filed under `fragment`: the
+    /// queued runs and the tracker record carry it.
+    pub fn deliver_fragment(
+        &mut self,
+        query: &'a CrossMatchQuery,
+        fragment: FragmentId,
+        items: &[WorkItem],
+        at: SimTime,
+    ) {
         let assignments: u64 = items.iter().map(|i| i.len() as u64).sum();
         if self.tracker.arrival_of(query.id).is_some() {
             // A migration already carried part of this query here; the
             // fragment tops up the in-flight record (same arrival instant —
             // transferred work keeps the query's original arrival).
             if assignments > 0 {
-                self.tracker.transfer_in(query.id, assignments, at);
+                self.tracker
+                    .transfer_in(query.id, fragment, assignments, at);
             }
         } else {
-            self.tracker.register(query.id, assignments, at);
+            self.tracker.register(query.id, fragment, assignments, at);
         }
         if self.sink.enabled() {
             self.sink.record(
@@ -276,7 +289,7 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
             self.predicates.insert(query.id, query.predicate);
         }
         for item in items {
-            self.table.enqueue(item, query, at);
+            self.table.enqueue_fragment(item, query, fragment, at);
         }
     }
 
@@ -359,7 +372,8 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
                 .arrival_of(q)
                 .expect("queued run for a query the tracker does not know");
             queries.push((arrival, self.predicates.get(&q).copied()));
-            self.tracker.transfer_out(q, run.len() as u64, at);
+            self.tracker
+                .transfer_out(q, run.fragment(), run.len() as u64, at);
             if self.config.execute_joins && self.tracker.arrival_of(q).is_none() {
                 self.predicates.remove(&q);
             }
@@ -388,7 +402,8 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
     pub fn absorb_bucket(&mut self, payload: MigratedBucket<'a>) {
         for (run, &(arrival, predicate)) in payload.queue.runs().zip(&payload.queries) {
             let q = run.query();
-            self.tracker.transfer_in(q, run.len() as u64, arrival);
+            self.tracker
+                .transfer_in(q, run.fragment(), run.len() as u64, arrival);
             self.per_query.entry(q).or_default().insert(payload.bucket);
             if self.config.execute_joins {
                 if let Some(p) = predicate {

@@ -43,10 +43,11 @@ fn door() -> FrontDoorConfig {
 
 /// A 4-shard pool with the scenario's recommended fault injection converted
 /// into the runtime's fault plan. Link-fault scenarios run behind the
-/// hedged transport controller; outage scenarios behind the failover
-/// controller; everything else behind the front door. One controller per
-/// scenario keeps each acceptance bar about one mechanism; the compositions
-/// are pinned by `full_gauntlet`, `front_door_composes_with_hedged_transport`
+/// hedged transport controller ([`hedged_transport`]); outage scenarios
+/// behind the failover controller; everything else behind the front door.
+/// One controller per scenario keeps each acceptance bar about one
+/// mechanism; the compositions are pinned by `full_gauntlet` (every
+/// controller, hedging included), `front_door_composes_with_hedged_transport`
 /// and `hedged_transport_rides_out_an_outage_without_failover`.
 fn pool_config(fx: &ScenarioFixture) -> RuntimeConfig {
     let mut config = RuntimeConfig::contiguous(SimConfig::paper(), 4);
@@ -56,21 +57,26 @@ fn pool_config(fx: &ScenarioFixture) -> RuntimeConfig {
         links: fx.links.clone(),
     };
     if !fx.links.is_empty() {
-        config.transport = TransportConfig::hedged();
-        // Anchor the hedge threshold below the straggler-inflated p90:
-        // with a bimodal response mix a `2 × p90` trigger only clips the
-        // extreme tail, while `1.5 × p75` re-issues stalled fragments
-        // early enough to pull the p90 itself down without duplicating
-        // so much work that the healthy shards clog.
-        config.transport.hedge.quantile = 0.75;
-        config.transport.hedge.latency_multiplier = 1.5;
-        config.transport.hedge.min_samples = 5;
+        config.transport = hedged_transport();
     } else if fx.outages.is_empty() {
         config.front_door = door();
     } else {
         config.failover = FailoverConfig::recovery();
     }
     config
+}
+
+/// The suite's hedged transport. Anchors the hedge threshold below the
+/// straggler-inflated p90: with a bimodal response mix a `2 × p90` trigger
+/// only clips the extreme tail, while `1.5 × p75` re-issues stalled
+/// fragments early enough to pull the p90 itself down without duplicating
+/// so much work that the healthy shards clog.
+fn hedged_transport() -> TransportConfig {
+    let mut transport = TransportConfig::hedged();
+    transport.hedge.quantile = 0.75;
+    transport.hedge.latency_multiplier = 1.5;
+    transport.hedge.min_samples = 5;
+    transport
 }
 
 #[test]
@@ -234,18 +240,18 @@ fn assert_composes(name: &str, fixture: &ScenarioFixture, config: RuntimeConfig)
 
 /// All four controllers at once: the flash crowd behind the front door,
 /// with rebalancing, one shard crashing mid-flash under failover, and the
-/// reliable transport over lossy links into shard 1 and into the crashing
-/// shard 2 — a window that opens before the crash and closes inside it, so
-/// fragments delayed across the down edge are lost to it. The door's charge
-/// follows evacuated and migrated work; a delayed fragment is served where
-/// it lands.
+/// transport over lossy links into shard 1 and into the crashing shard 2 —
+/// a window that opens before the crash and closes inside it, so fragments
+/// delayed across the down edge are lost to it. The door's charge follows
+/// evacuated and migrated work; a delayed fragment is served where it
+/// lands. The transport runs reliable, then hedged: hedge races then follow
+/// their fragments through epoch moves and the crash's evacuation.
 #[test]
 fn full_gauntlet() {
     let fx = build_scenario(ScenarioKind::FlashCrowd, &ScenarioScale::small());
     let mut config = pool_config(&fx);
     config.rebalance = RebalanceConfig::every(SimDuration::from_secs(5));
     config.failover = FailoverConfig::recovery();
-    config.transport = TransportConfig::reliable();
     let secs = |s: u64| SimTime::ZERO + SimDuration::from_secs(s);
     config.faults.outages.push(liferaft::sim::ShardOutage {
         shard: 2,
@@ -265,23 +271,33 @@ fn full_gauntlet() {
         reorder_delay: SimDuration::from_millis(400),
     };
     config.faults.links = vec![lossy(1, secs(0), secs(90)), lossy(2, secs(20), secs(40))];
-    let report = assert_composes("full gauntlet", &fx, config);
-    let tp = report.transport.as_ref().expect("transport reports");
-    assert!(
-        !tp.log.retransmits.is_empty(),
-        "door admissions must cross the lossy links"
-    );
-    let fo = report.failover.as_ref().expect("failover reports");
-    assert!(
-        fo.log.evacuated_entries() > 0,
-        "the crash must land on a backlog"
-    );
-    let rb = report.rebalance.as_ref().expect("rebalancing reports");
-    assert!(!rb.records.is_empty(), "epochs must fire");
-    assert!(
-        report.front_door.as_ref().unwrap().log.total_shed_events() > 0,
-        "the flash crowd must still shed at the door"
-    );
+    for (name, transport) in [
+        ("full gauntlet", TransportConfig::reliable()),
+        ("hedged full gauntlet", hedged_transport()),
+    ] {
+        config.transport = transport;
+        let report = assert_composes(name, &fx, config.clone());
+        let tp = report.transport.as_ref().expect("transport reports");
+        assert!(
+            !tp.log.retransmits.is_empty(),
+            "{name}: door admissions must cross the lossy links"
+        );
+        let fo = report.failover.as_ref().expect("failover reports");
+        assert!(
+            fo.log.evacuated_entries() > 0,
+            "{name}: the crash must land on a backlog"
+        );
+        let rb = report.rebalance.as_ref().expect("rebalancing reports");
+        assert!(!rb.records.is_empty(), "{name}: epochs must fire");
+        assert!(
+            report.front_door.as_ref().unwrap().log.total_shed_events() > 0,
+            "{name}: the flash crowd must still shed at the door"
+        );
+        if transport.hedge.enabled {
+            assert!(!tp.log.hedges.is_empty(), "{name}: stragglers must hedge");
+            assert_eq!(tp.hedge_wins + tp.hedge_losses, tp.log.hedges.len() as u64);
+        }
+    }
 }
 
 /// The front door in front of the hedged lossy-link transport: admitted
@@ -316,10 +332,9 @@ fn front_door_composes_with_hedged_transport() {
     }
 }
 
-/// The hedged transport across an outage with failover off: no bucket moves,
-/// so every race settles on the shards it opened on. A fragment stranded on
-/// the dead shard is a straggler like any other, and a hedge copy on a live
-/// shard may win its race.
+/// The hedged transport across an outage with failover off: nothing is
+/// evacuated, so a fragment stranded on the dead shard is a straggler like
+/// any other, and a hedge copy on a live shard may win its race.
 #[test]
 fn hedged_transport_rides_out_an_outage_without_failover() {
     let fx = build_scenario(ScenarioKind::LossyLink, &ScenarioScale::small());
