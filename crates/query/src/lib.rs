@@ -36,7 +36,7 @@ pub mod tracker;
 
 pub use crossmatch::{CrossMatchQuery, FragmentId, MatchObject, Predicate, QueryId};
 pub use index::CandidateIndex;
-pub use preprocess::{QueryPreProcessor, WorkItem, PREPROCESS_CHUNK};
+pub use preprocess::{QueryPreProcessor, WorkItem};
 pub use queue::{QueueEntry, QueueMemoryStats, RunView, WorkloadQueue, WorkloadTable};
 pub use snapshot::{BucketSnapshot, NoResidency, Residency};
 pub use tracker::QueryTracker;

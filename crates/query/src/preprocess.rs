@@ -40,12 +40,6 @@ impl WorkItem {
     }
 }
 
-/// Queries per pre-processing job — one `parallel_map` item of the
-/// runtime's router, one hand-off of `Simulation`'s producer thread: large
-/// enough to amortize a job's hand-off, small enough that a 10 000-query
-/// trace still balances over threads.
-pub const PREPROCESS_CHUNK: usize = 128;
-
 /// Splits queries into per-bucket work items against a partition.
 #[derive(Debug, Clone)]
 pub struct QueryPreProcessor<'a> {

@@ -20,12 +20,12 @@
 //! constants, tabled in `docs/ARCHITECTURE.md`, "Fixed controller
 //! constants".
 //!
-//! The door holds no work of its own: a waiter is `(index, arrival, class,
-//! assignments)`, sized once at registration. An admitted query is routed
-//! under the live map and handed off exactly like a routed window, and the
-//! door's only feedback is what the shards hold — so its charge follows a
-//! migrated or evacuated bucket, a fragment lost in transit or to a dead
-//! shard is never charged, and a hedge copy is.
+//! A waiter holds its work items from the run's feed, sized at
+//! registration and dropped on rejection. An admitted query's items are
+//! routed under the live map and handed off exactly like a routed window,
+//! and the door's only feedback is what the shards hold — so its charge
+//! follows a migrated or evacuated bucket, a fragment lost in transit or to
+//! a dead shard is never charged, and a hedge copy is.
 //!
 //! # Determinism
 //!
@@ -38,7 +38,7 @@
 use std::collections::BTreeSet;
 
 use liferaft_metrics::Summary;
-use liferaft_query::CrossMatchQuery;
+use liferaft_query::{CrossMatchQuery, WorkItem};
 use liferaft_storage::{SimDuration, SimTime};
 use liferaft_telemetry::{Event, EventKind};
 
@@ -466,6 +466,8 @@ struct PendingQuery {
     class: QueryClass,
     /// Total (object × bucket) assignments the query expands to.
     assignments: u64,
+    /// The query's work items, routed at admission.
+    items: Vec<WorkItem>,
     retries: u32,
     eligible_at: SimTime,
 }
@@ -512,9 +514,10 @@ impl FrontDoor {
         }
     }
 
-    /// Registers an arrival of `assignments` (object × bucket) assignments
-    /// and classifies it (trace order; at most once per index).
-    pub(crate) fn ingest(&mut self, index: usize, arrival: SimTime, assignments: u64) {
+    /// Registers an arrival carrying `items` (trace order; at most once per
+    /// index), classified by its size in assignments, which it returns.
+    pub(crate) fn ingest(&mut self, index: usize, arrival: SimTime, items: Vec<WorkItem>) -> u64 {
+        let assignments = items.iter().map(|i| i.len() as u64).sum();
         debug_assert!(
             self.verdicts[index].is_none(),
             "query {index} ingested twice"
@@ -528,9 +531,11 @@ impl FrontDoor {
             arrival,
             class,
             assignments,
+            items,
             retries: 0,
             eligible_at: arrival,
         });
+        assignments
     }
 
     /// The instant of the latest [`pump`](Self::pump) — the controller's
@@ -553,8 +558,8 @@ impl FrontDoor {
     /// while the bound allows, then shed and reject per the waiting cap,
     /// then record any crossed sample boundaries. `held` is the assignments
     /// the shards hold at `t` — the controller's only feedback signal.
-    /// Returns the trace indices admitted, in admission order.
-    pub(crate) fn pump(&mut self, t: SimTime, held: u64) -> Vec<usize> {
+    /// Returns the `(trace index, items)` admitted, in admission order.
+    pub(crate) fn pump(&mut self, t: SimTime, held: u64) -> Vec<(usize, Vec<WorkItem>)> {
         self.now = self.now.max(t);
         // Wake every backoff entry that has become eligible.
         while let Some(&(at, idx)) = self.backoff.iter().next() {
@@ -595,7 +600,7 @@ impl FrontDoor {
             });
             self.seq += 1;
             self.admitted_queries += 1;
-            admitted.push(idx);
+            admitted.push((idx, p.items));
         }
 
         // Waiting cap: shed batch-class waiters, youngest first, into
@@ -676,9 +681,33 @@ impl FrontDoor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use liferaft_query::QueryId;
+    use liferaft_storage::BucketId;
 
     fn at(s: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_secs(s)
+    }
+
+    /// Registers query `index` carrying `assignments` in one work item (none
+    /// for a zero-work query).
+    fn ingest(door: &mut FrontDoor, index: usize, arrival: SimTime, assignments: u32) {
+        let item = WorkItem {
+            query: QueryId(index as u64),
+            bucket: BucketId(0),
+            object_indices: (0..assignments).collect(),
+        };
+        let items = if assignments == 0 { vec![] } else { vec![item] };
+        assert_eq!(door.ingest(index, arrival, items), assignments as u64);
+    }
+
+    /// One pass; the trace indices admitted, each checked to carry the work
+    /// it registered with.
+    fn pump(door: &mut FrontDoor, t: SimTime, held: u64) -> Vec<usize> {
+        let admitted = door.pump(t, held);
+        for (index, items) in &admitted {
+            assert!(items.iter().all(|i| i.query == QueryId(*index as u64)));
+        }
+        admitted.into_iter().map(|(index, _)| index).collect()
     }
 
     /// Interactive up to 10 assignments, batch from 100.
@@ -705,18 +734,18 @@ mod tests {
         // interactive (youngest, 10). Priority admits interactive first, and
         // the global head-of-line rule then blocks everything else.
         let mut door = FrontDoor::new(cfg(60), 3);
-        door.ingest(0, at(1), 100);
-        door.ingest(1, at(2), 60);
-        door.ingest(2, at(3), 10);
+        ingest(&mut door, 0, at(1), 100);
+        ingest(&mut door, 1, at(2), 60);
+        ingest(&mut door, 2, at(3), 10);
         assert_eq!(
-            door.pump(at(3), 0),
+            pump(&mut door, at(3), 0),
             vec![2],
             "interactive first, rest blocked"
         );
         // Once the pool holds nothing, the standard waiter admits next
         // (priority), then head-of-line blocks the batch one.
-        assert_eq!(door.pump(at(10), 0), vec![1]);
-        assert_eq!(door.pump(at(20), 0), vec![0]);
+        assert_eq!(pump(&mut door, at(10), 0), vec![1]);
+        assert_eq!(pump(&mut door, at(20), 0), vec![0]);
         let log = door.into_log();
         assert_eq!(log.total_rejected(), 0);
         let released = |s, seq| Disposition::Admitted { at: at(s), seq };
@@ -731,19 +760,23 @@ mod tests {
     #[test]
     fn oversized_queries_admit_from_an_empty_pool() {
         let mut door = FrontDoor::new(cfg(10), 1);
-        door.ingest(0, at(1), 500);
-        assert_eq!(door.pump(at(1), 0), vec![0], "empty pool admits anything");
+        ingest(&mut door, 0, at(1), 500);
+        assert_eq!(
+            pump(&mut door, at(1), 0),
+            vec![0],
+            "empty pool admits anything"
+        );
     }
 
     #[test]
     fn zero_work_queries_never_block() {
         let mut door = FrontDoor::new(cfg(10), 2);
-        door.ingest(0, at(1), 500);
-        assert_eq!(door.pump(at(1), 0), vec![0]);
+        ingest(&mut door, 0, at(1), 500);
+        assert_eq!(pump(&mut door, at(1), 0), vec![0]);
         // Pool saturated (500 held against a bound of 10) — yet a zero-work
         // arrival still admits immediately.
-        door.ingest(1, at(2), 0);
-        assert_eq!(door.pump(at(2), 500), vec![1]);
+        ingest(&mut door, 1, at(2), 0);
+        assert_eq!(pump(&mut door, at(2), 500), vec![1]);
     }
 
     #[test]
@@ -752,13 +785,13 @@ mod tests {
         c.max_waiting_assignments = Some(200);
         let mut door = FrontDoor::new(c, 3);
         // Saturate the pool so nothing admits.
-        door.ingest(0, at(1), 400);
-        door.pump(at(1), 0);
+        ingest(&mut door, 0, at(1), 400);
+        pump(&mut door, at(1), 0);
         // Two batch waiters push the queue over the cap (240 > 200):
         // shedding the *youngest* brings it back under, so the older stays.
-        door.ingest(1, at(2), 120);
-        door.ingest(2, at(3), 120);
-        assert!(door.pump(at(3), 400).is_empty(), "nothing admits");
+        ingest(&mut door, 1, at(2), 120);
+        ingest(&mut door, 2, at(3), 120);
+        assert!(pump(&mut door, at(3), 400).is_empty(), "nothing admits");
         assert!(door.has_active(), "the older batch waiter stays");
         assert_eq!(door.next_wakeup(), Some(at(8)), "the 5 s base backoff");
         // Each wake finds the queue still over the cap: shed again, with the
@@ -768,12 +801,12 @@ mod tests {
             let next = door.next_wakeup().expect("the youngest is in backoff");
             assert_eq!(next, wake + SHED_BACKOFF.times(1 << k), "shed {}", k + 1);
             wake = next;
-            assert!(door.pump(wake, 400).is_empty(), "nothing admits");
+            assert!(pump(&mut door, wake, 400).is_empty(), "nothing admits");
         }
         // The shed after the last allowed one rejects.
         assert_eq!(door.next_wakeup(), None);
         // Drain the pool so the survivor admits and the log closes.
-        door.pump(at(100), 0);
+        pump(&mut door, at(100), 0);
         let log = door.into_log();
         assert_eq!(log.total_rejected(), 1);
         assert_eq!(
@@ -791,9 +824,9 @@ mod tests {
     #[test]
     fn samples_record_crossed_boundaries() {
         let mut door = FrontDoor::new(cfg(1_000), 1);
-        door.ingest(0, at(5), 50);
-        door.pump(at(5), 0);
-        door.pump(at(95), 0);
+        ingest(&mut door, 0, at(5), 50);
+        pump(&mut door, at(5), 0);
+        pump(&mut door, at(95), 0);
         let log = door.into_log();
         assert_eq!(log.samples.len(), 3, "boundaries 30/60/90 crossed");
         assert_eq!(log.samples[0].epoch, 1);
@@ -808,9 +841,9 @@ mod tests {
         // Closing the log with a query still waiting is a driver liveness
         // bug; the planner must refuse to paper over it.
         let mut door = FrontDoor::new(cfg(10), 2);
-        door.ingest(0, at(1), 400);
-        door.pump(at(1), 0);
-        door.ingest(1, at(2), 120);
+        ingest(&mut door, 0, at(1), 400);
+        pump(&mut door, at(1), 0);
+        ingest(&mut door, 1, at(2), 120);
         let _ = door.into_log();
     }
 

@@ -343,12 +343,14 @@ pub enum ExecMode {
     /// control instant (outage edge, epoch boundary, re-delivery, front-door
     /// pass, hedge check), advance every worker up to it, fire its handlers.
     /// Stepped advances a window's workers in a plain loop on the calling
-    /// thread. Pinnable by golden tests; the reference semantics.
+    /// thread, which also splits each query as it is routed: no thread is
+    /// spawned. Pinnable by golden tests; the reference semantics.
     Stepped,
     /// Advances a window's workers on one scoped `std::thread` each: a run
     /// without control instants is one window to the end of the trace,
     /// rebalancing, failover and hedging runs get threads window by window,
-    /// and the front door's one-step windows stay on the calling thread.
+    /// and the front door's one-step windows stay on the calling thread;
+    /// queries are split ahead on one thread per shard (capped by cores).
     /// Bit-identical to [`Stepped`](Self::Stepped): workers share nothing
     /// inside a window and meet only at handler instants and in aggregation.
     Threaded,

@@ -1,42 +1,31 @@
-//! The front-end router: queries → per-shard work fragments.
-//!
-//! Arriving queries are pre-processed once (the paper's Query Pre-Processor)
-//! and their per-bucket work items are split by the [`ShardMap`] into
-//! per-shard **fragments**. A fragment is the unit a shard admits, tracks,
-//! and completes; the cross-shard query completes when *all* its fragments
-//! have finished (the `ledger` fold counts their assignments down).
-//!
-//! Routing is a pure function of (partition, shard map, trace window) — it
-//! depends on no execution state. The map changes only at control instants,
-//! so the runtime routes every arrival between two of them in one
-//! [`route_window`] call, and the shards serve the result independently
-//! until the next one.
+//! The front-end router: a [`Feed`]'s per-bucket work items → per-shard
+//! **fragments**, split by the [`ShardMap`]. A fragment is the unit a shard
+//! admits, tracks, and completes; the cross-shard query completes when *all*
+//! its fragments have finished (the `ledger` fold counts their assignments
+//! down). Routing depends on no execution state, and the map changes only
+//! at control instants, so the runtime routes every arrival between two of
+//! them in one [`route_window`] call.
 
 use liferaft_catalog::Partition;
-use liferaft_query::{CrossMatchQuery, FragmentId, QueryPreProcessor, WorkItem, PREPROCESS_CHUNK};
+use liferaft_query::{CrossMatchQuery, FragmentId, WorkItem};
+use liferaft_sim::Feed;
 use liferaft_storage::SimTime;
 use liferaft_workload::TimedTrace;
 
 pub use liferaft_sim::Fragment;
 
 use crate::shard::{ElasticShardMap, ShardMap};
-use crate::sweep::parallel_map;
 
 /// The routing of one trace across one shard map.
 #[derive(Debug, Clone)]
 pub struct Routing {
     /// Per-shard fragment streams, each in arrival order.
     pub shards: Vec<Vec<Fragment>>,
-    /// Per trace index: number of fragments the query split into (at least
-    /// 1 for every routed query — a query whose pre-processing produced no
-    /// work ships as one empty fragment, see [`route`]).
-    pub fragments_of: Vec<u32>,
-    /// Per trace index: total assignments across all fragments.
+    /// Per routed query, in routing order: total assignments across all its
+    /// fragments.
     pub assignments_of: Vec<u64>,
     /// Queries that split across more than one shard.
     pub cross_shard_queries: usize,
-    /// Total assignments across the whole trace.
-    pub total_assignments: u64,
 }
 
 impl Routing {
@@ -62,62 +51,44 @@ impl Routing {
     }
 }
 
-/// Routes `trace` across `map`, splitting every query's work items by the
-/// shard that owns their bucket.
-///
-/// A query whose pre-processing yields no work items still produces one
-/// **empty** fragment, routed to shard 0: the owning worker registers it
-/// (it completes instantly at its arrival) and notifies its scheduler of
-/// the arrival — mirroring what the single-engine `Simulation` does, so
-/// arrival-driven policies (the adaptive controller) see the same stream.
+/// Routes `trace` across `map`: an inline [`Feed`] of the whole trace,
+/// split by [`route_window`].
 pub fn route(partition: &Partition, map: &ShardMap, trace: &TimedTrace) -> Routing {
-    let map = ElasticShardMap::new(*map);
-    route_window(partition, &map, trace.entries(), 0..trace.len(), 1)
-}
-
-/// Routes the trace entries at the indices of `window` under `map`, in the
-/// order given — the one split path: [`route`] is one whole-trace window,
-/// the runtime routes a controller run window by window as the map evolves
-/// between them, and a front-door pass routes just the queries it admitted,
-/// in admission order. Per-query pre-processing spreads over up to
-/// `threads` threads (1 = the calling thread only). Fragments keep their
-/// absolute `query_index`; `fragments_of` and `assignments_of` cover the
-/// window's entries only, in window order. Routing consecutive windows
-/// under one map and concatenating them reproduces routing their union, at
-/// every thread count.
-pub fn route_window(
-    partition: &Partition,
-    map: &ElasticShardMap,
-    entries: &[(SimTime, CrossMatchQuery)],
-    window: impl IntoIterator<Item = usize>,
-    threads: usize,
-) -> Routing {
     assert_eq!(
         partition.num_buckets(),
         map.num_buckets(),
         "shard map must cover the partition"
     );
-    let pre = QueryPreProcessor::new(partition);
-    let window: Vec<usize> = window.into_iter().collect();
-    let chunks: Vec<_> = window.chunks(PREPROCESS_CHUNK).collect();
-    let pre_routed = parallel_map(&chunks, threads, |_, chunk| {
-        chunk
-            .iter()
-            .map(|&i| pre.preprocess(&entries[i].1))
-            .collect::<Vec<_>>()
-    });
+    let entries = trace.entries();
+    let feed = Feed::inline(partition, entries).enumerate();
+    route_window(&ElasticShardMap::new(*map), entries, feed)
+}
 
+/// Splits each `(trace index, items)` of `window`, in the order given, by
+/// the shard owning each item's bucket — the one split path: [`route`] is
+/// one whole-trace window, the runtime routes a controller run window by
+/// window as the map evolves, and a front-door pass routes the queries it
+/// admitted, in admission order. Fragments keep their absolute
+/// `query_index`; consecutive windows concatenate to their union's routing.
+///
+/// A query with no work items still produces one **empty** fragment, routed
+/// to shard 0: its worker registers it (it completes at its arrival) and
+/// tells its scheduler of the arrival, as `Simulation` does, so
+/// arrival-driven policies (the adaptive controller) see the same stream.
+pub fn route_window(
+    map: &ElasticShardMap,
+    entries: &[(SimTime, CrossMatchQuery)],
+    window: impl IntoIterator<Item = (usize, Vec<WorkItem>)>,
+) -> Routing {
     let n_shards = map.n_shards() as usize;
-    let mut shards: Vec<Vec<Fragment>> = vec![Vec::new(); n_shards];
-    let mut fragments_of = Vec::with_capacity(window.len());
-    let mut assignments_of = Vec::with_capacity(window.len());
-    let mut cross_shard_queries = 0usize;
-    let mut total_assignments = 0u64;
+    let mut routing = Routing {
+        shards: vec![Vec::new(); n_shards],
+        assignments_of: Vec::new(),
+        cross_shard_queries: 0,
+    };
     // Per-query scratch: items grouped by shard (reused across queries).
     let mut split: Vec<Vec<WorkItem>> = vec![Vec::new(); n_shards];
-
-    let items_of = pre_routed.into_iter().flatten();
-    for (&index, items) in window.iter().zip(items_of) {
+    for (index, items) in window {
         let (arrival, query) = &entries[index];
         let fragment = |items| Fragment::new(index, query.id, *arrival, items);
         let mut assignments = 0u64;
@@ -129,36 +100,26 @@ pub fn route_window(
         for (shard, items) in split.iter_mut().enumerate() {
             if !items.is_empty() {
                 fragments += 1;
-                shards[shard].push(fragment(std::mem::take(items)));
+                routing.shards[shard].push(fragment(std::mem::take(items)));
             }
         }
         if fragments == 0 {
             // No work anywhere: ship the arrival itself to shard 0.
-            fragments = 1;
-            shards[0].push(fragment(Vec::new()));
+            routing.shards[0].push(fragment(Vec::new()));
         }
         if fragments > 1 {
-            cross_shard_queries += 1;
+            routing.cross_shard_queries += 1;
         }
-        fragments_of.push(fragments);
-        assignments_of.push(assignments);
-        total_assignments += assignments;
+        routing.assignments_of.push(assignments);
     }
-
-    Routing {
-        shards,
-        fragments_of,
-        assignments_of,
-        cross_shard_queries,
-        total_assignments,
-    }
+    routing
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use liferaft_catalog::{generate::uniform_sky, Catalog, MaterializedCatalog};
-    use liferaft_query::{CrossMatchQuery, Predicate, QueryId};
+    use liferaft_query::{CrossMatchQuery, Predicate, QueryId, QueryPreProcessor};
     use liferaft_workload::arrivals::uniform_arrivals;
     use liferaft_workload::Trace;
 
@@ -198,14 +159,15 @@ mod tests {
         let expected: u64 = timed
             .entries()
             .iter()
-            .map(|(_, q)| pre.workload_size(q))
+            .flat_map(|(_, q)| pre.preprocess(q))
+            .map(|item| item.len() as u64)
             .sum();
         for map in [
             ShardMap::contiguous(cat.partition().num_buckets(), 4),
             ShardMap::hashed(cat.partition().num_buckets(), 4, 7),
         ] {
             let routing = route(cat.partition(), &map, &timed);
-            assert_eq!(routing.total_assignments, expected);
+            assert_eq!(routing.assignments_of.iter().sum::<u64>(), expected);
             let by_fragment: u64 = routing.shards.iter().flatten().map(|f| f.assignments).sum();
             assert_eq!(by_fragment, expected);
             // Every item landed on the shard that owns its bucket, and
@@ -221,12 +183,6 @@ mod tests {
                     }
                 }
             }
-            // fragments_of counts match the shard streams.
-            let mut counts = vec![0u32; timed.len()];
-            for f in routing.shards.iter().flatten() {
-                counts[f.query_index] += 1;
-            }
-            assert_eq!(counts, routing.fragments_of);
         }
     }
 
@@ -237,7 +193,6 @@ mod tests {
         let routing = route(cat.partition(), &map, &timed);
         assert_eq!(routing.cross_shard_queries, 0);
         assert_eq!(routing.total_fragments(), timed.len());
-        assert!(routing.fragments_of.iter().all(|&c| c == 1));
     }
 
     #[test]
@@ -247,7 +202,6 @@ mod tests {
         let timed = Trace::new(LEVEL, vec![empty]).with_arrivals(uniform_arrivals(1.0, 1));
         let map = ShardMap::contiguous(cat.partition().num_buckets(), 4);
         let routing = route(cat.partition(), &map, &timed);
-        assert_eq!(routing.fragments_of, vec![1]);
         assert_eq!(routing.shards[0].len(), 1);
         let f = &routing.shards[0][0];
         assert!(f.items.is_empty());

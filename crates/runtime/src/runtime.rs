@@ -29,10 +29,10 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
-use liferaft_catalog::{Catalog, Partition};
+use liferaft_catalog::Catalog;
 use liferaft_core::Scheduler;
-use liferaft_query::{CrossMatchQuery, FragmentId, QueryId, QueryPreProcessor};
-use liferaft_sim::{MigratedBucket, RunReport, ShardOutage};
+use liferaft_query::{CrossMatchQuery, FragmentId, QueryId};
+use liferaft_sim::{Feed, MigratedBucket, RunReport, ShardOutage};
 use liferaft_storage::SimTime;
 use liferaft_telemetry::{Event, TelemetryReport};
 use liferaft_workload::TimedTrace;
@@ -142,18 +142,6 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
         &self.map
     }
 
-    /// Threads a routed window may pre-process on: what the run already
-    /// has — the calling thread alone when stepped, one per shard (capped by
-    /// the host's cores) when threaded.
-    fn route_threads(&self, mode: ExecMode) -> usize {
-        match mode {
-            ExecMode::Stepped => 1,
-            ExecMode::Threaded => std::thread::available_parallelism()
-                .map_or(1, |n| n.get())
-                .min(self.config.n_shards as usize),
-        }
-    }
-
     /// Replays `trace`, scheduling shard `i` with `mk_scheduler(i)`.
     ///
     /// The run is one window loop whatever `mode` asks for: arrivals route
@@ -175,10 +163,31 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
             .enumerate()
             .map(|(i, (_, q))| (q.id, i))
             .collect();
-        let mut ctl = self.controllers(entries, mode);
         let mut pool = self.spawn(entries, mk_scheduler);
-        execute(&mut pool, &mut ctl, mode);
-        self.finish(entries, &index_of, pool, ctl.into_plan())
+        let plan = self.drive(entries, &mut pool, mode);
+        self.finish(entries, &index_of, pool, plan)
+    }
+
+    /// Runs the window loop over `pool` on a [`Feed`] made inside the run's
+    /// thread scope, inline when stepped, and returns the controllers' plan.
+    fn drive<'w>(
+        &'w self,
+        entries: &'w [(SimTime, CrossMatchQuery)],
+        pool: &mut [ShardWorker<'w, C>],
+        mode: ExecMode,
+    ) -> Plan {
+        let producers = match mode {
+            ExecMode::Stepped => 0,
+            ExecMode::Threaded => std::thread::available_parallelism()
+                .map_or(1, |n| n.get())
+                .min(self.config.n_shards as usize),
+        };
+        std::thread::scope(|s| {
+            let feed = Feed::new(s, self.catalog.partition(), entries, producers);
+            let mut ctl = self.controllers(entries, feed);
+            execute(pool, &mut ctl, mode);
+            ctl.into_plan()
+        })
     }
 
     /// The one place workers are made: shard `i` runs under
@@ -203,7 +212,7 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
     fn controllers<'w>(
         &'w self,
         entries: &'w [(SimTime, CrossMatchQuery)],
-        mode: ExecMode,
+        feed: Feed<'w>,
     ) -> Controllers<'w> {
         let cfg = &self.config;
         let n = cfg.n_shards as usize;
@@ -217,10 +226,9 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
         let outages = (cfg.failover.enabled || !cfg.faults.outages.is_empty())
             .then(|| Outages::new(cfg.failover.enabled, &cfg.faults.outages, entries.len()));
         Controllers {
-            partition: self.catalog.partition(),
             config: cfg,
             entries,
-            threads: self.route_threads(mode),
+            feed,
             routed: 0,
             minted: 0,
             map: ElasticShardMap::new(self.map),
@@ -433,11 +441,10 @@ enum Source {
 /// owns its state and appends to its own decision log; `plan` collects what
 /// they produce together.
 struct Controllers<'a> {
-    partition: &'a Partition,
     config: &'a RuntimeConfig,
     entries: &'a [(SimTime, CrossMatchQuery)],
-    /// Pre-processing threads of the window routing.
-    threads: usize,
+    /// The entries' work items: a window routes them, the door registers them.
+    feed: Feed<'a>,
     /// Next trace entry not yet routed (with the door on: registered).
     routed: usize,
     /// The next fragment id to mint.
@@ -530,27 +537,16 @@ impl Controllers<'_> {
             if due == 0 {
                 return bound;
             }
+            // A window opens no later than its first arrival.
+            let opened = self.entries[self.routed].0;
             let window = self.routed..self.routed + due;
             self.routed = window.end;
-            // A window opens no later than its first arrival.
-            let opened = self.entries[window.start].0;
-            let routing = self.route(window);
+            let routing = route_window(&self.map, self.entries, window.zip(&mut self.feed));
             self.plan
                 .assignments_of
                 .extend_from_slice(&routing.assignments_of);
             self.hand_off(workers, routing, opened);
         }
-    }
-
-    /// Routes the trace entries at `window` under the live map.
-    fn route(&self, window: impl IntoIterator<Item = usize>) -> Routing {
-        route_window(
-            self.partition,
-            &self.map,
-            self.entries,
-            window,
-            self.threads,
-        )
     }
 
     /// The one tail of every routing, a window's or a door pass's, handed
@@ -620,24 +616,23 @@ impl Controllers<'_> {
     }
 
     /// One front-door pass at `t`: register every arrival due by now (trace
-    /// order, sized once), then wake backoffs, admit, shed, reject. The
-    /// queries admitted are routed under the live map and handed off like a
-    /// routed window, released at `now`. Admission feedback is what the
-    /// shards hold at `now`, so an admission at `now` depends only on
-    /// batches completed by `now`.
+    /// order, with its work items from the feed), then wake backoffs, admit,
+    /// shed, reject. The queries admitted are routed under the live map and
+    /// handed off like a routed window, released at `now`. Admission
+    /// feedback is what the shards hold at `now`, so an admission at `now`
+    /// depends only on batches completed by `now`.
     fn door_pass<C: Catalog + ?Sized>(&mut self, workers: &mut [ShardWorker<'_, C>], t: SimTime) {
         let Some(door) = self.door.as_mut() else {
             return;
         };
         let now = door.now().max(t);
-        let pre = QueryPreProcessor::new(self.partition);
-        for (arrival, query) in self.entries[self.routed..]
+        let due = self.entries[self.routed..]
             .iter()
-            .take_while(|e| e.0 <= now)
-        {
-            let assignments = pre.workload_size(query);
-            self.plan.assignments_of.push(assignments);
-            door.ingest(self.routed, *arrival, assignments);
+            .take_while(|e| e.0 <= now);
+        for ((arrival, _), items) in due.zip(&mut self.feed) {
+            self.plan
+                .assignments_of
+                .push(door.ingest(self.routed, *arrival, items));
             self.routed += 1;
         }
         let held = workers.iter().map(|w| w.held_at(now)).sum();
@@ -645,7 +640,7 @@ impl Controllers<'_> {
         if admitted.is_empty() {
             return;
         }
-        let mut routing = self.route(admitted);
+        let mut routing = route_window(&self.map, self.entries, admitted);
         for f in routing.shards.iter_mut().flatten() {
             f.release = now;
         }
@@ -1047,8 +1042,11 @@ fn advance<C: Catalog + Sync + ?Sized>(
     match mode {
         ExecMode::Stepped => workers.iter_mut().for_each(run),
         ExecMode::Threaded => std::thread::scope(|scope| {
-            for w in workers.iter_mut().filter(|w| w.driver.due_before(until)) {
-                scope.spawn(move || run(w));
+            let due = workers.iter_mut().filter(|w| w.driver.due_before(until));
+            let running: Vec<_> = due.map(|w| scope.spawn(move || run(w))).collect();
+            // A worker's panic fails the run with its own message.
+            if let Some(panic) = running.into_iter().find_map(|w| w.join().err()) {
+                std::panic::resume_unwind(panic);
             }
         }),
     }
@@ -1062,7 +1060,7 @@ mod tests {
     use liferaft_core::{
         BatchSpec, DecisionStats, LifeRaftScheduler, MetricParams, NoShareScheduler, SchedulerView,
     };
-    use liferaft_query::{CrossMatchQuery, Predicate};
+    use liferaft_query::{CrossMatchQuery, Predicate, QueryPreProcessor};
     use liferaft_sim::SimConfig;
     use liferaft_workload::arrivals::uniform_arrivals;
     use liferaft_workload::Trace;
@@ -1608,7 +1606,8 @@ mod tests {
         let routed: u64 = timed
             .entries()
             .iter()
-            .map(|(_, q)| pre.workload_size(q))
+            .flat_map(|(_, q)| pre.preprocess(q))
+            .map(|item| item.len() as u64)
             .sum();
         assert_eq!(stepped.global.serviced_entries, routed);
     }
@@ -2404,41 +2403,48 @@ mod tests {
 
     #[test]
     fn window_routing_hands_back_the_static_routing() {
+        use crate::admission::FrontDoorConfig;
         use crate::config::RebalanceConfig;
         use crate::router::route;
         use liferaft_storage::SimDuration;
         // Under a rebalance that never triggers, routing window by window
         // between epoch boundaries must leave every worker holding exactly
-        // the stream whole-trace routing builds, fragment for fragment.
+        // the stream whole-trace routing builds, fragment for fragment; and
+        // so must an unbounded front door, which admits every query at its
+        // arrival and routes the items it registered it with.
         let (cat, timed) = fixture(24, 2.0);
         let placements = [1, 3, 4, 5].into_iter().flat_map(|n_shards| {
             [
                 ShardAssignment::Contiguous,
                 ShardAssignment::Hashed { seed: n_shards },
             ]
-            .map(|assignment| (n_shards as u32, assignment))
+            .map(|assignment| (n_shards as u32, assignment, false))
         });
-        for ((n_shards, assignment), mode) in
-            placements.flat_map(|p| [ExecMode::Stepped, ExecMode::Threaded].map(|mode| (p, mode)))
+        let door = (3, ShardAssignment::Hashed { seed: 3 }, true);
+        let cases = placements.chain([door]);
+        for ((n_shards, assignment, door), mode) in
+            cases.flat_map(|c| [ExecMode::Stepped, ExecMode::Threaded].map(|mode| (c, mode)))
         {
             let mut config = RuntimeConfig::contiguous(SimConfig::paper(), n_shards);
             config.assignment = assignment;
             config.rebalance = RebalanceConfig::every(SimDuration::from_secs(2));
             config.rebalance.min_imbalance = 1e12;
+            if door {
+                config.front_door = FrontDoorConfig::bounded(u64::MAX);
+            }
             let rt = ShardedRuntime::new(&cat, config);
             let entries = timed.entries();
-            let mut ctl = rt.controllers(entries, mode);
             let mut pool = rt.spawn(entries, &mut |_| greedy());
-            execute(&mut pool, &mut ctl, mode);
+            let plan = rt.drive(entries, &mut pool, mode);
             let streams: Vec<&[Fragment]> = pool.iter().map(|w| w.driver.fragments()).collect();
             // Ids minted window by window are the ids of one whole-trace mint.
             let mut routing = route(cat.partition(), rt.shard_map(), &timed);
             routing.mint(&mut 0);
-            let case = format!("{n_shards} shards, {assignment:?}, {mode:?}");
+            let case = format!("{n_shards} shards, {assignment:?}, door {door}, {mode:?}");
             assert_eq!(streams, routing.shards, "{case}");
-            let plan = ctl.into_plan();
             let epochs = plan.rebalance.as_ref().map_or(0, |log| log.records.len());
             assert!(epochs > 3, "{case}: the trace must span several windows");
+            assert_eq!(plan.admission.is_some(), door, "{case}");
             assert_eq!(plan.assignments_of, routing.assignments_of, "{case}");
             assert_eq!(plan.total_fragments, routing.total_fragments(), "{case}");
             assert_eq!(
@@ -2472,6 +2478,63 @@ mod tests {
         fn decision_stats(&self) -> DecisionStats {
             self.inner.decision_stats()
         }
+    }
+
+    /// Greedy, counting picks down from `.1`: the pick that reaches zero
+    /// panics.
+    struct PanicsOnPick(LifeRaftScheduler, u32);
+
+    impl Scheduler for PanicsOnPick {
+        fn name(&self) -> String {
+            self.0.name()
+        }
+
+        fn pick(&mut self, view: &dyn SchedulerView) -> Option<BatchSpec> {
+            self.1 -= 1;
+            assert!(self.1 > 0, "the scheduler fails on purpose");
+            self.0.pick(view)
+        }
+    }
+
+    #[test]
+    fn a_threaded_scheduler_panic_fails_the_run_instead_of_hanging() {
+        use crate::config::RebalanceConfig;
+        use liferaft_storage::SimDuration;
+        use std::panic::{self, AssertUnwindSafe};
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let (tx, rx) = mpsc::channel();
+        // A hung run leaks this thread; the timeout below still fails.
+        std::thread::spawn(move || {
+            // 24 chunks of the feed: pick 50 comes long before two producers,
+            // each held a few chunks ahead, have split the last of them.
+            let (cat, timed) = fixture(3_072, 4.0);
+            let mut config = RuntimeConfig::contiguous(SimConfig::paper(), 2);
+            // Epochs that never move a bucket cut the run into 2 s windows,
+            // so the loop reads the feed as it goes.
+            config.rebalance = RebalanceConfig::every(SimDuration::from_secs(2));
+            config.rebalance.min_imbalance = 1e12;
+            let rt = ShardedRuntime::new(&cat, config);
+            let mut scheduler = |_| -> Box<dyn Scheduler + Send> {
+                Box::new(PanicsOnPick(
+                    LifeRaftScheduler::greedy(MetricParams::paper()),
+                    50,
+                ))
+            };
+            let run = panic::catch_unwind(AssertUnwindSafe(|| {
+                rt.run(&timed, &mut scheduler, ExecMode::Threaded)
+            }));
+            let message = run.map_err(|payload| match payload.downcast::<&str>() {
+                Ok(s) => s.to_string(),
+                Err(payload) => *payload.downcast::<String>().expect("a string payload"),
+            });
+            tx.send(message.map(|report| report.global.batches))
+                .unwrap();
+        });
+        let run = rx.recv_timeout(Duration::from_secs(60));
+        let run = run.expect("the run hung after its scheduler panicked");
+        let message = run.expect_err("the scheduler's panic fails the run");
+        assert_eq!(message, "the scheduler fails on purpose");
     }
 
     #[test]

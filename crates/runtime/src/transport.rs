@@ -873,19 +873,14 @@ mod tests {
     }
 
     fn routing(shards: Vec<Vec<Fragment>>, trace_len: usize) -> Routing {
-        let mut fragments_of = vec![0u32; trace_len];
         let mut assignments_of = vec![0u64; trace_len];
         for f in shards.iter().flatten() {
-            fragments_of[f.query_index] += 1;
             assignments_of[f.query_index] += f.assignments;
         }
-        let total_assignments = assignments_of.iter().sum();
         Routing {
             shards,
-            fragments_of,
             assignments_of,
             cross_shard_queries: 0,
-            total_assignments,
         }
     }
 

@@ -20,7 +20,7 @@ use liferaft_core::{
     NoShareScheduler, RoundRobinScheduler, Scheduler, TradeoffCurve, TradeoffTable,
 };
 use liferaft_query::{CrossMatchQuery, QueryPreProcessor};
-use liferaft_runtime::{ExecMode, RuntimeConfig, ShardMap, ShardedRuntime};
+use liferaft_runtime::{ExecMode, RuntimeConfig, ShardAssignment, ShardMap, ShardedRuntime};
 use liferaft_sim::{RunReport, SimConfig, Simulation};
 use liferaft_storage::SimDuration;
 use liferaft_workload::arrivals::poisson_arrivals;
@@ -97,66 +97,97 @@ fn timed(entries: &[(liferaft_storage::SimTime, CrossMatchQuery)]) -> TimedTrace
     Trace::new(LEVEL, queries).with_arrivals(arrivals)
 }
 
+/// Checks shard decomposition on a `len`-query draw placed by `assignment`.
+fn shards_are_independent_simulations(
+    seed: u64,
+    n_shards: u32,
+    rate_deci: u64,
+    assignment: ShardAssignment,
+    len: usize,
+) {
+    let catalog = VirtualCatalog::new(LEVEL, BUCKETS, 50, 4096, seed);
+    let cfg = WorkloadConfig::paper_like(LEVEL, BUCKETS, len, seed ^ 0x51);
+    let trace = TraceGenerator::new(cfg).generate();
+    let arrivals = poisson_arrivals(rate_deci as f64 / 10.0, trace.len(), seed ^ 0xBEEF);
+    let full = trace.with_arrivals(arrivals);
+
+    // Keep the queries that live on one shard, and note which.
+    let map = ShardMap::new(BUCKETS as usize, n_shards, assignment);
+    let pre = QueryPreProcessor::new(catalog.partition());
+    let mut kept = Vec::new();
+    let mut home = Vec::new();
+    for entry in full.entries() {
+        let items = pre.preprocess(&entry.1);
+        let mut shards = items.iter().map(|i| map.shard_of(i.bucket).index());
+        let first = shards.next().unwrap_or(0);
+        if shards.all(|s| s == first) {
+            kept.push(entry.clone());
+            home.push(first);
+        }
+    }
+    let populated = (0..n_shards as usize).filter(|s| home.contains(s)).count();
+    prop_assert!(
+        populated >= 2,
+        "{} of {} queries kept, on {} shard(s)",
+        kept.len(),
+        full.len(),
+        populated
+    );
+
+    let mut config = RuntimeConfig::contiguous(SimConfig::paper(), n_shards);
+    config.assignment = assignment;
+    let rt = ShardedRuntime::new(&catalog, config);
+    let sim = Simulation::new(&catalog, SimConfig::paper());
+    let kept_trace = timed(&kept);
+    for kind in 0u8..6 {
+        for mode in [ExecMode::Stepped, ExecMode::Threaded] {
+            let run = rt.run(&kept_trace, &mut |_| policy(kind), mode);
+            prop_assert_eq!(run.cross_shard_queries, 0);
+            for (shard, got) in run.shards.iter().enumerate() {
+                let mine: Vec<_> = kept
+                    .iter()
+                    .zip(&home)
+                    .filter(|&(_, &h)| h == shard)
+                    .map(|(e, _)| e.clone())
+                    .collect();
+                let want = sim.run(&timed(&mine), policy(kind).as_mut());
+                prop_assert_eq!(
+                    fp(&got.report),
+                    fp(&want),
+                    "scheduler {}, {:?}, shard {} of {}",
+                    kind,
+                    mode,
+                    shard,
+                    n_shards
+                );
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Shard decomposition (see the module docs), for every scheduler in
-    /// both executors.
+    /// Shard decomposition (see the module docs) under contiguous
+    /// placement, for every scheduler in both executors.
     #[test]
     fn contiguous_shards_are_independent_simulations(
         seed in 0u64..10_000,
         n_shards in 2u32..5,
         rate_deci in 2u64..40,
     ) {
-        let catalog = VirtualCatalog::new(LEVEL, BUCKETS, 50, 4096, seed);
-        let cfg = WorkloadConfig::paper_like(LEVEL, BUCKETS, 120, seed ^ 0x51);
-        let trace = TraceGenerator::new(cfg).generate();
-        let arrivals = poisson_arrivals(rate_deci as f64 / 10.0, trace.len(), seed ^ 0xBEEF);
-        let full = trace.with_arrivals(arrivals);
+        shards_are_independent_simulations(seed, n_shards, rate_deci, ShardAssignment::Contiguous, 120);
+    }
 
-        // Keep the queries that live on one shard, and note which.
-        let map = ShardMap::contiguous(BUCKETS as usize, n_shards);
-        let pre = QueryPreProcessor::new(catalog.partition());
-        let mut kept = Vec::new();
-        let mut home = Vec::new();
-        for entry in full.entries() {
-            let items = pre.preprocess(&entry.1);
-            let mut shards = items.iter().map(|i| map.shard_of(i.bucket).index());
-            let first = shards.next().unwrap_or(0);
-            if shards.all(|s| s == first) {
-                kept.push(entry.clone());
-                home.push(first);
-            }
-        }
-        let populated = (0..n_shards as usize).filter(|s| home.contains(s)).count();
-        prop_assert!(populated >= 2, "{} of {} queries kept, on {} shard(s)", kept.len(), full.len(), populated);
-
-        let rt = ShardedRuntime::new(&catalog, RuntimeConfig::contiguous(SimConfig::paper(), n_shards));
-        let sim = Simulation::new(&catalog, SimConfig::paper());
-        let kept_trace = timed(&kept);
-        for kind in 0u8..6 {
-            for mode in [ExecMode::Stepped, ExecMode::Threaded] {
-                let run = rt.run(&kept_trace, &mut |_| policy(kind), mode);
-                prop_assert_eq!(run.cross_shard_queries, 0);
-                for (shard, got) in run.shards.iter().enumerate() {
-                    let mine: Vec<_> = kept
-                        .iter()
-                        .zip(&home)
-                        .filter(|&(_, &h)| h == shard)
-                        .map(|(e, _)| e.clone())
-                        .collect();
-                    let want = sim.run(&timed(&mine), policy(kind).as_mut());
-                    prop_assert_eq!(
-                        fp(&got.report),
-                        fp(&want),
-                        "scheduler {}, {:?}, shard {} of {}",
-                        kind,
-                        mode,
-                        shard,
-                        n_shards
-                    );
-                }
-            }
-        }
+    /// The same under hashed placement (`pool_threaded`'s), where a query
+    /// lives on one shard less often, so the draw is larger.
+    #[test]
+    fn hashed_shards_are_independent_simulations(
+        seed in 0u64..10_000,
+        n_shards in 2u32..5,
+        rate_deci in 2u64..40,
+    ) {
+        let assignment = ShardAssignment::Hashed { seed: seed ^ 0x5AD };
+        shards_are_independent_simulations(seed, n_shards, rate_deci, assignment, 400);
     }
 }

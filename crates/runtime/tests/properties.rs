@@ -7,8 +7,8 @@
 //! - a single-shard unbounded runtime reproduces `Simulation::run` exactly;
 //! - work is conserved: every routed assignment is serviced exactly once,
 //!   and every query completes no earlier than its arrival;
-//! - routing is the same at every pre-processing thread count and in any
-//!   split of the trace into consecutive windows;
+//! - routing is the same in any split of the trace into consecutive
+//!   windows;
 //! - the front door, rebalancing, crash failover and the lossy-link
 //!   transport with hedging compose: threaded == stepped with any of them
 //!   on, every class balances its books, and every hedge race settles once;
@@ -26,7 +26,7 @@ use liferaft_runtime::{
     ShardAssignment, ShardMap, ShardedRuntime, TransportConfig,
 };
 use liferaft_sim::{
-    LinkDirection, LinkFault, RunReport, ShardOutage, ShardSlowdown, SimConfig, Simulation,
+    Feed, LinkDirection, LinkFault, RunReport, ShardOutage, ShardSlowdown, SimConfig, Simulation,
 };
 use liferaft_storage::{SimDuration, SimTime};
 use liferaft_workload::arrivals::poisson_arrivals;
@@ -110,29 +110,26 @@ fn policy(kind: u8) -> Box<dyn Scheduler + Send> {
 
 fn same_routing(a: &Routing, b: &Routing) -> bool {
     a.shards == b.shards
-        && a.fragments_of == b.fragments_of
         && a.assignments_of == b.assignments_of
         && a.cross_shard_queries == b.cross_shard_queries
-        && a.total_assignments == b.total_assignments
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Pre-processing on 2, 3 or 8 threads (more threads than the trace has
-    /// chunks included) routes exactly like the calling thread alone, and so
-    /// does routing the trace in uneven consecutive windows and
-    /// concatenating them. (That a controller run's window-by-window
-    /// routing hands back these very streams is pinned next to the window
-    /// loop, in `runtime.rs`.)
+    /// Routing the trace in uneven consecutive windows and concatenating
+    /// them routes exactly like one whole-trace window. (That the feed
+    /// yields the serial split at any producer count is pinned next to it,
+    /// in `liferaft-sim`; that a controller run's window-by-window routing
+    /// hands back these very streams is pinned next to the window loop, in
+    /// `runtime.rs`.)
     #[test]
-    fn routing_is_identical_at_every_thread_count(
+    fn consecutive_windows_route_like_the_whole_trace(
         seed in 0u64..10_000,
         n_shards in 1u32..6,
         hashed in proptest::bool::ANY,
         mut cuts in proptest::collection::vec(0usize..=300, 0..6),
     ) {
-        // Three pre-processing chunks, the last one ragged.
         let (catalog, timed) = fixture(seed, 300, 4.0);
         let partition = catalog.partition();
         let map = if hashed {
@@ -142,38 +139,29 @@ proptest! {
         };
 
         let serial = route(partition, &map, &timed);
-        prop_assert_eq!(serial.fragments_of.len(), timed.len());
+        prop_assert_eq!(serial.assignments_of.len(), timed.len());
         let elastic = ElasticShardMap::new(map);
         let entries = timed.entries();
-        for threads in [1usize, 2, 3, 8] {
-            let r = route_window(partition, &elastic, entries, 0..timed.len(), threads);
-            prop_assert!(same_routing(&r, &serial), "route at {} threads", threads);
-        }
 
         // Windows: the drawn cut points (empty windows included) plus a
         // one-query window at the front.
         cuts.extend([0, 1, timed.len()]);
         cuts.sort_unstable();
-        for threads in [1usize, 3] {
-            let mut joined = Routing {
-                shards: vec![Vec::new(); n_shards as usize],
-                fragments_of: Vec::new(),
-                assignments_of: Vec::new(),
-                cross_shard_queries: 0,
-                total_assignments: 0,
-            };
-            for w in cuts.windows(2) {
-                let r = route_window(partition, &elastic, entries, w[0]..w[1], threads);
-                for (stream, part) in joined.shards.iter_mut().zip(r.shards) {
-                    stream.extend(part);
-                }
-                joined.fragments_of.extend(r.fragments_of);
-                joined.assignments_of.extend(r.assignments_of);
-                joined.cross_shard_queries += r.cross_shard_queries;
-                joined.total_assignments += r.total_assignments;
+        let mut feed = Feed::inline(partition, entries).enumerate();
+        let mut joined = Routing {
+            shards: vec![Vec::new(); n_shards as usize],
+            assignments_of: Vec::new(),
+            cross_shard_queries: 0,
+        };
+        for w in cuts.windows(2) {
+            let r = route_window(&elastic, entries, feed.by_ref().take(w[1] - w[0]));
+            for (stream, part) in joined.shards.iter_mut().zip(r.shards) {
+                stream.extend(part);
             }
-            prop_assert!(same_routing(&joined, &serial), "windows {:?} at {} threads", cuts, threads);
+            joined.assignments_of.extend(r.assignments_of);
+            joined.cross_shard_queries += r.cross_shard_queries;
         }
+        prop_assert!(same_routing(&joined, &serial), "windows {:?}", cuts);
     }
 }
 
@@ -207,7 +195,12 @@ proptest! {
 
         // Conservation: every routed assignment serviced exactly once.
         let pre = QueryPreProcessor::new(catalog.partition());
-        let expected: u64 = timed.entries().iter().map(|(_, q)| pre.workload_size(q)).sum();
+        let expected: u64 = timed
+            .entries()
+            .iter()
+            .flat_map(|(_, q)| pre.preprocess(q))
+            .map(|item| item.len() as u64)
+            .sum();
         prop_assert_eq!(stepped.global.serviced_entries, expected);
         prop_assert_eq!(stepped.global.outcomes.len(), timed.len());
         for o in &stepped.global.outcomes {

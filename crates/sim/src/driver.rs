@@ -292,7 +292,7 @@ mod tests {
     use std::time::Duration;
 
     use super::*;
-    use crate::engine::CHUNKS_AHEAD;
+    use crate::feed::{CHUNKS_AHEAD, PREPROCESS_CHUNK};
     use crate::{SimConfig, Simulation};
     use liferaft_catalog::{generate::uniform_sky, MaterializedCatalog};
     use liferaft_core::adaptive::TradeoffPoint;
@@ -300,7 +300,7 @@ mod tests {
         AdaptiveScheduler, AgingMode, AlphaController, BatchSpec, LifeRaftScheduler, MetricParams,
         NoShareScheduler, RoundRobinScheduler, SchedulerView, TradeoffCurve, TradeoffTable,
     };
-    use liferaft_query::{Predicate, QueryPreProcessor, PREPROCESS_CHUNK};
+    use liferaft_query::{Predicate, QueryPreProcessor};
     use liferaft_workload::{TimedTrace, Trace};
 
     const LEVEL: u8 = 8;

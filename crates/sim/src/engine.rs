@@ -3,12 +3,11 @@
 //! The batch-execution machinery lives in [`EngineCore`], a stepped state
 //! machine over one workload table + bucket cache + tracker. The one loop
 //! that drives a core is the [`Driver`]: `Simulation` feeds it one arrival
-//! at a time, pre-processed ahead on a producer thread, and the sharded
-//! runtime (`liferaft-runtime`) runs one per shard.
+//! at a time from a [`Feed`], and the sharded runtime (`liferaft-runtime`)
+//! runs one per shard.
 
 use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
-use std::sync::mpsc;
 use std::thread;
 
 use liferaft_catalog::{Catalog, SkyObject};
@@ -17,8 +16,8 @@ use liferaft_core::{
 };
 use liferaft_join::{hybrid, JoinStrategy};
 use liferaft_query::{
-    CrossMatchQuery, FragmentId, Predicate, QueryId, QueryPreProcessor, QueryTracker, QueueEntry,
-    WorkItem, WorkloadQueue, WorkloadTable, PREPROCESS_CHUNK,
+    CrossMatchQuery, FragmentId, Predicate, QueryId, QueryTracker, QueueEntry, WorkItem,
+    WorkloadQueue, WorkloadTable,
 };
 use liferaft_storage::{BucketCache, BucketId, IoStats, SimDuration, SimTime};
 use liferaft_telemetry::{Event, EventKind, NullSink, TelemetrySink};
@@ -26,6 +25,7 @@ use liferaft_workload::TimedTrace;
 
 use crate::config::SimConfig;
 use crate::driver::{Driver, Fragment};
+use crate::feed::Feed;
 use crate::report::RunReport;
 
 /// A simulation of one archive under one catalog and configuration.
@@ -68,12 +68,9 @@ impl<'a, C: Catalog + ?Sized> Simulation<'a, C> {
     /// execute identical batch semantics.
     ///
     /// The runtime's window loop with one window per arrival: the [`Driver`]
-    /// advances up to each arrival, then takes that query's one fragment.
-    /// Pre-processing depends on nothing the run changes, so one scoped
-    /// producer thread splits the trace into work items ahead of the loop,
-    /// [`PREPROCESS_CHUNK`] queries at a time, a bounded number of chunks
-    /// ahead. The driver, the scheduler and the sink stay on the calling
-    /// thread, so the run is bit-identical to pre-processing inline.
+    /// advances up to each arrival, then takes that query's one fragment from
+    /// a [`Feed`] with one producer thread. The driver, the scheduler and the
+    /// sink stay on the calling thread, so the run equals an inline split.
     pub fn run_with_sink(
         &self,
         trace: &TimedTrace,
@@ -84,21 +81,11 @@ impl<'a, C: Catalog + ?Sized> Simulation<'a, C> {
         core.set_sink(sink);
         let entries = trace.entries();
         let mut driver = Driver::new(core, entries, Vec::new(), Vec::new());
-        let pre = QueryPreProcessor::new(self.catalog.partition());
         thread::scope(|s| {
-            let (tx, rx) = mpsc::sync_channel(CHUNKS_AHEAD);
-            s.spawn(move || {
-                for chunk in entries.chunks(PREPROCESS_CHUNK) {
-                    let items: Vec<_> = chunk.iter().map(|(_, q)| pre.preprocess(q)).collect();
-                    if tx.send(items).is_err() {
-                        return; // The loop unwound and dropped the receiver.
-                    }
-                }
-            });
-            let mut items_of = rx.iter().flatten();
+            let mut feed = Feed::new(s, self.catalog.partition(), entries, 1);
             for (i, (at, query)) in entries.iter().enumerate() {
                 driver.advance_until(Some(*at), scheduler);
-                let items = items_of.next().expect("the pre-processing thread panicked");
+                let items = feed.next().expect("the feed yields every query");
                 driver.append_fragments(vec![Fragment::new(i, query.id, *at, items)]);
             }
         });
@@ -107,10 +94,6 @@ impl<'a, C: Catalog + ?Sized> Simulation<'a, C> {
         (report, events)
     }
 }
-
-/// Pre-processed chunks the producer may hold ready: enough to ride out a
-/// long batch, few enough to keep the items in flight small.
-pub(crate) const CHUNKS_AHEAD: usize = 4;
 
 /// The portable state of one bucket leaving an [`EngineCore`] — the elastic
 /// runtime's migration payload. Carries the bucket's queue as it stood (its
@@ -793,7 +776,7 @@ mod tests {
         SchedulerView,
     };
     use liferaft_htm::HtmId;
-    use liferaft_query::{CrossMatchQuery, Predicate};
+    use liferaft_query::{CrossMatchQuery, Predicate, QueryPreProcessor};
     use liferaft_workload::arrivals::uniform_arrivals;
     use liferaft_workload::Trace;
     use std::sync::atomic::{AtomicU64, Ordering};

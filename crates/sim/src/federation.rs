@@ -19,12 +19,13 @@ use liferaft_catalog::Catalog;
 use liferaft_core::Scheduler;
 use liferaft_join::sweep::sweep_join;
 use liferaft_metrics::Summary;
-use liferaft_query::{CrossMatchQuery, QueryId, QueryPreProcessor, QueueEntry};
+use liferaft_query::{CrossMatchQuery, QueryId, QueueEntry, WorkItem};
 use liferaft_storage::SimTime;
 use liferaft_workload::{TimedTrace, Trace};
 
 use crate::config::SimConfig;
 use crate::engine::Simulation;
+use crate::feed::Feed;
 use crate::report::RunReport;
 
 /// The outcome of a federated chain run.
@@ -88,8 +89,9 @@ pub fn run_chain(
         let next_level = sites.get(k + 1).map(|s| s.partition().level());
         let mut next: Vec<(SimTime, CrossMatchQuery)> = Vec::new();
         let mut dropped_here = 0usize;
-        for (_, query) in current.entries() {
-            let matches = site_matches(*site, query);
+        let feed = Feed::inline(site.partition(), current.entries());
+        for ((_, query), items) in current.entries().iter().zip(feed) {
+            let matches = site_matches(*site, query, &items);
             let completion = completions
                 .get(&query.id)
                 .copied()
@@ -136,12 +138,15 @@ pub fn run_chain(
 }
 
 /// The deterministic (scheduler-independent) cross-match result of one query
-/// at one site: deduplicated matched catalog positions with the query's
-/// error radii.
-fn site_matches(site: &dyn Catalog, query: &CrossMatchQuery) -> Vec<(liferaft_htm::Vec3, f64)> {
-    let pre = QueryPreProcessor::new(site.partition());
+/// at one site, from its `items` there: deduplicated matched catalog
+/// positions with the query's error radii.
+fn site_matches(
+    site: &dyn Catalog,
+    query: &CrossMatchQuery,
+    items: &[WorkItem],
+) -> Vec<(liferaft_htm::Vec3, f64)> {
     let mut matched: Vec<(liferaft_htm::HtmId, liferaft_htm::Vec3, f64)> = Vec::new();
-    for item in pre.preprocess(query) {
+    for item in items {
         let objects = site.bucket_objects(item.bucket);
         let entries: Vec<QueueEntry> = item
             .object_indices

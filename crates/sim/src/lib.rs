@@ -21,8 +21,8 @@
 //! [`engine`] holds [`EngineCore`], one batch per call; [`driver`] holds the
 //! one loop over it, the [`Driver`] that [`Simulation`] and every shard of
 //! `liferaft-runtime` run. The loop is serial; only pre-processing, which no
-//! decision feeds back into, runs ahead of it on a second thread
-//! ([`Simulation::run_with_sink`]).
+//! decision feeds back into, runs ahead of it, and only through [`feed`]'s
+//! [`Feed`], the one path from a trace to its work items.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -32,6 +32,7 @@ pub mod config;
 pub mod driver;
 pub mod engine;
 pub mod federation;
+pub mod feed;
 pub mod report;
 pub mod scenario;
 
@@ -40,6 +41,7 @@ pub use config::SimConfig;
 pub use driver::{Driver, Fragment};
 pub use engine::{EngineCore, MigratedBucket, Simulation};
 pub use federation::{run_chain, FederationReport};
+pub use feed::Feed;
 pub use liferaft_workload::TimedTrace;
 pub use report::RunReport;
 pub use scenario::{
