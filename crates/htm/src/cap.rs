@@ -28,14 +28,19 @@ pub struct Cap {
     /// 0.1% relative radius margin is ~10¹² ULPs of the screened quantity;
     /// infinite (no circle ever passes) below [`STRICT_MIN_RADIUS`].
     strict_screen: f64,
+    /// Cached sin²(radius × 0.999): the batch coverer's crossing screen —
+    /// "this great circle certainly cuts through the cap". Zero (no circle
+    /// ever passes) below [`STRICT_MIN_RADIUS`].
+    cross_screen: f64,
 }
 
-/// Radius below which a cap gets no strict screen: [`Cap::contains`] decides
-/// by `p·c ≥ cos r`, and a point 0.1% of `r` outside the cap is only
-/// `0.001·r²` short of `cos r` — 4·10⁻¹⁵ at this radius, still clear of the
-/// few 10⁻¹⁶ the dot product rounds by, but not at a tenth of it (at radii
-/// of 10⁻⁹–10⁻⁶ and level 29, 2 of 180 000 fuzzed batch covers differed from
-/// the reference). Smaller caps take the exact classifier at every step.
+/// Radius below which a cap gets no strict or crossing screen:
+/// [`Cap::contains`] decides by `p·c ≥ cos r`, and a point 0.1% of `r`
+/// outside the cap is only `0.001·r²` short of `cos r` — 4·10⁻¹⁵ at this
+/// radius, still clear of the few 10⁻¹⁶ the dot product rounds by, but not
+/// at a tenth of it (at radii of 10⁻⁹–10⁻⁶ and level 29, 2 of 180 000 fuzzed
+/// batch covers differed from the reference). Smaller caps take the exact
+/// classifier at every step.
 const STRICT_MIN_RADIUS: f64 = 2e-6;
 
 impl Cap {
@@ -50,16 +55,19 @@ impl Cap {
         );
         let sin_radius = radius.sin();
         let strict = (radius * 1.001).min(std::f64::consts::FRAC_PI_2).sin();
+        let cross = (radius * 0.999).sin();
+        let screened = radius >= STRICT_MIN_RADIUS;
         Cap {
             center,
             radius,
             cos_radius: radius.cos(),
             arc_screen: sin_radius * sin_radius * (1.0 + 2e-9),
-            strict_screen: if radius < STRICT_MIN_RADIUS {
-                f64::INFINITY
-            } else {
+            strict_screen: if screened {
                 strict * strict
+            } else {
+                f64::INFINITY
             },
+            cross_screen: if screened { cross * cross } else { 0.0 },
         }
         .recentered(center)
     }
@@ -102,6 +110,12 @@ impl Cap {
     #[inline]
     pub(crate) fn strict_screen(&self) -> f64 {
         self.strict_screen
+    }
+
+    /// sin²(radius × 0.999) — the batch coverer's crossing screen.
+    #[inline]
+    pub(crate) fn cross_screen(&self) -> f64 {
+        self.cross_screen
     }
 
     /// True if the unit vector lies inside the cap (inclusive).

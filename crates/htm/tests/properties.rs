@@ -168,6 +168,68 @@ fn arb_cap_batch() -> impl Strategy<Value = Vec<Cap>> {
         })
 }
 
+/// A batch of small caps (radius 2e-6 to 1e-3) straddling the mesh: each is
+/// centered within 1.5 radii of a cut (the arc between two edge midpoints),
+/// an edge, or a vertex — a corner or an edge midpoint, shared by up to six
+/// trixels — of a trixel at `level`, the trixel holding the hub or a point
+/// near it; about half of them exactly one radius off the feature, where
+/// the screen must not certify what rounding decides. Covered below `level`,
+/// every cut of the trixel is a mesh edge the walk must certify crossings
+/// of, or refuse.
+fn arb_straddling_batch() -> impl Strategy<Value = (Vec<Cap>, u8)> {
+    let member = (
+        (0u8..3, 0usize..3, 0.0..1.0f64),
+        (-1.5..1.5f64, -1.0..1.0f64, proptest::bool::ANY),
+        0.0..=1.0f64,
+        proptest::bool::ANY,
+    );
+    (
+        arb_point(),
+        6u8..=20,
+        proptest::collection::vec(member, 0..24),
+    )
+        .prop_map(|(hub, level, members)| {
+            let home = trixel_of(locate(hub, level));
+            let caps = members
+                .into_iter()
+                .map(|((kind, k, t), (off, along, rim), r, away)| {
+                    let radius = log_uniform(2e-6, 1e-3, r);
+                    // Now and then a neighbour of the hub's trixel.
+                    let near = nudged(hub, off * 1e-3, along * 1e-3);
+                    let trixel = if away {
+                        trixel_of(locate(near, level))
+                    } else {
+                        home
+                    };
+                    let v = *trixel.corners();
+                    let w = trixel.midpoints();
+                    let (a, b) = match kind {
+                        0 => (w[(k + 1) % 3], w[(k + 2) % 3]),
+                        1 => (v[k], v[(k + 1) % 3]),
+                        _ => (v[k], w[(k + 1) % 3]),
+                    };
+                    // Off the feature by `off` radii (exactly one on the
+                    // rim cases): across its great circle for an arc, in
+                    // any direction for a vertex.
+                    let off = if rim { off.signum() } else { off } * radius;
+                    let center = if kind == 2 {
+                        let vertex = if t < 0.5 { a } else { b };
+                        let turn = along * std::f64::consts::PI;
+                        let (du, dv) = (turn.cos(), turn.sin());
+                        nudged(vertex, off * du, off * dv)
+                    } else {
+                        let on = (a.scale(1.0 - t) + b.scale(t)).normalized();
+                        let normal = a.cross(b).normalized();
+                        let toward = (normal - on.scale(on.dot(normal))).normalized();
+                        (on.scale(off.cos()) + toward.scale(off.sin())).normalized()
+                    };
+                    Cap::new(center, radius)
+                })
+                .collect();
+            (caps, level)
+        })
+}
+
 /// The batch coverer's contract at one level and budget: every cap gets the
 /// reference coverer's set, inside the documented bound, whatever company
 /// and order it is covered in.
@@ -328,12 +390,22 @@ proptest! {
     }
 
     /// The batch cover is `Coverer::cover_bounded` per cap, bit for bit, at
-    /// every level and budget, for any order or chunking of the caps.
+    /// every level and budget, for any order or chunking of the caps — and
+    /// for caps straddling cuts, edges and vertices at budgets small enough
+    /// to bind where up to six trixels meet.
     #[test]
-    fn batch_cover_is_the_reference_cover(caps in arb_cap_batch()) {
+    fn batch_cover_is_the_reference_cover(
+        caps in arb_cap_batch(),
+        (straddling, at) in arb_straddling_batch(),
+    ) {
         for level in [0u8, 6, 12, 29] {
             for budget in [1usize, 4, 16] {
                 assert_batch_is_the_reference(&caps, level, budget);
+            }
+        }
+        for level in [at + 1, at + 3] {
+            for budget in 1usize..=4 {
+                assert_batch_is_the_reference(&straddling, level, budget);
             }
         }
     }
