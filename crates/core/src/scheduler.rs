@@ -190,11 +190,9 @@ pub trait SchedulerView {
 /// cursor state; a blanket impl derives the whole [`SchedulerView`]
 /// candidate surface from the table's indexed accessors — so the engine,
 /// the benches, and the equivalence tests all run the exact same dispatch
-/// instead of hand-mirrored adapter copies.
-///
-/// φ freshness is the implementor's contract: call
-/// [`WorkloadTable::sync_residency`] before handing the view to a
-/// scheduler.
+/// instead of hand-mirrored adapter copies. The table's φ bits are
+/// whatever its owner pushed through [`WorkloadTable::set_resident`], so
+/// they are current whenever the view is read.
 pub trait IndexedSchedulerView {
     /// Current virtual time.
     fn now(&self) -> SimTime;

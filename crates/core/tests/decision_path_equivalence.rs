@@ -1,10 +1,13 @@
 //! The decision-path equivalence pin: for every scheduler and every α, the
 //! pick made through the **candidate index** (a view over the live
-//! `WorkloadTable`, φ synced via the residency mutation log) must equal the
-//! pick made through the **legacy path** (`snapshots_into` gather + scan
-//! over the materialized slice) — across arbitrary interleavings of
-//! enqueues (narrow, and one query fanned wide at one instant so scores
-//! tie), full/per-query drains, and cache accesses/evictions/flushes.
+//! `WorkloadTable`, φ pushed through `set_resident` at every cache change)
+//! must equal the pick made through the **legacy path** (a
+//! `for_each_candidate` gather with φ probed from `BucketCache::contains`,
+//! then a scan over the materialized slice) — across arbitrary
+//! interleavings of enqueues (narrow, and one query fanned wide at one
+//! instant so scores tie), full/per-query drains, and cache
+//! accesses/evictions/wipes. The legacy side never reads the table's φ
+//! bits, so a missed push shows up as a diverging pick.
 //!
 //! This is the contract that lets `tests/golden_determinism.rs` keep its
 //! pre-refactor fingerprints: if these picks agree everywhere, the engines
@@ -20,8 +23,9 @@ use liferaft_core::{
     TradeoffTable,
 };
 use liferaft_htm::Vec3;
+use liferaft_query::BucketSnapshot;
 use liferaft_query::{CrossMatchQuery, Predicate, QueryId, WorkItem, WorkloadTable};
-use liferaft_storage::{BucketCache, BucketId, SimTime};
+use liferaft_storage::{BucketCache, BucketId, CacheAccess, SimTime};
 use proptest::prelude::*;
 
 const N_BUCKETS: usize = 24;
@@ -45,8 +49,8 @@ enum Op {
     TakeQuery { bucket: u32, query: u64 },
     /// A batch executed against `bucket`: cache access (hit or load+evict).
     CacheAccess { bucket: u32 },
-    /// Flush the cache (truncates the mutation log: full re-probe path).
-    CacheClear,
+    /// Drop every resident bucket (a crashed shard's residency loss).
+    CacheWipe,
 }
 
 fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
@@ -74,7 +78,7 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
                 3 => Op::TakeAll { bucket },
                 4 => Op::TakeQuery { bucket, query },
                 5 | 6 => Op::CacheAccess { bucket },
-                7 => Op::CacheClear,
+                7 => Op::CacheWipe,
                 _ => Op::Enqueue {
                     bucket,
                     query,
@@ -123,6 +127,28 @@ impl IndexedSchedulerView for IndexedView<'_> {
             .get(&query)
             .map(|s| s.iter().copied().collect())
             .unwrap_or_default()
+    }
+}
+
+/// The legacy gather: every candidate in bucket order, φ probed from the
+/// cache itself rather than read from the table.
+fn gather(table: &WorkloadTable<'_>, cache: &BucketCache, out: &mut Vec<BucketSnapshot>) {
+    out.clear();
+    table.for_each_candidate(&mut |s| {
+        out.push(BucketSnapshot {
+            cached: cache.contains(s.bucket),
+            ..*s
+        })
+    });
+}
+
+/// One shared-scan access, pushed into the table the way the engine does.
+fn access(table: &mut WorkloadTable<'_>, cache: &mut BucketCache, bucket: BucketId) {
+    if let CacheAccess::Miss { evicted } = cache.access(bucket) {
+        if let Some(victim) = evicted {
+            table.set_resident(victim, false);
+        }
+        table.set_resident(bucket, true);
     }
 }
 
@@ -217,17 +243,20 @@ proptest! {
                         }
                     }
                 }
-                Op::CacheAccess { bucket } => {
-                    cache.access(BucketId(bucket));
+                Op::CacheAccess { bucket } => access(&mut table, &mut cache, BucketId(bucket)),
+                Op::CacheWipe => {
+                    let resident: Vec<BucketId> = cache.resident_lru_order().collect();
+                    for b in resident {
+                        cache.remove(b);
+                        table.set_resident(b, false);
+                    }
                 }
-                Op::CacheClear => cache.clear(),
             }
             per_query.retain(|_, set| !set.is_empty());
 
             // One decision point per step, through both paths.
-            table.sync_residency(&cache);
             table.validate_index();
-            table.snapshots_into(&mut snaps, &cache);
+            gather(&table, &cache, &mut snaps);
             let oldest_query = per_query
                 .keys()
                 .map(|&q| (arrival_of[&q], q))
@@ -318,10 +347,9 @@ fn wide_enqueue_ties_close_on_the_frontier() {
     let mut snaps = Vec::new();
     for resident in [0u32, 3] {
         for b in 0..resident {
-            cache.access(BucketId(7 + 5 * b));
+            access(&mut table, &mut cache, BucketId(7 + 5 * b));
         }
-        table.sync_residency(&cache);
-        table.snapshots_into(&mut snaps, &cache);
+        gather(&table, &cache, &mut snaps);
         assert_eq!(snaps.iter().filter(|c| c.cached).count(), resident as usize);
         let view = IndexedView {
             now,

@@ -29,8 +29,8 @@
 //! length, but is computed as `fl(W / fl(Tm·W))`, which wobbles around
 //! `1/Tm` by a few ULPs in a `W`-dependent, non-monotone way — so no static
 //! key can reproduce the score order *among resident candidates* bitwise.
-//! Residency is bounded by the bucket cache's capacity (20 in the paper),
-//! so the index keeps the resident candidates as their own small set
+//! The resident set is bounded by the bucket cache's capacity (20 in the
+//! paper), so the index keeps the resident candidates as their own small set
 //! ([`iter_cached`](CandidateIndex::iter_cached)) that pick paths re-score
 //! exactly, and maintains the key order only where it is exact:
 //!
@@ -47,9 +47,8 @@
 //!   normalized ages distinct for any virtual horizon under ~285 years
 //!   (spans beyond `2⁵³ µs` would be needed to collapse them).
 //!
-//! The equivalence proptests (`crates/core/tests/` and
-//! `tests/decision_path_equivalence.rs`) pin both regimes against the
-//! legacy gather-and-score path.
+//! The equivalence proptests in `crates/core/tests/decision_path_equivalence.rs`
+//! pin both regimes against the legacy gather-and-score path.
 
 use std::cmp::Reverse;
 use std::collections::BTreeSet;

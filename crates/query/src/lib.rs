@@ -38,5 +38,5 @@ pub use crossmatch::{CrossMatchQuery, FragmentId, MatchObject, Predicate, QueryI
 pub use index::CandidateIndex;
 pub use preprocess::{QueryPreProcessor, WorkItem};
 pub use queue::{QueueEntry, QueueMemoryStats, RunView, WorkloadQueue, WorkloadTable};
-pub use snapshot::{BucketSnapshot, NoResidency, Residency};
+pub use snapshot::BucketSnapshot;
 pub use tracker::QueryTracker;

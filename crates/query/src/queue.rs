@@ -53,7 +53,7 @@ use liferaft_storage::{BucketId, SimTime};
 use crate::crossmatch::{CrossMatchQuery, FragmentId, MatchObject, QueryId};
 use crate::index::CandidateIndex;
 use crate::preprocess::WorkItem;
-use crate::snapshot::{BucketSnapshot, Residency};
+use crate::snapshot::BucketSnapshot;
 
 /// One queued cross-match request — a single object of a single query,
 /// waiting to be joined against one bucket — as the join evaluator sees it.
@@ -580,16 +580,14 @@ impl<'q> WorkloadQueue<'q> {
 /// The table keeps a live [`BucketSnapshot`] slot per bucket, updated in
 /// O(1) on [`enqueue`](Self::enqueue) and the drain paths, plus a
 /// [`CandidateIndex`] over the non-empty slots, updated in O(log n) on the
-/// same mutations (and on residency-epoch bumps via
-/// [`sync_residency`](Self::sync_residency)). A scheduling decision is then
-/// an index lookup ([`top_candidate_age`](Self::top_candidate_age),
+/// same mutations and on every residency change the cache's owner pushes
+/// through [`set_resident`](Self::set_resident). A scheduling decision is
+/// then an index lookup ([`top_candidate_age`](Self::top_candidate_age),
 /// [`top_candidate_uncached`](Self::top_candidate_uncached) plus an exact
-/// re-rank of the small resident pool, the frontier accessors)
-/// instead of an O(non-empty buckets) gather + re-score; the gather
-/// ([`snapshots_into`](Self::snapshots_into)) is retained for tests and
-/// diagnostics. Slots are updated in place (never shifted), which keeps hot
-/// drain/refill cycles free of the O(candidates) memmoves a dense sorted
-/// snapshot vector would pay.
+/// re-rank of the small resident pool, the frontier accessors) instead of
+/// an O(non-empty buckets) gather + re-score. Slots are updated in place
+/// (never shifted), which keeps hot drain/refill cycles free of the
+/// O(candidates) memmoves a dense sorted snapshot vector would pay.
 #[derive(Debug, Clone)]
 pub struct WorkloadTable<'q> {
     queues: Vec<WorkloadQueue<'q>>,
@@ -599,21 +597,13 @@ pub struct WorkloadTable<'q> {
     /// Live snapshot slots indexed by bucket like `queues`. A slot is
     /// meaningful only while its bucket appears in `non_empty`; the
     /// `bucket` and `bucket_objects` fields are static, and the `cached`
-    /// bit is brought current by `sync_residency` (eagerly, feeding the
-    /// index) or `snapshots_into` (lazily, against the oracle's epoch).
+    /// bit — kept for empty buckets too — is whatever
+    /// [`set_resident`](Self::set_resident) last pushed.
     snapshot_slots: Vec<BucketSnapshot>,
-    /// Residency-oracle epoch at which each slot's `cached` bit was last
-    /// probed (0 = never). While the oracle's epoch matches, the stored bit
-    /// is served without re-probing.
-    phi_stamp: Vec<u64>,
     /// The candidate index over the non-empty slots. Invariant: holds
     /// exactly one entry per `non_empty` bucket, keyed by that bucket's
     /// current slot values.
     index: CandidateIndex,
-    /// Oracle epoch the slots' `cached` bits (and the index's φ keys) were
-    /// last synced to; `None` before the first [`sync_residency`](Self::sync_residency).
-    /// Epochs are only comparable against a single oracle (see [`Residency`]).
-    synced_epoch: Option<u64>,
     /// Total queued objects across all buckets.
     total_queued: u64,
 }
@@ -633,9 +623,7 @@ impl<'q> WorkloadTable<'q> {
                     bucket_objects: 0,
                 })
                 .collect(),
-            phi_stamp: vec![0; n_buckets],
             index: CandidateIndex::new(),
-            synced_epoch: None,
             total_queued: 0,
         }
     }
@@ -832,8 +820,6 @@ impl<'q> WorkloadTable<'q> {
     }
 
     /// The live snapshot of one bucket, or `None` if it has no queued work.
-    /// The `cached` bit is not maintained here; see
-    /// [`snapshots_into`](Self::snapshots_into) for decision-ready copies.
     pub fn snapshot_of(&self, bucket: BucketId) -> Option<BucketSnapshot> {
         if self.queues[bucket.index()].is_empty() {
             None
@@ -842,116 +828,24 @@ impl<'q> WorkloadTable<'q> {
         }
     }
 
-    /// Gathers the candidate snapshots into `out` (cleared first, sorted by
-    /// bucket) and refreshes only their `cached` bits against `residency` —
-    /// the scheduler's per-decision view, built without touching the queues.
-    ///
-    /// When the oracle exposes a residency epoch (see
-    /// [`Residency::residency_epoch`]), φ bits are cached in the slots and
-    /// stamped with the epoch they were probed at: between cache mutations
-    /// the gather performs **zero** residency probes. Oracles without an
-    /// epoch are probed per candidate per call, as before, and leave the
-    /// stored bits untouched.
-    pub fn snapshots_into(&mut self, out: &mut Vec<BucketSnapshot>, residency: &dyn Residency) {
-        out.clear();
-        out.reserve(self.non_empty.len());
-        match residency.residency_epoch() {
-            Some(epoch) => {
-                for &b in &self.non_empty {
-                    let i = b.index();
-                    if self.phi_stamp[i] != epoch {
-                        self.snapshot_slots[i].cached = residency.is_resident(b);
-                        self.phi_stamp[i] = epoch;
-                    }
-                    out.push(self.snapshot_slots[i]);
-                }
-            }
-            None => {
-                for &b in &self.non_empty {
-                    let mut s = self.snapshot_slots[b.index()];
-                    s.cached = residency.is_resident(b);
-                    out.push(s);
-                }
-            }
+    /// Records that `bucket` became (or stopped being) resident in the
+    /// bucket cache — φ(i) of Eq. 1. The owner of the cache calls this for
+    /// every residency change, so the bit is current whenever it is read; a
+    /// candidate moves between the index's resident and uncached pools in
+    /// O(log n), an empty bucket keeps the bit for when it fills.
+    pub fn set_resident(&mut self, bucket: BucketId, resident: bool) {
+        let i = bucket.index();
+        if self.snapshot_slots[i].cached == resident {
+            return;
         }
-    }
-
-    /// Brings every slot's `cached` (φ) bit — and the candidate index's
-    /// φ-dependent keys — current with `residency`. Must be called before
-    /// the pick accessors whenever the oracle may have mutated; the decision
-    /// loop calls it once per decision.
-    ///
-    /// Cost: O(changed buckets · log n) when the oracle can enumerate its
-    /// mutations since the last sync ([`Residency::for_each_mutation_since`]),
-    /// O(candidates) re-probes when it cannot, and one O(buckets) full probe
-    /// on the first sync (to seed the bits of still-empty buckets, whose
-    /// slots feed the index when they go non-empty). Like `snapshots_into`,
-    /// all syncs of one table must use the same oracle.
-    pub fn sync_residency(&mut self, residency: &dyn Residency) {
-        let epoch = residency.residency_epoch();
-        if epoch.is_some() && epoch == self.synced_epoch {
-            return; // nothing can have changed since the last sync
+        let candidate = !self.queues[i].is_empty();
+        if candidate {
+            self.index.remove(&self.snapshot_slots[i]);
         }
-        let replayed = match (self.synced_epoch, epoch) {
-            (Some(synced), Some(e)) => {
-                let slots = &mut self.snapshot_slots;
-                let queues = &self.queues;
-                let index = &mut self.index;
-                let phi_stamp = &mut self.phi_stamp;
-                residency.for_each_mutation_since(synced, &mut |bucket: BucketId, resident| {
-                    let i = bucket.index();
-                    if i >= slots.len() {
-                        return; // outside this table
-                    }
-                    // Only mutated slots are stamped; unmutated ones keep an
-                    // older stamp, so the diagnostic `snapshots_into` may
-                    // re-probe them (getting the same bit back) — the hot
-                    // path stays O(changed), not O(buckets).
-                    phi_stamp[i] = e;
-                    if slots[i].cached == resident {
-                        return; // already current
-                    }
-                    if !queues[i].is_empty() {
-                        index.remove(&slots[i]);
-                        slots[i].cached = resident;
-                        index.insert(&slots[i]);
-                    } else {
-                        slots[i].cached = resident;
-                    }
-                })
-            }
-            _ => false,
-        };
-        if !replayed {
-            // First sync, an epoch-less oracle, or a truncated mutation log:
-            // probe from scratch. Epoch-bearing oracles get *every* bucket
-            // probed (empty ones included) so later mutation replays keep
-            // all bits current; epoch-less oracles get only the candidates
-            // refreshed — every pick re-syncs anyway, so a bucket's bit is
-            // re-probed before it can influence a decision.
-            let all = epoch.is_some();
-            let n = self.snapshot_slots.len();
-            for i in 0..n {
-                let bucket = BucketId(i as u32);
-                if !all && self.queues[i].is_empty() {
-                    continue;
-                }
-                let resident = residency.is_resident(bucket);
-                if let Some(e) = epoch {
-                    self.phi_stamp[i] = e;
-                }
-                if self.snapshot_slots[i].cached != resident {
-                    if !self.queues[i].is_empty() {
-                        self.index.remove(&self.snapshot_slots[i]);
-                        self.snapshot_slots[i].cached = resident;
-                        self.index.insert(&self.snapshot_slots[i]);
-                    } else {
-                        self.snapshot_slots[i].cached = resident;
-                    }
-                }
-            }
+        self.snapshot_slots[i].cached = resident;
+        if candidate {
+            self.index.insert(&self.snapshot_slots[i]);
         }
-        self.synced_epoch = epoch;
     }
 
     /// Number of candidates (non-empty buckets).
@@ -960,8 +854,7 @@ impl<'q> WorkloadTable<'q> {
     }
 
     /// Streams every candidate snapshot in ascending bucket order, straight
-    /// from the maintained slots — no gather, no allocation. φ freshness
-    /// requires a preceding [`sync_residency`](Self::sync_residency).
+    /// from the maintained slots — no gather, no allocation.
     pub fn for_each_candidate(&self, f: &mut dyn FnMut(&BucketSnapshot)) {
         for &b in &self.non_empty {
             f(&self.snapshot_slots[b.index()]);
@@ -974,8 +867,7 @@ impl<'q> WorkloadTable<'q> {
     }
 
     /// Streams every resident candidate (best tie-break first) — the small
-    /// set the α = 0 pick re-scores exactly. φ freshness requires a
-    /// preceding [`sync_residency`](Self::sync_residency).
+    /// set the α = 0 pick re-scores exactly.
     pub fn for_each_cached_candidate(&self, f: &mut dyn FnMut(&BucketSnapshot)) {
         for b in self.index.iter_cached() {
             f(&self.snapshot_slots[b.index()]);
@@ -1313,10 +1205,10 @@ mod tests {
     }
 
     /// Gathers the maintained snapshots through the public decision-path
-    /// API (cold residency, to match `rebuild`'s default).
-    fn gather(t: &mut WorkloadTable) -> Vec<BucketSnapshot> {
+    /// API (no residency pushed, to match `rebuild`'s default).
+    fn gather(t: &WorkloadTable) -> Vec<BucketSnapshot> {
         let mut out = Vec::new();
-        t.snapshots_into(&mut out, &crate::snapshot::NoResidency);
+        t.for_each_candidate(&mut |s| out.push(*s));
         out
     }
 
@@ -1348,95 +1240,16 @@ mod tests {
         t.enqueue(&item(&qb, 5), &qb, SimTime::from_micros(10));
         t.enqueue(&item(&qa, 2), &qa, SimTime::from_micros(20));
         let r = rebuild(&t);
-        assert_eq!(gather(&mut t), r);
+        assert_eq!(gather(&t), r);
         take_query(&mut t, BucketId(5), QueryId(1));
         let r = rebuild(&t);
-        assert_eq!(gather(&mut t), r);
+        assert_eq!(gather(&t), r);
         take_all(&mut t, BucketId(5));
         let r = rebuild(&t);
-        assert_eq!(gather(&mut t), r);
+        assert_eq!(gather(&t), r);
         assert_eq!(t.snapshot_of(BucketId(5)), None);
         take_all(&mut t, BucketId(2));
-        assert!(gather(&mut t).is_empty());
-    }
-
-    #[test]
-    fn snapshots_into_refreshes_residency_only() {
-        use crate::snapshot::Residency;
-        struct Always;
-        impl Residency for Always {
-            fn is_resident(&self, _b: BucketId) -> bool {
-                true
-            }
-        }
-        let q = entry_source(2);
-        let mut t = WorkloadTable::new(4).with_object_counts(|b| 100 + b.0 as u64);
-        t.enqueue(&item(&q, 1), &q, SimTime::ZERO);
-        let mut out = vec![BucketSnapshot {
-            bucket: BucketId(9),
-            queue_len: 0,
-            oldest_enqueue: SimTime::ZERO,
-            cached: false,
-            bucket_objects: 0,
-        }];
-        t.snapshots_into(&mut out, &Always);
-        assert_eq!(out.len(), 1, "scratch must be cleared first");
-        assert_eq!(out[0].bucket, BucketId(1));
-        assert_eq!(out[0].queue_len, 2);
-        assert!(out[0].cached);
-        assert_eq!(out[0].bucket_objects, 101);
-        // The maintained slot keeps its cold default.
-        assert!(!t.snapshot_of(BucketId(1)).expect("non-empty").cached);
-    }
-
-    #[test]
-    fn epoch_stamped_phi_skips_probes_between_mutations() {
-        use crate::snapshot::Residency;
-        use std::cell::Cell;
-        /// An epoch-bearing oracle that counts `is_resident` probes.
-        struct Counting {
-            epoch: Cell<u64>,
-            resident: Cell<bool>,
-            probes: Cell<u64>,
-        }
-        impl Residency for Counting {
-            fn is_resident(&self, _b: BucketId) -> bool {
-                self.probes.set(self.probes.get() + 1);
-                self.resident.get()
-            }
-            fn residency_epoch(&self) -> Option<u64> {
-                Some(self.epoch.get())
-            }
-        }
-        let oracle = Counting {
-            epoch: Cell::new(7),
-            resident: Cell::new(false),
-            probes: Cell::new(0),
-        };
-        let qa = entry_source(2);
-        let mut t = WorkloadTable::new(4);
-        t.enqueue(&item(&qa, 1), &qa, SimTime::ZERO);
-        t.enqueue(&item(&qa, 3), &qa, SimTime::ZERO);
-        let mut out = Vec::new();
-        // First gather at epoch 7: one probe per candidate, bits stamped.
-        t.snapshots_into(&mut out, &oracle);
-        assert_eq!(oracle.probes.get(), 2);
-        assert!(out.iter().all(|s| !s.cached));
-        // Same epoch: zero probes, stored bits served.
-        t.snapshots_into(&mut out, &oracle);
-        t.snapshots_into(&mut out, &oracle);
-        assert_eq!(oracle.probes.get(), 2);
-        // Epoch bump (resident set changed): every candidate re-probed once.
-        oracle.epoch.set(8);
-        oracle.resident.set(true);
-        t.snapshots_into(&mut out, &oracle);
-        assert_eq!(oracle.probes.get(), 4);
-        assert!(
-            out.iter().all(|s| s.cached),
-            "refreshed bits must be served"
-        );
-        t.snapshots_into(&mut out, &oracle);
-        assert_eq!(oracle.probes.get(), 4);
+        assert!(gather(&t).is_empty());
     }
 
     /// `n` queries (IDs 0..n) of `objects` objects each — the borrowed side
@@ -1806,73 +1619,13 @@ mod tests {
         assert_eq!(t.candidate_at_or_after(BucketId(10)), None);
     }
 
-    /// A scripted oracle whose epoch and resident set the test controls,
-    /// with a replayable mutation log.
-    struct ScriptedOracle {
-        epoch: u64,
-        resident: std::collections::HashSet<u32>,
-        log: Vec<(u64, u32, bool)>,
-        log_complete_from: u64,
-        probes: std::cell::Cell<u64>,
-    }
-
-    impl ScriptedOracle {
-        fn new() -> Self {
-            ScriptedOracle {
-                epoch: 1,
-                resident: Default::default(),
-                log: Vec::new(),
-                log_complete_from: 1,
-                probes: std::cell::Cell::new(0),
-            }
-        }
-        fn flip(&mut self, bucket: u32, resident: bool) {
-            self.epoch += 1;
-            if resident {
-                self.resident.insert(bucket);
-            } else {
-                self.resident.remove(&bucket);
-            }
-            self.log.push((self.epoch, bucket, resident));
-        }
-    }
-
-    impl Residency for ScriptedOracle {
-        fn is_resident(&self, b: BucketId) -> bool {
-            self.probes.set(self.probes.get() + 1);
-            self.resident.contains(&b.0)
-        }
-        fn residency_epoch(&self) -> Option<u64> {
-            Some(self.epoch)
-        }
-        fn for_each_mutation_since(
-            &self,
-            epoch: u64,
-            apply: &mut dyn FnMut(BucketId, bool),
-        ) -> bool {
-            if epoch < self.log_complete_from {
-                return false;
-            }
-            for &(e, b, r) in &self.log {
-                if e > epoch {
-                    apply(BucketId(b), r);
-                }
-            }
-            true
-        }
-    }
-
     #[test]
-    fn sync_residency_replays_mutations_into_the_index() {
+    fn set_resident_rekeys_candidates_and_keeps_empty_bits() {
         let q = entry_source(3);
         let mut t = WorkloadTable::new(4);
         t.enqueue(&item(&q, 1), &q, SimTime::ZERO);
         t.enqueue(&item(&q, 3), &q, SimTime::from_micros(10));
-        let mut oracle = ScriptedOracle::new();
-        oracle.flip(3, true);
-        // First sync: full probe (all 4 buckets), bits and index seeded.
-        t.sync_residency(&oracle);
-        assert_eq!(oracle.probes.get(), 4);
+        t.set_resident(BucketId(3), true);
         assert!(t.snapshot_of(BucketId(3)).unwrap().cached);
         assert!(!t.snapshot_of(BucketId(1)).unwrap().cached);
         // The resident candidate moved into the cached pool.
@@ -1882,16 +1635,14 @@ mod tests {
         assert_eq!(cached, vec![BucketId(3)]);
         assert_eq!(t.top_candidate_uncached().unwrap().bucket, BucketId(1));
         t.validate_index();
-        // Same epoch: a no-op.
-        t.sync_residency(&oracle);
-        assert_eq!(oracle.probes.get(), 4);
-        // Mutations replay without probes — including for the currently
-        // empty bucket 0, whose bit must be current when it fills later.
-        oracle.flip(3, false);
-        oracle.flip(1, true);
-        oracle.flip(0, true);
-        t.sync_residency(&oracle);
-        assert_eq!(oracle.probes.get(), 4, "replay must not probe");
+        // Repeating a push is a no-op.
+        t.set_resident(BucketId(3), true);
+        t.validate_index();
+        // Flips re-key both pools — including for the currently empty
+        // bucket 0, whose bit must be current when it fills later.
+        t.set_resident(BucketId(3), false);
+        t.set_resident(BucketId(1), true);
+        t.set_resident(BucketId(0), true);
         cached.clear();
         t.for_each_cached_candidate(&mut |s| cached.push(s.bucket));
         assert_eq!(cached, vec![BucketId(1)]);
@@ -1900,16 +1651,14 @@ mod tests {
         t.enqueue(&item(&q, 0), &q, SimTime::from_micros(20));
         assert!(
             t.snapshot_of(BucketId(0)).unwrap().cached,
-            "empty buckets' bits must stay current across syncs"
+            "empty buckets' bits must stay current"
         );
+        assert_eq!(t.cached_candidate_count(), 2);
         t.validate_index();
-        // A truncated log falls back to a full re-probe (empty buckets too,
-        // so their bits cannot go permanently stale).
-        oracle.flip(0, false);
-        oracle.log.clear();
-        oracle.log_complete_from = oracle.epoch;
-        t.sync_residency(&oracle);
-        assert_eq!(oracle.probes.get(), 8, "fallback probes every bucket");
+        // A drained bucket keeps its bit too.
+        take_all(&mut t, BucketId(0));
+        t.set_resident(BucketId(0), false);
+        t.enqueue(&item(&q, 0), &q, SimTime::from_micros(30));
         assert!(!t.snapshot_of(BucketId(0)).unwrap().cached);
         t.validate_index();
     }

@@ -1,4 +1,4 @@
-//! Per-bucket candidate snapshots and cache-residency probing.
+//! Per-bucket candidate snapshots.
 //!
 //! [`BucketSnapshot`] is the unit the scheduler reasons about: one
 //! non-empty workload queue, reduced to the fields Eq. 1 and Eq. 2 consume.
@@ -10,10 +10,11 @@
 //! scheduling decision.
 //!
 //! Only the `cached` bit (φ(i)) is owned by another component, the bucket
-//! cache; the [`Residency`] trait is how the table refreshes it at decision
-//! time without depending on a concrete cache type.
+//! cache; the engine that owns the cache pushes every residency change into
+//! the table ([`WorkloadTable::set_resident`](crate::WorkloadTable::set_resident)),
+//! so the bit is current whenever it is read.
 
-use liferaft_storage::{BucketCache, BucketId, SimTime};
+use liferaft_storage::{BucketId, SimTime};
 
 /// A per-decision snapshot of one candidate bucket (a non-empty workload
 /// queue).
@@ -38,85 +39,6 @@ impl BucketSnapshot {
     }
 }
 
-/// Answers "is this bucket memory-resident?" — the φ(i) term of Eq. 1.
-///
-/// The probe must be read-only: the scheduler consults it for *every*
-/// candidate on every decision, which must not perturb cache state.
-pub trait Residency {
-    /// True if `bucket` is resident (φ(i) = 0).
-    fn is_resident(&self, bucket: BucketId) -> bool;
-
-    /// A stamp that changes whenever the resident set may have changed, or
-    /// `None` if the oracle cannot promise stability between calls.
-    ///
-    /// When `Some(e)` is returned, a φ bit probed while the epoch was `e`
-    /// stays valid for as long as the oracle keeps returning `e` — which
-    /// lets the workload table cache φ bits in its snapshot slots and skip
-    /// the per-candidate residency probe entirely between cache mutations.
-    /// Stamps are only comparable against a single oracle: re-pointing a
-    /// table at a different oracle requires fresh slots (epochs from
-    /// different oracles may collide).
-    fn residency_epoch(&self) -> Option<u64> {
-        None
-    }
-
-    /// Enumerates, oldest first, every residency change that happened after
-    /// `epoch` by calling `apply(bucket, now_resident)`, and returns `true`;
-    /// or returns `false` (without calling `apply`) if the oracle cannot
-    /// enumerate that far back — the caller must then re-probe from scratch.
-    ///
-    /// Only meaningful for epoch-bearing oracles: `epoch` must be a value a
-    /// previous [`residency_epoch`](Self::residency_epoch) call returned.
-    /// This is what lets the workload table's candidate index repair exactly
-    /// the φ bits an eviction or insertion touched, instead of re-probing
-    /// every candidate.
-    fn for_each_mutation_since(&self, _epoch: u64, _apply: &mut dyn FnMut(BucketId, bool)) -> bool {
-        false
-    }
-}
-
-impl Residency for BucketCache {
-    fn is_resident(&self, bucket: BucketId) -> bool {
-        self.contains(bucket)
-    }
-
-    fn residency_epoch(&self) -> Option<u64> {
-        Some(self.residency_epoch())
-    }
-
-    fn for_each_mutation_since(&self, epoch: u64, apply: &mut dyn FnMut(BucketId, bool)) -> bool {
-        match self.mutations_since(epoch) {
-            Some(muts) => {
-                for m in muts {
-                    apply(m.bucket, m.resident);
-                }
-                true
-            }
-            None => false, // the bounded log no longer reaches back to `epoch`
-        }
-    }
-}
-
-/// A residency oracle that reports nothing resident — cold-cache tests and
-/// tools that score queues without a cache.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoResidency;
-
-impl Residency for NoResidency {
-    fn is_resident(&self, _bucket: BucketId) -> bool {
-        false
-    }
-
-    fn residency_epoch(&self) -> Option<u64> {
-        // The (empty) resident set never changes.
-        Some(1)
-    }
-
-    fn for_each_mutation_since(&self, _epoch: u64, _apply: &mut dyn FnMut(BucketId, bool)) -> bool {
-        true // nothing ever mutates
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,23 +55,5 @@ mod tests {
         };
         let now = SimTime::ZERO + SimDuration::from_millis(2500);
         assert_eq!(s.age_ms(now), 2500.0);
-    }
-
-    #[test]
-    fn bucket_cache_is_a_residency_oracle() {
-        let mut cache = BucketCache::new(2);
-        cache.insert(BucketId(3));
-        let r: &dyn Residency = &cache;
-        assert!(r.is_resident(BucketId(3)));
-        assert!(!r.is_resident(BucketId(4)));
-        let e = r.residency_epoch().expect("caches expose epochs");
-        cache.insert(BucketId(4));
-        assert_ne!(Residency::residency_epoch(&cache), Some(e));
-    }
-
-    #[test]
-    fn no_residency_is_always_cold() {
-        assert!(!NoResidency.is_resident(BucketId(0)));
-        assert_eq!(NoResidency.residency_epoch(), Some(1));
     }
 }

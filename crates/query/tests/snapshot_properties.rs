@@ -7,7 +7,7 @@
 //! through the public queue accessors.
 
 use liferaft_htm::Vec3;
-use liferaft_query::snapshot::{BucketSnapshot, NoResidency};
+use liferaft_query::snapshot::BucketSnapshot;
 use liferaft_query::{CrossMatchQuery, Predicate, QueryId, WorkItem, WorkloadTable};
 use liferaft_storage::{BucketId, SimTime};
 use proptest::prelude::*;
@@ -106,7 +106,7 @@ proptest! {
                 }
             }
             let mut gathered = Vec::new();
-            t.snapshots_into(&mut gathered, &NoResidency);
+            t.for_each_candidate(&mut |s| gathered.push(*s));
             prop_assert_eq!(
                 gathered,
                 rebuild(&t),

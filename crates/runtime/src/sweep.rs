@@ -104,19 +104,9 @@ impl SweepPoint {
         }
     }
 
-    /// p90 response time in seconds — the sweep's headline latency figure.
-    pub fn p90_response_s(&self) -> f64 {
-        self.report.response.percentile(90.0)
-    }
-
     /// Completed-query throughput in queries/second.
     pub fn throughput_qps(&self) -> f64 {
         self.report.throughput_qps
-    }
-
-    /// `(frontier, fallback)` decision-path counters of the run.
-    pub fn decision_split(&self) -> (u64, u64) {
-        (self.report.frontier_picks, self.report.fallback_picks)
     }
 
     /// The point's flight-recorder report, when the swept run recorded one

@@ -45,9 +45,9 @@ pub(crate) fn handover_cost(entries: u64) -> SimDuration {
 
 /// One hand-over of queued buckets between shards — an epoch boundary's
 /// migrations or a crash's evacuations — which the window loop applies in
-/// place at the barrier that decides it. Residency leaves the source with
-/// each bucket, and the destination warms a bucket that was resident there;
-/// each adoption costs the destination [`handover_cost`].
+/// place at the barrier that decides it. Cache residency leaves the source
+/// with each bucket, and the destination warms a bucket that was resident
+/// there; each adoption costs the destination [`handover_cost`].
 #[derive(Debug, Clone)]
 pub(crate) struct Round {
     /// The extract/absorb instant: the boundary, or a crashed source's

@@ -19,7 +19,7 @@ use liferaft_query::{
     CrossMatchQuery, FragmentId, Predicate, QueryId, QueryTracker, QueueEntry, WorkItem,
     WorkloadQueue, WorkloadTable,
 };
-use liferaft_storage::{BucketCache, BucketId, IoStats, SimDuration, SimTime};
+use liferaft_storage::{BucketCache, BucketId, CacheAccess, IoStats, SimDuration, SimTime};
 use liferaft_telemetry::{Event, EventKind, NullSink, TelemetrySink};
 use liferaft_workload::TimedTrace;
 
@@ -315,25 +315,41 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
     /// Drops every cache-resident bucket — the crash model's residency
     /// loss. A shard that dies loses its page cache whatever happens to its
     /// queued work, so outage injection wipes residency at the window start
-    /// in every configuration (failover on or off). Evictions go through
-    /// the residency mutation log one bucket at a time, so the candidate
-    /// index resynchronizes incrementally exactly as it does after normal
-    /// cache churn. Returns the number of buckets dropped.
+    /// in every configuration (failover on or off). Returns the number of
+    /// buckets dropped.
     pub fn wipe_residency(&mut self) -> usize {
         let resident: Vec<BucketId> = self.cache.resident_lru_order().collect();
-        for b in &resident {
-            self.cache.remove(*b);
+        for &b in &resident {
+            self.cache.remove(b);
+            self.set_resident(b, false);
         }
-        self.drop_unresident_rows();
         resident.len()
     }
 
-    /// Re-establishes "rows are held only for resident buckets" after the
-    /// cache dropped something. Every path that can shrink the resident set
-    /// ends here, so host memory follows the model's residency.
-    fn drop_unresident_rows(&mut self) {
-        let cache = &self.cache;
-        self.rows.retain(|b, _| cache.contains(*b));
+    /// Mirrors one change of the cache's resident set into the table's φ
+    /// bit and, for a bucket that left, drops its rows — every such change
+    /// ends here, so the scheduler and host memory follow the model.
+    fn set_resident(&mut self, bucket: BucketId, resident: bool) {
+        self.table.set_resident(bucket, resident);
+        if !resident {
+            self.rows.remove(&bucket);
+        }
+    }
+
+    /// True if the table's resident candidates are exactly the cache's
+    /// resident buckets with queued work, and rows are held only for
+    /// resident buckets — what the [`set_resident`](Self::set_resident)
+    /// pushes keep, checked in O(cache capacity).
+    fn residency_is_mirrored(&self) -> bool {
+        let (mut pushed, mut all_resident) = (0, true);
+        self.table.for_each_cached_candidate(&mut |s| {
+            pushed += 1;
+            all_resident &= self.cache.contains(s.bucket);
+        });
+        let queued = |b: &BucketId| self.table.snapshot_of(*b).is_some();
+        all_resident
+            && pushed == self.cache.resident_lru_order().filter(queued).count()
+            && self.rows.keys().all(|b| self.cache.contains(*b))
     }
 
     /// Rips one bucket's queued state out of this core for migration: takes
@@ -368,7 +384,7 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
             }
         }
         let was_resident = self.cache.remove(bucket);
-        self.drop_unresident_rows();
+        self.set_resident(bucket, false);
         MigratedBucket {
             bucket,
             queue,
@@ -396,8 +412,10 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
         }
         self.table.merge_bucket(payload.bucket, &payload.queue);
         if payload.was_resident {
-            self.cache.insert(payload.bucket);
-            self.drop_unresident_rows(); // the insert's LRU victim
+            if let Some(victim) = self.cache.insert(payload.bucket) {
+                self.set_resident(victim, false);
+            }
+            self.set_resident(payload.bucket, true);
         }
     }
 
@@ -433,12 +451,12 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
     /// Makes one scheduling decision at `now` and books it (telemetry, the
     /// starvation monitor).
     fn decide(&mut self, scheduler: &mut dyn Scheduler, now: SimTime) -> BatchSpec {
-        // Bring the candidate index's φ keys current with the cache — with
-        // the residency mutation log this touches only the buckets the last
-        // batch's insert/evict actually flipped. The decision itself then
-        // runs entirely against the index: no snapshot gather, no
-        // per-candidate scoring sweep, no allocation.
-        self.table.sync_residency(&self.cache);
+        // Every cache change has already pushed its φ bit, so the decision
+        // runs entirely against the index: no gather, no scoring sweep.
+        debug_assert!(
+            self.residency_is_mirrored(),
+            "a residency change was not pushed"
+        );
         let telemetry = self.sink.enabled();
         // Frontier-vs-fallback attribution: diff the scheduler's decision
         // counters across the pick (both counters are cumulative).
@@ -517,10 +535,7 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
         };
 
         let telemetry = self.sink.enabled();
-        // Residency epoch before the batch touches the cache: the mutation
-        // log between this epoch and the post-batch epoch is exactly the
-        // insert/evict churn this batch caused.
-        let epoch_before = if telemetry {
+        if telemetry {
             self.sink.record(
                 now,
                 EventKind::BatchStart {
@@ -530,16 +545,32 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
                     indexed: matches!(strategy, JoinStrategy::Indexed),
                 },
             );
-            Some(self.cache.residency_epoch())
-        } else {
-            None
-        };
+        }
 
         let cost = match strategy {
             JoinStrategy::SequentialScan => {
                 if spec.share_io {
-                    let hit = self.cache.access(spec.bucket);
-                    debug_assert_eq!(hit, cached, "residency probe and access disagree");
+                    match self.cache.access(spec.bucket) {
+                        CacheAccess::Hit if telemetry => {
+                            let bucket = spec.bucket.0;
+                            self.sink.record(now, EventKind::CacheHit { bucket });
+                        }
+                        CacheAccess::Hit => {}
+                        CacheAccess::Miss { evicted } => {
+                            if let Some(victim) = evicted {
+                                self.set_resident(victim, false);
+                                if telemetry {
+                                    let bucket = victim.0;
+                                    self.sink.record(now, EventKind::CacheEvict { bucket });
+                                }
+                            }
+                            self.set_resident(spec.bucket, true);
+                            if telemetry {
+                                let bucket = spec.bucket.0;
+                                self.sink.record(now, EventKind::CacheInsert { bucket });
+                            }
+                        }
+                    }
                 }
                 if !cached {
                     self.io.record_scan(meta.bytes, self.config.cost.tb);
@@ -571,33 +602,6 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
         self.batches += 1;
         self.serviced_entries += w;
 
-        if let Some(epoch) = epoch_before {
-            if cached && matches!(strategy, JoinStrategy::SequentialScan) {
-                self.sink.record(
-                    now,
-                    EventKind::CacheHit {
-                        bucket: spec.bucket.0,
-                    },
-                );
-            }
-            // A batch flips at most two residencies (one insert, one
-            // eviction), far inside the cache's mutation-log window — the
-            // log can only be exhausted here if the epoch maths is broken.
-            let churn: Vec<_> = self
-                .cache
-                .mutations_since(epoch)
-                .expect("batch residency churn outlived the mutation log")
-                .collect();
-            for m in churn {
-                let kind = if m.resident {
-                    EventKind::CacheInsert { bucket: m.bucket.0 }
-                } else {
-                    EventKind::CacheEvict { bucket: m.bucket.0 }
-                };
-                self.sink.record(now, kind);
-            }
-        }
-
         if self.config.execute_joins {
             // The host reads what the model just charged for. A shared scan
             // leaves the bucket resident, so its rows are materialized on
@@ -617,9 +621,6 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
                         accepted_matches(&self.predicates, strategy, &rows, &self.batch_entries);
                     if spec.share_io {
                         self.rows.insert(spec.bucket, rows);
-                        if !cached {
-                            self.drop_unresident_rows(); // the load's LRU victim
-                        }
                     }
                 }
                 JoinStrategy::Indexed => {
@@ -640,10 +641,6 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
                     }
                 }
             }
-            debug_assert!(
-                self.rows.keys().all(|b| self.cache.contains(*b)),
-                "rows held for a bucket the cache dropped"
-            );
         }
 
         // Account completions at batch end, in QueryId order — the order the
@@ -730,9 +727,9 @@ fn accepted_matches(
 }
 
 /// The scheduler's view at one decision point: the candidate surface comes
-/// from the workload table's index (φ bits synced by the caller) via the
-/// [`IndexedSchedulerView`] blanket impl; this adapter only supplies the
-/// clock, the tracker's arrival cursor, and the per-query bucket sets.
+/// from the workload table's index via the [`IndexedSchedulerView`]
+/// blanket impl; this adapter only supplies the clock, the tracker's
+/// arrival cursor, and the per-query bucket sets.
 struct PickView<'s> {
     now: SimTime,
     table: &'s WorkloadTable<'s>,
@@ -1332,6 +1329,135 @@ mod tests {
             greedy.cache_service_fraction(),
             aged.cache_service_fraction()
         );
+    }
+
+    /// The cache events a batch records, in record order: a cold shared scan
+    /// inserts, a warm one hits, a load into a full cache evicts the victim
+    /// *before* inserting, and neither an index-probe batch nor a NoShare
+    /// scan (even of a resident bucket) records any.
+    #[test]
+    fn cache_events_follow_the_batch_that_caused_them() {
+        let cat = virtual_catalog();
+        let pre = QueryPreProcessor::new(cat.partition());
+        // (bucket, objects): 25 objects scan, a lone one on a cold bucket is
+        // probed through the index.
+        let shape = [(1u32, 25usize), (1, 25), (3, 25), (5, 1), (3, 25)];
+        let queries: Vec<CrossMatchQuery> = shape
+            .iter()
+            .enumerate()
+            .map(|(i, &(b, n))| {
+                let rows = cat.bucket_objects(BucketId(b));
+                let positions: Vec<_> = rows.iter().take(n).map(|o| o.pos).collect();
+                CrossMatchQuery::from_positions(
+                    QueryId(i as u64),
+                    &positions,
+                    1e-6,
+                    LEVEL,
+                    Predicate::All,
+                )
+            })
+            .collect();
+        let config = SimConfig {
+            cache_buckets: 1,
+            ..SimConfig::paper()
+        };
+        let mut core = EngineCore::new(&cat, config);
+        core.set_sink(Box::new(liferaft_telemetry::JsonlSink::new()));
+        let mut greedy = LifeRaftScheduler::greedy(params());
+        let mut noshare = NoShareScheduler::new();
+        let expected: [&[EventKind]; 5] = [
+            &[EventKind::CacheInsert { bucket: 1 }],
+            &[EventKind::CacheHit { bucket: 1 }],
+            &[
+                EventKind::CacheEvict { bucket: 1 },
+                EventKind::CacheInsert { bucket: 3 },
+            ],
+            &[],
+            &[],
+        ];
+        for (i, q) in queries.iter().enumerate() {
+            let now = SimTime::ZERO + SimDuration::from_secs(100 * i as u64);
+            let items = pre.preprocess(q);
+            assert_eq!(items.len(), 1, "query {i} must land in one bucket");
+            assert_eq!(items[0].bucket, BucketId(shape[i].0));
+            core.deliver_items(q, &items, now);
+            let scheduler: &mut dyn Scheduler = if i == 4 { &mut noshare } else { &mut greedy };
+            core.decide_and_execute(scheduler, now);
+            assert!(core.is_idle());
+            let cache_events: Vec<EventKind> = core
+                .take_events()
+                .into_iter()
+                .map(|e| e.kind)
+                .filter(|k| {
+                    matches!(
+                        k,
+                        EventKind::CacheHit { .. }
+                            | EventKind::CacheInsert { .. }
+                            | EventKind::CacheEvict { .. }
+                    )
+                })
+                .collect();
+            assert_eq!(cache_events, expected[i], "batch {i}");
+        }
+        assert_eq!((core.scan_batches, core.indexed_batches), (4, 1));
+        assert!(
+            core.cache.contains(BucketId(3)),
+            "NoShare dropped residency"
+        );
+    }
+
+    /// Each call that changes a core's resident set pushes the change into
+    /// the table at once, not at the next decision: a migration out (seen
+    /// when work returns to the bucket), an absorb that evicts, a wipe.
+    #[test]
+    fn residency_changes_reach_the_table_when_they_happen() {
+        let cat = virtual_catalog();
+        let pre = QueryPreProcessor::new(cat.partition());
+        let queries: Vec<CrossMatchQuery> = [1u32, 1, 3, 3, 1]
+            .iter()
+            .enumerate()
+            .map(|(i, &b)| {
+                let rows = cat.bucket_objects(BucketId(b));
+                let positions: Vec<_> = rows.iter().take(25).map(|o| o.pos).collect();
+                let id = QueryId(i as u64);
+                CrossMatchQuery::from_positions(id, &positions, 1e-6, LEVEL, Predicate::All)
+            })
+            .collect();
+        let config = SimConfig {
+            cache_buckets: 1,
+            ..SimConfig::paper()
+        };
+        let now = SimTime::ZERO;
+        let mut greedy = LifeRaftScheduler::greedy(params());
+        let mut src = EngineCore::new(&cat, config);
+        let mut dst = EngineCore::new(&cat, config);
+        // Each core serves one query, which leaves its bucket resident, and
+        // queues a second one behind it.
+        for (core, pair) in [(&mut src, &queries[0..2]), (&mut dst, &queries[2..4])] {
+            core.deliver_items(&pair[0], &pre.preprocess(&pair[0]), now);
+            core.decide_and_execute(&mut greedy, now);
+            core.deliver_items(&pair[1], &pre.preprocess(&pair[1]), now);
+            assert_eq!(core.table.cached_candidate_count(), 1);
+        }
+
+        let payload = src.extract_bucket(BucketId(1), now);
+        assert!(payload.was_resident);
+        src.deliver_items(&queries[4], &pre.preprocess(&queries[4]), now);
+        assert!(src.residency_is_mirrored(), "extraction kept the φ bit");
+        assert_eq!(src.table.cached_candidate_count(), 0);
+
+        dst.absorb_bucket(payload);
+        assert_eq!(dst.cache.stats().evictions, 1);
+        assert!(
+            dst.residency_is_mirrored(),
+            "the absorb's victim kept its φ bit"
+        );
+        assert!(dst.table.snapshot_of(BucketId(1)).unwrap().cached);
+        assert!(!dst.table.snapshot_of(BucketId(3)).unwrap().cached);
+
+        assert_eq!(dst.wipe_residency(), 1);
+        assert!(dst.residency_is_mirrored(), "the wipe kept a φ bit");
+        assert_eq!(dst.table.cached_candidate_count(), 0);
     }
 
     /// LifeRaft's decision taken the legacy way: gather every candidate and

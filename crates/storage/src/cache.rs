@@ -12,27 +12,22 @@
 //! buckets never noticed, but per-shard thousand-bucket caches would have
 //! paid O(resident) per touch under the previous `VecDeque::remove`.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 use crate::bucket::BucketId;
 
-/// One residency change: at `epoch`, `bucket` became (or stopped being)
-/// resident.
+/// What one [`BucketCache::access`] did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ResidencyMutation {
-    /// The epoch the cache reported *after* this change.
-    pub epoch: u64,
-    /// The bucket whose residency flipped.
-    pub bucket: BucketId,
-    /// Its residency after the change.
-    pub resident: bool,
+pub enum CacheAccess {
+    /// The bucket was resident; it is now the most recently used.
+    Hit,
+    /// The bucket was loaded.
+    Miss {
+        /// The least-recently-used bucket the load evicted, if the cache
+        /// was full.
+        evicted: Option<BucketId>,
+    },
 }
-
-/// How many residency mutations the cache remembers. Decision loops sync
-/// once per batch and a batch mutates at most two buckets (one eviction,
-/// one insertion), so a small window is ample; consumers that fall behind
-/// the window re-probe from scratch.
-const MUTATION_LOG_CAP: usize = 64;
 
 /// Cache access statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -82,13 +77,14 @@ struct Node {
 /// A least-recently-used cache of bucket residency.
 ///
 /// Stores only identities, not payloads: the simulator tracks *which*
-/// buckets are memory-resident for cost accounting. When joins execute for
-/// real, the rows of the resident buckets live beside this cache in the
-/// engine that owns it (`liferaft-sim`'s `EngineCore`): a scan miss
-/// materializes them from the catalog once, hits reuse them, and the engine
-/// drops them in the same call that drops the residency here — eviction by
-/// [`access`](Self::access) / [`insert`](Self::insert), [`remove`](Self::remove)
-/// — so the host never holds rows for more than `capacity` buckets.
+/// buckets are memory-resident for cost accounting. Every call that changes
+/// the resident set names the buckets it changed — [`access`](Self::access)
+/// and [`insert`](Self::insert) return the bucket they evicted,
+/// [`remove`](Self::remove) says whether it dropped one — so the engine that
+/// owns the cache (`liferaft-sim`'s `EngineCore`) pushes each change into
+/// its workload table's φ bits, and drops the rows it holds for real joins,
+/// in the same call. The host never holds rows for more than `capacity`
+/// buckets.
 #[derive(Debug, Clone)]
 pub struct BucketCache {
     capacity: usize,
@@ -102,14 +98,6 @@ pub struct BucketCache {
     /// Bucket → slab slot, for O(1) membership and unlinking.
     slot_of: HashMap<BucketId, u32>,
     stats: CacheStats,
-    /// Bumped whenever the *resident set* may have changed (insert, evict,
-    /// clear) — never on a pure recency touch. See [`residency_epoch`](Self::residency_epoch).
-    epoch: u64,
-    /// Recent residency changes, oldest first (see [`mutations_since`](Self::mutations_since)).
-    log: VecDeque<ResidencyMutation>,
-    /// Epoch from which `log` is complete: every residency change with
-    /// `epoch > log_floor` is present in the log.
-    log_floor: u64,
 }
 
 impl BucketCache {
@@ -127,42 +115,7 @@ impl BucketCache {
             tail: NIL,
             slot_of: HashMap::with_capacity(capacity + 1),
             stats: CacheStats::default(),
-            epoch: 1,
-            log: VecDeque::with_capacity(MUTATION_LOG_CAP),
-            log_floor: 1,
         }
-    }
-
-    /// Appends a residency change to the bounded log, advancing the floor
-    /// when the window overflows.
-    fn log_mutation(&mut self, bucket: BucketId, resident: bool) {
-        if self.log.len() == MUTATION_LOG_CAP {
-            let dropped = self.log.pop_front().expect("log is full, so non-empty");
-            self.log_floor = dropped.epoch;
-        }
-        self.log.push_back(ResidencyMutation {
-            epoch: self.epoch,
-            bucket,
-            resident,
-        });
-    }
-
-    /// The residency changes that happened after `epoch`, oldest first, or
-    /// `None` if the bounded log no longer reaches back that far (the caller
-    /// must then re-probe residency from scratch).
-    ///
-    /// A consumer that remembers φ bits probed at epoch `e` can replay
-    /// `mutations_since(e)` to bring them up to [`residency_epoch`](Self::residency_epoch)
-    /// without touching the unaffected buckets.
-    pub fn mutations_since(
-        &self,
-        epoch: u64,
-    ) -> Option<impl Iterator<Item = ResidencyMutation> + '_> {
-        if epoch < self.log_floor {
-            return None;
-        }
-        let start = self.log.partition_point(|m| m.epoch <= epoch);
-        Some(self.log.iter().skip(start).copied())
     }
 
     /// The paper's experimental configuration: 20 buckets (Section 5).
@@ -185,16 +138,6 @@ impl BucketCache {
         self.nodes.is_empty()
     }
 
-    /// A stamp that changes whenever the resident set may have changed.
-    ///
-    /// Recency touches do **not** bump it: the φ(i) bits a scheduler cached
-    /// at epoch `e` remain valid for as long as `residency_epoch()` still
-    /// returns `e`, which is what lets the workload table skip per-candidate
-    /// residency probes between cache mutations.
-    pub fn residency_epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// Non-mutating residency probe: φ(i) = 0 iff `contains(i)`.
     ///
     /// Does **not** update recency or statistics — the scheduler calls this
@@ -204,18 +147,19 @@ impl BucketCache {
         self.slot_of.contains_key(&id)
     }
 
-    /// Performs an access as part of executing a batch: returns `true` on a
-    /// hit (bucket already resident, moved to most-recent) or `false` on a
-    /// miss (bucket loaded, possibly evicting the least-recently-used one).
-    pub fn access(&mut self, id: BucketId) -> bool {
+    /// Performs an access as part of executing a batch: a hit moves the
+    /// resident bucket to most-recent, a miss loads it, evicting the
+    /// least-recently-used bucket if the cache is full.
+    pub fn access(&mut self, id: BucketId) -> CacheAccess {
         if let Some(&slot) = self.slot_of.get(&id) {
             self.touch(slot);
             self.stats.hits += 1;
-            true
+            CacheAccess::Hit
         } else {
             self.stats.misses += 1;
-            self.insert(id);
-            false
+            CacheAccess::Miss {
+                evicted: self.insert(id),
+            }
         }
     }
 
@@ -270,7 +214,6 @@ impl BucketCache {
             return None;
         }
         self.stats.insertions += 1;
-        self.epoch += 1;
         let mut evicted = None;
         let slot = if self.nodes.len() == self.capacity {
             // Evict the LRU head and reuse its slab slot for the newcomer.
@@ -280,7 +223,6 @@ impl BucketCache {
             self.unlink(victim_slot);
             self.slot_of.remove(&victim);
             self.stats.evictions += 1;
-            self.log_mutation(victim, false);
             evicted = Some(victim);
             self.nodes[victim_slot as usize].id = id;
             victim_slot
@@ -294,7 +236,6 @@ impl BucketCache {
         };
         self.push_mru(slot);
         self.slot_of.insert(id, slot);
-        self.log_mutation(id, true);
         evicted
     }
 
@@ -304,16 +245,12 @@ impl BucketCache {
     /// `false` if the bucket was not resident.
     ///
     /// Counts neither a hit nor an eviction — the bucket is not being
-    /// replaced under capacity pressure, it is leaving with its work. The
-    /// residency epoch advances and the change enters the mutation log, so
-    /// φ consumers resync exactly like after an eviction.
+    /// replaced under capacity pressure, it is leaving with its work.
     pub fn remove(&mut self, id: BucketId) -> bool {
         let Some(slot) = self.slot_of.remove(&id) else {
             return false;
         };
         self.unlink(slot);
-        self.epoch += 1;
-        self.log_mutation(id, false);
         // Keep the slab dense (`nodes.len()` == resident count): move the
         // last node into the vacated slot and repair its neighbours' links.
         let last = (self.nodes.len() - 1) as u32;
@@ -332,20 +269,6 @@ impl BucketCache {
         }
         self.nodes.pop();
         true
-    }
-
-    /// Drops everything (the experiments' between-run flush).
-    ///
-    /// The mutation log does not enumerate a flush; consumers synced before
-    /// the flush observe a truncated log and re-probe from scratch.
-    pub fn clear(&mut self) {
-        self.nodes.clear();
-        self.slot_of.clear();
-        self.head = NIL;
-        self.tail = NIL;
-        self.epoch += 1;
-        self.log.clear();
-        self.log_floor = self.epoch;
     }
 
     /// Accumulated statistics.
@@ -390,18 +313,24 @@ mod tests {
         c.insert(BucketId(1));
         c.insert(BucketId(2));
         // Touch 1 so 2 becomes LRU.
-        assert!(c.access(BucketId(1)));
-        assert_eq!(c.insert(BucketId(3)), Some(BucketId(2)));
+        assert_eq!(c.access(BucketId(1)), CacheAccess::Hit);
+        assert_eq!(
+            c.access(BucketId(3)),
+            CacheAccess::Miss {
+                evicted: Some(BucketId(2))
+            }
+        );
         assert!(c.contains(BucketId(1)));
     }
 
     #[test]
     fn access_counts_hits_and_misses() {
         let mut c = BucketCache::new(2);
-        assert!(!c.access(BucketId(5))); // miss + load
-        assert!(c.access(BucketId(5))); // hit
-        assert!(c.access(BucketId(5))); // hit
-        assert!(!c.access(BucketId(6))); // miss
+        let cold = CacheAccess::Miss { evicted: None };
+        assert_eq!(c.access(BucketId(5)), cold); // miss + load
+        assert_eq!(c.access(BucketId(5)), CacheAccess::Hit);
+        assert_eq!(c.access(BucketId(5)), CacheAccess::Hit);
+        assert_eq!(c.access(BucketId(6)), cold);
         let s = c.stats();
         assert_eq!(s.hits, 2);
         assert_eq!(s.misses, 2);
@@ -442,15 +371,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_empties_but_keeps_stats() {
-        let mut c = BucketCache::new(2);
-        c.access(BucketId(1));
-        c.clear();
-        assert!(c.is_empty());
-        assert_eq!(c.stats().misses, 1);
-    }
-
-    #[test]
     fn never_exceeds_capacity() {
         let mut c = BucketCache::new(3);
         for i in 0..100 {
@@ -469,25 +389,6 @@ mod tests {
         c.access(BucketId(1));
         let order: Vec<_> = c.resident_lru_order().collect();
         assert_eq!(order, vec![BucketId(2), BucketId(3), BucketId(1)]);
-    }
-
-    #[test]
-    fn epoch_tracks_residency_changes_only() {
-        let mut c = BucketCache::new(2);
-        let e0 = c.residency_epoch();
-        c.insert(BucketId(1));
-        let e1 = c.residency_epoch();
-        assert_ne!(e0, e1, "insert changes the resident set");
-        // Hits touch recency but leave the resident set alone.
-        c.access(BucketId(1));
-        c.insert(BucketId(1));
-        assert_eq!(c.residency_epoch(), e1);
-        // A miss loads (and may evict): the set changed.
-        c.access(BucketId(2));
-        assert_ne!(c.residency_epoch(), e1);
-        let e2 = c.residency_epoch();
-        c.clear();
-        assert_ne!(c.residency_epoch(), e2);
     }
 
     #[test]
@@ -538,31 +439,21 @@ mod tests {
     }
 
     #[test]
-    fn remove_unlinks_and_logs_without_counting_an_eviction() {
+    fn remove_unlinks_without_counting_an_eviction() {
         let mut c = BucketCache::new(3);
         c.insert(BucketId(1));
         c.insert(BucketId(2));
         c.insert(BucketId(3));
-        let e = c.residency_epoch();
         assert!(c.remove(BucketId(2)));
         assert!(!c.contains(BucketId(2)));
         assert_eq!(c.len(), 2);
         assert_eq!(c.stats().evictions, 0);
-        assert_ne!(c.residency_epoch(), e, "removal changes the resident set");
-        let muts: Vec<_> = c.mutations_since(e).expect("within window").collect();
-        assert_eq!(
-            muts.iter()
-                .map(|m| (m.bucket.0, m.resident))
-                .collect::<Vec<_>>(),
-            vec![(2, false)]
-        );
         // Recency order of the survivors is preserved.
         let order: Vec<_> = c.resident_lru_order().map(|b| b.0).collect();
         assert_eq!(order, vec![1, 3]);
-        // Removing an absent bucket is a no-op (no epoch bump).
-        let e2 = c.residency_epoch();
+        // Removing an absent bucket is a no-op.
         assert!(!c.remove(BucketId(2)));
-        assert_eq!(c.residency_epoch(), e2);
+        assert_eq!(c.len(), 2);
     }
 
     /// Interleave remove with access against the VecDeque model — the
@@ -606,67 +497,5 @@ mod tests {
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_rejected() {
         BucketCache::new(0);
-    }
-
-    #[test]
-    fn mutation_log_replays_residency_changes() {
-        let mut c = BucketCache::new(2);
-        let e0 = c.residency_epoch();
-        c.insert(BucketId(1));
-        c.insert(BucketId(2));
-        c.insert(BucketId(3)); // evicts 1
-        let muts: Vec<_> = c.mutations_since(e0).expect("within window").collect();
-        assert_eq!(
-            muts.iter()
-                .map(|m| (m.bucket.0, m.resident))
-                .collect::<Vec<_>>(),
-            vec![(1, true), (2, true), (1, false), (3, true)]
-        );
-        // Replaying the log over the pre-mutation resident set (empty)
-        // reproduces the live resident set exactly.
-        let mut model = std::collections::HashSet::new();
-        for m in muts {
-            if m.resident {
-                model.insert(m.bucket);
-            } else {
-                model.remove(&m.bucket);
-            }
-        }
-        for b in 0..5u32 {
-            assert_eq!(model.contains(&BucketId(b)), c.contains(BucketId(b)), "{b}");
-        }
-        // Syncing from the current epoch yields no mutations.
-        assert_eq!(c.mutations_since(c.residency_epoch()).unwrap().count(), 0);
-    }
-
-    #[test]
-    fn mutation_log_window_and_flush_force_reprobe() {
-        let mut c = BucketCache::new(1);
-        let e0 = c.residency_epoch();
-        // Each miss is one insert + (from the second on) one eviction; blow
-        // well past the window.
-        for i in 0..200u32 {
-            c.access(BucketId(i));
-        }
-        assert!(c.mutations_since(e0).is_none(), "window must be bounded");
-        // Recent epochs still replay.
-        let e1 = c.residency_epoch();
-        c.access(BucketId(999));
-        assert_eq!(c.mutations_since(e1).unwrap().count(), 2);
-        // A flush truncates the log unconditionally.
-        let e2 = c.residency_epoch();
-        c.clear();
-        assert!(c.mutations_since(e2).is_none());
-        assert_eq!(c.mutations_since(c.residency_epoch()).unwrap().count(), 0);
-    }
-
-    #[test]
-    fn touches_do_not_enter_the_mutation_log() {
-        let mut c = BucketCache::new(2);
-        c.insert(BucketId(1));
-        let e = c.residency_epoch();
-        c.access(BucketId(1)); // hit: recency only
-        c.insert(BucketId(1)); // resident re-insert: touch only
-        assert_eq!(c.mutations_since(e).unwrap().count(), 0);
     }
 }

@@ -37,19 +37,6 @@ impl CostModel {
         }
     }
 
-    /// Derives all constants from disk geometry and a bucket size.
-    ///
-    /// `match_us` is the in-memory per-object match cost in microseconds
-    /// (the paper's Tm = 130 µs covers the sort/merge share per object).
-    pub fn from_disk(disk: &DiskModel, bucket_bytes: u64, match_us: u64) -> Self {
-        CostModel {
-            tb: disk.sequential_read(bucket_bytes),
-            tm: SimDuration::from_micros(match_us),
-            probe: Self::probe_from_disk(disk),
-            index_overhead: SimDuration::from_millis(60),
-        }
-    }
-
     /// A cheap, deterministic model for unit tests: Tb=1 s, Tm=1 ms,
     /// probe=10 ms, overhead=0.
     pub fn test_simple() -> Self {

@@ -10,8 +10,8 @@
 //! - [`SimTime`]/[`SimDuration`] — virtual time in microseconds,
 //! - [`DiskModel`] — seek/rotation/transfer geometry for sequential bucket
 //!   scans and random index probes,
-//! - [`CostModel`] — the paper's constants (`Tb`, `Tm`, probe cost, index
-//!   overhead) derived from a [`DiskModel`] or set directly,
+//! - [`CostModel`] — the paper's constants (`Tb`, `Tm`, index overhead, and
+//!   a probe cost derived from a [`DiskModel`]),
 //! - [`BucketId`]/[`BucketMeta`] — bucket identity and extent metadata,
 //! - [`BucketCache`] — the LRU bucket cache with hit/miss accounting
 //!   (the φ(i) term of the workload throughput metric),
@@ -28,7 +28,7 @@ pub mod iostats;
 pub mod simtime;
 
 pub use bucket::{BucketId, BucketMeta};
-pub use cache::{BucketCache, ResidencyMutation};
+pub use cache::{BucketCache, CacheAccess};
 pub use cost::CostModel;
 pub use disk::DiskModel;
 pub use iostats::IoStats;

@@ -1,6 +1,6 @@
 //! Property tests: the bucket cache against a reference LRU model.
 
-use liferaft_storage::{BucketCache, BucketId};
+use liferaft_storage::{BucketCache, BucketId, CacheAccess};
 use proptest::prelude::*;
 
 /// The dumbest possible correct LRU: a vector ordered least-recent first.
@@ -23,20 +23,21 @@ impl ReferenceLru {
         }
     }
 
-    fn access(&mut self, id: u32) -> bool {
+    fn access(&mut self, id: u32) -> CacheAccess {
         if let Some(pos) = self.order.iter().position(|&x| x == id) {
             self.order.remove(pos);
             self.order.push(id);
             self.hits += 1;
-            true
+            CacheAccess::Hit
         } else {
             self.misses += 1;
+            let mut evicted = None;
             if self.order.len() == self.capacity {
-                self.order.remove(0);
+                evicted = Some(BucketId(self.order.remove(0)));
                 self.evictions += 1;
             }
             self.order.push(id);
-            false
+            CacheAccess::Miss { evicted }
         }
     }
 }
@@ -44,8 +45,9 @@ impl ReferenceLru {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Hit/miss/eviction behaviour matches the reference exactly for any
-    /// access sequence and capacity.
+    /// Hit/miss/eviction behaviour — down to the bucket each miss reports
+    /// it evicted, which the engine pushes into its workload table — matches
+    /// the reference exactly for any access sequence and capacity.
     #[test]
     fn cache_matches_reference_model(
         capacity in 1usize..16,
@@ -63,7 +65,7 @@ proptest! {
         prop_assert_eq!(stats.hits, reference.hits);
         prop_assert_eq!(stats.misses, reference.misses);
         prop_assert_eq!(stats.evictions, reference.evictions);
-        // Residency sets agree.
+        // Resident sets agree, in recency order.
         let resident: Vec<u32> = cache.resident_lru_order().map(|b| b.0).collect();
         prop_assert_eq!(resident, reference.order);
     }

@@ -92,12 +92,13 @@ pub enum EventKind {
         /// The resident bucket.
         bucket: u32,
     },
-    /// A bucket became cache-resident (from the residency mutation log).
+    /// A shared scan loaded a bucket into the cache.
     CacheInsert {
         /// The inserted bucket.
         bucket: u32,
     },
-    /// A bucket was evicted from the cache (from the residency mutation log).
+    /// A shared scan's load evicted a bucket (recorded before its
+    /// `CacheInsert`).
     CacheEvict {
         /// The evicted bucket.
         bucket: u32,
