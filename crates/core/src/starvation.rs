@@ -72,12 +72,6 @@ impl StarvationMonitor {
         self.max_wait_ms
     }
 
-    /// Mean per-decision oldest wait (ms), over decisions that left
-    /// something waiting.
-    pub fn mean_wait_ms(&self) -> f64 {
-        self.waits_ms.mean()
-    }
-
     /// Full statistics over the per-decision oldest waits.
     pub fn stats(&self) -> &StreamingStats {
         &self.waits_ms
@@ -101,7 +95,7 @@ mod tests {
         assert_eq!(m.decisions(), 1);
         assert_eq!(m.passed_over(), 2);
         assert_eq!(m.max_wait_ms(), 900.0);
-        assert_eq!(m.mean_wait_ms(), 900.0);
+        assert_eq!(m.stats().mean(), 900.0);
         assert_eq!(m.stats().count(), 1);
     }
 
@@ -122,6 +116,6 @@ mod tests {
         m.record_decision(at_ms(5_000), 1, Some(at_ms(50)));
         assert_eq!(m.max_wait_ms(), 4_950.0);
         assert_eq!(m.decisions(), 2);
-        assert_eq!(m.mean_wait_ms(), 2_500.0);
+        assert_eq!(m.stats().mean(), 2_500.0);
     }
 }

@@ -109,16 +109,6 @@ impl HtmId {
         }
     }
 
-    /// Which child of its parent this trixel is (0..4), or `None` for roots.
-    #[inline]
-    pub fn child_index(self) -> Option<u8> {
-        if self.level() == 0 {
-            None
-        } else {
-            Some((self.raw() & 0b11) as u8)
-        }
-    }
-
     /// The root face index (0..8) this trixel descends from.
     #[inline]
     pub fn root_face(self) -> u8 {
@@ -160,13 +150,6 @@ impl HtmId {
         let lo = self.raw() << shift;
         let hi = ((self.raw() + 1) << shift) - 1;
         HtmRange::new(HtmId::valid(lo), HtmId::valid(hi))
-    }
-
-    /// True if `other` is this trixel or one of its descendants.
-    #[inline]
-    pub fn contains_id(self, other: HtmId) -> bool {
-        let (my, theirs) = (self.level(), other.level());
-        theirs >= my && other.ancestor_at(my) == self
     }
 
     /// First (smallest) ID at a given level.
@@ -244,7 +227,6 @@ mod tests {
             assert_eq!(id.level(), 0);
             assert_eq!(id.root_face(), face);
             assert_eq!(id.parent(), None);
-            assert_eq!(id.child_index(), None);
         }
     }
 
@@ -271,7 +253,7 @@ mod tests {
             let c = root.child(k);
             assert_eq!(c.level(), 1);
             assert_eq!(c.parent(), Some(root));
-            assert_eq!(c.child_index(), Some(k));
+            assert_eq!(c.path_digit(1), k);
             assert_eq!(c.root_face(), 3);
         }
     }
@@ -311,17 +293,6 @@ mod tests {
         assert_eq!(r.lo(), id);
         assert_eq!(r.hi(), id);
         assert_eq!(r.len(), 1);
-    }
-
-    #[test]
-    fn contains_id_semantics() {
-        let a = HtmId::root(2).child(1);
-        assert!(a.contains_id(a));
-        assert!(a.contains_id(a.child(3)));
-        assert!(a.contains_id(a.child(3).child(0)));
-        assert!(!a.contains_id(HtmId::root(2).child(2)));
-        assert!(!a.contains_id(HtmId::root(2))); // parent not contained
-        assert!(HtmId::root(2).contains_id(a));
     }
 
     #[test]

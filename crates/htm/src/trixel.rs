@@ -77,17 +77,6 @@ impl Trixel {
         centroid(self.corners)
     }
 
-    /// An upper bound (radians) on the angular distance from [`Trixel::center`]
-    /// to any point of the trixel: the max corner distance (corners are the
-    /// extremal points of a spherical triangle with edges < π).
-    pub fn bounding_radius(&self) -> f64 {
-        let c = self.center();
-        self.corners
-            .iter()
-            .map(|&v| c.angle_to(v))
-            .fold(0.0, f64::max)
-    }
-
     /// The normalized edge midpoints `[w0, w1, w2]` of the HTM midpoint
     /// rule: `w0 = mid(v1,v2)`, `w1 = mid(v0,v2)`, `w2 = mid(v0,v1)`.
     #[inline]
@@ -153,14 +142,6 @@ impl Trixel {
             && c.cross(a).dot(p) >= -CONTAINS_EPS
     }
 
-    /// Strict interior test used for sanity checks (no boundary tolerance).
-    pub fn contains_strict(&self, p: Vec3) -> bool {
-        let [a, b, c] = self.corners;
-        a.cross(b).dot(p) > CONTAINS_EPS
-            && b.cross(c).dot(p) > CONTAINS_EPS
-            && c.cross(a).dot(p) > CONTAINS_EPS
-    }
-
     /// Solid angle of the trixel, in steradians (Van Oosterom–Strackee).
     pub fn area(&self) -> f64 {
         let [a, b, c] = self.corners;
@@ -205,6 +186,14 @@ mod tests {
     use super::*;
     use std::f64::consts::PI;
 
+    /// Strict interior test (no boundary tolerance).
+    fn contains_strict(t: &Trixel, p: Vec3) -> bool {
+        let [a, b, c] = t.corners;
+        a.cross(b).dot(p) > CONTAINS_EPS
+            && b.cross(c).dot(p) > CONTAINS_EPS
+            && c.cross(a).dot(p) > CONTAINS_EPS
+    }
+
     #[test]
     fn roots_tile_the_sphere() {
         let total: f64 = Trixel::roots().iter().map(Trixel::area).sum();
@@ -220,7 +209,7 @@ mod tests {
                 "{:?} does not contain center",
                 t.id()
             );
-            assert!(t.contains_strict(t.center()));
+            assert!(contains_strict(&t, t.center()));
         }
     }
 
@@ -266,7 +255,7 @@ mod tests {
         let t = Trixel::root(0);
         for &corner in t.corners() {
             assert!(t.contains(corner));
-            assert!(!t.contains_strict(corner));
+            assert!(!contains_strict(&t, corner));
         }
     }
 
@@ -276,7 +265,7 @@ mod tests {
         let p = Vec3::from_radec_deg(33.0, 12.0);
         let n = Trixel::roots()
             .iter()
-            .filter(|t| t.contains_strict(p))
+            .filter(|t| contains_strict(t, p))
             .count();
         assert_eq!(n, 1);
     }
@@ -286,19 +275,6 @@ mod tests {
         let t = Trixel::root(4);
         let c = t.center();
         assert!(!t.contains(c.scale(-1.0)));
-    }
-
-    #[test]
-    fn bounding_radius_bounds_corners() {
-        let t = Trixel::root(1).child(0).child(2);
-        let c = t.center();
-        let r = t.bounding_radius();
-        for &v in t.corners() {
-            assert!(c.angle_to(v) <= r + 1e-12);
-        }
-        // And shrinks roughly by half per level.
-        let child_r = t.child(3).bounding_radius();
-        assert!(child_r < r * 0.75);
     }
 
     #[test]

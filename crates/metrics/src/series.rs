@@ -37,42 +37,6 @@ impl Series {
     pub fn ys(&self) -> Vec<f64> {
         self.points.iter().map(|&(_, y)| y).collect()
     }
-
-    /// The y value at a given x, if present (exact bit-match).
-    pub fn y_at(&self, x: f64) -> Option<f64> {
-        self.points
-            .iter()
-            .find(|&&(px, _)| px == x)
-            .map(|&(_, y)| y)
-    }
-
-    /// Linear interpolation of y at `x` over points sorted by x.
-    ///
-    /// Clamps outside the domain. Returns `None` if the series is empty.
-    pub fn interpolate(&self, x: f64) -> Option<f64> {
-        if self.points.is_empty() {
-            return None;
-        }
-        let mut pts = self.points.clone();
-        pts.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite x values"));
-        if x <= pts[0].0 {
-            return Some(pts[0].1);
-        }
-        if x >= pts[pts.len() - 1].0 {
-            return Some(pts[pts.len() - 1].1);
-        }
-        for w in pts.windows(2) {
-            let ((x0, y0), (x1, y1)) = (w[0], w[1]);
-            if x0 <= x && x <= x1 {
-                if x1 == x0 {
-                    return Some(y0);
-                }
-                let t = (x - x0) / (x1 - x0);
-                return Some(y0 + t * (y1 - y0));
-            }
-        }
-        unreachable!("interpolation domain covered by clamps and windows")
-    }
 }
 
 impl fmt::Display for Series {
@@ -96,30 +60,7 @@ mod tests {
         s.push(0.5, 0.32);
         assert_eq!(s.label(), "Bias 0.25");
         assert_eq!(s.points().len(), 2);
-        assert_eq!(s.y_at(0.5), Some(0.32));
-        assert_eq!(s.y_at(0.3), None);
         assert_eq!(s.ys(), vec![0.15, 0.32]);
-    }
-
-    #[test]
-    fn interpolation_midpoint_and_clamps() {
-        let mut s = Series::new("t");
-        s.push(0.0, 0.0);
-        s.push(1.0, 10.0);
-        assert_eq!(s.interpolate(0.5), Some(5.0));
-        assert_eq!(s.interpolate(-1.0), Some(0.0));
-        assert_eq!(s.interpolate(2.0), Some(10.0));
-        assert_eq!(Series::new("e").interpolate(0.5), None);
-    }
-
-    #[test]
-    fn interpolation_unsorted_input() {
-        let mut s = Series::new("t");
-        s.push(1.0, 10.0);
-        s.push(0.0, 0.0);
-        s.push(0.5, 2.0);
-        assert_eq!(s.interpolate(0.25), Some(1.0));
-        assert_eq!(s.interpolate(0.75), Some(6.0));
     }
 
     #[test]

@@ -37,11 +37,6 @@ impl Table {
         self
     }
 
-    /// Number of data rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Renders the table with a separator under the header.
     pub fn render(&self) -> String {
         let cols = self.header.len();
@@ -103,14 +98,6 @@ mod tests {
         let off = lines[0].find("throughput").unwrap();
         assert_eq!(&lines[2][off..off + 5], "0.105");
         assert_eq!(&lines[3][off..off + 5], "0.231");
-    }
-
-    #[test]
-    fn num_rows_counts() {
-        let mut t = Table::new(["a"]);
-        assert_eq!(t.num_rows(), 0);
-        t.row(["1"]).row(["2"]);
-        assert_eq!(t.num_rows(), 2);
     }
 
     #[test]

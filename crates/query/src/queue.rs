@@ -235,13 +235,6 @@ impl QueueMemoryStats {
         self.entry_bytes += other.entry_bytes;
     }
 
-    /// Allocated bytes beyond the live index payload — the price of the
-    /// layout (directory rows, segment headers, free segments, tail slack,
-    /// unused slab capacity).
-    pub fn overhead_bytes(&self) -> u64 {
-        self.total_bytes().saturating_sub(self.entry_bytes)
-    }
-
     /// Total allocated bytes.
     pub fn total_bytes(&self) -> u64 {
         self.directory_bytes + self.segment_bytes
@@ -414,15 +407,6 @@ impl<'q> WorkloadQueue<'q> {
     /// Enqueue time of the oldest request (`A(i)`'s reference point).
     pub fn oldest_enqueue(&self) -> Option<SimTime> {
         self.oldest
-    }
-
-    /// Age of the oldest request in milliseconds at time `now` — the paper's
-    /// `A(i)`. Zero when empty.
-    pub fn oldest_age_ms(&self, now: SimTime) -> f64 {
-        match self.oldest {
-            Some(t) => now.since(t).as_millis_f64(),
-            None => 0.0,
-        }
     }
 
     /// Number of entries queued for `query` (0 if it has no run here).
@@ -1084,7 +1068,7 @@ mod tests {
     }
 
     #[test]
-    fn oldest_age_tracks_minimum() {
+    fn oldest_enqueue_tracks_minimum() {
         let q = entry_source(1);
         let mut t = WorkloadTable::new(4);
         let t0 = SimTime::ZERO;
@@ -1096,9 +1080,7 @@ mod tests {
             q2
         };
         t.enqueue(&item(&q2, 2), &q2, t0);
-        let now = t1 + SimDuration::from_secs(5);
-        // Oldest is t0 → age 15s.
-        assert_eq!(t.queue(BucketId(2)).oldest_age_ms(now), 15_000.0);
+        assert_eq!(t.queue(BucketId(2)).oldest_enqueue(), Some(t0));
     }
 
     #[test]
@@ -1498,7 +1480,6 @@ mod tests {
         assert!(m.segment_bytes >= 4 * std::mem::size_of::<Segment>() as u64);
         assert_eq!(std::mem::size_of::<Segment>(), 128);
         assert_eq!(m.total_bytes(), m.directory_bytes + m.segment_bytes);
-        assert_eq!(m.overhead_bytes(), m.total_bytes() - m.entry_bytes);
         let mut table_total = QueueMemoryStats::default();
         table_total.merge(&m);
         table_total.merge(&WorkloadQueue::new().memory_stats());

@@ -289,11 +289,6 @@ impl QueryTracker {
         self.pending.get(&query).map(|p| p.arrival)
     }
 
-    /// Outstanding assignments of an in-flight query.
-    pub fn remaining_of(&self, query: QueryId) -> Option<u64> {
-        self.pending.get(&query).map(|p| p.remaining)
-    }
-
     /// All completed queries in completion order.
     pub fn completed(&self) -> &[QueryOutcome] {
         &self.completed
@@ -322,6 +317,11 @@ mod tests {
 
     fn t(s: u64) -> SimTime {
         SimTime::from_micros(s * 1_000_000)
+    }
+
+    /// Outstanding assignments of an in-flight query.
+    fn remaining_of(tr: &QueryTracker, query: QueryId) -> Option<u64> {
+        tr.pending.get(&query).map(|p| p.remaining)
     }
 
     #[test]
@@ -378,9 +378,9 @@ mod tests {
         let mut tr = QueryTracker::new();
         tr.register(QueryId(1), F, 4, t(2));
         assert_eq!(tr.arrival_of(QueryId(1)), Some(t(2)));
-        assert_eq!(tr.remaining_of(QueryId(1)), Some(4));
+        assert_eq!(remaining_of(&tr, QueryId(1)), Some(4));
         tr.complete_assignments(QueryId(1), 3, t(3));
-        assert_eq!(tr.remaining_of(QueryId(1)), Some(1));
+        assert_eq!(remaining_of(&tr, QueryId(1)), Some(1));
         assert_eq!(tr.arrival_of(QueryId(99)), None);
     }
 
@@ -410,7 +410,7 @@ mod tests {
         let mut tr = QueryTracker::new();
         tr.register(QueryId(1), F, 5, t(0));
         assert!(tr.transfer_out(QueryId(1), F, 2, t(10)).is_none());
-        assert_eq!(tr.remaining_of(QueryId(1)), Some(3));
+        assert_eq!(remaining_of(&tr, QueryId(1)), Some(3));
         // The eventual outcome only covers what stayed (and was serviced).
         let out = tr.complete_assignments(QueryId(1), 3, t(20)).unwrap();
         assert_eq!(out.assignments, 3);
@@ -444,7 +444,7 @@ mod tests {
         let mut tr = QueryTracker::new();
         tr.register(QueryId(7), F, 2, t(9));
         tr.transfer_in(QueryId(7), F, 3, t(9));
-        assert_eq!(tr.remaining_of(QueryId(7)), Some(5));
+        assert_eq!(remaining_of(&tr, QueryId(7)), Some(5));
         // A fresh query opens with its original (possibly older) arrival.
         tr.transfer_in(QueryId(3), F, 1, t(1));
         assert_eq!(tr.oldest_pending(), Some((QueryId(3), t(1))));

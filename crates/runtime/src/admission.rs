@@ -40,7 +40,7 @@ use std::collections::BTreeSet;
 use liferaft_metrics::Summary;
 use liferaft_query::{CrossMatchQuery, WorkItem};
 use liferaft_storage::{SimDuration, SimTime};
-use liferaft_telemetry::{Event, EventKind};
+use liferaft_telemetry::{class_label, Event, EventKind};
 
 use crate::ledger::{ClassConservation, Ledger, RejectedBy, RejectedQuery};
 
@@ -75,13 +75,10 @@ impl QueryClass {
         }
     }
 
-    /// Human-readable label.
+    /// Human-readable label, the one the trace's renderers use
+    /// ([`class_label`]).
     pub fn label(self) -> &'static str {
-        match self {
-            QueryClass::Interactive => "interactive",
-            QueryClass::Standard => "standard",
-            QueryClass::Batch => "batch",
-        }
+        class_label(self.rank_u8())
     }
 
     fn rank_u8(self) -> u8 {

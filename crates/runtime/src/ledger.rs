@@ -1,18 +1,19 @@
 //! The books `finish` keeps: the canonical merged completion stream and the
 //! per-query terminal ledger every controller report projects from.
 //!
-//! Each shard records completions in its own event order, each shared out
-//! by fragment id; the pool's **canonical order** interleaves them by
-//! `(shard running clock, shard id, shard record order)` — independent of
-//! how the shards were driven, which is what makes stepped and threaded
-//! runs bit-identical. `merged_completions` computes that stream once per
-//! run, for the hedge races (which count each fragment down to its last
-//! part, wherever it ran) and the `Ledger`, which answers per query *which
-//! way it ended*: completed (first and last fragment instants) or rejected
-//! (by which controller, when, after how many attempts) — exactly one of
-//! the two.
+//! Each shard records completions (and events) in its own order; the pool's
+//! **canonical order**, `canonical_merge`, interleaves shard streams by
+//! `(running clock, shard id, record order)` — independent of how the
+//! shards were driven, which is what makes stepped and threaded runs
+//! bit-identical. `merged_completions` computes the completion stream once
+//! per run, shared out by fragment id, for the hedge races (which count
+//! each fragment down to its last part, wherever it ran) and the `Ledger`,
+//! which answers per query *which way it ended*: completed (first and last
+//! fragment instants) or rejected (by which controller, when, after how
+//! many attempts) — exactly one of the two.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 
 use liferaft_catalog::Catalog;
 use liferaft_query::{tracker::QueryOutcome, CrossMatchQuery, FragmentId, QueryId};
@@ -25,19 +26,6 @@ use crate::worker::ShardWorker;
 /// stream.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Completion {
-    /// The recording shard's *running clock* (the prefix-max of completion
-    /// times — the shard-local virtual time at which the outcome was
-    /// recorded). A zero-work fragment completes at its arrival but is
-    /// recorded at the following batch boundary; keying the merge on the
-    /// clock preserves each shard's record order — exactly the single-engine
-    /// push order, so a 1-shard runtime reproduces `Simulation`'s outcome
-    /// sequence bit-for-bit.
-    pub(crate) clock: SimTime,
-    /// The recording shard.
-    pub(crate) shard: u32,
-    /// Position in record order: each shard's completions in its own
-    /// order, the shares of one completion consecutive.
-    pub(crate) seq: u32,
     /// Trace index of the fragment's query.
     pub(crate) index: usize,
     /// The fragment.
@@ -48,34 +36,50 @@ pub(crate) struct Completion {
     pub(crate) assignments: u64,
 }
 
-/// A pool's fragment completions in canonical `(clock, shard, seq)` order.
-/// Every query has at least one fragment (zero-work queries ship an empty
-/// one to shard 0), so the stream covers every routed query.
+/// Merges streams, each in its own record order, into the canonical order:
+/// by the stream's *running clock* (the prefix-max of `time` over it so
+/// far), then stream index, then position. The running clock keeps each
+/// stream's record order where raw times step back: a zero-work fragment
+/// completes at its arrival but is recorded at the next batch boundary, so
+/// a 1-shard runtime reproduces `Simulation`'s outcome sequence
+/// bit-for-bit. A k-way merge: each element moves once.
+pub(crate) fn canonical_merge<T>(streams: Vec<Vec<T>>, time: impl Fn(&T) -> SimTime) -> Vec<T> {
+    let mut merged = Vec::with_capacity(streams.iter().map(Vec::len).sum());
+    let mut streams: Vec<VecDeque<T>> = streams.into_iter().map(VecDeque::from).collect();
+    let head = |(i, s): (usize, &VecDeque<T>)| Some(Reverse((time(s.front()?), i)));
+    let mut heads: BinaryHeap<_> = streams.iter().enumerate().filter_map(head).collect();
+    while let Some(Reverse((clock, i))) = heads.pop() {
+        merged.push(streams[i].pop_front().expect("a queued head is present"));
+        if let Some(next) = streams[i].front() {
+            heads.push(Reverse((clock.max(time(next)), i)));
+        }
+    }
+    merged
+}
+
+/// A pool's fragment completions in canonical order ([`canonical_merge`]
+/// over the shards, in shard order). Every query has at least one fragment
+/// (zero-work queries ship an empty one to shard 0), so the stream covers
+/// every routed query.
 pub(crate) fn merged_completions<C: Catalog + ?Sized>(
     workers: &[ShardWorker<'_, C>],
     index_of: &HashMap<QueryId, usize>,
 ) -> Vec<Completion> {
-    let mut stream: Vec<Completion> = Vec::new();
-    for (shard, w) in workers.iter().enumerate() {
+    let streams = workers.iter().map(|w| {
         let tracker = w.driver.core().tracker();
-        let mut clock = SimTime::ZERO;
-        for (k, o) in tracker.completed().iter().enumerate() {
-            clock = clock.max(o.completion);
-            for &(fragment, assignments) in tracker.completed_parts(k) {
-                stream.push(Completion {
-                    clock,
-                    shard: shard as u32,
-                    seq: stream.len() as u32,
-                    index: index_of[&o.query],
-                    fragment,
-                    at: o.completion,
-                    assignments,
-                });
-            }
-        }
-    }
-    stream.sort_unstable_by_key(|c| (c.clock, c.shard, c.seq));
-    stream
+        let outcomes = tracker.completed().iter().enumerate();
+        let parts = outcomes.flat_map(|(k, o)| {
+            let shares = tracker.completed_parts(k).iter();
+            shares.map(|&(fragment, assignments)| Completion {
+                index: index_of[&o.query],
+                fragment,
+                at: o.completion,
+                assignments,
+            })
+        });
+        parts.collect()
+    });
+    canonical_merge(streams.collect(), |c| c.at)
 }
 
 /// Which controller ended a rejected query.

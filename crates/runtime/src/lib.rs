@@ -56,9 +56,9 @@
 //! completion events, the controller paths contribute migration and
 //! admission events, and [`RuntimeReport::telemetry`] carries the merged
 //! [`TelemetryReport`] — per-shard time series plus the raw event stream,
-//! exportable as JSONL or a Chrome/Perfetto trace. Events are merged in
-//! the same canonical `(time, shard, seq)` order the completion merge
-//! uses, so stepped and threaded runs produce **byte-identical** streams;
+//! exportable as JSONL or a Chrome/Perfetto trace. Events are merged by
+//! the same canonical merge as completions (running clock, shard, record
+//! order), so stepped and threaded runs produce **byte-identical** streams;
 //! with the default [`TelemetryMode::Off`] the recorder is a null sink and
 //! runs are bit-identical to an un-instrumented build.
 //!

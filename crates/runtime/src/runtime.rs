@@ -42,7 +42,7 @@ use crate::config::{ExecMode, RebalanceConfig, RuntimeConfig};
 use crate::failover::{
     Evacuation, FailoverLog, FailoverReport, Redelivery, ShardTransition, REDELIVERY,
 };
-use crate::ledger::{merged_completions, Ledger, RejectedBy};
+use crate::ledger::{canonical_merge, merged_completions, Ledger, RejectedBy};
 use crate::rebalance::{plan_moves, EpochRecord, Migration, RebalanceLog};
 use crate::router::{route_window, Fragment, Routing};
 use crate::shard::{ElasticShardMap, ShardId, ShardMap};
@@ -277,7 +277,8 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
             log.recovery_lag(|shard, t| workers[shard as usize].driver.next_completion_after(t))
         });
         let mut stream = merged_completions(&workers, index_of);
-        let shards: Vec<ShardRun> = workers.into_iter().map(ShardWorker::into_run).collect();
+        let (shards, streams): (Vec<ShardRun>, Vec<Vec<Event>>) =
+            workers.into_iter().map(ShardWorker::into_run).unzip();
 
         let hedges = plan.transport.as_ref().map_or(&[][..], |d| &d.log.hedges);
         let (hedge_wins, hedge_losses) = resolve_hedges(hedges, &plan.races, &mut stream);
@@ -305,7 +306,7 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
             global.add_counters(&run.report);
         }
 
-        let telemetry = self.build_telemetry(entries, &shards, &plan);
+        let telemetry = self.build_telemetry(entries, streams, &plan);
         let per_class = ledger.per_class();
         let failover = plan.failover.map(|log| FailoverReport {
             log,
@@ -342,21 +343,18 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
     /// The router stream is every log's events in a fixed construction
     /// order (rebalance, admission, failover, transport — each log's own
     /// order inside), *stably* sorted by time and then numbered; all the
-    /// logs are deterministic, so the stream is too. The merge mirrors the
-    /// canonical completion order: each shard's stream is keyed by its
-    /// *running clock* (the prefix-max of event times over record order — a
-    /// query arrival keeps its true arrival instant, which can precede the
-    /// batch boundary it was recorded at), and streams interleave by
-    /// `(clock, shard, seq)`. Controller events ride the
-    /// [`ROUTER_SHARD`](liferaft_telemetry::ROUTER_SHARD) pseudo-shard, which
-    /// sorts after every real shard. Because each shard's stream is a pure
-    /// function of its own fragment sequence and the logs are made only at
-    /// control instants, stepped and threaded executions produce
+    /// logs are deterministic, so the stream is too. The shard streams, in
+    /// shard order, and then the router stream merge in the canonical
+    /// completion order ([`canonical_merge`]), so controller events, on the
+    /// [`ROUTER_SHARD`](liferaft_telemetry::ROUTER_SHARD) pseudo-shard, sort
+    /// after every real shard's at one clock. Because each shard's stream is
+    /// a pure function of its own fragment sequence and the logs are made
+    /// only at control instants, stepped and threaded executions produce
     /// byte-identical merged streams.
     fn build_telemetry(
         &self,
         entries: &[(SimTime, CrossMatchQuery)],
-        shard_runs: &[ShardRun],
+        mut streams: Vec<Vec<Event>>,
         plan: &Plan,
     ) -> Option<TelemetryReport> {
         if !self.config.telemetry.enabled() {
@@ -376,22 +374,12 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
             delivery.log.render(&mut router);
         }
         router.sort_by_key(|e| e.time);
-        let mut keyed: Vec<(SimTime, Event)> = Vec::new();
-        for (seq, mut e) in router.into_iter().enumerate() {
+        for (seq, e) in router.iter_mut().enumerate() {
             e.seq = seq as u64;
-            keyed.push((e.time, e));
         }
-        for run in shard_runs {
-            let mut clock = SimTime::ZERO;
-            for e in &run.events {
-                clock = clock.max(e.time);
-                keyed.push((clock, e.clone()));
-            }
-        }
-        keyed.sort_unstable_by_key(|(clock, e)| (*clock, e.shard, e.seq));
-        let events: Vec<Event> = keyed.into_iter().map(|(_, e)| e).collect();
+        streams.push(router);
         Some(TelemetryReport::build(
-            events,
+            canonical_merge(streams, |e| e.time),
             self.config.n_shards,
             self.config.telemetry.window,
         ))
@@ -1040,7 +1028,11 @@ fn advance<C: Catalog + Sync + ?Sized>(
 ) {
     let run = move |w: &mut ShardWorker<'_, C>| w.driver.advance_until(until, w.scheduler.as_mut());
     match mode {
-        ExecMode::Stepped => workers.iter_mut().for_each(run),
+        ExecMode::Stepped => {
+            for i in window_order(workers.len()) {
+                run(&mut workers[i]);
+            }
+        }
         ExecMode::Threaded => std::thread::scope(|scope| {
             let due = workers.iter_mut().filter(|w| w.driver.due_before(until));
             let running: Vec<_> = due.map(|w| scope.spawn(move || run(w))).collect();
@@ -1051,6 +1043,16 @@ fn advance<C: Catalog + Sync + ?Sized>(
         }),
     }
 }
+
+/// The order a stepped window advances its `n` workers in: index order
+/// (unit tests permute it: `tests::window_order`).
+#[cfg(not(test))]
+fn window_order(n: usize) -> std::ops::Range<usize> {
+    0..n
+}
+
+#[cfg(test)]
+use tests::window_order;
 
 #[cfg(test)]
 mod tests {
@@ -1064,11 +1066,36 @@ mod tests {
     use liferaft_sim::SimConfig;
     use liferaft_workload::arrivals::uniform_arrivals;
     use liferaft_workload::Trace;
+    use std::cell::Cell;
     use std::collections::HashSet;
     use std::sync::{Arc, Mutex};
     use std::thread::ThreadId;
 
     const LEVEL: u8 = 8;
+
+    thread_local! {
+        /// This thread's window permutation: the xorshift state (`None`:
+        /// index order) and how many windows it has reordered.
+        static WINDOW_ORDER: Cell<(Option<u64>, usize)> = const { Cell::new((None, 0)) };
+    }
+
+    /// The stepped window order under test: index order, or a fresh seeded
+    /// shuffle per window while [`WINDOW_ORDER`] holds a state.
+    pub(super) fn window_order(n: usize) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..n).collect();
+        let (Some(mut x), reordered) = WINDOW_ORDER.get() else {
+            return order;
+        };
+        for i in (1..n).rev() {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            order.swap(i, (x % (i as u64 + 1)) as usize);
+        }
+        let moved = order.iter().enumerate().any(|(i, &w)| i != w);
+        WINDOW_ORDER.set((Some(x), reordered + usize::from(moved)));
+        order
+    }
 
     fn fixture(n_queries: usize, rate_qps: f64) -> (MaterializedCatalog, TimedTrace) {
         let sky = uniform_sky(2_000, LEVEL, 5);
@@ -2602,6 +2629,61 @@ mod tests {
             assert_eq!(stepped.transport, threaded.transport, "{name}");
             for (a, b) in stepped.shards.iter().zip(&threaded.shards) {
                 assert_eq!(a.report.outcomes, b.report.outcomes, "{name}");
+            }
+        }
+    }
+
+    /// Window order, a symmetry: a stepped run whose windows advance their
+    /// workers in a seeded random order is byte-identical to the index-order
+    /// run, report and event stream alike. Workers share nothing inside a
+    /// window; that is the claim the threaded executor rests on, checked
+    /// here without threads.
+    #[test]
+    fn stepped_windows_advance_in_any_worker_order() {
+        use crate::config::RebalanceConfig;
+        use crate::failover::FailoverConfig;
+        use crate::transport::TransportConfig;
+        use liferaft_sim::ShardOutage;
+        use liferaft_storage::SimDuration;
+        use liferaft_telemetry::TelemetryConfig;
+        let (cat, timed) = fixture(24, 8.0);
+        let mut base = RuntimeConfig::contiguous(SimConfig::paper(), 4);
+        base.assignment = ShardAssignment::Hashed { seed: 3 };
+        base.telemetry = TelemetryConfig::jsonl();
+        let mut rebalance = base.clone();
+        rebalance.rebalance = RebalanceConfig::every(SimDuration::from_secs(2));
+        rebalance.rebalance.min_imbalance = 1.05;
+        let mut crash = base.clone();
+        crash.failover = FailoverConfig::recovery();
+        crash.faults.outages.push(ShardOutage {
+            shard: 0,
+            down_at: SimTime::ZERO + SimDuration::from_secs(1),
+            up_at: SimTime::ZERO + SimDuration::from_secs(6),
+        });
+        let mut hedged = base.clone();
+        hedged.transport = TransportConfig::hedged();
+        hedged.transport.hedge.min_samples = 4;
+        hedged.faults.links = flaky_links();
+        for (name, config) in [
+            ("static", base),
+            ("rebalance", rebalance),
+            ("crash", crash),
+            ("hedged lossy transport", hedged),
+        ] {
+            let rt = ShardedRuntime::new(&cat, config);
+            let reference = format!("{:?}", rt.run(&timed, &mut |_| greedy(), ExecMode::Stepped));
+            for seed in [1u64, 7, 0x9e37_79b9] {
+                WINDOW_ORDER.set((Some(seed), 0));
+                let permuted = rt.run(&timed, &mut |_| greedy(), ExecMode::Stepped);
+                let (_, reordered) = WINDOW_ORDER.replace((None, 0));
+                assert!(
+                    reordered > 0,
+                    "{name}, seed {seed}: no window was reordered"
+                );
+                assert!(
+                    format!("{permuted:?}") == reference,
+                    "{name}, seed {seed}: the worker order changed the run"
+                );
             }
         }
     }

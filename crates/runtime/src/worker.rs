@@ -21,7 +21,8 @@ use crate::rebalance::Migration;
 use crate::shard::ShardId;
 
 /// The finished record of one shard: a fragment-level [`RunReport`] (its
-/// `queries` field counts *fragments*) plus its telemetry.
+/// `queries` field counts *fragments*) plus its sink's drop count (its
+/// events are in the run's merged telemetry report).
 #[derive(Debug, Clone)]
 pub struct ShardRun {
     /// The shard.
@@ -29,9 +30,6 @@ pub struct ShardRun {
     /// Fragment-level run report (outcomes are fragment completions in
     /// shard event order).
     pub report: RunReport,
-    /// The shard's recorded telemetry (record order, shard id stamped;
-    /// empty under the default [`NullSink`](liferaft_telemetry::NullSink)).
-    pub events: Vec<Event>,
     /// Events the shard's sink discarded (bounded sinks only).
     pub events_dropped: u64,
 }
@@ -143,20 +141,21 @@ impl<'a, C: Catalog + ?Sized> ShardWorker<'a, C> {
         }
     }
 
-    /// Finishes the shard into its run record ([`Driver::finish`]).
-    pub(crate) fn into_run(self) -> ShardRun {
+    /// Finishes the shard into its run record and its events ([`Driver::finish`]):
+    /// record order, shard id stamped, none under the default `NullSink`.
+    pub(crate) fn into_run(self) -> (ShardRun, Vec<Event>) {
         let (report, mut events, events_dropped) = self.driver.finish(self.scheduler.as_ref());
         // Sinks stamp shard 0 (an engine does not know where it runs); the
         // worker owns that knowledge.
         for e in &mut events {
             e.shard = self.shard.0;
         }
-        ShardRun {
+        let run = ShardRun {
             shard: self.shard,
             report,
-            events,
             events_dropped,
-        }
+        };
+        (run, events)
     }
 }
 

@@ -42,53 +42,14 @@ pub struct BucketMeta {
     pub bytes: u64,
 }
 
-impl BucketMeta {
-    /// Fraction `w / object_count` used by the hybrid join strategy
-    /// ("the size of the workload queue is roughly 3% of the size of the
-    /// bucket", Section 3.4).
-    pub fn queue_ratio(&self, queue_len: u64) -> f64 {
-        if self.object_count == 0 {
-            return f64::INFINITY;
-        }
-        queue_len as f64 / self.object_count as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use liferaft_htm::HtmId;
-
-    fn meta() -> BucketMeta {
-        BucketMeta {
-            id: BucketId(7),
-            htm_range: HtmRange::new(
-                HtmId::from_raw_unchecked(128),
-                HtmId::from_raw_unchecked(131),
-            ),
-            object_count: 10_000,
-            bytes: 40 * 1024 * 1024,
-        }
-    }
 
     #[test]
     fn id_display_and_index() {
         assert_eq!(BucketId(3).to_string(), "B3");
         assert_eq!(BucketId(3).index(), 3);
-    }
-
-    #[test]
-    fn queue_ratio_basic() {
-        let m = meta();
-        assert_eq!(m.queue_ratio(300), 0.03);
-        assert_eq!(m.queue_ratio(0), 0.0);
-    }
-
-    #[test]
-    fn queue_ratio_of_empty_bucket_is_infinite() {
-        let mut m = meta();
-        m.object_count = 0;
-        assert!(m.queue_ratio(1).is_infinite());
     }
 
     #[test]

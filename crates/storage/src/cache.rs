@@ -163,12 +163,6 @@ impl BucketCache {
         }
     }
 
-    /// Records a lookup that bypasses the cache entirely (e.g. an indexed
-    /// join probing random pages): counts a miss, loads nothing.
-    pub fn record_bypass(&mut self) {
-        self.stats.misses += 1;
-    }
-
     /// Unlinks a slot from the recency list (its `prev`/`next` stay stale).
     fn unlink(&mut self, slot: u32) {
         let Node { prev, next, .. } = self.nodes[slot as usize];
@@ -360,14 +354,6 @@ mod tests {
         assert_eq!(c.insert(BucketId(1)), None); // touch, no insert
         assert_eq!(c.stats().insertions, 2);
         assert_eq!(c.insert(BucketId(3)), Some(BucketId(2)));
-    }
-
-    #[test]
-    fn bypass_counts_miss_without_loading() {
-        let mut c = BucketCache::new(2);
-        c.record_bypass();
-        assert_eq!(c.stats().misses, 1);
-        assert!(c.is_empty());
     }
 
     #[test]

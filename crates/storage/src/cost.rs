@@ -83,15 +83,6 @@ impl CostModel {
         }
         ((tb - oh) / probe).floor() as u64
     }
-
-    /// Speed-up of a (non-indexed) scan over an indexed join for a batch of
-    /// `workload_len` objects — the y-axis of Figure 2. Values > 1 mean the
-    /// scan wins.
-    pub fn scan_speedup(&self, workload_len: u64) -> f64 {
-        let scan = self.scan_batch(workload_len, false).as_micros() as f64;
-        let indexed = self.indexed_batch(workload_len).as_micros() as f64;
-        indexed / scan
-    }
 }
 
 impl Default for CostModel {
@@ -103,6 +94,15 @@ impl Default for CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Speed-up of a (non-indexed) scan over an indexed join for a batch of
+    /// `workload_len` objects — the y-axis of Figure 2. Values > 1 mean the
+    /// scan wins.
+    fn scan_speedup(c: &CostModel, workload_len: u64) -> f64 {
+        let scan = c.scan_batch(workload_len, false).as_micros() as f64;
+        let indexed = c.indexed_batch(workload_len).as_micros() as f64;
+        indexed / scan
+    }
 
     #[test]
     fn paper_constants() {
@@ -148,8 +148,8 @@ mod tests {
     fn indexed_wins_below_break_even_scan_wins_above() {
         let c = CostModel::paper();
         let w = c.break_even_queue_len();
-        assert!(c.scan_speedup(w.saturating_sub(10).max(1)) < 1.0);
-        assert!(c.scan_speedup(w + 10) > 1.0);
+        assert!(scan_speedup(&c, w.saturating_sub(10).max(1)) < 1.0);
+        assert!(scan_speedup(&c, w + 10) > 1.0);
     }
 
     #[test]
@@ -157,7 +157,7 @@ mod tests {
         let c = CostModel::paper();
         let mut last = 0.0;
         for w in [1u64, 10, 100, 1_000, 10_000] {
-            let s = c.scan_speedup(w);
+            let s = scan_speedup(&c, w);
             assert!(s > last, "speedup must grow with contention");
             last = s;
         }
@@ -168,7 +168,7 @@ mod tests {
         // "we observe up to a twenty fold performance gap" — at W = bucket
         // size (10 000), the scan should win by an order of magnitude or two.
         let c = CostModel::paper();
-        let s = c.scan_speedup(10_000);
+        let s = scan_speedup(&c, 10_000);
         assert!((10.0..100.0).contains(&s), "full-bucket speedup {s}");
     }
 }

@@ -68,13 +68,6 @@ impl DiskModel {
         let single = self.random_page_read().as_secs_f64();
         SimDuration::from_secs_f64(single / self.random_concurrency.max(1.0))
     }
-
-    /// Effective sequential bandwidth over a read of `bytes` bytes, MB/s
-    /// (includes the positioning overhead).
-    pub fn effective_bandwidth_mb_per_s(&self, bytes: u64) -> f64 {
-        let t = self.sequential_read(bytes).as_secs_f64();
-        bytes as f64 / (1024.0 * 1024.0) / t
-    }
 }
 
 impl Default for DiskModel {
@@ -88,6 +81,13 @@ mod tests {
     use super::*;
 
     const MB: u64 = 1024 * 1024;
+
+    /// Effective sequential bandwidth over a read of `bytes` bytes, MB/s
+    /// (includes the positioning overhead).
+    fn effective_bandwidth_mb_per_s(d: &DiskModel, bytes: u64) -> f64 {
+        let t = d.sequential_read(bytes).as_secs_f64();
+        bytes as f64 / (1024.0 * 1024.0) / t
+    }
 
     #[test]
     fn forty_mb_bucket_costs_about_tb() {
@@ -121,8 +121,8 @@ mod tests {
     #[test]
     fn effective_bandwidth_approaches_rated() {
         let d = DiskModel::paper_default();
-        let small = d.effective_bandwidth_mb_per_s(MB);
-        let big = d.effective_bandwidth_mb_per_s(1024 * MB);
+        let small = effective_bandwidth_mb_per_s(&d, MB);
+        let big = effective_bandwidth_mb_per_s(&d, 1024 * MB);
         assert!(small < big);
         assert!(big <= d.transfer_mb_per_s);
         assert!(big > d.transfer_mb_per_s * 0.99);

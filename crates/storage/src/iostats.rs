@@ -47,11 +47,6 @@ impl IoStats {
         self.match_time += t;
     }
 
-    /// Total accounted virtual time.
-    pub fn total_time(&self) -> SimDuration {
-        self.scan_time + self.probe_time + self.match_time
-    }
-
     /// Merges another accumulator into this one.
     pub fn merge(&mut self, o: &IoStats) {
         self.bucket_reads += o.bucket_reads;
@@ -67,6 +62,11 @@ impl IoStats {
 mod tests {
     use super::*;
 
+    /// Total accounted virtual time.
+    fn total_time(s: &IoStats) -> SimDuration {
+        s.scan_time + s.probe_time + s.match_time
+    }
+
     #[test]
     fn records_accumulate() {
         let mut s = IoStats::new();
@@ -77,7 +77,7 @@ mod tests {
         assert_eq!(s.bucket_reads, 2);
         assert_eq!(s.bytes_scanned, 80);
         assert_eq!(s.index_probes, 10);
-        assert_eq!(s.total_time().as_millis_f64(), 2170.0);
+        assert_eq!(total_time(&s).as_millis_f64(), 2170.0);
     }
 
     #[test]
@@ -90,13 +90,13 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.bucket_reads, 1);
         assert_eq!(a.index_probes, 3);
-        assert_eq!(a.total_time().as_millis_f64(), 1035.0);
+        assert_eq!(total_time(&a).as_millis_f64(), 1035.0);
     }
 
     #[test]
     fn default_is_zero() {
         let s = IoStats::default();
-        assert_eq!(s.total_time(), SimDuration::ZERO);
+        assert_eq!(total_time(&s), SimDuration::ZERO);
         assert_eq!(s.bucket_reads, 0);
     }
 }

@@ -7,13 +7,15 @@
 //! no floats, no host clocks — so a rendered event stream is byte-identical
 //! across platforms and executors.
 
+use std::fmt;
+
 use liferaft_storage::{SimDuration, SimTime};
 
 /// The pseudo-shard id under which runtime-level (router / controller)
 /// events are recorded: migrations from the rebalance log, admission
-/// verdicts and samples from the front-door log. `u32::MAX` sorts after
-/// every real shard in the canonical `(time, shard, seq)` merge, so router
-/// events interleave deterministically with shard events.
+/// verdicts and samples from the front-door log. The runtime merges the
+/// router stream after every real shard's at one clock, so router events
+/// interleave deterministically with shard events.
 pub const ROUTER_SHARD: u32 = u32::MAX;
 
 /// One recorded event: when, where, in what order, and what happened.
@@ -45,20 +47,132 @@ impl Event {
     }
 }
 
-/// The event taxonomy. One variant per instrumented seam.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EventKind {
+/// One payload value as the trace renders it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Value {
+    /// A non-negative integer (`"uint"` in the schema).
+    Uint(u64),
+    /// A boolean (`"bool"`).
+    Bool(bool),
+    /// A virtual-time duration in integer microseconds: a `"uint"` whose
+    /// key is the field name plus `_us`.
+    Micros(u64),
+}
+
+impl Value {
+    /// What the value's type appends to its field's JSON key.
+    pub(crate) fn key_suffix(self) -> &'static str {
+        match self {
+            Value::Micros(_) => "_us",
+            Value::Uint(_) | Value::Bool(_) => "",
+        }
+    }
+}
+
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Value::Uint(n) | Value::Micros(n) => write!(f, "{n}"),
+            Value::Bool(b) => write!(f, "{b}"),
+        }
+    }
+}
+
+/// A payload field's Rust type, and the [`Value`] it renders as.
+trait Field {
+    fn value(self) -> Value;
+}
+
+impl Field for u8 {
+    fn value(self) -> Value {
+        Value::Uint(self.into())
+    }
+}
+
+impl Field for u32 {
+    fn value(self) -> Value {
+        Value::Uint(self.into())
+    }
+}
+
+impl Field for u64 {
+    fn value(self) -> Value {
+        Value::Uint(self)
+    }
+}
+
+impl Field for bool {
+    fn value(self) -> Value {
+        Value::Bool(self)
+    }
+}
+
+impl Field for SimDuration {
+    fn value(self) -> Value {
+        Value::Micros(self.as_micros())
+    }
+}
+
+/// Declares the event vocabulary once: each kind's variant, its stable
+/// snake_case name (the `kind` of the JSONL rendering and the key of the
+/// checked-in trace schema), and its payload fields in rendering order.
+/// [`EventKind::name`] and the payload half of
+/// [`event_to_json`](crate::export::event_to_json) derive from it, and a
+/// unit test holds `scripts/trace_schema.json` to it.
+macro_rules! events {
+    ($(
+        $(#[$doc:meta])*
+        $variant:ident = $name:literal {
+            $( $(#[$field_doc:meta])* $field:ident: $ty:ty ),* $(,)?
+        }
+    ),* $(,)?) => {
+        /// The event taxonomy. One variant per instrumented seam.
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        pub enum EventKind {
+            $( $(#[$doc])* $variant { $( $(#[$field_doc])* $field: $ty ),* } ),*
+        }
+
+        impl EventKind {
+            /// The stable snake_case name of the variant — the `kind` field of
+            /// the JSONL rendering and the key of the checked-in trace schema.
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $( EventKind::$variant { .. } => $name ),*
+                }
+            }
+
+            /// Calls `f` with each payload field's name and value, in
+            /// declaration order.
+            pub(crate) fn for_each_field(&self, mut f: impl FnMut(&'static str, Value)) {
+                match self {
+                    $( EventKind::$variant { $($field),* } => {
+                        $( f(stringify!($field), Field::value(*$field)); )*
+                    } )*
+                }
+            }
+
+            /// One event of every kind, in declaration order, each field at
+            /// its zero value.
+            #[cfg(test)]
+            fn every_kind() -> Vec<EventKind> {
+                vec![$( EventKind::$variant { $( $field: <$ty>::default() ),* } ),*]
+            }
+        }
+    };
+}
+
+events! {
     /// A query's work items were delivered to this engine (per-fragment in
     /// the sharded runtime; `assignments` counts the locally delivered
     /// (object × bucket) entries, 0 for a zero-work query).
-    QueryArrival {
+    QueryArrival = "query_arrival" {
         /// The query id.
         query: u64,
         /// Locally delivered assignments.
         assignments: u64,
     },
     /// The scheduler picked a bucket.
-    Decision {
+    Decision = "decision" {
         /// The chosen bucket.
         bucket: u32,
         /// Candidate buckets at the decision point.
@@ -68,7 +182,7 @@ pub enum EventKind {
         frontier: bool,
     },
     /// A batch began executing.
-    BatchStart {
+    BatchStart = "batch_start" {
         /// The serviced bucket.
         bucket: u32,
         /// Entries drained into the batch.
@@ -81,30 +195,30 @@ pub enum EventKind {
     /// A batch finished (recorded at `start + cost`; the matching
     /// [`BatchStart`](EventKind::BatchStart) is the previous batch event on
     /// the same shard — shards run one batch at a time).
-    BatchEnd {
+    BatchEnd = "batch_end" {
         /// The serviced bucket.
         bucket: u32,
         /// Entries the batch serviced.
         entries: u64,
     },
     /// A shared scan was served from the bucket cache.
-    CacheHit {
+    CacheHit = "cache_hit" {
         /// The resident bucket.
         bucket: u32,
     },
     /// A shared scan loaded a bucket into the cache.
-    CacheInsert {
+    CacheInsert = "cache_insert" {
         /// The inserted bucket.
         bucket: u32,
     },
     /// A shared scan's load evicted a bucket (recorded before its
     /// `CacheInsert`).
-    CacheEvict {
+    CacheEvict = "cache_evict" {
         /// The evicted bucket.
         bucket: u32,
     },
     /// A query's last local assignment was serviced.
-    QueryComplete {
+    QueryComplete = "query_complete" {
         /// The query id.
         query: u64,
         /// Assignments the query had on this engine.
@@ -114,7 +228,7 @@ pub enum EventKind {
     },
     /// The rebalance controller planned one bucket move (from the
     /// [`RebalanceLog`](../../liferaft_runtime/rebalance/struct.RebalanceLog.html)).
-    MigrationPlanned {
+    MigrationPlanned = "migration_planned" {
         /// 1-based rebalance epoch.
         epoch: u32,
         /// The migrating bucket.
@@ -127,7 +241,7 @@ pub enum EventKind {
         entries: u64,
     },
     /// A planned move was applied at the destination.
-    MigrationApplied {
+    MigrationApplied = "migration_applied" {
         /// 1-based rebalance epoch.
         epoch: u32,
         /// The migrated bucket.
@@ -139,7 +253,7 @@ pub enum EventKind {
     },
     /// The front door admitted a query (possibly after queueing or shed
     /// backoff; recorded at the release instant).
-    Admitted {
+    Admitted = "admitted" {
         /// Trace index of the query.
         query_index: u64,
         /// Priority class rank (0 interactive, 1 standard, 2 batch — see
@@ -153,7 +267,7 @@ pub enum EventKind {
         waited: SimDuration,
     },
     /// The front door terminally rejected a query.
-    Rejected {
+    Rejected = "rejected" {
         /// Trace index of the query.
         query_index: u64,
         /// Priority class rank.
@@ -165,19 +279,19 @@ pub enum EventKind {
     },
     /// An injected outage began: the shard left the pool (its clock
     /// freezes; a crash wipes its cache residency).
-    ShardDown {
+    ShardDown = "shard_down" {
         /// The crashed shard.
         target: u32,
         /// Its queued-entry backlog at the boundary, before evacuation.
         queued: u64,
     },
     /// The shard's outage window ended: it rejoined the pool empty and cold.
-    ShardUp {
+    ShardUp = "shard_up" {
         /// The rejoining shard.
         target: u32,
     },
     /// Failover evacuated one bucket off a crashed shard.
-    BucketEvacuated {
+    BucketEvacuated = "bucket_evacuated" {
         /// The evacuated bucket.
         bucket: u32,
         /// The crashed source shard.
@@ -190,7 +304,7 @@ pub enum EventKind {
         resident: bool,
     },
     /// A re-delivery attempt for a fragment lost to a dead shard.
-    FragmentRetried {
+    FragmentRetried = "fragment_retried" {
         /// Trace index of the query whose fragment was lost.
         query: u64,
         /// The dead shard the fragment was originally routed to.
@@ -206,7 +320,7 @@ pub enum EventKind {
     /// The transport lost a message on a lossy link window: a data send
     /// that never reached its shard, or an acknowledgement that never made
     /// it back to the router.
-    FragmentDropped {
+    FragmentDropped = "fragment_dropped" {
         /// Trace index of the fragment's query.
         query: u64,
         /// The shard whose link ate the message.
@@ -219,7 +333,7 @@ pub enum EventKind {
     },
     /// The transport re-sent a fragment whose previous attempt went
     /// unacknowledged past its deadline.
-    FragmentRetransmitted {
+    FragmentRetransmitted = "fragment_retransmitted" {
         /// Trace index of the fragment's query.
         query: u64,
         /// Destination shard.
@@ -229,7 +343,7 @@ pub enum EventKind {
     },
     /// The transport hedged a straggling fragment: a duplicate was issued
     /// to another shard to race the original.
-    FragmentHedged {
+    FragmentHedged = "fragment_hedged" {
         /// Trace index of the straggling query.
         query: u64,
         /// The shard the original fragment is lagging on.
@@ -242,7 +356,7 @@ pub enum EventKind {
     /// A receiver discarded a duplicate data copy (late retransmission or
     /// network duplicate) by attempt identity — delivery stayed
     /// exactly-once.
-    DuplicateSuppressed {
+    DuplicateSuppressed = "duplicate_suppressed" {
         /// Trace index of the fragment's query.
         query: u64,
         /// The receiving shard.
@@ -251,7 +365,7 @@ pub enum EventKind {
         attempt: u32,
     },
     /// A front-door load sample at an epoch boundary.
-    AdmissionSampled {
+    AdmissionSampled = "admission_sampled" {
         /// 1-based sample epoch.
         epoch: u32,
         /// Admitted-but-unserviced assignments.
@@ -267,36 +381,6 @@ pub enum EventKind {
         /// Cumulative rejected queries.
         rejected: u64,
     },
-}
-
-impl EventKind {
-    /// The stable snake_case name of the variant — the `kind` field of the
-    /// JSONL rendering and the key of the checked-in trace schema.
-    pub fn name(&self) -> &'static str {
-        match self {
-            EventKind::QueryArrival { .. } => "query_arrival",
-            EventKind::Decision { .. } => "decision",
-            EventKind::BatchStart { .. } => "batch_start",
-            EventKind::BatchEnd { .. } => "batch_end",
-            EventKind::CacheHit { .. } => "cache_hit",
-            EventKind::CacheInsert { .. } => "cache_insert",
-            EventKind::CacheEvict { .. } => "cache_evict",
-            EventKind::QueryComplete { .. } => "query_complete",
-            EventKind::MigrationPlanned { .. } => "migration_planned",
-            EventKind::MigrationApplied { .. } => "migration_applied",
-            EventKind::Admitted { .. } => "admitted",
-            EventKind::Rejected { .. } => "rejected",
-            EventKind::ShardDown { .. } => "shard_down",
-            EventKind::ShardUp { .. } => "shard_up",
-            EventKind::BucketEvacuated { .. } => "bucket_evacuated",
-            EventKind::FragmentRetried { .. } => "fragment_retried",
-            EventKind::FragmentDropped { .. } => "fragment_dropped",
-            EventKind::FragmentRetransmitted { .. } => "fragment_retransmitted",
-            EventKind::FragmentHedged { .. } => "fragment_hedged",
-            EventKind::DuplicateSuppressed { .. } => "duplicate_suppressed",
-            EventKind::AdmissionSampled { .. } => "admission_sampled",
-        }
-    }
 }
 
 /// Human label of a priority-class rank (the runtime's `QueryClass::rank`
@@ -331,6 +415,40 @@ mod tests {
             }
             .name(),
             "query_arrival"
+        );
+    }
+
+    /// `scripts/trace_schema.json` says what the declaration says: the
+    /// envelope, then every kind in declaration order with every field's
+    /// JSON key and type, nothing more.
+    #[test]
+    fn the_checked_in_schema_matches_the_declaration() {
+        let file: String = include_str!("../../../scripts/trace_schema.json")
+            .split_whitespace()
+            .collect();
+        let kinds: Vec<String> = EventKind::every_kind()
+            .iter()
+            .map(|kind| {
+                let mut fields = Vec::new();
+                kind.for_each_field(|key, value| {
+                    let ty = match value {
+                        Value::Bool(_) => "bool",
+                        Value::Uint(_) | Value::Micros(_) => "uint",
+                    };
+                    let suffix = value.key_suffix();
+                    fields.push(format!("\"{key}{suffix}\":\"{ty}\""));
+                });
+                format!("\"{}\":{{{}}}", kind.name(), fields.join(","))
+            })
+            .collect();
+        let expected = format!(
+            "\"envelope\":{{\"t\":\"uint\",\"shard\":\"uint\",\"seq\":\"uint\",\"kind\":\"string\"}},\"kinds\":{{{}}}}}",
+            kinds.join(",")
+        );
+        assert!(
+            file.ends_with(&expected),
+            "scripts/trace_schema.json drifted from the EventKind declaration; \
+             whitespace aside, it must end with:\n{expected}"
         );
     }
 

@@ -31,8 +31,9 @@ pub fn json_escape(s: &str) -> String {
 }
 
 /// Renders one event as a single-line JSON object: the common envelope
-/// (`t` µs, `shard`, `seq`, `kind`) followed by the kind's payload fields.
-/// All values are integers or booleans, so the rendering is byte-stable.
+/// (`t` µs, `shard`, `seq`, `kind`) followed by the kind's payload fields
+/// in declaration order. All values are integers or booleans, so the
+/// rendering is byte-stable.
 pub fn event_to_json(e: &Event) -> String {
     let mut s = format!(
         "{{\"t\":{},\"shard\":{},\"seq\":{},\"kind\":\"{}\"",
@@ -41,185 +42,9 @@ pub fn event_to_json(e: &Event) -> String {
         e.seq,
         e.kind.name()
     );
-    match &e.kind {
-        EventKind::QueryArrival { query, assignments } => {
-            let _ = write!(s, ",\"query\":{query},\"assignments\":{assignments}");
-        }
-        EventKind::Decision {
-            bucket,
-            candidates,
-            frontier,
-        } => {
-            let _ = write!(
-                s,
-                ",\"bucket\":{bucket},\"candidates\":{candidates},\"frontier\":{frontier}"
-            );
-        }
-        EventKind::BatchStart {
-            bucket,
-            entries,
-            cached,
-            indexed,
-        } => {
-            let _ = write!(
-                s,
-                ",\"bucket\":{bucket},\"entries\":{entries},\"cached\":{cached},\"indexed\":{indexed}"
-            );
-        }
-        EventKind::BatchEnd { bucket, entries } => {
-            let _ = write!(s, ",\"bucket\":{bucket},\"entries\":{entries}");
-        }
-        EventKind::CacheHit { bucket }
-        | EventKind::CacheInsert { bucket }
-        | EventKind::CacheEvict { bucket } => {
-            let _ = write!(s, ",\"bucket\":{bucket}");
-        }
-        EventKind::QueryComplete {
-            query,
-            assignments,
-            response,
-        } => {
-            let _ = write!(
-                s,
-                ",\"query\":{query},\"assignments\":{assignments},\"response_us\":{}",
-                response.as_micros()
-            );
-        }
-        EventKind::MigrationPlanned {
-            epoch,
-            bucket,
-            from,
-            to,
-            entries,
-        } => {
-            let _ = write!(
-                s,
-                ",\"epoch\":{epoch},\"bucket\":{bucket},\"from\":{from},\"to\":{to},\"entries\":{entries}"
-            );
-        }
-        EventKind::MigrationApplied {
-            epoch,
-            bucket,
-            to,
-            cost,
-        } => {
-            let _ = write!(
-                s,
-                ",\"epoch\":{epoch},\"bucket\":{bucket},\"to\":{to},\"cost_us\":{}",
-                cost.as_micros()
-            );
-        }
-        EventKind::Admitted {
-            query_index,
-            class,
-            assignments,
-            sheds,
-            waited,
-        } => {
-            let _ = write!(
-                s,
-                ",\"query_index\":{query_index},\"class\":{class},\"assignments\":{assignments},\"sheds\":{sheds},\"waited_us\":{}",
-                waited.as_micros()
-            );
-        }
-        EventKind::Rejected {
-            query_index,
-            class,
-            assignments,
-            sheds,
-        } => {
-            let _ = write!(
-                s,
-                ",\"query_index\":{query_index},\"class\":{class},\"assignments\":{assignments},\"sheds\":{sheds}"
-            );
-        }
-        EventKind::ShardDown { target, queued } => {
-            let _ = write!(s, ",\"target\":{target},\"queued\":{queued}");
-        }
-        EventKind::ShardUp { target } => {
-            let _ = write!(s, ",\"target\":{target}");
-        }
-        EventKind::BucketEvacuated {
-            bucket,
-            from,
-            to,
-            entries,
-            resident,
-        } => {
-            let _ = write!(
-                s,
-                ",\"bucket\":{bucket},\"from\":{from},\"to\":{to},\"entries\":{entries},\"resident\":{resident}"
-            );
-        }
-        EventKind::FragmentRetried {
-            query,
-            from,
-            attempt,
-            delivered,
-            to,
-        } => {
-            let _ = write!(
-                s,
-                ",\"query\":{query},\"from\":{from},\"attempt\":{attempt},\"delivered\":{delivered},\"to\":{to}"
-            );
-        }
-        EventKind::FragmentDropped {
-            query,
-            shard,
-            to_shard,
-            attempt,
-        } => {
-            let _ = write!(
-                s,
-                ",\"query\":{query},\"shard\":{shard},\"to_shard\":{to_shard},\"attempt\":{attempt}"
-            );
-        }
-        EventKind::FragmentRetransmitted {
-            query,
-            shard,
-            attempt,
-        } => {
-            let _ = write!(
-                s,
-                ",\"query\":{query},\"shard\":{shard},\"attempt\":{attempt}"
-            );
-        }
-        EventKind::FragmentHedged {
-            query,
-            from,
-            to,
-            entries,
-        } => {
-            let _ = write!(
-                s,
-                ",\"query\":{query},\"from\":{from},\"to\":{to},\"entries\":{entries}"
-            );
-        }
-        EventKind::DuplicateSuppressed {
-            query,
-            shard,
-            attempt,
-        } => {
-            let _ = write!(
-                s,
-                ",\"query\":{query},\"shard\":{shard},\"attempt\":{attempt}"
-            );
-        }
-        EventKind::AdmissionSampled {
-            epoch,
-            inflight,
-            waiting,
-            backoff,
-            admitted,
-            shed_events,
-            rejected,
-        } => {
-            let _ = write!(
-                s,
-                ",\"epoch\":{epoch},\"inflight\":{inflight},\"waiting\":{waiting},\"backoff\":{backoff},\"admitted\":{admitted},\"shed_events\":{shed_events},\"rejected\":{rejected}"
-            );
-        }
-    }
+    e.kind.for_each_field(|key, value| {
+        let _ = write!(s, ",\"{key}{}\":{value}", value.key_suffix());
+    });
     s.push('}');
     s
 }
@@ -242,7 +67,8 @@ pub fn events_to_jsonl(events: &[Event]) -> String {
 ///   pseudo-shard becomes the `"router"` thread.
 /// - Batches render as complete spans (`ph: "X"`) on their shard's
 ///   timeline, paired [`BatchStart`](EventKind::BatchStart) →
-///   [`BatchEnd`](EventKind::BatchEnd) (a shard runs one batch at a time).
+///   [`BatchEnd`](EventKind::BatchEnd) (a shard runs one batch at a time);
+///   an end whose start a bounded ring shed renders nothing.
 /// - Applied migrations render as spans on the router timeline (duration =
 ///   the destination's migration cost); planned moves and cache mutations
 ///   render as instant events.
@@ -288,9 +114,10 @@ pub fn events_to_chrome_trace(events: &[Event], n_shards: u32) -> String {
                 *slot = Some((ts, *bucket as u64, *cached, *indexed));
             }
             EventKind::BatchEnd { bucket, entries } => {
-                let (start, b, cached, indexed) = open[e.shard as usize]
-                    .take()
-                    .expect("batch_end without a matching batch_start");
+                // A bounded ring may have shed this batch's start: no span.
+                let Some((start, b, cached, indexed)) = open[e.shard as usize].take() else {
+                    continue;
+                };
                 debug_assert_eq!(b, *bucket as u64, "batch pairing drifted");
                 rows.push(format!(
                     "{{\"name\":\"bucket {bucket}\",\"cat\":\"batch\",\"ph\":\"X\",\"ts\":{start},\"dur\":{},\"pid\":0,\"tid\":{tid},\"args\":{{\"entries\":{entries},\"cached\":{cached},\"indexed\":{indexed}}}}}",
@@ -530,6 +357,30 @@ mod tests {
         assert!(out.contains("\"name\":\"shard 0\""));
         assert!(out.contains("\"name\":\"router\""));
         assert!(out.trim_end().ends_with("]}"));
+    }
+
+    #[test]
+    fn an_end_whose_start_was_shed_renders_no_span() {
+        let batch = |t, seq, start| {
+            let kind = if start {
+                EventKind::BatchStart {
+                    bucket: 3,
+                    entries: 8,
+                    cached: false,
+                    indexed: false,
+                }
+            } else {
+                EventKind::BatchEnd {
+                    bucket: 3,
+                    entries: 8,
+                }
+            };
+            ev(t, 0, seq, kind)
+        };
+        let events = vec![batch(10, 7, false), batch(10, 8, true), batch(30, 9, false)];
+        let out = events_to_chrome_trace(&events, 1);
+        assert_eq!(out.matches("\"cat\":\"batch\"").count(), 1);
+        assert!(out.contains("\"ts\":10,\"dur\":20"));
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //!    migrations, and admission waits on virtual time.
 //!
 //! **Determinism contract.** Events are recorded per shard and merged in
-//! the same canonical `(time, shard, seq)` order the runtime uses for
-//! completion merging, with every payload field an integer or boolean of
+//! the same canonical `(running clock, shard, seq)` order the runtime uses
+//! for completion merging, with every payload field an integer or boolean of
 //! virtual-time quantities — so the stepped and threaded executors produce
 //! byte-identical JSONL and trace documents for the same configuration.
 

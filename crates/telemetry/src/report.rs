@@ -72,7 +72,7 @@ pub struct TelemetryReport {
     /// Cross-shard batch-size accumulator, folded via
     /// [`StreamingStats::merge`].
     pub batch_entries: StreamingStats,
-    /// The canonical merged event stream (`(time, shard, seq)` order).
+    /// The canonical merged event stream (running clock, shard, seq order).
     pub events: Vec<Event>,
 }
 

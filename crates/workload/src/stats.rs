@@ -140,11 +140,6 @@ impl WorkloadStats {
         total as f64 / self.n_queries.max(1) as f64
     }
 
-    /// Total (object × bucket) assignments across the trace.
-    pub fn total_assignments(&self) -> u64 {
-        self.object_counts.iter().sum()
-    }
-
     /// Temporal locality: the mean gap (in query sequence positions) between
     /// consecutive accesses to the same top-`k` bucket. Smaller = hotter
     /// temporal clustering (Figure 5's visual).
@@ -253,7 +248,7 @@ mod tests {
         assert!(stats.touched_buckets() > 0);
         assert!(stats.touched_buckets() <= stats.n_buckets());
         // Assignments ≥ objects (multi-bucket objects fan out).
-        assert!(stats.total_assignments() >= trace.total_objects());
+        assert!(stats.object_counts.iter().sum::<u64>() >= trace.total_objects());
         assert!(stats.mean_buckets_per_query() >= 1.0);
     }
 

@@ -288,21 +288,6 @@ impl TimedTrace {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    /// The offered load in queries/second (n / span of arrivals), or 0 for
-    /// traces with fewer than two queries.
-    pub fn offered_rate_qps(&self) -> f64 {
-        if self.entries.len() < 2 {
-            return 0.0;
-        }
-        let first = self.entries.first().expect("len checked").0;
-        let last = self.entries.last().expect("len checked").0;
-        let span = last.since(first).as_secs_f64();
-        if span <= 0.0 {
-            return 0.0;
-        }
-        self.entries.len() as f64 / span
-    }
 }
 
 #[cfg(test)]
@@ -454,8 +439,7 @@ mod tests {
         assert_eq!(timed.len(), 3);
         assert_eq!(timed.entries()[0].0.as_secs_f64(), 1.0);
         assert_eq!(timed.entries()[2].1.id, QueryId(2));
-        // 3 queries over a 2s span.
-        assert!((timed.offered_rate_qps() - 1.5).abs() < 1e-9);
+        assert_eq!(timed.entries()[2].0.as_secs_f64(), 3.0);
     }
 
     #[test]

@@ -57,13 +57,6 @@ impl Zipf {
         self.exponent
     }
 
-    /// Probability of rank `k`.
-    pub fn pmf(&self, k: usize) -> f64 {
-        let hi = self.cdf[k];
-        let lo = if k == 0 { 0.0 } else { self.cdf[k - 1] };
-        hi - lo
-    }
-
     /// Samples a rank in `0..n`.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let u: f64 = rng.gen_range(0.0..1.0);
@@ -80,6 +73,12 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// Probability of rank `k`.
+    fn pmf(z: &Zipf, k: usize) -> f64 {
+        let lo = if k == 0 { 0.0 } else { z.cdf[k - 1] };
+        z.cdf[k] - lo
+    }
+
     #[test]
     fn cdf_is_normalized_and_monotone() {
         let z = Zipf::new(10, 1.2);
@@ -93,7 +92,7 @@ mod tests {
     fn exponent_zero_is_uniform() {
         let z = Zipf::new(4, 0.0);
         for k in 0..4 {
-            assert!((z.pmf(k) - 0.25).abs() < 1e-12);
+            assert!((pmf(&z, k) - 0.25).abs() < 1e-12);
         }
     }
 
@@ -101,8 +100,8 @@ mod tests {
     fn pmf_ratios_follow_power_law() {
         let z = Zipf::new(8, 2.0);
         // p(0)/p(1) = 2^2 = 4.
-        assert!((z.pmf(0) / z.pmf(1) - 4.0).abs() < 1e-9);
-        assert!((z.pmf(1) / z.pmf(3) - 4.0).abs() < 1e-9);
+        assert!((pmf(&z, 0) / pmf(&z, 1) - 4.0).abs() < 1e-9);
+        assert!((pmf(&z, 1) / pmf(&z, 3) - 4.0).abs() < 1e-9);
     }
 
     #[test]
@@ -117,9 +116,9 @@ mod tests {
         for (k, &count) in counts.iter().enumerate() {
             let freq = count as f64 / n as f64;
             assert!(
-                (freq - z.pmf(k)).abs() < 0.01,
+                (freq - pmf(&z, k)).abs() < 0.01,
                 "rank {k}: freq {freq} vs pmf {}",
-                z.pmf(k)
+                pmf(&z, k)
             );
         }
     }

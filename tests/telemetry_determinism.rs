@@ -22,7 +22,12 @@
 //!    a single-shard runtime still reproduces the recorded single-engine
 //!    goldens bit-for-bit — the flight recorder observes, never steers.
 //!    A within-capacity ring records the same stream as the unbounded
-//!    JSONL sink; an undersized ring drops oldest-first and says so.
+//!    JSONL sink; an undersized ring drops oldest-first and says so, and
+//!    its truncated stream still exports.
+//!
+//! With `LIFERAFT_TRACE_DIR` set, the front-door, failover and transport
+//! pins write one greedy stream each there (`front_door.jsonl`,
+//! `failover.jsonl`, `transport.jsonl`) for the trace schema checker.
 
 mod common;
 
@@ -35,6 +40,16 @@ fn jsonl_of(report: &RuntimeReport) -> String {
         .as_ref()
         .expect("telemetry was enabled")
         .to_jsonl()
+}
+
+/// Writes `jsonl` to `$LIFERAFT_TRACE_DIR/<name>.jsonl` when that variable
+/// is set.
+fn write_trace(name: &str, jsonl: &str) {
+    if let Ok(dir) = std::env::var("LIFERAFT_TRACE_DIR") {
+        std::fs::create_dir_all(&dir).expect("create the trace directory");
+        let path = std::path::Path::new(&dir).join(format!("{name}.jsonl"));
+        std::fs::write(path, jsonl).expect("write the trace");
+    }
 }
 
 #[test]
@@ -129,6 +144,9 @@ fn controller_paths_keep_the_byte_identical_stream() {
             let ctx = format!("{label} @ {n_shards} front-door shards");
             let a = jsonl_of(&stepped);
             assert_eq!(a, jsonl_of(&threaded), "{ctx}: streams diverged");
+            if *label == "greedy" && n_shards == 4 {
+                write_trace("front_door", &a);
+            }
             // The door records a terminal verdict for every query; the
             // stream mirrors the verdict log exactly.
             let fd = stepped.front_door.as_ref().expect("front door is on");
@@ -173,6 +191,9 @@ fn failover_path_keeps_the_byte_identical_stream() {
         let ctx = format!("{label} under the crash scenario");
         let a = jsonl_of(&stepped);
         assert_eq!(a, jsonl_of(&threaded), "{ctx}: streams diverged");
+        if *label == "greedy" {
+            write_trace("failover", &a);
+        }
         assert_eq!(
             stepped.telemetry.as_ref().unwrap().to_chrome_trace(),
             threaded.telemetry.as_ref().unwrap().to_chrome_trace(),
@@ -233,6 +254,9 @@ fn transport_path_keeps_the_byte_identical_stream() {
         let ctx = format!("{label} under the lossy-link scenario");
         let a = jsonl_of(&stepped);
         assert_eq!(a, jsonl_of(&threaded), "{ctx}: streams diverged");
+        if *label == "greedy" {
+            write_trace("transport", &a);
+        }
         assert_eq!(
             stepped.telemetry.as_ref().unwrap().to_chrome_trace(),
             threaded.telemetry.as_ref().unwrap().to_chrome_trace(),
@@ -336,4 +360,47 @@ fn telemetry_sinks_leave_the_recorded_goldens_untouched() {
         "ring keeps the newest events (run tail), got {:?}",
         last.kind
     );
+}
+
+#[test]
+fn ring_truncated_streams_export_at_every_capacity() {
+    use liferaft::telemetry::EventKind;
+    // A ring's kept window can open mid-batch: the end whose start it shed
+    // renders no span, and every other batch renders one.
+    let (catalog, timed) = fixture();
+    let greedy = scheduler_factories()[2].1;
+    for capacity in [1usize, 2, 3, 5, 16, 100, 1_000] {
+        let mut config = RuntimeConfig::single(SimConfig::paper());
+        config.telemetry = TelemetryConfig::ring(capacity);
+        let run =
+            ShardedRuntime::new(&catalog, config).run(&timed, &mut |_| greedy(), ExecMode::Stepped);
+        let kept = run.telemetry.as_ref().expect("telemetry on");
+        assert_eq!(
+            kept.events.len(),
+            capacity,
+            "ring({capacity}) keeps its capacity"
+        );
+        let ends = kept
+            .events
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::BatchEnd { .. }))
+            .count();
+        let shed_start = kept
+            .events
+            .iter()
+            .find(|e| {
+                matches!(
+                    e.kind,
+                    EventKind::BatchStart { .. } | EventKind::BatchEnd { .. }
+                )
+            })
+            .is_some_and(|e| matches!(e.kind, EventKind::BatchEnd { .. }));
+        let chrome = kept.to_chrome_trace();
+        assert_eq!(
+            chrome.matches("\"cat\":\"batch\"").count(),
+            ends - usize::from(shed_start),
+            "ring({capacity}): one span per batch whose start was kept"
+        );
+        assert_eq!(kept.to_jsonl().lines().count(), capacity);
+    }
 }
