@@ -31,6 +31,13 @@ pub mod round_robin;
 pub mod scheduler;
 pub mod starvation;
 
+// The test fixture names this crate as its integration tests do.
+#[cfg(test)]
+extern crate self as liferaft_core;
+#[cfg(test)]
+#[path = "../tests/fixture/mod.rs"]
+mod fixture;
+
 pub use adaptive::{
     AdaptiveScheduler, AlphaController, SaturationEstimator, TradeoffCurve, TradeoffTable,
 };
@@ -39,7 +46,6 @@ pub use metric::{AgingMode, MetricParams};
 pub use noshare::NoShareScheduler;
 pub use round_robin::RoundRobinScheduler;
 pub use scheduler::{
-    BatchScope, BatchSpec, BucketSnapshot, DecisionStats, IndexedSchedulerView, Lens, Scheduler,
-    SchedulerView,
+    BatchScope, BatchSpec, BucketSnapshot, DecisionStats, Lens, Scheduler, SchedulerView, TableView,
 };
 pub use starvation::StarvationMonitor;

@@ -327,7 +327,7 @@ impl Scheduler for LifeRaftScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::FixtureView;
+    use crate::fixture::FixtureView;
     use liferaft_storage::{BucketId, SimDuration};
 
     fn snap(bucket: u32, queue_len: u64, enq_s: u64, cached: bool) -> BucketSnapshot {

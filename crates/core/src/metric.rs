@@ -80,7 +80,7 @@ pub enum AgingMode {
 /// The normalization conventions match
 /// [`min_max_normalize`](liferaft_metrics::min_max_normalize) exactly (a
 /// constant term maps to all-zeros), so fused scoring is bit-identical to
-/// the materialized [`aged_scores`] path.
+/// normalizing materialized term vectors.
 #[derive(Debug, Clone, Copy)]
 pub struct ScorePass {
     params: MetricParams,
@@ -188,38 +188,6 @@ fn normalized(v: f64, lo: f64, span: f64) -> f64 {
     }
 }
 
-/// Scores every candidate with the aged workload throughput metric.
-///
-/// Returns one score per snapshot, aligned with the input order. The caller
-/// picks the maximum (ties are the caller's policy). Allocation-sensitive
-/// callers should use [`aged_scores_into`] with a reused buffer instead.
-pub fn aged_scores(
-    params: &MetricParams,
-    mode: AgingMode,
-    alpha: f64,
-    now: SimTime,
-    candidates: &[BucketSnapshot],
-) -> Vec<f64> {
-    let mut out = Vec::with_capacity(candidates.len());
-    aged_scores_into(params, mode, alpha, now, candidates, &mut out);
-    out
-}
-
-/// Scores every candidate into `out` (cleared first) without allocating
-/// beyond `out`'s growth — the scratch-buffer variant of [`aged_scores`].
-pub fn aged_scores_into(
-    params: &MetricParams,
-    mode: AgingMode,
-    alpha: f64,
-    now: SimTime,
-    candidates: &[BucketSnapshot],
-    out: &mut Vec<f64>,
-) {
-    let pass = ScorePass::new(params, mode, alpha, now, candidates);
-    out.clear();
-    out.extend(candidates.iter().map(|c| pass.score(c)));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,8 +243,11 @@ mod tests {
         let p = MetricParams::paper();
         let (a, now) = snap(0, 10_000, 0, false);
         let (b, _) = snap(1, 10, 99_000, false); // ancient but tiny queue
-        let scores = aged_scores(&p, AgingMode::Normalized, 0.0, now, &[a, b]);
-        assert!(scores[0] > scores[1], "greedy must prefer contention");
+        let pass = ScorePass::new(&p, AgingMode::Normalized, 0.0, now, &[a, b]);
+        assert!(
+            pass.score(&a) > pass.score(&b),
+            "greedy must prefer contention"
+        );
     }
 
     #[test]
@@ -284,8 +255,11 @@ mod tests {
         let p = MetricParams::paper();
         let (a, now) = snap(0, 10_000, 10, false);
         let (b, _) = snap(1, 1, 90_000, false);
-        let scores = aged_scores(&p, AgingMode::Normalized, 1.0, now, &[a, b]);
-        assert!(scores[1] > scores[0], "α=1 must prefer the oldest request");
+        let pass = ScorePass::new(&p, AgingMode::Normalized, 1.0, now, &[a, b]);
+        assert!(
+            pass.score(&b) > pass.score(&a),
+            "α=1 must prefer the oldest request"
+        );
     }
 
     #[test]
@@ -296,8 +270,8 @@ mod tests {
         // A long-queue young bucket vs a short-queue old bucket: as α rises
         // the old bucket must eventually win, with a crossover in between.
         let pick = |alpha: f64| {
-            let s = aged_scores(&p, AgingMode::Normalized, alpha, now, &[a, b]);
-            if s[0] >= s[1] {
+            let pass = ScorePass::new(&p, AgingMode::Normalized, alpha, now, &[a, b]);
+            if pass.score(&a) >= pass.score(&b) {
                 0
             } else {
                 1
@@ -319,21 +293,15 @@ mod tests {
         let p = MetricParams::paper();
         let (a, now) = snap(0, 10_000, 100, false);
         let (b, _) = snap(1, 1, 5_000, false);
-        let scores = aged_scores(&p, AgingMode::Raw, 0.05, now, &[a, b]);
-        assert!(scores[1] > scores[0]);
-    }
-
-    #[test]
-    fn empty_candidates_yield_empty_scores() {
-        let p = MetricParams::paper();
-        assert!(aged_scores(&p, AgingMode::Normalized, 0.5, SimTime::ZERO, &[]).is_empty());
+        let pass = ScorePass::new(&p, AgingMode::Raw, 0.05, now, &[a, b]);
+        assert!(pass.score(&b) > pass.score(&a));
     }
 
     #[test]
     #[should_panic(expected = "α must be in")]
     fn alpha_out_of_range_panics() {
         let p = MetricParams::paper();
-        aged_scores(&p, AgingMode::Normalized, 1.5, SimTime::ZERO, &[]);
+        ScorePass::new(&p, AgingMode::Normalized, 1.5, SimTime::ZERO, &[]);
     }
 
     /// The fused pass must agree bit-for-bit with materializing both term
@@ -369,20 +337,12 @@ mod tests {
                     .zip(&age)
                     .map(|(&u, &a)| u * (1.0 - alpha) + a * alpha)
                     .collect();
-                let fused = aged_scores(&p, mode, alpha, now, &cands);
-                for (f, r) in fused.iter().zip(&reference) {
-                    assert_eq!(f.to_bits(), r.to_bits(), "mode {mode:?} α={alpha}");
+                let pass = ScorePass::new(&p, mode, alpha, now, &cands);
+                for (c, r) in cands.iter().zip(&reference) {
+                    let fused = pass.score(c);
+                    assert_eq!(fused.to_bits(), r.to_bits(), "mode {mode:?} α={alpha}");
                 }
             }
         }
-    }
-
-    #[test]
-    fn scores_into_reuses_the_buffer() {
-        let p = MetricParams::paper();
-        let (a, now) = snap(0, 10, 5, false);
-        let mut out = vec![99.0; 8];
-        aged_scores_into(&p, AgingMode::Normalized, 0.3, now, &[a], &mut out);
-        assert_eq!(out.len(), 1);
     }
 }

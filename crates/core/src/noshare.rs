@@ -42,7 +42,8 @@ impl Scheduler for NoShareScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::{BucketSnapshot, FixtureView};
+    use crate::fixture::FixtureView;
+    use crate::scheduler::BucketSnapshot;
     use liferaft_query::QueryId;
     use liferaft_storage::{BucketId, SimTime};
 

@@ -56,7 +56,8 @@ impl Scheduler for RoundRobinScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::{BucketSnapshot, FixtureView};
+    use crate::fixture::FixtureView;
+    use crate::scheduler::BucketSnapshot;
     use liferaft_storage::SimTime;
 
     fn snap(bucket: u32) -> BucketSnapshot {

@@ -10,7 +10,7 @@
 //! materializes a snapshot vector per decision anymore.
 
 use liferaft_query::index::{age_key, uncached_key};
-use liferaft_query::{QueryId, WorkloadTable};
+use liferaft_query::{QueryId, QueryTracker, WorkloadTable};
 use liferaft_storage::{BucketId, SimTime};
 
 // The snapshot type lives in the query crate so the Workload Manager can
@@ -73,23 +73,13 @@ impl Lens {
             Lens::Age => age_key(a).cmp(&age_key(b)),
         }
     }
-
-    /// True if `c` belongs to the lens's candidate pool.
-    #[inline]
-    fn covers(self, c: &BucketSnapshot) -> bool {
-        match self {
-            Lens::UncachedThroughput => !c.cached,
-            Lens::Age => true,
-        }
-    }
 }
 
 /// What a scheduler may observe when making a decision.
 ///
-/// The engine implements this over the workload table's candidate index;
-/// unit tests implement it with [`FixtureView`], whose scan-based defaults
-/// double as the reference semantics the indexed implementations must
-/// match.
+/// The engine decides through [`TableView`]; scheduler tests implement it
+/// with a scan-based fixture whose answers are the reference semantics
+/// `TableView` must match.
 pub trait SchedulerView {
     /// Current virtual time.
     fn now(&self) -> SimTime;
@@ -102,170 +92,97 @@ pub trait SchedulerView {
 
     /// Streams the resident (φ = 0) candidates — a small pool, bounded by
     /// the bucket cache capacity, that throughput-driven picks re-score
-    /// exactly. The default filters the full stream.
-    fn for_each_cached_candidate(&self, f: &mut dyn FnMut(&BucketSnapshot)) {
-        self.for_each_candidate(&mut |c| {
-            if c.cached {
-                f(c);
-            }
-        });
-    }
+    /// exactly.
+    fn for_each_cached_candidate(&self, f: &mut dyn FnMut(&BucketSnapshot));
 
     /// The candidate of `lens`'s pool maximal under `lens` — exact,
-    /// tie-breaks included. Indexed views answer in O(log n); the default
-    /// scans.
-    fn top_candidate(&self, lens: Lens) -> Option<BucketSnapshot> {
-        let mut best: Option<BucketSnapshot> = None;
-        self.for_each_candidate(&mut |c| {
-            if !lens.covers(c) {
-                return;
-            }
-            best = Some(match best.take() {
-                Some(b) if lens.cmp(c, &b).is_le() => b,
-                _ => *c,
-            });
-        });
-        best
-    }
+    /// tie-breaks included.
+    fn top_candidate(&self, lens: Lens) -> Option<BucketSnapshot>;
 
     /// The candidate of `lens`'s pool minimal under `lens` (normalization
     /// lower bound).
-    fn bottom_candidate(&self, lens: Lens) -> Option<BucketSnapshot> {
-        let mut worst: Option<BucketSnapshot> = None;
-        self.for_each_candidate(&mut |c| {
-            if !lens.covers(c) {
-                return;
-            }
-            worst = Some(match worst.take() {
-                Some(w) if lens.cmp(c, &w).is_ge() => w,
-                _ => *c,
-            });
-        });
-        worst
-    }
+    fn bottom_candidate(&self, lens: Lens) -> Option<BucketSnapshot>;
 
     /// Fills `out` (cleared first) with up to `k` candidates of `lens`'s
-    /// pool in descending `lens` order — the mixed-α frontier. The default
-    /// collects and sorts; indexed views walk their order directly.
-    fn top_candidates(&self, lens: Lens, k: usize, out: &mut Vec<BucketSnapshot>) {
-        out.clear();
-        self.for_each_candidate(&mut |c| {
-            if lens.covers(c) {
-                out.push(*c);
-            }
-        });
-        out.sort_by(|a, b| lens.cmp(b, a));
-        out.truncate(k);
-    }
+    /// pool in descending `lens` order — the mixed-α frontier.
+    fn top_candidates(&self, lens: Lens, k: usize, out: &mut Vec<BucketSnapshot>);
 
     /// The first candidate at or after `bucket` in bucket order — the
     /// round-robin cursor probe (callers wrap to `BucketId(0)` themselves).
-    fn candidate_at_or_after(&self, bucket: BucketId) -> Option<BucketSnapshot> {
-        let mut found: Option<BucketSnapshot> = None;
-        self.for_each_candidate(&mut |c| {
-            if c.bucket >= bucket && found.map_or(true, |f| c.bucket < f.bucket) {
-                found = Some(*c);
-            }
-        });
-        found
-    }
+    fn candidate_at_or_after(&self, bucket: BucketId) -> Option<BucketSnapshot>;
 
     /// The in-flight query with the earliest arrival, if any (FIFO cursor
     /// for arrival-order baselines).
     fn oldest_pending_query(&self) -> Option<(QueryId, SimTime)>;
 
-    /// Buckets that still hold queued entries of `query`, sorted by bucket ID.
-    fn pending_buckets_of(&self, query: QueryId) -> Vec<BucketId>;
-
-    /// The lowest-ID bucket still holding queued entries of `query`, if any
-    /// — the allocation-free cursor used by arrival-order policies. Views
-    /// with an indexed per-query structure should override the default.
-    fn first_pending_bucket_of(&self, query: QueryId) -> Option<BucketId> {
-        self.pending_buckets_of(query).into_iter().next()
-    }
+    /// The lowest-ID bucket still holding queued entries of `query`, if
+    /// any — the cursor of arrival-order policies.
+    fn first_pending_bucket_of(&self, query: QueryId) -> Option<BucketId>;
 }
 
-/// Views whose candidate surface *is* a [`WorkloadTable`]'s candidate
-/// index. Implementors supply the clock, the table, and the per-query
-/// cursor state; a blanket impl derives the whole [`SchedulerView`]
-/// candidate surface from the table's indexed accessors — so the engine,
-/// the benches, and the equivalence tests all run the exact same dispatch
-/// instead of hand-mirrored adapter copies. The table's φ bits are
-/// whatever its owner pushed through [`WorkloadTable::set_resident`], so
-/// they are current whenever the view is read.
-pub trait IndexedSchedulerView {
+/// The view the engine decides through: the candidate surface is the
+/// workload table's index, the per-query cursors are the tracker's
+/// in-flight records. The table's φ bits are whatever its owner pushed
+/// through [`WorkloadTable::set_resident`], so they are current whenever
+/// the view is read.
+#[derive(Debug, Clone, Copy)]
+pub struct TableView<'s, 'q> {
     /// Current virtual time.
-    fn now(&self) -> SimTime;
-
+    pub now: SimTime,
     /// The workload table whose index answers candidate queries.
-    fn table(&self) -> &WorkloadTable<'_>;
-
-    /// See [`SchedulerView::oldest_pending_query`].
-    fn oldest_pending_query(&self) -> Option<(QueryId, SimTime)>;
-
-    /// See [`SchedulerView::pending_buckets_of`].
-    fn pending_buckets_of(&self, query: QueryId) -> Vec<BucketId>;
-
-    /// See [`SchedulerView::first_pending_bucket_of`].
-    fn first_pending_bucket_of(&self, query: QueryId) -> Option<BucketId> {
-        IndexedSchedulerView::pending_buckets_of(self, query)
-            .into_iter()
-            .next()
-    }
+    pub table: &'s WorkloadTable<'q>,
+    /// The in-flight queries' records.
+    pub tracker: &'s QueryTracker,
 }
 
-impl<T: IndexedSchedulerView> SchedulerView for T {
+impl SchedulerView for TableView<'_, '_> {
     fn now(&self) -> SimTime {
-        IndexedSchedulerView::now(self)
+        self.now
     }
 
     fn candidate_count(&self) -> usize {
-        self.table().candidate_count()
+        self.table.candidate_count()
     }
 
     fn for_each_candidate(&self, f: &mut dyn FnMut(&BucketSnapshot)) {
-        self.table().for_each_candidate(f);
+        self.table.for_each_candidate(f);
     }
 
     fn for_each_cached_candidate(&self, f: &mut dyn FnMut(&BucketSnapshot)) {
-        self.table().for_each_cached_candidate(f);
+        self.table.for_each_cached_candidate(f);
     }
 
     fn top_candidate(&self, lens: Lens) -> Option<BucketSnapshot> {
         match lens {
-            Lens::UncachedThroughput => self.table().top_candidate_uncached(),
-            Lens::Age => self.table().top_candidate_age(),
+            Lens::UncachedThroughput => self.table.top_candidate_uncached(),
+            Lens::Age => self.table.top_candidate_age(),
         }
     }
 
     fn bottom_candidate(&self, lens: Lens) -> Option<BucketSnapshot> {
         match lens {
-            Lens::UncachedThroughput => self.table().bottom_candidate_uncached(),
-            Lens::Age => self.table().bottom_candidate_age(),
+            Lens::UncachedThroughput => self.table.bottom_candidate_uncached(),
+            Lens::Age => self.table.bottom_candidate_age(),
         }
     }
 
     fn top_candidates(&self, lens: Lens, k: usize, out: &mut Vec<BucketSnapshot>) {
         match lens {
-            Lens::UncachedThroughput => self.table().uncached_frontier_into(k, out),
-            Lens::Age => self.table().age_frontier_into(k, out),
+            Lens::UncachedThroughput => self.table.uncached_frontier_into(k, out),
+            Lens::Age => self.table.age_frontier_into(k, out),
         }
     }
 
     fn candidate_at_or_after(&self, bucket: BucketId) -> Option<BucketSnapshot> {
-        self.table().candidate_at_or_after(bucket)
+        self.table.candidate_at_or_after(bucket)
     }
 
     fn oldest_pending_query(&self) -> Option<(QueryId, SimTime)> {
-        IndexedSchedulerView::oldest_pending_query(self)
-    }
-
-    fn pending_buckets_of(&self, query: QueryId) -> Vec<BucketId> {
-        IndexedSchedulerView::pending_buckets_of(self, query)
+        self.tracker.oldest_pending()
     }
 
     fn first_pending_bucket_of(&self, query: QueryId) -> Option<BucketId> {
-        IndexedSchedulerView::first_pending_bucket_of(self, query)
+        self.tracker.first_pending_bucket(query)
     }
 }
 
@@ -302,51 +219,10 @@ pub trait Scheduler {
     }
 }
 
-/// A fixture view for scheduler unit tests: the scan-based reference
-/// implementation of every indexed accessor.
-#[derive(Debug, Clone, Default)]
-pub struct FixtureView {
-    /// Current time reported by the fixture.
-    pub now: SimTime,
-    /// Candidate snapshots (keep sorted by bucket).
-    pub candidates: Vec<BucketSnapshot>,
-    /// Value returned by [`SchedulerView::oldest_pending_query`].
-    pub oldest_query: Option<(QueryId, SimTime)>,
-    /// Pending buckets per query for [`SchedulerView::pending_buckets_of`].
-    pub query_buckets: Vec<(QueryId, Vec<BucketId>)>,
-}
-
-impl SchedulerView for FixtureView {
-    fn now(&self) -> SimTime {
-        self.now
-    }
-
-    fn candidate_count(&self) -> usize {
-        self.candidates.len()
-    }
-
-    fn for_each_candidate(&self, f: &mut dyn FnMut(&BucketSnapshot)) {
-        for c in &self.candidates {
-            f(c);
-        }
-    }
-
-    fn oldest_pending_query(&self) -> Option<(QueryId, SimTime)> {
-        self.oldest_query
-    }
-
-    fn pending_buckets_of(&self, query: QueryId) -> Vec<BucketId> {
-        self.query_buckets
-            .iter()
-            .find(|(q, _)| *q == query)
-            .map(|(_, b)| b.clone())
-            .unwrap_or_default()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixture::FixtureView;
     use liferaft_storage::SimDuration;
 
     fn snap(bucket: u32, queue_len: u64, enq_us: u64, cached: bool) -> BucketSnapshot {
@@ -378,17 +254,12 @@ mod tests {
         assert_eq!(v.candidate_count(), 0);
         assert_eq!(v.top_candidate(Lens::UncachedThroughput), None);
         assert_eq!(v.oldest_pending_query(), Some((QueryId(3), SimTime::ZERO)));
-        assert_eq!(
-            v.pending_buckets_of(QueryId(3)),
-            vec![BucketId(2), BucketId(5)]
-        );
-        assert!(v.pending_buckets_of(QueryId(9)).is_empty());
         assert_eq!(v.first_pending_bucket_of(QueryId(3)), Some(BucketId(2)));
         assert_eq!(v.first_pending_bucket_of(QueryId(9)), None);
     }
 
     #[test]
-    fn default_lens_accessors_scan_correctly() {
+    fn fixture_lens_accessors_scan_correctly() {
         let v = FixtureView {
             now: SimTime::from_micros(1_000),
             candidates: vec![

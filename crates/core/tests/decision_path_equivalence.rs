@@ -1,9 +1,11 @@
 //! The decision-path equivalence pin: for every scheduler and every α, the
-//! pick made through the **candidate index** (a view over the live
-//! `WorkloadTable`, φ pushed through `set_resident` at every cache change)
-//! must equal the pick made through the **legacy path** (a
-//! `for_each_candidate` gather with φ probed from `BucketCache::contains`,
-//! then a scan over the materialized slice) — across arbitrary
+//! pick made through the engine's **`TableView`** (the live `WorkloadTable`'s
+//! candidate index, φ pushed through `set_resident` at every cache change,
+//! and a `QueryTracker`'s in-flight records) must equal the pick made
+//! through the **legacy path** (a `for_each_candidate` gather with φ probed
+//! from `BucketCache::contains`, per-query buckets scanned from the queues,
+//! then the scan-based `FixtureView` and `pick_index` over the gathered
+//! slice) — across arbitrary
 //! interleavings of enqueues (narrow, and one query fanned wide at one
 //! instant so scores tie), full/per-query drains, and cache
 //! accesses/evictions/wipes. The legacy side never reads the table's φ
@@ -13,18 +15,21 @@
 //! pre-refactor fingerprints: if these picks agree everywhere, the engines
 //! built on them are bit-identical.
 
-use std::collections::{BTreeSet, HashMap};
+mod fixture;
 
+use std::collections::HashMap;
+
+use fixture::FixtureView;
 use liferaft_core::adaptive::{TradeoffCurve, TradeoffPoint};
-use liferaft_core::scheduler::FixtureView;
 use liferaft_core::{
-    AdaptiveScheduler, AgingMode, AlphaController, DecisionStats, IndexedSchedulerView,
-    LifeRaftScheduler, MetricParams, NoShareScheduler, RoundRobinScheduler, Scheduler,
-    TradeoffTable,
+    AdaptiveScheduler, AgingMode, AlphaController, DecisionStats, LifeRaftScheduler, MetricParams,
+    NoShareScheduler, RoundRobinScheduler, Scheduler, TableView, TradeoffTable,
 };
 use liferaft_htm::Vec3;
-use liferaft_query::BucketSnapshot;
-use liferaft_query::{CrossMatchQuery, Predicate, QueryId, WorkItem, WorkloadTable};
+use liferaft_query::{
+    BucketSnapshot, CrossMatchQuery, FragmentId, Predicate, QueryId, QueryTracker, WorkItem,
+    WorkloadTable,
+};
 use liferaft_storage::{BucketCache, BucketId, CacheAccess, SimTime};
 use proptest::prelude::*;
 
@@ -103,30 +108,53 @@ fn query_pool() -> Vec<CrossMatchQuery> {
         .collect()
 }
 
-/// The indexed view: the blanket [`IndexedSchedulerView`] impl gives it the
-/// exact candidate dispatch the engine's decision loop uses.
-struct IndexedView<'s> {
+/// Drains `only`'s run (or every run) at `bucket`, booking each drained
+/// run with the tracker the way the engine's batch does.
+fn drain(
+    table: &mut WorkloadTable<'_>,
+    tracker: &mut QueryTracker,
+    bucket: BucketId,
+    only: Option<QueryId>,
     now: SimTime,
-    table: &'s WorkloadTable<'s>,
-    oldest_query: Option<(QueryId, SimTime)>,
-    per_query: &'s HashMap<QueryId, BTreeSet<BucketId>>,
+) {
+    let mut runs = Vec::new();
+    table.drain_runs(bucket, only, |run| {
+        runs.push((run.query(), run.len() as u64))
+    });
+    for (q, n) in runs {
+        tracker.complete_assignments(q, bucket, n, now);
+    }
 }
 
-impl IndexedSchedulerView for IndexedView<'_> {
-    fn now(&self) -> SimTime {
-        self.now
+/// The legacy view: the gathered candidates, and per-query cursors scanned
+/// from the queues — every query with queued work, the buckets holding it,
+/// and the oldest of them by `(arrival, id)`.
+fn legacy_view(
+    now: SimTime,
+    snaps: &[BucketSnapshot],
+    table: &WorkloadTable<'_>,
+    arrival_of: &HashMap<QueryId, SimTime>,
+) -> FixtureView {
+    let mut query_buckets: Vec<(QueryId, Vec<BucketId>)> = Vec::new();
+    for q in (0..6u64).map(QueryId) {
+        let buckets: Vec<BucketId> = (0..N_BUCKETS as u32)
+            .map(BucketId)
+            .filter(|&b| table.queue(b).pending_of(q) > 0)
+            .collect();
+        if !buckets.is_empty() {
+            query_buckets.push((q, buckets));
+        }
     }
-    fn table(&self) -> &WorkloadTable<'_> {
-        self.table
-    }
-    fn oldest_pending_query(&self) -> Option<(QueryId, SimTime)> {
-        self.oldest_query
-    }
-    fn pending_buckets_of(&self, query: QueryId) -> Vec<BucketId> {
-        self.per_query
-            .get(&query)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default()
+    let oldest_query = query_buckets
+        .iter()
+        .map(|&(q, _)| (arrival_of[&q], q))
+        .min()
+        .map(|(t, q)| (q, t));
+    FixtureView {
+        now,
+        candidates: snaps.to_vec(),
+        oldest_query,
+        query_buckets,
     }
 }
 
@@ -202,7 +230,7 @@ proptest! {
         let pool = query_pool();
         let mut table = WorkloadTable::new(N_BUCKETS).with_object_counts(|b| 500 + b.0 as u64);
         let mut cache = BucketCache::new(CACHE_CAP);
-        let mut per_query: HashMap<QueryId, BTreeSet<BucketId>> = HashMap::new();
+        let mut tracker = QueryTracker::new();
         let mut arrival_of: HashMap<QueryId, SimTime> = HashMap::new();
         let mut rr_indexed = RoundRobinScheduler::new();
         let mut rr_legacy = RoundRobinScheduler::new();
@@ -214,34 +242,32 @@ proptest! {
             match *op {
                 Op::Enqueue { bucket, query, n, width } => {
                     let q = &pool[query as usize];
-                    for b in (bucket..bucket + width).map(|b| BucketId(b % N_BUCKETS as u32)) {
+                    let buckets = (bucket..bucket + width).map(|b| BucketId(b % N_BUCKETS as u32));
+                    for b in buckets.clone() {
                         let item = WorkItem {
                             query: q.id,
                             bucket: b,
                             object_indices: (0..n as u32).collect(),
                         };
                         table.enqueue(&item, q, now);
-                        per_query.entry(q.id).or_default().insert(b);
                     }
-                    arrival_of.entry(q.id).or_insert(now);
+                    // The query keeps its first arrival, as a moved or
+                    // late fragment does on the engine.
+                    let arrival = *arrival_of.entry(q.id).or_insert(now);
+                    let work = buckets.map(|b| (b, n as u64));
+                    let (f, all) = (FragmentId::default(), Predicate::All);
+                    if tracker.arrival_of(q.id).is_some() {
+                        tracker.transfer_in(q.id, f, arrival, all, work);
+                    } else {
+                        tracker.register(q.id, f, arrival, all, work);
+                    }
                 }
                 Op::TakeAll { bucket } => {
-                    let mut drained = Vec::new();
-                    table.take_all_into(BucketId(bucket), &mut drained);
-                    for e in drained {
-                        if let Some(set) = per_query.get_mut(&e.query) {
-                            set.remove(&BucketId(bucket));
-                        }
-                    }
+                    drain(&mut table, &mut tracker, BucketId(bucket), None, now);
                 }
                 Op::TakeQuery { bucket, query } => {
-                    let mut drained = Vec::new();
-                    table.take_query_into(BucketId(bucket), QueryId(query), &mut drained);
-                    if !drained.is_empty() {
-                        if let Some(set) = per_query.get_mut(&QueryId(query)) {
-                            set.remove(&BucketId(bucket));
-                        }
-                    }
+                    let only = Some(QueryId(query));
+                    drain(&mut table, &mut tracker, BucketId(bucket), only, now);
                 }
                 Op::CacheAccess { bucket } => access(&mut table, &mut cache, BucketId(bucket)),
                 Op::CacheWipe => {
@@ -252,30 +278,15 @@ proptest! {
                     }
                 }
             }
-            per_query.retain(|_, set| !set.is_empty());
 
             // One decision point per step, through both paths.
             table.validate_index();
             gather(&table, &cache, &mut snaps);
-            let oldest_query = per_query
-                .keys()
-                .map(|&q| (arrival_of[&q], q))
-                .min()
-                .map(|(t, q)| (q, t));
-            let legacy_view = FixtureView {
-                now,
-                candidates: snaps.clone(),
-                oldest_query,
-                query_buckets: per_query
-                    .iter()
-                    .map(|(&q, set)| (q, set.iter().copied().collect()))
-                    .collect(),
-            };
-            let indexed_view = IndexedView {
+            let legacy_view = legacy_view(now, &snaps, &table, &arrival_of);
+            let indexed_view = TableView {
                 now,
                 table: &table,
-                oldest_query,
-                per_query: &per_query,
+                tracker: &tracker,
             };
 
             for s in &mut stateless_schedulers() {
@@ -343,7 +354,7 @@ fn wide_enqueue_ties_close_on_the_frontier() {
         table.enqueue(&item, &pool[0], enqueued);
     }
     let mut cache = BucketCache::new(CACHE_CAP);
-    let per_query = HashMap::new();
+    let tracker = QueryTracker::new();
     let mut snaps = Vec::new();
     for resident in [0u32, 3] {
         for b in 0..resident {
@@ -351,11 +362,10 @@ fn wide_enqueue_ties_close_on_the_frontier() {
         }
         gather(&table, &cache, &mut snaps);
         assert_eq!(snaps.iter().filter(|c| c.cached).count(), resident as usize);
-        let view = IndexedView {
+        let view = TableView {
             now,
             table: &table,
-            oldest_query: None,
-            per_query: &per_query,
+            tracker: &tracker,
         };
         for mode in [AgingMode::Normalized, AgingMode::Raw] {
             for alpha in [0.25, 0.5, 0.75] {

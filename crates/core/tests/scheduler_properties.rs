@@ -1,6 +1,9 @@
 //! Property tests for the LifeRaft scheduling policy.
 
-use liferaft_core::scheduler::FixtureView;
+mod fixture;
+
+use fixture::FixtureView;
+use liferaft_core::metric::ScorePass;
 use liferaft_core::{
     AgingMode, BucketSnapshot, LifeRaftScheduler, MetricParams, RoundRobinScheduler, Scheduler,
 };
@@ -112,8 +115,8 @@ proptest! {
         let params = MetricParams::paper();
         let s = LifeRaftScheduler::new(params, AgingMode::Normalized, alpha);
         let idx = s.pick_index(now, &cands).expect("non-empty");
-        let scores =
-            liferaft_core::metric::aged_scores(&params, AgingMode::Normalized, alpha, now, &cands);
+        let pass = ScorePass::new(&params, AgingMode::Normalized, alpha, now, &cands);
+        let scores: Vec<f64> = cands.iter().map(|c| pass.score(c)).collect();
         let mut best = 0usize;
         for i in 1..cands.len() {
             let better = scores[i] > scores[best]

@@ -328,7 +328,7 @@ impl TransportLog {
                 d.at,
                 EventKind::FragmentDropped {
                     query: d.query_index as u64,
-                    shard: d.shard,
+                    link: d.shard,
                     to_shard: matches!(d.direction, LinkDirection::ToShard),
                     attempt: d.attempt,
                 },
@@ -339,7 +339,7 @@ impl TransportLog {
                 r.at,
                 EventKind::FragmentRetransmitted {
                     query: r.query_index as u64,
-                    shard: r.shard,
+                    to: r.shard,
                     attempt: r.attempt,
                 },
             ));
@@ -349,7 +349,7 @@ impl TransportLog {
                 s.at,
                 EventKind::DuplicateSuppressed {
                     query: s.query_index as u64,
-                    shard: s.shard,
+                    to: s.shard,
                     attempt: s.attempt,
                 },
             ));

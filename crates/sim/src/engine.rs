@@ -7,12 +7,12 @@
 //! runs one per shard.
 
 use std::borrow::Cow;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::thread;
 
 use liferaft_catalog::{Catalog, SkyObject};
 use liferaft_core::{
-    BatchScope, BatchSpec, DecisionStats, IndexedSchedulerView, Scheduler, StarvationMonitor,
+    BatchScope, BatchSpec, DecisionStats, Scheduler, StarvationMonitor, TableView,
 };
 use liferaft_join::{hybrid, JoinStrategy};
 use liferaft_query::{
@@ -99,8 +99,8 @@ impl<'a, C: Catalog + ?Sized> Simulation<'a, C> {
 /// runtime's migration payload. Carries the bucket's queue as it stood (its
 /// runs, with their original `enqueued_at` stamps, so ages survive the move,
 /// still borrowing the queries' objects, so real joins still find their
-/// payload at the destination), the per-query bookkeeping the destination
-/// core needs to adopt them, and the bucket's cache residency at the source.
+/// payload at the destination), what the destination core's tracker needs
+/// to adopt them, and the bucket's cache residency at the source.
 #[derive(Debug, Clone)]
 pub struct MigratedBucket<'q> {
     /// The migrating bucket.
@@ -108,10 +108,9 @@ pub struct MigratedBucket<'q> {
     /// Its queue, ages preserved.
     pub queue: WorkloadQueue<'q>,
     /// One row per run of `queue`, in `queue.runs()` order: the query's
-    /// original arrival and its join predicate (populated only when the
-    /// source executes real joins). The query, the fragment and the
-    /// migrating assignment count are the run's own.
-    pub queries: Vec<(SimTime, Option<Predicate>)>,
+    /// original arrival and its join predicate. The query, the fragment and
+    /// the migrating assignment count are the run's own.
+    pub queries: Vec<(SimTime, Predicate)>,
     /// Whether the bucket was cache-resident at the source when extracted.
     pub was_resident: bool,
 }
@@ -141,11 +140,6 @@ pub struct EngineCore<'a, C: Catalog + ?Sized> {
     tracker: QueryTracker,
     cache: BucketCache,
     io: IoStats,
-    /// Buckets still holding queued entries, per in-flight query.
-    per_query: HashMap<QueryId, BTreeSet<BucketId>>,
-    /// Predicates of in-flight queries (populated only when joins execute;
-    /// a query's entry leaves when the tracker closes it on this core).
-    predicates: HashMap<QueryId, Predicate>,
     /// The rows of cache-resident buckets (populated only when joins
     /// execute): the host-side half of [`BucketCache`] residency. A scan
     /// that loads a bucket keeps its rows here, a scan hit reuses them, and
@@ -187,8 +181,6 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
             tracker: QueryTracker::new(),
             cache: BucketCache::new(config.cache_buckets),
             io: IoStats::new(),
-            per_query: HashMap::new(),
-            predicates: HashMap::new(),
             rows: HashMap::new(),
             starvation: StarvationMonitor::new(),
             batch_runs: Vec::new(),
@@ -241,16 +233,18 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
         at: SimTime,
     ) {
         let assignments: u64 = items.iter().map(|i| i.len() as u64).sum();
+        let work = items.iter().map(|i| (i.bucket, i.len() as u64));
         if self.tracker.arrival_of(query.id).is_some() {
             // A migration already carried part of this query here; the
             // fragment tops up the in-flight record (same arrival instant —
             // transferred work keeps the query's original arrival).
             if assignments > 0 {
                 self.tracker
-                    .transfer_in(query.id, fragment, assignments, at);
+                    .transfer_in(query.id, fragment, at, query.predicate, work);
             }
         } else {
-            self.tracker.register(query.id, fragment, assignments, at);
+            self.tracker
+                .register(query.id, fragment, at, query.predicate, work);
         }
         if self.sink.enabled() {
             self.sink.record(
@@ -263,13 +257,6 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
         }
         if assignments == 0 {
             return;
-        }
-        self.per_query
-            .entry(query.id)
-            .or_default()
-            .extend(items.iter().map(|i| i.bucket));
-        if self.config.execute_joins {
-            self.predicates.insert(query.id, query.predicate);
         }
         for item in items {
             self.table.enqueue_fragment(item, query, fragment, at);
@@ -354,9 +341,8 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
 
     /// Rips one bucket's queued state out of this core for migration: takes
     /// its queue (ages preserved), transfers the affected queries' pending
-    /// assignments out of the tracker at virtual time `at`, detaches the
-    /// bucket from per-query bookkeeping, and evicts it from the cache (its
-    /// residency travels in the payload).
+    /// assignments at the bucket out of the tracker at virtual time `at`,
+    /// and evicts it from the cache (its residency travels in the payload).
     ///
     /// A query whose assignments all leave but which already serviced some
     /// entries here closes locally with `completion = at` — migration ends
@@ -366,22 +352,14 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
         let mut queries = Vec::new();
         for run in queue.runs() {
             let q = run.query();
-            let arrival = self
+            let (arrival, predicate) = self
                 .tracker
                 .arrival_of(q)
+                .zip(self.tracker.predicate_of(q))
                 .expect("queued run for a query the tracker does not know");
-            queries.push((arrival, self.predicates.get(&q).copied()));
+            queries.push((arrival, predicate));
             self.tracker
-                .transfer_out(q, run.fragment(), run.len() as u64, at);
-            if self.config.execute_joins && self.tracker.arrival_of(q).is_none() {
-                self.predicates.remove(&q);
-            }
-            if let Some(set) = self.per_query.get_mut(&q) {
-                set.remove(&bucket);
-                if set.is_empty() {
-                    self.per_query.remove(&q);
-                }
-            }
+                .transfer_out(q, run.fragment(), bucket, run.len() as u64, at);
         }
         let was_resident = self.cache.remove(bucket);
         self.set_resident(bucket, false);
@@ -400,15 +378,9 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
     /// may evict another bucket).
     pub fn absorb_bucket(&mut self, payload: MigratedBucket<'a>) {
         for (run, &(arrival, predicate)) in payload.queue.runs().zip(&payload.queries) {
-            let q = run.query();
+            let work = [(payload.bucket, run.len() as u64)];
             self.tracker
-                .transfer_in(q, run.fragment(), run.len() as u64, arrival);
-            self.per_query.entry(q).or_default().insert(payload.bucket);
-            if self.config.execute_joins {
-                if let Some(p) = predicate {
-                    self.predicates.insert(q, p);
-                }
-            }
+                .transfer_in(run.query(), run.fragment(), arrival, predicate, work);
         }
         self.table.merge_bucket(payload.bucket, &payload.queue);
         if payload.was_resident {
@@ -465,11 +437,10 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
         } else {
             DecisionStats::default()
         };
-        let view = PickView {
+        let view = TableView {
             now,
             table: &self.table,
             tracker: &self.tracker,
-            per_query: &self.per_query,
         };
         let spec = scheduler
             .pick(&view)
@@ -618,7 +589,7 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
                     };
                     let rows = held.unwrap_or_else(|| catalog.bucket_objects(spec.bucket));
                     self.total_matches +=
-                        accepted_matches(&self.predicates, strategy, &rows, &self.batch_entries);
+                        accepted_matches(&self.tracker, strategy, &rows, &self.batch_entries);
                     if spec.share_io {
                         self.rows.insert(spec.bucket, rows);
                     }
@@ -633,7 +604,7 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
                             &mut self.probe_rows,
                         );
                         self.total_matches += accepted_matches(
-                            &self.predicates,
+                            &self.tracker,
                             strategy,
                             &self.probe_rows,
                             std::slice::from_ref(entry),
@@ -646,19 +617,11 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
         // Account completions at batch end, in QueryId order — the order the
         // runs drained in — so the completion sequence (and thus the report)
         // is deterministic even when one batch finishes several queries at
-        // the same instant.
+        // the same instant. Records close only here, after the join read
+        // their predicates.
         let end = now + cost;
         for &(q, n) in &self.batch_runs {
-            if let Some(set) = self.per_query.get_mut(&q) {
-                set.remove(&spec.bucket);
-                if set.is_empty() {
-                    self.per_query.remove(&q);
-                }
-            }
-            let outcome = self.tracker.complete_assignments(q, n, end);
-            if outcome.is_some() && self.config.execute_joins {
-                self.predicates.remove(&q);
-            }
+            let outcome = self.tracker.complete_assignments(q, spec.bucket, n, end);
             if telemetry {
                 if let Some(o) = outcome {
                     self.sink.record(
@@ -708,60 +671,21 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
 }
 
 /// Joins `entries` against `rows` and counts the pairs whose catalog row
-/// passes the owning query's predicate.
+/// passes the owning query's predicate, read from its in-flight record.
 fn accepted_matches(
-    predicates: &HashMap<QueryId, Predicate>,
+    tracker: &QueryTracker,
     strategy: JoinStrategy,
     rows: &[SkyObject],
     entries: &[QueueEntry],
 ) -> u64 {
     let out = hybrid::execute(strategy, rows, entries);
     let accepted = out.pairs.iter().filter(|pair| {
-        let pred = predicates
-            .get(&pair.query)
-            .copied()
-            .unwrap_or(Predicate::All);
+        let pred = tracker
+            .predicate_of(pair.query)
+            .expect("a joined query is in flight");
         pred.accepts_mag(rows[pair.catalog_index as usize].mag)
     });
     accepted.count() as u64
-}
-
-/// The scheduler's view at one decision point: the candidate surface comes
-/// from the workload table's index via the [`IndexedSchedulerView`]
-/// blanket impl; this adapter only supplies the clock, the tracker's
-/// arrival cursor, and the per-query bucket sets.
-struct PickView<'s> {
-    now: SimTime,
-    table: &'s WorkloadTable<'s>,
-    tracker: &'s QueryTracker,
-    per_query: &'s HashMap<QueryId, BTreeSet<BucketId>>,
-}
-
-impl IndexedSchedulerView for PickView<'_> {
-    fn now(&self) -> SimTime {
-        self.now
-    }
-
-    fn table(&self) -> &WorkloadTable<'_> {
-        self.table
-    }
-
-    fn oldest_pending_query(&self) -> Option<(QueryId, SimTime)> {
-        self.tracker.oldest_pending()
-    }
-
-    fn pending_buckets_of(&self, query: QueryId) -> Vec<BucketId> {
-        self.per_query
-            .get(&query)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default()
-    }
-
-    fn first_pending_bucket_of(&self, query: QueryId) -> Option<BucketId> {
-        self.per_query
-            .get(&query)
-            .and_then(|s| s.iter().next().copied())
-    }
 }
 
 #[cfg(test)]
@@ -907,7 +831,12 @@ mod tests {
         for bucket in table.non_empty_buckets().to_vec() {
             table.take_all_into(bucket, &mut entries);
             let rows = cat.bucket_objects(bucket);
-            matches += accepted_matches(&predicates, JoinStrategy::SequentialScan, &rows, &entries);
+            let out = hybrid::execute(JoinStrategy::SequentialScan, &rows, &entries);
+            let accepted = out.pairs.iter().filter(|pair| {
+                let pred = predicates.get(&pair.query).unwrap_or(&Predicate::All);
+                pred.accepts_mag(rows[pair.catalog_index as usize].mag)
+            });
+            matches += accepted.count() as u64;
         }
         matches
     }
@@ -1054,16 +983,10 @@ mod tests {
         let mut run = loaded(&cat, residency_config(), &timed);
         let mut greedy = LifeRaftScheduler::greedy(params());
         while run.step(&mut greedy) {
-            let core = run.core();
-            assert_eq!(core.predicates.len(), core.tracker.pending_count());
-            most_held = most_held.max(core.predicates.len());
+            most_held = most_held.max(run.core().tracker.pending_count());
         }
         let core = run.core();
         assert!(core.all_complete());
-        assert!(
-            core.predicates.is_empty(),
-            "predicates outlived their queries"
-        );
         assert!(most_held < timed.len(), "the run never overlapped queries");
         assert_eq!(core.total_matches, unpruned);
     }
@@ -1310,6 +1233,66 @@ mod tests {
             assert_eq!(dst.core().resident_buckets(), dst_resident_before + 1);
         }
         dst.core().workload().validate_index();
+    }
+
+    /// NoShare's cursor is the query's record, and the record follows the
+    /// work wherever it goes: a move out, a move in at a lower bucket, a
+    /// second fragment into a bucket it already holds, and each drain.
+    #[test]
+    fn noshare_cursor_follows_moved_work() {
+        let cat = catalog();
+        let positions: Vec<_> = [3u32, 6, 9, 12, 15]
+            .iter()
+            .flat_map(|&b| {
+                let rows = cat.bucket_objects(BucketId(b));
+                rows.iter().take(2).map(|o| o.pos).collect::<Vec<_>>()
+            })
+            .collect();
+        let query =
+            CrossMatchQuery::from_positions(QueryId(0), &positions, 1e-4, LEVEL, Predicate::All);
+        let mut items = QueryPreProcessor::new(cat.partition()).preprocess(&query);
+        items.sort_by_key(|i| i.bucket);
+        assert!(items.len() >= 4, "fixture must span several buckets");
+        let q = query.id;
+        let t0 = SimTime::from_micros(1_000);
+        let mut core = EngineCore::new(&cat, SimConfig::paper());
+        let check = |core: &EngineCore<'_, MaterializedCatalog>, step: &str| {
+            let scan = (0..cat.partition().num_buckets() as u32)
+                .map(BucketId)
+                .find(|&b| core.table.queue(b).pending_of(q) > 0);
+            let view = TableView {
+                now: t0,
+                table: &core.table,
+                tracker: &core.tracker,
+            };
+            assert_eq!(view.first_pending_bucket_of(q), scan, "after {step}");
+        };
+
+        // 1. Deliver all but the lowest bucket's item.
+        let (low, rest) = items.split_first().expect("non-empty");
+        core.deliver_fragment(&query, FragmentId(0), rest, t0);
+        check(&core, "delivery");
+        // 2. Move its lowest bucket out.
+        let moved = core.extract_bucket(rest[0].bucket, t0);
+        assert!(!moved.is_empty());
+        check(&core, "extract_bucket");
+        // 3. Move the query's run at a lower bucket in from another core.
+        let mut other = EngineCore::new(&cat, SimConfig::paper());
+        other.deliver_fragment(&query, FragmentId(1), std::slice::from_ref(low), t0);
+        core.absorb_bucket(other.extract_bucket(low.bucket, t0));
+        assert_eq!(core.tracker.first_pending_bucket(q), Some(low.bucket));
+        check(&core, "absorb_bucket");
+        // 4. A second fragment into a bucket the query already holds.
+        core.deliver_fragment(&query, FragmentId(2), std::slice::from_ref(&rest[2]), t0);
+        check(&core, "a hedge copy");
+        // 5. One NoShare batch drains the query's first bucket, then the rest.
+        let mut noshare = NoShareScheduler::new();
+        let mut now = t0;
+        while !core.is_idle() {
+            now = now + core.decide_and_execute(&mut noshare, now);
+            check(&core, "a SingleQuery batch");
+        }
+        assert!(core.all_complete());
     }
 
     #[test]

@@ -324,7 +324,7 @@ events! {
         /// Trace index of the fragment's query.
         query: u64,
         /// The shard whose link ate the message.
-        shard: u32,
+        link: u32,
         /// `true` for a lost data send (router → shard), `false` for a lost
         /// acknowledgement (shard → router).
         to_shard: bool,
@@ -337,7 +337,7 @@ events! {
         /// Trace index of the fragment's query.
         query: u64,
         /// Destination shard.
-        shard: u32,
+        to: u32,
         /// 1-based retransmission attempt (attempt 0 was the original send).
         attempt: u32,
     },
@@ -360,7 +360,7 @@ events! {
         /// Trace index of the fragment's query.
         query: u64,
         /// The receiving shard.
-        shard: u32,
+        to: u32,
         /// Attempt the discarded copy carried.
         attempt: u32,
     },

@@ -213,22 +213,18 @@ pub fn events_to_chrome_trace(events: &[Event], n_shards: u32) -> String {
             }
             EventKind::FragmentDropped {
                 query,
-                shard,
+                link,
                 to_shard,
                 attempt,
             } => {
                 let leg = if *to_shard { "data" } else { "ack" };
                 rows.push(format!(
-                    "{{\"name\":\"drop q{query} {leg} #{attempt}\",\"cat\":\"transport\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts},\"pid\":0,\"tid\":{tid},\"args\":{{\"shard\":{shard}}}}}"
+                    "{{\"name\":\"drop q{query} {leg} #{attempt}\",\"cat\":\"transport\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts},\"pid\":0,\"tid\":{tid},\"args\":{{\"link\":{link}}}}}"
                 ));
             }
-            EventKind::FragmentRetransmitted {
-                query,
-                shard,
-                attempt,
-            } => {
+            EventKind::FragmentRetransmitted { query, to, attempt } => {
                 rows.push(format!(
-                    "{{\"name\":\"retransmit q{query} #{attempt}\",\"cat\":\"transport\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts},\"pid\":0,\"tid\":{tid},\"args\":{{\"shard\":{shard}}}}}"
+                    "{{\"name\":\"retransmit q{query} #{attempt}\",\"cat\":\"transport\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts},\"pid\":0,\"tid\":{tid},\"args\":{{\"to\":{to}}}}}"
                 ));
             }
             EventKind::FragmentHedged {
@@ -241,13 +237,9 @@ pub fn events_to_chrome_trace(events: &[Event], n_shards: u32) -> String {
                     "{{\"name\":\"hedge q{query}: {from}\\u2192{to}\",\"cat\":\"transport\",\"ph\":\"i\",\"s\":\"p\",\"ts\":{ts},\"pid\":0,\"tid\":{tid},\"args\":{{\"entries\":{entries}}}}}"
                 ));
             }
-            EventKind::DuplicateSuppressed {
-                query,
-                shard,
-                attempt,
-            } => {
+            EventKind::DuplicateSuppressed { query, to, attempt } => {
                 rows.push(format!(
-                    "{{\"name\":\"dedup q{query} #{attempt}\",\"cat\":\"transport\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts},\"pid\":0,\"tid\":{tid},\"args\":{{\"shard\":{shard}}}}}"
+                    "{{\"name\":\"dedup q{query} #{attempt}\",\"cat\":\"transport\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts},\"pid\":0,\"tid\":{tid},\"args\":{{\"to\":{to}}}}}"
                 ));
             }
             EventKind::AdmissionSampled {

@@ -19,8 +19,12 @@ use crate::export::{events_to_chrome_trace, events_to_jsonl};
 pub struct ShardSeries {
     /// The shard id.
     pub shard: u32,
-    /// Net queued assignments at each window boundary (arrivals minus
-    /// serviced entries, prefix-summed; x = window end in seconds).
+    /// Queued assignments at each window boundary (x = window end in
+    /// seconds): arrivals and entries moved in by a bucket move, minus
+    /// serviced entries and entries moved out, prefix-summed from 0. A ring
+    /// that shed the shard's oldest events hides where the series starts,
+    /// so a truncated shard starts at the smallest baseline that keeps it
+    /// ≥ 0 — a lower bound on the true depth.
     pub queue_depth: Series,
     /// Scheduler decisions per second in each window.
     pub decisions_per_s: Series,
@@ -79,8 +83,9 @@ pub struct TelemetryReport {
 impl TelemetryReport {
     /// Folds a canonical event stream into windowed per-shard series.
     ///
-    /// Router-shard events ([`ROUTER_SHARD`]) stay in the stream but do not
-    /// contribute to per-shard series.
+    /// Router-shard events ([`ROUTER_SHARD`]) stay in the stream; of them,
+    /// only bucket moves (`migration_planned`, `bucket_evacuated`) enter
+    /// per-shard series, as queue depth leaving `from` and joining `to`.
     ///
     /// # Panics
     /// Panics on a zero window, or on an event from a shard `>= n_shards`
@@ -106,18 +111,34 @@ impl TelemetryReport {
         let mut totals = vec![(0u64, 0u64, 0u64, 0u64, 0u64); n]; // events, decisions, batches, scans, hits
         let mut batch_stats = vec![StreamingStats::new(); n];
         let mut responses_all: Vec<Vec<f64>> = vec![Vec::new(); n];
+        // A shard whose first kept event is not its first recorded one lost
+        // its head to a ring.
+        let mut truncated: Vec<Option<bool>> = vec![None; n];
 
+        let shard_index = |shard: u32| {
+            assert!(
+                shard < n_shards,
+                "event from shard {shard} but report spans {n_shards}"
+            );
+            shard as usize
+        };
         for e in &events {
+            let w = ((e.time.as_micros() / window_us) as usize).min(n_windows - 1);
             if e.shard == ROUTER_SHARD {
+                if let EventKind::MigrationPlanned {
+                    from, to, entries, ..
+                }
+                | EventKind::BucketEvacuated {
+                    from, to, entries, ..
+                } = e.kind
+                {
+                    net_flow[shard_index(from)][w] -= entries as i64;
+                    net_flow[shard_index(to)][w] += entries as i64;
+                }
                 continue;
             }
-            assert!(
-                e.shard < n_shards,
-                "event from shard {} but report spans {n_shards}",
-                e.shard
-            );
-            let s = e.shard as usize;
-            let w = ((e.time.as_micros() / window_us) as usize).min(n_windows - 1);
+            let s = shard_index(e.shard);
+            truncated[s].get_or_insert(e.seq > 0);
             totals[s].0 += 1;
             match &e.kind {
                 EventKind::QueryArrival { assignments, .. } => {
@@ -163,6 +184,13 @@ impl TelemetryReport {
             let mut hit_rate = Series::new(format!("shard {s} hit rate"));
             let mut response_p90_s = Series::new(format!("shard {s} p90 response (s)"));
             let mut depth = 0i64;
+            if truncated[s] == Some(true) {
+                let lowest = net_flow[s].iter().scan(0, |d, f| {
+                    *d += f;
+                    Some(*d)
+                });
+                depth = -lowest.min().unwrap_or(0).min(0);
+            }
             for w in 0..n_windows {
                 let x = (w as f64 + 1.0) * window_secs;
                 depth += net_flow[s][w];
@@ -335,7 +363,7 @@ mod tests {
                 0,
                 EventKind::QueryArrival {
                     query: 1,
-                    assignments: 4,
+                    assignments: 6,
                 },
             ),
             ev(
@@ -432,7 +460,8 @@ mod tests {
         let s0 = &r.shards[0];
         // Two windows: [0,1s) and [1s,1.5s].
         assert_eq!(s0.queue_depth.points().len(), 2);
-        // Window 0: +4 arrivals, -3 serviced => depth 1; window 1: -1 => 0.
+        // Window 0: +6 arrivals, -3 serviced, -2 moved off => depth 1;
+        // window 1: -1 => 0.
         assert_eq!(s0.queue_depth.ys(), vec![1.0, 0.0]);
         assert_eq!(s0.decisions_per_s.ys(), vec![1.0, 1.0]);
         // Window 0: 1 scan 0 hits; window 1: 1 scan 1 hit.
@@ -441,11 +470,17 @@ mod tests {
         assert_eq!(s0.response.count(), 1);
         assert!((s0.response_p90_s.ys()[1] - 1.5).abs() < 1e-12);
         assert_eq!(s0.batch_entries.count(), 2);
-        // Shard 1 recorded nothing; router events excluded from series.
+        // Shard 1 recorded nothing, but the planned move queued 2 there.
         assert_eq!(r.shards[1].events, 0);
+        assert_eq!(r.shards[1].queue_depth.ys(), vec![2.0, 2.0]);
         assert_eq!(r.response.count(), 1);
         assert_eq!(r.batch_entries.count(), 2);
         assert_eq!(r.events.len(), 9);
+        // A ring that shed the arrival starts shard 0 at the least baseline
+        // keeping its depth non-negative: here exactly the true depth.
+        let shed: Vec<Event> = sample_stream().into_iter().skip(1).collect();
+        let r = TelemetryReport::build(shed, 2, SimDuration::from_secs(1));
+        assert_eq!(r.shards[0].queue_depth.ys(), vec![1.0, 0.0]);
     }
 
     #[test]

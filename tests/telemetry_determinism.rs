@@ -42,6 +42,27 @@ fn jsonl_of(report: &RuntimeReport) -> String {
         .to_jsonl()
 }
 
+/// Every shard's queue depth stays non-negative, and with nothing dropped —
+/// the whole stream kept, every delivered query completed — it ends at 0.
+fn assert_queue_depths(report: &RuntimeReport, ctx: &str) {
+    let telemetry = report.telemetry.as_ref().expect("telemetry was enabled");
+    for (series, run) in telemetry.shards.iter().zip(&report.shards) {
+        let depth = series.queue_depth.ys();
+        let shard = series.shard;
+        assert!(
+            depth.iter().all(|&d| d >= 0.0),
+            "{ctx}: shard {shard}'s queue depth went negative: {depth:?}"
+        );
+        if run.events_dropped == 0 {
+            assert_eq!(
+                depth.last(),
+                Some(&0.0),
+                "{ctx}: shard {shard} ended with queued work"
+            );
+        }
+    }
+}
+
 /// Writes `jsonl` to `$LIFERAFT_TRACE_DIR/<name>.jsonl` when that variable
 /// is set.
 fn write_trace(name: &str, jsonl: &str) {
@@ -115,6 +136,7 @@ fn controller_paths_keep_the_byte_identical_stream() {
             let ctx = format!("{label} @ {n_shards} elastic shards");
             let a = jsonl_of(&stepped);
             assert_eq!(a, jsonl_of(&threaded), "{ctx}: streams diverged");
+            assert_queue_depths(&stepped, &ctx);
             let moves = stepped
                 .rebalance
                 .as_ref()
@@ -144,6 +166,7 @@ fn controller_paths_keep_the_byte_identical_stream() {
             let ctx = format!("{label} @ {n_shards} front-door shards");
             let a = jsonl_of(&stepped);
             assert_eq!(a, jsonl_of(&threaded), "{ctx}: streams diverged");
+            assert_queue_depths(&stepped, &ctx);
             if *label == "greedy" && n_shards == 4 {
                 write_trace("front_door", &a);
             }
@@ -191,6 +214,7 @@ fn failover_path_keeps_the_byte_identical_stream() {
         let ctx = format!("{label} under the crash scenario");
         let a = jsonl_of(&stepped);
         assert_eq!(a, jsonl_of(&threaded), "{ctx}: streams diverged");
+        assert_queue_depths(&stepped, &ctx);
         if *label == "greedy" {
             write_trace("failover", &a);
         }
@@ -254,6 +278,7 @@ fn transport_path_keeps_the_byte_identical_stream() {
         let ctx = format!("{label} under the lossy-link scenario");
         let a = jsonl_of(&stepped);
         assert_eq!(a, jsonl_of(&threaded), "{ctx}: streams diverged");
+        assert_queue_depths(&stepped, &ctx);
         if *label == "greedy" {
             write_trace("transport", &a);
         }
@@ -402,5 +427,6 @@ fn ring_truncated_streams_export_at_every_capacity() {
             "ring({capacity}): one span per batch whose start was kept"
         );
         assert_eq!(kept.to_jsonl().lines().count(), capacity);
+        assert_queue_depths(&run, &format!("ring({capacity})"));
     }
 }
