@@ -2,8 +2,7 @@
 
 use std::cmp::Ordering;
 
-use liferaft_query::index::uncached_key;
-use liferaft_storage::{BucketId, SimTime};
+use liferaft_storage::BucketId;
 
 use crate::metric::{AgingMode, MetricParams, ScorePass};
 use crate::scheduler::{
@@ -46,16 +45,17 @@ const FRONTIER_SEED: usize = 4;
 ///
 /// - `bound < best`, the best seen score: `c` scores strictly lower; or
 /// - `bound == best` and the best seen candidate is at or ahead of the
-///   uncached frontier in [`uncached_key`] order: `c` can at most tie on
+///   uncached frontier in tie-break order: `c` can at most tie on
 ///   score (no term is ever −0.0, so `==` and `total_cmp` agree), and the
-///   decision tie-break — longer queue, then lower bucket — *is* that key
-///   order, in which `c` sits strictly behind the frontier and therefore
-///   behind the best seen. One wide query fans an object into hundreds of
-///   buckets at one instant with equal queue lengths; all those scores are
-///   equal, and this is the arm that closes them at the first check.
+///   decision tie-break — longer queue, then lower bucket — *is* the
+///   [`Lens::UncachedThroughput`] order, in which `c` sits strictly behind
+///   the frontier and therefore behind the best seen. One wide query fans
+///   an object into hundreds of buckets at one instant with equal queue
+///   lengths; all those scores are equal, and this is the arm that closes
+///   them at the first check.
 ///
-/// Either way the pick is the argmax [`pick_index`](Self::pick_index)
-/// returns, bit for bit. If the bound stays open for real until the frontier
+/// Either way the pick is the argmax of the scores over the whole candidate
+/// set, bit for bit. If the bound stays open for real until the frontier
 /// covers half the set (anti-correlated lists, or a tie led by a resident
 /// whose short queue ranks it behind the frontier), the pick falls back to a
 /// full streamed scan — still allocation-free, and that same argmax.
@@ -117,34 +117,6 @@ impl LifeRaftScheduler {
         self.alpha = alpha;
     }
 
-    /// Picks the best candidate index for the given time, or `None` if there
-    /// are no candidates — the legacy full-materialization path, kept as the
-    /// bit-exact reference for the indexed pick (equivalence proptests, the
-    /// `decision_path` micro-bench) and for tooling that already holds a
-    /// snapshot slice.
-    ///
-    /// The decision is fully fused and allocation-free: one sweep bounds the
-    /// metric terms ([`ScorePass`]), a second scores and arg-maxes. Scores
-    /// are compared with [`f64::total_cmp`], so the ordering is total and a
-    /// NaN (impossible upstream, but defended against) cannot poison every
-    /// subsequent `>` comparison the way partial ordering would; ties are
-    /// broken by longer queue (amortize more work per read), then by lower
-    /// bucket ID for determinism.
-    pub fn pick_index(&self, now: SimTime, candidates: &[BucketSnapshot]) -> Option<usize> {
-        let first = candidates.first()?;
-        let pass = ScorePass::new(&self.params, self.mode, self.alpha, now, candidates);
-        let mut best = 0usize;
-        let mut best_score = pass.score(first);
-        for (i, c) in candidates.iter().enumerate().skip(1) {
-            let score = pass.score(c);
-            if better(score, best_score, c, &candidates[best]) {
-                best = i;
-                best_score = score;
-            }
-        }
-        Some(best)
-    }
-
     /// The candidate snapshots realizing the exact min and max float `Ut`
     /// over the whole set: the resident pool is scanned (its `Ut` wobble is
     /// not monotone in any key), the uncached pool contributes its key-order
@@ -187,7 +159,7 @@ impl LifeRaftScheduler {
         let (ut_lo, ut_hi) = self.ut_extreme_snaps(view)?;
         // At α = 0 the age term contributes exactly ±0.0 to every score, so
         // the pass only needs the `Ut` bounds to normalize bit-identically
-        // to the legacy full-slice pass.
+        // to a pass over the full candidate set.
         let pass = ScorePass::new(
             &self.params,
             self.mode,
@@ -257,15 +229,13 @@ impl LifeRaftScheduler {
             let frontier_t = &self.scratch_t[k - 1];
             let bound = pass.ut_term(frontier_t) * (1.0 - self.alpha)
                 + pass.age_term(&self.scratch_a[k - 1]) * self.alpha;
-            if bound < best_score
-                || (bound == best_score && uncached_key(&best_snap) >= uncached_key(frontier_t))
-            {
+            if bound < best_score || (bound == best_score && !ahead(frontier_t, &best_snap)) {
                 self.stats.frontier_picks += 1;
                 return Some(best_snap.bucket);
             }
             if 2 * k >= n {
                 // The bound will not close much later than this; finish with
-                // one streamed scan (the legacy argmax, unmaterialized).
+                // one streamed scan (the full argmax, unmaterialized).
                 self.stats.fallback_picks += 1;
                 let mut full: Option<(f64, BucketSnapshot)> = None;
                 view.for_each_candidate(&mut |c| {
@@ -282,18 +252,23 @@ impl LifeRaftScheduler {
     }
 }
 
-/// The decision ordering: score (total order via `total_cmp`), then longer
-/// queue (amortize more work per read), then lower bucket ID.
+/// The decision ordering: score (total order via `total_cmp`, so a NaN —
+/// impossible upstream — cannot poison later comparisons), then the
+/// tie-break.
 #[inline]
 fn better(score: f64, best_score: f64, c: &BucketSnapshot, best: &BucketSnapshot) -> bool {
     match score.total_cmp(&best_score) {
         Ordering::Greater => true,
         Ordering::Less => false,
-        Ordering::Equal => {
-            c.queue_len > best.queue_len
-                || (c.queue_len == best.queue_len && c.bucket < best.bucket)
-        }
+        Ordering::Equal => ahead(c, best),
     }
+}
+
+/// The decision tie-break: longer queue (amortize more work per read), then
+/// lower bucket ID.
+#[inline]
+fn ahead(c: &BucketSnapshot, other: &BucketSnapshot) -> bool {
+    c.queue_len > other.queue_len || (c.queue_len == other.queue_len && c.bucket < other.bucket)
 }
 
 impl Scheduler for LifeRaftScheduler {
@@ -327,8 +302,8 @@ impl Scheduler for LifeRaftScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixture::FixtureView;
-    use liferaft_storage::{BucketId, SimDuration};
+    use crate::fixture::{reference_pick, FixtureView};
+    use liferaft_storage::{BucketId, SimDuration, SimTime};
 
     fn snap(bucket: u32, queue_len: u64, enq_s: u64, cached: bool) -> BucketSnapshot {
         BucketSnapshot {
@@ -389,11 +364,17 @@ mod tests {
         assert_eq!(s.pick(&v).unwrap().bucket, BucketId(4));
     }
 
+    /// The reference decision over the view's candidates.
+    fn reference(mode: AgingMode, alpha: f64, v: &FixtureView) -> BucketId {
+        let p = MetricParams::paper();
+        v.candidates[reference_pick(&p, mode, alpha, v.now, &v.candidates).unwrap()].bucket
+    }
+
     /// Every α, every aging mode: the indexed pick through a view must equal
-    /// the legacy `pick_index` over the materialized slice — the same
+    /// the reference decision over the materialized slice — the same
     /// contract the cross-scheduler proptests pin at engine scale.
     #[test]
-    fn indexed_pick_matches_legacy_pick_index() {
+    fn indexed_pick_matches_the_reference_pick() {
         let candidates: Vec<BucketSnapshot> = (0..57)
             .map(|i| {
                 snap(
@@ -404,28 +385,33 @@ mod tests {
                 )
             })
             .collect();
-        let v = view(candidates.clone(), 100);
+        let v = view(candidates, 100);
         for mode in [AgingMode::Normalized, AgingMode::Raw] {
             for alpha in [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0] {
                 let mut s = LifeRaftScheduler::new(MetricParams::paper(), mode, alpha);
-                let legacy = s.pick_index(v.now, &candidates).unwrap();
                 let picked = s.pick(&v).unwrap().bucket;
-                assert_eq!(picked, candidates[legacy].bucket, "mode {mode:?} α={alpha}");
+                assert_eq!(
+                    picked,
+                    reference(mode, alpha, &v),
+                    "mode {mode:?} α={alpha}"
+                );
             }
         }
     }
 
     /// Total ties pin the threshold bound exactly on the best seen score;
     /// the tie-break closes the scan at the first check, and the pick still
-    /// agrees with the legacy path.
+    /// agrees with the reference decision.
     #[test]
     fn blended_pick_survives_degenerate_ties() {
         // All cached, identical queues and ages → every score is equal.
         let candidates: Vec<BucketSnapshot> = (0..33).map(|i| snap(i, 10, 5, true)).collect();
-        let v = view(candidates.clone(), 20);
+        let v = view(candidates, 20);
         let mut s = LifeRaftScheduler::new(MetricParams::paper(), AgingMode::Normalized, 0.5);
-        let legacy = s.pick_index(v.now, &candidates).unwrap();
-        assert_eq!(s.pick(&v).unwrap().bucket, candidates[legacy].bucket);
+        assert_eq!(
+            s.pick(&v).unwrap().bucket,
+            reference(AgingMode::Normalized, 0.5, &v)
+        );
         assert_eq!(s.pick(&v).unwrap().bucket, BucketId(0));
         // All-resident ties resolve by exact re-scoring of the (complete)
         // resident pool — counted as frontier picks, not fallbacks.
@@ -435,10 +421,12 @@ mod tests {
         // exactly the best seen score; the best seen leads the uncached
         // frontier in tie-break order, so the first check closes.
         let uncached: Vec<BucketSnapshot> = (0..33).map(|i| snap(i, 10, 5, false)).collect();
-        let v = view(uncached.clone(), 20);
+        let v = view(uncached, 20);
         let mut s = LifeRaftScheduler::new(MetricParams::paper(), AgingMode::Normalized, 0.5);
-        let legacy = s.pick_index(v.now, &uncached).unwrap();
-        assert_eq!(s.pick(&v).unwrap().bucket, uncached[legacy].bucket);
+        assert_eq!(
+            s.pick(&v).unwrap().bucket,
+            reference(AgingMode::Normalized, 0.5, &v)
+        );
         assert_eq!(s.decision_stats().frontier_picks, 1);
         assert_eq!(s.decision_stats().fallback_picks, 0);
     }
@@ -446,7 +434,7 @@ mod tests {
     /// Anti-correlated lists keep the bound open for real: the long queues
     /// are the young ones, so the bound pairs one half's `Ut` with the other
     /// half's age until the frontiers cross. The scan must give up, stream
-    /// every candidate once, and still agree with the legacy path.
+    /// every candidate once, and still agree with the reference decision.
     #[test]
     fn open_bound_falls_back_to_the_streamed_scan() {
         let candidates: Vec<BucketSnapshot> = (0..32)
@@ -459,10 +447,12 @@ mod tests {
                 snap(i, queue_len, enq_s, false)
             })
             .collect();
-        let v = view(candidates.clone(), 100);
+        let v = view(candidates, 100);
         let mut s = LifeRaftScheduler::new(MetricParams::paper(), AgingMode::Normalized, 0.5);
-        let legacy = s.pick_index(v.now, &candidates).unwrap();
-        assert_eq!(s.pick(&v).unwrap().bucket, candidates[legacy].bucket);
+        assert_eq!(
+            s.pick(&v).unwrap().bucket,
+            reference(AgingMode::Normalized, 0.5, &v)
+        );
         assert_eq!(s.decision_stats().fallback_picks, 1);
         assert_eq!(s.decision_stats().frontier_picks, 0);
     }

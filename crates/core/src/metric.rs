@@ -77,10 +77,9 @@ pub enum AgingMode {
 /// both metric terms, computed in a single sweep so individual scores can
 /// then be evaluated on the fly — no per-decision vectors of `Ut` and `A`.
 ///
-/// The normalization conventions match
-/// [`min_max_normalize`](liferaft_metrics::min_max_normalize) exactly (a
-/// constant term maps to all-zeros), so fused scoring is bit-identical to
-/// normalizing materialized term vectors.
+/// Min–max normalization maps a constant term to all-zeros, and fused
+/// scoring is bit-identical to normalizing materialized term vectors (the
+/// tests hold it to such a reference).
 #[derive(Debug, Clone, Copy)]
 pub struct ScorePass {
     params: MetricParams,
@@ -98,7 +97,7 @@ impl ScorePass {
     ///
     /// # Panics
     /// Panics if α is outside `[0, 1]` or a metric term is NaN (an upstream
-    /// accounting bug, mirroring `liferaft_metrics::bounds`).
+    /// accounting bug).
     pub fn new(
         params: &MetricParams,
         mode: AgingMode,
@@ -178,7 +177,7 @@ impl ScorePass {
     }
 }
 
-/// `min_max_normalize`'s per-value rule: constant slices map to zero.
+/// Min–max normalization of one value: a constant term maps to zero.
 #[inline]
 fn normalized(v: f64, lo: f64, span: f64) -> f64 {
     if span <= 0.0 {
@@ -191,6 +190,7 @@ fn normalized(v: f64, lo: f64, span: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixture::reference_scores;
     use liferaft_storage::{BucketId, SimDuration};
 
     fn snap(bucket: u32, queue_len: u64, age_ms: u64, cached: bool) -> (BucketSnapshot, SimTime) {
@@ -305,7 +305,7 @@ mod tests {
     }
 
     /// The fused pass must agree bit-for-bit with materializing both term
-    /// vectors and normalizing them via `liferaft_metrics`.
+    /// vectors and normalizing them (the test fixture's reference scores).
     #[test]
     fn fused_pass_matches_materialized_scoring_exactly() {
         let p = MetricParams::paper();
@@ -323,20 +323,7 @@ mod tests {
             .collect();
         for mode in [AgingMode::Normalized, AgingMode::Raw] {
             for alpha in [0.0, 0.25, 0.5, 1.0] {
-                let mut ut: Vec<f64> = cands
-                    .iter()
-                    .map(|c| p.workload_throughput(c.queue_len, c.cached))
-                    .collect();
-                let mut age: Vec<f64> = cands.iter().map(|c| c.age_ms(now)).collect();
-                if mode == AgingMode::Normalized {
-                    liferaft_metrics::min_max_normalize(&mut ut);
-                    liferaft_metrics::min_max_normalize(&mut age);
-                }
-                let reference: Vec<f64> = ut
-                    .iter()
-                    .zip(&age)
-                    .map(|(&u, &a)| u * (1.0 - alpha) + a * alpha)
-                    .collect();
+                let reference = reference_scores(&p, mode, alpha, now, &cands);
                 let pass = ScorePass::new(&p, mode, alpha, now, &cands);
                 for (c, r) in cands.iter().zip(&reference) {
                     let fused = pass.score(c);

@@ -9,7 +9,6 @@
 //! [`for_each_candidate`](SchedulerView::for_each_candidate); nothing
 //! materializes a snapshot vector per decision anymore.
 
-use liferaft_query::index::{age_key, uncached_key};
 use liferaft_query::{QueryId, QueryTracker, WorkloadTable};
 use liferaft_storage::{BucketId, SimTime};
 
@@ -17,6 +16,8 @@ use liferaft_storage::{BucketId, SimTime};
 // maintain snapshots incrementally; re-exported here because it is the
 // scheduler's decision input.
 pub use liferaft_query::snapshot::BucketSnapshot;
+// The index owns the candidate orders; views and policies name them.
+pub use liferaft_query::Lens;
 
 /// Which queued entries a batch consumes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,39 +41,6 @@ pub struct BatchSpec {
     /// baseline's "no I/O is shared" discipline. Shared batches consult and
     /// populate the cache.
     pub share_io: bool,
-}
-
-/// The exact candidate orderings the index maintains — the α-decomposed
-/// terms of the aged metric (Eq. 2).
-///
-/// Both orders embed the decision tie-break (longer queue, then lower
-/// bucket) in their tails. The `Age` maximum *is* the exact α = 1 pick; the
-/// `UncachedThroughput` maximum is the only non-resident candidate an α = 0
-/// pick can choose (resident candidates — φ = 0, whose float `Ut` values
-/// wobble non-monotonically around `1/Tm` — are streamed via
-/// [`SchedulerView::for_each_cached_candidate`] and re-scored exactly).
-/// Mixed α re-ranks a frontier of both orders plus the resident pool (see
-/// [`LifeRaftScheduler`](crate::liferaft::LifeRaftScheduler)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Lens {
-    /// Order among *uncached* candidates by workload throughput `Ut`
-    /// (Eq. 1): longer queue, then lower bucket.
-    UncachedThroughput,
-    /// Order over all candidates by request age `A`: older oldest-enqueue
-    /// first, then longer queue, then lower bucket.
-    Age,
-}
-
-impl Lens {
-    /// The lens ordering between two candidates. For `UncachedThroughput`
-    /// both must be uncached (the lens is only defined over that pool).
-    #[inline]
-    pub fn cmp(self, a: &BucketSnapshot, b: &BucketSnapshot) -> std::cmp::Ordering {
-        match self {
-            Lens::UncachedThroughput => uncached_key(a).cmp(&uncached_key(b)),
-            Lens::Age => age_key(a).cmp(&age_key(b)),
-        }
-    }
 }
 
 /// What a scheduler may observe when making a decision.
@@ -153,24 +121,15 @@ impl SchedulerView for TableView<'_, '_> {
     }
 
     fn top_candidate(&self, lens: Lens) -> Option<BucketSnapshot> {
-        match lens {
-            Lens::UncachedThroughput => self.table.top_candidate_uncached(),
-            Lens::Age => self.table.top_candidate_age(),
-        }
+        self.table.top_candidate(lens)
     }
 
     fn bottom_candidate(&self, lens: Lens) -> Option<BucketSnapshot> {
-        match lens {
-            Lens::UncachedThroughput => self.table.bottom_candidate_uncached(),
-            Lens::Age => self.table.bottom_candidate_age(),
-        }
+        self.table.bottom_candidate(lens)
     }
 
     fn top_candidates(&self, lens: Lens, k: usize, out: &mut Vec<BucketSnapshot>) {
-        match lens {
-            Lens::UncachedThroughput => self.table.uncached_frontier_into(k, out),
-            Lens::Age => self.table.age_frontier_into(k, out),
-        }
+        self.table.frontier_into(lens, k, out);
     }
 
     fn candidate_at_or_after(&self, bucket: BucketId) -> Option<BucketSnapshot> {
@@ -306,17 +265,5 @@ mod tests {
             BucketId(3)
         );
         assert_eq!(v.candidate_at_or_after(BucketId(8)), None);
-    }
-
-    #[test]
-    fn lens_ties_break_by_queue_then_bucket() {
-        let a = snap(4, 10, 100, false);
-        let b = snap(9, 10, 100, false);
-        // Equal keys except bucket: the lower bucket orders higher.
-        assert!(Lens::UncachedThroughput.cmp(&a, &b).is_gt());
-        assert!(Lens::Age.cmp(&a, &b).is_gt());
-        let long = snap(9, 20, 100, false);
-        assert!(Lens::UncachedThroughput.cmp(&long, &a).is_gt());
-        assert!(Lens::Age.cmp(&long, &a).is_gt());
     }
 }

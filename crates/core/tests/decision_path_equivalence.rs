@@ -4,8 +4,8 @@
 //! and a `QueryTracker`'s in-flight records) must equal the pick made
 //! through the **legacy path** (a `for_each_candidate` gather with φ probed
 //! from `BucketCache::contains`, per-query buckets scanned from the queues,
-//! then the scan-based `FixtureView` and `pick_index` over the gathered
-//! slice) — across arbitrary
+//! then the scan-based `FixtureView` and the fixture's reference decision
+//! over the gathered slice) — across arbitrary
 //! interleavings of enqueues (narrow, and one query fanned wide at one
 //! instant so scores tie), full/per-query drains, and cache
 //! accesses/evictions/wipes. The legacy side never reads the table's φ
@@ -19,7 +19,7 @@ mod fixture;
 
 use std::collections::HashMap;
 
-use fixture::FixtureView;
+use fixture::{reference_pick, FixtureView};
 use liferaft_core::adaptive::{TradeoffCurve, TradeoffPoint};
 use liferaft_core::{
     AdaptiveScheduler, AgingMode, AlphaController, DecisionStats, LifeRaftScheduler, MetricParams,
@@ -180,6 +180,17 @@ fn access(table: &mut WorkloadTable<'_>, cache: &mut BucketCache, bucket: Bucket
     }
 }
 
+/// The bucket of the reference LifeRaft decision over `snaps`.
+fn reference(
+    mode: AgingMode,
+    alpha: f64,
+    now: SimTime,
+    snaps: &[BucketSnapshot],
+) -> Option<BucketId> {
+    let best = reference_pick(&MetricParams::paper(), mode, alpha, now, snaps)?;
+    Some(snaps[best].bucket)
+}
+
 /// Fresh schedulers for one comparison round. RR and the adaptive wrapper
 /// are stateful, so the harness keeps a pair per side and steps them in
 /// lockstep instead.
@@ -307,16 +318,16 @@ proptest! {
                 prop_assert_eq!(a, b, "Adaptive diverged at step {}", step);
             }
 
-            // LifeRaft vs the pre-refactor pick_index over the gathered
-            // slice — the strongest form of the claim.
+            // LifeRaft vs the reference decision over the gathered slice —
+            // the strongest form of the claim.
             for mode in [AgingMode::Normalized, AgingMode::Raw] {
                 for alpha in [0.0, 0.25, 0.5, 0.75, 1.0] {
                     let mut s = LifeRaftScheduler::new(MetricParams::paper(), mode, alpha);
                     let via_index = s.pick(&indexed_view).map(|spec| spec.bucket);
-                    let via_slice = s.pick_index(now, &snaps).map(|i| snaps[i].bucket);
+                    let via_slice = reference(mode, alpha, now, &snaps);
                     prop_assert_eq!(
                         via_index, via_slice,
-                        "LifeRaft mode {:?} α={} diverged from pick_index at step {}",
+                        "LifeRaft mode {:?} α={} diverged from the reference at step {}",
                         mode, alpha, step
                     );
                 }
@@ -338,7 +349,8 @@ proptest! {
 /// the best seen score. The tie-break closes that scan at its first check: a
 /// fresh scheduler counts one frontier pick (the strict test streamed all
 /// `N_BUCKETS` > 2·`FRONTIER_SEED` candidates instead), and the pick stays
-/// `pick_index`'s — with every bucket uncached, and with a few resident.
+/// the reference decision's — with every bucket uncached, and with a few
+/// resident.
 #[test]
 fn wide_enqueue_ties_close_on_the_frontier() {
     let pool = query_pool();
@@ -371,7 +383,7 @@ fn wide_enqueue_ties_close_on_the_frontier() {
             for alpha in [0.25, 0.5, 0.75] {
                 let mut s = LifeRaftScheduler::new(MetricParams::paper(), mode, alpha);
                 let via_index = s.pick(&view).map(|spec| spec.bucket);
-                let via_slice = s.pick_index(now, &snaps).map(|i| snaps[i].bucket);
+                let via_slice = reference(mode, alpha, now, &snaps);
                 assert_eq!(via_index, via_slice, "mode {mode:?} α={alpha}");
                 assert_eq!(
                     s.decision_stats(),

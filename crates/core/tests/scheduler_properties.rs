@@ -2,8 +2,7 @@
 
 mod fixture;
 
-use fixture::FixtureView;
-use liferaft_core::metric::ScorePass;
+use fixture::{reference_pick, FixtureView};
 use liferaft_core::{
     AgingMode, BucketSnapshot, LifeRaftScheduler, MetricParams, RoundRobinScheduler, Scheduler,
 };
@@ -37,6 +36,24 @@ fn arb_candidates() -> impl Strategy<Value = Vec<BucketSnapshot>> {
     })
 }
 
+/// A decision point over `cands` at `now`.
+fn view(cands: &[BucketSnapshot], now: SimTime) -> FixtureView {
+    FixtureView {
+        now,
+        candidates: cands.to_vec(),
+        ..FixtureView::default()
+    }
+}
+
+/// The candidate `s` picks through `v`.
+fn pick(s: &mut LifeRaftScheduler, v: &FixtureView) -> BucketSnapshot {
+    let bucket = s.pick(v).expect("non-empty candidates").bucket;
+    *v.candidates
+        .iter()
+        .find(|c| c.bucket == bucket)
+        .expect("picked bucket must be a candidate")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -46,23 +63,21 @@ proptest! {
         cands in arb_candidates(),
         alpha in 0.0..=1.0f64,
     ) {
-        let now = SimTime::from_micros(2_000_000);
-        let s = LifeRaftScheduler::new(MetricParams::paper(), AgingMode::Normalized, alpha);
-        let idx = s.pick_index(now, &cands).expect("non-empty candidates");
-        prop_assert!(idx < cands.len());
+        let v = view(&cands, SimTime::from_micros(2_000_000));
+        let mut s = LifeRaftScheduler::new(MetricParams::paper(), AgingMode::Normalized, alpha);
+        pick(&mut s, &v);
     }
 
     /// α = 1 services the bucket holding the oldest request (modulo exact
     /// timestamp ties).
     #[test]
     fn alpha_one_picks_oldest(cands in arb_candidates()) {
-        let now = SimTime::from_micros(2_000_000);
-        let s = LifeRaftScheduler::age_based(MetricParams::paper());
-        let idx = s.pick_index(now, &cands).expect("non-empty");
+        let v = view(&cands, SimTime::from_micros(2_000_000));
+        let picked = pick(&mut LifeRaftScheduler::age_based(MetricParams::paper()), &v);
         let oldest = cands.iter().map(|c| c.oldest_enqueue).min().expect("non-empty");
         prop_assert_eq!(
-            cands[idx].oldest_enqueue, oldest,
-            "picked {:?}, oldest {:?}", cands[idx], oldest
+            picked.oldest_enqueue, oldest,
+            "picked {:?}, oldest {:?}", picked, oldest
         );
     }
 
@@ -70,24 +85,23 @@ proptest! {
     /// cached queues at the metric's ceiling (1/Tm).
     #[test]
     fn alpha_zero_prefers_cached(cands in arb_candidates()) {
-        let now = SimTime::from_micros(2_000_000);
-        let s = LifeRaftScheduler::greedy(MetricParams::paper());
-        let idx = s.pick_index(now, &cands).expect("non-empty");
+        let v = view(&cands, SimTime::from_micros(2_000_000));
+        let picked = pick(&mut LifeRaftScheduler::greedy(MetricParams::paper()), &v);
         if cands.iter().any(|c| c.cached) {
-            prop_assert!(cands[idx].cached, "greedy must ride the cache");
+            prop_assert!(picked.cached, "greedy must ride the cache");
         } else {
             // Among uncached queues, the longest wins.
             let max_q = cands.iter().map(|c| c.queue_len).max().expect("non-empty");
-            prop_assert_eq!(cands[idx].queue_len, max_q);
+            prop_assert_eq!(picked.queue_len, max_q);
         }
     }
 
     /// The pick is deterministic: same view, same decision.
     #[test]
     fn pick_is_deterministic(cands in arb_candidates(), alpha in 0.0..=1.0f64) {
-        let now = SimTime::from_micros(3_000_000);
-        let s = LifeRaftScheduler::new(MetricParams::paper(), AgingMode::Normalized, alpha);
-        prop_assert_eq!(s.pick_index(now, &cands), s.pick_index(now, &cands));
+        let v = view(&cands, SimTime::from_micros(3_000_000));
+        let mut s = LifeRaftScheduler::new(MetricParams::paper(), AgingMode::Normalized, alpha);
+        prop_assert_eq!(pick(&mut s, &v), pick(&mut s, &v));
     }
 
     /// Candidate order must not affect the decision (no positional bias):
@@ -95,63 +109,30 @@ proptest! {
     #[test]
     fn pick_is_order_invariant(cands in arb_candidates(), alpha in 0.0..=1.0f64) {
         let now = SimTime::from_micros(3_000_000);
-        let s = LifeRaftScheduler::new(MetricParams::paper(), AgingMode::Normalized, alpha);
-        let a = cands[s.pick_index(now, &cands).expect("non-empty")];
+        let mut s = LifeRaftScheduler::new(MetricParams::paper(), AgingMode::Normalized, alpha);
+        let a = pick(&mut s, &view(&cands, now));
         let mut rev: Vec<BucketSnapshot> = cands.clone();
         rev.reverse();
-        let b = rev[s.pick_index(now, &rev).expect("non-empty")];
+        let b = pick(&mut s, &view(&rev, now));
         prop_assert_eq!(a.bucket, b.bucket);
     }
 
-    /// The fused, allocation-free pick must agree with a reference
-    /// implementation that materializes the score vector and applies the
-    /// pre-refactor `>`/`==` comparison chain.
-    #[test]
-    fn fused_pick_matches_materialized_reference(
-        cands in arb_candidates(),
-        alpha in 0.0..=1.0f64,
-    ) {
-        let now = SimTime::from_micros(2_000_000);
-        let params = MetricParams::paper();
-        let s = LifeRaftScheduler::new(params, AgingMode::Normalized, alpha);
-        let idx = s.pick_index(now, &cands).expect("non-empty");
-        let pass = ScorePass::new(&params, AgingMode::Normalized, alpha, now, &cands);
-        let scores: Vec<f64> = cands.iter().map(|c| pass.score(c)).collect();
-        let mut best = 0usize;
-        for i in 1..cands.len() {
-            let better = scores[i] > scores[best]
-                || (scores[i] == scores[best]
-                    && (cands[i].queue_len > cands[best].queue_len
-                        || (cands[i].queue_len == cands[best].queue_len
-                            && cands[i].bucket < cands[best].bucket)));
-            if better {
-                best = i;
-            }
-        }
-        prop_assert_eq!(idx, best);
-    }
-
     /// The indexed pick (lens extremes at α ∈ {0, 1}, threshold frontier
-    /// scan in between) through a view must equal the legacy
-    /// full-materialization `pick_index`, for any α and either aging mode.
+    /// scan in between) through a view must equal the reference decision
+    /// over the materialized slice, for any α and either aging mode.
     #[test]
-    fn view_pick_matches_pick_index(
+    fn view_pick_matches_the_reference_pick(
         cands in arb_candidates(),
         random_alpha in 0.0..=1.0f64,
     ) {
         let now = SimTime::from_micros(2_000_000);
-        let view = FixtureView {
-            now,
-            candidates: cands.clone(),
-            oldest_query: None,
-            query_buckets: vec![],
-        };
+        let v = view(&cands, now);
+        let params = MetricParams::paper();
         for mode in [AgingMode::Normalized, AgingMode::Raw] {
             for alpha in [0.0, 0.25, 0.5, random_alpha, 1.0] {
-                let mut s = LifeRaftScheduler::new(MetricParams::paper(), mode, alpha);
-                let legacy = cands[s.pick_index(now, &cands).expect("non-empty")];
-                let picked = s.pick(&view).expect("non-empty");
-                prop_assert_eq!(picked.bucket, legacy.bucket, "mode {:?} α={}", mode, alpha);
+                let mut s = LifeRaftScheduler::new(params, mode, alpha);
+                let want = reference_pick(&params, mode, alpha, now, &cands).expect("non-empty");
+                prop_assert_eq!(pick(&mut s, &v), cands[want], "mode {:?} α={}", mode, alpha);
             }
         }
     }
@@ -161,12 +142,7 @@ proptest! {
     #[test]
     fn round_robin_is_fair_over_a_rotation(cands in arb_candidates()) {
         let mut rr = RoundRobinScheduler::new();
-        let view = FixtureView {
-            now: SimTime::from_micros(1),
-            candidates: cands.clone(),
-            oldest_query: None,
-            query_buckets: vec![],
-        };
+        let view = view(&cands, SimTime::from_micros(1));
         let mut seen = Vec::new();
         for _ in 0..cands.len() {
             let pick = rr.pick(&view).expect("non-empty");

@@ -4,8 +4,9 @@
 //! values, which serve as a bounding box covering all potential regions for
 //! cross matching" (Section 3.1). The coverer walks the mesh from the eight
 //! roots, pruning disjoint trixels, emitting whole subtrees for trixels fully
-//! inside the region, and recursing on partial overlaps until the target
-//! level, where partially-overlapping trixels are included conservatively.
+//! inside the region, and refining partial overlaps until the target level
+//! or the range budget, where partially-overlapping trixels are included
+//! conservatively.
 
 use crate::cap::{Cap, CapTrixelRelation};
 use crate::id::HtmId;
@@ -14,119 +15,14 @@ use crate::trixel::{Trixel, CONTAINS_EPS};
 use crate::vector::Vec3;
 use crate::MAX_LEVEL;
 
-/// Computes conservative HTM coverages of sky regions at a fixed level.
-#[derive(Debug, Clone, Copy)]
-pub struct Coverer {
-    level: u8,
-}
-
-impl Coverer {
-    /// Creates a coverer emitting ranges at the given mesh `level`.
-    pub fn new(level: u8) -> Self {
-        assert!(level <= MAX_LEVEL, "level {level} exceeds MAX_LEVEL");
-        Coverer { level }
-    }
-
-    /// The output level.
-    pub fn level(&self) -> u8 {
-        self.level
-    }
-
-    /// Covers a spherical cap: returns the normalized set of level-`level`
-    /// IDs whose trixels (possibly) intersect the cap.
-    ///
-    /// The cover is **complete** (every point of the cap lies in some covered
-    /// trixel) and conservative (it may include trixels that only graze the
-    /// cap boundary).
-    pub fn cover(&self, cap: &Cap) -> HtmRangeSet {
-        let mut ranges = Vec::new();
-        for root in &Trixel::roots() {
-            self.visit(cap, root, &mut ranges);
-        }
-        HtmRangeSet::from_ranges(ranges)
-    }
-
-    fn visit(&self, cap: &Cap, t: &Trixel, out: &mut Vec<HtmRange>) {
-        match cap.classify(t) {
-            CapTrixelRelation::Disjoint => {}
-            CapTrixelRelation::Inside => {
-                out.push(t.id().descendant_range(self.level));
-            }
-            CapTrixelRelation::Partial => {
-                if t.id().level() == self.level {
-                    out.push(HtmRange::singleton(t.id()));
-                } else {
-                    for c in &t.children() {
-                        self.visit(cap, c, out);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Covers the cap but stops refining before the cover would exceed
-    /// `max_ranges` ranges, re-expressing coarse trixels as deep ranges.
-    ///
-    /// The result has at most `max(max_ranges, roots touched)` ranges: the
-    /// budget decides whether to refine *further*, so the root stage — up to
-    /// 8 trixels for a cap on an octahedron vertex — is kept whatever the
-    /// budget says.
-    ///
-    /// Buckets only need *approximate* pruning; capping the range count keeps
-    /// per-object bounding boxes small, trading a looser cover for less
-    /// pre-processing work — the same reason the paper uses a single
-    /// `[start, end]` pair per object.
-    pub fn cover_bounded(&self, cap: &Cap, max_ranges: usize) -> HtmRangeSet {
-        assert!(max_ranges >= 1, "need at least one range");
-        // Breadth-first refinement: refine the frontier level by level and
-        // stop when the next refinement would exceed the budget.
-        let mut frontier: Vec<Trixel> = Vec::new();
-        let mut inside: Vec<HtmRange> = Vec::new();
-        for root in &Trixel::roots() {
-            match cap.classify(root) {
-                CapTrixelRelation::Disjoint => {}
-                CapTrixelRelation::Inside => inside.push(root.id().descendant_range(self.level)),
-                CapTrixelRelation::Partial => frontier.push(*root),
-            }
-        }
-        // Double-buffered refinement: `next` is reused across levels, so a
-        // cover performs a constant number of allocations regardless of
-        // depth (this runs once per cross-match object — it is the fixture
-        // builder's hot loop).
-        let mut next: Vec<Trixel> = Vec::new();
-        for _level in 0..self.level {
-            next.clear();
-            for t in &frontier {
-                // By reference: a by-value array iterator yields an
-                // `Option<Trixel>` whose `None` sits in the id's niche, and
-                // the compiler then stops unrolling this loop (a quarter
-                // slower per cover).
-                for c in &t.children() {
-                    match cap.classify(c) {
-                        CapTrixelRelation::Disjoint => {}
-                        CapTrixelRelation::Inside => {
-                            inside.push(c.id().descendant_range(self.level));
-                        }
-                        CapTrixelRelation::Partial => next.push(*c),
-                    }
-                }
-            }
-            if inside.len() + next.len() > max_ranges {
-                // Refining further would blow the budget: emit the current
-                // frontier coarsely and stop.
-                break;
-            }
-            std::mem::swap(&mut frontier, &mut next);
-        }
-        let mut ranges = inside;
-        ranges.extend(frontier.iter().map(|t| t.id().descendant_range(self.level)));
-        HtmRangeSet::from_ranges(ranges)
-    }
-}
-
 /// Covers a whole list of caps — the objects of one cross-match query —
-/// in **one** walk of the mesh, each cap's result equal to
-/// [`Coverer::cover_bounded`] bit for bit.
+/// in **one** walk of the mesh, each cap's result equal bit for bit to the
+/// *reference* per-cap cover (kept as test code, `tests/reference/mod.rs`):
+/// classify the eight roots, then refine breadth-first, putting every child
+/// of every frontier trixel to [`Cap::classify`] — `Inside` emits its
+/// subtree, `Partial` joins the next frontier — and stop before a level
+/// whose ranges and frontier together would exceed the budget, emitting the
+/// frontier as coarse subtrees.
 ///
 /// A query's objects are spatially clustered, so their covers descend
 /// through the same upper-level trixels. The walk carries the caps down as
@@ -306,9 +202,11 @@ impl BatchCoverer {
         self.level
     }
 
-    /// [`Coverer::cover_bounded`] of every cap, in input order — the same
-    /// sets, so the same bound: each has at most `max(max_ranges, roots
-    /// touched)` ranges. Any order or chunking of the same caps gives each
+    /// The reference cover (see the type docs) of every cap, in input
+    /// order. Each set has at most `max(max_ranges, roots touched)` ranges:
+    /// the budget decides whether to refine *further*, so the root stage —
+    /// up to 8 trixels for a cap on an octahedron vertex — is kept whatever
+    /// the budget says. Any order or chunking of the same caps gives each
     /// cap the same set.
     ///
     /// The walk is done when this returns; the iterator normalizes each
@@ -659,7 +557,7 @@ impl BatchCoverer {
         self.refine(cap, max_ranges, start, 0);
     }
 
-    /// [`Coverer::cover_bounded`]'s refinement of one cap from the state
+    /// The reference's refinement of one cap from the state
     /// `inside = self.ranges[start..], frontier = self.frontier` at
     /// `from_level` to the end, appending the result's raw ranges to
     /// `self.ranges`. The reference's loop, `classify` by `classify`, except
@@ -924,6 +822,7 @@ mod tests {
     use super::*;
     use crate::id::HtmId;
     use crate::index::locate;
+    use crate::reference::Coverer;
     use crate::vector::Vec3;
 
     #[test]

@@ -17,24 +17,25 @@
 //!    coherent buckets (Figure 1 of the paper).
 //!
 //! The crate additionally provides spherical-cap region coverage
-//! ([`cover::Coverer`] one cap at a time, [`cover::BatchCoverer`] a query's
-//! whole object list in one walk of the mesh) used to compute the "bounding
-//! box" HTM ranges that cross-match objects carry, and a sorted disjoint
-//! [`range::HtmRangeSet`] algebra used throughout query pre-processing.
+//! ([`cover::BatchCoverer`], a query's whole object list in one walk of the
+//! mesh) used to compute the "bounding box" HTM ranges that cross-match
+//! objects carry, and a sorted disjoint [`range::HtmRangeSet`] algebra used
+//! throughout query pre-processing.
 //!
 //! # Example
 //!
 //! ```
-//! use liferaft_htm::{locate, Vec3, HtmId, cover::Coverer, cap::Cap};
+//! use liferaft_htm::{locate, BatchCoverer, Cap, Vec3};
 //!
 //! // Index a point at RA=10°, Dec=+5° at HTM level 14 (the paper's level).
 //! let p = Vec3::from_radec_deg(10.0, 5.0);
 //! let id = locate(p, 14);
 //! assert_eq!(id.level(), 14);
 //!
-//! // Cover a 1-arcminute error circle around the point.
+//! // Cover a 1-arcminute error circle around the point, in at most four
+//! // ranges.
 //! let cap = Cap::new(p, (1.0 / 60.0_f64).to_radians());
-//! let ranges = Coverer::new(14).cover(&cap);
+//! let ranges = BatchCoverer::new(14).cover_bounded(&[cap], 4).next().unwrap();
 //! assert!(ranges.contains(id));
 //! ```
 
@@ -50,7 +51,7 @@ pub mod trixel;
 pub mod vector;
 
 pub use cap::Cap;
-pub use cover::{BatchCoverer, Coverer};
+pub use cover::BatchCoverer;
 pub use id::HtmId;
 pub use index::{locate, trixel_centers, trixel_of};
 pub use range::{HtmRange, HtmRangeSet};
@@ -66,3 +67,10 @@ pub const PAPER_LEVEL: u8 = 14;
 /// Deepest level supported by the `u64` ID encoding (4 + 2·29 = 62 bits,
 /// leaving headroom so `last_at_level` never overflows).
 pub const MAX_LEVEL: u8 = 29;
+
+// The per-cap reference coverer names this crate as its integration tests do.
+#[cfg(test)]
+extern crate self as liferaft_htm;
+#[cfg(test)]
+#[path = "../tests/reference/mod.rs"]
+mod reference;

@@ -136,11 +136,12 @@ impl fmt::Display for HtmRange {
 /// A normalized set of HTM IDs at one level: sorted, disjoint,
 /// non-adjacent inclusive ranges.
 ///
-/// This is the output type of region coverage ([`crate::cover::Coverer`]) and
-/// the "bounding box covering all potential regions for cross matching" each
-/// workload object carries in the paper. Nearly every such box has one or
-/// two ranges, so a set of up to two lives inline and only a wider one owns
-/// a heap slice: 32 bytes either way.
+/// This is the output type of region coverage
+/// ([`crate::cover::BatchCoverer`]) and the "bounding box covering all
+/// potential regions for cross matching" each workload object carries in
+/// the paper. Nearly every such box has one or two ranges, so a set of up
+/// to two lives inline and only a wider one owns a heap slice: 32 bytes
+/// either way.
 #[derive(Clone)]
 pub struct HtmRangeSet {
     repr: Repr,

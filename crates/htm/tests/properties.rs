@@ -1,8 +1,10 @@
 //! Property-based tests for the HTM substrate.
 
+mod reference;
+
 use liferaft_htm::{
     cap::{Cap, CapTrixelRelation},
-    cover::{BatchCoverer, Coverer},
+    cover::BatchCoverer,
     id::HtmId,
     index::{locate, trixel_centers, trixel_of},
     range::{HtmRange, HtmRangeSet},
@@ -10,6 +12,7 @@ use liferaft_htm::{
     vector::Vec3,
 };
 use proptest::prelude::*;
+use reference::Coverer;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};

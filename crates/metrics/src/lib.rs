@@ -3,24 +3,20 @@
 //! The paper's evaluation reports query throughput, mean response time,
 //! coefficient of variation (Figure 7b), normalized trade-off curves
 //! (Figure 4), and cumulative distributions (Figure 6). This crate provides
-//! the numerically careful building blocks for all of them:
+//! the numerically careful building blocks for them:
 //!
 //! - [`StreamingStats`] — Welford-style single-pass mean/variance,
 //! - [`Summary`] — percentile summaries of a sample,
-//! - [`normalize`] — min–max and max normalization used by the aged metric
-//!   and by Figure 4's normalized axes,
 //! - [`table::Table`] — aligned ASCII tables for the figure harnesses,
 //! - [`series::Series`] — labelled (x, y) sequences emitted by sweeps.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod normalize;
 pub mod series;
 pub mod stats;
 pub mod table;
 
-pub use normalize::{max_normalize, min_max_normalize};
 pub use series::Series;
 pub use stats::{StreamingStats, Summary};
 pub use table::Table;

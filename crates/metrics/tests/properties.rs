@@ -1,6 +1,6 @@
 //! Property tests for the statistics substrate.
 
-use liferaft_metrics::{max_normalize, min_max_normalize, StreamingStats, Summary};
+use liferaft_metrics::{StreamingStats, Summary};
 use proptest::prelude::*;
 
 fn finite_samples() -> impl Strategy<Value = Vec<f64>> {
@@ -52,31 +52,5 @@ proptest! {
         }
         prop_assert_eq!(s.percentile(0.0), s.min());
         prop_assert_eq!(s.percentile(100.0), s.max());
-    }
-
-    /// Normalization lands in [0,1] and preserves order.
-    #[test]
-    fn min_max_preserves_order(samples in finite_samples()) {
-        let mut v = samples.clone();
-        min_max_normalize(&mut v);
-        for &x in &v {
-            prop_assert!((0.0..=1.0).contains(&x));
-        }
-        for (a, b) in samples.iter().zip(samples.iter().skip(1)) {
-            let (na, nb) = (v[samples.iter().position(|x| x == a).unwrap()],
-                            v[samples.iter().position(|x| x == b).unwrap()]);
-            if a < b {
-                prop_assert!(na <= nb);
-            }
-        }
-    }
-
-    /// Max-normalization of positive data puts the maximum at exactly 1.
-    #[test]
-    fn max_normalize_tops_at_one(samples in proptest::collection::vec(0.001..1e6f64, 1..50)) {
-        let mut v = samples;
-        max_normalize(&mut v);
-        let top = v.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        prop_assert!((top - 1.0).abs() < 1e-12);
     }
 }

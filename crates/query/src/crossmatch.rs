@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use liferaft_htm::{BatchCoverer, Cap, Coverer, HtmRange, HtmRangeSet, Vec3};
+use liferaft_htm::{BatchCoverer, Cap, HtmRange, HtmRangeSet, Vec3};
 
 /// Unique identifier of a query within a trace/run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -25,7 +25,7 @@ pub struct FragmentId(pub u32);
 /// Refinement budget of an object's bounding box: a box holds at most
 /// `max(BBOX_MAX_RANGES, roots touched)` HTM ranges — the budget stops
 /// refinement, but the up-to-8 root trixels a cap touches are kept whatever
-/// it says (see [`Coverer::cover_bounded`]).
+/// it says (see [`BatchCoverer::cover_bounded`]).
 ///
 /// The paper attaches a single `[start, end]` pair per object; we keep a few
 /// ranges for tighter bucket assignment but cap the count so pre-processing
@@ -57,17 +57,20 @@ pub struct MatchObject {
 const _: () = assert!(std::mem::size_of::<MatchObject>() == 64);
 
 impl MatchObject {
-    /// Builds an object, computing its bounding box at `level`.
+    /// Builds an object, computing its bounding box at `level` — a batch of
+    /// one; [`from_caps`](Self::from_caps) covers a whole list in one walk.
     pub fn new(pos: Vec3, radius: f64, level: u8) -> Self {
         let cap = Cap::new(pos, radius);
-        let bbox = Coverer::new(level).cover_bounded(&cap, BBOX_MAX_RANGES);
+        let mut coverer = BatchCoverer::new(level);
+        let bbox = coverer.cover_bounded(&[cap], BBOX_MAX_RANGES).next();
+        let bbox = bbox.expect("one set per cap");
         MatchObject { pos, radius, bbox }
     }
 
     /// [`MatchObject::new`] for a whole object list — one per cap, in order,
     /// bit-identical — through one mesh walk of `coverer` (which fixes the
-    /// level). The bulk builders (trace generator, trace loader,
-    /// [`CrossMatchQuery::from_positions`]) call this once per query.
+    /// level). The bulk builders (trace generator, trace loader, federation
+    /// hops, [`CrossMatchQuery::from_positions`]) call this once per query.
     pub fn from_caps(caps: &[Cap], coverer: &mut BatchCoverer) -> Vec<Self> {
         caps.iter()
             .zip(coverer.cover_bounded(caps, BBOX_MAX_RANGES))

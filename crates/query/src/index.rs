@@ -34,21 +34,21 @@
 //! ([`iter_cached`](CandidateIndex::iter_cached)) that pick paths re-score
 //! exactly, and maintains the key order only where it is exact:
 //!
-//! - [`uncached_key`] over non-resident candidates: `Ut` is strictly
-//!   increasing in queue length, and its floating-point image stays
-//!   monotone as long as consecutive queue lengths move `Ut` by more than a
-//!   rounding error — which holds for any queue shorter than ~10⁹ entries
-//!   under the paper's constants. The key's tail is the decision tie-break
-//!   (longer queue, then lower bucket), which is also exactly where the
-//!   score order falls back when min–max normalization collapses two
-//!   nearby `Ut` values to one float.
-//! - [`age_key`] over all candidates: `A` is strictly decreasing in
+//! - [`Lens::UncachedThroughput`] over non-resident candidates: `Ut` is
+//!   strictly increasing in queue length, and its floating-point image
+//!   stays monotone as long as consecutive queue lengths move `Ut` by more
+//!   than a rounding error — which holds for any queue shorter than ~10⁹
+//!   entries under the paper's constants. The key's tail is the decision
+//!   tie-break (longer queue, then lower bucket), which is also exactly
+//!   where the score order falls back when min–max normalization collapses
+//!   two nearby `Ut` values to one float.
+//! - [`Lens::Age`] over all candidates: `A` is strictly decreasing in
 //!   `oldest_enqueue`, and microsecond-granular enqueue times keep distinct
 //!   normalized ages distinct for any virtual horizon under ~285 years
 //!   (spans beyond `2⁵³ µs` would be needed to collapse them).
 //!
 //! The equivalence proptests in `crates/core/tests/decision_path_equivalence.rs`
-//! pin both regimes against the legacy gather-and-score path.
+//! pin both regimes against a reference gather-and-score decision.
 
 use std::cmp::Reverse;
 use std::collections::BTreeSet;
@@ -57,44 +57,58 @@ use liferaft_storage::BucketId;
 
 use crate::snapshot::BucketSnapshot;
 
-/// The ordering key among *uncached* candidates: sorts like `Ut`, with the
-/// decision tie-break (`queue_len` descending, bucket ascending) as its
-/// tail.
-pub type UncachedKey = (u64, Reverse<u32>);
-
-/// The age-lens ordering key (all candidates): sorts like `A`, with the
-/// decision tie-break as its tail.
-pub type AgeKey = (Reverse<u64>, u64, Reverse<u32>);
-
-/// The uncached-throughput key of a candidate snapshot.
-#[inline]
-pub fn uncached_key(s: &BucketSnapshot) -> UncachedKey {
-    (s.queue_len, Reverse(s.bucket.0))
+/// The candidate orders the index maintains, one per α-decomposed term of
+/// the aged metric (Eq. 2), each ending in the decision tie-break (longer
+/// queue, then lower bucket). The `Age` maximum *is* the exact α = 1 pick;
+/// the `UncachedThroughput` maximum is the only non-resident candidate an
+/// α = 0 pick can choose (resident candidates are kept apart and re-scored
+/// exactly, see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Lens {
+    /// Order among *uncached* candidates by workload throughput `Ut`
+    /// (Eq. 1): longer queue, then lower bucket.
+    UncachedThroughput,
+    /// Order over all candidates by request age `A`: older oldest-enqueue
+    /// first, then longer queue, then lower bucket.
+    Age,
 }
 
-/// The age-lens key of a candidate snapshot.
-#[inline]
-pub fn age_key(s: &BucketSnapshot) -> AgeKey {
-    (
-        Reverse(s.oldest_enqueue.as_micros()),
-        s.queue_len,
-        Reverse(s.bucket.0),
-    )
+impl Lens {
+    /// Every lens, in the index's order.
+    pub const ALL: [Lens; 2] = [Lens::UncachedThroughput, Lens::Age];
+
+    /// The candidate's place in this lens's order (larger is better).
+    #[inline]
+    fn key(self, s: &BucketSnapshot) -> Key {
+        let bucket = Reverse(s.bucket.0);
+        match self {
+            Lens::UncachedThroughput => (s.queue_len, 0, bucket),
+            Lens::Age => (u64::MAX - s.oldest_enqueue.as_micros(), s.queue_len, bucket),
+        }
+    }
 }
 
-/// Exact orders over the live candidate set, keyed by the α-decomposed
-/// score terms, with resident candidates split out for exact re-scoring.
+/// An ordering key of either lens: the lens's term, the queue length where
+/// the term is not already it, and the bucket.
+type Key = (u64, u64, Reverse<u32>);
+
+#[inline]
+fn bucket_of(&(_, _, Reverse(b)): &Key) -> BucketId {
+    BucketId(b)
+}
+
+/// Exact orders over the live candidate set, one per [`Lens`], with resident
+/// candidates split out of the throughput order for exact re-scoring.
 /// Owned and kept in sync by [`WorkloadTable`](crate::queue::WorkloadTable);
 /// schedulers query it through the table's pick accessors.
 #[derive(Debug, Clone, Default)]
 pub struct CandidateIndex {
-    /// Resident (φ = 0) candidates, in tie-break order. Small: bounded by
-    /// the bucket cache capacity.
-    cached: BTreeSet<UncachedKey>,
-    /// Non-resident candidates in exact `Ut` order.
-    uncached: BTreeSet<UncachedKey>,
-    /// All candidates in exact age order.
-    by_age: BTreeSet<AgeKey>,
+    /// Resident (φ = 0) candidates, under the throughput key (tie-break
+    /// order). Small: bounded by the bucket cache capacity.
+    cached: BTreeSet<Key>,
+    /// Per lens, in [`Lens::ALL`] order: non-resident candidates in exact
+    /// `Ut` order, and all candidates in exact age order.
+    orders: [BTreeSet<Key>; 2],
 }
 
 impl CandidateIndex {
@@ -105,12 +119,12 @@ impl CandidateIndex {
 
     /// Number of indexed candidates.
     pub fn len(&self) -> usize {
-        self.by_age.len()
+        self.order(Lens::Age).len()
     }
 
     /// True if no candidate is indexed.
     pub fn is_empty(&self) -> bool {
-        self.by_age.is_empty()
+        self.order(Lens::Age).is_empty()
     }
 
     /// Number of resident candidates.
@@ -118,76 +132,57 @@ impl CandidateIndex {
         self.cached.len()
     }
 
+    /// The set and key of the candidate under each lens.
+    fn slots(&mut self, s: &BucketSnapshot) -> [(&mut BTreeSet<Key>, Key); 2] {
+        let [uncached, by_age] = &mut self.orders;
+        let throughput = if s.cached { &mut self.cached } else { uncached };
+        [
+            (throughput, Lens::UncachedThroughput.key(s)),
+            (by_age, Lens::Age.key(s)),
+        ]
+    }
+
     /// Adds a candidate. The snapshot's `(cached, queue_len,
     /// oldest_enqueue, bucket)` must match its live slot state.
     pub fn insert(&mut self, s: &BucketSnapshot) {
-        let pool = if s.cached {
-            &mut self.cached
-        } else {
-            &mut self.uncached
-        };
-        let t = pool.insert(uncached_key(s));
-        let a = self.by_age.insert(age_key(s));
-        debug_assert!(t && a, "candidate {} indexed twice", s.bucket);
+        for (set, key) in self.slots(s) {
+            let fresh = set.insert(key);
+            debug_assert!(fresh, "candidate {} indexed twice", s.bucket);
+        }
     }
 
     /// Removes a candidate by the snapshot that was inserted for it.
     pub fn remove(&mut self, s: &BucketSnapshot) {
-        let pool = if s.cached {
-            &mut self.cached
-        } else {
-            &mut self.uncached
-        };
-        let t = pool.remove(&uncached_key(s));
-        let a = self.by_age.remove(&age_key(s));
-        debug_assert!(t && a, "candidate {} was not indexed", s.bucket);
+        for (set, key) in self.slots(s) {
+            let found = set.remove(&key);
+            debug_assert!(found, "candidate {} was not indexed", s.bucket);
+        }
+    }
+
+    fn order(&self, lens: Lens) -> &BTreeSet<Key> {
+        &self.orders[lens as usize]
     }
 
     /// Resident candidates, best tie-break first.
     pub fn iter_cached(&self) -> impl Iterator<Item = BucketId> + '_ {
-        self.cached.iter().rev().map(|&(_, Reverse(b))| BucketId(b))
+        self.cached.iter().rev().map(bucket_of)
     }
 
-    /// The uncached candidate maximal under `Ut` (tie-breaks included).
-    pub fn top_uncached(&self) -> Option<BucketId> {
-        self.uncached.last().map(|&(_, Reverse(b))| BucketId(b))
+    /// The candidate of `lens`'s pool maximal under `lens`, tie-breaks
+    /// included.
+    pub fn top(&self, lens: Lens) -> Option<BucketId> {
+        self.order(lens).last().map(bucket_of)
     }
 
-    /// The uncached candidate minimal under `Ut`.
-    pub fn bottom_uncached(&self) -> Option<BucketId> {
-        self.uncached.first().map(|&(_, Reverse(b))| BucketId(b))
+    /// The candidate of `lens`'s pool minimal under `lens`.
+    pub fn bottom(&self, lens: Lens) -> Option<BucketId> {
+        self.order(lens).first().map(bucket_of)
     }
 
-    /// Uncached candidates in descending `Ut` order (best first).
-    pub fn iter_uncached_desc(&self) -> impl Iterator<Item = BucketId> + '_ {
-        self.uncached
-            .iter()
-            .rev()
-            .map(|&(_, Reverse(b))| BucketId(b))
-    }
-
-    /// The candidate maximal under the age lens (the α = 1 pick).
-    pub fn top_age(&self) -> Option<BucketId> {
-        self.by_age.last().map(|&(_, _, Reverse(b))| BucketId(b))
-    }
-
-    /// The candidate minimal under the age lens.
-    pub fn bottom_age(&self) -> Option<BucketId> {
-        self.by_age.first().map(|&(_, _, Reverse(b))| BucketId(b))
-    }
-
-    /// Candidates in descending age order (oldest first).
-    pub fn iter_age_desc(&self) -> impl Iterator<Item = BucketId> + '_ {
-        self.by_age
-            .iter()
-            .rev()
-            .map(|&(_, _, Reverse(b))| BucketId(b))
-    }
-
-    /// The age-lens maximum excluding one bucket — the oldest candidate
-    /// *passed over* when `excluded` is serviced (starvation accounting).
-    pub fn top_age_excluding(&self, excluded: BucketId) -> Option<BucketId> {
-        self.iter_age_desc().find(|&b| b != excluded)
+    /// The candidates of `lens`'s pool in descending `lens` order (best
+    /// first).
+    pub fn desc(&self, lens: Lens) -> impl Iterator<Item = BucketId> + '_ {
+        self.order(lens).iter().rev().map(bucket_of)
     }
 }
 
@@ -206,28 +201,35 @@ mod tests {
         }
     }
 
+    fn key(lens: Lens, s: BucketSnapshot) -> Key {
+        lens.key(&s)
+    }
+
     #[test]
     fn uncached_order_matches_eq1_among_uncached() {
         // Longer queue wins; full ties break toward the lower bucket.
-        assert!(uncached_key(&snap(1, 1_000, 0, false)) > uncached_key(&snap(2, 10, 0, false)));
-        assert!(uncached_key(&snap(3, 10, 0, false)) > uncached_key(&snap(4, 10, 0, false)));
+        let t = Lens::UncachedThroughput;
+        assert!(key(t, snap(1, 1_000, 0, false)) > key(t, snap(2, 10, 0, false)));
+        assert!(key(t, snap(3, 10, 0, false)) > key(t, snap(4, 10, 0, false)));
     }
 
     #[test]
     fn age_order_prefers_oldest_then_longest_then_lowest() {
-        assert!(age_key(&snap(1, 1, 100, false)) > age_key(&snap(2, 99, 200, false)));
-        assert!(age_key(&snap(1, 5, 100, false)) > age_key(&snap(2, 3, 100, false)));
-        assert!(age_key(&snap(1, 5, 100, false)) > age_key(&snap(2, 5, 100, false)));
+        let a = Lens::Age;
+        assert!(key(a, snap(1, 1, 100, false)) > key(a, snap(2, 99, 200, false)));
+        assert!(key(a, snap(1, 5, 100, false)) > key(a, snap(2, 3, 100, false)));
+        assert!(key(a, snap(1, 5, 100, false)) > key(a, snap(2, 5, 100, false)));
     }
 
     #[test]
     fn pools_split_by_residency() {
+        let (t, a) = (Lens::UncachedThroughput, Lens::Age);
         let mut idx = CandidateIndex::new();
-        let a = snap(0, 5, 300, false);
-        let b = snap(1, 50, 100, false);
-        let c = snap(2, 2, 200, true);
-        let d = snap(3, 9, 250, true);
-        for s in [&a, &b, &c, &d] {
+        let s0 = snap(0, 5, 300, false);
+        let s1 = snap(1, 50, 100, false);
+        let s2 = snap(2, 2, 200, true);
+        let s3 = snap(3, 9, 250, true);
+        for s in [&s0, &s1, &s2, &s3] {
             idx.insert(s);
         }
         assert_eq!(idx.len(), 4);
@@ -237,24 +239,26 @@ mod tests {
             vec![BucketId(3), BucketId(2)],
             "resident pool iterates best tie-break first"
         );
-        assert_eq!(idx.top_uncached(), Some(BucketId(1)));
-        assert_eq!(idx.bottom_uncached(), Some(BucketId(0)));
+        assert_eq!(idx.top(t), Some(BucketId(1)));
+        assert_eq!(idx.bottom(t), Some(BucketId(0)));
         assert_eq!(
-            idx.iter_uncached_desc().collect::<Vec<_>>(),
+            idx.desc(t).collect::<Vec<_>>(),
             vec![BucketId(1), BucketId(0)]
         );
-        assert_eq!(idx.top_age(), Some(BucketId(1)));
-        assert_eq!(idx.bottom_age(), Some(BucketId(0)));
-        assert_eq!(idx.top_age_excluding(BucketId(1)), Some(BucketId(2)));
-        assert_eq!(idx.top_age_excluding(BucketId(9)), Some(BucketId(1)));
-        idx.remove(&b);
-        assert_eq!(idx.top_uncached(), Some(BucketId(0)));
-        assert_eq!(idx.top_age(), Some(BucketId(2)));
-        idx.remove(&a);
-        idx.remove(&c);
-        idx.remove(&d);
+        assert_eq!(idx.top(a), Some(BucketId(1)));
+        assert_eq!(idx.bottom(a), Some(BucketId(0)));
+        assert_eq!(
+            idx.desc(a).collect::<Vec<_>>(),
+            vec![BucketId(1), BucketId(2), BucketId(3), BucketId(0)]
+        );
+        idx.remove(&s1);
+        assert_eq!(idx.top(t), Some(BucketId(0)));
+        assert_eq!(idx.top(a), Some(BucketId(2)));
+        idx.remove(&s0);
+        idx.remove(&s2);
+        idx.remove(&s3);
         assert!(idx.is_empty());
-        assert_eq!(idx.top_uncached(), None);
-        assert_eq!(idx.top_age_excluding(BucketId(0)), None);
+        assert_eq!(idx.top(t), None);
+        assert_eq!(idx.desc(a).next(), None);
     }
 }

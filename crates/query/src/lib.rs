@@ -35,7 +35,7 @@ pub mod snapshot;
 pub mod tracker;
 
 pub use crossmatch::{CrossMatchQuery, FragmentId, MatchObject, Predicate, QueryId};
-pub use index::CandidateIndex;
+pub use index::{CandidateIndex, Lens};
 pub use preprocess::{QueryPreProcessor, WorkItem};
 pub use queue::{QueueEntry, QueueMemoryStats, RunView, WorkloadQueue, WorkloadTable};
 pub use snapshot::BucketSnapshot;

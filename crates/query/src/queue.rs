@@ -51,7 +51,7 @@ use liferaft_htm::{HtmRange, Vec3};
 use liferaft_storage::{BucketId, SimTime};
 
 use crate::crossmatch::{CrossMatchQuery, FragmentId, MatchObject, QueryId};
-use crate::index::CandidateIndex;
+use crate::index::{CandidateIndex, Lens};
 use crate::preprocess::WorkItem;
 use crate::snapshot::BucketSnapshot;
 
@@ -566,9 +566,9 @@ impl<'q> WorkloadQueue<'q> {
 /// [`CandidateIndex`] over the non-empty slots, updated in O(log n) on the
 /// same mutations and on every residency change the cache's owner pushes
 /// through [`set_resident`](Self::set_resident). A scheduling decision is
-/// then an index lookup ([`top_candidate_age`](Self::top_candidate_age),
-/// [`top_candidate_uncached`](Self::top_candidate_uncached) plus an exact
-/// re-rank of the small resident pool, the frontier accessors) instead of
+/// then an index lookup ([`top_candidate`](Self::top_candidate) plus an
+/// exact re-rank of the small resident pool, or
+/// [`frontier_into`](Self::frontier_into)) instead of
 /// an O(non-empty buckets) gather + re-score. Slots are updated in place
 /// (never shifted), which keeps hot drain/refill cycles free of the
 /// O(candidates) memmoves a dense sorted snapshot vector would pay.
@@ -858,56 +858,29 @@ impl<'q> WorkloadTable<'q> {
         }
     }
 
-    /// The uncached candidate maximal under `Ut` (exact, tie-breaks
-    /// included) — the only non-resident candidate an α = 0 pick can choose.
-    pub fn top_candidate_uncached(&self) -> Option<BucketSnapshot> {
+    /// The candidate of `lens`'s pool maximal under `lens` (exact,
+    /// tie-breaks included): the α = 1 pick under [`Lens::Age`], the only
+    /// non-resident candidate an α = 0 pick can choose under
+    /// [`Lens::UncachedThroughput`].
+    pub fn top_candidate(&self, lens: Lens) -> Option<BucketSnapshot> {
+        self.index.top(lens).map(|b| self.snapshot_slots[b.index()])
+    }
+
+    /// The candidate of `lens`'s pool minimal under `lens` (normalization
+    /// lower bound).
+    pub fn bottom_candidate(&self, lens: Lens) -> Option<BucketSnapshot> {
         self.index
-            .top_uncached()
+            .bottom(lens)
             .map(|b| self.snapshot_slots[b.index()])
     }
 
-    /// The uncached candidate minimal under `Ut` (normalization lower
-    /// bound).
-    pub fn bottom_candidate_uncached(&self) -> Option<BucketSnapshot> {
-        self.index
-            .bottom_uncached()
-            .map(|b| self.snapshot_slots[b.index()])
-    }
-
-    /// The candidate maximal under the age lens — the α = 1 pick.
-    pub fn top_candidate_age(&self) -> Option<BucketSnapshot> {
-        self.index.top_age().map(|b| self.snapshot_slots[b.index()])
-    }
-
-    /// The candidate minimal under the age lens.
-    pub fn bottom_candidate_age(&self) -> Option<BucketSnapshot> {
-        self.index
-            .bottom_age()
-            .map(|b| self.snapshot_slots[b.index()])
-    }
-
-    /// Fills `out` (cleared first) with up to `k` uncached candidates in
-    /// descending `Ut` order — the mixed-α threshold scan's first list.
-    pub fn uncached_frontier_into(&self, k: usize, out: &mut Vec<BucketSnapshot>) {
+    /// Fills `out` (cleared first) with up to `k` candidates of `lens`'s
+    /// pool in descending `lens` order — one list of the mixed-α threshold
+    /// scan.
+    pub fn frontier_into(&self, lens: Lens, k: usize, out: &mut Vec<BucketSnapshot>) {
         out.clear();
-        out.extend(
-            self.index
-                .iter_uncached_desc()
-                .take(k)
-                .map(|b| self.snapshot_slots[b.index()]),
-        );
-    }
-
-    /// Fills `out` (cleared first) with up to `k` candidates in descending
-    /// age-lens order — the mixed-α threshold scan's second list.
-    pub fn age_frontier_into(&self, k: usize, out: &mut Vec<BucketSnapshot>) {
-        out.clear();
-        out.extend(
-            self.index
-                .iter_age_desc()
-                .take(k)
-                .map(|b| self.snapshot_slots[b.index()]),
-        );
+        let best = self.index.desc(lens).take(k);
+        out.extend(best.map(|b| self.snapshot_slots[b.index()]));
     }
 
     /// The first candidate at or after `bucket` in bucket order, if any —
@@ -922,9 +895,9 @@ impl<'q> WorkloadTable<'q> {
     /// The oldest candidate other than `excluded` — the starvation
     /// monitor's "oldest passed-over request" in O(log n).
     pub fn oldest_candidate_excluding(&self, excluded: BucketId) -> Option<BucketSnapshot> {
-        self.index
-            .top_age_excluding(excluded)
-            .map(|b| self.snapshot_slots[b.index()])
+        let mut oldest = self.index.desc(Lens::Age);
+        let passed_over = oldest.find(|&b| b != excluded)?;
+        Some(self.snapshot_slots[passed_over.index()])
     }
 
     /// Aggregated segmented-storage accounting across every bucket queue
@@ -957,12 +930,11 @@ impl<'q> WorkloadTable<'q> {
         let got: Vec<BucketId> = self.index.iter_cached().collect();
         let want: Vec<BucketId> = reference.iter_cached().collect();
         assert_eq!(got, want, "resident pool diverged");
-        let got: Vec<BucketId> = self.index.iter_uncached_desc().collect();
-        let want: Vec<BucketId> = reference.iter_uncached_desc().collect();
-        assert_eq!(got, want, "uncached order diverged");
-        let got: Vec<BucketId> = self.index.iter_age_desc().collect();
-        let want: Vec<BucketId> = reference.iter_age_desc().collect();
-        assert_eq!(got, want, "age order diverged");
+        for lens in Lens::ALL {
+            let got: Vec<BucketId> = self.index.desc(lens).collect();
+            let want: Vec<BucketId> = reference.desc(lens).collect();
+            assert_eq!(got, want, "{lens:?} order diverged");
+        }
         let mut total = 0u64;
         for (i, q) in self.queues.iter().enumerate() {
             q.validate_segments();
@@ -1543,35 +1515,41 @@ mod tests {
         qb.id = QueryId(2);
         let mut t = WorkloadTable::new(8);
         assert_eq!(t.candidate_count(), 0);
-        assert_eq!(t.top_candidate_uncached(), None);
+        assert_eq!(t.top_candidate(Lens::UncachedThroughput), None);
         t.enqueue(&item(&qa, 5), &qa, SimTime::from_micros(100));
         t.enqueue(&item(&qb, 2), &qb, SimTime::from_micros(50));
         t.validate_index();
         // Longer queue wins the uncached order; older enqueue the age lens.
         assert_eq!(
-            t.top_candidate_uncached().unwrap().bucket,
+            t.top_candidate(Lens::UncachedThroughput).unwrap().bucket,
             BucketId(2),
             "5 queued beats 2"
         );
         assert_eq!(t.cached_candidate_count(), 0);
-        assert_eq!(t.top_candidate_age().unwrap().bucket, BucketId(2));
-        assert_eq!(t.bottom_candidate_uncached().unwrap().bucket, BucketId(5));
-        assert_eq!(t.bottom_candidate_age().unwrap().bucket, BucketId(5));
+        assert_eq!(t.top_candidate(Lens::Age).unwrap().bucket, BucketId(2));
+        assert_eq!(
+            t.bottom_candidate(Lens::UncachedThroughput).unwrap().bucket,
+            BucketId(5)
+        );
+        assert_eq!(t.bottom_candidate(Lens::Age).unwrap().bucket, BucketId(5));
         assert_eq!(
             t.oldest_candidate_excluding(BucketId(2)).unwrap().bucket,
             BucketId(5)
         );
         let mut frontier = Vec::new();
-        t.uncached_frontier_into(10, &mut frontier);
+        t.frontier_into(Lens::UncachedThroughput, 10, &mut frontier);
         assert_eq!(
             frontier.iter().map(|s| s.bucket).collect::<Vec<_>>(),
             vec![BucketId(2), BucketId(5)]
         );
-        t.age_frontier_into(1, &mut frontier);
+        t.frontier_into(Lens::Age, 1, &mut frontier);
         assert_eq!(frontier.len(), 1);
         take_all(&mut t, BucketId(2));
         t.validate_index();
-        assert_eq!(t.top_candidate_uncached().unwrap().bucket, BucketId(5));
+        assert_eq!(
+            t.top_candidate(Lens::UncachedThroughput).unwrap().bucket,
+            BucketId(5)
+        );
         assert_eq!(t.oldest_candidate_excluding(BucketId(5)), None);
         take_query(&mut t, BucketId(5), QueryId(1));
         t.validate_index();
@@ -1614,7 +1592,10 @@ mod tests {
         let mut cached = Vec::new();
         t.for_each_cached_candidate(&mut |s| cached.push(s.bucket));
         assert_eq!(cached, vec![BucketId(3)]);
-        assert_eq!(t.top_candidate_uncached().unwrap().bucket, BucketId(1));
+        assert_eq!(
+            t.top_candidate(Lens::UncachedThroughput).unwrap().bucket,
+            BucketId(1)
+        );
         t.validate_index();
         // Repeating a push is a no-op.
         t.set_resident(BucketId(3), true);
@@ -1627,7 +1608,10 @@ mod tests {
         cached.clear();
         t.for_each_cached_candidate(&mut |s| cached.push(s.bucket));
         assert_eq!(cached, vec![BucketId(1)]);
-        assert_eq!(t.top_candidate_uncached().unwrap().bucket, BucketId(3));
+        assert_eq!(
+            t.top_candidate(Lens::UncachedThroughput).unwrap().bucket,
+            BucketId(3)
+        );
         t.validate_index();
         t.enqueue(&item(&q, 0), &q, SimTime::from_micros(20));
         assert!(

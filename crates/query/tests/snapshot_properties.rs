@@ -8,7 +8,7 @@
 
 use liferaft_htm::Vec3;
 use liferaft_query::snapshot::BucketSnapshot;
-use liferaft_query::{CrossMatchQuery, Predicate, QueryId, WorkItem, WorkloadTable};
+use liferaft_query::{CrossMatchQuery, Lens, Predicate, QueryId, WorkItem, WorkloadTable};
 use liferaft_storage::{BucketId, SimTime};
 use proptest::prelude::*;
 
@@ -70,6 +70,16 @@ fn rebuild(t: &WorkloadTable<'_>) -> Vec<BucketSnapshot> {
         .collect()
 }
 
+/// A lens's order stated as the minimum of a plain tuple: older first
+/// (age only), then longer queue, then lower bucket.
+fn brute_rank(lens: Lens, s: &BucketSnapshot) -> (SimTime, std::cmp::Reverse<u64>, BucketId) {
+    let oldest = match lens {
+        Lens::Age => s.oldest_enqueue,
+        Lens::UncachedThroughput => SimTime::ZERO,
+    };
+    (oldest, std::cmp::Reverse(s.queue_len), s.bucket)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -117,26 +127,16 @@ proptest! {
             // per non-empty bucket, in the exact lens orders.
             t.validate_index();
             prop_assert_eq!(t.candidate_count(), t.non_empty_buckets().len());
-            // Index maxima agree with a brute-force scan of the rebuild.
-            let brute_oldest = rebuild(&t)
-                .iter()
-                .map(|s| (s.oldest_enqueue, std::cmp::Reverse(s.queue_len), s.bucket))
-                .min();
-            prop_assert_eq!(
-                t.top_candidate_age()
-                    .map(|s| (s.oldest_enqueue, std::cmp::Reverse(s.queue_len), s.bucket)),
-                brute_oldest
-            );
-            let brute_longest = rebuild(&t)
-                .iter()
-                .map(|s| (std::cmp::Reverse(s.queue_len), s.bucket))
-                .min();
-            prop_assert_eq!(
-                t.top_candidate_uncached()
-                    .map(|s| (std::cmp::Reverse(s.queue_len), s.bucket)),
-                brute_longest,
-                "cold residency: every candidate is in the uncached pool"
-            );
+            // Each lens's maximum agrees with a brute-force scan of the
+            // rebuild; under cold residency every candidate is in both pools.
+            for lens in Lens::ALL {
+                let brute = rebuild(&t).into_iter().min_by_key(|s| brute_rank(lens, s));
+                prop_assert_eq!(
+                    t.top_candidate(lens).map(|s| s.bucket),
+                    brute.map(|s| s.bucket),
+                    "{:?} maximum", lens
+                );
+            }
             let total: u64 = t
                 .non_empty_buckets()
                 .iter()

@@ -1443,19 +1443,21 @@ mod tests {
         assert_eq!(dst.table.cached_candidate_count(), 0);
     }
 
-    /// LifeRaft's decision taken the legacy way: gather every candidate and
-    /// arg-max the slice with `pick_index`.
-    struct ViaPickIndex(LifeRaftScheduler);
+    /// LifeRaft(α, normalized)'s decision taken the reference way: gather
+    /// every candidate and arg-max the slice with the test fixture's
+    /// reference decision.
+    struct ViaReference(f64);
 
-    impl Scheduler for ViaPickIndex {
+    impl Scheduler for ViaReference {
         fn name(&self) -> String {
-            self.0.name()
+            format!("reference(α={:.2})", self.0)
         }
 
         fn pick(&mut self, view: &dyn SchedulerView) -> Option<BatchSpec> {
             let mut all = Vec::new();
             view.for_each_candidate(&mut |c| all.push(*c));
-            let best = self.0.pick_index(view.now(), &all)?;
+            let mode = AgingMode::Normalized;
+            let best = crate::fixture::reference_pick(&params(), mode, self.0, view.now(), &all)?;
             Some(BatchSpec {
                 bucket: all[best].bucket,
                 scope: BatchScope::AllQueued,
@@ -1468,7 +1470,7 @@ mod tests {
     /// buckets at one instant: the candidates tie on both score terms, and
     /// the mixed-α pick must settle those ties on the frontier instead of
     /// streaming every candidate per decision — with the same outcomes as
-    /// the legacy argmax.
+    /// the reference argmax.
     #[test]
     fn wide_sparse_queries_resolve_on_the_frontier() {
         let cat = VirtualCatalog::new(LEVEL, 256, 100, 4096, 7);
@@ -1483,11 +1485,11 @@ mod tests {
         // ~150 cold reads × 1.2 s per query, one query every 300 s.
         let timed = Trace::new(LEVEL, queries).with_arrivals(uniform_arrivals(1.0 / 300.0, 12));
         let sim = Simulation::new(&cat, SimConfig::paper());
-        let scheduler = || LifeRaftScheduler::new(params(), AgingMode::Normalized, 0.5);
-        let indexed = sim.run(&timed, &mut scheduler());
-        let legacy = sim.run(&timed, &mut ViaPickIndex(scheduler()));
-        assert_eq!(indexed.outcomes, legacy.outcomes);
-        assert_eq!(indexed.batches, legacy.batches);
+        let mut scheduler = LifeRaftScheduler::new(params(), AgingMode::Normalized, 0.5);
+        let indexed = sim.run(&timed, &mut scheduler);
+        let reference = sim.run(&timed, &mut ViaReference(0.5));
+        assert_eq!(indexed.outcomes, reference.outcomes);
+        assert_eq!(indexed.batches, reference.batches);
         assert!(indexed.batches >= 12 * 150);
         assert_eq!(
             indexed.frontier_picks + indexed.fallback_picks,

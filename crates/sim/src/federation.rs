@@ -17,9 +17,10 @@
 
 use liferaft_catalog::Catalog;
 use liferaft_core::Scheduler;
+use liferaft_htm::{BatchCoverer, Cap};
 use liferaft_join::sweep::sweep_join;
 use liferaft_metrics::Summary;
-use liferaft_query::{CrossMatchQuery, QueryId, QueueEntry, WorkItem};
+use liferaft_query::{CrossMatchQuery, MatchObject, QueryId, QueueEntry, WorkItem};
 use liferaft_storage::SimTime;
 use liferaft_workload::{TimedTrace, Trace};
 
@@ -87,6 +88,7 @@ pub fn run_chain(
 
         // Results: the scheduler-independent cross-match output per query.
         let next_level = sites.get(k + 1).map(|s| s.partition().level());
+        let mut next_coverer = next_level.map(BatchCoverer::new);
         let mut next: Vec<(SimTime, CrossMatchQuery)> = Vec::new();
         let mut dropped_here = 0usize;
         let feed = Feed::inline(site.partition(), current.entries());
@@ -100,11 +102,9 @@ pub fn run_chain(
                 dropped_here += 1;
                 continue;
             }
-            if let Some(level) = next_level {
-                let objects = matches
-                    .iter()
-                    .map(|&(pos, radius)| liferaft_query::MatchObject::new(pos, radius, level))
-                    .collect();
+            if let Some(coverer) = next_coverer.as_mut() {
+                let caps: Vec<Cap> = matches.iter().map(|&(p, r)| Cap::new(p, r)).collect();
+                let objects = MatchObject::from_caps(&caps, coverer);
                 next.push((
                     completion,
                     CrossMatchQuery::new(query.id, objects, query.predicate),

@@ -48,3 +48,10 @@ pub use scenario::{
     build_scenario, LinkDirection, LinkFault, ScenarioFixture, ScenarioKind, ScenarioScale,
     ShardOutage, ShardSlowdown,
 };
+
+// The scheduler tests' reference decision, shared with liferaft-core's
+// tests (which also use the rest of the fixture).
+#[cfg(test)]
+#[allow(dead_code)]
+#[path = "../../core/tests/fixture/mod.rs"]
+mod fixture;

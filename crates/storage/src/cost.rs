@@ -37,17 +37,6 @@ impl CostModel {
         }
     }
 
-    /// A cheap, deterministic model for unit tests: Tb=1 s, Tm=1 ms,
-    /// probe=10 ms, overhead=0.
-    pub fn test_simple() -> Self {
-        CostModel {
-            tb: SimDuration::from_secs(1),
-            tm: SimDuration::from_millis(1),
-            probe: SimDuration::from_millis(10),
-            index_overhead: SimDuration::ZERO,
-        }
-    }
-
     fn probe_from_disk(disk: &DiskModel) -> SimDuration {
         // An index probe touches a leaf page at a random position; interior
         // pages are hot and accounted in `index_overhead`. Probe streams
@@ -95,6 +84,17 @@ impl Default for CostModel {
 mod tests {
     use super::*;
 
+    /// A cheap, deterministic model: Tb=1 s, Tm=1 ms, probe=10 ms,
+    /// overhead=0.
+    fn simple() -> CostModel {
+        CostModel {
+            tb: SimDuration::from_secs(1),
+            tm: SimDuration::from_millis(1),
+            probe: SimDuration::from_millis(10),
+            index_overhead: SimDuration::ZERO,
+        }
+    }
+
     /// Speed-up of a (non-indexed) scan over an indexed join for a batch of
     /// `workload_len` objects — the y-axis of Figure 2. Values > 1 mean the
     /// scan wins.
@@ -113,7 +113,7 @@ mod tests {
 
     #[test]
     fn scan_batch_formula() {
-        let c = CostModel::test_simple();
+        let c = simple();
         // Uncached: 1s + 100 * 1ms
         assert_eq!(c.scan_batch(100, false).as_millis_f64(), 1100.0);
         // Cached: only matching.
@@ -123,7 +123,7 @@ mod tests {
 
     #[test]
     fn indexed_batch_formula() {
-        let c = CostModel::test_simple();
+        let c = simple();
         // 100 * (10ms + 1ms) = 1.1s
         assert_eq!(c.indexed_batch(100).as_millis_f64(), 1100.0);
         assert_eq!(c.indexed_batch(0), SimDuration::ZERO);

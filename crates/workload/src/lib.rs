@@ -34,3 +34,10 @@ pub use generator::{TraceGenerator, WorkloadConfig};
 pub use stats::WorkloadStats;
 pub use trace::{TimedTrace, Trace};
 pub use zipf::Zipf;
+
+// htm's per-cap reference coverer, which the trace loader's covers are held
+// to (the tests use its bounded cover only).
+#[cfg(test)]
+#[allow(dead_code)]
+#[path = "../../htm/tests/reference/mod.rs"]
+mod reference;

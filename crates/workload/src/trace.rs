@@ -423,12 +423,15 @@ mod tests {
     }
 
     #[test]
-    fn read_covers_mixed_radii_like_the_per_object_constructor() {
+    fn read_covers_mixed_radii_like_the_per_cap_reference() {
         let text = "liferaft-trace v1\nlevel 10\nqueries 1\nquery 7 4 all\n\
                     o 1.0 0.5 1e-4\no 1.0001 0.5001 1e-4\no 1.0002 0.5 2e-3\no 4.0 -1.2 1e-4\n";
         let trace = Trace::read_from(text.as_bytes()).unwrap();
+        let reference = crate::reference::Coverer::new(10);
         for o in &trace.queries()[0].objects {
-            assert_eq!(*o, MatchObject::new(o.pos, o.radius, 10));
+            let cap = Cap::new(o.pos, o.radius);
+            let budget = liferaft_query::crossmatch::BBOX_MAX_RANGES;
+            assert_eq!(o.bbox, reference.cover_bounded(&cap, budget));
         }
     }
 

@@ -76,7 +76,7 @@ pub mod prelude {
         AdaptiveScheduler, AgingMode, AlphaController, LifeRaftScheduler, MetricParams,
         NoShareScheduler, RoundRobinScheduler, Scheduler, TradeoffTable,
     };
-    pub use liferaft_htm::{Cap, Coverer, HtmId, HtmRange, HtmRangeSet, Vec3};
+    pub use liferaft_htm::{Cap, HtmId, HtmRange, HtmRangeSet, Vec3};
     pub use liferaft_join::{HybridConfig, JoinStrategy};
     pub use liferaft_metrics::{Series, StreamingStats, Summary, Table};
     pub use liferaft_query::{CrossMatchQuery, MatchObject, Predicate, QueryId, QueryPreProcessor};

@@ -25,9 +25,10 @@
 //!    JSONL sink; an undersized ring drops oldest-first and says so, and
 //!    its truncated stream still exports.
 //!
-//! With `LIFERAFT_TRACE_DIR` set, the front-door, failover and transport
-//! pins write one greedy stream each there (`front_door.jsonl`,
-//! `failover.jsonl`, `transport.jsonl`) for the trace schema checker.
+//! With `LIFERAFT_TRACE_DIR` set, the front-door, rejecting-door, failover
+//! and transport pins write one greedy stream each there (`front_door.jsonl`,
+//! `front_door_rejecting.jsonl`, `failover.jsonl`, `transport.jsonl`) for
+//! the trace schema checker.
 
 mod common;
 
@@ -186,6 +187,40 @@ fn controller_paths_keep_the_byte_identical_stream() {
             );
         }
     }
+}
+
+/// A door that rejects: the flash crowd against a tighter bound and
+/// waiting cap than `overload_scenarios`' tuning, so shed batch work runs
+/// out of retries. Every verdict — `rejected` ones included — is one event.
+#[test]
+fn rejecting_front_door_keeps_the_byte_identical_stream() {
+    let scale = ScenarioScale::small();
+    let catalog = VirtualCatalog::new(scale.level, scale.n_buckets, 200, 4096, 7);
+    let fx = build_scenario(ScenarioKind::FlashCrowd, &scale);
+    let mut door = FrontDoorConfig::bounded(1_000);
+    door.interactive_max_assignments = 200;
+    door.batch_min_assignments = 600;
+    door.max_waiting_assignments = Some(1_500);
+    let mut config = RuntimeConfig::contiguous(SimConfig::paper(), 4);
+    config.front_door = door;
+    config.telemetry = TelemetryConfig::jsonl();
+    let rt = ShardedRuntime::new(&catalog, config);
+    let greedy = scheduler_factories()[2].1;
+    let stepped = rt.run(&fx.trace, &mut |_| greedy(), ExecMode::Stepped);
+    let threaded = rt.run(&fx.trace, &mut |_| greedy(), ExecMode::Threaded);
+    let a = jsonl_of(&stepped);
+    assert_eq!(a, jsonl_of(&threaded), "streams diverged");
+    assert_queue_depths(&stepped, "rejecting door");
+    write_trace("front_door_rejecting", &a);
+    let rejected = a.matches("\"kind\":\"rejected\"").count();
+    assert!(rejected > 0, "the door must reject at this tuning");
+    let fd = stepped.front_door.as_ref().expect("front door is on");
+    assert_eq!(rejected, fd.rejected.len(), "one event per rejection");
+    assert_eq!(
+        a.matches("\"kind\":\"admitted\"").count() + rejected,
+        fd.log.verdicts.len(),
+        "one verdict event per routed query"
+    );
 }
 
 #[test]
