@@ -5,47 +5,16 @@
 //! interleaved in the same workload queue and are joined in one pass"
 //! — Section 3.1.
 //!
-//! # Queues hold sub-queries
-//!
 //! A queue stores what the paper says it stores: per co-queued query, the
-//! sub-query `W_i^j` — a borrow of the query's object list plus the indices
-//! of the objects that overlap this bucket. Nothing of an object is copied
-//! at enqueue time; the 72-byte [`QueueEntry`] is the *materialized*,
-//! join-time view, built only when a caller asks for entries. A run that is
-//! only counted (the cost-only batch of the simulation) is never expanded.
-//!
-//! # Segmented storage
-//!
-//! Each bucket's queue is physically *segmented by query*: the indices of
-//! one `(bucket, query)` run live in a chain of fixed-capacity segments
-//! allocated from a per-bucket slab, behind a compact per-bucket directory
-//! (one row per co-queued query — per fragment of it, in the rare bucket
-//! that holds two — sorted by query ID). Every segment carries
-//! the enqueue stamp of the indices in it, so a run topped up later — or
-//! merged from a migration with older stamps — keeps each entry's exact
-//! `enqueued_at`. The queue operations then cost:
-//!
-//! - **append** ([`push_chunk`](WorkloadQueue::push_chunk)): one O(log d)
-//!   directory lookup (d = co-queued queries) per work item, then 4 bytes
-//!   copied per assignment, a segment at a time;
-//! - **[`drain_runs`](WorkloadQueue::drain_runs)** — the one drain: the
-//!   chosen runs leave the directory and each chain returns to the free
-//!   list in O(1), so a caller that only reads `(query, count)` pays
-//!   O(runs), not O(entries). A single-query drain (the NoShare batch)
-//!   touches no other query's run beyond an O(d) directory repair;
-//! - **materializing** ([`WorkloadTable::take_all_into`],
-//!   [`WorkloadTable::take_query_into`], [`iter`](WorkloadQueue::iter)):
-//!   the same drain (or walk) with [`RunView::entries`] collected —
-//!   O(entries).
-//!
-//! # The unordered-batch contract
-//!
-//! Batch drains yield runs in directory order (ascending query ID), entries
-//! in push order within a run — not in global arrival order. Queue order is
-//! **not** part of the contract: batches are consumed as unordered sets
-//! (completion accounting is per query, join results are counted, and the
-//! age term reads the maintained `oldest`), which is pinned end-to-end by
-//! the golden determinism fingerprints.
+//! sub-query `W_i^j` — one *run*: a borrow of the query's object list, the
+//! indices of the objects that overlap this bucket, and one enqueue stamp —
+//! in a directory sorted by query ID. Nothing of an object is copied at
+//! enqueue time; the 72-byte [`QueueEntry`] is the *materialized*, join-time
+//! view, built only when a caller asks for entries. The layout, the costs of
+//! enqueue and [`drain_runs`](WorkloadQueue::drain_runs), and the
+//! unordered-batch contract (drains yield runs in query order and a batch
+//! is consumed as a set) are described in ARCHITECTURE, "The sub-query
+//! queue".
 
 use liferaft_htm::{HtmRange, Vec3};
 use liferaft_storage::{BucketId, SimTime};
@@ -74,78 +43,34 @@ pub struct QueueEntry {
     pub radius: f64,
     /// Bounding HTM range of the error circle (object level).
     pub bbox: HtmRange,
-    /// When the request entered the queue (the age term's clock).
+    /// When the request's run entered the queue (the age term's clock).
     pub enqueued_at: SimTime,
 }
 
-/// Object indices per segment. With 4-byte indices a segment is 128 bytes
-/// (two cache lines, header included): large enough to amortize slab
-/// bookkeeping, small enough that the many short `(bucket, query)` runs a
-/// hotspot workload produces strand little capacity.
-const SEGMENT_CAPACITY: usize = 28;
-
-/// Null link in a segment chain.
-const NO_SEGMENT: u32 = u32::MAX;
-
-/// A fixed-capacity block of one run's object indices, all enqueued at the
-/// same instant, plus the link to the next segment of the same chain.
-/// Freed segments are recycled through the slab's free list (threaded
-/// through `next`), so steady-state enqueue/drain cycles perform no heap
-/// traffic.
-#[derive(Debug, Clone)]
-struct Segment {
-    /// Enqueue stamp of every index in this segment.
-    enqueued_at: SimTime,
-    next: u32,
-    len: u32,
-    indices: [u32; SEGMENT_CAPACITY],
-}
-
-impl Segment {
-    fn indices(&self) -> &[u32] {
-        &self.indices[..self.len as usize]
-    }
-}
-
-/// The slab slots linked from `head` (none for `NO_SEGMENT`), in link order.
-fn chain(segments: &[Segment], head: u32) -> impl Iterator<Item = u32> + '_ {
-    std::iter::successors((head != NO_SEGMENT).then_some(head), move |&s| {
-        let next = segments[s as usize].next;
-        (next != NO_SEGMENT).then_some(next)
-    })
-}
-
 /// One directory row: the sub-query of one query's fragment at this bucket
-/// — the borrowed object list, the segment chain holding the queued indices
-/// into it, and the per-run accounting the drains and the age term need. A
-/// query has one row per fragment queued here; only a straggler's hedge
-/// copy meeting its original after a bucket move makes that more than one.
-#[derive(Debug, Clone, Copy)]
+/// — the borrowed object list, the queued indices into it, and the run's
+/// stamp. A query has one row per fragment queued here; only a straggler's
+/// hedge copy meeting its original after a bucket move makes that more
+/// than one.
+#[derive(Debug, Clone)]
 struct QueryRun<'q> {
     query: QueryId,
     /// The fragment the queued indices were handed over in.
     fragment: FragmentId,
-    /// The parent query's objects; every index in the chain points here.
+    /// The parent query's objects; every index points here.
     objects: &'q [MatchObject],
-    /// First segment of the chain (always valid: runs hold ≥ 1 index).
-    head: u32,
-    /// Last segment of the chain — the append target.
-    tail: u32,
-    /// Indices in the chain.
-    len: u32,
-    /// Earliest enqueue stamp in the chain.
-    oldest: SimTime,
+    /// The queued object indices, in push order (never empty).
+    indices: Vec<u32>,
+    /// Earliest enqueue stamp of the run: a top-up keeps it.
+    enqueued_at: SimTime,
 }
 
 /// A read-only view of one `(bucket, query)` run — what
 /// [`WorkloadQueue::runs`] walks and [`WorkloadQueue::drain_runs`] hands
-/// out. Reading [`query`](Self::query) and [`len`](Self::len) touches only
-/// the directory row; [`chunks`](Self::chunks) and
-/// [`entries`](Self::entries) walk the segment chain.
+/// out. Only [`entries`](Self::entries) builds anything per index.
 #[derive(Debug, Clone, Copy)]
 pub struct RunView<'a, 'q> {
     run: &'a QueryRun<'q>,
-    segments: &'a [Segment],
 }
 
 impl<'a, 'q> RunView<'a, 'q> {
@@ -162,7 +87,7 @@ impl<'a, 'q> RunView<'a, 'q> {
     /// Queued assignments in the run (always ≥ 1).
     #[allow(clippy::len_without_is_empty)]
     pub fn len(&self) -> usize {
-        self.run.len as usize
+        self.run.indices.len()
     }
 
     /// The parent query's object list the run's indices point into.
@@ -170,40 +95,37 @@ impl<'a, 'q> RunView<'a, 'q> {
         self.run.objects
     }
 
-    /// The run's stored form, in push order: `(enqueued_at, object indices)`
-    /// per segment. Consecutive chunks may share a stamp.
-    pub fn chunks(&self) -> impl Iterator<Item = (SimTime, &'a [u32])> + 'a {
-        let segments = self.segments;
-        chain(segments, self.run.head).map(move |s| {
-            let seg = &segments[s as usize];
-            (seg.enqueued_at, seg.indices())
-        })
+    /// The queued object indices, in push order.
+    pub fn indices(&self) -> &'a [u32] {
+        &self.run.indices
+    }
+
+    /// The run's enqueue stamp: the earliest of its pushes.
+    pub fn enqueued_at(&self) -> SimTime {
+        self.run.enqueued_at
     }
 
     /// Materializes the run's entries, in push order.
     pub fn entries(&self) -> impl Iterator<Item = QueueEntry> + 'a {
-        let query = self.run.query;
-        let objects: &'a [MatchObject] = self.run.objects;
-        self.chunks().flat_map(move |(enqueued_at, indices)| {
-            indices.iter().map(move |&object_index| {
-                let obj = &objects[object_index as usize];
-                QueueEntry {
-                    query,
-                    object_index,
-                    pos: obj.pos,
-                    radius: obj.radius,
-                    bbox: obj.bounding_range(),
-                    enqueued_at,
-                }
-            })
+        let run: &'a QueryRun<'q> = self.run;
+        run.indices.iter().map(move |&object_index| {
+            let obj = &run.objects[object_index as usize];
+            QueueEntry {
+                query: run.query,
+                object_index,
+                pos: obj.pos,
+                radius: obj.radius,
+                bbox: obj.bounding_range(),
+                enqueued_at: run.enqueued_at,
+            }
         })
     }
 }
 
 /// Byte-level accounting of one queue's (or, summed, one table's) storage:
-/// directory rows plus the segment slab holding 4-byte object indices. The
-/// query objects the runs borrow belong to the trace, not to the queue, and
-/// are not counted.
+/// directory rows plus the runs' 4-byte object indices. The query objects
+/// the runs borrow belong to the trace, not to the queue, and are not
+/// counted.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueMemoryStats {
     /// Live queued entries (assignments).
@@ -212,13 +134,8 @@ pub struct QueueMemoryStats {
     pub directory_runs: u64,
     /// Bytes allocated for directories (capacity × row size).
     pub directory_bytes: u64,
-    /// Segment slots in the slabs (live chains + free list).
-    pub segments: u64,
-    /// Slots currently on free lists.
-    pub free_segments: u64,
-    /// Bytes allocated for the segment slabs (capacity × segment size:
-    /// index blocks, stamps and links).
-    pub segment_bytes: u64,
+    /// Bytes allocated for the runs' index vectors (capacity × 4).
+    pub index_bytes: u64,
     /// Bytes of live payload: `queued_entries` × the 4-byte object index.
     pub entry_bytes: u64,
 }
@@ -229,45 +146,27 @@ impl QueueMemoryStats {
         self.queued_entries += other.queued_entries;
         self.directory_runs += other.directory_runs;
         self.directory_bytes += other.directory_bytes;
-        self.segments += other.segments;
-        self.free_segments += other.free_segments;
-        self.segment_bytes += other.segment_bytes;
+        self.index_bytes += other.index_bytes;
         self.entry_bytes += other.entry_bytes;
     }
 
     /// Total allocated bytes.
     pub fn total_bytes(&self) -> u64 {
-        self.directory_bytes + self.segment_bytes
+        self.directory_bytes + self.index_bytes
     }
 }
 
 /// The workload queue of a single bucket: one run (sub-query) per co-queued
 /// query. `'q` is the lifetime of the queries whose objects the runs borrow.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct WorkloadQueue<'q> {
-    /// Per-query runs, sorted by `(query ID, fragment)`. Compact: one
-    /// 48-byte row per co-queued query's fragment.
+    /// Per-query runs, sorted by `(query ID, fragment)`: one 64-byte row
+    /// per co-queued query's fragment.
     directory: Vec<QueryRun<'q>>,
-    /// The segment slab backing every chain of this bucket.
-    segments: Vec<Segment>,
-    /// Head of the free list of recycled slab slots, linked through `next`.
-    free: u32,
     /// Total queued entries.
     len: usize,
     /// Earliest enqueue time among current entries (None when empty).
     oldest: Option<SimTime>,
-}
-
-impl Default for WorkloadQueue<'_> {
-    fn default() -> Self {
-        WorkloadQueue {
-            directory: Vec::new(),
-            segments: Vec::new(),
-            free: NO_SEGMENT,
-            len: 0,
-            oldest: None,
-        }
-    }
 }
 
 impl<'q> WorkloadQueue<'q> {
@@ -277,11 +176,12 @@ impl<'q> WorkloadQueue<'q> {
     }
 
     /// Appends `indices` — positions in `objects`, all requests of `query`'s
-    /// `fragment` enqueued at `at` — to that fragment's run: one O(log d)
-    /// directory lookup, then the tail segment is filled and new segments
-    /// are chained a whole segment at a time, with the run and queue
-    /// accounting updated once. A no-op for empty `indices`. This is the only append path:
-    /// arrivals, top-ups and migration merges all come through here.
+    /// `fragment` enqueued at `at` — to that fragment's run after one
+    /// O(log d) directory lookup (d = co-queued queries). A new run copies
+    /// `indices` at its exact size; a top-up of an existing run appends them
+    /// and keeps the earliest stamp. A no-op for empty `indices`. This is
+    /// the only append path: arrivals and migration merges both come
+    /// through here.
     ///
     /// # Panics
     /// Panics if an index is out of range for `objects`, or if `query`
@@ -302,80 +202,32 @@ impl<'q> WorkloadQueue<'q> {
             "object index {max} out of range for {query}"
         );
         let key = (query, fragment);
-        let i = match self
+        match self
             .directory
             .binary_search_by_key(&key, |r| (r.query, r.fragment))
         {
             Ok(i) => {
+                let run = &mut self.directory[i];
                 assert!(
-                    std::ptr::eq(self.directory[i].objects, objects),
+                    std::ptr::eq(run.objects, objects),
                     "{query} is already queued here with a different object list"
                 );
-                i
+                run.indices.extend_from_slice(indices);
+                run.enqueued_at = run.enqueued_at.min(at);
             }
-            Err(i) => {
-                let s = self.alloc_segment(at);
-                self.directory.insert(
-                    i,
-                    QueryRun {
-                        query,
-                        fragment,
-                        objects,
-                        head: s,
-                        tail: s,
-                        len: 0,
-                        oldest: at,
-                    },
-                );
-                i
-            }
-        };
-        let mut tail = self.directory[i].tail;
-        let mut rest = indices;
-        loop {
-            let seg = &mut self.segments[tail as usize];
-            // A segment holds one stamp: a chunk stamped differently from
-            // the tail starts a fresh segment even if the tail has room.
-            if seg.enqueued_at == at {
-                let filled = seg.len as usize;
-                let (fit, more) = rest.split_at(rest.len().min(SEGMENT_CAPACITY - filled));
-                seg.indices[filled..filled + fit.len()].copy_from_slice(fit);
-                seg.len += fit.len() as u32;
-                rest = more;
-            }
-            if rest.is_empty() {
-                break;
-            }
-            let s = self.alloc_segment(at);
-            self.segments[tail as usize].next = s;
-            tail = s;
+            Err(i) => self.directory.insert(
+                i,
+                QueryRun {
+                    query,
+                    fragment,
+                    objects,
+                    indices: indices.to_vec(),
+                    enqueued_at: at,
+                },
+            ),
         }
-        let run = &mut self.directory[i];
-        run.tail = tail;
-        run.len += indices.len() as u32;
-        run.oldest = run.oldest.min(at);
         self.len += indices.len();
         self.oldest = Some(self.oldest.map_or(at, |t| t.min(at)));
-    }
-
-    /// An empty segment stamped `at`, recycled from the free list if any.
-    fn alloc_segment(&mut self, at: SimTime) -> u32 {
-        if self.free == NO_SEGMENT {
-            self.segments.push(Segment {
-                enqueued_at: at,
-                next: NO_SEGMENT,
-                len: 0,
-                indices: [0; SEGMENT_CAPACITY],
-            });
-            return (self.segments.len() - 1) as u32;
-        }
-        let s = self.free;
-        let seg = &mut self.segments[s as usize];
-        self.free = seg.next;
-        seg.enqueued_at = at;
-        seg.next = NO_SEGMENT;
-        seg.len = 0;
-        s
     }
 
     /// Number of queued objects (`Σ_i W_i^j` for this bucket).
@@ -390,10 +242,7 @@ impl<'q> WorkloadQueue<'q> {
 
     /// The queued runs, in directory order (ascending query ID).
     pub fn runs(&self) -> impl Iterator<Item = RunView<'_, 'q>> + '_ {
-        self.directory.iter().map(move |run| RunView {
-            run,
-            segments: &self.segments,
-        })
+        self.directory.iter().map(|run| RunView { run })
     }
 
     /// Materializes every queued entry, grouped by query (ascending query
@@ -412,7 +261,7 @@ impl<'q> WorkloadQueue<'q> {
     /// Number of entries queued for `query` (0 if it has no run here).
     pub fn pending_of(&self, query: QueryId) -> usize {
         let rows = &self.directory[self.rows_of(query)];
-        rows.iter().map(|r| r.len as usize).sum()
+        rows.iter().map(|r| r.indices.len()).sum()
     }
 
     /// The directory rows of `query`'s runs (empty when it has none).
@@ -424,10 +273,10 @@ impl<'q> WorkloadQueue<'q> {
 
     /// The run-level drain every other drain is built on: removes the runs
     /// of `only` (or every run, for `None`), showing each to `visit` —
-    /// directory order — before its chain returns to the free list. Reading
-    /// a view's `query`/`len` costs nothing per entry, so a drain that only
-    /// counts is O(runs); allocations are kept for reuse. Returns the
-    /// number of entries that left the queue (0 when `only` has no run).
+    /// directory order — before it is dropped. Reading a view's
+    /// `query`/`len` costs nothing per entry, so a drain that only counts is
+    /// O(runs). Returns the number of entries that left the queue (0 when
+    /// `only` has no run).
     pub fn drain_runs(
         &mut self,
         only: Option<QueryId>,
@@ -441,20 +290,13 @@ impl<'q> WorkloadQueue<'q> {
             return 0; // no run: nothing leaves the queue
         }
         let mut drained = 0usize;
-        for run in &self.directory[rows.clone()] {
-            visit(RunView {
-                run,
-                segments: &self.segments,
-            });
-            // Splice the whole chain onto the free list.
-            self.segments[run.tail as usize].next = self.free;
-            self.free = run.head;
-            drained += run.len as usize;
+        for run in self.directory.drain(rows) {
+            visit(RunView { run: &run });
+            drained += run.indices.len();
         }
-        self.directory.drain(rows);
         self.len -= drained;
         // O(d) over the surviving *queries*, not their entries.
-        self.oldest = self.directory.iter().map(|r| r.oldest).min();
+        self.oldest = self.directory.iter().map(|r| r.enqueued_at).min();
         drained
     }
 
@@ -465,92 +307,52 @@ impl<'q> WorkloadQueue<'q> {
 
     /// This queue's storage accounting.
     pub fn memory_stats(&self) -> QueueMemoryStats {
+        let index_capacity: usize = self.directory.iter().map(|r| r.indices.capacity()).sum();
         QueueMemoryStats {
             queued_entries: self.len as u64,
             directory_runs: self.directory.len() as u64,
             directory_bytes: (self.directory.capacity() * std::mem::size_of::<QueryRun<'_>>())
                 as u64,
-            segments: self.segments.len() as u64,
-            free_segments: chain(&self.segments, self.free).count() as u64,
-            segment_bytes: (self.segments.capacity() * std::mem::size_of::<Segment>()) as u64,
+            index_bytes: (index_capacity * std::mem::size_of::<u32>()) as u64,
             entry_bytes: (self.len * std::mem::size_of::<u32>()) as u64,
         }
     }
 
-    /// Checks every structural invariant of the segmented storage: the
-    /// directory is strictly sorted by query; each run's chain holds exactly
-    /// `run.len` in-range indices in non-empty segments, a segment stops
-    /// short of capacity only where the stamp changes, and `run.oldest` is
-    /// the chain's true minimum stamp; the queue counters match the
-    /// directory; and every slab slot is on exactly one chain or the free
-    /// list.
+    /// Checks every structural invariant of the queue: the directory is
+    /// strictly sorted by `(query, fragment)`; each run holds at least one
+    /// index, all in range for its objects; and the queue's `len` and
+    /// `oldest` match the runs.
     ///
     /// # Panics
     /// Panics on any violated invariant. O(entries) — for tests and debug
     /// assertions, not the hot path.
-    pub fn validate_segments(&self) {
+    pub fn validate(&self) {
         assert!(
             self.directory
                 .windows(2)
                 .all(|w| (w[0].query, w[0].fragment) < (w[1].query, w[1].fragment)),
             "directory must be strictly sorted by (query, fragment)"
         );
-        let mut seen = vec![false; self.segments.len()];
-        let mut mark = |s: u32| {
-            assert!(
-                !std::mem::replace(&mut seen[s as usize], true),
-                "segment {s} linked twice"
-            );
-        };
-        let mut total = 0usize;
         for run in &self.directory {
-            assert!(run.len > 0, "empty run for {} survived a drain", run.query);
-            let mut chain_len = 0usize;
-            let mut chain_oldest: Option<SimTime> = None;
-            let mut last = run.head;
-            for s in chain(&self.segments, run.head) {
-                mark(s);
-                let seg = &self.segments[s as usize];
-                assert!(!seg.indices().is_empty(), "empty segment {s} left in chain");
-                assert!(
-                    seg.indices()
-                        .iter()
-                        .all(|&i| (i as usize) < run.objects.len()),
-                    "segment {s} of {} indexes past the query's objects",
-                    run.query
-                );
-                assert!(
-                    seg.next == NO_SEGMENT
-                        || seg.len as usize == SEGMENT_CAPACITY
-                        || self.segments[seg.next as usize].enqueued_at != seg.enqueued_at,
-                    "segment {s} of {} stops short without a stamp change",
-                    run.query
-                );
-                chain_oldest =
-                    Some(chain_oldest.map_or(seg.enqueued_at, |t| t.min(seg.enqueued_at)));
-                chain_len += seg.len as usize;
-                last = s;
-            }
-            assert_eq!(last, run.tail, "tail link of {} diverged", run.query);
-            assert_eq!(chain_len, run.len as usize, "run length of {}", run.query);
-            assert_eq!(
-                chain_oldest,
-                Some(run.oldest),
-                "run oldest of {}",
+            assert!(
+                !run.indices.is_empty(),
+                "empty run for {} survived a drain",
                 run.query
             );
-            total += chain_len;
+            assert!(
+                run.indices
+                    .iter()
+                    .all(|&i| (i as usize) < run.objects.len()),
+                "run of {} indexes past the query's objects",
+                run.query
+            );
         }
-        assert_eq!(total, self.len, "queue length diverged from chains");
+        let total: usize = self.directory.iter().map(|r| r.indices.len()).sum();
+        assert_eq!(total, self.len, "queue length diverged from runs");
         assert_eq!(
-            self.directory.iter().map(|r| r.oldest).min(),
+            self.directory.iter().map(|r| r.enqueued_at).min(),
             self.oldest,
             "queue oldest diverged from runs"
-        );
-        chain(&self.segments, self.free).for_each(&mut mark);
-        assert!(
-            seen.iter().all(|&s| s),
-            "every segment must be on a chain or the free list"
         );
     }
 }
@@ -786,7 +588,7 @@ impl<'q> WorkloadTable<'q> {
 
     /// Merges a previously [extracted](Self::extract_bucket) queue into this
     /// table's queue for `bucket` — the elastic runtime's **migration
-    /// absorption**. Every chunk is re-appended at its *original* stamp
+    /// absorption**. Every run is re-appended whole at its *original* stamp
     /// (ages survive the move) through the same path arrivals take, and the
     /// bucket's snapshot slot and the candidate index are brought current
     /// once. A no-op for an empty payload.
@@ -796,9 +598,8 @@ impl<'q> WorkloadTable<'q> {
     pub fn merge_bucket(&mut self, bucket: BucketId, payload: &WorkloadQueue<'q>) {
         self.grow(bucket, |queue| {
             for run in payload.runs() {
-                for (at, indices) in run.chunks() {
-                    queue.push_chunk(run.query(), run.fragment(), run.objects(), indices, at);
-                }
+                let (query, fragment, at) = (run.query(), run.fragment(), run.enqueued_at());
+                queue.push_chunk(query, fragment, run.objects(), run.indices(), at);
             }
         });
     }
@@ -900,11 +701,8 @@ impl<'q> WorkloadTable<'q> {
         Some(self.snapshot_slots[passed_over.index()])
     }
 
-    /// Aggregated segmented-storage accounting across every bucket queue
-    /// (directories, segment slabs, free lists — not the table's snapshot
-    /// slots or candidate index, whose footprint predates the segmented
-    /// layout) — the number behind the ROADMAP's "segment directory adds
-    /// per-bucket memory" question.
+    /// Storage accounting summed over every bucket queue (directories and
+    /// index vectors; not the table's snapshot slots or candidate index).
     pub fn memory_stats(&self) -> QueueMemoryStats {
         let mut total = QueueMemoryStats::default();
         for q in &self.queues {
@@ -915,12 +713,11 @@ impl<'q> WorkloadTable<'q> {
 
     /// Checks the index invariant (one entry per non-empty bucket, keyed by
     /// its live slot) by rebuilding a reference index, and every bucket
-    /// queue's segment-directory invariants
-    /// ([`WorkloadQueue::validate_segments`]) — O(entries), meant for tests
-    /// and debug assertions, not the hot path.
+    /// queue's invariants ([`WorkloadQueue::validate`]) — O(entries), meant
+    /// for tests and debug assertions, not the hot path.
     ///
     /// # Panics
-    /// Panics if the maintained index or any segment directory diverged.
+    /// Panics if the maintained index or any queue diverged.
     pub fn validate_index(&self) {
         let mut reference = CandidateIndex::new();
         for &b in &self.non_empty {
@@ -937,7 +734,7 @@ impl<'q> WorkloadTable<'q> {
         }
         let mut total = 0u64;
         for (i, q) in self.queues.iter().enumerate() {
-            q.validate_segments();
+            q.validate();
             total += q.len() as u64;
             let slot = &self.snapshot_slots[i];
             if q.is_empty() {
@@ -1242,19 +1039,19 @@ mod tests {
         for (i, q) in [1usize, 2, 1, 1, 2].iter().enumerate() {
             push(&mut wq, &qs[*q], i as u32, i as u64);
         }
-        wq.validate_segments();
+        wq.validate();
         let mut out = Vec::new();
         drain_into(&mut wq, Some(QueryId(1)), &mut out);
-        wq.validate_segments();
+        wq.validate();
         // Drained ∪ kept is an exact partition by query (order is not part
         // of the contract — batches are consumed as unordered sets), each
-        // entry keeping the stamp of the chunk that brought it.
+        // entry carrying its run's earliest stamp.
         let mut drained: Vec<(u32, u64)> = out
             .iter()
             .map(|e| (e.object_index, e.enqueued_at.as_micros()))
             .collect();
         drained.sort_unstable();
-        assert_eq!(drained, vec![(0, 0), (2, 2), (3, 3)]);
+        assert_eq!(drained, vec![(0, 0), (2, 0), (3, 0)]);
         let mut kept: Vec<u32> = wq.iter().map(|e| e.object_index).collect();
         kept.sort_unstable();
         assert_eq!(kept, vec![1, 4]);
@@ -1267,46 +1064,7 @@ mod tests {
     }
 
     #[test]
-    fn multi_segment_chains_preserve_push_order_within_a_query() {
-        // 2.5 segments' worth of one query, interleaved with another.
-        let n = SEGMENT_CAPACITY as u32 * 2 + SEGMENT_CAPACITY as u32 / 2;
-        let qs = pool(3, n as usize);
-        let mut wq = WorkloadQueue::new();
-        for i in 0..n {
-            push(&mut wq, &qs[1], i, 100);
-            if i % 3 == 0 {
-                push(&mut wq, &qs[2], i, i as u64);
-            }
-        }
-        wq.validate_segments();
-        assert_eq!(wq.distinct_queries(), 2);
-        assert_eq!(wq.pending_of(QueryId(1)), n as usize);
-        // One stamp throughout: query 1's chain is packed, 3 segments.
-        let chunks: Vec<usize> = wq
-            .runs()
-            .next()
-            .expect("query 1 is queued")
-            .chunks()
-            .map(|(_, indices)| indices.len())
-            .collect();
-        assert_eq!(
-            chunks,
-            vec![SEGMENT_CAPACITY, SEGMENT_CAPACITY, SEGMENT_CAPACITY / 2]
-        );
-        let mut out = Vec::new();
-        drain_into(&mut wq, Some(QueryId(1)), &mut out);
-        wq.validate_segments();
-        // Within one query's run, segments chain in push order.
-        let got: Vec<u32> = out.iter().map(|e| e.object_index).collect();
-        let want: Vec<u32> = (0..n).collect();
-        assert_eq!(got, want);
-        // The other query's run — and the queue-level oldest — survive.
-        assert_eq!(wq.oldest_enqueue(), Some(SimTime::ZERO));
-        assert_eq!(wq.distinct_queries(), 1);
-    }
-
-    #[test]
-    fn a_top_up_keeps_each_chunks_stamp() {
+    fn a_top_up_keeps_the_earliest_stamp() {
         let qs = pool(1, 40);
         let mut wq = WorkloadQueue::new();
         let first: Vec<u32> = (0..30).collect();
@@ -1317,7 +1075,7 @@ mod tests {
             &first,
             SimTime::from_micros(50),
         );
-        // A later top-up, then a merge-style chunk older than everything.
+        // A later top-up joins the run under the run's stamp…
         wq.push_chunk(
             qs[0].id,
             FragmentId(0),
@@ -1325,6 +1083,10 @@ mod tests {
             &[30, 31],
             SimTime::from_micros(90),
         );
+        wq.validate();
+        let stamp = wq.runs().next().map(|r| r.enqueued_at());
+        assert_eq!(stamp, Some(SimTime::from_micros(50)));
+        // …and a merge-style push older than everything lowers it.
         wq.push_chunk(
             qs[0].id,
             FragmentId(0),
@@ -1332,17 +1094,13 @@ mod tests {
             &[32],
             SimTime::from_micros(7),
         );
-        wq.validate_segments();
+        wq.validate();
         assert_eq!(wq.distinct_queries(), 1);
         assert_eq!(wq.oldest_enqueue(), Some(SimTime::from_micros(7)));
-        let stamps: Vec<(u32, u64)> = wq
-            .iter()
-            .map(|e| (e.object_index, e.enqueued_at.as_micros()))
-            .collect();
-        let want: Vec<(u32, u64)> = (0..33)
-            .map(|i| (i, [50, 90, 7][(i >= 30) as usize + (i >= 32) as usize]))
-            .collect();
-        assert_eq!(stamps, want);
+        let run = wq.runs().next().expect("one run");
+        assert_eq!(run.indices(), (0..33).collect::<Vec<u32>>());
+        assert_eq!(run.enqueued_at(), SimTime::from_micros(7));
+        assert!(wq.iter().all(|e| e.enqueued_at == SimTime::from_micros(7)));
     }
 
     #[test]
@@ -1363,7 +1121,7 @@ mod tests {
         );
         assert!(wq.is_empty());
         assert_eq!(wq.oldest_enqueue(), None);
-        wq.validate_segments();
+        wq.validate();
     }
 
     #[test]
@@ -1397,7 +1155,7 @@ mod tests {
         wq.push_chunk(qs[1].id, a, &qs[1].objects, &[0], SimTime::ZERO);
         wq.push_chunk(qs[0].id, a, &qs[0].objects, &[0, 1], SimTime::ZERO);
         wq.push_chunk(qs[0].id, b, &qs[0].objects, &[2], SimTime::from_micros(3));
-        wq.validate_segments();
+        wq.validate();
         let rows: Vec<_> = wq
             .runs()
             .map(|r| (r.query(), r.fragment(), r.len()))
@@ -1412,50 +1170,7 @@ mod tests {
         let n = wq.drain_runs(Some(qs[0].id), |r| drained.push(r.fragment()));
         assert_eq!((n, drained), (3, vec![b, a]));
         assert_eq!(wq.len(), 1);
-        wq.validate_segments();
-    }
-
-    #[test]
-    fn freed_segments_are_recycled() {
-        let qs = pool(5, SEGMENT_CAPACITY * 3);
-        let mut wq = WorkloadQueue::new();
-        let mut out = Vec::new();
-        let all: Vec<u32> = (0..SEGMENT_CAPACITY as u32 * 3).collect();
-        for q in &qs {
-            wq.push_chunk(q.id, FragmentId(0), &q.objects, &all, SimTime::ZERO);
-            drain_into(&mut wq, None, &mut out);
-            assert_eq!(out.len(), all.len());
-            wq.validate_segments();
-        }
-        // Steady state: the slab never grows beyond one round's worth.
-        assert_eq!(wq.memory_stats().segments, 3);
-        assert_eq!(wq.memory_stats().free_segments, 3);
-        assert_eq!(wq.len(), 0);
-        assert_eq!(wq.oldest_enqueue(), None);
-    }
-
-    #[test]
-    fn memory_stats_account_for_directory_and_segments() {
-        let qs = pool(4, 3);
-        let mut wq = WorkloadQueue::new();
-        for q in &qs {
-            wq.push_chunk(q.id, FragmentId(0), &q.objects, &[0, 1, 2], SimTime::ZERO);
-        }
-        let m = wq.memory_stats();
-        assert_eq!(m.queued_entries, 12);
-        assert_eq!(m.directory_runs, 4);
-        assert_eq!(m.segments, 4, "one segment per short run");
-        assert_eq!(m.free_segments, 0);
-        assert_eq!(m.entry_bytes, 12 * 4, "the payload is the object index");
-        assert!(m.directory_bytes >= 4 * std::mem::size_of::<QueryRun<'_>>() as u64);
-        // Four segments allocate four full index blocks; 12 live indices.
-        assert!(m.segment_bytes >= 4 * std::mem::size_of::<Segment>() as u64);
-        assert_eq!(std::mem::size_of::<Segment>(), 128);
-        assert_eq!(m.total_bytes(), m.directory_bytes + m.segment_bytes);
-        let mut table_total = QueueMemoryStats::default();
-        table_total.merge(&m);
-        table_total.merge(&WorkloadQueue::new().memory_stats());
-        assert_eq!(table_total.queued_entries, 12);
+        wq.validate();
     }
 
     /// The point of queueing sub-queries: a deep table costs a few bytes per

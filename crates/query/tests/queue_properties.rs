@@ -1,16 +1,17 @@
 //! Property tests for the sub-query workload queues.
 //!
 //! A queue stores runs — a borrow of each query's objects plus 4-byte
-//! indices, one enqueue stamp per stored chunk — and builds `QueueEntry`s
-//! only on demand. The reference here is the layout that used to be
-//! stored: a naive `Vec<QueueEntry>` per bucket with filter-based drains,
-//! every entry carrying its own payload and stamp. Under arbitrary
+//! indices and one enqueue stamp, the earliest of the run's pushes — and
+//! builds `QueueEntry`s only on demand. The reference here is the layout
+//! that used to be stored: a naive `Vec<QueueEntry>` per bucket with
+//! filter-based drains, every entry carrying its own payload and stamp,
+//! restamped to its run's earliest after each push. Under arbitrary
 //! interleavings of run enqueues, top-ups with later stamps, merges of
 //! older-stamped work, materialized and run-level drains and extract→merge
 //! round trips, the table must stay *multiset-equivalent* to it — payload
 //! and `enqueued_at` included; batch order is not part of the contract —
-//! while `validate_index` (which runs `validate_segments` on every bucket
-//! queue) passes after every operation.
+//! while `validate_index` (which runs `validate` on every bucket queue)
+//! passes after every operation.
 
 use liferaft_htm::Vec3;
 use liferaft_query::{CrossMatchQuery, Predicate, QueryId, QueueEntry, WorkItem, WorkloadTable};
@@ -20,7 +21,7 @@ use proptest::prelude::*;
 const LEVEL: u8 = 6;
 const BUCKETS: usize = 3;
 const QUERIES: u64 = 6;
-/// Objects per query: runs of up to 80 indices cross two 28-index segments.
+/// Objects per query.
 const OBJECTS: u32 = 96;
 
 /// The queries whose objects the table borrows. Positions differ per query
@@ -50,6 +51,19 @@ fn reference_entry(q: &CrossMatchQuery, object: u32, at: SimTime) -> QueueEntry 
     }
 }
 
+/// Gives every entry of `query` the earliest stamp among them: a run holds
+/// one stamp, and a top-up or a merge keeps the earliest.
+fn restamp(entries: &mut [QueueEntry], query: QueryId) {
+    let first = entries
+        .iter()
+        .filter(|e| e.query == query)
+        .map(|e| e.enqueued_at)
+        .min();
+    for e in entries.iter_mut().filter(|e| e.query == query) {
+        e.enqueued_at = first.expect("the query has this entry");
+    }
+}
+
 /// Canonical multiset order. Entries with equal keys have equal payloads
 /// (same object of the same query), so comparing the sorted vectors with
 /// `==` is an exact multiset comparison of whole entries.
@@ -73,7 +87,7 @@ fn run_counts(entries: &[QueueEntry], only: Option<QueryId>) -> Vec<(QueryId, us
 enum Op {
     /// Enqueue objects `start..start + n` of `query` as one work item at
     /// `at_us` — any stamp, so a run may also be topped up with an *older*
-    /// chunk. `n` reaches past two segments and includes the empty item.
+    /// chunk. `n` includes the empty item.
     Enqueue {
         bucket: u32,
         query: u64,
@@ -119,8 +133,6 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
     proptest::collection::vec(raw, 1..120).prop_map(|raw| {
         raw.into_iter()
             .map(|(kind, bucket, query, start, n, at_us)| {
-                // Bias run lengths towards the segment boundary itself.
-                let n = if kind % 2 == 0 { 27 + n % 3 } else { n };
                 let n = n.min(OBJECTS - start);
                 match kind {
                     0..=4 => Op::Enqueue {
@@ -187,6 +199,7 @@ proptest! {
                     t.enqueue(&item(query, bucket, start, n), q, at);
                     naive[bucket as usize]
                         .extend((start..start + n).map(|o| reference_entry(q, o, at)));
+                    restamp(&mut naive[bucket as usize], QueryId(query));
                 }
                 Op::TopUpLater { bucket, query, start, n } => {
                     clock += 10;
@@ -195,6 +208,7 @@ proptest! {
                     t.enqueue(&item(query, bucket, start, n), q, at);
                     naive[bucket as usize]
                         .extend((start..start + n).map(|o| reference_entry(q, o, at)));
+                    restamp(&mut naive[bucket as usize], QueryId(query));
                 }
                 Op::MergeOlder { bucket, query, start, n, at_us } => {
                     let q = &pool[query as usize];
@@ -213,6 +227,7 @@ proptest! {
                     prop_assert!(side.is_idle());
                     side.validate_index();
                     t.merge_bucket(BucketId(bucket), &payload);
+                    restamp(&mut naive[bucket as usize], QueryId(query));
                 }
                 Op::TakeAll { bucket } => {
                     t.take_all_into(BucketId(bucket), &mut scratch);
@@ -248,6 +263,9 @@ proptest! {
                     t.merge_bucket(BucketId(to), &payload);
                     let moved = std::mem::take(&mut naive[from as usize]);
                     naive[to as usize].extend(moved);
+                    for id in 0..QUERIES {
+                        restamp(&mut naive[to as usize], QueryId(id));
+                    }
                 }
             }
             t.validate_index();
@@ -277,7 +295,7 @@ proptest! {
                 prop_assert_eq!(m.entry_bytes, 4 * want.len() as u64);
                 prop_assert_eq!(m.directory_runs as usize, q.distinct_queries());
                 prop_assert!(m.total_bytes() >= m.entry_bytes);
-                prop_assert!(m.free_segments <= m.segments);
+                prop_assert!(m.index_bytes >= m.entry_bytes);
                 // The snapshot slot tracks the reference too.
                 match t.snapshot_of(bucket) {
                     None => prop_assert!(want.is_empty()),

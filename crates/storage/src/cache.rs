@@ -7,12 +7,8 @@
 //! after every read, so this cache is the *only* source of I/O savings;
 //! its `contains` answer is exactly the φ(i) term of Eq. 1.
 //!
-//! The recency order is an intrusive doubly-linked list threaded through a
-//! slab of nodes, so `access`/`insert`/evict are all O(1) — the paper's 20
-//! buckets never noticed, but per-shard thousand-bucket caches would have
-//! paid O(resident) per touch under the previous `VecDeque::remove`.
-
-use std::collections::HashMap;
+//! The recency order is one vector of resident buckets, least recently
+//! used first (ARCHITECTURE, "The sub-query queue").
 
 use crate::bucket::BucketId;
 
@@ -63,17 +59,6 @@ impl CacheStats {
     }
 }
 
-/// Slab sentinel for "no neighbour".
-const NIL: u32 = u32::MAX;
-
-/// One slab node of the intrusive recency list.
-#[derive(Debug, Clone, Copy)]
-struct Node {
-    id: BucketId,
-    prev: u32,
-    next: u32,
-}
-
 /// A least-recently-used cache of bucket residency.
 ///
 /// Stores only identities, not payloads: the simulator tracks *which*
@@ -88,15 +73,8 @@ struct Node {
 #[derive(Debug, Clone)]
 pub struct BucketCache {
     capacity: usize,
-    /// Slab of resident entries; `nodes.len()` == resident count (evictions
-    /// reuse the victim's slot, so the slab never exceeds `capacity`).
-    nodes: Vec<Node>,
-    /// Least-recently-used end of the intrusive list (`NIL` when empty).
-    head: u32,
-    /// Most-recently-used end of the intrusive list (`NIL` when empty).
-    tail: u32,
-    /// Bucket → slab slot, for O(1) membership and unlinking.
-    slot_of: HashMap<BucketId, u32>,
+    /// Resident buckets, least recently used first.
+    order: Vec<BucketId>,
     stats: CacheStats,
 }
 
@@ -110,32 +88,19 @@ impl BucketCache {
         assert!(capacity > 0, "cache capacity must be positive");
         BucketCache {
             capacity,
-            nodes: Vec::with_capacity(capacity),
-            head: NIL,
-            tail: NIL,
-            slot_of: HashMap::with_capacity(capacity + 1),
+            order: Vec::with_capacity(capacity),
             stats: CacheStats::default(),
         }
     }
 
-    /// The paper's experimental configuration: 20 buckets (Section 5).
-    pub fn paper_default() -> Self {
-        Self::new(20)
-    }
-
-    /// Capacity in buckets.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Current number of resident buckets.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.order.len()
     }
 
     /// True if nothing is resident.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.order.is_empty()
     }
 
     /// Non-mutating residency probe: φ(i) = 0 iff `contains(i)`.
@@ -144,92 +109,53 @@ impl BucketCache {
     /// for *every* candidate bucket on every decision, which must not
     /// perturb the LRU order.
     pub fn contains(&self, id: BucketId) -> bool {
-        self.slot_of.contains_key(&id)
+        self.order.contains(&id)
     }
 
     /// Performs an access as part of executing a batch: a hit moves the
     /// resident bucket to most-recent, a miss loads it, evicting the
     /// least-recently-used bucket if the cache is full.
     pub fn access(&mut self, id: BucketId) -> CacheAccess {
-        if let Some(&slot) = self.slot_of.get(&id) {
-            self.touch(slot);
+        if self.touch(id) {
             self.stats.hits += 1;
             CacheAccess::Hit
         } else {
             self.stats.misses += 1;
             CacheAccess::Miss {
-                evicted: self.insert(id),
+                evicted: self.load(id),
             }
         }
-    }
-
-    /// Unlinks a slot from the recency list (its `prev`/`next` stay stale).
-    fn unlink(&mut self, slot: u32) {
-        let Node { prev, next, .. } = self.nodes[slot as usize];
-        match prev {
-            NIL => self.head = next,
-            p => self.nodes[p as usize].next = next,
-        }
-        match next {
-            NIL => self.tail = prev,
-            n => self.nodes[n as usize].prev = prev,
-        }
-    }
-
-    /// Appends a slot at the most-recently-used end.
-    fn push_mru(&mut self, slot: u32) {
-        let old_tail = self.tail;
-        {
-            let node = &mut self.nodes[slot as usize];
-            node.prev = old_tail;
-            node.next = NIL;
-        }
-        match old_tail {
-            NIL => self.head = slot,
-            t => self.nodes[t as usize].next = slot,
-        }
-        self.tail = slot;
-    }
-
-    /// Moves a resident slot to most-recently-used — O(1).
-    fn touch(&mut self, slot: u32) {
-        if self.tail == slot {
-            return;
-        }
-        self.unlink(slot);
-        self.push_mru(slot);
     }
 
     /// Inserts a bucket, evicting the LRU entry if full. Returns the evicted
     /// bucket, if any.
     pub fn insert(&mut self, id: BucketId) -> Option<BucketId> {
-        if let Some(&slot) = self.slot_of.get(&id) {
-            self.touch(slot);
-            return None;
-        }
-        self.stats.insertions += 1;
-        let mut evicted = None;
-        let slot = if self.nodes.len() == self.capacity {
-            // Evict the LRU head and reuse its slab slot for the newcomer.
-            let victim_slot = self.head;
-            debug_assert_ne!(victim_slot, NIL, "cache is full, so non-empty");
-            let victim = self.nodes[victim_slot as usize].id;
-            self.unlink(victim_slot);
-            self.slot_of.remove(&victim);
-            self.stats.evictions += 1;
-            evicted = Some(victim);
-            self.nodes[victim_slot as usize].id = id;
-            victim_slot
+        if self.touch(id) {
+            None
         } else {
-            self.nodes.push(Node {
-                id,
-                prev: NIL,
-                next: NIL,
-            });
-            (self.nodes.len() - 1) as u32
+            self.load(id)
+        }
+    }
+
+    /// Moves `id` to most-recently-used if it is resident; says whether it
+    /// was.
+    fn touch(&mut self, id: BucketId) -> bool {
+        let Some(pos) = self.order.iter().position(|&b| b == id) else {
+            return false;
         };
-        self.push_mru(slot);
-        self.slot_of.insert(id, slot);
+        self.order[pos..].rotate_left(1);
+        true
+    }
+
+    /// Appends a non-resident bucket as most-recently-used, evicting the
+    /// least-recently-used one if the cache is full.
+    fn load(&mut self, id: BucketId) -> Option<BucketId> {
+        self.stats.insertions += 1;
+        let evicted = (self.order.len() == self.capacity).then(|| {
+            self.stats.evictions += 1;
+            self.order.remove(0)
+        });
+        self.order.push(id);
         evicted
     }
 
@@ -241,27 +167,10 @@ impl BucketCache {
     /// Counts neither a hit nor an eviction — the bucket is not being
     /// replaced under capacity pressure, it is leaving with its work.
     pub fn remove(&mut self, id: BucketId) -> bool {
-        let Some(slot) = self.slot_of.remove(&id) else {
+        let Some(pos) = self.order.iter().position(|&b| b == id) else {
             return false;
         };
-        self.unlink(slot);
-        // Keep the slab dense (`nodes.len()` == resident count): move the
-        // last node into the vacated slot and repair its neighbours' links.
-        let last = (self.nodes.len() - 1) as u32;
-        if slot != last {
-            let moved = self.nodes[last as usize];
-            self.nodes[slot as usize] = moved;
-            match moved.prev {
-                NIL => self.head = slot,
-                p => self.nodes[p as usize].next = slot,
-            }
-            match moved.next {
-                NIL => self.tail = slot,
-                n => self.nodes[n as usize].prev = slot,
-            }
-            self.slot_of.insert(moved.id, slot);
-        }
-        self.nodes.pop();
+        self.order.remove(pos);
         true
     }
 
@@ -272,15 +181,7 @@ impl BucketCache {
 
     /// Resident buckets from least- to most-recently used.
     pub fn resident_lru_order(&self) -> impl Iterator<Item = BucketId> + '_ {
-        let mut cursor = self.head;
-        std::iter::from_fn(move || {
-            if cursor == NIL {
-                return None;
-            }
-            let node = &self.nodes[cursor as usize];
-            cursor = node.next;
-            Some(node.id)
-        })
+        self.order.iter().copied()
     }
 }
 
@@ -397,7 +298,7 @@ mod tests {
         assert_eq!(a.insertions, 44);
     }
 
-    /// The intrusive list must agree with a straightforward VecDeque model
+    /// The recency vector must agree with a straightforward VecDeque model
     /// under a long adversarial access pattern.
     #[test]
     fn model_check_against_vecdeque_lru() {
@@ -442,9 +343,8 @@ mod tests {
         assert_eq!(c.len(), 2);
     }
 
-    /// Interleave remove with access against the VecDeque model — the
-    /// slab-compaction path (moving the last node into the vacated slot)
-    /// must leave every surviving link intact.
+    /// Interleave remove with access against the VecDeque model — a
+    /// removal must keep the survivors' recency order intact.
     #[test]
     fn model_check_remove_against_vecdeque_lru() {
         use std::collections::VecDeque;

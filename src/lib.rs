@@ -69,31 +69,25 @@ pub use liferaft_workload as workload;
 
 /// The types most applications need, in one import.
 pub mod prelude {
-    pub use liferaft_catalog::{
-        Catalog, MaterializedCatalog, Partition, SkyObject, VirtualCatalog,
-    };
+    pub use liferaft_catalog::{Catalog, MaterializedCatalog, VirtualCatalog};
     pub use liferaft_core::{
         AdaptiveScheduler, AgingMode, AlphaController, LifeRaftScheduler, MetricParams,
         NoShareScheduler, RoundRobinScheduler, Scheduler, TradeoffTable,
     };
-    pub use liferaft_htm::{Cap, HtmId, HtmRange, HtmRangeSet, Vec3};
-    pub use liferaft_join::{HybridConfig, JoinStrategy};
-    pub use liferaft_metrics::{Series, StreamingStats, Summary, Table};
-    pub use liferaft_query::{CrossMatchQuery, MatchObject, Predicate, QueryId, QueryPreProcessor};
+    pub use liferaft_join::HybridConfig;
+    pub use liferaft_metrics::{Summary, Table};
+    pub use liferaft_query::{CrossMatchQuery, Predicate, QueryId, QueryPreProcessor};
     pub use liferaft_runtime::{
-        ClassStats, ElasticShardMap, ExecMode, FailoverConfig, FailoverLog, FailoverReport,
-        FaultPlan, FrontDoorConfig, FrontDoorReport, HedgeConfig, QueryClass, RebalanceConfig,
-        RebalanceLog, RetryPolicy, RuntimeConfig, RuntimeReport, ShardAssignment, ShardId,
-        ShardMap, ShardedRuntime, TransportConfig, TransportLog, TransportReport,
+        ExecMode, FailoverConfig, FaultPlan, FrontDoorConfig, QueryClass, RebalanceConfig,
+        RebalanceLog, RuntimeConfig, RuntimeReport, ShardAssignment, ShardedRuntime,
+        TransportConfig,
     };
     pub use liferaft_sim::{
-        build_scenario, calibrate_tradeoff_table, EngineCore, LinkDirection, LinkFault, RunReport,
+        build_scenario, calibrate_tradeoff_table, LinkDirection, LinkFault, RunReport,
         ScenarioFixture, ScenarioKind, ScenarioScale, SimConfig, Simulation,
     };
-    pub use liferaft_storage::{BucketCache, BucketId, CostModel, DiskModel, SimDuration, SimTime};
-    pub use liferaft_telemetry::{
-        Event, EventKind, TelemetryConfig, TelemetryMode, TelemetryReport, TelemetrySink,
-    };
-    pub use liferaft_workload::arrivals::{bursty_arrivals, poisson_arrivals, uniform_arrivals};
+    pub use liferaft_storage::{BucketId, SimDuration, SimTime};
+    pub use liferaft_telemetry::{EventKind, TelemetryConfig};
+    pub use liferaft_workload::arrivals::{bursty_arrivals, poisson_arrivals};
     pub use liferaft_workload::{TimedTrace, Trace, TraceGenerator, WorkloadConfig, WorkloadStats};
 }
