@@ -565,32 +565,14 @@ pub fn ablations(exp: &Experiment) -> Vec<Check> {
     //    indices at higher saturations", Section 5.2).
     let mut t = Table::new(["hybrid threshold", "aged makespan (s)", "indexed batches"]);
     let mut makespans = Vec::new();
-    for (label, hybrid) in [
-        ("off (scan only)", HybridConfig::scan_only()),
-        (
-            "0.01",
-            HybridConfig {
-                threshold_ratio: 0.01,
-                enabled: true,
-            },
-        ),
-        (
-            "0.03 (paper)",
-            HybridConfig {
-                threshold_ratio: 0.03,
-                enabled: true,
-            },
-        ),
-        (
-            "0.10",
-            HybridConfig {
-                threshold_ratio: 0.10,
-                enabled: true,
-            },
-        ),
+    for (label, threshold_ratio) in [
+        ("off (scan only)", 0.0),
+        ("0.01", 0.01),
+        ("0.03 (paper)", 0.03),
+        ("0.10", 0.10),
     ] {
         let mut cfg = exp.config;
-        cfg.hybrid = hybrid;
+        cfg.hybrid = HybridConfig { threshold_ratio };
         let sim = Simulation::new(&exp.catalog, cfg);
         let r = sim.run(&timed, &mut LifeRaftScheduler::age_based(params));
         t.row([

@@ -136,11 +136,6 @@ impl VirtualCatalog {
         Self::new(crate::OBJECT_LEVEL, 20_000, 10_000, 4096, seed)
     }
 
-    /// The generation seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Generates the `slot`-th object of `bucket` (pure function), or `None`
     /// if the partition has no such bucket or `slot` is not below the
     /// per-bucket row count. The random-access reference for the batch

@@ -64,11 +64,6 @@ impl TradeoffCurve {
         }
     }
 
-    /// The saturation this curve was calibrated at.
-    pub fn saturation_qps(&self) -> f64 {
-        self.saturation_qps
-    }
-
     /// The calibration points, sorted by α.
     pub fn points(&self) -> &[TradeoffPoint] {
         &self.points
@@ -272,11 +267,6 @@ impl AlphaController {
         }
         self.current_alpha
     }
-
-    /// The most recent saturation estimate.
-    pub fn saturation_qps(&mut self, now: SimTime) -> f64 {
-        self.estimator.rate_qps(now)
-    }
 }
 
 /// A [`Scheduler`](crate::scheduler::Scheduler) that retunes a LifeRaft
@@ -291,11 +281,6 @@ impl AdaptiveScheduler {
     /// Wraps a LifeRaft policy with an α controller.
     pub fn new(inner: crate::liferaft::LifeRaftScheduler, controller: AlphaController) -> Self {
         AdaptiveScheduler { inner, controller }
-    }
-
-    /// The α currently in force.
-    pub fn current_alpha(&self) -> f64 {
-        self.inner.alpha()
     }
 }
 

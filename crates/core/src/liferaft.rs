@@ -311,7 +311,6 @@ mod tests {
             queue_len,
             oldest_enqueue: SimTime::ZERO + SimDuration::from_secs(enq_s),
             cached,
-            bucket_objects: 10_000,
         }
     }
 

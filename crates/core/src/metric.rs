@@ -200,7 +200,6 @@ mod tests {
             queue_len,
             oldest_enqueue: SimTime::from_micros(100_000_000 - age_ms * 1_000),
             cached,
-            bucket_objects: 10_000,
         };
         (s, now)
     }

@@ -57,7 +57,6 @@ mod tests {
                 queue_len: 10,
                 oldest_enqueue: SimTime::ZERO,
                 cached: false,
-                bucket_objects: 100,
             }],
             oldest_query: Some((QueryId(7), SimTime::ZERO)),
             query_buckets: vec![(QueryId(7), vec![BucketId(4), BucketId(9)])],

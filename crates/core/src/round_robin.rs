@@ -66,7 +66,6 @@ mod tests {
             queue_len: 1,
             oldest_enqueue: SimTime::ZERO,
             cached: false,
-            bucket_objects: 100,
         }
     }
 

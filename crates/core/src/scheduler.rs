@@ -190,7 +190,6 @@ mod tests {
             queue_len,
             oldest_enqueue: SimTime::from_micros(enq_us),
             cached,
-            bucket_objects: 100,
         }
     }
 

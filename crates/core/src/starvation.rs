@@ -57,16 +57,6 @@ impl StarvationMonitor {
         }
     }
 
-    /// Number of decisions recorded.
-    pub fn decisions(&self) -> u64 {
-        self.decisions
-    }
-
-    /// Total candidates passed over across all decisions.
-    pub fn passed_over(&self) -> u64 {
-        self.passed_over
-    }
-
     /// Longest wait (ms) any pending bucket experienced at a decision point.
     pub fn max_wait_ms(&self) -> f64 {
         self.max_wait_ms
@@ -87,13 +77,23 @@ mod tests {
         SimTime::ZERO + SimDuration::from_millis(ms)
     }
 
+    /// Number of decisions recorded.
+    fn decisions(m: &StarvationMonitor) -> u64 {
+        m.decisions
+    }
+
+    /// Total candidates passed over across all decisions.
+    fn passed_over(m: &StarvationMonitor) -> u64 {
+        m.passed_over
+    }
+
     #[test]
     fn records_oldest_passed_over_age() {
         let mut m = StarvationMonitor::new();
         // Pick left two buckets waiting; the older was enqueued at 100 ms.
         m.record_decision(at_ms(1_000), 2, Some(at_ms(100)));
-        assert_eq!(m.decisions(), 1);
-        assert_eq!(m.passed_over(), 2);
+        assert_eq!(decisions(&m), 1);
+        assert_eq!(passed_over(&m), 2);
         assert_eq!(m.max_wait_ms(), 900.0);
         assert_eq!(m.stats().mean(), 900.0);
         assert_eq!(m.stats().count(), 1);
@@ -103,8 +103,8 @@ mod tests {
     fn sole_candidate_decisions_record_no_wait() {
         let mut m = StarvationMonitor::new();
         m.record_decision(at_ms(500), 0, None);
-        assert_eq!(m.decisions(), 1);
-        assert_eq!(m.passed_over(), 0);
+        assert_eq!(decisions(&m), 1);
+        assert_eq!(passed_over(&m), 0);
         assert_eq!(m.stats().count(), 0);
         assert_eq!(m.max_wait_ms(), 0.0);
     }
@@ -115,7 +115,7 @@ mod tests {
         m.record_decision(at_ms(100), 1, Some(at_ms(50)));
         m.record_decision(at_ms(5_000), 1, Some(at_ms(50)));
         assert_eq!(m.max_wait_ms(), 4_950.0);
-        assert_eq!(m.decisions(), 2);
+        assert_eq!(decisions(&m), 2);
         assert_eq!(m.stats().mean(), 2_500.0);
     }
 }

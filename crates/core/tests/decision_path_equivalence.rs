@@ -239,7 +239,7 @@ proptest! {
     #[test]
     fn indexed_and_legacy_picks_agree(ops in arb_ops()) {
         let pool = query_pool();
-        let mut table = WorkloadTable::new(N_BUCKETS).with_object_counts(|b| 500 + b.0 as u64);
+        let mut table = WorkloadTable::new(N_BUCKETS);
         let mut cache = BucketCache::new(CACHE_CAP);
         let mut tracker = QueryTracker::new();
         let mut arrival_of: HashMap<QueryId, SimTime> = HashMap::new();
@@ -356,7 +356,7 @@ fn wide_enqueue_ties_close_on_the_frontier() {
     let pool = query_pool();
     let enqueued = SimTime::from_micros(1_000);
     let now = SimTime::from_micros(5_000);
-    let mut table = WorkloadTable::new(N_BUCKETS).with_object_counts(|b| 500 + b.0 as u64);
+    let mut table = WorkloadTable::new(N_BUCKETS);
     for b in 0..N_BUCKETS as u32 {
         let item = WorkItem {
             query: pool[0].id,

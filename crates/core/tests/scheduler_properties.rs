@@ -27,7 +27,6 @@ fn arb_candidates() -> impl Strategy<Value = Vec<BucketSnapshot>> {
                 queue_len: q,
                 oldest_enqueue: SimTime::from_micros(enq),
                 cached,
-                bucket_objects: 1_000,
             })
             .collect();
         cands.sort_by_key(|c| c.bucket);

@@ -105,15 +105,6 @@ impl HtmRange {
             && o.lo.raw() <= self.hi.raw().saturating_add(1)
     }
 
-    /// Re-expresses the range at a **deeper** level (descendant expansion).
-    pub fn at_level(self, level: u8) -> HtmRange {
-        assert!(level >= self.level(), "at_level only deepens ranges");
-        HtmRange {
-            lo: self.lo.descendant_range(level).lo(),
-            hi: self.hi.descendant_range(level).hi(),
-        }
-    }
-
     /// Iterates over every ID in the range (use with care on wide ranges).
     pub fn iter(self) -> impl Iterator<Item = HtmId> {
         (self.lo.raw()..=self.hi.raw())
@@ -348,6 +339,15 @@ mod tests {
         HtmId::from_raw_unchecked(raw)
     }
 
+    /// Re-expresses `r` at a **deeper** level (descendant expansion).
+    fn at_level(r: HtmRange, level: u8) -> HtmRange {
+        assert!(level >= r.level(), "at_level only deepens ranges");
+        HtmRange {
+            lo: r.lo.descendant_range(level).lo(),
+            hi: r.hi.descendant_range(level).hi(),
+        }
+    }
+
     fn rng(lo: u64, hi: u64) -> HtmRange {
         HtmRange::new(id(lo), id(hi))
     }
@@ -393,7 +393,7 @@ mod tests {
     #[test]
     fn at_level_expands_descendants() {
         let r = HtmRange::singleton(HtmId::root(0)); // S0
-        let deep = r.at_level(2);
+        let deep = at_level(r, 2);
         assert_eq!(deep.len(), 16); // 4^2 descendants
         assert_eq!(deep.lo(), HtmId::root(0).descendant_range(2).lo());
     }

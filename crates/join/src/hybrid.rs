@@ -9,7 +9,6 @@
 
 use liferaft_catalog::SkyObject;
 use liferaft_query::QueueEntry;
-use liferaft_storage::CostModel;
 
 use crate::indexed::indexed_join;
 use crate::sweep::sweep_join;
@@ -33,43 +32,29 @@ impl std::fmt::Display for JoinStrategy {
     }
 }
 
-/// Configuration of the hybrid decision.
+/// Configuration of the hybrid decision: the paper's one pre-determined
+/// threshold.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HybridConfig {
     /// Queue-to-bucket size ratio below which the indexed join is used.
-    /// The paper's empirical break-even: 0.03.
+    /// The paper's empirical break-even: 0.03. Zero never indexes — the
+    /// scan-only configuration of the α-sweep experiments before
+    /// Section 3.4.
     pub threshold_ratio: f64,
-    /// If false, always scan (disables the hybrid path; the configuration
-    /// of the α-sweep experiments before Section 3.4 is applied).
-    pub enabled: bool,
 }
 
 impl HybridConfig {
-    /// The paper's configuration: hybrid enabled at the 3% break-even.
+    /// The paper's configuration: the 3% break-even.
     pub fn paper() -> Self {
         HybridConfig {
             threshold_ratio: 0.03,
-            enabled: true,
         }
     }
 
-    /// Scan-only (hybrid disabled).
+    /// Scan-only: a zero threshold.
     pub fn scan_only() -> Self {
         HybridConfig {
             threshold_ratio: 0.0,
-            enabled: false,
-        }
-    }
-
-    /// Derives the threshold from a cost model and bucket size instead of
-    /// the empirical constant: the ratio where
-    /// `overhead + W·probe = Tb` (Figure 2's crossing).
-    pub fn from_cost(cost: &CostModel, objects_per_bucket: u64) -> Self {
-        assert!(objects_per_bucket > 0, "bucket must hold objects");
-        let w = cost.break_even_queue_len();
-        HybridConfig {
-            threshold_ratio: w as f64 / objects_per_bucket as f64,
-            enabled: true,
         }
     }
 
@@ -78,9 +63,9 @@ impl HybridConfig {
     ///
     /// A cached bucket is always scanned: φ = 0 removes the scan's I/O term
     /// entirely, and an in-memory merge beats per-entry probing for any
-    /// queue length.
+    /// queue length. A zero threshold never indexes: no ratio is below it.
     pub fn choose(&self, queue_len: u64, bucket_objects: u64, cached: bool) -> JoinStrategy {
-        if !self.enabled || cached || bucket_objects == 0 {
+        if cached || bucket_objects == 0 {
             return JoinStrategy::SequentialScan;
         }
         let ratio = queue_len as f64 / bucket_objects as f64;
@@ -110,6 +95,18 @@ pub fn execute(strategy: JoinStrategy, bucket: &[SkyObject], entries: &[QueueEnt
 #[cfg(test)]
 mod tests {
     use super::*;
+    use liferaft_storage::CostModel;
+
+    /// Derives the threshold from a cost model and bucket size instead of
+    /// the empirical constant: the ratio where `overhead + W·probe = Tb`
+    /// (Figure 2's crossing).
+    fn from_cost(cost: &CostModel, objects_per_bucket: u64) -> HybridConfig {
+        assert!(objects_per_bucket > 0, "bucket must hold objects");
+        let w = cost.break_even_queue_len();
+        HybridConfig {
+            threshold_ratio: w as f64 / objects_per_bucket as f64,
+        }
+    }
 
     #[test]
     fn paper_threshold_is_three_percent() {
@@ -126,7 +123,7 @@ mod tests {
     }
 
     #[test]
-    fn disabled_hybrid_always_scans() {
+    fn scan_only_always_scans() {
         let h = HybridConfig::scan_only();
         assert_eq!(h.choose(1, 10_000, false), JoinStrategy::SequentialScan);
     }
@@ -134,7 +131,7 @@ mod tests {
     #[test]
     fn from_cost_matches_break_even() {
         let cost = CostModel::paper();
-        let h = HybridConfig::from_cost(&cost, 10_000);
+        let h = from_cost(&cost, 10_000);
         let w = cost.break_even_queue_len();
         assert_eq!(
             h.choose(w.saturating_sub(1), 10_000, false),

@@ -199,11 +199,6 @@ impl Summary {
         self.sorted.last().copied().unwrap_or(0.0)
     }
 
-    /// The sorted sample.
-    pub fn sorted(&self) -> &[f64] {
-        &self.sorted
-    }
-
     /// Merges another summary into this one, as if both samples had been
     /// collected in a single pass: the sorted samples interleave (two-pointer
     /// merge, no re-sort) and the moment accumulators combine via
@@ -238,6 +233,11 @@ impl Summary {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The sorted sample of `s`.
+    fn sorted(s: &Summary) -> &[f64] {
+        &s.sorted
+    }
 
     #[test]
     fn empty_stats_are_zero() {
@@ -333,7 +333,7 @@ mod tests {
         let b = Summary::from_samples(all[83..].to_vec());
         a.merge(&b);
         assert_eq!(a.count(), single.count());
-        assert_eq!(a.sorted(), single.sorted(), "merge must equal a re-sort");
+        assert_eq!(sorted(&a), sorted(&single), "merge must equal a re-sort");
         for p in [0.0, 10.0, 50.0, 90.0, 99.0, 100.0] {
             assert_eq!(a.percentile(p), single.percentile(p), "p{p}");
         }
@@ -349,7 +349,7 @@ mod tests {
         assert_eq!(s, before);
         let mut e = Summary::from_samples(vec![]);
         e.merge(&before);
-        assert_eq!(e.sorted(), before.sorted());
+        assert_eq!(sorted(&e), sorted(&before));
         assert_eq!(e.mean(), before.mean());
     }
 

@@ -382,7 +382,7 @@ pub struct WorkloadTable<'q> {
     non_empty: Vec<BucketId>,
     /// Live snapshot slots indexed by bucket like `queues`. A slot is
     /// meaningful only while its bucket appears in `non_empty`; the
-    /// `bucket` and `bucket_objects` fields are static, and the `cached`
+    /// `bucket` field is static, and the `cached`
     /// bit — kept for empty buckets too — is whatever
     /// [`set_resident`](Self::set_resident) last pushed.
     snapshot_slots: Vec<BucketSnapshot>,
@@ -406,30 +406,11 @@ impl<'q> WorkloadTable<'q> {
                     queue_len: 0,
                     oldest_enqueue: SimTime::ZERO,
                     cached: false,
-                    bucket_objects: 0,
                 })
                 .collect(),
             index: CandidateIndex::new(),
             total_queued: 0,
         }
-    }
-
-    /// Installs the static per-bucket catalog object counts that snapshots
-    /// carry (`BucketSnapshot::bucket_objects`). Call once at setup, before
-    /// any work is enqueued.
-    ///
-    /// # Panics
-    /// Panics if work is already queued — counts are snapshot state and
-    /// must not change underneath live snapshots.
-    pub fn with_object_counts(mut self, mut count_of: impl FnMut(BucketId) -> u64) -> Self {
-        assert!(
-            self.non_empty.is_empty(),
-            "object counts must be installed before enqueuing work"
-        );
-        for slot in self.snapshot_slots.iter_mut() {
-            slot.bucket_objects = count_of(slot.bucket);
-        }
-        self
     }
 
     /// Number of buckets.
@@ -975,7 +956,6 @@ mod tests {
                     queue_len: q.len() as u64,
                     oldest_enqueue: q.oldest_enqueue().expect("non-empty"),
                     cached: false,
-                    bucket_objects: 0,
                 }
             })
             .collect()
@@ -1212,15 +1192,6 @@ mod tests {
         assert_eq!(m.queued_entries, 6);
         assert_eq!(m.directory_runs, 2);
         assert!(m.total_bytes() > 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "before enqueuing work")]
-    fn object_counts_after_enqueue_rejected() {
-        let q = entry_source(1);
-        let mut t = WorkloadTable::new(4);
-        t.enqueue(&item(&q, 1), &q, SimTime::ZERO);
-        let _ = t.with_object_counts(|_| 1);
     }
 
     #[test]

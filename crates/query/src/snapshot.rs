@@ -28,8 +28,6 @@ pub struct BucketSnapshot {
     pub oldest_enqueue: SimTime,
     /// Whether the bucket is resident in the bucket cache (φ(i) = 0).
     pub cached: bool,
-    /// Catalog objects stored in the bucket (for hybrid-ratio context).
-    pub bucket_objects: u64,
 }
 
 impl BucketSnapshot {
@@ -51,7 +49,6 @@ mod tests {
             queue_len: 5,
             oldest_enqueue: SimTime::ZERO,
             cached: false,
-            bucket_objects: 100,
         };
         let now = SimTime::ZERO + SimDuration::from_millis(2500);
         assert_eq!(s.age_ms(now), 2500.0);

@@ -64,7 +64,6 @@ fn rebuild(t: &WorkloadTable<'_>) -> Vec<BucketSnapshot> {
                 queue_len: q.len() as u64,
                 oldest_enqueue: q.oldest_enqueue().expect("non-empty queue has an oldest"),
                 cached: false,
-                bucket_objects: 1_000 + b.0 as u64,
             }
         })
         .collect()
@@ -89,7 +88,7 @@ proptest! {
     #[test]
     fn snapshots_always_equal_a_from_scratch_rebuild(ops in arb_ops()) {
         let pool = pool(5);
-        let mut t = WorkloadTable::new(N_BUCKETS).with_object_counts(|b| 1_000 + b.0 as u64);
+        let mut t = WorkloadTable::new(N_BUCKETS);
         for (step, op) in ops.iter().enumerate() {
             let now = SimTime::from_micros(step as u64 * 1_000);
             match *op {

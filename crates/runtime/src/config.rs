@@ -19,11 +19,9 @@ use crate::transport::TransportConfig;
 /// — so elastic runs stay bit-identical across execution modes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RebalanceConfig {
-    /// Master switch. Disabled (the default) leaves the static shard map in
-    /// force and reproduces the non-elastic runtime bit-for-bit.
-    pub enabled: bool,
     /// Virtual-time cadence of rebalance decisions (boundaries at
-    /// `k × epoch`, k = 1, 2, …).
+    /// `k × epoch`, k = 1, 2, …). Zero (the default) leaves the static shard
+    /// map in force and reproduces the non-elastic runtime bit-for-bit.
     pub epoch: SimDuration,
     /// Trigger threshold: rebalance only when the most-loaded shard's queued
     /// backlog exceeds `min_imbalance ×` the mean backlog (≥ 1.0).
@@ -36,7 +34,6 @@ impl RebalanceConfig {
     /// Rebalancing off — the static-map behaviour (and the `Default`).
     pub fn disabled() -> Self {
         RebalanceConfig {
-            enabled: false,
             epoch: SimDuration::ZERO,
             min_imbalance: 1.5,
             max_moves_per_epoch: 4,
@@ -53,14 +50,20 @@ impl RebalanceConfig {
     /// use liferaft_storage::SimDuration;
     ///
     /// let mut rb = RebalanceConfig::every(SimDuration::from_secs(5));
-    /// assert!(rb.enabled);
+    /// assert_eq!(rb.epoch, SimDuration::from_secs(5));
     /// // Tighten the trigger so milder hotspots still shed buckets.
     /// rb.min_imbalance = 1.4;
-    /// assert!(!RebalanceConfig::disabled().enabled);
+    /// assert_eq!(RebalanceConfig::disabled().epoch, SimDuration::ZERO);
     /// ```
+    ///
+    /// # Panics
+    /// Panics on a zero `epoch`, which would fire boundaries forever.
     pub fn every(epoch: SimDuration) -> Self {
+        assert!(
+            epoch > SimDuration::ZERO,
+            "a zero rebalance epoch would fire boundaries forever"
+        );
         RebalanceConfig {
-            enabled: true,
             epoch,
             ..Self::disabled()
         }
@@ -68,20 +71,14 @@ impl RebalanceConfig {
 
     /// Validates invariants.
     pub fn validate(&self) {
-        if self.enabled {
-            assert!(
-                self.epoch > SimDuration::ZERO,
-                "a zero rebalance epoch would fire boundaries forever"
-            );
-            assert!(
-                self.min_imbalance >= 1.0,
-                "an imbalance trigger below 1.0 is always on"
-            );
-            assert!(
-                self.max_moves_per_epoch > 0,
-                "enabled rebalancing must allow at least one move"
-            );
-        }
+        assert!(
+            self.min_imbalance >= 1.0,
+            "an imbalance trigger below 1.0 is always on"
+        );
+        assert!(
+            self.max_moves_per_epoch > 0,
+            "rebalancing must allow at least one move per epoch"
+        );
     }
 }
 
@@ -279,8 +276,9 @@ pub struct RuntimeConfig {
     /// shard's work strands until it rejoins).
     pub failover: FailoverConfig,
     /// Modeled router↔shard transport: retransmit/dedup delivery over the
-    /// injected [`FaultPlan::links`] plus optional straggler hedging (off
-    /// by default: the hop is a perfect lossless teleport).
+    /// injected [`FaultPlan::links`] plus optional straggler hedging. It runs
+    /// when a link window is declared or hedging is on; otherwise the hop is
+    /// a perfect lossless teleport.
     pub transport: TransportConfig,
     /// Flight-recorder configuration (off by default — and behaviour-neutral
     /// when on: recording never perturbs scheduling, costs, or reports).
@@ -298,7 +296,7 @@ impl RuntimeConfig {
             front_door: FrontDoorConfig::disabled(),
             faults: FaultPlan::none(),
             failover: FailoverConfig::disabled(),
-            transport: TransportConfig::disabled(),
+            transport: TransportConfig::reliable(),
             telemetry: TelemetryConfig::off(),
         }
     }
@@ -313,7 +311,7 @@ impl RuntimeConfig {
             front_door: FrontDoorConfig::disabled(),
             faults: FaultPlan::none(),
             failover: FailoverConfig::disabled(),
-            transport: TransportConfig::disabled(),
+            transport: TransportConfig::reliable(),
             telemetry: TelemetryConfig::off(),
         }
     }
@@ -327,12 +325,6 @@ impl RuntimeConfig {
         self.transport.validate();
         self.telemetry.validate();
         assert!(self.n_shards > 0, "need at least one shard");
-        assert!(
-            self.faults.links.is_empty() || self.transport.enabled,
-            "link faults require the transport controller: without it the \
-             router\u{2194}shard hop is a lossless teleport and the windows \
-             would silently inject nothing"
-        );
     }
 }
 
@@ -376,10 +368,9 @@ mod tests {
 
     #[test]
     fn rebalance_defaults_validate() {
-        assert!(!RebalanceConfig::default().enabled);
+        assert_eq!(RebalanceConfig::default().epoch, SimDuration::ZERO);
         RebalanceConfig::default().validate();
         let rb = RebalanceConfig::every(SimDuration::from_secs(30));
-        assert!(rb.enabled);
         rb.validate();
         let mut c = RuntimeConfig::contiguous(SimConfig::paper(), 4);
         c.rebalance = rb;
@@ -388,8 +379,8 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "zero rebalance epoch")]
-    fn zero_epoch_rejected() {
-        RebalanceConfig::every(SimDuration::ZERO).validate();
+    fn every_zero_epoch_panics() {
+        RebalanceConfig::every(SimDuration::ZERO);
     }
 
     #[test]
@@ -417,7 +408,6 @@ mod tests {
         hedged.validate();
         // …and the transport with all of them, a link window inside the
         // outage included: what it delivers into the outage is lost to it.
-        all.transport = TransportConfig::reliable();
         all.faults.links.push(LinkFault {
             shard: 0,
             direction: LinkDirection::ToShard,

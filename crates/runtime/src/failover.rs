@@ -32,7 +32,7 @@
 use liferaft_storage::{BucketId, SimDuration, SimTime};
 use liferaft_telemetry::{Event, EventKind};
 
-use crate::ledger::{ClassConservation, RejectedQuery};
+use crate::ledger::RejectedQuery;
 use crate::retry::RetryPolicy;
 
 /// Re-delivery of a fragment lost to a dead shard: 2 s after its release,
@@ -219,18 +219,15 @@ impl FailoverLog {
     }
 }
 
-/// What the failover path did and how the run ended: the
-/// decision log, the rejected remainder, per-class conservation, and the
-/// recovery-lag headline.
+/// What the failover path did and how the run ended: the decision log, the
+/// rejected remainder, and the recovery-lag headline. The per-class books
+/// are the run's, [`RuntimeReport::per_class`](crate::RuntimeReport::per_class).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FailoverReport {
     /// The decision log.
     pub log: FailoverLog,
     /// Queries rejected by exhausted re-delivery, in rejection order.
     pub rejected: Vec<RejectedQuery>,
-    /// Terminal-outcome conservation per class
-    /// (`completed + rejected == submitted`, asserted at build time).
-    pub per_class: [ClassConservation; 3],
     /// Gap between the last evacuation and the first batch a destination
     /// shard completed after it — how long the pool took to resume service
     /// on adopted work (`None` when nothing was evacuated).

@@ -28,12 +28,12 @@
 //!
 //! # Elastic rebalancing
 //!
-//! With [`RebalanceConfig`] enabled the shard map becomes **elastic**: at
-//! every epoch of virtual time a controller compares per-shard queued
-//! backlogs and migrates hot buckets — queue state, ages, and cache
-//! residency — from overloaded to underloaded shards, charging a fixed
-//! hand-over cost to the destination clock, and records every boundary in
-//! a [`RebalanceLog`].
+//! With a non-zero [`RebalanceConfig::epoch`] the shard map becomes
+//! **elastic**: at every epoch of virtual time a controller compares
+//! per-shard queued backlogs and migrates hot buckets — queue state, ages,
+//! and cache residency — from overloaded to underloaded shards, charging a
+//! fixed hand-over cost to the destination clock, and records every
+//! boundary in a [`RebalanceLog`].
 //!
 //! # Front door, failover, transport
 //!
@@ -47,7 +47,7 @@
 //! log ([`AdmissionLog`], [`FailoverLog`], [`TransportLog`]); every query
 //! ends exactly once — completed, or rejected by one of them — and the
 //! [`ledger`] asserts `completed + rejected == submitted` per class before
-//! any report is built.
+//! any report is built ([`RuntimeReport::per_class`]).
 //!
 //! # Flight recorder
 //!

@@ -33,7 +33,7 @@ use liferaft_catalog::Catalog;
 use liferaft_core::Scheduler;
 use liferaft_query::{CrossMatchQuery, FragmentId, QueryId};
 use liferaft_sim::{Feed, MigratedBucket, RunReport, ShardOutage};
-use liferaft_storage::SimTime;
+use liferaft_storage::{SimDuration, SimTime};
 use liferaft_telemetry::{Event, TelemetryReport};
 use liferaft_workload::TimedTrace;
 
@@ -42,7 +42,7 @@ use crate::config::{ExecMode, RebalanceConfig, RuntimeConfig};
 use crate::failover::{
     Evacuation, FailoverLog, FailoverReport, Redelivery, ShardTransition, REDELIVERY,
 };
-use crate::ledger::{canonical_merge, merged_completions, Ledger, RejectedBy};
+use crate::ledger::{canonical_merge, merged_completions, ClassConservation, Ledger, RejectedBy};
 use crate::rebalance::{plan_moves, EpochRecord, Migration, RebalanceLog};
 use crate::router::{route_window, Fragment, Routing};
 use crate::shard::{ElasticShardMap, ShardId, ShardMap};
@@ -69,20 +69,25 @@ pub struct RuntimeReport {
     /// Total fragments routed.
     pub total_fragments: usize,
     /// The epoch-indexed rebalance decision log (`None` when rebalancing is
-    /// disabled). Not part of the fingerprinted surface — it records *why*
-    /// the run evolved, not *what* it produced.
+    /// off: a zero epoch). Not part of the fingerprinted surface — it
+    /// records *why* the run evolved, not *what* it produced.
     pub rebalance: Option<RebalanceLog>,
     /// The front door's decision log, the queries it turned away, and
     /// per-class statistics (`None` when the front door is disabled).
     pub front_door: Option<FrontDoorReport>,
     /// The failover decision log, the queries whose lost fragment exhausted
-    /// re-delivery, the per-class books, and the recovery-lag headline
-    /// (`None` when no outages were injected and failover is disabled).
+    /// re-delivery, and the recovery-lag headline (`None` when no outages
+    /// were injected and failover is disabled).
     pub failover: Option<FailoverReport>,
     /// The transport decision log, the queries whose fragment exhausted its
-    /// retransmission budget undelivered, the per-class books, and the
-    /// hedge race outcome (`None` when the transport controller is disabled).
+    /// retransmission budget undelivered, and the hedge race outcome
+    /// (`None` when the transport did not run: no link window, no hedging).
     pub transport: Option<TransportReport>,
+    /// Terminal-outcome books per [`QueryClass`](crate::QueryClass), in
+    /// rank order: `completed + rejected == submitted` for each, asserted
+    /// before any report is built. Every run has them, whichever
+    /// controllers ran.
+    pub per_class: [ClassConservation; 3],
     /// The flight-recorder report (`None` when telemetry is off): per-shard
     /// time series plus the canonical merged event stream, exportable as
     /// JSONL or a Chrome/Perfetto trace. Like the decision logs, not part of
@@ -130,11 +135,6 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
             config,
             map,
         }
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &RuntimeConfig {
-        &self.config
     }
 
     /// The bucket → shard map in force.
@@ -216,7 +216,12 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
     ) -> Controllers<'w> {
         let cfg = &self.config;
         let n = cfg.n_shards as usize;
-        let epochs = cfg.rebalance.enabled.then(|| Epochs {
+        // Each policy runs when its settings do something: rebalancing on a
+        // non-zero epoch, hedging on a non-zero budget, and the transport
+        // when a link window is declared or hedging needs its books.
+        let hedging = cfg.transport.hedge.max_hedges > 0;
+        let transport = hedging || !cfg.faults.links.is_empty();
+        let epochs = (cfg.rebalance.epoch > SimDuration::ZERO).then(|| Epochs {
             cfg: cfg.rebalance,
             log: RebalanceLog {
                 epoch: cfg.rebalance.epoch,
@@ -239,16 +244,9 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
                 .front_door
                 .enabled
                 .then(|| FrontDoor::new(cfg.front_door, entries.len())),
-            hedges: cfg
-                .transport
-                .hedge
-                .enabled
-                .then(|| Hedges::new(cfg.transport.hedge, cfg.front_door, n)),
+            hedges: hedging.then(|| Hedges::new(cfg.transport.hedge, cfg.front_door, n)),
             plan: Plan {
-                transport: cfg
-                    .transport
-                    .enabled
-                    .then(|| DeliveryPlan::new(entries.len())),
+                transport: transport.then(|| DeliveryPlan::new(entries.len())),
                 ..Plan::default()
             },
         }
@@ -311,13 +309,11 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
         let failover = plan.failover.map(|log| FailoverReport {
             log,
             rejected: ledger.rejected_by(RejectedBy::Failover),
-            per_class,
             recovery_lag,
         });
         let transport = plan.transport.map(|delivery| TransportReport {
             log: delivery.log,
             rejected: ledger.rejected_by(RejectedBy::Transport),
-            per_class,
             hedge_wins,
             hedge_losses,
         });
@@ -332,6 +328,7 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
                 .map(|log| log.into_report(&ledger, per_class)),
             failover,
             transport,
+            per_class,
             telemetry,
         }
     }
@@ -552,8 +549,7 @@ impl Controllers<'_> {
     ) {
         routing.mint(&mut self.minted);
         if let Some(delivery) = self.plan.transport.as_mut() {
-            let cfg = self.config;
-            delivery.deliver(&cfg.transport, &cfg.faults, &mut routing);
+            delivery.deliver(&self.config.faults, &mut routing);
         }
         if let Some(hedges) = self.hedges.as_mut() {
             hedges.classify(&routing, at, &self.plan.assignments_of);
@@ -1799,7 +1795,7 @@ mod tests {
             timed.len(),
             "completed + rejected must equal submitted"
         );
-        for c in &fo.per_class {
+        for c in &stepped.per_class {
             assert_eq!(c.completed + c.rejected, c.submitted, "{:?}", c.class);
         }
         // Conservation of service across the evacuation.
@@ -1924,16 +1920,22 @@ mod tests {
         ]
     }
 
+    /// A link window that drops, duplicates, reorders and delays nothing
+    /// switches the transport on — a default `TransportConfig` suffices —
+    /// and leaves the run bit-identical to the lossless hop.
     #[test]
     fn enabled_transport_without_link_faults_is_behaviour_neutral() {
-        use crate::transport::TransportConfig;
         use liferaft_telemetry::TelemetryConfig;
         let (cat, timed) = fixture(16, 2.0);
         let mut config = RuntimeConfig::contiguous(SimConfig::paper(), 4);
         config.telemetry = TelemetryConfig::jsonl();
         let baseline_rt = ShardedRuntime::new(&cat, config.clone());
         let baseline = baseline_rt.run(&timed, &mut |_| greedy(), ExecMode::Stepped);
-        config.transport = TransportConfig::reliable();
+        assert!(baseline.transport.is_none(), "no link window, no hedging");
+        let horizon = SimTime::ZERO + SimDuration::from_secs(1_000_000);
+        config.faults.links = (0..4)
+            .map(|shard| delaying_link(shard, SimTime::ZERO, horizon, SimDuration::ZERO))
+            .collect();
         let rt = ShardedRuntime::new(&cat, config);
         for mode in [ExecMode::Stepped, ExecMode::Threaded] {
             let report = rt.run(&timed, &mut |_| greedy(), mode);
@@ -1946,9 +1948,9 @@ mod tests {
             assert_eq!(
                 report.telemetry.as_ref().unwrap().to_jsonl(),
                 baseline.telemetry.as_ref().unwrap().to_jsonl(),
-                "{mode:?}: fault-free transport must not perturb telemetry"
+                "{mode:?}: a zero-effect window must not perturb telemetry"
             );
-            let tp = report.transport.expect("enabled transport reports");
+            let tp = report.transport.expect("a link window runs the transport");
             assert!(tp.log.is_empty());
             assert!(tp.rejected.is_empty());
             assert_eq!(tp.hedge_wins + tp.hedge_losses, 0);
@@ -1990,7 +1992,7 @@ mod tests {
             timed.len(),
             "completed + rejected must equal submitted"
         );
-        for c in &tp.per_class {
+        for c in &stepped.per_class {
             assert_eq!(c.completed + c.rejected, c.submitted, "{:?}", c.class);
         }
     }
@@ -2074,7 +2076,7 @@ mod tests {
         }
         // Exactly-once completion despite duplicated work.
         assert_eq!(stepped.global.outcomes.len(), timed.len());
-        for c in &tp.per_class {
+        for c in &stepped.per_class {
             assert_eq!(c.completed + c.rejected, c.submitted, "{:?}", c.class);
         }
     }
@@ -2334,7 +2336,7 @@ mod tests {
             "every race settles exactly once"
         );
         assert_eq!(stepped.global.outcomes.len(), timed.len());
-        for c in &tp.per_class {
+        for c in &stepped.per_class {
             assert_eq!(c.completed + c.rejected, c.submitted, "{:?}", c.class);
         }
         let on_shard_0 = stepped.shards[0].report.outcomes.iter();

@@ -111,11 +111,6 @@ impl ShardMap {
         self.num_buckets as usize
     }
 
-    /// The assignment policy.
-    pub fn assignment(&self) -> ShardAssignment {
-        self.assignment
-    }
-
     /// The shard owning `bucket` — a pure function of the map.
     ///
     /// # Panics
@@ -167,11 +162,6 @@ impl ElasticShardMap {
             base,
             overrides: HashMap::new(),
         }
-    }
-
-    /// The underlying static map.
-    pub fn base(&self) -> &ShardMap {
-        &self.base
     }
 
     /// Number of shards.

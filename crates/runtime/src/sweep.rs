@@ -103,17 +103,6 @@ impl SweepPoint {
             runtime: Some(runtime),
         }
     }
-
-    /// Completed-query throughput in queries/second.
-    pub fn throughput_qps(&self) -> f64 {
-        self.report.throughput_qps
-    }
-
-    /// The point's flight-recorder report, when the swept run recorded one
-    /// (sharded sweep + telemetry enabled in the base config).
-    pub fn telemetry(&self) -> Option<&liferaft_telemetry::TelemetryReport> {
-        self.runtime.as_ref().and_then(|r| r.telemetry.as_ref())
-    }
 }
 
 /// Sweeps the age bias α across `alphas`, one `Simulation::run` per point

@@ -3,20 +3,22 @@
 //!
 //! Without this controller the router→shard hop is a perfect lossless
 //! teleport: a fragment becomes deliverable at its `release` instant and
-//! the shard simply sees it. With [`TransportConfig::enabled`] the hop is
-//! a *modeled datagram link* degraded by the [`FaultPlan::links`] windows:
+//! the shard simply sees it. The controller runs when the [`FaultPlan`]
+//! declares a link window or hedging is on, and then the hop is a *modeled
+//! datagram link* degraded by the [`FaultPlan::links`] windows:
 //! every send can be dropped, delayed (fixed plus per-entry serialization),
 //! duplicated, or reordered, and the router reacts the way a real RPC layer
 //! does — retransmit on an unacknowledged timeout with exponential backoff
 //! (a constant [`RetryPolicy`]), bounded attempts, and receiver-side dedup
 //! by attempt identity so retransmissions are **exactly-once in effect**.
-//! The retransmit schedule and the hedge age floor are fixed constants,
-//! tabled in `docs/ARCHITECTURE.md`, "Fixed controller constants".
+//! The retransmit schedule, the draw seed and the hedge age floor are fixed
+//! constants, tabled in `docs/ARCHITECTURE.md`, "Fixed controller
+//! constants".
 //!
 //! # Determinism contract
 //!
 //! Every random decision is a pure function of
-//! `(seed, query_index, shard, attempt, stream)` through SplitMix64 — no
+//! `(LINK_SEED, query_index, shard, attempt, stream)` through SplitMix64 — no
 //! RNG state threads through execution — so a fragment's retransmit chain
 //! is a pure function of the fragment. The window loop resolves the chains
 //! of each routing as it hands it off — a routed window, or what a front
@@ -25,7 +27,7 @@
 //! rejects its query. Stepped and threaded execution route identical
 //! windows, so they stay bit-identical by construction; with no link
 //! windows the chains are the identity function and the run is
-//! bit-identical to the transport-disabled runtime.
+//! bit-identical to the runtime without the transport.
 //!
 //! # Map changes in flight
 //!
@@ -55,14 +57,14 @@
 //!
 //! # Straggler hedging
 //!
-//! With [`HedgeConfig::enabled`] a hedge handler joins the window loop, and
-//! its checks are barriers. At a check `t` it reads every fragment
-//! completion the pool recorded by `t` (each shard's running clock, as in
-//! the canonical merge) into per-class response samples, then re-issues
-//! every outstanding fragment that lags its class — outstanding longer than
-//! `latency_multiplier ×` the class's response quantile, floored at a
-//! fixed 500 ms — to the least-loaded live shard *the query was never
-//! handed to*. A query's class is the one every report books it under: the
+//! With a non-zero [`HedgeConfig::max_hedges`] a hedge handler joins the
+//! window loop, and its checks are barriers. At a check `t` it reads every
+//! fragment completion the pool recorded by `t` (each shard's running
+//! clock, as in the canonical merge) into per-class response samples, then
+//! re-issues every outstanding fragment that lags its class — outstanding
+//! longer than `latency_multiplier ×` the class's response quantile,
+//! floored at a fixed 500 ms — to the least-loaded live shard *the query
+//! was never handed to*. A query's class is the one every report books it under: the
 //! front door's thresholds when the door is on, the defaults otherwise.
 //! Ages and responses both count from the hand-off: a routed fragment's
 //! arrival, or the pass that admitted a door-held query. The
@@ -85,13 +87,13 @@ use liferaft_telemetry::{Event, EventKind};
 
 use crate::admission::{FrontDoorConfig, QueryClass};
 use crate::config::FaultPlan;
-use crate::ledger::{ClassConservation, Completion, RejectedQuery};
+use crate::ledger::{Completion, RejectedQuery};
 use crate::retry::RetryPolicy;
 use crate::router::{Fragment, Routing};
 use crate::worker::ShardWorker;
 
 /// Draw-stream tags: one independent SplitMix64 stream per decision kind,
-/// all keyed by `(seed, query_index, shard·attempt)`.
+/// all keyed by `(LINK_SEED, query_index, shard·attempt)`.
 const STREAM_DATA_DROP: u64 = 0x7d01;
 const STREAM_DATA_REORDER: u64 = 0x7d02;
 const STREAM_DATA_DUP: u64 = 0x7d03;
@@ -103,6 +105,10 @@ const STREAM_ACK_DROP: u64 = 0x7d04;
 const RETRANSMIT: RetryPolicy =
     RetryPolicy::new(SimDuration::from_secs(1), SimDuration::from_millis(500), 4);
 
+/// Seed of the per-message draws: every decision is keyed by
+/// `(LINK_SEED, query_index, shard, attempt, stream)`.
+const LINK_SEED: u64 = 0x11fe_4af7;
+
 /// Floor on the hedge threshold — no fragment younger than this hedges,
 /// however fast its class looks — and the spacing of re-checks while a
 /// class has fewer than `min_samples` responses.
@@ -110,11 +116,10 @@ const HEDGE_MIN_AGE: SimDuration = SimDuration::from_millis(500);
 
 /// Straggler-hedging policy: when a fragment's outstanding age exceeds a
 /// multiple of its class's observed response quantile, issue a duplicate to
-/// another shard and let the first completion win.
+/// another shard and let the first completion win. Hedging runs when its
+/// budget allows a hedge (`max_hedges > 0`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HedgeConfig {
-    /// Master switch.
-    pub enabled: bool,
     /// A fragment hedges once its age exceeds `latency_multiplier ×` the
     /// observed class quantile (≥ 1.0).
     pub latency_multiplier: f64,
@@ -122,15 +127,23 @@ pub struct HedgeConfig {
     pub quantile: f64,
     /// Observed responses a class needs before its quantile is trusted.
     pub min_samples: usize,
-    /// Budget on hedge copies per run.
+    /// Budget on hedge copies per run; zero switches hedging off.
     pub max_hedges: usize,
 }
 
 impl HedgeConfig {
-    /// Hedging off (the duplicate-free default).
+    /// Hedging off (the duplicate-free default): a zero budget.
     pub fn off() -> Self {
         HedgeConfig {
-            enabled: false,
+            max_hedges: 0,
+            ..Self::p90()
+        }
+    }
+
+    /// Hedge fragments lagging 2× the observed p90 of their class, up to
+    /// 256 copies per run.
+    pub fn p90() -> Self {
+        HedgeConfig {
             latency_multiplier: 2.0,
             quantile: 0.9,
             min_samples: 10,
@@ -138,19 +151,8 @@ impl HedgeConfig {
         }
     }
 
-    /// Hedge fragments lagging 2× the observed p90 of their class.
-    pub fn p90() -> Self {
-        HedgeConfig {
-            enabled: true,
-            ..Self::off()
-        }
-    }
-
-    /// Validates invariants (only binding when enabled).
+    /// Validates invariants.
     pub fn validate(&self) {
-        if !self.enabled {
-            return;
-        }
         assert!(
             self.latency_multiplier.is_finite() && self.latency_multiplier >= 1.0,
             "a hedge multiplier below 1.0 would hedge faster-than-typical fragments"
@@ -164,66 +166,37 @@ impl HedgeConfig {
             self.min_samples >= 1,
             "hedging needs at least one observed response"
         );
-        assert!(
-            self.max_hedges >= 1,
-            "enabled hedging must allow at least one hedge"
-        );
     }
 }
 
-/// The transport controller's knobs: the hedging policy and the seed of
-/// the per-message SplitMix64 draws.
+/// The transport controller's knob: the hedging policy. The transport runs
+/// when the [`FaultPlan`] declares a link window or hedging is on; the
+/// per-message draws are keyed by a fixed seed (`LINK_SEED`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransportConfig {
-    /// Master switch. Disabled (the default) keeps the lossless-teleport
-    /// hop and reproduces the static runtime bit-for-bit.
-    pub enabled: bool,
     /// Straggler hedging (off by default).
     pub hedge: HedgeConfig,
-    /// Seed of the per-message draws; every decision is keyed by
-    /// `(seed, query_index, shard, attempt)`.
-    pub seed: u64,
 }
 
 impl TransportConfig {
-    /// Transport modeling off — the lossless-teleport hop (the default).
-    pub fn disabled() -> Self {
-        TransportConfig {
-            enabled: false,
-            hedge: HedgeConfig::off(),
-            seed: 0x11fe_4af7,
-        }
-    }
-
-    /// Reliable delivery over lossy links: retransmit + dedup, no hedging.
+    /// Reliable delivery over whatever link windows the fault plan
+    /// declares — retransmit + dedup, no hedging (the default).
     pub fn reliable() -> Self {
         TransportConfig {
-            enabled: true,
-            ..Self::disabled()
+            hedge: HedgeConfig::off(),
         }
     }
 
     /// Reliable delivery plus p90 straggler hedging.
     pub fn hedged() -> Self {
         TransportConfig {
-            enabled: true,
             hedge: HedgeConfig::p90(),
-            ..Self::disabled()
         }
     }
 
-    /// Validates invariants (the hedge policy is only binding when
-    /// enabled).
+    /// Validates invariants.
     pub fn validate(&self) {
-        assert!(
-            self.enabled || !self.hedge.enabled,
-            "hedging requires the transport controller: without it no \
-             delivery plan is made and the hedge policy would silently hedge \
-             nothing"
-        );
-        if self.enabled {
-            self.hedge.validate();
-        }
+        self.hedge.validate();
     }
 }
 
@@ -369,8 +342,8 @@ impl TransportLog {
 }
 
 /// What the transport path did and how the run ended: the decision log,
-/// the rejected remainder, per-class conservation, and the hedge race
-/// outcome.
+/// the rejected remainder, and the hedge race outcome. The per-class books
+/// are the run's, [`RuntimeReport::per_class`](crate::RuntimeReport::per_class).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransportReport {
     /// The decision log.
@@ -378,9 +351,6 @@ pub struct TransportReport {
     /// Queries rejected because a fragment exhausted its retransmission
     /// budget with no copy delivered, in trace order.
     pub rejected: Vec<RejectedQuery>,
-    /// Terminal-outcome conservation per class
-    /// (`completed + rejected == submitted`, asserted at build time).
-    pub per_class: [ClassConservation; 3],
     /// Hedge copies that beat their original fragment.
     pub hedge_wins: u64,
     /// Hedge copies that lost the race (the duplicate work was wasted).
@@ -422,26 +392,13 @@ impl DeliveryPlan {
     /// window and marks its query rejected.
     ///
     /// With no link-fault windows every chain is the identity — the window
-    /// is left untouched and the log stays empty, which is what makes the
-    /// enabled-but-fault-free transport bit-identical to the static runtime.
-    pub(crate) fn deliver(
-        &mut self,
-        cfg: &TransportConfig,
-        faults: &FaultPlan,
-        routing: &mut Routing,
-    ) {
+    /// is left untouched and the log stays empty, which is what makes a
+    /// hedging run's transport bit-identical to the static hop.
+    pub(crate) fn deliver(&mut self, faults: &FaultPlan, routing: &mut Routing) {
         for (shard, fragments) in routing.shards.iter_mut().enumerate() {
             fragments.retain_mut(|f| {
                 let (q, shard) = (f.query_index, shard as u32);
-                let outcome = plan_chain(
-                    cfg,
-                    faults,
-                    q,
-                    shard,
-                    f.release,
-                    f.assignments,
-                    &mut self.log,
-                );
+                let outcome = plan_chain(faults, q, shard, f.release, f.assignments, &mut self.log);
                 if let Some(at) = outcome.delivered_at {
                     f.release = at;
                     return true;
@@ -486,10 +443,8 @@ struct ChainOutcome {
 }
 
 /// Resolves one fragment's retransmit chain against the link windows —
-/// a pure function of `(config, faults, query_index, shard, release,
-/// entries)`.
+/// a pure function of `(faults, query_index, shard, release, entries)`.
 fn plan_chain(
-    cfg: &TransportConfig,
     faults: &FaultPlan,
     query_index: usize,
     shard: u32,
@@ -499,7 +454,7 @@ fn plan_chain(
 ) -> ChainOutcome {
     let draw = |attempt: u32, stream: u64| -> f64 {
         unit_f64(hash4(
-            cfg.seed,
+            LINK_SEED,
             query_index as u64,
             ((shard as u64) << 32) | attempt as u64,
             stream,
@@ -885,14 +840,9 @@ mod tests {
     }
 
     /// One window's delivery over a fresh trace of `trace_len` queries.
-    fn plan_delivery(
-        cfg: &TransportConfig,
-        faults: &FaultPlan,
-        routing: &mut Routing,
-        trace_len: usize,
-    ) -> DeliveryPlan {
+    fn plan_delivery(faults: &FaultPlan, routing: &mut Routing, trace_len: usize) -> DeliveryPlan {
         let mut plan = DeliveryPlan::new(trace_len);
-        plan.deliver(cfg, faults, routing);
+        plan.deliver(faults, routing);
         plan
     }
 
@@ -913,11 +863,10 @@ mod tests {
 
     #[test]
     fn no_windows_is_the_identity() {
-        let cfg = TransportConfig::reliable();
         let faults = FaultPlan::none();
         let mut r = routing(vec![vec![fragment(0, 10, 5), fragment(1, 20, 3)]], 2);
         let before = r.shards.clone();
-        let plan = plan_delivery(&cfg, &faults, &mut r, 2);
+        let plan = plan_delivery(&faults, &mut r, 2);
         assert!(plan.log.is_empty());
         assert!(plan.rejected.iter().all(Option::is_none));
         assert_eq!(r.shards, before, "fault-free transport must be a no-op");
@@ -925,11 +874,10 @@ mod tests {
 
     #[test]
     fn clean_links_delay_by_fixed_plus_per_entry() {
-        let cfg = TransportConfig::reliable();
         let mut faults = FaultPlan::none();
         faults.links.push(window(0, LinkDirection::ToShard, 0.0));
         let mut r = routing(vec![vec![fragment(0, 10, 5)]], 1);
-        let plan = plan_delivery(&cfg, &faults, &mut r, 1);
+        let plan = plan_delivery(&faults, &mut r, 1);
         assert!(plan.log.is_empty(), "a lossless window logs nothing");
         // 10 ms release + 100 ms fixed + 5 × 10 µs serialization.
         assert_eq!(
@@ -940,11 +888,10 @@ mod tests {
 
     #[test]
     fn certain_drop_rejects_after_the_budget() {
-        let cfg = TransportConfig::reliable();
         let mut faults = FaultPlan::none();
         faults.links.push(window(0, LinkDirection::ToShard, 1.0));
         let mut r = routing(vec![vec![fragment(0, 0, 5), fragment(1, 0, 2)]], 2);
-        let plan = plan_delivery(&cfg, &faults, &mut r, 2);
+        let plan = plan_delivery(&faults, &mut r, 2);
         assert!(plan.rejected.iter().all(Option::is_some));
         assert!(r.shards[0].is_empty(), "lost fragments leave the stream");
         // Original + 4 retransmits, every one dropped.
@@ -965,12 +912,11 @@ mod tests {
 
     #[test]
     fn dropped_acks_retransmit_but_deliver_exactly_once() {
-        let cfg = TransportConfig::reliable();
         let mut faults = FaultPlan::none();
         // Data always lands; every ack dies.
         faults.links.push(window(0, LinkDirection::ToRouter, 1.0));
         let mut r = routing(vec![vec![fragment(0, 0, 1)]], 1);
-        let plan = plan_delivery(&cfg, &faults, &mut r, 1);
+        let plan = plan_delivery(&faults, &mut r, 1);
         assert!(plan.rejected[0].is_none(), "delivered data never rejects");
         assert_eq!(r.shards[0].len(), 1);
         // No ToShard window: the effect happens at the original send.
@@ -991,13 +937,12 @@ mod tests {
 
     #[test]
     fn network_duplicates_are_suppressed() {
-        let cfg = TransportConfig::reliable();
         let mut faults = FaultPlan::none();
         let mut w = window(0, LinkDirection::ToShard, 0.0);
         w.dup_prob = 1.0;
         faults.links.push(w);
         let mut r = routing(vec![vec![fragment(0, 0, 1)]], 1);
-        let plan = plan_delivery(&cfg, &faults, &mut r, 1);
+        let plan = plan_delivery(&faults, &mut r, 1);
         assert!(plan.rejected[0].is_none());
         assert_eq!(plan.log.suppressed.len(), 1, "the minted copy is deduped");
         assert!(
@@ -1008,14 +953,13 @@ mod tests {
 
     #[test]
     fn reordering_holds_a_delivery_back() {
-        let cfg = TransportConfig::reliable();
         let mut faults = FaultPlan::none();
         let mut w = window(0, LinkDirection::ToShard, 0.0);
         w.reorder_prob = 1.0;
         w.reorder_delay = SimDuration::from_millis(400);
         faults.links.push(w);
         let mut r = routing(vec![vec![fragment(0, 0, 0)]], 1);
-        let plan = plan_delivery(&cfg, &faults, &mut r, 1);
+        let plan = plan_delivery(&faults, &mut r, 1);
         assert!(plan.log.is_empty());
         assert_eq!(
             r.shards[0][0].release,
@@ -1026,7 +970,6 @@ mod tests {
 
     #[test]
     fn a_delay_can_overtake_within_a_window() {
-        let cfg = TransportConfig::reliable();
         let mut faults = FaultPlan::none();
         // A delay window that ends between the two releases: the first
         // fragment is delayed past the second's untouched release. The
@@ -1036,14 +979,14 @@ mod tests {
         w.delay = SimDuration::from_millis(200);
         faults.links.push(w);
         let mut r = routing(vec![vec![fragment(0, 10, 1), fragment(1, 20, 1)]], 2);
-        let plan = plan_delivery(&cfg, &faults, &mut r, 2);
+        let plan = plan_delivery(&faults, &mut r, 2);
         assert!(plan.log.is_empty());
         let releases: Vec<SimTime> = r.shards[0].iter().map(|f| f.release).collect();
         assert_eq!(releases, vec![t(210) + SimDuration::from_micros(10), t(20)]);
     }
 
     #[test]
-    fn chains_are_reproducible_and_seed_sensitive() {
+    fn chains_are_reproducible() {
         let mut faults = FaultPlan::none();
         let mut w = window(0, LinkDirection::ToShard, 0.35);
         w.dup_prob = 0.2;
@@ -1056,18 +999,13 @@ mod tests {
                 .map(|q| fragment(q, 100 * q as u64, 3))
                 .collect::<Vec<_>>()]
         };
-        let cfg = TransportConfig::reliable();
         let mut a = routing(shards(), 40);
         let mut b = routing(shards(), 40);
-        let pa = plan_delivery(&cfg, &faults, &mut a, 40);
-        let pb = plan_delivery(&cfg, &faults, &mut b, 40);
-        assert_eq!(pa.log, pb.log, "same seed, same plan");
+        let pa = plan_delivery(&faults, &mut a, 40);
+        let pb = plan_delivery(&faults, &mut b, 40);
+        assert_eq!(pa.log, pb.log, "same fragments, same plan");
+        assert!(!pa.log.is_empty(), "the lossy windows must bite");
         assert_eq!(a.shards, b.shards);
-        let mut other = cfg;
-        other.seed ^= 0xdead_beef;
-        let mut c = routing(shards(), 40);
-        let pc = plan_delivery(&other, &faults, &mut c, 40);
-        assert_ne!(pa.log, pc.log, "the seed must steer the draws");
     }
 
     #[test]
@@ -1087,17 +1025,10 @@ mod tests {
     }
 
     #[test]
-    fn disabled_config_validates_without_constraints() {
-        let mut cfg = TransportConfig::disabled();
-        cfg.hedge.quantile = 7.0; // ignored while disabled
-        cfg.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "hedging requires the transport controller")]
-    fn hedging_without_the_transport_rejected() {
-        let mut cfg = TransportConfig::disabled();
-        cfg.hedge = HedgeConfig::p90();
+    #[should_panic(expected = "hedge quantile")]
+    fn hedge_settings_validate_while_hedging_is_off() {
+        let mut cfg = TransportConfig::reliable();
+        cfg.hedge.quantile = 7.0;
         cfg.validate();
     }
 }

@@ -12,7 +12,7 @@
 //! - the front door, rebalancing, crash failover and the lossy-link
 //!   transport with hedging compose: threaded == stepped with any of them
 //!   on, every class balances its books, and every hedge race settles once;
-//! - any legal subset of them, switched on with configs that never fire,
+//! - any subset of them, switched on with configs that never fire,
 //!   is bit-identical to the run with all of them off.
 
 use liferaft_catalog::{Catalog, VirtualCatalog};
@@ -351,7 +351,7 @@ proptest! {
 
         // Per-class books balance and roll up to the whole trace.
         let mut submitted = 0u64;
-        for c in &fo.per_class {
+        for c in &stepped.per_class {
             prop_assert_eq!(c.submitted, c.completed + c.rejected, "{:?} class", c.class);
             submitted += c.submitted;
         }
@@ -466,18 +466,12 @@ proptest! {
             stepped.global.outcomes.len() + fo_rejected + fd_rejected + tp_rejected,
             n_queries
         );
-        let books = [
-            stepped.failover.as_ref().map(|fo| fo.per_class),
-            stepped.transport.as_ref().map(|tp| tp.per_class),
-        ];
-        for per_class in books.into_iter().flatten() {
-            let mut submitted = 0u64;
-            for c in &per_class {
-                prop_assert_eq!(c.submitted, c.completed + c.rejected, "{:?} class", c.class);
-                submitted += c.submitted;
-            }
-            prop_assert_eq!(submitted, n_queries as u64);
+        let mut submitted = 0u64;
+        for c in &stepped.per_class {
+            prop_assert_eq!(c.submitted, c.completed + c.rejected, "{:?} class", c.class);
+            submitted += c.submitted;
         }
+        prop_assert_eq!(submitted, n_queries as u64);
         if let Some(tp) = &stepped.transport {
             prop_assert_eq!(tp.hedge_wins + tp.hedge_losses, tp.log.hedges.len() as u64);
         }
@@ -497,9 +491,8 @@ proptest! {
     /// double-counted despite retransmissions, network duplicates, and
     /// hedge copies), per-class conservation holds, every hedge race
     /// resolves exactly once, the threaded executor matches the stepped
-    /// one bit for bit on the planned streams — and when the random
-    /// schedule injects no link fault with hedging off, the
-    /// transport-enabled run is bit-identical to the plain static pool.
+    /// one bit for bit on the planned streams — and the transport runs
+    /// exactly when the schedule declares a link window or hedging is on.
     #[test]
     fn lossy_links_are_exactly_once_and_deterministic(
         seed in 0u64..10_000,
@@ -559,10 +552,11 @@ proptest! {
         // Exactly-once terminal: completed ∪ rejected covers the trace,
         // disjointly — retransmissions, duplicates, and hedge copies never
         // surface twice.
-        let tp = stepped.transport.as_ref().expect("transport is on");
+        prop_assert_eq!(stepped.transport.is_some(), n_links > 0 || hedged);
+        let lost = stepped.transport.as_ref().map_or(&[][..], |tp| &tp.rejected);
         let turned_away = stepped.front_door.as_ref().map_or(&[][..], |fd| &fd.rejected);
         prop_assert_eq!(
-            stepped.global.outcomes.len() + tp.rejected.len() + turned_away.len(),
+            stepped.global.outcomes.len() + lost.len() + turned_away.len(),
             timed.len()
         );
         let mut terminal = vec![false; timed.len()];
@@ -572,7 +566,7 @@ proptest! {
             terminal[i] = true;
             prop_assert!(o.completion >= o.arrival);
         }
-        for r in tp.rejected.iter().chain(turned_away) {
+        for r in lost.iter().chain(turned_away) {
             prop_assert!(!terminal[r.index], "query {} rejected after completing", r.index);
             terminal[r.index] = true;
         }
@@ -580,7 +574,7 @@ proptest! {
 
         // Per-class books balance and roll up to the whole trace.
         let mut submitted = 0u64;
-        for c in &tp.per_class {
+        for c in &stepped.per_class {
             prop_assert_eq!(c.submitted, c.completed + c.rejected, "{:?} class", c.class);
             submitted += c.submitted;
         }
@@ -588,22 +582,11 @@ proptest! {
 
         // Every hedge race settles exactly once: first copy wins, the
         // loser is suppressed.
-        prop_assert_eq!(
-            tp.hedge_wins + tp.hedge_losses,
-            tp.log.hedges.len() as u64
-        );
-
-        // A fault-free schedule with hedging off makes enabled transport
-        // behaviour-neutral: bit-identical to the static pool.
-        if n_links == 0 && !hedged && !door {
-            prop_assert!(tp.log.is_empty());
-            prop_assert!(tp.rejected.is_empty());
-            let static_rt = ShardedRuntime::new(
-                &catalog,
-                RuntimeConfig::contiguous(SimConfig::paper(), n_shards),
+        if let Some(tp) = &stepped.transport {
+            prop_assert_eq!(
+                tp.hedge_wins + tp.hedge_losses,
+                tp.log.hedges.len() as u64
             );
-            let plain = static_rt.run(&timed, &mut |_| policy(kind), ExecMode::Stepped);
-            prop_assert_eq!(fp(&stepped.global), fp(&plain.global));
         }
     }
 
@@ -630,13 +613,14 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Controller neutrality over every legal subset: each controller
-    /// switched on with a config that never fires — an unbounded door,
-    /// failover with no outage, the transport with no link window, hedging
-    /// that never trusts a quantile, rebalancing with an unreachable trigger
-    /// — leaves the run bit-identical to the all-off run, globally and per
-    /// shard, in both modes, for every scheduler. The 24 legal subsets of
-    /// the 32 are the ones `validate` accepts: hedging needs the transport.
+    /// Controller neutrality over every subset: each controller switched on
+    /// with a config that never fires — an unbounded door, failover with no
+    /// outage, the transport over a link window that drops, duplicates,
+    /// reorders and delays nothing, hedging that never trusts a quantile,
+    /// rebalancing with an unreachable trigger — leaves the run
+    /// bit-identical to the all-off run, globally and per shard, in both
+    /// modes, for every scheduler. All 32 subsets are legal: hedging runs
+    /// the transport itself.
     #[test]
     fn never_firing_controllers_are_neutral_in_every_subset(
         seed in 0u64..10_000,
@@ -657,9 +641,6 @@ proptest! {
         for subset in 0u8..32 {
             let on = |bit: u8| subset & (1 << bit) != 0;
             let (door, failover, transport, hedge, rebalance) = (on(0), on(1), on(2), on(3), on(4));
-            if hedge && !transport {
-                continue;
-            }
             legal += 1;
             let mut config = base.clone();
             if door {
@@ -669,7 +650,18 @@ proptest! {
                 config.failover = FailoverConfig::recovery();
             }
             if transport {
-                config.transport = TransportConfig::reliable();
+                config.faults.links = vec![LinkFault {
+                    shard: seed as u32 % n_shards,
+                    direction: LinkDirection::ToShard,
+                    from: SimTime::ZERO,
+                    until: SimTime::ZERO + SimDuration::from_secs(1_000_000),
+                    drop_prob: 0.0,
+                    delay: SimDuration::ZERO,
+                    delay_per_entry: SimDuration::ZERO,
+                    dup_prob: 0.0,
+                    reorder_prob: 0.0,
+                    reorder_delay: SimDuration::ZERO,
+                }];
             }
             if hedge {
                 config.transport.hedge = HedgeConfig::p90();
@@ -692,9 +684,14 @@ proptest! {
                         prop_assert_eq!(&fo.log, &FailoverLog::default(), "{}", case);
                         prop_assert!(fo.rejected.is_empty(), "{}", case);
                     }
+                    prop_assert_eq!(got.transport.is_some(), transport || hedge, "{}", case);
+                    if let Some(tp) = &got.transport {
+                        prop_assert!(tp.log.is_empty(), "{}", case);
+                        prop_assert!(tp.rejected.is_empty(), "{}", case);
+                    }
                 }
             }
         }
-        prop_assert_eq!(legal, 24);
+        prop_assert_eq!(legal, 32);
     }
 }

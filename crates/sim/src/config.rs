@@ -67,7 +67,7 @@ mod tests {
         let c = SimConfig::paper();
         assert_eq!(c.cache_buckets, 20);
         assert!(!c.execute_joins);
-        assert!(c.hybrid.enabled);
+        assert!(c.hybrid.threshold_ratio > 0.0);
         c.validate();
     }
 

@@ -45,11 +45,6 @@ impl<'a, C: Catalog + ?Sized> Simulation<'a, C> {
         Simulation { catalog, config }
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> &SimConfig {
-        &self.config
-    }
-
     /// Replays `trace` under `scheduler` and reports the outcome.
     ///
     /// # Panics
@@ -176,8 +171,7 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
         EngineCore {
             catalog,
             config,
-            table: WorkloadTable::new(partition.num_buckets())
-                .with_object_counts(|b| partition.meta(b).object_count),
+            table: WorkloadTable::new(partition.num_buckets()),
             tracker: QueryTracker::new(),
             cache: BucketCache::new(config.cache_buckets),
             io: IoStats::new(),

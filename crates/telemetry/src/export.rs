@@ -10,26 +10,6 @@ use std::fmt::Write as _;
 
 use crate::event::{class_label, Event, EventKind, ROUTER_SHARD};
 
-/// Escapes a string for inclusion in a JSON string literal (quotes,
-/// backslashes, control characters).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders one event as a single-line JSON object: the common envelope
 /// (`t` µs, `shard`, `seq`, `kind`) followed by the kind's payload fields
 /// in declaration order. All values are integers or booleans, so the
@@ -268,6 +248,26 @@ pub fn events_to_chrome_trace(events: &[Event], n_shards: u32) -> String {
 mod tests {
     use super::*;
     use liferaft_storage::{SimDuration, SimTime};
+
+    /// Escapes a string for inclusion in a JSON string literal (quotes,
+    /// backslashes, control characters).
+    fn json_escape(s: &str) -> String {
+        let mut out = String::with_capacity(s.len());
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out
+    }
 
     fn ev(t: u64, shard: u32, seq: u64, kind: EventKind) -> Event {
         Event {

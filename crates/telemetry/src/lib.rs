@@ -34,7 +34,7 @@ pub mod report;
 pub mod sink;
 
 pub use event::{class_label, Event, EventKind, ROUTER_SHARD};
-pub use export::{event_to_json, events_to_chrome_trace, events_to_jsonl, json_escape};
+pub use export::{event_to_json, events_to_chrome_trace, events_to_jsonl};
 pub use report::{ShardSeries, TelemetryReport};
 pub use sink::{
     JsonlSink, NullSink, RingBufferSink, TelemetryConfig, TelemetryMode, TelemetrySink,

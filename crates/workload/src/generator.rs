@@ -25,6 +25,12 @@ use liferaft_query::{CrossMatchQuery, MatchObject, Predicate, QueryId};
 use crate::trace::Trace;
 use crate::zipf::Zipf;
 
+/// Log-uniform range of footprint-radius multipliers: each query's region
+/// is `hotspot_radius × m` with `m ∈ [1.0, 2.2]`. Values above 1 make
+/// queries span several buckets, which controls the mean buckets-per-query
+/// (and therefore per-query service time).
+const REGION_SPREAD: (f64, f64) = (1.0, 2.2);
+
 /// Parameters of the synthetic workload.
 #[derive(Debug, Clone)]
 pub struct WorkloadConfig {
@@ -70,11 +76,6 @@ pub struct WorkloadConfig {
     pub full_sky_fraction: f64,
     /// Cross-match error radius in radians (arcseconds in practice).
     pub error_radius: f64,
-    /// Log-uniform range of footprint-radius multipliers: each query's
-    /// region is `hotspot_radius × m` with `m ∈ [min, max]`. Values above 1
-    /// make queries span several buckets, which controls the mean
-    /// buckets-per-query (and therefore per-query service time).
-    pub region_spread: (f64, f64),
 }
 
 impl WorkloadConfig {
@@ -113,7 +114,6 @@ impl WorkloadConfig {
             hot_large_fraction: 0.15,
             full_sky_fraction: 0.005,
             error_radius: (10.0 / 3600.0_f64).to_radians(), // 10 arcsec
-            region_spread: (1.0, 2.2),
         }
     }
 
@@ -137,10 +137,6 @@ impl WorkloadConfig {
         );
         assert!(self.size_small.0 >= 1 && self.size_small.0 <= self.size_small.1);
         assert!(self.size_large.0 >= 1 && self.size_large.0 <= self.size_large.1);
-        assert!(
-            self.region_spread.0 > 0.0 && self.region_spread.0 <= self.region_spread.1,
-            "region_spread must satisfy 0 < min ≤ max"
-        );
     }
 }
 
@@ -165,11 +161,6 @@ impl TraceGenerator {
     pub fn new(config: WorkloadConfig) -> Self {
         config.validate();
         TraceGenerator { config }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &WorkloadConfig {
-        &self.config
     }
 
     /// Derives the hotspot layout from `rng` (the serial generator threads
@@ -301,7 +292,7 @@ impl TraceGenerator {
 
         // Footprint radius: hotspot base × a log-uniform spread multiplier,
         // capped below a hemisphere (the Cap type's domain).
-        let (m_lo, m_hi) = cfg.region_spread;
+        let (m_lo, m_hi) = REGION_SPREAD;
         let mult = (m_lo.ln() + rng.gen_range(0.0f64..=1.0) * (m_hi / m_lo).ln()).exp();
         let radius = (cfg.hotspot_radius * mult).min(std::f64::consts::FRAC_PI_2 * 0.99);
 

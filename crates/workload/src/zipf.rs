@@ -13,7 +13,6 @@ use rand::Rng;
 pub struct Zipf {
     /// Cumulative distribution, cdf[k] = P(rank ≤ k); last element is 1.
     cdf: Vec<f64>,
-    exponent: f64,
 }
 
 impl Zipf {
@@ -39,7 +38,7 @@ impl Zipf {
                 acc
             })
             .collect();
-        Zipf { cdf, exponent }
+        Zipf { cdf }
     }
 
     /// Number of ranks.
@@ -50,11 +49,6 @@ impl Zipf {
     /// Always false (construction requires `n > 0`).
     pub fn is_empty(&self) -> bool {
         false
-    }
-
-    /// The exponent `s`.
-    pub fn exponent(&self) -> f64 {
-        self.exponent
     }
 
     /// Samples a rank in `0..n`.

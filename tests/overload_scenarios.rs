@@ -124,7 +124,7 @@ fn every_scenario_is_deterministic_across_executors_and_schedulers() {
                     fx.trace.len(),
                     "{ctx}: completed + rejected must equal submitted"
                 );
-                for c in &tp.per_class {
+                for c in &stepped.per_class {
                     assert_eq!(
                         c.completed + c.rejected,
                         c.submitted,
@@ -159,7 +159,7 @@ fn every_scenario_is_deterministic_across_executors_and_schedulers() {
                     fx.trace.len(),
                     "{ctx}: completed + rejected must equal submitted"
                 );
-                for c in &fo.per_class {
+                for c in &stepped.per_class {
                     assert_eq!(
                         c.completed + c.rejected,
                         c.submitted,
@@ -211,11 +211,7 @@ fn assert_composes(name: &str, fixture: &ScenarioFixture, config: RuntimeConfig)
             fixture.trace.len(),
             "{ctx}: completed + rejected must equal submitted"
         );
-        let books = [
-            stepped.failover.as_ref().map(|fo| fo.per_class),
-            stepped.transport.as_ref().map(|tp| tp.per_class),
-        ];
-        for c in books.into_iter().flatten().flatten() {
+        for c in &stepped.per_class {
             assert_eq!(
                 c.completed + c.rejected,
                 c.submitted,
@@ -293,7 +289,7 @@ fn full_gauntlet() {
             report.front_door.as_ref().unwrap().log.total_shed_events() > 0,
             "{name}: the flash crowd must still shed at the door"
         );
-        if transport.hedge.enabled {
+        if transport.hedge.max_hedges > 0 {
             assert!(!tp.log.hedges.is_empty(), "{name}: stragglers must hedge");
             assert_eq!(tp.hedge_wins + tp.hedge_losses, tp.log.hedges.len() as u64);
         }
@@ -356,6 +352,46 @@ fn hedged_transport_rides_out_an_outage_without_failover() {
         .expect("an injected outage reports");
     assert_eq!(fo.log.transitions.len(), 2, "one outage, two edges");
     assert!(fo.log.redeliveries.is_empty(), "failover is off");
+}
+
+/// Hedging needs no lossy link: behind the hedged transport with no link
+/// window, the stalled shard's stragglers hedge, every race settles once,
+/// every class balances its books, and threaded == stepped.
+#[test]
+fn hedging_without_link_faults_hedges_a_stalled_shard() {
+    let catalog = scenario_catalog();
+    let fx = build_scenario(ScenarioKind::ShardStall, &ScenarioScale::small());
+    assert!(
+        !fx.stalls.is_empty(),
+        "stall fixture must declare a straggler"
+    );
+    assert!(fx.links.is_empty(), "stall fixture declares no link window");
+    let mut config = RuntimeConfig::contiguous(SimConfig::paper(), 4);
+    config.faults.stalls = fx.stalls.clone();
+    config.transport = TransportConfig::hedged();
+    let rt = ShardedRuntime::new(&catalog, config);
+    let greedy = scheduler_factories()[2].1;
+    let stepped = rt.run(&fx.trace, &mut |_| greedy(), ExecMode::Stepped);
+    let threaded = rt.run(&fx.trace, &mut |_| greedy(), ExecMode::Threaded);
+    assert_eq!(fingerprint(&stepped.global), fingerprint(&threaded.global));
+    for (a, b) in stepped.shards.iter().zip(&threaded.shards) {
+        assert_eq!(fingerprint(&a.report), fingerprint(&b.report));
+    }
+    assert_eq!(stepped.transport, threaded.transport);
+    let tp = stepped
+        .transport
+        .as_ref()
+        .expect("hedging runs the transport");
+    assert!(!tp.log.hedges.is_empty(), "the stalled shard must hedge");
+    assert_eq!(tp.hedge_wins + tp.hedge_losses, tp.log.hedges.len() as u64);
+    assert!(
+        tp.log.drops.is_empty() && tp.log.retransmits.is_empty(),
+        "no link window, nothing lost on the wire"
+    );
+    assert_eq!(stepped.global.outcomes.len(), fx.trace.len());
+    for c in &stepped.per_class {
+        assert_eq!(c.completed + c.rejected, c.submitted, "{:?}", c.class);
+    }
 }
 
 #[test]
@@ -511,7 +547,7 @@ fn lossy_link_hedging_beats_retransmit_only_delivery() {
     // Hedge off: retransmit/dedup delivery only — stragglers ride out the
     // stalled shard.
     let mut off_cfg = pool_config(&fx);
-    off_cfg.transport.hedge.enabled = false;
+    off_cfg.transport = TransportConfig::reliable();
     let off_rt = ShardedRuntime::new(&catalog, off_cfg);
     let off = off_rt.run(&fx.trace, &mut |_| greedy(), ExecMode::Stepped);
 

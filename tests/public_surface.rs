@@ -2,13 +2,19 @@
 //! code has a caller outside its own file's tests.
 //!
 //! Product code is each source file of `crates/*/src` and `src/` up to its
-//! first column-0 `#[cfg(test)]`. A `pub fn` there is flagged when its name
-//! appears (as a whole identifier) only once in that part of its file — the
-//! definition — and in no other `.rs` file under `crates/`, `src/`,
-//! `tests/`, `examples/` or `benchmark/src`. Such a function serves only its
-//! own file's tests: move it into that test module, or delete it.
+//! first column-0 `#[cfg(test)]`. A use is counted in that product part of
+//! the defining file and anywhere in every other `.rs` file under
+//! `crates/`, `src/`, `tests/`, `examples/` or `benchmark/src` (doc
+//! examples included), outside `pub use` re-exports:
+//!
+//! - a `pub fn name` inside a column-0 `impl T` block is used where `T::name`
+//!   (or, in its own file, `Self::name`) or a method call `.name(` appears;
+//! - a free `pub fn name` is used where its name appears as a whole
+//!   identifier, the definition aside.
+//!
+//! A function with no use serves only its own file's tests: move it into
+//! that test module, or delete it.
 
-use std::collections::HashMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -24,13 +30,72 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// Occurrences of each whole identifier in `text`.
-fn identifiers(text: &str) -> HashMap<&str, usize> {
-    let mut counts = HashMap::new();
-    for word in text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_')) {
-        *counts.entry(word).or_insert(0) += 1;
+fn is_ident(c: char) -> bool {
+    c.is_ascii_alphanumeric() || c == '_'
+}
+
+/// The lines of `text` that can hold a use: none of a `pub use` re-export
+/// (up to its `;`).
+fn code_lines(text: &str) -> Vec<&str> {
+    let mut in_reexport = false;
+    let mut lines = Vec::new();
+    for line in text.lines() {
+        in_reexport |= line.trim_start().starts_with("pub use ");
+        if in_reexport {
+            in_reexport = !line.contains(';');
+        } else {
+            lines.push(line);
+        }
     }
-    counts
+    lines
+}
+
+/// Occurrences of `needle` in `line` that are not the tail of a longer
+/// identifier and, when `whole` is set, not the head of one either.
+fn count(line: &str, needle: &str, whole: bool) -> usize {
+    let glued = needle.starts_with(is_ident);
+    line.match_indices(needle)
+        .filter(|&(at, _)| !glued || !line[..at].ends_with(is_ident))
+        .filter(|&(at, _)| !whole || !line[at + needle.len()..].starts_with(is_ident))
+        .count()
+}
+
+/// The type an `impl` header implements methods for: the last path segment
+/// of the self type, generics stripped (`impl<'a, C> Foo<'a, C> {` → `Foo`).
+fn impl_type(header: &str) -> String {
+    let mut rest = header.trim_start_matches("impl");
+    if rest.starts_with('<') {
+        let mut depth = 0;
+        for (at, c) in rest.char_indices() {
+            depth += match c {
+                '<' => 1,
+                '>' => -1,
+                _ => 0,
+            };
+            if depth == 0 {
+                rest = &rest[at + 1..];
+                break;
+            }
+        }
+    }
+    let ty = rest.rsplit(" for ").next().expect("rsplit yields a part");
+    let ty = ty
+        .trim()
+        .split(['<', ' ', '{'])
+        .next()
+        .expect("split yields a part");
+    ty.rsplit("::")
+        .next()
+        .expect("rsplit yields a part")
+        .to_string()
+}
+
+/// A `pub fn` of product code: where it is defined, its name, and the
+/// inherent `impl` type it belongs to (`None` for a free function).
+struct PublicFn<'a> {
+    file: usize,
+    name: &'a str,
+    owner: Option<String>,
 }
 
 #[test]
@@ -48,32 +113,69 @@ fn every_public_function_has_a_user_outside_its_tests() {
             (rel, text)
         })
         .collect();
-    let mut everywhere: HashMap<&str, usize> = HashMap::new();
-    for (_, text) in &texts {
-        for (word, n) in identifiers(text) {
-            *everywhere.entry(word).or_insert(0) += n;
-        }
-    }
 
-    let mut unused = Vec::new();
-    for (path, text) in &texts {
+    // Each file's lines, and the lines of its product part (none outside
+    // product files): a function is searched in its own file's product part
+    // and in the whole of every other file.
+    let mut whole: Vec<Vec<&str>> = Vec::new();
+    let mut product_part: Vec<Vec<&str>> = Vec::new();
+    let mut defined: Vec<PublicFn> = Vec::new();
+    for (file, (path, text)) in texts.iter().enumerate() {
         let parts: Vec<_> = path.iter().map(|p| p.to_string_lossy()).collect();
         let product_file = parts[0] == "src" || (parts[0] == "crates" && parts[2] == "src");
+        whole.push(code_lines(text));
         if !product_file {
+            product_part.push(Vec::new());
             continue;
         }
         let end = text.find("\n#[cfg(test)]").map_or(text.len(), |at| at + 1);
         let product = &text[..end];
-        let (in_product, in_file) = (identifiers(product), identifiers(text));
+        product_part.push(code_lines(product));
+        let mut owner: Option<String> = None;
         for line in product.lines() {
+            if line.starts_with("impl") {
+                owner = Some(impl_type(line));
+            } else if line.starts_with('}') {
+                owner = None;
+            }
             let Some((_, rest)) = line.split_once("pub fn ") else {
                 continue;
             };
-            let mut name = rest.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'));
-            let name = name.next().expect("split yields a first part");
-            if in_product[name] == 1 && everywhere[name] == in_file[name] {
-                unused.push(format!("{}: {name}", path.display()));
+            let name = rest.split(|c: char| !is_ident(c)).next();
+            let name = name.expect("split yields a first part");
+            let owner = owner.clone();
+            defined.push(PublicFn { file, name, owner });
+        }
+    }
+
+    let mut unused = Vec::new();
+    for f in &defined {
+        let lines = |file: usize| {
+            if file == f.file {
+                &product_part[file]
+            } else {
+                &whole[file]
             }
+        };
+        let uses: usize = (0..texts.len())
+            .flat_map(|file| lines(file).iter().map(move |&l| (file, l)))
+            .map(|(file, line)| match &f.owner {
+                Some(ty) => {
+                    let path = |t: &str| count(line, &format!("{t}::{}", f.name), true);
+                    let own = if file == f.file { path("Self") } else { 0 };
+                    let call = |tail: &str| count(line, &format!(".{}{tail}", f.name), false);
+                    path(ty) + own + call("(") + call("::<")
+                }
+                None => {
+                    let definition =
+                        file == f.file && count(line, &format!("fn {}", f.name), true) > 0;
+                    count(line, f.name, true) - usize::from(definition)
+                }
+            })
+            .sum();
+        if uses == 0 {
+            let owner = f.owner.as_ref().map_or(String::new(), |t| format!("{t}::"));
+            unused.push(format!("{}: {owner}{}", texts[f.file].0.display(), f.name));
         }
     }
     unused.sort();
