@@ -13,7 +13,6 @@ use liferaft_core::{
     AgingMode, LifeRaftScheduler, MetricParams, NoShareScheduler, RoundRobinScheduler, Scheduler,
     TradeoffTable,
 };
-use liferaft_join::HybridConfig;
 use liferaft_metrics::{Series, Table};
 use liferaft_sim::{calibrate_tradeoff_table, RunReport, Simulation};
 use liferaft_storage::CostModel;
@@ -572,7 +571,7 @@ pub fn ablations(exp: &Experiment) -> Vec<Check> {
         ("0.10", 0.10),
     ] {
         let mut cfg = exp.config;
-        cfg.hybrid = HybridConfig { threshold_ratio };
+        cfg.cost.threshold_ratio = threshold_ratio;
         let sim = Simulation::new(&exp.catalog, cfg);
         let r = sim.run(&timed, &mut LifeRaftScheduler::age_based(params));
         t.row([

@@ -37,7 +37,7 @@ const KNOWN_DEVIATIONS: [(&str, &str); 4] = [
 const KNOWN_DEVIATIONS_FULL: [(&str, &str); 2] = [
     (
         "fig7a: throughput grows as the age bias drops (α 1 → 0)",
-        "inverted: 0.589, 0.586, 0.547, 0.545, 0.544 q/s for α = 1 → 0 (ROADMAP item 1(d))",
+        "inverted: 0.589, 0.586, 0.547, 0.545, 0.544 q/s for α = 1 → 0 (ROADMAP item 3)",
     ),
     (
         "fig4: tolerance threshold picks lower α at high saturation",

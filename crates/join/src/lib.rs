@@ -14,8 +14,8 @@
 //! - [`indexed::indexed_join`] — probes the bucket's clustered HTM order by
 //!   binary search per entry; identical output, different I/O profile.
 //! - [`brute::brute_force_join`] — O(N·W) reference oracle for tests.
-//! - [`hybrid`] — the strategy choice: scan vs. index by queue/bucket ratio
-//!   (break-even ≈ 3% in the paper's configuration, Figure 2).
+//! - [`hybrid::execute`] — runs the plan (scan or index) that
+//!   `liferaft_storage::CostModel::charge` chose for a batch.
 //!
 //! All engines return the same multiset of [`MatchPair`]s for the same
 //! inputs; property tests in `tests/equivalence.rs` enforce it.
@@ -29,6 +29,6 @@ pub mod indexed;
 pub mod sweep;
 pub mod types;
 
-pub use hybrid::{HybridConfig, JoinStrategy};
+pub use hybrid::JoinStrategy;
 pub use sweep::sweep_join;
 pub use types::{JoinOutput, MatchPair};

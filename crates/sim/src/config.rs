@@ -1,17 +1,15 @@
 //! Simulation configuration.
 
-use liferaft_join::HybridConfig;
 use liferaft_storage::CostModel;
 
 /// Knobs of one simulation run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
-    /// Cost constants (`Tb`, `Tm`, probe costs).
+    /// Cost constants (`Tb`, `Tm`, probe costs) and the hybrid join
+    /// threshold: every batch's plan and price.
     pub cost: CostModel,
     /// Bucket cache capacity in buckets (the paper fixes 20).
     pub cache_buckets: usize,
-    /// Hybrid join strategy configuration.
-    pub hybrid: HybridConfig,
     /// If true, every batch executes a real cross-match join against
     /// materialized bucket objects (results identical across schedulers; use
     /// at small scale). If false, only costs and accounting are simulated —
@@ -25,7 +23,6 @@ impl SimConfig {
         SimConfig {
             cost: CostModel::paper(),
             cache_buckets: 20,
-            hybrid: HybridConfig::paper(),
             execute_joins: false,
         }
     }
@@ -46,7 +43,7 @@ impl SimConfig {
             "cache must hold at least one bucket"
         );
         assert!(
-            self.hybrid.threshold_ratio >= 0.0,
+            self.cost.threshold_ratio >= 0.0,
             "hybrid threshold must be non-negative"
         );
     }
@@ -67,7 +64,7 @@ mod tests {
         let c = SimConfig::paper();
         assert_eq!(c.cache_buckets, 20);
         assert!(!c.execute_joins);
-        assert!(c.hybrid.threshold_ratio > 0.0);
+        assert!(c.cost.threshold_ratio > 0.0);
         c.validate();
     }
 

@@ -19,7 +19,9 @@ use liferaft_query::{
     CrossMatchQuery, FragmentId, Predicate, QueryId, QueryTracker, QueueEntry, WorkItem,
     WorkloadQueue, WorkloadTable,
 };
-use liferaft_storage::{BucketCache, BucketId, CacheAccess, IoStats, SimDuration, SimTime};
+use liferaft_storage::{
+    BucketCache, BucketId, CacheAccess, CostModel, IoStats, SimDuration, SimTime,
+};
 use liferaft_telemetry::{Event, EventKind, NullSink, TelemetrySink};
 use liferaft_workload::TimedTrace;
 
@@ -174,7 +176,7 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
             table: WorkloadTable::new(partition.num_buckets()),
             tracker: QueryTracker::new(),
             cache: BucketCache::new(config.cache_buckets),
-            io: IoStats::new(),
+            io: IoStats::default(),
             rows: HashMap::new(),
             starvation: StarvationMonitor::new(),
             batch_runs: Vec::new(),
@@ -454,16 +456,13 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
                 },
             );
         }
-        // Starvation accounting in O(log n): everything except the picked
-        // bucket waited; the oldest wait is the age-lens maximum once the
-        // picked bucket is excluded.
-        let passed_over = self.table.candidate_count() as u64 - 1;
+        // Starvation accounting in O(log n): the oldest wait left behind is
+        // the age-lens maximum once the picked bucket is excluded.
         let oldest_passed = self
             .table
             .oldest_candidate_excluding(spec.bucket)
             .map(|s| s.oldest_enqueue);
-        self.starvation
-            .record_decision(now, passed_over, oldest_passed);
+        self.starvation.record_decision(now, oldest_passed);
         spec
     }
 
@@ -490,14 +489,19 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
         let meta = self.catalog.meta(spec.bucket);
 
         // The hybrid join decision belongs to LifeRaft's Join Evaluator
-        // (Figure 3). NoShare (share_io = false) models the pre-existing
-        // scan-based evaluation: no warm cache, no hybrid fallback.
+        // (Figure 3), and the cost model makes it as it prices the batch.
+        // NoShare (share_io = false) models the pre-existing scan-based
+        // evaluation: no warm cache, no hybrid fallback.
         let cached = spec.share_io && self.cache.contains(spec.bucket);
-        let strategy = if spec.share_io {
-            self.config.hybrid.choose(w, meta.object_count, cached)
+        let cost_model = if spec.share_io {
+            self.config.cost
         } else {
-            JoinStrategy::SequentialScan
+            CostModel {
+                threshold_ratio: 0.0,
+                ..self.config.cost
+            }
         };
+        let (strategy, cost) = cost_model.charge(w, meta.object_count, cached);
 
         let telemetry = self.sink.enabled();
         if telemetry {
@@ -512,7 +516,7 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
             );
         }
 
-        let cost = match strategy {
+        match strategy {
             JoinStrategy::SequentialScan => {
                 if spec.share_io {
                     match self.cache.access(spec.bucket) {
@@ -537,24 +541,19 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
                         }
                     }
                 }
-                if !cached {
-                    self.io.record_scan(meta.bytes, self.config.cost.tb);
-                }
-                self.io.record_match(self.config.cost.tm.times(w));
                 self.scan_batches += 1;
                 if cached {
                     self.cache_serviced_entries += w;
+                } else {
+                    self.io.bucket_reads += 1;
                 }
-                self.config.cost.scan_batch(w, cached)
             }
             JoinStrategy::Indexed => {
                 // Random probes bypass the bucket cache entirely.
-                self.io.record_probes(w, self.config.cost.probe.times(w));
-                self.io.record_match(self.config.cost.tm.times(w));
+                self.io.index_probes += w;
                 self.indexed_batches += 1;
-                self.config.cost.indexed_batch(w)
             }
-        };
+        }
         debug_assert!(
             cost_factor.is_finite() && cost_factor >= 1.0,
             "cost factor must be a slowdown, got {cost_factor}"

@@ -8,14 +8,14 @@
 //! bucket read). This crate is that storage layer, made explicit:
 //!
 //! - [`SimTime`]/[`SimDuration`] — virtual time in microseconds,
-//! - [`DiskModel`] — seek/rotation/transfer geometry for sequential bucket
-//!   scans and random index probes,
-//! - [`CostModel`] — the paper's constants (`Tb`, `Tm`, index overhead, and
-//!   a probe cost derived from a [`DiskModel`]),
+//! - [`CostModel`] — the paper's constants (`Tb`, `Tm`, index overhead, a
+//!   probe cost derived from its disk array) and the hybrid threshold;
+//!   [`CostModel::charge`] plans and prices every batch as a
+//!   [`JoinStrategy`] and its cost,
 //! - [`BucketId`]/[`BucketMeta`] — bucket identity and extent metadata,
 //! - [`BucketCache`] — the LRU bucket cache with hit/miss accounting
 //!   (the φ(i) term of the workload throughput metric),
-//! - [`IoStats`] — I/O counters reported by experiments.
+//! - [`IoStats`] — bucket-read and index-probe counts reported by experiments.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -23,13 +23,11 @@
 pub mod bucket;
 pub mod cache;
 pub mod cost;
-pub mod disk;
 pub mod iostats;
 pub mod simtime;
 
 pub use bucket::{BucketId, BucketMeta};
 pub use cache::{BucketCache, CacheAccess};
-pub use cost::CostModel;
-pub use disk::DiskModel;
+pub use cost::{CostModel, JoinStrategy};
 pub use iostats::IoStats;
 pub use simtime::{SimDuration, SimTime};

@@ -41,16 +41,6 @@ impl Zipf {
         Zipf { cdf }
     }
 
-    /// Number of ranks.
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// Always false (construction requires `n > 0`).
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
     /// Samples a rank in `0..n`.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let u: f64 = rng.gen_range(0.0..1.0);
@@ -76,8 +66,8 @@ mod tests {
     #[test]
     fn cdf_is_normalized_and_monotone() {
         let z = Zipf::new(10, 1.2);
-        assert_eq!(z.len(), 10);
         let cdf = &z.cdf;
+        assert_eq!(cdf.len(), 10);
         assert!((cdf.last().unwrap() - 1.0).abs() < 1e-12);
         assert!(cdf.windows(2).all(|w| w[0] < w[1]));
     }

@@ -74,7 +74,6 @@ pub mod prelude {
         AdaptiveScheduler, AgingMode, AlphaController, LifeRaftScheduler, MetricParams,
         NoShareScheduler, RoundRobinScheduler, Scheduler, TradeoffTable,
     };
-    pub use liferaft_join::HybridConfig;
     pub use liferaft_metrics::{Summary, Table};
     pub use liferaft_query::{CrossMatchQuery, Predicate, QueryId, QueryPreProcessor};
     pub use liferaft_runtime::{

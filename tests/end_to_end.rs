@@ -177,7 +177,7 @@ fn hybrid_join_helps_small_batches() {
     let timed = trace.with_arrivals(poisson_arrivals(0.3, trace.len(), 41));
 
     let mut scan_only = SimConfig::paper();
-    scan_only.hybrid = HybridConfig::scan_only();
+    scan_only.cost.threshold_ratio = 0.0;
     let hybrid_sim = Simulation::new(&cat, SimConfig::paper());
     let scan_sim = Simulation::new(&cat, scan_only);
     let params = MetricParams::paper();

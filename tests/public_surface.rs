@@ -14,6 +14,10 @@
 //!
 //! A function with no use serves only its own file's tests: move it into
 //! that test module, or delete it.
+//!
+//! Blind spot: a method call is matched by name alone, not by the type it
+//! is called on. So a method whose name a common method shares (`.len(`,
+//! `.is_empty(`, `.stats(`) passes unflagged even when nothing calls it.
 
 use std::fs;
 use std::path::{Path, PathBuf};
