@@ -9,8 +9,10 @@ use crate::scheduler::{
     BatchScope, BatchSpec, BucketSnapshot, DecisionStats, Lens, Scheduler, SchedulerView,
 };
 
-/// How many frontier candidates the mixed-α pick examines per lens before
-/// its first prune check; doubles until the score bound closes.
+/// How deep the mixed-α pick first fetches each lens frontier. Fetches
+/// double from here, and the pick falls back to a streamed full scan if its
+/// bound is still open at the end of the first fetch that reaches half the
+/// candidate set.
 const FRONTIER_SEED: usize = 4;
 
 /// LifeRaft at a fixed age bias α.
@@ -33,11 +35,13 @@ const FRONTIER_SEED: usize = 4;
 /// (bounded by the cache capacity) plus the one uncached candidate that can
 /// win: the [`Lens::UncachedThroughput`] maximum.
 ///
-/// For mixed α the pick runs a threshold (Fagin-style) scan: score the
-/// resident pool and the top-k frontier of both lens orders, and stop as
-/// soon as no *unseen* candidate can win. Every unseen candidate `c` is
-/// uncached and lies beyond both frontiers; both terms are monotone
-/// non-increasing along their lists and float rounding is monotone, so
+/// For mixed α the pick runs the threshold algorithm (Fagin, Lotem & Naor,
+/// PODS 2001) in one pass: score the resident pool once, then walk both
+/// lens orders depth by depth, scoring each list's `d`-th candidate once,
+/// and stop at the first depth where no *unseen* candidate can win. Every
+/// unseen candidate `c` is uncached and lies beyond both depth-`d`
+/// frontiers; both terms are monotone non-increasing along their lists and
+/// float rounding is monotone, so
 /// `score(c) ≤ bound = (1−α)·ût(uncached frontier) + α·â(age frontier)`
 /// (normalization bounds come from the resident scan plus the index
 /// extremes, which realize the candidate-set extremes of both terms). The
@@ -52,13 +56,16 @@ const FRONTIER_SEED: usize = 4;
 ///   the frontier and therefore behind the best seen. One wide query fans
 ///   an object into hundreds of buckets at one instant with equal queue
 ///   lengths; all those scores are equal, and this is the arm that closes
-///   them at the first check.
+///   them at depth 1.
 ///
-/// Either way the pick is the argmax of the scores over the whole candidate
-/// set, bit for bit. If the bound stays open for real until the frontier
-/// covers half the set (anti-correlated lists, or a tie led by a resident
-/// whose short queue ranks it behind the frontier), the pick falls back to a
-/// full streamed scan — still allocation-free, and that same argmax.
+/// The bound never rises with depth and the best seen never falls, so once
+/// the rule holds it holds at every later depth: the pick is the argmax of
+/// the scores over the whole candidate set, bit for bit. The frontiers are
+/// fetched `FRONTIER_SEED`, 2·`FRONTIER_SEED`, … deep; if the bound is
+/// still open at the end of the first fetch `k` with `2k ≥ n` (anti-
+/// correlated lists, or a tie led by a resident whose short queue ranks it
+/// behind the frontier), the pick falls back to a full streamed scan —
+/// still allocation-free, and that same argmax.
 #[derive(Debug, Clone)]
 pub struct LifeRaftScheduler {
     params: MetricParams,
@@ -168,23 +175,16 @@ impl LifeRaftScheduler {
             &[ut_lo, ut_hi],
         );
         let mut best: Option<(f64, BucketSnapshot)> = None;
-        let mut consider = |c: &BucketSnapshot| {
-            let score = pass.score(c);
-            best = Some(match best {
-                Some((bs, b)) if !better(score, bs, c, &b) => (bs, b),
-                _ => (score, *c),
-            });
-        };
-        view.for_each_cached_candidate(&mut consider);
+        view.for_each_cached_candidate(&mut |c| keep_best(&mut best, pass.score(c), c));
         if let Some(t) = top_uncached {
-            consider(&t);
+            keep_best(&mut best, pass.score(&t), &t);
         }
         best.map(|(_, b)| b.bucket)
     }
 
-    /// The mixed-α indexed pick: threshold scan over the resident pool and
-    /// both lens frontiers, falling back to a full streamed scan when the
-    /// bound cannot prune.
+    /// The mixed-α indexed pick: one threshold pass over the resident pool
+    /// and both lens frontiers, falling back to a full streamed scan when
+    /// the bound is still open at the fallback depth.
     fn pick_blended(&mut self, view: &dyn SchedulerView) -> Option<BucketId> {
         let n = view.candidate_count();
         let a_hi = view.top_candidate(Lens::Age)?;
@@ -200,55 +200,57 @@ impl LifeRaftScheduler {
             view.now(),
             &[ut_lo, ut_hi, a_lo, a_hi],
         );
-        let mut k = FRONTIER_SEED;
-        loop {
-            view.top_candidates(Lens::UncachedThroughput, k, &mut self.scratch_t);
-            view.top_candidates(Lens::Age, k, &mut self.scratch_a);
-            let mut best: Option<(f64, BucketSnapshot)> = None;
-            let mut consider = |c: &BucketSnapshot| {
-                let score = pass.score(c);
-                best = Some(match best {
-                    Some((bs, b)) if !better(score, bs, c, &b) => (bs, b),
-                    _ => (score, *c),
-                });
-            };
-            view.for_each_cached_candidate(&mut consider);
-            for c in self.scratch_t.iter().chain(self.scratch_a.iter()) {
-                consider(c);
+        let mut best: Option<(f64, BucketSnapshot)> = None;
+        view.for_each_cached_candidate(&mut |c| keep_best(&mut best, pass.score(c), c));
+        let mut fetched = 0;
+        for depth in 1.. {
+            if depth > fetched {
+                fetched = (2 * fetched).max(FRONTIER_SEED);
+                view.top_candidates(Lens::UncachedThroughput, fetched, &mut self.scratch_t);
+                view.top_candidates(Lens::Age, fetched, &mut self.scratch_a);
             }
-            let (best_score, best_snap) = best?;
-            if k >= n || self.scratch_t.len() < k {
-                // The age list (k ≥ n) or the resident pool + uncached list
-                // (uncached exhausted) covered every candidate.
-                self.stats.frontier_picks += 1;
-                return Some(best_snap.bucket);
+            let Some(t) = self.scratch_t.get(depth - 1) else {
+                // The resident pool and the uncached list cover every
+                // candidate.
+                break;
+            };
+            // The uncached list holds at least `depth` candidates, so the
+            // age list (all of them) does too.
+            let a = &self.scratch_a[depth - 1];
+            let (t_ut, a_age) = (pass.ut_term(t), pass.age_term(a));
+            keep_best(&mut best, pass.blend(t_ut, pass.age_term(t)), t);
+            keep_best(&mut best, pass.blend(pass.ut_term(a), a_age), a);
+            let (best_score, best_snap) = best.expect("a frontier candidate was scored");
+            if depth >= n {
+                // The age list covered every candidate.
+                break;
             }
             // Upper bound of every unseen score; closed strictly below the
             // best seen, or on a tie the tie-break already decides (see the
             // type docs for the argument).
-            let frontier_t = &self.scratch_t[k - 1];
-            let bound = pass.ut_term(frontier_t) * (1.0 - self.alpha)
-                + pass.age_term(&self.scratch_a[k - 1]) * self.alpha;
-            if bound < best_score || (bound == best_score && !ahead(frontier_t, &best_snap)) {
-                self.stats.frontier_picks += 1;
-                return Some(best_snap.bucket);
+            let bound = pass.blend(t_ut, a_age);
+            if bound < best_score || (bound == best_score && !ahead(t, &best_snap)) {
+                break;
             }
-            if 2 * k >= n {
-                // The bound will not close much later than this; finish with
-                // one streamed scan (the full argmax, unmaterialized).
+            if depth == fetched && 2 * fetched >= n {
+                // Open at the fallback depth: finish with one streamed scan
+                // (the full argmax, unmaterialized).
                 self.stats.fallback_picks += 1;
                 let mut full: Option<(f64, BucketSnapshot)> = None;
-                view.for_each_candidate(&mut |c| {
-                    let score = pass.score(c);
-                    full = Some(match full.take() {
-                        Some((bs, b)) if !better(score, bs, c, &b) => (bs, b),
-                        _ => (score, *c),
-                    });
-                });
+                view.for_each_candidate(&mut |c| keep_best(&mut full, pass.score(c), c));
                 return full.map(|(_, b)| b.bucket);
             }
-            k *= 2;
         }
+        self.stats.frontier_picks += 1;
+        best.map(|(_, b)| b.bucket)
+    }
+}
+
+/// Keeps the better of `best` and `(score, c)` under the decision ordering.
+#[inline]
+fn keep_best(best: &mut Option<(f64, BucketSnapshot)>, score: f64, c: &BucketSnapshot) {
+    if best.map_or(true, |(bs, b)| better(score, bs, c, &b)) {
+        *best = Some((score, *c));
     }
 }
 
@@ -452,6 +454,52 @@ mod tests {
             s.pick(&v).unwrap().bucket,
             reference(AgingMode::Normalized, 0.5, &v)
         );
+        assert_eq!(s.decision_stats().fallback_picks, 1);
+        assert_eq!(s.decision_stats().frontier_picks, 0);
+    }
+
+    /// `old` candidates hold the age maximum with one-object queues, and
+    /// `young` ones the `Ut` maximum with long queues: both groups score
+    /// exactly ½ at α = ½, and the lists only cross past the older group.
+    fn crossing_lists(old: u32, young: u32) -> FixtureView {
+        let candidates = (0..old + young)
+            .map(|i| {
+                if i < old {
+                    snap(i, 1, 0, false)
+                } else {
+                    snap(i, 500, 90, false)
+                }
+            })
+            .collect();
+        view(candidates, 100)
+    }
+
+    /// n = 31 puts the fallback depth at 16 (the first fetch k with
+    /// 2k ≥ n). The bound, a young `Ut` blended with an old age, stays at 1
+    /// until the age list reaches the young group at depth 16; there it
+    /// ties the best seen (½, the first young bucket) and the tie-break
+    /// closes it. That depth is past n/2 but within the fallback depth: a
+    /// frontier pick.
+    #[test]
+    fn a_bound_closing_past_half_the_set_is_a_frontier_pick() {
+        let v = crossing_lists(15, 16);
+        let mut s = LifeRaftScheduler::new(MetricParams::paper(), AgingMode::Normalized, 0.5);
+        assert_eq!(s.pick(&v).unwrap().bucket, BucketId(15));
+        assert_eq!(BucketId(15), reference(AgingMode::Normalized, 0.5, &v));
+        assert_eq!(s.decision_stats().frontier_picks, 1);
+        assert_eq!(s.decision_stats().fallback_picks, 0);
+    }
+
+    /// n = 32 also falls back at depth 16, and 16 old candidates keep the
+    /// bound at 1 through it; it closes only at depth 17, when the
+    /// throughput list reaches the old group. That is one depth too late:
+    /// a fallback pick.
+    #[test]
+    fn a_bound_open_at_the_fallback_depth_is_a_fallback_pick() {
+        let v = crossing_lists(16, 16);
+        let mut s = LifeRaftScheduler::new(MetricParams::paper(), AgingMode::Normalized, 0.5);
+        assert_eq!(s.pick(&v).unwrap().bucket, BucketId(16));
+        assert_eq!(BucketId(16), reference(AgingMode::Normalized, 0.5, &v));
         assert_eq!(s.decision_stats().fallback_picks, 1);
         assert_eq!(s.decision_stats().frontier_picks, 0);
     }

@@ -142,9 +142,15 @@ impl ScorePass {
     /// Eq. 2's score of one candidate from the prepared set.
     #[inline]
     pub fn score(&self, c: &BucketSnapshot) -> f64 {
-        let u = self.ut_term(c);
-        let a = self.age_term(c);
-        u * (1.0 - self.alpha) + a * self.alpha
+        self.blend(self.ut_term(c), self.age_term(c))
+    }
+
+    /// Eq. 2's blend of a throughput term and an age term. Monotone in
+    /// both, so blending the terms of two different candidates bounds every
+    /// candidate that trails both of them.
+    #[inline]
+    pub fn blend(&self, ut_term: f64, age_term: f64) -> f64 {
+        ut_term * (1.0 - self.alpha) + age_term * self.alpha
     }
 
     /// The throughput term of one candidate — `Ut` raw, or min–max
@@ -168,12 +174,6 @@ impl ScorePass {
             AgingMode::Raw => age,
             AgingMode::Normalized => normalized(age, self.age_lo, self.age_span),
         }
-    }
-
-    /// The bias the pass was prepared with.
-    #[inline]
-    pub fn alpha(&self) -> f64 {
-        self.alpha
     }
 }
 

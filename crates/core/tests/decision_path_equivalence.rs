@@ -65,8 +65,8 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
             0u32..N_BUCKETS as u32,
             0u64..6,
             1u8..5,
-            // Fan-out widths: past 2·`FRONTIER_SEED`, where only the
-            // tie-break closes an all-tied scan before the fallback.
+            // Fan-out widths: past 2·`FRONTIER_SEED`, so an all-tied scan
+            // that the tie-break did not close would reach the fallback.
             9u32..=N_BUCKETS as u32,
         ),
         1..80,
@@ -346,11 +346,11 @@ proptest! {
 
 /// One query fanned into every bucket at one instant with equal `n` ties all
 /// candidates on both score terms, which holds the threshold bound exactly on
-/// the best seen score. The tie-break closes that scan at its first check: a
-/// fresh scheduler counts one frontier pick (the strict test streamed all
-/// `N_BUCKETS` > 2·`FRONTIER_SEED` candidates instead), and the pick stays
-/// the reference decision's — with every bucket uncached, and with a few
-/// resident.
+/// the best seen score. The tie-break closes that scan at depth 1: a fresh
+/// scheduler counts one frontier pick (the strict test held the bound open
+/// to the fallback depth and streamed all `N_BUCKETS` > 2·`FRONTIER_SEED`
+/// candidates instead), and the pick stays the reference decision's — with
+/// every bucket uncached, and with a few resident.
 #[test]
 fn wide_enqueue_ties_close_on_the_frontier() {
     let pool = query_pool();

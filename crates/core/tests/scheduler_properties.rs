@@ -2,9 +2,12 @@
 
 mod fixture;
 
-use fixture::{reference_pick, FixtureView};
+use std::cmp::{Ordering, Reverse};
+
+use fixture::{reference_pick, reference_scores, FixtureView};
 use liferaft_core::{
-    AgingMode, BucketSnapshot, LifeRaftScheduler, MetricParams, RoundRobinScheduler, Scheduler,
+    AgingMode, BucketSnapshot, Lens, LifeRaftScheduler, MetricParams, RoundRobinScheduler,
+    Scheduler, SchedulerView,
 };
 use liferaft_storage::{BucketId, SimTime};
 use proptest::prelude::*;
@@ -33,6 +36,101 @@ fn arb_candidates() -> impl Strategy<Value = Vec<BucketSnapshot>> {
         cands.dedup_by_key(|c| c.bucket);
         cands
     })
+}
+
+/// A saturated decision point: 200–2 000 candidates and queue lengths
+/// anti-correlated with age (the long queues are the young ones, with
+/// per-case noise), so the mixed-α threshold bound stays open deep into
+/// both lens lists. At most 20 candidates are resident, all enqueued at the
+/// latest instant, as buckets refilled just after their batch ran: their
+/// `Ut` ceiling then compresses every uncached `Ut` term without handing
+/// them the pick outright. Enqueue times and queue lengths sit on coarse
+/// grids, so exact ties on both terms are common.
+fn arb_saturated() -> impl Strategy<Value = Vec<BucketSnapshot>> {
+    (
+        proptest::collection::vec((0u64..400, 0u64..1_000), 200..2_000),
+        0u64..=200,
+        proptest::collection::vec(0usize..2_000, 0..=20),
+    )
+        .prop_map(|(raw, noise, residents)| {
+            let mut cands: Vec<BucketSnapshot> = raw
+                .into_iter()
+                .enumerate()
+                .map(|(i, (step, jitter))| BucketSnapshot {
+                    bucket: BucketId(i as u32),
+                    queue_len: 1 + 4 * step + jitter % (noise + 1),
+                    oldest_enqueue: SimTime::from_micros(step * 5_000),
+                    cached: false,
+                })
+                .collect();
+            let n = cands.len();
+            for r in residents {
+                let c = &mut cands[r % n];
+                c.cached = true;
+                c.oldest_enqueue = SimTime::from_micros(399 * 5_000);
+            }
+            cands
+        })
+}
+
+/// The depth at which the mixed-α threshold rule closes over `cands`, from
+/// the reference scores and the fixture's lens orders, or `None` if it is
+/// still open at the fallback depth: the first k of 4, 8, 16, … with
+/// 2k ≥ n. At depth d the seen set is the resident pool plus the first d
+/// candidates of both lists, and the bound blends the throughput term of
+/// the d-th uncached candidate with the age term of the d-th oldest. The
+/// rule closes when the bound is below the best seen score, or equal to it
+/// with the best seen at or ahead of the d-th uncached candidate in
+/// tie-break order, or once a list has covered every candidate.
+fn reference_closing_depth(
+    params: &MetricParams,
+    mode: AgingMode,
+    alpha: f64,
+    now: SimTime,
+    cands: &[BucketSnapshot],
+) -> Option<usize> {
+    let n = cands.len();
+    let score = reference_scores(params, mode, alpha, now, cands);
+    let ut = reference_scores(params, mode, 0.0, now, cands);
+    let age = reference_scores(params, mode, 1.0, now, cands);
+    let v = view(cands, now);
+    let order = |lens: Lens| -> Vec<usize> {
+        let mut out = Vec::new();
+        v.top_candidates(lens, n, &mut out);
+        let at = |c: &BucketSnapshot| cands.binary_search_by_key(&c.bucket, |x| x.bucket);
+        out.iter().map(|c| at(c).expect("a candidate")).collect()
+    };
+    let (t, a) = (order(Lens::UncachedThroughput), order(Lens::Age));
+    let tie_key = |i: usize| (cands[i].queue_len, Reverse(cands[i].bucket));
+    let decision = |i: usize, j: usize| {
+        score[i]
+            .total_cmp(&score[j])
+            .then(tie_key(i).cmp(&tie_key(j)))
+    };
+    let mut best = (0..n)
+        .filter(|&i| cands[i].cached)
+        .max_by(|&i, &j| decision(i, j));
+    let mut fallback_depth = 4;
+    while 2 * fallback_depth < n {
+        fallback_depth *= 2;
+    }
+    for d in 1..=fallback_depth {
+        let Some(&td) = t.get(d - 1) else {
+            return Some(d);
+        };
+        let ad = a[d - 1];
+        for c in [td, ad] {
+            if best.map_or(true, |b| decision(c, b) == Ordering::Greater) {
+                best = Some(c);
+            }
+        }
+        let b = best.expect("a frontier candidate was seen");
+        let bound = ut[td] * (1.0 - alpha) + age[ad] * alpha;
+        if d >= n || bound < score[b] || (bound == score[b] && tie_key(b) >= tie_key(td)) {
+            return Some(d);
+        }
+    }
+    None
 }
 
 /// A decision point over `cands` at `now`.
@@ -155,5 +253,39 @@ proptest! {
         seen.sort();
         expected.sort();
         prop_assert_eq!(seen, expected, "one full rotation covers each bucket once");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// At saturation's depth the threshold pass still picks the reference
+    /// decision, and counts a frontier pick exactly when the reference
+    /// closing rule closes within the fallback depth.
+    #[test]
+    fn saturated_pick_matches_the_reference_pick(
+        cands in arb_saturated(),
+        random_alpha in 0.0..=1.0f64,
+    ) {
+        let now = SimTime::from_micros(2_000_000);
+        let v = view(&cands, now);
+        let params = MetricParams::paper();
+        for mode in [AgingMode::Normalized, AgingMode::Raw] {
+            for alpha in [0.25, 0.5, 0.75, random_alpha] {
+                let mut s = LifeRaftScheduler::new(params, mode, alpha);
+                let want = reference_pick(&params, mode, alpha, now, &cands).expect("non-empty");
+                prop_assert_eq!(pick(&mut s, &v), cands[want], "mode {:?} α={}", mode, alpha);
+                if alpha == 0.0 || alpha == 1.0 {
+                    continue;
+                }
+                let closes = reference_closing_depth(&params, mode, alpha, now, &cands).is_some();
+                let stats = s.decision_stats();
+                prop_assert_eq!(
+                    (stats.frontier_picks, stats.fallback_picks),
+                    if closes { (1, 0) } else { (0, 1) },
+                    "mode {:?} α={}", mode, alpha
+                );
+            }
+        }
     }
 }
