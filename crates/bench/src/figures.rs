@@ -10,8 +10,7 @@
 
 use liferaft_catalog::Catalog;
 use liferaft_core::{
-    AgingMode, LifeRaftScheduler, MetricParams, NoShareScheduler, RoundRobinScheduler, Scheduler,
-    TradeoffTable,
+    AgingMode, LifeRaftScheduler, NoShareScheduler, RoundRobinScheduler, Scheduler, TradeoffTable,
 };
 use liferaft_metrics::{Series, Table};
 use liferaft_sim::{calibrate_tradeoff_table, RunReport, Simulation};
@@ -194,7 +193,7 @@ pub fn fig7(exp: &Experiment) -> (Vec<RunReport>, Vec<Check>) {
         .trace
         .with_arrivals(poisson_arrivals(FIG7_RATE, exp.trace.len(), 0xF167));
     let sim = Simulation::new(&exp.catalog, exp.config);
-    let params = MetricParams::from_cost(&exp.config.cost);
+    let params = exp.config.cost;
 
     let mut lineup: Vec<Box<dyn Scheduler>> = vec![Box::new(NoShareScheduler::new())];
     for alpha in [1.0, 0.75, 0.5, 0.25, 0.0] {
@@ -494,7 +493,7 @@ pub fn ablations(exp: &Experiment) -> Vec<Check> {
     let timed = exp
         .trace
         .with_arrivals(poisson_arrivals(FIG7_RATE, exp.trace.len(), 0xAB1A));
-    let params = MetricParams::from_cost(&exp.config.cost);
+    let params = exp.config.cost;
     let mut checks = Vec::new();
 
     // 1. Aging mode: normalized blend vs the paper's raw Eq. 2.
@@ -522,7 +521,7 @@ pub fn ablations(exp: &Experiment) -> Vec<Check> {
         format!("{:.0}", r_aged.mean_response_s()),
     ]);
     println!("{}", t.render());
-    // The units mismatch in the verbatim Eq. 2 (objects/ms + ms) lets any
+    // The units mismatch in the verbatim Eq. 2 (objects/µs + ms) lets any
     // α > 0 hand the decision entirely to the age term: the raw policy at
     // α = 0.25 must behave like the pure-age policy, not like the
     // normalized blend.

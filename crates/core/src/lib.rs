@@ -8,8 +8,9 @@
 //!
 //! # The pieces
 //!
-//! - [`metric`] — Eq. 1's workload throughput `Ut(i) = W / (Tb·φ(i) + Tm·W)`
-//!   and Eq. 2's aged metric `Ua(i) = Ut(i)·(1−α) + A(i)·α`.
+//! - [`metric`] — Eq. 1's workload throughput `Ut(i) = W / scan_batch(W, φ(i))`
+//!   (the batch's scan price in µs) and Eq. 2's aged metric
+//!   `Ua(i) = Ut(i)·(1−α) + A(i)·α`.
 //! - [`scheduler`] — the [`Scheduler`] trait: given a view of the
 //!   per-bucket workload queues, produce the next [`BatchSpec`] to execute.
 //! - [`liferaft`] — the LifeRaft policy at any fixed bias α ∈ [0, 1].

@@ -2,9 +2,9 @@
 
 use std::cmp::Ordering;
 
-use liferaft_storage::BucketId;
+use liferaft_storage::{BucketId, CostModel, SimDuration};
 
-use crate::metric::{AgingMode, MetricParams, ScorePass};
+use crate::metric::{AgingMode, ScorePass};
 use crate::scheduler::{
     BatchScope, BatchSpec, BucketSnapshot, DecisionStats, Lens, Scheduler, SchedulerView,
 };
@@ -25,50 +25,47 @@ const FRONTIER_SEED: usize = 4;
 ///
 /// # How the pick uses the candidate index
 ///
-/// At α = 1 the blended score is a monotone image of the age term, so the
-/// pick is a single [`top_candidate`](SchedulerView::top_candidate) lookup
-/// under [`Lens::Age`] (tie-breaks are the order's tail).
-///
-/// At α = 0 the score is a monotone image of `Ut` — but the floating-point
-/// `Ut` of *resident* candidates wobbles around `1/Tm` non-monotonically in
-/// queue length, so the pick re-scores, exactly, the small resident pool
-/// (bounded by the cache capacity) plus the one uncached candidate that can
-/// win: the [`Lens::UncachedThroughput`] maximum.
+/// At α = 0 and α = 1 the blended score is a monotone image of one term,
+/// so the pick is a single [`top_candidate`](SchedulerView::top_candidate)
+/// lookup under [`Lens::Throughput`] or [`Lens::Age`] (tie-breaks are the
+/// order's tail).
 ///
 /// For mixed α the pick runs the threshold algorithm (Fagin, Lotem & Naor,
-/// PODS 2001) in one pass: score the resident pool once, then walk both
-/// lens orders depth by depth, scoring each list's `d`-th candidate once,
-/// and stop at the first depth where no *unseen* candidate can win. Every
-/// unseen candidate `c` is uncached and lies beyond both depth-`d`
-/// frontiers; both terms are monotone non-increasing along their lists and
-/// float rounding is monotone, so
+/// PODS 2001) in one pass over both lens orders. Residents head the
+/// throughput order, all at `Ut`'s maximum: the pass scores each once, then
+/// walks the uncached rest of that order and the age order depth by depth,
+/// scoring each list's `d`-th candidate once, and stops at the first depth
+/// where no *unseen* candidate can win. Every unseen candidate `c` is
+/// uncached and lies beyond both depth-`d` frontiers; both terms are
+/// monotone non-increasing along their lists and float rounding is
+/// monotone, so
 /// `score(c) ≤ bound = (1−α)·ût(uncached frontier) + α·â(age frontier)`
-/// (normalization bounds come from the resident scan plus the index
-/// extremes, which realize the candidate-set extremes of both terms). The
-/// scan closes when
+/// (normalization bounds come from the lens extremes, which realize the
+/// candidate-set extremes of both terms). The scan closes when
 ///
 /// - `bound < best`, the best seen score: `c` scores strictly lower; or
 /// - `bound == best` and the best seen candidate is at or ahead of the
-///   uncached frontier in tie-break order: `c` can at most tie on
-///   score (no term is ever −0.0, so `==` and `total_cmp` agree), and the
-///   decision tie-break — longer queue, then lower bucket — *is* the
-///   [`Lens::UncachedThroughput`] order, in which `c` sits strictly behind
-///   the frontier and therefore behind the best seen. One wide query fans
-///   an object into hundreds of buckets at one instant with equal queue
-///   lengths; all those scores are equal, and this is the arm that closes
-///   them at depth 1.
+///   uncached frontier in tie-break order: `c` can at most tie on score
+///   (no term is ever −0.0, so `==` and `total_cmp` agree), and among
+///   uncached candidates the decision tie-break — longer queue, then lower
+///   bucket — *is* the [`Lens::Throughput`] order, in which `c` sits
+///   strictly behind the frontier and therefore behind the best seen. One
+///   wide query fans an object into hundreds of buckets at one instant
+///   with equal queue lengths; all those scores are equal, and this is the
+///   arm that closes them at depth 1.
 ///
-/// The bound never rises with depth and the best seen never falls, so once
-/// the rule holds it holds at every later depth: the pick is the argmax of
-/// the scores over the whole candidate set, bit for bit. The frontiers are
-/// fetched `FRONTIER_SEED`, 2·`FRONTIER_SEED`, … deep; if the bound is
-/// still open at the end of the first fetch `k` with `2k ≥ n` (anti-
-/// correlated lists, or a tie led by a resident whose short queue ranks it
-/// behind the frontier), the pick falls back to a full streamed scan —
-/// still allocation-free, and that same argmax.
+/// A resident is never a frontier: behind one, an uncached candidate with
+/// a longer queue may still tie it. The bound never rises with depth and
+/// the best seen never falls, so once the rule holds it holds at every
+/// later depth: the pick is the argmax of the scores over the whole
+/// candidate set, bit for bit. The frontiers are fetched `FRONTIER_SEED`,
+/// 2·`FRONTIER_SEED`, … deep (the throughput list that much past the
+/// residents); if the bound is still open at the end of the first fetch
+/// `k` with `2k ≥ n` (anti-correlated lists), the pick falls back to a full
+/// streamed scan — still allocation-free, and that same argmax.
 #[derive(Debug, Clone)]
 pub struct LifeRaftScheduler {
-    params: MetricParams,
+    cost: CostModel,
     mode: AgingMode,
     alpha: f64,
     /// Frontier scratch for the mixed-α threshold scan (throughput lens).
@@ -81,17 +78,24 @@ pub struct LifeRaftScheduler {
 }
 
 impl LifeRaftScheduler {
-    /// Creates a scheduler with bias `alpha ∈ [0, 1]`.
+    /// Creates a scheduler with bias `alpha ∈ [0, 1]`, scoring Eq. 1 with
+    /// `cost`'s scan price.
     ///
     /// # Panics
-    /// Panics if α is outside `[0, 1]`.
-    pub fn new(params: MetricParams, mode: AgingMode, alpha: f64) -> Self {
+    /// Panics if α is outside `[0, 1]`, or if `cost.tb` is zero: the
+    /// throughput order ranks residents first because a bucket read makes
+    /// every uncached queue score below them.
+    pub fn new(cost: CostModel, mode: AgingMode, alpha: f64) -> Self {
         assert!(
             (0.0..=1.0).contains(&alpha),
             "α must be in [0,1], got {alpha}"
         );
+        assert!(
+            cost.tb > SimDuration::ZERO,
+            "Eq. 1 needs a bucket read cost Tb > 0"
+        );
         LifeRaftScheduler {
-            params,
+            cost,
             mode,
             alpha,
             scratch_t: Vec::new(),
@@ -101,13 +105,13 @@ impl LifeRaftScheduler {
     }
 
     /// The greedy, maximum-throughput configuration (α = 0).
-    pub fn greedy(params: MetricParams) -> Self {
-        Self::new(params, AgingMode::Normalized, 0.0)
+    pub fn greedy(cost: CostModel) -> Self {
+        Self::new(cost, AgingMode::Normalized, 0.0)
     }
 
     /// The purely age-driven configuration (α = 1).
-    pub fn age_based(params: MetricParams) -> Self {
-        Self::new(params, AgingMode::Normalized, 1.0)
+    pub fn age_based(cost: CostModel) -> Self {
+        Self::new(cost, AgingMode::Normalized, 1.0)
     }
 
     /// Current bias.
@@ -124,112 +128,63 @@ impl LifeRaftScheduler {
         self.alpha = alpha;
     }
 
-    /// The candidate snapshots realizing the exact min and max float `Ut`
-    /// over the whole set: the resident pool is scanned (its `Ut` wobble is
-    /// not monotone in any key), the uncached pool contributes its key-order
-    /// extremes (where the float `Ut` order *is* the key order).
-    fn ut_extreme_snaps(
-        &self,
-        view: &dyn SchedulerView,
-    ) -> Option<(BucketSnapshot, BucketSnapshot)> {
-        let params = self.params;
-        let mut lo: Option<(f64, BucketSnapshot)> = None;
-        let mut hi: Option<(f64, BucketSnapshot)> = None;
-        let fold = |c: &BucketSnapshot,
-                    lo: &mut Option<(f64, BucketSnapshot)>,
-                    hi: &mut Option<(f64, BucketSnapshot)>| {
-            let ut = params.workload_throughput(c.queue_len, c.cached);
-            if lo.map_or(true, |(v, _)| ut < v) {
-                *lo = Some((ut, *c));
-            }
-            if hi.map_or(true, |(v, _)| ut > v) {
-                *hi = Some((ut, *c));
-            }
-        };
-        view.for_each_cached_candidate(&mut |c| fold(c, &mut lo, &mut hi));
-        if let Some(t) = view.top_candidate(Lens::UncachedThroughput) {
-            fold(&t, &mut lo, &mut hi);
-            let b = view
-                .bottom_candidate(Lens::UncachedThroughput)
-                .expect("pool with a top has a bottom");
-            fold(&b, &mut lo, &mut hi);
-        }
-        lo.map(|(_, lo_snap)| (lo_snap, hi.expect("hi set with lo").1))
-    }
-
-    /// The α = 0 indexed pick: exact re-rank of the resident pool plus the
-    /// best uncached candidate. Any other uncached candidate is dominated
-    /// by the uncached maximum under the score order *and* under the
-    /// tie-break that decides collapsed scores, so it can never win.
-    fn pick_greedy(&self, view: &dyn SchedulerView) -> Option<BucketId> {
-        let top_uncached = view.top_candidate(Lens::UncachedThroughput);
-        let (ut_lo, ut_hi) = self.ut_extreme_snaps(view)?;
-        // At α = 0 the age term contributes exactly ±0.0 to every score, so
-        // the pass only needs the `Ut` bounds to normalize bit-identically
-        // to a pass over the full candidate set.
-        let pass = ScorePass::new(
-            &self.params,
-            self.mode,
-            self.alpha,
-            view.now(),
-            &[ut_lo, ut_hi],
-        );
-        let mut best: Option<(f64, BucketSnapshot)> = None;
-        view.for_each_cached_candidate(&mut |c| keep_best(&mut best, pass.score(c), c));
-        if let Some(t) = top_uncached {
-            keep_best(&mut best, pass.score(&t), &t);
-        }
-        best.map(|(_, b)| b.bucket)
-    }
-
-    /// The mixed-α indexed pick: one threshold pass over the resident pool
-    /// and both lens frontiers, falling back to a full streamed scan when
-    /// the bound is still open at the fallback depth.
+    /// The mixed-α indexed pick: one threshold pass over both lens
+    /// frontiers, falling back to a full streamed scan when the bound is
+    /// still open at the fallback depth.
     fn pick_blended(&mut self, view: &dyn SchedulerView) -> Option<BucketId> {
         let n = view.candidate_count();
-        let a_hi = view.top_candidate(Lens::Age)?;
-        let a_lo = view.bottom_candidate(Lens::Age)?;
-        let (ut_lo, ut_hi) = self.ut_extreme_snaps(view)?;
+        let extremes = [
+            view.bottom_candidate(Lens::Throughput)?,
+            view.top_candidate(Lens::Throughput)?,
+            view.bottom_candidate(Lens::Age)?,
+            view.top_candidate(Lens::Age)?,
+        ];
         // These four snapshots realize the candidate set's exact min/max of
         // both metric terms, so this pass normalizes bit-identically to one
         // prepared over the full candidate slice.
-        let pass = ScorePass::new(
-            &self.params,
-            self.mode,
-            self.alpha,
-            view.now(),
-            &[ut_lo, ut_hi, a_lo, a_hi],
-        );
+        let pass = ScorePass::new(&self.cost, self.mode, self.alpha, view.now(), &extremes);
         let mut best: Option<(f64, BucketSnapshot)> = None;
-        view.for_each_cached_candidate(&mut |c| keep_best(&mut best, pass.score(c), c));
-        let mut fetched = 0;
+        let (mut residents, mut fetched) = (0, 0);
         for depth in 1.. {
             if depth > fetched {
                 fetched = (2 * fetched).max(FRONTIER_SEED);
-                view.top_candidates(Lens::UncachedThroughput, fetched, &mut self.scratch_t);
+                view.top_candidates(Lens::Throughput, residents + fetched, &mut self.scratch_t);
                 view.top_candidates(Lens::Age, fetched, &mut self.scratch_a);
             }
-            let Some(t) = self.scratch_t.get(depth - 1) else {
-                // The resident pool and the uncached list cover every
-                // candidate.
+            // The depth-th uncached candidate in throughput order. Residents
+            // head that order: the first depth reads past them, scoring each
+            // once, and fetches deeper while the head outruns the fetch.
+            let t = loop {
+                let i = residents + depth - 1;
+                if i == self.scratch_t.len() && i < n {
+                    view.top_candidates(Lens::Throughput, 2 * i, &mut self.scratch_t);
+                }
+                match self.scratch_t.get(i).copied() {
+                    Some(c) if c.cached => {
+                        keep_best(&mut best, pass.score(&c), &c);
+                        residents += 1;
+                    }
+                    t => break t,
+                }
+            };
+            let Some(t) = t else {
+                // Every candidate is resident, and each was scored.
                 break;
             };
-            // The uncached list holds at least `depth` candidates, so the
-            // age list (all of them) does too.
             let a = &self.scratch_a[depth - 1];
-            let (t_ut, a_age) = (pass.ut_term(t), pass.age_term(a));
-            keep_best(&mut best, pass.blend(t_ut, pass.age_term(t)), t);
+            let (t_ut, a_age) = (pass.ut_term(&t), pass.age_term(a));
+            keep_best(&mut best, pass.blend(t_ut, pass.age_term(&t)), &t);
             keep_best(&mut best, pass.blend(pass.ut_term(a), a_age), a);
             let (best_score, best_snap) = best.expect("a frontier candidate was scored");
-            if depth >= n {
-                // The age list covered every candidate.
+            if residents + depth >= n {
+                // The residents and the walk covered every candidate.
                 break;
             }
             // Upper bound of every unseen score; closed strictly below the
             // best seen, or on a tie the tie-break already decides (see the
             // type docs for the argument).
             let bound = pass.blend(t_ut, a_age);
-            if bound < best_score || (bound == best_score && !ahead(t, &best_snap)) {
+            if bound < best_score || (bound == best_score && !ahead(&t, &best_snap)) {
                 break;
             }
             if depth == fetched && 2 * fetched >= n {
@@ -283,7 +238,7 @@ impl Scheduler for LifeRaftScheduler {
         // single term (the other coefficient is exactly 0.0 and both terms
         // are finite, so it contributes ±0.0 to every score).
         let bucket = if self.alpha == 0.0 {
-            self.pick_greedy(view)?
+            view.top_candidate(Lens::Throughput)?.bucket
         } else if self.alpha == 1.0 {
             view.top_candidate(Lens::Age)?.bucket
         } else {
@@ -327,7 +282,7 @@ mod tests {
 
     #[test]
     fn greedy_prefers_cached_then_longest_queue() {
-        let mut s = LifeRaftScheduler::greedy(MetricParams::paper());
+        let mut s = LifeRaftScheduler::greedy(CostModel::paper());
         // Cached small queue beats uncached huge queue at α=0.
         let v = view(vec![snap(0, 5_000, 10, false), snap(1, 10, 10, true)], 20);
         let pick = s.pick(&v).unwrap();
@@ -341,22 +296,22 @@ mod tests {
 
     #[test]
     fn age_based_services_oldest_first() {
-        let mut s = LifeRaftScheduler::age_based(MetricParams::paper());
+        let mut s = LifeRaftScheduler::age_based(CostModel::paper());
         let v = view(vec![snap(0, 9_000, 15, false), snap(1, 1, 2, false)], 20);
         assert_eq!(s.pick(&v).unwrap().bucket, BucketId(1));
     }
 
     #[test]
     fn no_candidates_yields_none() {
-        let mut s = LifeRaftScheduler::greedy(MetricParams::paper());
+        let mut s = LifeRaftScheduler::greedy(CostModel::paper());
         assert!(s.pick(&view(vec![], 1)).is_none());
-        let mut mid = LifeRaftScheduler::new(MetricParams::paper(), AgingMode::Normalized, 0.5);
+        let mut mid = LifeRaftScheduler::new(CostModel::paper(), AgingMode::Normalized, 0.5);
         assert!(mid.pick(&view(vec![], 1)).is_none());
     }
 
     #[test]
     fn ties_break_by_queue_then_bucket() {
-        let mut s = LifeRaftScheduler::greedy(MetricParams::paper());
+        let mut s = LifeRaftScheduler::greedy(CostModel::paper());
         // Two identical cached buckets (both at max Ut): longer queue wins.
         let v = view(vec![snap(3, 10, 5, true), snap(7, 20, 5, true)], 20);
         assert_eq!(s.pick(&v).unwrap().bucket, BucketId(7));
@@ -367,8 +322,8 @@ mod tests {
 
     /// The reference decision over the view's candidates.
     fn reference(mode: AgingMode, alpha: f64, v: &FixtureView) -> BucketId {
-        let p = MetricParams::paper();
-        v.candidates[reference_pick(&p, mode, alpha, v.now, &v.candidates).unwrap()].bucket
+        let cost = CostModel::paper();
+        v.candidates[reference_pick(&cost, mode, alpha, v.now, &v.candidates).unwrap()].bucket
     }
 
     /// Every α, every aging mode: the indexed pick through a view must equal
@@ -389,7 +344,7 @@ mod tests {
         let v = view(candidates, 100);
         for mode in [AgingMode::Normalized, AgingMode::Raw] {
             for alpha in [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0] {
-                let mut s = LifeRaftScheduler::new(MetricParams::paper(), mode, alpha);
+                let mut s = LifeRaftScheduler::new(CostModel::paper(), mode, alpha);
                 let picked = s.pick(&v).unwrap().bucket;
                 assert_eq!(
                     picked,
@@ -400,36 +355,68 @@ mod tests {
         }
     }
 
-    /// Total ties pin the threshold bound exactly on the best seen score;
-    /// the tie-break closes the scan at the first check, and the pick still
-    /// agrees with the reference decision.
+    /// Total ties pin the threshold bound exactly on the best seen score,
+    /// and the pick still agrees with the reference decision.
     #[test]
     fn blended_pick_survives_degenerate_ties() {
-        // All cached, identical queues and ages → every score is equal.
-        let candidates: Vec<BucketSnapshot> = (0..33).map(|i| snap(i, 10, 5, true)).collect();
-        let v = view(candidates, 20);
-        let mut s = LifeRaftScheduler::new(MetricParams::paper(), AgingMode::Normalized, 0.5);
-        assert_eq!(
-            s.pick(&v).unwrap().bucket,
-            reference(AgingMode::Normalized, 0.5, &v)
-        );
-        assert_eq!(s.pick(&v).unwrap().bucket, BucketId(0));
-        // All-resident ties resolve by exact re-scoring of the (complete)
-        // resident pool — counted as frontier picks, not fallbacks.
-        assert_eq!(s.decision_stats().frontier_picks, 2);
-        assert_eq!(s.decision_stats().fallback_picks, 0);
         // All-*uncached* ties (one wide query's fan-out) hold the bound at
         // exactly the best seen score; the best seen leads the uncached
-        // frontier in tie-break order, so the first check closes.
+        // throughput frontier in tie-break order, so the first check closes.
         let uncached: Vec<BucketSnapshot> = (0..33).map(|i| snap(i, 10, 5, false)).collect();
         let v = view(uncached, 20);
-        let mut s = LifeRaftScheduler::new(MetricParams::paper(), AgingMode::Normalized, 0.5);
+        let mut s = LifeRaftScheduler::new(CostModel::paper(), AgingMode::Normalized, 0.5);
         assert_eq!(
             s.pick(&v).unwrap().bucket,
             reference(AgingMode::Normalized, 0.5, &v)
         );
         assert_eq!(s.decision_stats().frontier_picks, 1);
         assert_eq!(s.decision_stats().fallback_picks, 0);
+        // All-resident ties resolve by scoring the (complete) resident head
+        // of the throughput order — counted as frontier picks.
+        let candidates: Vec<BucketSnapshot> = (0..33).map(|i| snap(i, 10, 5, true)).collect();
+        let v = view(candidates, 20);
+        let mut s = LifeRaftScheduler::new(CostModel::paper(), AgingMode::Normalized, 0.5);
+        assert_eq!(
+            s.pick(&v).unwrap().bucket,
+            reference(AgingMode::Normalized, 0.5, &v)
+        );
+        assert_eq!(s.pick(&v).unwrap().bucket, BucketId(0));
+        assert_eq!(s.decision_stats().frontier_picks, 2);
+        assert_eq!(s.decision_stats().fallback_picks, 0);
+    }
+
+    /// A resident heads the throughput order, and a bound formed with it
+    /// would tie the best seen score, but an unseen *uncached* candidate
+    /// with a longer queue ties it too and wins the tie-break: the pick
+    /// must read past the resident before the bound can close. Such a tie
+    /// needs a score that swallows the `Ut` gap between a resident and an
+    /// uncached queue; raw ages of 2⁵⁷ µs (~4 500 years) do, and swallow a
+    /// 1 µs age gap as well, so all three candidates score exactly alike.
+    #[test]
+    fn a_tie_behind_a_resident_does_not_close_the_scan() {
+        let at = |us| SimTime::from_micros(us);
+        let candidate = |bucket, queue_len, enq_us, cached| BucketSnapshot {
+            bucket: BucketId(bucket),
+            queue_len,
+            oldest_enqueue: at(enq_us),
+            cached,
+        };
+        let v = FixtureView {
+            now: at(1 << 57),
+            candidates: vec![
+                // The age list's head: 1 µs older than the others.
+                candidate(0, 2, 0, false),
+                // The throughput list's head.
+                candidate(1, 1, 1, true),
+                // Behind the resident in throughput order: the reference pick.
+                candidate(2, 500, 1, false),
+            ],
+            ..FixtureView::default()
+        };
+        let mut s = LifeRaftScheduler::new(CostModel::paper(), AgingMode::Raw, 0.5);
+        assert_eq!(BucketId(2), reference(AgingMode::Raw, 0.5, &v));
+        assert_eq!(s.pick(&v).unwrap().bucket, BucketId(2));
+        assert_eq!(s.decision_stats().frontier_picks, 1);
     }
 
     /// Anti-correlated lists keep the bound open for real: the long queues
@@ -449,7 +436,7 @@ mod tests {
             })
             .collect();
         let v = view(candidates, 100);
-        let mut s = LifeRaftScheduler::new(MetricParams::paper(), AgingMode::Normalized, 0.5);
+        let mut s = LifeRaftScheduler::new(CostModel::paper(), AgingMode::Normalized, 0.5);
         assert_eq!(
             s.pick(&v).unwrap().bucket,
             reference(AgingMode::Normalized, 0.5, &v)
@@ -483,7 +470,7 @@ mod tests {
     #[test]
     fn a_bound_closing_past_half_the_set_is_a_frontier_pick() {
         let v = crossing_lists(15, 16);
-        let mut s = LifeRaftScheduler::new(MetricParams::paper(), AgingMode::Normalized, 0.5);
+        let mut s = LifeRaftScheduler::new(CostModel::paper(), AgingMode::Normalized, 0.5);
         assert_eq!(s.pick(&v).unwrap().bucket, BucketId(15));
         assert_eq!(BucketId(15), reference(AgingMode::Normalized, 0.5, &v));
         assert_eq!(s.decision_stats().frontier_picks, 1);
@@ -497,7 +484,7 @@ mod tests {
     #[test]
     fn a_bound_open_at_the_fallback_depth_is_a_fallback_pick() {
         let v = crossing_lists(16, 16);
-        let mut s = LifeRaftScheduler::new(MetricParams::paper(), AgingMode::Normalized, 0.5);
+        let mut s = LifeRaftScheduler::new(CostModel::paper(), AgingMode::Normalized, 0.5);
         assert_eq!(s.pick(&v).unwrap().bucket, BucketId(16));
         assert_eq!(BucketId(16), reference(AgingMode::Normalized, 0.5, &v));
         assert_eq!(s.decision_stats().fallback_picks, 1);
@@ -512,19 +499,19 @@ mod tests {
             .map(|i| snap(i, if i == 0 { 5_000 } else { 1 }, i as u64, false))
             .collect();
         let v = view(candidates, 100);
-        let mut s = LifeRaftScheduler::new(MetricParams::paper(), AgingMode::Normalized, 0.5);
+        let mut s = LifeRaftScheduler::new(CostModel::paper(), AgingMode::Normalized, 0.5);
         assert_eq!(s.pick(&v).unwrap().bucket, BucketId(0));
         assert_eq!(s.decision_stats().frontier_picks, 1);
         assert_eq!(s.decision_stats().fallback_picks, 0);
         // The α extremes bypass the threshold scan entirely.
-        let mut greedy = LifeRaftScheduler::greedy(MetricParams::paper());
+        let mut greedy = LifeRaftScheduler::greedy(CostModel::paper());
         greedy.pick(&v).unwrap();
         assert_eq!(greedy.decision_stats(), DecisionStats::default());
     }
 
     #[test]
     fn alpha_is_tunable_at_runtime() {
-        let mut s = LifeRaftScheduler::greedy(MetricParams::paper());
+        let mut s = LifeRaftScheduler::greedy(CostModel::paper());
         assert_eq!(s.alpha(), 0.0);
         s.set_alpha(0.75);
         assert_eq!(s.alpha(), 0.75);
@@ -532,8 +519,18 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "Tb > 0")]
+    fn free_bucket_reads_rejected() {
+        let cost = CostModel {
+            tb: SimDuration::ZERO,
+            ..CostModel::paper()
+        };
+        LifeRaftScheduler::greedy(cost);
+    }
+
+    #[test]
     #[should_panic(expected = "α must be in")]
     fn invalid_alpha_rejected() {
-        LifeRaftScheduler::new(MetricParams::paper(), AgingMode::Normalized, -0.1);
+        LifeRaftScheduler::new(CostModel::paper(), AgingMode::Normalized, -0.1);
     }
 }

@@ -1,70 +1,47 @@
 //! The workload throughput metric (Eq. 1) and its aged variant (Eq. 2).
 
-use liferaft_storage::CostModel;
+use liferaft_storage::{CostModel, SimTime};
 
 use crate::scheduler::BucketSnapshot;
-use liferaft_storage::SimTime;
 
-/// Cost parameters of the metric: the paper's `Tb` and `Tm`, in milliseconds.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MetricParams {
-    /// Bucket read cost in milliseconds.
-    pub tb_ms: f64,
-    /// Per-object match cost in milliseconds.
-    pub tm_ms: f64,
-}
+/// The metric's former parameter type, now an alias of [`CostModel`]:
+/// Eq. 1 reads the batch cost model itself. Only the repo benchmark still
+/// names it.
+pub type MetricParams = CostModel;
 
-impl MetricParams {
-    /// Extracts the metric constants from a [`CostModel`].
-    pub fn from_cost(cost: &CostModel) -> Self {
-        MetricParams {
-            tb_ms: cost.tb.as_millis_f64(),
-            tm_ms: cost.tm.as_millis_f64(),
-        }
+/// Eq. 1: `Ut(i) = W / scan_batch(W, φ(i))`, in objects per microsecond —
+/// the batch's scan price from [`CostModel::scan_batch`], in exact integer
+/// µs, so the metric holds no second copy of the cost formula.
+///
+/// `φ(i)` is 0 when the bucket is cached and 1 otherwise; an empty queue
+/// scores 0 (nothing to consume). In exact µs every resident queue scores
+/// one value, `1/Tm`, and an uncached `Ut` is strictly increasing in `W`
+/// (for `Tb > 0` and any queue shorter than ~10⁹ entries), so the
+/// candidate index's throughput order is the score order.
+///
+/// ```
+/// use liferaft_core::metric::workload_throughput;
+/// use liferaft_storage::CostModel;
+///
+/// let cost = CostModel::paper();
+/// // Deeper queues amortize the bucket read: strictly higher throughput.
+/// assert!(workload_throughput(&cost, 100, false) > workload_throughput(&cost, 10, false));
+/// // A cache hit drops the Tb term entirely: 1/Tm for any queue length.
+/// assert_eq!(workload_throughput(&cost, 50, true), 1.0 / 130.0);
+/// assert_eq!(workload_throughput(&cost, 0, false), 0.0);
+/// ```
+pub fn workload_throughput(cost: &CostModel, queue_len: u64, cached: bool) -> f64 {
+    if queue_len == 0 {
+        return 0.0;
     }
-
-    /// The paper's constants: Tb = 1200 ms, Tm = 0.13 ms.
-    pub fn paper() -> Self {
-        Self::from_cost(&CostModel::paper())
-    }
-
-    /// Eq. 1: `Ut(i) = W / (Tb·φ(i) + Tm·W)`, in objects per millisecond.
-    ///
-    /// `φ(i)` is 0 when the bucket is cached and 1 otherwise; an empty queue
-    /// scores 0 (nothing to consume).
-    ///
-    /// ```
-    /// use liferaft_core::MetricParams;
-    ///
-    /// let m = MetricParams::paper();
-    /// // Deeper queues amortize the bucket read: strictly higher throughput.
-    /// assert!(m.workload_throughput(100, false) > m.workload_throughput(10, false));
-    /// // A cache hit drops the Tb term entirely and caps out at 1/Tm.
-    /// let cached = m.workload_throughput(50, true);
-    /// assert!((cached - m.max_throughput()).abs() < 1e-12 * m.max_throughput());
-    /// assert_eq!(m.workload_throughput(0, false), 0.0);
-    /// ```
-    pub fn workload_throughput(&self, queue_len: u64, cached: bool) -> f64 {
-        if queue_len == 0 {
-            return 0.0;
-        }
-        let w = queue_len as f64;
-        let phi = if cached { 0.0 } else { 1.0 };
-        w / (self.tb_ms * phi + self.tm_ms * w)
-    }
-
-    /// Upper bound of Eq. 1: a cached bucket consumes `1/Tm` objects per ms
-    /// regardless of queue length.
-    pub fn max_throughput(&self) -> f64 {
-        1.0 / self.tm_ms
-    }
+    queue_len as f64 / cost.scan_batch(queue_len, cached).as_micros() as f64
 }
 
 /// How the age term is combined with the throughput term in Eq. 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AgingMode {
     /// Min–max normalize both `Ut` and `A` over the candidate set before
-    /// blending (our default: the paper's raw sum mixes objects/ms with
+    /// blending (our default: the paper's raw sum mixes objects/µs with
     /// milliseconds, letting age dominate for any α > 0 — the `ablations`
     /// figure check measures exactly that).
     Normalized,
@@ -82,7 +59,7 @@ pub enum AgingMode {
 /// tests hold it to such a reference).
 #[derive(Debug, Clone, Copy)]
 pub struct ScorePass {
-    params: MetricParams,
+    cost: CostModel,
     mode: AgingMode,
     alpha: f64,
     now: SimTime,
@@ -99,7 +76,7 @@ impl ScorePass {
     /// Panics if α is outside `[0, 1]` or a metric term is NaN (an upstream
     /// accounting bug).
     pub fn new(
-        params: &MetricParams,
+        cost: &CostModel,
         mode: AgingMode,
         alpha: f64,
         now: SimTime,
@@ -110,7 +87,7 @@ impl ScorePass {
             "α must be in [0,1], got {alpha}"
         );
         let mut pass = ScorePass {
-            params: *params,
+            cost: *cost,
             mode,
             alpha,
             now,
@@ -123,7 +100,7 @@ impl ScorePass {
             let (mut ut_lo, mut ut_hi) = (f64::INFINITY, f64::NEG_INFINITY);
             let (mut age_lo, mut age_hi) = (f64::INFINITY, f64::NEG_INFINITY);
             for c in candidates {
-                let ut = params.workload_throughput(c.queue_len, c.cached);
+                let ut = workload_throughput(cost, c.queue_len, c.cached);
                 let age = c.age_ms(now);
                 assert!(!ut.is_nan() && !age.is_nan(), "metric term is NaN");
                 ut_lo = ut_lo.min(ut);
@@ -158,7 +135,7 @@ impl ScorePass {
     /// form score *upper bounds* from frontier candidates.
     #[inline]
     pub fn ut_term(&self, c: &BucketSnapshot) -> f64 {
-        let ut = self.params.workload_throughput(c.queue_len, c.cached);
+        let ut = workload_throughput(&self.cost, c.queue_len, c.cached);
         match self.mode {
             AgingMode::Raw => ut,
             AgingMode::Normalized => normalized(ut, self.ut_lo, self.ut_span),
@@ -206,43 +183,47 @@ mod tests {
 
     #[test]
     fn eq1_known_values() {
-        let p = MetricParams {
-            tb_ms: 1200.0,
-            tm_ms: 0.13,
-        };
-        // W=1000, uncached: 1000 / (1200 + 130) ≈ 0.7519 objects/ms.
-        let ut = p.workload_throughput(1000, false);
-        assert!((ut - 1000.0 / 1330.0).abs() < 1e-12);
-        // Cached: 1000 / 130 = 1/Tm.
-        let cached = p.workload_throughput(1000, true);
-        assert!((cached - p.max_throughput()).abs() < 1e-12);
+        let cost = CostModel::paper();
+        // W=1000, uncached: 1000 / (1 200 000 + 130 000) objects/µs.
+        assert_eq!(
+            workload_throughput(&cost, 1000, false),
+            1000.0 / 1_330_000.0
+        );
+        // Cached: 1000 / 130 000 = 1/Tm.
+        assert_eq!(workload_throughput(&cost, 1000, true), 1.0 / 130.0);
     }
 
+    /// In exact µs the resident score is one value for every queue length
+    /// and the uncached score is strictly increasing, so the throughput
+    /// lens's key order is the score order.
     #[test]
-    fn eq1_monotone_in_queue_length_when_uncached() {
-        let p = MetricParams::paper();
+    fn eq1_is_exact_in_micros() {
+        let cost = CostModel::paper();
+        for w in 1..=2_000 {
+            assert_eq!(workload_throughput(&cost, w, true), 1.0 / 130.0, "W = {w}");
+        }
         let mut last = 0.0;
-        for w in [1u64, 10, 100, 1_000, 10_000] {
-            let ut = p.workload_throughput(w, false);
-            assert!(ut > last);
+        for w in 1..=1_000_000 {
+            let ut = workload_throughput(&cost, w, false);
+            assert!(ut > last, "uncached Ut not increasing at W = {w}");
             last = ut;
         }
-        assert_eq!(p.workload_throughput(0, false), 0.0);
+        assert!(last < 1.0 / 130.0, "an uncached queue reached 1/Tm");
     }
 
     #[test]
     fn cached_buckets_always_beat_uncached() {
-        let p = MetricParams::paper();
+        let cost = CostModel::paper();
         // Even a 1-object cached queue outranks a 10 000-object uncached one.
-        assert!(p.workload_throughput(1, true) > p.workload_throughput(10_000, false));
+        assert!(workload_throughput(&cost, 1, true) > workload_throughput(&cost, 10_000, false));
     }
 
     #[test]
     fn alpha_zero_is_pure_throughput() {
-        let p = MetricParams::paper();
+        let cost = CostModel::paper();
         let (a, now) = snap(0, 10_000, 0, false);
         let (b, _) = snap(1, 10, 99_000, false); // ancient but tiny queue
-        let pass = ScorePass::new(&p, AgingMode::Normalized, 0.0, now, &[a, b]);
+        let pass = ScorePass::new(&cost, AgingMode::Normalized, 0.0, now, &[a, b]);
         assert!(
             pass.score(&a) > pass.score(&b),
             "greedy must prefer contention"
@@ -251,10 +232,10 @@ mod tests {
 
     #[test]
     fn alpha_one_is_pure_age() {
-        let p = MetricParams::paper();
+        let cost = CostModel::paper();
         let (a, now) = snap(0, 10_000, 10, false);
         let (b, _) = snap(1, 1, 90_000, false);
-        let pass = ScorePass::new(&p, AgingMode::Normalized, 1.0, now, &[a, b]);
+        let pass = ScorePass::new(&cost, AgingMode::Normalized, 1.0, now, &[a, b]);
         assert!(
             pass.score(&b) > pass.score(&a),
             "α=1 must prefer the oldest request"
@@ -263,13 +244,13 @@ mod tests {
 
     #[test]
     fn intermediate_alpha_blends() {
-        let p = MetricParams::paper();
+        let cost = CostModel::paper();
         let (a, now) = snap(0, 10_000, 0, false);
         let (b, _) = snap(1, 1, 90_000, false);
         // A long-queue young bucket vs a short-queue old bucket: as α rises
         // the old bucket must eventually win, with a crossover in between.
         let pick = |alpha: f64| {
-            let pass = ScorePass::new(&p, AgingMode::Normalized, alpha, now, &[a, b]);
+            let pass = ScorePass::new(&cost, AgingMode::Normalized, alpha, now, &[a, b]);
             if pass.score(&a) >= pass.score(&b) {
                 0
             } else {
@@ -288,26 +269,26 @@ mod tests {
     #[test]
     fn raw_mode_lets_age_dominate() {
         // Documented pathology of the verbatim Eq. 2: with raw units even a
-        // tiny α makes milliseconds of age dwarf objects/ms of throughput.
-        let p = MetricParams::paper();
+        // tiny α makes milliseconds of age dwarf objects/µs of throughput.
+        let cost = CostModel::paper();
         let (a, now) = snap(0, 10_000, 100, false);
         let (b, _) = snap(1, 1, 5_000, false);
-        let pass = ScorePass::new(&p, AgingMode::Raw, 0.05, now, &[a, b]);
+        let pass = ScorePass::new(&cost, AgingMode::Raw, 0.05, now, &[a, b]);
         assert!(pass.score(&b) > pass.score(&a));
     }
 
     #[test]
     #[should_panic(expected = "α must be in")]
     fn alpha_out_of_range_panics() {
-        let p = MetricParams::paper();
-        ScorePass::new(&p, AgingMode::Normalized, 1.5, SimTime::ZERO, &[]);
+        let cost = CostModel::paper();
+        ScorePass::new(&cost, AgingMode::Normalized, 1.5, SimTime::ZERO, &[]);
     }
 
     /// The fused pass must agree bit-for-bit with materializing both term
     /// vectors and normalizing them (the test fixture's reference scores).
     #[test]
     fn fused_pass_matches_materialized_scoring_exactly() {
-        let p = MetricParams::paper();
+        let cost = CostModel::paper();
         let now = SimTime::ZERO + SimDuration::from_secs(100);
         let cands: Vec<BucketSnapshot> = (0..17)
             .map(|i| {
@@ -322,8 +303,8 @@ mod tests {
             .collect();
         for mode in [AgingMode::Normalized, AgingMode::Raw] {
             for alpha in [0.0, 0.25, 0.5, 1.0] {
-                let reference = reference_scores(&p, mode, alpha, now, &cands);
-                let pass = ScorePass::new(&p, mode, alpha, now, &cands);
+                let reference = reference_scores(&cost, mode, alpha, now, &cands);
+                let pass = ScorePass::new(&cost, mode, alpha, now, &cands);
                 for (c, r) in cands.iter().zip(&reference) {
                     let fused = pass.score(c);
                     assert_eq!(fused.to_bits(), r.to_bits(), "mode {mode:?} α={alpha}");

@@ -58,21 +58,14 @@ pub trait SchedulerView {
     /// Streams every candidate snapshot, in ascending bucket order.
     fn for_each_candidate(&self, f: &mut dyn FnMut(&BucketSnapshot));
 
-    /// Streams the resident (φ = 0) candidates — a small pool, bounded by
-    /// the bucket cache capacity, that throughput-driven picks re-score
-    /// exactly.
-    fn for_each_cached_candidate(&self, f: &mut dyn FnMut(&BucketSnapshot));
-
-    /// The candidate of `lens`'s pool maximal under `lens` — exact,
-    /// tie-breaks included.
+    /// The candidate maximal under `lens` — exact, tie-breaks included.
     fn top_candidate(&self, lens: Lens) -> Option<BucketSnapshot>;
 
-    /// The candidate of `lens`'s pool minimal under `lens` (normalization
-    /// lower bound).
+    /// The candidate minimal under `lens` (normalization lower bound).
     fn bottom_candidate(&self, lens: Lens) -> Option<BucketSnapshot>;
 
-    /// Fills `out` (cleared first) with up to `k` candidates of `lens`'s
-    /// pool in descending `lens` order — the mixed-α frontier.
+    /// Fills `out` (cleared first) with up to `k` candidates in descending
+    /// `lens` order — the mixed-α frontier.
     fn top_candidates(&self, lens: Lens, k: usize, out: &mut Vec<BucketSnapshot>);
 
     /// The first candidate at or after `bucket` in bucket order — the
@@ -114,10 +107,6 @@ impl SchedulerView for TableView<'_, '_> {
 
     fn for_each_candidate(&self, f: &mut dyn FnMut(&BucketSnapshot)) {
         self.table.for_each_candidate(f);
-    }
-
-    fn for_each_cached_candidate(&self, f: &mut dyn FnMut(&BucketSnapshot)) {
-        self.table.for_each_cached_candidate(f);
     }
 
     fn top_candidate(&self, lens: Lens) -> Option<BucketSnapshot> {
@@ -210,7 +199,7 @@ mod tests {
         };
         assert_eq!(v.now(), SimTime::from_micros(7));
         assert_eq!(v.candidate_count(), 0);
-        assert_eq!(v.top_candidate(Lens::UncachedThroughput), None);
+        assert_eq!(v.top_candidate(Lens::Throughput), None);
         assert_eq!(v.oldest_pending_query(), Some((QueryId(3), SimTime::ZERO)));
         assert_eq!(v.first_pending_bucket_of(QueryId(3)), Some(BucketId(2)));
         assert_eq!(v.first_pending_bucket_of(QueryId(9)), None);
@@ -227,27 +216,24 @@ mod tests {
             ],
             ..FixtureView::default()
         };
-        // The cached candidate is outside the uncached-throughput pool.
+        // The resident candidate heads the throughput order; the shortest
+        // uncached queue is its bottom.
         assert_eq!(
-            v.top_candidate(Lens::UncachedThroughput).unwrap().bucket,
-            BucketId(7)
+            v.top_candidate(Lens::Throughput).unwrap().bucket,
+            BucketId(3)
         );
         assert_eq!(
-            v.bottom_candidate(Lens::UncachedThroughput).unwrap().bucket,
+            v.bottom_candidate(Lens::Throughput).unwrap().bucket,
             BucketId(0)
         );
-        // ... but is streamed through the resident pool.
-        let mut cached = Vec::new();
-        v.for_each_cached_candidate(&mut |c| cached.push(c.bucket));
-        assert_eq!(cached, vec![BucketId(3)]);
         // Oldest enqueue wins the age lens; youngest is the bottom.
         assert_eq!(v.top_candidate(Lens::Age).unwrap().bucket, BucketId(3));
         assert_eq!(v.bottom_candidate(Lens::Age).unwrap().bucket, BucketId(0));
         let mut out = Vec::new();
-        v.top_candidates(Lens::UncachedThroughput, 2, &mut out);
+        v.top_candidates(Lens::Throughput, 2, &mut out);
         assert_eq!(
             out.iter().map(|c| c.bucket).collect::<Vec<_>>(),
-            vec![BucketId(7), BucketId(0)]
+            vec![BucketId(3), BucketId(7)]
         );
         v.top_candidates(Lens::Age, 5, &mut out);
         assert_eq!(

@@ -22,7 +22,7 @@ use std::collections::HashMap;
 use fixture::{reference_pick, FixtureView};
 use liferaft_core::adaptive::{TradeoffCurve, TradeoffPoint};
 use liferaft_core::{
-    AdaptiveScheduler, AgingMode, AlphaController, DecisionStats, LifeRaftScheduler, MetricParams,
+    AdaptiveScheduler, AgingMode, AlphaController, DecisionStats, LifeRaftScheduler,
     NoShareScheduler, RoundRobinScheduler, Scheduler, TableView, TradeoffTable,
 };
 use liferaft_htm::Vec3;
@@ -30,7 +30,7 @@ use liferaft_query::{
     BucketSnapshot, CrossMatchQuery, FragmentId, Predicate, QueryId, QueryTracker, WorkItem,
     WorkloadTable,
 };
-use liferaft_storage::{BucketCache, BucketId, CacheAccess, SimTime};
+use liferaft_storage::{BucketCache, BucketId, CacheAccess, CostModel, SimTime};
 use proptest::prelude::*;
 
 const N_BUCKETS: usize = 24;
@@ -187,7 +187,7 @@ fn reference(
     now: SimTime,
     snaps: &[BucketSnapshot],
 ) -> Option<BucketId> {
-    let best = reference_pick(&MetricParams::paper(), mode, alpha, now, snaps)?;
+    let best = reference_pick(&CostModel::paper(), mode, alpha, now, snaps)?;
     Some(snaps[best].bucket)
 }
 
@@ -199,7 +199,7 @@ fn stateless_schedulers() -> Vec<Box<dyn Scheduler>> {
     for mode in [AgingMode::Normalized, AgingMode::Raw] {
         for alpha in [0.0, 0.25, 0.5, 0.75, 1.0] {
             v.push(Box::new(LifeRaftScheduler::new(
-                MetricParams::paper(),
+                CostModel::paper(),
                 mode,
                 alpha,
             )));
@@ -226,7 +226,7 @@ fn adaptive() -> AdaptiveScheduler {
         0.5,
     );
     AdaptiveScheduler::new(
-        LifeRaftScheduler::new(MetricParams::paper(), AgingMode::Normalized, 0.5),
+        LifeRaftScheduler::new(CostModel::paper(), AgingMode::Normalized, 0.5),
         controller,
     )
 }
@@ -322,7 +322,7 @@ proptest! {
             // the strongest form of the claim.
             for mode in [AgingMode::Normalized, AgingMode::Raw] {
                 for alpha in [0.0, 0.25, 0.5, 0.75, 1.0] {
-                    let mut s = LifeRaftScheduler::new(MetricParams::paper(), mode, alpha);
+                    let mut s = LifeRaftScheduler::new(CostModel::paper(), mode, alpha);
                     let via_index = s.pick(&indexed_view).map(|spec| spec.bucket);
                     let via_slice = reference(mode, alpha, now, &snaps);
                     prop_assert_eq!(
@@ -381,7 +381,7 @@ fn wide_enqueue_ties_close_on_the_frontier() {
         };
         for mode in [AgingMode::Normalized, AgingMode::Raw] {
             for alpha in [0.25, 0.5, 0.75] {
-                let mut s = LifeRaftScheduler::new(MetricParams::paper(), mode, alpha);
+                let mut s = LifeRaftScheduler::new(CostModel::paper(), mode, alpha);
                 let via_index = s.pick(&view).map(|spec| spec.bucket);
                 let via_slice = reference(mode, alpha, now, &snaps);
                 assert_eq!(via_index, via_slice, "mode {mode:?} α={alpha}");

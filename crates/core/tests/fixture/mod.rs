@@ -7,15 +7,16 @@
 
 use std::cmp::Ordering;
 
-use liferaft_core::{AgingMode, BucketSnapshot, Lens, MetricParams, SchedulerView};
+use liferaft_core::metric::workload_throughput;
+use liferaft_core::{AgingMode, BucketSnapshot, Lens, SchedulerView};
 use liferaft_query::QueryId;
-use liferaft_storage::{BucketId, SimTime};
+use liferaft_storage::{BucketId, CostModel, SimTime};
 
 /// Eq. 2 over a materialized candidate slice: `Ut` and `A` per candidate,
 /// min–max normalized over the slice (under [`AgingMode::Normalized`]),
 /// blended with weight α on the age.
 pub fn reference_scores(
-    params: &MetricParams,
+    cost: &CostModel,
     mode: AgingMode,
     alpha: f64,
     now: SimTime,
@@ -23,7 +24,7 @@ pub fn reference_scores(
 ) -> Vec<f64> {
     let mut ut: Vec<f64> = candidates
         .iter()
-        .map(|c| params.workload_throughput(c.queue_len, c.cached))
+        .map(|c| workload_throughput(cost, c.queue_len, c.cached))
         .collect();
     let mut age: Vec<f64> = candidates.iter().map(|c| c.age_ms(now)).collect();
     if mode == AgingMode::Normalized {
@@ -40,13 +41,13 @@ pub fn reference_scores(
 /// highest [`reference_scores`] score (`total_cmp`), ties going to the
 /// longer queue, then the lower bucket; `None` for no candidates.
 pub fn reference_pick(
-    params: &MetricParams,
+    cost: &CostModel,
     mode: AgingMode,
     alpha: f64,
     now: SimTime,
     candidates: &[BucketSnapshot],
 ) -> Option<usize> {
-    let scores = reference_scores(params, mode, alpha, now, candidates);
+    let scores = reference_scores(cost, mode, alpha, now, candidates);
     (0..candidates.len()).max_by(|&i, &j| {
         let (a, b) = (&candidates[i], &candidates[j]);
         scores[i]
@@ -66,14 +67,14 @@ fn min_max_normalize(values: &mut [f64]) {
     }
 }
 
-/// `lens`'s order between two candidates of its pool: older first (age
-/// only), then longer queue, then lower bucket.
+/// `lens`'s order between two candidates: resident first (throughput
+/// only) or older first (age only), then longer queue, then lower bucket.
 fn lens_cmp(lens: Lens, a: &BucketSnapshot, b: &BucketSnapshot) -> Ordering {
-    let by_age = match lens {
+    let by_term = match lens {
+        Lens::Throughput => a.cached.cmp(&b.cached),
         Lens::Age => b.oldest_enqueue.cmp(&a.oldest_enqueue),
-        Lens::UncachedThroughput => Ordering::Equal,
     };
-    by_age
+    by_term
         .then(a.queue_len.cmp(&b.queue_len))
         .then(b.bucket.cmp(&a.bucket))
 }
@@ -92,21 +93,6 @@ pub struct FixtureView {
     pub query_buckets: Vec<(QueryId, Vec<BucketId>)>,
 }
 
-/// True if `c` belongs to `lens`'s candidate pool.
-fn covers(lens: Lens, c: &BucketSnapshot) -> bool {
-    match lens {
-        Lens::UncachedThroughput => !c.cached,
-        Lens::Age => true,
-    }
-}
-
-impl FixtureView {
-    /// The candidates of `lens`'s pool.
-    fn pool(&self, lens: Lens) -> impl Iterator<Item = &BucketSnapshot> {
-        self.candidates.iter().filter(move |c| covers(lens, c))
-    }
-}
-
 impl SchedulerView for FixtureView {
     fn now(&self) -> SimTime {
         self.now
@@ -120,21 +106,23 @@ impl SchedulerView for FixtureView {
         self.candidates.iter().for_each(f);
     }
 
-    fn for_each_cached_candidate(&self, f: &mut dyn FnMut(&BucketSnapshot)) {
-        self.candidates.iter().filter(|c| c.cached).for_each(f);
-    }
-
     fn top_candidate(&self, lens: Lens) -> Option<BucketSnapshot> {
-        self.pool(lens).copied().max_by(|a, b| lens_cmp(lens, a, b))
+        self.candidates
+            .iter()
+            .copied()
+            .max_by(|a, b| lens_cmp(lens, a, b))
     }
 
     fn bottom_candidate(&self, lens: Lens) -> Option<BucketSnapshot> {
-        self.pool(lens).copied().min_by(|a, b| lens_cmp(lens, a, b))
+        self.candidates
+            .iter()
+            .copied()
+            .min_by(|a, b| lens_cmp(lens, a, b))
     }
 
     fn top_candidates(&self, lens: Lens, k: usize, out: &mut Vec<BucketSnapshot>) {
         out.clear();
-        out.extend(self.pool(lens));
+        out.extend(&self.candidates);
         out.sort_by(|a, b| lens_cmp(lens, b, a));
         out.truncate(k);
     }

@@ -6,10 +6,10 @@ use std::cmp::{Ordering, Reverse};
 
 use fixture::{reference_pick, reference_scores, FixtureView};
 use liferaft_core::{
-    AgingMode, BucketSnapshot, Lens, LifeRaftScheduler, MetricParams, RoundRobinScheduler,
-    Scheduler, SchedulerView,
+    AgingMode, BucketSnapshot, Lens, LifeRaftScheduler, RoundRobinScheduler, Scheduler,
+    SchedulerView,
 };
-use liferaft_storage::{BucketId, SimTime};
+use liferaft_storage::{BucketId, CostModel, SimTime};
 use proptest::prelude::*;
 
 fn arb_candidates() -> impl Strategy<Value = Vec<BucketSnapshot>> {
@@ -76,23 +76,24 @@ fn arb_saturated() -> impl Strategy<Value = Vec<BucketSnapshot>> {
 /// The depth at which the mixed-α threshold rule closes over `cands`, from
 /// the reference scores and the fixture's lens orders, or `None` if it is
 /// still open at the fallback depth: the first k of 4, 8, 16, … with
-/// 2k ≥ n. At depth d the seen set is the resident pool plus the first d
-/// candidates of both lists, and the bound blends the throughput term of
-/// the d-th uncached candidate with the age term of the d-th oldest. The
-/// rule closes when the bound is below the best seen score, or equal to it
-/// with the best seen at or ahead of the d-th uncached candidate in
-/// tie-break order, or once a list has covered every candidate.
+/// 2k ≥ n. The residents, which head the throughput order, are seen first.
+/// At depth d the seen set adds the d-th uncached candidate in throughput
+/// order and the d-th oldest, and the bound blends the throughput term of
+/// the first with the age term of the second. The rule closes when the
+/// bound is below the best seen score, or equal to it with the best seen
+/// at or ahead of the d-th uncached candidate in tie-break order, or once
+/// the residents and the walk have covered every candidate.
 fn reference_closing_depth(
-    params: &MetricParams,
+    cost: &CostModel,
     mode: AgingMode,
     alpha: f64,
     now: SimTime,
     cands: &[BucketSnapshot],
 ) -> Option<usize> {
     let n = cands.len();
-    let score = reference_scores(params, mode, alpha, now, cands);
-    let ut = reference_scores(params, mode, 0.0, now, cands);
-    let age = reference_scores(params, mode, 1.0, now, cands);
+    let score = reference_scores(cost, mode, alpha, now, cands);
+    let ut = reference_scores(cost, mode, 0.0, now, cands);
+    let age = reference_scores(cost, mode, 1.0, now, cands);
     let v = view(cands, now);
     let order = |lens: Lens| -> Vec<usize> {
         let mut out = Vec::new();
@@ -100,22 +101,24 @@ fn reference_closing_depth(
         let at = |c: &BucketSnapshot| cands.binary_search_by_key(&c.bucket, |x| x.bucket);
         out.iter().map(|c| at(c).expect("a candidate")).collect()
     };
-    let (t, a) = (order(Lens::UncachedThroughput), order(Lens::Age));
+    let (t, a) = (order(Lens::Throughput), order(Lens::Age));
     let tie_key = |i: usize| (cands[i].queue_len, Reverse(cands[i].bucket));
     let decision = |i: usize, j: usize| {
         score[i]
             .total_cmp(&score[j])
             .then(tie_key(i).cmp(&tie_key(j)))
     };
-    let mut best = (0..n)
-        .filter(|&i| cands[i].cached)
+    let residents = t.iter().take_while(|&&i| cands[i].cached).count();
+    let mut best = t[..residents]
+        .iter()
+        .copied()
         .max_by(|&i, &j| decision(i, j));
     let mut fallback_depth = 4;
     while 2 * fallback_depth < n {
         fallback_depth *= 2;
     }
     for d in 1..=fallback_depth {
-        let Some(&td) = t.get(d - 1) else {
+        let Some(&td) = t.get(residents + d - 1) else {
             return Some(d);
         };
         let ad = a[d - 1];
@@ -126,7 +129,8 @@ fn reference_closing_depth(
         }
         let b = best.expect("a frontier candidate was seen");
         let bound = ut[td] * (1.0 - alpha) + age[ad] * alpha;
-        if d >= n || bound < score[b] || (bound == score[b] && tie_key(b) >= tie_key(td)) {
+        let tie_closes = bound == score[b] && tie_key(b) >= tie_key(td);
+        if residents + d >= n || bound < score[b] || tie_closes {
             return Some(d);
         }
     }
@@ -161,7 +165,7 @@ proptest! {
         alpha in 0.0..=1.0f64,
     ) {
         let v = view(&cands, SimTime::from_micros(2_000_000));
-        let mut s = LifeRaftScheduler::new(MetricParams::paper(), AgingMode::Normalized, alpha);
+        let mut s = LifeRaftScheduler::new(CostModel::paper(), AgingMode::Normalized, alpha);
         pick(&mut s, &v);
     }
 
@@ -170,7 +174,7 @@ proptest! {
     #[test]
     fn alpha_one_picks_oldest(cands in arb_candidates()) {
         let v = view(&cands, SimTime::from_micros(2_000_000));
-        let picked = pick(&mut LifeRaftScheduler::age_based(MetricParams::paper()), &v);
+        let picked = pick(&mut LifeRaftScheduler::age_based(CostModel::paper()), &v);
         let oldest = cands.iter().map(|c| c.oldest_enqueue).min().expect("non-empty");
         prop_assert_eq!(
             picked.oldest_enqueue, oldest,
@@ -183,7 +187,7 @@ proptest! {
     #[test]
     fn alpha_zero_prefers_cached(cands in arb_candidates()) {
         let v = view(&cands, SimTime::from_micros(2_000_000));
-        let picked = pick(&mut LifeRaftScheduler::greedy(MetricParams::paper()), &v);
+        let picked = pick(&mut LifeRaftScheduler::greedy(CostModel::paper()), &v);
         if cands.iter().any(|c| c.cached) {
             prop_assert!(picked.cached, "greedy must ride the cache");
         } else {
@@ -197,7 +201,7 @@ proptest! {
     #[test]
     fn pick_is_deterministic(cands in arb_candidates(), alpha in 0.0..=1.0f64) {
         let v = view(&cands, SimTime::from_micros(3_000_000));
-        let mut s = LifeRaftScheduler::new(MetricParams::paper(), AgingMode::Normalized, alpha);
+        let mut s = LifeRaftScheduler::new(CostModel::paper(), AgingMode::Normalized, alpha);
         prop_assert_eq!(pick(&mut s, &v), pick(&mut s, &v));
     }
 
@@ -206,7 +210,7 @@ proptest! {
     #[test]
     fn pick_is_order_invariant(cands in arb_candidates(), alpha in 0.0..=1.0f64) {
         let now = SimTime::from_micros(3_000_000);
-        let mut s = LifeRaftScheduler::new(MetricParams::paper(), AgingMode::Normalized, alpha);
+        let mut s = LifeRaftScheduler::new(CostModel::paper(), AgingMode::Normalized, alpha);
         let a = pick(&mut s, &view(&cands, now));
         let mut rev: Vec<BucketSnapshot> = cands.clone();
         rev.reverse();
@@ -224,11 +228,11 @@ proptest! {
     ) {
         let now = SimTime::from_micros(2_000_000);
         let v = view(&cands, now);
-        let params = MetricParams::paper();
+        let cost = CostModel::paper();
         for mode in [AgingMode::Normalized, AgingMode::Raw] {
             for alpha in [0.0, 0.25, 0.5, random_alpha, 1.0] {
-                let mut s = LifeRaftScheduler::new(params, mode, alpha);
-                let want = reference_pick(&params, mode, alpha, now, &cands).expect("non-empty");
+                let mut s = LifeRaftScheduler::new(cost, mode, alpha);
+                let want = reference_pick(&cost, mode, alpha, now, &cands).expect("non-empty");
                 prop_assert_eq!(pick(&mut s, &v), cands[want], "mode {:?} α={}", mode, alpha);
             }
         }
@@ -269,16 +273,16 @@ proptest! {
     ) {
         let now = SimTime::from_micros(2_000_000);
         let v = view(&cands, now);
-        let params = MetricParams::paper();
+        let cost = CostModel::paper();
         for mode in [AgingMode::Normalized, AgingMode::Raw] {
             for alpha in [0.25, 0.5, 0.75, random_alpha] {
-                let mut s = LifeRaftScheduler::new(params, mode, alpha);
-                let want = reference_pick(&params, mode, alpha, now, &cands).expect("non-empty");
+                let mut s = LifeRaftScheduler::new(cost, mode, alpha);
+                let want = reference_pick(&cost, mode, alpha, now, &cands).expect("non-empty");
                 prop_assert_eq!(pick(&mut s, &v), cands[want], "mode {:?} α={}", mode, alpha);
                 if alpha == 0.0 || alpha == 1.0 {
                     continue;
                 }
-                let closes = reference_closing_depth(&params, mode, alpha, now, &cands).is_some();
+                let closes = reference_closing_depth(&cost, mode, alpha, now, &cands).is_some();
                 let stats = s.decision_stats();
                 prop_assert_eq!(
                     (stats.frontier_picks, stats.fallback_picks),

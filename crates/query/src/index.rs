@@ -4,7 +4,7 @@
 //! re-score them — O(non-empty buckets) per decision, ~71k decisions per
 //! NoShare bench run. The index replaces that with exact, incrementally
 //! maintained orders over the candidate set, updated in O(log n) as queues
-//! mutate, so the α = 0 and α = 1 picks become O(log n + resident)
+//! mutate, so the α = 0 and α = 1 picks become O(log n)
 //! lookups and mixed-α picks a bounded frontier re-rank (threshold
 //! algorithm in `liferaft-core`).
 //!
@@ -12,8 +12,9 @@
 //!
 //! The aged metric (Eq. 2) blends two terms per candidate `i`:
 //!
-//! - the workload throughput `Ut(i) = W / (Tb·φ(i) + Tm·W)` (Eq. 1), a
-//!   function of `(φ(i), W)` only, **independent of time**; and
+//! - the workload throughput `Ut(i)` (Eq. 1, `W` over the batch's scan
+//!   price in exact µs), a function of `(φ(i), W)` only, **independent of
+//!   time**; and
 //! - the age `A(i) = now − oldest_enqueue(i)`, where *pure aging* advances
 //!   every candidate's age by the same delta between mutations, so the age
 //!   *order* (and, under min–max normalization, every pairwise age
@@ -21,34 +22,23 @@
 //!
 //! Between queue/residency mutations the candidate order under either term
 //! is therefore **constant** — the index only reorders when a queue or a
-//! φ bit actually changes, never because time passed.
+//! φ bit actually changes, never because time passed. Both orders are exact
+//! and end in the decision tie-break (longer queue, then lower bucket):
 //!
-//! # The resident split — exactness under floating point
-//!
-//! `Ut` of a *cached* bucket is mathematically `1/Tm` for every queue
-//! length, but is computed as `fl(W / fl(Tm·W))`, which wobbles around
-//! `1/Tm` by a few ULPs in a `W`-dependent, non-monotone way — so no static
-//! key can reproduce the score order *among resident candidates* bitwise.
-//! The resident set is bounded by the bucket cache's capacity (20 in the
-//! paper), so the index keeps the resident candidates as their own small set
-//! ([`iter_cached`](CandidateIndex::iter_cached)) that pick paths re-score
-//! exactly, and maintains the key order only where it is exact:
-//!
-//! - [`Lens::UncachedThroughput`] over non-resident candidates: `Ut` is
-//!   strictly increasing in queue length, and its floating-point image
-//!   stays monotone as long as consecutive queue lengths move `Ut` by more
-//!   than a rounding error — which holds for any queue shorter than ~10⁹
-//!   entries under the paper's constants. The key's tail is the decision
-//!   tie-break (longer queue, then lower bucket), which is also exactly
-//!   where the score order falls back when min–max normalization collapses
-//!   two nearby `Ut` values to one float.
-//! - [`Lens::Age`] over all candidates: `A` is strictly decreasing in
-//!   `oldest_enqueue`, and microsecond-granular enqueue times keep distinct
-//!   normalized ages distinct for any virtual horizon under ~285 years
-//!   (spans beyond `2⁵³ µs` would be needed to collapse them).
+//! - [`Lens::Throughput`]: every resident candidate scores exactly `1/Tm`,
+//!   above every uncached one, and an uncached `Ut` is strictly increasing
+//!   in queue length (for any queue shorter than ~10⁹ entries under the
+//!   paper's constants). So residents head the order, and ties — all
+//!   residents, or two nearby `Ut` values that min–max normalization
+//!   collapses to one float — fall to the key's tail, exactly where the
+//!   score order falls back.
+//! - [`Lens::Age`]: `A` is strictly decreasing in `oldest_enqueue`, and
+//!   microsecond-granular enqueue times keep distinct normalized ages
+//!   distinct for any virtual horizon under ~285 years (spans beyond
+//!   `2⁵³ µs` would be needed to collapse them).
 //!
 //! The equivalence proptests in `crates/core/tests/decision_path_equivalence.rs`
-//! pin both regimes against a reference gather-and-score decision.
+//! pin both orders against a reference gather-and-score decision.
 
 use std::cmp::Reverse;
 use std::collections::BTreeSet;
@@ -57,39 +47,38 @@ use liferaft_storage::BucketId;
 
 use crate::snapshot::BucketSnapshot;
 
-/// The candidate orders the index maintains, one per α-decomposed term of
-/// the aged metric (Eq. 2), each ending in the decision tie-break (longer
-/// queue, then lower bucket). The `Age` maximum *is* the exact α = 1 pick;
-/// the `UncachedThroughput` maximum is the only non-resident candidate an
-/// α = 0 pick can choose (resident candidates are kept apart and re-scored
-/// exactly, see the module docs).
+/// The candidate orders the index maintains over every candidate, one per
+/// α-decomposed term of the aged metric (Eq. 2), each ending in the
+/// decision tie-break (longer queue, then lower bucket). The `Throughput`
+/// maximum *is* the exact α = 0 pick and the `Age` maximum the exact α = 1
+/// pick.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lens {
-    /// Order among *uncached* candidates by workload throughput `Ut`
-    /// (Eq. 1): longer queue, then lower bucket.
-    UncachedThroughput,
-    /// Order over all candidates by request age `A`: older oldest-enqueue
-    /// first, then longer queue, then lower bucket.
+    /// Order by workload throughput `Ut` (Eq. 1): resident first, then
+    /// longer queue, then lower bucket.
+    Throughput,
+    /// Order by request age `A`: older oldest-enqueue first, then longer
+    /// queue, then lower bucket.
     Age,
 }
 
 impl Lens {
     /// Every lens, in the index's order.
-    pub const ALL: [Lens; 2] = [Lens::UncachedThroughput, Lens::Age];
+    pub const ALL: [Lens; 2] = [Lens::Throughput, Lens::Age];
 
     /// The candidate's place in this lens's order (larger is better).
     #[inline]
     fn key(self, s: &BucketSnapshot) -> Key {
         let bucket = Reverse(s.bucket.0);
         match self {
-            Lens::UncachedThroughput => (s.queue_len, 0, bucket),
+            Lens::Throughput => (u64::from(s.cached), s.queue_len, bucket),
             Lens::Age => (u64::MAX - s.oldest_enqueue.as_micros(), s.queue_len, bucket),
         }
     }
 }
 
-/// An ordering key of either lens: the lens's term, the queue length where
-/// the term is not already it, and the bucket.
+/// An ordering key of either lens: the lens's leading term (φ-bit or
+/// age), the queue length, and the bucket.
 type Key = (u64, u64, Reverse<u32>);
 
 #[inline]
@@ -97,17 +86,12 @@ fn bucket_of(&(_, _, Reverse(b)): &Key) -> BucketId {
     BucketId(b)
 }
 
-/// Exact orders over the live candidate set, one per [`Lens`], with resident
-/// candidates split out of the throughput order for exact re-scoring.
+/// Exact orders over the live candidate set, one per [`Lens`].
 /// Owned and kept in sync by [`WorkloadTable`](crate::queue::WorkloadTable);
 /// schedulers query it through the table's pick accessors.
 #[derive(Debug, Clone, Default)]
 pub struct CandidateIndex {
-    /// Resident (φ = 0) candidates, under the throughput key (tie-break
-    /// order). Small: bounded by the bucket cache capacity.
-    cached: BTreeSet<Key>,
-    /// Per lens, in [`Lens::ALL`] order: non-resident candidates in exact
-    /// `Ut` order, and all candidates in exact age order.
+    /// Per lens, in [`Lens::ALL`] order.
     orders: [BTreeSet<Key>; 2],
 }
 
@@ -127,34 +111,19 @@ impl CandidateIndex {
         self.order(Lens::Age).is_empty()
     }
 
-    /// Number of resident candidates.
-    pub fn cached_len(&self) -> usize {
-        self.cached.len()
-    }
-
-    /// The set and key of the candidate under each lens.
-    fn slots(&mut self, s: &BucketSnapshot) -> [(&mut BTreeSet<Key>, Key); 2] {
-        let [uncached, by_age] = &mut self.orders;
-        let throughput = if s.cached { &mut self.cached } else { uncached };
-        [
-            (throughput, Lens::UncachedThroughput.key(s)),
-            (by_age, Lens::Age.key(s)),
-        ]
-    }
-
     /// Adds a candidate. The snapshot's `(cached, queue_len,
     /// oldest_enqueue, bucket)` must match its live slot state.
     pub fn insert(&mut self, s: &BucketSnapshot) {
-        for (set, key) in self.slots(s) {
-            let fresh = set.insert(key);
+        for (set, lens) in self.orders.iter_mut().zip(Lens::ALL) {
+            let fresh = set.insert(lens.key(s));
             debug_assert!(fresh, "candidate {} indexed twice", s.bucket);
         }
     }
 
     /// Removes a candidate by the snapshot that was inserted for it.
     pub fn remove(&mut self, s: &BucketSnapshot) {
-        for (set, key) in self.slots(s) {
-            let found = set.remove(&key);
+        for (set, lens) in self.orders.iter_mut().zip(Lens::ALL) {
+            let found = set.remove(&lens.key(s));
             debug_assert!(found, "candidate {} was not indexed", s.bucket);
         }
     }
@@ -163,24 +132,17 @@ impl CandidateIndex {
         &self.orders[lens as usize]
     }
 
-    /// Resident candidates, best tie-break first.
-    pub fn iter_cached(&self) -> impl Iterator<Item = BucketId> + '_ {
-        self.cached.iter().rev().map(bucket_of)
-    }
-
-    /// The candidate of `lens`'s pool maximal under `lens`, tie-breaks
-    /// included.
+    /// The candidate maximal under `lens`, tie-breaks included.
     pub fn top(&self, lens: Lens) -> Option<BucketId> {
         self.order(lens).last().map(bucket_of)
     }
 
-    /// The candidate of `lens`'s pool minimal under `lens`.
+    /// The candidate minimal under `lens`.
     pub fn bottom(&self, lens: Lens) -> Option<BucketId> {
         self.order(lens).first().map(bucket_of)
     }
 
-    /// The candidates of `lens`'s pool in descending `lens` order (best
-    /// first).
+    /// The candidates in descending `lens` order (best first).
     pub fn desc(&self, lens: Lens) -> impl Iterator<Item = BucketId> + '_ {
         self.order(lens).iter().rev().map(bucket_of)
     }
@@ -205,10 +167,13 @@ mod tests {
     }
 
     #[test]
-    fn uncached_order_matches_eq1_among_uncached() {
-        // Longer queue wins; full ties break toward the lower bucket.
-        let t = Lens::UncachedThroughput;
+    fn throughput_order_is_resident_then_longest_then_lowest() {
+        // Any resident beats any uncached queue; among either, the longer
+        // queue wins; full ties break toward the lower bucket.
+        let t = Lens::Throughput;
+        assert!(key(t, snap(1, 1, 0, true)) > key(t, snap(2, 10_000, 0, false)));
         assert!(key(t, snap(1, 1_000, 0, false)) > key(t, snap(2, 10, 0, false)));
+        assert!(key(t, snap(1, 9, 0, true)) > key(t, snap(2, 2, 0, true)));
         assert!(key(t, snap(3, 10, 0, false)) > key(t, snap(4, 10, 0, false)));
     }
 
@@ -221,8 +186,8 @@ mod tests {
     }
 
     #[test]
-    fn pools_split_by_residency() {
-        let (t, a) = (Lens::UncachedThroughput, Lens::Age);
+    fn both_orders_cover_every_candidate() {
+        let (t, a) = (Lens::Throughput, Lens::Age);
         let mut idx = CandidateIndex::new();
         let s0 = snap(0, 5, 300, false);
         let s1 = snap(1, 50, 100, false);
@@ -232,17 +197,12 @@ mod tests {
             idx.insert(s);
         }
         assert_eq!(idx.len(), 4);
-        assert_eq!(idx.cached_len(), 2);
-        assert_eq!(
-            idx.iter_cached().collect::<Vec<_>>(),
-            vec![BucketId(3), BucketId(2)],
-            "resident pool iterates best tie-break first"
-        );
-        assert_eq!(idx.top(t), Some(BucketId(1)));
+        assert_eq!(idx.top(t), Some(BucketId(3)));
         assert_eq!(idx.bottom(t), Some(BucketId(0)));
         assert_eq!(
             idx.desc(t).collect::<Vec<_>>(),
-            vec![BucketId(1), BucketId(0)]
+            vec![BucketId(3), BucketId(2), BucketId(1), BucketId(0)],
+            "residents head the throughput order"
         );
         assert_eq!(idx.top(a), Some(BucketId(1)));
         assert_eq!(idx.bottom(a), Some(BucketId(0)));
@@ -250,12 +210,13 @@ mod tests {
             idx.desc(a).collect::<Vec<_>>(),
             vec![BucketId(1), BucketId(2), BucketId(3), BucketId(0)]
         );
+        idx.remove(&s3);
+        idx.remove(&s2);
+        assert_eq!(idx.top(t), Some(BucketId(1)));
         idx.remove(&s1);
         assert_eq!(idx.top(t), Some(BucketId(0)));
-        assert_eq!(idx.top(a), Some(BucketId(2)));
+        assert_eq!(idx.top(a), Some(BucketId(0)));
         idx.remove(&s0);
-        idx.remove(&s2);
-        idx.remove(&s3);
         assert!(idx.is_empty());
         assert_eq!(idx.top(t), None);
         assert_eq!(idx.desc(a).next(), None);

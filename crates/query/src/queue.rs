@@ -368,8 +368,7 @@ impl<'q> WorkloadQueue<'q> {
 /// [`CandidateIndex`] over the non-empty slots, updated in O(log n) on the
 /// same mutations and on every residency change the cache's owner pushes
 /// through [`set_resident`](Self::set_resident). A scheduling decision is
-/// then an index lookup ([`top_candidate`](Self::top_candidate) plus an
-/// exact re-rank of the small resident pool, or
+/// then an index lookup ([`top_candidate`](Self::top_candidate) or
 /// [`frontier_into`](Self::frontier_into)) instead of
 /// an O(non-empty buckets) gather + re-score. Slots are updated in place
 /// (never shifted), which keeps hot drain/refill cycles free of the
@@ -597,8 +596,8 @@ impl<'q> WorkloadTable<'q> {
     /// Records that `bucket` became (or stopped being) resident in the
     /// bucket cache — φ(i) of Eq. 1. The owner of the cache calls this for
     /// every residency change, so the bit is current whenever it is read; a
-    /// candidate moves between the index's resident and uncached pools in
-    /// O(log n), an empty bucket keeps the bit for when it fills.
+    /// candidate is re-keyed in the index in O(log n), an empty bucket keeps
+    /// the bit for when it fills.
     pub fn set_resident(&mut self, bucket: BucketId, resident: bool) {
         let i = bucket.index();
         if self.snapshot_slots[i].cached == resident {
@@ -627,37 +626,22 @@ impl<'q> WorkloadTable<'q> {
         }
     }
 
-    /// Number of resident candidates (bounded by the cache capacity).
-    pub fn cached_candidate_count(&self) -> usize {
-        self.index.cached_len()
-    }
-
-    /// Streams every resident candidate (best tie-break first) — the small
-    /// set the α = 0 pick re-scores exactly.
-    pub fn for_each_cached_candidate(&self, f: &mut dyn FnMut(&BucketSnapshot)) {
-        for b in self.index.iter_cached() {
-            f(&self.snapshot_slots[b.index()]);
-        }
-    }
-
-    /// The candidate of `lens`'s pool maximal under `lens` (exact,
-    /// tie-breaks included): the α = 1 pick under [`Lens::Age`], the only
-    /// non-resident candidate an α = 0 pick can choose under
-    /// [`Lens::UncachedThroughput`].
+    /// The candidate maximal under `lens` (exact, tie-breaks included):
+    /// the α = 0 pick under [`Lens::Throughput`], the α = 1 pick under
+    /// [`Lens::Age`].
     pub fn top_candidate(&self, lens: Lens) -> Option<BucketSnapshot> {
         self.index.top(lens).map(|b| self.snapshot_slots[b.index()])
     }
 
-    /// The candidate of `lens`'s pool minimal under `lens` (normalization
-    /// lower bound).
+    /// The candidate minimal under `lens` (normalization lower bound).
     pub fn bottom_candidate(&self, lens: Lens) -> Option<BucketSnapshot> {
         self.index
             .bottom(lens)
             .map(|b| self.snapshot_slots[b.index()])
     }
 
-    /// Fills `out` (cleared first) with up to `k` candidates of `lens`'s
-    /// pool in descending `lens` order — one list of the mixed-α threshold
+    /// Fills `out` (cleared first) with up to `k` candidates in
+    /// descending `lens` order — one list of the mixed-α threshold
     /// scan.
     pub fn frontier_into(&self, lens: Lens, k: usize, out: &mut Vec<BucketSnapshot>) {
         out.clear();
@@ -705,9 +689,6 @@ impl<'q> WorkloadTable<'q> {
             reference.insert(&self.snapshot_slots[b.index()]);
         }
         assert_eq!(self.index.len(), reference.len(), "index size diverged");
-        let got: Vec<BucketId> = self.index.iter_cached().collect();
-        let want: Vec<BucketId> = reference.iter_cached().collect();
-        assert_eq!(got, want, "resident pool diverged");
         for lens in Lens::ALL {
             let got: Vec<BucketId> = self.index.desc(lens).collect();
             let want: Vec<BucketId> = reference.desc(lens).collect();
@@ -1201,20 +1182,19 @@ mod tests {
         qb.id = QueryId(2);
         let mut t = WorkloadTable::new(8);
         assert_eq!(t.candidate_count(), 0);
-        assert_eq!(t.top_candidate(Lens::UncachedThroughput), None);
+        assert_eq!(t.top_candidate(Lens::Throughput), None);
         t.enqueue(&item(&qa, 5), &qa, SimTime::from_micros(100));
         t.enqueue(&item(&qb, 2), &qb, SimTime::from_micros(50));
         t.validate_index();
-        // Longer queue wins the uncached order; older enqueue the age lens.
+        // Longer queue wins the throughput order; older enqueue the age lens.
         assert_eq!(
-            t.top_candidate(Lens::UncachedThroughput).unwrap().bucket,
+            t.top_candidate(Lens::Throughput).unwrap().bucket,
             BucketId(2),
             "5 queued beats 2"
         );
-        assert_eq!(t.cached_candidate_count(), 0);
         assert_eq!(t.top_candidate(Lens::Age).unwrap().bucket, BucketId(2));
         assert_eq!(
-            t.bottom_candidate(Lens::UncachedThroughput).unwrap().bucket,
+            t.bottom_candidate(Lens::Throughput).unwrap().bucket,
             BucketId(5)
         );
         assert_eq!(t.bottom_candidate(Lens::Age).unwrap().bucket, BucketId(5));
@@ -1223,7 +1203,7 @@ mod tests {
             BucketId(5)
         );
         let mut frontier = Vec::new();
-        t.frontier_into(Lens::UncachedThroughput, 10, &mut frontier);
+        t.frontier_into(Lens::Throughput, 10, &mut frontier);
         assert_eq!(
             frontier.iter().map(|s| s.bucket).collect::<Vec<_>>(),
             vec![BucketId(2), BucketId(5)]
@@ -1233,7 +1213,7 @@ mod tests {
         take_all(&mut t, BucketId(2));
         t.validate_index();
         assert_eq!(
-            t.top_candidate(Lens::UncachedThroughput).unwrap().bucket,
+            t.top_candidate(Lens::Throughput).unwrap().bucket,
             BucketId(5)
         );
         assert_eq!(t.oldest_candidate_excluding(BucketId(5)), None);
@@ -1273,38 +1253,32 @@ mod tests {
         t.set_resident(BucketId(3), true);
         assert!(t.snapshot_of(BucketId(3)).unwrap().cached);
         assert!(!t.snapshot_of(BucketId(1)).unwrap().cached);
-        // The resident candidate moved into the cached pool.
-        assert_eq!(t.cached_candidate_count(), 1);
-        let mut cached = Vec::new();
-        t.for_each_cached_candidate(&mut |s| cached.push(s.bucket));
-        assert_eq!(cached, vec![BucketId(3)]);
-        assert_eq!(
-            t.top_candidate(Lens::UncachedThroughput).unwrap().bucket,
-            BucketId(1)
-        );
+        // The resident candidate heads the throughput order despite its
+        // shorter queue.
+        let order = |t: &WorkloadTable| {
+            let mut out = Vec::new();
+            t.frontier_into(Lens::Throughput, 4, &mut out);
+            out.iter().map(|s| s.bucket).collect::<Vec<_>>()
+        };
+        assert_eq!(order(&t), vec![BucketId(3), BucketId(1)]);
         t.validate_index();
         // Repeating a push is a no-op.
         t.set_resident(BucketId(3), true);
         t.validate_index();
-        // Flips re-key both pools — including for the currently empty
-        // bucket 0, whose bit must be current when it fills later.
+        // Flips re-key both candidates — and the currently empty bucket 0,
+        // whose bit must be current when it fills later.
         t.set_resident(BucketId(3), false);
         t.set_resident(BucketId(1), true);
         t.set_resident(BucketId(0), true);
-        cached.clear();
-        t.for_each_cached_candidate(&mut |s| cached.push(s.bucket));
-        assert_eq!(cached, vec![BucketId(1)]);
-        assert_eq!(
-            t.top_candidate(Lens::UncachedThroughput).unwrap().bucket,
-            BucketId(3)
-        );
+        assert_eq!(order(&t), vec![BucketId(1), BucketId(3)]);
         t.validate_index();
         t.enqueue(&item(&q, 0), &q, SimTime::from_micros(20));
         assert!(
             t.snapshot_of(BucketId(0)).unwrap().cached,
             "empty buckets' bits must stay current"
         );
-        assert_eq!(t.cached_candidate_count(), 2);
+        // Equal resident queues break toward the lower bucket.
+        assert_eq!(order(&t), vec![BucketId(0), BucketId(1), BucketId(3)]);
         t.validate_index();
         // A drained bucket keeps its bit too.
         take_all(&mut t, BucketId(0));

@@ -1056,10 +1056,11 @@ mod tests {
     use crate::shard::ShardAssignment;
     use liferaft_catalog::{generate::uniform_sky, MaterializedCatalog};
     use liferaft_core::{
-        BatchSpec, DecisionStats, LifeRaftScheduler, MetricParams, NoShareScheduler, SchedulerView,
+        BatchSpec, DecisionStats, LifeRaftScheduler, NoShareScheduler, SchedulerView,
     };
     use liferaft_query::{CrossMatchQuery, Predicate, QueryPreProcessor};
     use liferaft_sim::SimConfig;
+    use liferaft_storage::CostModel;
     use liferaft_workload::arrivals::uniform_arrivals;
     use liferaft_workload::Trace;
     use std::cell::Cell;
@@ -1121,7 +1122,7 @@ mod tests {
     }
 
     fn greedy() -> Box<dyn Scheduler + Send> {
-        Box::new(LifeRaftScheduler::greedy(MetricParams::paper()))
+        Box::new(LifeRaftScheduler::greedy(CostModel::paper()))
     }
 
     /// [`fixture`]'s catalog: 20 buckets of 100 objects, so two contiguous
@@ -1262,7 +1263,7 @@ mod tests {
         // At 1 shard the runtime reproduces the single engine exactly —
         // including the zero-work corner: same outcome values in the same
         // (push) order, because the aggregation merges by shard clock.
-        let mut s = LifeRaftScheduler::greedy(MetricParams::paper());
+        let mut s = LifeRaftScheduler::greedy(CostModel::paper());
         let reference = liferaft_sim::Simulation::new(&cat, SimConfig::paper()).run(&timed, &mut s);
         let single = ShardedRuntime::new(&cat, RuntimeConfig::single(SimConfig::paper()));
         for mode in [ExecMode::Stepped, ExecMode::Threaded] {
@@ -2546,7 +2547,7 @@ mod tests {
             let rt = ShardedRuntime::new(&cat, config);
             let mut scheduler = |_| -> Box<dyn Scheduler + Send> {
                 Box::new(PanicsOnPick(
-                    LifeRaftScheduler::greedy(MetricParams::paper()),
+                    LifeRaftScheduler::greedy(CostModel::paper()),
                     50,
                 ))
             };
@@ -2607,7 +2608,7 @@ mod tests {
                 &mut |_| {
                     calls += 1;
                     Box::new(PickThreads {
-                        inner: LifeRaftScheduler::greedy(MetricParams::paper()),
+                        inner: LifeRaftScheduler::greedy(CostModel::paper()),
                         seen: Arc::clone(&seen),
                     })
                 },

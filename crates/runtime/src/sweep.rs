@@ -11,8 +11,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
 use liferaft_catalog::Catalog;
-use liferaft_core::{AgingMode, LifeRaftScheduler, MetricParams, Scheduler};
+use liferaft_core::{AgingMode, LifeRaftScheduler, Scheduler};
 use liferaft_sim::{RunReport, SimConfig, Simulation};
+use liferaft_storage::CostModel;
 use liferaft_workload::TimedTrace;
 
 use crate::config::{ExecMode, RuntimeConfig};
@@ -113,7 +114,7 @@ pub fn alpha_sweep<C: Catalog + Sync + ?Sized>(
     catalog: &C,
     trace: &TimedTrace,
     config: SimConfig,
-    params: MetricParams,
+    params: CostModel,
     alphas: &[f64],
     threads: usize,
 ) -> Vec<SweepPoint> {

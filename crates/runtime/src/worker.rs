@@ -163,9 +163,10 @@ impl<'a, C: Catalog + ?Sized> ShardWorker<'a, C> {
 mod tests {
     use super::*;
     use liferaft_catalog::{generate::uniform_sky, MaterializedCatalog};
-    use liferaft_core::{LifeRaftScheduler, MetricParams};
+    use liferaft_core::LifeRaftScheduler;
     use liferaft_query::{Predicate, QueryId, QueryPreProcessor};
     use liferaft_sim::SimConfig;
+    use liferaft_storage::CostModel;
 
     #[test]
     fn a_round_moves_what_a_shard_holds_with_the_bucket() {
@@ -183,7 +184,7 @@ mod tests {
         let fragment = Fragment::new(0, QueryId(0), SimTime::ZERO, pre.preprocess(&trace[0].1));
         let total = fragment.assignments;
         let config = RuntimeConfig::contiguous(SimConfig::paper(), 2);
-        let greedy = || Box::new(LifeRaftScheduler::greedy(MetricParams::paper()));
+        let greedy = || Box::new(LifeRaftScheduler::greedy(CostModel::paper()));
         let mut src = ShardWorker::new(ShardId(0), &cat, &config, &trace, greedy());
         let mut dst = ShardWorker::new(ShardId(1), &cat, &config, &trace, greedy());
         let end = SimTime::ZERO + SimDuration::from_secs(1_000_000);

@@ -16,13 +16,13 @@
 use liferaft_catalog::{Catalog, VirtualCatalog};
 use liferaft_core::adaptive::TradeoffPoint;
 use liferaft_core::{
-    AdaptiveScheduler, AgingMode, AlphaController, LifeRaftScheduler, MetricParams,
-    NoShareScheduler, RoundRobinScheduler, Scheduler, TradeoffCurve, TradeoffTable,
+    AdaptiveScheduler, AgingMode, AlphaController, LifeRaftScheduler, NoShareScheduler,
+    RoundRobinScheduler, Scheduler, TradeoffCurve, TradeoffTable,
 };
 use liferaft_query::{CrossMatchQuery, QueryPreProcessor};
 use liferaft_runtime::{ExecMode, RuntimeConfig, ShardAssignment, ShardMap, ShardedRuntime};
 use liferaft_sim::{RunReport, SimConfig, Simulation};
-use liferaft_storage::SimDuration;
+use liferaft_storage::{CostModel, SimDuration};
 use liferaft_workload::arrivals::poisson_arrivals;
 use liferaft_workload::{TimedTrace, Trace, TraceGenerator, WorkloadConfig};
 use proptest::prelude::*;
@@ -64,7 +64,7 @@ fn fp(r: &RunReport) -> String {
 /// normalized α = 0.5, and adaptive α, whose controller reads the arrival
 /// stream (a shard's, or its sub-trace's).
 fn policy(kind: u8) -> Box<dyn Scheduler + Send> {
-    let params = MetricParams::paper();
+    let params = CostModel::paper();
     match kind {
         0 => Box::new(NoShareScheduler::new()),
         1 => Box::new(RoundRobinScheduler::new()),

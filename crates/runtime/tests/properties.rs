@@ -17,7 +17,7 @@
 
 use liferaft_catalog::{Catalog, VirtualCatalog};
 use liferaft_core::{
-    AgingMode, LifeRaftScheduler, MetricParams, NoShareScheduler, RoundRobinScheduler, Scheduler,
+    AgingMode, LifeRaftScheduler, NoShareScheduler, RoundRobinScheduler, Scheduler,
 };
 use liferaft_query::QueryPreProcessor;
 use liferaft_runtime::{
@@ -28,7 +28,7 @@ use liferaft_runtime::{
 use liferaft_sim::{
     Feed, LinkDirection, LinkFault, RunReport, ShardOutage, ShardSlowdown, SimConfig, Simulation,
 };
-use liferaft_storage::{SimDuration, SimTime};
+use liferaft_storage::{CostModel, SimDuration, SimTime};
 use liferaft_workload::arrivals::poisson_arrivals;
 use liferaft_workload::{TimedTrace, TraceGenerator, WorkloadConfig};
 use proptest::prelude::*;
@@ -99,9 +99,9 @@ fn policy(kind: u8) -> Box<dyn Scheduler + Send> {
     match kind % 4 {
         0 => Box::new(NoShareScheduler::new()),
         1 => Box::new(RoundRobinScheduler::new()),
-        2 => Box::new(LifeRaftScheduler::greedy(MetricParams::paper())),
+        2 => Box::new(LifeRaftScheduler::greedy(CostModel::paper())),
         _ => Box::new(LifeRaftScheduler::new(
-            MetricParams::paper(),
+            CostModel::paper(),
             AgingMode::Normalized,
             0.5,
         )),

@@ -8,7 +8,7 @@
 
 use liferaft_catalog::Catalog;
 use liferaft_core::adaptive::TradeoffPoint;
-use liferaft_core::{AgingMode, LifeRaftScheduler, MetricParams, TradeoffCurve, TradeoffTable};
+use liferaft_core::{AgingMode, LifeRaftScheduler, TradeoffCurve, TradeoffTable};
 use liferaft_workload::arrivals::poisson_arrivals;
 use liferaft_workload::Trace;
 
@@ -33,7 +33,6 @@ pub fn calibrate_tradeoff_table<C: Catalog>(
     assert!(!saturations_qps.is_empty(), "need at least one saturation");
     assert!(!alphas.is_empty(), "need at least one α");
     let sim = Simulation::new(catalog, config);
-    let params = MetricParams::from_cost(&config.cost);
 
     let mut curves = Vec::with_capacity(saturations_qps.len());
     let mut all_reports = Vec::with_capacity(saturations_qps.len());
@@ -43,7 +42,7 @@ pub fn calibrate_tradeoff_table<C: Catalog>(
         let mut points = Vec::with_capacity(alphas.len());
         let mut reports = Vec::with_capacity(alphas.len());
         for &alpha in alphas {
-            let mut scheduler = LifeRaftScheduler::new(params, AgingMode::Normalized, alpha);
+            let mut scheduler = LifeRaftScheduler::new(config.cost, AgingMode::Normalized, alpha);
             let report = sim.run(&timed, &mut scheduler);
             points.push(TradeoffPoint {
                 alpha,

@@ -297,10 +297,11 @@ mod tests {
     use liferaft_catalog::{generate::uniform_sky, MaterializedCatalog};
     use liferaft_core::adaptive::TradeoffPoint;
     use liferaft_core::{
-        AdaptiveScheduler, AgingMode, AlphaController, BatchSpec, LifeRaftScheduler, MetricParams,
+        AdaptiveScheduler, AgingMode, AlphaController, BatchSpec, LifeRaftScheduler,
         NoShareScheduler, RoundRobinScheduler, SchedulerView, TradeoffCurve, TradeoffTable,
     };
     use liferaft_query::{Predicate, QueryPreProcessor};
+    use liferaft_storage::CostModel;
     use liferaft_workload::{TimedTrace, Trace};
 
     const LEVEL: u8 = 8;
@@ -353,10 +354,10 @@ mod tests {
         [
             || Box::new(NoShareScheduler::new()),
             || Box::new(RoundRobinScheduler::new()),
-            || Box::new(LifeRaftScheduler::greedy(MetricParams::paper())),
-            || Box::new(LifeRaftScheduler::age_based(MetricParams::paper())),
+            || Box::new(LifeRaftScheduler::greedy(CostModel::paper())),
+            || Box::new(LifeRaftScheduler::age_based(CostModel::paper())),
             || {
-                let params = MetricParams::paper();
+                let params = CostModel::paper();
                 Box::new(LifeRaftScheduler::new(params, AgingMode::Normalized, 0.5))
             },
             || {
@@ -372,7 +373,7 @@ mod tests {
                 let window = SimDuration::from_secs(60);
                 let controller =
                     AlphaController::new(table, 0.2, window, SimDuration::from_secs(5), 0.5);
-                let params = MetricParams::paper();
+                let params = CostModel::paper();
                 let inner = LifeRaftScheduler::new(params, AgingMode::Normalized, 0.5);
                 Box::new(AdaptiveScheduler::new(inner, controller))
             },
@@ -539,7 +540,7 @@ mod tests {
             })
             .collect();
         let fragment = |i: usize| fragments_of(&cat, &trace).swap_remove(i);
-        let mut greedy = LifeRaftScheduler::greedy(MetricParams::paper());
+        let mut greedy = LifeRaftScheduler::greedy(CostModel::paper());
         let core = EngineCore::new(&cat, SimConfig::paper());
         let mut w = Driver::new(core, &trace, Vec::new(), Vec::new());
         let order = |w: &Driver<'_, _>| -> Vec<(usize, SimTime)> {

@@ -12,7 +12,8 @@ use std::thread;
 
 use liferaft_catalog::{Catalog, SkyObject};
 use liferaft_core::{
-    BatchScope, BatchSpec, DecisionStats, Scheduler, StarvationMonitor, TableView,
+    BatchScope, BatchSpec, BucketSnapshot, DecisionStats, Lens, Scheduler, StarvationMonitor,
+    TableView,
 };
 use liferaft_join::{hybrid, JoinStrategy};
 use liferaft_query::{
@@ -319,19 +320,26 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
         }
     }
 
+    /// The table's resident candidates: the cached head of its throughput
+    /// order, read one past the cache's size — enough to see every resident
+    /// the pushes kept, or one too many.
+    fn resident_candidates(&self) -> Vec<BucketSnapshot> {
+        let mut head = Vec::new();
+        let k = self.cache.len() + 1;
+        self.table.frontier_into(Lens::Throughput, k, &mut head);
+        head.retain(|s| s.cached);
+        head
+    }
+
     /// True if the table's resident candidates are exactly the cache's
     /// resident buckets with queued work, and rows are held only for
     /// resident buckets — what the [`set_resident`](Self::set_resident)
     /// pushes keep, checked in O(cache capacity).
     fn residency_is_mirrored(&self) -> bool {
-        let (mut pushed, mut all_resident) = (0, true);
-        self.table.for_each_cached_candidate(&mut |s| {
-            pushed += 1;
-            all_resident &= self.cache.contains(s.bucket);
-        });
+        let pushed = self.resident_candidates();
         let queued = |b: &BucketId| self.table.snapshot_of(*b).is_some();
-        all_resident
-            && pushed == self.cache.resident_lru_order().filter(queued).count()
+        pushed.iter().all(|s| self.cache.contains(s.bucket))
+            && pushed.len() == self.cache.resident_lru_order().filter(queued).count()
             && self.rows.keys().all(|b| self.cache.contains(*b))
     }
 
@@ -686,8 +694,7 @@ mod tests {
     use super::*;
     use liferaft_catalog::{generate::uniform_sky, MaterializedCatalog, Partition, VirtualCatalog};
     use liferaft_core::{
-        AgingMode, LifeRaftScheduler, MetricParams, NoShareScheduler, RoundRobinScheduler,
-        SchedulerView,
+        AgingMode, LifeRaftScheduler, NoShareScheduler, RoundRobinScheduler, SchedulerView,
     };
     use liferaft_htm::HtmId;
     use liferaft_query::{CrossMatchQuery, Predicate, QueryPreProcessor};
@@ -720,8 +727,8 @@ mod tests {
         Trace::new(LEVEL, queries)
     }
 
-    fn params() -> MetricParams {
-        MetricParams::paper()
+    fn params() -> CostModel {
+        CostModel::paper()
     }
 
     /// A catalog that counts what the engine asks of it: whole-bucket
@@ -1413,14 +1420,14 @@ mod tests {
             core.deliver_items(&pair[0], &pre.preprocess(&pair[0]), now);
             core.decide_and_execute(&mut greedy, now);
             core.deliver_items(&pair[1], &pre.preprocess(&pair[1]), now);
-            assert_eq!(core.table.cached_candidate_count(), 1);
+            assert_eq!(core.resident_candidates().len(), 1);
         }
 
         let payload = src.extract_bucket(BucketId(1), now);
         assert!(payload.was_resident);
         src.deliver_items(&queries[4], &pre.preprocess(&queries[4]), now);
         assert!(src.residency_is_mirrored(), "extraction kept the φ bit");
-        assert_eq!(src.table.cached_candidate_count(), 0);
+        assert_eq!(src.resident_candidates().len(), 0);
 
         dst.absorb_bucket(payload);
         assert_eq!(dst.cache.stats().evictions, 1);
@@ -1433,7 +1440,7 @@ mod tests {
 
         assert_eq!(dst.wipe_residency(), 1);
         assert!(dst.residency_is_mirrored(), "the wipe kept a φ bit");
-        assert_eq!(dst.table.cached_candidate_count(), 0);
+        assert_eq!(dst.resident_candidates().len(), 0);
     }
 
     /// LifeRaft(α, normalized)'s decision taken the reference way: gather

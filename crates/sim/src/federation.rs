@@ -182,8 +182,9 @@ fn site_matches(
 mod tests {
     use super::*;
     use liferaft_catalog::{generate::uniform_sky, MaterializedCatalog};
-    use liferaft_core::{LifeRaftScheduler, MetricParams, NoShareScheduler};
+    use liferaft_core::{LifeRaftScheduler, NoShareScheduler};
     use liferaft_query::Predicate;
+    use liferaft_storage::CostModel;
     use liferaft_workload::arrivals::uniform_arrivals;
 
     const LEVEL: u8 = 8;
@@ -224,7 +225,7 @@ mod tests {
         let report = run_chain(
             &sites,
             &timed,
-            &mut |_| Box::new(LifeRaftScheduler::greedy(MetricParams::paper())),
+            &mut |_| Box::new(LifeRaftScheduler::greedy(CostModel::paper())),
             SimConfig::paper(),
         );
         assert_eq!(report.sites.len(), 2);
@@ -285,7 +286,7 @@ mod tests {
         let report = run_chain(
             &sites,
             &timed,
-            &mut |_| Box::new(LifeRaftScheduler::greedy(MetricParams::paper())),
+            &mut |_| Box::new(LifeRaftScheduler::greedy(CostModel::paper())),
             SimConfig::paper(),
         );
         assert_eq!(report.entered[0], 4);

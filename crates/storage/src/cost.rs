@@ -25,8 +25,8 @@ impl std::fmt::Display for JoinStrategy {
 /// chooses between its two plans.
 ///
 /// The executor plans and prices every batch through
-/// [`charge`](Self::charge). The workload throughput metric (Eq. 1) reads
-/// `Tb` and `Tm` from the same model, so it prices a batch as a scan; for a
+/// [`charge`](Self::charge). The workload throughput metric (Eq. 1) is
+/// `W ÷ scan_batch(W, φ)` in µs, so it prices a batch as a scan; for a
 /// batch the threshold sends to the index, Eq. 1 and the charge differ.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {

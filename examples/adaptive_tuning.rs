@@ -69,7 +69,7 @@ fn main() {
     let burst = bursty_arrivals(0.05, 0.5, SimDuration::from_secs(600), trace.len(), 4);
     let timed = trace.with_arrivals(burst);
     let sim = Simulation::new(&catalog, SimConfig::paper());
-    let params = MetricParams::paper();
+    let params = CostModel::paper();
 
     let controller = AlphaController::new(
         table,

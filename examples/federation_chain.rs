@@ -48,7 +48,7 @@ fn main() {
     let timed = trace.with_arrivals(poisson_arrivals(0.2, trace.len(), 31));
     let sites: Vec<&dyn Catalog> = vec![&twomass, &sdss, &usnob];
 
-    let params = MetricParams::paper();
+    let params = CostModel::paper();
     let mut table = Table::new([
         "chain scheduler",
         "site",

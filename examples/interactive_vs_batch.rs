@@ -65,7 +65,7 @@ fn main() {
     );
 
     let sim = Simulation::new(&catalog, SimConfig::paper());
-    let params = MetricParams::paper();
+    let params = CostModel::paper();
     let mut table = Table::new([
         "scheduler",
         "interactive mean rt (s)",

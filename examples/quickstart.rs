@@ -37,7 +37,7 @@ fn main() {
 
     // 3. Replay under each scheduler, executing the joins for real.
     let sim = Simulation::new(&catalog, SimConfig::with_real_joins());
-    let params = MetricParams::paper();
+    let params = CostModel::paper();
     let mut schedulers: Vec<Box<dyn Scheduler>> = vec![
         Box::new(NoShareScheduler::new()),
         Box::new(RoundRobinScheduler::new()),

@@ -32,7 +32,7 @@ fn main() {
     );
 
     // 2. Four shards, contiguous placement.
-    let params = MetricParams::paper();
+    let params = CostModel::paper();
     let config = RuntimeConfig::contiguous(SimConfig::paper(), 4);
     let runtime = ShardedRuntime::new(&catalog, config.clone());
     let mut mk =

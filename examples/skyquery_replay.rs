@@ -40,7 +40,7 @@ fn main() {
 
     let timed = trace.with_arrivals(poisson_arrivals(rate, trace.len(), 7));
     let sim = Simulation::new(&catalog, SimConfig::paper());
-    let params = MetricParams::paper();
+    let params = CostModel::paper();
 
     // The Figure 7 scheduler lineup.
     let mut lineup: Vec<Box<dyn Scheduler>> = vec![Box::new(NoShareScheduler::new())];

@@ -47,7 +47,7 @@
 //!
 //! // Compare the greedy LifeRaft scheduler against NoShare.
 //! let sim = Simulation::new(&catalog, SimConfig::paper());
-//! let greedy = sim.run(&timed, &mut LifeRaftScheduler::greedy(MetricParams::paper()));
+//! let greedy = sim.run(&timed, &mut LifeRaftScheduler::greedy(CostModel::paper()));
 //! let noshare = sim.run(&timed, &mut NoShareScheduler::new());
 //! assert!(greedy.throughput_qps >= noshare.throughput_qps);
 //! ```
@@ -71,8 +71,8 @@ pub use liferaft_workload as workload;
 pub mod prelude {
     pub use liferaft_catalog::{Catalog, MaterializedCatalog, VirtualCatalog};
     pub use liferaft_core::{
-        AdaptiveScheduler, AgingMode, AlphaController, LifeRaftScheduler, MetricParams,
-        NoShareScheduler, RoundRobinScheduler, Scheduler, TradeoffTable,
+        AdaptiveScheduler, AgingMode, AlphaController, LifeRaftScheduler, NoShareScheduler,
+        RoundRobinScheduler, Scheduler, TradeoffTable,
     };
     pub use liferaft_metrics::{Summary, Table};
     pub use liferaft_query::{CrossMatchQuery, Predicate, QueryId, QueryPreProcessor};
@@ -85,7 +85,7 @@ pub mod prelude {
         build_scenario, calibrate_tradeoff_table, LinkDirection, LinkFault, RunReport,
         ScenarioFixture, ScenarioKind, ScenarioScale, SimConfig, Simulation,
     };
-    pub use liferaft_storage::{BucketId, SimDuration, SimTime};
+    pub use liferaft_storage::{BucketId, CostModel, SimDuration, SimTime};
     pub use liferaft_telemetry::{EventKind, TelemetryConfig};
     pub use liferaft_workload::arrivals::{bursty_arrivals, poisson_arrivals};
     pub use liferaft_workload::{TimedTrace, Trace, TraceGenerator, WorkloadConfig, WorkloadStats};

@@ -62,7 +62,7 @@ fn adaptive_scheduler_is_sane_on_bursty_load() {
     let arrivals = bursty_arrivals(0.05, 0.5, SimDuration::from_secs(400), trace.len(), 71);
     let timed = trace.with_arrivals(arrivals);
     let sim = Simulation::new(&cat, SimConfig::paper());
-    let params = MetricParams::paper();
+    let params = CostModel::paper();
 
     let controller = AlphaController::new(
         table,
@@ -117,7 +117,7 @@ fn persisted_trace_replays_identically() {
 
     let arrivals = poisson_arrivals(0.3, trace.len(), 73);
     let sim = Simulation::new(&cat, SimConfig::paper());
-    let params = MetricParams::paper();
+    let params = CostModel::paper();
     let a = sim.run(
         &trace.with_arrivals(arrivals.clone()),
         &mut LifeRaftScheduler::greedy(params),
@@ -155,20 +155,14 @@ fn virtual_catalog_replay() {
         .sum();
 
     let sim = Simulation::new(&cat, SimConfig::paper());
-    let r = sim.run(
-        &timed,
-        &mut LifeRaftScheduler::greedy(MetricParams::paper()),
-    );
+    let r = sim.run(&timed, &mut LifeRaftScheduler::greedy(CostModel::paper()));
     assert_eq!(r.queries, 50);
     assert_eq!(r.serviced_entries, expected);
 
     // Real joins over the virtual catalog: deterministic match counts.
     let sim_real = Simulation::new(&cat, SimConfig::with_real_joins());
     let m1 = sim_real
-        .run(
-            &timed,
-            &mut LifeRaftScheduler::greedy(MetricParams::paper()),
-        )
+        .run(&timed, &mut LifeRaftScheduler::greedy(CostModel::paper()))
         .total_matches;
     let m2 = sim_real
         .run(&timed, &mut NoShareScheduler::new())

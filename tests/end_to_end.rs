@@ -28,7 +28,7 @@ fn schedulers_agree_on_query_answers() {
     let trace = contended_trace(cat.partition().num_buckets() as u32, 40, 3);
     let timed = trace.with_arrivals(poisson_arrivals(0.5, trace.len(), 9));
     let sim = Simulation::new(&cat, SimConfig::with_real_joins());
-    let params = MetricParams::paper();
+    let params = CostModel::paper();
 
     let mut lineup: Vec<Box<dyn Scheduler>> = vec![
         Box::new(NoShareScheduler::new()),
@@ -61,7 +61,7 @@ fn throughput_ordering_greedy_aged_noshare() {
     // Saturating arrival rate: everyone queues, sharing opportunities abound.
     let timed = trace.with_arrivals(poisson_arrivals(1.0, trace.len(), 11));
     let sim = Simulation::new(&cat, SimConfig::paper());
-    let params = MetricParams::paper();
+    let params = CostModel::paper();
 
     let greedy = sim.run(&timed, &mut LifeRaftScheduler::greedy(params));
     let aged = sim.run(&timed, &mut LifeRaftScheduler::age_based(params));
@@ -99,7 +99,7 @@ fn rr_resembles_age_based_liferaft() {
     let trace = contended_trace(cat.partition().num_buckets() as u32, 100, 7);
     let timed = trace.with_arrivals(poisson_arrivals(0.5, trace.len(), 13));
     let sim = Simulation::new(&cat, SimConfig::paper());
-    let params = MetricParams::paper();
+    let params = CostModel::paper();
 
     let aged = sim.run(&timed, &mut LifeRaftScheduler::age_based(params));
     let rr = sim.run(&timed, &mut RoundRobinScheduler::new());
@@ -132,7 +132,7 @@ fn conservation_of_work() {
     for s in [
         &mut NoShareScheduler::new() as &mut dyn Scheduler,
         &mut RoundRobinScheduler::new(),
-        &mut LifeRaftScheduler::greedy(MetricParams::paper()),
+        &mut LifeRaftScheduler::greedy(CostModel::paper()),
     ] {
         let r = sim.run(&timed, s);
         assert_eq!(r.serviced_entries, expected, "{}", r.scheduler);
@@ -148,14 +148,8 @@ fn simulation_is_deterministic() {
     let trace = contended_trace(cat.partition().num_buckets() as u32, 30, 29);
     let timed = trace.with_arrivals(poisson_arrivals(0.4, trace.len(), 31));
     let sim = Simulation::new(&cat, SimConfig::paper());
-    let a = sim.run(
-        &timed,
-        &mut LifeRaftScheduler::greedy(MetricParams::paper()),
-    );
-    let b = sim.run(
-        &timed,
-        &mut LifeRaftScheduler::greedy(MetricParams::paper()),
-    );
+    let a = sim.run(&timed, &mut LifeRaftScheduler::greedy(CostModel::paper()));
+    let b = sim.run(&timed, &mut LifeRaftScheduler::greedy(CostModel::paper()));
     assert_eq!(a.throughput_qps, b.throughput_qps);
     assert_eq!(a.batches, b.batches);
     assert_eq!(a.io.bucket_reads, b.io.bucket_reads);
@@ -180,7 +174,7 @@ fn hybrid_join_helps_small_batches() {
     scan_only.cost.threshold_ratio = 0.0;
     let hybrid_sim = Simulation::new(&cat, SimConfig::paper());
     let scan_sim = Simulation::new(&cat, scan_only);
-    let params = MetricParams::paper();
+    let params = CostModel::paper();
 
     let h = hybrid_sim.run(&timed, &mut LifeRaftScheduler::age_based(params));
     let s = scan_sim.run(&timed, &mut LifeRaftScheduler::age_based(params));
@@ -205,7 +199,7 @@ fn age_bias_bounds_starvation() {
     let trace = contended_trace(cat.partition().num_buckets() as u32, 120, 43);
     let timed = trace.with_arrivals(poisson_arrivals(1.0, trace.len(), 47));
     let sim = Simulation::new(&cat, SimConfig::paper());
-    let params = MetricParams::paper();
+    let params = CostModel::paper();
 
     let greedy = sim.run(&timed, &mut LifeRaftScheduler::greedy(params));
     let aged = sim.run(&timed, &mut LifeRaftScheduler::age_based(params));

@@ -224,7 +224,7 @@ fn elastic_rebalancing_keeps_the_determinism_contract() {
 #[test]
 fn sweep_driver_results_are_independent_of_thread_count() {
     let (catalog, timed) = fixture();
-    let params = MetricParams::paper();
+    let params = CostModel::paper();
     let alphas = [0.0, 0.25, 0.5, 0.75, 1.0];
     let serial = alpha_sweep(&catalog, &timed, SimConfig::paper(), params, &alphas, 1);
     let fanned = alpha_sweep(&catalog, &timed, SimConfig::paper(), params, &alphas, 4);

@@ -20,10 +20,7 @@ fn quickstart_pipeline_runs_and_liferaft_beats_noshare() {
     let timed = trace.with_arrivals(poisson_arrivals(0.5, trace.len(), 1));
 
     let sim = Simulation::new(&catalog, SimConfig::paper());
-    let greedy = sim.run(
-        &timed,
-        &mut LifeRaftScheduler::greedy(MetricParams::paper()),
-    );
+    let greedy = sim.run(&timed, &mut LifeRaftScheduler::greedy(CostModel::paper()));
     let noshare = sim.run(&timed, &mut NoShareScheduler::new());
 
     assert!(
