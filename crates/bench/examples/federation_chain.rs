@@ -9,17 +9,25 @@
 //! independently. It compares per-site and end-to-end behaviour of LifeRaft
 //! against NoShare chains.
 //!
-//! Run with: `cargo run --release --example federation_chain`
+//! Run with: `cargo run --release -p liferaft-bench --example federation_chain`
 
-use liferaft::prelude::*;
-use liferaft::sim::run_chain;
+use liferaft_bench::federation::run_chain;
+use liferaft_catalog::generate::uniform_sky;
+use liferaft_catalog::{Catalog, MaterializedCatalog};
+use liferaft_core::{LifeRaftScheduler, NoShareScheduler, Scheduler};
+use liferaft_metrics::Table;
+use liferaft_query::{CrossMatchQuery, Predicate, QueryId};
+use liferaft_sim::SimConfig;
+use liferaft_storage::{BucketId, CostModel};
+use liferaft_workload::arrivals::poisson_arrivals;
+use liferaft_workload::Trace;
 
 const LEVEL: u8 = 8;
 
 fn main() {
     // Three archives over one sky: same positions (the same universe!),
     // different bucket layouts — each site partitions independently.
-    let sky = liferaft::catalog::generate::uniform_sky(30_000, LEVEL, 23);
+    let sky = uniform_sky(30_000, LEVEL, 23);
     let twomass = MaterializedCatalog::build(&sky, LEVEL, 400, 4096);
     let sdss = MaterializedCatalog::build(&sky, LEVEL, 250, 4096);
     let usnob = MaterializedCatalog::build(&sky, LEVEL, 500, 4096);

@@ -21,13 +21,9 @@ use liferaft_htm::{BatchCoverer, Cap};
 use liferaft_join::sweep::sweep_join;
 use liferaft_metrics::Summary;
 use liferaft_query::{CrossMatchQuery, MatchObject, QueryId, QueueEntry, WorkItem};
+use liferaft_sim::{Feed, RunReport, SimConfig, Simulation};
 use liferaft_storage::SimTime;
 use liferaft_workload::{TimedTrace, Trace};
-
-use crate::config::SimConfig;
-use crate::engine::Simulation;
-use crate::feed::Feed;
-use crate::report::RunReport;
 
 /// The outcome of a federated chain run.
 #[derive(Debug, Clone)]

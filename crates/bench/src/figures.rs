@@ -13,7 +13,8 @@ use liferaft_core::{
     AgingMode, LifeRaftScheduler, NoShareScheduler, RoundRobinScheduler, Scheduler, TradeoffTable,
 };
 use liferaft_metrics::{Series, Table};
-use liferaft_sim::{calibrate_tradeoff_table, RunReport, Simulation};
+use liferaft_runtime::calibrate_tradeoff_table;
+use liferaft_sim::{RunReport, Simulation};
 use liferaft_storage::CostModel;
 use liferaft_workload::arrivals::poisson_arrivals;
 use liferaft_workload::WorkloadStats;
@@ -247,7 +248,7 @@ pub fn fig7(exp: &Experiment) -> (Vec<RunReport>, Vec<Check>) {
         ),
         Check::new(
             "fig7a: throughput grows as the age bias drops (α 1 → 0)",
-            tputs.windows(2).all(|w| w[1] >= w[0] * 0.97),
+            tputs.windows(2).all(|w| w[1] >= w[0]),
             format!("{tputs:.3?}"),
         ),
         Check::new(

@@ -8,6 +8,8 @@
 //! [`experiments::Scale::full`] (the paper's 40 MB bucket geometry) and
 //! [`experiments::Scale::quick`] for fast iteration
 //! (`LIFERAFT_SCALE=quick cargo bench`); the constructors hold the numbers.
+//! [`federation`] chains archives past the paper's single site, for the
+//! `federation_chain` example.
 //!
 //! Run everything with `cargo bench -p liferaft-bench --bench figures`, or a
 //! single artifact with `cargo bench -p liferaft-bench --bench figures -- fig7`.
@@ -16,4 +18,5 @@
 #![forbid(unsafe_code)]
 
 pub mod experiments;
+pub mod federation;
 pub mod figures;

@@ -288,17 +288,7 @@ pub struct RuntimeConfig {
 impl RuntimeConfig {
     /// A single-shard runtime — behaviourally identical to [`liferaft_sim::Simulation`].
     pub fn single(sim: SimConfig) -> Self {
-        RuntimeConfig {
-            sim,
-            n_shards: 1,
-            assignment: ShardAssignment::Contiguous,
-            rebalance: RebalanceConfig::disabled(),
-            front_door: FrontDoorConfig::disabled(),
-            faults: FaultPlan::none(),
-            failover: FailoverConfig::disabled(),
-            transport: TransportConfig::reliable(),
-            telemetry: TelemetryConfig::off(),
-        }
+        Self::contiguous(sim, 1)
     }
 
     /// `n` contiguous shards, every controller off.

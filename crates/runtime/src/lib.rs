@@ -64,9 +64,9 @@
 //!
 //! # Sweep driver
 //!
-//! [`sweep`] fans independent runs — α sweeps, shard-count sweeps, any
-//! pure per-item closure — across a thread pool with results in input
-//! order whatever the thread count ([`parallel_map`]).
+//! [`sweep`] fans independent runs — α sweeps, the offline trade-off
+//! calibration grid, any pure per-item closure — across a thread pool with
+//! results in input order whatever the thread count ([`parallel_map`]).
 //!
 //! # Layout
 //!
@@ -83,7 +83,7 @@
 //! | [`transport`] | the lossy-link transport: retransmit, dedup, hedging |
 //! | [`runtime`] | the one run path: the window loop, its barrier handlers, aggregation |
 //! | [`config`] | runtime + rebalance + fault configuration, execution mode |
-//! | [`sweep`] | the deterministic parallel sweep driver |
+//! | [`sweep`] | the deterministic parallel sweep driver and the offline calibration grid |
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -115,7 +115,7 @@ pub use retry::RetryPolicy;
 pub use router::{route, route_window, Fragment, Routing};
 pub use runtime::{RuntimeReport, ShardedRuntime};
 pub use shard::{ElasticShardMap, ShardAssignment, ShardId, ShardMap};
-pub use sweep::{alpha_sweep, parallel_map, shard_sweep, SweepPoint};
+pub use sweep::{alpha_sweep, calibrate_tradeoff_table, parallel_map};
 pub use transport::{
     HedgeConfig, HedgeDecision, LinkDrop, Retransmit, SuppressedDuplicate, TransportConfig,
     TransportLog, TransportReport,

@@ -27,20 +27,16 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod calibration;
 pub mod config;
 pub mod driver;
 pub mod engine;
-pub mod federation;
 pub mod feed;
 pub mod report;
 pub mod scenario;
 
-pub use calibration::calibrate_tradeoff_table;
 pub use config::SimConfig;
 pub use driver::{Driver, Fragment};
 pub use engine::{EngineCore, MigratedBucket, Simulation};
-pub use federation::{run_chain, FederationReport};
 pub use feed::Feed;
 pub use liferaft_workload::TimedTrace;
 pub use report::RunReport;

@@ -13,7 +13,7 @@
 //! Run with: `cargo run --release --example sharded_serving`
 
 use liferaft::prelude::*;
-use liferaft::runtime::{alpha_sweep, shard_sweep};
+use liferaft::runtime::{alpha_sweep, parallel_map};
 
 fn main() {
     const LEVEL: u8 = 10;
@@ -191,25 +191,23 @@ fn main() {
     //    and shard-count sweep (independent runtime runs), fanned across
     //    threads with results in input order.
     let alphas = [0.0, 0.5, 1.0];
-    let alpha_points = alpha_sweep(&catalog, &timed, SimConfig::paper(), params, &alphas, 3);
+    let alpha_reports = alpha_sweep(&catalog, &timed, SimConfig::paper(), &alphas, 3);
     let counts = [1u32, 2, 4, 8];
-    let shard_points = shard_sweep(
-        &catalog,
-        &timed,
-        RuntimeConfig::contiguous(SimConfig::paper(), 1),
-        &counts,
-        ExecMode::Threaded,
-        2,
-        move |_| Box::new(LifeRaftScheduler::greedy(params)),
-    );
+    let shard_reports = parallel_map(&counts, 2, |_, &n| {
+        ShardedRuntime::new(&catalog, RuntimeConfig::contiguous(SimConfig::paper(), n))
+            .run(&timed, &mut |i| mk(i), ExecMode::Threaded)
+            .global
+    });
 
+    let labels = (alphas.iter().map(|a| format!("α={a:.2}")))
+        .chain(counts.iter().map(|n| format!("shards={n}")));
     let mut sweep_table = Table::new(["sweep point", "throughput (q/s)", "mean rt (s)", "batches"]);
-    for p in alpha_points.iter().chain(&shard_points) {
+    for (label, report) in labels.zip(alpha_reports.iter().chain(&shard_reports)) {
         sweep_table.row([
-            p.label.clone(),
-            format!("{:.4}", p.report.throughput_qps),
-            format!("{:.1}", p.report.mean_response_s()),
-            p.report.batches.to_string(),
+            label,
+            format!("{:.4}", report.throughput_qps),
+            format!("{:.1}", report.mean_response_s()),
+            report.batches.to_string(),
         ]);
     }
     println!("{}", sweep_table.render());

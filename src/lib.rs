@@ -77,13 +77,13 @@ pub mod prelude {
     pub use liferaft_metrics::{Summary, Table};
     pub use liferaft_query::{CrossMatchQuery, Predicate, QueryId, QueryPreProcessor};
     pub use liferaft_runtime::{
-        ExecMode, FailoverConfig, FaultPlan, FrontDoorConfig, QueryClass, RebalanceConfig,
-        RebalanceLog, RuntimeConfig, RuntimeReport, ShardAssignment, ShardedRuntime,
-        TransportConfig,
+        calibrate_tradeoff_table, ExecMode, FailoverConfig, FaultPlan, FrontDoorConfig, QueryClass,
+        RebalanceConfig, RebalanceLog, RuntimeConfig, RuntimeReport, ShardAssignment,
+        ShardedRuntime, TransportConfig,
     };
     pub use liferaft_sim::{
-        build_scenario, calibrate_tradeoff_table, LinkDirection, LinkFault, RunReport,
-        ScenarioFixture, ScenarioKind, ScenarioScale, SimConfig, Simulation,
+        build_scenario, LinkDirection, LinkFault, RunReport, ScenarioFixture, ScenarioKind,
+        ScenarioScale, SimConfig, Simulation,
     };
     pub use liferaft_storage::{BucketId, CostModel, SimDuration, SimTime};
     pub use liferaft_telemetry::{EventKind, TelemetryConfig};

@@ -20,7 +20,7 @@ mod common;
 
 use common::{fingerprint, fixture, goldens, scheduler_factories};
 use liferaft::prelude::*;
-use liferaft::runtime::{alpha_sweep, shard_sweep};
+use liferaft::runtime::{alpha_sweep, parallel_map};
 
 #[test]
 fn single_shard_runtime_reproduces_the_recorded_goldens() {
@@ -224,51 +224,39 @@ fn elastic_rebalancing_keeps_the_determinism_contract() {
 #[test]
 fn sweep_driver_results_are_independent_of_thread_count() {
     let (catalog, timed) = fixture();
-    let params = CostModel::paper();
     let alphas = [0.0, 0.25, 0.5, 0.75, 1.0];
-    let serial = alpha_sweep(&catalog, &timed, SimConfig::paper(), params, &alphas, 1);
-    let fanned = alpha_sweep(&catalog, &timed, SimConfig::paper(), params, &alphas, 4);
+    let serial = alpha_sweep(&catalog, &timed, SimConfig::paper(), &alphas, 1);
+    let fanned = alpha_sweep(&catalog, &timed, SimConfig::paper(), &alphas, 4);
     assert_eq!(serial.len(), fanned.len());
-    for (a, b) in serial.iter().zip(&fanned) {
-        assert_eq!(a.label, b.label);
+    for ((a, b), alpha) in serial.iter().zip(&fanned).zip(alphas) {
         assert_eq!(
-            fingerprint(&a.report),
-            fingerprint(&b.report),
-            "α sweep point {} changed with thread count",
-            a.label
+            fingerprint(a),
+            fingerprint(b),
+            "α sweep point {alpha} changed with thread count"
         );
     }
 
     let counts = [1u32, 2, 4];
-    let base = RuntimeConfig::single(SimConfig::paper());
-    let mk = || -> Box<dyn Scheduler + Send> { Box::new(LifeRaftScheduler::greedy(params)) };
-    let serial = shard_sweep(
-        &catalog,
-        &timed,
-        base.clone(),
-        &counts,
-        ExecMode::Stepped,
-        1,
-        |_| mk(),
-    );
-    let fanned = shard_sweep(
-        &catalog,
-        &timed,
-        base,
-        &counts,
-        ExecMode::Threaded,
-        3,
-        |_| mk(),
-    );
-    for (a, b) in serial.iter().zip(&fanned) {
-        assert_eq!(a.label, b.label);
+    let sweep = |mode, threads| {
+        parallel_map(&counts, threads, |_, &n| {
+            ShardedRuntime::new(&catalog, RuntimeConfig::contiguous(SimConfig::paper(), n))
+                .run(
+                    &timed,
+                    &mut |_| Box::new(LifeRaftScheduler::greedy(CostModel::paper())),
+                    mode,
+                )
+                .global
+        })
+    };
+    let serial = sweep(ExecMode::Stepped, 1);
+    let fanned = sweep(ExecMode::Threaded, 3);
+    for ((a, b), n) in serial.iter().zip(&fanned).zip(counts) {
         assert_eq!(
-            fingerprint(&a.report),
-            fingerprint(&b.report),
-            "shard sweep point {} changed with thread count / exec mode",
-            a.label
+            fingerprint(a),
+            fingerprint(b),
+            "shard sweep point {n} changed with thread count / exec mode"
         );
     }
     // The 1-shard sweep point is the simulation golden once more.
-    assert_eq!(fingerprint(&serial[0].report), common::GOLDEN_GREEDY);
+    assert_eq!(fingerprint(&serial[0]), common::GOLDEN_GREEDY);
 }
