@@ -130,26 +130,6 @@ impl VirtualCatalog {
         }
     }
 
-    /// The paper's experimental scale: level 14, ~20 000 buckets of 10 000
-    /// objects of 4 KB (40 MB buckets).
-    pub fn paper_scale(seed: u64) -> Self {
-        Self::new(crate::OBJECT_LEVEL, 20_000, 10_000, 4096, seed)
-    }
-
-    /// Generates the `slot`-th object of `bucket` (pure function), or `None`
-    /// if the partition has no such bucket or `slot` is not below the
-    /// per-bucket row count. The random-access reference for the batch
-    /// generator behind [`Catalog::bucket_objects`] /
-    /// [`Catalog::objects_in`]: same ID, and a position replayed from the
-    /// root by `trixel_of` instead of placed by one walk over the whole run.
-    pub fn object_at(&self, bucket: BucketId, slot: u64) -> Option<SkyObject> {
-        if slot >= self.objects_per_bucket || bucket.index() >= self.partition.num_buckets() {
-            return None;
-        }
-        let htm = self.slot_htm(bucket, slot);
-        Some(self.row(bucket, slot, htm, liferaft_htm::trixel_of(htm).center()))
-    }
-
     /// The HTM ID of the `slot`-th object of `bucket`.
     fn slot_htm(&self, bucket: BucketId, slot: u64) -> HtmId {
         debug_assert!(slot < self.objects_per_bucket);
@@ -237,6 +217,26 @@ mod tests {
     use crate::generate::uniform_sky;
     use crate::object::is_htm_sorted;
 
+    /// The paper's experimental scale: level 14, ~20 000 buckets of 10 000
+    /// objects of 4 KB (40 MB buckets).
+    fn paper_scale(seed: u64) -> VirtualCatalog {
+        VirtualCatalog::new(crate::OBJECT_LEVEL, 20_000, 10_000, 4096, seed)
+    }
+
+    /// Generates the `slot`-th object of `bucket` (pure function), or `None`
+    /// if the partition has no such bucket or `slot` is not below the
+    /// per-bucket row count. The random-access reference for the batch
+    /// generator behind [`Catalog::bucket_objects`] /
+    /// [`Catalog::objects_in`]: same ID, and a position replayed from the
+    /// root by `trixel_of` instead of placed by one walk over the whole run.
+    fn object_at(cat: &VirtualCatalog, bucket: BucketId, slot: u64) -> Option<SkyObject> {
+        if slot >= cat.objects_per_bucket || bucket.index() >= cat.partition.num_buckets() {
+            return None;
+        }
+        let htm = cat.slot_htm(bucket, slot);
+        Some(cat.row(bucket, slot, htm, liferaft_htm::trixel_of(htm).center()))
+    }
+
     #[test]
     fn materialized_catalog_round_trip() {
         let sky = uniform_sky(300, 8, 11);
@@ -295,7 +295,7 @@ mod tests {
 
     #[test]
     fn paper_scale_metadata_without_materialization() {
-        let cat = VirtualCatalog::paper_scale(42);
+        let cat = paper_scale(42);
         assert_eq!(cat.partition().num_buckets(), 20_000);
         assert_eq!(cat.total_objects(), 200_000_000);
         assert_eq!(cat.meta(BucketId(0)).bytes, 40_960_000);
@@ -311,8 +311,8 @@ mod tests {
     #[test]
     fn object_at_is_pure() {
         let cat = VirtualCatalog::new(10, 8, 100, 4096, 5);
-        let a = cat.object_at(BucketId(1), 42);
-        let b = cat.object_at(BucketId(1), 42);
+        let a = object_at(&cat, BucketId(1), 42);
+        let b = object_at(&cat, BucketId(1), 42);
         assert!(a.is_some());
         assert_eq!(a, b);
     }
@@ -326,23 +326,59 @@ mod tests {
     fn object_at_past_the_last_slot_is_none() {
         // Slots 1 000 and 1 500 of bucket 5 would land on bucket 6's IDs.
         let cat = benchmark_shape();
-        assert_eq!(cat.object_at(BucketId(5), 1_000), None);
-        assert_eq!(cat.object_at(BucketId(5), 1_500), None);
-        assert!(cat.object_at(BucketId(5), 999).is_some());
+        assert_eq!(object_at(&cat, BucketId(5), 1_000), None);
+        assert_eq!(object_at(&cat, BucketId(5), 1_500), None);
+        assert!(object_at(&cat, BucketId(5), 999).is_some());
     }
 
     #[test]
     fn object_at_past_the_end_of_the_curve_is_none() {
         // Slot 1 000 of the last bucket would lie past the last level-12 ID.
         let cat = benchmark_shape();
-        assert_eq!(cat.object_at(BucketId(2_047), 1_000), None);
-        assert_eq!(cat.object_at(BucketId(2_047), u64::MAX), None);
+        assert_eq!(object_at(&cat, BucketId(2_047), 1_000), None);
+        assert_eq!(object_at(&cat, BucketId(2_047), u64::MAX), None);
     }
 
     #[test]
     fn object_at_of_a_missing_bucket_is_none() {
         let cat = benchmark_shape();
-        assert_eq!(cat.object_at(BucketId(2_048), 0), None);
-        assert_eq!(cat.object_at(BucketId(u32::MAX), 0), None);
+        assert_eq!(object_at(&cat, BucketId(2_048), 0), None);
+        assert_eq!(object_at(&cat, BucketId(u32::MAX), 0), None);
+    }
+
+    /// Every row of each listed bucket equals `object_at` of its slot.
+    fn assert_rows_equal_object_at(cat: &VirtualCatalog, buckets: &[u32], per_bucket: usize) {
+        for &b in buckets {
+            let rows = cat.bucket_objects(BucketId(b));
+            assert_eq!(rows.len(), per_bucket);
+            for (slot, row) in rows.iter().enumerate() {
+                assert_eq!(
+                    Some(*row),
+                    object_at(cat, BucketId(b), slot as u64),
+                    "bucket {b} slot {slot}"
+                );
+            }
+        }
+    }
+
+    /// The batch generator equals the random-access one on every slot: at the
+    /// benchmark's catalog shape (level 12, 2 048 buckets × 1 000 rows), at
+    /// paper scale (level 14, 10 000 rows a bucket), and on the (6, 13, 37)
+    /// shape's bucket 4, whose span crosses from root face 2 into face 3.
+    /// All comparisons are `==` on the rows, `f64` positions included: the
+    /// engine's match counts depend on it.
+    #[test]
+    fn bucket_rows_equal_object_at_at_benchmark_shape() {
+        let cat = VirtualCatalog::new(12, 2_048, 1_000, 4_096, 2_009);
+        assert_rows_equal_object_at(&cat, &[0, 1, 511, 512, 1_337, 2_047], 1_000);
+
+        let paper = paper_scale(2_009);
+        assert_rows_equal_object_at(&paper, &[0, 12_345], 10_000);
+
+        let (level, buckets, per_bucket) = (6, 13, 37);
+        let straddling = VirtualCatalog::new(level, buckets, per_bucket, 64, 2_009);
+        let range = straddling.meta(BucketId(4)).htm_range;
+        assert_ne!(range.lo().root_face(), range.hi().root_face());
+        assert_rows_equal_object_at(&straddling, &[4], per_bucket as usize);
     }
 }

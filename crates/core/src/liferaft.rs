@@ -9,12 +9,6 @@ use crate::scheduler::{
     BatchScope, BatchSpec, BucketSnapshot, DecisionStats, Lens, Scheduler, SchedulerView,
 };
 
-/// How deep the mixed-α pick first fetches each lens frontier. Fetches
-/// double from here, and the pick falls back to a streamed full scan if its
-/// bound is still open at the end of the first fetch that reaches half the
-/// candidate set.
-const FRONTIER_SEED: usize = 4;
-
 /// LifeRaft at a fixed age bias α.
 ///
 /// Every decision services the candidate maximal under the aged workload
@@ -31,8 +25,9 @@ const FRONTIER_SEED: usize = 4;
 /// order's tail).
 ///
 /// For mixed α the pick runs the threshold algorithm (Fagin, Lotem & Naor,
-/// PODS 2001) in one pass over both lens orders. Residents head the
-/// throughput order, all at `Ut`'s maximum: the pass scores each once, then
+/// PODS 2001) in one lazy pass down both lens orders, each read through
+/// [`walk`](SchedulerView::walk). Residents head the throughput order, all
+/// at `Ut`'s maximum: the pass scores each once, then
 /// walks the uncached rest of that order and the age order depth by depth,
 /// scoring each list's `d`-th candidate once, and stops at the first depth
 /// where no *unseen* candidate can win. Every unseen candidate `c` is
@@ -58,22 +53,19 @@ const FRONTIER_SEED: usize = 4;
 /// a longer queue may still tie it. The bound never rises with depth and
 /// the best seen never falls, so once the rule holds it holds at every
 /// later depth: the pick is the argmax of the scores over the whole
-/// candidate set, bit for bit. The frontiers are fetched `FRONTIER_SEED`,
-/// 2·`FRONTIER_SEED`, … deep (the throughput list that much past the
-/// residents); if the bound is still open at the end of the first fetch
-/// `k` with `2k ≥ n` (anti-correlated lists), the pick falls back to a full
-/// streamed scan — still allocation-free, and that same argmax.
+/// candidate set, bit for bit. If the bound never closes (anti-correlated
+/// lists), the pass reads on until the residents and the walk cover every
+/// candidate: that is the full scan, at most `2n` scores. A pass still open
+/// after depth ⌈n/2⌉ counts as a [fallback
+/// pick](DecisionStats::fallback_picks), any other as a frontier pick.
 #[derive(Debug, Clone)]
 pub struct LifeRaftScheduler {
     cost: CostModel,
     mode: AgingMode,
     alpha: f64,
-    /// Frontier scratch for the mixed-α threshold scan (throughput lens).
-    scratch_t: Vec<BucketSnapshot>,
-    /// Frontier scratch for the mixed-α threshold scan (age lens).
-    scratch_a: Vec<BucketSnapshot>,
-    /// Lifetime counters of how mixed-α picks resolved (frontier bound vs
-    /// full-stream fallback) — the kinetic-heap question's evidence.
+    /// Lifetime counters of how deep mixed-α passes read (closed within
+    /// half the candidate list or not) — the kinetic-heap question's
+    /// evidence.
     stats: DecisionStats,
 }
 
@@ -98,8 +90,6 @@ impl LifeRaftScheduler {
             cost,
             mode,
             alpha,
-            scratch_t: Vec::new(),
-            scratch_a: Vec::new(),
             stats: DecisionStats::default(),
         }
     }
@@ -128,9 +118,8 @@ impl LifeRaftScheduler {
         self.alpha = alpha;
     }
 
-    /// The mixed-α indexed pick: one threshold pass over both lens
-    /// frontiers, falling back to a full streamed scan when the bound is
-    /// still open at the fallback depth.
+    /// The mixed-α indexed pick: one lazy threshold pass down both lens
+    /// orders, stopping where the bound closes or the orders run out.
     fn pick_blended(&mut self, view: &dyn SchedulerView) -> Option<BucketId> {
         let n = view.candidate_count();
         let extremes = [
@@ -143,23 +132,15 @@ impl LifeRaftScheduler {
         // both metric terms, so this pass normalizes bit-identically to one
         // prepared over the full candidate slice.
         let pass = ScorePass::new(&self.cost, self.mode, self.alpha, view.now(), &extremes);
+        let (mut by_ut, mut by_age) = (view.walk(Lens::Throughput), view.walk(Lens::Age));
         let mut best: Option<(f64, BucketSnapshot)> = None;
-        let (mut residents, mut fetched) = (0, 0);
+        let (mut residents, mut open_at_half) = (0, false);
         for depth in 1.. {
-            if depth > fetched {
-                fetched = (2 * fetched).max(FRONTIER_SEED);
-                view.top_candidates(Lens::Throughput, residents + fetched, &mut self.scratch_t);
-                view.top_candidates(Lens::Age, fetched, &mut self.scratch_a);
-            }
             // The depth-th uncached candidate in throughput order. Residents
             // head that order: the first depth reads past them, scoring each
-            // once, and fetches deeper while the head outruns the fetch.
+            // once.
             let t = loop {
-                let i = residents + depth - 1;
-                if i == self.scratch_t.len() && i < n {
-                    view.top_candidates(Lens::Throughput, 2 * i, &mut self.scratch_t);
-                }
-                match self.scratch_t.get(i).copied() {
+                match by_ut.next() {
                     Some(c) if c.cached => {
                         keep_best(&mut best, pass.score(&c), &c);
                         residents += 1;
@@ -171,10 +152,10 @@ impl LifeRaftScheduler {
                 // Every candidate is resident, and each was scored.
                 break;
             };
-            let a = &self.scratch_a[depth - 1];
-            let (t_ut, a_age) = (pass.ut_term(&t), pass.age_term(a));
+            let a = by_age.next().expect("the age order holds every candidate");
+            let (t_ut, a_age) = (pass.ut_term(&t), pass.age_term(&a));
             keep_best(&mut best, pass.blend(t_ut, pass.age_term(&t)), &t);
-            keep_best(&mut best, pass.blend(pass.ut_term(a), a_age), a);
+            keep_best(&mut best, pass.blend(pass.ut_term(&a), a_age), &a);
             let (best_score, best_snap) = best.expect("a frontier candidate was scored");
             if residents + depth >= n {
                 // The residents and the walk covered every candidate.
@@ -187,16 +168,13 @@ impl LifeRaftScheduler {
             if bound < best_score || (bound == best_score && !ahead(&t, &best_snap)) {
                 break;
             }
-            if depth == fetched && 2 * fetched >= n {
-                // Open at the fallback depth: finish with one streamed scan
-                // (the full argmax, unmaterialized).
-                self.stats.fallback_picks += 1;
-                let mut full: Option<(f64, BucketSnapshot)> = None;
-                view.for_each_candidate(&mut |c| keep_best(&mut full, pass.score(c), c));
-                return full.map(|(_, b)| b.bucket);
-            }
+            open_at_half |= 2 * depth >= n;
         }
-        self.stats.frontier_picks += 1;
+        if open_at_half {
+            self.stats.fallback_picks += 1;
+        } else {
+            self.stats.frontier_picks += 1;
+        }
         best.map(|(_, b)| b.bucket)
     }
 }
@@ -259,7 +237,7 @@ impl Scheduler for LifeRaftScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixture::{reference_pick, FixtureView};
+    use crate::fixture::{reference_pick, CountingView, FixtureView};
     use liferaft_storage::{BucketId, SimDuration, SimTime};
 
     fn snap(bucket: u32, queue_len: u64, enq_s: u64, cached: bool) -> BucketSnapshot {
@@ -419,12 +397,47 @@ mod tests {
         assert_eq!(s.decision_stats().frontier_picks, 1);
     }
 
+    /// The tie arm closes only when the best seen leads the uncached
+    /// frontier. At depth 1 here the best seen is the age list's head, the
+    /// bound ties it (raw ages of 2⁵⁷ µs swallow every `Ut` gap), but the
+    /// frontier holds a longer queue: an unseen candidate between the two
+    /// in throughput order, 1 µs younger than the head (a gap the same ages
+    /// swallow), ties the best seen and wins its tie-break, so the pass
+    /// must read on to depth 2.
+    #[test]
+    fn a_tie_behind_a_longer_frontier_does_not_close_the_pass() {
+        let at = |us| SimTime::from_micros(us);
+        let candidate = |bucket, queue_len, enq_us| BucketSnapshot {
+            bucket: BucketId(bucket),
+            queue_len,
+            oldest_enqueue: at(enq_us),
+            cached: false,
+        };
+        let v = CountingView::new(FixtureView {
+            now: at(1 << 57),
+            candidates: vec![
+                // The age list's head, and the best seen at depth 1.
+                candidate(0, 1, 0),
+                // The throughput list's head, far younger.
+                candidate(1, 500, 1 << 56),
+                // Second in both lists: the reference pick.
+                candidate(2, 2, 1),
+            ],
+            ..FixtureView::default()
+        });
+        let mut s = LifeRaftScheduler::new(CostModel::paper(), AgingMode::Raw, 0.5);
+        assert_eq!(BucketId(2), reference(AgingMode::Raw, 0.5, &v.inner));
+        assert_eq!(s.pick(&v).unwrap().bucket, BucketId(2));
+        assert_eq!((v.reads(Lens::Throughput), v.reads(Lens::Age)), (2, 2));
+    }
+
     /// Anti-correlated lists keep the bound open for real: the long queues
     /// are the young ones, so the bound pairs one half's `Ut` with the other
-    /// half's age until the frontiers cross. The scan must give up, stream
-    /// every candidate once, and still agree with the reference decision.
+    /// half's age until the orders cross. The pass stays open past half the
+    /// list, reads each order at most once through, and still agrees with
+    /// the reference decision.
     #[test]
-    fn open_bound_falls_back_to_the_streamed_scan() {
+    fn an_open_bound_reads_each_order_at_most_once_through() {
         let candidates: Vec<BucketSnapshot> = (0..32)
             .map(|i| {
                 let (queue_len, enq_s) = if i < 16 {
@@ -435,20 +448,21 @@ mod tests {
                 snap(i, queue_len, enq_s, false)
             })
             .collect();
-        let v = view(candidates, 100);
+        let v = CountingView::new(view(candidates, 100));
         let mut s = LifeRaftScheduler::new(CostModel::paper(), AgingMode::Normalized, 0.5);
         assert_eq!(
             s.pick(&v).unwrap().bucket,
-            reference(AgingMode::Normalized, 0.5, &v)
+            reference(AgingMode::Normalized, 0.5, &v.inner)
         );
         assert_eq!(s.decision_stats().fallback_picks, 1);
         assert_eq!(s.decision_stats().frontier_picks, 0);
+        assert!(v.reads(Lens::Throughput) <= 32 && v.reads(Lens::Age) <= 32);
     }
 
     /// `old` candidates hold the age maximum with one-object queues, and
     /// `young` ones the `Ut` maximum with long queues: both groups score
     /// exactly ½ at α = ½, and the lists only cross past the older group.
-    fn crossing_lists(old: u32, young: u32) -> FixtureView {
+    fn crossing_lists(old: u32, young: u32) -> CountingView<FixtureView> {
         let candidates = (0..old + young)
             .map(|i| {
                 if i < old {
@@ -458,52 +472,74 @@ mod tests {
                 }
             })
             .collect();
-        view(candidates, 100)
+        CountingView::new(view(candidates, 100))
     }
 
-    /// n = 31 puts the fallback depth at 16 (the first fetch k with
-    /// 2k ≥ n). The bound, a young `Ut` blended with an old age, stays at 1
-    /// until the age list reaches the young group at depth 16; there it
-    /// ties the best seen (½, the first young bucket) and the tie-break
-    /// closes it. That depth is past n/2 but within the fallback depth: a
+    /// Picks at α = ½ through `v` with a fresh scheduler, checks the pick
+    /// against the reference decision, and returns the pass's
+    /// `(frontier_picks, fallback_picks)` and its reads down each order.
+    fn half_alpha_pass(v: &CountingView<FixtureView>, want: u32) -> ((u64, u64), [usize; 2]) {
+        let mut s = LifeRaftScheduler::new(CostModel::paper(), AgingMode::Normalized, 0.5);
+        assert_eq!(s.pick(v).unwrap().bucket, BucketId(want));
+        assert_eq!(
+            BucketId(want),
+            reference(AgingMode::Normalized, 0.5, &v.inner)
+        );
+        let stats = s.decision_stats();
+        let reads = Lens::ALL.map(|lens| v.reads(lens));
+        ((stats.frontier_picks, stats.fallback_picks), reads)
+    }
+
+    /// n = 31 puts half the list at depth ⌈31/2⌉ = 16. The bound, a young
+    /// `Ut` blended with an old age, stays at 1 until the age list reaches
+    /// the young group at depth 16; there it ties the best seen (½, the
+    /// first young bucket) and the tie-break closes it. Depth 16 is the
+    /// last that still counts as a frontier pick.
+    #[test]
+    fn a_bound_closing_at_half_the_list_is_a_frontier_pick() {
+        let v = crossing_lists(15, 16);
+        assert_eq!(half_alpha_pass(&v, 15), ((1, 0), [16, 16]));
+    }
+
+    /// n = 32 also puts half the list at depth 16, and 16 old candidates
+    /// keep the bound at 1 through it; it closes only at depth 17, when the
+    /// throughput list reaches the old group. Open past half the list: a
+    /// fallback pick.
+    #[test]
+    fn a_bound_open_past_half_the_list_is_a_fallback_pick() {
+        let v = crossing_lists(16, 16);
+        assert_eq!(half_alpha_pass(&v, 16), ((0, 1), [17, 17]));
+    }
+
+    /// The half rule at small n. With n = 2 half the list is depth 1: one
+    /// old and one young candidate leave the bound open there, so the pass
+    /// reads both orders through and counts a fallback pick. With n = 3
+    /// half the list is depth 2, where the bound over one old and two young
+    /// candidates ties the best seen and the tie-break closes it: a
     /// frontier pick.
     #[test]
-    fn a_bound_closing_past_half_the_set_is_a_frontier_pick() {
-        let v = crossing_lists(15, 16);
-        let mut s = LifeRaftScheduler::new(CostModel::paper(), AgingMode::Normalized, 0.5);
-        assert_eq!(s.pick(&v).unwrap().bucket, BucketId(15));
-        assert_eq!(BucketId(15), reference(AgingMode::Normalized, 0.5, &v));
-        assert_eq!(s.decision_stats().frontier_picks, 1);
-        assert_eq!(s.decision_stats().fallback_picks, 0);
-    }
-
-    /// n = 32 also falls back at depth 16, and 16 old candidates keep the
-    /// bound at 1 through it; it closes only at depth 17, when the
-    /// throughput list reaches the old group. That is one depth too late:
-    /// a fallback pick.
-    #[test]
-    fn a_bound_open_at_the_fallback_depth_is_a_fallback_pick() {
-        let v = crossing_lists(16, 16);
-        let mut s = LifeRaftScheduler::new(CostModel::paper(), AgingMode::Normalized, 0.5);
-        assert_eq!(s.pick(&v).unwrap().bucket, BucketId(16));
-        assert_eq!(BucketId(16), reference(AgingMode::Normalized, 0.5, &v));
-        assert_eq!(s.decision_stats().fallback_picks, 1);
-        assert_eq!(s.decision_stats().frontier_picks, 0);
+    fn the_half_rule_holds_at_small_n() {
+        let v = crossing_lists(1, 1);
+        assert_eq!(half_alpha_pass(&v, 1), ((0, 1), [2, 2]));
+        let v = crossing_lists(1, 2);
+        assert_eq!(half_alpha_pass(&v, 1), ((1, 0), [2, 2]));
     }
 
     #[test]
     fn frontier_picks_are_counted_when_the_bound_closes() {
         // A sharply skewed candidate set: one candidate dominates both
-        // terms, so the threshold bound closes at the first frontier check.
+        // terms, so the threshold bound closes at the first depth, after
+        // one read down each order.
         let candidates: Vec<BucketSnapshot> = (0..64)
             .map(|i| snap(i, if i == 0 { 5_000 } else { 1 }, i as u64, false))
             .collect();
-        let v = view(candidates, 100);
+        let v = CountingView::new(view(candidates, 100));
         let mut s = LifeRaftScheduler::new(CostModel::paper(), AgingMode::Normalized, 0.5);
         assert_eq!(s.pick(&v).unwrap().bucket, BucketId(0));
         assert_eq!(s.decision_stats().frontier_picks, 1);
         assert_eq!(s.decision_stats().fallback_picks, 0);
-        // The α extremes bypass the threshold scan entirely.
+        assert_eq!((v.reads(Lens::Throughput), v.reads(Lens::Age)), (1, 1));
+        // The α extremes bypass the threshold pass entirely.
         let mut greedy = LifeRaftScheduler::greedy(CostModel::paper());
         greedy.pick(&v).unwrap();
         assert_eq!(greedy.decision_stats(), DecisionStats::default());

@@ -2,12 +2,11 @@
 //!
 //! Since the candidate index landed, a view is no longer "a slice of every
 //! candidate snapshot": it is a query surface over an *incrementally
-//! maintained* candidate set — top/bottom/frontier lookups under the two
-//! α-decomposed orderings ([`Lens`]), a bucket-order cursor probe, and the
-//! per-query accessors arrival-order policies use. Policies that truly need
-//! every candidate stream them through
-//! [`for_each_candidate`](SchedulerView::for_each_candidate); nothing
-//! materializes a snapshot vector per decision anymore.
+//! maintained* candidate set — top/bottom lookups under the two
+//! α-decomposed orderings ([`Lens`]), a lazy [`walk`](SchedulerView::walk)
+//! down either order, a bucket-order cursor probe, and the per-query
+//! accessors arrival-order policies use. A policy reads as far down an
+//! order as it needs; nothing materializes a snapshot vector per decision.
 
 use liferaft_query::{QueryId, QueryTracker, WorkloadTable};
 use liferaft_storage::{BucketId, SimTime};
@@ -55,18 +54,15 @@ pub trait SchedulerView {
     /// Number of candidates (non-empty workload queues).
     fn candidate_count(&self) -> usize;
 
-    /// Streams every candidate snapshot, in ascending bucket order.
-    fn for_each_candidate(&self, f: &mut dyn FnMut(&BucketSnapshot));
-
     /// The candidate maximal under `lens` — exact, tie-breaks included.
     fn top_candidate(&self, lens: Lens) -> Option<BucketSnapshot>;
 
     /// The candidate minimal under `lens` (normalization lower bound).
     fn bottom_candidate(&self, lens: Lens) -> Option<BucketSnapshot>;
 
-    /// Fills `out` (cleared first) with up to `k` candidates in descending
-    /// `lens` order — the mixed-α frontier.
-    fn top_candidates(&self, lens: Lens, k: usize, out: &mut Vec<BucketSnapshot>);
+    /// Every candidate in descending `lens` order, read lazily — the
+    /// sorted access of the mixed-α threshold pass.
+    fn walk(&self, lens: Lens) -> Box<dyn Iterator<Item = BucketSnapshot> + '_>;
 
     /// The first candidate at or after `bucket` in bucket order — the
     /// round-robin cursor probe (callers wrap to `BucketId(0)` themselves).
@@ -105,10 +101,6 @@ impl SchedulerView for TableView<'_, '_> {
         self.table.candidate_count()
     }
 
-    fn for_each_candidate(&self, f: &mut dyn FnMut(&BucketSnapshot)) {
-        self.table.for_each_candidate(f);
-    }
-
     fn top_candidate(&self, lens: Lens) -> Option<BucketSnapshot> {
         self.table.top_candidate(lens)
     }
@@ -117,8 +109,8 @@ impl SchedulerView for TableView<'_, '_> {
         self.table.bottom_candidate(lens)
     }
 
-    fn top_candidates(&self, lens: Lens, k: usize, out: &mut Vec<BucketSnapshot>) {
-        self.table.frontier_into(lens, k, out);
+    fn walk(&self, lens: Lens) -> Box<dyn Iterator<Item = BucketSnapshot> + '_> {
+        Box::new(self.table.walk(lens))
     }
 
     fn candidate_at_or_after(&self, bucket: BucketId) -> Option<BucketSnapshot> {
@@ -135,16 +127,19 @@ impl SchedulerView for TableView<'_, '_> {
 }
 
 /// Decision-path counters a policy accumulates over its lifetime — the data
-/// that settles "how often does the mixed-α threshold scan actually close
-/// its bound?" (the ROADMAP's kinetic-heap question). Policies without a
-/// threshold scan report all-zero stats.
+/// that settles "how deep does the mixed-α threshold pass read before its
+/// bound closes?" (the ROADMAP's kinetic-heap question). Every mixed-α pick
+/// is one lazy pass down both lens orders and counts in exactly one field,
+/// by the depth `d` it read to, out of `n` candidates. Policies without a
+/// threshold pass report all-zero stats.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DecisionStats {
-    /// Mixed-α picks resolved by the frontier threshold scan (the score
-    /// bound closed, or the frontier covered the candidate set).
+    /// Mixed-α picks whose pass closed by depth ⌈n/2⌉, within the first
+    /// half of the candidate list.
     pub frontier_picks: u64,
-    /// Mixed-α picks that fell back to the full streamed scan because the
-    /// bound could not prune before the frontier covered most candidates.
+    /// Mixed-α picks whose pass was still open after reading half the
+    /// candidate list — open at a depth `d` with `2d ≥ n` — and read on
+    /// until its bound closed or the orders ran out.
     pub fallback_picks: u64,
 }
 
@@ -229,15 +224,13 @@ mod tests {
         // Oldest enqueue wins the age lens; youngest is the bottom.
         assert_eq!(v.top_candidate(Lens::Age).unwrap().bucket, BucketId(3));
         assert_eq!(v.bottom_candidate(Lens::Age).unwrap().bucket, BucketId(0));
-        let mut out = Vec::new();
-        v.top_candidates(Lens::Throughput, 2, &mut out);
+        let order = |lens| v.walk(lens).map(|c| c.bucket).collect::<Vec<_>>();
         assert_eq!(
-            out.iter().map(|c| c.bucket).collect::<Vec<_>>(),
-            vec![BucketId(3), BucketId(7)]
+            order(Lens::Throughput),
+            vec![BucketId(3), BucketId(7), BucketId(0)]
         );
-        v.top_candidates(Lens::Age, 5, &mut out);
         assert_eq!(
-            out.iter().map(|c| c.bucket).collect::<Vec<_>>(),
+            order(Lens::Age),
             vec![BucketId(3), BucketId(7), BucketId(0)]
         );
         // Cursor probe.

@@ -2,7 +2,7 @@
 //! pick made through the engine's **`TableView`** (the live `WorkloadTable`'s
 //! candidate index, φ pushed through `set_resident` at every cache change,
 //! and a `QueryTracker`'s in-flight records) must equal the pick made
-//! through the **legacy path** (a `for_each_candidate` gather with φ probed
+//! through the **legacy path** (a gather of every candidate with φ probed
 //! from `BucketCache::contains`, per-query buckets scanned from the queues,
 //! then the scan-based `FixtureView` and the fixture's reference decision
 //! over the gathered slice) — across arbitrary
@@ -19,10 +19,10 @@ mod fixture;
 
 use std::collections::HashMap;
 
-use fixture::{reference_pick, FixtureView};
+use fixture::{reference_pick, CountingView, FixtureView};
 use liferaft_core::adaptive::{TradeoffCurve, TradeoffPoint};
 use liferaft_core::{
-    AdaptiveScheduler, AgingMode, AlphaController, DecisionStats, LifeRaftScheduler,
+    AdaptiveScheduler, AgingMode, AlphaController, DecisionStats, Lens, LifeRaftScheduler,
     NoShareScheduler, RoundRobinScheduler, Scheduler, TableView, TradeoffTable,
 };
 use liferaft_htm::Vec3;
@@ -65,8 +65,8 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
             0u32..N_BUCKETS as u32,
             0u64..6,
             1u8..5,
-            // Fan-out widths: past 2·`FRONTIER_SEED`, so an all-tied scan
-            // that the tie-break did not close would reach the fallback.
+            // Fan-out widths of at least 9, so an all-tied pass that the
+            // tie-break did not close would read past half the candidates.
             9u32..=N_BUCKETS as u32,
         ),
         1..80,
@@ -158,16 +158,22 @@ fn legacy_view(
     }
 }
 
-/// The legacy gather: every candidate in bucket order, φ probed from the
-/// cache itself rather than read from the table.
+/// The legacy gather: every candidate in bucket order, read from the
+/// queues, with φ probed from the cache itself rather than read from the
+/// table.
 fn gather(table: &WorkloadTable<'_>, cache: &BucketCache, out: &mut Vec<BucketSnapshot>) {
     out.clear();
-    table.for_each_candidate(&mut |s| {
-        out.push(BucketSnapshot {
-            cached: cache.contains(s.bucket),
-            ..*s
-        })
-    });
+    out.extend(table.non_empty_buckets().iter().map(|&bucket| {
+        let queue = table.queue(bucket);
+        BucketSnapshot {
+            bucket,
+            queue_len: queue.len() as u64,
+            oldest_enqueue: queue
+                .oldest_enqueue()
+                .expect("a candidate queue is non-empty"),
+            cached: cache.contains(bucket),
+        }
+    }));
 }
 
 /// One shared-scan access, pushed into the table the way the engine does.
@@ -346,11 +352,12 @@ proptest! {
 
 /// One query fanned into every bucket at one instant with equal `n` ties all
 /// candidates on both score terms, which holds the threshold bound exactly on
-/// the best seen score. The tie-break closes that scan at depth 1: a fresh
-/// scheduler counts one frontier pick (the strict test held the bound open
-/// to the fallback depth and streamed all `N_BUCKETS` > 2·`FRONTIER_SEED`
-/// candidates instead), and the pick stays the reference decision's — with
-/// every bucket uncached, and with a few resident.
+/// the best seen score. The tie-break closes that pass at depth 1, after the
+/// residents and one more read down the throughput order and one down the
+/// age order: a fresh scheduler counts one frontier pick (a strict `<` test
+/// alone would hold the bound open past half of the `N_BUCKETS`
+/// candidates), and the pick stays the reference decision's — with every
+/// bucket uncached, and with a few resident.
 #[test]
 fn wide_enqueue_ties_close_on_the_frontier() {
     let pool = query_pool();
@@ -374,13 +381,13 @@ fn wide_enqueue_ties_close_on_the_frontier() {
         }
         gather(&table, &cache, &mut snaps);
         assert_eq!(snaps.iter().filter(|c| c.cached).count(), resident as usize);
-        let view = TableView {
-            now,
-            table: &table,
-            tracker: &tracker,
-        };
         for mode in [AgingMode::Normalized, AgingMode::Raw] {
             for alpha in [0.25, 0.5, 0.75] {
+                let view = CountingView::new(TableView {
+                    now,
+                    table: &table,
+                    tracker: &tracker,
+                });
                 let mut s = LifeRaftScheduler::new(CostModel::paper(), mode, alpha);
                 let via_index = s.pick(&view).map(|spec| spec.bucket);
                 let via_slice = reference(mode, alpha, now, &snaps);
@@ -393,6 +400,8 @@ fn wide_enqueue_ties_close_on_the_frontier() {
                     },
                     "mode {mode:?} α={alpha}, {resident} resident"
                 );
+                let reads = (view.reads(Lens::Throughput), view.reads(Lens::Age));
+                assert_eq!(reads, (resident as usize + 1, 1), "mode {mode:?} α={alpha}");
             }
         }
     }

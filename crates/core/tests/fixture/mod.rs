@@ -3,8 +3,10 @@
 //! tests: the scan-based `FixtureView` that the engine's indexed
 //! `TableView` is held to, and the gather-and-score LifeRaft decision that
 //! the indexed pick is held to. Neither shares code with the product paths
-//! it checks beyond Eq. 1 and the snapshot's age.
+//! it checks beyond Eq. 1 and the snapshot's age. `CountingView` wraps
+//! either view and counts how far down each lens order a pick reads.
 
+use std::cell::Cell;
 use std::cmp::Ordering;
 
 use liferaft_core::metric::workload_throughput;
@@ -102,10 +104,6 @@ impl SchedulerView for FixtureView {
         self.candidates.len()
     }
 
-    fn for_each_candidate(&self, f: &mut dyn FnMut(&BucketSnapshot)) {
-        self.candidates.iter().for_each(f);
-    }
-
     fn top_candidate(&self, lens: Lens) -> Option<BucketSnapshot> {
         self.candidates
             .iter()
@@ -120,11 +118,10 @@ impl SchedulerView for FixtureView {
             .min_by(|a, b| lens_cmp(lens, a, b))
     }
 
-    fn top_candidates(&self, lens: Lens, k: usize, out: &mut Vec<BucketSnapshot>) {
-        out.clear();
-        out.extend(&self.candidates);
-        out.sort_by(|a, b| lens_cmp(lens, b, a));
-        out.truncate(k);
+    fn walk(&self, lens: Lens) -> Box<dyn Iterator<Item = BucketSnapshot> + '_> {
+        let mut order = self.candidates.clone();
+        order.sort_by(|a, b| lens_cmp(lens, b, a));
+        Box::new(order.into_iter())
     }
 
     fn candidate_at_or_after(&self, bucket: BucketId) -> Option<BucketSnapshot> {
@@ -139,5 +136,67 @@ impl SchedulerView for FixtureView {
     fn first_pending_bucket_of(&self, query: QueryId) -> Option<BucketId> {
         let held = self.query_buckets.iter().filter(|(q, _)| *q == query);
         held.flat_map(|(_, b)| b).min().copied()
+    }
+}
+
+/// A view that counts the snapshots each lens walk of `inner` yields: how
+/// far down each order a pick reads.
+pub struct CountingView<V> {
+    /// The view every call is forwarded to.
+    pub inner: V,
+    reads: [Cell<usize>; 2],
+}
+
+impl<V: SchedulerView> CountingView<V> {
+    /// Wraps `inner` with both counts at zero.
+    pub fn new(inner: V) -> Self {
+        CountingView {
+            inner,
+            reads: Default::default(),
+        }
+    }
+
+    /// Snapshots yielded so far by walks under `lens`.
+    pub fn reads(&self, lens: Lens) -> usize {
+        self.reads[lens as usize].get()
+    }
+}
+
+impl<V: SchedulerView> SchedulerView for CountingView<V> {
+    fn now(&self) -> SimTime {
+        self.inner.now()
+    }
+
+    fn candidate_count(&self) -> usize {
+        self.inner.candidate_count()
+    }
+
+    fn top_candidate(&self, lens: Lens) -> Option<BucketSnapshot> {
+        self.inner.top_candidate(lens)
+    }
+
+    fn bottom_candidate(&self, lens: Lens) -> Option<BucketSnapshot> {
+        self.inner.bottom_candidate(lens)
+    }
+
+    fn walk(&self, lens: Lens) -> Box<dyn Iterator<Item = BucketSnapshot> + '_> {
+        let reads = &self.reads[lens as usize];
+        let counted = self
+            .inner
+            .walk(lens)
+            .inspect(move |_| reads.set(reads.get() + 1));
+        Box::new(counted)
+    }
+
+    fn candidate_at_or_after(&self, bucket: BucketId) -> Option<BucketSnapshot> {
+        self.inner.candidate_at_or_after(bucket)
+    }
+
+    fn oldest_pending_query(&self) -> Option<(QueryId, SimTime)> {
+        self.inner.oldest_pending_query()
+    }
+
+    fn first_pending_bucket_of(&self, query: QueryId) -> Option<BucketId> {
+        self.inner.first_pending_bucket_of(query)
     }
 }

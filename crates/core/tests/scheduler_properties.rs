@@ -4,7 +4,7 @@ mod fixture;
 
 use std::cmp::{Ordering, Reverse};
 
-use fixture::{reference_pick, reference_scores, FixtureView};
+use fixture::{reference_pick, reference_scores, CountingView, FixtureView};
 use liferaft_core::{
     AgingMode, BucketSnapshot, Lens, LifeRaftScheduler, RoundRobinScheduler, Scheduler,
     SchedulerView,
@@ -38,21 +38,26 @@ fn arb_candidates() -> impl Strategy<Value = Vec<BucketSnapshot>> {
     })
 }
 
-/// A saturated decision point: 200–2 000 candidates and queue lengths
+/// A saturated decision point: 200–2 300 candidates and queue lengths
 /// anti-correlated with age (the long queues are the young ones, with
 /// per-case noise), so the mixed-α threshold bound stays open deep into
 /// both lens lists. At most 20 candidates are resident, all enqueued at the
 /// latest instant, as buckets refilled just after their batch ran: their
 /// `Ut` ceiling then compresses every uncached `Ut` term without handing
 /// them the pick outright. Enqueue times and queue lengths sit on coarse
-/// grids, so exact ties on both terms are common.
+/// grids, so exact ties on both terms are common. In half the cases up to
+/// 300 more candidates hold one wide query's backlog: the oldest enqueue
+/// and the longest queue, tied on both terms. Where they hold the best
+/// score, the bound meets it exactly at depth 1 and only the tie arm
+/// closes the pass.
 fn arb_saturated() -> impl Strategy<Value = Vec<BucketSnapshot>> {
     (
         proptest::collection::vec((0u64..400, 0u64..1_000), 200..2_000),
         0u64..=200,
         proptest::collection::vec(0usize..2_000, 0..=20),
+        (proptest::bool::ANY, 1usize..=300),
     )
-        .prop_map(|(raw, noise, residents)| {
+        .prop_map(|(raw, noise, residents, (has_backlog, backlog))| {
             let mut cands: Vec<BucketSnapshot> = raw
                 .into_iter()
                 .enumerate()
@@ -63,6 +68,14 @@ fn arb_saturated() -> impl Strategy<Value = Vec<BucketSnapshot>> {
                     cached: false,
                 })
                 .collect();
+            let first = cands.len();
+            let backlog = if has_backlog { backlog } else { 0 };
+            cands.extend((first..first + backlog).map(|i| BucketSnapshot {
+                bucket: BucketId(i as u32),
+                queue_len: 1_801,
+                oldest_enqueue: SimTime::ZERO,
+                cached: false,
+            }));
             let n = cands.len();
             for r in residents {
                 let c = &mut cands[r % n];
@@ -74,9 +87,9 @@ fn arb_saturated() -> impl Strategy<Value = Vec<BucketSnapshot>> {
 }
 
 /// The depth at which the mixed-α threshold rule closes over `cands`, from
-/// the reference scores and the fixture's lens orders, or `None` if it is
-/// still open at the fallback depth: the first k of 4, 8, 16, … with
-/// 2k ≥ n. The residents, which head the throughput order, are seen first.
+/// the reference scores and the fixture's lens orders (0 if every
+/// candidate is resident). The residents, which head the throughput order,
+/// are seen first.
 /// At depth d the seen set adds the d-th uncached candidate in throughput
 /// order and the d-th oldest, and the bound blends the throughput term of
 /// the first with the age term of the second. The rule closes when the
@@ -89,17 +102,15 @@ fn reference_closing_depth(
     alpha: f64,
     now: SimTime,
     cands: &[BucketSnapshot],
-) -> Option<usize> {
+) -> usize {
     let n = cands.len();
     let score = reference_scores(cost, mode, alpha, now, cands);
     let ut = reference_scores(cost, mode, 0.0, now, cands);
     let age = reference_scores(cost, mode, 1.0, now, cands);
     let v = view(cands, now);
     let order = |lens: Lens| -> Vec<usize> {
-        let mut out = Vec::new();
-        v.top_candidates(lens, n, &mut out);
-        let at = |c: &BucketSnapshot| cands.binary_search_by_key(&c.bucket, |x| x.bucket);
-        out.iter().map(|c| at(c).expect("a candidate")).collect()
+        let at = |c: BucketSnapshot| cands.binary_search_by_key(&c.bucket, |x| x.bucket);
+        v.walk(lens).map(|c| at(c).expect("a candidate")).collect()
     };
     let (t, a) = (order(Lens::Throughput), order(Lens::Age));
     let tie_key = |i: usize| (cands[i].queue_len, Reverse(cands[i].bucket));
@@ -113,13 +124,9 @@ fn reference_closing_depth(
         .iter()
         .copied()
         .max_by(|&i, &j| decision(i, j));
-    let mut fallback_depth = 4;
-    while 2 * fallback_depth < n {
-        fallback_depth *= 2;
-    }
-    for d in 1..=fallback_depth {
+    for d in 1.. {
         let Some(&td) = t.get(residents + d - 1) else {
-            return Some(d);
+            return d - 1;
         };
         let ad = a[d - 1];
         for c in [td, ad] {
@@ -131,10 +138,10 @@ fn reference_closing_depth(
         let bound = ut[td] * (1.0 - alpha) + age[ad] * alpha;
         let tie_closes = bound == score[b] && tie_key(b) >= tie_key(td);
         if residents + d >= n || bound < score[b] || tie_closes {
-            return Some(d);
+            return d;
         }
     }
-    None
+    unreachable!("the residents and the walk cover every candidate")
 }
 
 /// A decision point over `cands` at `now`.
@@ -264,29 +271,39 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// At saturation's depth the threshold pass still picks the reference
-    /// decision, and counts a frontier pick exactly when the reference
-    /// closing rule closes within the fallback depth.
+    /// decision, reads each order exactly to the reference closing depth,
+    /// and counts a frontier pick exactly when that depth is within half
+    /// the candidate list.
     #[test]
     fn saturated_pick_matches_the_reference_pick(
         cands in arb_saturated(),
         random_alpha in 0.0..=1.0f64,
     ) {
         let now = SimTime::from_micros(2_000_000);
-        let v = view(&cands, now);
         let cost = CostModel::paper();
+        let residents = cands.iter().filter(|c| c.cached).count();
         for mode in [AgingMode::Normalized, AgingMode::Raw] {
             for alpha in [0.25, 0.5, 0.75, random_alpha] {
+                let v = CountingView::new(view(&cands, now));
                 let mut s = LifeRaftScheduler::new(cost, mode, alpha);
                 let want = reference_pick(&cost, mode, alpha, now, &cands).expect("non-empty");
-                prop_assert_eq!(pick(&mut s, &v), cands[want], "mode {:?} α={}", mode, alpha);
+                let picked = s.pick(&v).expect("non-empty candidates").bucket;
+                prop_assert_eq!(picked, cands[want].bucket, "mode {:?} α={}", mode, alpha);
                 if alpha == 0.0 || alpha == 1.0 {
                     continue;
                 }
-                let closes = reference_closing_depth(&cost, mode, alpha, now, &cands).is_some();
+                let depth = reference_closing_depth(&cost, mode, alpha, now, &cands);
+                prop_assert_eq!(
+                    (v.reads(Lens::Throughput), v.reads(Lens::Age)),
+                    (residents + depth, depth),
+                    "mode {:?} α={}", mode, alpha
+                );
+                // The half rule: a pass still open at depth ⌈n/2⌉ is a
+                // fallback pick.
                 let stats = s.decision_stats();
                 prop_assert_eq!(
                     (stats.frontier_picks, stats.fallback_picks),
-                    if closes { (1, 0) } else { (0, 1) },
+                    if depth > cands.len().div_ceil(2) { (0, 1) } else { (1, 0) },
                     "mode {:?} α={}", mode, alpha
                 );
             }

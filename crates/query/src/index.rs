@@ -5,8 +5,8 @@
 //! NoShare bench run. The index replaces that with exact, incrementally
 //! maintained orders over the candidate set, updated in O(log n) as queues
 //! mutate, so the α = 0 and α = 1 picks become O(log n)
-//! lookups and mixed-α picks a bounded frontier re-rank (threshold
-//! algorithm in `liferaft-core`).
+//! lookups and a mixed-α pick one lazy walk down both orders that stops
+//! where its bound closes (threshold algorithm in `liferaft-core`).
 //!
 //! # Why these orders suffice — the monotone-aging invariant
 //!

@@ -368,9 +368,9 @@ impl<'q> WorkloadQueue<'q> {
 /// [`CandidateIndex`] over the non-empty slots, updated in O(log n) on the
 /// same mutations and on every residency change the cache's owner pushes
 /// through [`set_resident`](Self::set_resident). A scheduling decision is
-/// then an index lookup ([`top_candidate`](Self::top_candidate) or
-/// [`frontier_into`](Self::frontier_into)) instead of
-/// an O(non-empty buckets) gather + re-score. Slots are updated in place
+/// then an index lookup ([`top_candidate`](Self::top_candidate)) or a
+/// lazy walk down one order ([`walk`](Self::walk)) instead of an
+/// O(non-empty buckets) gather + re-score. Slots are updated in place
 /// (never shifted), which keeps hot drain/refill cycles free of the
 /// O(candidates) memmoves a dense sorted snapshot vector would pay.
 #[derive(Debug, Clone)]
@@ -618,14 +618,6 @@ impl<'q> WorkloadTable<'q> {
         self.non_empty.len()
     }
 
-    /// Streams every candidate snapshot in ascending bucket order, straight
-    /// from the maintained slots — no gather, no allocation.
-    pub fn for_each_candidate(&self, f: &mut dyn FnMut(&BucketSnapshot)) {
-        for &b in &self.non_empty {
-            f(&self.snapshot_slots[b.index()]);
-        }
-    }
-
     /// The candidate maximal under `lens` (exact, tie-breaks included):
     /// the α = 0 pick under [`Lens::Throughput`], the α = 1 pick under
     /// [`Lens::Age`].
@@ -640,13 +632,12 @@ impl<'q> WorkloadTable<'q> {
             .map(|b| self.snapshot_slots[b.index()])
     }
 
-    /// Fills `out` (cleared first) with up to `k` candidates in
-    /// descending `lens` order — one list of the mixed-α threshold
-    /// scan.
-    pub fn frontier_into(&self, lens: Lens, k: usize, out: &mut Vec<BucketSnapshot>) {
-        out.clear();
-        let best = self.index.desc(lens).take(k);
-        out.extend(best.map(|b| self.snapshot_slots[b.index()]));
+    /// Every candidate in descending `lens` order (best first), read
+    /// lazily off the index: the sorted access of the mixed-α threshold
+    /// pass, and any "best under `lens` but …" query.
+    pub fn walk(&self, lens: Lens) -> impl Iterator<Item = BucketSnapshot> + '_ {
+        let slots = &self.snapshot_slots;
+        self.index.desc(lens).map(move |b| slots[b.index()])
     }
 
     /// The first candidate at or after `bucket` in bucket order, if any —
@@ -656,14 +647,6 @@ impl<'q> WorkloadTable<'q> {
         self.non_empty
             .get(pos)
             .map(|b| self.snapshot_slots[b.index()])
-    }
-
-    /// The oldest candidate other than `excluded` — the starvation
-    /// monitor's "oldest passed-over request" in O(log n).
-    pub fn oldest_candidate_excluding(&self, excluded: BucketId) -> Option<BucketSnapshot> {
-        let mut oldest = self.index.desc(Lens::Age);
-        let passed_over = oldest.find(|&b| b != excluded)?;
-        Some(self.snapshot_slots[passed_over.index()])
     }
 
     /// Storage accounting summed over every bucket queue (directories and
@@ -918,10 +901,11 @@ mod tests {
     }
 
     /// Gathers the maintained snapshots through the public decision-path
-    /// API (no residency pushed, to match `rebuild`'s default).
+    /// API, in bucket order (no residency pushed, to match `rebuild`'s
+    /// default).
     fn gather(t: &WorkloadTable) -> Vec<BucketSnapshot> {
-        let mut out = Vec::new();
-        t.for_each_candidate(&mut |s| out.push(*s));
+        let mut out: Vec<BucketSnapshot> = t.walk(Lens::Age).collect();
+        out.sort_by_key(|s| s.bucket);
         out
     }
 
@@ -1198,25 +1182,23 @@ mod tests {
             BucketId(5)
         );
         assert_eq!(t.bottom_candidate(Lens::Age).unwrap().bucket, BucketId(5));
+        let passed_over =
+            |t: &WorkloadTable, picked| t.walk(Lens::Age).find(|s| s.bucket != picked);
+        assert_eq!(passed_over(&t, BucketId(2)).unwrap().bucket, BucketId(5));
         assert_eq!(
-            t.oldest_candidate_excluding(BucketId(2)).unwrap().bucket,
-            BucketId(5)
-        );
-        let mut frontier = Vec::new();
-        t.frontier_into(Lens::Throughput, 10, &mut frontier);
-        assert_eq!(
-            frontier.iter().map(|s| s.bucket).collect::<Vec<_>>(),
+            t.walk(Lens::Throughput)
+                .map(|s| s.bucket)
+                .collect::<Vec<_>>(),
             vec![BucketId(2), BucketId(5)]
         );
-        t.frontier_into(Lens::Age, 1, &mut frontier);
-        assert_eq!(frontier.len(), 1);
+        assert_eq!(t.walk(Lens::Age).take(1).count(), 1);
         take_all(&mut t, BucketId(2));
         t.validate_index();
         assert_eq!(
             t.top_candidate(Lens::Throughput).unwrap().bucket,
             BucketId(5)
         );
-        assert_eq!(t.oldest_candidate_excluding(BucketId(5)), None);
+        assert_eq!(passed_over(&t, BucketId(5)), None);
         take_query(&mut t, BucketId(5), QueryId(1));
         t.validate_index();
         assert_eq!(t.candidate_count(), 0);
@@ -1256,9 +1238,9 @@ mod tests {
         // The resident candidate heads the throughput order despite its
         // shorter queue.
         let order = |t: &WorkloadTable| {
-            let mut out = Vec::new();
-            t.frontier_into(Lens::Throughput, 4, &mut out);
-            out.iter().map(|s| s.bucket).collect::<Vec<_>>()
+            t.walk(Lens::Throughput)
+                .map(|s| s.bucket)
+                .collect::<Vec<_>>()
         };
         assert_eq!(order(&t), vec![BucketId(3), BucketId(1)]);
         t.validate_index();

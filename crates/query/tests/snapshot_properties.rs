@@ -115,8 +115,8 @@ proptest! {
                     prop_assert!(drained.iter().all(|e| e.query == QueryId(query)));
                 }
             }
-            let mut gathered = Vec::new();
-            t.for_each_candidate(&mut |s| gathered.push(*s));
+            let mut gathered: Vec<BucketSnapshot> = t.walk(Lens::Age).collect();
+            gathered.sort_by_key(|s| s.bucket);
             prop_assert_eq!(
                 gathered,
                 rebuild(&t),
@@ -127,15 +127,17 @@ proptest! {
             // per non-empty bucket, in the exact lens orders.
             t.validate_index();
             prop_assert_eq!(t.candidate_count(), t.non_empty_buckets().len());
-            // Each lens's maximum agrees with a brute-force scan of the
-            // rebuild (cold residency throughout).
+            // Each lens's maximum and whole walk agree with a brute-force
+            // sort of the rebuild (cold residency throughout).
             for lens in Lens::ALL {
-                let brute = rebuild(&t).into_iter().min_by_key(|s| brute_rank(lens, s));
+                let mut brute = rebuild(&t);
+                brute.sort_by_key(|s| brute_rank(lens, s));
                 prop_assert_eq!(
                     t.top_candidate(lens).map(|s| s.bucket),
-                    brute.map(|s| s.bucket),
+                    brute.first().map(|s| s.bucket),
                     "{:?} maximum", lens
                 );
+                prop_assert_eq!(t.walk(lens).collect::<Vec<_>>(), brute, "{:?} walk", lens);
             }
             let total: u64 = t
                 .non_empty_buckets()

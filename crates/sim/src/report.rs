@@ -32,10 +32,12 @@ pub struct RunReport {
     pub serviced_entries: u64,
     /// Workload objects serviced from a cached bucket.
     pub cache_serviced_entries: u64,
-    /// Mixed-α decisions resolved by the frontier threshold scan (0 for
-    /// policies without one) — see `liferaft_core::DecisionStats`.
+    /// Mixed-α decisions whose threshold pass closed within the first half
+    /// of the candidate list (0 for policies without one) — see
+    /// `liferaft_core::DecisionStats`.
     pub frontier_picks: u64,
-    /// Mixed-α decisions that fell back to the full streamed scan.
+    /// Mixed-α decisions whose threshold pass was still open after reading
+    /// half the candidate list.
     pub fallback_picks: u64,
     /// Cross-match result pairs after predicates (0 in cost-only runs).
     pub total_matches: u64,

@@ -177,8 +177,9 @@ events! {
         bucket: u32,
         /// Candidate buckets at the decision point.
         candidates: u64,
-        /// Whether the pick came off the threshold-scan frontier (always
-        /// `false` for policies without a frontier).
+        /// Whether the pick's threshold pass closed within the first half
+        /// of the candidate list, i.e. counted as a frontier pick (always
+        /// `false` for policies without a threshold pass).
         frontier: bool,
     },
     /// A batch began executing.
