@@ -225,7 +225,6 @@ impl Scheduler for LifeRaftScheduler {
         Some(BatchSpec {
             bucket,
             scope: BatchScope::AllQueued,
-            share_io: true,
         })
     }
 
@@ -266,7 +265,6 @@ mod tests {
         let pick = s.pick(&v).unwrap();
         assert_eq!(pick.bucket, BucketId(1));
         assert_eq!(pick.scope, BatchScope::AllQueued);
-        assert!(pick.share_io);
         // Among uncached queues, longest wins.
         let v = view(vec![snap(0, 100, 10, false), snap(1, 900, 10, false)], 20);
         assert_eq!(s.pick(&v).unwrap().bucket, BucketId(1));

@@ -11,7 +11,7 @@ use crate::scheduler::{BatchScope, BatchSpec, Scheduler, SchedulerView};
 /// Strict arrival-order, share-nothing query evaluation.
 ///
 /// Each decision services the *oldest in-flight query*, one of its pending
-/// buckets at a time (in HTM order), with `share_io = false` so neither the
+/// buckets at a time (in HTM order), as a single-query batch, so neither the
 /// bucket cache nor co-queued requests of other queries benefit.
 #[derive(Debug, Clone, Default)]
 pub struct NoShareScheduler;
@@ -34,7 +34,6 @@ impl Scheduler for NoShareScheduler {
         Some(BatchSpec {
             bucket,
             scope: BatchScope::SingleQuery(query),
-            share_io: false,
         })
     }
 }
@@ -63,8 +62,11 @@ mod tests {
         };
         let pick = s.pick(&v).unwrap();
         assert_eq!(pick.bucket, BucketId(4));
-        assert_eq!(pick.scope, BatchScope::SingleQuery(QueryId(7)));
-        assert!(!pick.share_io, "NoShare must not share I/O");
+        assert_eq!(
+            pick.scope,
+            BatchScope::SingleQuery(QueryId(7)),
+            "NoShare must not share I/O"
+        );
     }
 
     #[test]

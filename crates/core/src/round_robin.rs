@@ -48,7 +48,6 @@ impl Scheduler for RoundRobinScheduler {
         Some(BatchSpec {
             bucket: next.bucket,
             scope: BatchScope::AllQueued,
-            share_io: true,
         })
     }
 }
@@ -113,7 +112,6 @@ mod tests {
         let v = view(&[0]);
         let pick = rr.pick(&v).unwrap();
         assert_eq!(pick.bucket, BucketId(0));
-        assert!(pick.share_io);
         assert_eq!(pick.scope, BatchScope::AllQueued);
     }
 

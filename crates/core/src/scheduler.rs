@@ -28,18 +28,17 @@ pub enum BatchScope {
     SingleQuery(QueryId),
 }
 
-/// A scheduling decision: which bucket to service next, with what scope and
-/// I/O-sharing discipline.
+/// A scheduling decision: which bucket to service next, and with what scope.
+/// The scope also fixes the I/O discipline: an [`BatchScope::AllQueued`]
+/// batch consults and populates the bucket cache; a
+/// [`BatchScope::SingleQuery`] batch bypasses it entirely — the NoShare
+/// baseline's "no I/O is shared".
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchSpec {
     /// The bucket to read and join against.
     pub bucket: BucketId,
     /// Which entries to consume.
     pub scope: BatchScope,
-    /// If false, the batch bypasses the bucket cache entirely — the NoShare
-    /// baseline's "no I/O is shared" discipline. Shared batches consult and
-    /// populate the cache.
-    pub share_io: bool,
 }
 
 /// What a scheduler may observe when making a decision.

@@ -86,6 +86,37 @@ fn arb_saturated() -> impl Strategy<Value = Vec<BucketSnapshot>> {
         })
 }
 
+/// A saturated decision point the threshold pass cannot close by half the
+/// candidate list: no residents, and queue length anti-correlated with age
+/// across two equal groups with a gap between them — old buckets with short
+/// queues and young buckets with long ones. Each candidate scores well on
+/// one term only. At α = 0.5 (normalized) the bound, one group's
+/// throughput term blended with the other's age term, stays above every
+/// score until both walks cross into the other group, at depth n/2 + 1.
+fn arb_split() -> impl Strategy<Value = Vec<BucketSnapshot>> {
+    (
+        proptest::collection::vec((0u64..100, 0u64..100), 100..=1_000),
+        0u64..=200,
+    )
+        .prop_map(|(mut raw, noise)| {
+            raw.truncate(raw.len() / 2 * 2);
+            let n = raw.len() as u64;
+            raw.into_iter()
+                .zip(0..)
+                .map(|((step, jitter), i)| {
+                    // The first half is the old group, the second the young.
+                    let step = step + if 2 * i < n { 0 } else { 300 };
+                    BucketSnapshot {
+                        bucket: BucketId(i as u32),
+                        queue_len: 1 + 4 * step + jitter % (noise + 1),
+                        oldest_enqueue: SimTime::from_micros(step * 5_000),
+                        cached: false,
+                    }
+                })
+                .collect()
+        })
+}
+
 /// The depth at which the mixed-α threshold rule closes over `cands`, from
 /// the reference scores and the fixture's lens orders (0 if every
 /// candidate is resident). The residents, which head the throughput order,
@@ -267,46 +298,69 @@ proptest! {
     }
 }
 
+/// Checks one saturated decision point at both aging modes and four
+/// mixed α values (0.25, 0.5, 0.75, `random_alpha`): the threshold pass
+/// picks the reference decision, reads each order exactly to the reference
+/// closing depth, and counts a frontier pick exactly when that depth is
+/// within half the candidate list. Returns how many passes were fallback
+/// picks.
+fn check_saturated(cands: &[BucketSnapshot], random_alpha: f64) -> u64 {
+    let now = SimTime::from_micros(2_000_000);
+    let cost = CostModel::paper();
+    let residents = cands.iter().filter(|c| c.cached).count();
+    let mut fallbacks = 0;
+    for mode in [AgingMode::Normalized, AgingMode::Raw] {
+        for alpha in [0.25, 0.5, 0.75, random_alpha] {
+            let v = CountingView::new(view(cands, now));
+            let mut s = LifeRaftScheduler::new(cost, mode, alpha);
+            let want = reference_pick(&cost, mode, alpha, now, cands).expect("non-empty");
+            let picked = s.pick(&v).expect("non-empty candidates").bucket;
+            prop_assert_eq!(picked, cands[want].bucket, "mode {mode:?} α={alpha}");
+            if alpha == 0.0 || alpha == 1.0 {
+                continue;
+            }
+            let depth = reference_closing_depth(&cost, mode, alpha, now, cands);
+            prop_assert_eq!(
+                (v.reads(Lens::Throughput), v.reads(Lens::Age)),
+                (residents + depth, depth),
+                "mode {mode:?} α={alpha}"
+            );
+            // The half rule: a pass still open at depth ⌈n/2⌉ is a
+            // fallback pick.
+            let stats = s.decision_stats();
+            let fallback = depth > cands.len().div_ceil(2);
+            prop_assert_eq!(
+                (stats.frontier_picks, stats.fallback_picks),
+                if fallback { (0, 1) } else { (1, 0) },
+                "mode {mode:?} α={alpha}"
+            );
+            fallbacks += u64::from(fallback);
+        }
+    }
+    fallbacks
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// At saturation's depth the threshold pass still picks the reference
-    /// decision, reads each order exactly to the reference closing depth,
-    /// and counts a frontier pick exactly when that depth is within half
-    /// the candidate list.
+    /// At saturation's depth the threshold pass matches the reference.
     #[test]
     fn saturated_pick_matches_the_reference_pick(
         cands in arb_saturated(),
         random_alpha in 0.0..=1.0f64,
     ) {
-        let now = SimTime::from_micros(2_000_000);
-        let cost = CostModel::paper();
-        let residents = cands.iter().filter(|c| c.cached).count();
-        for mode in [AgingMode::Normalized, AgingMode::Raw] {
-            for alpha in [0.25, 0.5, 0.75, random_alpha] {
-                let v = CountingView::new(view(&cands, now));
-                let mut s = LifeRaftScheduler::new(cost, mode, alpha);
-                let want = reference_pick(&cost, mode, alpha, now, &cands).expect("non-empty");
-                let picked = s.pick(&v).expect("non-empty candidates").bucket;
-                prop_assert_eq!(picked, cands[want].bucket, "mode {:?} α={}", mode, alpha);
-                if alpha == 0.0 || alpha == 1.0 {
-                    continue;
-                }
-                let depth = reference_closing_depth(&cost, mode, alpha, now, &cands);
-                prop_assert_eq!(
-                    (v.reads(Lens::Throughput), v.reads(Lens::Age)),
-                    (residents + depth, depth),
-                    "mode {:?} α={}", mode, alpha
-                );
-                // The half rule: a pass still open at depth ⌈n/2⌉ is a
-                // fallback pick.
-                let stats = s.decision_stats();
-                prop_assert_eq!(
-                    (stats.frontier_picks, stats.fallback_picks),
-                    if depth > cands.len().div_ceil(2) { (0, 1) } else { (1, 0) },
-                    "mode {:?} α={}", mode, alpha
-                );
-            }
-        }
+        check_saturated(&cands, random_alpha);
+    }
+
+    /// Past half the candidate list it still matches, and takes the
+    /// fallback branch of the count check: every case of the split family
+    /// has at least one fallback pass.
+    #[test]
+    fn split_pick_matches_the_reference_pick_past_half(
+        cands in arb_split(),
+        random_alpha in 0.0..=1.0f64,
+    ) {
+        let fallbacks = check_saturated(&cands, random_alpha);
+        prop_assert!(fallbacks > 0, "no pass over {} candidates fell back", cands.len());
     }
 }

@@ -184,11 +184,6 @@ impl Summary {
         self.sorted[lo] * (1.0 - frac) + self.sorted[hi] * frac
     }
 
-    /// Median (p50).
-    pub fn median(&self) -> f64 {
-        self.percentile(50.0)
-    }
-
     /// Smallest observation, or 0 if empty.
     pub fn min(&self) -> f64 {
         self.sorted.first().copied().unwrap_or(0.0)
@@ -202,9 +197,9 @@ impl Summary {
     /// Merges another summary into this one, as if both samples had been
     /// collected in a single pass: the sorted samples interleave (two-pointer
     /// merge, no re-sort) and the moment accumulators combine via
-    /// [`StreamingStats::merge`]. This is the cross-shard aggregation path —
-    /// each shard summarizes its own completions, and the runtime folds the
-    /// per-shard summaries without ever materializing the global sample
+    /// [`StreamingStats::merge`]. This is the cross-run aggregation path —
+    /// each run summarizes its own completions, and a caller pooling runs
+    /// folds their summaries without ever materializing the pooled sample
     /// twice.
     pub fn merge(&mut self, other: &Summary) {
         if other.sorted.is_empty() {
@@ -303,7 +298,7 @@ mod tests {
         assert_eq!(s.count(), 100);
         assert_eq!(s.min(), 1.0);
         assert_eq!(s.max(), 100.0);
-        assert!((s.median() - 50.5).abs() < 1e-12);
+        assert!((s.percentile(50.0) - 50.5).abs() < 1e-12);
         assert!((s.percentile(0.0) - 1.0).abs() < 1e-12);
         assert!((s.percentile(100.0) - 100.0).abs() < 1e-12);
         assert!((s.percentile(90.0) - 90.1).abs() < 1e-9);
@@ -313,7 +308,7 @@ mod tests {
     fn summary_of_empty_sample() {
         let s = Summary::from_samples(vec![]);
         assert_eq!(s.count(), 0);
-        assert_eq!(s.median(), 0.0);
+        assert_eq!(s.percentile(50.0), 0.0);
         assert_eq!(s.mean(), 0.0);
     }
 

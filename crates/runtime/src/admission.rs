@@ -42,7 +42,7 @@ use liferaft_query::{CrossMatchQuery, WorkItem};
 use liferaft_storage::{SimDuration, SimTime};
 use liferaft_telemetry::{class_label, Event, EventKind};
 
-use crate::ledger::{ClassConservation, Ledger, RejectedBy, RejectedQuery};
+use crate::ledger::{Ledger, RejectedBy, RejectedQuery};
 
 /// Priority class of a query at the front door, derived from its routed
 /// workload size (total object × bucket assignments): small exploratory
@@ -332,27 +332,19 @@ impl AdmissionLog {
     }
 
     /// Closes the log into the [`FrontDoorReport`]: the door's rejection
-    /// records and the per-class books (`per_class`, the ledger's), extended
-    /// with the door's own columns and the response / TTFB summaries of each
-    /// class's completed queries. An admitted query ends completed, or
-    /// rejected further on by failover or the transport — the ledger has
-    /// already asserted that every query ends exactly once.
+    /// records, its own per-class columns, and the response / TTFB
+    /// summaries of each class's completed queries. An admitted query ends
+    /// completed, or rejected further on by failover or the transport — the
+    /// ledger has already asserted that every query ends exactly once.
     ///
     /// # Panics
     /// Panics if a shard serviced any part of a query the door rejected.
-    pub(crate) fn into_report(
-        self,
-        ledger: &Ledger<'_>,
-        per_class: [ClassConservation; 3],
-    ) -> FrontDoorReport {
-        let mut per_class: [ClassStats; 3] = per_class.map(|books| ClassStats {
-            class: books.class,
-            submitted: books.submitted,
-            completed: books.completed,
+    pub(crate) fn into_report(self, ledger: &Ledger<'_>) -> FrontDoorReport {
+        let mut per_class: [ClassStats; 3] = QueryClass::ALL.map(|class| ClassStats {
+            class,
             admitted: 0,
             deferred: 0,
             shed_events: 0,
-            rejected: books.rejected,
             max_retries: 0,
             response: Summary::from_samples(Vec::new()),
             ttfb: Summary::from_samples(Vec::new()),
@@ -398,21 +390,16 @@ impl AdmissionLog {
     }
 }
 
-/// Aggregated front-door outcomes of one priority class.
+/// The front door's own outcomes for one priority class.
 ///
-/// `completed + rejected == submitted`, where `rejected` counts every
-/// controller's rejections; `admitted` plus the door's own rejections (the
-/// class's entries in [`FrontDoorReport::rejected`]) also equals
-/// `submitted`.
+/// The class's books — submitted, completed, rejected by any controller —
+/// live in [`RuntimeReport::per_class`](crate::RuntimeReport::per_class).
+/// There, `submitted` equals `admitted` plus the door's own rejections (the
+/// class's entries in [`FrontDoorReport::rejected`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClassStats {
     /// The class.
     pub class: QueryClass,
-    /// Queries of this class that arrived.
-    pub submitted: u64,
-    /// Queries that completed — with `rejected` and `submitted`, the
-    /// [`ClassConservation`] books of the class.
-    pub completed: u64,
     /// Queries that were (eventually) admitted.
     pub admitted: u64,
     /// Admitted queries whose release came after their arrival — they
@@ -420,9 +407,6 @@ pub struct ClassStats {
     pub deferred: u64,
     /// Total shed-into-backoff events.
     pub shed_events: u64,
-    /// Queries rejected by any controller: turned away at the door, or
-    /// admitted and then rejected by failover or the transport.
-    pub rejected: u64,
     /// Largest shed count any single query survived.
     pub max_retries: u32,
     /// Response times of the class's *completed* queries (arrival → last

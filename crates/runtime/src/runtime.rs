@@ -323,9 +323,7 @@ impl<'a, C: Catalog + Sync + ?Sized> ShardedRuntime<'a, C> {
             cross_shard_queries: plan.cross_shard_queries,
             total_fragments: plan.total_fragments,
             rebalance: plan.rebalance,
-            front_door: plan
-                .admission
-                .map(|log| log.into_report(&ledger, per_class)),
+            front_door: plan.admission.map(|log| log.into_report(&ledger)),
             failover,
             transport,
             per_class,
@@ -1398,7 +1396,7 @@ mod tests {
             stepped.global.outcomes.len() + fd_report.rejected.len(),
             timed.len()
         );
-        let submitted: u64 = fd_report.per_class.iter().map(|c| c.submitted).sum();
+        let submitted: u64 = stepped.per_class.iter().map(|c| c.submitted).sum();
         assert_eq!(submitted, timed.len() as u64);
         // A tight global bound on a 5 qps burst must actually defer work.
         let deferred: u64 = fd_report.per_class.iter().map(|c| c.deferred).sum();
@@ -1472,10 +1470,14 @@ mod tests {
         assert!(report.global.outcomes.is_empty());
         assert!(fd.rejected.is_empty(), "the door turned nobody away");
         assert_eq!(fo.rejected.len(), timed.len());
-        for c in &fd.per_class {
-            assert_eq!(c.admitted, c.submitted, "{:?}", c.class);
+        for (c, books) in fd.per_class.iter().zip(&report.per_class) {
+            assert_eq!(c.admitted, books.submitted, "{:?}", c.class);
             assert_eq!(c.deferred, 0, "{:?}: nothing was ever held", c.class);
-            assert_eq!(c.rejected, c.submitted, "{:?}: failover's count", c.class);
+            assert_eq!(
+                books.rejected, books.submitted,
+                "{:?}: failover's count",
+                c.class
+            );
             assert_eq!(c.response.count(), 0, "{:?}: no completion", c.class);
         }
     }

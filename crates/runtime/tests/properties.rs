@@ -278,9 +278,10 @@ proptest! {
         // Per-class books balance and roll up to the whole trace.
         let mut submitted = 0u64;
         for class in QueryClass::ALL {
+            let books = &stepped.per_class[class.rank()];
             let c = fd.class(class);
-            prop_assert_eq!(c.submitted, c.admitted + c.rejected, "{} class", class.label());
-            submitted += c.submitted;
+            prop_assert_eq!(books.submitted, c.admitted + books.rejected, "{} class", class.label());
+            submitted += books.submitted;
         }
         prop_assert_eq!(submitted, timed.len() as u64);
     }
@@ -477,10 +478,10 @@ proptest! {
         }
         if let Some(fd) = &stepped.front_door {
             for class in QueryClass::ALL {
-                let c = fd.class(class);
+                let books = &stepped.per_class[class.rank()];
                 let turned_away = fd.rejected.iter().filter(|r| r.class == class).count();
-                prop_assert_eq!(c.submitted, c.completed + c.rejected, "{} class", class.label());
-                prop_assert_eq!(c.submitted, c.admitted + turned_away as u64, "{} class", class.label());
+                prop_assert_eq!(books.class, class);
+                prop_assert_eq!(books.submitted, fd.class(class).admitted + turned_away as u64, "{} class", class.label());
             }
         }
     }

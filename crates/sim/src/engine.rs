@@ -481,6 +481,7 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
             BatchScope::AllQueued => None,
             BatchScope::SingleQuery(q) => Some(q),
         };
+        let share_io = spec.scope == BatchScope::AllQueued;
         let (runs, entries) = (&mut self.batch_runs, &mut self.batch_entries);
         let execute_joins = self.config.execute_joins;
         runs.clear();
@@ -496,10 +497,10 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
 
         // The hybrid join decision belongs to LifeRaft's Join Evaluator
         // (Figure 3), and the cost model makes it as it prices the batch.
-        // NoShare (share_io = false) models the pre-existing scan-based
+        // NoShare's single-query batches model the pre-existing scan-based
         // evaluation: no warm cache, no hybrid fallback.
-        let cached = spec.share_io && self.cache.contains(spec.bucket);
-        let cost_model = if spec.share_io {
+        let cached = share_io && self.cache.contains(spec.bucket);
+        let cost_model = if share_io {
             self.config.cost
         } else {
             CostModel {
@@ -524,7 +525,7 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
 
         match strategy {
             JoinStrategy::SequentialScan => {
-                if spec.share_io {
+                if share_io {
                     match self.cache.access(spec.bucket) {
                         CacheAccess::Hit if telemetry => {
                             let bucket = spec.bucket.0;
@@ -581,7 +582,7 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
             let catalog = self.catalog;
             match strategy {
                 JoinStrategy::SequentialScan => {
-                    let held = if spec.share_io {
+                    let held = if share_io {
                         self.rows.remove(&spec.bucket)
                     } else {
                         None
@@ -589,7 +590,7 @@ impl<'a, C: Catalog + ?Sized> EngineCore<'a, C> {
                     let rows = held.unwrap_or_else(|| catalog.bucket_objects(spec.bucket));
                     self.total_matches +=
                         accepted_matches(&self.tracker, strategy, &rows, &self.batch_entries);
-                    if spec.share_io {
+                    if share_io {
                         self.rows.insert(spec.bucket, rows);
                     }
                 }
@@ -1458,7 +1459,6 @@ mod tests {
             Some(BatchSpec {
                 bucket: all[best].bucket,
                 scope: BatchScope::AllQueued,
-                share_io: true,
             })
         }
     }

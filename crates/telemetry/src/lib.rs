@@ -12,8 +12,8 @@
 //!    and stays bit-identical to the recorded goldens.
 //! 2. **Time series** — [`TelemetryReport::build`] folds a merged stream
 //!    into fixed virtual-time-window samples per shard (queue depth,
-//!    decision rate, scan hit rate, response percentiles) and cross-shard
-//!    aggregates.
+//!    decision rate, scan hit rate, p90 response). Run totals are not
+//!    re-derived here: they live in the run's reports.
 //! 3. **Export** — [`TelemetryReport::to_jsonl`] renders the stream one
 //!    event per line; [`TelemetryReport::to_chrome_trace`] renders a
 //!    Chrome trace-event / Perfetto document of per-shard batch timelines,

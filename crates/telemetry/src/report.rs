@@ -1,20 +1,20 @@
-//! Per-shard time-series telemetry derived from a merged event stream.
+//! Per-shard windowed series folded from a merged event stream.
 //!
+//! The flight recorder is the event stream plus windowed series; run totals
+//! (batches, scans, hits, responses) live in `RunReport`, exactly.
 //! [`TelemetryReport::build`] folds a canonical event stream into fixed
 //! virtual-time-window samples per shard — queue depth, scheduler decision
-//! rate, shared-scan hit rate, response percentiles — plus cross-shard
-//! aggregates folded with the mergeable accumulators from
-//! `liferaft-metrics` ([`Summary::merge`], [`StreamingStats::merge`]).
-//! The raw stream rides along for the JSONL / Chrome-trace exports.
+//! rate, shared-scan hit rate, p90 response — and keeps the raw stream for
+//! the JSONL / Chrome-trace exports.
 
 use liferaft_metrics::table::fmt_f;
-use liferaft_metrics::{Series, StreamingStats, Summary, Table};
+use liferaft_metrics::{Series, Summary, Table};
 use liferaft_storage::SimDuration;
 
 use crate::event::{Event, EventKind, ROUTER_SHARD};
 use crate::export::{events_to_chrome_trace, events_to_jsonl};
 
-/// Windowed series and whole-run aggregates for one shard.
+/// Windowed series for one shard.
 #[derive(Debug, Clone)]
 pub struct ShardSeries {
     /// The shard id.
@@ -32,50 +32,18 @@ pub struct ShardSeries {
     pub hit_rate: Series,
     /// p90 response time (seconds) of queries completing in each window.
     pub response_p90_s: Series,
-    /// All response times (seconds) completed on this shard.
-    pub response: Summary,
-    /// Entries per executed batch on this shard.
-    pub batch_entries: StreamingStats,
-    /// Total events this shard recorded.
-    pub events: u64,
-    /// Total scheduler decisions.
-    pub decisions: u64,
-    /// Total batches executed.
-    pub batches: u64,
-    /// Shared (non-indexed) scan batches.
-    pub scans: u64,
-    /// Shared scan batches served from the bucket cache.
-    pub scan_hits: u64,
 }
 
-impl ShardSeries {
-    /// Whole-run shared-scan hit rate, 0 when no shared scans ran.
-    pub fn overall_hit_rate(&self) -> f64 {
-        if self.scans == 0 {
-            0.0
-        } else {
-            self.scan_hits as f64 / self.scans as f64
-        }
-    }
-}
-
-/// The flight-recorder report: per-shard time series, cross-shard
-/// aggregates, and the raw canonical event stream for export.
+/// The flight-recorder report: per-shard windowed series and the raw
+/// canonical event stream for export.
 #[derive(Debug, Clone)]
 pub struct TelemetryReport {
     /// Sampling window the series were folded over.
     pub window: SimDuration,
-    /// Virtual time of the last event (ZERO for an empty stream).
-    pub makespan: SimDuration,
     /// Shards the stream was recorded over (router pseudo-shard excluded).
     pub n_shards: u32,
     /// Per-shard windowed series, indexed by shard id.
     pub shards: Vec<ShardSeries>,
-    /// Cross-shard response summary (seconds), folded via [`Summary::merge`].
-    pub response: Summary,
-    /// Cross-shard batch-size accumulator, folded via
-    /// [`StreamingStats::merge`].
-    pub batch_entries: StreamingStats,
     /// The canonical merged event stream (running clock, shard, seq order).
     pub events: Vec<Event>,
 }
@@ -93,13 +61,10 @@ impl TelemetryReport {
     pub fn build(events: Vec<Event>, n_shards: u32, window: SimDuration) -> Self {
         assert!(window > SimDuration::ZERO, "zero telemetry window");
         assert!(n_shards > 0, "telemetry needs at least one shard");
-        let makespan = events
-            .iter()
-            .map(|e| SimDuration::from_micros(e.time.as_micros()))
-            .max()
-            .unwrap_or(SimDuration::ZERO);
+        // Windows up to the last event's instant; one for an empty stream.
+        let last_us = events.iter().map(|e| e.time.as_micros()).max();
         let window_us = window.as_micros();
-        let n_windows = (makespan.as_micros().div_ceil(window_us)).max(1) as usize;
+        let n_windows = last_us.unwrap_or(0).div_ceil(window_us).max(1) as usize;
         let n = n_shards as usize;
 
         // Per-shard, per-window accumulators.
@@ -108,9 +73,6 @@ impl TelemetryReport {
         let mut scans_w = vec![vec![0u64; n_windows]; n];
         let mut hits_w = vec![vec![0u64; n_windows]; n];
         let mut responses_w: Vec<Vec<Vec<f64>>> = vec![vec![Vec::new(); n_windows]; n];
-        let mut totals = vec![(0u64, 0u64, 0u64, 0u64, 0u64); n]; // events, decisions, batches, scans, hits
-        let mut batch_stats = vec![StreamingStats::new(); n];
-        let mut responses_all: Vec<Vec<f64>> = vec![Vec::new(); n];
         // A shard whose first kept event is not its first recorded one lost
         // its head to a ring.
         let mut truncated: Vec<Option<bool>> = vec![None; n];
@@ -139,36 +101,24 @@ impl TelemetryReport {
             }
             let s = shard_index(e.shard);
             truncated[s].get_or_insert(e.seq > 0);
-            totals[s].0 += 1;
             match &e.kind {
                 EventKind::QueryArrival { assignments, .. } => {
                     net_flow[s][w] += *assignments as i64;
                 }
-                EventKind::Decision { .. } => {
-                    decisions_w[s][w] += 1;
-                    totals[s].1 += 1;
-                }
+                EventKind::Decision { .. } => decisions_w[s][w] += 1,
                 EventKind::BatchStart {
                     cached,
                     indexed: false,
                     ..
                 } => {
                     scans_w[s][w] += 1;
-                    totals[s].3 += 1;
-                    if *cached {
-                        hits_w[s][w] += 1;
-                        totals[s].4 += 1;
-                    }
+                    hits_w[s][w] += u64::from(*cached);
                 }
                 EventKind::BatchEnd { entries, .. } => {
                     net_flow[s][w] -= *entries as i64;
-                    totals[s].2 += 1;
-                    batch_stats[s].push(*entries as f64);
                 }
                 EventKind::QueryComplete { response, .. } => {
-                    let secs = response.as_secs_f64();
-                    responses_w[s][w].push(secs);
-                    responses_all[s].push(secs);
+                    responses_w[s][w].push(response.as_secs_f64());
                 }
                 _ => {}
             }
@@ -176,8 +126,6 @@ impl TelemetryReport {
 
         let window_secs = window.as_secs_f64();
         let mut shards = Vec::with_capacity(n);
-        let mut response = Summary::from_samples(Vec::new());
-        let mut batch_entries = StreamingStats::new();
         for s in 0..n {
             let mut queue_depth = Series::new(format!("shard {s} queue depth"));
             let mut decisions_per_s = Series::new(format!("shard {s} decisions/s"));
@@ -206,33 +154,19 @@ impl TelemetryReport {
                     Summary::from_samples(std::mem::take(&mut responses_w[s][w])).percentile(90.0);
                 response_p90_s.push(x, p90);
             }
-            let shard_response = Summary::from_samples(std::mem::take(&mut responses_all[s]));
-            response.merge(&shard_response);
-            batch_entries.merge(&batch_stats[s]);
-            let (events_n, decisions, batches, scans, scan_hits) = totals[s];
             shards.push(ShardSeries {
                 shard: s as u32,
                 queue_depth,
                 decisions_per_s,
                 hit_rate,
                 response_p90_s,
-                response: shard_response,
-                batch_entries: batch_stats[s],
-                events: events_n,
-                decisions,
-                batches,
-                scans,
-                scan_hits,
             });
         }
 
         TelemetryReport {
             window,
-            makespan,
             n_shards,
             shards,
-            response,
-            batch_entries,
             events,
         }
     }
@@ -247,62 +181,6 @@ impl TelemetryReport {
     /// document.
     pub fn to_chrome_trace(&self) -> String {
         events_to_chrome_trace(&self.events, self.n_shards)
-    }
-
-    /// A per-shard whole-run summary table (plus an `all` row).
-    pub fn summary_table(&self) -> String {
-        let mut t = Table::new([
-            "shard",
-            "events",
-            "decisions",
-            "batches",
-            "mean_entries",
-            "hit_rate",
-            "p50_s",
-            "p90_s",
-        ]);
-        for s in &self.shards {
-            t.row([
-                s.shard.to_string(),
-                s.events.to_string(),
-                s.decisions.to_string(),
-                s.batches.to_string(),
-                fmt_f(s.batch_entries.mean(), 1),
-                fmt_f(s.overall_hit_rate(), 3),
-                fmt_f(s.response.median(), 3),
-                fmt_f(s.response.percentile(90.0), 3),
-            ]);
-        }
-        let (scans, hits) = self
-            .shards
-            .iter()
-            .fold((0u64, 0u64), |(a, b), s| (a + s.scans, b + s.scan_hits));
-        t.row([
-            "all".to_string(),
-            self.events.len().to_string(),
-            self.shards
-                .iter()
-                .map(|s| s.decisions)
-                .sum::<u64>()
-                .to_string(),
-            self.shards
-                .iter()
-                .map(|s| s.batches)
-                .sum::<u64>()
-                .to_string(),
-            fmt_f(self.batch_entries.mean(), 1),
-            fmt_f(
-                if scans == 0 {
-                    0.0
-                } else {
-                    hits as f64 / scans as f64
-                },
-                3,
-            ),
-            fmt_f(self.response.median(), 3),
-            fmt_f(self.response.percentile(90.0), 3),
-        ]);
-        t.render()
     }
 
     /// An ASCII activity timeline: one row per sampling window, one column
@@ -455,10 +333,9 @@ mod tests {
     fn windows_fold_flow_and_rates() {
         let r = TelemetryReport::build(sample_stream(), 2, SimDuration::from_secs(1));
         assert_eq!(r.n_shards, 2);
-        assert_eq!(r.makespan, SimDuration::from_micros(1_500_000));
         assert_eq!(r.shards.len(), 2);
         let s0 = &r.shards[0];
-        // Two windows: [0,1s) and [1s,1.5s].
+        // Two windows up to the last event at 1.5 s: [0,1s) and [1s,1.5s].
         assert_eq!(s0.queue_depth.points().len(), 2);
         // Window 0: +6 arrivals, -3 serviced, -2 moved off => depth 1;
         // window 1: -1 => 0.
@@ -466,15 +343,11 @@ mod tests {
         assert_eq!(s0.decisions_per_s.ys(), vec![1.0, 1.0]);
         // Window 0: 1 scan 0 hits; window 1: 1 scan 1 hit.
         assert_eq!(s0.hit_rate.ys(), vec![0.0, 1.0]);
-        assert_eq!(s0.overall_hit_rate(), 0.5);
-        assert_eq!(s0.response.count(), 1);
+        assert_eq!(s0.response_p90_s.ys()[0], 0.0);
         assert!((s0.response_p90_s.ys()[1] - 1.5).abs() < 1e-12);
-        assert_eq!(s0.batch_entries.count(), 2);
         // Shard 1 recorded nothing, but the planned move queued 2 there.
-        assert_eq!(r.shards[1].events, 0);
+        assert_eq!(r.shards[1].decisions_per_s.ys(), vec![0.0, 0.0]);
         assert_eq!(r.shards[1].queue_depth.ys(), vec![2.0, 2.0]);
-        assert_eq!(r.response.count(), 1);
-        assert_eq!(r.batch_entries.count(), 2);
         assert_eq!(r.events.len(), 9);
         // A ring that shed the arrival starts shard 0 at the least baseline
         // keeping its depth non-negative: here exactly the true depth.
@@ -486,18 +359,14 @@ mod tests {
     #[test]
     fn empty_stream_builds_one_empty_window() {
         let r = TelemetryReport::build(Vec::new(), 1, SimDuration::from_secs(1));
-        assert_eq!(r.makespan, SimDuration::ZERO);
         assert_eq!(r.shards[0].queue_depth.points().len(), 1);
-        assert_eq!(r.response.count(), 0);
+        assert_eq!(r.shards[0].response_p90_s.ys(), vec![0.0]);
         assert!(r.to_jsonl().is_empty());
     }
 
     #[test]
-    fn tables_render() {
+    fn timeline_renders() {
         let r = TelemetryReport::build(sample_stream(), 2, SimDuration::from_secs(1));
-        let summary = r.summary_table();
-        assert!(summary.contains("hit_rate"));
-        assert!(summary.lines().count() >= 4); // header, rule, 2 shards, all
         let timeline = r.ascii_timeline();
         assert!(timeline.contains("t_end_s"));
         assert!(timeline.contains('#'));

@@ -164,14 +164,14 @@ fn main() {
         "p90 rt (s)",
     ]);
     for class in QueryClass::ALL {
-        let c = fd.class(class);
+        let (c, books) = (fd.class(class), &door_stepped.per_class[class.rank()]);
         class_table.row([
             class.label().to_string(),
-            c.submitted.to_string(),
+            books.submitted.to_string(),
             c.admitted.to_string(),
             c.deferred.to_string(),
             c.shed_events.to_string(),
-            c.rejected.to_string(),
+            books.rejected.to_string(),
             c.max_retries.to_string(),
             format!("{:.1}", c.ttfb.percentile(90.0)),
             format!("{:.1}", c.response.percentile(90.0)),
@@ -233,7 +233,9 @@ fn main() {
         traced_threaded.telemetry.as_ref().unwrap().to_jsonl(),
         "the recorded stream must be byte-identical across executors"
     );
-    println!("{}", telemetry.summary_table());
+    for run in &traced.shards {
+        println!("{}: {}", run.shard, run.report.summary_line());
+    }
     println!("{}", telemetry.ascii_timeline());
     println!(
         "flight recorder: {} events across {} shards; stream bytes identical across executors ✓",

@@ -144,10 +144,10 @@ fn every_scenario_is_deterministic_across_executors_and_schedulers() {
                     "{ctx}: completed + rejected must equal submitted"
                 );
                 for class in QueryClass::ALL {
-                    let c = fd.class(class);
+                    let books = &stepped.per_class[class.rank()];
                     assert_eq!(
-                        c.submitted,
-                        c.admitted + c.rejected,
+                        books.submitted,
+                        fd.class(class).admitted + books.rejected,
                         "{ctx}: {} class accounting",
                         class.label()
                     );
@@ -219,10 +219,11 @@ fn assert_composes(name: &str, fixture: &ScenarioFixture, config: RuntimeConfig)
                 c.class
             );
         }
-        for c in &fd.per_class {
+        for (c, books) in fd.per_class.iter().zip(&stepped.per_class) {
+            let turned_away = fd.rejected.iter().filter(|r| r.class == c.class).count();
             assert_eq!(
-                c.completed + c.rejected,
-                c.submitted,
+                c.admitted + turned_away as u64,
+                books.submitted,
                 "{ctx}: {:?}",
                 c.class
             );
@@ -431,7 +432,7 @@ fn flash_crowd_controller_protects_interactive_latency() {
     let int_on = fd_on.class(QueryClass::Interactive);
     let int_off = fd_off.class(QueryClass::Interactive);
     assert!(
-        int_on.submitted > 0,
+        on.per_class[QueryClass::Interactive.rank()].submitted > 0,
         "fixture must contain interactive-class queries"
     );
     assert!(
@@ -447,8 +448,12 @@ fn flash_crowd_controller_protects_interactive_latency() {
     );
     // Shedding is bounded and accounted: every retry either landed or
     // ended in a recorded rejection.
+    let batch_books = &on.per_class[QueryClass::Batch.rank()];
     let batch_on = fd_on.class(QueryClass::Batch);
-    assert_eq!(batch_on.submitted, batch_on.admitted + batch_on.rejected);
+    assert_eq!(
+        batch_books.submitted,
+        batch_on.admitted + batch_books.rejected
+    );
 }
 
 /// p90 response over the interactive class (default front-door thresholds —

@@ -44,9 +44,11 @@ fn jsonl_of(report: &RuntimeReport) -> String {
 }
 
 /// Every shard's queue depth stays non-negative, and with nothing dropped —
-/// the whole stream kept, every delivered query completed — it ends at 0.
+/// the whole stream kept, every delivered query completed — it ends at 0,
+/// and the windowed decision counts sum to the shard's exact batch count.
 fn assert_queue_depths(report: &RuntimeReport, ctx: &str) {
     let telemetry = report.telemetry.as_ref().expect("telemetry was enabled");
+    let window_s = telemetry.window.as_secs_f64();
     for (series, run) in telemetry.shards.iter().zip(&report.shards) {
         let depth = series.queue_depth.ys();
         let shard = series.shard;
@@ -59,6 +61,13 @@ fn assert_queue_depths(report: &RuntimeReport, ctx: &str) {
                 depth.last(),
                 Some(&0.0),
                 "{ctx}: shard {shard} ended with queued work"
+            );
+            let decisions: u64 = (series.decisions_per_s.ys().iter())
+                .map(|&rate| (rate * window_s).round() as u64)
+                .sum();
+            assert_eq!(
+                decisions, run.report.batches,
+                "{ctx}: shard {shard}'s windowed decisions disagree with its batch count"
             );
         }
     }
